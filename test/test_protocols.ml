@@ -1488,7 +1488,10 @@ let test_jsonl_export_valid key () =
    by test_explain's goldens) are filtered out to keep this golden
    about the phase skeleton; their interleaving still shifts the phase
    span ids, which is part of what is pinned here. *)
-let test_golden_jsonl_active () =
+(* One active-replication transaction at a fixed seed, flushed; returns
+   its rid (which depends on how many requests the process built before)
+   and the span collector. *)
+let golden_active_spans () =
   let engine = Engine.create ~seed:3 () in
   let net = Network.create engine ~n:4 Network.default_config in
   let inst = Protocols.Active.create net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ] () in
@@ -1498,13 +1501,13 @@ let test_golden_jsonl_active () =
   inst.Core.Technique.submit ~client:3 request (fun _ -> ());
   ignore (Engine.run ~until:(Simtime.of_sec 10.) engine);
   Core.Phase_span.finalize inst.Core.Technique.spans ~at:(Engine.now engine);
-  let out =
-    Sim.Trace_export.to_jsonl (Core.Phase_span.collector inst.Core.Technique.spans)
-  in
+  (request.Store.Operation.rid, Core.Phase_span.collector inst.Core.Technique.spans)
+
+let test_golden_jsonl_active () =
+  let rid, spans = golden_active_spans () in
+  let out = Sim.Trace_export.to_jsonl spans in
   let normalized =
-    replace_all
-      ~sub:(Printf.sprintf "\"trace\":%d" request.Store.Operation.rid)
-      ~by:"\"trace\":R" out
+    replace_all ~sub:(Printf.sprintf "\"trace\":%d" rid) ~by:"\"trace\":R" out
     |> String.split_on_char '\n'
     |> List.filter (fun line -> not (contains ~sub:{|"name":"msg:|} line))
     |> String.concat "\n"
@@ -1520,6 +1523,142 @@ let test_golden_jsonl_active () =
       ]
   in
   Alcotest.(check string) "golden active JSONL" golden normalized
+
+(* The full Chrome export of the same transaction, byte for byte: process
+   and thread metadata, "X" events (notes included, message spans too)
+   and the "s"/"f" flow pair of every delivered message. The rid is
+   normalised in each place it appears (pid, args.trace, process name). *)
+let test_golden_chrome_active () =
+  let rid, spans = golden_active_spans () in
+  let normalized =
+    List.fold_left
+      (fun s (fmt, by) -> replace_all ~sub:(Printf.sprintf fmt rid) ~by s)
+      (Sim.Trace_export.to_chrome spans)
+      [
+        ("\"pid\":%d,", "\"pid\":R,");
+        ("\"trace\":%d}", "\"trace\":R}");
+        ("\"trace\":%d,", "\"trace\":R,");
+        ("\"txn %d\"", "\"txn R\"");
+      ]
+  in
+  let events =
+    [
+        {|{"name":"process_name","ph":"M","pid":R,"tid":0,"args":{"name":"txn R"}}|};
+        {|{"name":"thread_name","ph":"M","pid":R,"tid":0,"args":{"name":"client"}}|};
+        {|{"name":"thread_name","ph":"M","pid":R,"tid":4,"args":{"name":"replica 3"}}|};
+        {|{"name":"thread_name","ph":"M","pid":R,"tid":1,"args":{"name":"replica 0"}}|};
+        {|{"name":"thread_name","ph":"M","pid":R,"tid":2,"args":{"name":"replica 1"}}|};
+        {|{"name":"thread_name","ph":"M","pid":R,"tid":3,"args":{"name":"replica 2"}}|};
+        {|{"name":"txn","cat":"phase","ph":"X","ts":0,"dur":3176,"pid":R,"tid":0,"args":{"trace":R}}|};
+        {|{"name":"RE","cat":"phase","ph":"X","ts":0,"dur":1,"pid":R,"tid":0,"args":{"trace":R}}|};
+        {|{"name":"SC","cat":"phase","ph":"X","ts":0,"dur":2176,"pid":R,"tid":0,"args":{"trace":R,"notes":["atomic broadcast to the group (merged with RE)"]}}|};
+        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":503,"pid":R,"tid":4,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":682,"pid":R,"tid":4,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":1426,"pid":R,"tid":4,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1464,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1082,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1009,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":1,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":1094,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":845,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":682,"dur":1168,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1348,"dur":630,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1426,"dur":1031,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1512,"dur":693,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":1199,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":664,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":1,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1512,"dur":1,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1585,"dur":610,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":1253,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":1,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":972,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1585,"dur":1,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1597,"dur":700,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2176,"dur":672,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"EX","cat":"phase","ph":"X","ts":2176,"dur":1000,"pid":R,"tid":2,"args":{"trace":R,"notes":["deterministic execution in delivery order","deterministic execution in delivery order","deterministic execution in delivery order"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2176,"dur":1352,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2557,"dur":559,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2557,"dur":619,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2711,"dur":920,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2838,"dur":901,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2838,"dur":629,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
+        {|{"name":"END","cat":"phase","ph":"X","ts":3176,"dur":1,"pid":R,"tid":0,"args":{"trace":R}}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":3,"ts":0,"pid":R,"tid":4}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":3,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":4,"ts":0,"pid":R,"tid":4}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":4,"ts":682,"pid":R,"tid":2}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":5,"ts":0,"pid":R,"tid":4}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":5,"ts":1426,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":6,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":6,"ts":1967,"pid":R,"tid":4}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":7,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":7,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":8,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":8,"ts":1585,"pid":R,"tid":2}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":9,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":9,"ts":1512,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":10,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":10,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":11,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":11,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":12,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":12,"ts":1597,"pid":R,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":13,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":13,"ts":1348,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":14,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":14,"ts":503,"pid":R,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":15,"ts":682,"pid":R,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":15,"ts":1850,"pid":R,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":16,"ts":1348,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":16,"ts":1978,"pid":R,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":17,"ts":1426,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":17,"ts":2457,"pid":R,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":18,"ts":1512,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":18,"ts":2205,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":19,"ts":1512,"pid":R,"tid":3}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":19,"ts":2711,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":20,"ts":1512,"pid":R,"tid":3}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":20,"ts":2176,"pid":R,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":21,"ts":1512,"pid":R,"tid":3}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":21,"ts":1512,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":22,"ts":1512,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":22,"ts":1512,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":23,"ts":1585,"pid":R,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":23,"ts":2195,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":24,"ts":1585,"pid":R,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":24,"ts":2838,"pid":R,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":25,"ts":1585,"pid":R,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":25,"ts":1585,"pid":R,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":26,"ts":1585,"pid":R,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":26,"ts":2557,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":27,"ts":1585,"pid":R,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":27,"ts":1585,"pid":R,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":28,"ts":1597,"pid":R,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":28,"ts":2297,"pid":R,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":29,"ts":2176,"pid":R,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":29,"ts":2848,"pid":R,"tid":3}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":31,"ts":2176,"pid":R,"tid":2}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":31,"ts":3528,"pid":R,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":32,"ts":2557,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":32,"ts":3116,"pid":R,"tid":2}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":33,"ts":2557,"pid":R,"tid":3}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":33,"ts":3176,"pid":R,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":34,"ts":2711,"pid":R,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":34,"ts":3631,"pid":R,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":35,"ts":2838,"pid":R,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":35,"ts":3739,"pid":R,"tid":2}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":36,"ts":2838,"pid":R,"tid":1}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":36,"ts":3467,"pid":R,"tid":4}|};
+    ]
+  in
+  let golden =
+    "{\"traceEvents\":[" ^ String.concat "," events ^ "],\"displayTimeUnit\":\"ms\"}"
+  in
+  Alcotest.(check string) "golden active Chrome" golden normalized
 
 (* ------------------------------------------------------------------ *)
 (* Suite assembly                                                     *)
@@ -1546,6 +1685,7 @@ let observability_suite =
     tc "jsonl export: active" (test_jsonl_export_valid "active");
     tc "jsonl export: lazy-primary" (test_jsonl_export_valid "lazy-primary");
     tc "golden jsonl: active, fixed seed" test_golden_jsonl_active;
+    tc "golden chrome: active, fixed seed" test_golden_chrome_active;
   ]
 
 let property_suite =
