@@ -1028,7 +1028,11 @@ let batching () =
    before/after). Post-run oracles are skipped ([analyze:false]): at this
    size their cost would dwarf the engine's. The tracing-on leg runs a
    fraction of the transactions — span memory is O(txns) — and the
-   comparison uses events/s, which is size-independent.
+   comparison uses events/s, which is size-independent. That leg also
+   times the whole [Builder.run] and records [postloop_share], the
+   fraction of it spent outside the event loop (the per-phase summary
+   over every traced rid dominates it), so a super-linear post-run pass
+   shows up as a number rather than as a stall.
 
    PERF15_TXNS overrides the total transaction count (CI smoke runs use
    a small value; the floor gate in ci/check.sh re-runs bench-check
@@ -1062,8 +1066,10 @@ let simulator_throughput () =
         ~deadline:(Simtime.of_sec 3600.)
         ()
     in
+    let t0 = Unix.gettimeofday () in
     let result = Workload.Builder.run builder (technique technique_name) in
-    (Sim.Profiler.report profiler, result)
+    let run_wall = Unix.gettimeofday () -. t0 in
+    (Sim.Profiler.report profiler, result, run_wall)
   in
   let out =
     Workload.Bench_out.create
@@ -1110,10 +1116,19 @@ let simulator_throughput () =
   in
   let txns_off = max 1 (total / clients) in
   let txns_on = max 1 (total / clients / 20) in
-  let report_off, result_off = leg ~tracing:false ~txns:txns_off in
-  let report_on, result_on = leg ~tracing:true ~txns:txns_on in
+  let report_off, result_off, _ = leg ~tracing:false ~txns:txns_off in
+  let report_on, result_on, run_wall_on = leg ~tracing:true ~txns:txns_on in
   ignore (record "off" report_off result_off (txns_off * clients));
   ignore (record "on" report_on result_on (txns_on * clients));
+  let postloop_share =
+    if run_wall_on > 0. then
+      Float.max 0. (run_wall_on -. result_on.Workload.Runner.wall_s) /. run_wall_on
+    else 0.
+  in
+  Workload.Bench_out.add out ~metric:"postloop_share" ~technique:technique_name
+    ~unit_:"share"
+    ~params:[ ("tracing", "on"); ("txns", string_of_int (txns_on * clients)) ]
+    postloop_share;
   let evps_off = report_off.Sim.Profiler.p_events_per_sec in
   let evps_on = report_on.Sim.Profiler.p_events_per_sec in
   let overhead_pct =
@@ -1124,6 +1139,10 @@ let simulator_throughput () =
   Fmt.pr
     "@.verdict: tracing off runs %.0f%% faster per event than tracing on@."
     overhead_pct;
+  Fmt.pr
+    "tracing on: %.1f%% of the whole run (%.3f s) is spent outside the event \
+     loop@."
+    (100. *. postloop_share) run_wall_on;
   Fmt.pr "top buckets (tracing off, by self time):@.";
   List.iteri
     (fun i r -> if i < 5 then Fmt.pr "  %a@." Sim.Profiler.pp_row r)

@@ -88,11 +88,15 @@ dune exec bin/replisim.exe -- profile -t lazy-primary --no-tracing --txns 20 \
 # Simulator-throughput gate: perf15 at a CI-sized transaction count,
 # then a floor roughly 20x below the measured baseline (~190k events/s
 # with tracing off at the full 1e5-txn size) so only order-of-magnitude
-# engine regressions trip it, not machine noise.
+# engine regressions trip it, not machine noise. The ceiling bounds the
+# share of the tracing-on run spent after the event loop (phase summary
+# over every rid): ~1.4% with the indexed span store, ~30-35% when that
+# pass is quadratic, so 0.15 trips only on a super-linear regression.
 echo "== simulator throughput floor =="
 PERF15_TXNS=4000 dune exec bench/main.exe -- perf15 > /dev/null
 dune exec bin/replisim.exe -- bench-check BENCH_perf15.json \
-  --floor perf15:events_per_sec:10000
+  --floor perf15:events_per_sec:10000 \
+  --ceiling perf15:postloop_share:0.15
 
 # Sharding gate: perf16 at a CI-sized transaction count. probe_flat=1
 # is Part A's verdict (single-shard message cost flat across cluster

@@ -235,21 +235,33 @@ let pp_sample ppf s =
 let pp_snapshot ppf snap =
   List.iter (fun s -> Format.fprintf ppf "%a@." pp_sample s) snap
 
+(* Most strings need no escaping; those are returned as they are, so the
+   exporters' hot path builds no copy. *)
+let rec needs_escape s i =
+  i < String.length s
+  &&
+  match s.[i] with
+  | '"' | '\\' -> true
+  | c -> Char.code c < 0x20 || needs_escape s (i + 1)
+
 let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (needs_escape s 0) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then

@@ -136,7 +136,13 @@ let analyze t ~trace ~clients =
     dropped message causes nothing — no span claims it as parent. *)
 let causally_sound t ~trace =
   let msgs = messages t ~trace in
-  let all = Span.trace_spans t ~trace in
+  (* Every id some span of the trace names as its parent, collected once
+     so each dropped message's check is a lookup, not a scan. *)
+  let parents = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Span.span) ->
+      Option.iter (fun p -> Hashtbl.replace parents p ()) s.Span.parent)
+    (Span.trace_spans t ~trace);
   let parent_ok m =
     match m.span.Span.parent with
     | None -> false
@@ -145,10 +151,7 @@ let causally_sound t ~trace =
         | Some ps -> ps.Span.trace = trace
         | None -> false)
   in
-  let childless m =
-    not
-      (List.exists (fun (s : Span.span) -> s.Span.parent = Some m.span.Span.id) all)
-  in
+  let childless m = not (Hashtbl.mem parents m.span.Span.id) in
   List.for_all
     (fun m ->
       (if m.delivered then parent_ok m else true)

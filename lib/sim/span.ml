@@ -13,23 +13,55 @@ type span = {
   mutable rev_events : event list;
 }
 
+(* Span ids are dense (0, 1, 2, ... in start order), so the store is a
+   growable array indexed by id; slots at or beyond [next_id] hold
+   [filler]. A per-trace index (trace -> its spans, newest first) plus the
+   first-seen trace order make every query cost what it returns. *)
 type t = {
-  by_id : (id, span) Hashtbl.t;
-  mutable rev_spans : span list;
+  mutable by_id : span array;
   mutable next_id : id;
+  by_trace : (int, span list ref) Hashtbl.t;
+  mutable rev_traces : int list;
 }
 
-let create () = { by_id = Hashtbl.create 256; rev_spans = []; next_id = 0 }
+let filler =
+  {
+    id = -1;
+    trace = -1;
+    name = "";
+    parent = None;
+    track = None;
+    start = Simtime.zero;
+    stop = None;
+    rev_events = [];
+  }
+
+let create () =
+  {
+    by_id = Array.make 256 filler;
+    next_id = 0;
+    by_trace = Hashtbl.create 64;
+    rev_traces = [];
+  }
 
 let start_span t ~trace ?parent ?track ~name start =
   let id = t.next_id in
-  t.next_id <- id + 1;
   let span = { id; trace; name; parent; track; start; stop = None; rev_events = [] } in
-  Hashtbl.replace t.by_id id span;
-  t.rev_spans <- span :: t.rev_spans;
+  if id = Array.length t.by_id then begin
+    let grown = Array.make (2 * id) filler in
+    Array.blit t.by_id 0 grown 0 id;
+    t.by_id <- grown
+  end;
+  t.by_id.(id) <- span;
+  t.next_id <- id + 1;
+  (match Hashtbl.find_opt t.by_trace trace with
+  | Some rev -> rev := span :: !rev
+  | None ->
+      Hashtbl.replace t.by_trace trace (ref [ span ]);
+      t.rev_traces <- trace :: t.rev_traces);
   id
 
-let find t id = Hashtbl.find_opt t.by_id id
+let find t id = if id >= 0 && id < t.next_id then Some t.by_id.(id) else None
 
 let add_event t id ~at ?track note =
   match find t id with
@@ -45,22 +77,30 @@ let finish t id stop =
       | Some prev -> if Simtime.(stop > prev) then span.stop <- Some stop)
 
 let count t = t.next_id
-let spans t = List.rev t.rev_spans
+
+let spans t =
+  let acc = ref [] in
+  for i = t.next_id - 1 downto 0 do
+    acc := t.by_id.(i) :: !acc
+  done;
+  !acc
+
 let events span = List.rev span.rev_events
 
 let trace_spans t ~trace =
-  List.filter (fun s -> s.trace = trace) (spans t)
+  match Hashtbl.find_opt t.by_trace trace with
+  | Some rev -> List.rev !rev
+  | None -> []
 
 let open_spans t = List.filter (fun s -> s.stop = None) (spans t)
 
 let finish_all t stop =
-  List.iter (fun s -> if s.stop = None then s.stop <- Some stop) t.rev_spans
+  for i = 0 to t.next_id - 1 do
+    let s = t.by_id.(i) in
+    if s.stop = None then s.stop <- Some stop
+  done
 
-let traces t =
-  List.fold_left
-    (fun acc s -> if List.mem s.trace acc then acc else s.trace :: acc)
-    [] t.rev_spans
-  |> List.rev
+let traces t = List.rev t.rev_traces
 
 let duration_ms span =
   match span.stop with

@@ -564,6 +564,126 @@ let test_span_ill_nested_detected () =
   Span.finish t root (ms 5) (* child outlives parent *);
   Alcotest.(check bool) "detects escape" false (Span.well_nested t ~trace:1)
 
+(* The indexed store against a naive reference: a plain list of the same
+   records in id order, from which every query is answered by filtering.
+   Ops pick ids modulo (count + 2), so finishes and events also hit ids
+   that were never issued (and must be ignored). *)
+type span_op =
+  | Start of int * int option * int option  (** trace, parent pick, track *)
+  | Finish of int * int  (** id pick, stop (ms) *)
+  | Event of int * int * int option  (** id pick, at (ms), track *)
+
+let span_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map3
+            (fun tr p tk -> Start (tr, p, tk))
+            (int_bound 7) (opt small_nat) (opt (int_bound 4)) );
+        (1, map2 (fun i at -> Finish (i, at)) small_nat (int_bound 50));
+        ( 1,
+          map3
+            (fun i at tk -> Event (i, at, tk))
+            small_nat (int_bound 50) (opt (int_bound 4)) );
+      ])
+
+let pp_span_op = function
+  | Start (tr, p, tk) ->
+      Printf.sprintf "start(trace=%d,parent=%s,track=%s)" tr
+        (Option.fold ~none:"-" ~some:string_of_int p)
+        (Option.fold ~none:"-" ~some:string_of_int tk)
+  | Finish (i, at) -> Printf.sprintf "finish(%d,%dms)" i at
+  | Event (i, at, _) -> Printf.sprintf "event(%d,%dms)" i at
+
+let prop_span_index_matches_reference =
+  QCheck.Test.make ~name:"span index matches a filtered reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_span_op ops))
+       QCheck.Gen.(list_size (int_bound 120) span_op_gen))
+    (fun ops ->
+      let t = Span.create () in
+      let rev_model = ref [] in
+      let n () = List.length !rev_model in
+      let model_find id = List.find_opt (fun (s : Span.span) -> s.id = id) !rev_model in
+      List.iter
+        (function
+          | Start (trace, parent, track) ->
+              let parent = Option.map (fun p -> p mod (n () + 1)) parent in
+              let start = ms (trace + n ()) in
+              let name = "s" ^ string_of_int (n ()) in
+              let id = Span.start_span t ~trace ?parent ?track ~name start in
+              rev_model :=
+                { Span.id; trace; name; parent; track; start; stop = None; rev_events = [] }
+                :: !rev_model
+          | Finish (pick, at) -> (
+              let id = pick mod (n () + 2) in
+              Span.finish t id (ms at);
+              match model_find id with
+              | Some s -> (
+                  match s.stop with
+                  | Some prev when Simtime.(ms at <= prev) -> ()
+                  | _ -> s.stop <- Some (ms at))
+              | None -> ())
+          | Event (pick, at, track) -> (
+              let id = pick mod (n () + 2) in
+              let note = "e" ^ string_of_int at in
+              Span.add_event t id ~at:(ms at) ?track note;
+              match model_find id with
+              | Some s -> s.rev_events <- { Span.at = ms at; track; note } :: s.rev_events
+              | None -> ()))
+        ops;
+      let model = List.rev !rev_model in
+      let distinct_traces =
+        List.fold_left
+          (fun acc (s : Span.span) -> if List.mem s.trace acc then acc else s.trace :: acc)
+          [] model
+        |> List.rev
+      in
+      Span.count t = n ()
+      && Span.spans t = model
+      && List.for_all
+           (fun id ->
+             Span.find t id = if id < 0 then None else List.nth_opt model id)
+           (List.init (n () + 3) (fun i -> i - 1))
+      && List.for_all
+           (fun trace ->
+             Span.trace_spans t ~trace
+             = List.filter (fun (s : Span.span) -> s.trace = trace) model)
+           (List.init 10 (fun i -> i - 1))
+      && Span.traces t = distinct_traces)
+
+(* Deterministic work, not wall time: the allocation of summarising every
+   rid's phase durations (the post-run pass of a traced run) must grow
+   linearly with the number of traces. Each trace carries message-like
+   spans in the same collector, as it does under tracing. A per-rid scan
+   of the whole span list would make the cost quadratic (~4x here). *)
+let phase_summary_words traces =
+  let ps = Core.Phase_span.create () in
+  let spans = Core.Phase_span.collector ps in
+  for rid = 1 to traces do
+    let at = ms rid in
+    Core.Phase_span.mark ps ~rid Core.Phase.Request at;
+    for _ = 1 to 4 do
+      ignore (Span.start_span spans ~trace:rid ~name:"msg:Data" at)
+    done;
+    Core.Phase_span.mark ps ~rid Core.Phase.Execution at;
+    Core.Phase_span.mark ps ~rid Core.Phase.Response at
+  done;
+  Core.Phase_span.finalize ps ~at:(ms (traces + 1));
+  let before = Gc.minor_words () in
+  List.iter
+    (fun rid -> ignore (Sys.opaque_identity (Core.Phase_span.durations ps ~rid)))
+    (Core.Phase_span.rids ps);
+  Gc.minor_words () -. before
+
+let test_phase_summary_linear () =
+  let small = phase_summary_words 500 and large = phase_summary_words 1000 in
+  if large > 2.5 *. small then
+    Alcotest.failf "phase summary allocation grew %.2fx (%.0f -> %.0f words) \
+                    when traces doubled"
+      (large /. small) small large
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -624,6 +744,28 @@ let test_metrics_diff () =
   let s2 = Metrics.snapshot m in
   Alcotest.(check int) "no-change diff is empty" 0
     (List.length (Metrics.diff ~before:s1 ~after:s2))
+
+(* Escaping, and both exporters applying it to span names and notes: a
+   clean string passes through unchanged, special characters do not. *)
+let test_json_escape () =
+  let check input expected =
+    Alcotest.(check string) (String.escaped input) expected
+      (Trace_export.json_escape input)
+  in
+  check "Data(Inject(Req))" "Data(Inject(Req))";
+  check "a\"b\\c\nd\te\001" {|a\"b\\c\nd\te\u0001|};
+  let t = Span.create () in
+  let id = Span.start_span t ~trace:1 ~name:"q\"n" (ms 0) in
+  Span.add_event t id ~at:(ms 1) "x\ny";
+  Span.finish t id (ms 2);
+  Alcotest.(check string) "jsonl"
+    {|{"type":"span","id":0,"trace":1,"name":"q\"n","track":"client","start_us":0,"stop_us":2000,"events":[{"at_us":1000,"note":"x\ny"}]}|}
+    (Trace_export.to_jsonl t);
+  Alcotest.(check string) "chrome"
+    ({|{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"txn 1"}},|}
+    ^ {|{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"client"}},|}
+    ^ {|{"name":"q\"n","cat":"phase","ph":"X","ts":0,"dur":2000,"pid":1,"tid":0,"args":{"trace":1,"notes":["x\ny"]}}],"displayTimeUnit":"ms"}|})
+    (Trace_export.to_chrome t)
 
 (* ------------------------------------------------------------------ *)
 (* Profiler                                                           *)
@@ -809,12 +951,15 @@ let () =
           tc "orphans" test_span_orphans;
           tc "finish extends" test_span_finish_extends;
           tc "ill-nested detected" test_span_ill_nested_detected;
+          QCheck_alcotest.to_alcotest prop_span_index_matches_reference;
+          tc "phase summary linear in traces" test_phase_summary_linear;
         ] );
       ( "metrics",
         [
           tc "counters+gauges" test_metrics_counters;
           tc "histogram" test_metrics_histogram;
           tc "snapshot diff" test_metrics_diff;
+          tc "json escape + exporters" test_json_escape;
         ] );
       ( "profiler",
         [
