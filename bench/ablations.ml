@@ -47,7 +47,7 @@ let abcast_engines () =
           factory
       in
       Fmt.pr "%-22s %14.2f %18.1f@." name
-        smooth.Workload.Runner.latency_ms.Workload.Stats.mean
+        smooth.Workload.Runner.latency_ms.Sim.Summary.mean
         (Simtime.to_ms crashed.Workload.Runner.max_response_gap))
     [
       ("sequencer", Group.Abcast.Sequencer);
@@ -90,7 +90,7 @@ let rowa () =
           Fmt.pr "%-22s %12.0f%% %14.2f %12.1f@."
             (if read_one_write_all then "read-one/write-all" else "lock-everywhere")
             (100. *. update_ratio)
-            result.Workload.Runner.latency_ms.Workload.Stats.mean
+            result.Workload.Runner.latency_ms.Sim.Summary.mean
             result.Workload.Runner.messages_per_txn)
         [ 0.1; 0.5; 0.9 ])
     [ false; true ];
@@ -318,7 +318,7 @@ let optimistic_certification () =
           }
         in
         let result = Workload.Runner.run ~n_clients:2 ~spec factory in
-        result.Workload.Runner.latency_ms.Workload.Stats.mean
+        result.Workload.Runner.latency_ms.Sim.Summary.mean
       in
       let classic = measure false and opt = measure true in
       Fmt.pr "%-18.1f %22.2f %22.2f %9.0f%%@." certify_ms classic opt
@@ -363,7 +363,7 @@ let lock_quorums () =
         Workload.Runner.run ~n_replicas:n ~n_clients:3 ~spec factory
       in
       Fmt.pr "%-18s %14.2f %12.1f %10d@." label
-        result.Workload.Runner.latency_ms.Workload.Stats.mean
+        result.Workload.Runner.latency_ms.Sim.Summary.mean
         result.Workload.Runner.messages_per_txn result.Workload.Runner.aborted)
     [
       ("all of 5", None, 5);
@@ -411,7 +411,7 @@ let blocking_vs_nonblocking () =
           factory
       in
       Fmt.pr "%-14s %14.2f %14.1f %12d@." label
-        smooth.Workload.Runner.latency_ms.Workload.Stats.mean
+        smooth.Workload.Runner.latency_ms.Sim.Summary.mean
         (Simtime.to_ms crashed.Workload.Runner.max_response_gap)
         crashed.Workload.Runner.committed)
     [ ("2PC", false); ("3PC", true) ];

@@ -35,14 +35,14 @@ let render_lanes marks =
   | _ ->
       let t_max =
         List.fold_left
-          (fun acc (m : Core.Phase_trace.mark) -> max acc (Simtime.to_us m.time))
+          (fun acc (m : Core.Phase_span.mark) -> max acc (Simtime.to_us m.time))
           1 marks
       in
       let width = 60 in
       let col t = t * (width - 4) / t_max in
       let actors =
         List.sort_uniq compare
-          (List.map (fun (m : Core.Phase_trace.mark) -> m.replica) marks)
+          (List.map (fun (m : Core.Phase_span.mark) -> m.replica) marks)
       in
       (* Actor order: client first, then replicas ascending. *)
       let actors =
@@ -61,7 +61,7 @@ let render_lanes marks =
         (fun actor ->
           let lane = Bytes.make width '.' in
           List.iter
-            (fun (m : Core.Phase_trace.mark) ->
+            (fun (m : Core.Phase_span.mark) ->
               if m.replica = actor then begin
                 let code = Core.Phase.code m.phase in
                 let c = min (col (Simtime.to_us m.time)) (width - String.length code) in
@@ -78,9 +78,10 @@ let render_lanes marks =
       Fmt.pr "@."
 
 let show_timeline ~(info : Core.Technique.info) inst rid =
-  let marks = Core.Phase_trace.marks inst.Core.Technique.phases ~rid in
-  let signature = Core.Phase_span.signature inst.Core.Technique.spans ~rid in
-  let sequence = Core.Phase_trace.sequence inst.Core.Technique.phases ~rid in
+  let spans = inst.Core.Technique.spans in
+  let marks = Core.Phase_span.marks spans ~rid in
+  let signature = Core.Phase_span.signature spans ~rid in
+  let sequence = Core.Phase_span.sequence spans ~rid in
   Fmt.pr "technique : %s (paper §%s)@." info.name info.section;
   Fmt.pr "sequence  : %a@." Core.Phase.pp_sequence sequence;
   Fmt.pr "signature : %a   [paper row: %a]  %s@." Core.Phase.pp_sequence
@@ -90,7 +91,7 @@ let show_timeline ~(info : Core.Technique.info) inst rid =
   render_lanes marks;
   Fmt.pr "  %-10s %-4s %-10s %s@." "time" "ph" "actor" "note";
   List.iter
-    (fun (m : Core.Phase_trace.mark) ->
+    (fun (m : Core.Phase_span.mark) ->
       let actor =
         match m.replica with
         | None -> "client"

@@ -61,7 +61,7 @@ let latency_vs_replicas () =
           let result =
             Workload.Runner.run ~n_replicas:n ~n_clients:2 ~spec factory
           in
-          let mean = result.Workload.Runner.latency_ms.Workload.Stats.mean in
+          let mean = result.Workload.Runner.latency_ms.Sim.Summary.mean in
           Workload.Bench_out.add out ~metric:"latency_mean" ~technique:name
             ~unit_:"ms"
             ~params:[ ("n", string_of_int n) ]
@@ -140,13 +140,13 @@ let failover () =
         ~unit_:"ms"
         (Simtime.to_ms result.Workload.Runner.max_response_gap);
       Workload.Bench_out.add out ~metric:"latency_p99" ~technique:name
-        ~unit_:"ms" result.Workload.Runner.latency_ms.Workload.Stats.p99;
+        ~unit_:"ms" result.Workload.Runner.latency_ms.Sim.Summary.p99;
       Workload.Bench_out.add out ~metric:"committed" ~technique:name
         ~unit_:"txns"
         (float_of_int result.Workload.Runner.committed);
       Fmt.pr "%-18s %14.1f %14.1f %10d %10b@." name
         (Simtime.to_ms result.Workload.Runner.max_response_gap)
-        result.Workload.Runner.latency_ms.Workload.Stats.p99
+        result.Workload.Runner.latency_ms.Sim.Summary.p99
         result.Workload.Runner.committed result.Workload.Runner.converged)
     techniques;
   ignore (Workload.Bench_out.write out);
@@ -176,7 +176,7 @@ let eager_vs_lazy () =
     let net = Network.create engine ~n:5 Network.default_config in
     let replicas = [ 0; 1; 2 ] and clients = [ 3; 4 ] in
     let inst = factory net ~replicas ~clients in
-    let lat = Workload.Stats.recorder () in
+    let lat = ref [] in
     let last_reply = ref Simtime.zero in
     let gen = Workload.Generator.create ~seed:5
         { Workload.Spec.default with update_ratio = 1.0; txns_per_client = 20 }
@@ -188,8 +188,7 @@ let eager_vs_lazy () =
             let _, req = Workload.Generator.request gen ~client in
             let t0 = Engine.now engine in
             inst.Core.Technique.submit ~client req (fun reply ->
-                Workload.Stats.record lat
-                  (Simtime.to_ms (Simtime.sub reply.Core.Technique.at t0));
+                lat := Simtime.to_ms (Simtime.sub reply.Core.Technique.at t0) :: !lat;
                 last_reply := Simtime.max !last_reply reply.Core.Technique.at;
                 go (i + 1))
           end
@@ -250,7 +249,7 @@ let eager_vs_lazy () =
     in
     let t_conv = until_converged () in
     let lag = Simtime.to_ms (Simtime.sub t_conv t_last) in
-    ((Workload.Stats.summary lat).Workload.Stats.mean, lag)
+    ((Summary.summarize !lat).Summary.mean, lag)
   in
   let out = bench_out "perf4" in
   List.iter
@@ -292,7 +291,7 @@ let message_counts () =
       let net = Network.create engine ~n:4 Network.default_config in
       let inst = factory net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ] in
       let n_txns = 50 in
-      let lat = Workload.Stats.recorder () in
+      let lat = ref [] in
       let rec go i =
         if i < n_txns then begin
           let req =
@@ -300,8 +299,7 @@ let message_counts () =
           in
           let t0 = Engine.now engine in
           inst.Core.Technique.submit ~client:3 req (fun reply ->
-              Workload.Stats.record lat
-                (Simtime.to_ms (Simtime.sub reply.Core.Technique.at t0));
+              lat := Simtime.to_ms (Simtime.sub reply.Core.Technique.at t0) :: !lat;
               go (i + 1))
         end
       in
@@ -312,9 +310,9 @@ let message_counts () =
       Workload.Bench_out.add out ~metric:"messages_per_txn" ~technique:name
         ~unit_:"messages" (max 0. per_txn);
       Workload.Bench_out.add out ~metric:"latency_mean" ~technique:name
-        ~unit_:"ms" (Workload.Stats.summary lat).Workload.Stats.mean;
+        ~unit_:"ms" (Summary.summarize !lat).Summary.mean;
       Fmt.pr "%-18s %12.1f %14.2f@." name (max 0. per_txn)
-        (Workload.Stats.summary lat).Workload.Stats.mean)
+        (Summary.summarize !lat).Summary.mean)
     techniques;
   ignore (Workload.Bench_out.write out);
   Fmt.pr
@@ -361,8 +359,8 @@ let wan () =
         Workload.Runner.run ~n_clients:3 ~spec ~tune:wan_tune
           ~deadline:(Simtime.of_sec 600.) factory
       in
-      let l = lan_result.Workload.Runner.latency_ms.Workload.Stats.mean in
-      let w = wan_result.Workload.Runner.latency_ms.Workload.Stats.mean in
+      let l = lan_result.Workload.Runner.latency_ms.Sim.Summary.mean in
+      let w = wan_result.Workload.Runner.latency_ms.Sim.Summary.mean in
       Workload.Bench_out.add out ~metric:"latency_mean" ~technique:name
         ~unit_:"ms" ~params:[ ("net", "lan") ] l;
       Workload.Bench_out.add out ~metric:"latency_mean" ~technique:name
@@ -707,12 +705,12 @@ let contention () =
           let params = [ ("rate", Printf.sprintf "%.0f" rate) ] in
           Workload.Bench_out.add out ~metric:"latency_mean" ~technique:name
             ~unit_:"ms" ~params
-            result.Workload.Runner.latency_ms.Workload.Stats.mean;
+            result.Workload.Runner.latency_ms.Sim.Summary.mean;
           Workload.Bench_out.add out ~metric:"abort_pct" ~technique:name
             ~unit_:"%" ~params (abort_pct result);
           Fmt.pr "%22s"
             (Printf.sprintf "%.1fms %.0f%%ab"
-               result.Workload.Runner.latency_ms.Workload.Stats.mean
+               result.Workload.Runner.latency_ms.Sim.Summary.mean
                (abort_pct result)))
         rates;
       Fmt.pr "@.")
@@ -840,13 +838,13 @@ let tail_latency () =
         (fun (metric, v) ->
           Workload.Bench_out.add out ~metric ~technique:name ~unit_:"ms" v)
         [
-          ("latency_mean", l.Workload.Stats.mean);
-          ("latency_p95", l.Workload.Stats.p95);
-          ("latency_p99", l.Workload.Stats.p99);
-          ("latency_max", l.Workload.Stats.max);
+          ("latency_mean", l.Sim.Summary.mean);
+          ("latency_p95", l.Sim.Summary.p95);
+          ("latency_p99", l.Sim.Summary.p99);
+          ("latency_max", l.Sim.Summary.max);
         ];
-      Fmt.pr "%-18s %10.2f %10.2f %10.2f %10.2f@." name l.Workload.Stats.mean
-        l.Workload.Stats.p95 l.Workload.Stats.p99 l.Workload.Stats.max)
+      Fmt.pr "%-18s %10.2f %10.2f %10.2f %10.2f@." name l.Sim.Summary.mean
+        l.Sim.Summary.p95 l.Sim.Summary.p99 l.Sim.Summary.max)
     techniques;
   Fmt.pr
     "@.Reading: the mean hides the queueing the paper's step counts imply:@.\
@@ -904,7 +902,7 @@ let resource_trajectory () =
           let params = [ ("rate", Printf.sprintf "%.0f" rate) ] in
           Workload.Bench_out.add out ~metric:"latency_mean" ~technique:name
             ~unit_:"ms" ~params
-            result.Workload.Runner.latency_ms.Workload.Stats.mean;
+            result.Workload.Runner.latency_ms.Sim.Summary.mean;
           Workload.Bench_out.add out ~metric:"abort_pct" ~technique:name
             ~unit_:"%" ~params (abort_pct result);
           Workload.Bench_out.add out ~metric:"lock_waiters_max" ~technique:name
@@ -914,7 +912,7 @@ let resource_trajectory () =
           Workload.Bench_out.add out ~metric:"active_txns_max" ~technique:name
             ~unit_:"txns" ~params active;
           Fmt.pr "%-18s %8.0f %10.1f %8.0f %10.0f %10.0f %8.0f@." name rate
-            result.Workload.Runner.latency_ms.Workload.Stats.mean
+            result.Workload.Runner.latency_ms.Sim.Summary.mean
             (abort_pct result) waiters queue active)
         rates)
     [ "eager-ue-locking"; "certification"; "eager-ue-abcast"; "lazy-ue" ];
@@ -985,12 +983,12 @@ let batching () =
                 result.Workload.Runner.messages_per_txn;
               Workload.Bench_out.add out ~metric:"latency_mean"
                 ~technique:name ~unit_:"ms" ~params
-                result.Workload.Runner.latency_ms.Workload.Stats.mean;
+                result.Workload.Runner.latency_ms.Sim.Summary.mean;
               Workload.Bench_out.add out ~metric:"abort_pct" ~technique:name
                 ~unit_:"%" ~params (abort_pct result);
               Fmt.pr "%-18s %8dms %8.0f %10.1f %10.1f %8.0f@." name w rate
                 result.Workload.Runner.messages_per_txn
-                result.Workload.Runner.latency_ms.Workload.Stats.mean
+                result.Workload.Runner.latency_ms.Sim.Summary.mean
                 (abort_pct result))
             rates)
         windows_ms)
@@ -1279,10 +1277,10 @@ let sharding () =
         ~unit_:"txn/s" ~params result.Workload.Runner.throughput;
       Workload.Bench_out.add out ~metric:"latency_p95" ~technique:"active"
         ~unit_:"ms" ~params
-        result.Workload.Runner.latency_ms.Workload.Stats.p95;
+        result.Workload.Runner.latency_ms.Sim.Summary.p95;
       Workload.Bench_out.add out ~metric:"latency_p99" ~technique:"active"
         ~unit_:"ms" ~params
-        result.Workload.Runner.latency_ms.Workload.Stats.p99;
+        result.Workload.Runner.latency_ms.Sim.Summary.p99;
       Workload.Bench_out.add out ~metric:"messages_per_txn"
         ~technique:"active" ~unit_:"msgs" ~params
         result.Workload.Runner.messages_per_txn;
@@ -1292,8 +1290,8 @@ let sharding () =
         result.Workload.Runner.committed
         result.Workload.Runner.messages_per_txn
         result.Workload.Runner.throughput
-        result.Workload.Runner.latency_ms.Workload.Stats.p95
-        result.Workload.Runner.latency_ms.Workload.Stats.p99 cross_commits)
+        result.Workload.Runner.latency_ms.Sim.Summary.p95
+        result.Workload.Runner.latency_ms.Sim.Summary.p99 cross_commits)
     [ 0.0; 0.1; 0.3; 1.0 ];
   Fmt.pr
     "@.Reading: Part A is the partial-replication bargain — a \
@@ -1380,10 +1378,10 @@ let consistency_audit () =
           in
           Workload.Bench_out.add out ~metric:"visibility_p95_ms"
             ~technique:entry.key ~unit_:"ms" ~params
-            a.Workload.Audit.visibility_ms.Workload.Stats.p95;
+            a.Workload.Audit.visibility_ms.Sim.Summary.p95;
           Workload.Bench_out.add out ~metric:"visibility_mean_ms"
             ~technique:entry.key ~unit_:"ms" ~params
-            a.Workload.Audit.visibility_ms.Workload.Stats.mean;
+            a.Workload.Audit.visibility_ms.Sim.Summary.mean;
           Workload.Bench_out.add out ~metric:"post_commit_window_ms"
             ~technique:entry.key ~unit_:"ms" ~params
             a.Workload.Audit.post_commit_max_ms;
@@ -1408,7 +1406,7 @@ let consistency_audit () =
               r + a.Workload.Audit.ryw_violations,
               m + a.Workload.Audit.mr_violations );
           Fmt.pr "%16.2f |%7.2f"
-            a.Workload.Audit.visibility_ms.Workload.Stats.p95
+            a.Workload.Audit.visibility_ms.Sim.Summary.p95
             a.Workload.Audit.post_commit_max_ms)
         rates;
       let s, r, m = !totals in
@@ -1648,7 +1646,7 @@ let routed_tier () =
   let ryw_loose = a_loose.Workload.Audit.ryw_violations in
   let ryw_sticky = a_sticky.Workload.Audit.ryw_violations in
   let read_p95 (r : Workload.Runner.result) =
-    r.Workload.Runner.read_latency_ms.Workload.Stats.p95
+    r.Workload.Runner.read_latency_ms.Sim.Summary.p95
   in
   Fmt.pr "lazy-primary, propagation 20ms, %d txns/client, routed:@." txns;
   Fmt.pr "  round-robin reads: ryw_violations=%d read_p95=%.3fms (%a)@."
@@ -1723,14 +1721,14 @@ let routed_tier () =
     (fun (name, (r : Workload.Runner.result), (st : Workload.Router.stats)) ->
       Fmt.pr "  %-16s %8.0f/s %7.2fms %8d %9d %7d@." name
         r.Workload.Runner.throughput
-        r.Workload.Runner.latency_ms.Workload.Stats.p95
+        r.Workload.Runner.latency_ms.Sim.Summary.p95
         st.Workload.Router.retries st.Workload.Router.failovers
         st.Workload.Router.gave_up;
       let params = [ ("phase", "flash") ] in
       Workload.Bench_out.add out ~metric:"flash_throughput" ~technique:name
         ~unit_:"txn/s" ~params r.Workload.Runner.throughput;
       Workload.Bench_out.add out ~metric:"flash_latency_p95" ~technique:name
-        ~unit_:"ms" ~params r.Workload.Runner.latency_ms.Workload.Stats.p95;
+        ~unit_:"ms" ~params r.Workload.Runner.latency_ms.Sim.Summary.p95;
       Workload.Bench_out.add out ~metric:"flash_failovers" ~technique:name
         ~unit_:"reads" ~params
         (float_of_int st.Workload.Router.failovers))

@@ -182,11 +182,11 @@ let run_cmd =
              (List.map (fun (k, v) -> k ^ "=" ^ v) pairs)));
     Fmt.pr "result    : %a@." Workload.Runner.pp_result result;
     Fmt.pr "engine    : %s@." (Workload.Report.engine_summary result);
-    Fmt.pr "latencies : all [%a]@." Workload.Stats.pp_summary
+    Fmt.pr "latencies : all [%a]@." Sim.Summary.pp
       result.Workload.Runner.latency_ms;
-    Fmt.pr "            upd [%a]@." Workload.Stats.pp_summary
+    Fmt.pr "            upd [%a]@." Sim.Summary.pp
       result.Workload.Runner.update_latency_ms;
-    Fmt.pr "            read[%a]@." Workload.Stats.pp_summary
+    Fmt.pr "            read[%a]@." Sim.Summary.pp
       result.Workload.Runner.read_latency_ms;
     Fmt.pr "failover  : max response gap %a@." Sim.Simtime.pp
       result.Workload.Runner.max_response_gap;
@@ -203,7 +203,7 @@ let run_cmd =
     List.iter
       (fun (phase, s) ->
         Fmt.pr "phase %-3s : [%a]@." (Core.Phase.code phase)
-          Workload.Stats.pp_summary s)
+          Sim.Summary.pp s)
       result.Workload.Runner.phase_ms;
     emit_record ()
   in
@@ -267,9 +267,7 @@ let trace_cmd =
         Fmt.pr "signature : %a   [paper row: %a]@." Core.Phase.pp_sequence
           (Core.Phase_span.signature spans ~rid)
           Core.Phase.pp_sequence info.Core.Technique.expected_phases;
-        Core.Phase_trace.pp_marks Fmt.stdout
-          (Core.Phase_trace.marks
-             p.Workload.Builder.p_inst.Core.Technique.phases ~rid);
+        Core.Phase_span.pp_marks Fmt.stdout (Core.Phase_span.marks spans ~rid);
         Fmt.pr "spans     :@.";
         List.iter
           (fun (_, span) ->
@@ -1297,8 +1295,8 @@ let audit_cmd =
               "%-18s %-6s %8d %7d %10.2f/%9.2f %11.2f %9.3f %6d %5d %5d %5d \
                %4d %8b@."
               entry.key (propagation_of entry) a.commits a.writes
-              a.visibility_ms.Workload.Stats.p50
-              a.visibility_ms.Workload.Stats.p95 a.post_commit_max_ms
+              a.visibility_ms.Sim.Summary.p50
+              a.visibility_ms.Sim.Summary.p95 a.post_commit_max_ms
               a.session_window_max_ms a.stale_reads a.ryw_violations
               a.mr_violations a.skew_pairs (max_lag a) a.drained)
           rows;
@@ -1322,14 +1320,14 @@ let audit_cmd =
                %.3f,%d,%.3f,%d,%d,%d,%d,%d,%b@."
               entry.key (propagation_of entry) n shards seed a.commits
               a.reads_checked a.writes a.fully_replicated
-              a.visibility_ms.Workload.Stats.count
-              a.visibility_ms.Workload.Stats.mean
-              a.visibility_ms.Workload.Stats.p50
-              a.visibility_ms.Workload.Stats.p95
-              a.visibility_ms.Workload.Stats.p99
-              a.visibility_ms.Workload.Stats.max a.post_commit_max_ms
+              a.visibility_ms.Sim.Summary.count
+              a.visibility_ms.Sim.Summary.mean
+              a.visibility_ms.Sim.Summary.p50
+              a.visibility_ms.Sim.Summary.p95
+              a.visibility_ms.Sim.Summary.p99
+              a.visibility_ms.Sim.Summary.max a.post_commit_max_ms
               a.session_window_max_ms a.stale_reads
-              a.staleness_ms.Workload.Stats.max a.ryw_violations
+              a.staleness_ms.Sim.Summary.max a.ryw_violations
               a.mr_violations a.skew_pairs a.cross_txns (max_lag a) a.drained)
           rows
     | `Json ->
@@ -1348,16 +1346,16 @@ let audit_cmd =
                \"final_lag\":[%s],\"drained\":%b}@."
               (Sim.Metrics.json_escape entry.key)
               (propagation_of entry) n shards seed a.commits a.reads_checked
-              a.writes a.fully_replicated a.visibility_ms.Workload.Stats.count
-              (jf a.visibility_ms.Workload.Stats.mean)
-              (jf a.visibility_ms.Workload.Stats.p50)
-              (jf a.visibility_ms.Workload.Stats.p95)
-              (jf a.visibility_ms.Workload.Stats.p99)
-              (jf a.visibility_ms.Workload.Stats.max)
+              a.writes a.fully_replicated a.visibility_ms.Sim.Summary.count
+              (jf a.visibility_ms.Sim.Summary.mean)
+              (jf a.visibility_ms.Sim.Summary.p50)
+              (jf a.visibility_ms.Sim.Summary.p95)
+              (jf a.visibility_ms.Sim.Summary.p99)
+              (jf a.visibility_ms.Sim.Summary.max)
               (jf a.post_commit_max_ms)
               (jf a.session_window_max_ms)
               a.stale_reads
-              (jf a.staleness_ms.Workload.Stats.max)
+              (jf a.staleness_ms.Sim.Summary.max)
               a.ryw_violations a.mr_violations a.skew_pairs a.cross_txns
               (String.concat ","
                  (List.map
@@ -1866,34 +1864,28 @@ let bench_check_cmd =
                       | _ -> "")
                   | _ -> ""
                 in
+                let gates =
+                  List.map (fun g -> (Workload.Bench_out.Floor, g)) floors
+                  @ List.map (fun g -> (Workload.Bench_out.Ceiling, g)) ceilings
+                in
                 List.iter
-                  (fun (b, metric, min_value) ->
+                  (fun (bound, (b, metric, limit)) ->
                     if b = bench then
                       match
-                        Workload.Bench_out.check_floor doc ~metric ~min_value
+                        Workload.Bench_out.check_bound doc bound ~metric ~limit
                       with
-                      | Ok best ->
-                          Fmt.pr
-                            "bench-check: %s floor %s>=%g OK (best %g)@."
-                            path metric min_value best
+                      | Ok v ->
+                          let gate, op, observed =
+                            match bound with
+                            | Workload.Bench_out.Floor -> ("floor", ">=", "best")
+                            | Ceiling -> ("ceiling", "<=", "worst")
+                          in
+                          Fmt.pr "bench-check: %s %s %s%s%g OK (%s %g)@." path
+                            gate metric op limit observed v
                       | Error msg ->
                           incr bad;
                           Fmt.epr "bench-check: %s: %s@." path msg)
-                  floors;
-                List.iter
-                  (fun (b, metric, max_value) ->
-                    if b = bench then
-                      match
-                        Workload.Bench_out.check_ceiling doc ~metric ~max_value
-                      with
-                      | Ok worst ->
-                          Fmt.pr
-                            "bench-check: %s ceiling %s<=%g OK (worst %g)@."
-                            path metric max_value worst
-                      | Error msg ->
-                          incr bad;
-                          Fmt.epr "bench-check: %s: %s@." path msg)
-                  ceilings))
+                  gates))
       files;
     if !bad > 0 then exit 1
   in

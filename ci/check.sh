@@ -34,6 +34,26 @@ dune exec bin/replisim.exe -- campaign --scenario crash-recover \
 echo "== message-cost matrix =="
 dune exec bin/replisim.exe -- explain --check --format csv
 
+# Paper figures: fig1-fig16 regenerated from executed traces (the main
+# consumer of the flat phase-mark view). Every timeline's observed
+# signature must match its paper row, and Figure 16 must report all ten
+# techniques (or more) matching.
+echo "== figures =="
+figs=$(dune exec bench/main.exe -- fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 \
+  fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16)
+if printf '%s\n' "$figs" | grep -q '\*\* MISMATCH \*\*'; then
+  printf '%s\n' "$figs" | grep '\*\* MISMATCH \*\*' >&2
+  echo "figures: an observed signature differs from its paper row" >&2
+  exit 1
+fi
+set -- $(printf '%s\n' "$figs" \
+  | sed -n 's|^\([0-9]*\)/\([0-9]*\) observed signatures match.*|\1 \2|p')
+if [ "${1:-0}" -lt 10 ] || [ "$1" != "${2:-}" ]; then
+  echo "figures: Figure 16 matched ${1:-0}/${2:-?} signatures, want 10/10" >&2
+  exit 1
+fi
+echo "figures: no mismatch, Figure 16 $1/$2"
+
 # Runtime configuration smoke: non-default technique parameters applied
 # from the command line, without recompilation — the consensus-based
 # ordering engine under certification, and sequencer batching under

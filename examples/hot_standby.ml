@@ -58,10 +58,10 @@ let () =
      (this is the "failure NOT transparent" half of Figure 5). *)
   let resubmissions =
     List.concat_map
-      (fun rid -> Core.Phase_trace.marks db.phases ~rid)
-      (Core.Phase_trace.rids db.phases)
+      (fun rid -> Core.Phase_span.marks db.spans ~rid)
+      (Core.Phase_span.rids db.spans)
     |> List.filter (fun m ->
-           m.Core.Phase_trace.note = "resubmission after timeout")
+           m.Core.Phase_span.note = "resubmission after timeout")
     |> List.length
   in
   Fmt.pr "client resubmissions observed: %d@." resubmissions

@@ -49,6 +49,6 @@ let () =
   List.iter (fun s -> Fmt.pr "  %a@." Store.Kv.pp s) stores;
 
   (* 6. And the phase trace of the last request matches Figure 16. *)
-  let rid = List.hd (List.rev (Core.Phase_trace.rids counter.phases)) in
+  let rid = List.hd (List.rev (Core.Phase_span.rids counter.spans)) in
   Fmt.pr "@.phase signature of the read: %a@." Core.Phase.pp_sequence
-    (Core.Phase_trace.signature counter.phases ~rid)
+    (Core.Phase_span.signature counter.spans ~rid)

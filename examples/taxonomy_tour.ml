@@ -35,7 +35,7 @@ let () =
       in
       Fmt.pr "%-18s %-16s %10.2f %8d %9.1f %11b %6b@." key
         (Format.asprintf "%a" Core.Phase.pp_sequence info.expected_phases)
-        result.Workload.Runner.latency_ms.Workload.Stats.mean
+        result.Workload.Runner.latency_ms.Sim.Summary.mean
         result.Workload.Runner.aborted result.Workload.Runner.messages_per_txn
         result.Workload.Runner.converged result.Workload.Runner.serializable)
     registry_entries;

@@ -8,29 +8,32 @@ type t = {
   spans : Sim.Span.t;
   txns : (int, txn) Hashtbl.t;
   on_phase_close : (phase:Phase.t -> replica:int option -> float -> unit) option;
+  samples : (Phase.t * float list ref) list;
+      (** closed-span durations per phase, in canonical phase order *)
 }
 
 let create ?on_phase_close () =
-  { spans = Sim.Span.create (); txns = Hashtbl.create 64; on_phase_close }
+  {
+    spans = Sim.Span.create ();
+    txns = Hashtbl.create 64;
+    on_phase_close;
+    samples = List.map (fun p -> (p, ref [])) Phase.all;
+  }
 
 let collector t = t.spans
-
-let span_duration_ms t sid =
-  match Sim.Span.find t.spans sid with
-  | None -> 0.
-  | Some s -> Option.value ~default:0. (Sim.Span.duration_ms s)
 
 let close_phase t txn phase sid time =
   Sim.Span.finish t.spans sid time;
   (* Post-response spans (the lazy-propagation tail) stretch the
      transaction root so the trace stays well nested. *)
   if txn.closed then Sim.Span.finish t.spans txn.root time;
-  match t.on_phase_close with
+  match Sim.Span.find t.spans sid with
   | None -> ()
-  | Some f -> (
-      match Sim.Span.find t.spans sid with
-      | None -> ()
-      | Some s -> f ~phase ~replica:s.Sim.Span.track (span_duration_ms t sid))
+  | Some s ->
+      let dur_ms = Option.value ~default:0. (Sim.Span.duration_ms s) in
+      let samples = List.assoc phase t.samples in
+      samples := dur_ms :: !samples;
+      Option.iter (fun f -> f ~phase ~replica:s.Sim.Span.track dur_ms) t.on_phase_close
 
 let mark t ~rid ?replica ?(note = "") phase time =
   let txn =
@@ -119,6 +122,57 @@ let durations t ~rid =
   phase_spans t ~rid
   |> List.filter_map (fun (p, s) ->
          Option.map (fun d -> (p, d)) (Sim.Span.duration_ms s))
+
+let samples t =
+  List.filter_map (fun (p, ds) -> if !ds = [] then None else Some (p, !ds)) t.samples
+
+type mark = {
+  phase : Phase.t;
+  replica : int option;
+  time : Sim.Simtime.t;
+  note : string;
+}
+
+(* Each phase span is one opening mark plus one mark per absorbed event.
+   [mark] records an opening note as an event at the span's own start
+   and track, so such an event is the opening mark's note rather than a
+   mark of its own; an empty-noted event there came from a later mark. *)
+let marks t ~rid =
+  List.concat_map
+    (fun (phase, (s : Sim.Span.span)) ->
+      let of_event ({ at; track; note } : Sim.Span.event) =
+        { phase; replica = track; time = at; note }
+      in
+      let opening note =
+        { phase; replica = s.Sim.Span.track; time = s.Sim.Span.start; note }
+      in
+      match Sim.Span.events s with
+      | e :: rest
+        when e.Sim.Span.note <> ""
+             && Sim.Simtime.equal e.Sim.Span.at s.Sim.Span.start
+             && e.Sim.Span.track = s.Sim.Span.track ->
+          opening e.Sim.Span.note :: List.map of_event rest
+      | events -> opening "" :: List.map of_event events)
+    (phase_spans t ~rid)
+
+let sequence t ~rid =
+  let rec collapse = function
+    | a :: (b :: _ as rest) when Phase.equal a b -> collapse rest
+    | a :: rest -> a :: collapse rest
+    | [] -> []
+  in
+  collapse (List.map fst (phase_spans t ~rid))
+
+let pp_marks ppf ms =
+  List.iter
+    (fun m ->
+      let replica =
+        match m.replica with None -> "client" | Some r -> "replica " ^ string_of_int r
+      in
+      Format.fprintf ppf "%8s  %-3s  %-10s %s@."
+        (Sim.Simtime.to_string m.time)
+        (Phase.code m.phase) replica m.note)
+    ms
 
 let root t ~rid =
   match Hashtbl.find_opt t.txns rid with

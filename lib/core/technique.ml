@@ -73,8 +73,7 @@ type instance = {
           router must fall back to [submit]). *)
   replica_store : int -> Store.Kv.t;
   history : Store.History.t;
-  phases : Phase_trace.t;
-  spans : Phase_span.t;  (** structured per-transaction phase spans *)
+  spans : Phase_span.t;  (** the per-transaction phase recorder *)
   metrics : Sim.Metrics.t;  (** the instance's metrics registry *)
   replicas : int list;
   groups : int list list;

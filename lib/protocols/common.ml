@@ -33,7 +33,6 @@ type ctx = {
   net : Network.t;
   replicas : int list;
   clients : int list;
-  phases : Core.Phase_trace.t;
   spans : Core.Phase_span.t;
   metrics : Metrics.t;
   history : Store.History.t;
@@ -48,13 +47,12 @@ let next_cid = ref 0
 
 (** Observability objects that several contexts can share. A sharded
     technique builds one sub-instance per replication group; the groups
-    must report into {e one} span collector, phase log, metrics registry
+    must report into {e one} phase recorder, metrics registry
     and history so the run reads as a single system (and so message
     spans — routed through {!Sim.Network.set_msg_spans}, which keeps
     only the last collector installed — land in the collector every
     group uses). *)
 type shared = {
-  s_phases : Core.Phase_trace.t;
   s_spans : Core.Phase_span.t;
   s_metrics : Metrics.t;
   s_history : Store.History.t;
@@ -71,7 +69,6 @@ let spans_feeding metrics =
 let fresh_shared () =
   let s_metrics = Metrics.create () in
   {
-    s_phases = Core.Phase_trace.create ();
     s_spans = spans_feeding s_metrics;
     s_metrics;
     s_history = Store.History.create ();
@@ -80,7 +77,7 @@ let fresh_shared () =
 let ambient_shared : shared option ref = ref None
 
 (** [with_shared s f] — every {!make} during [f] adopts [s]'s phase
-    trace, spans, metrics and history instead of creating its own
+    recorder, metrics and history instead of creating its own
     (each context still gets a fresh cid, stores and reply routing). *)
 let with_shared s f =
   let saved = !ambient_shared in
@@ -90,19 +87,20 @@ let with_shared s f =
 let now ctx = Engine.now (Network.engine ctx.net)
 let store ctx replica = Hashtbl.find ctx.stores replica
 
-(** Mark the start of a functional-model phase: feeds both the flat mark
-    log ({!Core.Phase_trace}) and the structured span recorder
-    ({!Core.Phase_span}). Every phase transition in a protocol is a span
-    boundary. A no-op while tracing is switched off
-    ({!Sim.Network.set_tracing}) — marks never influence the event
-    schedule, so skipping them is behaviour-preserving and is the main
-    saving of a tracing-off run. *)
+(** Mark the start of a functional-model phase in the recorder
+    [spans] ({!Core.Phase_span}), at the network's current time. Every
+    phase transition in a protocol is a span boundary. A no-op while
+    tracing is switched off ({!Sim.Network.set_tracing}) — marks never
+    influence the event schedule, so skipping them is
+    behaviour-preserving and is the main saving of a tracing-off run. *)
+let mark_phase net spans ~rid ?replica ?note phase =
+  if Network.tracing net then
+    Core.Phase_span.mark spans ~rid ?replica ?note phase
+      (Engine.now (Network.engine net))
+
+(** {!mark_phase} into the context's recorder. *)
 let phase_begin ctx ~rid ?replica ?note phase =
-  if Network.tracing ctx.net then begin
-    let at = now ctx in
-    Core.Phase_trace.mark ctx.phases ~rid ?replica ?note phase at;
-    Core.Phase_span.mark ctx.spans ~rid ?replica ?note phase at
-  end
+  mark_phase ctx.net ctx.spans ~rid ?replica ?note phase
 
 (** Bump a counter in the instance's metrics registry. *)
 let count ctx ?labels ?by name = Metrics.incr ctx.metrics ?labels ?by name
@@ -125,7 +123,6 @@ let make net ~replicas ~clients =
       net;
       replicas;
       clients;
-      phases = shared.s_phases;
       spans = shared.s_spans;
       metrics = shared.s_metrics;
       history = shared.s_history;
@@ -329,7 +326,6 @@ let instance ctx ~info ~submit =
     read_targets = (fun _request -> ctx.replicas);
     replica_store = (fun r -> store ctx r);
     history = ctx.history;
-    phases = ctx.phases;
     spans = ctx.spans;
     metrics = ctx.metrics;
     replicas = ctx.replicas;

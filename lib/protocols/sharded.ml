@@ -45,13 +45,7 @@ let create ~shards ~info ?(passthrough = false) ~factory net ~replicas ~clients
   let delegate s = List.hd groups_arr.(s) in
   let engine = Network.engine net in
   let now () = Engine.now engine in
-  let phase ~rid ?replica ?note p =
-    if Network.tracing net then begin
-      let at = now () in
-      Core.Phase_trace.mark shared.Common.s_phases ~rid ?replica ?note p at;
-      Core.Phase_span.mark shared.Common.s_spans ~rid ?replica ?note p at
-    end
-  in
+  let phase = Common.mark_phase net shared.Common.s_spans in
   let count ?labels ?by name =
     Metrics.incr shared.Common.s_metrics ?labels ?by name
   in
@@ -200,7 +194,6 @@ let create ~shards ~info ?(passthrough = false) ~factory net ~replicas ~clients
         in
         owner 0);
     history = shared.Common.s_history;
-    phases = shared.Common.s_phases;
     spans = shared.Common.s_spans;
     metrics = shared.Common.s_metrics;
     replicas;

@@ -195,7 +195,8 @@ let mean (h : hist_snapshot) =
   if h.count = 0 then 0. else h.sum /. float_of_int h.count
 
 (* Histogram snapshots render through the shared summary record so the
-   quantile set (and the count=0 sentinel) matches Workload.Stats. *)
+   quantile set (and the count=0 sentinel) matches the runner's
+   latency summaries. *)
 let hist_summary (h : hist_snapshot) =
   if h.count = 0 then Summary.empty
   else

@@ -50,7 +50,7 @@ val set_msg_spans : t -> Span.t -> unit
 
 (** Master tracing switch (default on). When off, message spans are not
     materialised and protocol instrumentation built on the network
-    ({!Core.Phase_span}, {!Core.Phase_trace} via [Protocols.Common])
+    ({!Core.Phase_span} via [Protocols.Common])
     skips its recording work. Spans never influence the event schedule,
     so the switch is behaviour-preserving: same seed, same results. *)
 val set_tracing : t -> bool -> unit

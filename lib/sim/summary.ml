@@ -1,7 +1,8 @@
 (* Single home for the sample-summary record and the percentile
-   arithmetic: Workload.Stats re-exports this module for the harness and
-   Metrics renders histogram snapshots through it, so there is exactly
-   one definition of "percentile", "mean" and "max" in the tree. *)
+   arithmetic: the workload runner, audit and benchmark harness summarise
+   samples with it and Metrics renders histogram snapshots through it,
+   so there is exactly one definition of "percentile", "mean" and "max"
+   in the tree. *)
 
 type t = {
   count : int;

@@ -1,7 +1,7 @@
 (** The shared sample-summary record: count, mean and nearest-rank
-    quantiles. {!Workload.Stats} re-exports it for the benchmark harness
-    and {!Metrics} renders histogram snapshots through it, so percentile
-    arithmetic exists exactly once. *)
+    quantiles. The workload runner, audit and benchmark harness summarise
+    samples with it and {!Metrics} renders histogram snapshots through
+    it, so percentile arithmetic exists exactly once. *)
 
 type t = {
   count : int;

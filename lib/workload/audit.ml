@@ -48,9 +48,9 @@ type t = {
   a_records : (int, Store.History.record) Hashtbl.t;
   a_committed_w : (Store.Operation.key, (Simtime.t * int) list ref) Hashtbl.t;
   a_sessions : (int, session) Hashtbl.t;
-  a_vis : Stats.recorder;
-  a_vis_by_replica : (int, Stats.recorder) Hashtbl.t;
-  a_stale : Stats.recorder;
+  a_vis : float list ref;
+  a_vis_by_replica : (int, float list ref) Hashtbl.t;
+  a_stale : float list ref;
   mutable a_session_window_max_ms : float;
   mutable a_stale_reads : int;
   mutable a_ryw : int;
@@ -63,11 +63,11 @@ type t = {
 type summary = {
   writes : int;
   fully_replicated : int;
-  visibility_ms : Stats.summary;
-  visibility_by_replica : (int * Stats.summary) list;
+  visibility_ms : Summary.t;
+  visibility_by_replica : (int * Summary.t) list;
   post_commit_max_ms : float;
   stale_reads : int;
-  staleness_ms : Stats.summary;
+  staleness_ms : Summary.t;
   ryw_violations : int;
   mr_violations : int;
   session_window_max_ms : float;
@@ -101,7 +101,7 @@ let vis_recorder t replica =
   match Hashtbl.find_opt t.a_vis_by_replica replica with
   | Some r -> r
   | None ->
-      let r = Stats.recorder () in
+      let r = ref [] in
       Hashtbl.replace t.a_vis_by_replica replica r;
       r
 
@@ -132,8 +132,9 @@ let note_apply t ~replica ~at k ~value ~version =
         w.w_applied <- replica :: w.w_applied;
         if Simtime.(at > w.w_last_apply) then w.w_last_apply <- at;
         let ms = Simtime.to_ms (Simtime.sub at w.w_origin_at) in
-        Stats.record t.a_vis ms;
-        Stats.record (vis_recorder t replica) ms;
+        t.a_vis := ms :: !(t.a_vis);
+        let by_replica = vis_recorder t replica in
+        by_replica := ms :: !by_replica;
         Metrics.observe t.a_metrics "visibility_ms" ms
       end
 
@@ -153,9 +154,9 @@ let create ~engine ~metrics ~history ~groups ~store_of ?(shards = 1) () =
       a_records = Hashtbl.create 256;
       a_committed_w = Hashtbl.create 64;
       a_sessions = Hashtbl.create 8;
-      a_vis = Stats.recorder ();
+      a_vis = ref [];
       a_vis_by_replica = Hashtbl.create 16;
-      a_stale = Stats.recorder ();
+      a_stale = ref [];
       a_session_window_max_ms = 0.;
       a_stale_reads = 0;
       a_ryw = 0;
@@ -217,7 +218,7 @@ let note_reply t ~client ~rid ~committed ~submitted_at ~at =
         | Some rt ->
             t.a_stale_reads <- t.a_stale_reads + 1;
             Metrics.incr t.a_metrics "audit_stale_reads_total";
-            Stats.record t.a_stale (Simtime.to_ms (Simtime.sub at rt))
+            t.a_stale := Simtime.to_ms (Simtime.sub at rt) :: !(t.a_stale)
         | None -> ());
         (match
            violated_commit !(list_ref s.s_wrote k) ~v_read ~submitted_at
@@ -389,15 +390,15 @@ let finalize t =
   {
     writes = writes_n;
     fully_replicated = fully;
-    visibility_ms = Stats.summary t.a_vis;
+    visibility_ms = Summary.summarize !(t.a_vis);
     visibility_by_replica =
       Hashtbl.fold
-        (fun r rec_ acc -> (r, Stats.summary rec_) :: acc)
+        (fun r rec_ acc -> (r, Summary.summarize !rec_) :: acc)
         t.a_vis_by_replica []
       |> List.sort compare;
     post_commit_max_ms = post_commit_max;
     stale_reads = t.a_stale_reads;
-    staleness_ms = Stats.summary t.a_stale;
+    staleness_ms = Summary.summarize !(t.a_stale);
     ryw_violations = t.a_ryw;
     mr_violations = t.a_mr;
     session_window_max_ms = t.a_session_window_max_ms;

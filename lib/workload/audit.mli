@@ -54,14 +54,14 @@ type t
 type summary = {
   writes : int;  (** distinct installed (key, version, value) triples *)
   fully_replicated : int;  (** triples installed at every group member *)
-  visibility_ms : Stats.summary;  (** origin-to-other-replica install lag *)
-  visibility_by_replica : (int * Stats.summary) list;
+  visibility_ms : Sim.Summary.t;  (** origin-to-other-replica install lag *)
+  visibility_by_replica : (int * Sim.Summary.t) list;
   post_commit_max_ms : float;
       (** worst commit-reply-to-last-install gap (the lazy window) *)
   stale_reads : int;
       (** committed reads that missed a write whose commit preceded
           their submission (any session) *)
-  staleness_ms : Stats.summary;  (** real-time staleness of those reads *)
+  staleness_ms : Sim.Summary.t;  (** real-time staleness of those reads *)
   ryw_violations : int;  (** read-your-writes violations (per session) *)
   mr_violations : int;  (** monotonic-reads violations (per session) *)
   session_window_max_ms : float;

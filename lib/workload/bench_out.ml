@@ -268,14 +268,17 @@ let validate_json doc =
           (required_metrics bench)
   | _ -> Error "missing \"results\" array"
 
-(* Throughput floor: the best (max) value of [metric] in the document
-   must be at least [min]. Max, not mean — a bench may report the same
-   metric for several configurations (tracing on/off) and the floor
-   gates the headline number. *)
-let check_floor doc ~metric ~min_value =
+type bound = Floor | Ceiling
+
+(* A bound on the max value of [metric] across the rows. Max for both
+   directions: a bench may report the same metric for several
+   configurations (tracing on/off), and the floor gates the headline
+   (best) number while the ceiling gates the worst — how msgs/txn and
+   staleness-window metrics are gated from above. *)
+let check_bound doc bound ~metric ~limit =
   match member "results" doc with
   | Some (Arr rows) -> (
-      let best =
+      let observed =
         List.fold_left
           (fun acc row ->
             match (row_metric row, row_value row) with
@@ -284,9 +287,9 @@ let check_floor doc ~metric ~min_value =
             | _ -> acc)
           None rows
       in
-      match best with
+      match observed with
       | None ->
-          (* Name what IS in the file: a typo'd floor metric should point
+          (* Name what IS in the file: a typo'd gate metric should point
              straight at the spelling, not send the user to the JSON. *)
           let present =
             List.sort_uniq String.compare (List.filter_map row_metric rows)
@@ -294,56 +297,29 @@ let check_floor doc ~metric ~min_value =
           Error
             (Printf.sprintf "no rows with metric %S (file has: %s)" metric
                (String.concat ", " present))
-      | Some best ->
-          if best >= min_value then Ok best
-          else
-            (* Report the observation and its distance from the gate,
-               not just pass/fail: the margin is what tells the reader
-               whether this is noise or a collapse. *)
-            Error
-              (Printf.sprintf
-                 "metric %S observed %g is below floor %g (margin %g, %.1f%% \
-                  short)"
-                 metric best min_value (min_value -. best)
-                 (if min_value <> 0. then
-                    (min_value -. best) /. Float.abs min_value *. 100.
-                  else 100.)))
-  | _ -> Error "missing \"results\" array"
-
-(* Ceiling gate, the floor's mirror: the worst (max) value of [metric]
-   must stay at or below [max_value] — how msgs/txn and staleness-window
-   metrics are gated from above. *)
-let check_ceiling doc ~metric ~max_value =
-  match member "results" doc with
-  | Some (Arr rows) -> (
-      let worst =
-        List.fold_left
-          (fun acc row ->
-            match (row_metric row, row_value row) with
-            | Some m, Some v when m = metric -> (
-                match acc with Some b -> Some (Float.max b v) | None -> Some v)
-            | _ -> acc)
-          None rows
-      in
-      match worst with
-      | None ->
-          let present =
-            List.sort_uniq String.compare (List.filter_map row_metric rows)
+      | Some v -> (
+          (* Report the observation and its distance from the gate, not
+             just pass/fail: the margin is what tells the reader whether
+             this is noise or a collapse. *)
+          let margin = Float.abs (v -. limit) in
+          let pct =
+            if limit <> 0. then margin /. Float.abs limit *. 100. else 100.
           in
-          Error
-            (Printf.sprintf "no rows with metric %S (file has: %s)" metric
-               (String.concat ", " present))
-      | Some worst ->
-          if worst <= max_value then Ok worst
-          else
-            Error
-              (Printf.sprintf
-                 "metric %S observed %g is above ceiling %g (margin %g, \
-                  %.1f%% over)"
-                 metric worst max_value (worst -. max_value)
-                 (if max_value <> 0. then
-                    (worst -. max_value) /. Float.abs max_value *. 100.
-                  else 100.)))
+          match bound with
+          | Floor when v >= limit -> Ok v
+          | Ceiling when v <= limit -> Ok v
+          | Floor ->
+              Error
+                (Printf.sprintf
+                   "metric %S observed %g is below floor %g (margin %g, %.1f%% \
+                    short)"
+                   metric v limit margin pct)
+          | Ceiling ->
+              Error
+                (Printf.sprintf
+                   "metric %S observed %g is above ceiling %g (margin %g, \
+                    %.1f%% over)"
+                   metric v limit margin pct)))
   | _ -> Error "missing \"results\" array"
 
 let validate_file path =

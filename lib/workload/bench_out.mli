@@ -57,16 +57,12 @@ val required_metrics : string -> string list
 val validate_json : json -> (unit, string) result
 val validate_file : string -> (unit, string) result
 
-(** [check_floor doc ~metric ~min_value] succeeds with the best (max)
-    value of [metric] across the result rows when it is at least
-    [min_value] — the CI throughput gate. The failure message reports
-    the observed value and its margin below the floor. *)
-val check_floor :
-  json -> metric:string -> min_value:float -> (float, string) result
+type bound = Floor | Ceiling
 
-(** [check_ceiling doc ~metric ~max_value] — the floor's mirror:
-    succeeds with the worst (max) value of [metric] when it is at most
-    [max_value] — how msgs/txn and staleness-window metrics are gated
-    from above. *)
-val check_ceiling :
-  json -> metric:string -> max_value:float -> (float, string) result
+(** [check_bound doc bound ~metric ~limit] succeeds with the max value of
+    [metric] across the result rows when it is at least ([Floor] — the
+    CI throughput gate) or at most ([Ceiling] — how msgs/txn and
+    staleness-window metrics are gated from above) [limit]. The failure
+    message reports the observed value and its margin from the bound. *)
+val check_bound :
+  json -> bound -> metric:string -> limit:float -> (float, string) result

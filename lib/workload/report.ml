@@ -59,9 +59,9 @@ let csv_row ~label (r : Runner.result) =
   Printf.sprintf
     "%s,%d,%d,%d,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.2f,%d,%.2f,%.2f,%b,%b"
     (csv_escape label) r.committed r.aborted r.unanswered r.throughput
-    r.latency_ms.Stats.mean r.latency_ms.Stats.p50 r.latency_ms.Stats.p90
-    r.latency_ms.Stats.p95 r.latency_ms.Stats.p99 r.latency_ms.Stats.max
-    r.update_latency_ms.Stats.mean r.read_latency_ms.Stats.mean
+    r.latency_ms.Sim.Summary.mean r.latency_ms.Sim.Summary.p50 r.latency_ms.Sim.Summary.p90
+    r.latency_ms.Sim.Summary.p95 r.latency_ms.Sim.Summary.p99 r.latency_ms.Sim.Summary.max
+    r.update_latency_ms.Sim.Summary.mean r.read_latency_ms.Sim.Summary.mean
     (Sim.Simtime.to_ms r.makespan)
     r.messages r.messages_per_txn
     (Sim.Simtime.to_ms r.max_response_gap)
@@ -88,10 +88,10 @@ let phase_csv_header =
 
 let phase_csv_rows ~label (r : Runner.result) =
   List.map
-    (fun (phase, (s : Stats.summary)) ->
+    (fun (phase, (s : Sim.Summary.t)) ->
       Printf.sprintf "%s,%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f" (csv_escape label)
-        (Core.Phase.code phase) s.Stats.count s.Stats.mean s.Stats.p50
-        s.Stats.p90 s.Stats.p95 s.Stats.p99 s.Stats.max)
+        (Core.Phase.code phase) s.Sim.Summary.count s.Sim.Summary.mean s.Sim.Summary.p50
+        s.Sim.Summary.p90 s.Sim.Summary.p95 s.Sim.Summary.p99 s.Sim.Summary.max)
     r.phase_ms
 
 let phases_to_csv ppf rows =

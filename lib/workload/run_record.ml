@@ -115,11 +115,11 @@ let of_run ~technique ~config ~seed ~n_replicas ~n_clients ~arrival
     converged = r.Runner.converged;
     serializable = r.Runner.serializable;
     throughput = r.Runner.throughput;
-    latency_mean_ms = r.Runner.latency_ms.Stats.mean;
-    latency_p50_ms = r.Runner.latency_ms.Stats.p50;
-    latency_p95_ms = r.Runner.latency_ms.Stats.p95;
-    latency_p99_ms = r.Runner.latency_ms.Stats.p99;
-    latency_max_ms = r.Runner.latency_ms.Stats.max;
+    latency_mean_ms = r.Runner.latency_ms.Sim.Summary.mean;
+    latency_p50_ms = r.Runner.latency_ms.Sim.Summary.p50;
+    latency_p95_ms = r.Runner.latency_ms.Sim.Summary.p95;
+    latency_p99_ms = r.Runner.latency_ms.Sim.Summary.p99;
+    latency_max_ms = r.Runner.latency_ms.Sim.Summary.max;
     messages = r.Runner.messages;
     msgs_per_txn = r.Runner.messages_per_txn;
     census;
@@ -135,7 +135,7 @@ let of_run ~technique ~config ~seed ~n_replicas ~n_clients ~arrival
       Option.map
         (fun (a : Audit.summary) ->
           {
-            visibility_p95_ms = a.Audit.visibility_ms.Stats.p95;
+            visibility_p95_ms = a.Audit.visibility_ms.Sim.Summary.p95;
             post_commit_max_ms = a.Audit.post_commit_max_ms;
             session_window_max_ms = a.Audit.session_window_max_ms;
             stale_reads = a.Audit.stale_reads;

@@ -18,9 +18,9 @@ type result = {
   committed : int;
   aborted : int;
   unanswered : int;
-  latency_ms : Stats.summary;
-  update_latency_ms : Stats.summary;
-  read_latency_ms : Stats.summary;
+  latency_ms : Summary.t;
+  update_latency_ms : Summary.t;
+  read_latency_ms : Summary.t;
   makespan : Simtime.t;
   throughput : float;
   messages : int;
@@ -28,7 +28,7 @@ type result = {
   max_response_gap : Simtime.t;
   converged : bool;
   serializable : bool;
-  phase_ms : (Core.Phase.t * Stats.summary) list;
+  phase_ms : (Core.Phase.t * Summary.t) list;
   metrics : Metrics.snapshot;
   resubmissions : int;
   dropped : int;
@@ -124,16 +124,17 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
   in
   let committed = ref 0 and aborted = ref 0 and submitted = ref 0 in
   let answered = ref 0 in
-  let all_lat = Stats.recorder () in
-  let upd_lat = Stats.recorder () in
-  let read_lat = Stats.recorder () in
+  let all_lat = ref [] and upd_lat = ref [] and read_lat = ref [] in
   let last_response = ref Simtime.zero in
   let max_gap = ref Simtime.zero in
   List.iter
     (fun client ->
       let gen = Generator.create ~seed:(seed + client) spec in
       let arrival_rng = Sim.Rng.create ~seed:(seed + client + 7919) in
-      let submit_one () =
+      (* Issue the client's next request; [k] runs after its reply has
+         been accounted (the closed loop schedules its next arrival
+         there). *)
+      let submit_one k =
         let update, request =
           Generator.request ~at:(Engine.now engine) gen ~client
         in
@@ -155,56 +156,30 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
             in
             if reply.Core.Technique.committed then begin
               incr committed;
-              Stats.record all_lat lat_ms;
-              Stats.record (if update then upd_lat else read_lat) lat_ms
+              all_lat := lat_ms :: !all_lat;
+              let by_kind = if update then upd_lat else read_lat in
+              by_kind := lat_ms :: !by_kind
             end
-            else incr aborted)
+            else incr aborted;
+            k reply)
       in
       match arrival with
       | `Closed ->
           let rec next i =
-            if i < spec.Spec.txns_per_client then begin
-              let update, request =
-                Generator.request ~at:(Engine.now engine) gen ~client
-              in
-              incr submitted;
-              let submitted_at = Engine.now engine in
-              dispatch ~client request (fun reply ->
-                  incr answered;
-                  let gap = Simtime.sub reply.Core.Technique.at !last_response in
-                  if Simtime.(gap > !max_gap) then max_gap := gap;
-                  last_response :=
-                    Simtime.max !last_response reply.Core.Technique.at;
-                  (match auditor with
-                  | Some a ->
-                      Audit.note_reply a ~client
-                        ~rid:request.Store.Operation.rid
-                        ~committed:reply.Core.Technique.committed ~submitted_at
-                        ~at:reply.Core.Technique.at
-                  | None -> ());
-                  let lat_ms =
-                    Simtime.to_ms
-                      (Simtime.sub reply.Core.Technique.at submitted_at)
-                  in
-                  if reply.Core.Technique.committed then begin
-                    incr committed;
-                    Stats.record all_lat lat_ms;
-                    Stats.record (if update then upd_lat else read_lat) lat_ms
-                  end
-                  else incr aborted;
+            if i < spec.Spec.txns_per_client then
+              submit_one (fun reply ->
                   ignore
                     (Engine.schedule engine ~label:"client:arrival"
                        ~after:
                          (scale_time spec.Spec.think_time
                             ~at:reply.Core.Technique.at)
                        (fun () -> next (i + 1))))
-            end
           in
           next 0
       | `Poisson rate ->
           let rec arrive i =
             if i < spec.Spec.txns_per_client then begin
-              submit_one ();
+              submit_one ignore;
               let gap_s = Sim.Rng.exponential arrival_rng ~mean:(1. /. rate) in
               ignore
                 (Engine.schedule engine ~label:"client:arrival"
@@ -241,26 +216,14 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
     else 0.
   in
   let messages = Network.messages_sent network in
-  (* Flush the span recorder so every phase interval is closed, then
-     summarise per-phase durations across all transactions. *)
+  (* Flush the span recorder so every phase interval is closed; the
+     recorder has collected each span's duration as it closed. *)
   let spans = inst.Core.Technique.spans in
   Core.Phase_span.finalize spans ~at:(Engine.now engine);
   let phase_ms =
-    let samples = Hashtbl.create 8 in
-    List.iter
-      (fun rid ->
-        List.iter
-          (fun (p, d) ->
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt samples p)
-            in
-            Hashtbl.replace samples p (d :: prev))
-          (Core.Phase_span.durations spans ~rid))
-      (Core.Phase_span.rids spans);
-    List.filter_map
-      (fun p ->
-        Option.map (fun ds -> (p, Stats.summarize ds)) (Hashtbl.find_opt samples p))
-      Core.Phase.all
+    List.map
+      (fun (p, ds) -> (p, Summary.summarize ds))
+      (Core.Phase_span.samples spans)
   in
   let metrics =
     let m = inst.Core.Technique.metrics in
@@ -286,9 +249,9 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
       committed = !committed;
       aborted = !aborted;
       unanswered = !submitted - !answered;
-      latency_ms = Stats.summary all_lat;
-      update_latency_ms = Stats.summary upd_lat;
-      read_latency_ms = Stats.summary read_lat;
+      latency_ms = Summary.summarize !all_lat;
+      update_latency_ms = Summary.summarize !upd_lat;
+      read_latency_ms = Summary.summarize !read_lat;
       makespan;
       throughput;
       messages;
@@ -334,5 +297,5 @@ let run ?seed ?n_replicas ?n_clients ?net ?tune ?arrival ?failures ?partitions
 let pp_result ppf r =
   Format.fprintf ppf
     "committed=%d aborted=%d unanswered=%d tput=%.1f/s lat(ms)[%a] msgs/txn=%.1f converged=%b 1SR=%b"
-    r.committed r.aborted r.unanswered r.throughput Stats.pp_summary
+    r.committed r.aborted r.unanswered r.throughput Summary.pp
     r.latency_ms r.messages_per_txn r.converged r.serializable

@@ -37,9 +37,9 @@ type result = {
   committed : int;
   aborted : int;
   unanswered : int;  (** requests with no reply at the deadline *)
-  latency_ms : Stats.summary;  (** committed-transaction response times *)
-  update_latency_ms : Stats.summary;
-  read_latency_ms : Stats.summary;
+  latency_ms : Sim.Summary.t;  (** committed-transaction response times *)
+  update_latency_ms : Sim.Summary.t;
+  read_latency_ms : Sim.Summary.t;
   makespan : Sim.Simtime.t;  (** last response time *)
   throughput : float;  (** committed transactions per simulated second *)
   messages : int;  (** network messages sent during the run *)
@@ -49,7 +49,7 @@ type result = {
           unavailability window when a failure schedule is active *)
   converged : bool;  (** alive replicas identical at quiescence *)
   serializable : bool;  (** 1-copy serializability of the global history *)
-  phase_ms : (Core.Phase.t * Stats.summary) list;
+  phase_ms : (Core.Phase.t * Sim.Summary.t) list;
       (** per-phase span durations across all transactions, in canonical
           phase order (phases the technique never entered are absent) *)
   metrics : Sim.Metrics.snapshot;

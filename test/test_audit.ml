@@ -83,8 +83,8 @@ let test_lazy_visibility_positive () =
     (a.Workload.Audit.post_commit_max_ms > 0.);
   Alcotest.(check bool)
     "visibility latency samples recorded" true
-    (a.Workload.Audit.visibility_ms.Workload.Stats.count > 0
-    && a.Workload.Audit.visibility_ms.Workload.Stats.p50 > 0.);
+    (a.Workload.Audit.visibility_ms.Sim.Summary.count > 0
+    && a.Workload.Audit.visibility_ms.Sim.Summary.p50 > 0.);
   Alcotest.(check bool) "still drains by quiescence" true
     a.Workload.Audit.drained
 

@@ -1,4 +1,4 @@
-(* Tests for the core framework: phases, phase traces, 2PC, certification,
+(* Tests for the core framework: phases, the phase recorder, 2PC, certification,
    reconciliation, convergence, and the consistency checkers. *)
 
 open Sim
@@ -8,7 +8,7 @@ let tc name f = Alcotest.test_case name `Quick f
 let phase = Alcotest.testable Core.Phase.pp Core.Phase.equal
 
 (* ------------------------------------------------------------------ *)
-(* Phase / Phase_trace                                                 *)
+(* Phase / Phase_span mark view                                        *)
 (* ------------------------------------------------------------------ *)
 
 let test_phase_codes () =
@@ -21,38 +21,121 @@ let test_phase_codes () =
         (Core.Phase.of_code (Core.Phase.code p)))
     Core.Phase.all
 
+let mark_t =
+  Alcotest.testable
+    (fun ppf m -> Core.Phase_span.pp_marks ppf [ m ])
+    ( = )
+
+(* Record [marks] for [rid] into a fresh recorder and check the flat view
+   reproduces them exactly, in order. *)
+let record_marks ~rid marks =
+  let sp = Core.Phase_span.create () in
+  List.iter
+    (fun (m : Core.Phase_span.mark) ->
+      Core.Phase_span.mark sp ~rid ?replica:m.replica ~note:m.note m.phase m.time)
+    marks;
+  Alcotest.(check (list mark_t)) "marks round-trip" marks
+    (Core.Phase_span.marks sp ~rid);
+  sp
+
+let m ?replica ?(note = "") phase ms =
+  { Core.Phase_span.phase; replica; time = Simtime.of_ms ms; note }
+
 let test_phase_trace_sequence () =
-  let tr = Core.Phase_trace.create () in
-  let at ms = Simtime.of_ms ms in
-  Core.Phase_trace.mark tr ~rid:1 Core.Phase.Request (at 0);
-  Core.Phase_trace.mark tr ~rid:1 ~replica:0 Core.Phase.Execution (at 1);
-  Core.Phase_trace.mark tr ~rid:1 ~replica:1 Core.Phase.Execution (at 2);
-  Core.Phase_trace.mark tr ~rid:1 ~replica:0 Core.Phase.Agreement_coordination (at 3);
-  Core.Phase_trace.mark tr ~rid:1 Core.Phase.Response (at 4);
+  let sp =
+    record_marks ~rid:1
+      [
+        m Request 0;
+        m ~replica:0 Execution 1;
+        m ~replica:1 Execution 2;
+        m ~replica:0 Agreement_coordination 3;
+        m Response 4;
+      ]
+  in
   Alcotest.(check (list phase)) "sequence collapses duplicates"
     [ Request; Execution; Agreement_coordination; Response ]
-    (Core.Phase_trace.sequence tr ~rid:1);
-  Alcotest.(check (list int)) "rids" [ 1 ] (Core.Phase_trace.rids tr)
+    (Core.Phase_span.sequence sp ~rid:1);
+  Alcotest.(check (list int)) "rids" [ 1 ] (Core.Phase_span.rids sp)
 
 let test_phase_trace_loop_and_signature () =
   (* The §5 per-operation loop: EX AC EX AC ... *)
-  let tr = Core.Phase_trace.create () in
-  let at ms = Simtime.of_ms ms in
-  Core.Phase_trace.mark tr ~rid:2 Core.Phase.Request (at 0);
-  Core.Phase_trace.mark tr ~rid:2 ~replica:0 Core.Phase.Execution (at 1);
-  Core.Phase_trace.mark tr ~rid:2 ~replica:0 Core.Phase.Agreement_coordination (at 2);
-  Core.Phase_trace.mark tr ~rid:2 ~replica:0 Core.Phase.Execution (at 3);
-  Core.Phase_trace.mark tr ~rid:2 ~replica:0 Core.Phase.Agreement_coordination (at 4);
-  Core.Phase_trace.mark tr ~rid:2 Core.Phase.Response (at 5);
+  let sp =
+    record_marks ~rid:2
+      [
+        m Request 0;
+        m ~replica:0 Execution 1;
+        m ~replica:0 Agreement_coordination 2;
+        m ~replica:0 Execution 3;
+        m ~replica:0 Agreement_coordination 4;
+        m Response 5;
+      ]
+  in
   Alcotest.(check (list phase)) "sequence keeps the loop"
     [
       Request; Execution; Agreement_coordination; Execution;
       Agreement_coordination; Response;
     ]
-    (Core.Phase_trace.sequence tr ~rid:2);
+    (Core.Phase_span.sequence sp ~rid:2);
   Alcotest.(check (list phase)) "signature collapses the loop"
     [ Request; Execution; Agreement_coordination; Response ]
-    (Core.Phase_trace.signature tr ~rid:2)
+    (Core.Phase_span.signature sp ~rid:2)
+
+(* The opening mark's note is stored as an event at the span's start on
+   its track; the flat view must fold it back, and only it. *)
+let test_marks_noted_opening () =
+  let sp =
+    record_marks ~rid:3
+      [
+        m ~note:"atomic broadcast" Request 0;
+        m ~replica:0 ~note:"execute" Execution 1;
+        m ~replica:0 Execution 2;
+        m Response 3;
+      ]
+  in
+  let events rid =
+    List.map
+      (fun (_, s) -> List.length (Sim.Span.events s))
+      (Core.Phase_span.phase_spans sp ~rid)
+  in
+  Alcotest.(check (list int)) "opening notes are span events" [ 1; 2; 0 ]
+    (events 3)
+
+let test_marks_same_instant_other_replica () =
+  (* Semi-active's EX on every replica at one instant: the second mark's
+     event shares the span's start but not its track. Unnoted repeats on
+     the span's own track at its start stay marks of their own. *)
+  ignore
+    (record_marks ~rid:4
+       [
+         m Request 0;
+         m Request 0;
+         m ~replica:2 Execution 3;
+         m ~replica:0 ~note:"execution in delivery order" Execution 3;
+         m ~replica:2 Execution 3;
+         m ~replica:0 ~note:"leader resolves" Agreement_coordination 3;
+         m Response 6;
+       ])
+
+let test_marks_resubmission () =
+  (* A resubmission re-enters RE: as a fresh span after another phase,
+     and as an event while RE is still open. *)
+  let sp =
+    record_marks ~rid:5
+      [
+        m Request 0;
+        m ~note:"resubmission after timeout" Request 4;
+        m ~replica:1 Server_coordination 5;
+        m ~note:"resubmission after timeout" Request 9;
+        m ~replica:2 Server_coordination 10;
+        m Response 12;
+      ]
+  in
+  Alcotest.(check (list phase)) "sequence shows the retry"
+    [ Request; Server_coordination; Request; Server_coordination; Response ]
+    (Core.Phase_span.sequence sp ~rid:5);
+  Alcotest.(check (list phase)) "signature"
+    [ Request; Server_coordination; Response ]
+    (Core.Phase_span.signature sp ~rid:5)
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase commit                                                   *)
@@ -565,6 +648,9 @@ let () =
           tc "codes" test_phase_codes;
           tc "trace sequence" test_phase_trace_sequence;
           tc "loops and signatures" test_phase_trace_loop_and_signature;
+          tc "noted opening mark" test_marks_noted_opening;
+          tc "same instant, other replica" test_marks_same_instant_other_replica;
+          tc "resubmission" test_marks_resubmission;
         ] );
       ( "2pc",
         [

@@ -119,7 +119,7 @@ let test_figure16_signature (_, (info : Core.Technique.info), factory) () =
   run_for h 10_000;
   Alcotest.(check bool) "request answered" true (!slot <> None);
   let signature =
-    Core.Phase_trace.signature h.inst.Core.Technique.phases
+    Core.Phase_span.signature h.inst.Core.Technique.spans
       ~rid:req.Store.Operation.rid
   in
   Alcotest.(check (list phase))
@@ -193,10 +193,10 @@ let test_active_masks_crash () =
   (* No client resubmission happened: failure transparent. *)
   let resubmissions =
     List.concat_map
-      (fun rid -> Core.Phase_trace.marks h.inst.Core.Technique.phases ~rid)
-      (Core.Phase_trace.rids h.inst.Core.Technique.phases)
+      (fun rid -> Core.Phase_span.marks h.inst.Core.Technique.spans ~rid)
+      (Core.Phase_span.rids h.inst.Core.Technique.spans)
     |> List.filter (fun m ->
-           m.Core.Phase_trace.note = "resubmission after timeout")
+           m.Core.Phase_span.note = "resubmission after timeout")
   in
   Alcotest.(check int) "no resubmissions" 0 (List.length resubmissions);
   check_converged ~only_alive:true h "active crash";
@@ -367,7 +367,7 @@ let test_eager_primary_interactive_loop () =
   check_converged h "interactive";
   (* Figure 12: the EX/AC pair loops per operation. *)
   let seq =
-    Core.Phase_trace.sequence h.inst.Core.Technique.phases
+    Core.Phase_span.sequence h.inst.Core.Technique.spans
       ~rid:req.Store.Operation.rid
   in
   let ex_count =
@@ -1677,8 +1677,42 @@ let generic_suite =
       ])
     registry_entries
 
+(* The flat mark view of the semi-active non-deterministic probe
+   ([replisim trace -t semi-active --nondet]): EX on three replicas at
+   one instant, the leader's AC folded between them, and the opening
+   notes of RE/SC. Pinned so the view derived from the span tree cannot
+   drift from the mark log it replaced. *)
+let test_golden_marks_semi_active () =
+  let entry = Option.get (Protocols.Registry.find "semi-active") in
+  let p =
+    Workload.Builder.probe ~seed:3 ~n:3
+      ~ops:[ Store.Operation.Write_random "x" ]
+      ~until:(Simtime.of_sec 10.)
+      (Protocols.Registry.default_factory entry)
+  in
+  let listing =
+    Format.asprintf "%a" Core.Phase_span.pp_marks
+      (Core.Phase_span.marks p.Workload.Builder.p_inst.Core.Technique.spans
+         ~rid:p.Workload.Builder.p_rid)
+  in
+  Alcotest.(check string) "pp_marks"
+    (String.concat "\n"
+       [
+         "     0us  RE   client     ";
+         "     0us  SC   client     atomic broadcast to the group (merged with RE)";
+         " 3.000ms  EX   replica 2  execution in delivery order";
+         " 3.000ms  EX   replica 0  execution in delivery order";
+         " 3.000ms  AC   replica 0  leader resolves non-deterministic choice via VSCAST";
+         " 3.000ms  EX   replica 1  execution in delivery order";
+         " 6.000ms  END  client     ";
+         "";
+       ])
+    listing
+
 let observability_suite =
   [
+    tc "golden marks: semi-active, non-deterministic"
+      test_golden_marks_semi_active;
     tc "chrome export: active" (test_chrome_export_valid "active");
     tc "chrome export: eager-ue-locking"
       (test_chrome_export_valid "eager-ue-locking");

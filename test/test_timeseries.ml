@@ -154,37 +154,34 @@ let test_window_overrun_detector () =
 let finite f = Float.is_finite f
 
 let test_summary_empty () =
-  let s = Workload.Stats.summarize [] in
-  Alcotest.(check int) "count sentinel" 0 s.Workload.Stats.count;
+  let s = Sim.Summary.summarize [] in
+  Alcotest.(check int) "count sentinel" 0 s.Sim.Summary.count;
   List.iter
     (fun (label, v) ->
       Alcotest.(check bool) (label ^ " finite") true (finite v))
     [
-      ("mean", s.Workload.Stats.mean);
-      ("p50", s.Workload.Stats.p50);
-      ("p99", s.Workload.Stats.p99);
-      ("min", s.Workload.Stats.min);
-      ("max", s.Workload.Stats.max);
+      ("mean", s.Sim.Summary.mean);
+      ("p50", s.Sim.Summary.p50);
+      ("p99", s.Sim.Summary.p99);
+      ("min", s.Sim.Summary.min);
+      ("max", s.Sim.Summary.max);
     ];
-  Alcotest.(check bool) "recorder agrees" true
-    (Workload.Stats.summary (Workload.Stats.recorder ()) = s);
-  Alcotest.(check bool) "empty_summary agrees" true
-    (Workload.Stats.empty_summary = s)
+  Alcotest.(check bool) "empty agrees" true (Sim.Summary.empty = s)
 
 let test_summary_single_sample () =
-  let s = Workload.Stats.summarize [ 42. ] in
-  Alcotest.(check int) "count" 1 s.Workload.Stats.count;
+  let s = Sim.Summary.summarize [ 42. ] in
+  Alcotest.(check int) "count" 1 s.Sim.Summary.count;
   List.iter
     (fun (label, v) ->
       Alcotest.(check (float 0.0)) label 42. v)
     [
-      ("mean", s.Workload.Stats.mean);
-      ("p50", s.Workload.Stats.p50);
-      ("p90", s.Workload.Stats.p90);
-      ("p95", s.Workload.Stats.p95);
-      ("p99", s.Workload.Stats.p99);
-      ("min", s.Workload.Stats.min);
-      ("max", s.Workload.Stats.max);
+      ("mean", s.Sim.Summary.mean);
+      ("p50", s.Sim.Summary.p50);
+      ("p90", s.Sim.Summary.p90);
+      ("p95", s.Sim.Summary.p95);
+      ("p99", s.Sim.Summary.p99);
+      ("min", s.Sim.Summary.min);
+      ("max", s.Sim.Summary.max);
     ]
 
 let test_hist_summary_empty () =

@@ -73,36 +73,28 @@ let test_generator_skew () =
   Alcotest.(check bool) "hot key dominates" true (hottest > 100)
 
 (* ------------------------------------------------------------------ *)
-(* Stats                                                              *)
+(* Summary statistics                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_stats_empty () =
-  let s = Workload.Stats.summarize [] in
-  Alcotest.(check int) "count" 0 s.Workload.Stats.count
+  let s = Sim.Summary.summarize [] in
+  Alcotest.(check int) "count" 0 s.Sim.Summary.count
 
 let test_stats_known_values () =
   let values = List.init 100 (fun i -> float_of_int (i + 1)) in
-  let s = Workload.Stats.summarize values in
-  Alcotest.(check int) "count" 100 s.Workload.Stats.count;
-  Alcotest.(check (float 0.001)) "mean" 50.5 s.Workload.Stats.mean;
-  Alcotest.(check (float 1.5)) "p50" 50.0 s.Workload.Stats.p50;
-  Alcotest.(check (float 1.5)) "p90" 90.0 s.Workload.Stats.p90;
-  Alcotest.(check (float 1.5)) "p99" 99.0 s.Workload.Stats.p99;
-  Alcotest.(check (float 0.001)) "min" 1.0 s.Workload.Stats.min;
-  Alcotest.(check (float 0.001)) "max" 100.0 s.Workload.Stats.max
+  let s = Sim.Summary.summarize values in
+  Alcotest.(check int) "count" 100 s.Sim.Summary.count;
+  Alcotest.(check (float 0.001)) "mean" 50.5 s.Sim.Summary.mean;
+  Alcotest.(check (float 1.5)) "p50" 50.0 s.Sim.Summary.p50;
+  Alcotest.(check (float 1.5)) "p90" 90.0 s.Sim.Summary.p90;
+  Alcotest.(check (float 1.5)) "p99" 99.0 s.Sim.Summary.p99;
+  Alcotest.(check (float 0.001)) "min" 1.0 s.Sim.Summary.min;
+  Alcotest.(check (float 0.001)) "max" 100.0 s.Sim.Summary.max
 
 let test_stats_order_independent () =
-  let a = Workload.Stats.summarize [ 3.; 1.; 2. ] in
-  let b = Workload.Stats.summarize [ 1.; 2.; 3. ] in
-  Alcotest.(check (float 0.001)) "same p50" a.Workload.Stats.p50 b.Workload.Stats.p50
-
-let test_stats_recorder () =
-  let r = Workload.Stats.recorder () in
-  Workload.Stats.record r 5.0;
-  Workload.Stats.record r 15.0;
-  let s = Workload.Stats.summary r in
-  Alcotest.(check int) "count" 2 s.Workload.Stats.count;
-  Alcotest.(check (float 0.001)) "mean" 10.0 s.Workload.Stats.mean
+  let a = Sim.Summary.summarize [ 3.; 1.; 2. ] in
+  let b = Sim.Summary.summarize [ 1.; 2.; 3. ] in
+  Alcotest.(check (float 0.001)) "same p50" a.Sim.Summary.p50 b.Sim.Summary.p50
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                             *)
@@ -125,7 +117,7 @@ let test_runner_completes () =
   Alcotest.(check bool) "throughput positive" true
     (result.Workload.Runner.throughput > 0.);
   Alcotest.(check int) "latency count = committed" 20
-    result.Workload.Runner.latency_ms.Workload.Stats.count
+    result.Workload.Runner.latency_ms.Sim.Summary.count
 
 (* Every field except wall-clock time is deterministic per seed; zero
    the one nondeterministic field before structural comparison. *)
@@ -158,8 +150,8 @@ let test_runner_failure_schedule () =
 let test_runner_latency_split () =
   let spec = { small_spec with update_ratio = 0.5 } in
   let result = Workload.Runner.run ~n_clients:2 ~spec active_factory in
-  let r = result.Workload.Runner.read_latency_ms.Workload.Stats.count in
-  let u = result.Workload.Runner.update_latency_ms.Workload.Stats.count in
+  let r = result.Workload.Runner.read_latency_ms.Sim.Summary.count in
+  let u = result.Workload.Runner.update_latency_ms.Sim.Summary.count in
   Alcotest.(check int) "read+update = committed" result.Workload.Runner.committed
     (r + u);
   Alcotest.(check bool) "both kinds present" true (r > 0 && u > 0)
@@ -342,6 +334,40 @@ let test_engine_summary_wall () =
   Alcotest.(check string) "n/a on zero wall" "42 events (wall n/a)"
     (Workload.Report.engine_summary no_wall)
 
+(* The per-phase summary is collected online as spans close; it must
+   equal the post-hoc summary over every rid's span durations. *)
+let test_runner_phase_ms_online () =
+  List.iter
+    (fun (e : Protocols.Registry.entry) ->
+      let result, inst =
+        Workload.Runner.run_with_instance ~seed:11 ~n_clients:2
+          ~spec:small_spec
+          (Protocols.Registry.default_factory e)
+      in
+      let spans = inst.Core.Technique.spans in
+      let durations =
+        List.concat_map
+          (fun rid -> Core.Phase_span.durations spans ~rid)
+          (Core.Phase_span.rids spans)
+      in
+      let expected =
+        List.filter_map
+          (fun p ->
+            match
+              List.filter_map
+                (fun (q, d) -> if Core.Phase.equal p q then Some d else None)
+                durations
+            with
+            | [] -> None
+            | ds -> Some (p, Sim.Summary.summarize ds))
+          Core.Phase.all
+      in
+      Alcotest.(check bool)
+        (e.Protocols.Registry.key ^ ": phase_ms = summary of durations")
+        true
+        (expected <> [] && result.Workload.Runner.phase_ms = expected))
+    Protocols.Registry.all
+
 let () =
   Alcotest.run "workload"
     [
@@ -357,7 +383,6 @@ let () =
           tc "empty" test_stats_empty;
           tc "known values" test_stats_known_values;
           tc "order independent" test_stats_order_independent;
-          tc "recorder" test_stats_recorder;
         ] );
       ( "runner",
         [
@@ -366,6 +391,7 @@ let () =
           tc "failure schedule" test_runner_failure_schedule;
           tc "latency split" test_runner_latency_split;
           tc "poisson arrivals" test_runner_poisson_arrivals;
+          tc "phase summary online" test_runner_phase_ms_online;
         ] );
       ( "report",
         [ tc "csv" test_report_csv; tc "engine summary" test_engine_summary_wall ]
