@@ -1123,6 +1123,13 @@ let simulator_throughput () =
       Float.max 0. (run_wall_on -. result_on.Workload.Runner.wall_s) /. run_wall_on
     else 0.
   in
+  (* Peak heap per transaction of the tracing-off leg: bounded-memory
+     bookkeeping keeps it flat as the run grows. *)
+  Workload.Bench_out.add out ~metric:"heap_words_per_txn"
+    ~technique:technique_name ~unit_:"words/txn"
+    ~params:[ ("tracing", "off"); ("txns", string_of_int (txns_off * clients)) ]
+    (float_of_int report_off.Sim.Profiler.p_heap_peak_words
+    /. float_of_int (txns_off * clients));
   Workload.Bench_out.add out ~metric:"postloop_share" ~technique:technique_name
     ~unit_:"share"
     ~params:[ ("tracing", "on"); ("txns", string_of_int (txns_on * clients)) ]

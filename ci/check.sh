@@ -112,11 +112,17 @@ dune exec bin/replisim.exe -- profile -t lazy-primary --no-tracing --txns 20 \
 # share of the tracing-on run spent after the event loop (phase summary
 # over every rid): ~1.4% with the indexed span store, ~30-35% when that
 # pass is quadratic, so 0.15 trips only on a super-linear regression.
+# The heap ceiling bounds the tracing-off leg's peak heap per transaction
+# (ROADMAP item 5): ~316 words/txn at 4000 txns with bounded group-stack
+# bookkeeping, ~1313 when every stubborn-channel receiver keeps one entry
+# per message it ever delivered; 800 sits 2.5x above the former and
+# below the latter.
 echo "== simulator throughput floor =="
 PERF15_TXNS=4000 dune exec bench/main.exe -- perf15 > /dev/null
 dune exec bin/replisim.exe -- bench-check BENCH_perf15.json \
   --floor perf15:events_per_sec:10000 \
-  --ceiling perf15:postloop_share:0.15
+  --ceiling perf15:postloop_share:0.15 \
+  --ceiling perf15:heap_words_per_txn:800
 
 # Sharding gate: perf16 at a CI-sized transaction count. probe_flat=1
 # is Part A's verdict (single-shard message cost flat across cluster

@@ -35,6 +35,7 @@ type t = {
   known : (id, Msg.t) Hashtbl.t;
   pending : (id, unit) Hashtbl.t; (* known, not yet ordered under cur epoch *)
   slots : (int, id list * int) Hashtbl.t; (* seq -> (ids, epoch) *)
+  slot_count : (id, int) Hashtbl.t; (* id -> number of slots holding it *)
   acks : (int * id list, Iset.t ref) Hashtbl.t;
   delivered_set : (id, unit) Hashtbl.t;
   mutable delivered_rev : id list;
@@ -88,11 +89,29 @@ let stable t seq ids =
       t.members
   else List.for_all (fun m -> Iset.mem m ackers) t.members
 
-(* Is [id] already assigned to some slot? Batched slots hold several. *)
-let slotted t id =
-  Hashtbl.fold
-    (fun _ (slot_ids, _) acc -> acc || List.mem id slot_ids)
-    t.slots false
+(* Is [id] already assigned to some slot? Batched slots hold several.
+   [slot_count] indexes [slots] by id, so the leader's test on every
+   inject, flush and takeover is one lookup however long the run; it stays
+   exact because {!set_slot} is the only writer of [slots]. *)
+let slotted t id = Hashtbl.mem t.slot_count id
+
+let uncount t id =
+  match Hashtbl.find t.slot_count id with
+  | 1 -> Hashtbl.remove t.slot_count id
+  | c -> Hashtbl.replace t.slot_count id (c - 1)
+
+let count t id =
+  Hashtbl.replace t.slot_count id
+    (1 + Option.value ~default:0 (Hashtbl.find_opt t.slot_count id))
+
+(* Assign [ids] to slot [seq], replacing (and uncounting) whatever the
+   slot held before. *)
+let set_slot t seq ids epoch =
+  (match Hashtbl.find_opt t.slots seq with
+  | Some (old_ids, _) -> List.iter (uncount t) old_ids
+  | None -> ());
+  List.iter (count t) ids;
+  Hashtbl.replace t.slots seq (ids, epoch)
 
 let rec try_deliver t =
   match Hashtbl.find_opt t.slots t.next_deliver with
@@ -295,7 +314,7 @@ let handle_msg t msg =
             | None -> true
           in
           if accept then begin
-            Hashtbl.replace t.slots seq (ids, epoch);
+            set_slot t seq ids epoch;
             mcast t (Order_ack { gid = t.gid; seq; ids; from = t.me })
           end
         end
@@ -372,6 +391,7 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
           known = Hashtbl.create 64;
           pending = Hashtbl.create 32;
           slots = Hashtbl.create 64;
+          slot_count = Hashtbl.create 64;
           acks = Hashtbl.create 64;
           delivered_set = Hashtbl.create 64;
           delivered_rev = [];

@@ -10,61 +10,101 @@ let () =
     | Ack _ -> Some "Ack"
     | _ -> None)
 
+(* A sent message still waiting for its ack: the packet, where it goes,
+   how many retransmits it has spent, and the armed retransmit timer. *)
+type unacked = {
+  packet : Msg.t;
+  dst : int;
+  mutable retries : int;
+  mutable timer : Engine.timer;
+}
+
+(* Sequence numbers are per link (sender, receiver). Per-link tables are
+   keyed by [link_key t seq peer = seq * nodes + peer], one int per
+   (peer, seq) pair. *)
 type t = {
   net : Network.t;
   gid : int;
   me : int;
+  nodes : int; (* endpoints of the network: peers are [0 .. nodes-1] *)
   rto : Simtime.t;
   max_retries : int;
   passthrough : bool;
-  mutable next_seq : int;
-  (* Sender side: un-acked messages, keyed by our own seq. *)
-  unacked : (int, unit -> unit) Hashtbl.t; (* seq -> cancel retransmit *)
-  (* Receiver side: seqs already delivered, per source. *)
-  seen : (int * int, unit) Hashtbl.t;
-  mutable deliver_cbs : (src:int -> Msg.t -> unit) list;
+  (* Sender side: next seq towards each destination, and the un-acked
+     messages keyed by (dst, seq). *)
+  next_seq : int array;
+  unacked : (int, unacked) Hashtbl.t;
+  (* Receiver side, per origin: [high] is one more than the highest seq
+     delivered, [holes] the seqs below it that have not arrived yet
+     (keyed by (origin, seq)). A seq is fresh iff it is at or above
+     [high] or in [holes]. *)
+  high : int array;
+  holes : (int, unit) Hashtbl.t;
+  mutable deliver_cbs : (src:int -> Msg.t -> unit) list; (* in order *)
 }
 
 type group = { handles : (int, t) Hashtbl.t }
 
 let next_gid = ref 0
+let link_key t seq peer = (seq * t.nodes) + peer
 
-let deliver t ~src payload =
-  List.iter (fun f -> f ~src payload) (List.rev t.deliver_cbs)
+let deliver t ~src payload = List.iter (fun f -> f ~src payload) t.deliver_cbs
+
+(* The retransmit timer of the message keyed [key]. Like a
+   [Network.guard]ed timer it does nothing while we are crashed, which
+   ends the chain. *)
+let rec retransmit t key () =
+  if Network.alive t.net t.me then
+    match Hashtbl.find_opt t.unacked key with
+    | Some u when u.retries < t.max_retries ->
+        u.retries <- u.retries + 1;
+        Network.send t.net ~src:t.me ~dst:u.dst u.packet;
+        u.timer <- arm t key
+    | _ -> ()
+
+and arm t key =
+  Engine.schedule (Network.engine t.net) ~label:"rchan:retransmit" ~after:t.rto
+    (retransmit t key)
 
 let send t ~dst msg =
-  let seq = t.next_seq in
-  t.next_seq <- t.next_seq + 1;
+  let seq = t.next_seq.(dst) in
+  t.next_seq.(dst) <- seq + 1;
   let packet = Data { gid = t.gid; src = t.me; seq; payload = msg } in
   Network.send t.net ~src:t.me ~dst packet;
   if not t.passthrough then begin
-    let engine = Network.engine t.net in
-    let retries = ref 0 in
-    let cancelled = ref false in
-    let timer = ref None in
-    let rec retransmit () =
-      if (not !cancelled) && !retries < t.max_retries then begin
-        incr retries;
-        Network.send t.net ~src:t.me ~dst packet;
-        timer :=
-          Some (Engine.schedule engine ~label:"rchan:retransmit" ~after:t.rto (Network.guard t.net t.me retransmit))
-      end
-    in
-    timer :=
-      Some (Engine.schedule engine ~label:"rchan:retransmit" ~after:t.rto (Network.guard t.net t.me retransmit));
-    Hashtbl.replace t.unacked seq (fun () ->
-        cancelled := true;
-        match !timer with Some tm -> Engine.cancel tm | None -> ())
+    let key = link_key t seq dst in
+    Hashtbl.replace t.unacked key { packet; dst; retries = 0; timer = arm t key }
   end
 
 let mcast t ~dsts msg = List.iter (fun dst -> send t ~dst msg) dsts
-let on_deliver t f = t.deliver_cbs <- f :: t.deliver_cbs
+let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
+
+(* Record the arrival of [seq] from [origin]; [true] iff it had not
+   arrived before. *)
+let fresh t ~origin ~seq =
+  let high = t.high.(origin) in
+  if seq >= high then begin
+    for s = high to seq - 1 do
+      Hashtbl.replace t.holes (link_key t s origin) ()
+    done;
+    t.high.(origin) <- seq + 1;
+    true
+  end
+  else begin
+    let key = link_key t seq origin in
+    Hashtbl.mem t.holes key
+    && begin
+         Hashtbl.remove t.holes key;
+         true
+       end
+  end
 
 let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
     ?(passthrough = false) () =
   incr next_gid;
   let gid = !next_gid in
   let handles = Hashtbl.create 8 in
+  let size = Network.size net in
   List.iter
     (fun me ->
       let t =
@@ -72,12 +112,14 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
           net;
           gid;
           me;
+          nodes = size;
           rto;
           max_retries;
           passthrough;
-          next_seq = 0;
+          next_seq = Array.make size 0;
           unacked = Hashtbl.create 32;
-          seen = Hashtbl.create 64;
+          high = Array.make size 0;
+          holes = Hashtbl.create 16;
           deliver_cbs = [];
         }
       in
@@ -92,16 +134,15 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
           | Data { gid = g; src = origin; seq; payload } when g = gid ->
               if not t.passthrough then
                 Network.send net ~src:me ~dst:src (Ack { gid; seq });
-              if not (Hashtbl.mem t.seen (origin, seq)) then begin
-                Hashtbl.replace t.seen (origin, seq) ();
-                deliver t ~src:origin payload
-              end;
+              if fresh t ~origin ~seq then deliver t ~src:origin payload;
               true
           | Ack { gid = g; seq } when g = gid ->
-              (match Hashtbl.find_opt t.unacked seq with
-              | Some cancel ->
-                  cancel ();
-                  Hashtbl.remove t.unacked seq
+              (* [src] is the receiver the acked message was sent to. *)
+              let key = link_key t seq src in
+              (match Hashtbl.find_opt t.unacked key with
+              | Some u ->
+                  Engine.cancel u.timer;
+                  Hashtbl.remove t.unacked key
               | None -> ());
               true
           | _ -> false);

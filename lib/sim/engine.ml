@@ -70,11 +70,6 @@ let timers_scheduled t = t.scheduled
 let timers_cancelled t = t.cancelled_seen
 let queue_peak t = t.queue_peak
 
-let with_ctx t c f =
-  let saved = t.cur_ctx in
-  t.cur_ctx <- c;
-  Fun.protect ~finally:(fun () -> t.cur_ctx <- saved) f
-
 let schedule_at t ?(label = "timer") ~at f =
   let at = Simtime.max at t.clock in
   let timer =

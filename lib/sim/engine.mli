@@ -31,10 +31,6 @@ val ctx : t -> ctx option
 
 val set_ctx : t -> ctx option -> unit
 
-(** [with_ctx t c f] runs [f] under context [c], restoring the previous
-    context afterwards (exception-safe). *)
-val with_ctx : t -> ctx option -> (unit -> unit) -> unit
-
 (** [schedule t ~after f] runs [f] at [now t + after]. [label] names the
     profiling bucket the action's self time is attributed to (default
     ["timer"]); it has no effect on scheduling. *)

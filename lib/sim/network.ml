@@ -154,6 +154,12 @@ let count_drop t cause =
   | Crashed -> t.drop_crashed <- t.drop_crashed + 1
   | Partitioned -> t.drop_partitioned <- t.drop_partitioned + 1
 
+(* Try a node's handler stack, most recent first, until one consumes
+   [msg]. *)
+let rec dispatch ~src msg = function
+  | [] -> ()
+  | h :: rest -> if not (h ~src msg) then dispatch ~src msg rest
+
 let deliver t ~src ~dst ~span msg =
   if not t.alive.(dst) then begin
     count_drop t Crashed;
@@ -174,13 +180,18 @@ let deliver t ~src ~dst ~span msg =
           Span.finish spans id at;
           Some { Engine.trace; span = id }
     in
-    let rec dispatch = function
-      | [] -> ()
-      | h :: rest -> if not (h ~src msg) then dispatch rest
-    in
     (* Handlers run under the delivered message's span: anything they
-       send (or schedule) is causally attributed to this message. *)
-    Engine.with_ctx t.engine ctx (fun () -> dispatch t.handlers.(dst))
+       send (or schedule) is causally attributed to this message. The
+       save/restore is inlined: a [Fun.protect] wrapper would allocate
+       two closures per delivery. *)
+    let saved = Engine.ctx t.engine in
+    Engine.set_ctx t.engine ctx;
+    (match dispatch ~src msg t.handlers.(dst) with
+    | () -> ()
+    | exception e ->
+        Engine.set_ctx t.engine saved;
+        raise e);
+    Engine.set_ctx t.engine saved
   end
 
 let send t ~src ~dst msg =

@@ -26,18 +26,29 @@ let build_edges records =
     writer;
   let edges = ref [] in
   let add_edge a b = if a <> b then edges := (a, b) :: !edges in
+  (* per-key written versions, sorted once *)
+  let sorted_of = Hashtbl.create 64 in
   (* ww: consecutive version order per key *)
   Hashtbl.iter
     (fun k versions ->
-      let sorted = List.sort Int.compare versions in
-      let rec pair = function
-        | v1 :: (v2 :: _ as rest) ->
-            add_edge (Hashtbl.find writer (k, v1)) (Hashtbl.find writer (k, v2));
-            pair rest
-        | _ -> ()
-      in
-      pair sorted)
+      let sorted = Array.of_list versions in
+      Array.sort Int.compare sorted;
+      Hashtbl.replace sorted_of k sorted;
+      for i = 0 to Array.length sorted - 2 do
+        add_edge
+          (Hashtbl.find writer (k, sorted.(i)))
+          (Hashtbl.find writer (k, sorted.(i + 1)))
+      done)
     versions_of;
+  (* Index of the first element of [sorted] above [v] (its length if none). *)
+  let first_above sorted v =
+    let lo = ref 0 and hi = ref (Array.length sorted) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if sorted.(mid) > v then hi := mid else lo := mid + 1
+    done;
+    !lo
+  in
   (* wr and rw *)
   List.iter
     (fun (r : History.record) ->
@@ -49,14 +60,12 @@ let build_edges records =
           | None -> () (* initial version 0 *));
           (* rw: we precede the writer of the next version *)
           let next_writer =
-            match Hashtbl.find_opt versions_of k with
+            match Hashtbl.find_opt sorted_of k with
             | None -> None
-            | Some versions ->
-                List.filter (fun v' -> v' > v) versions
-                |> List.sort Int.compare
-                |> function
-                | [] -> None
-                | v' :: _ -> Some (Hashtbl.find writer (k, v'))
+            | Some sorted ->
+                let i = first_above sorted v in
+                if i = Array.length sorted then None
+                else Some (Hashtbl.find writer (k, sorted.(i)))
           in
           match next_writer with
           | Some w when w <> r.tid -> add_edge r.tid w
@@ -74,11 +83,18 @@ let check history =
         List.map (fun (r : History.record) -> r.tid) records
         |> List.sort_uniq Int.compare
       in
+      (* Successor lists, newest first and without duplicates; [linked]
+         holds the edges already in [adj], so a hot writer with many
+         readers does not rescan its list for every edge. *)
       let adj = Hashtbl.create 64 in
+      let linked = Hashtbl.create 64 in
       List.iter
-        (fun (a, b) ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt adj a) in
-          if not (List.mem b cur) then Hashtbl.replace adj a (b :: cur))
+        (fun ((a, b) as e) ->
+          if not (Hashtbl.mem linked e) then begin
+            Hashtbl.replace linked e ();
+            let cur = Option.value ~default:[] (Hashtbl.find_opt adj a) in
+            Hashtbl.replace adj a (b :: cur)
+          end)
         edges;
       (* DFS cycle detection with an explicit path for the witness. *)
       let state = Hashtbl.create 64 in

@@ -312,6 +312,198 @@ let prop_serial_executions_serializable =
       Serializability.is_serializable h)
 
 
+(* ---- The checker against a reference copy ----------------------------- *)
+
+(* The checker as it was before it indexed versions: per read, filter and
+   sort every written version of the key. Quadratic on hot keys, but the
+   reference for which edges it builds, in which order, and so for the
+   witness order and cycle it reports. *)
+module Reference_checker = struct
+  exception Ambiguous of Operation.key * int
+
+  let build_edges records =
+    let writer = Hashtbl.create 64 in
+    List.iter
+      (fun (r : History.record) ->
+        List.iter
+          (fun (k, v) ->
+            match Hashtbl.find_opt writer (k, v) with
+            | Some tid when tid <> r.tid -> raise (Ambiguous (k, v))
+            | _ -> Hashtbl.replace writer (k, v) r.tid)
+          r.writes)
+      records;
+    let versions_of = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun (k, v) _ ->
+        let cur = Option.value ~default:[] (Hashtbl.find_opt versions_of k) in
+        Hashtbl.replace versions_of k (v :: cur))
+      writer;
+    let edges = ref [] in
+    let add_edge a b = if a <> b then edges := (a, b) :: !edges in
+    Hashtbl.iter
+      (fun k versions ->
+        let sorted = List.sort Int.compare versions in
+        let rec pair = function
+          | v1 :: (v2 :: _ as rest) ->
+              add_edge (Hashtbl.find writer (k, v1)) (Hashtbl.find writer (k, v2));
+              pair rest
+          | _ -> ()
+        in
+        pair sorted)
+      versions_of;
+    List.iter
+      (fun (r : History.record) ->
+        List.iter
+          (fun (k, v) ->
+            (match Hashtbl.find_opt writer (k, v) with
+            | Some w -> add_edge w r.tid
+            | None -> ());
+            let next_writer =
+              match Hashtbl.find_opt versions_of k with
+              | None -> None
+              | Some versions -> (
+                  List.filter (fun v' -> v' > v) versions
+                  |> List.sort Int.compare
+                  |> function
+                  | [] -> None
+                  | v' :: _ -> Some (Hashtbl.find writer (k, v')))
+            in
+            match next_writer with
+            | Some w when w <> r.tid -> add_edge r.tid w
+            | _ -> ())
+          r.reads)
+      records;
+    !edges
+
+  let check history =
+    let records = History.records history in
+    match build_edges records with
+    | exception Ambiguous (k, v) -> Serializability.Ambiguous_versions (k, v)
+    | edges -> (
+        let tids =
+          List.map (fun (r : History.record) -> r.tid) records
+          |> List.sort_uniq Int.compare
+        in
+        let adj = Hashtbl.create 64 in
+        List.iter
+          (fun (a, b) ->
+            let cur = Option.value ~default:[] (Hashtbl.find_opt adj a) in
+            if not (List.mem b cur) then Hashtbl.replace adj a (b :: cur))
+          edges;
+        let state = Hashtbl.create 64 in
+        let order = ref [] in
+        let exception Cycle of int list in
+        let rec visit path tid =
+          match Hashtbl.find_opt state tid with
+          | Some 1 -> ()
+          | Some _ ->
+              let rec cut = function
+                | [] -> [ tid ]
+                | x :: rest -> if x = tid then [ x ] else x :: cut rest
+              in
+              raise (Cycle (List.rev (cut path)))
+          | None ->
+              Hashtbl.replace state tid 0;
+              let succs = Option.value ~default:[] (Hashtbl.find_opt adj tid) in
+              List.iter (fun s -> visit (s :: path) s) succs;
+              Hashtbl.replace state tid 1;
+              order := tid :: !order
+        in
+        try
+          List.iter (fun tid -> visit [ tid ] tid) tids;
+          Serializability.Serializable !order
+        with Cycle c -> Serializability.Cyclic c)
+end
+
+(* A random history over hot keys, from a seed: transactions run in a
+   shuffled tid order against a current version per key; most reads see
+   the current version, some a stale one (which can close a cycle), and
+   now and then two transactions install the same version (divergence).
+   Key 0 takes about half of all accesses. *)
+let random_hot_history seed =
+  let rng = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int rng 60 and nkeys = 1 + Random.State.int rng 6 in
+  let key () =
+    if Random.State.bool rng then "k0"
+    else Printf.sprintf "k%d" (Random.State.int rng nkeys)
+  in
+  let tids = Array.init n (fun i -> i + 1) in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = tids.(i) in
+    tids.(i) <- tids.(j);
+    tids.(j) <- x
+  done;
+  let current = Hashtbl.create 8 in
+  let version k = Option.value ~default:0 (Hashtbl.find_opt current k) in
+  let h = History.create () in
+  Array.iter
+    (fun tid ->
+      let reads =
+        List.init (Random.State.int rng 4) (fun _ ->
+            let k = key () in
+            let v = version k in
+            if Random.State.int rng 4 = 0 then (k, max 0 (v - 1 - Random.State.int rng 3))
+            else (k, v))
+      in
+      let writes =
+        List.sort_uniq compare (List.init (Random.State.int rng 3) (fun _ -> key ()))
+        |> List.map (fun k ->
+               let v = version k + if Random.State.int rng 50 = 0 then 0 else 1 in
+               Hashtbl.replace current k (max v (version k));
+               (k, max v 1))
+      in
+      History.add h (record tid ~reads ~writes))
+    tids;
+  h
+
+let prop_checker_matches_reference =
+  QCheck.Test.make ~name:"checker = reference on hot-key histories" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let h = random_hot_history seed in
+      let got = Serializability.check h and want = Reference_checker.check h in
+      if got <> want then
+        QCheck.Test.fail_reportf "seed %d: got %a, reference %a" seed
+          Serializability.pp_verdict got Serializability.pp_verdict want;
+      true)
+
+(* Every verdict kind shows up in the generated histories, so the
+   property above compares orders, cycles and divergences alike. *)
+let test_hot_histories_cover_verdicts () =
+  let kinds = Hashtbl.create 3 in
+  for seed = 0 to 299 do
+    Hashtbl.replace kinds
+      (match Serializability.check (random_hot_history seed) with
+      | Serializability.Serializable _ -> "serializable"
+      | Cyclic _ -> "cyclic"
+      | Ambiguous_versions _ -> "ambiguous")
+      ()
+  done;
+  Alcotest.(check int) "all three verdicts" 3 (Hashtbl.length kinds)
+
+(* Allocation of [check] on one hot key written [n] times and read [n]
+   times, each read at a spread-out version. *)
+let hot_key_check_words n =
+  let h = History.create () in
+  for i = 1 to n do
+    History.add h (record i ~reads:[] ~writes:[ ("x", i) ])
+  done;
+  for i = 1 to n do
+    History.add h (record (n + i) ~reads:[ ("x", i * 7919 mod n) ] ~writes:[])
+  done;
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Serializability.check h));
+  Gc.minor_words () -. before
+
+let test_checker_scales_on_hot_key () =
+  let small = hot_key_check_words 1000 and large = hot_key_check_words 2000 in
+  if large > 2.5 *. small then
+    Alcotest.failf
+      "checker allocation grew %.2fx (%.0f -> %.0f words) when versions and \
+       reads doubled"
+      (large /. small) small large
+
 (* ---- Cross-validation of the checker against first principles -------- *)
 
 (* Replay a serial order of the history's transactions and check that every
@@ -474,5 +666,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_serial_executions_serializable;
           QCheck_alcotest.to_alcotest prop_checker_witness_is_valid;
           QCheck_alcotest.to_alcotest prop_checker_complete;
+          QCheck_alcotest.to_alcotest prop_checker_matches_reference;
+          tc "hot histories cover every verdict" test_hot_histories_cover_verdicts;
+          tc "hot key scales" test_checker_scales_on_hot_key;
         ] );
     ]
