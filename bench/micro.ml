@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the substrates every experiment rests on:
-   event engine, RNG, heap, lock table, serializability checker,
-   certification, and a full ABCAST round in the simulator. One
-   [Test.make] per substrate, all grouped in one run. *)
+   event engine (plain, and with half its timers cancelled), RNG, lock
+   table, serializability checker, certification, and a full ABCAST round
+   in the simulator. One [Test.make] per substrate, all grouped in one
+   run. *)
 
 open Bechamel
 open Toolkit
@@ -24,16 +25,18 @@ let bench_rng =
            ignore (Sim.Rng.Zipf.draw rng sampler)
          done))
 
-let bench_heap =
-  Test.make ~name:"heap: push/pop 1000"
+let bench_engine_cancel =
+  Test.make ~name:"engine: schedule 1000, cancel half, run"
     (Staged.stage (fun () ->
-         let h = Sim.Heap.create ~cmp:Int.compare in
-         for i = 1000 downto 1 do
-           Sim.Heap.push h i
-         done;
-         while not (Sim.Heap.is_empty h) do
-           ignore (Sim.Heap.pop h)
-         done))
+         let e = Sim.Engine.create ~seed:1 () in
+         let timers =
+           Array.init 1000 (fun i ->
+               Sim.Engine.schedule e
+                 ~after:(Sim.Simtime.of_us ((i * 7919) mod 1000))
+                 (fun () -> ()))
+         in
+         Array.iteri (fun i tm -> if i land 1 = 0 then Sim.Engine.cancel tm) timers;
+         ignore (Sim.Engine.run e)))
 
 let bench_locks =
   Test.make ~name:"locks: 100 acquire/release rounds"
@@ -101,7 +104,7 @@ let tests =
     [
       bench_engine;
       bench_rng;
-      bench_heap;
+      bench_engine_cancel;
       bench_locks;
       bench_serializability;
       bench_certification;

@@ -1130,6 +1130,13 @@ let simulator_throughput () =
     ~params:[ ("tracing", "off"); ("txns", string_of_int (txns_off * clients)) ]
     (float_of_int report_off.Sim.Profiler.p_heap_peak_words
     /. float_of_int (txns_off * clients));
+  (* Minor-heap words allocated inside the tracing-off leg's events, per
+     event: the engine's and the delivery path's own allocation. *)
+  Workload.Bench_out.add out ~metric:"alloc_words_per_event"
+    ~technique:technique_name ~unit_:"words/event"
+    ~params:[ ("tracing", "off"); ("txns", string_of_int (txns_off * clients)) ]
+    (report_off.Sim.Profiler.p_alloc_words
+    /. float_of_int (max 1 report_off.Sim.Profiler.p_events));
   Workload.Bench_out.add out ~metric:"postloop_share" ~technique:technique_name
     ~unit_:"share"
     ~params:[ ("tracing", "on"); ("txns", string_of_int (txns_on * clients)) ]

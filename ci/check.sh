@@ -116,13 +116,18 @@ dune exec bin/replisim.exe -- profile -t lazy-primary --no-tracing --txns 20 \
 # (ROADMAP item 5): ~316 words/txn at 4000 txns with bounded group-stack
 # bookkeeping, ~1313 when every stubborn-channel receiver keeps one entry
 # per message it ever delivered; 800 sits 2.5x above the former and
-# below the latter.
+# below the latter. The allocation ceiling bounds the minor-heap words
+# the tracing-off leg allocates per event: ~47 with the int-array timer
+# queue, unboxed RNG state and int-keyed channel tables, ~74 with a
+# generic heap of timer records, a boxed RNG and tuple-keyed tables; 62
+# sits between them.
 echo "== simulator throughput floor =="
 PERF15_TXNS=4000 dune exec bench/main.exe -- perf15 > /dev/null
 dune exec bin/replisim.exe -- bench-check BENCH_perf15.json \
   --floor perf15:events_per_sec:10000 \
   --ceiling perf15:postloop_share:0.15 \
-  --ceiling perf15:heap_words_per_txn:800
+  --ceiling perf15:heap_words_per_txn:800 \
+  --ceiling perf15:alloc_words_per_event:62
 
 # Sharding gate: perf16 at a CI-sized transaction count. probe_flat=1
 # is Part A's verdict (single-shard message cost flat across cluster

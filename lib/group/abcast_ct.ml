@@ -34,8 +34,8 @@ type t = {
   decided_log : (int, Batch.t) Hashtbl.t; (* all decisions, for catch-up *)
   delivered_set : (id, unit) Hashtbl.t;
   mutable delivered_rev : id list;
-  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list;
-  mutable opt_deliver_cbs : (origin:int -> Msg.t -> unit) list;
+  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
+  mutable opt_deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
   mutable opt_delivered_rev : id list;
 }
 
@@ -73,7 +73,7 @@ let rec apply_decisions t =
           if not (Hashtbl.mem t.delivered_set id) then begin
             Hashtbl.replace t.delivered_set id ();
             t.delivered_rev <- id :: t.delivered_rev;
-            List.iter (fun f -> f ~origin payload) (List.rev t.deliver_cbs)
+            List.iter (fun f -> f ~origin payload) t.deliver_cbs
           end)
         batch;
       t.next_inst <- t.next_inst + 1;
@@ -87,9 +87,7 @@ let inject t id payload =
   then begin
     Hashtbl.replace t.pending id payload;
     t.opt_delivered_rev <- id :: t.opt_delivered_rev;
-    List.iter
-      (fun f -> f ~origin:(fst id) payload)
-      (List.rev t.opt_deliver_cbs);
+    List.iter (fun f -> f ~origin:(fst id) payload) t.opt_deliver_cbs;
     maybe_propose t
   end
 
@@ -113,8 +111,8 @@ let broadcast_from group ~src msg =
   Rchan.mcast chan ~dsts:group.g_members
     (Inject { gid = group.g_gid; id; payload = msg })
 
-let on_deliver t f = t.deliver_cbs <- f :: t.deliver_cbs
-let on_opt_deliver t f = t.opt_deliver_cbs <- f :: t.opt_deliver_cbs
+let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
+let on_opt_deliver t f = t.opt_deliver_cbs <- t.opt_deliver_cbs @ [ f ]
 let delivered t = List.rev t.delivered_rev
 let opt_delivered t = List.rev t.opt_delivered_rev
 

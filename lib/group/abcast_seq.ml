@@ -31,6 +31,7 @@ type t = {
   mutable next_send : int; (* per-origin seq for our own broadcasts *)
   mutable next_order : int; (* as leader: next global slot *)
   mutable next_deliver : int;
+  mutable undelivered : int; (* slots at or above [next_deliver] *)
   mutable ack_floor : int; (* slots below this are acked by every member *)
   known : (id, Msg.t) Hashtbl.t;
   pending : (id, unit) Hashtbl.t; (* known, not yet ordered under cur epoch *)
@@ -42,8 +43,8 @@ type t = {
   mutable noop_seq : int;
   mutable batch_rev : id list; (* leader: injects awaiting the window flush *)
   mutable batch_armed : bool;
-  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list;
-  mutable opt_deliver_cbs : (origin:int -> Msg.t -> unit) list;
+  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
+  mutable opt_deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
   mutable opt_delivered_rev : id list;
 }
 
@@ -59,8 +60,8 @@ let next_gid = ref 0
 let nth_member t e = List.nth t.members (e mod List.length t.members)
 let leader t = nth_member t t.epoch
 let is_leader t = leader t = t.me
-let on_deliver t f = t.deliver_cbs <- f :: t.deliver_cbs
-let on_opt_deliver t f = t.opt_deliver_cbs <- f :: t.opt_deliver_cbs
+let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
+let on_opt_deliver t f = t.opt_deliver_cbs <- t.opt_deliver_cbs @ [ f ]
 let delivered t = List.rev t.delivered_rev
 let opt_delivered t = List.rev t.opt_delivered_rev
 
@@ -105,11 +106,12 @@ let count t id =
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.slot_count id))
 
 (* Assign [ids] to slot [seq], replacing (and uncounting) whatever the
-   slot held before. *)
+   slot held before. A new slot at or above the delivery cursor counts
+   as undelivered until [try_deliver] passes it. *)
 let set_slot t seq ids epoch =
   (match Hashtbl.find_opt t.slots seq with
   | Some (old_ids, _) -> List.iter (uncount t) old_ids
-  | None -> ());
+  | None -> if seq >= t.next_deliver then t.undelivered <- t.undelivered + 1);
   List.iter (count t) ids;
   Hashtbl.replace t.slots seq (ids, epoch)
 
@@ -132,11 +134,12 @@ let rec try_deliver t =
                 Hashtbl.replace t.delivered_set id ();
                 t.delivered_rev <- id :: t.delivered_rev;
                 let payload = Hashtbl.find t.known id in
-                List.iter (fun f -> f ~origin payload) (List.rev t.deliver_cbs)
+                List.iter (fun f -> f ~origin payload) t.deliver_cbs
               end;
               Hashtbl.remove t.pending id)
             ids;
           t.next_deliver <- t.next_deliver + 1;
+          t.undelivered <- t.undelivered - 1;
           try_deliver t
         end
         else
@@ -272,9 +275,7 @@ let inject t id payload =
     (* Optimistic delivery: the spontaneous receipt order, before the
        total order is fixed (KPAS99a). *)
     t.opt_delivered_rev <- id :: t.opt_delivered_rev;
-    List.iter
-      (fun f -> f ~origin:(fst id) payload)
-      (List.rev t.opt_deliver_cbs);
+    List.iter (fun f -> f ~origin:(fst id) payload) t.opt_deliver_cbs;
     if not (Hashtbl.mem t.delivered_set id) then begin
       Hashtbl.replace t.pending id ();
       if is_leader t && quorate t then
@@ -387,6 +388,7 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
           next_send = 0;
           next_order = 0;
           next_deliver = 0;
+          undelivered = 0;
           ack_floor = 0;
           known = Hashtbl.create 64;
           pending = Hashtbl.create 32;
@@ -410,10 +412,7 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
               float_of_int (Hashtbl.length t.pending));
           Timeseries.register ts ~name:"abcast_undelivered" ~replica:me
             ~kind:Timeseries.Queue ~unit_:"messages" (fun () ->
-              float_of_int
-                (Hashtbl.fold
-                   (fun seq _ acc -> if seq >= t.next_deliver then acc + 1 else acc)
-                   t.slots 0))
+              float_of_int t.undelivered)
       | None -> ());
       Rchan.on_deliver t.chan (fun ~src msg ->
           ignore src;

@@ -13,7 +13,7 @@ type t = {
   index_of : (int, int) Hashtbl.t; (* member id -> vector index *)
   vc : int array; (* vc.(i) = messages delivered from member i *)
   mutable pending : (int * int array * Msg.t) list; (* origin, vc, payload *)
-  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list;
+  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
 }
 
 type group = { handles : (int, t) Hashtbl.t }
@@ -23,7 +23,7 @@ let broadcast t msg =
   vc.(t.me_idx) <- vc.(t.me_idx) + 1;
   Rbcast.broadcast t.rb (Causal_msg { vc; payload = msg })
 
-let on_deliver t f = t.deliver_cbs <- f :: t.deliver_cbs
+let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let clock t = Array.copy t.vc
 
 let deliverable t ~origin_idx vc =
@@ -41,7 +41,7 @@ let rec drain t =
         let origin_idx = Hashtbl.find t.index_of origin in
         if deliverable t ~origin_idx vc then begin
           t.vc.(origin_idx) <- t.vc.(origin_idx) + 1;
-          List.iter (fun f -> f ~origin payload) (List.rev t.deliver_cbs);
+          List.iter (fun f -> f ~origin payload) t.deliver_cbs;
           progressed := true;
           false
         end

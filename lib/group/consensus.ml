@@ -46,7 +46,7 @@ struct
     fd : Fd.t;
     chan : Rchan.t;
     insts : (int, inst) Hashtbl.t;
-    mutable decide_cbs : (instance:int -> V.t -> unit) list;
+    mutable decide_cbs : (instance:int -> V.t -> unit) list; (* in order *)
   }
 
   type group = { handles : (int, t) Hashtbl.t }
@@ -99,7 +99,7 @@ struct
       (* Relay so a coordinator crash mid-multicast cannot leave survivors
          undecided. *)
       mcast_members t (Decide { gid = t.gid; inst = inst.id; v });
-      List.iter (fun f -> f ~instance:inst.id v) (List.rev t.decide_cbs)
+      List.iter (fun f -> f ~instance:inst.id v) t.decide_cbs
     end
 
   (* As coordinator of [round], propose once a majority of estimates
@@ -172,7 +172,7 @@ struct
     let inst = get_inst t instance in
     if inst.round < 0 && inst.decided = None then start_round t inst 0
 
-  let on_decide t f = t.decide_cbs <- f :: t.decide_cbs
+  let on_decide t f = t.decide_cbs <- t.decide_cbs @ [ f ]
 
   let decision t ~instance =
     match Hashtbl.find_opt t.insts instance with
@@ -249,7 +249,7 @@ struct
         if inst.decided = None then begin
           inst.decided <- Some v;
           mcast_members t (Decide { gid = t.gid; inst = id; v });
-          List.iter (fun f -> f ~instance:id v) (List.rev t.decide_cbs)
+          List.iter (fun f -> f ~instance:id v) t.decide_cbs
         end
     | _ -> ()
 

@@ -10,9 +10,10 @@ let () =
 type t = {
   rb : Rbcast.t;
   mutable next_send : int;
-  expected : (int, int) Hashtbl.t; (* origin -> next fseq to deliver *)
-  holdback : (int * int, Msg.t) Hashtbl.t; (* (origin, fseq) -> payload *)
-  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list;
+  nodes : int; (* endpoints of the network: origins are [0 .. nodes-1] *)
+  expected : int array; (* origin -> next fseq to deliver *)
+  holdback : Msg.t Int_table.t; (* fseq * nodes + origin -> payload *)
+  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
 }
 
 type group = { handles : (int, t) Hashtbl.t }
@@ -22,21 +23,22 @@ let broadcast t msg =
   t.next_send <- t.next_send + 1;
   Rbcast.broadcast t.rb (Fifo_msg { fseq; payload = msg })
 
-let on_deliver t f = t.deliver_cbs <- f :: t.deliver_cbs
+let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 
 let rec drain t origin =
-  let next = Option.value ~default:0 (Hashtbl.find_opt t.expected origin) in
-  match Hashtbl.find_opt t.holdback (origin, next) with
+  let key = (t.expected.(origin) * t.nodes) + origin in
+  match Int_table.find_opt t.holdback key with
   | None -> ()
   | Some payload ->
-      Hashtbl.remove t.holdback (origin, next);
-      Hashtbl.replace t.expected origin (next + 1);
-      List.iter (fun f -> f ~origin payload) (List.rev t.deliver_cbs);
+      Int_table.remove t.holdback key;
+      t.expected.(origin) <- t.expected.(origin) + 1;
+      List.iter (fun f -> f ~origin payload) t.deliver_cbs;
       drain t origin
 
 let create_group net ~members ?rto ?passthrough () =
   let rb_group = Rbcast.create_group net ~members ?rto ?passthrough () in
   let handles = Hashtbl.create 8 in
+  let nodes = Network.size net in
   List.iter
     (fun me ->
       let rb = Rbcast.handle rb_group ~me in
@@ -44,15 +46,16 @@ let create_group net ~members ?rto ?passthrough () =
         {
           rb;
           next_send = 0;
-          expected = Hashtbl.create 8;
-          holdback = Hashtbl.create 32;
+          nodes;
+          expected = Array.make nodes 0;
+          holdback = Int_table.create 32;
           deliver_cbs = [];
         }
       in
       Rbcast.on_deliver rb (fun ~origin msg ->
           match msg with
           | Fifo_msg { fseq; payload } ->
-              Hashtbl.replace t.holdback (origin, fseq) payload;
+              Int_table.replace t.holdback ((fseq * t.nodes) + origin) payload;
               drain t origin
           | _ -> ());
       Hashtbl.replace handles me t)

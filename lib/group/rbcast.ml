@@ -10,11 +10,11 @@ let () =
 type t = {
   gid : int;
   me : int;
-  members : int list;
+  others : int list; (* the members but [me]: relay destinations *)
   chan : Rchan.t;
   mutable next_seq : int;
-  seen : (int * int, unit) Hashtbl.t; (* (origin, seq) already delivered *)
-  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list;
+  seen : Dedup.t; (* (origin, seq) already delivered *)
+  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
 }
 
 type group = { handles : (int, t) Hashtbl.t }
@@ -22,14 +22,12 @@ type group = { handles : (int, t) Hashtbl.t }
 let next_gid = ref 0
 
 let deliver_local t ~origin ~seq payload =
-  if not (Hashtbl.mem t.seen (origin, seq)) then begin
-    Hashtbl.replace t.seen (origin, seq) ();
+  if Dedup.fresh t.seen ~origin ~seq then begin
     (* Relay before delivering: if this member crashes mid-protocol the
        relayed copies preserve agreement among the survivors. *)
-    let others = List.filter (fun p -> p <> t.me) t.members in
-    Rchan.mcast t.chan ~dsts:others
+    Rchan.mcast t.chan ~dsts:t.others
       (Rb { gid = t.gid; origin; seq; payload });
-    List.iter (fun f -> f ~origin payload) (List.rev t.deliver_cbs)
+    List.iter (fun f -> f ~origin payload) t.deliver_cbs
   end
 
 let broadcast t msg =
@@ -37,7 +35,7 @@ let broadcast t msg =
   t.next_seq <- t.next_seq + 1;
   deliver_local t ~origin:t.me ~seq msg
 
-let on_deliver t f = t.deliver_cbs <- f :: t.deliver_cbs
+let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let last_seq t = t.next_seq - 1
 
 let create_group net ~members ?rto ?passthrough () =
@@ -52,20 +50,20 @@ let create_group net ~members ?rto ?passthrough () =
         {
           gid;
           me;
-          members;
+          others = List.filter (fun p -> p <> me) members;
           chan;
           next_seq = 0;
-          seen = Hashtbl.create 64;
+          seen = Dedup.create ~nodes:(Network.size net);
           deliver_cbs = [];
         }
       in
-      (* [seen] is a monotone dedup table, not a backlog — a Level, so
-         the queue-growth detector ignores it. *)
+      (* [seen] counts every message ever delivered, not a backlog — a
+         Level, so the queue-growth detector ignores it. *)
       (match Network.timeseries net with
       | Some ts ->
           Timeseries.register ts ~name:"rbcast_seen" ~replica:me
             ~kind:Timeseries.Level ~unit_:"messages" (fun () ->
-              float_of_int (Hashtbl.length t.seen))
+              float_of_int (Dedup.count t.seen))
       | None -> ());
       Rchan.on_deliver chan (fun ~src msg ->
           ignore src;

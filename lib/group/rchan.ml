@@ -33,13 +33,9 @@ type t = {
   (* Sender side: next seq towards each destination, and the un-acked
      messages keyed by (dst, seq). *)
   next_seq : int array;
-  unacked : (int, unacked) Hashtbl.t;
-  (* Receiver side, per origin: [high] is one more than the highest seq
-     delivered, [holes] the seqs below it that have not arrived yet
-     (keyed by (origin, seq)). A seq is fresh iff it is at or above
-     [high] or in [holes]. *)
-  high : int array;
-  holes : (int, unit) Hashtbl.t;
+  unacked : unacked Int_table.t;
+  (* Receiver side: the per-origin seqs delivered so far. *)
+  seen : Dedup.t;
   mutable deliver_cbs : (src:int -> Msg.t -> unit) list; (* in order *)
 }
 
@@ -55,7 +51,7 @@ let deliver t ~src payload = List.iter (fun f -> f ~src payload) t.deliver_cbs
    ends the chain. *)
 let rec retransmit t key () =
   if Network.alive t.net t.me then
-    match Hashtbl.find_opt t.unacked key with
+    match Int_table.find_opt t.unacked key with
     | Some u when u.retries < t.max_retries ->
         u.retries <- u.retries + 1;
         Network.send t.net ~src:t.me ~dst:u.dst u.packet;
@@ -73,31 +69,11 @@ let send t ~dst msg =
   Network.send t.net ~src:t.me ~dst packet;
   if not t.passthrough then begin
     let key = link_key t seq dst in
-    Hashtbl.replace t.unacked key { packet; dst; retries = 0; timer = arm t key }
+    Int_table.replace t.unacked key { packet; dst; retries = 0; timer = arm t key }
   end
 
 let mcast t ~dsts msg = List.iter (fun dst -> send t ~dst msg) dsts
 let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
-
-(* Record the arrival of [seq] from [origin]; [true] iff it had not
-   arrived before. *)
-let fresh t ~origin ~seq =
-  let high = t.high.(origin) in
-  if seq >= high then begin
-    for s = high to seq - 1 do
-      Hashtbl.replace t.holes (link_key t s origin) ()
-    done;
-    t.high.(origin) <- seq + 1;
-    true
-  end
-  else begin
-    let key = link_key t seq origin in
-    Hashtbl.mem t.holes key
-    && begin
-         Hashtbl.remove t.holes key;
-         true
-       end
-  end
 
 let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
     ?(passthrough = false) () =
@@ -117,9 +93,8 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
           max_retries;
           passthrough;
           next_seq = Array.make size 0;
-          unacked = Hashtbl.create 32;
-          high = Array.make size 0;
-          holes = Hashtbl.create 16;
+          unacked = Int_table.create 32;
+          seen = Dedup.create ~nodes:size;
           deliver_cbs = [];
         }
       in
@@ -127,22 +102,23 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
       | Some ts ->
           Timeseries.register ts ~name:"rchan_unacked" ~replica:me
             ~kind:Timeseries.Queue ~unit_:"messages" (fun () ->
-              float_of_int (Hashtbl.length t.unacked))
+              float_of_int (Int_table.length t.unacked))
       | None -> ());
       Network.add_handler net me (fun ~src msg ->
           match msg with
           | Data { gid = g; src = origin; seq; payload } when g = gid ->
               if not t.passthrough then
                 Network.send net ~src:me ~dst:src (Ack { gid; seq });
-              if fresh t ~origin ~seq then deliver t ~src:origin payload;
+              if Dedup.fresh t.seen ~origin ~seq then
+                deliver t ~src:origin payload;
               true
           | Ack { gid = g; seq } when g = gid ->
               (* [src] is the receiver the acked message was sent to. *)
               let key = link_key t seq src in
-              (match Hashtbl.find_opt t.unacked key with
+              (match Int_table.find_opt t.unacked key with
               | Some u ->
                   Engine.cancel u.timer;
-                  Hashtbl.remove t.unacked key
+                  Int_table.remove t.unacked key
               | None -> ());
               true
           | _ -> false);

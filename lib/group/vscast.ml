@@ -46,8 +46,8 @@ type t = {
   mutable future : (int * vmsg) list; (* messages for views we lag behind *)
   pending_views : (int, Flush.t) Hashtbl.t; (* decisions awaiting their turn *)
   mutable proposed_for : int;
-  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list;
-  mutable view_cbs : (View.t -> unit) list;
+  mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
+  mutable view_cbs : (View.t -> unit) list; (* in order *)
 }
 
 type group = { handles : (int, t) Hashtbl.t }
@@ -55,8 +55,8 @@ type group = { handles : (int, t) Hashtbl.t }
 let next_gid = ref 0
 let current_view t = t.view
 let in_view t = (not t.excluded) && View.is_member t.view t.me
-let on_deliver t f = t.deliver_cbs <- f :: t.deliver_cbs
-let on_view_change t f = t.view_cbs <- f :: t.view_cbs
+let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
+let on_view_change t f = t.view_cbs <- t.view_cbs @ [ f ]
 
 let ack_set t key =
   match Hashtbl.find_opt t.acks key with
@@ -73,7 +73,7 @@ let deliver_one t m =
     if m.origin = t.me then
       t.own_unstable <-
         List.filter (fun u -> u.vseq <> m.vseq) t.own_unstable;
-    List.iter (fun f -> f ~origin:m.origin m.payload) (List.rev t.deliver_cbs)
+    List.iter (fun f -> f ~origin:m.origin m.payload) t.deliver_cbs
   end
 
 (* Deliver, per origin in vseq order, every buffered message acknowledged by
@@ -183,7 +183,7 @@ let rec install t (flush : Flush.t) =
   t.next_vseq <- 0;
   t.view_log <- [];
   t.own_unstable <- [];
-  List.iter (fun f -> f t.view) (List.rev t.view_cbs);
+  List.iter (fun f -> f t.view) t.view_cbs;
   (* Rebroadcast our messages that were dropped by the view change. *)
   if in_view t then
     List.iter (fun u -> broadcast t u.payload) old_unsent;
@@ -249,7 +249,7 @@ and apply_pending_views t =
         t.joining <- false;
         t.stale_polls <- 0;
         t.proposed_for <- instance;
-        List.iter (fun f -> f t.view) (List.rev t.view_cbs);
+        List.iter (fun f -> f t.view) t.view_cbs;
         apply_pending_views t
   end
 

@@ -2,7 +2,13 @@
 
     The engine owns a virtual clock and a priority queue of scheduled
     actions. Actions scheduled for the same instant run in scheduling order,
-    which (together with {!Rng}) makes whole simulations deterministic. *)
+    which (together with {!Rng}) makes whole simulations deterministic.
+
+    The queue is a binary min-heap on (time, scheduling sequence number),
+    kept in parallel int arrays beside the timer records. Cancelling a
+    timer only marks it; marked timers are dropped when they reach the
+    head, or all at once when they make up most of a large queue
+    (compaction). Neither changes the order in which live timers run. *)
 
 type t
 
@@ -49,7 +55,7 @@ val cancel : timer -> unit
     counter on schedule/cancel/dispatch rather than a queue scan. *)
 val pending : t -> int
 
-(** O(n) reference implementation of {!pending} (a full heap scan); the
+(** O(n) reference implementation of {!pending} (a full queue scan); the
     counter is tested to match it. *)
 val pending_scan : t -> int
 
@@ -82,9 +88,10 @@ val events_executed : t -> int
     re-arms). *)
 val timers_scheduled : t -> int
 
-(** Cancelled timers discarded from the queue head so far (an
-    undercount of cancellations until the queue drains). *)
+(** Cancelled timers discarded so far, at the queue head or by
+    compaction (an undercount of cancellations until the queue drains). *)
 val timers_cancelled : t -> int
 
-(** High-water mark of the timer-queue depth. *)
+(** High-water mark of the timer-queue depth. The depth includes
+    cancelled timers not yet dropped, so compaction can lower it. *)
 val queue_peak : t -> int

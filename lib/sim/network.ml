@@ -35,7 +35,8 @@ type t = {
       (** sampler resource gauges register into; [None] = don't sample *)
   in_flight : int array;  (** scheduled-not-yet-delivered, per destination *)
   handlers : handler list array;  (** most recent first *)
-  link_latency : (int * int, latency) Hashtbl.t;  (** per-link overrides *)
+  link_latency : (int, latency) Hashtbl.t;
+      (** per-link overrides, keyed by [link t a b] *)
   alive : bool array;
   group_of : int array;  (** partition group; all 0 when healed *)
   mutable sent : int;
@@ -107,16 +108,21 @@ let draw_from t model =
       let extra = Rng.exponential t.rng ~mean:(Simtime.to_ms mean) in
       Simtime.add floor (Simtime.of_sec (extra /. 1_000.))
 
+(* The undirected link between [a] and [b] as one int. *)
+let link t a b = (min a b * t.n) + max a b
+
+(* Most runs set no per-link override: skip the lookup entirely then. *)
 let draw_latency t ~src ~dst =
   let model =
-    match Hashtbl.find_opt t.link_latency (min src dst, max src dst) with
-    | Some m -> m
-    | None -> t.latency
+    if Hashtbl.length t.link_latency = 0 then t.latency
+    else
+      Option.value ~default:t.latency
+        (Hashtbl.find_opt t.link_latency (link t src dst))
   in
   draw_from t model
 
 let set_link_latency t a b model =
-  Hashtbl.replace t.link_latency (min a b, max a b) model
+  Hashtbl.replace t.link_latency (link t a b) model
 
 let clear_link_latencies t = Hashtbl.reset t.link_latency
 

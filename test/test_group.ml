@@ -222,6 +222,49 @@ let test_rbcast_no_duplicates_under_loss () =
     (fun i c -> Alcotest.(check int) (Printf.sprintf "member %d" i) 20 c)
     count
 
+(* The [rbcast_seen] gauge counts distinct deliveries (duplicates from
+   relays and retransmits excluded), and callbacks run in the order they
+   were registered. *)
+let test_rbcast_seen_gauge_and_callback_order () =
+  let e, net = make ~drop:0.3 () in
+  let ts = Timeseries.create e in
+  Network.set_timeseries net ts;
+  let members = [ 0; 1; 2 ] in
+  let group = Rbcast.create_group net ~members ~rto:(Simtime.of_ms 5) () in
+  let calls = Array.make 3 [] in
+  List.iter
+    (fun m ->
+      let h = Rbcast.handle group ~me:m in
+      List.iter
+        (fun tag ->
+          Rbcast.on_deliver h (fun ~origin:_ msg ->
+              calls.(m) <- (tag, payload_of msg) :: calls.(m)))
+        [ "first"; "second" ])
+    members;
+  for k = 1 to 20 do
+    Rbcast.broadcast (Rbcast.handle group ~me:(k mod 3)) (Payload k)
+  done;
+  run_ms e 10_000;
+  List.iter
+    (fun m ->
+      let rec pairs = function
+        | (t2, k2) :: (t1, k1) :: rest ->
+            Alcotest.(check (pair string string))
+              "registration order" ("first", "second") (t1, t2);
+            Alcotest.(check int) "same delivery" k1 k2;
+            pairs rest
+        | [] -> ()
+        | [ _ ] -> Alcotest.fail "unpaired callback"
+      in
+      pairs calls.(m);
+      match Timeseries.find ts ~name:"rbcast_seen" ~replica:m with
+      | None -> Alcotest.fail "rbcast_seen not registered"
+      | Some series ->
+          let last = List.nth (List.rev (Timeseries.points series)) 0 in
+          Alcotest.(check (float 0.)) (Printf.sprintf "member %d seen" m) 20.
+            last.Timeseries.value)
+    members
+
 (* ------------------------------------------------------------------ *)
 (* FIFO broadcast                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -491,6 +534,38 @@ let test_abcast_seq_golden () =
         abcast_seq_golden
         (String.concat " "
            (List.map (fun (o, s) -> Printf.sprintf "%d.%d" o s) ids)))
+    members
+
+(* The [abcast_undelivered] gauge is a counter of slots at or above the
+   delivery cursor: it rises while ordered slots wait for stability or a
+   payload under loss and returns to zero once everything is delivered. *)
+let test_abcast_undelivered_gauge () =
+  let e, net = make ~seed:29 ~drop:0.2 () in
+  let ts = Timeseries.create ~interval:(Simtime.of_ms 1) e in
+  Network.set_timeseries net ts;
+  let members = [ 0; 1; 2 ] in
+  let group = Abcast_seq.create_group net ~members () in
+  for k = 1 to 30 do
+    ignore
+      (Engine.schedule e ~after:(Simtime.of_ms (2 * k)) (fun () ->
+           Abcast_seq.broadcast (Abcast_seq.handle group ~me:(k mod 3))
+             (Payload k)))
+  done;
+  run_ms e 5_000;
+  List.iter
+    (fun m ->
+      Alcotest.(check int) "all delivered" 30
+        (List.length (Abcast_seq.delivered (Abcast_seq.handle group ~me:m)));
+      match Timeseries.find ts ~name:"abcast_undelivered" ~replica:m with
+      | None -> Alcotest.fail "abcast_undelivered not registered"
+      | Some series ->
+          let points = Timeseries.points series in
+          let last = List.nth (List.rev points) 0 in
+          Alcotest.(check (float 0.)) "drained" 0. last.Timeseries.value;
+          Alcotest.(check bool) "rose while ordering" true
+            (Timeseries.max_value series > 0.);
+          Alcotest.(check bool) "never negative" true
+            (List.for_all (fun p -> p.Timeseries.value >= 0.) points))
     members
 
 let test_abcast_total_order impl () =
@@ -992,6 +1067,8 @@ let () =
         [
           tc "all deliver" test_rbcast_all_deliver;
           tc "no duplicates under loss" test_rbcast_no_duplicates_under_loss;
+          tc "seen gauge, callback order"
+            test_rbcast_seen_gauge_and_callback_order;
         ] );
       ("fifo", [ tc "per-sender order" test_fifo_order ]);
       ( "causal",
@@ -1012,6 +1089,7 @@ let () =
           tc "client inject" (test_abcast_client_inject Abcast.Sequencer);
           tc "member crash" (test_abcast_member_crash Abcast.Sequencer);
           tc "golden under crashes and loss" test_abcast_seq_golden;
+          tc "undelivered gauge" test_abcast_undelivered_gauge;
           QCheck_alcotest.to_alcotest
             (prop_abcast_random_schedules Abcast.Sequencer);
         ] );

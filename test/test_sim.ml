@@ -23,31 +23,6 @@ let test_simtime_arith () =
     (Simtime.to_us (Simtime.add Simtime.infinity a))
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check int) "length" 5 (Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  let drained = List.init 5 (fun _ -> Option.get (Heap.pop h)) in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] drained;
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in nondecreasing order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Rng                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -79,6 +54,30 @@ let test_rng_split_independent () =
   let xs = List.init 50 (fun _ -> Rng.int r 1000) in
   let ys = List.init 50 (fun _ -> Rng.int s 1000) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
+
+(* The splitmix64 stream for seed 11, pinned bit for bit: every schedule
+   in the simulator is a function of it. Floats are compared as hex. *)
+let test_rng_golden_stream () =
+  let r = Rng.create ~seed:11 in
+  let ints n f = List.init n (fun _ -> f ()) in
+  let hex = List.map (Printf.sprintf "%h") in
+  Alcotest.(check (list int)) "int"
+    [ 93436343; 665187925; 144728527; 904807470 ]
+    (ints 4 (fun () -> Rng.int r 1_000_000_007));
+  Alcotest.(check (list string)) "float"
+    [ "0x1.a9f5a61ff77ep-2"; "0x1.7321873ff63a6p-1"; "0x1.04e439686bb3p-3" ]
+    (hex (ints 3 (fun () -> Rng.float r 1.0)));
+  Alcotest.(check (list int)) "range" [ 33; 1; -31; 40 ]
+    (ints 4 (fun () -> Rng.range r (-50) 50));
+  let c = Rng.split r in
+  Alcotest.(check (list int)) "split: child int"
+    [ 763142352239424206; 1696015728185942127; 306759330038073114 ]
+    (ints 3 (fun () -> Rng.int c max_int));
+  Alcotest.(check (list string)) "split: child float"
+    [ "0x1.466aaeb5bd3eep+7"; "0x1.5df5493e5703ap+5" ]
+    (hex (ints 2 (fun () -> Rng.float c 250.)));
+  Alcotest.(check (list int)) "split: parent continues" [ 5; 5; 0 ]
+    (ints 3 (fun () -> Rng.int r 6))
 
 let test_zipf () =
   let r = Rng.create ~seed:5 in
@@ -272,6 +271,229 @@ let prop_engine_pending_matches_scan =
       ignore (Engine.run e);
       check ();
       !ok && Engine.pending e = 0)
+
+(* Compaction: once cancelled timers are most of a large queue, the next
+   schedule drops them. The survivors still run in (time, seq) order. *)
+let test_engine_compaction () =
+  let e = Engine.create () in
+  let ran = ref [] in
+  let tms =
+    Array.init 5000 (fun i ->
+        Engine.schedule e ~after:(Simtime.of_us (5000 - i)) (fun () ->
+            ran := i :: !ran))
+  in
+  Array.iteri (fun i tm -> if i mod 10 <> 0 then Engine.cancel tm) tms;
+  Alcotest.(check int) "nothing dropped yet" 0 (Engine.timers_cancelled e);
+  ignore
+    (Engine.schedule e ~after:(Simtime.of_us 6000) (fun () -> ran := -1 :: !ran));
+  Alcotest.(check int) "dropped by compaction" 4500 (Engine.timers_cancelled e);
+  Alcotest.(check int) "peak counts cancelled timers" 5000 (Engine.queue_peak e);
+  Alcotest.(check int) "pending" 501 (Engine.pending e);
+  Alcotest.(check int) "scan agrees" 501 (Engine.pending_scan e);
+  ignore (Engine.run e);
+  Alcotest.(check (list int)) "survivors in time order"
+    (List.init 500 (fun k -> 4990 - (10 * k)) @ [ -1 ])
+    (List.rev !ran)
+
+(* The engine's queue against a reference: live timers in a map ordered
+   by (time, seq), periodic timers re-armed after their action as
+   {!Engine.periodic} does. Slow and plainly correct. *)
+module type ENGINE = sig
+  type t
+  type timer
+
+  val create : unit -> t
+  val now : t -> int
+  val schedule : t -> after:int -> (unit -> unit) -> timer
+  val schedule_at : t -> at:int -> (unit -> unit) -> timer
+  val periodic : t -> every:int -> (unit -> unit) -> timer
+  val cancel : timer -> unit
+  val step : t -> bool
+  val run_until : t -> int -> unit
+  val executed : t -> int
+  val pending : t -> int
+  val consistent : t -> bool
+end
+
+module Real : ENGINE = struct
+  type t = Engine.t
+  type timer = Engine.timer
+
+  let create () = Engine.create ()
+  let now e = Simtime.to_us (Engine.now e)
+  let schedule e ~after f = Engine.schedule e ~after:(Simtime.of_us after) f
+  let schedule_at e ~at f = Engine.schedule_at e ~at:(Simtime.of_us at) f
+  let periodic e ~every f = Engine.periodic e ~every:(Simtime.of_us every) f
+  let cancel = Engine.cancel
+  let step = Engine.step
+  let run_until e u = ignore (Engine.run ~until:(Simtime.of_us u) e)
+  let executed = Engine.events_executed
+  let pending = Engine.pending
+  let consistent e = Engine.pending e = Engine.pending_scan e
+end
+
+module Model : ENGINE = struct
+  module Q = Map.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  type t = {
+    mutable clock : int;
+    mutable seq : int;
+    mutable q : (unit -> unit) Q.t;
+    mutable executed : int;
+  }
+
+  type every = { mutable armed : int * int; mutable stopped : bool }
+  type timer = Once of t * (int * int) | Every of t * every
+
+  let create () = { clock = 0; seq = 0; q = Q.empty; executed = 0 }
+  let now t = t.clock
+
+  let add t ~at f =
+    let key = (max at t.clock, t.seq) in
+    t.seq <- t.seq + 1;
+    t.q <- Q.add key f t.q;
+    key
+
+  let schedule_at t ~at f = Once (t, add t ~at f)
+  let schedule t ~after f = schedule_at t ~at:(t.clock + after) f
+
+  let periodic t ~every f =
+    let h = { armed = (0, 0); stopped = false } in
+    let rec tick () =
+      if not h.stopped then begin
+        f ();
+        if not h.stopped then h.armed <- add t ~at:(t.clock + every) tick
+      end
+    in
+    h.armed <- add t ~at:(t.clock + every) tick;
+    Every (t, h)
+
+  let cancel = function
+    | Once (t, key) -> t.q <- Q.remove key t.q
+    | Every (t, h) ->
+        h.stopped <- true;
+        t.q <- Q.remove h.armed t.q
+
+  let step t =
+    match Q.min_binding_opt t.q with
+    | None -> false
+    | Some (((time, _) as key), f) ->
+        t.q <- Q.remove key t.q;
+        t.clock <- time;
+        t.executed <- t.executed + 1;
+        f ();
+        true
+
+  let rec run_until t u =
+    match Q.min_binding_opt t.q with
+    | Some ((time, _), _) when time <= u ->
+        ignore (step t);
+        run_until t u
+    | _ -> ()
+
+  let executed t = t.executed
+  let pending t = Q.cardinal t.q
+  let consistent _ = true
+end
+
+type queue_op =
+  | Sched of int  (** delay, us *)
+  | Sched_at of int  (** absolute time, us; may lie in the past *)
+  | Burst of int * int  (** count, seed: timers with seeded delays *)
+  | Cancel of int  (** the handle at this index, modulo the handles *)
+  | Cancel_many of int * int  (** percent, seed *)
+  | Periodic of int  (** period, us *)
+  | Step
+  | Run_for of int  (** us *)
+
+let show_queue_op = function
+  | Sched d -> Printf.sprintf "Sched %d" d
+  | Sched_at a -> Printf.sprintf "Sched_at %d" a
+  | Burst (n, s) -> Printf.sprintf "Burst (%d, %d)" n s
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Cancel_many (p, s) -> Printf.sprintf "Cancel_many (%d, %d)" p s
+  | Periodic k -> Printf.sprintf "Periodic %d" k
+  | Step -> "Step"
+  | Run_for d -> Printf.sprintf "Run_for %d" d
+
+(* Run [script], then stop the periodic timers and drain. Returns the ids
+   of the actions in execution order, the executed count, the pending
+   count after every op, and whether [pending = pending_scan] held
+   throughout. *)
+let exec_script (module E : ENGINE) script =
+  let e = E.create () in
+  let log = ref [] and next_id = ref 0 in
+  let action () =
+    let id = !next_id in
+    incr next_id;
+    fun () -> log := id :: !log
+  in
+  let handles = ref [] and periodics = ref [] in
+  let keep tm = handles := tm :: !handles in
+  let consistent = ref true and pendings = ref [] in
+  List.iter
+    (fun op ->
+      (match op with
+      | Sched d -> keep (E.schedule e ~after:d (action ()))
+      | Sched_at a -> keep (E.schedule_at e ~at:a (action ()))
+      | Burst (n, seed) ->
+          let st = Random.State.make [| seed |] in
+          for _ = 1 to n do
+            keep (E.schedule e ~after:(Random.State.int st (n / 2)) (action ()))
+          done
+      | Cancel i -> (
+          match !handles with
+          | [] -> ()
+          | hs -> E.cancel (List.nth hs (i mod List.length hs)))
+      | Cancel_many (pct, seed) ->
+          let st = Random.State.make [| seed |] in
+          List.iter
+            (fun tm -> if Random.State.int st 100 < pct then E.cancel tm)
+            !handles
+      | Periodic k ->
+          let tm = E.periodic e ~every:k (action ()) in
+          keep tm;
+          periodics := tm :: !periodics
+      | Step -> ignore (E.step e)
+      | Run_for d -> E.run_until e (E.now e + d));
+      pendings := E.pending e :: !pendings;
+      if not (E.consistent e) then consistent := false)
+    script;
+  List.iter E.cancel !periodics;
+  E.run_until e max_int;
+  if not (E.consistent e) then consistent := false;
+  (List.rev !log, E.executed e, List.rev (E.pending e :: !pendings), !consistent)
+
+let queue_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun d -> Sched d) (int_range 0 40));
+        (2, map (fun a -> Sched_at a) (int_range 0 2000));
+        (2, map2 (fun n s -> Burst (n, s)) (int_range 1000 3000) nat);
+        (3, map (fun i -> Cancel i) nat);
+        (2, map2 (fun p s -> Cancel_many (p, s)) (int_range 40 100) nat);
+        (1, map (fun k -> Periodic k) (int_range 1 30));
+        (3, return Step);
+        (2, map (fun d -> Run_for d) (int_range 0 300));
+      ])
+
+let prop_engine_queue_matches_model =
+  QCheck.Test.make ~name:"queue matches sorted reference" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) queue_op_gen))
+    (fun script ->
+      let log, executed, pendings, consistent =
+        exec_script (module Real) script
+      in
+      let log', executed', pendings', _ = exec_script (module Model) script in
+      consistent && log = log' && executed = executed' && pendings = pendings')
 
 (* ------------------------------------------------------------------ *)
 (* Network                                                            *)
@@ -899,16 +1121,12 @@ let () =
     [
       ( "simtime",
         [ tc "units" test_simtime_units; tc "arith" test_simtime_arith ] );
-      ( "heap",
-        [
-          tc "basic" test_heap_basic;
-          QCheck_alcotest.to_alcotest prop_heap_sorts;
-        ] );
       ( "rng",
         [
           tc "deterministic" test_rng_deterministic;
           tc "bounds" test_rng_bounds;
           tc "split" test_rng_split_independent;
+          tc "golden stream" test_rng_golden_stream;
           tc "zipf skew" test_zipf;
           tc "zipf uniform" test_zipf_uniform_theta0;
         ] );
@@ -925,6 +1143,8 @@ let () =
           tc "schedule_at past clamps" test_engine_schedule_at_past_clamps;
           tc "pending counter" test_engine_pending_counter;
           QCheck_alcotest.to_alcotest prop_engine_pending_matches_scan;
+          tc "compaction" test_engine_compaction;
+          QCheck_alcotest.to_alcotest prop_engine_queue_matches_model;
         ] );
       ( "network",
         [

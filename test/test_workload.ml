@@ -368,6 +368,40 @@ let test_runner_phase_ms_online () =
         (expected <> [] && result.Workload.Runner.phase_ms = expected))
     Protocols.Registry.all
 
+(* Allocation guard on the delivery path: minor-heap words allocated per
+   delivered message over a fixed fault-free lazy-primary run (n=16, 8
+   clients x 50 txns, 10% updates, tracing and oracles off), set-up
+   included. Every refresh is relayed to all replicas and acked through
+   the stubborn channels, so deliveries and their retransmit timers
+   dominate. The run is deterministic, so the figure is exact for a
+   given compiler: ~50 words with the int-array timer queue, unboxed RNG
+   state and int-keyed channel tables, ~85 with a generic heap of timer
+   records, a boxed RNG and tuple-keyed tables. The ceiling of 65 sits
+   between them. *)
+let test_alloc_per_delivery () =
+  let entry = Option.get (Protocols.Registry.find "lazy-primary") in
+  let spec =
+    {
+      Workload.Spec.default with
+      update_ratio = 0.1;
+      txns_per_client = 50;
+      n_keys = 1_000;
+    }
+  in
+  let builder =
+    Workload.Builder.make ~seed:11 ~replicas:16 ~clients:8 ~spec
+      ~tracing:false ~analyze:false ()
+  in
+  let factory = Protocols.Registry.default_factory entry in
+  let w0 = Gc.minor_words () in
+  let result = Workload.Builder.run builder factory in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "fault-free" 0 result.Workload.Runner.dropped;
+  let per_msg = words /. float_of_int result.Workload.Runner.messages in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per delivered message <= 65" per_msg)
+    true (per_msg <= 65.)
+
 let () =
   Alcotest.run "workload"
     [
@@ -392,6 +426,7 @@ let () =
           tc "latency split" test_runner_latency_split;
           tc "poisson arrivals" test_runner_poisson_arrivals;
           tc "phase summary online" test_runner_phase_ms_online;
+          tc "allocation per delivery" test_alloc_per_delivery;
         ] );
       ( "report",
         [ tc "csv" test_report_csv; tc "engine summary" test_engine_summary_wall ]
