@@ -21,7 +21,7 @@ let run_single ?(n = 3) ?(ops = [ Store.Operation.Incr ("x", 1) ])
   let replicas = List.init n Fun.id in
   let clients = [ n ] in
   let inst : Core.Technique.instance = factory net ~replicas ~clients in
-  let request = Store.Operation.request ~client:n ops in
+  let request = Store.Operation.request net ~client:n ops in
   let reply = ref None in
   inst.Core.Technique.submit ~client:n request (fun r -> reply := Some r);
   ignore (Engine.run ~until:(Simtime.of_ms run_ms) engine);
@@ -281,7 +281,7 @@ let fig11 () =
   in
   let submit client v =
     let req =
-      Store.Operation.request ~client [ Store.Operation.Write ("x", v) ]
+      Store.Operation.request net ~client [ Store.Operation.Write ("x", v) ]
     in
     inst.Core.Technique.submit ~client req (fun _ -> ());
     req.Store.Operation.rid

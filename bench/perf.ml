@@ -185,7 +185,7 @@ let eager_vs_lazy () =
       (fun client ->
         let rec go i =
           if i < 20 then begin
-            let _, req = Workload.Generator.request gen ~client in
+            let _, req = Workload.Generator.request gen net ~client in
             let t0 = Engine.now engine in
             inst.Core.Technique.submit ~client req (fun reply ->
                 lat := Simtime.to_ms (Simtime.sub reply.Core.Technique.at t0) :: !lat;
@@ -214,7 +214,7 @@ let eager_vs_lazy () =
       (fun client ->
         let rec go i =
           if i < 20 then begin
-            let _, req = Workload.Generator.request gen2 ~client in
+            let _, req = Workload.Generator.request gen2 net2 ~client in
             inst2.Core.Technique.submit ~client req (fun reply ->
                 last2 := Simtime.max !last2 reply.Core.Technique.at;
                 go (i + 1))
@@ -295,7 +295,7 @@ let message_counts () =
       let rec go i =
         if i < n_txns then begin
           let req =
-            Store.Operation.request ~client:3 [ Store.Operation.Incr ("x", 1) ]
+            Store.Operation.request net ~client:3 [ Store.Operation.Incr ("x", 1) ]
           in
           let t0 = Engine.now engine in
           inst.Core.Technique.submit ~client:3 req (fun reply ->
@@ -396,7 +396,7 @@ let phase_breakdown () =
           let rec go i =
             if i < 15 then
               inst.Core.Technique.submit ~client
-                (Store.Operation.request ~client
+                (Store.Operation.request net ~client
                    [ Store.Operation.Incr (Printf.sprintf "k%d" i, 1) ])
                 (fun _ -> go (i + 1))
           in

@@ -14,6 +14,24 @@ else
   echo "== fmt check skipped (ocamlformat not installed) =="
 fi
 
+# Per-run world: a run's state lives on its network and its instance, so
+# lib/ keeps no process-global mutable values. Flag every top-level (or
+# functor-level, two-space indented) value bound to a [ref] or a
+# [Hashtbl.create]; a local binding ends in [in]. The two allowed ones:
+# Msg.printers, written only while modules initialise, and
+# Common.ambient_shared, which [with_shared] restores on exit.
+echo "== no process-global state in lib =="
+globals=$(grep -rnE --include='*.ml' \
+    '^(  )?let [a-z_][A-Za-z0-9_]*( *:[^=]*)? *= *(ref|Hashtbl\.create)( |\(|$)' lib \
+  | grep -vE ' in *$' \
+  | grep -vE '^lib/sim/msg\.ml:[0-9]+:let printers |^lib/protocols/common\.ml:[0-9]+:let ambient_shared ' \
+  || true)
+if [ -n "$globals" ]; then
+  printf '%s\n' "$globals" >&2
+  echo "lib/ gained process-global mutable state; keep it on the run's network or instance" >&2
+  exit 1
+fi
+
 echo "== build =="
 dune build
 
@@ -176,6 +194,20 @@ dune exec bin/replisim.exe -- compare baseline _sweep_ci
 if dune exec bin/replisim.exe -- compare baseline _sweep_ci \
      --perturb latency_p95:1.5 > /dev/null 2>&1; then
   echo "compare failed to flag an injected 50% latency regression" >&2
+  exit 1
+fi
+rm -rf _sweep_ci
+# The same grid with the technique order reversed: every cell runs in
+# the same process after different cells than above, and its record must
+# still match the baseline with nothing improved or regressed (a cell's
+# result may not depend on what ran before it).
+dune exec bin/replisim.exe -- sweep --techniques lazy-primary,active \
+  --loads closed,200 --zipf 0,0.9 --txns 10 --out _sweep_ci \
+  --format none 2> /dev/null
+reversed=$(dune exec bin/replisim.exe -- compare baseline _sweep_ci)
+printf '%s\n' "$reversed"
+if ! printf '%s\n' "$reversed" | grep -q ' 0 improved, 0 regressed, '; then
+  echo "reversed sweep: a cell's record depends on the cells run before it" >&2
   exit 1
 fi
 rm -rf _sweep_ci

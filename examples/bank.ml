@@ -25,7 +25,7 @@ let () =
   let funds =
     List.init n_accounts (fun i -> Store.Operation.Write (account i, initial_balance))
   in
-  bank.submit ~client:3 (Store.Operation.request ~client:3 funds) (fun _ -> ());
+  bank.submit ~client:3 (Store.Operation.request net ~client:3 funds) (fun _ -> ());
   ignore (Engine.run ~until:(Simtime.of_ms 100) engine);
 
   (* Four tellers issue random transfers concurrently. A transfer is a
@@ -45,7 +45,7 @@ let () =
               Store.Operation.Incr (account to_acct, amount);
             ]
           in
-          bank.submit ~client (Store.Operation.request ~client ops)
+          bank.submit ~client (Store.Operation.request net ~client ops)
             (fun reply ->
               if reply.Core.Technique.committed then incr transfers;
               transfer (i + 1))

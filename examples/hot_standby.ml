@@ -25,7 +25,7 @@ let () =
   let rec order i =
     if i < 12 then
       db.submit ~client
-        (Store.Operation.request ~client
+        (Store.Operation.request net ~client
            [ Store.Operation.Incr ("orders", 1) ])
         (fun reply ->
           Fmt.pr "order %2d committed by replica %d at %a%s@." (i + 1)

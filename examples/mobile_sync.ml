@@ -39,7 +39,7 @@ let () =
      both update the same record while "offline". *)
   let update client value =
     crm.submit ~client
-      (Store.Operation.request ~client
+      (Store.Operation.request net ~client
          [ Store.Operation.Write ("customer.phone", value) ])
       (fun reply ->
         Fmt.pr "agent %d: update to %d committed locally at %a@." client value

@@ -26,14 +26,14 @@ let () =
   let rec increment i =
     if i < 10 then
       counter.submit ~client
-        (Store.Operation.request ~client [ Store.Operation.Incr ("hits", 1) ])
+        (Store.Operation.request net ~client [ Store.Operation.Incr ("hits", 1) ])
         (fun reply ->
           Fmt.pr "increment %d -> committed=%b at %a@." (i + 1)
             reply.Core.Technique.committed Simtime.pp reply.at;
           increment (i + 1))
     else
       counter.submit ~client
-        (Store.Operation.request ~client [ Store.Operation.Read "hits" ])
+        (Store.Operation.request net ~client [ Store.Operation.Read "hits" ])
         (fun reply ->
           Fmt.pr "@.read hits = %d@."
             (Option.value ~default:0 reply.Core.Technique.value))

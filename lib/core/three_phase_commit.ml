@@ -53,8 +53,6 @@ type group = {
   mutable n_aborts : int;
 }
 
-let next_gid = ref 0
-
 let learn_decision t ~txn decision =
   match Hashtbl.find_opt t.states txn with
   | Some (Done _) -> ()
@@ -240,8 +238,7 @@ let handle_msg group t msg =
 
 let create_group net ~nodes ?fd ?rto ?passthrough
     ?(decision_timeout = Simtime.of_ms 150) ~vote ~learn () =
-  incr next_gid;
-  let gid = !next_gid in
+  let gid = Network.fresh_id net in
   let fd_group =
     match fd with Some g -> g | None -> Group.Fd.create_group net ~members:nodes ()
   in

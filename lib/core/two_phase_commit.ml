@@ -39,8 +39,6 @@ type group = {
   mutable n_aborts : int;
 }
 
-let next_gid = ref 0
-
 let decide group t ~txn round decision =
   if round.decided = None then begin
     round.decided <- Some decision;
@@ -100,8 +98,7 @@ let handle_msg group t msg =
 
 let create_group net ~nodes ?rto ?passthrough ?participant_timeout ~vote ~learn
     () =
-  incr next_gid;
-  let gid = !next_gid in
+  let gid = Network.fresh_id net in
   let chan_group = Group.Rchan.create_group net ~nodes ?rto ?passthrough () in
   let group =
     {

@@ -47,8 +47,6 @@ type group = {
   mutable client_seq : (int, int ref) Hashtbl.t;
 }
 
-let next_gid = ref 0
-
 let compare_id (o1, s1) (o2, s2) =
   match Int.compare o1 o2 with 0 -> Int.compare s1 s2 | c -> c
 
@@ -117,8 +115,7 @@ let delivered t = List.rev t.delivered_rev
 let opt_delivered t = List.rev t.opt_delivered_rev
 
 let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough () =
-  incr next_gid;
-  let gid = !next_gid in
+  let gid = Network.fresh_id net in
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in

@@ -56,7 +56,6 @@ type group = {
   client_seq : (int, int ref) Hashtbl.t;
 }
 
-let next_gid = ref 0
 let nth_member t e = List.nth t.members (e mod List.length t.members)
 let leader t = nth_member t t.epoch
 let is_leader t = leader t = t.me
@@ -364,8 +363,7 @@ let broadcast_from group ~src msg =
 
 let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
     ?(batch_window = Simtime.zero) () =
-  incr next_gid;
-  let gid = !next_gid in
+  let gid = Network.fresh_id net in
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in

@@ -51,7 +51,6 @@ struct
 
   type group = { handles : (int, t) Hashtbl.t }
 
-  let next_gid = ref 0
   let coord t round = t.members.(round mod Array.length t.members)
 
   let get_inst t id =
@@ -255,8 +254,7 @@ struct
 
   let create_group net ~members ~fd ?rto ?(poll_every = Simtime.of_ms 25)
       ?passthrough () =
-    incr next_gid;
-    let gid = !next_gid in
+    let gid = Network.fresh_id net in
     let chan_group = Rchan.create_group net ~nodes:members ?rto ?passthrough () in
     let handles = Hashtbl.create 8 in
     let n = List.length members in

@@ -18,8 +18,6 @@ type t = {
 
 type group = { g_members : int list; handles : (int, t) Hashtbl.t }
 
-let next_gid = ref 0
-
 let now t = Engine.now (Network.engine t.net)
 
 let hear t peer =
@@ -96,8 +94,7 @@ let create_member net ~gid ~members ~heartbeat_every ~timeout me =
 
 let create_group net ~members ?(heartbeat_every = Simtime.of_ms 20)
     ?(timeout = Simtime.of_ms 100) () =
-  incr next_gid;
-  let gid = !next_gid in
+  let gid = Network.fresh_id net in
   let handles = Hashtbl.create 8 in
   List.iter
     (fun me ->

@@ -19,8 +19,6 @@ type t = {
 
 type group = { handles : (int, t) Hashtbl.t }
 
-let next_gid = ref 0
-
 let deliver_local t ~origin ~seq payload =
   if Dedup.fresh t.seen ~origin ~seq then begin
     (* Relay before delivering: if this member crashes mid-protocol the
@@ -39,8 +37,7 @@ let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let last_seq t = t.next_seq - 1
 
 let create_group net ~members ?rto ?passthrough () =
-  incr next_gid;
-  let gid = !next_gid in
+  let gid = Network.fresh_id net in
   let chan_group = Rchan.create_group net ~nodes:members ?rto ?passthrough () in
   let handles = Hashtbl.create 8 in
   List.iter

@@ -41,7 +41,6 @@ type t = {
 
 type group = { handles : (int, t) Hashtbl.t }
 
-let next_gid = ref 0
 let link_key t seq peer = (seq * t.nodes) + peer
 
 let deliver t ~src payload = List.iter (fun f -> f ~src payload) t.deliver_cbs
@@ -77,8 +76,7 @@ let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 
 let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
     ?(passthrough = false) () =
-  incr next_gid;
-  let gid = !next_gid in
+  let gid = Network.fresh_id net in
   let handles = Hashtbl.create 8 in
   let size = Network.size net in
   List.iter

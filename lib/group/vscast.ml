@@ -52,7 +52,6 @@ type t = {
 
 type group = { handles : (int, t) Hashtbl.t }
 
-let next_gid = ref 0
 let current_view t = t.view
 let in_view t = (not t.excluded) && View.is_member t.view t.me
 let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
@@ -324,8 +323,7 @@ let poll t =
   end
 
 let create_group net ~members ?fd ?rto ?passthrough () =
-  incr next_gid;
-  let gid = !next_gid in
+  let gid = Network.fresh_id net in
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in

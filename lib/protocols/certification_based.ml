@@ -89,14 +89,11 @@ let info =
     section = "5.4.2";
   }
 
-let abort_registry : (Store.History.t * (unit -> int)) list ref = ref []
-
+(* Every replica of a group certifies the same transactions in the same
+   order, so each group's first replica speaks for the group. *)
 let aborts (inst : Core.Technique.instance) =
-  match
-    List.find_opt (fun (h, _) -> h == inst.Core.Technique.history) !abort_registry
-  with
-  | Some (_, f) -> f ()
-  | None -> 0
+  Common.sum_replica_counter inst "certification_aborts_total"
+    (List.map List.hd inst.Core.Technique.groups)
 
 let create net ~replicas ~clients ?(config = default_config) () =
   let ctx = Common.make net ~replicas ~clients in
@@ -108,24 +105,11 @@ let create net ~replicas ~clients ?(config = default_config) () =
     Group.Rchan.create_group net ~nodes:(replicas @ clients)
       ~passthrough:config.passthrough ()
   in
-  let certifiers = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      Hashtbl.replace certifiers r
-        (Core.Certification.create (Common.store ctx r)))
-    replicas;
-  abort_registry :=
-    ( ctx.Common.history,
-      fun () ->
-        Core.Certification.aborted (Hashtbl.find certifiers (List.hd replicas)) )
-    :: !abort_registry;
-  let caches = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace caches r (Hashtbl.create 64)) replicas;
   let engine = Network.engine net in
   List.iter
     (fun r ->
-      let cache : (int, bool * int option) Hashtbl.t = Hashtbl.find caches r in
-      let certifier = Hashtbl.find certifiers r in
+      let cache : (int, bool * int option) Hashtbl.t = Hashtbl.create 64 in
+      let certifier = Core.Certification.create (Common.store ctx r) in
       let h = Group.Abcast.handle ab ~me:r in
       (* The certifier is a serial resource: certifications run one after
          another in delivery order, each costing [certify_time] unless a

@@ -41,8 +41,10 @@ val create :
   unit ->
   Core.Technique.instance
 
-(** Certification aborts observed at replica 0's certifier (identical at
-    every replica). *)
+(** Certification aborts, read from the instance's
+    [certification_aborts_total] counters: each group's first replica
+    (every replica of a group reaches the same verdicts), summed over the
+    groups of a sharded instance. *)
 val aborts : Core.Technique.instance -> int
 
 val info : Core.Technique.info

@@ -43,8 +43,6 @@ type ctx = {
   rng : Rng.t;
 }
 
-let next_cid = ref 0
-
 (** Observability objects that several contexts can share. A sharded
     technique builds one sub-instance per replication group; the groups
     must report into {e one} phase recorder, metrics registry
@@ -108,12 +106,21 @@ let count ctx ?labels ?by name = Metrics.incr ctx.metrics ?labels ?by name
 (** Record a millisecond value into a histogram. *)
 let observe_ms ctx ?labels name v = Metrics.observe ctx.metrics ?labels name v
 
+(** [sum_replica_counter inst name rs] — the per-replica counter [name]
+    (labelled [replica]) of [inst]'s metrics, summed over [rs]. *)
+let sum_replica_counter (inst : Core.Technique.instance) name rs =
+  let snap = Metrics.snapshot inst.Core.Technique.metrics in
+  List.fold_left
+    (fun acc r ->
+      let labels = [ ("replica", string_of_int r) ] in
+      acc + Option.value ~default:0 (Metrics.counter_value snap ~labels name))
+    0 rs
+
 (** Create the context and install the client-side handler that resolves
     replies: the first reply for a request wins (paper §3.2: "the client
     typically only waits for the first answer"). *)
 let make net ~replicas ~clients =
-  incr next_cid;
-  let cid = !next_cid in
+  let cid = Network.fresh_id net in
   let shared =
     match !ambient_shared with Some s -> s | None -> fresh_shared ()
   in

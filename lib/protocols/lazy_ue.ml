@@ -67,16 +67,9 @@ let info =
     section = "4.6";
   }
 
-(* Conflict counters are exposed through a side table keyed by the
-   instance's history (a stable identity for the instance). *)
-let conflict_registry : (Store.History.t * (unit -> int)) list ref = ref []
-
 let conflicts (inst : Core.Technique.instance) =
-  match
-    List.find_opt (fun (h, _) -> h == inst.Core.Technique.history) !conflict_registry
-  with
-  | Some (_, f) -> f ()
-  | None -> 0
+  Common.sum_replica_counter inst "reconciliation_conflicts_total"
+    inst.Core.Technique.replicas
 
 let create net ~replicas ~clients ?(config = default_config) () =
   let ctx = Common.make net ~replicas ~clients in
@@ -88,24 +81,10 @@ let create net ~replicas ~clients ?(config = default_config) () =
     Group.Rchan.create_group net ~nodes:(replicas @ clients)
       ~passthrough:config.passthrough ()
   in
-  let recons = Hashtbl.create 8 in
   List.iter
     (fun r ->
-      Hashtbl.replace recons r (Core.Reconciliation.create (Common.store ctx r)))
-    replicas;
-  conflict_registry :=
-    ( ctx.Common.history,
-      fun () ->
-        Hashtbl.fold
-          (fun _ rc acc -> acc + Core.Reconciliation.conflicts rc)
-          recons 0 )
-    :: !conflict_registry;
-  let caches = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace caches r (Hashtbl.create 64)) replicas;
-  List.iter
-    (fun r ->
-      let cache : (int, bool * int option) Hashtbl.t = Hashtbl.find caches r in
-      let recon = Hashtbl.find recons r in
+      let cache : (int, bool * int option) Hashtbl.t = Hashtbl.create 64 in
+      let recon = Core.Reconciliation.create (Common.store ctx r) in
       let h = Group.Abcast.handle ab ~me:r in
       (* Redo log: writesets committed locally whose propagation broadcast
          has not fired yet. A crash inside the propagation delay would

@@ -29,9 +29,10 @@ val create :
   unit ->
   Core.Technique.instance
 
-(** Conflicts detected during reconciliation, summed over replicas —
-    divided by the replica count this is the number of conflicting
-    transaction pairs observed. *)
+(** Conflicts detected during reconciliation, summed over replicas (the
+    instance's [reconciliation_conflicts_total] counters) — divided by
+    the replica count this is the number of conflicting transaction pairs
+    observed. *)
 val conflicts : Core.Technique.instance -> int
 
 val info : Core.Technique.info

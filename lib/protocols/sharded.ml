@@ -34,7 +34,7 @@ let create ~shards ~info ?(passthrough = false) ~factory net ~replicas ~clients
   let map = Store.Shard_map.create ~shards () in
   let shared = Common.fresh_shared () in
   (* One technique instance per group, all reporting into the shared
-     observability objects. Build order is group order, so rid/cid
+     observability objects. Build order is group order, so instance-id
      allocation stays deterministic. *)
   let subs =
     Common.with_shared shared (fun () ->
@@ -143,7 +143,7 @@ let create ~shards ~info ?(passthrough = false) ~factory net ~replicas ~clients
                 let value = ref None in
                 List.iter
                   (fun (s, ops) ->
-                    let sub = Store.Operation.request ~client ops in
+                    let sub = Store.Operation.request net ~client ops in
                     Store.History.link_parent shared.Common.s_history
                       ~parent:rid ~sub:sub.Store.Operation.rid;
                     phase ~rid

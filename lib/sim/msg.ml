@@ -2,7 +2,8 @@
 
     Each protocol layer extends [t] with its own constructors; a node's
     handler stack pattern-matches on the constructors it owns and passes the
-    rest down (see {!Network.add_handler}). *)
+    rest down (see {!Network.add_handler}). Instance ids carried inside
+    constructors come from the run's network ({!Network.fresh_id}). *)
 
 type t = ..
 
@@ -11,7 +12,9 @@ type t += Ping of int | Pong of int
 
 (* Human-readable message names, used to label message spans. Layers that
    wrap payloads (stubborn channels, broadcast primitives) register a
-   printer that unwraps recursively, e.g. "Data(Inject(Req))". *)
+   printer that unwraps recursively, e.g. "Data(Inject(Req))". Printers
+   are registered only while modules initialise, so the list is frozen
+   before any run starts. *)
 
 let printers : (t -> string option) list ref = ref []
 let register_printer f = printers := f :: !printers

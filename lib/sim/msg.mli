@@ -4,7 +4,8 @@
     handler stack pattern-matches on the constructors it owns and leaves
     the rest to lower layers (see {!Network.add_handler}). Instances of
     the same module are distinguished by an instance id carried inside
-    the constructor (conventionally [gid] or [cid]). *)
+    the constructor (conventionally [gid] or [cid]), drawn from the run's
+    network ({!Network.fresh_id}). *)
 
 type t = ..
 
@@ -19,5 +20,9 @@ val name : t -> string
 (** Layers whose constructors wrap a payload register a printer that
     unwraps it recursively (returning [None] for foreign constructors),
     so a span reads e.g. ["Data(Inject(Req))"] — transport, ordering and
-    protocol layer at a glance. *)
+    protocol layer at a glance. Call it only from a module's
+    initialisation (a top-level [let () = ...], including inside a
+    functor applied at top level): the printer list is then frozen once
+    initialisation ends, so it is the same for every run in a process and
+    is the one process-wide table [Msg] keeps. *)
 val register_printer : (t -> string option) -> unit

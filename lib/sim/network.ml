@@ -46,6 +46,8 @@ type t = {
   mutable drop_partitioned : int;
   mutable crash_watchers : (int -> unit) list;  (** most recent first *)
   mutable recover_watchers : (int -> unit) list;
+  mutable last_id : int;  (** instance ids handed out so far *)
+  mutable last_rid : int;  (** request ids handed out so far *)
 }
 
 let create engine ~n (config : config) =
@@ -70,11 +72,22 @@ let create engine ~n (config : config) =
     drop_partitioned = 0;
     crash_watchers = [];
     recover_watchers = [];
+    last_id = 0;
+    last_rid = 0;
   }
 
 let engine t = t.engine
 let size t = t.n
 let rng t = t.rng
+
+let fresh_id t =
+  t.last_id <- t.last_id + 1;
+  t.last_id
+
+let fresh_rid t =
+  t.last_rid <- t.last_rid + 1;
+  t.last_rid
+
 let set_msg_spans t spans = t.msg_spans <- Some spans
 let set_tracing t on = t.tracing <- on
 let tracing t = t.tracing

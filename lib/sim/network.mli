@@ -43,6 +43,24 @@ val engine : t -> Engine.t
 val size : t -> int
 val rng : t -> Rng.t
 
+(** {2 Per-run ids}
+
+    The network owns the two id counters of a run, so a run's ids depend
+    only on what was built on its own network, never on earlier runs in
+    the same process. Both start at 0 and hand out 1, 2, 3, ... *)
+
+(** [fresh_id t] — a new instance id: the tag a protocol-layer instance
+    (a channel, broadcast, view or commit group, a protocol context)
+    stamps on its messages so that its handlers consume only their own.
+    One space serves every layer; ids never reach the schedule. *)
+val fresh_id : t -> int
+
+(** [fresh_rid t] — a new request (transaction) id, as carried by
+    [Store.Operation.request]. Kept apart from {!fresh_id} so that the
+    n-th request of a run is always rid n: rids show up in traces and
+    span exports. *)
+val fresh_rid : t -> int
+
 (** Install the span collector message spans are recorded into (usually
     the transaction-trace collector, {!Core.Phase_span.collector}, so
     message spans and phase spans share one id space). *)

@@ -20,11 +20,7 @@ type op =
 (** A client request: one transaction. *)
 type request = { rid : int; client : int; ops : op list }
 
-let next_rid = ref 0
-
-let request ~client ops =
-  incr next_rid;
-  { rid = !next_rid; client; ops }
+let request net ~client ops = { rid = Sim.Network.fresh_rid net; client; ops }
 
 (** Keys read by an operation (for lock acquisition). *)
 let read_keys = function

@@ -17,11 +17,12 @@ type op =
           exactly what semi-active and passive replication exist to
           handle (§3.3, §3.4) *)
 
-(** A client request: one transaction, with a globally unique id. *)
+(** A client request: one transaction, with an id unique within its run. *)
 type request = { rid : int; client : int; ops : op list }
 
-(** Allocate a request with a fresh [rid]. *)
-val request : client:int -> op list -> request
+(** [request net ~client ops] — a request with the run's next [rid]
+    ({!Sim.Network.fresh_rid}): the n-th request built on [net] is rid n. *)
+val request : Sim.Network.t -> client:int -> op list -> request
 
 (** Keys read by an operation (for lock acquisition). *)
 val read_keys : op -> key list

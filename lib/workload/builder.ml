@@ -144,7 +144,7 @@ let probe ?(seed = 7) ?(n = 3) ?(latency = Simtime.of_ms 1)
   let replicas = List.init n Fun.id in
   let client = n in
   let inst = factory net ~replicas ~clients:[ client ] in
-  let request = Store.Operation.request ~client ops in
+  let request = Store.Operation.request net ~client ops in
   inst.Core.Technique.submit ~client request (fun _ -> ());
   ignore (Engine.run ~until engine);
   let spans = inst.Core.Technique.spans in

@@ -96,7 +96,7 @@ let tpcb_ops ?at t ~update =
 
 (** One transaction for [client]. A transaction is all-update or all-read
     (the usual OLTP mix model). *)
-let request ?at t ~client =
+let request ?at t net ~client =
   let update = Sim.Rng.float t.rng 1.0 < t.spec.Spec.update_ratio in
   let ops =
     match t.spec.Spec.shape with
@@ -129,4 +129,4 @@ let request ?at t ~client =
             in
             List.map (op_on ~update) (k0 :: rest))
   in
-  (update, Store.Operation.request ~client ops)
+  (update, Store.Operation.request net ~client ops)

@@ -136,7 +136,7 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
          there). *)
       let submit_one k =
         let update, request =
-          Generator.request ~at:(Engine.now engine) gen ~client
+          Generator.request ~at:(Engine.now engine) gen network ~client
         in
         incr submitted;
         let submitted_at = Engine.now engine in

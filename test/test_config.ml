@@ -207,54 +207,15 @@ let batched_factory window =
   Protocols.Registry.configure_exn entry
     [ ("batch_window", Printf.sprintf "%dms" window) ]
 
-(* Request ids are allocated from a process-global counter, so two runs
-   in the same process number their traces differently even when the
-   schedules match. Rewrite each "trace":N to a placeholder in order of
-   first appearance; everything else must match byte for byte. *)
-let normalize_traces s =
-  let pat = {|"trace":|} in
-  let pl = String.length pat in
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let map = Hashtbl.create 16 in
-  let next = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    if !i + pl <= n && String.sub s !i pl = pat then begin
-      Buffer.add_string buf pat;
-      i := !i + pl;
-      let j = ref !i in
-      while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
-        incr j
-      done;
-      let id = String.sub s !i (!j - !i) in
-      let r =
-        match Hashtbl.find_opt map id with
-        | Some r -> r
-        | None ->
-            let r = Printf.sprintf "R%d" !next in
-            incr next;
-            Hashtbl.add map id r;
-            r
-      in
-      Buffer.add_string buf r;
-      i := !j
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
+(* The run's JSONL trace, raw: rids are numbered per run, so two runs in
+   one process compare byte for byte. *)
 let trace_of factory =
   let spec = Workload.Builder.spec ~txns:10 () in
   let builder = Workload.Builder.make ~seed:23 ~clients:3 ~spec () in
   let result, inst = Workload.Builder.run_with_instance builder factory in
   Alcotest.(check int) "no unanswered" 0 result.Workload.Runner.unanswered;
-  normalize_traces
-    (Sim.Trace_export.to_jsonl
-       (Core.Phase_span.collector inst.Core.Technique.spans))
+  Sim.Trace_export.to_jsonl
+    (Core.Phase_span.collector inst.Core.Technique.spans)
 
 (* Same seed, same window: the batched run must reproduce byte for
    byte — the flush timer goes through the deterministic engine clock,

@@ -27,7 +27,7 @@ let run_one ?(n = 3) ?(seed = 7) ?(drop = 0.0) key =
   let client = n in
   let inst = factory net ~replicas ~clients:[ client ] in
   let request =
-    Store.Operation.request ~client [ Store.Operation.Incr ("x", 1) ]
+    Store.Operation.request net ~client [ Store.Operation.Incr ("x", 1) ]
   in
   inst.Core.Technique.submit ~client request (fun _ -> ());
   ignore (Sim.Engine.run ~until:(Sim.Simtime.of_sec 2.) engine);

@@ -80,7 +80,8 @@ let check_serializable h label =
       Alcotest.failf "%s: history not 1-copy serializable: %a" label
         Store.Serializability.pp_verdict v
 
-let incr_req ~client key = Store.Operation.request ~client [ Store.Operation.Incr (key, 1) ]
+let incr_req h ~client key =
+  Store.Operation.request h.net ~client [ Store.Operation.Incr (key, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Generic per-technique checks                                        *)
@@ -91,7 +92,7 @@ let test_commit_and_converge (_, _, factory) () =
   let client = List.hd h.clients in
   let slot =
     submit h ~client
-      (Store.Operation.request ~client [ Store.Operation.Write ("x", 42) ])
+      (Store.Operation.request h.net ~client [ Store.Operation.Write ("x", 42) ])
   in
   run_for h 5_000;
   (match !slot with
@@ -114,7 +115,7 @@ let test_figure16_signature (_, (info : Core.Technique.info), factory) () =
       [ Store.Operation.Write_random "x" ]
     else [ Store.Operation.Incr ("x", 1) ]
   in
-  let req = Store.Operation.request ~client ops in
+  let req = Store.Operation.request h.net ~client ops in
   let slot = submit h ~client req in
   run_for h 10_000;
   Alcotest.(check bool) "request answered" true (!slot <> None);
@@ -133,7 +134,7 @@ let test_sequential_counter (_, _, factory) () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:10
-    ~make_request:(fun _ -> incr_req ~client "counter")
+    ~make_request:(fun _ -> incr_req h ~client "counter")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   run_for h 30_000;
@@ -153,7 +154,7 @@ let test_concurrent_updates (key, (info : Core.Technique.info), factory) () =
   List.iter
     (fun client ->
       client_loop h ~client ~count:5
-        ~make_request:(fun _ -> incr_req ~client "hot")
+        ~make_request:(fun _ -> incr_req h ~client "hot")
         ~on_reply:(fun reply ->
           if reply.Core.Technique.committed then incr committed))
     h.clients;
@@ -180,7 +181,7 @@ let test_active_masks_crash () =
   let client = List.hd h.clients in
   let replies = ref 0 in
   client_loop h ~client ~count:10
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       Alcotest.(check bool) "committed" true reply.Core.Technique.committed;
       incr replies);
@@ -226,7 +227,7 @@ let test_active_linearizable () =
       (Engine.schedule h.engine ~after:(Simtime.of_ms (i * 10)) (fun () ->
            record_op a
              (fun _ -> Core.Linearizability.Write i)
-             (Store.Operation.request ~client:a [ Store.Operation.Write ("reg", i) ])))
+             (Store.Operation.request h.net ~client:a [ Store.Operation.Write ("reg", i) ])))
   done;
   for i = 1 to 6 do
     ignore
@@ -235,7 +236,7 @@ let test_active_linearizable () =
              (fun reply ->
                Core.Linearizability.Read
                  (Option.value ~default:0 reply.Core.Technique.value))
-             (Store.Operation.request ~client:b [ Store.Operation.Read "reg" ])))
+             (Store.Operation.request h.net ~client:b [ Store.Operation.Read "reg" ])))
   done;
   run_for h 20_000;
   Alcotest.(check int) "all ops completed" 12 (List.length !ops);
@@ -249,7 +250,7 @@ let test_passive_failover () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:8
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   (* Crash the primary mid-burst. *)
@@ -272,7 +273,7 @@ let test_passive_nondeterminism_converges () =
   let client = List.hd h.clients in
   let slot =
     submit h ~client
-      (Store.Operation.request ~client [ Store.Operation.Write_random "x" ])
+      (Store.Operation.request h.net ~client [ Store.Operation.Write_random "x" ])
   in
   run_for h 10_000;
   Alcotest.(check bool) "committed" true
@@ -290,7 +291,7 @@ let test_semi_active_nondeterminism_converges () =
   let done_count = ref 0 in
   client_loop h ~client ~count:5
     ~make_request:(fun _ ->
-      Store.Operation.request ~client [ Store.Operation.Write_random "x" ])
+      Store.Operation.request h.net ~client [ Store.Operation.Write_random "x" ])
     ~on_reply:(fun _ -> incr done_count);
   run_for h 30_000;
   Alcotest.(check int) "all done" 5 !done_count;
@@ -305,7 +306,7 @@ let test_semi_passive_coordinator_crash () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:6
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   ignore
@@ -326,7 +327,7 @@ let test_eager_primary_failover () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:8
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   ignore
@@ -349,7 +350,7 @@ let test_eager_primary_interactive_loop () =
   in
   let client = List.hd h.clients in
   let req =
-    Store.Operation.request ~client
+    Store.Operation.request h.net ~client
       [
         Store.Operation.Incr ("a", 1);
         Store.Operation.Incr ("b", 2);
@@ -389,11 +390,11 @@ let test_eager_ue_locking_deadlock () =
   in
   let c0 = List.nth h.clients 0 and c1 = List.nth h.clients 1 in
   let t0 =
-    Store.Operation.request ~client:c0
+    Store.Operation.request h.net ~client:c0
       [ Store.Operation.Incr ("a", 1); Store.Operation.Incr ("b", 1) ]
   in
   let t1 =
-    Store.Operation.request ~client:c1
+    Store.Operation.request h.net ~client:c1
       [ Store.Operation.Incr ("b", 1); Store.Operation.Incr ("a", 1) ]
   in
   let s0 = submit h ~client:c0 t0 in
@@ -437,7 +438,7 @@ let test_eager_ue_locking_rowa_cheaper () =
     Network.reset_counters h.net;
     let slot =
       submit h ~client
-        (Store.Operation.request ~client
+        (Store.Operation.request h.net ~client
            [ Store.Operation.Read "x"; Store.Operation.Read "y" ])
     in
     run_for h 10_000;
@@ -467,14 +468,14 @@ let test_lazy_primary_stale_reads_then_convergence () =
   let reader = List.nth h.clients 1 in
   let w =
     submit h ~client:writer
-      (Store.Operation.request ~client:writer [ Store.Operation.Write ("x", 9) ])
+      (Store.Operation.request h.net ~client:writer [ Store.Operation.Write ("x", 9) ])
   in
   run_for h 50;
   Alcotest.(check bool) "update committed fast" true
     (match !w with Some r -> r.Core.Technique.committed | None -> false);
   let r =
     submit h ~client:reader
-      (Store.Operation.request ~client:reader [ Store.Operation.Read "x" ])
+      (Store.Operation.request h.net ~client:reader [ Store.Operation.Read "x" ])
   in
   run_for h 50;
   (match !r with
@@ -489,7 +490,7 @@ let test_lazy_primary_stale_reads_then_convergence () =
      first); weak consistency here means staleness, measured above. *)
   let r2 =
     submit h ~client:reader
-      (Store.Operation.request ~client:reader [ Store.Operation.Read "x" ])
+      (Store.Operation.request h.net ~client:reader [ Store.Operation.Read "x" ])
   in
   run_for h 1_000;
   match !r2 with
@@ -515,11 +516,11 @@ let test_lazy_ue_conflict_reconciliation () =
      propagation window: a conflict. *)
   let s0 =
     submit h ~client:c0
-      (Store.Operation.request ~client:c0 [ Store.Operation.Write ("x", 100) ])
+      (Store.Operation.request h.net ~client:c0 [ Store.Operation.Write ("x", 100) ])
   in
   let s1 =
     submit h ~client:c1
-      (Store.Operation.request ~client:c1 [ Store.Operation.Write ("x", 200) ])
+      (Store.Operation.request h.net ~client:c1 [ Store.Operation.Write ("x", 200) ])
   in
   run_for h 20;
   (* Both committed locally before any propagation: copies inconsistent. *)
@@ -546,8 +547,8 @@ let test_certification_aborts_conflict () =
   let c0 = List.nth h.clients 0 and c1 = List.nth h.clients 1 in
   (* Two read-modify-writes on the same item, executed optimistically at
      different delegates at the same time: certification must abort one. *)
-  let s0 = submit h ~client:c0 (incr_req ~client:c0 "x") in
-  let s1 = submit h ~client:c1 (incr_req ~client:c1 "x") in
+  let s0 = submit h ~client:c0 (incr_req h ~client:c0 "x") in
+  let s1 = submit h ~client:c1 (incr_req h ~client:c1 "x") in
   run_for h 30_000;
   let committed slot =
     match !slot with
@@ -576,7 +577,7 @@ let test_eager_ue_abcast_delegate_crash () =
   (* client 3 mod 3 = 0: delegate is replica 0. Crash it mid-burst. *)
   let committed = ref 0 in
   client_loop h ~client ~count:6
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   ignore
@@ -606,7 +607,7 @@ let test_semi_active_leader_crash () =
   let done_count = ref 0 in
   client_loop h ~client ~count:6
     ~make_request:(fun _ ->
-      Store.Operation.request ~client [ Store.Operation.Write_random "x" ])
+      Store.Operation.request h.net ~client [ Store.Operation.Write_random "x" ])
     ~on_reply:(fun _ -> incr done_count);
   ignore
     (Engine.schedule h.engine ~after:(Simtime.of_ms 15) (fun () ->
@@ -624,7 +625,7 @@ let test_passive_cascading_crashes () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:10
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   (* Crash the primary, then its successor. *)
@@ -659,7 +660,7 @@ let test_eager_primary_site_aborts () =
   let client = List.hd h.clients in
   let committed = ref 0 and aborted = ref 0 in
   client_loop h ~client ~count:20
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed else incr aborted);
   run_for h 60_000;
@@ -689,7 +690,7 @@ let test_active_under_message_loss () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:10
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   run_for h 120_000;
@@ -708,14 +709,14 @@ let test_lazy_primary_read_your_writes_at_primary () =
   let client = List.hd h.clients in
   let w =
     submit h ~client
-      (Store.Operation.request ~client [ Store.Operation.Write ("x", 5) ])
+      (Store.Operation.request h.net ~client [ Store.Operation.Write ("x", 5) ])
   in
   run_for h 1_000;
   Alcotest.(check bool) "write committed" true
     (match !w with Some r -> r.Core.Technique.committed | None -> false);
   let r =
     submit h ~client
-      (Store.Operation.request ~client [ Store.Operation.Read "x" ])
+      (Store.Operation.request h.net ~client [ Store.Operation.Read "x" ])
   in
   run_for h 1_000;
   match !r with
@@ -733,7 +734,7 @@ let test_consensus_based_abcast_protocols () =
       let client = List.hd h.clients in
       let committed = ref 0 in
       client_loop h ~client ~count:5
-        ~make_request:(fun _ -> incr_req ~client "x")
+        ~make_request:(fun _ -> incr_req h ~client "x")
         ~on_reply:(fun reply ->
           if reply.Core.Technique.committed then incr committed);
       run_for h 60_000;
@@ -775,7 +776,7 @@ let prop_strong_technique (key, (info : Core.Technique.info), factory) =
       List.iter
         (fun client ->
           client_loop h ~client ~count:4
-            ~make_request:(fun _ -> incr_req ~client "hot")
+            ~make_request:(fun _ -> incr_req h ~client "hot")
             ~on_reply:(fun reply ->
               if reply.Core.Technique.committed then incr committed))
         h.clients;
@@ -805,7 +806,7 @@ let test_passive_backup_recovery () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:12
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   ignore
@@ -834,7 +835,7 @@ let test_passive_primary_recovery () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:15
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   ignore
@@ -877,7 +878,7 @@ let test_optimistic_certification_correct () =
       List.iter
         (fun client ->
           client_loop h ~client ~count:6
-            ~make_request:(fun _ -> incr_req ~client "hot")
+            ~make_request:(fun _ -> incr_req h ~client "hot")
             ~on_reply:(fun reply ->
               incr answered;
               if reply.Core.Technique.committed then incr committed))
@@ -928,7 +929,7 @@ let test_active_local_reads_sequentially_consistent () =
   let write_done = ref None in
   let t0 = Engine.now h.engine in
   h.inst.Core.Technique.submit ~client:a
-    (Store.Operation.request ~client:a [ Store.Operation.Write ("x", 1) ])
+    (Store.Operation.request h.net ~client:a [ Store.Operation.Write ("x", 1) ])
     (fun reply -> write_done := Some reply);
   run_for h 5_000;
   let write_reply =
@@ -940,7 +941,7 @@ let test_active_local_reads_sequentially_consistent () =
   let t2 = Engine.now h.engine in
   let b_read = ref None in
   h.inst.Core.Technique.submit ~client:b
-    (Store.Operation.request ~client:b [ Store.Operation.Read "x" ])
+    (Store.Operation.request h.net ~client:b [ Store.Operation.Read "x" ])
     (fun reply -> b_read := Some reply);
   run_for h 1_000;
   let b_reply =
@@ -952,7 +953,7 @@ let test_active_local_reads_sequentially_consistent () =
   let t4 = Engine.now h.engine in
   let a_read = ref None in
   h.inst.Core.Technique.submit ~client:a
-    (Store.Operation.request ~client:a [ Store.Operation.Read "x" ])
+    (Store.Operation.request h.net ~client:a [ Store.Operation.Read "x" ])
     (fun reply -> a_read := Some reply);
   run_for h 1_000;
   let a_reply =
@@ -1024,7 +1025,7 @@ let test_eager_ue_locking_quorum () =
   List.iter
     (fun client ->
       client_loop h ~client ~count:5
-        ~make_request:(fun _ -> incr_req ~client "hot")
+        ~make_request:(fun _ -> incr_req h ~client "hot")
         ~on_reply:(fun reply ->
           if reply.Core.Technique.committed then incr committed))
     h.clients;
@@ -1050,7 +1051,7 @@ let test_multi_op_transactions (key, (info : Core.Technique.info), factory) () =
     (fun client ->
       client_loop h ~client ~count:4
         ~make_request:(fun _ ->
-          Store.Operation.request ~client
+          Store.Operation.request h.net ~client
             [
               Store.Operation.Incr ("left", 1);
               Store.Operation.Read "left";
@@ -1123,7 +1124,7 @@ let prop_crash_fuzz (key, _, factory) =
       let client = List.hd h.clients in
       let committed = ref 0 and answered = ref 0 in
       client_loop h ~client ~count:8
-        ~make_request:(fun _ -> incr_req ~client "x")
+        ~make_request:(fun _ -> incr_req h ~client "x")
         ~on_reply:(fun reply ->
           incr answered;
           if reply.Core.Technique.committed then incr committed);
@@ -1173,7 +1174,7 @@ let test_eager_primary_3pc () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:8
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   ignore
@@ -1200,7 +1201,7 @@ let test_passive_partition_heals () =
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:10
-    ~make_request:(fun _ -> incr_req ~client "x")
+    ~make_request:(fun _ -> incr_req h ~client "x")
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then incr committed);
   ignore
@@ -1239,7 +1240,7 @@ let test_lazy_ue_split_brain_reconciles () =
     (fun side client ->
       client_loop h ~client ~count:5
         ~make_request:(fun i ->
-          Store.Operation.request ~client
+          Store.Operation.request h.net ~client
             [ Store.Operation.Write ("x", (100 * (side + 1)) + i) ])
         ~on_reply:(fun reply ->
           if reply.Core.Technique.committed then incr commits))
@@ -1269,7 +1270,7 @@ let test_span_conformance (_, (info : Core.Technique.info), factory) () =
   in
   let committed_rids = ref [] in
   client_loop h ~client ~count:4
-    ~make_request:(fun _ -> Store.Operation.request ~client ops)
+    ~make_request:(fun _ -> Store.Operation.request h.net ~client ops)
     ~on_reply:(fun reply ->
       if reply.Core.Technique.committed then
         committed_rids := reply.Core.Technique.rid :: !committed_rids);
@@ -1428,22 +1429,6 @@ let contains ~sub s =
   let rec go i = i + sn <= n && (String.sub s i sn = sub || go (i + 1)) in
   go 0
 
-let replace_all ~sub ~by s =
-  let sl = String.length sub in
-  let buf = Buffer.create (String.length s) in
-  let i = ref 0 in
-  while !i < String.length s do
-    if !i + sl <= String.length s && String.sub s !i sl = sub then begin
-      Buffer.add_string buf by;
-      i := !i + sl
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
 let export_one_txn key =
   let factory =
     Protocols.Registry.default_factory
@@ -1453,7 +1438,7 @@ let export_one_txn key =
   let client = List.hd h.clients in
   let slot =
     submit h ~client
-      (Store.Operation.request ~client [ Store.Operation.Incr ("x", 1) ])
+      (Store.Operation.request h.net ~client [ Store.Operation.Incr ("x", 1) ])
   in
   run_for h 10_000;
   Alcotest.(check bool) (key ^ " answered") true (!slot <> None);
@@ -1481,184 +1466,169 @@ let test_jsonl_export_valid key () =
         (json_valid line))
     lines
 
-(* Golden JSONL for one active-replication transaction under a fixed
-   seed: the simulator is deterministic, so the whole trace — timings
-   included — is reproducible bit for bit. Request ids are global,
-   so the one varying field is normalised to R. Message spans (covered
-   by test_explain's goldens) are filtered out to keep this golden
-   about the phase skeleton; their interleaving still shifts the phase
-   span ids, which is part of what is pinned here. *)
 (* One active-replication transaction at a fixed seed, flushed; returns
-   its rid (which depends on how many requests the process built before)
-   and the span collector. *)
+   the span collector. It is the run's first request, so its rid is 1. *)
 let golden_active_spans () =
   let engine = Engine.create ~seed:3 () in
   let net = Network.create engine ~n:4 Network.default_config in
   let inst = Protocols.Active.create net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ] () in
   let request =
-    Store.Operation.request ~client:3 [ Store.Operation.Incr ("x", 1) ]
+    Store.Operation.request net ~client:3 [ Store.Operation.Incr ("x", 1) ]
   in
   inst.Core.Technique.submit ~client:3 request (fun _ -> ());
   ignore (Engine.run ~until:(Simtime.of_sec 10.) engine);
   Core.Phase_span.finalize inst.Core.Technique.spans ~at:(Engine.now engine);
-  (request.Store.Operation.rid, Core.Phase_span.collector inst.Core.Technique.spans)
+  Core.Phase_span.collector inst.Core.Technique.spans
 
+(* Golden JSONL for that transaction: the simulator is deterministic and
+   rids are numbered per run, so the whole trace — rid and timings
+   included — is reproducible bit for bit whatever ran before in the
+   process. Message spans (covered by test_explain's goldens) are
+   filtered out to keep this golden about the phase skeleton; their
+   interleaving still shifts the phase span ids, which is part of what
+   is pinned here. *)
 let test_golden_jsonl_active () =
-  let rid, spans = golden_active_spans () in
-  let out = Sim.Trace_export.to_jsonl spans in
-  let normalized =
-    replace_all ~sub:(Printf.sprintf "\"trace\":%d" rid) ~by:"\"trace\":R" out
-    |> String.split_on_char '\n'
+  let out = Sim.Trace_export.to_jsonl (golden_active_spans ()) in
+  let phases =
+    String.split_on_char '\n' out
     |> List.filter (fun line -> not (contains ~sub:{|"name":"msg:|} line))
     |> String.concat "\n"
   in
   let golden =
     String.concat "\n"
       [
-        {|{"type":"span","id":0,"trace":R,"name":"txn","track":"client","start_us":0,"stop_us":3176}|};
-        {|{"type":"span","id":1,"trace":R,"name":"RE","parent":0,"track":"client","start_us":0,"stop_us":0}|};
-        {|{"type":"span","id":2,"trace":R,"name":"SC","parent":0,"track":"client","start_us":0,"stop_us":2176,"events":[{"at_us":0,"note":"atomic broadcast to the group (merged with RE)"}]}|};
-        {|{"type":"span","id":30,"trace":R,"name":"EX","parent":0,"track":1,"start_us":2176,"stop_us":3176,"events":[{"at_us":2176,"track":1,"note":"deterministic execution in delivery order"},{"at_us":2557,"track":2,"note":"deterministic execution in delivery order"},{"at_us":2838,"track":0,"note":"deterministic execution in delivery order"}]}|};
-        {|{"type":"span","id":37,"trace":R,"name":"END","parent":0,"track":"client","start_us":3176,"stop_us":3176}|};
+        {|{"type":"span","id":0,"trace":1,"name":"txn","track":"client","start_us":0,"stop_us":3176}|};
+        {|{"type":"span","id":1,"trace":1,"name":"RE","parent":0,"track":"client","start_us":0,"stop_us":0}|};
+        {|{"type":"span","id":2,"trace":1,"name":"SC","parent":0,"track":"client","start_us":0,"stop_us":2176,"events":[{"at_us":0,"note":"atomic broadcast to the group (merged with RE)"}]}|};
+        {|{"type":"span","id":30,"trace":1,"name":"EX","parent":0,"track":1,"start_us":2176,"stop_us":3176,"events":[{"at_us":2176,"track":1,"note":"deterministic execution in delivery order"},{"at_us":2557,"track":2,"note":"deterministic execution in delivery order"},{"at_us":2838,"track":0,"note":"deterministic execution in delivery order"}]}|};
+        {|{"type":"span","id":37,"trace":1,"name":"END","parent":0,"track":"client","start_us":3176,"stop_us":3176}|};
       ]
   in
-  Alcotest.(check string) "golden active JSONL" golden normalized
+  Alcotest.(check string) "golden active JSONL" golden phases
 
 (* The full Chrome export of the same transaction, byte for byte: process
    and thread metadata, "X" events (notes included, message spans too)
-   and the "s"/"f" flow pair of every delivered message. The rid is
-   normalised in each place it appears (pid, args.trace, process name). *)
+   and the "s"/"f" flow pair of every delivered message. *)
 let test_golden_chrome_active () =
-  let rid, spans = golden_active_spans () in
-  let normalized =
-    List.fold_left
-      (fun s (fmt, by) -> replace_all ~sub:(Printf.sprintf fmt rid) ~by s)
-      (Sim.Trace_export.to_chrome spans)
-      [
-        ("\"pid\":%d,", "\"pid\":R,");
-        ("\"trace\":%d}", "\"trace\":R}");
-        ("\"trace\":%d,", "\"trace\":R,");
-        ("\"txn %d\"", "\"txn R\"");
-      ]
-  in
   let events =
     [
-        {|{"name":"process_name","ph":"M","pid":R,"tid":0,"args":{"name":"txn R"}}|};
-        {|{"name":"thread_name","ph":"M","pid":R,"tid":0,"args":{"name":"client"}}|};
-        {|{"name":"thread_name","ph":"M","pid":R,"tid":4,"args":{"name":"replica 3"}}|};
-        {|{"name":"thread_name","ph":"M","pid":R,"tid":1,"args":{"name":"replica 0"}}|};
-        {|{"name":"thread_name","ph":"M","pid":R,"tid":2,"args":{"name":"replica 1"}}|};
-        {|{"name":"thread_name","ph":"M","pid":R,"tid":3,"args":{"name":"replica 2"}}|};
-        {|{"name":"txn","cat":"phase","ph":"X","ts":0,"dur":3176,"pid":R,"tid":0,"args":{"trace":R}}|};
-        {|{"name":"RE","cat":"phase","ph":"X","ts":0,"dur":1,"pid":R,"tid":0,"args":{"trace":R}}|};
-        {|{"name":"SC","cat":"phase","ph":"X","ts":0,"dur":2176,"pid":R,"tid":0,"args":{"trace":R,"notes":["atomic broadcast to the group (merged with RE)"]}}|};
-        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":503,"pid":R,"tid":4,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":682,"pid":R,"tid":4,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":1426,"pid":R,"tid":4,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1464,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1082,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1009,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":1,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":1094,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":845,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":682,"dur":1168,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1348,"dur":630,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1426,"dur":1031,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1512,"dur":693,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":1199,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":664,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":1,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1512,"dur":1,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1585,"dur":610,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":1253,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":1,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":972,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1585,"dur":1,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1597,"dur":700,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2176,"dur":672,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"EX","cat":"phase","ph":"X","ts":2176,"dur":1000,"pid":R,"tid":2,"args":{"trace":R,"notes":["deterministic execution in delivery order","deterministic execution in delivery order","deterministic execution in delivery order"]}}|};
-        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2176,"dur":1352,"pid":R,"tid":2,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2557,"dur":559,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2557,"dur":619,"pid":R,"tid":3,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2711,"dur":920,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2838,"dur":901,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2838,"dur":629,"pid":R,"tid":1,"args":{"trace":R,"notes":["send","deliver"]}}|};
-        {|{"name":"END","cat":"phase","ph":"X","ts":3176,"dur":1,"pid":R,"tid":0,"args":{"trace":R}}|};
-        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":3,"ts":0,"pid":R,"tid":4}|};
-        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":3,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":4,"ts":0,"pid":R,"tid":4}|};
-        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":4,"ts":682,"pid":R,"tid":2}|};
-        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":5,"ts":0,"pid":R,"tid":4}|};
-        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":5,"ts":1426,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":6,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":6,"ts":1967,"pid":R,"tid":4}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":7,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":7,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":8,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":8,"ts":1585,"pid":R,"tid":2}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":9,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":9,"ts":1512,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":10,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":10,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":11,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":11,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":12,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":12,"ts":1597,"pid":R,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":13,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":13,"ts":1348,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":14,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":14,"ts":503,"pid":R,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":15,"ts":682,"pid":R,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":15,"ts":1850,"pid":R,"tid":4}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":16,"ts":1348,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":16,"ts":1978,"pid":R,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":17,"ts":1426,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":17,"ts":2457,"pid":R,"tid":4}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":18,"ts":1512,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":18,"ts":2205,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":19,"ts":1512,"pid":R,"tid":3}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":19,"ts":2711,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":20,"ts":1512,"pid":R,"tid":3}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":20,"ts":2176,"pid":R,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":21,"ts":1512,"pid":R,"tid":3}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":21,"ts":1512,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":22,"ts":1512,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":22,"ts":1512,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":23,"ts":1585,"pid":R,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":23,"ts":2195,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":24,"ts":1585,"pid":R,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":24,"ts":2838,"pid":R,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":25,"ts":1585,"pid":R,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":25,"ts":1585,"pid":R,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":26,"ts":1585,"pid":R,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":26,"ts":2557,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":27,"ts":1585,"pid":R,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":27,"ts":1585,"pid":R,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":28,"ts":1597,"pid":R,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":28,"ts":2297,"pid":R,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":29,"ts":2176,"pid":R,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":29,"ts":2848,"pid":R,"tid":3}|};
-        {|{"name":"Reply","cat":"msg","ph":"s","id":31,"ts":2176,"pid":R,"tid":2}|};
-        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":31,"ts":3528,"pid":R,"tid":4}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":32,"ts":2557,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":32,"ts":3116,"pid":R,"tid":2}|};
-        {|{"name":"Reply","cat":"msg","ph":"s","id":33,"ts":2557,"pid":R,"tid":3}|};
-        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":33,"ts":3176,"pid":R,"tid":4}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":34,"ts":2711,"pid":R,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":34,"ts":3631,"pid":R,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":35,"ts":2838,"pid":R,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":35,"ts":3739,"pid":R,"tid":2}|};
-        {|{"name":"Reply","cat":"msg","ph":"s","id":36,"ts":2838,"pid":R,"tid":1}|};
-        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":36,"ts":3467,"pid":R,"tid":4}|};
+        {|{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"txn 1"}}|};
+        {|{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"client"}}|};
+        {|{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"replica 3"}}|};
+        {|{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"replica 0"}}|};
+        {|{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"replica 1"}}|};
+        {|{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"replica 2"}}|};
+        {|{"name":"txn","cat":"phase","ph":"X","ts":0,"dur":3176,"pid":1,"tid":0,"args":{"trace":1}}|};
+        {|{"name":"RE","cat":"phase","ph":"X","ts":0,"dur":1,"pid":1,"tid":0,"args":{"trace":1}}|};
+        {|{"name":"SC","cat":"phase","ph":"X","ts":0,"dur":2176,"pid":1,"tid":0,"args":{"trace":1,"notes":["atomic broadcast to the group (merged with RE)"]}}|};
+        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":503,"pid":1,"tid":4,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":682,"pid":1,"tid":4,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":1426,"pid":1,"tid":4,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1464,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1082,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1009,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":1,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":1094,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":845,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":682,"dur":1168,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1348,"dur":630,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1426,"dur":1031,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1512,"dur":693,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":1199,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":664,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":1,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1512,"dur":1,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1585,"dur":610,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":1253,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":1,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":972,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1585,"dur":1,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1597,"dur":700,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2176,"dur":672,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"EX","cat":"phase","ph":"X","ts":2176,"dur":1000,"pid":1,"tid":2,"args":{"trace":1,"notes":["deterministic execution in delivery order","deterministic execution in delivery order","deterministic execution in delivery order"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2176,"dur":1352,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2557,"dur":559,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2557,"dur":619,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2711,"dur":920,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":2838,"dur":901,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2838,"dur":629,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"END","cat":"phase","ph":"X","ts":3176,"dur":1,"pid":1,"tid":0,"args":{"trace":1}}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":3,"ts":0,"pid":1,"tid":4}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":3,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":4,"ts":0,"pid":1,"tid":4}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":4,"ts":682,"pid":1,"tid":2}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":5,"ts":0,"pid":1,"tid":4}|};
+        {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":5,"ts":1426,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":6,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":6,"ts":1967,"pid":1,"tid":4}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":7,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":7,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":8,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":8,"ts":1585,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":9,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":9,"ts":1512,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":10,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":10,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":11,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":11,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":12,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":12,"ts":1597,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":13,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":13,"ts":1348,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":14,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":14,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":15,"ts":682,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":15,"ts":1850,"pid":1,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":16,"ts":1348,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":16,"ts":1978,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":17,"ts":1426,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":17,"ts":2457,"pid":1,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":18,"ts":1512,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":18,"ts":2205,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":19,"ts":1512,"pid":1,"tid":3}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":19,"ts":2711,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":20,"ts":1512,"pid":1,"tid":3}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":20,"ts":2176,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":21,"ts":1512,"pid":1,"tid":3}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":21,"ts":1512,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":22,"ts":1512,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":22,"ts":1512,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":23,"ts":1585,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":23,"ts":2195,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":24,"ts":1585,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":24,"ts":2838,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":25,"ts":1585,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":25,"ts":1585,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":26,"ts":1585,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":26,"ts":2557,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":27,"ts":1585,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":27,"ts":1585,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":28,"ts":1597,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":28,"ts":2297,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":29,"ts":2176,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":29,"ts":2848,"pid":1,"tid":3}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":31,"ts":2176,"pid":1,"tid":2}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":31,"ts":3528,"pid":1,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":32,"ts":2557,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":32,"ts":3116,"pid":1,"tid":2}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":33,"ts":2557,"pid":1,"tid":3}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":33,"ts":3176,"pid":1,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":34,"ts":2711,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":34,"ts":3631,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":35,"ts":2838,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":35,"ts":3739,"pid":1,"tid":2}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":36,"ts":2838,"pid":1,"tid":1}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":36,"ts":3467,"pid":1,"tid":4}|};
     ]
   in
   let golden =
     "{\"traceEvents\":[" ^ String.concat "," events ^ "],\"displayTimeUnit\":\"ms\"}"
   in
-  Alcotest.(check string) "golden active Chrome" golden normalized
+  Alcotest.(check string) "golden active Chrome" golden
+    (Sim.Trace_export.to_chrome (golden_active_spans ()))
 
 (* ------------------------------------------------------------------ *)
 (* Suite assembly                                                     *)

@@ -5,6 +5,10 @@
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* A network to number requests; nothing is sent on it. *)
+let rid_source () =
+  Sim.Network.create (Sim.Engine.create ()) ~n:1 Sim.Network.default_config
+
 (* ---- shard map ------------------------------------------------------ *)
 
 let test_placement_deterministic () =
@@ -51,6 +55,7 @@ let test_range_bands () =
   done
 
 let test_request_classification () =
+  let net = rid_source () in
   let map = Store.Shard_map.create ~shards:4 () in
   (* find two keys in distinct shards *)
   let k0 = "k0000" in
@@ -64,13 +69,13 @@ let test_request_classification () =
   in
   let s1 = Store.Shard_map.shard_of_key map k1 in
   let single =
-    Store.Operation.request ~client:9 [ Store.Operation.Incr (k0, 1) ]
+    Store.Operation.request net ~client:9 [ Store.Operation.Incr (k0, 1) ]
   in
   Alcotest.(check (list int))
     "single-shard request" [ s0 ]
     (Store.Shard_map.shards_of_request map single);
   let cross =
-    Store.Operation.request ~client:9
+    Store.Operation.request net ~client:9
       [ Store.Operation.Incr (k0, 1); Store.Operation.Read (k1) ]
   in
   Alcotest.(check (list int))
@@ -93,7 +98,7 @@ let test_request_classification () =
   Alcotest.(check (option int))
     "last read's shard" (Some s1)
     (Store.Shard_map.shard_of_last_read map cross);
-  let opless = Store.Operation.request ~client:9 [] in
+  let opless = Store.Operation.request net ~client:9 [] in
   Alcotest.(check (list int))
     "op-less request maps to shard 0" [ 0 ]
     (Store.Shard_map.shards_of_request map opless)
@@ -120,9 +125,10 @@ let test_generator_single_shard () =
   let spec =
     { Workload.Spec.default with ops_per_txn = 4; shards = 4; cross_shard = 0. }
   in
+  let net = rid_source () in
   let gen = Workload.Generator.create ~seed:5 spec in
   for _ = 1 to 100 do
-    let _, request = Workload.Generator.request gen ~client:9 in
+    let _, request = Workload.Generator.request gen net ~client:9 in
     Alcotest.(check int) "confined to one shard" 1 (shards_touched spec request)
   done
 
@@ -130,10 +136,11 @@ let test_generator_cross_shard () =
   let spec =
     { Workload.Spec.default with ops_per_txn = 2; shards = 4; cross_shard = 1. }
   in
+  let net = rid_source () in
   let gen = Workload.Generator.create ~seed:5 spec in
   let crossing = ref 0 in
   for _ = 1 to 100 do
-    let _, request = Workload.Generator.request gen ~client:9 in
+    let _, request = Workload.Generator.request gen net ~client:9 in
     if shards_touched spec request >= 2 then incr crossing
   done;
   (* rejection sampling can fall back on a hot shard, so not every
@@ -144,52 +151,15 @@ let test_generator_cross_shard () =
 
 (* ---- shards=1 byte-identity ----------------------------------------- *)
 
-(* Request ids come from a process-global counter; normalize them away
-   (same scheme as test_config.ml) so traces compare byte for byte. *)
-let normalize_traces s =
-  let pat = {|"trace":|} in
-  let pl = String.length pat in
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let map = Hashtbl.create 16 in
-  let next = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    if !i + pl <= n && String.sub s !i pl = pat then begin
-      Buffer.add_string buf pat;
-      i := !i + pl;
-      let j = ref !i in
-      while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
-        incr j
-      done;
-      let id = String.sub s !i (!j - !i) in
-      let r =
-        match Hashtbl.find_opt map id with
-        | Some r -> r
-        | None ->
-            let r = Printf.sprintf "R%d" !next in
-            incr next;
-            Hashtbl.add map id r;
-            r
-      in
-      Buffer.add_string buf r;
-      i := !j
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
+(* The run's JSONL trace, raw: rids are numbered per run, so two runs in
+   one process compare byte for byte. *)
 let trace_of factory =
   let spec = Workload.Builder.spec ~txns:10 ~ops:2 () in
   let builder = Workload.Builder.make ~seed:23 ~clients:3 ~spec () in
   let result, inst = Workload.Builder.run_with_instance builder factory in
   Alcotest.(check int) "no unanswered" 0 result.Workload.Runner.unanswered;
-  normalize_traces
-    (Sim.Trace_export.to_jsonl
-       (Core.Phase_span.collector inst.Core.Technique.spans))
+  Sim.Trace_export.to_jsonl
+    (Core.Phase_span.collector inst.Core.Technique.spans)
 
 let test_shards1_byte_identical () =
   List.iter
@@ -242,6 +212,57 @@ let test_oracles_sharded () =
          + counter result "cross_shard_abort_total"
          > 0))
     [ "active"; "passive"; "eager-primary" ]
+
+(* Lazy-ue's [conflicts] and certification's [aborts] cover every group
+   of a sharded instance, not only one of them. The run is contended on
+   purpose (4 hot keys, all updates) so that every group sees some. *)
+let contended_sharded key =
+  let spec = Workload.Builder.spec ~keys:4 ~updates:1.0 ~shards:2 () in
+  let builder = Workload.Builder.make ~seed:11 ~replicas:4 ~clients:4 ~spec () in
+  let _, inst = Workload.Builder.run_with_instance builder (sharded_factory key) in
+  let snap = Sim.Metrics.snapshot inst.Core.Technique.metrics in
+  let at name r =
+    Option.value ~default:0
+      (Sim.Metrics.counter_value snap
+         ~labels:[ ("replica", string_of_int r) ]
+         name)
+  in
+  (inst, at)
+
+let test_sharded_conflicts_cover_every_group () =
+  let inst, at = contended_sharded "lazy-ue" in
+  let per_group =
+    List.map
+      (List.fold_left (fun acc r -> acc + at "reconciliation_conflicts_total" r) 0)
+      inst.Core.Technique.groups
+  in
+  Alcotest.(check bool) "every group reconciled conflicts" true
+    (List.length per_group = 2 && List.for_all (fun c -> c > 0) per_group);
+  Alcotest.(check int) "conflicts = sum over the groups"
+    (List.fold_left ( + ) 0 per_group)
+    (Protocols.Lazy_ue.conflicts inst)
+
+let test_sharded_aborts_cover_every_group () =
+  let inst, at = contended_sharded "certification" in
+  let per_group =
+    List.map
+      (fun g ->
+        let first = at "certification_aborts_total" (List.hd g) in
+        List.iter
+          (fun r ->
+            Alcotest.(check int)
+              (Printf.sprintf "replica %d agrees with its group" r)
+              first
+              (at "certification_aborts_total" r))
+          g;
+        first)
+      inst.Core.Technique.groups
+  in
+  Alcotest.(check bool) "every group aborted transactions" true
+    (List.length per_group = 2 && List.for_all (fun c -> c > 0) per_group);
+  Alcotest.(check int) "aborts = sum over the groups"
+    (List.fold_left ( + ) 0 per_group)
+    (Protocols.Certification_based.aborts inst)
 
 (* Message cost of a single-shard transaction must depend on the group
    size, not the cluster size: the probe transaction's causal message
@@ -351,6 +372,10 @@ let () =
           tc "sharded runs converge + 1SR" test_oracles_sharded;
           tc "group-local message cost" test_group_local_cost;
           tc "sharded campaign" test_campaign_sharded;
+          tc "lazy-ue conflicts cover every group"
+            test_sharded_conflicts_cover_every_group;
+          tc "certification aborts cover every group"
+            test_sharded_aborts_cover_every_group;
         ] );
       ( "atomicity",
         [

@@ -47,21 +47,34 @@ let test_kv_snapshot_equal () =
 (* Operation                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A throwaway run: requests take their rids from a network. *)
+let fresh_net () =
+  Sim.Network.create (Sim.Engine.create ~seed:0 ()) ~n:1
+    Sim.Network.default_config
+
 let test_operation_sets () =
+  let net = fresh_net () in
   let r =
-    Operation.request ~client:1
+    Operation.request net ~client:1
       [ Operation.Read "a"; Operation.Incr ("b", 2); Operation.Write ("c", 3) ]
   in
   Alcotest.(check (list string)) "read set" [ "a"; "b" ] (Operation.read_set r);
   Alcotest.(check (list string)) "write set" [ "b"; "c" ] (Operation.write_set r);
   Alcotest.(check bool) "is update" true (Operation.request_is_update r);
-  let ro = Operation.request ~client:1 [ Operation.Read "a" ] in
+  let ro = Operation.request net ~client:1 [ Operation.Read "a" ] in
   Alcotest.(check bool) "read only" false (Operation.request_is_update ro)
 
+(* Rids are numbered per run: 1, 2, ... on every network, whatever was
+   built before in the process. *)
 let test_operation_rids_unique () =
-  let a = Operation.request ~client:0 [ Operation.Read "x" ] in
-  let b = Operation.request ~client:0 [ Operation.Read "x" ] in
-  Alcotest.(check bool) "fresh rids" true (a.Operation.rid <> b.Operation.rid)
+  let rids net =
+    List.init 3 (fun _ -> (Operation.request net ~client:0 []).Operation.rid)
+  in
+  let net = fresh_net () in
+  Alcotest.(check (list int)) "fresh rids" [ 1; 2; 3 ] (rids net);
+  Alcotest.(check (list int)) "numbering continues" [ 4; 5; 6 ] (rids net);
+  Alcotest.(check (list int)) "a new run starts over" [ 1; 2; 3 ]
+    (rids (fresh_net ()))
 
 (* ------------------------------------------------------------------ *)
 (* Apply                                                              *)

@@ -5,6 +5,9 @@ open Sim
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* A network to number generated requests; nothing is sent on it. *)
+let rid_source () = Network.create (Engine.create ()) ~n:1 Network.default_config
+
 (* ------------------------------------------------------------------ *)
 (* Generator                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -18,9 +21,10 @@ let test_generator_respects_spec () =
       update_ratio = 1.0;
     }
   in
+  let net = rid_source () in
   let gen = Workload.Generator.create ~seed:1 spec in
   for _ = 1 to 50 do
-    let update, req = Workload.Generator.request gen ~client:7 in
+    let update, req = Workload.Generator.request gen net ~client:7 in
     Alcotest.(check bool) "all updates at ratio 1.0" true update;
     Alcotest.(check int) "ops per txn" 3 (List.length req.Store.Operation.ops);
     Alcotest.(check int) "client" 7 req.Store.Operation.client;
@@ -36,9 +40,10 @@ let test_generator_respects_spec () =
 
 let test_generator_read_only_mix () =
   let spec = { Workload.Spec.default with update_ratio = 0.0 } in
+  let net = rid_source () in
   let gen = Workload.Generator.create ~seed:2 spec in
   for _ = 1 to 50 do
-    let update, req = Workload.Generator.request gen ~client:1 in
+    let update, req = Workload.Generator.request gen net ~client:1 in
     Alcotest.(check bool) "no updates" false update;
     Alcotest.(check bool) "request is read-only" false
       (Store.Operation.request_is_update req)
@@ -46,20 +51,22 @@ let test_generator_read_only_mix () =
 
 let test_generator_ratio_statistics () =
   let spec = { Workload.Spec.default with update_ratio = 0.3 } in
+  let net = rid_source () in
   let gen = Workload.Generator.create ~seed:3 spec in
   let updates = ref 0 in
   for _ = 1 to 1000 do
-    let update, _ = Workload.Generator.request gen ~client:1 in
+    let update, _ = Workload.Generator.request gen net ~client:1 in
     if update then incr updates
   done;
   Alcotest.(check bool) "≈30% updates" true (!updates > 230 && !updates < 370)
 
 let test_generator_skew () =
   let spec = { Workload.Spec.default with key_skew = 0.99; n_keys = 100 } in
+  let net = rid_source () in
   let gen = Workload.Generator.create ~seed:4 spec in
   let counts = Hashtbl.create 16 in
   for _ = 1 to 2000 do
-    let _, req = Workload.Generator.request gen ~client:1 in
+    let _, req = Workload.Generator.request gen net ~client:1 in
     List.iter
       (fun op ->
         List.iter
@@ -402,6 +409,52 @@ let test_alloc_per_delivery () =
     (Printf.sprintf "%.1f words per delivered message <= 65" per_msg)
     true (per_msg <= 65.)
 
+(* ---- one run, one world --------------------------------------------- *)
+
+(* A run owns everything it allocates: once a run returns and its result
+   is dropped, nothing of it stays reachable. Twenty back-to-back runs of
+   every technique must leave the live heap where the first one left it
+   (instances kept in process-wide tables grew it by ~13-17k words over
+   twenty runs of lazy-ue or certification; the others stay within a few
+   dozen words). *)
+let test_back_to_back_runs_keep_heap_flat () =
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let spec = Workload.Builder.spec ~txns:5 () in
+  let builder =
+    Workload.Builder.make ~seed:11 ~replicas:3 ~clients:2 ~spec ()
+  in
+  List.iter
+    (fun (e : Protocols.Registry.entry) ->
+      let run () =
+        ignore (Workload.Builder.run builder (Protocols.Registry.default_factory e))
+      in
+      run ();
+      let first = live_words () in
+      for _ = 2 to 20 do
+        run ()
+      done;
+      let grown = live_words () - first in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: live heap grew %d words over 20 runs (<= 1000)"
+           e.Protocols.Registry.key grown)
+        true (grown <= 1000))
+    Protocols.Registry.all
+
+(* A run's ids come from its own network, so the same traced probe run
+   twice in one process exports the same bytes, rids included. *)
+let test_same_probe_same_trace () =
+  let export () =
+    let entry = Option.get (Protocols.Registry.find "active") in
+    let p = Workload.Builder.probe (Protocols.Registry.default_factory entry) in
+    Sim.Trace_export.to_chrome
+      (Core.Phase_span.collector p.Workload.Builder.p_inst.Core.Technique.spans)
+  in
+  let first = export () in
+  Alcotest.(check string) "second probe exports the same bytes" first (export ())
+
 let () =
   Alcotest.run "workload"
     [
@@ -427,6 +480,12 @@ let () =
           tc "poisson arrivals" test_runner_poisson_arrivals;
           tc "phase summary online" test_runner_phase_ms_online;
           tc "allocation per delivery" test_alloc_per_delivery;
+        ] );
+      ( "per-run world",
+        [
+          tc "back-to-back runs keep the heap flat"
+            test_back_to_back_runs_keep_heap_flat;
+          tc "same probe, same trace bytes" test_same_probe_same_trace;
         ] );
       ( "report",
         [ tc "csv" test_report_csv; tc "engine summary" test_engine_summary_wall ]
