@@ -142,15 +142,19 @@ let reads_arg =
           "Fraction of read transactions — shorthand for $(b,--updates) \
            (1 - RATIO); mutually exclusive with it.")
 
+(* [r], the value of the ratio flag [flag]; outside [0,1] it is a usage
+   error. *)
+let ratio flag r =
+  if r < 0. || r > 1. then fail "%s must be in [0,1], got %g" flag r;
+  r
+
 (* Resolve the --updates / --reads pair into the spec's update ratio;
    naming both is an error rather than a silent precedence rule. *)
 let mix ?updates ?reads () =
   match (updates, reads) with
   | Some _, Some _ -> fail "--updates and --reads are mutually exclusive"
-  | Some u, None -> u
-  | None, Some r ->
-      if r < 0. || r > 1. then fail "--reads must be in [0,1], got %g" r;
-      1. -. r
+  | Some u, None -> ratio "--updates" u
+  | None, Some r -> 1. -. ratio "--reads" r
   | None, None -> 0.5
 
 let ops_arg =

@@ -127,7 +127,7 @@ let run_cmd =
       Cli.fail "--cross needs multi-op transactions; add --ops 2 (or more)";
     let failures =
       match
-        Workload.Builder.crash_schedule ~crashes:(List.concat crashes)
+        Workload.Builder.crash_schedule ~n ~crashes:(List.concat crashes)
           ~recoveries:(List.concat recoveries)
       with
       | Ok failures -> failures
@@ -1559,14 +1559,8 @@ let sweep_cmd =
       match (updates, reads) with
       | Some _, Some _ ->
           Cli.fail "--updates and --reads are mutually exclusive"
-      | Some us, None -> us
-      | None, Some rs ->
-          List.map
-            (fun r ->
-              if r < 0. || r > 1. then
-                Cli.fail "--reads values must be in [0,1], got %g" r;
-              1. -. r)
-            rs
+      | Some us, None -> List.map (Cli.ratio "--updates") us
+      | None, Some rs -> List.map (fun r -> 1. -. Cli.ratio "--reads" r) rs
       | None, None -> [ 0.5 ]
     in
     let techniques =

@@ -17,18 +17,32 @@ fi
 # Per-run world: a run's state lives on its network and its instance, so
 # lib/ keeps no process-global mutable values. Flag every top-level (or
 # functor-level, two-space indented) value bound to a [ref] or a
-# [Hashtbl.create]; a local binding ends in [in]. The two allowed ones:
-# Msg.printers, written only while modules initialise, and
-# Common.ambient_shared, which [with_shared] restores on exit.
+# [Hashtbl.create]; a local binding ends in [in]. The one allowed:
+# Msg.printers, written only while modules initialise.
 echo "== no process-global state in lib =="
 globals=$(grep -rnE --include='*.ml' \
     '^(  )?let [a-z_][A-Za-z0-9_]*( *:[^=]*)? *= *(ref|Hashtbl\.create)( |\(|$)' lib \
   | grep -vE ' in *$' \
-  | grep -vE '^lib/sim/msg\.ml:[0-9]+:let printers |^lib/protocols/common\.ml:[0-9]+:let ambient_shared ' \
+  | grep -vE '^lib/sim/msg\.ml:[0-9]+:let printers ' \
   || true)
 if [ -n "$globals" ]; then
   printf '%s\n' "$globals" >&2
   echo "lib/ gained process-global mutable state; keep it on the run's network or instance" >&2
+  exit 1
+fi
+
+# Ids at the edge: an instance id is needed only where a message reaches
+# a handler stack several instances share — Rchan's Data/Ack, Fd's
+# Heartbeat and Common's Reply/Read_req. Every layer above a channel owns
+# that channel, so no other file may draw an id from the network.
+echo "== instance ids only at the edge =="
+ids=$(grep -rnE --include='*.ml' '(^|[^A-Za-z0-9_])fresh_id +[a-z_(]' \
+    lib bin bench examples test \
+  | grep -vE '^lib/(sim/network|group/rchan|group/fd|protocols/common)\.ml:' \
+  || true)
+if [ -n "$ids" ]; then
+  printf '%s\n' "$ids" >&2
+  echo "only Rchan, Fd and Common may call Network.fresh_id; a layer above a channel is identified by the channel it owns" >&2
   exit 1
 fi
 
@@ -82,6 +96,20 @@ dune exec bin/replisim.exe -- run -t certification \
 dune exec bin/replisim.exe -- run -t active \
   --set active.batch_window=5ms --txns 10 > /dev/null
 dune exec bin/replisim.exe -- config active > /dev/null
+
+# Argument validation: an out-of-range ratio or fault event is a usage
+# error (exit status 2), never a run with a silently odd workload.
+echo "== argument validation =="
+for args in "run -t active --updates 1.5 --txns 5" \
+    "sweep --techniques active --updates 0.5,1.5 --txns 5 --format none" \
+    "run -t active -n 3 --crash 3@10ms --txns 5"; do
+  status=0
+  dune exec bin/replisim.exe -- $args > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "replisim $args: exit status $status, want 2" >&2
+    exit 1
+  fi
+done
 
 # Sharded-operation smoke: a sharded campaign (4 groups of 2 through
 # crash-recover, every oracle judged per group), the §5 message-cost

@@ -10,17 +10,16 @@ type state =
 
 type Msg.t +=
   | Can_commit of {
-      gid : int;
       txn : int;
       coordinator : int;
       participants : int list;
     }
-  | Vote3 of { gid : int; txn : int; from : int; yes : bool }
-  | Pre_commit of { gid : int; txn : int }
-  | Pre_ack of { gid : int; txn : int; from : int }
-  | Do_decide of { gid : int; txn : int; decision : decision }
-  | State_req of { gid : int; txn : int; from : int }
-  | State_rsp of { gid : int; txn : int; from : int; state : state }
+  | Vote3 of { txn : int; from : int; yes : bool }
+  | Pre_commit of { txn : int }
+  | Pre_ack of { txn : int; from : int }
+  | Do_decide of { txn : int; decision : decision }
+  | State_req of { txn : int; from : int }
+  | State_rsp of { txn : int; from : int; state : state }
 
 type round = {
   participants : int list;
@@ -31,7 +30,6 @@ type round = {
 }
 
 type t = {
-  gid : int;
   me : int;
   net : Network.t;
   chan : Group.Rchan.t;
@@ -47,7 +45,6 @@ type t = {
 }
 
 type group = {
-  g_gid : int;
   handles : (int, t) Hashtbl.t;
   mutable n_commits : int;
   mutable n_aborts : int;
@@ -69,7 +66,7 @@ let set_decided group t ~txn round decision =
     List.iter
       (fun dst ->
         if dst <> t.me then
-          Group.Rchan.send t.chan ~dst (Do_decide { gid = t.gid; txn; decision }))
+          Group.Rchan.send t.chan ~dst (Do_decide { txn; decision }))
       round.participants;
     learn_decision t ~txn decision;
     round.on_complete decision
@@ -106,8 +103,7 @@ let try_finish_recovery group t ~txn =
         List.iter
           (fun dst ->
             if dst <> t.me then
-              Group.Rchan.send t.chan ~dst
-                (Do_decide { gid = t.gid; txn; decision }))
+              Group.Rchan.send t.chan ~dst (Do_decide { txn; decision }))
           participants
       end
 
@@ -126,7 +122,7 @@ let start_recovery t ~txn =
     List.iter
       (fun dst ->
         if dst <> t.me then
-          Group.Rchan.send t.chan ~dst (State_req { gid = t.gid; txn; from = t.me }))
+          Group.Rchan.send t.chan ~dst (State_req { txn; from = t.me }))
       participants
   end
 
@@ -159,7 +155,7 @@ let poll group t =
 
 let handle_msg group t msg =
   match msg with
-  | Can_commit { gid; txn; coordinator; participants } when gid = t.gid ->
+  | Can_commit { txn; coordinator; participants } ->
       Hashtbl.replace t.coordinator_of txn coordinator;
       Hashtbl.replace t.participants_of txn participants;
       if not (Hashtbl.mem t.states txn) then begin
@@ -170,9 +166,9 @@ let handle_msg group t msg =
           t.learn ~me:t.me ~txn Abort
         end;
         Group.Rchan.send t.chan ~dst:coordinator
-          (Vote3 { gid = t.gid; txn; from = t.me; yes })
+          (Vote3 { txn; from = t.me; yes })
       end
-  | Vote3 { gid; txn; from; yes } when gid = t.gid -> (
+  | Vote3 { txn; from; yes } -> (
       match Hashtbl.find_opt t.rounds txn with
       | None -> ()
       | Some round ->
@@ -192,19 +188,19 @@ let handle_msg group t msg =
                    too, and its own pre-ack counts. *)
                 List.iter
                   (fun dst ->
-                    Group.Rchan.send t.chan ~dst (Pre_commit { gid = t.gid; txn }))
+                    Group.Rchan.send t.chan ~dst (Pre_commit { txn }))
                   round.participants
             end)
-  | Pre_commit { gid; txn } when gid = t.gid ->
+  | Pre_commit { txn } ->
       (match Hashtbl.find_opt t.states txn with
       | Some Uncertain -> Hashtbl.replace t.states txn Precommitted
       | _ -> ());
       (match Hashtbl.find_opt t.coordinator_of txn with
       | Some coordinator ->
           Group.Rchan.send t.chan ~dst:coordinator
-            (Pre_ack { gid = t.gid; txn; from = t.me })
+            (Pre_ack { txn; from = t.me })
       | None -> ())
-  | Pre_ack { gid; txn; from } when gid = t.gid -> (
+  | Pre_ack { txn; from } -> (
       match Hashtbl.find_opt t.rounds txn with
       | None -> ()
       | Some round ->
@@ -219,15 +215,14 @@ let handle_msg group t msg =
             if List.for_all (fun p -> List.mem p round.pre_acks) needed then
               set_decided group t ~txn round Commit
           end)
-  | Do_decide { gid; txn; decision } when gid = t.gid ->
+  | Do_decide { txn; decision } ->
       learn_decision t ~txn decision
-  | State_req { gid; txn; from } when gid = t.gid ->
+  | State_req { txn; from } ->
       let state =
         Option.value ~default:Uncertain (Hashtbl.find_opt t.states txn)
       in
-      Group.Rchan.send t.chan ~dst:from
-        (State_rsp { gid = t.gid; txn; from = t.me; state })
-  | State_rsp { gid; txn; from; state } when gid = t.gid -> (
+      Group.Rchan.send t.chan ~dst:from (State_rsp { txn; from = t.me; state })
+  | State_rsp { txn; from; state } -> (
       match Hashtbl.find_opt t.recovery_states txn with
       | None -> ()
       | Some collected ->
@@ -238,19 +233,17 @@ let handle_msg group t msg =
 
 let create_group net ~nodes ?fd ?rto ?passthrough
     ?(decision_timeout = Simtime.of_ms 150) ~vote ~learn () =
-  let gid = Network.fresh_id net in
   let fd_group =
     match fd with Some g -> g | None -> Group.Fd.create_group net ~members:nodes ()
   in
   let chan_group = Group.Rchan.create_group net ~nodes ?rto ?passthrough () in
   let group =
-    { g_gid = gid; handles = Hashtbl.create 8; n_commits = 0; n_aborts = 0 }
+    { handles = Hashtbl.create 8; n_commits = 0; n_aborts = 0 }
   in
   List.iter
     (fun me ->
       let t =
         {
-          gid;
           me;
           net;
           chan = Group.Rchan.handle chan_group ~me;
@@ -283,7 +276,7 @@ let start group ~coordinator ~participants ~txn ~on_complete =
   List.iter
     (fun p ->
       Group.Rchan.send t.chan ~dst:p
-        (Can_commit { gid = t.gid; txn; coordinator; participants }))
+        (Can_commit { txn; coordinator; participants }))
     participants
 
 let commits group = group.n_commits

@@ -3,10 +3,10 @@ open Sim
 type decision = Commit | Abort
 
 type Msg.t +=
-  | Prepare of { gid : int; txn : int; coordinator : int }
-  | Vote of { gid : int; txn : int; from : int; yes : bool }
-  | Decision of { gid : int; txn : int; decision : decision }
-  | Decision_req of { gid : int; txn : int; from : int }
+  | Prepare of { txn : int; coordinator : int }
+  | Vote of { txn : int; from : int; yes : bool }
+  | Decision of { txn : int; decision : decision }
+  | Decision_req of { txn : int; from : int }
 
 type round = {
   participants : int list;
@@ -17,7 +17,6 @@ type round = {
 }
 
 type t = {
-  gid : int;
   me : int;
   chan : Group.Rchan.t;
   vote : me:int -> txn:int -> bool;
@@ -30,7 +29,6 @@ type t = {
 }
 
 type group = {
-  g_gid : int;
   net : Network.t;
   chan_group : Group.Rchan.group;
   handles : (int, t) Hashtbl.t;
@@ -49,7 +47,7 @@ let decide group t ~txn round decision =
     List.iter
       (fun dst ->
         if dst <> t.me then
-          Group.Rchan.send t.chan ~dst (Decision { gid = t.gid; txn; decision }))
+          Group.Rchan.send t.chan ~dst (Decision { txn; decision }))
       round.participants;
     (* The coordinator learns synchronously, before [on_complete], so a
        caller that starts dependent work from [on_complete] sees the
@@ -64,13 +62,12 @@ let decide group t ~txn round decision =
 
 let handle_msg group t msg =
   match msg with
-  | Prepare { gid; txn; coordinator } when gid = t.gid ->
+  | Prepare { txn; coordinator } ->
       let yes = t.vote ~me:t.me ~txn in
       if yes && not (Hashtbl.mem t.learned txn) then
         Hashtbl.replace t.prepared txn coordinator;
-      Group.Rchan.send t.chan ~dst:coordinator
-        (Vote { gid = t.gid; txn; from = t.me; yes })
-  | Vote { gid; txn; from; yes } when gid = t.gid -> (
+      Group.Rchan.send t.chan ~dst:coordinator (Vote { txn; from = t.me; yes })
+  | Vote { txn; from; yes } -> (
       match Hashtbl.find_opt t.rounds txn with
       | None -> ()
       | Some round ->
@@ -82,27 +79,24 @@ let handle_msg group t msg =
               if List.length round.yes_votes = List.length round.participants
               then decide group t ~txn round Commit
             end)
-  | Decision { gid; txn; decision } when gid = t.gid ->
+  | Decision { txn; decision } ->
       if not (Hashtbl.mem t.learned txn) then begin
         Hashtbl.replace t.learned txn decision;
         Hashtbl.remove t.prepared txn;
         t.learn ~me:t.me ~txn decision
       end
-  | Decision_req { gid; txn; from } when gid = t.gid -> (
+  | Decision_req { txn; from } -> (
       match Hashtbl.find_opt t.learned txn with
       | Some decision ->
-          Group.Rchan.send t.chan ~dst:from
-            (Decision { gid = t.gid; txn; decision })
+          Group.Rchan.send t.chan ~dst:from (Decision { txn; decision })
       | None -> () (* still undecided here; the participant keeps asking *))
   | _ -> ()
 
 let create_group net ~nodes ?rto ?passthrough ?participant_timeout ~vote ~learn
     () =
-  let gid = Network.fresh_id net in
   let chan_group = Group.Rchan.create_group net ~nodes ?rto ?passthrough () in
   let group =
     {
-      g_gid = gid;
       net;
       chan_group;
       handles = Hashtbl.create 8;
@@ -115,7 +109,6 @@ let create_group net ~nodes ?rto ?passthrough ?participant_timeout ~vote ~learn
     (fun me ->
       let t =
         {
-          gid;
           me;
           chan = Group.Rchan.handle chan_group ~me;
           vote;
@@ -150,7 +143,7 @@ let create_group net ~nodes ?rto ?passthrough ?participant_timeout ~vote ~learn
                     Hashtbl.iter
                       (fun txn coordinator ->
                         Group.Rchan.send t.chan ~dst:coordinator
-                          (Decision_req { gid; txn; from = me }))
+                          (Decision_req { txn; from = me }))
                       t.prepared))))
         participant_timeout;
       Hashtbl.replace group.handles me t)
@@ -177,7 +170,7 @@ let start group ~coordinator ~participants ~txn ~on_complete =
   Hashtbl.replace t.rounds txn round;
   List.iter
     (fun dst ->
-      Group.Rchan.send t.chan ~dst (Prepare { gid = t.gid; txn; coordinator }))
+      Group.Rchan.send t.chan ~dst (Prepare { txn; coordinator }))
     participants
 
 let commits group = group.n_commits

@@ -3,9 +3,9 @@ open Sim
 type id = int * int (* origin node, per-origin sequence number *)
 
 type Msg.t +=
-  | Inject of { gid : int; id : id; payload : Msg.t }
-  | Progress of { gid : int; next_inst : int; from : int }
-  | Catchup of { gid : int; instance : int; batch : (id * Msg.t) list }
+  | Inject of { id : id; payload : Msg.t }
+  | Progress of { next_inst : int; from : int }
+  | Catchup of { instance : int; batch : (id * Msg.t) list }
 
 let () =
   Msg.register_printer (function
@@ -21,7 +21,6 @@ end
 module C = Consensus.Make (Batch)
 
 type t = {
-  gid : int;
   me : int;
   chan : Rchan.t;
   members : int list;
@@ -40,7 +39,6 @@ type t = {
 }
 
 type group = {
-  g_gid : int;
   g_members : int list;
   chan_group : Rchan.group;
   handles : (int, t) Hashtbl.t;
@@ -92,7 +90,7 @@ let inject t id payload =
 let broadcast t msg =
   let id = (t.me, t.next_send) in
   t.next_send <- t.next_send + 1;
-  Rchan.mcast t.chan ~dsts:t.members (Inject { gid = t.gid; id; payload = msg })
+  Rchan.mcast t.chan ~dsts:t.members (Inject { id; payload = msg })
 
 let broadcast_from group ~src msg =
   let seq_ref =
@@ -106,8 +104,7 @@ let broadcast_from group ~src msg =
   let id = (src, !seq_ref) in
   incr seq_ref;
   let chan = Rchan.handle group.chan_group ~me:src in
-  Rchan.mcast chan ~dsts:group.g_members
-    (Inject { gid = group.g_gid; id; payload = msg })
+  Rchan.mcast chan ~dsts:group.g_members (Inject { id; payload = msg })
 
 let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let on_opt_deliver t f = t.opt_deliver_cbs <- t.opt_deliver_cbs @ [ f ]
@@ -115,7 +112,6 @@ let delivered t = List.rev t.delivered_rev
 let opt_delivered t = List.rev t.opt_delivered_rev
 
 let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough () =
-  let gid = Network.fresh_id net in
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in
@@ -130,7 +126,6 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough () =
     (fun me ->
       let t =
         {
-          gid;
           me;
           chan = Rchan.handle chan_group ~me;
           members;
@@ -157,8 +152,8 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough () =
       Rchan.on_deliver t.chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Inject { gid = g; id; payload } when g = gid -> inject t id payload
-          | Progress { gid = g; next_inst; from } when g = gid ->
+          | Inject { id; payload } -> inject t id payload
+          | Progress { next_inst; from } ->
               (* A member that lags behind us missed decided instances
                  (e.g. it was partitioned past the retransmission budget):
                  replay the decisions it needs. *)
@@ -166,11 +161,10 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough () =
                 for instance = next_inst to min (t.next_inst - 1) (next_inst + 9) do
                   match Hashtbl.find_opt t.decided_log instance with
                   | Some batch ->
-                      Rchan.send t.chan ~dst:from
-                        (Catchup { gid = t.gid; instance; batch })
+                      Rchan.send t.chan ~dst:from (Catchup { instance; batch })
                   | None -> ()
                 done
-          | Catchup { gid = g; instance; batch } when g = gid ->
+          | Catchup { instance; batch } ->
               if instance >= t.next_inst
                  && not (Hashtbl.mem t.decided_ahead instance)
               then begin
@@ -186,9 +180,9 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough () =
         (Engine.periodic (Network.engine net) ~label:"abcast:poll" ~every:(Simtime.of_ms 100)
            (Network.guard net me (fun () ->
                 Rchan.mcast t.chan ~dsts:t.members
-                  (Progress { gid = t.gid; next_inst = t.next_inst; from = t.me }))));
+                  (Progress { next_inst = t.next_inst; from = t.me }))));
       Hashtbl.replace handles me t)
     members;
-  { g_gid = gid; g_members = members; chan_group; handles; client_seq = Hashtbl.create 8 }
+  { g_members = members; chan_group; handles; client_seq = Hashtbl.create 8 }
 
 let handle group ~me = Hashtbl.find group.handles me

@@ -5,11 +5,11 @@ module Iset = Set.Make (Int)
 type id = int * int (* origin node, per-origin seq; origin -1 = no-op filler *)
 
 type Msg.t +=
-  | Inject of { gid : int; id : id; payload : Msg.t }
-  | Order of { gid : int; epoch : int; seq : int; ids : id list }
-  | Fetch of { gid : int; id : id }
-  | Fetch_reply of { gid : int; id : id; payload : Msg.t }
-  | Order_ack of { gid : int; seq : int; ids : id list; from : int }
+  | Inject of { id : id; payload : Msg.t }
+  | Order of { epoch : int; seq : int; ids : id list }
+  | Fetch of { id : id }
+  | Fetch_reply of { id : id; payload : Msg.t }
+  | Order_ack of { seq : int; ids : id list; from : int }
 
 let () =
   Msg.register_printer (function
@@ -20,7 +20,6 @@ let () =
     | _ -> None)
 
 type t = {
-  gid : int;
   me : int;
   net : Network.t;
   members : int list;
@@ -49,7 +48,6 @@ type t = {
 }
 
 type group = {
-  g_gid : int;
   g_members : int list;
   chan_group : Rchan.group;
   handles : (int, t) Hashtbl.t;
@@ -145,14 +143,14 @@ let rec try_deliver t =
           (* Stable slot but a payload missing: ask the group. *)
           List.iter
             (fun id ->
-              if not (payload_ready id) then mcast t (Fetch { gid = t.gid; id }))
+              if not (payload_ready id) then mcast t (Fetch { id }))
             ids
       end
 
 let assign t ids =
   let seq = t.next_order in
   t.next_order <- t.next_order + 1;
-  mcast t (Order { gid = t.gid; epoch = t.epoch; seq; ids })
+  mcast t (Order { epoch = t.epoch; seq; ids })
 
 (* Batched ordering: instead of assigning each injected message its own
    slot (one Order + one all-to-all ack wave per request), the leader
@@ -188,11 +186,10 @@ let takeover t =
   let max_seq = Hashtbl.fold (fun seq _ acc -> max seq acc) t.slots (-1) in
   for seq = 0 to max_seq do
     match Hashtbl.find_opt t.slots seq with
-    | Some (ids, _) -> mcast t (Order { gid = t.gid; epoch = t.epoch; seq; ids })
+    | Some (ids, _) -> mcast t (Order { epoch = t.epoch; seq; ids })
     | None ->
         t.noop_seq <- t.noop_seq + 1;
-        mcast t
-          (Order { gid = t.gid; epoch = t.epoch; seq; ids = [ (-1, t.noop_seq) ] })
+        mcast t (Order { epoch = t.epoch; seq; ids = [ (-1, t.noop_seq) ] })
   done;
   t.next_order <- max_seq + 1;
   Hashtbl.iter (fun id () -> if not (slotted t id) then assign t [ id ]) t.pending
@@ -208,8 +205,7 @@ let adopt_epoch t e =
         (fun id () ->
           match Hashtbl.find_opt t.known id with
           | Some payload ->
-              Rchan.send t.chan ~dst:(leader t)
-                (Inject { gid = t.gid; id; payload })
+              Rchan.send t.chan ~dst:(leader t) (Inject { id; payload })
           | None -> ())
         t.pending
   end
@@ -248,11 +244,11 @@ let anti_entropy t =
           in
           if missing then begin
             incr resent;
-            mcast t (Order { gid = t.gid; epoch; seq = !s; ids });
+            mcast t (Order { epoch; seq = !s; ids });
             List.iter
               (fun id ->
                 match Hashtbl.find_opt t.known id with
-                | Some payload -> mcast t (Inject { gid = t.gid; id; payload })
+                | Some payload -> mcast t (Inject { id; payload })
                 | None -> ())
               ids
           end
@@ -287,12 +283,12 @@ let inject t id payload =
 let broadcast t msg =
   let id = (t.me, t.next_send) in
   t.next_send <- t.next_send + 1;
-  Rchan.mcast t.chan ~dsts:t.members (Inject { gid = t.gid; id; payload = msg })
+  Rchan.mcast t.chan ~dsts:t.members (Inject { id; payload = msg })
 
 let handle_msg t msg =
   match msg with
-  | Inject { gid; id; payload } when gid = t.gid -> inject t id payload
-  | Order { gid; epoch; seq; ids } when gid = t.gid ->
+  | Inject { id; payload } -> inject t id payload
+  | Order { epoch; seq; ids } ->
       if epoch >= t.epoch then begin
         adopt_epoch t epoch;
         if seq >= t.next_deliver then begin
@@ -315,7 +311,7 @@ let handle_msg t msg =
           in
           if accept then begin
             set_slot t seq ids epoch;
-            mcast t (Order_ack { gid = t.gid; seq; ids; from = t.me })
+            mcast t (Order_ack { seq; ids; from = t.me })
           end
         end
         else begin
@@ -325,23 +321,23 @@ let handle_msg t msg =
              stabilised has long stopped talking about it. *)
           match Hashtbl.find_opt t.slots seq with
           | Some (sids, _) when sids = ids ->
-              mcast t (Order_ack { gid = t.gid; seq; ids; from = t.me })
+              mcast t (Order_ack { seq; ids; from = t.me })
           | _ -> ()
         end;
         try_deliver t
       end
-  | Order_ack { gid; seq; ids; from } when gid = t.gid ->
+  | Order_ack { seq; ids; from } ->
       let s = ack_set t seq ids in
       s := Iset.add from !s;
       try_deliver t
-  | Fetch { gid; id } when gid = t.gid -> (
+  | Fetch { id } -> (
       match Hashtbl.find_opt t.known id with
       | Some payload ->
           (* Reply point-to-point is impossible without the requester id in
              the message; broadcast the payload instead (idempotent). *)
-          mcast t (Fetch_reply { gid = t.gid; id; payload })
+          mcast t (Fetch_reply { id; payload })
       | None -> ())
-  | Fetch_reply { gid; id; payload } when gid = t.gid ->
+  | Fetch_reply { id; payload } ->
       if not (Hashtbl.mem t.known id) then Hashtbl.replace t.known id payload;
       try_deliver t
   | _ -> ()
@@ -358,12 +354,10 @@ let broadcast_from group ~src msg =
   let id = (src, !seq_ref) in
   incr seq_ref;
   let chan = Rchan.handle group.chan_group ~me:src in
-  Rchan.mcast chan ~dsts:group.g_members
-    (Inject { gid = group.g_gid; id; payload = msg })
+  Rchan.mcast chan ~dsts:group.g_members (Inject { id; payload = msg })
 
 let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
     ?(batch_window = Simtime.zero) () =
-  let gid = Network.fresh_id net in
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in
@@ -375,7 +369,6 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
     (fun me ->
       let t =
         {
-          gid;
           me;
           net;
           members;
@@ -420,6 +413,6 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
            (Network.guard net me (fun () -> poll t)));
       Hashtbl.replace handles me t)
     members;
-  { g_gid = gid; g_members = members; chan_group; handles; client_seq = Hashtbl.create 8 }
+  { g_members = members; chan_group; handles; client_seq = Hashtbl.create 8 }
 
 let handle group ~me = Hashtbl.find group.handles me

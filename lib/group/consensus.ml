@@ -7,11 +7,11 @@ module Make (V : sig
 end) =
 struct
   type Msg.t +=
-    | Est of { gid : int; inst : int; round : int; est : V.t option; ts : int; from : int }
-    | Proposal of { gid : int; inst : int; round : int; v : V.t }
-    | Reply of { gid : int; inst : int; round : int; from : int; ok : bool }
-    | Abort of { gid : int; inst : int; round : int }
-    | Decide of { gid : int; inst : int; v : V.t }
+    | Est of { inst : int; round : int; est : V.t option; ts : int; from : int }
+    | Proposal of { inst : int; round : int; v : V.t }
+    | Reply of { inst : int; round : int; from : int; ok : bool }
+    | Abort of { inst : int; round : int }
+    | Decide of { inst : int; v : V.t }
 
   (* Disambiguate from other layers' like-named constructors (the client
      reply in Protocols.Common is also "Reply"). *)
@@ -39,7 +39,6 @@ struct
 
   type t = {
     net : Network.t;
-    gid : int;
     me : int;
     members : int array;
     majority : int;
@@ -97,7 +96,7 @@ struct
       inst.decided <- Some v;
       (* Relay so a coordinator crash mid-multicast cannot leave survivors
          undecided. *)
-      mcast_members t (Decide { gid = t.gid; inst = inst.id; v });
+      mcast_members t (Decide { inst = inst.id; v });
       List.iter (fun f -> f ~instance:inst.id v) t.decide_cbs
     end
 
@@ -126,7 +125,7 @@ struct
         | None -> () (* nobody proposed anything yet; wait *)
         | Some (v, _) ->
             Hashtbl.replace inst.proposals round v;
-            mcast_members t (Proposal { gid = t.gid; inst = inst.id; round; v })
+            mcast_members t (Proposal { inst = inst.id; round; v })
       end
     end
 
@@ -142,7 +141,6 @@ struct
       Rchan.send t.chan ~dst
         (Est
            {
-             gid = t.gid;
              inst = inst.id;
              round = inst.round;
              est = inst.est;
@@ -190,13 +188,13 @@ struct
 
   let handle_msg t msg =
     match msg with
-    | Est { gid; inst = id; round; est; ts; from } when gid = t.gid ->
+    | Est { inst = id; round; est; ts; from } ->
         let inst = get_inst t id in
         (* A participant asking about an already-decided instance is a
            recovering process: tell it the outcome. *)
         (match inst.decided with
         | Some v ->
-            Rchan.send t.chan ~dst:from (Decide { gid = t.gid; inst = id; v })
+            Rchan.send t.chan ~dst:from (Decide { inst = id; v })
         | None -> ());
         if inst.decided = None then begin
           if inst.round < 0 then inst.round <- 0;
@@ -209,20 +207,20 @@ struct
           end;
           try_propose t inst round
         end
-    | Proposal { gid; inst = id; round; v } when gid = t.gid ->
+    | Proposal { inst = id; round; v } ->
         let inst = get_inst t id in
         if inst.decided = None && round >= inst.round then begin
           inst.round <- round;
           inst.est <- Some v;
           inst.ts <- round;
           Rchan.send t.chan ~dst:(coord t round)
-            (Reply { gid = t.gid; inst = id; round; from = t.me; ok = true })
+            (Reply { inst = id; round; from = t.me; ok = true })
         end
         else if inst.decided = None then
           (* Stale proposal: tell the old coordinator to give up. *)
           Rchan.send t.chan ~dst:(coord t round)
-            (Reply { gid = t.gid; inst = id; round; from = t.me; ok = false })
-    | Reply { gid; inst = id; round; from; ok } when gid = t.gid ->
+            (Reply { inst = id; round; from = t.me; ok = false })
+    | Reply { inst = id; round; from; ok } ->
         let inst = get_inst t id in
         if inst.decided = None && coord t round = t.me then begin
           let acks, nacks = round_replies inst round in
@@ -236,25 +234,24 @@ struct
             && not (Iset.mem round inst.aborted)
           then begin
             inst.aborted <- Iset.add round inst.aborted;
-            mcast_members t (Abort { gid = t.gid; inst = id; round })
+            mcast_members t (Abort { inst = id; round })
           end
         end
-    | Abort { gid; inst = id; round } when gid = t.gid ->
+    | Abort { inst = id; round } ->
         let inst = get_inst t id in
         if inst.decided = None && inst.round = round then
           start_round t inst (round + 1)
-    | Decide { gid; inst = id; v } when gid = t.gid ->
+    | Decide { inst = id; v } ->
         let inst = get_inst t id in
         if inst.decided = None then begin
           inst.decided <- Some v;
-          mcast_members t (Decide { gid = t.gid; inst = id; v });
+          mcast_members t (Decide { inst = id; v });
           List.iter (fun f -> f ~instance:id v) t.decide_cbs
         end
     | _ -> ()
 
   let create_group net ~members ~fd ?rto ?(poll_every = Simtime.of_ms 25)
       ?passthrough () =
-    let gid = Network.fresh_id net in
     let chan_group = Rchan.create_group net ~nodes:members ?rto ?passthrough () in
     let handles = Hashtbl.create 8 in
     let n = List.length members in
@@ -263,7 +260,6 @@ struct
         let t =
           {
             net;
-            gid;
             me;
             members = Array.of_list members;
             majority = (n / 2) + 1;

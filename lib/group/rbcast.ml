@@ -1,6 +1,6 @@
 open Sim
 
-type Msg.t += Rb of { gid : int; origin : int; seq : int; payload : Msg.t }
+type Msg.t += Rb of { origin : int; seq : int; payload : Msg.t }
 
 let () =
   Msg.register_printer (function
@@ -8,7 +8,6 @@ let () =
     | _ -> None)
 
 type t = {
-  gid : int;
   me : int;
   others : int list; (* the members but [me]: relay destinations *)
   chan : Rchan.t;
@@ -23,8 +22,7 @@ let deliver_local t ~origin ~seq payload =
   if Dedup.fresh t.seen ~origin ~seq then begin
     (* Relay before delivering: if this member crashes mid-protocol the
        relayed copies preserve agreement among the survivors. *)
-    Rchan.mcast t.chan ~dsts:t.others
-      (Rb { gid = t.gid; origin; seq; payload });
+    Rchan.mcast t.chan ~dsts:t.others (Rb { origin; seq; payload });
     List.iter (fun f -> f ~origin payload) t.deliver_cbs
   end
 
@@ -37,7 +35,6 @@ let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let last_seq t = t.next_seq - 1
 
 let create_group net ~members ?rto ?passthrough () =
-  let gid = Network.fresh_id net in
   let chan_group = Rchan.create_group net ~nodes:members ?rto ?passthrough () in
   let handles = Hashtbl.create 8 in
   List.iter
@@ -45,7 +42,6 @@ let create_group net ~members ?rto ?passthrough () =
       let chan = Rchan.handle chan_group ~me in
       let t =
         {
-          gid;
           me;
           others = List.filter (fun p -> p <> me) members;
           chan;
@@ -65,8 +61,7 @@ let create_group net ~members ?rto ?passthrough () =
       Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Rb { gid = g; origin; seq; payload } when g = gid ->
-              deliver_local t ~origin ~seq payload
+          | Rb { origin; seq; payload } -> deliver_local t ~origin ~seq payload
           | _ -> ());
       Hashtbl.replace handles me t)
     members;

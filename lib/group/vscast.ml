@@ -11,10 +11,10 @@ end
 module C = Consensus.Make (Flush)
 
 type Msg.t +=
-  | Vs_msg of { gid : int; view : int; origin : int; vseq : int; payload : Msg.t }
-  | Vs_ack of { gid : int; view : int; origin : int; vseq : int; from : int }
-  | Join_req of { gid : int; joiner : int }
-  | View_probe of { gid : int; view_id : int }
+  | Vs_msg of { view : int; origin : int; vseq : int; payload : Msg.t }
+  | Vs_ack of { view : int; origin : int; vseq : int; from : int }
+  | Join_req of { joiner : int }
+  | View_probe of { view_id : int }
 
 let () =
   Msg.register_printer (function
@@ -22,7 +22,6 @@ let () =
     | _ -> None)
 
 type t = {
-  gid : int;
   me : int;
   net : Network.t;
   fd : Fd.t;
@@ -103,7 +102,6 @@ let send_vmsg t m =
   mcast_view t
     (Vs_msg
        {
-         gid = t.gid;
          view = t.view.id;
          origin = m.origin;
          vseq = m.vseq;
@@ -197,7 +195,7 @@ let rec install t (flush : Flush.t) =
       t.view_log <- m :: t.view_log;
       mcast_view t
         (Vs_ack
-           { gid = t.gid; view = t.view.id; origin = m.origin; vseq = m.vseq; from = t.me }))
+           { view = t.view.id; origin = m.origin; vseq = m.vseq; from = t.me }))
     ready;
   try_deliver t;
   (* Cascade: members that crashed during the flush still need removing. *)
@@ -254,9 +252,9 @@ and apply_pending_views t =
 
 let rec handle_msg t msg =
   (match msg with
-  | Join_req { gid; joiner } when gid = t.gid ->
+  | Join_req { joiner } ->
       if joiner <> t.me then t.pending_joins <- Iset.add joiner t.pending_joins
-  | View_probe { gid; view_id } when gid = t.gid ->
+  | View_probe { view_id } ->
       (* Someone installed a view we never saw: we were cut off past the
          retransmission budget (crash or partition). Ask to be readmitted;
          harmless if we are merely lagging a decision in flight. *)
@@ -264,7 +262,7 @@ let rec handle_msg t msg =
   | _ -> ());
   if not t.excluded then
     match msg with
-    | Vs_msg { gid; view; origin; vseq; payload } when gid = t.gid ->
+    | Vs_msg { view; origin; vseq; payload } ->
         let m = { origin; vseq; payload } in
         if view = t.view.id then begin
           if
@@ -273,13 +271,12 @@ let rec handle_msg t msg =
           then begin
             Hashtbl.replace t.buffered (origin, vseq) m;
             t.view_log <- m :: t.view_log;
-            mcast_view t
-              (Vs_ack { gid = t.gid; view; origin; vseq; from = t.me })
+            mcast_view t (Vs_ack { view; origin; vseq; from = t.me })
           end;
           try_deliver t
         end
         else if view > t.view.id then t.future <- (view, m) :: t.future
-    | Vs_ack { gid; view; origin; vseq; from } when gid = t.gid ->
+    | Vs_ack { view; origin; vseq; from } ->
         if view = t.view.id then begin
           let s = ack_set t (origin, vseq) in
           s := Iset.add from !s;
@@ -295,7 +292,7 @@ and request_join t =
   List.iter
     (fun dst ->
       if dst <> t.me then
-        Rchan.send t.chan ~dst (Join_req { gid = t.gid; joiner = t.me }))
+        Rchan.send t.chan ~dst (Join_req { joiner = t.me }))
     t.all_members;
   apply_pending_views t
 
@@ -307,7 +304,7 @@ let poll t =
     List.iter
       (fun dst ->
         if dst <> t.me then
-          Rchan.send t.chan ~dst (View_probe { gid = t.gid; view_id = t.view.id }))
+          Rchan.send t.chan ~dst (View_probe { view_id = t.view.id }))
       t.all_members;
   if t.joining then request_join t
   else if in_view t then begin
@@ -323,7 +320,6 @@ let poll t =
   end
 
 let create_group net ~members ?fd ?rto ?passthrough () =
-  let gid = Network.fresh_id net in
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in
@@ -336,7 +332,6 @@ let create_group net ~members ?fd ?rto ?passthrough () =
     (fun me ->
       let t =
         {
-          gid;
           me;
           net;
           fd = Fd.handle fd_group ~me;

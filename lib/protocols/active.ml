@@ -2,12 +2,11 @@ open Sim
 
 type Msg.t +=
   | Req of {
-      cid : int;
       client : int;
       request : Store.Operation.request;
       reply_from : int option; (* None: every replica answers *)
     }
-  | Local_read of { cid : int; client : int; request : Store.Operation.request }
+  | Local_read of { client : int; request : Store.Operation.request }
 
 type config = {
   abcast_impl : Group.Abcast.impl;
@@ -68,8 +67,8 @@ let info =
     section = "3.2";
   }
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~clients
       ~impl:config.abcast_impl ~passthrough:config.passthrough
@@ -85,8 +84,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Abcast.on_deliver h (fun ~origin msg ->
           ignore origin;
           match msg with
-          | Req { cid; client; request; reply_from } when cid = ctx.Common.cid
-            ->
+          | Req { client; request; reply_from } ->
               let rid = request.Store.Operation.rid in
               Common.phase_begin ctx ~rid ~replica:r
                 ~note:"deterministic execution in delivery order"
@@ -108,7 +106,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Local_read { cid; client; request } when cid = ctx.Common.cid ->
+          | Local_read { client; request } ->
               let rid = request.Store.Operation.rid in
               Common.count ctx
                 ~labels:[ ("replica", string_of_int r) ]
@@ -134,7 +132,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.send
         (Group.Rchan.handle chan_group ~me:client)
         ~dst:(local_replica_of client)
-        (Local_read { cid = ctx.Common.cid; client; request })
+        (Local_read { client; request })
     else begin
       Common.phase_begin ctx ~rid:request.Store.Operation.rid
         ~note:"atomic broadcast to the group (merged with RE)"
@@ -143,7 +141,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
         if config.local_reads then Some (local_replica_of client) else None
       in
       Group.Abcast.broadcast_from ab ~src:client
-        (Req { cid = ctx.Common.cid; client; request; reply_from })
+        (Req { client; request; reply_from })
     end
   in
   Common.instance ctx ~info ~submit

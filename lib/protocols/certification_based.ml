@@ -1,9 +1,8 @@
 open Sim
 
 type Msg.t +=
-  | Creq of { cid : int; client : int; request : Store.Operation.request }
+  | Creq of { client : int; request : Store.Operation.request }
   | Certify of {
-      cid : int;
       rid : int;
       client : int;
       delegate : int;
@@ -95,8 +94,8 @@ let aborts (inst : Core.Technique.instance) =
   Common.sum_replica_counter inst "certification_aborts_total"
     (List.map List.hd inst.Core.Technique.groups)
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~impl:config.abcast_impl
       ~passthrough:config.passthrough ~batch_window:config.batch_window ()
@@ -123,7 +122,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       if config.optimistic && Simtime.(config.certify_time > Simtime.zero) then
         Group.Abcast.on_opt_deliver h (fun ~origin:_ msg ->
             match msg with
-            | Certify { cid; rid; _ } when cid = ctx.Common.cid ->
+            | Certify { rid; _ } ->
                 if not (Hashtbl.mem prechecks rid) then begin
                   let start = Simtime.max (Engine.now engine) !busy_until in
                   let finish = Simtime.add start config.certify_time in
@@ -134,8 +133,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Abcast.on_deliver h (fun ~origin msg ->
           ignore origin;
           match msg with
-          | Certify { cid; rid; client; delegate; reads; writes; value }
-            when cid = ctx.Common.cid ->
+          | Certify { rid; client; delegate; reads; writes; value } ->
               Common.phase_begin ctx ~rid ~replica:r
                 ~note:"deterministic certification in delivery order"
                 Core.Phase.Agreement_coordination;
@@ -196,7 +194,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Creq { cid; client; request } when cid = ctx.Common.cid -> (
+          | Creq { client; request } -> (
               let rid = request.Store.Operation.rid in
               match Hashtbl.find_opt cache rid with
               | Some (committed, value) ->
@@ -221,7 +219,6 @@ let create net ~replicas ~clients ?(config = default_config) () =
                   Group.Abcast.broadcast h
                     (Certify
                        {
-                         cid = ctx.Common.cid;
                          rid;
                          client;
                          delegate = r;
@@ -245,7 +242,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.send
         (Group.Rchan.handle chan_group ~me:client)
         ~dst
-        (Creq { cid = ctx.Common.cid; client; request })
+        (Creq { client; request })
     in
     send ~dst:(preferred ());
     Common.retry_until_replied ctx ~rid ~timeout:config.client_retry

@@ -72,16 +72,6 @@ let fresh_shared () =
     s_history = Store.History.create ();
   }
 
-let ambient_shared : shared option ref = ref None
-
-(** [with_shared s f] — every {!make} during [f] adopts [s]'s phase
-    recorder, metrics and history instead of creating its own
-    (each context still gets a fresh cid, stores and reply routing). *)
-let with_shared s f =
-  let saved = !ambient_shared in
-  ambient_shared := Some s;
-  Fun.protect ~finally:(fun () -> ambient_shared := saved) f
-
 let now ctx = Engine.now (Network.engine ctx.net)
 let store ctx replica = Hashtbl.find ctx.stores replica
 
@@ -118,11 +108,14 @@ let sum_replica_counter (inst : Core.Technique.instance) name rs =
 
 (** Create the context and install the client-side handler that resolves
     replies: the first reply for a request wins (paper §3.2: "the client
-    typically only waits for the first answer"). *)
-let make net ~replicas ~clients =
+    typically only waits for the first answer"). With [shared], the
+    context reports into [shared]'s phase recorder, metrics and history
+    instead of fresh ones (it still gets its own cid, stores and reply
+    routing). *)
+let make ?shared net ~replicas ~clients =
   let cid = Network.fresh_id net in
   let shared =
-    match !ambient_shared with Some s -> s | None -> fresh_shared ()
+    match shared with Some s -> s | None -> fresh_shared ()
   in
   let ctx =
     {

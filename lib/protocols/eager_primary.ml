@@ -1,17 +1,15 @@
 open Sim
 
 type Msg.t +=
-  | Ereq of { cid : int; client : int; request : Store.Operation.request }
+  | Ereq of { client : int; request : Store.Operation.request }
   | Propagate of {
-      cid : int;
       rid : int;
       writes : (Store.Operation.key * int * int) list;
       final : bool; (* last batch of the transaction *)
     }
-  | Propagate_ack of { cid : int; rid : int; from : int }
-  | Sync_req of { cid : int; from : int }
+  | Propagate_ack of { rid : int; from : int }
+  | Sync_req of { from : int }
   | Sync_state of {
-      cid : int;
       entries : (Store.Operation.key * (int * int)) list;
       cache_entries : (int * (bool * int option)) list;
     }
@@ -119,8 +117,8 @@ type replica_state = {
   mutable synced : bool; (* false between recovery and state transfer *)
 }
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let fifo_group =
     Group.Fifo.create_group net ~members:replicas ~passthrough:config.passthrough ()
   in
@@ -261,8 +259,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
         in
         st_buf := !st_buf @ fresh;
         let fifo = Group.Fifo.handle fifo_group ~me:r in
-        Group.Fifo.broadcast fifo
-          (Propagate { cid = ctx.Common.cid; rid; writes = fresh; final });
+        Group.Fifo.broadcast fifo (Propagate { rid; writes = fresh; final });
         check_acks r rid ~final
   and check_acks r rid ~final =
     let st = state r in
@@ -360,13 +357,12 @@ let create net ~replicas ~clients ?(config = default_config) () =
                 st.synced <- false;
                 Common.count ctx "state_transfers_total";
                 let chan = Group.Rchan.handle chan_group ~me:r in
-                Group.Rchan.send chan ~dst:peer
-                  (Sync_req { cid = ctx.Common.cid; from = r })
+                Group.Rchan.send chan ~dst:peer (Sync_req { from = r })
           end);
       let fifo = Group.Fifo.handle fifo_group ~me:r in
       Group.Fifo.on_deliver fifo (fun ~origin msg ->
           match msg with
-          | Propagate { cid; rid; writes; final } when cid = ctx.Common.cid ->
+          | Propagate { rid; writes; final } ->
               if origin <> r then begin
                 Common.phase_begin ctx ~rid ~replica:r ~note:"secondary applies log records"
                   Core.Phase.Agreement_coordination;
@@ -381,7 +377,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                 buf := !buf @ writes;
                 let chan = Group.Rchan.handle chan_group ~me:r in
                 Group.Rchan.send chan ~dst:origin
-                  (Propagate_ack { cid = ctx.Common.cid; rid; from = r });
+                  (Propagate_ack { rid; from = r });
                 ignore final
               end
           | _ -> ());
@@ -389,7 +385,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Sync_req { cid; from } when cid = ctx.Common.cid && st.synced ->
+          | Sync_req { from } when st.synced ->
               (* Defer the snapshot while this copy is in-doubt in a 2PC —
                  a snapshot taken then would omit decided-but-unapplied
                  writes the joiner can never recover. *)
@@ -406,12 +402,11 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     Hashtbl.fold (fun rid v acc -> (rid, v) :: acc) st.cache []
                   in
                   Group.Rchan.send chan ~dst:from
-                    (Sync_state { cid = ctx.Common.cid; entries; cache_entries })
+                    (Sync_state { entries; cache_entries })
                 end
               in
               answer ()
-          | Sync_state { cid; entries; cache_entries }
-            when cid = ctx.Common.cid ->
+          | Sync_state { entries; cache_entries } ->
               if not st.synced then begin
                 List.iter
                   (fun (k, (value, version)) ->
@@ -426,7 +421,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
               end
           | _ when not st.synced ->
               () (* no client service until the transfer lands *)
-          | Ereq { cid; client; request } when cid = ctx.Common.cid -> (
+          | Ereq { client; request } -> (
               let rid = request.Store.Operation.rid in
               match Hashtbl.find_opt st.cache rid with
               | Some (committed, value) ->
@@ -459,7 +454,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     st.run_queue <- st.run_queue @ [ (rid, client, request) ];
                     launch_next r
                   end)
-          | Propagate_ack { cid; rid; from } when cid = ctx.Common.cid -> (
+          | Propagate_ack { rid; from } -> (
               match Hashtbl.find_opt st.active rid with
               | None -> ()
               | Some txn ->
@@ -482,7 +477,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       else Common.lowest_alive ctx
     in
     let send ~dst =
-      Group.Rchan.send chan ~dst (Ereq { cid = ctx.Common.cid; client; request })
+      Group.Rchan.send chan ~dst (Ereq { client; request })
     in
     send ~dst:(preferred ());
     Common.retry_until_replied ctx ~rid ~timeout:config.client_retry

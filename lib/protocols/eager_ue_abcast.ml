@@ -1,9 +1,8 @@
 open Sim
 
 type Msg.t +=
-  | Areq of { cid : int; client : int; request : Store.Operation.request }
+  | Areq of { client : int; request : Store.Operation.request }
   | Ordered of {
-      cid : int;
       client : int;
       delegate : int;
       ops : Store.Operation.op list; (* non-determinism resolved *)
@@ -61,8 +60,8 @@ let info =
     section = "4.4.2";
   }
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~impl:config.abcast_impl
       ~passthrough:config.passthrough ~batch_window:config.batch_window ()
@@ -82,8 +81,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Abcast.on_deliver h (fun ~origin msg ->
           ignore origin;
           match msg with
-          | Ordered { cid; client; delegate; ops; rid } when cid = ctx.Common.cid
-            ->
+          | Ordered { client; delegate; ops; rid } ->
               if not (Hashtbl.mem cache rid) then begin
                 Common.phase_begin ctx ~rid ~replica:r
                   ~note:"execution in ABCAST delivery order" Core.Phase.Execution;
@@ -102,7 +100,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Areq { cid; client; request } when cid = ctx.Common.cid -> (
+          | Areq { client; request } -> (
               let rid = request.Store.Operation.rid in
               match Hashtbl.find_opt cache rid with
               | Some (committed, value) ->
@@ -129,7 +127,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                         request.Store.Operation.ops
                     in
                     Group.Abcast.broadcast h
-                      (Ordered { cid = ctx.Common.cid; client; delegate = r; ops; rid })
+                      (Ordered { client; delegate = r; ops; rid })
                   end)
           | _ -> ()))
     replicas;
@@ -147,7 +145,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.send
         (Group.Rchan.handle chan_group ~me:client)
         ~dst
-        (Areq { cid = ctx.Common.cid; client; request })
+        (Areq { client; request })
     in
     send ~dst:(preferred ());
     Common.retry_until_replied ctx ~rid ~timeout:config.client_retry

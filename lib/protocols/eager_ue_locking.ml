@@ -1,16 +1,14 @@
 open Sim
 
 type Msg.t +=
-  | Lreq of { cid : int; client : int; request : Store.Operation.request }
+  | Lreq of { client : int; request : Store.Operation.request }
   | Lock_req of {
-      cid : int;
       rid : int;
       op_index : int;
       keys : (Store.Operation.key * Store.Lock_table.mode) list;
       delegate : int;
     }
   | Lock_grant of {
-      cid : int;
       rid : int;
       op_index : int;
       from : int;
@@ -18,28 +16,25 @@ type Msg.t +=
           (* current (value, version) of the locked items at [from] —
              quorum mode reads the freshest copy among the grants *)
     }
-  | Lock_refuse of { cid : int; rid : int; from : int }
+  | Lock_refuse of { rid : int; from : int }
   | Exec of {
-      cid : int;
       rid : int;
       op_index : int;
       op : Store.Operation.op;
       delegate : int;
     }
-  | Exec_ack of { cid : int; rid : int; op_index : int; from : int }
+  | Exec_ack of { rid : int; op_index : int; from : int }
   | Complete of {
-      cid : int;
       rid : int;
       delegate : int;
       writes : (Store.Operation.key * int * int) list;
           (* quorum mode ships the delegate-computed writeset; empty when
              every site executed the operations itself *)
     }
-  | Complete_ack of { cid : int; rid : int; from : int }
-  | Txn_abort of { cid : int; rid : int }
-  | Sync_req of { cid : int; from : int }
+  | Complete_ack of { rid : int; from : int }
+  | Txn_abort of { rid : int }
+  | Sync_req of { from : int }
   | Sync_state of {
-      cid : int;
       entries : (Store.Operation.key * (int * int)) list;
       cache_entries : (int * (bool * int option)) list;
     }
@@ -166,8 +161,8 @@ type replica_state = {
   mutable synced : bool; (* false between recovery and state transfer *)
 }
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let fd_group = Group.Fd.create_group net ~members:replicas () in
   let chan_group =
     Group.Rchan.create_group net ~nodes:(replicas @ clients)
@@ -235,7 +230,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
         Common.count ctx "lock_aborts_total";
         List.iter
           (fun dst ->
-            Group.Rchan.send (chan r) ~dst (Txn_abort { cid = ctx.Common.cid; rid }))
+            Group.Rchan.send (chan r) ~dst (Txn_abort { rid }))
           ctx.Common.replicas;
         Hashtbl.replace st.cache rid (false, None);
         Hashtbl.remove st.txns rid;
@@ -313,7 +308,6 @@ let create net ~replicas ~clients ?(config = default_config) () =
               Group.Rchan.send (chan r) ~dst
                 (Lock_req
                    {
-                     cid = ctx.Common.cid;
                      rid;
                      op_index = txn.op_index;
                      keys = op_locks op;
@@ -335,7 +329,6 @@ let create net ~replicas ~clients ?(config = default_config) () =
             Group.Rchan.send (chan r) ~dst
               (Exec
                  {
-                   cid = ctx.Common.cid;
                    rid;
                    op_index = txn.op_index;
                    op;
@@ -366,7 +359,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
         List.iter
           (fun dst ->
             Group.Rchan.send (chan r) ~dst
-              (Complete { cid = ctx.Common.cid; rid; delegate = r; writes }))
+              (Complete { rid; delegate = r; writes }))
           (List.filter (Network.alive net) ctx.Common.replicas)
   and start_commit r rid =
     let st = state r in
@@ -469,8 +462,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
             | peer :: _ ->
                 st.synced <- false;
                 Common.count ctx "state_transfers_total";
-                Group.Rchan.send (chan r) ~dst:peer
-                  (Sync_req { cid = ctx.Common.cid; from = r })
+                Group.Rchan.send (chan r) ~dst:peer (Sync_req { from = r })
           end);
       let fd = Group.Fd.handle fd_group ~me:r in
       (* Clean up transactions whose delegate crashed, so their locks do
@@ -498,7 +490,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.on_deliver (chan r) (fun ~src msg ->
           ignore src;
           match msg with
-          | Sync_req { cid; from } when cid = ctx.Common.cid && st.synced ->
+          | Sync_req { from } when st.synced ->
               (* Don't serve a snapshot while we hold in-doubt transactions:
                  their writes are decided-but-not-yet-applied here, and a
                  snapshot taken now would hand the joiner a store missing
@@ -517,12 +509,11 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     Hashtbl.fold (fun rid v acc -> (rid, v) :: acc) st.cache []
                   in
                   Group.Rchan.send (chan r) ~dst:from
-                    (Sync_state { cid = ctx.Common.cid; entries; cache_entries })
+                    (Sync_state { entries; cache_entries })
                 end
               in
               answer ()
-          | Sync_state { cid; entries; cache_entries }
-            when cid = ctx.Common.cid ->
+          | Sync_state { entries; cache_entries } ->
               if not st.synced then begin
                 List.iter
                   (fun (k, (value, version)) ->
@@ -536,7 +527,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                 st.synced <- true
               end
           | _ when not st.synced -> () (* mute until the transfer lands *)
-          | Lreq { cid; client; request } when cid = ctx.Common.cid -> (
+          | Lreq { client; request } -> (
               let rid = request.Store.Operation.rid in
               match Hashtbl.find_opt st.cache rid with
               | Some (committed, value) ->
@@ -585,8 +576,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                               | _ -> ())));
                     next_op r rid
                   end)
-          | Lock_req { cid; rid; op_index; keys; delegate } when cid = ctx.Common.cid
-            ->
+          | Lock_req { rid; op_index; keys; delegate } ->
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.delegate_of rid delegate;
                 let total = List.length keys in
@@ -599,7 +589,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                   in
                   Group.Rchan.send (chan r) ~dst:delegate
                     (Lock_grant
-                       { cid = ctx.Common.cid; rid; op_index; from = r; copies })
+                       { rid; op_index; from = r; copies })
                 in
                 if total = 0 then send_grant ()
                 else begin
@@ -625,12 +615,11 @@ let create net ~replicas ~clients ?(config = default_config) () =
                               "deadlock_refusals_total";
                             refused := true;
                             Group.Rchan.send (chan r) ~dst:delegate
-                              (Lock_refuse { cid = ctx.Common.cid; rid; from = r }))
+                              (Lock_refuse { rid; from = r }))
                     keys
                 end
               end
-          | Lock_grant { cid; rid; op_index; from; copies }
-            when cid = ctx.Common.cid -> (
+          | Lock_grant { rid; op_index; from; copies } -> (
               match Hashtbl.find_opt st.txns rid with
               | Some txn when txn.stage = `Locking && txn.op_index = op_index ->
                   if not (List.mem from txn.grants) then begin
@@ -658,10 +647,9 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     end
                     else start_exec r rid
               | _ -> ())
-          | Lock_refuse { cid; rid; from = _ } when cid = ctx.Common.cid ->
+          | Lock_refuse { rid; from = _ } ->
               abort_txn r rid
-          | Exec { cid; rid; op_index; op; delegate } when cid = ctx.Common.cid
-            ->
+          | Exec { rid; op_index; op; delegate } ->
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.delegate_of rid delegate;
                 let shadow =
@@ -680,9 +668,9 @@ let create net ~replicas ~clients ?(config = default_config) () =
                   Store.Shadow.exec_op shadow op
                 end;
                 Group.Rchan.send (chan r) ~dst:delegate
-                  (Exec_ack { cid = ctx.Common.cid; rid; op_index; from = r })
+                  (Exec_ack { rid; op_index; from = r })
               end
-          | Exec_ack { cid; rid; op_index; from } when cid = ctx.Common.cid -> (
+          | Exec_ack { rid; op_index; from } -> (
               match Hashtbl.find_opt st.txns rid with
               | Some txn when txn.stage = `Executing && txn.op_index = op_index
                 ->
@@ -697,15 +685,15 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     next_op r rid
                   end
               | _ -> ())
-          | Complete { cid; rid; delegate; writes } when cid = ctx.Common.cid ->
+          | Complete { rid; delegate; writes } ->
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.complete rid ();
                 if writes <> [] then Hashtbl.replace st.quorum_writes rid writes;
                 Hashtbl.replace st.delegate_of rid delegate
               end;
               Group.Rchan.send (chan r) ~dst:delegate
-                (Complete_ack { cid = ctx.Common.cid; rid; from = r })
-          | Complete_ack { cid; rid; from } when cid = ctx.Common.cid -> (
+                (Complete_ack { rid; from = r })
+          | Complete_ack { rid; from } -> (
               match Hashtbl.find_opt st.txns rid with
               | Some txn when txn.stage = `Completing ->
                   if not (List.mem from txn.complete_acks) then
@@ -717,7 +705,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     List.for_all (fun s -> List.mem s txn.complete_acks) needed
                   then start_commit r rid
               | _ -> ())
-          | Txn_abort { cid; rid } when cid = ctx.Common.cid ->
+          | Txn_abort { rid } ->
               release_txn st rid
           | _ -> ()))
     replicas;
@@ -735,7 +723,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.send
         (Group.Rchan.handle chan_group ~me:client)
         ~dst
-        (Lreq { cid = ctx.Common.cid; client; request })
+        (Lreq { client; request })
     in
     send ~dst:(preferred ());
     Common.retry_until_replied ctx ~rid ~timeout:config.client_retry

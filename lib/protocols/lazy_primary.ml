@@ -1,9 +1,8 @@
 open Sim
 
 type Msg.t +=
-  | Lpreq of { cid : int; client : int; request : Store.Operation.request }
+  | Lpreq of { client : int; request : Store.Operation.request }
   | Refresh of {
-      cid : int;
       rid : int;
       writes : (Store.Operation.key * int * int) list;
     }
@@ -64,8 +63,8 @@ let info =
     section = "4.5 / 5.3";
   }
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let fifo_group =
     Group.Fifo.create_group net ~members:replicas
       ~passthrough:config.passthrough ()
@@ -83,7 +82,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       let fifo = Group.Fifo.handle fifo_group ~me:r in
       Group.Fifo.on_deliver fifo (fun ~origin msg ->
           match msg with
-          | Refresh { cid; rid; writes } when cid = ctx.Common.cid ->
+          | Refresh { rid; writes } ->
               if origin <> r then begin
                 Common.phase_begin ctx ~rid ~replica:r
                   ~note:"secondary applies propagated changes"
@@ -96,7 +95,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Lpreq { cid; client; request } when cid = ctx.Common.cid -> (
+          | Lpreq { client; request } -> (
               let rid = request.Store.Operation.rid in
               match Hashtbl.find_opt cache rid with
               | Some (committed, value) ->
@@ -146,7 +145,6 @@ let create net ~replicas ~clients ?(config = default_config) () =
                               Group.Fifo.broadcast fifo
                                 (Refresh
                                    {
-                                     cid = ctx.Common.cid;
                                      rid;
                                      writes = result.Store.Apply.writes;
                                    }))))
@@ -168,7 +166,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.send
         (Group.Rchan.handle chan_group ~me:client)
         ~dst
-        (Lpreq { cid = ctx.Common.cid; client; request })
+        (Lpreq { client; request })
     in
     send ~dst:(preferred ());
     Common.retry_until_replied ctx ~rid ~timeout:config.client_retry

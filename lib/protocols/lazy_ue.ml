@@ -1,9 +1,8 @@
 open Sim
 
 type Msg.t +=
-  | Ureq of { cid : int; client : int; request : Store.Operation.request }
+  | Ureq of { client : int; request : Store.Operation.request }
   | Writeset of {
-      cid : int;
       rid : int;
       writes : (Store.Operation.key * int * int) list;
     }
@@ -71,8 +70,8 @@ let conflicts (inst : Core.Technique.instance) =
   Common.sum_replica_counter inst "reconciliation_conflicts_total"
     inst.Core.Technique.replicas
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~impl:config.abcast_impl
       ~passthrough:config.passthrough ()
@@ -104,14 +103,13 @@ let create net ~replicas ~clients ?(config = default_config) () =
                 Common.count ctx
                   ~labels:[ ("replica", string_of_int r) ]
                   "redo_rebroadcasts_total";
-                Group.Abcast.broadcast h
-                  (Writeset { cid = ctx.Common.cid; rid; writes }))
+                Group.Abcast.broadcast h (Writeset { rid; writes }))
               backlog
           end);
       Group.Abcast.on_deliver h (fun ~origin msg ->
           ignore origin;
           match msg with
-          | Writeset { cid; rid; writes } when cid = ctx.Common.cid ->
+          | Writeset { rid; writes } ->
               Common.phase_begin ctx ~rid ~replica:r
                 ~note:"reconciliation in after-commit order"
                 Core.Phase.Agreement_coordination;
@@ -127,7 +125,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Ureq { cid; client; request } when cid = ctx.Common.cid -> (
+          | Ureq { client; request } -> (
               let rid = request.Store.Operation.rid in
               match Hashtbl.find_opt cache rid with
               | Some (committed, value) ->
@@ -158,7 +156,6 @@ let create net ~replicas ~clients ?(config = default_config) () =
                               Group.Abcast.broadcast h
                                 (Writeset
                                    {
-                                     cid = ctx.Common.cid;
                                      rid;
                                      writes = result.Store.Apply.writes;
                                    }))))
@@ -179,7 +176,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.send
         (Group.Rchan.handle chan_group ~me:client)
         ~dst
-        (Ureq { cid = ctx.Common.cid; client; request })
+        (Ureq { client; request })
     in
     send ~dst:(preferred ());
     Common.retry_until_replied ctx ~rid ~timeout:config.client_retry

@@ -1,20 +1,18 @@
 open Sim
 
 type Msg.t +=
-  | Preq of { cid : int; client : int; request : Store.Operation.request }
+  | Preq of { client : int; request : Store.Operation.request }
   | Update of {
-      cid : int;
       client : int;
       rid : int;
       result : Store.Apply.result;
       value : int option;
     }
   | Sync of {
-      cid : int;
       entries : (Store.Operation.key * (int * int)) list;
       cache_entries : (int * (bool * int option)) list;
     }
-  | Sync_req of { cid : int }
+  | Sync_req
 
 type config = { client_retry : Simtime.t; passthrough : bool }
 
@@ -63,8 +61,8 @@ type replica_state = {
   mutable synced : bool; (* false between a rejoin jump and state transfer *)
 }
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let vs_group = Group.Vscast.create_group net ~members:replicas ~passthrough:config.passthrough () in
   let chan_group =
     (* Stubborn client->primary channel so requests survive message loss. *)
@@ -102,8 +100,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
           Hashtbl.fold (fun rid v acc -> (rid, v) :: acc) st.cache []
         in
         Common.count ctx "state_transfers_total";
-        Group.Rchan.send chan ~dst
-          (Sync { cid = ctx.Common.cid; entries; cache_entries })
+        Group.Rchan.send chan ~dst (Sync { entries; cache_entries })
       in
       (* Crash recovery: whatever this replica executed right before the
          crash may never have reached the group — distrust it all and
@@ -168,13 +165,12 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     (fun dst ->
                       if dst <> r then
                         Group.Rchan.send chan ~dst
-                          (Sync_req { cid = ctx.Common.cid }))
+                          Sync_req)
                     replicas)));
       (* Backups (and the primary itself) learn updates through VSCAST. *)
       Group.Vscast.on_deliver vs (fun ~origin msg ->
           match msg with
-          | Update { cid; client; rid; result; value } when cid = ctx.Common.cid
-            ->
+          | Update { client; rid; result; value } ->
               Common.phase_begin ctx ~rid ~replica:r
                 ~note:"update stable via VSCAST" Core.Phase.Agreement_coordination;
               if origin <> r then
@@ -193,10 +189,10 @@ let create net ~replicas ~clients ?(config = default_config) () =
       let chan = Group.Rchan.handle chan_group ~me:r in
       Group.Rchan.on_deliver chan (fun ~src msg ->
           match msg with
-          | Sync_req { cid } when cid = ctx.Common.cid ->
+          | Sync_req ->
               (* Only a synced member may act as a state-transfer donor. *)
               if st.synced then send_sync st ~dst:src
-          | Sync { cid; entries; cache_entries } when cid = ctx.Common.cid ->
+          | Sync { entries; cache_entries } ->
               List.iter
                 (fun (k, (value, version)) ->
                   Store.Kv.install (Common.store ctx r) k ~value ~version)
@@ -207,7 +203,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     Hashtbl.replace st.cache rid outcome)
                 cache_entries;
               st.synced <- true
-          | Preq { cid; client; request } when cid = ctx.Common.cid -> (
+          | Preq { client; request } -> (
               let rid = request.Store.Operation.rid in
               match Hashtbl.find_opt st.cache rid with
               | Some (committed, value) ->
@@ -227,7 +223,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
                     in
                     let value = Common.reply_value result in
                     Group.Vscast.broadcast vs
-                      (Update { cid = ctx.Common.cid; client; rid; result; value })
+                      (Update { client; rid; result; value })
                   end)
           | _ -> ()))
     replicas;
@@ -236,7 +232,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
     let rid = request.Store.Operation.rid in
     let chan = Group.Rchan.handle chan_group ~me:client in
     let send ~dst =
-      Group.Rchan.send chan ~dst (Preq { cid = ctx.Common.cid; client; request })
+      Group.Rchan.send chan ~dst (Preq { client; request })
     in
     let preferred = Common.lowest_alive ctx in
     send ~dst:preferred;

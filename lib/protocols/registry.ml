@@ -8,7 +8,7 @@ type entry = {
   key : string;
   info : Core.Technique.info;
   schema : Config.schema;
-  build : Config.t -> factory;
+  build : ?shared:Common.shared -> Config.t -> factory;
 }
 
 (* Every technique is shardable: its schema gains the shared [shards]
@@ -23,21 +23,21 @@ let shardable e =
     e with
     schema = e.schema @ [ Config.shards_key ];
     build =
-      (fun cfg ->
+      (fun ?shared cfg ->
         let shards =
           match List.assoc_opt "shards" cfg with
           | Some (Config.Int k) -> k
           | _ -> 1
         in
-        let inner = e.build cfg in
-        if shards <= 1 then inner
+        if shards <= 1 then e.build ?shared cfg
         else
           let passthrough =
             match List.assoc_opt "passthrough" cfg with
             | Some (Config.Bool b) -> b
             | _ -> false
           in
-          Sharded.create ~shards ~info:e.info ~passthrough ~factory:inner);
+          Sharded.create ~shards ~info:e.info ~passthrough ?shared
+            ~factory:(fun shared -> e.build ~shared cfg));
   }
 
 (* Every [build] resolves the technique's typed configuration into its
@@ -50,89 +50,90 @@ let raw : entry list =
       info = Active.info;
       schema = Active.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
-          Active.create net ~replicas ~clients ~config:(Active.config_of cfg) ());
+        (fun ?shared cfg net ~replicas ~clients ->
+          Active.create net ~replicas ~clients ~config:(Active.config_of cfg)
+            ?shared ());
     };
     {
       key = "passive";
       info = Passive.info;
       schema = Passive.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Passive.create net ~replicas ~clients ~config:(Passive.config_of cfg)
-            ());
+            ?shared ());
     };
     {
       key = "semi-active";
       info = Semi_active.info;
       schema = Semi_active.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Semi_active.create net ~replicas ~clients
-            ~config:(Semi_active.config_of cfg) ());
+            ~config:(Semi_active.config_of cfg) ?shared ());
     };
     {
       key = "semi-passive";
       info = Semi_passive.info;
       schema = Semi_passive.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Semi_passive.create net ~replicas ~clients
-            ~config:(Semi_passive.config_of cfg) ());
+            ~config:(Semi_passive.config_of cfg) ?shared ());
     };
     {
       key = "eager-primary";
       info = Eager_primary.info;
       schema = Eager_primary.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Eager_primary.create net ~replicas ~clients
-            ~config:(Eager_primary.config_of cfg) ());
+            ~config:(Eager_primary.config_of cfg) ?shared ());
     };
     {
       key = "eager-ue-locking";
       info = Eager_ue_locking.info;
       schema = Eager_ue_locking.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Eager_ue_locking.create net ~replicas ~clients
-            ~config:(Eager_ue_locking.config_of cfg) ());
+            ~config:(Eager_ue_locking.config_of cfg) ?shared ());
     };
     {
       key = "eager-ue-abcast";
       info = Eager_ue_abcast.info;
       schema = Eager_ue_abcast.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Eager_ue_abcast.create net ~replicas ~clients
-            ~config:(Eager_ue_abcast.config_of cfg) ());
+            ~config:(Eager_ue_abcast.config_of cfg) ?shared ());
     };
     {
       key = "lazy-primary";
       info = Lazy_primary.info;
       schema = Lazy_primary.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Lazy_primary.create net ~replicas ~clients
-            ~config:(Lazy_primary.config_of cfg) ());
+            ~config:(Lazy_primary.config_of cfg) ?shared ());
     };
     {
       key = "lazy-ue";
       info = Lazy_ue.info;
       schema = Lazy_ue.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Lazy_ue.create net ~replicas ~clients ~config:(Lazy_ue.config_of cfg)
-            ());
+            ?shared ());
     };
     {
       key = "certification";
       info = Certification_based.info;
       schema = Certification_based.schema;
       build =
-        (fun cfg net ~replicas ~clients ->
+        (fun ?shared cfg net ~replicas ~clients ->
           Certification_based.create net ~replicas ~clients
-            ~config:(Certification_based.config_of cfg) ());
+            ~config:(Certification_based.config_of cfg) ?shared ());
     };
   ]
 

@@ -8,12 +8,15 @@ type factory =
   Core.Technique.instance
 
 (** One technique: CLI key, classification metadata, configuration
-    schema, and a constructor taking a resolved configuration. *)
+    schema, and a constructor taking a resolved configuration. With
+    [shared], the built instance reports into those observability
+    objects instead of fresh ones ({!Sharded} hands one to every
+    group). *)
 type entry = {
   key : string;
   info : Core.Technique.info;
   schema : Config.schema;
-  build : Config.t -> factory;
+  build : ?shared:Common.shared -> Config.t -> factory;
 }
 
 val all : entry list

@@ -1,8 +1,8 @@
 open Sim
 
 type Msg.t +=
-  | Req of { cid : int; client : int; request : Store.Operation.request }
-  | Choice of { cid : int; rid : int; choices : (Store.Operation.key * int) list }
+  | Req of { client : int; request : Store.Operation.request }
+  | Choice of { rid : int; choices : (Store.Operation.key * int) list }
 
 type config = {
   abcast_impl : Group.Abcast.impl;
@@ -65,8 +65,8 @@ type replica_state = {
   ex_marked : (int, unit) Hashtbl.t; (* EX phase marked, by rid *)
 }
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~clients
       ~impl:config.abcast_impl ~passthrough:config.passthrough
@@ -113,7 +113,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
               ~note:"leader resolves non-deterministic choice via VSCAST"
               Core.Phase.Agreement_coordination;
             let vs = Group.Vscast.handle vs_group ~me:r in
-            Group.Vscast.broadcast vs (Choice { cid = ctx.Common.cid; rid; choices })
+            Group.Vscast.broadcast vs (Choice { rid; choices })
           end
           (* Execute once our own VSCAST delivery loops back. *)
         end
@@ -155,7 +155,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Abcast.on_deliver h (fun ~origin msg ->
           ignore origin;
           match msg with
-          | Req { cid; client; request } when cid = ctx.Common.cid ->
+          | Req { client; request } ->
               st.queue <- st.queue @ [ (client, request) ];
               pump r
           | _ -> ());
@@ -163,7 +163,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Vscast.on_deliver vs (fun ~origin msg ->
           ignore origin;
           match msg with
-          | Choice { cid; rid; choices } when cid = ctx.Common.cid ->
+          | Choice { rid; choices } ->
               if not (Hashtbl.mem st.choices rid) then
                 Hashtbl.replace st.choices rid choices;
               pump r
@@ -179,7 +179,6 @@ let create net ~replicas ~clients ?(config = default_config) () =
     Common.phase_begin ctx ~rid:request.Store.Operation.rid
       ~note:"atomic broadcast to the group (merged with RE)"
       Core.Phase.Server_coordination;
-    Group.Abcast.broadcast_from ab ~src:client
-      (Req { cid = ctx.Common.cid; client; request })
+    Group.Abcast.broadcast_from ab ~src:client (Req { client; request })
   in
   Common.instance ctx ~info ~submit

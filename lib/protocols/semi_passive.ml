@@ -1,6 +1,6 @@
 open Sim
 
-type Msg.t += Sreq of { cid : int; client : int; request : Store.Operation.request }
+type Msg.t += Sreq of { client : int; request : Store.Operation.request }
 
 module Decision_value = struct
   type t = {
@@ -54,8 +54,8 @@ type replica_state = {
   mutable participated_for : int;
 }
 
-let create net ~replicas ~clients ?(config = default_config) () =
-  let ctx = Common.make net ~replicas ~clients in
+let create net ~replicas ~clients ?(config = default_config) ?shared () =
+  let ctx = Common.make ?shared net ~replicas ~clients in
   let fd_group = Group.Fd.create_group net ~members:replicas () in
   let cons_group =
     C.create_group net ~members:replicas ~fd:fd_group
@@ -141,7 +141,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Sreq { cid; client; request } when cid = ctx.Common.cid ->
+          | Sreq { client; request } ->
               let rid = request.Store.Operation.rid in
               if not (Hashtbl.mem st.done_rids rid) then begin
                 Hashtbl.replace st.pending rid (client, request);
@@ -184,8 +184,7 @@ let create net ~replicas ~clients ?(config = default_config) () =
     let chan = Group.Rchan.handle chan_group ~me:client in
     List.iter
       (fun dst ->
-        Group.Rchan.send chan ~dst
-          (Sreq { cid = ctx.Common.cid; client; request }))
+        Group.Rchan.send chan ~dst (Sreq { client; request }))
       replicas
   in
   Common.instance ctx ~info ~submit

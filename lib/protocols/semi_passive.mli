@@ -24,6 +24,7 @@ val create :
   replicas:int list ->
   clients:int list ->
   ?config:config ->
+  ?shared:Common.shared ->
   unit ->
   Core.Technique.instance
 

@@ -28,19 +28,20 @@ let partition ~shards replicas =
 let probe_group_size ~n ~shards =
   (n / shards) + if n mod shards > 0 then 1 else 0
 
-let create ~shards ~info ?(passthrough = false) ~factory net ~replicas ~clients
-    =
+let create ~shards ~info ?(passthrough = false) ?shared ~factory net ~replicas
+    ~clients =
   let groups = partition ~shards replicas in
   let map = Store.Shard_map.create ~shards () in
-  let shared = Common.fresh_shared () in
+  let shared =
+    match shared with Some s -> s | None -> Common.fresh_shared ()
+  in
   (* One technique instance per group, all reporting into the shared
      observability objects. Build order is group order, so instance-id
      allocation stays deterministic. *)
   let subs =
-    Common.with_shared shared (fun () ->
-        List.map (fun g -> factory net ~replicas:g ~clients) groups)
+    Array.of_list
+      (List.map (fun g -> factory shared net ~replicas:g ~clients) groups)
   in
-  let subs = Array.of_list subs in
   let groups_arr = Array.of_list groups in
   let delegate s = List.hd groups_arr.(s) in
   let engine = Network.engine net in

@@ -7,8 +7,8 @@
     over that group's replicas only, holding only the keys its shard
     owns ({!Store.Shard_map}, hash placement). All groups report into
     one shared span collector, phase trace, metrics registry and
-    history ({!Common.with_shared}), so the run reads as a single
-    system.
+    history (a {!Common.shared} handed to each group's factory), so the
+    run reads as a single system.
 
     Transactions are routed client-side (the wrapper plays the
     middleware router of Cecchet et al.):
@@ -49,16 +49,19 @@ val partition : shards:int -> int list -> int list list
     compared against (explain does this). *)
 val probe_group_size : n:int -> shards:int -> int
 
-(** [create ~shards ~info ?passthrough ~factory net ~replicas ~clients]
-    builds the sharded instance: [factory] is invoked once per group
-    (under the shared observability scope) with that group's replicas.
-    [passthrough] is forwarded to the cross-group 2PC channels. *)
+(** [create ~shards ~info ?passthrough ?shared ~factory net ~replicas
+    ~clients] builds the sharded instance: [factory] is invoked once per
+    group with the observability objects every group shares ([shared],
+    or fresh ones) and that group's replicas. [passthrough] is forwarded
+    to the cross-group 2PC channels. *)
 val create :
   shards:int ->
   info:Core.Technique.info ->
   ?passthrough:bool ->
+  ?shared:Common.shared ->
   factory:
-    (Sim.Network.t ->
+    (Common.shared ->
+    Sim.Network.t ->
     replicas:int list ->
     clients:int list ->
     Core.Technique.instance) ->

@@ -2,8 +2,9 @@
 
     Each protocol layer extends [t] with its own constructors; a node's
     handler stack pattern-matches on the constructors it owns and passes the
-    rest down (see {!Network.add_handler}). Instance ids carried inside
-    constructors come from the run's network ({!Network.fresh_id}). *)
+    rest down (see {!Network.add_handler}). The few constructors that
+    reach a handler stack several instances share carry an instance id
+    from the run's network ({!Network.fresh_id}). *)
 
 type t = ..
 

@@ -2,10 +2,12 @@
 
     Each protocol layer extends [t] with its own constructors; a node's
     handler stack pattern-matches on the constructors it owns and leaves
-    the rest to lower layers (see {!Network.add_handler}). Instances of
-    the same module are distinguished by an instance id carried inside
-    the constructor (conventionally [gid] or [cid]), drawn from the run's
-    network ({!Network.fresh_id}). *)
+    the rest to lower layers (see {!Network.add_handler}). A layer built
+    on a channel it owns ({!Group.Rchan}) sees only its own traffic and
+    needs no instance tag. Only constructors that reach a handler stack
+    several instances share carry one (the channel's own [Data]/[Ack],
+    the failure detector's [Heartbeat], the client [Reply]); it is drawn
+    from the run's network ({!Network.fresh_id}). *)
 
 type t = ..
 

@@ -49,10 +49,11 @@ val rng : t -> Rng.t
     only on what was built on its own network, never on earlier runs in
     the same process. Both start at 0 and hand out 1, 2, 3, ... *)
 
-(** [fresh_id t] — a new instance id: the tag a protocol-layer instance
-    (a channel, broadcast, view or commit group, a protocol context)
-    stamps on its messages so that its handlers consume only their own.
-    One space serves every layer; ids never reach the schedule. *)
+(** [fresh_id t] — a new instance id: the tag an instance that installs
+    handlers directly on the network (a reliable-channel group, a failure
+    detector, a protocol context's reply path) stamps on its messages so
+    that its handlers consume only their own. Layers above a channel own
+    that channel and need no tag. Ids never reach the schedule. *)
 val fresh_id : t -> int
 
 (** [fresh_rid t] — a new request (transaction) id, as carried by

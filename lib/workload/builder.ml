@@ -67,9 +67,25 @@ let spec ?(keys = 100) ?(skew = 0.6) ?(updates = 0.5) ?(ops = 1) ?(txns = 50)
     flash_crowd = flash;
   }
 
+(* The first out-of-range event among [events], reported under [flag]:
+   a replica id outside [0, n) (ids from [n] on are clients) or a
+   negative time. *)
+let check_events ~n ~flag events =
+  List.find_map
+    (fun (replica, at) ->
+      let event = Printf.sprintf "%s %d@%gms" flag replica (Simtime.to_ms at) in
+      if replica < 0 || replica >= n then
+        Some
+          (Printf.sprintf "%s: no replica %d (with -n %d, replicas are 0..%d)"
+             event replica n (n - 1))
+      else if Simtime.(at < zero) then
+        Some (Printf.sprintf "%s: time must not be negative" event)
+      else None)
+    events
+
 (* Pair each recovery with the crash of the same replica; a recovery
    without a matching earlier crash is a schedule error. *)
-let crash_schedule ~crashes ~recoveries =
+let pair_recoveries ~crashes ~recoveries =
   let failures =
     List.map (fun (replica, at) -> Runner.crash_at ~at replica) crashes
   in
@@ -102,6 +118,14 @@ let crash_schedule ~crashes ~recoveries =
                    (Simtime.to_string recover_at)
                    replica)))
     (Ok failures) recoveries
+
+let crash_schedule ~n ~crashes ~recoveries =
+  match
+    ( check_events ~n ~flag:"--crash" crashes,
+      check_events ~n ~flag:"--recover" recoveries )
+  with
+  | Some msg, _ | None, Some msg -> Error msg
+  | None, None -> pair_recoveries ~crashes ~recoveries
 
 let run_with_instance t factory =
   let tune =

@@ -70,9 +70,12 @@ val spec :
   Spec.t
 
 (** Pair [(replica, at)] crashes with [(replica, at)] recoveries into a
-    failure schedule; a recovery without a matching earlier crash of the
-    same replica is an error. *)
+    failure schedule for [n] replicas. An event naming a replica outside
+    [0 .. n-1] (ids from [n] on are clients) or a negative time is an
+    error, and so is a recovery without a matching earlier crash of the
+    same replica. *)
 val crash_schedule :
+  n:int ->
   crashes:(int * Sim.Simtime.t) list ->
   recoveries:(int * Sim.Simtime.t) list ->
   (Runner.failure list, string) result

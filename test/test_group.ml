@@ -1048,6 +1048,187 @@ let prop_consensus_random_coordinator_crash =
       && List.hd vals >= 100
       && List.hd vals <= 104)
 
+
+(* ------------------------------------------------------------------ *)
+(* Isolation of instances sharing one network                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Two instances of every layer above the stubborn channels, all over
+   the same members on one lossy network. Instance [i] sends only
+   payloads in [i * 1000, i * 1000 + 999], and both instances of a
+   consensus or commit layer use the same instance and transaction
+   numbers. Every member must see exactly its own instance's traffic:
+   each layer builds the channels it talks over, so no message of one
+   instance can reach the other. *)
+let test_isolation () =
+  let e, net = make ~seed:23 ~n:3 ~drop:0.1 () in
+  let members = [ 0; 1; 2 ] in
+  let instances = [ 0; 1 ] in
+  let got = Hashtbl.create 64 in
+  let record key v =
+    Hashtbl.replace got key
+      (v :: Option.value ~default:[] (Hashtbl.find_opt got key))
+  in
+  (* Broadcast layers: [create ()] builds one instance and returns, per
+     member, its delivery hook and its broadcast. *)
+  let broadcast_layers =
+    [
+      ( "rbcast",
+        fun () ->
+          let g = Rbcast.create_group net ~members () in
+          fun me ->
+            let h = Rbcast.handle g ~me in
+            ((fun f -> Rbcast.on_deliver h (fun ~origin:_ m -> f m)),
+              Rbcast.broadcast h) );
+      ( "fifo",
+        fun () ->
+          let g = Fifo.create_group net ~members () in
+          fun me ->
+            let h = Fifo.handle g ~me in
+            ((fun f -> Fifo.on_deliver h (fun ~origin:_ m -> f m)),
+              Fifo.broadcast h) );
+      ( "abcast-sequencer",
+        fun () ->
+          let g = Abcast.create_group net ~members ~impl:Abcast.Sequencer () in
+          fun me ->
+            let h = Abcast.handle g ~me in
+            ((fun f -> Abcast.on_deliver h (fun ~origin:_ m -> f m)),
+              Abcast.broadcast h) );
+      ( "abcast-consensus",
+        fun () ->
+          let g =
+            Abcast.create_group net ~members ~impl:Abcast.Consensus_based ()
+          in
+          fun me ->
+            let h = Abcast.handle g ~me in
+            ((fun f -> Abcast.on_deliver h (fun ~origin:_ m -> f m)),
+              Abcast.broadcast h) );
+      ( "vscast",
+        fun () ->
+          let g = Vscast.create_group net ~members () in
+          fun me ->
+            let h = Vscast.handle g ~me in
+            ((fun f -> Vscast.on_deliver h (fun ~origin:_ m -> f m)),
+              Vscast.broadcast h) );
+    ]
+  in
+  let sends =
+    List.concat_map
+      (fun (layer, create) ->
+        List.concat_map
+          (fun i ->
+            let member = create () in
+            List.map
+              (fun me ->
+                let on_deliver, broadcast = member me in
+                on_deliver (fun m -> record (layer, i, me) (payload_of m));
+                (i, me, broadcast))
+              members)
+          instances)
+      broadcast_layers
+  in
+  let own i me = List.init 3 (fun k -> (i * 1000) + (me * 10) + k) in
+  let sent i = List.concat_map (own i) members in
+  List.iter
+    (fun (i, me, broadcast) ->
+      List.iter (fun v -> broadcast (Payload v)) (own i me))
+    sends;
+  (* Consensus: both instances decide instance numbers 0..2 over one
+     shared failure detector. *)
+  let fd = Fd.create_group net ~members () in
+  List.iter
+    (fun i ->
+      let g = Cint.create_group net ~members ~fd () in
+      List.iter
+        (fun me ->
+          let h = Cint.handle g ~me in
+          Cint.on_decide h (fun ~instance v ->
+              record ("consensus", i, me) ((instance * 10_000) + v));
+          for instance = 0 to 2 do
+            Cint.propose h ~instance ((i * 1000) + me)
+          done)
+        members)
+    instances;
+  (* Commit: instance 0 votes yes and instance 1 votes no, on the same
+     transaction numbers, so a vote or decision crossing over would
+     flip an outcome. *)
+  let commit_layers =
+    [
+      ( "2pc",
+        fun i ->
+          let g =
+            Core.Two_phase_commit.create_group net ~nodes:members
+              ~vote:(fun ~me:_ ~txn:_ -> i = 0)
+              ~learn:(fun ~me ~txn d ->
+                record ("2pc", i, me)
+                  ((txn * 10) + if d = Core.Two_phase_commit.Commit then 1 else 0))
+              ()
+          in
+          fun txn ->
+            Core.Two_phase_commit.start g ~coordinator:0 ~participants:members
+              ~txn ~on_complete:ignore );
+      ( "3pc",
+        fun i ->
+          let g =
+            Core.Three_phase_commit.create_group net ~nodes:members ~fd
+              ~vote:(fun ~me:_ ~txn:_ -> i = 0)
+              ~learn:(fun ~me ~txn d ->
+                record ("3pc", i, me)
+                  ((txn * 10)
+                  + if d = Core.Three_phase_commit.Commit then 1 else 0))
+              ()
+          in
+          fun txn ->
+            Core.Three_phase_commit.start g ~coordinator:0
+              ~participants:members ~txn ~on_complete:ignore );
+    ]
+  in
+  List.iter
+    (fun (_, create) ->
+      List.iter
+        (fun i ->
+          let start = create i in
+          for txn = 1 to 3 do
+            start txn
+          done)
+        instances)
+    commit_layers;
+  run_ms e 20_000;
+  let delivered key =
+    List.sort Int.compare (Option.value ~default:[] (Hashtbl.find_opt got key))
+  in
+  List.iter
+    (fun i ->
+      List.iter
+        (fun me ->
+          let check layer expected =
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s instance %d, member %d" layer i me)
+              expected
+              (delivered (layer, i, me))
+          in
+          List.iter (fun (layer, _) -> check layer (sent i)) broadcast_layers;
+          (* Instance 0 decides values 0..2, instance 1 1000..1002; a
+             commit layer records txn * 10 + 1 for Commit, + 0 for Abort. *)
+          let decided = delivered ("consensus", i, me) in
+          Alcotest.(check int)
+            (Printf.sprintf "consensus instance %d, member %d decides 3" i me)
+            3 (List.length decided);
+          List.iter
+            (fun d ->
+              Alcotest.(check bool)
+                (Printf.sprintf "consensus instance %d decides its own value %d" i d)
+                true
+                (d mod 10_000 / 1000 = i))
+            decided;
+          List.iter
+            (fun (layer, _) ->
+              check layer
+                (List.init 3 (fun t -> ((t + 1) * 10) + if i = 0 then 1 else 0)))
+            commit_layers)
+        members)
+    instances
+
 let () =
   Alcotest.run "group"
     [
@@ -1109,6 +1290,7 @@ let () =
           tc "double crash" test_vscast_double_crash;
           tc "rejoin" test_vscast_rejoin;
         ] );
+      ("isolation", [ tc "instances on one network" test_isolation ]);
       ( "edge-cases",
         [
           tc "fd timing" test_fd_timing_parameters;

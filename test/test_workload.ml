@@ -152,7 +152,37 @@ let test_runner_failure_schedule () =
       crashed.Workload.Runner.max_response_gap
       > smooth.Workload.Runner.max_response_gap);
   Alcotest.(check bool) "survivors converged" true
-    crashed.Workload.Runner.converged
+    crashed.Workload.Runner.converged;
+  (* The command-line schedule: events are range-checked against the
+     replica count (ids from n on are clients) before pairing. *)
+  let schedule ?(recoveries = []) crashes =
+    Workload.Builder.crash_schedule ~n:3
+      ~crashes:(List.map (fun (r, ms) -> (r, Simtime.of_ms ms)) crashes)
+      ~recoveries:(List.map (fun (r, ms) -> (r, Simtime.of_ms ms)) recoveries)
+  in
+  let rejects label ~flag r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names %s (%s)" label flag msg)
+          true
+          (String.starts_with ~prefix:flag msg)
+  in
+  (match schedule [ (2, 10) ] ~recoveries:[ (2, 20) ] with
+  | Ok [ f ] ->
+      Alcotest.(check (option int)) "paired recovery" (Some 20_000)
+        (Option.map Simtime.to_us f.Workload.Runner.recover_at)
+  | _ -> Alcotest.fail "valid schedule rejected");
+  rejects "client id" ~flag:"--crash 3@" (schedule [ (3, 10) ]);
+  rejects "beyond the network" ~flag:"--crash 7@" (schedule [ (7, 10) ]);
+  rejects "negative time" ~flag:"--crash 0@" (schedule [ (0, -5) ]);
+  rejects "recovery of a client" ~flag:"--recover 4@"
+    (schedule [ (0, 10) ] ~recoveries:[ (4, 20) ]);
+  rejects "negative recovery time" ~flag:"--recover 0@"
+    (schedule [ (0, 10) ] ~recoveries:[ (0, -1) ]);
+  rejects "unpaired recovery" ~flag:"recovery 1@"
+    (schedule [ (0, 10) ] ~recoveries:[ (1, 20) ])
 
 let test_runner_latency_split () =
   let spec = { small_spec with update_ratio = 0.5 } in
