@@ -43,7 +43,7 @@ let abcast_engines () =
       let smooth = Workload.Runner.run ~n_clients:2 ~spec factory in
       let crashed =
         Workload.Runner.run ~n_clients:2 ~spec
-          ~failures:[ Workload.Runner.crash_at ~at:(Simtime.of_ms 100) 0 ]
+          ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 100; replica = 0 } ]
           factory
       in
       Fmt.pr "%-22s %14.2f %18.1f@." name
@@ -407,7 +407,7 @@ let blocking_vs_nonblocking () =
       let smooth = Workload.Runner.run ~n_clients:2 ~spec factory in
       let crashed =
         Workload.Runner.run ~n_clients:2 ~spec
-          ~failures:[ Workload.Runner.crash_at ~at:(Simtime.of_ms 60) 0 ]
+          ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 60; replica = 0 } ]
           factory
       in
       Fmt.pr "%-14s %14.2f %14.1f %12d@." label

@@ -133,7 +133,7 @@ let failover () =
       in
       let result =
         Workload.Runner.run ~n_replicas:3 ~n_clients:2 ~spec
-          ~failures:[ Workload.Runner.crash_at ~at:(Simtime.of_ms 100) 0 ]
+          ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 100; replica = 0 } ]
           factory
       in
       Workload.Bench_out.add out ~metric:"max_response_gap" ~technique:name
@@ -511,7 +511,9 @@ let crash_recovery_windows () =
       let factory = registry_factory name in
       let result, inst =
         Workload.Runner.run_with_instance ~n_clients:2 ~spec
-          ~failures:[ Workload.Runner.crash_recover ~at:crash ~recover_at:recover 0 ]
+          ~faults:
+            Workload.Runner.
+              [ Crash { at = crash; replica = 0 }; Recover { at = recover; replica = 0 } ]
           ~deadline:(Simtime.of_sec 300.) factory
       in
       (* Bucket each answered transaction by its response instant: the
@@ -646,13 +648,14 @@ let loss_and_partition_rates () =
         (fun d ->
           let result =
             Workload.Runner.run ~n_clients:2 ~spec
-              ~partitions:
+              ~faults:
                 [
-                  {
-                    Workload.Runner.at = Simtime.of_ms 50;
-                    group = [ 2 ];
-                    heal_at = Simtime.of_ms (50 + d);
-                  };
+                  Workload.Runner.Partition
+                    {
+                      at = Simtime.of_ms 50;
+                      group = [ 2 ];
+                      heal_at = Simtime.of_ms (50 + d);
+                    };
                 ]
               ~deadline:(Simtime.of_sec 300.) factory
           in
@@ -786,13 +789,14 @@ let partitions () =
       in
       let result =
         Workload.Runner.run ~n_clients:2 ~spec
-          ~partitions:
+          ~faults:
             [
-              {
-                Workload.Runner.at = Simtime.of_ms 50;
-                group = [ 2 ];
-                heal_at = Simtime.of_ms 600;
-              };
+              Workload.Runner.Partition
+                {
+                  at = Simtime.of_ms 50;
+                  group = [ 2 ];
+                  heal_at = Simtime.of_ms 600;
+                };
             ]
           ~deadline:(Simtime.of_sec 300.) factory
       in
@@ -965,11 +969,10 @@ let batching () =
                     ("batch_window", Printf.sprintf "%dms" w);
                   ]
               in
-              let builder =
-                Workload.Builder.make ~clients:4 ~spec
-                  ~arrival:(`Poisson rate) ~deadline:(Simtime.of_sec 8.) ()
+              let result =
+                Workload.Runner.run ~n_clients:4 ~spec
+                  ~arrival:(`Poisson rate) ~deadline:(Simtime.of_sec 8.) factory
               in
-              let result = Workload.Builder.run builder factory in
               let params =
                 [
                   ("batch_window_ms", string_of_int w);
@@ -1027,7 +1030,7 @@ let batching () =
    size their cost would dwarf the engine's. The tracing-on leg runs a
    fraction of the transactions — span memory is O(txns) — and the
    comparison uses events/s, which is size-independent. That leg also
-   times the whole [Builder.run] and records [postloop_share], the
+   times the whole [Runner.run] and records [postloop_share], the
    fraction of it spent outside the event loop (the per-phase summary
    over every traced rid dominates it), so a super-linear post-run pass
    shows up as a number rather than as a stall.
@@ -1058,14 +1061,13 @@ let simulator_throughput () =
   in
   let leg ~tracing ~txns =
     let profiler = Sim.Profiler.create () in
-    let builder =
-      Workload.Builder.make ~seed:11 ~replicas:n ~clients ~spec:(spec txns)
-        ~profiler ~tracing ~analyze:false
-        ~deadline:(Simtime.of_sec 3600.)
-        ()
-    in
     let t0 = Unix.gettimeofday () in
-    let result = Workload.Builder.run builder (technique technique_name) in
+    let result =
+      Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:clients
+        ~spec:(spec txns) ~profiler ~tracing ~analyze:false
+        ~deadline:(Simtime.of_sec 3600.)
+        (technique technique_name)
+    in
     let run_wall = Unix.gettimeofday () -. t0 in
     (Sim.Profiler.report profiler, result, run_wall)
   in
@@ -1277,10 +1279,10 @@ let sharding () =
         Workload.Builder.spec ~updates:0.5 ~ops:2 ~txns ~keys:200 ~shards
           ~cross ()
       in
-      let builder =
-        Workload.Builder.make ~seed:11 ~replicas:n ~clients ~spec ()
+      let result =
+        Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:clients ~spec
+          factory
       in
-      let result = Workload.Builder.run builder factory in
       let cross_commits =
         Option.value ~default:0
           (Sim.Metrics.counter_value result.Workload.Runner.metrics
@@ -1358,11 +1360,10 @@ let consistency_audit () =
       Workload.Builder.spec ~updates:0.5 ~ops:(if shards > 1 then 2 else 1)
         ~txns ~keys:100 ~shards ~cross ()
     in
-    let builder =
-      Workload.Builder.make ~seed:11 ~replicas:n ~clients ~spec ~arrival
-        ~sample:(Simtime.of_ms 5) ~audit:true ()
+    let result =
+      Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:clients ~spec
+        ~arrival ~sample:(Simtime.of_ms 5) ~audit:true factory
     in
-    let result = Workload.Builder.run builder factory in
     (result, Option.get result.Workload.Runner.audit)
   in
   let rates = [ 50.; 200. ] in
@@ -1514,11 +1515,10 @@ let quadrant_sweep () =
             ~ops:1 ~txns ~shards:1 ~cross:0. ()
         in
         let arrival = Workload.Sweep.arrival_of_cell c in
-        let builder =
-          Workload.Builder.make ~seed:c.seed ~replicas:3 ~clients:4 ~spec
-            ~arrival ~sample:(Simtime.of_ms 5) ~audit:true ()
+        let result =
+          Workload.Runner.run ~seed:c.seed ~n_replicas:3 ~n_clients:4 ~spec
+            ~arrival ~sample:(Simtime.of_ms 5) ~audit:true factory
         in
-        let result = Workload.Builder.run builder factory in
         let r =
           Workload.Run_record.normalize
             (Workload.Run_record.of_run ~technique:entry.key ~config:[]
@@ -1644,13 +1644,12 @@ let routed_tier () =
   in
   let routed_audit ~sticky =
     let spec = Workload.Builder.spec ~updates:0.5 ~txns ~keys:40 () in
-    let builder =
-      Workload.Builder.make ~seed:11 ~replicas:3 ~clients:4 ~spec ~audit:true
+    let result =
+      Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:4 ~spec ~audit:true
         ~router:
           { Workload.Router.default_config with Workload.Router.sticky }
-        ()
+        lazy_factory
     in
-    let result = Workload.Builder.run builder lazy_factory in
     ( Option.get result.Workload.Runner.audit,
       Option.get result.Workload.Runner.router,
       result )
@@ -1701,25 +1700,23 @@ let routed_tier () =
           Workload.Builder.spec ~keys:100 ~skew:0.6 ~updates:0.5 ~txns ~flash
             ()
         in
-        let builder =
-          Workload.Builder.make ~seed:11 ~replicas:3 ~clients:4 ~spec
+        let result =
+          Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:4 ~spec
             ~router:Workload.Router.default_config
-            ~failures:
-              [
-                Workload.Runner.crash_recover ~at:(Simtime.of_ms 35)
-                  ~recover_at:(Simtime.of_ms 50) 0;
-              ]
-            ~partitions:
-              [
-                {
-                  Workload.Runner.at = Simtime.of_ms 12;
-                  group = [ 2 ];
-                  heal_at = Simtime.of_ms 30;
-                };
-              ]
-            ()
+            ~faults:
+              Workload.Runner.
+                [
+                  Crash { at = Simtime.of_ms 35; replica = 0 };
+                  Recover { at = Simtime.of_ms 50; replica = 0 };
+                  Partition
+                    {
+                      at = Simtime.of_ms 12;
+                      group = [ 2 ];
+                      heal_at = Simtime.of_ms 30;
+                    };
+                ]
+            (technique name)
         in
-        let result = Workload.Builder.run builder (technique name) in
         let st = Option.get result.Workload.Runner.router in
         (name, result, st))
       quadrants

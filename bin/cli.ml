@@ -102,6 +102,14 @@ let recoveries_arg =
            repeatable, comma lists accepted, e.g. --recover 0@1s,2@3s). Each \
            entry must pair with an earlier --crash of the same replica.")
 
+(* A scenario's faults must fit the cluster: the builtins assume three
+   replicas, and on a smaller one an event can name a client. *)
+let check_scenario ~n (s : Workload.Scenario.t) =
+  match Workload.Runner.check_faults ~n_replicas:n s.events with
+  | Ok () -> ()
+  | Error (f, reason) ->
+      fail "scenario %s: %a: %s" s.name Workload.Runner.pp_fault f reason
+
 (* ---- shared workload flags ------------------------------------------- *)
 
 let seed_arg ?(default = 11) () =
@@ -157,22 +165,35 @@ let mix ?updates ?reads () =
   | None, Some r -> 1. -. ratio "--reads" r
   | None, None -> 0.5
 
+(* [k], the value of the count flag [flag]; below 1 it is a usage
+   error. *)
+let at_least_one flag k =
+  if k < 1 then fail "%s must be at least 1, got %d" flag k;
+  k
+
 let ops_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "ops" ] ~docv:"K" ~doc:"Operations per transaction.")
+  Term.(
+    const (at_least_one "--ops")
+    $ Arg.(
+        value & opt int 1
+        & info [ "ops" ] ~docv:"K" ~doc:"Operations per transaction."))
 
 let keys_arg =
-  Arg.(value & opt int 100 & info [ "keys" ] ~docv:"K" ~doc:"Database size.")
+  Term.(
+    const (at_least_one "--keys")
+    $ Arg.(
+        value & opt int 100 & info [ "keys" ] ~docv:"K" ~doc:"Database size."))
 
 let cross_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "cross" ] ~docv:"RATIO"
-        ~doc:
-          "Fraction of multi-op transactions forced to span two shards \
-           (needs a sharded technique, e.g. $(b,--set active.shards=4), and \
-           $(b,--ops) >= 2; the rest stay within one shard).")
+  Term.(
+    const (ratio "--cross")
+    $ Arg.(
+        value & opt float 0.
+        & info [ "cross" ] ~docv:"RATIO"
+            ~doc:
+              "Fraction of multi-op transactions forced to span two shards \
+               (needs a sharded technique, e.g. $(b,--set active.shards=4), \
+               and $(b,--ops) >= 2; the rest stay within one shard)."))
 
 let skew_arg =
   Arg.(

@@ -9,8 +9,8 @@
      replisim trace -t active
 
    The shared argument vocabulary (technique/event converters, workload
-   flags, --set/--config resolution) lives in Cli; the run plumbing in
-   Workload.Builder. *)
+   flags, --set/--config resolution) lives in Cli; every subcommand runs
+   through Workload.Runner.run. *)
 
 open Cmdliner
 
@@ -125,23 +125,22 @@ let run_cmd =
         entry.key;
     if cross > 0. && ops < 2 then
       Cli.fail "--cross needs multi-op transactions; add --ops 2 (or more)";
-    let failures =
+    let faults =
       match
         Workload.Builder.crash_schedule ~n ~crashes:(List.concat crashes)
           ~recoveries:(List.concat recoveries)
       with
-      | Ok failures -> failures
+      | Ok faults -> faults
       | Error msg -> Cli.fail "%s" msg
     in
     let spec =
       Workload.Builder.spec ~keys ~skew ~updates ~ops ~txns ~shards ~cross
         ~shape ?flash:(Cli.flash_spec flash) ()
     in
-    let builder =
-      Workload.Builder.make ~seed ~replicas:n ~clients:m ~spec ~failures
-        ?router:(Cli.router_config ~router ~sticky) ()
+    let result =
+      Workload.Runner.run ~seed ~n_replicas:n ~n_clients:m ~spec ~faults
+        ?router:(Cli.router_config ~router ~sticky) factory
     in
-    let result = Workload.Builder.run builder factory in
     (* Emitted after the human report so that with "-" the record is the
        last stdout line — `run ... --record - | tail -1` is the idiom. *)
     let emit_record () =
@@ -547,6 +546,7 @@ let campaign_cmd =
                     scenario_names)
             (String.split_on_char ',' names)
     in
+    List.iter (Cli.check_scenario ~n:n_replicas) scenarios;
     let techniques =
       match technique_sel with
       | "all" -> Protocols.Registry.all
@@ -647,10 +647,9 @@ let metrics_cmd =
     let cfg, factory = Cli.resolve entry directives in
     let shards = Cli.check_shards ~n cfg in
     let spec = Workload.Builder.spec ~updates ~txns ~shards () in
-    let builder =
-      Workload.Builder.make ~seed ~replicas:n ~clients:m ~spec ()
+    let result =
+      Workload.Runner.run ~seed ~n_replicas:n ~n_clients:m ~spec factory
     in
-    let result = Workload.Builder.run builder factory in
     if json then begin
       print_endline
         (Workload.Report.header_json
@@ -870,19 +869,19 @@ let timeline_cmd =
               Cli.fail "unknown scenario %S (known: %s, none)" name
                 scenario_names)
     in
+    Option.iter (Cli.check_scenario ~n) scenario;
     let events =
       match scenario with Some s -> s.Workload.Scenario.events | None -> []
     in
     let spec =
       { Workload.Scenario.default_spec with txns_per_client = txns }
     in
-    let builder =
-      Workload.Builder.make ~seed ~replicas:n ~clients:m ~spec ?scenario
+    let result =
+      Workload.Runner.run ~seed ~n_replicas:n ~n_clients:m ~spec ~faults:events
         ~deadline:(Sim.Simtime.of_ms until_ms)
         ~sample:(Sim.Simtime.of_ms interval_ms)
-        ()
+        factory
     in
-    let result = Workload.Builder.run builder factory in
     let series = result.Workload.Runner.series in
     let findings = Sim.Saturation.analyze series in
     let header =
@@ -1050,13 +1049,12 @@ let profile_cmd =
     let _cfg, factory = Cli.resolve entry directives in
     let spec = Workload.Builder.spec ~updates ~txns () in
     let profiler = Sim.Profiler.create () in
-    let builder =
-      Workload.Builder.make ~seed ~replicas:n ~clients:m ~spec ~profiler
-        ~tracing:(not no_tracing)
+    let result, inst =
+      Workload.Runner.run_with_instance ~seed ~n_replicas:n ~n_clients:m ~spec
+        ~profiler ~tracing:(not no_tracing)
         ?sample:(Option.map Sim.Simtime.of_ms sample)
-        ()
+        factory
     in
-    let result, inst = Workload.Builder.run_with_instance builder factory in
     (* Price the trace export itself (only meaningful with tracing on):
        the serialized bytes count into the profile's meta counters and
        the export wall/alloc cost lands in its own bucket. *)
@@ -1222,12 +1220,11 @@ let audit_cmd =
             Workload.Builder.spec ~keys ~skew ~updates ~ops ~txns ~shards
               ~cross ~shape ?flash:(Cli.flash_spec flash) ()
           in
-          let builder =
-            Workload.Builder.make ~seed ~replicas:n ~clients:m ~spec
+          let result =
+            Workload.Runner.run ~seed ~n_replicas:n ~n_clients:m ~spec
               ~sample:(Sim.Simtime.of_ms 5) ~audit:true
-              ?router:(Cli.router_config ~router ~sticky) ()
+              ?router:(Cli.router_config ~router ~sticky) factory
           in
-          let result = Workload.Builder.run builder factory in
           let a = Option.get result.Workload.Runner.audit in
           (entry, shards, a))
         entries
@@ -1624,14 +1621,13 @@ let sweep_cmd =
               ?flash:(Cli.flash_spec flash) ()
           in
           let arrival = Workload.Sweep.arrival_of_cell c in
-          let builder =
-            Workload.Builder.make ~seed:c.seed ~replicas:n ~clients:m ~spec
+          let result =
+            Workload.Runner.run ~seed:c.seed ~n_replicas:n ~n_clients:m ~spec
               ~arrival
               ~sample:(Sim.Simtime.of_ms 5)
               ~audit:true
-              ?router:(Cli.router_config ~router ~sticky) ()
+              ?router:(Cli.router_config ~router ~sticky) factory
           in
-          let result = Workload.Builder.run builder factory in
           let record =
             make_record ~entry ~cfg ~factory ~seed:c.seed ~n ~m ~arrival ~spec
               result

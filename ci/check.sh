@@ -46,6 +46,21 @@ if [ -n "$ids" ]; then
   exit 1
 fi
 
+# One fault scheduler: a crash, recovery, partition or loss window is a
+# Runner.fault, scheduled by Runner.schedule_faults whether it comes from
+# the command line, a scenario or a tune hook. No other file may arm a
+# timer labelled "fault".
+echo "== one fault scheduler =="
+faults=$(grep -rnF --include='*.ml' '~label:"fault"' \
+    lib bin bench examples test benchmark \
+  | grep -vE '^lib/workload/runner\.ml:' \
+  || true)
+if [ -n "$faults" ]; then
+  printf '%s\n' "$faults" >&2
+  echo "faults are scheduled only by Runner.schedule_faults; describe the fault as a Runner.fault" >&2
+  exit 1
+fi
+
 echo "== build =="
 dune build
 
@@ -97,12 +112,19 @@ dune exec bin/replisim.exe -- run -t active \
   --set active.batch_window=5ms --txns 10 > /dev/null
 dune exec bin/replisim.exe -- config active > /dev/null
 
-# Argument validation: an out-of-range ratio or fault event is a usage
-# error (exit status 2), never a run with a silently odd workload.
+# Argument validation: an out-of-range ratio, count or fault event (a
+# flag's or a scenario's) is a usage error (exit status 2), never a run
+# with a silently odd workload.
 echo "== argument validation =="
 for args in "run -t active --updates 1.5 --txns 5" \
     "sweep --techniques active --updates 0.5,1.5 --txns 5 --format none" \
-    "run -t active -n 3 --crash 3@10ms --txns 5"; do
+    "run -t active -n 3 --crash 3@10ms --txns 5" \
+    "run -t active --keys 0 --txns 5" \
+    "run -t active --ops 0 --txns 5" \
+    "run -t active --cross 1.5 --txns 5" \
+    "run -t active -n 4 --set active.shards=2 --ops 2 --cross 1.5 --txns 5" \
+    "campaign --scenario backup-crash-recover --replicas 2 --techniques active" \
+    "timeline -t active --scenario partition-heal -n 2"; do
   status=0
   dune exec bin/replisim.exe -- $args > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then

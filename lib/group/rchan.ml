@@ -7,7 +7,6 @@ type Msg.t +=
 let () =
   Msg.register_printer (function
     | Data { payload; _ } -> Some ("Data(" ^ Msg.name payload ^ ")")
-    | Ack _ -> Some "Ack"
     | _ -> None)
 
 (* A sent message still waiting for its ack: the packet, where it goes,

@@ -22,12 +22,6 @@ type Msg.t +=
          sent unless a router is in front of the clients, so a run
          without one is byte-identical to the pre-router request path. *)
 
-let () =
-  Msg.register_printer (function
-    | Reply _ -> Some "Reply"
-    | Read_req _ -> Some "Read_req"
-    | _ -> None)
-
 type ctx = {
   cid : int;
   net : Network.t;

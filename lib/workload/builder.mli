@@ -1,58 +1,8 @@
-(** One builder path from the CLI (and the bench binary) to a running
-    cluster.
-
-    Collects everything a run needs — workload spec, cluster shape,
-    network config, arrival process, crash/recover schedule, fault
-    scenario, sampler interval, deadline — in one declarative value, and
-    funnels every subcommand through {!run} / {!run_with_instance}
-    instead of each re-implementing the {!Runner} plumbing. Also hosts
-    the deterministic single-transaction {!probe} harness shared by
+(** What the CLI adds on top of {!Runner.run}, which is the one way to
+    describe a run: the workload {!spec} from the flat flags, the fault
+    schedule from [--crash]/[--recover] ({!crash_schedule}), and the
+    deterministic single-transaction {!probe} harness shared by
     [replisim trace] and [replisim explain]. *)
-
-type t = {
-  seed : int;
-  n_replicas : int;
-  n_clients : int;
-  spec : Spec.t;
-  net : Sim.Network.config;
-  arrival : Runner.arrival;
-  failures : Runner.failure list;
-  partitions : Runner.partition list;
-  scenario : Scenario.t option;  (** applied to the network before the run *)
-  deadline : Sim.Simtime.t;
-  sample : Sim.Simtime.t option;  (** resource-sampler interval *)
-  profiler : Sim.Profiler.t option;  (** attached to the engine when set *)
-  tracing : bool;  (** span/trace recording master switch (default on) *)
-  analyze : bool;
-      (** run the post-run convergence/serializability oracles
-          (default on; see {!Runner.run_with_instance}) *)
-  audit : bool;
-      (** attach the consistency audit layer (default off; see
-          {!Audit} and {!Runner.run_with_instance}) *)
-  router : Router.config option;
-      (** route requests through the client-side routing tier (default
-          off; see {!Router} and {!Runner.run_with_instance}) *)
-}
-
-val make :
-  ?seed:int ->
-  ?replicas:int ->
-  ?clients:int ->
-  ?spec:Spec.t ->
-  ?net:Sim.Network.config ->
-  ?arrival:Runner.arrival ->
-  ?failures:Runner.failure list ->
-  ?partitions:Runner.partition list ->
-  ?scenario:Scenario.t ->
-  ?deadline:Sim.Simtime.t ->
-  ?sample:Sim.Simtime.t ->
-  ?profiler:Sim.Profiler.t ->
-  ?tracing:bool ->
-  ?analyze:bool ->
-  ?audit:bool ->
-  ?router:Router.config ->
-  unit ->
-  t
 
 (** Spec from the CLI's flat flags. *)
 val spec :
@@ -69,19 +19,17 @@ val spec :
   unit ->
   Spec.t
 
-(** Pair [(replica, at)] crashes with [(replica, at)] recoveries into a
-    failure schedule for [n] replicas. An event naming a replica outside
-    [0 .. n-1] (ids from [n] on are clients) or a negative time is an
-    error, and so is a recovery without a matching earlier crash of the
-    same replica. *)
+(** The [(replica, at)] crashes and recoveries of the command line as
+    {!Runner.fault}s for [n] replicas, checked by {!Runner.check_faults}:
+    an event naming a replica outside [0 .. n-1] (ids from [n] on are
+    clients), a negative time, or a recovery that follows no crash of the
+    same replica is an error whose message starts with the flag
+    ([--crash 3@10ms: ...]). *)
 val crash_schedule :
   n:int ->
   crashes:(int * Sim.Simtime.t) list ->
   recoveries:(int * Sim.Simtime.t) list ->
-  (Runner.failure list, string) result
-
-val run : t -> Runner.factory -> Runner.result
-val run_with_instance : t -> Runner.factory -> Runner.result * Core.Technique.instance
+  (Runner.fault list, string) result
 
 (** {2 Single-transaction probe} *)
 

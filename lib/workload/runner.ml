@@ -3,16 +3,93 @@ open Sim
 type factory =
   Network.t -> replicas:int list -> clients:int list -> Core.Technique.instance
 
-type failure = { at : Simtime.t; replica : int; recover_at : Simtime.t option }
-
-let crash_at ~at replica = { at; replica; recover_at = None }
-
-let crash_recover ~at ~recover_at replica =
-  { at; replica; recover_at = Some recover_at }
+type fault =
+  | Crash of { at : Simtime.t; replica : int }
+  | Recover of { at : Simtime.t; replica : int }
+  | Partition of { at : Simtime.t; group : int list; heal_at : Simtime.t }
+  | Loss of { at : Simtime.t; probability : float; until : Simtime.t }
 
 type arrival = [ `Closed | `Poisson of float ]
 
-type partition = { at : Simtime.t; group : int list; heal_at : Simtime.t }
+let pp_fault ppf = function
+  | Crash { at; replica } ->
+      Format.fprintf ppf "crash %d@@%gms" replica (Simtime.to_ms at)
+  | Recover { at; replica } ->
+      Format.fprintf ppf "recover %d@@%gms" replica (Simtime.to_ms at)
+  | Partition { at; group; heal_at } ->
+      Format.fprintf ppf "partition [%s] %gms..%gms"
+        (String.concat ";" (List.map string_of_int group))
+        (Simtime.to_ms at) (Simtime.to_ms heal_at)
+  | Loss { at; probability; until } ->
+      Format.fprintf ppf "loss %g %gms..%gms" probability (Simtime.to_ms at)
+        (Simtime.to_ms until)
+
+let check_faults ~n_replicas faults =
+  let endpoints = function
+    | Crash { replica; _ } | Recover { replica; _ } -> [ replica ]
+    | Partition { group; _ } -> group
+    | Loss _ -> []
+  in
+  let times = function
+    | Crash { at; _ } | Recover { at; _ } -> [ at ]
+    | Partition { at; heal_at; _ } -> [ at; heal_at ]
+    | Loss { at; until; _ } -> [ at; until ]
+  in
+  let invalid f =
+    match List.find_opt (fun r -> r < 0 || r >= n_replicas) (endpoints f) with
+    | Some r ->
+        Some
+          ( f,
+            Printf.sprintf "no replica %d (the cluster has replicas 0..%d)" r
+              (n_replicas - 1) )
+    | None when List.exists (fun t -> Simtime.(t < zero)) (times f) ->
+        Some (f, "time must not be negative")
+    | None -> None
+  in
+  (* Recoveries in time order, each using up one crash of its replica
+     strictly before it. *)
+  let crashes_before replica t =
+    List.length
+      (List.filter
+         (function
+           | Crash c -> c.replica = replica && Simtime.(c.at < t) | _ -> false)
+         faults)
+  in
+  let recoveries =
+    List.stable_sort
+      (fun (a, _, _) (b, _, _) -> Simtime.compare a b)
+      (List.filter_map
+         (function
+           | Recover { at; replica } as f -> Some (at, replica, f) | _ -> None)
+         faults)
+  in
+  let rec unpaired used = function
+    | [] -> None
+    | (at, replica, f) :: rest ->
+        let n = Option.value ~default:0 (List.assoc_opt replica used) in
+        if crashes_before replica at <= n then
+          Some (f, Printf.sprintf "no earlier crash of replica %d" replica)
+        else unpaired ((replica, n + 1) :: List.remove_assoc replica used) rest
+  in
+  match List.find_map invalid faults with
+  | Some e -> Error e
+  | None -> ( match unpaired [] recoveries with Some e -> Error e | None -> Ok ())
+
+let schedule_faults net faults =
+  let engine = Network.engine net in
+  let baseline = Network.drop_probability net in
+  let at t f = ignore (Engine.schedule_at engine ~label:"fault" ~at:t f) in
+  List.iter
+    (function
+      | Crash { at = t; replica } -> at t (fun () -> Network.crash net replica)
+      | Recover { at = t; replica } -> at t (fun () -> Network.recover net replica)
+      | Partition { at = t; group; heal_at } ->
+          at t (fun () -> Network.partition net group);
+          at heal_at (fun () -> Network.heal net)
+      | Loss { at = t; probability; until } ->
+          at t (fun () -> Network.set_drop_probability net probability);
+          at until (fun () -> Network.set_drop_probability net baseline))
+    faults
 
 type result = {
   committed : int;
@@ -44,9 +121,13 @@ type result = {
 
 let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
     ?(net = Network.default_config) ?tune ?(arrival = `Closed)
-    ?(failures = []) ?(partitions = []) ?(deadline = Simtime.of_sec 120.)
+    ?(faults = []) ?(deadline = Simtime.of_sec 120.)
     ?sample ?profiler ?(tracing = true) ?(analyze = true) ?(audit = false)
     ?router ~spec factory =
+  (match check_faults ~n_replicas faults with
+  | Ok () -> ()
+  | Error (f, reason) ->
+      invalid_arg (Format.asprintf "Runner.run: %a: %s" pp_fault f reason));
   let engine = Engine.create ~seed () in
   Engine.set_profiler engine profiler;
   let network = Network.create engine ~n:(n_replicas + n_clients) net in
@@ -62,6 +143,7 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
   in
   Option.iter (Network.set_timeseries network) sampler;
   (match tune with Some f -> f network ~replicas ~clients | None -> ());
+  schedule_faults network faults;
   let inst = factory network ~replicas ~clients in
   (* The audit's Kv watchers and History subscription must be installed
      before the first submission below, or early applies go unseen. *)
@@ -79,24 +161,6 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
       Some a
     end
   in
-  List.iter
-    (fun { at; replica; recover_at } ->
-      ignore
-        (Engine.schedule_at engine ~label:"fault" ~at (fun () -> Network.crash network replica));
-      match recover_at with
-      | Some at ->
-          ignore
-            (Engine.schedule_at engine ~label:"fault" ~at (fun () ->
-                 Network.recover network replica))
-      | None -> ())
-    failures;
-  List.iter
-    (fun { at; group; heal_at } ->
-      ignore
-        (Engine.schedule_at engine ~label:"fault" ~at (fun () -> Network.partition network group));
-      ignore
-        (Engine.schedule_at engine ~label:"fault" ~at:heal_at (fun () -> Network.heal network)))
-    partitions;
   (* The routing tier, when requested: requests flow client session ->
      router -> replica instead of straight into the technique. With
      [router = None] the dispatch below IS the direct call — nothing
@@ -286,13 +350,12 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
     },
     inst )
 
-let run ?seed ?n_replicas ?n_clients ?net ?tune ?arrival ?failures ?partitions
-    ?deadline ?sample ?profiler ?tracing ?analyze ?audit ?router ~spec factory
-    =
+let run ?seed ?n_replicas ?n_clients ?net ?tune ?arrival ?faults ?deadline
+    ?sample ?profiler ?tracing ?analyze ?audit ?router ~spec factory =
   fst
     (run_with_instance ?seed ?n_replicas ?n_clients ?net ?tune ?arrival
-       ?failures ?partitions ?deadline ?sample ?profiler ?tracing ?analyze
-       ?audit ?router ~spec factory)
+       ?faults ?deadline ?sample ?profiler ?tracing ?analyze ?audit ?router
+       ~spec factory)
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -1,26 +1,40 @@
 (** Closed-loop experiment driver: builds a simulated cluster, runs a
-    technique under a workload (optionally with a crash schedule), waits
-    for quiescence, and reports the metrics the paper's promised
-    performance study calls for. *)
+    technique under a workload and a fault schedule, waits for
+    quiescence, and reports the metrics the paper's promised performance
+    study calls for. {!run} / {!run_with_instance} are the one way to
+    describe a run, and {!fault} the one way to describe a failure
+    assumption. *)
 
 type factory =
   Sim.Network.t -> replicas:int list -> clients:int list -> Core.Technique.instance
 
-(** Crash [replica] at [at]; when [recover_at] is set, bring it back at
-    that time ({!Sim.Network.recover}) so crash-recover scenarios are
-    expressible directly in the schedule. *)
-type failure = {
-  at : Sim.Simtime.t;
-  replica : int;
-  recover_at : Sim.Simtime.t option;
-}
+(** One scheduled fault. Times are absolute simulation times; replica
+    ids are the runner's replica numbering ([0 .. n_replicas-1]). *)
+type fault =
+  | Crash of { at : Sim.Simtime.t; replica : int }
+  | Recover of { at : Sim.Simtime.t; replica : int }
+      (** bring a crashed replica back ({!Sim.Network.recover}) *)
+  | Partition of { at : Sim.Simtime.t; group : int list; heal_at : Sim.Simtime.t }
+      (** isolate [group] from the complement between [at] and [heal_at] *)
+  | Loss of { at : Sim.Simtime.t; probability : float; until : Sim.Simtime.t }
+      (** raise the per-message drop probability to [probability] inside
+          the window, restoring the drop probability the network had
+          when the faults were scheduled at [until] *)
 
-(** [crash_at ~at r] — a crash with no recovery. *)
-val crash_at : at:Sim.Simtime.t -> int -> failure
+(** [check_faults ~n_replicas faults] is [Error (fault, reason)] for a
+    fault a cluster of [n_replicas] cannot run: the first, in list order,
+    that crashes, recovers or partitions an endpoint outside
+    [0 .. n_replicas-1] (ids from [n_replicas] on are clients) or has a
+    negative time; failing that, the earliest [Recover] that no crash of
+    the same replica strictly before it pairs with (each crash pairs with
+    one recovery). *)
+val check_faults : n_replicas:int -> fault list -> (unit, fault * string) result
 
-(** [crash_recover ~at ~recover_at r] — crash then recover. *)
-val crash_recover :
-  at:Sim.Simtime.t -> recover_at:Sim.Simtime.t -> int -> failure
+(** [crash 2@100ms], [partition [2] 50ms..600ms], … *)
+val pp_fault : Format.formatter -> fault -> unit
+
+(** Schedule every fault on the network's engine, in list order. *)
+val schedule_faults : Sim.Network.t -> fault list -> unit
 
 (** How clients issue transactions: [`Closed] waits for each reply plus
     the spec's think time before the next submission (the default);
@@ -28,10 +42,6 @@ val crash_recover :
     [rate] transactions per second per client, independent of replies —
     an open-loop load generator for contention studies. *)
 type arrival = [ `Closed | `Poisson of float ]
-
-(** Isolate [group] from the rest of the network between [at] and
-    [heal_at]. *)
-type partition = { at : Sim.Simtime.t; group : int list; heal_at : Sim.Simtime.t }
 
 type result = {
   committed : int;
@@ -85,8 +95,7 @@ val run :
   ?net:Sim.Network.config ->
   ?tune:(Sim.Network.t -> replicas:int list -> clients:int list -> unit) ->
   ?arrival:arrival ->
-  ?failures:failure list ->
-  ?partitions:partition list ->
+  ?faults:fault list ->
   ?deadline:Sim.Simtime.t ->
   ?sample:Sim.Simtime.t ->
   ?profiler:Sim.Profiler.t ->
@@ -101,6 +110,12 @@ val run :
 (** Like {!run}, but also returns the instance that ran, for post-hoc
     oracles that need its spans, history, or stores. [result] itself
     stays plain data (structurally comparable).
+
+    [tune] runs on the fresh network before anything is built; [faults]
+    (default none) are then scheduled ({!schedule_faults}), still before
+    the factory builds the technique, so a fault due at the same instant
+    as a timer armed during the build runs first. A fault list that
+    fails {!check_faults} raises [Invalid_argument].
 
     [profiler] attaches a {!Sim.Profiler} to the engine (self-time /
     allocation attribution; its engine stats and meta counters are
@@ -124,8 +139,7 @@ val run_with_instance :
   ?net:Sim.Network.config ->
   ?tune:(Sim.Network.t -> replicas:int list -> clients:int list -> unit) ->
   ?arrival:arrival ->
-  ?failures:failure list ->
-  ?partitions:partition list ->
+  ?faults:fault list ->
   ?deadline:Sim.Simtime.t ->
   ?sample:Sim.Simtime.t ->
   ?profiler:Sim.Profiler.t ->

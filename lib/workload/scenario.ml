@@ -1,6 +1,6 @@
 open Sim
 
-type event =
+type event = Runner.fault =
   | Crash of { at : Simtime.t; replica : int }
   | Recover of { at : Simtime.t; replica : int }
   | Partition of { at : Simtime.t; group : int list; heal_at : Simtime.t }
@@ -8,33 +8,7 @@ type event =
 
 type t = { name : string; description : string; events : event list }
 
-let apply t net =
-  let engine = Network.engine net in
-  let baseline = Network.drop_probability net in
-  List.iter
-    (fun event ->
-      match event with
-      | Crash { at; replica } ->
-          ignore
-            (Engine.schedule_at engine ~label:"fault" ~at (fun () -> Network.crash net replica))
-      | Recover { at; replica } ->
-          ignore
-            (Engine.schedule_at engine ~label:"fault" ~at (fun () ->
-                 Network.recover net replica))
-      | Partition { at; group; heal_at } ->
-          ignore
-            (Engine.schedule_at engine ~label:"fault" ~at (fun () ->
-                 Network.partition net group));
-          ignore
-            (Engine.schedule_at engine ~label:"fault" ~at:heal_at (fun () -> Network.heal net))
-      | Loss { at; probability; until } ->
-          ignore
-            (Engine.schedule_at engine ~label:"fault" ~at (fun () ->
-                 Network.set_drop_probability net probability));
-          ignore
-            (Engine.schedule_at engine ~label:"fault" ~at:until (fun () ->
-                 Network.set_drop_probability net baseline)))
-    t.events
+let apply t net = Runner.schedule_faults net t.events
 
 let has_crash t =
   List.exists (function Crash _ -> true | _ -> false) t.events
@@ -340,8 +314,7 @@ let run_one ?(seed = 11) ?(n_replicas = 3) ?(spec = default_spec)
     ?(deadline = Simtime.of_sec 120.) ~key ~info ~factory scenario =
   let result, inst =
     Runner.run_with_instance ~seed ~n_replicas ~n_clients:2 ~deadline ~spec
-      ~tune:(fun net ~replicas:_ ~clients:_ -> apply scenario net)
-      factory
+      ~faults:scenario.events factory
   in
   let verdicts = oracles ~key info scenario result inst in
   {

@@ -2,8 +2,8 @@
     the paper's §6 performance study.
 
     A {!t} is a declarative failure scenario: a named schedule of crash,
-    recovery, partition/heal and message-loss events that {!apply}
-    installs on a simulated network. {!run_one} executes one technique
+    recovery, partition/heal and message-loss events — {!Runner.fault}s,
+    which {!Runner.run} schedules through [?faults]. {!run_one} executes one technique
     under one scenario with {!Runner} and then judges the run with
     post-hoc {e invariant oracles} — 1-copy serializability, replica
     convergence after heal/recover, Figure-16 signature conformance of
@@ -13,16 +13,13 @@
     zero client resubmissions). {!run_campaign} sweeps
     techniques × scenarios × seeds. *)
 
-(** One scheduled fault event. Times are absolute simulation times;
-    replica ids refer to the runner's replica numbering (0-based). *)
-type event =
+(** One scheduled fault event — {!Runner.fault}, re-exported so a
+    scenario can be written with this module's constructors. *)
+type event = Runner.fault =
   | Crash of { at : Sim.Simtime.t; replica : int }
   | Recover of { at : Sim.Simtime.t; replica : int }
   | Partition of { at : Sim.Simtime.t; group : int list; heal_at : Sim.Simtime.t }
-      (** isolate [group] from the complement between [at] and [heal_at] *)
   | Loss of { at : Sim.Simtime.t; probability : float; until : Sim.Simtime.t }
-      (** raise the per-message drop probability to [probability] inside
-          the window, restoring the baseline at [until] *)
 
 type t = {
   name : string;  (** CLI identifier, e.g. ["crash-recover"] *)
@@ -30,8 +27,11 @@ type t = {
   events : event list;
 }
 
-(** Schedule every event of the scenario on the network's engine. Safe to
-    call from {!Runner.run}'s [tune] hook (before traffic starts). *)
+(** Schedule every event of the scenario on the network's engine with
+    {!Runner.schedule_faults} — the scheduler behind {!Runner.run}'s
+    [?faults]. Passing [~faults:t.events] to {!Runner.run} is the same
+    schedule at the same point; [apply] serves callers that install the
+    scenario from their own [tune] hook. *)
 val apply : t -> Sim.Network.t -> unit
 
 (** The scenario contains a [Crash]. *)
@@ -62,7 +62,9 @@ val bursts :
     (replica 2 down 100–600 ms), [partition-heal] (replica 2 isolated
     50–600 ms), [loss] (sustained 5 % message loss), [burst-loss]
     (3 × 100 ms windows of 30 % loss), and [chaos] (crash-recover +
-    partition + background loss composed). *)
+    partition + background loss composed). On a smaller cluster some of
+    their events name a client; {!Runner.check_faults} finds them, and
+    {!Runner.run} refuses them. *)
 
 val builtins : t list
 

@@ -1,8 +1,8 @@
 (* Sweep orchestration: a declared grid of techniques × shards × load ×
    update-ratio × zipf skew × seeds (× any per-technique config axis),
    expanded into cells in a fixed deterministic order. The caller (the
-   CLI's `replisim sweep`, or bench perf18) runs each cell through the
-   shared Builder path and gets back one Run_record per cell; this
+   CLI's `replisim sweep`, or bench perf18) runs each cell through
+   Runner.run and gets back one Run_record per cell; this
    module owns the grid algebra, the aggregate manifest and the
    ASCII-heatmap / Markdown-matrix rendering over any record metric —
    the measured form of the paper's Figure-6 technique × workload

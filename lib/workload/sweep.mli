@@ -4,8 +4,8 @@
     A sweep is a declared grid — techniques × shards × load ×
     update-ratio × zipf skew × seeds, plus any per-technique config axis
     — expanded into {!cell}s in a fixed deterministic order. The caller
-    ([replisim sweep], bench perf18) runs each cell through the shared
-    {!Builder} path and produces one {!Run_record} per cell; this module
+    ([replisim sweep], bench perf18) runs each cell through
+    {!Runner.run} and produces one {!Run_record} per cell; this module
     renders the record set as an ASCII heatmap or Markdown matrix over
     any record metric (the measured form of the paper's Figure-6
     technique × workload matrix) and emits the aggregate manifest. *)

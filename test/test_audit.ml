@@ -54,10 +54,10 @@ let prop_eager_zero_window name =
     QCheck.(pair (int_range 0 10_000) (pair (int_range 2 5) (int_range 5 25)))
     (fun (seed, (clients, txns)) ->
       let spec = Workload.Builder.spec ~updates:0.5 ~txns ~keys:40 () in
-      let builder =
-        Workload.Builder.make ~seed ~replicas:3 ~clients ~spec ~audit:true ()
+      let result =
+        Workload.Runner.run ~seed ~n_replicas:3 ~n_clients:clients ~spec
+          ~audit:true factory
       in
-      let result = Workload.Builder.run builder factory in
       let a = Option.get result.Workload.Runner.audit in
       a.Workload.Audit.ryw_violations = 0
       && a.Workload.Audit.mr_violations = 0
@@ -72,10 +72,10 @@ let test_lazy_visibility_positive () =
     Protocols.Registry.configure_exn entry [ ("passthrough", "true") ]
   in
   let spec = Workload.Builder.spec ~updates:0.5 ~txns:30 ~keys:50 () in
-  let builder =
-    Workload.Builder.make ~seed:11 ~replicas:3 ~clients:4 ~spec ~audit:true ()
+  let result =
+    Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:4 ~spec ~audit:true
+      factory
   in
-  let result = Workload.Builder.run builder factory in
   let a = Option.get result.Workload.Runner.audit in
   Alcotest.(check bool)
     "post-commit window strictly positive (propagation after the reply)"

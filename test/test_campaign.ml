@@ -61,11 +61,12 @@ let spec =
 let recovered_replica_converges () =
   let result =
     Workload.Runner.run ~seed:11 ~n_clients:2 ~spec
-      ~failures:
-        [
-          Workload.Runner.crash_recover ~at:(Sim.Simtime.of_ms 100)
-            ~recover_at:(Sim.Simtime.of_ms 250) 0;
-        ]
+      ~faults:
+        Workload.Runner.
+          [
+            Crash { at = Sim.Simtime.of_ms 100; replica = 0 };
+            Recover { at = Sim.Simtime.of_ms 250; replica = 0 };
+          ]
       ~deadline:(Sim.Simtime.of_sec 120.)
       (passive_factory ())
   in
@@ -81,17 +82,46 @@ let recovered_replica_converges () =
 let quick_crash_recover () =
   let result =
     Workload.Runner.run ~seed:11 ~n_clients:2 ~spec
-      ~failures:
-        [
-          Workload.Runner.crash_recover ~at:(Sim.Simtime.of_ms 100)
-            ~recover_at:(Sim.Simtime.of_ms 130) 0;
-        ]
+      ~faults:
+        Workload.Runner.
+          [
+            Crash { at = Sim.Simtime.of_ms 100; replica = 0 };
+            Recover { at = Sim.Simtime.of_ms 130; replica = 0 };
+          ]
       ~deadline:(Sim.Simtime.of_sec 120.)
       (passive_factory ())
   in
   Alcotest.(check int) "all answered" 0 result.Workload.Runner.unanswered;
   Alcotest.(check bool) "converged" true result.Workload.Runner.converged;
   Alcotest.(check bool) "serializable" true result.Workload.Runner.serializable
+
+(* The benchmark installs its scenario from a [tune] hook through
+   [Scenario.apply]; campaigns pass the events as [~faults]. Both go
+   through the runner's one fault scheduler at the same point of the
+   build, so the two runs must be the same run. *)
+let tune_path_matches_faults_path () =
+  let chaos = scenario "chaos" in
+  let run ?tune ?faults key =
+    let entry = Option.get (Protocols.Registry.find key) in
+    let r =
+      Workload.Runner.run ~seed:11 ~n_clients:2
+        ~spec:Workload.Scenario.default_spec ?tune ?faults
+        (Protocols.Registry.default_factory entry)
+    in
+    { r with wall_s = 0. }
+  in
+  List.iter
+    (fun key ->
+      let via_tune =
+        run key ~tune:(fun net ~replicas:_ ~clients:_ ->
+            Workload.Scenario.apply chaos net)
+      in
+      let via_faults = run key ~faults:chaos.events in
+      Alcotest.(check bool) (key ^ ": faults took effect") true
+        (via_faults.dropped_crashed > 0 && via_faults.dropped_partitioned > 0);
+      Alcotest.(check bool) (key ^ ": identical results") true
+        (via_tune = via_faults))
+    [ "eager-ue-abcast"; "passive" ]
 
 let () =
   Alcotest.run "campaign"
@@ -102,5 +132,7 @@ let () =
           Alcotest.test_case "recovered replica converges" `Quick
             recovered_replica_converges;
           Alcotest.test_case "quick crash-recover" `Quick quick_crash_recover;
+          Alcotest.test_case "tune path matches faults path" `Quick
+            tune_path_matches_faults_path;
         ] );
     ]

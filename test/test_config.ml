@@ -211,8 +211,9 @@ let batched_factory window =
    one process compare byte for byte. *)
 let trace_of factory =
   let spec = Workload.Builder.spec ~txns:10 () in
-  let builder = Workload.Builder.make ~seed:23 ~clients:3 ~spec () in
-  let result, inst = Workload.Builder.run_with_instance builder factory in
+  let result, inst =
+    Workload.Runner.run_with_instance ~seed:23 ~n_clients:3 ~spec factory
+  in
   Alcotest.(check int) "no unanswered" 0 result.Workload.Runner.unanswered;
   Sim.Trace_export.to_jsonl
     (Core.Phase_span.collector inst.Core.Technique.spans)

@@ -1096,7 +1096,7 @@ let test_soak_eager_ue_abcast () =
   in
   let result =
     Workload.Runner.run ~seed:3 ~n_replicas:7 ~n_clients:6 ~spec
-      ~failures:[ Workload.Runner.crash_at ~at:(Simtime.of_ms 50) 6 ]
+      ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 50; replica = 6 } ]
       (fun net ~replicas ~clients ->
         Protocols.Eager_ue_abcast.create net ~replicas ~clients ())
   in

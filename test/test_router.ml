@@ -12,8 +12,7 @@ let factory_of ?(config = []) name =
 
 let run_default ?router ?flash name =
   let spec = Workload.Builder.spec ?flash () in
-  let builder = Workload.Builder.make ~spec ?router () in
-  Workload.Builder.run builder (factory_of name)
+  Workload.Runner.run ~spec ?router (factory_of name)
 
 (* ---- router off: the pre-refactor request path, byte for byte ------- *)
 
@@ -103,12 +102,12 @@ let ryw_factory =
 
 let audited ~sticky ~seed ~clients ~txns =
   let spec = Workload.Builder.spec ~updates:0.5 ~txns ~keys:40 () in
-  let builder =
-    Workload.Builder.make ~seed ~replicas:3 ~clients ~spec ~audit:true
+  let result =
+    Workload.Runner.run ~seed ~n_replicas:3 ~n_clients:clients ~spec
+      ~audit:true
       ~router:{ Workload.Router.default_config with Workload.Router.sticky }
-      ()
+      ryw_factory
   in
-  let result = Workload.Builder.run builder ryw_factory in
   Option.get result.Workload.Runner.audit
 
 let prop_sticky_restores_ryw =
@@ -150,16 +149,16 @@ let test_nonsticky_violates_ryw () =
    interleaving, found by scanning crash times. *)
 let test_failover_retry_answers_reads () =
   let spec = Workload.Builder.spec () in
-  let builder =
-    Workload.Builder.make ~spec ~router:Workload.Router.default_config
-      ~failures:
-        [
-          Workload.Runner.crash_recover ~at:(Sim.Simtime.of_ms 60)
-            ~recover_at:(Sim.Simtime.of_ms 120) 0;
-        ]
-      ()
+  let r =
+    Workload.Runner.run ~spec ~router:Workload.Router.default_config
+      ~faults:
+        Workload.Runner.
+          [
+            Crash { at = Sim.Simtime.of_ms 60; replica = 0 };
+            Recover { at = Sim.Simtime.of_ms 120; replica = 0 };
+          ]
+      (factory_of "active")
   in
-  let r = Workload.Builder.run builder (factory_of "active") in
   let st = Option.get r.Workload.Runner.router in
   Alcotest.(check bool) "at least one retry fired" true
     (st.Workload.Router.retries >= 1);

@@ -12,11 +12,10 @@ let record_of ?(seed = 11) ?shape ?flash ?router
   let spec =
     Workload.Builder.spec ~updates:0.5 ~txns:5 ~keys:40 ?shape ?flash ()
   in
-  let builder =
-    Workload.Builder.make ~seed ~replicas:3 ~clients:2 ~spec ~audit:true
-      ?router ()
+  let result =
+    Workload.Runner.run ~seed ~n_replicas:3 ~n_clients:2 ~spec ~audit:true
+      ?router factory
   in
-  let result = Workload.Builder.run builder factory in
   Workload.Run_record.normalize
     (Workload.Run_record.of_run ~technique:entry.key ~config:[] ~seed
        ~n_replicas:3 ~n_clients:2 ~arrival:`Closed ~spec result)

@@ -155,8 +155,9 @@ let test_generator_cross_shard () =
    one process compare byte for byte. *)
 let trace_of factory =
   let spec = Workload.Builder.spec ~txns:10 ~ops:2 () in
-  let builder = Workload.Builder.make ~seed:23 ~clients:3 ~spec () in
-  let result, inst = Workload.Builder.run_with_instance builder factory in
+  let result, inst =
+    Workload.Runner.run_with_instance ~seed:23 ~n_clients:3 ~spec factory
+  in
   Alcotest.(check int) "no unanswered" 0 result.Workload.Runner.unanswered;
   Sim.Trace_export.to_jsonl
     (Core.Phase_span.collector inst.Core.Technique.spans)
@@ -187,12 +188,9 @@ let counter result name =
   Option.value ~default:0
     (Sim.Metrics.counter_value result.Workload.Runner.metrics name)
 
-let run_sharded ?(seed = 11) ?(cross = 0.3) ?failures ?partitions key =
-  let builder =
-    Workload.Builder.make ~seed ~replicas:4 ~clients:2
-      ~spec:(sharded_spec ~cross) ?failures ?partitions ()
-  in
-  Workload.Builder.run builder (sharded_factory key)
+let run_sharded ?(seed = 11) ?(cross = 0.3) ?faults key =
+  Workload.Runner.run ~seed ~n_replicas:4 ~n_clients:2
+    ~spec:(sharded_spec ~cross) ?faults (sharded_factory key)
 
 let test_oracles_sharded () =
   List.iter
@@ -218,8 +216,10 @@ let test_oracles_sharded () =
    purpose (4 hot keys, all updates) so that every group sees some. *)
 let contended_sharded key =
   let spec = Workload.Builder.spec ~keys:4 ~updates:1.0 ~shards:2 () in
-  let builder = Workload.Builder.make ~seed:11 ~replicas:4 ~clients:4 ~spec () in
-  let _, inst = Workload.Builder.run_with_instance builder (sharded_factory key) in
+  let _, inst =
+    Workload.Runner.run_with_instance ~seed:11 ~n_replicas:4 ~n_clients:4 ~spec
+      (sharded_factory key)
+  in
   let snap = Sim.Metrics.snapshot inst.Core.Technique.metrics in
   let at name r =
     Option.value ~default:0
@@ -299,11 +299,12 @@ let test_group_local_cost () =
 let test_atomicity_under_crash () =
   let result =
     run_sharded ~cross:1.0
-      ~failures:
-        [
-          Workload.Runner.crash_recover ~at:(Sim.Simtime.of_ms 30)
-            ~recover_at:(Sim.Simtime.of_ms 300) 0;
-        ]
+      ~faults:
+        Workload.Runner.
+          [
+            Crash { at = Sim.Simtime.of_ms 30; replica = 0 };
+            Recover { at = Sim.Simtime.of_ms 300; replica = 0 };
+          ]
       "active"
   in
   Alcotest.(check int) "all answered" 0 result.Workload.Runner.unanswered;
@@ -317,13 +318,14 @@ let test_atomicity_under_crash () =
 let test_atomicity_under_partition () =
   let result =
     run_sharded ~cross:1.0
-      ~partitions:
+      ~faults:
         [
-          {
-            Workload.Runner.at = Sim.Simtime.of_ms 30;
-            group = [ 2 ];
-            heal_at = Sim.Simtime.of_ms 300;
-          };
+          Workload.Runner.Partition
+            {
+              at = Sim.Simtime.of_ms 30;
+              group = [ 2 ];
+              heal_at = Sim.Simtime.of_ms 300;
+            };
         ]
       "active"
   in

@@ -20,8 +20,8 @@ let small_spec =
     think_time = Simtime.of_ms 2;
   }
 
-let sampled_run ?(seed = 11) ?failures factory =
-  Workload.Runner.run ~seed ?failures ~n_clients:2 ~spec:small_spec
+let sampled_run ?(seed = 11) ?faults factory =
+  Workload.Runner.run ~seed ?faults ~n_clients:2 ~spec:small_spec
     ~sample:(Simtime.of_ms 5)
     ~deadline:(Simtime.of_sec 5.) factory
 
@@ -210,11 +210,12 @@ let test_in_doubt_rises_and_clears () =
      drains the prepared table. *)
   let result =
     sampled_run
-      ~failures:
-        [
-          Workload.Runner.crash_recover ~at:(Simtime.of_ms 100)
-            ~recover_at:(Simtime.of_ms 600) 0;
-        ]
+      ~faults:
+        Workload.Runner.
+          [
+            Crash { at = Simtime.of_ms 100; replica = 0 };
+            Recover { at = Simtime.of_ms 600; replica = 0 };
+          ]
       locking_factory
   in
   let in_doubt =

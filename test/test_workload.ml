@@ -140,10 +140,12 @@ let test_runner_deterministic () =
     (a.Workload.Runner.latency_ms <> c.Workload.Runner.latency_ms)
 
 let test_runner_failure_schedule () =
-  let fail_early = [ Workload.Runner.crash_at ~at:(Simtime.of_ms 10) 2 ] in
+  let fail_early =
+    [ Workload.Runner.Crash { at = Simtime.of_ms 10; replica = 2 } ]
+  in
   let smooth = Workload.Runner.run ~seed:5 ~spec:small_spec active_factory in
   let crashed =
-    Workload.Runner.run ~seed:5 ~spec:small_spec ~failures:fail_early
+    Workload.Runner.run ~seed:5 ~spec:small_spec ~faults:fail_early
       active_factory
   in
   Alcotest.(check int) "still all committed" 40 crashed.Workload.Runner.committed;
@@ -170,9 +172,9 @@ let test_runner_failure_schedule () =
           (String.starts_with ~prefix:flag msg)
   in
   (match schedule [ (2, 10) ] ~recoveries:[ (2, 20) ] with
-  | Ok [ f ] ->
-      Alcotest.(check (option int)) "paired recovery" (Some 20_000)
-        (Option.map Simtime.to_us f.Workload.Runner.recover_at)
+  | Ok [ Workload.Runner.Crash c; Workload.Runner.Recover r ] ->
+      Alcotest.(check (pair int int)) "crash then recovery" (2, 20_000)
+        (c.replica, Simtime.to_us r.at)
   | _ -> Alcotest.fail "valid schedule rejected");
   rejects "client id" ~flag:"--crash 3@" (schedule [ (3, 10) ]);
   rejects "beyond the network" ~flag:"--crash 7@" (schedule [ (7, 10) ]);
@@ -181,8 +183,49 @@ let test_runner_failure_schedule () =
     (schedule [ (0, 10) ] ~recoveries:[ (4, 20) ]);
   rejects "negative recovery time" ~flag:"--recover 0@"
     (schedule [ (0, 10) ] ~recoveries:[ (0, -1) ]);
-  rejects "unpaired recovery" ~flag:"recovery 1@"
-    (schedule [ (0, 10) ] ~recoveries:[ (1, 20) ])
+  rejects "unpaired recovery" ~flag:"--recover 1@"
+    (schedule [ (0, 10) ] ~recoveries:[ (1, 20) ]);
+  rejects "recovery before its crash" ~flag:"--recover 0@"
+    (schedule [ (0, 30) ] ~recoveries:[ (0, 20) ]);
+  rejects "second recovery of one crash" ~flag:"--recover 0@"
+    (schedule [ (0, 10) ] ~recoveries:[ (0, 20); (0, 30) ]);
+  (* Scenario inputs: the same check over a whole fault list. The
+     builtins fit the three-replica campaign cluster; on a smaller one
+     the fault that names a client is the one reported. *)
+  let scenario name = (Option.get (Workload.Scenario.find name)).events in
+  List.iter
+    (fun (s : Workload.Scenario.t) ->
+      Alcotest.(check bool) (s.name ^ " fits 3 replicas") true
+        (Workload.Runner.check_faults ~n_replicas:3 s.events = Ok ()))
+    Workload.Scenario.builtins;
+  let rejected label ~n events expect =
+    match Workload.Runner.check_faults ~n_replicas:n events with
+    | Ok () -> Alcotest.failf "%s: accepted" label
+    | Error (f, _) ->
+        Alcotest.(check string) label expect
+          (Format.asprintf "%a" Workload.Runner.pp_fault f)
+  in
+  rejected "backup-crash-recover, 2 replicas" ~n:2
+    (scenario "backup-crash-recover") "crash 2@100ms";
+  rejected "partition-heal, 1 replica" ~n:1 (scenario "partition-heal")
+    "partition [2] 50ms..600ms";
+  rejected "chaos, 1 replica" ~n:1 (scenario "chaos") "crash 1@100ms";
+  rejected "negative loss window" ~n:3
+    [
+      Workload.Runner.Loss
+        { at = Simtime.of_ms (-1); probability = 0.1; until = Simtime.of_ms 5 };
+    ]
+    "loss 0.1 -1ms..5ms";
+  rejected "recovery with no crash" ~n:3
+    [ Workload.Runner.Recover { at = Simtime.of_ms 5; replica = 1 } ]
+    "recover 1@5ms";
+  (* The runner refuses a list that fails the check before it runs. *)
+  match
+    Workload.Runner.run ~n_replicas:2 ~spec:small_spec
+      ~faults:(scenario "backup-crash-recover") active_factory
+  with
+  | _ -> Alcotest.fail "run accepted a fault on a client"
+  | exception Invalid_argument _ -> ()
 
 let test_runner_latency_split () =
   let spec = { small_spec with update_ratio = 0.5 } in
@@ -241,11 +284,10 @@ let test_runner_poisson_arrivals () =
 
 let run_profiled ?(tracing = true) () =
   let profiler = Sim.Profiler.create () in
-  let builder =
-    Workload.Builder.make ~seed:21 ~replicas:3 ~clients:2 ~spec:small_spec
-      ~profiler ~tracing ()
+  let result =
+    Workload.Runner.run ~seed:21 ~n_replicas:3 ~n_clients:2 ~spec:small_spec
+      ~profiler ~tracing active_factory
   in
-  let result = Workload.Builder.run builder active_factory in
   (result, Sim.Profiler.report profiler)
 
 let test_profiler_counters_match () =
@@ -305,8 +347,7 @@ let test_profiler_disabled_identical () =
   (* Attaching no profiler must not perturb the simulation: same seed
      with and without one agrees on every deterministic field. *)
   let bare =
-    Workload.Builder.run
-      (Workload.Builder.make ~seed:21 ~replicas:3 ~clients:2 ~spec:small_spec ())
+    Workload.Runner.run ~seed:21 ~n_replicas:3 ~n_clients:2 ~spec:small_spec
       active_factory
   in
   let profiled, _ = run_profiled () in
@@ -425,13 +466,12 @@ let test_alloc_per_delivery () =
       n_keys = 1_000;
     }
   in
-  let builder =
-    Workload.Builder.make ~seed:11 ~replicas:16 ~clients:8 ~spec
-      ~tracing:false ~analyze:false ()
-  in
   let factory = Protocols.Registry.default_factory entry in
   let w0 = Gc.minor_words () in
-  let result = Workload.Builder.run builder factory in
+  let result =
+    Workload.Runner.run ~seed:11 ~n_replicas:16 ~n_clients:8 ~spec
+      ~tracing:false ~analyze:false factory
+  in
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check int) "fault-free" 0 result.Workload.Runner.dropped;
   let per_msg = words /. float_of_int result.Workload.Runner.messages in
@@ -453,13 +493,12 @@ let test_back_to_back_runs_keep_heap_flat () =
     (Gc.stat ()).Gc.live_words
   in
   let spec = Workload.Builder.spec ~txns:5 () in
-  let builder =
-    Workload.Builder.make ~seed:11 ~replicas:3 ~clients:2 ~spec ()
-  in
   List.iter
     (fun (e : Protocols.Registry.entry) ->
       let run () =
-        ignore (Workload.Builder.run builder (Protocols.Registry.default_factory e))
+        ignore
+          (Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:2 ~spec
+             (Protocols.Registry.default_factory e))
       in
       run ();
       let first = live_words () in
