@@ -23,16 +23,7 @@ let abcast_engines () =
   Fmt.pr "%-22s %14s %18s@." "engine" "lat mean (ms)" "crash gap (ms)";
   List.iter
     (fun (name, impl) ->
-      let factory net ~replicas ~clients =
-        Protocols.Active.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Active.default_config with
-              abcast_impl = impl;
-              passthrough = true;
-            }
-          ()
-      in
+      let factory = Perf.technique "active" ~set:[ ("abcast_impl", impl) ] in
       let spec =
         {
           Workload.Spec.default with
@@ -50,8 +41,7 @@ let abcast_engines () =
         smooth.Workload.Runner.latency_ms.Sim.Summary.mean
         (Simtime.to_ms crashed.Workload.Runner.max_response_gap))
     [
-      ("sequencer", Group.Abcast.Sequencer);
-      ("consensus-based", Group.Abcast.Consensus_based);
+      ("sequencer", "sequencer"); ("consensus-based", "consensus")
     ];
   Fmt.pr
     "@.Reading: the sequencer is cheaper in the common case; both recover@.\
@@ -68,15 +58,9 @@ let rowa () =
     (fun read_one_write_all ->
       List.iter
         (fun update_ratio ->
-          let factory net ~replicas ~clients =
-            Protocols.Eager_ue_locking.create net ~replicas ~clients
-              ~config:
-                {
-                  Protocols.Eager_ue_locking.default_config with
-                  read_one_write_all;
-                  passthrough = true;
-                }
-              ()
+          let factory =
+            Perf.technique "eager-ue-locking"
+              ~set:[ ("read_one_write_all", string_of_bool read_one_write_all) ]
           in
           let spec =
             {
@@ -298,16 +282,14 @@ let optimistic_certification () =
   List.iter
     (fun certify_ms ->
       let measure optimistic =
-        let factory net ~replicas ~clients =
-          Protocols.Certification_based.create net ~replicas ~clients
-            ~config:
-              {
-                Protocols.Certification_based.default_config with
-                passthrough = true;
-                certify_time = Simtime.of_us (int_of_float (certify_ms *. 1000.));
-                optimistic;
-              }
-            ()
+        let factory =
+          Perf.technique "certification"
+            ~set:
+              [
+                ( "certify_time",
+                  Printf.sprintf "%dus" (int_of_float (certify_ms *. 1000.)) );
+                ("optimistic", string_of_bool optimistic);
+              ]
         in
         let spec =
           {
@@ -341,15 +323,8 @@ let lock_quorums () =
     "aborted";
   List.iter
     (fun (label, lock_quorum, n) ->
-      let factory net ~replicas ~clients =
-        Protocols.Eager_ue_locking.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Eager_ue_locking.default_config with
-              lock_quorum;
-              passthrough = true;
-            }
-          ()
+      let factory =
+        Perf.technique "eager-ue-locking" ~set:[ ("lock_quorum", lock_quorum) ]
       in
       let spec =
         {
@@ -366,11 +341,11 @@ let lock_quorums () =
         result.Workload.Runner.latency_ms.Sim.Summary.mean
         result.Workload.Runner.messages_per_txn result.Workload.Runner.aborted)
     [
-      ("all of 5", None, 5);
-      ("4 of 5", Some 4, 5);
-      ("3 of 5 (majority)", Some 3, 5);
-      ("all of 3", None, 3);
-      ("2 of 3 (majority)", Some 2, 3);
+      ("all of 5", "none", 5);
+      ("4 of 5", "4", 5);
+      ("3 of 5 (majority)", "3", 5);
+      ("all of 3", "none", 3);
+      ("2 of 3 (majority)", "2", 3);
     ];
   Fmt.pr
     "@.Reading: smaller (still intersecting) quorums trim the lock round;@.\
@@ -387,15 +362,9 @@ let blocking_vs_nonblocking () =
     "committed";
   List.iter
     (fun (label, nonblocking_commit) ->
-      let factory net ~replicas ~clients =
-        Protocols.Eager_primary.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Eager_primary.default_config with
-              nonblocking_commit;
-              passthrough = true;
-            }
-          ()
+      let factory =
+        Perf.technique "eager-primary"
+          ~set:[ ("nonblocking_commit", string_of_bool nonblocking_commit) ]
       in
       let spec =
         {

@@ -103,66 +103,6 @@ let show_timeline ~(info : Core.Technique.info) inst rid =
     marks;
   Fmt.pr "@."
 
-(* Passthrough configurations keep the wire traffic equal to the message
-   pattern the paper's diagrams draw. *)
-let active net ~replicas ~clients =
-  Protocols.Active.create net ~replicas ~clients
-    ~config:{ Protocols.Active.default_config with passthrough = true }
-    ()
-
-let passive net ~replicas ~clients =
-  Protocols.Passive.create net ~replicas ~clients
-    ~config:{ Protocols.Passive.default_config with passthrough = true }
-    ()
-
-let semi_active net ~replicas ~clients =
-  Protocols.Semi_active.create net ~replicas ~clients
-    ~config:{ Protocols.Semi_active.default_config with passthrough = true }
-    ()
-
-let semi_passive net ~replicas ~clients =
-  Protocols.Semi_passive.create net ~replicas ~clients
-    ~config:{ Protocols.Semi_passive.passthrough = true }
-    ()
-
-let eager_primary ?(interactive = false) () net ~replicas ~clients =
-  Protocols.Eager_primary.create net ~replicas ~clients
-    ~config:
-      {
-        Protocols.Eager_primary.default_config with
-        passthrough = true;
-        interactive;
-      }
-    ()
-
-let eager_ue_locking net ~replicas ~clients =
-  Protocols.Eager_ue_locking.create net ~replicas ~clients
-    ~config:
-      { Protocols.Eager_ue_locking.default_config with passthrough = true }
-    ()
-
-let eager_ue_abcast net ~replicas ~clients =
-  Protocols.Eager_ue_abcast.create net ~replicas ~clients
-    ~config:
-      { Protocols.Eager_ue_abcast.default_config with passthrough = true }
-    ()
-
-let lazy_primary net ~replicas ~clients =
-  Protocols.Lazy_primary.create net ~replicas ~clients
-    ~config:{ Protocols.Lazy_primary.default_config with passthrough = true }
-    ()
-
-let lazy_ue net ~replicas ~clients =
-  Protocols.Lazy_ue.create net ~replicas ~clients
-    ~config:{ Protocols.Lazy_ue.default_config with passthrough = true }
-    ()
-
-let certification net ~replicas ~clients =
-  Protocols.Certification_based.create net ~replicas ~clients
-    ~config:
-      { Protocols.Certification_based.default_config with passthrough = true }
-    ()
-
 (* ------------------------------------------------------------------ *)
 
 let fig1 () =
@@ -190,15 +130,15 @@ let timeline_figure ~title ~info ~factory ?ops ?n () =
 
 let fig2 () =
   timeline_figure ~title:"Figure 2 — Active replication"
-    ~info:Protocols.Active.info ~factory:active ()
+    ~info:Protocols.Active.info ~factory:(Perf.technique "active") ()
 
 let fig3 () =
   timeline_figure ~title:"Figure 3 — Passive replication"
-    ~info:Protocols.Passive.info ~factory:passive ()
+    ~info:Protocols.Passive.info ~factory:(Perf.technique "passive") ()
 
 let fig4 () =
   timeline_figure ~title:"Figure 4 — Semi-active replication"
-    ~info:Protocols.Semi_active.info ~factory:semi_active
+    ~info:Protocols.Semi_active.info ~factory:(Perf.technique "semi-active")
     ~ops:[ Store.Operation.Write_random "x" ] ()
 
 let render_matrix ~rows ~cols ~cell =
@@ -246,21 +186,25 @@ let fig6 () =
 
 let fig7 () =
   timeline_figure ~title:"Figure 7 — Eager primary copy"
-    ~info:Protocols.Eager_primary.info ~factory:(eager_primary ()) ()
+    ~info:Protocols.Eager_primary.info
+    ~factory:(Perf.technique "eager-primary") ()
 
 let fig8 () =
   timeline_figure
     ~title:"Figure 8 — Eager update everywhere with distributed locking"
-    ~info:Protocols.Eager_ue_locking.info ~factory:eager_ue_locking ()
+    ~info:Protocols.Eager_ue_locking.info
+    ~factory:(Perf.technique "eager-ue-locking") ()
 
 let fig9 () =
   timeline_figure
     ~title:"Figure 9 — Eager update everywhere based on atomic broadcast"
-    ~info:Protocols.Eager_ue_abcast.info ~factory:eager_ue_abcast ()
+    ~info:Protocols.Eager_ue_abcast.info
+    ~factory:(Perf.technique "eager-ue-abcast") ()
 
 let fig10 () =
   timeline_figure ~title:"Figure 10 — Lazy primary copy"
-    ~info:Protocols.Lazy_primary.info ~factory:lazy_primary ()
+    ~info:Protocols.Lazy_primary.info
+    ~factory:(Perf.technique "lazy-primary") ()
 
 let fig11 () =
   section "Figure 11 — Lazy update everywhere (with reconciliation)";
@@ -270,14 +214,8 @@ let fig11 () =
   let net = Network.create engine ~n:5 Network.default_config in
   let replicas = [ 0; 1; 2 ] and clients = [ 3; 4 ] in
   let inst =
-    Protocols.Lazy_ue.create net ~replicas ~clients
-      ~config:
-        {
-          Protocols.Lazy_ue.default_config with
-          passthrough = true;
-          propagation_delay = Simtime.of_ms 20;
-        }
-      ()
+    Perf.technique "lazy-ue" ~set:[ ("propagation_delay", "20ms") ] net
+      ~replicas ~clients
   in
   let submit client v =
     let req =
@@ -302,7 +240,7 @@ let fig12 () =
   timeline_figure
     ~title:"Figure 12 — Eager primary copy, multi-operation transaction"
     ~info:Protocols.Eager_primary.info
-    ~factory:(eager_primary ~interactive:true ())
+    ~factory:(Perf.technique "eager-primary" ~set:[ ("interactive", "true") ])
     ~ops:
       [ Store.Operation.Incr ("a", 1); Store.Operation.Incr ("b", 1) ]
     ()
@@ -312,14 +250,16 @@ let fig13 () =
     ~title:
       "Figure 13 — Eager update everywhere (locking), multi-operation \
        transaction"
-    ~info:Protocols.Eager_ue_locking.info ~factory:eager_ue_locking
+    ~info:Protocols.Eager_ue_locking.info
+    ~factory:(Perf.technique "eager-ue-locking")
     ~ops:
       [ Store.Operation.Incr ("a", 1); Store.Operation.Incr ("b", 1) ]
     ()
 
 let fig14 () =
   timeline_figure ~title:"Figure 14 — Certification-based replication"
-    ~info:Protocols.Certification_based.info ~factory:certification ()
+    ~info:Protocols.Certification_based.info
+    ~factory:(Perf.technique "certification") ()
 
 (* Observed signatures for all techniques, each run once with a request
    that exercises its distinctive path. *)
@@ -328,20 +268,7 @@ let observed_signatures () =
     (fun (e : Protocols.Registry.entry) ->
       let key = e.key in
       let info = e.info in
-      let factory =
-        match key with
-        | "active" -> active
-        | "passive" -> passive
-        | "semi-active" -> semi_active
-        | "semi-passive" -> semi_passive
-        | "eager-primary" -> eager_primary ()
-        | "eager-ue-locking" -> eager_ue_locking
-        | "eager-ue-abcast" -> eager_ue_abcast
-        | "lazy-primary" -> lazy_primary
-        | "lazy-ue" -> lazy_ue
-        | "certification" -> certification
-        | _ -> assert false
-      in
+      let factory = Perf.technique key in
       let ops =
         if key = "semi-active" then [ Store.Operation.Write_random "x" ]
         else [ Store.Operation.Incr ("x", 1) ]

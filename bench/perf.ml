@@ -13,15 +13,17 @@ let section title =
   hr ()
 
 (* Passthrough factories: wire traffic == protocol message pattern.
-   Every technique declares "passthrough" in its schema, so the whole
-   sweep comes off the registry instead of ten hand-written configs. *)
+   Every technique declares "passthrough" in its schema, so every bench
+   builds off the registry; [set] adds an experiment's own settings. *)
+let technique ?(set = []) name =
+  Protocols.Registry.configure_exn
+    (Option.get (Protocols.Registry.find name))
+    (("passthrough", "true") :: set)
+
 let techniques : (string * Workload.Runner.factory) list =
   List.map
-    (fun (e : Protocols.Registry.entry) ->
-      (e.key, Protocols.Registry.configure_exn e [ ("passthrough", "true") ]))
+    (fun (e : Protocols.Registry.entry) -> (e.key, technique e.key))
     Protocols.Registry.all
-
-let technique name = List.assoc name techniques
 
 (* Machine-readable results: each perf* writes BENCH_perfN.json next to
    its printed table (same numbers, schema-checked by
@@ -734,44 +736,13 @@ let partitions () =
   (* Factories on the consensus-based engine where the ordering matters:
      the sequencer engine assumes accurate detection and is not safe under
      the wrong suspicions a partition causes (see Abcast_seq). *)
+  let consensus = technique ~set:[ ("abcast_impl", "consensus") ] in
   let part_techniques =
     [
-      ( "active (CT)",
-        fun net ~replicas ~clients ->
-          Protocols.Active.create net ~replicas ~clients
-            ~config:
-              {
-                Protocols.Active.default_config with
-                abcast_impl = Group.Abcast.Consensus_based;
-                passthrough = true;
-              }
-            () );
-      ( "passive",
-        fun net ~replicas ~clients ->
-          Protocols.Passive.create net ~replicas ~clients
-            ~config:
-              { Protocols.Passive.default_config with passthrough = true }
-            () );
-      ( "eager-ue-abcast(CT)",
-        fun net ~replicas ~clients ->
-          Protocols.Eager_ue_abcast.create net ~replicas ~clients
-            ~config:
-              {
-                Protocols.Eager_ue_abcast.default_config with
-                abcast_impl = Group.Abcast.Consensus_based;
-                passthrough = true;
-              }
-            () );
-      ( "lazy-ue (CT)",
-        fun net ~replicas ~clients ->
-          Protocols.Lazy_ue.create net ~replicas ~clients
-            ~config:
-              {
-                Protocols.Lazy_ue.default_config with
-                abcast_impl = Group.Abcast.Consensus_based;
-                passthrough = true;
-              }
-            () );
+      ("active (CT)", consensus "active");
+      ("passive", technique "passive");
+      ("eager-ue-abcast(CT)", consensus "eager-ue-abcast");
+      ("lazy-ue (CT)", consensus "lazy-ue");
     ]
   in
   let out = bench_out "perf11" in

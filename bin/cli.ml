@@ -329,25 +329,19 @@ let directives_term =
   Term.(term_result' (const combine $ config_file_arg $ set_args))
 
 (* The resolved configuration of [entry] under [directives] plus its
-   constructor. Directives were validated at parse time, so a failure
-   here is a programming error. *)
+   constructor. Techniques and keys were validated at parse time; a
+   value that does not parse or lies outside its key's range fails here,
+   naming the key (exit status 2). *)
 let resolve (entry : Protocols.Registry.entry) directives =
   let pairs = Protocols.Config.pairs_for ~technique:entry.key directives in
   match Protocols.Registry.configure entry pairs with
   | Ok (cfg, factory) -> (cfg, factory)
   | Error msg -> fail "%s" msg
 
-(* Shard count bound in a resolved configuration (every technique's
-   schema carries the shared [shards] key; 1 = unsharded). *)
-let shards_of (cfg : Protocols.Config.t) =
-  match List.assoc_opt "shards" cfg with
-  | Some (Protocols.Config.Int k) -> k
-  | _ -> 1
-
 (* Fail with a flag-level message before the factory would raise: each
    replication group needs at least one replica. *)
 let check_shards ~n cfg =
-  let shards = shards_of cfg in
+  let shards = Protocols.Registry.shards cfg in
   if shards > n then
     fail "%d shards need at least %d replicas (got -n %d); raise -n or lower \
           shards"

@@ -1591,13 +1591,12 @@ let sweep_cmd =
     in
     let cells = Workload.Sweep.cells axes in
     if cells = [] then Cli.fail "empty sweep grid";
-    if not (Sys.file_exists out) then Sys.mkdir out 0o755
-    else if not (Sys.is_directory out) then
-      Cli.fail "--out %s exists and is not a directory" out;
     let total = List.length cells in
-    let records =
-      List.mapi
-        (fun i (c : Workload.Sweep.cell) ->
+    (* Every cell's configuration resolves before the first cell runs, so
+       a bad --vary value fails the sweep up front, not partway through. *)
+    let resolved =
+      List.map
+        (fun (c : Workload.Sweep.cell) ->
           let entry =
             match Protocols.Registry.find_res c.technique with
             | Ok e -> e
@@ -1605,16 +1604,23 @@ let sweep_cmd =
           in
           let pairs =
             Protocols.Config.pairs_for ~technique:entry.key directives
-            @ (if c.shards > 1 then [ ("shards", string_of_int c.shards) ]
+            @ (if c.shards <> 1 then [ ("shards", string_of_int c.shards) ]
                else [])
             @ c.vary
           in
-          let cfg, factory =
-            match Protocols.Registry.configure entry pairs with
-            | Ok x -> x
-            | Error msg -> Cli.fail "cell %s: %s" c.technique msg
-          in
-          ignore (Cli.check_shards ~n cfg);
+          match Protocols.Registry.configure entry pairs with
+          | Ok (cfg, factory) ->
+              ignore (Cli.check_shards ~n cfg);
+              (c, entry, cfg, factory)
+          | Error msg -> Cli.fail "cell %s: %s" c.technique msg)
+        cells
+    in
+    if not (Sys.file_exists out) then Sys.mkdir out 0o755
+    else if not (Sys.is_directory out) then
+      Cli.fail "--out %s exists and is not a directory" out;
+    let records =
+      List.mapi
+        (fun i ((c : Workload.Sweep.cell), entry, cfg, factory) ->
           let spec =
             Workload.Builder.spec ~keys ~skew:c.zipf ~updates:c.updates ~ops
               ~txns ~shards:c.shards ~cross ~shape
@@ -1636,7 +1642,7 @@ let sweep_cmd =
           Fmt.epr "sweep: [%d/%d] %s@." (i + 1) total
             (Workload.Run_record.cell_id record);
           (Filename.basename path, record))
-        cells
+        resolved
     in
     let manifest =
       Workload.Sweep.manifest_json axes ~records ~metrics:cell_metrics

@@ -61,6 +61,29 @@ if [ -n "$faults" ]; then
   exit 1
 fi
 
+# One description of a technique's settings: its schema, read by the
+# technique's own create. No technique module keeps a typed config record
+# beside the schema, and every technique is built through the Registry,
+# so the CLI, the benches, the examples and the tests cannot run
+# different defaults.
+echo "== one description of a technique's settings =="
+techniques='active passive semi_active semi_passive eager_primary
+  eager_ue_locking eager_ue_abcast lazy_primary lazy_ue certification_based'
+settings=$(for t in $techniques; do
+    grep -nE '^ *(type config\b|(let|val) (default_config|config_of)\b)' \
+      "lib/protocols/$t.ml" "lib/protocols/$t.mli"
+  done || true)
+builds=$(grep -rnE --include='*.ml' \
+    'Protocols\.(Active|Passive|Semi_active|Semi_passive|Eager_primary|Eager_ue_locking|Eager_ue_abcast|Lazy_primary|Lazy_ue|Certification_based)\.create\b' \
+    lib bin bench examples test benchmark \
+  | grep -vE '^lib/protocols/' \
+  || true)
+if [ -n "$settings$builds" ]; then
+  printf '%s\n' "$settings" "$builds" | grep -v '^$' >&2
+  echo "describe a setting only in the technique's schema, and build techniques through Protocols.Registry" >&2
+  exit 1
+fi
+
 echo "== build =="
 dune build
 
@@ -124,7 +147,11 @@ for args in "run -t active --updates 1.5 --txns 5" \
     "run -t active --cross 1.5 --txns 5" \
     "run -t active -n 4 --set active.shards=2 --ops 2 --cross 1.5 --txns 5" \
     "campaign --scenario backup-crash-recover --replicas 2 --techniques active" \
-    "timeline -t active --scenario partition-heal -n 2"; do
+    "timeline -t active --scenario partition-heal -n 2" \
+    "run -t passive --set passive.client_retry=0ms --txns 5" \
+    "run -t active --set active.shards=0 --txns 5" \
+    "run -t active --set active.batch_window=-5ms --txns 5" \
+    "run -t eager-primary --set eager-primary.abort_probability=1.5 --txns 5"; do
   status=0
   dune exec bin/replisim.exe -- $args > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then
@@ -132,6 +159,18 @@ for args in "run -t active --updates 1.5 --txns 5" \
     exit 1
   fi
 done
+# A sweep resolves every cell's configuration before it runs the first
+# cell, so a bad --vary value fails before any cell runs.
+status=0
+out=$(dune exec bin/replisim.exe -- sweep --techniques active \
+  --vary active.batch_window=5ms,abc --txns 5 --format none \
+  --out _sweep_ci 2>&1) || status=$?
+rm -rf _sweep_ci
+if [ "$status" -ne 2 ] || printf '%s\n' "$out" | grep -q '^sweep: \[1/'; then
+  printf '%s\n' "$out" >&2
+  echo "sweep with a bad --vary value: exit status $status, want 2 before any cell runs" >&2
+  exit 1
+fi
 
 # Sharded-operation smoke: a sharded campaign (4 groups of 2 through
 # crash-recover, every oracle judged per group), the §5 message-cost

@@ -19,7 +19,11 @@ let () =
   let engine = Engine.create ~seed:99 () in
   let net = Network.create engine ~n:7 Network.default_config in
   let replicas = [ 0; 1; 2 ] and clients = [ 3; 4; 5; 6 ] in
-  let bank = Protocols.Eager_ue_abcast.create net ~replicas ~clients () in
+  let bank =
+    Protocols.Registry.default_factory
+      (Option.get (Protocols.Registry.find "eager-ue-abcast"))
+      net ~replicas ~clients
+  in
 
   (* Fund the accounts through a single setup transaction. *)
   let funds =

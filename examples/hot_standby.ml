@@ -18,7 +18,11 @@ let () =
   let engine = Engine.create ~seed:12 () in
   let net = Network.create engine ~n:4 Network.default_config in
   let replicas = [ 0; 1; 2 ] and clients = [ 3 ] in
-  let db = Protocols.Eager_primary.create net ~replicas ~clients () in
+  let db =
+    Protocols.Registry.default_factory
+      (Option.get (Protocols.Registry.find "eager-primary"))
+      net ~replicas ~clients
+  in
 
   let client = 3 in
   let committed = ref 0 in

@@ -18,13 +18,10 @@ let () =
   let replicas = [ 0; 1; 2 ] and clients = [ 3; 4 ] in
   (* A long propagation delay stands in for the disconnected period. *)
   let crm =
-    Protocols.Lazy_ue.create net ~replicas ~clients
-      ~config:
-        {
-          Protocols.Lazy_ue.default_config with
-          propagation_delay = Simtime.of_ms 500;
-        }
-      ()
+    Protocols.Registry.configure_exn
+      (Option.get (Protocols.Registry.find "lazy-ue"))
+      [ ("propagation_delay", "500ms") ]
+      net ~replicas ~clients
   in
   let show_copies label =
     Fmt.pr "%s@." label;

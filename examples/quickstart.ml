@@ -16,9 +16,13 @@ let () =
   let net = Network.create engine ~n:4 Network.default_config in
   let replicas = [ 0; 1; 2 ] and clients = [ 3 ] in
 
-  (* 2. Instantiate a replication technique. Every technique exposes the
-        same [Core.Technique.instance] interface. *)
-  let counter = Protocols.Active.create net ~replicas ~clients () in
+  (* 2. Pick a replication technique from the registry and build it
+        under its default settings. Every technique exposes the same
+        [Core.Technique.instance] interface. *)
+  let active = Option.get (Protocols.Registry.find "active") in
+  let counter =
+    Protocols.Registry.default_factory active net ~replicas ~clients
+  in
   Fmt.pr "technique: %a@.@." Core.Technique.pp_info counter.info;
 
   (* 3. Submit ten increments and one read, closed loop. *)

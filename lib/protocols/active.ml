@@ -8,21 +8,6 @@ type Msg.t +=
     }
   | Local_read of { client : int; request : Store.Operation.request }
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  passthrough : bool;
-  local_reads : bool;
-  batch_window : Sim.Simtime.t;
-}
-
-let default_config =
-  {
-    abcast_impl = Group.Abcast.Sequencer;
-    passthrough = false;
-    local_reads = false;
-    batch_window = Sim.Simtime.zero;
-  }
-
 let schema : Config.schema =
   [
     Config.abcast_impl_key;
@@ -37,14 +22,6 @@ let schema : Config.schema =
     };
     Config.batch_window_key;
   ]
-
-let config_of cfg =
-  {
-    abcast_impl = Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl");
-    passthrough = Config.get_bool cfg "passthrough";
-    local_reads = Config.get_bool cfg "local_reads";
-    batch_window = Config.get_time cfg "batch_window";
-  }
 
 let info =
   {
@@ -67,16 +44,20 @@ let info =
     section = "3.2";
   }
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let abcast_impl =
+    Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl")
+  in
+  let passthrough = Config.get_bool cfg "passthrough" in
+  let local_reads = Config.get_bool cfg "local_reads" in
+  let batch_window = Config.get_time cfg "batch_window" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~clients
-      ~impl:config.abcast_impl ~passthrough:config.passthrough
-      ~batch_window:config.batch_window ()
+      ~impl:abcast_impl ~passthrough ~batch_window ()
   in
   let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   List.iter
     (fun r ->
@@ -127,7 +108,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
   in
   let submit ~client request cb =
     Common.register_submit ctx ~client ~request cb;
-    if config.local_reads && not (Store.Operation.request_is_update request)
+    if local_reads && not (Store.Operation.request_is_update request)
     then
       Group.Rchan.send
         (Group.Rchan.handle chan_group ~me:client)
@@ -138,7 +119,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
         ~note:"atomic broadcast to the group (merged with RE)"
         Core.Phase.Server_coordination;
       let reply_from =
-        if config.local_reads then Some (local_replica_of client) else None
+        if local_reads then Some (local_replica_of client) else None
       in
       Group.Abcast.broadcast_from ab ~src:client
         (Req { client; request; reply_from })

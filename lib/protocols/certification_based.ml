@@ -11,29 +11,6 @@ type Msg.t +=
       value : int option;
     }
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  client_retry : Simtime.t;
-  passthrough : bool;
-  certify_time : Simtime.t;
-      (* simulated cost of the certification test at each replica *)
-  optimistic : bool;
-      (* start certifying at optimistic delivery (KPAS99a): if the
-         tentative check is still valid when the total order arrives, the
-         transaction terminates without paying [certify_time] again *)
-  batch_window : Simtime.t;
-}
-
-let default_config =
-  {
-    abcast_impl = Group.Abcast.Sequencer;
-    client_retry = Simtime.of_ms 500;
-    passthrough = false;
-    certify_time = Simtime.zero;
-    optimistic = false;
-    batch_window = Simtime.zero;
-  }
-
 let schema : Config.schema =
   [
     Config.abcast_impl_key;
@@ -56,16 +33,6 @@ let schema : Config.schema =
     };
     Config.batch_window_key;
   ]
-
-let config_of cfg =
-  {
-    abcast_impl = Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl");
-    client_retry = Config.get_time cfg "client_retry";
-    passthrough = Config.get_bool cfg "passthrough";
-    certify_time = Config.get_time cfg "certify_time";
-    optimistic = Config.get_bool cfg "optimistic";
-    batch_window = Config.get_time cfg "batch_window";
-  }
 
 let info =
   {
@@ -94,15 +61,22 @@ let aborts (inst : Core.Technique.instance) =
   Common.sum_replica_counter inst "certification_aborts_total"
     (List.map List.hd inst.Core.Technique.groups)
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let abcast_impl =
+    Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl")
+  in
+  let client_retry = Config.get_time cfg "client_retry" in
+  let passthrough = Config.get_bool cfg "passthrough" in
+  let certify_time = Config.get_time cfg "certify_time" in
+  let optimistic = Config.get_bool cfg "optimistic" in
+  let batch_window = Config.get_time cfg "batch_window" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
-    Group.Abcast.create_group net ~members:replicas ~impl:config.abcast_impl
-      ~passthrough:config.passthrough ~batch_window:config.batch_window ()
+    Group.Abcast.create_group net ~members:replicas ~impl:abcast_impl
+      ~passthrough ~batch_window ()
   in
   let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   let engine = Network.engine net in
   List.iter
@@ -119,13 +93,13 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
       (* rid -> (completion time of the pre-check, commits seen when it
          started). The pre-check is valid if no commit intervened. *)
       let prechecks : (int, Simtime.t * int) Hashtbl.t = Hashtbl.create 32 in
-      if config.optimistic && Simtime.(config.certify_time > Simtime.zero) then
+      if optimistic && Simtime.(certify_time > Simtime.zero) then
         Group.Abcast.on_opt_deliver h (fun ~origin:_ msg ->
             match msg with
             | Certify { rid; _ } ->
                 if not (Hashtbl.mem prechecks rid) then begin
                   let start = Simtime.max (Engine.now engine) !busy_until in
-                  let finish = Simtime.add start config.certify_time in
+                  let finish = Simtime.add start certify_time in
                   busy_until := finish;
                   Hashtbl.replace prechecks rid (finish, !commit_count)
                 end
@@ -139,7 +113,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
                 Core.Phase.Agreement_coordination;
               let now = Engine.now engine in
               let finish =
-                if Simtime.equal config.certify_time Simtime.zero then now
+                if Simtime.equal certify_time Simtime.zero then now
                 else
                   match Hashtbl.find_opt prechecks rid with
                   | Some (done_at, commits_at_start)
@@ -149,7 +123,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
                       Simtime.max now done_at
                   | _ ->
                       let start = Simtime.max now !busy_until in
-                      let f = Simtime.add start config.certify_time in
+                      let f = Simtime.add start certify_time in
                       busy_until := f;
                       f
               in
@@ -245,7 +219,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
         (Creq { client; request })
     in
     send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:config.client_retry
+    Common.retry_until_replied ctx ~rid ~timeout:client_retry
       ~target:(fun ~attempt ->
         Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
       ~send

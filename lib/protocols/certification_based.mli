@@ -9,37 +9,30 @@
     identically with no further agreement round. Aborts (certification
     failures) are the price of optimism under contention. The delegate
     reports the outcome to the client after certifying — the technique is
-    eager despite its optimism. Observed signature: RE EX AC END. *)
+    eager despite its optimism. Observed signature: RE EX AC END.
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  client_retry : Sim.Simtime.t;
-  passthrough : bool;
-  certify_time : Sim.Simtime.t;
-      (** simulated cost of the certification test at each replica
-          (default 0: certification is instantaneous) *)
-  optimistic : bool;
-      (** process transactions at {e optimistic} delivery ([KPAS99a]): the
-          certification test runs during the ordering protocol; if the
-          spontaneous order matches the definitive one the transaction
-          terminates without paying [certify_time] after delivery. The
-          verdict is always computed against the definitive order, so
-          correctness is unaffected — only latency. *)
-  batch_window : Sim.Simtime.t;
-      (** sequencer-side request batching window (0 = off) *)
-}
+    Settings ({!schema}): [certify_time] is the simulated cost of the
+    certification test at each replica (default 0: certification is
+    instantaneous). [optimistic] processes transactions at {e
+    optimistic} delivery ([KPAS99a]): the certification test runs during
+    the ordering protocol; if the spontaneous order matches the
+    definitive one the transaction terminates without paying
+    [certify_time] after delivery. The verdict is always computed
+    against the definitive order, so correctness is unaffected — only
+    latency. *)
 
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set certification.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 (** Certification aborts, read from the instance's

@@ -1,6 +1,6 @@
 (* Typed technique configuration: every protocol declares a schema (key,
-   type, default, doc) covering each field of its [config] record, and
-   the CLI resolves `--set technique.key=value` directives / config-file
+   type, default, doc), the only description of its settings, and the
+   CLI resolves `--set technique.key=value` directives / config-file
    lines against it. Values round-trip through their string form, so a
    printed configuration can be fed back verbatim. *)
 
@@ -97,6 +97,20 @@ let keys schema = List.map (fun k -> k.name) schema
 
 let defaults schema = List.map (fun k -> (k.name, k.default)) schema
 
+(* The range a value must fall in, or [None] when it does. Times are
+   never negative, and a client retry timeout is strictly positive: a
+   zero timeout resubmits forever without advancing virtual time. The
+   one float key is a probability; the int keys count replicas or
+   groups. *)
+let out_of_range k v =
+  match v with
+  | Time t when k.name = "client_retry" ->
+      if Sim.Simtime.(t > zero) then None else Some "> 0"
+  | Time t -> if Sim.Simtime.(t >= zero) then None else Some ">= 0"
+  | Float f -> if f >= 0. && f <= 1. then None else Some "in [0, 1]"
+  | Int i | Opt_int (Some i) -> if i >= 1 then None else Some ">= 1"
+  | Bool _ | Enum _ | Opt_int None -> None
+
 (* Unknown keys must name the alternatives: a typo in a sweep script
    should fail loudly with the fix in the message. *)
 let set schema t ~key ~value =
@@ -108,8 +122,17 @@ let set schema t ~key ~value =
   | Some k -> (
       match parse_value k.ty value with
       | Error msg -> Error (Printf.sprintf "key %S: %s" key msg)
-      | Ok v ->
-          Ok (List.map (fun (n, old) -> if n = key then (n, v) else (n, old)) t))
+      | Ok v -> (
+          match out_of_range k v with
+          | Some range ->
+              Error
+                (Printf.sprintf "key %S: expected a value %s, got %S" key
+                   range (String.trim value))
+          | None ->
+              Ok
+                (List.map
+                   (fun (n, old) -> if n = key then (n, v) else (n, old))
+                   t)))
 
 let apply schema pairs =
   List.fold_left
@@ -118,8 +141,9 @@ let apply schema pairs =
     (Ok (defaults schema))
     pairs
 
-(* Typed accessors. A miss is a programming error (the schema and the
-   protocol's [config_of] always agree), so these raise. *)
+(* Typed accessors. A miss is a programming error (each technique's
+   [create] reads exactly the keys its schema declares), so these
+   raise. *)
 
 let get name t =
   match List.assoc_opt name t with

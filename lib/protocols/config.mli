@@ -1,7 +1,8 @@
 (** Typed technique configuration.
 
-    Every protocol declares a {!schema}: one {!key} per field of its
-    [config] record, with a type, a default and a doc string. The CLI
+    Every protocol declares a {!schema}: one {!key} per setting, with a
+    type, a default and a doc string — the only description of the
+    setting; the technique's [create] reads it by name. The CLI
     resolves [--set technique.key=value] directives (and config-file
     lines of the same shape) against the schema, so every
     behaviour-defining parameter can be changed without recompilation,
@@ -38,15 +39,20 @@ val keys : schema -> string list
 val defaults : schema -> t
 
 (** [set schema t ~key ~value] rebinds [key] to the parsed [value]; an
-    unknown key fails with a message listing the schema's valid keys. *)
+    unknown key fails with a message listing the schema's valid keys,
+    and a value out of its key's range with a message naming the key
+    and the range. Ranges: every time [>= 0], [client_retry] [> 0], a
+    float between 0 and 1, an int (or an [int|none] other than [none])
+    [>= 1]. *)
 val set : schema -> t -> key:string -> value:string -> (t, string) result
 
 (** [apply schema pairs] — defaults overridden by [pairs], left to
     right. *)
 val apply : schema -> (string * string) list -> (t, string) result
 
-(** Typed accessors; raise [Invalid_argument] on a key/type mismatch
-    (the schema and the protocol's [config_of] always agree). *)
+(** Typed accessors; raise [Invalid_argument] on an unbound key or a
+    key/type mismatch (each technique's [create] reads exactly the keys
+    its schema declares). *)
 
 val get_bool : t -> string -> bool
 val get_int : t -> string -> int

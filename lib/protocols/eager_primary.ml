@@ -14,23 +14,6 @@ type Msg.t +=
       cache_entries : (int * (bool * int option)) list;
     }
 
-type config = {
-  interactive : bool;
-  nonblocking_commit : bool;
-  client_retry : Simtime.t;
-  abort_probability : float;
-  passthrough : bool;
-}
-
-let default_config =
-  {
-    interactive = false;
-    nonblocking_commit = false;
-    client_retry = Simtime.of_ms 400;
-    abort_probability = 0.0;
-    passthrough = false;
-  }
-
 let schema : Config.schema =
   [
     {
@@ -56,15 +39,6 @@ let schema : Config.schema =
     };
     Config.passthrough_key;
   ]
-
-let config_of cfg =
-  {
-    interactive = Config.get_bool cfg "interactive";
-    nonblocking_commit = Config.get_bool cfg "nonblocking_commit";
-    client_retry = Config.get_time cfg "client_retry";
-    abort_probability = Config.get_float cfg "abort_probability";
-    passthrough = Config.get_bool cfg "passthrough";
-  }
 
 let info =
   {
@@ -117,14 +91,18 @@ type replica_state = {
   mutable synced : bool; (* false between recovery and state transfer *)
 }
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let interactive = Config.get_bool cfg "interactive" in
+  let nonblocking_commit = Config.get_bool cfg "nonblocking_commit" in
+  let client_retry = Config.get_time cfg "client_retry" in
+  let abort_probability = Config.get_float cfg "abort_probability" in
+  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let fifo_group =
-    Group.Fifo.create_group net ~members:replicas ~passthrough:config.passthrough ()
+    Group.Fifo.create_group net ~members:replicas ~passthrough ()
   in
   let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   let states = Hashtbl.create 8 in
   let state r = Hashtbl.find states r in
@@ -148,7 +126,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
     Hashtbl.mem st.buffered rid
     &&
     let no =
-      site_votes_no ~probability:config.abort_probability ~rid ~replica:me
+      site_votes_no ~probability:abort_probability ~rid ~replica:me
     in
     if no then
       Common.count ctx
@@ -172,8 +150,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
     Hashtbl.remove st.buffered rid
   in
   let tpc =
-    Core.Two_phase_commit.create_group net ~nodes:replicas
-      ~passthrough:config.passthrough
+    Core.Two_phase_commit.create_group net ~nodes:replicas ~passthrough
       ~participant_timeout:(Simtime.of_ms 300)
       ~vote
       ~learn:(fun ~me ~txn decision ->
@@ -181,10 +158,10 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
       ()
   in
   let tpc3 =
-    if config.nonblocking_commit then
+    if nonblocking_commit then
       Some
         (Core.Three_phase_commit.create_group net ~nodes:replicas
-           ~passthrough:config.passthrough ~vote
+           ~passthrough ~vote
            ~learn:(fun ~me ~txn decision ->
              learn_commit ~me ~txn (decision = Core.Three_phase_commit.Commit))
            ())
@@ -218,13 +195,13 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
           txn.next_op <- txn.next_op + 1;
           Common.phase_begin ctx ~rid ~replica:r
             ~note:
-              (if config.interactive then "primary executes one operation"
+              (if interactive then "primary executes one operation"
                else "primary executes the stored procedure")
             Core.Phase.Execution;
           Store.Shadow.exec_op
             ~choose:(fun k -> Common.random_choice ctx k)
             txn.shadow op;
-          if config.interactive then propagate r rid ~final:false
+          if interactive then propagate r rid ~final:false
           else if txn.next_op < List.length ops then advance r rid
           else propagate r rid ~final:true
         end
@@ -480,7 +457,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
       Group.Rchan.send chan ~dst (Ereq { client; request })
     in
     send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:config.client_retry
+    Common.retry_until_replied ctx ~rid ~timeout:client_retry
       ~target:(fun ~attempt ->
         Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
       ~send

@@ -14,34 +14,29 @@
     In [interactive] mode (Figure 12), each operation's changes are
     propagated as the transaction progresses (an EX/AC loop per
     operation) and only the final AC is a 2PC; otherwise the transaction
-    is a stored procedure: one EX, one propagation, one 2PC (Figure 7). *)
+    is a stored procedure: one EX, one propagation, one 2PC (Figure 7).
 
-type config = {
-  interactive : bool;
-  nonblocking_commit : bool;
-      (** use three-phase commit for the final agreement round instead of
-          the (blocking) two-phase commit — the §2.1 distributed-systems
-          alternative. One more message round; a coordinator crash can no
-          longer wedge prepared participants (see abl8). *)
-  client_retry : Sim.Simtime.t;
-  abort_probability : float;
-      (** chance that a secondary votes NO, standing in for the paper's
-          "load, consistency constraints, interactions with local
-          operations" — deterministic per (request, replica) *)
-  passthrough : bool;
-}
+    Settings ({!schema}): [nonblocking_commit] uses three-phase commit
+    for the final agreement round instead of the (blocking) two-phase
+    commit — the §2.1 distributed-systems alternative. One more message
+    round; a coordinator crash can no longer wedge prepared participants
+    (see abl8). [abort_probability] is the chance that a secondary votes
+    NO, standing in for the paper's "load, consistency constraints,
+    interactions with local operations" — deterministic per (request,
+    replica). *)
 
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set eager-primary.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 val info : Core.Technique.info

@@ -9,21 +9,6 @@ type Msg.t +=
       rid : int;
     }
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  client_retry : Simtime.t;
-  passthrough : bool;
-  batch_window : Simtime.t;
-}
-
-let default_config =
-  {
-    abcast_impl = Group.Abcast.Sequencer;
-    client_retry = Simtime.of_ms 500;
-    passthrough = false;
-    batch_window = Simtime.zero;
-  }
-
 let schema : Config.schema =
   [
     Config.abcast_impl_key;
@@ -31,14 +16,6 @@ let schema : Config.schema =
     Config.passthrough_key;
     Config.batch_window_key;
   ]
-
-let config_of cfg =
-  {
-    abcast_impl = Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl");
-    client_retry = Config.get_time cfg "client_retry";
-    passthrough = Config.get_bool cfg "passthrough";
-    batch_window = Config.get_time cfg "batch_window";
-  }
 
 let info =
   {
@@ -60,15 +37,20 @@ let info =
     section = "4.4.2";
   }
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let abcast_impl =
+    Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl")
+  in
+  let client_retry = Config.get_time cfg "client_retry" in
+  let passthrough = Config.get_bool cfg "passthrough" in
+  let batch_window = Config.get_time cfg "batch_window" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
-    Group.Abcast.create_group net ~members:replicas ~impl:config.abcast_impl
-      ~passthrough:config.passthrough ~batch_window:config.batch_window ()
+    Group.Abcast.create_group net ~members:replicas ~impl:abcast_impl
+      ~passthrough ~batch_window ()
   in
   let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   let forwarded = Hashtbl.create 64 in
   (* (replica, rid) -> outcome cache, for client resubmissions *)
@@ -148,7 +130,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
         (Areq { client; request })
     in
     send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:config.client_retry
+    Common.retry_until_replied ctx ~rid ~timeout:client_retry
       ~target:(fun ~attempt ->
         Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
       ~send

@@ -9,25 +9,18 @@
     needed. The delegate alone answers the client. Figure 16 row:
     RE SC EX END. *)
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  client_retry : Sim.Simtime.t;
-  passthrough : bool;
-  batch_window : Sim.Simtime.t;
-      (** sequencer-side request batching window (0 = off) *)
-}
-
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set eager-ue-abcast.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 val info : Core.Technique.info

@@ -39,23 +39,6 @@ type Msg.t +=
       cache_entries : (int * (bool * int option)) list;
     }
 
-type config = {
-  read_one_write_all : bool;
-  lock_quorum : int option;
-  lock_timeout : Simtime.t;
-  client_retry : Simtime.t;
-  passthrough : bool;
-}
-
-let default_config =
-  {
-    read_one_write_all = false;
-    lock_quorum = None;
-    lock_timeout = Simtime.of_ms 250;
-    client_retry = Simtime.of_ms 600;
-    passthrough = false;
-  }
-
 let schema : Config.schema =
   [
     {
@@ -80,15 +63,6 @@ let schema : Config.schema =
     Config.client_retry_key ~default:(Simtime.of_ms 600);
     Config.passthrough_key;
   ]
-
-let config_of cfg =
-  {
-    read_one_write_all = Config.get_bool cfg "read_one_write_all";
-    lock_quorum = Config.get_opt_int cfg "lock_quorum";
-    lock_timeout = Config.get_time cfg "lock_timeout";
-    client_retry = Config.get_time cfg "client_retry";
-    passthrough = Config.get_bool cfg "passthrough";
-  }
 
 let info =
   {
@@ -161,12 +135,16 @@ type replica_state = {
   mutable synced : bool; (* false between recovery and state transfer *)
 }
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let read_one_write_all = Config.get_bool cfg "read_one_write_all" in
+  let lock_quorum = Config.get_opt_int cfg "lock_quorum" in
+  let lock_timeout = Config.get_time cfg "lock_timeout" in
+  let client_retry = Config.get_time cfg "client_retry" in
+  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let fd_group = Group.Fd.create_group net ~members:replicas () in
   let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   let states = Hashtbl.create 8 in
   let state r = Hashtbl.find states r in
@@ -190,8 +168,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
     List.iter (Hashtbl.remove st.executed) stale_ops
   in
   let tpc =
-    Core.Two_phase_commit.create_group net ~nodes:replicas
-      ~passthrough:config.passthrough
+    Core.Two_phase_commit.create_group net ~nodes:replicas ~passthrough
       ~participant_timeout:(Simtime.of_ms 300)
       ~vote:(fun ~me ~txn ->
         let st = state me in
@@ -239,11 +216,11 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
   in
   (* Where the current operation's locks are requested. *)
   let lock_sites_for r op =
-    if config.read_one_write_all && Store.Operation.write_keys op = [] then
+    if read_one_write_all && Store.Operation.write_keys op = [] then
       [ r ] (* read-one *)
     else
       let alive = List.filter (Network.alive net) ctx.Common.replicas in
-      match config.lock_quorum with
+      match lock_quorum with
       | None -> alive
       | Some q ->
           (* A rotating quorum starting at the delegate: any two quorums of
@@ -283,7 +260,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
     | Store.Operation.Write_random k -> write k (Common.random_choice ctx k)
   (* Where it executes: every copy must apply updates. *)
   and exec_sites_for r op =
-    if config.read_one_write_all && Store.Operation.write_keys op = [] then
+    if read_one_write_all && Store.Operation.write_keys op = [] then
       [ r ]
     else List.filter (Network.alive net) ctx.Common.replicas
   in
@@ -346,7 +323,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
         txn.stage <- `Completing;
         txn.complete_acks <- [];
         let writes =
-          if config.lock_quorum = None then []
+          if lock_quorum = None then []
           else
             Hashtbl.fold
               (fun k v acc ->
@@ -378,7 +355,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
                 txn.stage <- `Done;
                 Hashtbl.remove st.txns rid;
                 let committed = decision = Core.Two_phase_commit.Commit in
-                if committed && config.lock_quorum <> None then begin
+                if committed && lock_quorum <> None then begin
                   (* Quorum mode: the delegate knows the reads/writes. *)
                   let writes =
                     Hashtbl.fold
@@ -566,7 +543,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
                     (* Lock timeout resolves distributed deadlocks. *)
                     ignore
                       (Engine.schedule (Network.engine net) ~label:"proto:lock-timeout"
-                         ~after:config.lock_timeout
+                         ~after:lock_timeout
                          (Network.guard net r (fun () ->
                               match Hashtbl.find_opt st.txns rid with
                               | Some t
@@ -634,7 +611,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
                   end;
                   if List.for_all (fun s -> List.mem s txn.grants) txn.lock_sites
                   then
-                    if config.lock_quorum <> None then begin
+                    if lock_quorum <> None then begin
                       (* Quorum mode: the delegate executes against the
                          freshest quorum copies; other sites only install
                          the writeset at commit. *)
@@ -726,7 +703,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
         (Lreq { client; request })
     in
     send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:config.client_retry
+    Common.retry_until_replied ctx ~rid ~timeout:client_retry
       ~target:(fun ~attempt ->
         Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
       ~send

@@ -15,34 +15,28 @@
 
     With [read_one_write_all] set, read operations lock and execute only at
     the delegate ([BHG87]'s read-one/write-all), halving the message load
-    of read-heavy workloads — the quorum discussion of §5.4.1. *)
+    of read-heavy workloads — the quorum discussion of §5.4.1.
 
-type config = {
-  read_one_write_all : bool;
-  lock_quorum : int option;
-      (** lock at this many replicas instead of all of them (rotating from
-          the delegate). Must exceed n/2 so that conflicting transactions'
-          quorums intersect; execution, completion and 2PC still involve
-          every replica — the paper's §5.4.1 point that "quorums only
-          determine how many sites ... need to be contacted in order to
-          obtain the locks; the phases of the protocol are the same".
-          [None] (default) locks everywhere. *)
-  lock_timeout : Sim.Simtime.t;
-  client_retry : Sim.Simtime.t;
-  passthrough : bool;
-}
+    Settings ({!schema}): [lock_quorum] locks at this many replicas
+    instead of all of them (rotating from the delegate). It must exceed
+    n/2 so that conflicting transactions' quorums intersect; execution,
+    completion and 2PC still involve every replica — the paper's §5.4.1
+    point that "quorums only determine how many sites ... need to be
+    contacted in order to obtain the locks; the phases of the protocol
+    are the same". [none] (default) locks everywhere. *)
 
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set eager-ue-locking.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 val info : Core.Technique.info

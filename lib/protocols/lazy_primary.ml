@@ -7,19 +7,6 @@ type Msg.t +=
       writes : (Store.Operation.key * int * int) list;
     }
 
-type config = {
-  client_retry : Simtime.t;
-  propagation_delay : Simtime.t;
-  passthrough : bool;
-}
-
-let default_config =
-  {
-    client_retry = Simtime.of_ms 400;
-    propagation_delay = Simtime.of_ms 5;
-    passthrough = false;
-  }
-
 let propagation_delay_key =
   {
     Config.name = "propagation_delay";
@@ -34,13 +21,6 @@ let schema : Config.schema =
     propagation_delay_key;
     Config.passthrough_key;
   ]
-
-let config_of cfg =
-  {
-    client_retry = Config.get_time cfg "client_retry";
-    propagation_delay = Config.get_time cfg "propagation_delay";
-    passthrough = Config.get_bool cfg "passthrough";
-  }
 
 let info =
   {
@@ -63,15 +43,16 @@ let info =
     section = "4.5 / 5.3";
   }
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let client_retry = Config.get_time cfg "client_retry" in
+  let propagation_delay = Config.get_time cfg "propagation_delay" in
+  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let fifo_group =
-    Group.Fifo.create_group net ~members:replicas
-      ~passthrough:config.passthrough ()
+    Group.Fifo.create_group net ~members:replicas ~passthrough ()
   in
   let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   let caches = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace caches r (Hashtbl.create 64)) replicas;
@@ -136,7 +117,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
                     (* ... and propagate afterwards (END before AC). *)
                     ignore
                       (Engine.schedule (Network.engine net) ~label:"proto:propagate"
-                         ~after:config.propagation_delay
+                         ~after:propagation_delay
                          (Network.guard net r (fun () ->
                               Common.count ctx "propagations_total";
                               Common.phase_begin ctx ~rid ~replica:r
@@ -169,7 +150,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
         (Lpreq { client; request })
     in
     send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:config.client_retry
+    Common.retry_until_replied ctx ~rid ~timeout:client_retry
       ~target:(fun ~attempt ->
         Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
       ~send

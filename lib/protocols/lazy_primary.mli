@@ -8,27 +8,24 @@
     observe stale data: this is the weak-consistency half of Figure 16
     (END before AC). Because transactions commit at the primary only,
     copies can be stale but never conflicting, and no reconciliation is
-    needed. *)
+    needed.
 
-type config = {
-  client_retry : Sim.Simtime.t;
-  propagation_delay : Sim.Simtime.t;
-      (** how long the primary batches changes before propagating — 0
-          propagates immediately; larger values model periodic refresh *)
-  passthrough : bool;
-}
+    Settings ({!schema}): [propagation_delay] is how long the primary
+    batches changes before propagating — 0 propagates immediately;
+    larger values model periodic refresh. *)
 
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set lazy-primary.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 val info : Core.Technique.info

@@ -7,21 +7,6 @@ type Msg.t +=
       writes : (Store.Operation.key * int * int) list;
     }
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  client_retry : Simtime.t;
-  propagation_delay : Simtime.t;
-  passthrough : bool;
-}
-
-let default_config =
-  {
-    abcast_impl = Group.Abcast.Sequencer;
-    client_retry = Simtime.of_ms 400;
-    propagation_delay = Simtime.of_ms 5;
-    passthrough = false;
-  }
-
 let schema : Config.schema =
   [
     Config.abcast_impl_key;
@@ -36,14 +21,6 @@ let schema : Config.schema =
     };
     Config.passthrough_key;
   ]
-
-let config_of cfg =
-  {
-    abcast_impl = Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl");
-    client_retry = Config.get_time cfg "client_retry";
-    propagation_delay = Config.get_time cfg "propagation_delay";
-    passthrough = Config.get_bool cfg "passthrough";
-  }
 
 let info =
   {
@@ -70,15 +47,20 @@ let conflicts (inst : Core.Technique.instance) =
   Common.sum_replica_counter inst "reconciliation_conflicts_total"
     inst.Core.Technique.replicas
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let abcast_impl =
+    Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl")
+  in
+  let client_retry = Config.get_time cfg "client_retry" in
+  let propagation_delay = Config.get_time cfg "propagation_delay" in
+  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
-    Group.Abcast.create_group net ~members:replicas ~impl:config.abcast_impl
-      ~passthrough:config.passthrough ()
+    Group.Abcast.create_group net ~members:replicas ~impl:abcast_impl
+      ~passthrough ()
   in
   let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   List.iter
     (fun r ->
@@ -150,7 +132,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
                     Hashtbl.replace unsent rid result.Store.Apply.writes;
                     ignore
                       (Engine.schedule (Network.engine net) ~label:"proto:propagate"
-                         ~after:config.propagation_delay
+                         ~after:propagation_delay
                          (Network.guard net r (fun () ->
                               Hashtbl.remove unsent rid;
                               Group.Abcast.broadcast h
@@ -179,7 +161,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
         (Ureq { client; request })
     in
     send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:config.client_retry
+    Common.retry_until_replied ctx ~rid ~timeout:client_retry
       ~target:(fun ~attempt ->
         Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
       ~send

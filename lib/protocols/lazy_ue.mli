@@ -10,24 +10,18 @@
     conflicting transactions are the losers that "must be undone".
     Figure 16 row: RE EX END AC, weak consistency. *)
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  client_retry : Sim.Simtime.t;
-  propagation_delay : Sim.Simtime.t;
-  passthrough : bool;
-}
-
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set lazy-ue.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 (** Conflicts detected during reconciliation, summed over replicas (the

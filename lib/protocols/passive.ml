@@ -14,19 +14,8 @@ type Msg.t +=
     }
   | Sync_req
 
-type config = { client_retry : Simtime.t; passthrough : bool }
-
-let default_config =
-  { client_retry = Simtime.of_ms 400; passthrough = false }
-
 let schema : Config.schema =
   [ Config.client_retry_key ~default:(Simtime.of_ms 400); Config.passthrough_key ]
-
-let config_of cfg =
-  {
-    client_retry = Config.get_time cfg "client_retry";
-    passthrough = Config.get_bool cfg "passthrough";
-  }
 
 let info =
   {
@@ -61,13 +50,16 @@ type replica_state = {
   mutable synced : bool; (* false between a rejoin jump and state transfer *)
 }
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let client_retry = Config.get_time cfg "client_retry" in
+  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
-  let vs_group = Group.Vscast.create_group net ~members:replicas ~passthrough:config.passthrough () in
+  let vs_group =
+    Group.Vscast.create_group net ~members:replicas ~passthrough ()
+  in
   let chan_group =
     (* Stubborn client->primary channel so requests survive message loss. *)
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   let states = Hashtbl.create 8 in
   let is_primary st =
@@ -236,7 +228,7 @@ let create net ~replicas ~clients ?(config = default_config) ?shared () =
     in
     let preferred = Common.lowest_alive ctx in
     send ~dst:preferred;
-    Common.retry_until_replied ctx ~rid ~timeout:config.client_retry
+    Common.retry_until_replied ctx ~rid ~timeout:client_retry
       ~target:(fun ~attempt -> Common.cycling_target ctx ~preferred ~attempt)
       ~send
   in

@@ -16,22 +16,18 @@
     the rejoin. Until the transfer arrives it claims no primaryship.
     Figure 16 row: RE EX AC END. *)
 
-type config = {
-  client_retry : Sim.Simtime.t;  (** resubmission timeout *)
-  passthrough : bool;
-}
-
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set passive.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 val info : Core.Technique.info

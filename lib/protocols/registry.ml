@@ -11,6 +11,10 @@ type entry = {
   build : ?shared:Common.shared -> Config.t -> factory;
 }
 
+(* Shard count of a resolved configuration (1 = unsharded); the CLI's
+   flag-level check reads it here too. *)
+let shards cfg = Config.get_int cfg "shards"
+
 (* Every technique is shardable: its schema gains the shared [shards]
    key, and a shard count above 1 interposes the {!Sharded} wrapper —
    one instance of the technique per replication group, cross-group
@@ -24,116 +28,79 @@ let shardable e =
     schema = e.schema @ [ Config.shards_key ];
     build =
       (fun ?shared cfg ->
-        let shards =
-          match List.assoc_opt "shards" cfg with
-          | Some (Config.Int k) -> k
-          | _ -> 1
-        in
-        if shards <= 1 then e.build ?shared cfg
+        let shards = shards cfg in
+        if shards = 1 then e.build ?shared cfg
         else
-          let passthrough =
-            match List.assoc_opt "passthrough" cfg with
-            | Some (Config.Bool b) -> b
-            | _ -> false
-          in
-          Sharded.create ~shards ~info:e.info ~passthrough ?shared
+          Sharded.create ~shards ~info:e.info
+            ~passthrough:(Config.get_bool cfg "passthrough")
+            ?shared
             ~factory:(fun shared -> e.build ~shared cfg));
   }
 
-(* Every [build] resolves the technique's typed configuration into its
-   concrete [config] record and closes over it — the single construction
-   path shared by the CLI, the benches and the tests. *)
+(* Each technique's [create] reads its settings from the resolved
+   configuration, so an entry is data: the single construction path
+   shared by the CLI, the benches, the examples and the tests. *)
 let raw : entry list =
   [
     {
       key = "active";
       info = Active.info;
       schema = Active.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Active.create net ~replicas ~clients ~config:(Active.config_of cfg)
-            ?shared ());
+      build = Active.create;
     };
     {
       key = "passive";
       info = Passive.info;
       schema = Passive.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Passive.create net ~replicas ~clients ~config:(Passive.config_of cfg)
-            ?shared ());
+      build = Passive.create;
     };
     {
       key = "semi-active";
       info = Semi_active.info;
       schema = Semi_active.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Semi_active.create net ~replicas ~clients
-            ~config:(Semi_active.config_of cfg) ?shared ());
+      build = Semi_active.create;
     };
     {
       key = "semi-passive";
       info = Semi_passive.info;
       schema = Semi_passive.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Semi_passive.create net ~replicas ~clients
-            ~config:(Semi_passive.config_of cfg) ?shared ());
+      build = Semi_passive.create;
     };
     {
       key = "eager-primary";
       info = Eager_primary.info;
       schema = Eager_primary.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Eager_primary.create net ~replicas ~clients
-            ~config:(Eager_primary.config_of cfg) ?shared ());
+      build = Eager_primary.create;
     };
     {
       key = "eager-ue-locking";
       info = Eager_ue_locking.info;
       schema = Eager_ue_locking.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Eager_ue_locking.create net ~replicas ~clients
-            ~config:(Eager_ue_locking.config_of cfg) ?shared ());
+      build = Eager_ue_locking.create;
     };
     {
       key = "eager-ue-abcast";
       info = Eager_ue_abcast.info;
       schema = Eager_ue_abcast.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Eager_ue_abcast.create net ~replicas ~clients
-            ~config:(Eager_ue_abcast.config_of cfg) ?shared ());
+      build = Eager_ue_abcast.create;
     };
     {
       key = "lazy-primary";
       info = Lazy_primary.info;
       schema = Lazy_primary.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Lazy_primary.create net ~replicas ~clients
-            ~config:(Lazy_primary.config_of cfg) ?shared ());
+      build = Lazy_primary.create;
     };
     {
       key = "lazy-ue";
       info = Lazy_ue.info;
       schema = Lazy_ue.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Lazy_ue.create net ~replicas ~clients ~config:(Lazy_ue.config_of cfg)
-            ?shared ());
+      build = Lazy_ue.create;
     };
     {
       key = "certification";
       info = Certification_based.info;
       schema = Certification_based.schema;
-      build =
-        (fun ?shared cfg net ~replicas ~clients ->
-          Certification_based.create net ~replicas ~clients
-            ~config:(Certification_based.config_of cfg) ?shared ());
+      build = Certification_based.create;
     };
   ]
 

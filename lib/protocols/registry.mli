@@ -1,5 +1,8 @@
-(** All implemented techniques, for the benches, the CLI and the tests
-    that sweep the whole taxonomy. Order follows Figure 16. *)
+(** All implemented techniques, for the benches, the CLI, the examples
+    and the tests that sweep the whole taxonomy. Order follows Figure
+    16. The registry is the only way to build a technique: each entry's
+    [build] is the technique module's [create], which reads its settings
+    from a configuration resolved against the entry's [schema]. *)
 
 type factory =
   Sim.Network.t ->
@@ -34,6 +37,10 @@ val default_config : entry -> Config.t
 
 (** Constructor under the schema defaults. *)
 val default_factory : entry -> factory
+
+(** The shard count bound in a resolved configuration (1 = unsharded).
+    Raises [Invalid_argument] if the configuration lacks the key. *)
+val shards : Config.t -> int
 
 (** [configure e pairs] resolves raw [key=value] pairs against the
     entry's schema (unknown keys fail, listing the valid ones) and

@@ -4,28 +4,8 @@ type Msg.t +=
   | Req of { client : int; request : Store.Operation.request }
   | Choice of { rid : int; choices : (Store.Operation.key * int) list }
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  passthrough : bool;
-  batch_window : Sim.Simtime.t;
-}
-
-let default_config =
-  {
-    abcast_impl = Group.Abcast.Sequencer;
-    passthrough = false;
-    batch_window = Sim.Simtime.zero;
-  }
-
 let schema : Config.schema =
   [ Config.abcast_impl_key; Config.passthrough_key; Config.batch_window_key ]
-
-let config_of cfg =
-  {
-    abcast_impl = Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl");
-    passthrough = Config.get_bool cfg "passthrough";
-    batch_window = Config.get_time cfg "batch_window";
-  }
 
 let info =
   {
@@ -65,16 +45,19 @@ type replica_state = {
   ex_marked : (int, unit) Hashtbl.t; (* EX phase marked, by rid *)
 }
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let abcast_impl =
+    Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl")
+  in
+  let passthrough = Config.get_bool cfg "passthrough" in
+  let batch_window = Config.get_time cfg "batch_window" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~clients
-      ~impl:config.abcast_impl ~passthrough:config.passthrough
-      ~batch_window:config.batch_window ()
+      ~impl:abcast_impl ~passthrough ~batch_window ()
   in
   let vs_group =
-    Group.Vscast.create_group net ~members:replicas
-      ~passthrough:config.passthrough ()
+    Group.Vscast.create_group net ~members:replicas ~passthrough ()
   in
   let states = Hashtbl.create 8 in
   (* Execute the queue head once its non-deterministic choices (if any)

@@ -9,24 +9,18 @@
     repeats per non-deterministic choice; deterministic requests skip
     AC). *)
 
-type config = {
-  abcast_impl : Group.Abcast.impl;
-  passthrough : bool;
-  batch_window : Sim.Simtime.t;
-      (** sequencer-side request batching window (0 = off) *)
-}
-
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set semi-active.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 val info : Core.Technique.info

@@ -13,13 +13,7 @@ end
 
 module C = Group.Consensus.Make (Decision_value)
 
-type config = { passthrough : bool }
-
-let default_config = { passthrough = false }
-
 let schema : Config.schema = [ Config.passthrough_key ]
-
-let config_of cfg = { passthrough = Config.get_bool cfg "passthrough" }
 
 let info =
   {
@@ -54,16 +48,15 @@ type replica_state = {
   mutable participated_for : int;
 }
 
-let create net ~replicas ~clients ?(config = default_config) ?shared () =
+let create ?shared cfg net ~replicas ~clients =
+  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let fd_group = Group.Fd.create_group net ~members:replicas () in
   let cons_group =
-    C.create_group net ~members:replicas ~fd:fd_group
-      ~passthrough:config.passthrough ()
+    C.create_group net ~members:replicas ~fd:fd_group ~passthrough ()
   in
   let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients)
-      ~passthrough:config.passthrough ()
+    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
   in
   let states = Hashtbl.create 8 in
   (* The deferred-initial-value step: only when this replica believes it is

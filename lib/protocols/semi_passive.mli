@@ -13,19 +13,18 @@
     The paper notes SC and AC collapse into the single consensus here; the
     observed phase signature is RE EX AC END. *)
 
-type config = { passthrough : bool }
-
-val default_config : config
+(** The technique's settings: key, type, default and doc, resolved by
+    [--set semi-passive.KEY=VALUE]. *)
 val schema : Config.schema
-val config_of : Config.t -> config
 
+(** Build an instance under a resolved configuration, every {!schema}
+    key bound; {!Registry} is the only caller. *)
 val create :
+  ?shared:Common.shared ->
+  Config.t ->
   Sim.Network.t ->
   replicas:int list ->
   clients:int list ->
-  ?config:config ->
-  ?shared:Common.shared ->
-  unit ->
   Core.Technique.instance
 
 val info : Core.Technique.info

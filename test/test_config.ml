@@ -93,6 +93,36 @@ let test_apply_print_cycle () =
                 (Protocols.Config.to_strings cfg')))
     Protocols.Registry.all
 
+(* ---- every declared key is read ------------------------------------- *)
+
+(* The schema is the only description of a technique's settings, so a
+   key no code reads would be a setting that silently does nothing.
+   Unbind each key in turn and build: the technique (or, for [shards],
+   the registry) must reach for it and fail naming it. *)
+let test_every_key_read () =
+  List.iter
+    (fun (e : Protocols.Registry.entry) ->
+      List.iter
+        (fun (k : Protocols.Config.key) ->
+          let cfg =
+            List.remove_assoc k.name (Protocols.Registry.default_config e)
+          in
+          let net =
+            Sim.Network.create (Sim.Engine.create ~seed:1 ()) ~n:4
+              Sim.Network.default_config
+          in
+          match e.build cfg net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ] with
+          | _ ->
+              Alcotest.failf "%s.%s: built without reading the key" e.key
+                k.name
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s.%s: the failure names the key" e.key k.name)
+                true
+                (contains ~needle:(Printf.sprintf "%S" k.name) msg))
+        e.schema)
+    Protocols.Registry.all
+
 (* ---- error paths list the valid alternatives ------------------------ *)
 
 let test_unknown_technique () =
@@ -119,6 +149,53 @@ let test_unknown_key () =
             (Printf.sprintf "error lists %s" k.name)
             true (contains ~needle:k.name msg))
         entry.schema
+
+(* Values outside their key's range are refused where they are parsed,
+   with a message naming the key and the range; each of these used to be
+   accepted (a zero retry timeout hung the run). Every schema default is
+   itself in range. *)
+let test_out_of_range () =
+  List.iter
+    (fun (technique, key, value, range) ->
+      let entry = Option.get (Protocols.Registry.find technique) in
+      match Protocols.Registry.configure entry [ (key, value) ] with
+      | Ok _ -> Alcotest.failf "%s.%s=%s accepted" technique key value
+      | Error msg ->
+          List.iter
+            (fun needle ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s.%s=%s: error mentions %s" technique key
+                   value needle)
+                true (contains ~needle msg))
+            [ key; range ])
+    [
+      ("passive", "client_retry", "0ms", "> 0");
+      ("eager-primary", "client_retry", "0ms", "> 0");
+      ("eager-ue-locking", "client_retry", "0ms", "> 0");
+      ("eager-ue-abcast", "client_retry", "0ms", "> 0");
+      ("lazy-primary", "client_retry", "0ms", "> 0");
+      ("lazy-ue", "client_retry", "0ms", "> 0");
+      ("certification", "client_retry", "0ms", "> 0");
+      ("active", "batch_window", "-5ms", ">= 0");
+      ("lazy-primary", "propagation_delay", "-5ms", ">= 0");
+      ("certification", "certify_time", "-1ms", ">= 0");
+      ("active", "shards", "0", ">= 1");
+      ("active", "shards", "-2", ">= 1");
+      ("eager-primary", "abort_probability", "1.5", "[0, 1]");
+      ("eager-primary", "abort_probability", "-1", "[0, 1]");
+      ("eager-ue-locking", "lock_quorum", "0", ">= 1");
+      ("eager-ue-locking", "lock_quorum", "-1", ">= 1");
+    ];
+  List.iter
+    (fun (e : Protocols.Registry.entry) ->
+      let defaults =
+        Protocols.Config.to_strings (Protocols.Registry.default_config e)
+      in
+      match Protocols.Registry.configure e defaults with
+      | Ok _ -> ()
+      | Error msg ->
+          Alcotest.failf "%s: a default is out of range: %s" e.key msg)
+    Protocols.Registry.all
 
 let test_directive_syntax () =
   (match Protocols.Config.parse_directive "active.batch_window=5ms" with
@@ -244,11 +321,13 @@ let () =
         [
           tc "every key round-trips" test_roundtrip_all_keys;
           tc "print -> parse -> print" test_apply_print_cycle;
+          tc "every schema key is read at build" test_every_key_read;
         ] );
       ( "errors",
         [
           tc "unknown technique lists alternatives" test_unknown_technique;
           tc "unknown key lists schema" test_unknown_key;
+          tc "out-of-range value names key and range" test_out_of_range;
           tc "directive syntax" test_directive_syntax;
           tc "config file" test_config_file;
         ] );

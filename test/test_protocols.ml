@@ -16,6 +16,13 @@ let registry_entries =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* A technique built through the registry: its schema defaults,
+   overridden by [set]. *)
+let factory ?(set = []) key =
+  Protocols.Registry.configure_exn
+    (Option.get (Protocols.Registry.find key))
+    set
+
 let phase = Alcotest.testable Core.Phase.pp Core.Phase.equal
 
 type harness = {
@@ -173,8 +180,7 @@ let test_concurrent_updates (key, (info : Core.Technique.info), factory) () =
 (* Technique-specific behaviour                                        *)
 (* ------------------------------------------------------------------ *)
 
-let active_factory net ~replicas ~clients =
-  Protocols.Active.create net ~replicas ~clients ()
+let active_factory = factory "active"
 
 let test_active_masks_crash () =
   let h = setup ~n:3 active_factory in
@@ -243,10 +249,7 @@ let test_active_linearizable () =
   Alcotest.(check bool) "linearizable" true (Core.Linearizability.check !ops)
 
 let test_passive_failover () =
-  let h =
-    setup ~n:3 (fun net ~replicas ~clients ->
-        Protocols.Passive.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:3 (factory "passive") in
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:8
@@ -266,10 +269,7 @@ let test_passive_failover () =
     (alive_stores h)
 
 let test_passive_nondeterminism_converges () =
-  let h =
-    setup (fun net ~replicas ~clients ->
-        Protocols.Passive.create net ~replicas ~clients ())
-  in
+  let h = setup (factory "passive") in
   let client = List.hd h.clients in
   let slot =
     submit h ~client
@@ -281,10 +281,7 @@ let test_passive_nondeterminism_converges () =
   check_converged h "passive nondeterminism"
 
 let test_semi_active_nondeterminism_converges () =
-  let h =
-    setup (fun net ~replicas ~clients ->
-        Protocols.Semi_active.create net ~replicas ~clients ())
-  in
+  let h = setup (factory "semi-active") in
   let client = List.hd h.clients in
   (* Several non-deterministic requests: all replicas must apply the
      leader's choices. *)
@@ -298,11 +295,7 @@ let test_semi_active_nondeterminism_converges () =
   check_converged h "semi-active nondeterminism"
 
 let test_semi_passive_coordinator_crash () =
-  let h =
-    setup ~n:3
-      (fun net ~replicas ~clients ->
-        Protocols.Semi_passive.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:3 (factory "semi-passive") in
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:6
@@ -320,10 +313,7 @@ let test_semi_passive_coordinator_crash () =
     (alive_stores h)
 
 let test_eager_primary_failover () =
-  let h =
-    setup ~n:3 (fun net ~replicas ~clients ->
-        Protocols.Eager_primary.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:3 (factory "eager-primary") in
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:8
@@ -342,11 +332,7 @@ let test_eager_primary_failover () =
 
 let test_eager_primary_interactive_loop () =
   let h =
-    setup (fun net ~replicas ~clients ->
-        Protocols.Eager_primary.create net ~replicas ~clients
-          ~config:
-            { Protocols.Eager_primary.default_config with interactive = true }
-          ())
+    setup (factory "eager-primary" ~set:[ ("interactive", "true") ])
   in
   let client = List.hd h.clients in
   let req =
@@ -383,11 +369,7 @@ let test_eager_ue_locking_deadlock () =
   (* Two transactions locking a,b in opposite orders from different
      delegates: at least one aborts; the system stays consistent and all
      locks drain. *)
-  let h =
-    setup ~m:2 ~seed:41
-      (fun net ~replicas ~clients ->
-        Protocols.Eager_ue_locking.create net ~replicas ~clients ())
-  in
+  let h = setup ~m:2 ~seed:41 (factory "eager-ue-locking") in
   let c0 = List.nth h.clients 0 and c1 = List.nth h.clients 1 in
   let t0 =
     Store.Operation.request h.net ~client:c0
@@ -423,15 +405,12 @@ let test_eager_ue_locking_rowa_cheaper () =
   let run rowa =
     let h =
       setup ~seed:55
-        (fun net ~replicas ~clients ->
-          Protocols.Eager_ue_locking.create net ~replicas ~clients
-            ~config:
-              {
-                Protocols.Eager_ue_locking.default_config with
-                read_one_write_all = rowa;
-                passthrough = true;
-              }
-            ())
+        (factory "eager-ue-locking"
+           ~set:
+             [
+               ("read_one_write_all", string_of_bool rowa);
+               ("passthrough", "true");
+             ])
     in
     let client = List.hd h.clients in
     run_for h 100;
@@ -453,15 +432,9 @@ let test_eager_ue_locking_rowa_cheaper () =
     (with_rowa < without)
 
 let test_lazy_primary_stale_reads_then_convergence () =
-  let config =
-    {
-      Protocols.Lazy_primary.default_config with
-      propagation_delay = Simtime.of_ms 200;
-    }
-  in
   let h =
-    setup ~m:2 (fun net ~replicas ~clients ->
-        Protocols.Lazy_primary.create net ~replicas ~clients ~config ())
+    setup ~m:2
+      (factory "lazy-primary" ~set:[ ("propagation_delay", "200ms") ])
   in
   let writer = List.nth h.clients 0 in
   (* Client 1 maps to replica 1 (a secondary). *)
@@ -502,14 +475,7 @@ let test_lazy_primary_stale_reads_then_convergence () =
 let test_lazy_ue_conflict_reconciliation () =
   let h =
     setup ~m:2 ~seed:19
-      (fun net ~replicas ~clients ->
-        Protocols.Lazy_ue.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Lazy_ue.default_config with
-              propagation_delay = Simtime.of_ms 50;
-            }
-          ())
+      (factory "lazy-ue" ~set:[ ("propagation_delay", "50ms") ])
   in
   let c0 = List.nth h.clients 0 and c1 = List.nth h.clients 1 in
   (* Both clients write the same item at different delegates within the
@@ -539,11 +505,7 @@ let test_lazy_ue_conflict_reconciliation () =
     (winner = 100 || winner = 200)
 
 let test_certification_aborts_conflict () =
-  let h =
-    setup ~m:2 ~seed:23
-      (fun net ~replicas ~clients ->
-        Protocols.Certification_based.create net ~replicas ~clients ())
-  in
+  let h = setup ~m:2 ~seed:23 (factory "certification") in
   let c0 = List.nth h.clients 0 and c1 = List.nth h.clients 1 in
   (* Two read-modify-writes on the same item, executed optimistically at
      different delegates at the same time: certification must abort one. *)
@@ -568,11 +530,7 @@ let test_certification_aborts_conflict () =
     (stores h)
 
 let test_eager_ue_abcast_delegate_crash () =
-  let h =
-    setup ~n:3 ~m:1 ~seed:61
-      (fun net ~replicas ~clients ->
-        Protocols.Eager_ue_abcast.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:3 ~m:1 ~seed:61 (factory "eager-ue-abcast") in
   let client = List.hd h.clients in
   (* client 3 mod 3 = 0: delegate is replica 0. Crash it mid-burst. *)
   let committed = ref 0 in
@@ -598,11 +556,7 @@ let test_eager_ue_abcast_delegate_crash () =
 let test_semi_active_leader_crash () =
   (* The leader resolves non-determinism; crash it mid-stream and check
      the next leader takes over the choices. *)
-  let h =
-    setup ~n:3 ~seed:83
-      (fun net ~replicas ~clients ->
-        Protocols.Semi_active.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:3 ~seed:83 (factory "semi-active") in
   let client = List.hd h.clients in
   let done_count = ref 0 in
   client_loop h ~client ~count:6
@@ -617,11 +571,7 @@ let test_semi_active_leader_crash () =
   check_converged ~only_alive:true h "semi-active leader crash"
 
 let test_passive_cascading_crashes () =
-  let h =
-    setup ~n:5 ~seed:29
-      (fun net ~replicas ~clients ->
-        Protocols.Passive.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:5 ~seed:29 (factory "passive") in
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:10
@@ -648,14 +598,7 @@ let test_eager_primary_site_aborts () =
      abort atomically everywhere. *)
   let h =
     setup ~seed:31
-      (fun net ~replicas ~clients ->
-        Protocols.Eager_primary.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Eager_primary.default_config with
-              abort_probability = 0.3;
-            }
-          ())
+      (factory "eager-primary" ~set:[ ("abort_probability", "0.3") ])
   in
   let client = List.hd h.clients in
   let committed = ref 0 and aborted = ref 0 in
@@ -684,7 +627,7 @@ let test_active_under_message_loss () =
     in
     let net = Network.create engine ~n:5 config in
     let replicas = [ 0; 1; 2 ] and clients = [ 3; 4 ] in
-    let inst = Protocols.Active.create net ~replicas ~clients () in
+    let inst = active_factory net ~replicas ~clients in
     { engine; net; inst; replicas; clients }
   in
   let client = List.hd h.clients in
@@ -699,11 +642,7 @@ let test_active_under_message_loss () =
   check_serializable h "active under loss"
 
 let test_lazy_primary_read_your_writes_at_primary () =
-  let h =
-    setup ~m:1 ~seed:43
-      (fun net ~replicas ~clients ->
-        Protocols.Lazy_primary.create net ~replicas ~clients ())
-  in
+  let h = setup ~m:1 ~seed:43 (factory "lazy-primary") in
   (* A single client whose local replica IS the primary (client 3 mod 3 =
      0) reads its own writes immediately. *)
   let client = List.hd h.clients in
@@ -742,22 +681,8 @@ let test_consensus_based_abcast_protocols () =
       check_converged h "consensus-based ordering";
       check_serializable h "consensus-based ordering")
     [
-      (fun net ~replicas ~clients ->
-        Protocols.Active.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Active.default_config with
-              abcast_impl = Group.Abcast.Consensus_based;
-            }
-          ());
-      (fun net ~replicas ~clients ->
-        Protocols.Eager_ue_abcast.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Eager_ue_abcast.default_config with
-              abcast_impl = Group.Abcast.Consensus_based;
-            }
-          ());
+      factory "active" ~set:[ ("abcast_impl", "consensus") ];
+      factory "eager-ue-abcast" ~set:[ ("abcast_impl", "consensus") ];
     ]
 
 (* Property: for every technique, any seed yields a convergent execution
@@ -798,11 +723,7 @@ let prop_strong_technique (key, (info : Core.Technique.info), factory) =
 let test_passive_backup_recovery () =
   (* A crashed backup recovers, rejoins through a view change, and is
      brought up to date by state transfer. *)
-  let h =
-    setup ~n:3 ~seed:37
-      (fun net ~replicas ~clients ->
-        Protocols.Passive.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:3 ~seed:37 (factory "passive") in
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:12
@@ -827,11 +748,7 @@ let test_passive_primary_recovery () =
   (* The primary crashes (standby takes over), then recovers and rejoins;
      it must be re-synchronised before serving again, and no update may be
      lost or doubled across the whole episode. *)
-  let h =
-    setup ~n:3 ~seed:41
-      (fun net ~replicas ~clients ->
-        Protocols.Passive.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:3 ~seed:41 (factory "passive") in
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:15
@@ -864,15 +781,12 @@ let test_optimistic_certification_correct () =
     (fun optimistic ->
       let h =
         setup ~m:2 ~seed:47
-          (fun net ~replicas ~clients ->
-            Protocols.Certification_based.create net ~replicas ~clients
-              ~config:
-                {
-                  Protocols.Certification_based.default_config with
-                  certify_time = Simtime.of_ms 1;
-                  optimistic;
-                }
-              ())
+          (factory "certification"
+             ~set:
+               [
+                 ("certify_time", "1ms");
+                 ("optimistic", string_of_bool optimistic);
+               ])
       in
       let committed = ref 0 and answered = ref 0 in
       List.iter
@@ -909,18 +823,15 @@ let test_active_local_reads_sequentially_consistent () =
      sequentially consistent — and the copies still converge afterwards. *)
   let h =
     setup ~n:3 ~m:2 ~seed:59
-      (fun net ~replicas ~clients ->
-        Protocols.Active.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Active.default_config with
-              local_reads = true;
-              (* The consensus-based engine tolerates the wrong suspicions
-                 a partition causes; the sequencer engine assumes accurate
-                 detection (see Abcast_seq). *)
-              abcast_impl = Group.Abcast.Consensus_based;
-            }
-          ())
+      (factory "active"
+         ~set:
+           [
+             ("local_reads", "true");
+             (* The consensus-based engine tolerates the wrong suspicions
+                a partition causes; the sequencer engine assumes accurate
+                detection (see Abcast_seq). *)
+             ("abcast_impl", "consensus");
+           ])
   in
   let a = List.nth h.clients 0 (* local replica 0 *) in
   let b = List.nth h.clients 1 (* local replica 1 *) in
@@ -1012,14 +923,7 @@ let test_eager_ue_locking_quorum () =
      two delegates, where intersection guarantees progress.) *)
   let h =
     setup ~m:2 ~seed:53
-      (fun net ~replicas ~clients ->
-        Protocols.Eager_ue_locking.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Eager_ue_locking.default_config with
-              lock_quorum = Some 2;
-            }
-          ())
+      (factory "eager-ue-locking" ~set:[ ("lock_quorum", "2") ])
   in
   let committed = ref 0 in
   List.iter
@@ -1097,8 +1001,7 @@ let test_soak_eager_ue_abcast () =
   let result =
     Workload.Runner.run ~seed:3 ~n_replicas:7 ~n_clients:6 ~spec
       ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 50; replica = 6 } ]
-      (fun net ~replicas ~clients ->
-        Protocols.Eager_ue_abcast.create net ~replicas ~clients ())
+      (factory "eager-ue-abcast")
   in
   Alcotest.(check int) "all committed" 240 result.Workload.Runner.committed;
   Alcotest.(check int) "none unanswered" 0 result.Workload.Runner.unanswered;
@@ -1162,14 +1065,8 @@ let test_eager_primary_3pc () =
   (* Eager primary with the non-blocking commitment: same outcomes, and
      the usual failover still holds. *)
   let h =
-    setup ~n:3 (fun net ~replicas ~clients ->
-        Protocols.Eager_primary.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Eager_primary.default_config with
-              nonblocking_commit = true;
-            }
-          ())
+    setup ~n:3
+      (factory "eager-primary" ~set:[ ("nonblocking_commit", "true") ])
   in
   let client = List.hd h.clients in
   let committed = ref 0 in
@@ -1193,11 +1090,7 @@ let test_passive_partition_heals () =
   (* A replica isolated past the retransmission budget is excluded by a
      view change; after the heal the view probes make it rejoin and the
      state transfer re-synchronises it. *)
-  let h =
-    setup ~n:3 ~seed:97
-      (fun net ~replicas ~clients ->
-        Protocols.Passive.create net ~replicas ~clients ())
-  in
+  let h = setup ~n:3 ~seed:97 (factory "passive") in
   let client = List.hd h.clients in
   let committed = ref 0 in
   client_loop h ~client ~count:10
@@ -1222,14 +1115,7 @@ let test_lazy_ue_split_brain_reconciles () =
      after-commit order reconciles everything once the partition heals. *)
   let h =
     setup ~n:3 ~m:2 ~seed:101
-      (fun net ~replicas ~clients ->
-        Protocols.Lazy_ue.create net ~replicas ~clients
-          ~config:
-            {
-              Protocols.Lazy_ue.default_config with
-              abcast_impl = Group.Abcast.Consensus_based;
-            }
-          ())
+      (factory "lazy-ue" ~set:[ ("abcast_impl", "consensus") ])
   in
   let c0 = List.nth h.clients 0 (* local replica 0 *) in
   let c1 = List.nth h.clients 1 (* local replica 1 *) in
@@ -1430,11 +1316,7 @@ let contains ~sub s =
   go 0
 
 let export_one_txn key =
-  let factory =
-    Protocols.Registry.default_factory
-      (Option.get (Protocols.Registry.find key))
-  in
-  let h = setup factory in
+  let h = setup (factory key) in
   let client = List.hd h.clients in
   let slot =
     submit h ~client
@@ -1471,7 +1353,7 @@ let test_jsonl_export_valid key () =
 let golden_active_spans () =
   let engine = Engine.create ~seed:3 () in
   let net = Network.create engine ~n:4 Network.default_config in
-  let inst = Protocols.Active.create net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ] () in
+  let inst = active_factory net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ] in
   let request =
     Store.Operation.request net ~client:3 [ Store.Operation.Incr ("x", 1) ]
   in
@@ -1653,12 +1535,11 @@ let generic_suite =
    notes of RE/SC. Pinned so the view derived from the span tree cannot
    drift from the mark log it replaced. *)
 let test_golden_marks_semi_active () =
-  let entry = Option.get (Protocols.Registry.find "semi-active") in
   let p =
     Workload.Builder.probe ~seed:3 ~n:3
       ~ops:[ Store.Operation.Write_random "x" ]
       ~until:(Simtime.of_sec 10.)
-      (Protocols.Registry.default_factory entry)
+      (factory "semi-active")
   in
   let listing =
     Format.asprintf "%a" Core.Phase_span.pp_marks

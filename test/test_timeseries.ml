@@ -6,11 +6,11 @@ open Sim
 
 let tc name f = Alcotest.test_case name `Quick f
 
-let locking_factory net ~replicas ~clients =
-  Protocols.Eager_ue_locking.create net ~replicas ~clients ()
+let factory key =
+  Protocols.Registry.default_factory (Option.get (Protocols.Registry.find key))
 
-let certification_factory net ~replicas ~clients =
-  Protocols.Certification_based.create net ~replicas ~clients ()
+let locking_factory = factory "eager-ue-locking"
+let certification_factory = factory "certification"
 
 let small_spec =
   {

@@ -107,8 +107,9 @@ let test_stats_order_independent () =
 (* Runner                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let active_factory net ~replicas ~clients =
-  Protocols.Active.create net ~replicas ~clients ()
+let active_factory =
+  Protocols.Registry.default_factory
+    (Option.get (Protocols.Registry.find "active"))
 
 let small_spec = { Workload.Spec.default with txns_per_client = 10 }
 
