@@ -1030,17 +1030,22 @@ let simulator_throughput () =
       n_keys = 1_000;
     }
   in
+  (* Each leg also reports the heap words its span collector keeps
+     alive once the run is over. *)
   let leg ~tracing ~txns =
     let profiler = Sim.Profiler.create () in
     let t0 = Unix.gettimeofday () in
-    let result =
-      Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:clients
+    let result, inst =
+      Workload.Runner.run_with_instance ~seed:11 ~n_replicas:n ~n_clients:clients
         ~spec:(spec txns) ~profiler ~tracing ~analyze:false
         ~deadline:(Simtime.of_sec 3600.)
         (technique technique_name)
     in
     let run_wall = Unix.gettimeofday () -. t0 in
-    (Sim.Profiler.report profiler, result, run_wall)
+    let span_words =
+      Obj.reachable_words (Obj.repr (Core.Phase_span.collector inst.Core.Technique.spans))
+    in
+    (Sim.Profiler.report profiler, result, run_wall, span_words)
   in
   let out =
     Workload.Bench_out.create
@@ -1087,8 +1092,8 @@ let simulator_throughput () =
   in
   let txns_off = max 1 (total / clients) in
   let txns_on = max 1 (total / clients / 20) in
-  let report_off, result_off, _ = leg ~tracing:false ~txns:txns_off in
-  let report_on, result_on, run_wall_on = leg ~tracing:true ~txns:txns_on in
+  let report_off, result_off, _, _ = leg ~tracing:false ~txns:txns_off in
+  let report_on, result_on, run_wall_on, span_words_on = leg ~tracing:true ~txns:txns_on in
   ignore (record "off" report_off result_off (txns_off * clients));
   ignore (record "on" report_on result_on (txns_on * clients));
   let postloop_share =
@@ -1110,6 +1115,16 @@ let simulator_throughput () =
     ~params:[ ("tracing", "off"); ("txns", string_of_int (txns_off * clients)) ]
     (report_off.Sim.Profiler.p_alloc_words
     /. float_of_int (max 1 report_off.Sim.Profiler.p_events));
+  (* The tracing-on leg's cost per recorded span: every word its events
+     allocated, and the heap words the span collector holds at the end. *)
+  let spans_on = float_of_int (max 1 report_on.Sim.Profiler.p_spans_created) in
+  let on_params = [ ("tracing", "on"); ("txns", string_of_int (txns_on * clients)) ] in
+  Workload.Bench_out.add out ~metric:"alloc_words_per_span" ~technique:technique_name
+    ~unit_:"words/span" ~params:on_params
+    (report_on.Sim.Profiler.p_alloc_words /. spans_on);
+  Workload.Bench_out.add out ~metric:"heap_words_per_span" ~technique:technique_name
+    ~unit_:"words/span" ~params:on_params
+    (float_of_int span_words_on /. spans_on);
   Workload.Bench_out.add out ~metric:"postloop_share" ~technique:technique_name
     ~unit_:"share"
     ~params:[ ("tracing", "on"); ("txns", string_of_int (txns_on * clients)) ]

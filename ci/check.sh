@@ -227,14 +227,21 @@ dune exec bin/replisim.exe -- profile -t lazy-primary --no-tracing --txns 20 \
 # the tracing-off leg allocates per event: ~47 with the int-array timer
 # queue, unboxed RNG state and int-keyed channel tables, ~74 with a
 # generic heap of timer records, a boxed RNG and tuple-keyed tables; 62
-# sits between them.
+# sits between them. The two span ceilings bound the tracing-on leg per
+# recorded span: the heap words the span collector keeps alive, ~19.5
+# with the chunked column store and ~42 with a record per span and per
+# event (30 sits between), and every word the leg's events allocate,
+# ~134 with the column store and interned message-span names and ~153
+# with per-span records and a name copy per send (143 sits between).
 echo "== simulator throughput floor =="
 PERF15_TXNS=4000 dune exec bench/main.exe -- perf15 > /dev/null
 dune exec bin/replisim.exe -- bench-check BENCH_perf15.json \
   --floor perf15:events_per_sec:10000 \
   --ceiling perf15:postloop_share:0.15 \
   --ceiling perf15:heap_words_per_txn:800 \
-  --ceiling perf15:alloc_words_per_event:62
+  --ceiling perf15:alloc_words_per_event:62 \
+  --ceiling perf15:heap_words_per_span:30 \
+  --ceiling perf15:alloc_words_per_span:143
 
 # Sharding gate: perf16 at a CI-sized transaction count. probe_flat=1
 # is Part A's verdict (single-shard message cost flat across cluster

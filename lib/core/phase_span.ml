@@ -27,13 +27,15 @@ let close_phase t txn phase sid time =
   (* Post-response spans (the lazy-propagation tail) stretch the
      transaction root so the trace stays well nested. *)
   if txn.closed then Sim.Span.finish t.spans txn.root time;
-  match Sim.Span.find t.spans sid with
-  | None -> ()
-  | Some s ->
-      let dur_ms = Option.value ~default:0. (Sim.Span.duration_ms s) in
-      let samples = List.assoc phase t.samples in
-      samples := dur_ms :: !samples;
-      Option.iter (fun f -> f ~phase ~replica:s.Sim.Span.track dur_ms) t.on_phase_close
+  let start = Sim.Span.start_of t.spans sid and stop = Sim.Span.stop_of t.spans sid in
+  let dur_ms = Sim.Simtime.(to_ms (sub (of_us stop) (of_us start))) in
+  let samples = List.assoc phase t.samples in
+  samples := dur_ms :: !samples;
+  Option.iter
+    (fun f ->
+      let track = Sim.Span.track_of t.spans sid in
+      f ~phase ~replica:(if track = Sim.Span.none then None else Some track) dur_ms)
+    t.on_phase_close
 
 let mark t ~rid ?replica ?(note = "") phase time =
   let txn =
@@ -104,11 +106,13 @@ let rids t = Sim.Span.traces t.spans
 let responded t ~rid =
   match Hashtbl.find_opt t.txns rid with Some txn -> txn.closed | None -> false
 
+(* Only phase spans are built: a traced transaction's message spans
+   outnumber them, and are skipped by name. *)
 let phase_spans t ~rid =
-  Sim.Span.trace_spans t.spans ~trace:rid
-  |> List.filter_map (fun (s : Sim.Span.span) ->
-         match Phase.of_code s.Sim.Span.name with
-         | Some p -> Some (p, s)
+  Sim.Span.trace_ids t.spans ~trace:rid
+  |> List.filter_map (fun id ->
+         match Phase.of_code (Sim.Span.name_of t.spans id) with
+         | Some p -> Option.map (fun s -> (p, s)) (Sim.Span.find t.spans id)
          | None -> None)
 
 let signature t ~rid =
@@ -186,18 +190,15 @@ let root t ~rid =
 let well_nested t ~rid =
   match Hashtbl.find_opt t.txns rid with
   | None -> false
-  | Some txn -> (
-      match Sim.Span.find t.spans txn.root with
-      | None | Some { Sim.Span.stop = None; _ } -> false
-      | Some root ->
-          let root_stop = Option.get root.Sim.Span.stop in
-          Sim.Span.trace_spans t.spans ~trace:rid
-          |> List.filter (fun (s : Sim.Span.span) ->
-                 Phase.of_code s.Sim.Span.name <> None)
-          |> List.for_all (fun (s : Sim.Span.span) ->
-                 s.Sim.Span.parent = Some txn.root
-                 && Sim.Simtime.(s.Sim.Span.start >= root.Sim.Span.start)
-                 &&
-                 match s.Sim.Span.stop with
-                 | Some stop -> Sim.Simtime.(stop <= root_stop)
-                 | None -> false))
+  | Some txn ->
+      let sp = t.spans in
+      let root_stop = Sim.Span.stop_of sp txn.root in
+      root_stop <> Sim.Span.none
+      && List.for_all
+           (fun id ->
+             Phase.of_code (Sim.Span.name_of sp id) = None
+             || Sim.Span.parent_of sp id = txn.root
+                && Sim.Span.start_of sp id >= Sim.Span.start_of sp txn.root
+                && Sim.Span.stop_of sp id <> Sim.Span.none
+                && Sim.Span.stop_of sp id <= root_stop)
+           (Sim.Span.trace_ids sp ~trace:rid)

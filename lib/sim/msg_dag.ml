@@ -6,10 +6,16 @@
    transaction root at submit time. *)
 
 let prefix = "msg:"
+let drop_prefix = "drop:"
 
-let is_msg_span (s : Span.span) =
-  String.length s.Span.name > String.length prefix
-  && String.sub s.Span.name 0 (String.length prefix) = prefix
+(* [s] is [p] followed by at least one more character, compared in
+   place: the per-span checks below allocate nothing. *)
+let rec same p s i =
+  i = String.length p || (String.unsafe_get s i = String.unsafe_get p i && same p s (i + 1))
+
+let extends p s = String.length s > String.length p && same p s 0
+
+let is_msg_span t id = extends prefix (Span.name_of t id)
 
 type msg = {
   span : Span.span;
@@ -20,34 +26,49 @@ type msg = {
   drop : string option;  (** drop cause, when the message was dropped *)
 }
 
-let of_span (s : Span.span) =
-  let label =
-    String.sub s.Span.name (String.length prefix)
-      (String.length s.Span.name - String.length prefix)
-  in
-  let src = Option.value ~default:(-1) s.Span.track in
-  let dst = ref None in
-  let delivered = ref false in
-  let drop = ref None in
-  List.iter
-    (fun (e : Span.event) ->
-      if e.Span.note = "deliver" then begin
-        delivered := true;
-        dst := e.Span.track
-      end
-      else if
-        String.length e.Span.note > 5 && String.sub e.Span.note 0 5 = "drop:"
-      then begin
-        drop :=
-          Some (String.sub e.Span.note 5 (String.length e.Span.note - 5));
-        dst := e.Span.track
-      end)
-    (Span.events s);
-  { span = s; label; src; dst = !dst; delivered = !delivered; drop = !drop }
+(* The one decoder of a message span's events, walked in recording
+   order: a "deliver" or "drop:<cause>" event names the destination (the
+   last such event wins), any "deliver" marks the message delivered, and
+   [drop] is the last "drop:" event ({!Span.none} when there is none). *)
+type fate = { f_dst : int; f_delivered : bool; f_drop : int }
+
+let fate t id =
+  let dst = ref Span.none and delivered = ref false and drop = ref Span.none in
+  let e = ref (Span.first_event t id) in
+  while !e <> Span.none do
+    let note = Span.event_note t !e in
+    if note = "deliver" then begin
+      dst := Span.event_track t !e;
+      delivered := true
+    end
+    else if extends drop_prefix note then begin
+      dst := Span.event_track t !e;
+      drop := !e
+    end;
+    e := Span.next_event t !e
+  done;
+  { f_dst = !dst; f_delivered = !delivered; f_drop = !drop }
+
+let delivered_to t id =
+  let f = fate t id in
+  if f.f_delivered then f.f_dst else Span.none
+
+let of_span t id =
+  let f = fate t id in
+  let after p s = String.sub s (String.length p) (String.length s - String.length p) in
+  let opt v = if v = Span.none then None else Some v in
+  {
+    span = Option.get (Span.find t id);
+    label = after prefix (Span.name_of t id);
+    src = Span.track_of t id;
+    dst = opt f.f_dst;
+    delivered = f.f_delivered;
+    drop = Option.map (fun e -> after drop_prefix (Span.event_note t e)) (opt f.f_drop);
+  }
 
 (** All messages of [trace], in send order. *)
 let messages t ~trace =
-  Span.trace_spans t ~trace |> List.filter is_msg_span |> List.map of_span
+  Span.trace_ids t ~trace |> List.filter (is_msg_span t) |> List.map (of_span t)
 
 let is_self m = m.dst = Some m.src
 
@@ -96,15 +117,12 @@ let ancestry t msgs m =
   let by_id = Hashtbl.create 64 in
   List.iter (fun m -> Hashtbl.replace by_id m.span.Span.id m) msgs;
   let rec up acc id =
-    match Span.find t id with
-    | None -> acc
-    | Some s -> (
-        let acc =
-          match Hashtbl.find_opt by_id s.Span.id with
-          | Some m -> m :: acc
-          | None -> acc
-        in
-        match s.Span.parent with None -> acc | Some p -> up acc p)
+    if id < 0 || id >= Span.count t then acc
+    else
+      let acc =
+        match Hashtbl.find_opt by_id id with Some m -> m :: acc | None -> acc
+      in
+      up acc (Span.parent_of t id)
   in
   up [] m.span.Span.id
 
@@ -140,16 +158,14 @@ let causally_sound t ~trace =
      so each dropped message's check is a lookup, not a scan. *)
   let parents = Hashtbl.create 64 in
   List.iter
-    (fun (s : Span.span) ->
-      Option.iter (fun p -> Hashtbl.replace parents p ()) s.Span.parent)
-    (Span.trace_spans t ~trace);
+    (fun id ->
+      let p = Span.parent_of t id in
+      if p <> Span.none then Hashtbl.replace parents p ())
+    (Span.trace_ids t ~trace);
   let parent_ok m =
     match m.span.Span.parent with
     | None -> false
-    | Some p -> (
-        match Span.find t p with
-        | Some ps -> ps.Span.trace = trace
-        | None -> false)
+    | Some p -> p >= 0 && p < Span.count t && Span.trace_of t p = trace
   in
   let childless m = not (Hashtbl.mem parents m.span.Span.id) in
   List.for_all

@@ -22,11 +22,21 @@ type msg = {
   drop : string option;  (** drop cause, when the message was dropped *)
 }
 
-(** [s] is a message span (name ["msg:..."]). *)
-val is_msg_span : Span.span -> bool
+(** ["msg:"], the name prefix of every message span; the rest of the
+    name is the message's label. *)
+val prefix : string
 
-(** Reconstruct one message from its span ([is_msg_span] must hold). *)
-val of_span : Span.span -> msg
+(** Span [id] is a message span (name ["msg:..."]). Allocates nothing. *)
+val is_msg_span : Span.t -> Span.id -> bool
+
+(** Reconstruct one message from its span ([is_msg_span] must hold). This
+    is the one decoder of a message span's events. *)
+val of_span : Span.t -> Span.id -> msg
+
+(** The destination of message span [id] if it was delivered, else
+    {!Span.none}: [of_span]'s [dst] when [delivered] holds, read by the
+    same decoder without building the message. *)
+val delivered_to : Span.t -> Span.id -> int
 
 (** All messages of [trace], in send order. *)
 val messages : Span.t -> trace:int -> msg list

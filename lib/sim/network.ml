@@ -18,6 +18,12 @@ let drop_cause_name = function
   | Crashed -> "crashed"
   | Partitioned -> "partitioned"
 
+(* A dropped message span's event note, built once per cause. *)
+let drop_note =
+  let note cause = "drop:" ^ drop_cause_name cause in
+  let loss = note Loss and crashed = note Crashed and partitioned = note Partitioned in
+  function Loss -> loss | Crashed -> crashed | Partitioned -> partitioned
+
 type handler = src:int -> Msg.t -> bool
 
 type t = {
@@ -28,6 +34,9 @@ type t = {
   mutable drop_probability : float;
   mutable msg_spans : Span.t option;
       (** collector for per-message spans; [None] = don't record *)
+  span_names : (string, string) Hashtbl.t;
+      (** [Msg.name] -> its message-span name, so every span of one kind
+          of message shares one name string *)
   mutable tracing : bool;
       (** master switch for span/trace recording; spans never influence
           the event schedule, so flipping this is behaviour-preserving *)
@@ -58,6 +67,7 @@ let create engine ~n (config : config) =
     latency = config.latency;
     drop_probability = config.drop_probability;
     msg_spans = None;
+    span_names = Hashtbl.create 16;
     tracing = true;
     timeseries = None;
     in_flight = Array.make n 0;
@@ -145,27 +155,34 @@ let reachable t src dst = t.group_of.(src) = t.group_of.(dst)
    under a causal context: the span's parent is whatever span caused the
    send (the delivered message upstream, or the transaction root at
    submit time). Context-free traffic — maintenance timers armed at
-   setup — is deliberately unattributed. *)
+   setup — is deliberately unattributed. Returns the span's id, or
+   [Span.none] when nothing was recorded. *)
 let open_msg_span t ~src msg =
-  if not t.tracing then None
+  if not t.tracing then Span.none
   else
   match (t.msg_spans, Engine.ctx t.engine) with
   | Some spans, Some { Engine.trace; span = parent } ->
       let at = Engine.now t.engine in
-      let id =
-        Span.start_span spans ~trace ~parent ~track:src
-          ~name:("msg:" ^ Msg.name msg) at
+      let label = Msg.name msg in
+      let name =
+        match Hashtbl.find t.span_names label with
+        | name -> name
+        | exception Not_found ->
+            let name = Msg_dag.prefix ^ label in
+            Hashtbl.replace t.span_names label name;
+            name
       in
+      let id = Span.start_span spans ~trace ~parent ~track:src ~name at in
       Span.add_event spans id ~at ~track:src "send";
-      Some (spans, id, trace)
-  | _ -> None
+      id
+  | _ -> Span.none
 
-let span_drop span ~at ~dst cause =
-  match span with
-  | None -> ()
-  | Some (spans, id, _) ->
-      Span.add_event spans id ~at ~track:dst ("drop:" ^ drop_cause_name cause);
-      Span.finish spans id at
+let span_drop t span ~at ~dst cause =
+  match t.msg_spans with
+  | Some spans when span <> Span.none ->
+      Span.add_event spans span ~at ~track:dst (drop_note cause);
+      Span.finish spans span at
+  | _ -> ()
 
 let count_drop t cause =
   match cause with
@@ -182,22 +199,22 @@ let rec dispatch ~src msg = function
 let deliver t ~src ~dst ~span msg =
   if not t.alive.(dst) then begin
     count_drop t Crashed;
-    span_drop span ~at:(Engine.now t.engine) ~dst Crashed
+    span_drop t span ~at:(Engine.now t.engine) ~dst Crashed
   end
   else if not (reachable t src dst) then begin
     count_drop t Partitioned;
-    span_drop span ~at:(Engine.now t.engine) ~dst Partitioned
+    span_drop t span ~at:(Engine.now t.engine) ~dst Partitioned
   end
   else begin
     t.delivered <- t.delivered + 1;
     let at = Engine.now t.engine in
     let ctx =
-      match span with
-      | None -> Engine.ctx t.engine
-      | Some (spans, id, trace) ->
-          Span.add_event spans id ~at ~track:dst "deliver";
-          Span.finish spans id at;
-          Some { Engine.trace; span = id }
+      match t.msg_spans with
+      | Some spans when span <> Span.none ->
+          Span.add_event spans span ~at ~track:dst "deliver";
+          Span.finish spans span at;
+          Some { Engine.trace = Span.trace_of spans span; span }
+      | _ -> Engine.ctx t.engine
     in
     (* Handlers run under the delivered message's span: anything they
        send (or schedule) is causally attributed to this message. The
@@ -219,11 +236,11 @@ let send t ~src ~dst msg =
     let span = open_msg_span t ~src msg in
     if not (reachable t src dst) then begin
       count_drop t Partitioned;
-      span_drop span ~at:(Engine.now t.engine) ~dst Partitioned
+      span_drop t span ~at:(Engine.now t.engine) ~dst Partitioned
     end
     else if Rng.float t.rng 1.0 < t.drop_probability then begin
       count_drop t Loss;
-      span_drop span ~at:(Engine.now t.engine) ~dst Loss
+      span_drop t span ~at:(Engine.now t.engine) ~dst Loss
     end
     else begin
       let delay = if src = dst then Simtime.zero else draw_latency t ~src ~dst in

@@ -64,7 +64,9 @@ val fresh_rid : t -> int
 
 (** Install the span collector message spans are recorded into (usually
     the transaction-trace collector, {!Core.Phase_span.collector}, so
-    message spans and phase spans share one id space). *)
+    message spans and phase spans share one id space). A message span is
+    closed in the collector installed when the message lands, so install
+    it before traffic flows, as instance construction does. *)
 val set_msg_spans : t -> Span.t -> unit
 
 (** Master tracing switch (default on). When off, message spans are not

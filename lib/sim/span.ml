@@ -13,96 +13,212 @@ type span = {
   mutable rev_events : event list;
 }
 
-(* Span ids are dense (0, 1, 2, ... in start order), so the store is a
-   growable array indexed by id; slots at or beyond [next_id] hold
-   [filler]. A per-trace index (trace -> its spans, newest first) plus the
-   first-seen trace order make every query cost what it returns. *)
-type t = {
-  mutable by_id : span array;
-  mutable next_id : id;
-  by_trace : (int, span list ref) Hashtbl.t;
-  mutable rev_traces : int list;
-}
+let none = -1
 
-let filler =
-  {
-    id = -1;
-    trace = -1;
-    name = "";
-    parent = None;
-    track = None;
-    start = Simtime.zero;
-    stop = None;
-    rev_events = [];
-  }
+(* A struct of arrays. Span ids are dense (0, 1, 2, ... in start order)
+   and index the per-span columns; ids at or beyond [count] are unused.
+   Each span names its trace by slot (the trace's index in first-seen
+   order) and links back to the previous span of that trace, so a trace's
+   spans are a walk from its last one. Events live in their own columns,
+   linked forward from each span's first to its last event.
+
+   A column is a sequence of fixed-size chunks: growing appends a chunk
+   and never copies, so each stored word is written once into fresh
+   memory, and the slack is under one chunk. Columns start with no
+   chunks, so a collector that records nothing allocates none. *)
+type ints = int array array
+type strings = string array array
+
+let chunk_bits = 12
+let chunk_mask = (1 lsl chunk_bits) - 1
+let get (c : ints) i = c.(i lsr chunk_bits).(i land chunk_mask)
+let set (c : ints) i v = c.(i lsr chunk_bits).(i land chunk_mask) <- v
+let get_s (c : strings) i = c.(i lsr chunk_bits).(i land chunk_mask)
+let set_s (c : strings) i v = c.(i lsr chunk_bits).(i land chunk_mask) <- v
+let capacity c = Array.length c lsl chunk_bits
+let add_chunk c fill = Array.append c [| Array.make (1 lsl chunk_bits) fill |]
+
+type t = {
+  mutable count : int;
+  mutable slot : ints;
+  mutable parent : ints;
+  mutable track : ints;
+  mutable start : ints;
+  mutable stop : ints;
+  mutable name : strings;
+  mutable first_ev : ints;
+  mutable last_ev : ints;
+  mutable prev_in_trace : ints;
+  mutable events : int;
+  mutable ev_at : ints;
+  mutable ev_track : ints;
+  mutable ev_next : ints;
+  mutable ev_note : strings;
+  slots : (int, int) Hashtbl.t;  (** trace -> slot *)
+  mutable traces : int;
+  mutable trace_id : ints;  (** slot -> trace *)
+  mutable trace_last : ints;  (** slot -> newest span *)
+}
 
 let create () =
   {
-    by_id = Array.make 256 filler;
-    next_id = 0;
-    by_trace = Hashtbl.create 64;
-    rev_traces = [];
+    count = 0;
+    slot = [||];
+    parent = [||];
+    track = [||];
+    start = [||];
+    stop = [||];
+    name = [||];
+    first_ev = [||];
+    last_ev = [||];
+    prev_in_trace = [||];
+    events = 0;
+    ev_at = [||];
+    ev_track = [||];
+    ev_next = [||];
+    ev_note = [||];
+    slots = Hashtbl.create 16;
+    traces = 0;
+    trace_id = [||];
+    trace_last = [||];
   }
 
+let grow_spans t =
+  t.slot <- add_chunk t.slot 0;
+  t.parent <- add_chunk t.parent 0;
+  t.track <- add_chunk t.track 0;
+  t.start <- add_chunk t.start 0;
+  t.stop <- add_chunk t.stop 0;
+  t.name <- add_chunk t.name "";
+  t.first_ev <- add_chunk t.first_ev 0;
+  t.last_ev <- add_chunk t.last_ev 0;
+  t.prev_in_trace <- add_chunk t.prev_in_trace 0
+
+let grow_events t =
+  t.ev_at <- add_chunk t.ev_at 0;
+  t.ev_track <- add_chunk t.ev_track 0;
+  t.ev_next <- add_chunk t.ev_next 0;
+  t.ev_note <- add_chunk t.ev_note ""
+
+let slot_of t trace =
+  match Hashtbl.find t.slots trace with
+  | slot -> slot
+  | exception Not_found ->
+      let slot = t.traces in
+      if slot = capacity t.trace_id then begin
+        t.trace_id <- add_chunk t.trace_id 0;
+        t.trace_last <- add_chunk t.trace_last 0
+      end;
+      set t.trace_id slot trace;
+      set t.trace_last slot none;
+      t.traces <- slot + 1;
+      Hashtbl.replace t.slots trace slot;
+      slot
+
 let start_span t ~trace ?parent ?track ~name start =
-  let id = t.next_id in
-  let span = { id; trace; name; parent; track; start; stop = None; rev_events = [] } in
-  if id = Array.length t.by_id then begin
-    let grown = Array.make (2 * id) filler in
-    Array.blit t.by_id 0 grown 0 id;
-    t.by_id <- grown
-  end;
-  t.by_id.(id) <- span;
-  t.next_id <- id + 1;
-  (match Hashtbl.find_opt t.by_trace trace with
-  | Some rev -> rev := span :: !rev
-  | None ->
-      Hashtbl.replace t.by_trace trace (ref [ span ]);
-      t.rev_traces <- trace :: t.rev_traces);
+  let id = t.count in
+  if id = capacity t.slot then grow_spans t;
+  let slot = slot_of t trace in
+  set t.slot id slot;
+  set t.parent id (match parent with Some p -> p | None -> none);
+  set t.track id (match track with Some r -> r | None -> none);
+  set t.start id (Simtime.to_us start);
+  set t.stop id none;
+  set_s t.name id name;
+  set t.first_ev id none;
+  set t.last_ev id none;
+  set t.prev_in_trace id (get t.trace_last slot);
+  set t.trace_last slot id;
+  t.count <- id + 1;
   id
 
-let find t id = if id >= 0 && id < t.next_id then Some t.by_id.(id) else None
+let known t id = id >= 0 && id < t.count
 
 let add_event t id ~at ?track note =
-  match find t id with
-  | None -> ()
-  | Some span -> span.rev_events <- { at; track; note } :: span.rev_events
+  if known t id then begin
+    let e = t.events in
+    if e = capacity t.ev_at then grow_events t;
+    set t.ev_at e (Simtime.to_us at);
+    set t.ev_track e (match track with Some r -> r | None -> none);
+    set t.ev_next e none;
+    set_s t.ev_note e note;
+    let last = get t.last_ev id in
+    if last = none then set t.first_ev id e else set t.ev_next last e;
+    set t.last_ev id e;
+    t.events <- e + 1
+  end
 
 let finish t id stop =
-  match find t id with
-  | None -> ()
-  | Some span -> (
-      match span.stop with
-      | None -> span.stop <- Some stop
-      | Some prev -> if Simtime.(stop > prev) then span.stop <- Some stop)
+  if known t id then begin
+    let stop = Simtime.to_us stop and prev = get t.stop id in
+    if prev = none || stop > prev then set t.stop id stop
+  end
 
-let count t = t.next_id
+let count t = t.count
+let opt v = if v = none then None else Some v
+let time v = Simtime.of_us v
+let name_of t id = get_s t.name id
+let trace_of t id = get t.trace_id (get t.slot id)
+let parent_of t id = get t.parent id
+let track_of t id = get t.track id
+let start_of t id = get t.start id
+let stop_of t id = get t.stop id
+let first_event t id = get t.first_ev id
+let next_event t e = get t.ev_next e
+let event_at t e = get t.ev_at e
+let event_track t e = get t.ev_track e
+let event_note t e = get_s t.ev_note e
 
-let spans t =
+(* The record of span [id], built: its events newest first, as
+   [rev_events] keeps them. *)
+let build t id =
+  let rec rev_events acc e =
+    if e = none then acc
+    else
+      let ev = { at = time (event_at t e); track = opt (event_track t e); note = event_note t e } in
+      rev_events (ev :: acc) (next_event t e)
+  in
+  {
+    id;
+    trace = trace_of t id;
+    name = name_of t id;
+    parent = opt (parent_of t id);
+    track = opt (track_of t id);
+    start = time (start_of t id);
+    stop = Option.map time (opt (stop_of t id));
+    rev_events = rev_events [] (first_event t id);
+  }
+
+let find t id = if known t id then Some (build t id) else None
+let spans t = List.init t.count (build t)
+let events (span : span) = List.rev span.rev_events
+
+(* A trace's ids are a walk back from its newest span, so consing along
+   the walk yields start order. *)
+let trace_ids t ~trace =
+  let rec walk acc id = if id = none then acc else walk (id :: acc) (get t.prev_in_trace id) in
+  match Hashtbl.find_opt t.slots trace with
+  | Some slot -> walk [] (get t.trace_last slot)
+  | None -> []
+
+let trace_spans t ~trace = List.map (build t) (trace_ids t ~trace)
+
+let open_spans t =
   let acc = ref [] in
-  for i = t.next_id - 1 downto 0 do
-    acc := t.by_id.(i) :: !acc
+  for id = t.count - 1 downto 0 do
+    if stop_of t id = none then acc := build t id :: !acc
   done;
   !acc
 
-let events span = List.rev span.rev_events
-
-let trace_spans t ~trace =
-  match Hashtbl.find_opt t.by_trace trace with
-  | Some rev -> List.rev !rev
-  | None -> []
-
-let open_spans t = List.filter (fun s -> s.stop = None) (spans t)
-
 let finish_all t stop =
-  for i = 0 to t.next_id - 1 do
-    let s = t.by_id.(i) in
-    if s.stop = None then s.stop <- Some stop
+  let stop = Simtime.to_us stop in
+  for id = 0 to t.count - 1 do
+    if stop_of t id = none then set t.stop id stop
   done
 
-let traces t = List.rev t.rev_traces
+let traces t = List.init t.traces (get t.trace_id)
 
-let duration_ms span =
+let duration_ms (span : span) =
   match span.stop with
   | None -> None
   | Some stop -> Some (Simtime.to_ms (Simtime.sub stop span.start))
@@ -112,24 +228,20 @@ let duration_ms span =
    interval (open spans trivially violate nesting: callers are expected
    to [finish_all] first). *)
 let well_nested t ~trace =
-  let ss = trace_spans t ~trace in
   List.for_all
-    (fun s ->
-      match s.parent with
-      | None -> s.stop <> None
-      | Some pid -> (
-          match find t pid with
-          | None -> false
-          | Some p -> (
-              p.trace = trace
-              && Simtime.(s.start >= p.start)
-              &&
-              match (s.stop, p.stop) with
-              | Some cs, Some ps -> Simtime.(cs <= ps)
-              | _ -> false)))
-    ss
+    (fun id ->
+      let p = parent_of t id and stop = stop_of t id in
+      if p = none then stop <> none
+      else
+        known t p
+        && trace_of t p = trace
+        && start_of t id >= start_of t p
+        && stop <> none
+        && stop_of t p <> none
+        && stop <= stop_of t p)
+    (trace_ids t ~trace)
 
-let pp_span ppf s =
+let pp_span ppf (s : span) =
   let track = match s.track with None -> "client" | Some r -> "r" ^ string_of_int r in
   let stop =
     match s.stop with None -> "open" | Some st -> Simtime.to_string st

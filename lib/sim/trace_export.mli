@@ -2,7 +2,11 @@
 
     Two formats: newline-delimited JSON (one object per span, stable and
     grep-friendly) and Chrome [trace_event] JSON that loads directly in
-    Perfetto / chrome://tracing. Neither needs an external JSON library. *)
+    Perfetto / chrome://tracing. Neither needs an external JSON library.
+
+    Both read {!Span}'s columns directly, building no span record, and
+    allocate their result once: a first pass over the store sizes the
+    output exactly, a second writes it into that one string. *)
 
 (** One JSON object per line per span, in start order. Fields: [type],
     [id], [trace], [name], optional [parent], [track] (["client"] or a

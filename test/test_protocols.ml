@@ -1512,6 +1512,32 @@ let test_golden_chrome_active () =
   Alcotest.(check string) "golden active Chrome" golden
     (Sim.Trace_export.to_chrome (golden_active_spans ()))
 
+(* Golden digests of a mid-size traced run (lazy-primary, n=5, 4 clients
+   x 10 transactions, seed 11): 40 traces, so the Chrome export carries
+   metadata rows for many processes and flow events for every delivered
+   message, which the one-transaction goldens above do not reach. The
+   digests pin every byte of both exports. *)
+let test_golden_digest_lazy_run () =
+  let factory =
+    Protocols.Registry.default_factory
+      (Option.get (Protocols.Registry.find "lazy-primary"))
+  in
+  let _, inst =
+    Workload.Runner.run_with_instance ~seed:11 ~n_replicas:5 ~n_clients:4
+      ~spec:{ Workload.Spec.default with txns_per_client = 10 }
+      factory
+  in
+  let spans = Core.Phase_span.collector inst.Core.Technique.spans in
+  let digest s = (String.length s, Digest.to_hex (Digest.string s)) in
+  Alcotest.(check int) "spans" 1264 (Sim.Span.count spans);
+  Alcotest.(check int) "traces" 40 (List.length (Sim.Span.traces spans));
+  Alcotest.(check (pair int string)) "chrome digest"
+    (377554, "07e73be378f91a8e4babb0aa4fe30ba2")
+    (digest (Sim.Trace_export.to_chrome spans));
+  Alcotest.(check (pair int string)) "jsonl digest"
+    (259813, "4894c085465616f9ad562ac688eb4482")
+    (digest (Sim.Trace_export.to_jsonl spans))
+
 (* ------------------------------------------------------------------ *)
 (* Suite assembly                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1571,6 +1597,7 @@ let observability_suite =
     tc "jsonl export: lazy-primary" (test_jsonl_export_valid "lazy-primary");
     tc "golden jsonl: active, fixed seed" test_golden_jsonl_active;
     tc "golden chrome: active, fixed seed" test_golden_chrome_active;
+    tc "golden digests: lazy-primary run" test_golden_digest_lazy_run;
   ]
 
 let property_suite =

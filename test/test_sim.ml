@@ -862,8 +862,40 @@ let prop_span_index_matches_reference =
           [] model
         |> List.rev
       in
+      (* Nesting answered from the model by a scan, as the definition
+         reads: every parent exists in the same trace and encloses its
+         closed child. *)
+      let model_well_nested trace =
+        List.for_all
+          (fun (s : Span.span) ->
+            s.trace <> trace
+            ||
+            match s.parent with
+            | None -> s.stop <> None
+            | Some pid -> (
+                match model_find pid with
+                | None -> false
+                | Some p -> (
+                    p.trace = trace
+                    && Simtime.(s.start >= p.start)
+                    &&
+                    match (s.stop, p.stop) with
+                    | Some cs, Some ps -> Simtime.(cs <= ps)
+                    | _ -> false)))
+          model
+      in
+      let queries_agree () =
+        Span.spans t = model
+        && List.map Span.events (Span.spans t)
+           = List.map (fun (s : Span.span) -> List.rev s.rev_events) model
+        && Span.open_spans t
+           = List.filter (fun (s : Span.span) -> s.stop = None) model
+        && List.for_all
+             (fun trace -> Span.well_nested t ~trace = model_well_nested trace)
+             (List.init 10 (fun i -> i - 1))
+      in
       Span.count t = n ()
-      && Span.spans t = model
+      && queries_agree ()
       && List.for_all
            (fun id ->
              Span.find t id = if id < 0 then None else List.nth_opt model id)
@@ -873,7 +905,268 @@ let prop_span_index_matches_reference =
              Span.trace_spans t ~trace
              = List.filter (fun (s : Span.span) -> s.trace = trace) model)
            (List.init 10 (fun i -> i - 1))
-      && Span.traces t = distinct_traces)
+      && Span.traces t = distinct_traces
+      &&
+      (* Flush both sides, then every query must still agree. *)
+      let flush = ms 60 in
+      Span.finish_all t flush;
+      List.iter
+        (fun (s : Span.span) -> if s.stop = None then s.stop <- Some flush)
+        model;
+      queries_agree ())
+
+(* The exporters as they were written over span records, kept here as
+   the reference the array-reading exporters must match byte for byte:
+   every span built as a record, one [Buffer] per export, message spans
+   decoded from their event list. *)
+module Reference_export = struct
+  let add_int buf n = Buffer.add_string buf (string_of_int n)
+  let esc = Metrics.json_escape
+  let tid_of_track = function None -> 0 | Some r -> r + 1
+
+  let track_name = function
+    | 0 -> "client"
+    | tid -> "replica " ^ string_of_int (tid - 1)
+
+  let is_msg_span (s : Span.span) =
+    String.length s.name > 4 && String.sub s.name 0 4 = "msg:"
+
+  (* label, destination, delivered *)
+  let decode (s : Span.span) =
+    let dst = ref None and delivered = ref false in
+    List.iter
+      (fun (e : Span.event) ->
+        if e.note = "deliver" then begin
+          delivered := true;
+          dst := e.track
+        end
+        else if String.length e.note > 5 && String.sub e.note 0 5 = "drop:" then
+          dst := e.track)
+      (Span.events s);
+    (String.sub s.name 4 (String.length s.name - 4), !dst, !delivered)
+
+  let add_span_jsonl buf (s : Span.span) =
+    let str = Buffer.add_string buf and int = add_int buf in
+    str "{\"type\":\"span\",\"id\":";
+    int s.id;
+    str ",\"trace\":";
+    int s.trace;
+    str ",\"name\":\"";
+    str (esc s.name);
+    str "\"";
+    Option.iter (fun p -> str ",\"parent\":"; int p) s.parent;
+    (match s.track with
+    | None -> str ",\"track\":\"client\""
+    | Some r -> str ",\"track\":"; int r);
+    str ",\"start_us\":";
+    int (Simtime.to_us s.start);
+    Option.iter (fun st -> str ",\"stop_us\":"; int (Simtime.to_us st)) s.stop;
+    (match Span.events s with
+    | [] -> ()
+    | events ->
+        str ",\"events\":[";
+        List.iteri
+          (fun i (e : Span.event) ->
+            if i > 0 then str ",";
+            str "{\"at_us\":";
+            int (Simtime.to_us e.at);
+            Option.iter (fun r -> str ",\"track\":"; int r) e.track;
+            str ",\"note\":\"";
+            str (esc e.note);
+            str "\"}")
+          events;
+        str "]");
+    str "}"
+
+  let to_jsonl t =
+    let buf = Buffer.create 4096 in
+    List.iteri
+      (fun i s ->
+        if i > 0 then Buffer.add_char buf '\n';
+        add_span_jsonl buf s)
+      (Span.spans t);
+    Buffer.contents buf
+
+  let to_chrome t =
+    let spans = Span.spans t in
+    let buf = Buffer.create 4096 in
+    let str = Buffer.add_string buf and int = add_int buf in
+    str "{\"traceEvents\":[";
+    let first = ref true in
+    let next_event () = if !first then first := false else str "," in
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun (s : Span.span) ->
+        let pid = s.trace and tid = tid_of_track s.track in
+        if not (Hashtbl.mem seen (pid, -1)) then begin
+          Hashtbl.replace seen (pid, -1) ();
+          next_event ();
+          str "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+          int pid;
+          str ",\"tid\":0,\"args\":{\"name\":\"txn ";
+          int pid;
+          str "\"}}"
+        end;
+        if not (Hashtbl.mem seen (pid, tid)) then begin
+          Hashtbl.replace seen (pid, tid) ();
+          next_event ();
+          str "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+          int pid;
+          str ",\"tid\":";
+          int tid;
+          str ",\"args\":{\"name\":\"";
+          str (track_name tid);
+          str "\"}}"
+        end)
+      spans;
+    List.iter
+      (fun (s : Span.span) ->
+        let ts = Simtime.to_us s.start in
+        let stop = match s.stop with Some st -> Simtime.to_us st | None -> ts in
+        next_event ();
+        str "{\"name\":\"";
+        str (esc s.name);
+        str "\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":";
+        int ts;
+        str ",\"dur\":";
+        int (Stdlib.max 1 (stop - ts));
+        str ",\"pid\":";
+        int s.trace;
+        str ",\"tid\":";
+        int (tid_of_track s.track);
+        str ",\"args\":{\"trace\":";
+        int s.trace;
+        let has_notes = ref false in
+        List.iter
+          (fun (e : Span.event) ->
+            if e.note <> "" then begin
+              str (if !has_notes then ",\"" else ",\"notes\":[\"");
+              has_notes := true;
+              str (esc e.note);
+              str "\""
+            end)
+          (Span.events s);
+        if !has_notes then str "]";
+        str "}}")
+      spans;
+    let flow ~label ~ph id ts pid tid =
+      next_event ();
+      str "{\"name\":\"";
+      str (esc label);
+      str "\",\"cat\":\"msg\",";
+      str ph;
+      str ",\"id\":";
+      int id;
+      str ",\"ts\":";
+      int ts;
+      str ",\"pid\":";
+      int pid;
+      str ",\"tid\":";
+      int tid;
+      str "}"
+    in
+    List.iter
+      (fun (s : Span.span) ->
+        if is_msg_span s then
+          match (decode s, s.stop) with
+          | (label, Some dst, true), Some stop ->
+              flow ~label ~ph:{|"ph":"s"|} s.id (Simtime.to_us s.start) s.trace
+                (tid_of_track s.track);
+              flow ~label ~ph:{|"ph":"f","bp":"e"|} s.id (Simtime.to_us stop)
+                s.trace (tid_of_track (Some dst))
+          | _ -> ())
+      spans;
+    str "],\"displayTimeUnit\":\"ms\"}";
+    Buffer.contents buf
+end
+
+(* Random span sets for the exporter equivalence: message and phase
+   names, names and notes that need JSON escaping, deliver/drop events
+   (a bare "drop:" included), client-track spans and events, spans left
+   open, zero-length and negative-length spans. *)
+let export_names =
+  [| "txn"; "RE"; "EX"; "msg:Data"; "msg:Ack"; "msg:"; "msg:q\"uo\\te";
+     "tab\tnew\nline"; "msg:ctl\001\031"; ""; "caf\xc3\xa9" |]
+
+let export_notes =
+  [| "send"; "deliver"; "drop:loss"; "drop:"; "drop:partitioned"; "";
+     "say \"hi\"\r\n"; "\002bell"; "deliverx" |]
+
+type export_op =
+  | X_start of int * int option * int option * int * int
+      (** trace, parent pick, track, name pick, start (us) *)
+  | X_finish of int * int  (** id pick, stop (us) *)
+  | X_event of int * int * int option * int
+      (** id pick, at (us), track, note pick *)
+
+let export_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map3
+            (fun (tr, p) tk (nm, st) -> X_start (tr, p, tk, nm, st))
+            (pair (int_bound 5) (opt small_nat))
+            (opt (int_bound 4))
+            (pair (int_bound (Array.length export_names - 1)) (int_bound 3_000)) );
+        (2, map2 (fun i st -> X_finish (i, st)) small_nat (int_bound 3_000));
+        ( 3,
+          map3
+            (fun i (at, tk) nt -> X_event (i, at, tk, nt))
+            small_nat
+            (pair (int_bound 3_000) (opt (int_bound 4)))
+            (int_bound (Array.length export_notes - 1)) );
+      ])
+
+let prop_export_matches_reference =
+  QCheck.Test.make ~name:"exports match the record-based reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+       QCheck.Gen.(list_size (int_bound 80) export_op_gen))
+    (fun ops ->
+      let t = Span.create () in
+      List.iter
+        (function
+          | X_start (trace, parent, track, name, start) ->
+              let parent = Option.map (fun p -> p mod (Span.count t + 1)) parent in
+              ignore
+                (Span.start_span t ~trace ?parent ?track ~name:export_names.(name)
+                   (Simtime.of_us start))
+          | X_finish (pick, stop) ->
+              Span.finish t (pick mod (Span.count t + 1)) (Simtime.of_us stop)
+          | X_event (pick, at, track, note) ->
+              Span.add_event t (pick mod (Span.count t + 1)) ~at:(Simtime.of_us at)
+                ?track export_notes.(note))
+        ops;
+      Trace_export.to_chrome t = Reference_export.to_chrome t
+      && Trace_export.to_jsonl t = Reference_export.to_jsonl t)
+
+(* Deterministic cost, not wall time: the words allocated, minor and
+   major heap together, to record one message-shaped span (start, a
+   "send" and a "deliver" event, finish), as {!Network} records every
+   traced send. At 50k spans the column store allocates about 25 words
+   per span: 17 words of storage and 8 of option boxes at the call
+   sites. A record per span and per event, consed into lists, allocated
+   about 44; the bound of 32 sits between the two. *)
+let words_per_msg_span n =
+  let t = Span.create () in
+  let before = Gc.allocated_bytes () in
+  for i = 0 to n - 1 do
+    let at = Simtime.of_us i and track = i mod 5 in
+    let id =
+      Span.start_span t ~trace:(i mod 64) ~parent:(Stdlib.max 0 (i - 1)) ~track
+        ~name:"msg:Data" at
+    in
+    Span.add_event t id ~at ~track "send";
+    Span.add_event t id ~at ~track:((i + 1) mod 5) "deliver";
+    Span.finish t id at
+  done;
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) /. float_of_int n
+
+let test_msg_span_words () =
+  let words = words_per_msg_span 50_000 in
+  if words > 32. then
+    Alcotest.failf "recording a message span allocated %.1f words (bound 32)" words
 
 (* Deterministic work, not wall time: the allocation of summarising every
    rid's phase durations (the post-run pass of a traced run) must grow
@@ -1172,7 +1465,9 @@ let () =
           tc "finish extends" test_span_finish_extends;
           tc "ill-nested detected" test_span_ill_nested_detected;
           QCheck_alcotest.to_alcotest prop_span_index_matches_reference;
+          QCheck_alcotest.to_alcotest prop_export_matches_reference;
           tc "phase summary linear in traces" test_phase_summary_linear;
+          tc "message span allocation bounded" test_msg_span_words;
         ] );
       ( "metrics",
         [

@@ -375,6 +375,20 @@ let test_tracing_off_preserves_schedule () =
   Alcotest.(check bool) "spans with tracing on" true
     (on_rep.Sim.Profiler.p_spans_created > 0)
 
+(* A run with tracing off records nothing, so its span collector holds
+   no span storage: it is as small as a fresh one, and a fresh one holds
+   no columns (a few dozen words of record and trace table). *)
+let test_tracing_off_no_span_storage () =
+  let _, inst =
+    Workload.Runner.run_with_instance ~seed:21 ~n_replicas:3 ~n_clients:2
+      ~spec:small_spec ~tracing:false active_factory
+  in
+  let collector = Core.Phase_span.collector inst.Core.Technique.spans in
+  let fresh = Obj.reachable_words (Obj.repr (Sim.Span.create ())) in
+  Alcotest.(check int) "no spans" 0 (Sim.Span.count collector);
+  Alcotest.(check int) "words held" fresh (Obj.reachable_words (Obj.repr collector));
+  if fresh > 64 then Alcotest.failf "a fresh collector holds %d words" fresh
+
 let test_profile_json_normalized_deterministic () =
   (* Same seed twice: raw profile JSON may differ in timing fields, but
      after normalization the two must be byte-identical. *)
@@ -566,6 +580,7 @@ let () =
           tc "gc accounting" test_profiler_gc_accounting;
           tc "disabled is identical" test_profiler_disabled_identical;
           tc "tracing off preserves schedule" test_tracing_off_preserves_schedule;
+          tc "tracing off holds no span storage" test_tracing_off_no_span_storage;
           tc "normalized json deterministic"
             test_profile_json_normalized_deterministic;
         ] );
