@@ -156,6 +156,13 @@ let ratio flag r =
   if r < 0. || r > 1. then fail "%s must be in [0,1], got %g" flag r;
   r
 
+(* [name], a run-record metric given to [flag]; an unknown name is a
+   usage error listing the known ones. *)
+let record_metric flag name =
+  if not (List.mem name Workload.Run_record.metric_names) then
+    fail "unknown %s metric %S (known: %s)" flag name
+      (String.concat ", " Workload.Run_record.metric_names)
+
 (* Resolve the --updates / --reads pair into the spec's update ratio;
    naming both is an error rather than a silent precedence rule. *)
 let mix ?updates ?reads () =

@@ -1571,12 +1571,7 @@ let sweep_cmd =
               | Error msg -> Cli.fail "%s" msg)
             (String.split_on_char ',' keys)
     in
-    List.iter
-      (fun k ->
-        if not (List.mem k Workload.Run_record.metric_names) then
-          Cli.fail "unknown --cell metric %S (known: %s)" k
-            (String.concat ", " Workload.Run_record.metric_names))
-      cell_metrics;
+    List.iter (Cli.record_metric "--cell") cell_metrics;
     let axes =
       {
         Workload.Sweep.techniques =
@@ -1716,7 +1711,9 @@ let compare_cmd =
      unchanged; the command exits non-zero on any regression or missing \
      baseline cell, which is how perf and msgs/txn regressions gate CI. \
      Cells are matched by their identity (technique, configuration, \
-     workload, seed), so records may be renamed freely."
+     workload, seed), so records may be renamed freely. A baseline with \
+     no run record, an unknown metric name or a negative threshold is a \
+     usage error (exit status 2)."
   in
   let base_arg =
     Arg.(
@@ -1740,10 +1737,10 @@ let compare_cmd =
           ~doc:
             "Override or add one comparison rule: relative threshold as a \
              fraction, e.g. $(b,--threshold latency_p95:0.3) tolerates \
-             30%. Direction is inferred from the metric name (throughput- \
-             like metrics are higher-better, everything else \
-             lower-better). Defaults: latency_p50/p95 20%, latency_p99 \
-             25%, throughput 20%, msgs_per_txn 10%.")
+             30%. METRIC must be a record metric and RATIO \
+             non-negative; the direction is the one the record declares \
+             for METRIC. Defaults: latency_p50/p95 20%, latency_p99 25%, \
+             throughput 20%, msgs_per_txn 10%.")
   in
   let perturb_arg =
     Arg.(
@@ -1757,6 +1754,14 @@ let compare_cmd =
              this to prove the gate actually trips.")
   in
   let run base_path cand_path thresholds perturb =
+    List.iter
+      (fun (metric, threshold) ->
+        Cli.record_metric "--threshold" metric;
+        if threshold < 0. then
+          Cli.fail "--threshold %s:%g: the threshold must be non-negative"
+            metric threshold)
+      thresholds;
+    List.iter (fun (metric, _) -> Cli.record_metric "--perturb" metric) perturb;
     let rules =
       List.fold_left
         (fun rules (metric, threshold) ->
@@ -1783,7 +1788,11 @@ let compare_cmd =
           (Workload.Run_record.cell_id r, metrics))
         records
     in
-    let base = flat false (load_record_set base_path) in
+    let base =
+      match load_record_set base_path with
+      | [] -> Cli.fail "%s: the baseline holds no run record" base_path
+      | records -> flat false records
+    in
     let cand = flat true (load_record_set cand_path) in
     let report = Workload.Compare.compare_sets ~rules ~base ~cand () in
     Fmt.pr "%a" Workload.Compare.pp_report report;

@@ -137,8 +137,12 @@ dune exec bin/replisim.exe -- config active > /dev/null
 
 # Argument validation: an out-of-range ratio, count or fault event (a
 # flag's or a scenario's) is a usage error (exit status 2), never a run
-# with a silently odd workload.
+# with a silently odd workload. So is a compare against an empty
+# baseline (it would pass vacuously), an unknown --threshold/--perturb
+# metric or a negative threshold.
 echo "== argument validation =="
+rm -rf _compare_empty_ci
+mkdir _compare_empty_ci
 for args in "run -t active --updates 1.5 --txns 5" \
     "sweep --techniques active --updates 0.5,1.5 --txns 5 --format none" \
     "run -t active -n 3 --crash 3@10ms --txns 5" \
@@ -151,7 +155,11 @@ for args in "run -t active --updates 1.5 --txns 5" \
     "run -t passive --set passive.client_retry=0ms --txns 5" \
     "run -t active --set active.shards=0 --txns 5" \
     "run -t active --set active.batch_window=-5ms --txns 5" \
-    "run -t eager-primary --set eager-primary.abort_probability=1.5 --txns 5"; do
+    "run -t eager-primary --set eager-primary.abort_probability=1.5 --txns 5" \
+    "compare _compare_empty_ci baseline" \
+    "compare baseline baseline --threshold latncy_p95:0.3" \
+    "compare baseline baseline --threshold latency_p95:-1" \
+    "compare baseline baseline --perturb latncy_p95:1.5"; do
   status=0
   dune exec bin/replisim.exe -- $args > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then
@@ -159,6 +167,7 @@ for args in "run -t active --updates 1.5 --txns 5" \
     exit 1
   fi
 done
+rm -rf _compare_empty_ci
 # A sweep resolves every cell's configuration before it runs the first
 # cell, so a bad --vary value fails before any cell runs.
 status=0

@@ -8,30 +8,18 @@
    Records are matched by Run_record.cell_id (everything the
    experimenter chose, nothing the run produced), and compared through
    their flat metric view, so the engine needs no knowledge of the
-   record schema beyond names and values. *)
+   record schema beyond names, values and each name's direction, which
+   the record's field table declares. *)
 
-type direction =
-  | Lower_better  (* latency, msgs/txn, drops, staleness windows *)
-  | Higher_better  (* throughput, committed *)
-
+type direction = Run_record.direction = Lower_better | Higher_better
 type rule = { metric : string; dir : direction; threshold : float }
 
-(* Direction by name family, for rules given on the command line as
-   bare metric:threshold pairs. *)
-let direction_of_metric metric =
-  let has sub =
-    let ls = String.length sub and lm = String.length metric in
-    let rec go i = i + ls <= lm && (String.sub metric i ls = sub || go (i + 1)) in
-    go 0
-  in
-  if
-    has "throughput" || has "committed" || has "converged"
-    || has "serializable" || has "drained"
-  then Higher_better
-  else Lower_better
-
 let rule ?dir ?(threshold = 0.2) metric =
-  let dir = match dir with Some d -> d | None -> direction_of_metric metric in
+  let dir =
+    match (dir, Run_record.direction metric) with
+    | Some d, _ | None, Some d -> d
+    | None, None -> invalid_arg ("Compare.rule: unknown metric " ^ metric)
+  in
   { metric; dir; threshold }
 
 (* The default gate: tail latency, throughput and message cost, at

@@ -4,21 +4,19 @@
     against a committed baseline — under per-metric relative thresholds,
     classifying every (cell, metric) pair as improved, regressed or
     unchanged. Cells are matched by {!Run_record.cell_id}; metrics flow
-    through the records' flat metric view, so the engine is independent
-    of the record schema. [replisim compare] exits non-zero unless
-    {!ok}, which is how perf and msgs/txn regressions gate CI. *)
+    through the records' flat metric view, so the engine knows nothing
+    of the record schema beyond each metric's declared direction.
+    [replisim compare] exits non-zero unless {!ok}, which is how perf
+    and msgs/txn regressions gate CI. *)
 
-type direction = Lower_better | Higher_better
+type direction = Run_record.direction = Lower_better | Higher_better
 
 type rule = { metric : string; dir : direction; threshold : float }
 
-(** Direction by metric-name family: throughput/committed/converged/
-    serializable/drained are higher-better, everything else (latency,
-    msgs/txn, drops, staleness windows, violation counts) lower-better. *)
-val direction_of_metric : string -> direction
-
-(** [rule metric] with the direction inferred from the name and a 20%
-    relative threshold unless overridden. *)
+(** [rule metric] with the direction the record's field table declares
+    for [metric] ({!Run_record.direction}) and a 20% relative threshold,
+    unless overridden. Raises [Invalid_argument] when [dir] is omitted
+    and [metric] is not a record metric. *)
 val rule : ?dir:direction -> ?threshold:float -> string -> rule
 
 (** The default CI gate: latency p50/p95 (20%), p99 (25%), throughput

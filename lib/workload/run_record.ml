@@ -6,8 +6,14 @@
    (Saturation over the sampled series), the consistency-audit staleness
    summary (Audit) and the engine's deterministic event counter — so
    that sweeps, baselines and cross-run comparisons all speak about the
-   same object. [normalize] zeroes the only wall-clock-derived field,
-   after which a same-seed re-run renders byte-identically. *)
+   same object.
+
+   A record has two halves. The identity half (technique, config, seed,
+   cluster shape, workload) is a typed record. The measured half is
+   declared once, in [table] below: each entry names its flat metric,
+   its JSON location, its kind, its better direction and how it is read
+   from the run. [of_run], [to_json], [of_json], [metrics] and
+   [normalize] are folds over that table. *)
 
 (* Bump when a field is added/renamed; [of_json] accepts only this
    version, so a stale baseline fails loudly instead of comparing
@@ -28,29 +34,112 @@ type workload = {
   flash : string option;  (* flash-crowd phase, when declared *)
 }
 
-(* Routing-tier section: config echo plus the router's own counters. *)
-type router = {
-  sticky : bool;
-  reads_routed : int;
-  writes_routed : int;
-  sticky_reads : int;
-  fallback_reads : int;
-  router_retries : int;
-  failovers : int;
-  gave_up : int;
-  primary_moves : int;
+type direction = Lower_better | Higher_better
+type kind = Int | Float | Bool
+
+(* What a measured entry is read from: the finished run and the
+   optional probe census (messages, steps). *)
+type source = { run : Runner.result; census : (int * int) option }
+
+type field = {
+  name : string option;  (* flat metric name; None: recorded, not compared *)
+  path : string list;  (* JSON location, outermost key first *)
+  kind : kind;
+  better : direction;
+  optional : bool;  (* in a section present exactly when its source is *)
+  read : source -> float option;
 }
 
-type audit = {
-  visibility_p95_ms : float;
-  post_commit_max_ms : float;
-  session_window_max_ms : float;
-  stale_reads : int;
-  ryw_violations : int;
-  mr_violations : int;
-  skew_pairs : int;
-  drained : bool;
-}
+(* One table entry, over the value its section is read from. Values are
+   held as floats: ints exactly, bools as 1/0. *)
+type 'a entry = string option * string * kind * direction * ('a -> float)
+
+let int ?(better = Lower_better) name path get : _ entry =
+  (Some name, path, Int, better, fun x -> float_of_int (get x))
+
+let num ?(better = Lower_better) name path get : _ entry =
+  (Some name, path, Float, better, get)
+
+let flag ?(better = Lower_better) name path get : _ entry =
+  (Some name, path, Bool, better, fun x -> if get x then 1. else 0.)
+
+let section ~optional select entries =
+  List.map
+    (fun ((name, path, kind, better, get) : _ entry) ->
+      {
+        name;
+        path = String.split_on_char '.' path;
+        kind;
+        better;
+        optional;
+        read = (fun s -> Option.map get (select s));
+      })
+    entries
+
+let always entries = section ~optional:false (fun s -> Some s.run) entries
+let optional select entries = section ~optional:true select entries
+
+(* The measured half of a record, in JSON order, one line per entry.
+   Each object's entries are adjacent, so [to_json] renders the nesting
+   from the paths. *)
+let table =
+  let open Runner in
+  let up = Higher_better in
+  let lat f (r : Runner.result) = f r.latency_ms in
+  Array.of_list
+  @@ always [
+       int "committed" "outcome.committed" ~better:up (fun r -> r.committed);
+       int "aborted" "outcome.aborted" (fun r -> r.aborted);
+       int "unanswered" "outcome.unanswered" (fun r -> r.unanswered);
+       flag "converged" "outcome.converged" ~better:up (fun r -> r.converged);
+       flag "serializable" "outcome.serializable" ~better:up (fun r -> r.serializable);
+       num "throughput" "perf.throughput_tps" ~better:up (fun r -> r.throughput);
+       num "latency_mean" "perf.latency_ms.mean" (lat (fun l -> l.Sim.Summary.mean));
+       num "latency_p50" "perf.latency_ms.p50" (lat (fun l -> l.p50));
+       num "latency_p95" "perf.latency_ms.p95" (lat (fun l -> l.p95));
+       num "latency_p99" "perf.latency_ms.p99" (lat (fun l -> l.p99));
+       num "latency_max" "perf.latency_ms.max" (lat (fun l -> l.max));
+       int "messages" "perf.messages" (fun r -> r.messages);
+       num "msgs_per_txn" "perf.msgs_per_txn" (fun r -> r.messages_per_txn);
+     ]
+  @ optional (fun s -> s.census) [
+      int "census_msgs" "census.messages" fst;
+      int "census_steps" "census.steps" snd;
+    ]
+  @ always [
+      int "drops" "drops.total" (fun r -> r.dropped);
+      int "drops_loss" "drops.loss" (fun r -> r.dropped_loss);
+      int "drops_crashed" "drops.crashed" (fun r -> r.dropped_crashed);
+      int "drops_partitioned" "drops.partitioned" (fun r -> r.dropped_partitioned);
+      int "saturation_findings" "saturation_findings" (fun r -> List.length (Sim.Saturation.analyze r.series));
+      int "events" "engine.events" (fun r -> r.events);
+      (* wall time: the one nondeterministic entry, never compared *)
+      (None, "engine.wall_s", Float, Lower_better, fun r -> r.wall_s);
+    ]
+  @ optional (fun s -> s.run.audit) Audit.[
+      num "visibility_p95_ms" "audit.visibility_p95_ms" (fun a -> a.visibility_ms.Sim.Summary.p95);
+      num "post_commit_max_ms" "audit.post_commit_max_ms" (fun a -> a.post_commit_max_ms);
+      num "session_window_max_ms" "audit.session_window_max_ms" (fun a -> a.session_window_max_ms);
+      int "stale_reads" "audit.stale_reads" (fun a -> a.stale_reads);
+      int "ryw_violations" "audit.ryw_violations" (fun a -> a.ryw_violations);
+      int "mr_violations" "audit.mr_violations" (fun a -> a.mr_violations);
+      int "skew_pairs" "audit.skew_pairs" (fun a -> a.skew_pairs);
+      flag "drained" "audit.drained" ~better:up (fun a -> a.drained);
+    ]
+  @ optional (fun s -> s.run.router) Router.[
+      flag "router_sticky" "router.sticky" (fun r -> r.sticky);
+      int "router_reads" "router.reads_routed" (fun r -> r.reads_routed);
+      int "router_writes" "router.writes_routed" (fun r -> r.writes_routed);
+      int "router_sticky_reads" "router.sticky_reads" (fun r -> r.sticky_reads);
+      int "router_fallback_reads" "router.fallback_reads" (fun r -> r.fallback_reads);
+      int "router_retries" "router.retries" (fun r -> r.retries);
+      int "router_failovers" "router.failovers" (fun r -> r.failovers);
+      int "router_gave_up" "router.gave_up" (fun r -> r.gave_up);
+      int "router_primary_moves" "router.primary_moves" (fun r -> r.primary_moves);
+    ]
+
+(* One slot per [table] entry; None where the entry's section is absent. *)
+type measured = float option array
 
 type t = {
   technique : string;
@@ -59,29 +148,7 @@ type t = {
   n_replicas : int;
   n_clients : int;
   workload : workload;
-  committed : int;
-  aborted : int;
-  unanswered : int;
-  converged : bool;
-  serializable : bool;
-  throughput : float;  (* committed / virtual makespan — deterministic *)
-  latency_mean_ms : float;
-  latency_p50_ms : float;
-  latency_p95_ms : float;
-  latency_p99_ms : float;
-  latency_max_ms : float;
-  messages : int;
-  msgs_per_txn : float;
-  census : (int * int) option;  (* probe (messages, steps), when measured *)
-  drops : int;
-  drops_loss : int;
-  drops_crashed : int;
-  drops_partitioned : int;
-  saturation_findings : int;
-  events : int;  (* engine events executed — deterministic *)
-  wall_s : float;  (* wall time — the one nondeterministic field *)
-  audit : audit option;
-  router : router option;
+  measured : measured;
 }
 
 let arrival_to_string = function
@@ -90,6 +157,7 @@ let arrival_to_string = function
 
 let of_run ~technique ~config ~seed ~n_replicas ~n_clients ~arrival
     ~(spec : Spec.t) ?census (r : Runner.result) =
+  let source = { run = r; census } in
   {
     technique;
     config = List.sort compare config;
@@ -109,60 +177,36 @@ let of_run ~technique ~config ~seed ~n_replicas ~n_clients ~arrival
         shape = Spec.shape_to_string spec.Spec.shape;
         flash = Option.map Spec.flash_crowd_to_string spec.Spec.flash_crowd;
       };
-    committed = r.Runner.committed;
-    aborted = r.Runner.aborted;
-    unanswered = r.Runner.unanswered;
-    converged = r.Runner.converged;
-    serializable = r.Runner.serializable;
-    throughput = r.Runner.throughput;
-    latency_mean_ms = r.Runner.latency_ms.Sim.Summary.mean;
-    latency_p50_ms = r.Runner.latency_ms.Sim.Summary.p50;
-    latency_p95_ms = r.Runner.latency_ms.Sim.Summary.p95;
-    latency_p99_ms = r.Runner.latency_ms.Sim.Summary.p99;
-    latency_max_ms = r.Runner.latency_ms.Sim.Summary.max;
-    messages = r.Runner.messages;
-    msgs_per_txn = r.Runner.messages_per_txn;
-    census;
-    drops = r.Runner.dropped;
-    drops_loss = r.Runner.dropped_loss;
-    drops_crashed = r.Runner.dropped_crashed;
-    drops_partitioned = r.Runner.dropped_partitioned;
-    saturation_findings =
-      List.length (Sim.Saturation.analyze r.Runner.series);
-    events = r.Runner.events;
-    wall_s = r.Runner.wall_s;
-    audit =
-      Option.map
-        (fun (a : Audit.summary) ->
-          {
-            visibility_p95_ms = a.Audit.visibility_ms.Sim.Summary.p95;
-            post_commit_max_ms = a.Audit.post_commit_max_ms;
-            session_window_max_ms = a.Audit.session_window_max_ms;
-            stale_reads = a.Audit.stale_reads;
-            ryw_violations = a.Audit.ryw_violations;
-            mr_violations = a.Audit.mr_violations;
-            skew_pairs = a.Audit.skew_pairs;
-            drained = a.Audit.drained;
-          })
-        r.Runner.audit;
-    router =
-      Option.map
-        (fun (s : Router.stats) ->
-          {
-            sticky = s.Router.sticky;
-            reads_routed = s.Router.reads_routed;
-            writes_routed = s.Router.writes_routed;
-            sticky_reads = s.Router.sticky_reads;
-            fallback_reads = s.Router.fallback_reads;
-            router_retries = s.Router.retries;
-            failovers = s.Router.failovers;
-            gave_up = s.Router.gave_up;
-            primary_moves = s.Router.primary_moves;
-          })
-        r.Runner.router;
+    measured = Array.map (fun f -> f.read source) table;
   }
 
-let normalize t = { t with wall_s = 0. }
+(* Zero the unnamed (wall-clock) entries. *)
+let normalize t =
+  let zero i v = if table.(i).name = None then Option.map (fun _ -> 0.) v else v in
+  { t with measured = Array.mapi zero t.measured }
+
+(* ---- flat metric view ------------------------------------------------- *)
+
+(* The flat (name, value) view every cross-run consumer works from: the
+   sweep heatmap's [--cell] axis and the compare engine's rules both
+   index records by these names. *)
+let metrics t =
+  List.filter_map Fun.id
+    (Array.to_list
+       (Array.mapi
+          (fun i f ->
+            match (f.name, t.measured.(i)) with
+            | Some n, Some v -> Some (n, v)
+            | _ -> None)
+          table))
+
+let metric t name = List.assoc_opt name (metrics t)
+let metric_names = List.filter_map (fun f -> f.name) (Array.to_list table)
+
+let direction name =
+  Array.find_map
+    (fun f -> if f.name = Some name then Some f.better else None)
+    table
 
 (* ---- rendering ------------------------------------------------------- *)
 
@@ -177,72 +221,67 @@ let config_json config =
          config)
   ^ "}"
 
+let render kind v =
+  match kind with
+  | Int -> string_of_int (int_of_float v)
+  | Float -> jf v
+  | Bool -> string_of_bool (v <> 0.)
+
+(* The present measured values as members of the open root object:
+   consecutive paths leave the objects they no longer share and enter
+   the ones they add. *)
+let add_measured buf t =
+  let rec drop_common a b =
+    match (a, b) with
+    | x :: a', y :: b' when x = y -> drop_common a' b'
+    | _ -> (a, b)
+  in
+  let opened = ref [] and fresh = ref false in
+  let key k =
+    if not !fresh then Buffer.add_char buf ',';
+    fresh := false;
+    Printf.bprintf buf "\"%s\":" k
+  in
+  Array.iteri
+    (fun i f ->
+      Option.iter
+        (fun v ->
+          let depth = List.length f.path - 1 in
+          let objs = List.filteri (fun j _ -> j < depth) f.path in
+          let leaving, entering = drop_common !opened objs in
+          List.iter (fun _ -> Buffer.add_char buf '}') leaving;
+          List.iter
+            (fun k ->
+              key k;
+              Buffer.add_char buf '{';
+              fresh := true)
+            entering;
+          opened := objs;
+          key (List.nth f.path depth);
+          Buffer.add_string buf (render f.kind v))
+        t.measured.(i))
+    table;
+  List.iter (fun _ -> Buffer.add_char buf '}') !opened
+
 let to_json t =
   let w = t.workload in
-  let census =
-    match t.census with
-    | None -> ""
-    | Some (m, s) ->
-        Printf.sprintf ",\"census\":{\"messages\":%d,\"steps\":%d}" m s
-  in
-  let audit =
-    match t.audit with
-    | None -> ""
-    | Some a ->
-        Printf.sprintf
-          ",\"audit\":{\"visibility_p95_ms\":%s,\"post_commit_max_ms\":%s,\
-           \"session_window_max_ms\":%s,\"stale_reads\":%d,\
-           \"ryw_violations\":%d,\"mr_violations\":%d,\"skew_pairs\":%d,\
-           \"drained\":%b}"
-          (jf a.visibility_p95_ms) (jf a.post_commit_max_ms)
-          (jf a.session_window_max_ms)
-          a.stale_reads a.ryw_violations a.mr_violations a.skew_pairs
-          a.drained
-  in
-  let router =
-    match t.router with
-    | None -> ""
-    | Some r ->
-        Printf.sprintf
-          ",\"router\":{\"sticky\":%b,\"reads_routed\":%d,\
-           \"writes_routed\":%d,\"sticky_reads\":%d,\"fallback_reads\":%d,\
-           \"retries\":%d,\"failovers\":%d,\"gave_up\":%d,\
-           \"primary_moves\":%d}"
-          r.sticky r.reads_routed r.writes_routed r.sticky_reads
-          r.fallback_reads r.router_retries r.failovers r.gave_up
-          r.primary_moves
-  in
-  let flash =
-    match w.flash with
-    | None -> ""
-    | Some f -> Printf.sprintf ",\"flash\":\"%s\"" (esc f)
-  in
-  Printf.sprintf
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf
     "{\"type\":\"run_record\",\"record_version\":%d,\"tool_version\":\"%s\",\
      \"technique\":\"%s\",\"seed\":%d,\"n_replicas\":%d,\"n_clients\":%d,\
      \"config\":%s,\
      \"workload\":{\"keys\":%d,\"zipf\":%s,\"updates\":%s,\"ops\":%d,\
      \"txns_per_client\":%d,\"shards\":%d,\"cross\":%s,\"arrival\":\"%s\",\
-     \"shape\":\"%s\"%s},\
-     \"outcome\":{\"committed\":%d,\"aborted\":%d,\"unanswered\":%d,\
-     \"converged\":%b,\"serializable\":%b},\
-     \"perf\":{\"throughput_tps\":%s,\"latency_ms\":{\"mean\":%s,\"p50\":%s,\
-     \"p95\":%s,\"p99\":%s,\"max\":%s},\"messages\":%d,\"msgs_per_txn\":%s}\
-     %s,\
-     \"drops\":{\"total\":%d,\"loss\":%d,\"crashed\":%d,\"partitioned\":%d},\
-     \"saturation_findings\":%d,\
-     \"engine\":{\"events\":%d,\"wall_s\":%s}%s%s}"
+     \"shape\":\"%s\"%s}"
     schema_version Report.version (esc t.technique) t.seed t.n_replicas
-    t.n_clients
-    (config_json t.config)
-    w.keys (jf w.zipf) (jf w.updates) w.ops w.txns_per_client w.shards
-    (jf w.cross) (esc w.arrival) (esc w.shape) flash t.committed t.aborted
-    t.unanswered t.converged t.serializable (jf t.throughput)
-    (jf t.latency_mean_ms) (jf t.latency_p50_ms) (jf t.latency_p95_ms)
-    (jf t.latency_p99_ms) (jf t.latency_max_ms) t.messages
-    (jf t.msgs_per_txn) census t.drops t.drops_loss t.drops_crashed
-    t.drops_partitioned t.saturation_findings t.events (jf t.wall_s) audit
-    router
+    t.n_clients (config_json t.config) w.keys (jf w.zipf) (jf w.updates) w.ops
+    w.txns_per_client w.shards (jf w.cross) (esc w.arrival) (esc w.shape)
+    (match w.flash with
+    | None -> ""
+    | Some f -> Printf.sprintf ",\"flash\":\"%s\"" (esc f));
+  add_measured buf t;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 (* ---- parsing --------------------------------------------------------- *)
 
@@ -250,35 +289,40 @@ let member k = function
   | Bench_out.Obj fields -> List.assoc_opt k fields
   | _ -> None
 
+let rec lookup path doc =
+  match path with
+  | [] -> Some doc
+  | k :: rest -> Option.bind (member k doc) (lookup rest)
+
+let kind_name = function Int -> "integer" | Float -> "number" | Bool -> "bool"
+
+(* The value at [path] as a float of [kind]; errors name the field. *)
+let value kind path doc =
+  let key = String.concat "." path in
+  match (kind, lookup path doc) with
+  | Float, Some (Bench_out.Num v) -> Ok v
+  | Int, Some (Bench_out.Num v) when Float.is_integer v -> Ok v
+  | Int, Some (Bench_out.Num v) ->
+      Error (Printf.sprintf "field %S must be an integer, got %g" key v)
+  | Bool, Some (Bench_out.Bool b) -> Ok (if b then 1. else 0.)
+  | _ -> Error (Printf.sprintf "missing or non-%s field %S" (kind_name kind) key)
+
 let of_json doc =
   let ( let* ) = Result.bind in
-  let str k j =
-    match member k j with
+  let at path = String.split_on_char '.' path in
+  let int_ path = Result.map int_of_float (value Int (at path) doc) in
+  let num path = value Float (at path) doc in
+  let str path =
+    match lookup (at path) doc with
     | Some (Bench_out.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing or non-string field %S" k)
-  in
-  let num k j =
-    match member k j with
-    | Some (Bench_out.Num v) -> Ok v
-    | _ -> Error (Printf.sprintf "missing or non-number field %S" k)
-  in
-  let int_ k j = Result.map int_of_float (num k j) in
-  let bool_ k j =
-    match member k j with
-    | Some (Bench_out.Bool b) -> Ok b
-    | _ -> Error (Printf.sprintf "missing or non-bool field %S" k)
-  in
-  let obj k j =
-    match member k j with
-    | Some (Bench_out.Obj _ as o) -> Ok o
-    | _ -> Error (Printf.sprintf "missing or non-object field %S" k)
+    | _ -> Error (Printf.sprintf "missing or non-string field %S" path)
   in
   let* () =
     match member "type" doc with
     | Some (Bench_out.Str "run_record") -> Ok ()
     | _ -> Error "\"type\" must be \"run_record\""
   in
-  let* v = int_ "record_version" doc in
+  let* v = int_ "record_version" in
   let* () =
     if v = schema_version then Ok ()
     else
@@ -286,10 +330,10 @@ let of_json doc =
         (Printf.sprintf "record_version %d (this tool reads version %d)" v
            schema_version)
   in
-  let* technique = str "technique" doc in
-  let* seed = int_ "seed" doc in
-  let* n_replicas = int_ "n_replicas" doc in
-  let* n_clients = int_ "n_clients" doc in
+  let* technique = str "technique" in
+  let* seed = int_ "seed" in
+  let* n_replicas = int_ "n_replicas" in
+  let* n_clients = int_ "n_clients" in
   let* config =
     match member "config" doc with
     | Some (Bench_out.Obj fields) ->
@@ -303,151 +347,39 @@ let of_json doc =
         |> Result.map List.rev
     | _ -> Error "missing \"config\" object"
   in
-  let* w = obj "workload" doc in
-  let* keys = int_ "keys" w in
-  let* zipf = num "zipf" w in
-  let* updates = num "updates" w in
-  let* ops = int_ "ops" w in
-  let* txns_per_client = int_ "txns_per_client" w in
-  let* shards = int_ "shards" w in
-  let* cross = num "cross" w in
-  let* arrival = str "arrival" w in
-  let* shape = str "shape" w in
+  let* keys = int_ "workload.keys" in
+  let* zipf = num "workload.zipf" in
+  let* updates = num "workload.updates" in
+  let* ops = int_ "workload.ops" in
+  let* txns_per_client = int_ "workload.txns_per_client" in
+  let* shards = int_ "workload.shards" in
+  let* cross = num "workload.cross" in
+  let* arrival = str "workload.arrival" in
+  let* shape = str "workload.shape" in
   let* flash =
-    match member "flash" w with
+    match lookup [ "workload"; "flash" ] doc with
     | None -> Ok None
     | Some (Bench_out.Str s) -> Ok (Some s)
-    | Some _ -> Error "non-string field \"flash\""
+    | Some _ -> Error "non-string field \"workload.flash\""
   in
-  let* o = obj "outcome" doc in
-  let* committed = int_ "committed" o in
-  let* aborted = int_ "aborted" o in
-  let* unanswered = int_ "unanswered" o in
-  let* converged = bool_ "converged" o in
-  let* serializable = bool_ "serializable" o in
-  let* p = obj "perf" doc in
-  let* throughput = num "throughput_tps" p in
-  let* lat = obj "latency_ms" p in
-  let* latency_mean_ms = num "mean" lat in
-  let* latency_p50_ms = num "p50" lat in
-  let* latency_p95_ms = num "p95" lat in
-  let* latency_p99_ms = num "p99" lat in
-  let* latency_max_ms = num "max" lat in
-  let* messages = int_ "messages" p in
-  let* msgs_per_txn = num "msgs_per_txn" p in
-  let* census =
-    match member "census" doc with
-    | None -> Ok None
-    | Some c ->
-        let* m = int_ "messages" c in
-        let* s = int_ "steps" c in
-        Ok (Some (m, s))
+  (* An optional section is absent as a whole or present in full. *)
+  let* measured =
+    Array.fold_right
+      (fun f acc ->
+        let* acc = acc in
+        if f.optional && member (List.hd f.path) doc = None then
+          Ok (None :: acc)
+        else
+          let* v = value f.kind f.path doc in
+          Ok (Some v :: acc))
+      table (Ok [])
   in
-  let* d = obj "drops" doc in
-  let* drops = int_ "total" d in
-  let* drops_loss = int_ "loss" d in
-  let* drops_crashed = int_ "crashed" d in
-  let* drops_partitioned = int_ "partitioned" d in
-  let* saturation_findings = int_ "saturation_findings" doc in
-  let* e = obj "engine" doc in
-  let* events = int_ "events" e in
-  let* wall_s = num "wall_s" e in
-  let* audit =
-    match member "audit" doc with
-    | None -> Ok None
-    | Some a ->
-        let* visibility_p95_ms = num "visibility_p95_ms" a in
-        let* post_commit_max_ms = num "post_commit_max_ms" a in
-        let* session_window_max_ms = num "session_window_max_ms" a in
-        let* stale_reads = int_ "stale_reads" a in
-        let* ryw_violations = int_ "ryw_violations" a in
-        let* mr_violations = int_ "mr_violations" a in
-        let* skew_pairs = int_ "skew_pairs" a in
-        let* drained = bool_ "drained" a in
-        Ok
-          (Some
-             {
-               visibility_p95_ms;
-               post_commit_max_ms;
-               session_window_max_ms;
-               stale_reads;
-               ryw_violations;
-               mr_violations;
-               skew_pairs;
-               drained;
-             })
+  let workload =
+    { keys; zipf; updates; ops; txns_per_client; shards; cross; arrival;
+      shape; flash }
   in
-  let* router =
-    match member "router" doc with
-    | None -> Ok None
-    | Some r ->
-        let* sticky = bool_ "sticky" r in
-        let* reads_routed = int_ "reads_routed" r in
-        let* writes_routed = int_ "writes_routed" r in
-        let* sticky_reads = int_ "sticky_reads" r in
-        let* fallback_reads = int_ "fallback_reads" r in
-        let* router_retries = int_ "retries" r in
-        let* failovers = int_ "failovers" r in
-        let* gave_up = int_ "gave_up" r in
-        let* primary_moves = int_ "primary_moves" r in
-        Ok
-          (Some
-             {
-               sticky;
-               reads_routed;
-               writes_routed;
-               sticky_reads;
-               fallback_reads;
-               router_retries;
-               failovers;
-               gave_up;
-               primary_moves;
-             })
-  in
-  Ok
-    {
-      technique;
-      config;
-      seed;
-      n_replicas;
-      n_clients;
-      workload =
-        {
-          keys;
-          zipf;
-          updates;
-          ops;
-          txns_per_client;
-          shards;
-          cross;
-          arrival;
-          shape;
-          flash;
-        };
-      committed;
-      aborted;
-      unanswered;
-      converged;
-      serializable;
-      throughput;
-      latency_mean_ms;
-      latency_p50_ms;
-      latency_p95_ms;
-      latency_p99_ms;
-      latency_max_ms;
-      messages;
-      msgs_per_txn;
-      census;
-      drops;
-      drops_loss;
-      drops_crashed;
-      drops_partitioned;
-      saturation_findings;
-      events;
-      wall_s;
-      audit;
-      router;
-    }
+  Ok { technique; config; seed; n_replicas; n_clients; workload;
+       measured = Array.of_list measured }
 
 let of_string s =
   match Bench_out.parse (String.trim s) with
@@ -463,6 +395,14 @@ let load_file path =
 
 (* ---- identity -------------------------------------------------------- *)
 
+(* The routed run's stickiness: a config echo kept in the router
+   section, None when the run was not routed. *)
+let sticky =
+  let slot =
+    Option.get (Array.find_index (fun f -> f.path = [ "router"; "sticky" ]) table)
+  in
+  fun t -> Option.map (fun v -> v <> 0.) t.measured.(slot)
+
 (* What makes two records "the same cell" for comparison purposes:
    everything the experimenter chose, nothing the run produced. *)
 let cell_id t =
@@ -474,9 +414,10 @@ let cell_id t =
     w.txns_per_client w.shards w.cross w.arrival
     (if w.shape = "mixed" then "" else " shape=" ^ w.shape)
     (match w.flash with None -> "" | Some f -> " flash[" ^ f ^ "]")
-    (match t.router with
+    (match sticky t with
     | None -> ""
-    | Some r -> if r.sticky then " router=sticky" else " router=on")
+    | Some true -> " router=sticky"
+    | Some false -> " router=on")
     (match t.config with
     | [] -> ""
     | kvs ->
@@ -506,117 +447,3 @@ let save ?(dir = ".") t =
   output_char oc '\n';
   close_out oc;
   path
-
-(* ---- flat metric view ------------------------------------------------- *)
-
-(* The flat (name, value) view every cross-run consumer works from: the
-   sweep heatmap's [--cell] axis and the compare engine's rules both
-   index records by these names. *)
-let metrics t =
-  let base =
-    [
-      ("committed", float_of_int t.committed);
-      ("aborted", float_of_int t.aborted);
-      ("unanswered", float_of_int t.unanswered);
-      ("throughput", t.throughput);
-      ("latency_mean", t.latency_mean_ms);
-      ("latency_p50", t.latency_p50_ms);
-      ("latency_p95", t.latency_p95_ms);
-      ("latency_p99", t.latency_p99_ms);
-      ("latency_max", t.latency_max_ms);
-      ("messages", float_of_int t.messages);
-      ("msgs_per_txn", t.msgs_per_txn);
-      ("drops", float_of_int t.drops);
-      ("drops_loss", float_of_int t.drops_loss);
-      ("drops_crashed", float_of_int t.drops_crashed);
-      ("drops_partitioned", float_of_int t.drops_partitioned);
-      ("saturation_findings", float_of_int t.saturation_findings);
-      ("events", float_of_int t.events);
-      ("converged", if t.converged then 1. else 0.);
-      ("serializable", if t.serializable then 1. else 0.);
-    ]
-  in
-  let census =
-    match t.census with
-    | None -> []
-    | Some (m, s) ->
-        [
-          ("census_msgs", float_of_int m); ("census_steps", float_of_int s);
-        ]
-  in
-  let audit =
-    match t.audit with
-    | None -> []
-    | Some a ->
-        [
-          ("visibility_p95_ms", a.visibility_p95_ms);
-          ("post_commit_max_ms", a.post_commit_max_ms);
-          ("session_window_max_ms", a.session_window_max_ms);
-          ("stale_reads", float_of_int a.stale_reads);
-          ("ryw_violations", float_of_int a.ryw_violations);
-          ("mr_violations", float_of_int a.mr_violations);
-          ("skew_pairs", float_of_int a.skew_pairs);
-          ("drained", if a.drained then 1. else 0.);
-        ]
-  in
-  let router =
-    match t.router with
-    | None -> []
-    | Some r ->
-        [
-          ("router_sticky", if r.sticky then 1. else 0.);
-          ("router_reads", float_of_int r.reads_routed);
-          ("router_writes", float_of_int r.writes_routed);
-          ("router_sticky_reads", float_of_int r.sticky_reads);
-          ("router_fallback_reads", float_of_int r.fallback_reads);
-          ("router_retries", float_of_int r.router_retries);
-          ("router_failovers", float_of_int r.failovers);
-          ("router_gave_up", float_of_int r.gave_up);
-          ("router_primary_moves", float_of_int r.primary_moves);
-        ]
-  in
-  base @ census @ audit @ router
-
-let metric t name = List.assoc_opt name (metrics t)
-
-let metric_names =
-  [
-    "committed";
-    "aborted";
-    "unanswered";
-    "throughput";
-    "latency_mean";
-    "latency_p50";
-    "latency_p95";
-    "latency_p99";
-    "latency_max";
-    "messages";
-    "msgs_per_txn";
-    "census_msgs";
-    "census_steps";
-    "drops";
-    "drops_loss";
-    "drops_crashed";
-    "drops_partitioned";
-    "saturation_findings";
-    "events";
-    "converged";
-    "serializable";
-    "visibility_p95_ms";
-    "post_commit_max_ms";
-    "session_window_max_ms";
-    "stale_reads";
-    "ryw_violations";
-    "mr_violations";
-    "skew_pairs";
-    "drained";
-    "router_sticky";
-    "router_reads";
-    "router_writes";
-    "router_sticky_reads";
-    "router_fallback_reads";
-    "router_retries";
-    "router_failovers";
-    "router_gave_up";
-    "router_primary_moves";
-  ]

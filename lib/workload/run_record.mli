@@ -11,8 +11,23 @@
     engine ([replisim compare], {!Compare}) diffs record sets — so the
     record is the unit of cross-run observability.
 
-    After {!normalize} (which zeroes the only wall-clock-derived field)
-    a same-seed re-run renders byte-identically via {!to_json}. *)
+    A record has two halves. The identity half — technique, config,
+    seed, cluster shape and workload — is the typed record {!t}. The
+    measured half is declared once, as an ordered table in
+    [run_record.ml]: each entry gives the flat metric name, the JSON
+    location (e.g. [perf.latency_ms.p95] or [router.retries]), the kind
+    (int, float or bool), which {!direction} is better and how to read
+    it from the {!Runner.result} and the optional census. The census,
+    audit and router sections are present exactly when their source is.
+    {!of_run}, {!to_json}, {!of_json}, {!metrics}, {!metric_names},
+    {!direction} and {!normalize} are folds over that table, and measured
+    values are read only through the flat metric view.
+
+    To add a metric, add one table entry and bump {!schema_version}.
+
+    After {!normalize} (which zeroes the one wall-clock entry, the only
+    one with no metric name) a same-seed re-run renders byte-identically
+    via {!to_json}. *)
 
 (** Bumped on any field change; {!of_json} refuses other versions so a
     stale baseline fails loudly instead of comparing garbage. *)
@@ -33,30 +48,12 @@ type workload = {
           when the workload declared one *)
 }
 
-(** Routing-tier section (schema v2): the sticky config echo plus the
-    router's own counters, present when the run was routed. *)
-type router = {
-  sticky : bool;
-  reads_routed : int;
-  writes_routed : int;
-  sticky_reads : int;
-  fallback_reads : int;
-  router_retries : int;
-  failovers : int;
-  gave_up : int;
-  primary_moves : int;
-}
+(** Which way a metric improves. *)
+type direction = Lower_better | Higher_better
 
-type audit = {
-  visibility_p95_ms : float;
-  post_commit_max_ms : float;
-  session_window_max_ms : float;
-  stale_reads : int;
-  ryw_violations : int;
-  mr_violations : int;
-  skew_pairs : int;
-  drained : bool;
-}
+(** The measured values, in table order; read them through {!metrics}
+    and {!metric}. *)
+type measured
 
 type t = {
   technique : string;
@@ -65,31 +62,7 @@ type t = {
   n_replicas : int;
   n_clients : int;
   workload : workload;
-  committed : int;
-  aborted : int;
-  unanswered : int;
-  converged : bool;
-  serializable : bool;
-  throughput : float;
-  latency_mean_ms : float;
-  latency_p50_ms : float;
-  latency_p95_ms : float;
-  latency_p99_ms : float;
-  latency_max_ms : float;
-  messages : int;
-  msgs_per_txn : float;
-  census : (int * int) option;
-      (** single-transaction causal census (messages, steps), when a
-          probe was run alongside the workload *)
-  drops : int;
-  drops_loss : int;
-  drops_crashed : int;
-  drops_partitioned : int;
-  saturation_findings : int;
-  events : int;  (** engine events executed — deterministic *)
-  wall_s : float;  (** the one nondeterministic field; see {!normalize} *)
-  audit : audit option;
-  router : router option;
+  measured : measured;
 }
 
 (** Distill a finished run. [config] is the resolved non-default
@@ -107,12 +80,17 @@ val of_run :
   Runner.result ->
   t
 
-(** Zero the wall-clock field; normalized same-seed records render
+(** Zero the wall-clock entry; normalized same-seed records render
     byte-identically. *)
 val normalize : t -> t
 
 val to_json : t -> string
+
+(** Decode a record. A missing field, a field of the wrong kind or a
+    fractional number in an integer field is an error naming the field
+    by its JSON path. *)
 val of_json : Bench_out.json -> (t, string) result
+
 val of_string : string -> (t, string) result
 val load_file : string -> (t, string) result
 
@@ -136,6 +114,9 @@ val save : ?dir:string -> t -> string
 val metrics : t -> (string * float) list
 val metric : t -> string -> float option
 
-(** Every name {!metrics} can emit (census/audit/router names appear
-    only when those sections are present in the record). *)
+(** Every name {!metrics} can emit, in table order (census/audit/router
+    names appear only when those sections are present in the record). *)
 val metric_names : string list
+
+(** The better direction of a metric name; [None] for an unknown name. *)
+val direction : string -> direction option

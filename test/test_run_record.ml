@@ -5,6 +5,13 @@
 
 let tc name f = Alcotest.test_case name `Quick f
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* One small audited run distilled into a normalized record. *)
 let record_of ?(seed = 11) ?shape ?flash ?router
     (entry : Protocols.Registry.entry) =
@@ -97,7 +104,7 @@ let test_record_v2_router_roundtrip () =
   in
   let json = Workload.Run_record.to_json r in
   Alcotest.(check bool) "record carries a router section" true
-    (r.Workload.Run_record.router <> None);
+    (Workload.Run_record.metric r "router_sticky" <> None);
   (match Workload.Run_record.of_string json with
   | Error msg -> Alcotest.failf "v2 round-trip failed: %s" msg
   | Ok r' ->
@@ -106,13 +113,6 @@ let test_record_v2_router_roundtrip () =
       Alcotest.(check string) "cell identity survives"
         (Workload.Run_record.cell_id r)
         (Workload.Run_record.cell_id r'));
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool) "cell id names the shape" true
     (contains (Workload.Run_record.cell_id r) "shape=tpcb");
   Alcotest.(check bool) "cell id names the sticky router" true
@@ -123,12 +123,27 @@ let test_record_v2_router_roundtrip () =
     "router metrics surface in the flat view" (Some 1.)
     (Workload.Run_record.metric r "router_sticky")
 
-let test_metric_view () =
+(* A run and its record with every optional section: census, audit and
+   router. *)
+let full_record () =
   let entry = Option.get (Protocols.Registry.find "lazy-primary") in
-  let r = record_of entry in
+  let factory = Protocols.Registry.configure_exn entry [] in
+  let spec = Workload.Builder.spec ~updates:0.5 ~txns:5 ~keys:40 () in
+  let result =
+    Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:2 ~spec ~audit:true
+      ~router:Workload.Router.default_config factory
+  in
+  ( result,
+    Workload.Run_record.normalize
+      (Workload.Run_record.of_run ~technique:entry.key ~config:[] ~seed:11
+         ~n_replicas:3 ~n_clients:2 ~arrival:`Closed ~spec ~census:(7, 3)
+         result) )
+
+let test_metric_view () =
+  let result, r = full_record () in
   Alcotest.(check (option (float 1e-9)))
     "flat view indexes the latency field"
-    (Some r.Workload.Run_record.latency_p95_ms)
+    (Some result.Workload.Runner.latency_ms.Sim.Summary.p95)
     (Workload.Run_record.metric r "latency_p95");
   List.iter
     (fun (name, _) ->
@@ -137,6 +152,148 @@ let test_metric_view () =
         true
         (List.mem name Workload.Run_record.metric_names))
     (Workload.Run_record.metrics r)
+
+(* ---- the field table ------------------------------------------------- *)
+
+(* Every committed baseline record loads and re-renders to its file's
+   exact bytes: the table-driven renderer writes the schema the baseline
+   was written in. *)
+let test_baseline_byte_identity () =
+  let dir = "../baseline" in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".json" && f <> "manifest.json")
+  in
+  Alcotest.(check bool) "the baseline holds records" true (files <> []);
+  List.iter
+    (fun f ->
+      let bytes =
+        In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+      in
+      match Workload.Run_record.of_string bytes with
+      | Error msg -> Alcotest.failf "%s: %s" f msg
+      | Ok r ->
+          Alcotest.(check string)
+            (f ^ " re-renders byte-identically")
+            bytes
+            (Workload.Run_record.to_json r ^ "\n"))
+    files
+
+let rec json_to_string = function
+  | Workload.Bench_out.Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num v -> Printf.sprintf "%.17g" v
+  | Str s -> Printf.sprintf "%S" s
+  | Arr l -> "[" ^ String.concat "," (List.map json_to_string l) ^ "]"
+  | Obj kvs ->
+      "{"
+      ^ String.concat ","
+          (List.map
+             (fun (k, v) -> Printf.sprintf "%S:%s" k (json_to_string v))
+             kvs)
+      ^ "}"
+
+(* The path of every non-object value, outermost key first. *)
+let rec leaves = function
+  | Workload.Bench_out.Obj kvs ->
+      List.concat_map
+        (fun (k, v) ->
+          match v with
+          | Workload.Bench_out.Obj _ -> List.map (fun p -> k :: p) (leaves v)
+          | _ -> [ [ k ] ])
+        kvs
+  | _ -> []
+
+let rec remove path doc =
+  match (path, doc) with
+  | [ k ], Workload.Bench_out.Obj kvs -> Workload.Bench_out.Obj (List.remove_assoc k kvs)
+  | k :: rest, Workload.Bench_out.Obj kvs ->
+      Workload.Bench_out.Obj
+        (List.map (fun (k', v) -> (k', if k' = k then remove rest v else v)) kvs)
+  | _ -> doc
+
+(* The flat view lists every declared metric, in declaration order, and
+   the decoder requires every field it renders: deleting any one key
+   (tool_version is informational and never read) fails, naming it. *)
+let test_every_field_required () =
+  let _, r = full_record () in
+  Alcotest.(check (list string))
+    "a full record's metrics are metric_names, in order"
+    Workload.Run_record.metric_names
+    (List.map fst (Workload.Run_record.metrics r));
+  let doc =
+    Result.get_ok (Workload.Bench_out.parse (Workload.Run_record.to_json r))
+  in
+  Alcotest.(check string) "the test printer round-trips"
+    (Workload.Run_record.to_json r)
+    (match Workload.Run_record.of_string (json_to_string doc) with
+    | Ok r' -> Workload.Run_record.to_json r'
+    | Error msg -> msg);
+  List.iter
+    (fun path ->
+      if path <> [ "tool_version" ] then
+        let key = String.concat "." path in
+        match Workload.Run_record.of_string (json_to_string (remove path doc)) with
+        | Ok _ -> Alcotest.failf "record without %s parsed" key
+        | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "error %S names %s" msg key)
+              true (contains msg key))
+    (leaves doc)
+
+(* Integer fields, identity ones included, refuse fractions rather than
+   truncating them into another cell or another count. *)
+let test_integer_fields_reject_fractions () =
+  let entry = Option.get (Protocols.Registry.find "active") in
+  let r = record_of entry in
+  let json = Workload.Run_record.to_json r in
+  let committed =
+    int_of_float (Option.get (Workload.Run_record.metric r "committed"))
+  in
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec go i =
+      if String.sub s i n = sub then
+        String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+      else go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun (key, sub, by) ->
+      match Workload.Run_record.of_string (replace ~sub ~by json) with
+      | Ok _ -> Alcotest.failf "a fractional %s parsed" key
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error %S names %s" msg key)
+            true (contains msg key))
+    [
+      ("seed", "\"seed\":11,", "\"seed\":11.9,");
+      ( "outcome.committed",
+        Printf.sprintf "\"committed\":%d," committed,
+        Printf.sprintf "\"committed\":%d.7," committed );
+      ("workload.keys", "\"keys\":40,", "\"keys\":40.5,");
+    ]
+
+(* The direction each metric had when Compare guessed it from substrings
+   of the name; the table's declared directions must keep every verdict. *)
+let heuristic_direction metric =
+  if
+    contains metric "throughput" || contains metric "committed"
+    || contains metric "converged" || contains metric "serializable"
+    || contains metric "drained"
+  then Workload.Compare.Higher_better
+  else Workload.Compare.Lower_better
+
+let test_directions_match_heuristic () =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ ": declared direction is the name heuristic's")
+        true
+        (Workload.Run_record.direction name = Some (heuristic_direction name)))
+    Workload.Run_record.metric_names
 
 (* ---- sweep grid algebra ---------------------------------------------- *)
 
@@ -270,6 +427,17 @@ let () =
           tc "v2 shape/flash/router fields round-trip"
             test_record_v2_router_roundtrip;
           tc "flat metric view matches the fields" test_metric_view;
+        ] );
+      ( "fields",
+        [
+          tc "committed baseline records re-render byte-identically"
+            test_baseline_byte_identity;
+          tc "metrics follow metric_names and every key is required"
+            test_every_field_required;
+          tc "integer fields reject fractional numbers"
+            test_integer_fields_reject_fractions;
+          tc "declared directions match the old name heuristic"
+            test_directions_match_heuristic;
         ] );
       ( "sweep",
         [ tc "grid expansion: cartesian, deterministic, vary scoped"
