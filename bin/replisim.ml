@@ -74,26 +74,6 @@ let config_cmd =
   Cmd.v (Cmd.info "config" ~doc)
     Term.(const run $ technique $ Cli.directives_term)
 
-(* ---- run records ----------------------------------------------------- *)
-
-(* One finished run distilled into the canonical normalized run record
-   (see Workload.Run_record), including the probe-measured
-   single-transaction causal census — the document `replisim sweep`
-   writes per cell and `replisim compare` diffs. *)
-let make_record ~(entry : Protocols.Registry.entry) ~cfg ~factory ~seed ~n ~m
-    ~arrival ~spec result =
-  let census =
-    let p = Workload.Builder.probe ~n factory in
-    let _, sound, s = Workload.Builder.probe_summary p in
-    if sound && s.Sim.Msg_dag.replied then
-      Some (s.Sim.Msg_dag.messages, s.Sim.Msg_dag.steps)
-    else None
-  in
-  Workload.Run_record.normalize
-    (Workload.Run_record.of_run ~technique:entry.key
-       ~config:(Cli.config_pairs entry cfg) ~seed ~n_replicas:n ~n_clients:m
-       ~arrival ~spec ?census result)
-
 (* ---- run ------------------------------------------------------------ *)
 
 let run_cmd =
@@ -147,17 +127,17 @@ let run_cmd =
       match record_to with
       | None -> ()
       | Some file -> (
-          let record =
-            make_record ~entry ~cfg ~factory ~seed ~n ~m ~arrival:`Closed ~spec
-              result
+          let json =
+            Workload.Run_record.to_json
+              (Workload.Sweep.record ~technique:entry.key
+                 ~config:(Cli.config_pairs entry cfg) ~factory ~seed
+                 ~n_replicas:n ~n_clients:m ~arrival:`Closed ~spec result)
           in
           match file with
-          | "-" -> print_endline (Workload.Run_record.to_json record)
+          | "-" -> print_endline json
           | file ->
-              let oc = open_out file in
-              output_string oc (Workload.Run_record.to_json record);
-              output_char oc '\n';
-              close_out oc)
+              Out_channel.with_open_text file (fun oc ->
+                  Printf.fprintf oc "%s\n" json))
     in
     if csv then begin
       let label =
@@ -1170,8 +1150,6 @@ let profile_cmd =
       $ Cli.txns_arg () $ Cli.seed_arg () $ top $ format $ no_tracing
       $ sample $ check)
 
-(* ---- bench-check ---------------------------------------------------- *)
-
 (* ---- audit ---------------------------------------------------------- *)
 
 let audit_cmd =
@@ -1234,52 +1212,6 @@ let audit_cmd =
       | Core.Technique.Eager -> "eager"
       | Core.Technique.Lazy -> "lazy"
     in
-    let max_lag (a : Workload.Audit.summary) =
-      List.fold_left (fun acc (_, l) -> Stdlib.max acc l) 0 a.final_lag
-    in
-    (* The gate: the measured form of the paper's §4 windows. Eager =
-       agreement before the reply, so the session-order inconsistency
-       window must be exactly zero; lazy = propagation after the reply,
-       so the post-commit window must be strictly positive — and finite,
-       i.e. fully drained by quiescence. Sub-millisecond real-time
-       staleness under an eager technique (a local read racing the
-       decision round) is reported but not gated: it is serializable
-       before the write, hence invisible to the paper's 1SR criterion. *)
-    let problems (entry : Protocols.Registry.entry) shards
-        (a : Workload.Audit.summary) =
-      let eager =
-        entry.info.Core.Technique.propagation = Core.Technique.Eager
-      in
-      (if a.drained then []
-       else
-         [
-           Printf.sprintf "version lag never drained (max residual %d)"
-             (max_lag a);
-         ])
-      @ (if eager && (a.ryw_violations > 0 || a.mr_violations > 0) then
-           [
-             Printf.sprintf
-               "eager technique with a non-zero inconsistency window: %d \
-                read-your-writes + %d monotonic-reads violations (window \
-                %.3f ms)"
-               a.ryw_violations a.mr_violations a.session_window_max_ms;
-           ]
-         else [])
-      @ (if (not eager) && a.post_commit_max_ms <= 0. then
-           [
-             "lazy technique measured no post-commit staleness window \
-              (propagation should run after the reply)";
-           ]
-         else [])
-      @
-      if shards = 1 && a.skew_pairs <> 0 then
-        [
-          Printf.sprintf
-            "%d snapshot-skew pairs at shards=1 (must be impossible)"
-            a.skew_pairs;
-        ]
-      else []
-    in
     (match fmt with
     | `Pretty ->
         Fmt.pr
@@ -1295,7 +1227,7 @@ let audit_cmd =
               a.visibility_ms.Sim.Summary.p50
               a.visibility_ms.Sim.Summary.p95 a.post_commit_max_ms
               a.session_window_max_ms a.stale_reads a.ryw_violations
-              a.mr_violations a.skew_pairs (max_lag a) a.drained)
+              a.mr_violations a.skew_pairs (Workload.Audit.max_lag a) a.drained)
           rows;
         Fmt.pr
           "@.Reading: postcmt is the propagation window after the commit \
@@ -1325,7 +1257,8 @@ let audit_cmd =
               a.visibility_ms.Sim.Summary.max a.post_commit_max_ms
               a.session_window_max_ms a.stale_reads
               a.staleness_ms.Sim.Summary.max a.ryw_violations
-              a.mr_violations a.skew_pairs a.cross_txns (max_lag a) a.drained)
+              a.mr_violations a.skew_pairs a.cross_txns
+              (Workload.Audit.max_lag a) a.drained)
           rows
     | `Json ->
         List.iter
@@ -1364,15 +1297,17 @@ let audit_cmd =
     if check then begin
       let bad = ref 0 in
       List.iter
-        (fun (entry, shards, a) ->
-          match problems entry shards a with
+        (fun ((entry : Protocols.Registry.entry), shards, a) ->
+          match
+            Workload.Audit.violations
+              ~propagation:entry.info.Core.Technique.propagation ~shards a
+          with
           | [] -> ()
-          | msgs ->
+          | vs ->
               incr bad;
               List.iter
-                (fun msg ->
-                  Fmt.epr "audit: %s: %s@." entry.Protocols.Registry.key msg)
-                msgs)
+                (fun (_, msg) -> Fmt.epr "audit: %s: %s@." entry.key msg)
+                vs)
         rows;
       if !bad > 0 then exit 1;
       Fmt.pr "audit: OK (%d technique%s)@." (List.length rows)
@@ -1593,9 +1528,9 @@ let sweep_cmd =
       List.map
         (fun (c : Workload.Sweep.cell) ->
           let entry =
-            match Protocols.Registry.find_res c.technique with
-            | Ok e -> e
-            | Error msg -> Cli.fail "%s" msg
+            List.find
+              (fun (e : Protocols.Registry.entry) -> e.key = c.technique)
+              techniques
           in
           let pairs =
             Protocols.Config.pairs_for ~technique:entry.key directives
@@ -1613,25 +1548,17 @@ let sweep_cmd =
     if not (Sys.file_exists out) then Sys.mkdir out 0o755
     else if not (Sys.is_directory out) then
       Cli.fail "--out %s exists and is not a directory" out;
+    let spec =
+      Workload.Builder.spec ~keys ~ops ~txns ~cross ~shape
+        ?flash:(Cli.flash_spec flash) ()
+    in
     let records =
       List.mapi
-        (fun i ((c : Workload.Sweep.cell), entry, cfg, factory) ->
-          let spec =
-            Workload.Builder.spec ~keys ~skew:c.zipf ~updates:c.updates ~ops
-              ~txns ~shards:c.shards ~cross ~shape
-              ?flash:(Cli.flash_spec flash) ()
-          in
-          let arrival = Workload.Sweep.arrival_of_cell c in
-          let result =
-            Workload.Runner.run ~seed:c.seed ~n_replicas:n ~n_clients:m ~spec
-              ~arrival
-              ~sample:(Sim.Simtime.of_ms 5)
-              ~audit:true
-              ?router:(Cli.router_config ~router ~sticky) factory
-          in
+        (fun i (c, entry, cfg, factory) ->
           let record =
-            make_record ~entry ~cfg ~factory ~seed:c.seed ~n ~m ~arrival ~spec
-              result
+            Workload.Sweep.run_cell ~n_replicas:n ~n_clients:m ~spec
+              ~config:(Cli.config_pairs entry cfg) ~factory
+              ?router:(Cli.router_config ~router ~sticky) c
           in
           let path = Workload.Run_record.save ~dir:out record in
           Fmt.epr "sweep: [%d/%d] %s@." (i + 1) total
@@ -1642,10 +1569,8 @@ let sweep_cmd =
     let manifest =
       Workload.Sweep.manifest_json axes ~records ~metrics:cell_metrics
     in
-    let oc = open_out (Filename.concat out "manifest.json") in
-    output_string oc manifest;
-    output_char oc '\n';
-    close_out oc;
+    Out_channel.with_open_text (Filename.concat out "manifest.json") (fun oc ->
+        Printf.fprintf oc "%s\n" manifest);
     (match format with
     | `None -> ()
     | (`Ascii | `Md) as fmt ->
@@ -1671,21 +1596,26 @@ let sweep_cmd =
 
 (* ---- compare --------------------------------------------------------- *)
 
+(* Read and decode one file; a bad file is a usage error naming it. *)
+let load decode path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Cli.fail "%s" msg
+  | text -> (
+      match decode text with
+      | Ok x -> x
+      | Error msg -> Cli.fail "%s: %s" path msg)
+
 (* A record set: a single run-record file, or a directory of them (a
    sweep output or a committed baseline; manifest.json is skipped). *)
 let load_record_set path =
-  let load file =
-    match Workload.Run_record.load_file file with
-    | Ok r -> r
-    | Error msg -> Cli.fail "%s: %s" file msg
-  in
   if not (Sys.file_exists path) then Cli.fail "%s: no such file or directory" path;
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.filter (fun f ->
            Filename.check_suffix f ".json" && f <> "manifest.json")
-    |> List.map (fun f -> load (Filename.concat path f))
-  else [ load path ]
+    |> List.map (fun f -> Filename.concat path f)
+    |> List.map (load Workload.Run_record.of_string)
+  else [ load Workload.Run_record.of_string path ]
 
 (* METRIC:VALUE, shared by --threshold (relative fraction) and --perturb
    (multiplier). *)
@@ -1703,31 +1633,40 @@ let metric_value_conv ~what =
   let print ppf (m, v) = Format.fprintf ppf "%s:%g" m v in
   Arg.conv (parse, print)
 
+(* A gate file: a baseline that is a file but not a run record. Its
+   bounds are the baseline cells; each BENCH file is a candidate cell. *)
+let is_gate_file path =
+  Sys.file_exists path
+  && not (Sys.is_directory path || Filename.check_suffix path ".json")
+
 let compare_cmd =
   let doc =
     "Diff two run-record sets — run-vs-run, or a sweep directory against a \
      committed baseline directory — under per-metric relative thresholds. \
      Each (cell, metric) pair is classified improved, regressed or \
      unchanged; the command exits non-zero on any regression or missing \
-     baseline cell, which is how perf and msgs/txn regressions gate CI. \
-     Cells are matched by their identity (technique, configuration, \
-     workload, seed), so records may be renamed freely. A baseline with \
-     no run record, an unknown metric name or a negative threshold is a \
-     usage error (exit status 2)."
+     baseline cell or metric, which is how CI gates. Cells are matched by \
+     their identity (technique, configuration, workload, seed). With a \
+     gate file as BASELINE (not ending in .json, e.g. $(b,ci/gates.txt)), \
+     each line $(i,BENCH METRIC) >= or <= $(i,VALUE) bounds the candidate \
+     BENCH_*.json files, a metric's value being the max over its rows. A \
+     baseline with no run record, a malformed gate or BENCH file, an \
+     unknown metric name or a negative threshold is a usage error (exit \
+     status 2)."
   in
   let base_arg =
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"BASELINE"
-          ~doc:"Baseline record file or directory (e.g. $(b,baseline/)).")
+          ~doc:"Baseline record file or directory, or a gate file.")
   in
   let cand_arg =
     Arg.(
-      required
-      & pos 1 (some string) None
+      non_empty
+      & pos_right 0 string []
       & info [] ~docv:"CANDIDATE"
-          ~doc:"Candidate record file or directory (e.g. a fresh sweep).")
+          ~doc:"Candidate record files or directories, or BENCH files.")
   in
   let thresholds_arg =
     Arg.(
@@ -1740,7 +1679,7 @@ let compare_cmd =
              30%. METRIC must be a record metric and RATIO \
              non-negative; the direction is the one the record declares \
              for METRIC. Defaults: latency_p50/p95 20%, latency_p99 25%, \
-             throughput 20%, msgs_per_txn 10%.")
+             throughput 20%, msgs_per_txn 10%. Not with a gate file.")
   in
   let perturb_arg =
     Arg.(
@@ -1748,154 +1687,72 @@ let compare_cmd =
       & opt_all (metric_value_conv ~what:"FACTOR") []
       & info [ "perturb" ] ~docv:"METRIC:FACTOR"
           ~doc:
-            "Self-test knob: multiply METRIC in every candidate record by \
+            "Self-test knob: multiply METRIC in every candidate cell by \
              FACTOR before comparing (e.g. $(b,--perturb \
              latency_p95:1.5) injects a 50% latency regression). CI uses \
              this to prove the gate actually trips.")
   in
-  let run base_path cand_path thresholds perturb =
+  let run base_path cand_paths thresholds perturb =
+    let gates = is_gate_file base_path in
     List.iter
       (fun (metric, threshold) ->
+        if gates then Cli.fail "--threshold: a gate file's bounds are absolute";
         Cli.record_metric "--threshold" metric;
         if threshold < 0. then
           Cli.fail "--threshold %s:%g: the threshold must be non-negative"
             metric threshold)
       thresholds;
-    List.iter (fun (metric, _) -> Cli.record_metric "--perturb" metric) perturb;
-    let rules =
-      List.fold_left
-        (fun rules (metric, threshold) ->
-          Workload.Compare.rule ~threshold metric
-          :: List.filter
-               (fun (r : Workload.Compare.rule) -> r.metric <> metric)
-               rules)
-        Workload.Compare.default_rules thresholds
+    let cells =
+      List.map (fun r -> Workload.Run_record.(cell_id r, metrics r))
     in
-    let flat perturbed records =
+    let rules, base, cand =
+      if gates then
+        let rules, base = load Workload.Compare.parse_gates base_path in
+        let bench text =
+          Result.bind (Workload.Bench_out.parse text)
+            Workload.Compare.bench_cell
+        in
+        (rules, base, List.map (load bench) cand_paths)
+      else
+        ( List.fold_left
+            (fun rules (metric, threshold) ->
+              Workload.Compare.rule ~threshold metric
+              :: List.filter
+                   (fun (r : Workload.Compare.rule) -> r.metric <> metric)
+                   rules)
+            Workload.Compare.default_rules thresholds,
+          cells (load_record_set base_path),
+          cells (List.concat_map load_record_set cand_paths) )
+    in
+    if base = [] then Cli.fail "%s: no run record or bound" base_path;
+    let known =
+      if not gates then Workload.Run_record.metric_names
+      else List.map (fun (r : Workload.Compare.rule) -> r.metric) rules
+    in
+    List.iter
+      (fun (metric, _) ->
+        if not (List.mem metric known) then
+          Cli.fail "unknown --perturb metric %S (known: %s)" metric
+            (String.concat ", " known))
+      perturb;
+    let cand =
       List.map
-        (fun r ->
-          let metrics = Workload.Run_record.metrics r in
-          let metrics =
-            if not perturbed then metrics
-            else
-              List.map
-                (fun (name, v) ->
-                  match List.assoc_opt name perturb with
-                  | Some factor -> (name, v *. factor)
-                  | None -> (name, v))
-                metrics
-          in
-          (Workload.Run_record.cell_id r, metrics))
-        records
+        (fun (cell, metrics) ->
+          ( cell,
+            List.map
+              (fun (name, v) ->
+                match List.assoc_opt name perturb with
+                | Some factor -> (name, v *. factor)
+                | None -> (name, v))
+              metrics ))
+        cand
     in
-    let base =
-      match load_record_set base_path with
-      | [] -> Cli.fail "%s: the baseline holds no run record" base_path
-      | records -> flat false records
-    in
-    let cand = flat true (load_record_set cand_path) in
     let report = Workload.Compare.compare_sets ~rules ~base ~cand () in
-    Fmt.pr "%a" Workload.Compare.pp_report report;
+    Fmt.pr "%a" (Workload.Compare.pp_report ~all:gates) report;
     if not (Workload.Compare.ok report) then exit 1
   in
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(const run $ base_arg $ cand_arg $ thresholds_arg $ perturb_arg)
-
-let bench_check_cmd =
-  let doc =
-    "Validate BENCH_*.json files written by the bench suite against the \
-     machine-readable schema (type/version/bench/seed/n_replicas plus \
-     non-empty results with metric/technique/unit/params/value). Exits \
-     non-zero on the first malformed file."
-  in
-  let files =
-    Arg.(
-      non_empty & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"BENCH_*.json files to validate.")
-  in
-  (* BENCH:METRIC:MIN, e.g. perf15:events_per_sec:50000 *)
-  let floor_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ bench; metric; min_s ] -> (
-          match float_of_string_opt min_s with
-          | Some min_value when bench <> "" && metric <> "" ->
-              Ok (bench, metric, min_value)
-          | _ -> Error (`Msg "expected BENCH:METRIC:MIN with numeric MIN")
-      )
-      | _ -> Error (`Msg "expected BENCH:METRIC:MIN, e.g. perf15:events_per_sec:50000")
-    in
-    let print ppf (b, m, v) = Format.fprintf ppf "%s:%s:%g" b m v in
-    Arg.conv (parse, print)
-  in
-  let floors =
-    Arg.(
-      value & opt_all floor_conv []
-      & info [ "floor" ] ~docv:"BENCH:METRIC:MIN"
-          ~doc:
-            "Require the best value of METRIC in BENCH's file to be at \
-             least MIN (repeatable) — the CI throughput gate, e.g. \
-             $(b,--floor perf15:events_per_sec:50000).")
-  in
-  let ceilings =
-    Arg.(
-      value & opt_all floor_conv []
-      & info [ "ceiling" ] ~docv:"BENCH:METRIC:MAX"
-          ~doc:
-            "Require the worst value of METRIC in BENCH's file to be at \
-             most MAX (repeatable) — the floor's mirror, for metrics where \
-             growth is the regression, e.g. $(b,--ceiling \
-             perf18:worst_msgs_per_txn:50).")
-  in
-  let run files floors ceilings =
-    let bad = ref 0 in
-    List.iter
-      (fun path ->
-        match Workload.Bench_out.validate_file path with
-        | Error msg ->
-            incr bad;
-            Fmt.epr "bench-check: %s: %s@." path msg
-        | Ok () -> (
-            Fmt.pr "bench-check: %s OK@." path;
-            let contents = In_channel.with_open_bin path In_channel.input_all in
-            match Workload.Bench_out.parse (String.trim contents) with
-            | Error _ -> () (* already validated; unreachable *)
-            | Ok doc ->
-                let bench =
-                  match doc with
-                  | Workload.Bench_out.Obj fields -> (
-                      match List.assoc_opt "bench" fields with
-                      | Some (Workload.Bench_out.Str b) -> b
-                      | _ -> "")
-                  | _ -> ""
-                in
-                let gates =
-                  List.map (fun g -> (Workload.Bench_out.Floor, g)) floors
-                  @ List.map (fun g -> (Workload.Bench_out.Ceiling, g)) ceilings
-                in
-                List.iter
-                  (fun (bound, (b, metric, limit)) ->
-                    if b = bench then
-                      match
-                        Workload.Bench_out.check_bound doc bound ~metric ~limit
-                      with
-                      | Ok v ->
-                          let gate, op, observed =
-                            match bound with
-                            | Workload.Bench_out.Floor -> ("floor", ">=", "best")
-                            | Ceiling -> ("ceiling", "<=", "worst")
-                          in
-                          Fmt.pr "bench-check: %s %s %s%s%g OK (%s %g)@." path
-                            gate metric op limit observed v
-                      | Error msg ->
-                          incr bad;
-                          Fmt.epr "bench-check: %s: %s@." path msg)
-                  gates))
-      files;
-    if !bad > 0 then exit 1
-  in
-  Cmd.v (Cmd.info "bench-check" ~doc)
-    Term.(const run $ files $ floors $ ceilings)
 
 let () =
   let doc =
@@ -1920,5 +1777,4 @@ let () =
             audit_cmd;
             sweep_cmd;
             compare_cmd;
-            bench_check_cmd;
           ]))

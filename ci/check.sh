@@ -139,10 +139,16 @@ dune exec bin/replisim.exe -- config active > /dev/null
 # flag's or a scenario's) is a usage error (exit status 2), never a run
 # with a silently odd workload. So is a compare against an empty
 # baseline (it would pass vacuously), an unknown --threshold/--perturb
-# metric or a negative threshold.
+# metric, a negative threshold, a malformed gate file and a BENCH file
+# that is malformed or reports nothing.
 echo "== argument validation =="
-rm -rf _compare_empty_ci
-mkdir _compare_empty_ci
+rm -rf _compare_empty_ci _gate_ci
+mkdir _compare_empty_ci _gate_ci
+printf 'perf1 latency_mean => 0\n' > _gate_ci/gates.txt
+printf '{"bench":"perf1","results":[' > _gate_ci/BENCH_broken.json
+printf '{"bench":"perf1","results":[]}\n' > _gate_ci/BENCH_empty.json
+printf '{"bench":"perf1","results":[{"metric":"latency_mean","value":1}]}\n' \
+  > _gate_ci/BENCH_perf1.json
 for args in "run -t active --updates 1.5 --txns 5" \
     "sweep --techniques active --updates 0.5,1.5 --txns 5 --format none" \
     "run -t active -n 3 --crash 3@10ms --txns 5" \
@@ -159,7 +165,11 @@ for args in "run -t active --updates 1.5 --txns 5" \
     "compare _compare_empty_ci baseline" \
     "compare baseline baseline --threshold latncy_p95:0.3" \
     "compare baseline baseline --threshold latency_p95:-1" \
-    "compare baseline baseline --perturb latncy_p95:1.5"; do
+    "compare baseline baseline --perturb latncy_p95:1.5" \
+    "compare _gate_ci/gates.txt _gate_ci/BENCH_empty.json" \
+    "compare ci/gates.txt _gate_ci/BENCH_broken.json" \
+    "compare ci/gates.txt _gate_ci/BENCH_empty.json" \
+    "compare ci/gates.txt _gate_ci/BENCH_perf1.json --perturb latncy_p95:1.5"; do
   status=0
   dune exec bin/replisim.exe -- $args > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then
@@ -167,7 +177,7 @@ for args in "run -t active --updates 1.5 --txns 5" \
     exit 1
   fi
 done
-rm -rf _compare_empty_ci
+rm -rf _compare_empty_ci _gate_ci
 # A sweep resolves every cell's configuration before it runs the first
 # cell, so a bad --vary value fails before any cell runs.
 status=0
@@ -202,14 +212,6 @@ echo "== timeline smoke =="
 dune exec bin/replisim.exe -- timeline -t active --check
 dune exec bin/replisim.exe -- timeline -t eager-ue-locking --check
 
-# Machine-readable bench output: two fast experiments, then validate
-# every BENCH_*.json against the schema.
-echo "== bench output schema =="
-dune exec bench/main.exe -- perf1 > /dev/null
-dune exec bench/main.exe -- perf13 > /dev/null
-dune exec bench/main.exe -- perf14 > /dev/null
-dune exec bin/replisim.exe -- bench-check BENCH_perf*.json
-
 # Engine self-profile smoke: --check enforces the profiler's internal
 # identities on a live run (per-bucket event counts sum back to the
 # engine's executed-event counter; wall and allocation shares each sum
@@ -221,48 +223,6 @@ dune exec bin/replisim.exe -- profile -t active --txns 20 \
 dune exec bin/replisim.exe -- profile -t lazy-primary --no-tracing --txns 20 \
   --format json --check > /dev/null
 
-# Simulator-throughput gate: perf15 at a CI-sized transaction count,
-# then a floor roughly 20x below the measured baseline (~190k events/s
-# with tracing off at the full 1e5-txn size) so only order-of-magnitude
-# engine regressions trip it, not machine noise. The ceiling bounds the
-# share of the tracing-on run spent after the event loop (phase summary
-# over every rid): ~1.4% with the indexed span store, ~30-35% when that
-# pass is quadratic, so 0.15 trips only on a super-linear regression.
-# The heap ceiling bounds the tracing-off leg's peak heap per transaction
-# (ROADMAP item 5): ~316 words/txn at 4000 txns with bounded group-stack
-# bookkeeping, ~1313 when every stubborn-channel receiver keeps one entry
-# per message it ever delivered; 800 sits 2.5x above the former and
-# below the latter. The allocation ceiling bounds the minor-heap words
-# the tracing-off leg allocates per event: ~47 with the int-array timer
-# queue, unboxed RNG state and int-keyed channel tables, ~74 with a
-# generic heap of timer records, a boxed RNG and tuple-keyed tables; 62
-# sits between them. The two span ceilings bound the tracing-on leg per
-# recorded span: the heap words the span collector keeps alive, ~19.5
-# with the chunked column store and ~42 with a record per span and per
-# event (30 sits between), and every word the leg's events allocate,
-# ~134 with the column store and interned message-span names and ~153
-# with per-span records and a name copy per send (143 sits between).
-echo "== simulator throughput floor =="
-PERF15_TXNS=4000 dune exec bench/main.exe -- perf15 > /dev/null
-dune exec bin/replisim.exe -- bench-check BENCH_perf15.json \
-  --floor perf15:events_per_sec:10000 \
-  --ceiling perf15:postloop_share:0.15 \
-  --ceiling perf15:heap_words_per_txn:800 \
-  --ceiling perf15:alloc_words_per_event:62 \
-  --ceiling perf15:heap_words_per_span:30 \
-  --ceiling perf15:alloc_words_per_span:143
-
-# Sharding gate: perf16 at a CI-sized transaction count. probe_flat=1
-# is Part A's verdict (single-shard message cost flat across cluster
-# sizes at fixed group size); the throughput floor keeps the sharded
-# cluster's simulated throughput from collapsing (cross=0 measures
-# ~800 txn/s).
-echo "== sharding bench =="
-PERF16_TXNS=10 dune exec bench/main.exe -- perf16 > /dev/null
-dune exec bin/replisim.exe -- bench-check BENCH_perf16.json \
-  --floor perf16:probe_flat:1 \
-  --floor perf16:throughput:200
-
 # Consistency-audit smoke: --check gates the measured form of the §4
 # windows (eager: zero session-guarantee window; lazy: strictly positive
 # post-commit window, drained by quiescence), plus one sharded run
@@ -272,15 +232,6 @@ dune exec bin/replisim.exe -- audit -t active --check > /dev/null
 dune exec bin/replisim.exe -- audit -t lazy-primary --check > /dev/null
 dune exec bin/replisim.exe -- audit -t active -n 8 --set active.shards=4 \
   --ops 2 --cross 0.3 --check > /dev/null
-
-# Consistency bench gate: perf17 at a CI-sized transaction count. Both
-# floors are aggregate verdicts emitted as single rows: every run must
-# drain, and every lazy run must measure a positive post-commit window.
-echo "== consistency bench =="
-PERF17_TXNS=10 dune exec bench/main.exe -- perf17 > /dev/null
-dune exec bin/replisim.exe -- bench-check BENCH_perf17.json \
-  --floor perf17:audit_drained:1 \
-  --floor perf17:lazy_visibility_positive:1
 
 # Sweep + regression gates. The sweep re-runs the committed baseline's
 # grid (2 techniques × closed/open load × zipf off/on) with the same
@@ -317,20 +268,6 @@ if ! printf '%s\n' "$reversed" | grep -q ' 0 improved, 0 regressed, '; then
 fi
 rm -rf _sweep_ci
 
-# Quadrant-sweep bench gate: perf18 at a CI-sized transaction count.
-# The floors pin the grid size, the taxonomy verdict (every lazy
-# quadrant replies below its eager column-mate) and a throughput
-# sanity bound; the ceiling is the first use of the upper-bound gate —
-# the grid's best p95 collapsing upward means every technique got
-# slower at once.
-echo "== quadrant sweep bench =="
-PERF18_TXNS=10 dune exec bench/main.exe -- perf18 > /dev/null
-dune exec bin/replisim.exe -- bench-check BENCH_perf18.json \
-  --floor perf18:cells:16 \
-  --floor perf18:lazy_faster_than_eager:1 \
-  --floor perf18:best_throughput:400 \
-  --ceiling perf18:best_latency_p95:25
-
 # Routing-tier smoke: the audit gate must hold with the router in the
 # path (sticky and round-robin — lazy's positive post-commit window is
 # measured at the replica stores, so stickiness can't mask it), a
@@ -349,20 +286,32 @@ if ! dune exec bin/replisim.exe -- run -t active --router \
   exit 1
 fi
 
-# Routed-tier bench gate: perf19 at a CI-sized transaction count. The
-# floors pin the headline verdicts — sticky routing measures zero
-# read-your-writes violations where round-robin measures a strictly
-# positive count, all four flash-crowd quadrant cells ran, and at least
-# one mid-spike read was answered only because the router failed it
-# over (with none abandoned). The ceiling nails ryw_sticky to zero.
-echo "== routed tier bench =="
+# Bench gates: the bench suite at CI-sized transaction counts, then
+# every bound on its output in one compare against ci/gates.txt (one
+# line per bound, each with its reasoning). A floor is a zero-threshold
+# rule against a baseline holding the bound, a ceiling its mirror, and a
+# bench that stops emitting a bounded metric fails. The --perturb leg
+# halves perf18's cell count in the candidate and requires the gate to
+# trip (exit status 1), so a silently-passing gate is itself caught.
+echo "== bench gates =="
+dune exec bench/main.exe -- perf1 > /dev/null
+dune exec bench/main.exe -- perf13 > /dev/null
+dune exec bench/main.exe -- perf14 > /dev/null
+PERF15_TXNS=4000 dune exec bench/main.exe -- perf15 > /dev/null
+PERF16_TXNS=10 dune exec bench/main.exe -- perf16 > /dev/null
+PERF17_TXNS=10 dune exec bench/main.exe -- perf17 > /dev/null
+PERF18_TXNS=10 dune exec bench/main.exe -- perf18 > /dev/null
 PERF19_TXNS=10 dune exec bench/main.exe -- perf19 > /dev/null
-dune exec bin/replisim.exe -- bench-check BENCH_perf19.json \
-  --floor perf19:sticky_eliminates_ryw:1 \
-  --floor perf19:ryw_nonsticky:1 \
-  --floor perf19:failover_success:1 \
-  --floor perf19:flash_cells:4 \
-  --floor perf19:flash_best_throughput:300 \
-  --ceiling perf19:ryw_sticky:0
+benches="BENCH_perf1.json BENCH_perf13.json BENCH_perf14.json
+  BENCH_perf15.json BENCH_perf16.json BENCH_perf17.json BENCH_perf18.json
+  BENCH_perf19.json"
+dune exec bin/replisim.exe -- compare ci/gates.txt $benches
+status=0
+dune exec bin/replisim.exe -- compare ci/gates.txt $benches \
+  --perturb cells:0.5 > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "bench gates: halving perf18's cells gave exit status $status, want 1" >&2
+  exit 1
+fi
 
 echo "== ci: OK =="

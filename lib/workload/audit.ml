@@ -409,3 +409,34 @@ let finalize t =
     final_lag;
     drained;
   }
+
+let max_lag s = List.fold_left (fun acc (_, lag) -> max acc lag) 0 s.final_lag
+
+type violation = Undrained | Eager_window | No_lazy_window | Unsharded_skew
+
+(* The measured form of the paper's §4 windows (see the interface):
+   real-time stale reads are reported, never judged. *)
+let violations ~propagation ~shards s =
+  let eager = propagation = Core.Technique.Eager in
+  List.filter_map
+    (fun (broken, v, msg) -> if broken then Some (v, msg) else None)
+    [
+      ( not s.drained,
+        Undrained,
+        Printf.sprintf "version lag never drained (max residual %d)"
+          (max_lag s) );
+      ( eager && (s.ryw_violations > 0 || s.mr_violations > 0),
+        Eager_window,
+        Printf.sprintf
+          "eager technique with a non-zero inconsistency window: %d \
+           read-your-writes + %d monotonic-reads violations (window %.3f ms)"
+          s.ryw_violations s.mr_violations s.session_window_max_ms );
+      ( (not eager) && s.post_commit_max_ms <= 0.,
+        No_lazy_window,
+        "lazy technique measured no post-commit staleness window \
+         (propagation should run after the reply)" );
+      ( shards = 1 && s.skew_pairs <> 0,
+        Unsharded_skew,
+        Printf.sprintf "%d snapshot-skew pairs at shards=1 (must be impossible)"
+          s.skew_pairs );
+    ]

@@ -108,11 +108,22 @@ val note_reply :
   at:Sim.Simtime.t ->
   unit
 
-(** Residual version lag of one replica against its group, from the
-    live stores. *)
-val replica_lag : t -> int -> int
-
 (** Summarise after the run (including its quiescence drain): computes
     the replication/skew aggregates and updates the audit gauges in the
     metrics registry. *)
 val finalize : t -> summary
+
+(** The largest residual lag in [final_lag] (0 when drained). *)
+val max_lag : summary -> int
+
+type violation = Undrained | Eager_window | No_lazy_window | Unsharded_skew
+
+(** What [replisim audit --check] rejects in a run of a technique of the
+    given [propagation] over [shards] groups, each with its message: lag
+    left after quiescence; an eager session-guarantee violation; a lazy
+    run with no post-commit window; snapshot skew at [shards = 1]. *)
+val violations :
+  propagation:Core.Technique.propagation ->
+  shards:int ->
+  summary ->
+  (violation * string) list

@@ -1,9 +1,8 @@
 (* Machine-readable bench results: every perf* experiment accumulates
    (metric, technique, params, value) rows into one of these and writes
-   BENCH_<name>.json next to the working directory. The file schema is
-   validated by [replisim bench-check] in CI, so the writer and the
-   checker (a minimal hand-rolled JSON parser — no external JSON
-   dependency) live together here. *)
+   BENCH_<name>.json next to the working directory. The minimal
+   hand-rolled JSON parser (no external JSON dependency) lives here too:
+   run records, the compare gate and replibench read through it. *)
 
 type row = {
   metric : string;
@@ -69,7 +68,7 @@ let write ?(dir = ".") t =
   close_out oc;
   path
 
-(* ---- JSON parsing + schema validation (for [replisim bench-check]) --- *)
+(* ---- JSON parsing ---------------------------------------------------- *)
 
 type json =
   | Null
@@ -194,144 +193,3 @@ let parse s =
     if !pos <> n then Error (Printf.sprintf "trailing input at byte %d" !pos)
     else Ok v
   with Bad msg -> Error msg
-
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-
-(* Benches whose files must carry specific metrics: a meta-benchmark
-   that stops emitting its headline numbers should fail bench-check, not
-   silently thin out. *)
-let required_metrics = function
-  | "perf15" -> [ "events_per_sec"; "txns_per_sec"; "peak_heap_words" ]
-  | "perf16" -> [ "probe_messages"; "throughput"; "latency_p95" ]
-  | "perf17" ->
-      [ "visibility_p95_ms"; "post_commit_window_ms"; "audit_drained" ]
-  | "perf18" ->
-      [ "cells"; "best_latency_p95"; "best_throughput"; "worst_msgs_per_txn" ]
-  | _ -> []
-
-let row_metric row = match member "metric" row with Some (Str m) -> Some m | _ -> None
-
-let row_value row = match member "value" row with Some (Num v) -> Some v | _ -> None
-
-(* Schema check for one BENCH_*.json document. *)
-let validate_json doc =
-  let require_str k j =
-    match member k j with
-    | Some (Str _) -> Ok ()
-    | _ -> Error (Printf.sprintf "missing or non-string field %S" k)
-  in
-  let require_num k j =
-    match member k j with
-    | Some (Num _) -> Ok ()
-    | _ -> Error (Printf.sprintf "missing or non-number field %S" k)
-  in
-  let ( let* ) = Result.bind in
-  let* () =
-    match member "type" doc with
-    | Some (Str "bench") -> Ok ()
-    | _ -> Error "\"type\" must be \"bench\""
-  in
-  let* () = require_str "version" doc in
-  let* () = require_str "bench" doc in
-  let* () = require_num "seed" doc in
-  let* () = require_num "n_replicas" doc in
-  match member "results" doc with
-  | Some (Arr rows) ->
-      if rows = [] then Error "\"results\" is empty"
-      else
-        let* () =
-          List.fold_left
-            (fun acc row ->
-              let* () = acc in
-              let* () = require_str "metric" row in
-              let* () = require_str "technique" row in
-              let* () = require_str "unit" row in
-              let* () = require_num "value" row in
-              match member "params" row with
-              | Some (Obj _) -> Ok ()
-              | _ -> Error "result row missing \"params\" object")
-            (Ok ()) rows
-        in
-        let bench =
-          match member "bench" doc with Some (Str b) -> b | _ -> ""
-        in
-        let metrics = List.filter_map row_metric rows in
-        List.fold_left
-          (fun acc required ->
-            let* () = acc in
-            if List.mem required metrics then Ok ()
-            else
-              Error
-                (Printf.sprintf "bench %S must report metric %S" bench
-                   required))
-          (Ok ())
-          (required_metrics bench)
-  | _ -> Error "missing \"results\" array"
-
-type bound = Floor | Ceiling
-
-(* A bound on the max value of [metric] across the rows. Max for both
-   directions: a bench may report the same metric for several
-   configurations (tracing on/off), and the floor gates the headline
-   (best) number while the ceiling gates the worst — how msgs/txn and
-   staleness-window metrics are gated from above. *)
-let check_bound doc bound ~metric ~limit =
-  match member "results" doc with
-  | Some (Arr rows) -> (
-      let observed =
-        List.fold_left
-          (fun acc row ->
-            match (row_metric row, row_value row) with
-            | Some m, Some v when m = metric -> (
-                match acc with Some b -> Some (Float.max b v) | None -> Some v)
-            | _ -> acc)
-          None rows
-      in
-      match observed with
-      | None ->
-          (* Name what IS in the file: a typo'd gate metric should point
-             straight at the spelling, not send the user to the JSON. *)
-          let present =
-            List.sort_uniq String.compare (List.filter_map row_metric rows)
-          in
-          Error
-            (Printf.sprintf "no rows with metric %S (file has: %s)" metric
-               (String.concat ", " present))
-      | Some v -> (
-          (* Report the observation and its distance from the gate, not
-             just pass/fail: the margin is what tells the reader whether
-             this is noise or a collapse. *)
-          let margin = Float.abs (v -. limit) in
-          let pct =
-            if limit <> 0. then margin /. Float.abs limit *. 100. else 100.
-          in
-          match bound with
-          | Floor when v >= limit -> Ok v
-          | Ceiling when v <= limit -> Ok v
-          | Floor ->
-              Error
-                (Printf.sprintf
-                   "metric %S observed %g is below floor %g (margin %g, %.1f%% \
-                    short)"
-                   metric v limit margin pct)
-          | Ceiling ->
-              Error
-                (Printf.sprintf
-                   "metric %S observed %g is above ceiling %g (margin %g, \
-                    %.1f%% over)"
-                   metric v limit margin pct)))
-  | _ -> Error "missing \"results\" array"
-
-let validate_file path =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  with
-  | exception Sys_error e -> Error e
-  | contents -> (
-      match parse (String.trim contents) with
-      | Error e -> Error ("parse error: " ^ e)
-      | Ok doc -> validate_json doc)

@@ -10,8 +10,10 @@
                  "unit":"ms","params":{"n":"3"},"value":4.2}, ...]}
     v}
 
-    The schema checker used by [replisim bench-check] lives here too
-    (with a minimal JSON parser — no external JSON dependency). *)
+    A minimal JSON parser lives here too (no external JSON dependency):
+    {!Run_record.of_json}, the [replisim compare] gate over these files
+    ({!Compare.bench_cell}) and the repository benchmark read through
+    it. *)
 
 type t
 
@@ -37,7 +39,7 @@ val filename : t -> string
     path. *)
 val write : ?dir:string -> t -> string
 
-(** {2 Validation} *)
+(** {2 Parsing} *)
 
 type json =
   | Null
@@ -48,21 +50,3 @@ type json =
   | Obj of (string * json) list
 
 val parse : string -> (json, string) result
-
-(** Metrics a given bench's file must report (e.g. perf15 must carry
-    [events_per_sec], [txns_per_sec] and [peak_heap_words]); empty for
-    benches without extra requirements. Enforced by {!validate_json}. *)
-val required_metrics : string -> string list
-
-val validate_json : json -> (unit, string) result
-val validate_file : string -> (unit, string) result
-
-type bound = Floor | Ceiling
-
-(** [check_bound doc bound ~metric ~limit] succeeds with the max value of
-    [metric] across the result rows when it is at least ([Floor] — the
-    CI throughput gate) or at most ([Ceiling] — how msgs/txn and
-    staleness-window metrics are gated from above) [limit]. The failure
-    message reports the observed value and its margin from the bound. *)
-val check_bound :
-  json -> bound -> metric:string -> limit:float -> (float, string) result

@@ -386,13 +386,6 @@ let of_string s =
   | Error e -> Error ("parse error: " ^ e)
   | Ok doc -> of_json doc
 
-let load_file path =
-  match
-    In_channel.with_open_bin path In_channel.input_all
-  with
-  | exception Sys_error e -> Error e
-  | contents -> of_string contents
-
 (* ---- identity -------------------------------------------------------- *)
 
 (* The routed run's stickiness: a config echo kept in the router

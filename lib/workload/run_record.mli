@@ -92,7 +92,6 @@ val to_json : t -> string
 val of_json : Bench_out.json -> (t, string) result
 
 val of_string : string -> (t, string) result
-val load_file : string -> (t, string) result
 
 (** The record's cell identity — everything the experimenter chose
     (technique, config, workload, seed, cluster shape), nothing the run

@@ -16,26 +16,6 @@ let has_crash t =
 let has_partition t =
   List.exists (function Partition _ -> true | _ -> false) t.events
 
-let crashed_replicas t =
-  List.filter_map
-    (function Crash { replica; _ } -> Some replica | _ -> None)
-    t.events
-  |> List.sort_uniq compare
-
-let has_unrecovered_crash t =
-  List.exists
-    (function
-      | Crash { replica; at } ->
-          not
-            (List.exists
-               (function
-                 | Recover { replica = r; at = at' } ->
-                     r = replica && Simtime.(at' > at)
-                 | _ -> false)
-               t.events)
-      | _ -> false)
-    t.events
-
 (* A replica leaves and comes back: either a crash-recover pair or a
    partition that heals. The convergence oracle only becomes interesting
    (recovered copy must catch up) when this holds. *)

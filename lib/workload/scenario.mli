@@ -37,13 +37,6 @@ val apply : t -> Sim.Network.t -> unit
 (** The scenario contains a [Crash]. *)
 val has_crash : t -> bool
 
-(** The scenario contains a [Crash] with no later [Recover] of the same
-    replica — some replica stays down to the end of the run. *)
-val has_unrecovered_crash : t -> bool
-
-(** Replicas crashed at some point during the scenario. *)
-val crashed_replicas : t -> int list
-
 (** [bursts ~from ~probability ~burst ~gap ~count] — [count] loss windows
     of length [burst] separated by [gap], starting at [from]. *)
 val bursts :

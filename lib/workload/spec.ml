@@ -65,11 +65,6 @@ let default_flash_crowd =
 
 let shape_to_string = function Mixed -> "mixed" | Tpcb -> "tpcb"
 
-let shape_of_string = function
-  | "mixed" -> Ok Mixed
-  | "tpcb" -> Ok Tpcb
-  | s -> Error (Printf.sprintf "unknown shape %S (valid: mixed, tpcb)" s)
-
 let in_flash t ~at =
   match t.flash_crowd with
   | None -> false

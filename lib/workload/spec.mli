@@ -47,7 +47,6 @@ val default : t
 val default_flash_crowd : flash_crowd
 
 val shape_to_string : shape -> string
-val shape_of_string : string -> (shape, string) result
 
 (** Is virtual time [at] inside the flash-crowd window? Always [false]
     without one. *)

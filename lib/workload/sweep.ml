@@ -2,8 +2,8 @@
    update-ratio × zipf skew × seeds (× any per-technique config axis),
    expanded into cells in a fixed deterministic order. The caller (the
    CLI's `replisim sweep`, or bench perf18) runs each cell through
-   Runner.run and gets back one Run_record per cell; this
-   module owns the grid algebra, the aggregate manifest and the
+   run_cell and gets back one Run_record per cell; this module owns the
+   grid algebra, the per-cell run, the aggregate manifest and the
    ASCII-heatmap / Markdown-matrix rendering over any record metric —
    the measured form of the paper's Figure-6 technique × workload
    matrix. *)
@@ -90,8 +90,37 @@ let cells (axes : axes) =
         (vary_combos axes technique))
     axes.techniques
 
-let arrival_of_cell c : Runner.arrival =
-  if c.load > 0. then `Poisson c.load else `Closed
+(* ---- running a cell -------------------------------------------------- *)
+
+let record ~technique ~config ~factory ~seed ~n_replicas ~n_clients ~arrival
+    ~spec result =
+  let census =
+    let p = Builder.probe ~n:n_replicas factory in
+    let _, sound, s = Builder.probe_summary p in
+    if sound && s.Sim.Msg_dag.replied then
+      Some (s.Sim.Msg_dag.messages, s.Sim.Msg_dag.steps)
+    else None
+  in
+  Run_record.normalize
+    (Run_record.of_run ~technique ~config ~seed ~n_replicas ~n_clients ~arrival
+       ~spec ?census result)
+
+let run_cell ?router ~n_replicas ~n_clients ~spec ~config ~factory c =
+  let spec =
+    {
+      spec with
+      Spec.key_skew = c.zipf;
+      update_ratio = c.updates;
+      shards = c.shards;
+    }
+  in
+  let arrival = if c.load > 0. then `Poisson c.load else `Closed in
+  let result =
+    Runner.run ~seed:c.seed ~n_replicas ~n_clients ~spec ~arrival
+      ~sample:(Sim.Simtime.of_ms 5) ~audit:true ?router factory
+  in
+  record ~technique:c.technique ~config ~factory ~seed:c.seed ~n_replicas
+    ~n_clients ~arrival ~spec result
 
 (* ---- manifest -------------------------------------------------------- *)
 

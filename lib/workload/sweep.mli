@@ -4,9 +4,9 @@
     A sweep is a declared grid — techniques × shards × load ×
     update-ratio × zipf skew × seeds, plus any per-technique config axis
     — expanded into {!cell}s in a fixed deterministic order. The caller
-    ([replisim sweep], bench perf18) runs each cell through
-    {!Runner.run} and produces one {!Run_record} per cell; this module
-    renders the record set as an ASCII heatmap or Markdown matrix over
+    ([replisim sweep], bench perf18) runs each cell through {!run_cell},
+    which produces one {!Run_record} per cell; this module renders the
+    record set as an ASCII heatmap or Markdown matrix over
     any record metric (the measured form of the paper's Figure-6
     technique × workload matrix) and emits the aggregate manifest. *)
 
@@ -40,7 +40,34 @@ type cell = {
 (** Deterministic grid expansion: techniques outermost, seeds innermost. *)
 val cells : axes -> cell list
 
-val arrival_of_cell : cell -> Runner.arrival
+(** A finished run as its normalized record, with [factory]'s
+    single-transaction census ({!Builder.probe}) when the probe replies
+    soundly: what [replisim run --record] writes. *)
+val record :
+  technique:string ->
+  config:(string * string) list ->
+  factory:Runner.factory ->
+  seed:int ->
+  n_replicas:int ->
+  n_clients:int ->
+  arrival:Runner.arrival ->
+  spec:Spec.t ->
+  Runner.result ->
+  Run_record.t
+
+(** Run one cell through [factory] (its technique configured for the
+    cell): [spec] with the cell's skew, update ratio, shards, arrival
+    and seed, sampled every 5 ms with the audit on. Returns its
+    {!record}. *)
+val run_cell :
+  ?router:Router.config ->
+  n_replicas:int ->
+  n_clients:int ->
+  spec:Spec.t ->
+  config:(string * string) list ->
+  factory:Runner.factory ->
+  cell ->
+  Run_record.t
 
 (** The sweep directory's aggregate document: declared axes, record
     files in cell order, and min/max-with-winner aggregates for

@@ -189,6 +189,78 @@ let test_lag_drained_silent () =
           (fun f -> f.Saturation.detector = "lag_undrained")
           findings))
 
+(* ---- the audit verdict ---------------------------------------------- *)
+
+(* A run that passes under either propagation. *)
+let clean =
+  {
+    Workload.Audit.writes = 4;
+    fully_replicated = 4;
+    visibility_ms = Summary.of_constant 2.;
+    visibility_by_replica = [];
+    post_commit_max_ms = 1.5;
+    stale_reads = 1;
+    staleness_ms = Summary.of_constant 0.2;
+    ryw_violations = 0;
+    mr_violations = 0;
+    session_window_max_ms = 0.;
+    reads_checked = 6;
+    commits = 10;
+    skew_pairs = 0;
+    cross_txns = 0;
+    final_lag = [ (0, 0); (1, 0); (2, 0) ];
+    drained = true;
+  }
+
+let verdict ?(propagation = Core.Technique.Lazy) ?(shards = 1) s =
+  List.map snd (Workload.Audit.violations ~propagation ~shards s)
+
+(* The kind perf17's verdict rows read, alone in its run. *)
+let kind ?(propagation = Core.Technique.Lazy) ?(shards = 1) s expected =
+  match Workload.Audit.violations ~propagation ~shards s with
+  | [ (k, _) ] -> k = expected
+  | _ -> false
+
+let test_violation_kinds () =
+  let eager = Core.Technique.Eager in
+  Alcotest.(check (list string)) "a clean lazy run passes" [] (verdict clean);
+  Alcotest.(check (list string))
+    "a stale read is reported, never judged" []
+    (verdict ~propagation:eager clean);
+  Alcotest.(check (list string)) "undrained lag"
+    [ "version lag never drained (max residual 3)" ]
+    (verdict
+       { clean with final_lag = [ (0, 0); (1, 3); (2, 1) ]; drained = false });
+  Alcotest.(check (list string)) "an eager session violation"
+    [
+      "eager technique with a non-zero inconsistency window: 1 \
+       read-your-writes + 2 monotonic-reads violations (window 4.500 ms)";
+    ]
+    (verdict ~propagation:eager
+       { clean with ryw_violations = 1; mr_violations = 2;
+         session_window_max_ms = 4.5 });
+  Alcotest.(check (list string)) "the same counts under lazy are legal" []
+    (verdict { clean with ryw_violations = 1; mr_violations = 2 });
+  Alcotest.(check (list string)) "a lazy run with no post-commit window"
+    [
+      "lazy technique measured no post-commit staleness window \
+       (propagation should run after the reply)";
+    ]
+    (verdict { clean with post_commit_max_ms = 0. });
+  Alcotest.(check (list string)) "an eager run needs no window" []
+    (verdict ~propagation:eager { clean with post_commit_max_ms = 0. });
+  Alcotest.(check (list string)) "snapshot skew without shards"
+    [ "2 snapshot-skew pairs at shards=1 (must be impossible)" ]
+    (verdict { clean with skew_pairs = 2 });
+  Alcotest.(check (list string)) "snapshot skew across shards is measured" []
+    (verdict ~shards:2 { clean with skew_pairs = 2 });
+  let open Workload.Audit in
+  Alcotest.(check bool) "kinds" true
+    (kind { clean with final_lag = [ (1, 3) ]; drained = false } Undrained
+    && kind ~propagation:eager { clean with ryw_violations = 1 } Eager_window
+    && kind { clean with post_commit_max_ms = 0. } No_lazy_window
+    && kind { clean with skew_pairs = 2 } Unsharded_skew)
+
 let () =
   Alcotest.run "audit"
     [
@@ -215,4 +287,6 @@ let () =
           tc "undrained lag fires" test_lag_undrained_fires;
           tc "drained lag silent" test_lag_drained_silent;
         ] );
+      ( "verdict",
+        [ tc "each violation kind and its message" test_violation_kinds ] );
     ]

@@ -13,14 +13,14 @@ let contains s sub =
   go 0
 
 (* One small audited run distilled into a normalized record. *)
-let record_of ?(seed = 11) ?shape ?flash ?router
+let record_of ?(seed = 11) ?shape ?flash ?router ?(audit = true)
     (entry : Protocols.Registry.entry) =
   let factory = Protocols.Registry.configure_exn entry [] in
   let spec =
     Workload.Builder.spec ~updates:0.5 ~txns:5 ~keys:40 ?shape ?flash ()
   in
   let result =
-    Workload.Runner.run ~seed ~n_replicas:3 ~n_clients:2 ~spec ~audit:true
+    Workload.Runner.run ~seed ~n_replicas:3 ~n_clients:2 ~spec ~audit
       ?router factory
   in
   Workload.Run_record.normalize
@@ -380,6 +380,217 @@ let test_compare_missing_cell_fails () =
   Alcotest.(check bool) "missing cells fail the gate" false
     (Workload.Compare.ok report)
 
+(* A gated metric the candidate lacks is reported, naming the cell and
+   the metric, and fails the gate: a bench that stops emitting a gated
+   number, or a record that lost a section, must not pass silently. *)
+let test_compare_missing_metric_fails () =
+  let report = compare_with [ ("cell-a", [ ("throughput", 100.) ]) ] in
+  let missing =
+    List.filter_map
+      (fun (f : Workload.Compare.finding) ->
+        if f.verdict = Workload.Compare.Missing then Some (f.cell, f.metric)
+        else None)
+      report.Workload.Compare.findings
+  in
+  Alcotest.(check (list (pair string string)))
+    "the lacking pair is reported" [ ("cell-a", "latency_p95") ] missing;
+  Alcotest.(check bool) "a missing metric fails the gate" false
+    (Workload.Compare.ok report);
+  (* The same through real records: the candidate ran without the audit,
+     so its record has no audit section. *)
+  let entry = Option.get (Protocols.Registry.find "lazy-primary") in
+  let cells records =
+    List.map
+      (fun r -> (Workload.Run_record.cell_id r, Workload.Run_record.metrics r))
+      records
+  in
+  let base = cells [ record_of entry ]
+  and cand = cells [ record_of ~audit:false entry ] in
+  let report =
+    Workload.Compare.compare_sets
+      ~rules:[ Workload.Compare.rule ~threshold:0. "ryw_violations" ]
+      ~base ~cand ()
+  in
+  Alcotest.(check int) "the lost audit metric is missing" 1
+    (Workload.Compare.count Workload.Compare.Missing report);
+  Alcotest.(check bool) "and the gate trips" false (Workload.Compare.ok report)
+
+(* ---- gate file and bench cells --------------------------------------- *)
+
+let gates text =
+  match Workload.Compare.parse_gates text with
+  | Ok g -> g
+  | Error msg -> Alcotest.failf "gate file rejected: %s" msg
+
+(* Judge one candidate cell against a gate file. *)
+let judge text cell =
+  let rules, base = gates text in
+  Workload.Compare.compare_sets ~rules ~base ~cand:[ cell ] ()
+
+let verdicts report =
+  List.map
+    (fun (f : Workload.Compare.finding) ->
+      Workload.Compare.verdict_to_string f.verdict)
+    report.Workload.Compare.findings
+
+let test_gate_floor () =
+  let floor v =
+    judge "perf15 events_per_sec >= 10000"
+      ("perf15", [ ("events_per_sec", v) ])
+  in
+  let below = floor 9999. and at = floor 10000. and above = floor 250000. in
+  let ok = Workload.Compare.ok in
+  Alcotest.(check (list string)) "below the floor" [ "REGRESSED" ]
+    (verdicts below);
+  Alcotest.(check bool) "below fails" false (ok below);
+  Alcotest.(check bool) "at the floor passes" true (ok at);
+  Alcotest.(check bool) "above the floor passes" true (ok above);
+  Alcotest.(check (list string)) "above is inside the bound" [ "improved" ]
+    (verdicts above)
+
+(* perf19's ceiling of 0: compare's base = 0 branch judges it. *)
+let test_gate_ceiling_zero () =
+  let ceiling v =
+    judge "perf19 ryw_sticky <= 0" ("perf19", [ ("ryw_sticky", v) ])
+  in
+  Alcotest.(check bool) "zero passes" true (Workload.Compare.ok (ceiling 0.));
+  Alcotest.(check bool) "one violation fails" false
+    (Workload.Compare.ok (ceiling 1.));
+  Alcotest.(check bool) "a presence line fails on an absent metric" false
+    (Workload.Compare.ok (judge "perf19 ryw_sticky >= 0" ("perf19", [])))
+
+let bench_cell out =
+  match
+    Result.bind
+      (Workload.Bench_out.parse (Workload.Bench_out.to_json out))
+      Workload.Compare.bench_cell
+  with
+  | Ok cell -> cell
+  | Error msg -> Alcotest.failf "bench file rejected: %s" msg
+
+(* perf15 reports events_per_sec with tracing off and on: the cell keeps
+   the larger, so the floor gates the best row and a ceiling the
+   worst. *)
+let test_gate_max_over_rows () =
+  let out =
+    Workload.Bench_out.create ~bench:"perf15" ~seed:11 ~n_replicas:32 ()
+  in
+  Workload.Bench_out.add out ~metric:"events_per_sec" ~technique:"lazy-primary"
+    ~params:[ ("tracing", "off") ] 271000.;
+  Workload.Bench_out.add out ~metric:"events_per_sec" ~technique:"lazy-primary"
+    ~params:[ ("tracing", "on") ] 150000.;
+  Workload.Bench_out.add out ~metric:"postloop_share" ~technique:"lazy-primary"
+    0.25;
+  let name, metrics = bench_cell out in
+  Alcotest.(check string) "the cell is named by the bench" "perf15" name;
+  Alcotest.(check (option (float 0.))) "max over the two rows" (Some 271000.)
+    (List.assoc_opt "events_per_sec" metrics);
+  let report =
+    judge "perf15 events_per_sec >= 200000\nperf15 postloop_share <= 0.15"
+      (name, metrics)
+  in
+  Alcotest.(check (list string)) "floor met by the best row, ceiling broken"
+    [ "improved"; "REGRESSED" ] (verdicts report)
+
+let test_gate_malformed () =
+  List.iter
+    (fun text ->
+      match Workload.Compare.parse_gates text with
+      | Ok _ -> Alcotest.failf "accepted a malformed gate file: %S" text
+      | Error _ -> ())
+    [
+      "perf1 latency_mean => 0";
+      "perf1 latency_mean >= fast";
+      "perf1 latency_mean >=";
+      "perf1 latency_mean >= 1 extra";
+      "perf1 latency_mean >= 0\nperf1 latency_mean >= 1";
+      "perf1 latency_mean >= 0\nperf2 latency_mean <= 9";
+    ];
+  (match
+     Workload.Compare.parse_gates
+       "# a comment\n\nperf1 latency_mean >= 0  # why"
+   with
+  | Ok ([ _ ], [ ("perf1", [ ("latency_mean", 0.) ]) ]) -> ()
+  | _ -> Alcotest.fail "comments and blank lines are skipped");
+  match Workload.Compare.parse_gates "perf1 a >= 0\nbad line" with
+  | Error msg ->
+      Alcotest.(check bool) "the error names the line" true
+        (contains msg "line 2")
+  | Ok _ -> Alcotest.fail "accepted a malformed second line"
+
+let test_bench_cell_malformed () =
+  List.iter
+    (fun text ->
+      match
+        Result.bind (Workload.Bench_out.parse text) Workload.Compare.bench_cell
+      with
+      | Ok _ -> Alcotest.failf "accepted a malformed bench file: %S" text
+      | Error _ -> ())
+    [
+      "{\"bench\":\"perf1\",\"results\":[";
+      "{\"bench\":\"perf1\",\"results\":[]}";
+      "{\"results\":[{\"metric\":\"m\",\"value\":1}]}";
+      "{\"bench\":\"perf1\",\"results\":[{\"metric\":\"m\"}]}";
+      "{\"bench\":\"perf1\",\"results\":[{\"metric\":\"m\",\"value\":\"1\"}]}";
+    ]
+
+(* The writer's output, read back through the one parser: the header and
+   every row keep their fields, escapes included. *)
+let test_bench_out_round_trip () =
+  let out =
+    Workload.Bench_out.create
+      ~config:[ ("abcast_impl", "consensus \"ct\"") ]
+      ~bench:"perf\\x" ~seed:7 ~n_replicas:5 ()
+  in
+  Workload.Bench_out.add out ~metric:"latency\tp95" ~technique:"eager \"ue\""
+    ~unit_:"ms" ~params:[ ("note", "line\nbreak"); ("n", "5") ] 4.25;
+  Workload.Bench_out.add out ~metric:"cells" ~technique:"all" 16.;
+  let doc =
+    match Workload.Bench_out.parse (Workload.Bench_out.to_json out) with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "writer output does not parse: %s" msg
+  in
+  let open Workload.Bench_out in
+  let field k = function
+    | Obj fs -> (
+        match List.assoc_opt k fs with
+        | Some v -> v
+        | None -> Alcotest.failf "missing field %S" k)
+    | _ -> Alcotest.fail "not an object"
+  in
+  Alcotest.(check bool) "type" true (field "type" doc = Str "bench");
+  Alcotest.(check bool) "version" true
+    (field "version" doc = Str Workload.Report.version);
+  Alcotest.(check bool) "bench" true (field "bench" doc = Str "perf\\x");
+  Alcotest.(check bool) "seed" true (field "seed" doc = Num 7.);
+  Alcotest.(check bool) "n_replicas" true (field "n_replicas" doc = Num 5.);
+  Alcotest.(check bool) "config" true
+    (field "config" doc = Obj [ ("abcast_impl", Str "consensus \"ct\"") ]);
+  let rows = match field "results" doc with Arr rows -> rows | _ -> [] in
+  Alcotest.(check int) "two rows" 2 (List.length rows);
+  Alcotest.(check bool) "the escaped row" true
+    (List.mem
+       (Obj
+          [
+            ("metric", Str "latency\tp95");
+            ("technique", Str "eager \"ue\"");
+            ("unit", Str "ms");
+            ("params", Obj [ ("note", Str "line\nbreak"); ("n", Str "5") ]);
+            ("value", Num 4.25);
+          ])
+       rows);
+  Alcotest.(check bool) "the row with default unit and params" true
+    (List.mem
+       (Obj
+          [
+            ("metric", Str "cells");
+            ("technique", Str "all");
+            ("unit", Str "");
+            ("params", Obj []);
+            ("value", Num 16.);
+          ])
+       rows)
+
 (* ---- zipf key popularity --------------------------------------------- *)
 
 let draw_counts ~seed ~theta ~n ~draws =
@@ -450,6 +661,20 @@ let () =
           tc "improvements are blessed" test_compare_blesses_improvement;
           tc "throughput drop is a regression" test_compare_throughput_direction;
           tc "missing baseline cell fails" test_compare_missing_cell_fails;
+          tc "a gated metric the candidate lacks fails"
+            test_compare_missing_metric_fails;
+        ] );
+      ( "gate",
+        [
+          tc "a floor below, at and above its bound" test_gate_floor;
+          tc "a ceiling of 0" test_gate_ceiling_zero;
+          tc "a cell keeps the max over a metric's rows"
+            test_gate_max_over_rows;
+          tc "malformed gate lines are rejected" test_gate_malformed;
+          tc "malformed or empty bench files are rejected"
+            test_bench_cell_malformed;
+          tc "Bench_out.to_json round-trips through parse"
+            test_bench_out_round_trip;
         ] );
       ( "zipf",
         [
