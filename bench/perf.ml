@@ -1032,14 +1032,14 @@ let simulator_throughput () =
   in
   (* Each leg also reports the heap words its span collector keeps
      alive once the run is over. *)
-  let leg ~tracing ~txns =
+  let leg ?set ~tracing ~txns () =
     let profiler = Sim.Profiler.create () in
     let t0 = Unix.gettimeofday () in
     let result, inst =
       Workload.Runner.run_with_instance ~seed:11 ~n_replicas:n ~n_clients:clients
         ~spec:(spec txns) ~profiler ~tracing ~analyze:false
         ~deadline:(Simtime.of_sec 3600.)
-        (technique technique_name)
+        (technique ?set technique_name)
     in
     let run_wall = Unix.gettimeofday () -. t0 in
     let span_words =
@@ -1092,8 +1092,34 @@ let simulator_throughput () =
   in
   let txns_off = max 1 (total / clients) in
   let txns_on = max 1 (total / clients / 20) in
-  let report_off, result_off, _, _ = leg ~tracing:false ~txns:txns_off in
-  let report_on, result_on, run_wall_on, span_words_on = leg ~tracing:true ~txns:txns_on in
+  let report_off, result_off, _, _ = leg ~tracing:false ~txns:txns_off () in
+  let report_on, result_on, run_wall_on, span_words_on =
+    leg ~tracing:true ~txns:txns_on ()
+  in
+  (* The stubborn-channel leg: the tracing-off leg with passthrough off,
+     so every channel send is acked and may be retransmitted. It reports
+     the timers the engine queued and the cancelled timers it dropped,
+     per network message sent. *)
+  let report_st, result_st, _, _ =
+    leg ~set:[ ("passthrough", "false") ] ~tracing:false ~txns:txns_off ()
+  in
+  let per_message count =
+    float_of_int count
+    /. float_of_int (max 1 result_st.Workload.Runner.messages)
+  in
+  let st_params =
+    [
+      ("tracing", "off");
+      ("passthrough", "false");
+      ("txns", string_of_int (txns_off * clients));
+    ]
+  in
+  Workload.Bench_out.add out ~metric:"timers_per_message"
+    ~technique:technique_name ~unit_:"timers/msg" ~params:st_params
+    (per_message report_st.Sim.Profiler.p_scheduled);
+  Workload.Bench_out.add out ~metric:"cancelled_per_message"
+    ~technique:technique_name ~unit_:"timers/msg" ~params:st_params
+    (per_message report_st.Sim.Profiler.p_cancelled);
   ignore (record "off" report_off result_off (txns_off * clients));
   ignore (record "on" report_on result_on (txns_on * clients));
   let postloop_share =
@@ -1143,6 +1169,11 @@ let simulator_throughput () =
     "tracing on: %.1f%% of the whole run (%.3f s) is spent outside the event \
      loop@."
     (100. *. postloop_share) run_wall_on;
+  Fmt.pr
+    "stubborn channels (passthrough off): %.3f timers queued and %.3f \
+     cancelled per message sent@."
+    (per_message report_st.Sim.Profiler.p_scheduled)
+    (per_message report_st.Sim.Profiler.p_cancelled);
   Fmt.pr "top buckets (tracing off, by self time):@.";
   List.iteri
     (fun i r -> if i < 5 then Fmt.pr "  %a@." Sim.Profiler.pp_row r)

@@ -178,5 +178,5 @@ let aborts group = group.n_aborts
 
 let in_doubt group ~me =
   match Hashtbl.find_opt group.handles me with
-  | Some t -> Hashtbl.length t.prepared
-  | None -> 0
+  | Some t -> Hashtbl.fold (fun txn _ acc -> txn :: acc) t.prepared []
+  | None -> []

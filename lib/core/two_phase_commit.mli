@@ -52,8 +52,8 @@ val commits : group -> int
 
 val aborts : group -> int
 
-(** Number of transactions [me] has voted YES for without yet learning the
-    decision. A node with in-doubt transactions holds an incomplete view
-    of the committed state — state-transfer donors use this to defer
-    snapshots until the doubt resolves. *)
-val in_doubt : group -> me:int -> int
+(** The transactions [me] has voted YES for without yet learning the
+    decision, in no particular order. A node with in-doubt transactions
+    holds an incomplete view of the committed state — state-transfer
+    donors use this to defer snapshots until the doubt resolves. *)
+val in_doubt : group -> me:int -> int list

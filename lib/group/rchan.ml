@@ -10,13 +10,31 @@ let () =
     | _ -> None)
 
 (* A sent message still waiting for its ack: the packet, where it goes,
-   how many retransmits it has spent, and the armed retransmit timer. *)
+   how many retransmits it has spent, and its next retransmit: the key
+   (due, seq) it fires at and the context it was first sent under. A
+   retransmit keeps that context, as a timer armed under it would. *)
 type unacked = {
   packet : Msg.t;
   dst : int;
   mutable retries : int;
-  mutable timer : Engine.timer;
+  mutable due : Simtime.t;
+  mutable seq : int; (* claimed with [Engine.claim_seq] *)
+  ctx : Engine.ctx option;
+  mutable acked : bool;
 }
+
+(* Fills the ring slots nothing occupies, so that popped entries (and
+   their packets) are not kept reachable. *)
+let vacant =
+  {
+    packet = Ack { gid = -1; seq = -1 };
+    dst = -1;
+    retries = 0;
+    due = Simtime.zero;
+    seq = -1;
+    ctx = None;
+    acked = true;
+  }
 
 (* Sequence numbers are per link (sender, receiver). Per-link tables are
    keyed by [link_key t seq peer = seq * nodes + peer], one int per
@@ -33,6 +51,16 @@ type t = {
      messages keyed by (dst, seq). *)
   next_seq : int array;
   unacked : unacked Int_table.t;
+  (* The retransmit ring: the entries whose chains still run, in (due,
+     seq) order, as a circular buffer of [len] entries from [first]
+     (capacity a power of two). Acked entries stay until they reach the
+     head. One engine timer, [armed], waits at the head's key, and
+     [fire] is the action it runs. *)
+  mutable ring : unacked array;
+  mutable first : int;
+  mutable len : int;
+  mutable armed : Engine.timer option;
+  mutable fire : unit -> unit;
   (* Receiver side: the per-origin seqs delivered so far. *)
   seen : Dedup.t;
   mutable deliver_cbs : (src:int -> Msg.t -> unit) list; (* in order *)
@@ -44,21 +72,60 @@ let link_key t seq peer = (seq * t.nodes) + peer
 
 let deliver t ~src payload = List.iter (fun f -> f ~src payload) t.deliver_cbs
 
-(* The retransmit timer of the message keyed [key]. Like a
-   [Network.guard]ed timer it does nothing while we are crashed, which
-   ends the chain. *)
-let rec retransmit t key () =
-  if Network.alive t.net t.me then
-    match Int_table.find_opt t.unacked key with
-    | Some u when u.retries < t.max_retries ->
-        u.retries <- u.retries + 1;
-        Network.send t.net ~src:t.me ~dst:u.dst u.packet;
-        u.timer <- arm t key
-    | _ -> ()
+(* --- the retransmit ring ----------------------------------------------- *)
 
-and arm t key =
-  Engine.schedule (Network.engine t.net) ~label:"rchan:retransmit" ~after:t.rto
-    (retransmit t key)
+let push t u =
+  let cap = Array.length t.ring in
+  if t.len = cap then begin
+    let ring = Array.make (max 8 (2 * cap)) vacant in
+    for i = 0 to t.len - 1 do
+      ring.(i) <- t.ring.((t.first + i) land (cap - 1))
+    done;
+    t.ring <- ring;
+    t.first <- 0
+  end;
+  t.ring.((t.first + t.len) land (Array.length t.ring - 1)) <- u;
+  t.len <- t.len + 1
+
+let pop t =
+  let u = t.ring.(t.first) in
+  t.ring.(t.first) <- vacant;
+  t.first <- (t.first + 1) land (Array.length t.ring - 1);
+  t.len <- t.len - 1;
+  u
+
+(* Drop the acked entries at the head, then arm the timer at the key of
+   the first entry left. *)
+let rec arm_head t =
+  if t.len = 0 then t.armed <- None
+  else
+    let u = t.ring.(t.first) in
+    if u.acked then begin
+      ignore (pop t);
+      arm_head t
+    end
+    else
+      t.armed <-
+        Some
+          (Engine.schedule_claimed (Network.engine t.net)
+             ~label:"rchan:retransmit" ~at:u.due ~seq:u.seq t.fire)
+
+(* The armed timer: handles the head entry at its key, as a timer of its
+   own would. Like a [Network.guard]ed timer it does nothing while we
+   are crashed, which ends the entry's chain; so does its last retry.
+   An ended entry leaves the ring but stays un-acked. *)
+let fire t () =
+  let u = pop t in
+  if Network.alive t.net t.me && u.retries < t.max_retries then begin
+    let engine = Network.engine t.net in
+    u.retries <- u.retries + 1;
+    Engine.set_ctx engine u.ctx;
+    Network.send t.net ~src:t.me ~dst:u.dst u.packet;
+    u.due <- Simtime.add (Engine.now engine) t.rto;
+    u.seq <- Engine.claim_seq engine;
+    push t u
+  end;
+  arm_head t
 
 let send t ~dst msg =
   let seq = t.next_seq.(dst) in
@@ -66,8 +133,30 @@ let send t ~dst msg =
   let packet = Data { gid = t.gid; src = t.me; seq; payload = msg } in
   Network.send t.net ~src:t.me ~dst packet;
   if not t.passthrough then begin
-    let key = link_key t seq dst in
-    Int_table.replace t.unacked key { packet; dst; retries = 0; timer = arm t key }
+    let engine = Network.engine t.net in
+    let u =
+      {
+        packet;
+        dst;
+        retries = 0;
+        due = Simtime.add (Engine.now engine) t.rto;
+        seq = Engine.claim_seq engine;
+        ctx = Engine.ctx engine;
+        acked = false;
+      }
+    in
+    Int_table.replace t.unacked (link_key t seq dst) u;
+    push t u;
+    if t.len = 1 then arm_head t
+  end
+
+(* [u] is acked: forget it, and move the timer on if it waited for [u]. *)
+let ack t key u =
+  u.acked <- true;
+  Int_table.remove t.unacked key;
+  if t.ring.(t.first) == u then begin
+    Option.iter Engine.cancel t.armed;
+    arm_head t
   end
 
 let mcast t ~dsts msg = List.iter (fun dst -> send t ~dst msg) dsts
@@ -91,10 +180,16 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
           passthrough;
           next_seq = Array.make size 0;
           unacked = Int_table.create 32;
+          ring = [||];
+          first = 0;
+          len = 0;
+          armed = None;
+          fire = ignore;
           seen = Dedup.create ~nodes:size;
           deliver_cbs = [];
         }
       in
+      t.fire <- fire t;
       (match Network.timeseries net with
       | Some ts ->
           Timeseries.register ts ~name:"rchan_unacked" ~replica:me
@@ -113,9 +208,7 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
               (* [src] is the receiver the acked message was sent to. *)
               let key = link_key t seq src in
               (match Int_table.find_opt t.unacked key with
-              | Some u ->
-                  Engine.cancel u.timer;
-                  Int_table.remove t.unacked key
+              | Some u -> ack t key u
               | None -> ());
               true
           | _ -> false);

@@ -15,7 +15,24 @@
     arrived yet, instead of remembering every message it delivered. Its
     memory is O(gaps): messages still being reordered or retransmitted, plus
     the permanent holes a crashed sender leaves when its retransmit chains
-    die. A sender keeps one small record per unacknowledged message. *)
+    die.
+
+    A sender keeps one record per unacknowledged message (seven fields:
+    the packet, its destination, the retries spent, the key its next
+    retransmit fires at, the context it was sent under and an acked
+    flag), one slot for it in a table keyed by link and seq and one in
+    its endpoint's retransmit ring. An endpoint (one node's handle on
+    one group) arms a single engine timer, at the key of the oldest
+    message whose retransmit chain still runs. Each send takes the
+    scheduling seq a timer of its own would have taken
+    ({!Sim.Engine.claim_seq}), and the one timer is queued at that key
+    ({!Sim.Engine.schedule_claimed}) when the message reaches the head
+    of the ring, so every retransmit fires exactly where a per-message
+    timer would have: same events, same order, same seeds. An ack
+    costs a table removal, and a cancel and re-arm only when it acks
+    the head; a retransmit moves its message to the tail under a fresh
+    seq, and a chain that ends (sender crashed, retries spent) drops
+    its message from the ring but leaves it unacknowledged. *)
 
 type t
 type group

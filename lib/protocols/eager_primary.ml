@@ -134,6 +134,8 @@ let create ?shared cfg net ~replicas ~clients =
         "site_no_votes_total";
     not no
   in
+  (* [launch_next], bound below: a learned decision can unblock it. *)
+  let relaunch = ref ignore in
   let learn_commit ~me ~txn committed =
     let rid = rid_of_round txn in
     let st = state me in
@@ -147,7 +149,8 @@ let create ?shared cfg net ~replicas ~clients =
        must find the outcome instead of re-executing (exactly-once). *)
     if committed && not (Hashtbl.mem st.cache rid) then
       Hashtbl.replace st.cache rid (true, None);
-    Hashtbl.remove st.buffered rid
+    Hashtbl.remove st.buffered rid;
+    !relaunch me
   in
   let tpc =
     Core.Two_phase_commit.create_group net ~nodes:replicas ~passthrough
@@ -181,6 +184,21 @@ let create ?shared cfg net ~replicas ~clients =
      recovered copy is stale and must not reclaim ownership (or serve
      local reads) until a surviving peer ships it the database. *)
   let is_primary r = (state r).synced && Common.lowest_alive ctx = r in
+  (* The rids [r] voted YES for without learning the outcome. The old
+     primary replies as soon as it decides, while its decision is still
+     on the way to the backups; so a backup that takes over must not run
+     another transaction on top of a writeset that may have committed.
+     Learning any round of a rid settles its earlier rounds too (they
+     share the buffered writeset), so a client's resubmission of a rid
+     whose primary died undecided supersedes the old round. *)
+  let in_doubt_rids r =
+    let st = state r in
+    List.filter_map
+      (fun txn ->
+        let rid = rid_of_round txn in
+        if Hashtbl.mem st.buffered rid then Some rid else None)
+      (Core.Two_phase_commit.in_doubt tpc ~me:r)
+  in
   (* Primary-side transaction driver: execute the next operation; in
      interactive mode propagate its changes and wait for secondary acks
      before continuing; after the last operation run the 2PC. *)
@@ -275,11 +293,17 @@ let create ?shared cfg net ~replicas ~clients =
           else advance r rid
   and launch_next r =
     let st = state r in
-    if not st.busy then
-      match st.run_queue with
-      | [] -> ()
-      | (rid, client, request) :: rest ->
-          st.run_queue <- rest;
+    if (not st.busy) && st.run_queue <> [] then
+      (* While in doubt, only a resubmission of an in-doubt rid may run. *)
+      let runnable =
+        match in_doubt_rids r with
+        | [] -> fun _ -> true
+        | rids -> fun (rid, _, _) -> List.mem rid rids
+      in
+      match List.find_opt runnable st.run_queue with
+      | None -> ()
+      | Some ((rid, client, request) as next) ->
+          st.run_queue <- List.filter (fun e -> e != next) st.run_queue;
           if Hashtbl.mem st.cache rid || Hashtbl.mem st.active rid then
             launch_next r
           else begin
@@ -298,6 +322,7 @@ let create ?shared cfg net ~replicas ~clients =
             advance r rid
           end
   in
+  relaunch := launch_next;
   List.iter
     (fun r ->
       let st =
@@ -313,6 +338,18 @@ let create ?shared cfg net ~replicas ~clients =
         }
       in
       Hashtbl.replace states r st;
+      (* A crashed backup owes no more acks: re-check the transactions
+         that were waiting for its ack, or they would wait forever. *)
+      Network.on_crash net (fun node ->
+          if node <> r && Network.alive net r then
+            Hashtbl.fold
+              (fun rid txn waiting ->
+                if List.mem node txn.acks then waiting
+                else (rid, txn) :: waiting)
+              st.active []
+            |> List.iter (fun (rid, txn) ->
+                   check_acks r rid
+                     ~final:(txn.next_op >= List.length txn.request.ops)));
       (* Rejoin after a crash: pre-crash primary context is dead (the
          survivors took over and the clients resubmitted), tentative
          writesets may belong to rounds that resolved without us. Drop
@@ -368,7 +405,7 @@ let create ?shared cfg net ~replicas ~clients =
                  writes the joiner can never recover. *)
               let rec answer () =
                 if not (st.synced && Network.alive net r) then ()
-                else if Core.Two_phase_commit.in_doubt tpc ~me:r > 0 then
+                else if Core.Two_phase_commit.in_doubt tpc ~me:r <> [] then
                   ignore
                     (Engine.schedule (Network.engine net) ~label:"commit:indoubt"
                        ~after:(Simtime.of_ms 50)

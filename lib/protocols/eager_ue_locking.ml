@@ -475,7 +475,7 @@ let create ?shared cfg net ~replicas ~clients =
                  termination protocol to resolve the doubt first. *)
               let rec answer () =
                 if not (st.synced && Network.alive net r) then ()
-                else if Core.Two_phase_commit.in_doubt tpc ~me:r > 0 then
+                else if Core.Two_phase_commit.in_doubt tpc ~me:r <> [] then
                   ignore
                     (Engine.schedule (Network.engine net) ~label:"commit:indoubt"
                        ~after:(Simtime.of_ms 50)

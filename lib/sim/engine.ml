@@ -196,8 +196,13 @@ let compact t =
 
 (* --- scheduling -------------------------------------------------------- *)
 
-let schedule_at t ?(label = "timer") ~at f =
-  let at = Simtime.max at t.clock in
+let claim_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+(* Queue [f] at the key (at, seq); [at] is already clamped. *)
+let enqueue t label (at : Simtime.t) seq f =
   let timer =
     {
       action = f;
@@ -207,8 +212,6 @@ let schedule_at t ?(label = "timer") ~at f =
       t_periodic = false;
     }
   in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   t.scheduled <- t.scheduled + 1;
   incr t.live;
   if t.q.size >= compact_min && 2 * !(t.live) < t.q.size then compact t;
@@ -216,6 +219,15 @@ let schedule_at t ?(label = "timer") ~at f =
   let depth = t.q.size in
   if depth > t.queue_peak then t.queue_peak <- depth;
   timer
+
+let schedule_at t ?(label = "timer") ~at f =
+  let at = Simtime.max at t.clock in
+  enqueue t label at (claim_seq t) f
+
+let schedule_claimed t ?(label = "timer") ~at ~seq f =
+  if Simtime.compare at t.clock < 0 || seq >= t.next_seq then
+    invalid_arg "Engine.schedule_claimed: key already passed or not claimed";
+  enqueue t label at seq f
 
 let schedule t ?label ~after f =
   schedule_at t ?label ~at:(Simtime.add t.clock after) f

@@ -46,6 +46,31 @@ val schedule : t -> ?label:string -> after:Simtime.t -> (unit -> unit) -> timer
 val schedule_at :
   t -> ?label:string -> at:Simtime.t -> (unit -> unit) -> timer
 
+(** {2 Claimed keys}
+
+    Every scheduled action has a key (time, seq), where seq is the next
+    value of the engine's scheduling counter. A caller that knows when
+    an action will be due, but does not want it queued yet, can take
+    its seq now and queue it later: [claim_seq] takes the seq exactly
+    where {!schedule} would, and [schedule_claimed ~at ~seq f] queues
+    [f] at (at, seq). The action then runs where a {!schedule_at} at
+    claim time would have run it, before later-scheduled actions due at
+    the same instant, provided it is queued before the loop reaches its
+    key. A claimed seq that is never queued leaves a gap in the counter
+    and nothing else; every other action keeps the seq it would have
+    had. *)
+
+(** [claim_seq t] takes the next scheduling sequence number. *)
+val claim_seq : t -> int
+
+(** [schedule_claimed t ~at ~seq f] queues [f] at the key (at, seq),
+    where [seq] came from {!claim_seq} and [at] is no earlier than the
+    clock at claim time. The key must still be ahead of the running
+    action. Raises [Invalid_argument] if [at] is before {!now} or [seq]
+    was never handed out. *)
+val schedule_claimed :
+  t -> ?label:string -> at:Simtime.t -> seq:int -> (unit -> unit) -> timer
+
 (** [periodic t ~every f] runs [f] every [every] until cancelled. *)
 val periodic : t -> ?label:string -> every:Simtime.t -> (unit -> unit) -> timer
 
@@ -84,8 +109,9 @@ val profiler : t -> Profiler.t option
 (** Actions actually executed by {!step}/{!run}. *)
 val events_executed : t -> int
 
-(** Timers ever scheduled ({!schedule}/{!schedule_at}, incl. periodic
-    re-arms). *)
+(** Timers ever queued ({!schedule}/{!schedule_at}, periodic re-arms
+    and {!schedule_claimed}). A claimed seq counts once it is queued; a
+    claim that is never queued counts nothing. *)
 val timers_scheduled : t -> int
 
 (** Cancelled timers discarded so far, at the queue head or by

@@ -178,6 +178,300 @@ let test_rchan_passthrough_dedup () =
   let delivered, arrivals = rchan_stream ~passthrough:true ~drop:0.0 in
   Alcotest.(check int) "one delivery per arrival" arrivals delivered
 
+(* The stubborn channel as it was with one retransmit timer per message:
+   each send arms its own timer and each ack cancels it. Kept as the
+   reference the one-timer-per-endpoint channel must match event for
+   event. It takes its instance id as an argument; the real channel
+   draws it from the network. *)
+module Rchan_per_message = struct
+  type Msg.t +=
+    | Data of { gid : int; src : int; seq : int; payload : Msg.t }
+    | Ack of { gid : int; seq : int }
+
+  let () =
+    Msg.register_printer (function
+      | Data { payload; _ } -> Some ("Data(" ^ Msg.name payload ^ ")")
+      | _ -> None)
+
+  type unacked = {
+    packet : Msg.t;
+    dst : int;
+    mutable retries : int;
+    mutable timer : Engine.timer;
+  }
+
+  type t = {
+    net : Network.t;
+    gid : int;
+    me : int;
+    nodes : int;
+    rto : Simtime.t;
+    max_retries : int;
+    next_seq : int array;
+    unacked : unacked Int_table.t;
+    seen : Dedup.t;
+    mutable deliver_cbs : (src:int -> Msg.t -> unit) list;
+  }
+
+  let link_key t seq peer = (seq * t.nodes) + peer
+
+  let rec retransmit t key () =
+    if Network.alive t.net t.me then
+      match Int_table.find_opt t.unacked key with
+      | Some u when u.retries < t.max_retries ->
+          u.retries <- u.retries + 1;
+          Network.send t.net ~src:t.me ~dst:u.dst u.packet;
+          u.timer <- arm t key
+      | _ -> ()
+
+  and arm t key =
+    Engine.schedule (Network.engine t.net) ~label:"rchan:retransmit"
+      ~after:t.rto (retransmit t key)
+
+  let send t ~dst msg =
+    let seq = t.next_seq.(dst) in
+    t.next_seq.(dst) <- seq + 1;
+    let packet = Data { gid = t.gid; src = t.me; seq; payload = msg } in
+    Network.send t.net ~src:t.me ~dst packet;
+    let key = link_key t seq dst in
+    Int_table.replace t.unacked key
+      { packet; dst; retries = 0; timer = arm t key }
+
+  let create_group net ~gid ~nodes ~rto ~max_retries =
+    let size = Network.size net in
+    List.map
+      (fun me ->
+        let t =
+          {
+            net;
+            gid;
+            me;
+            nodes = size;
+            rto;
+            max_retries;
+            next_seq = Array.make size 0;
+            unacked = Int_table.create 32;
+            seen = Dedup.create ~nodes:size;
+            deliver_cbs = [];
+          }
+        in
+        (match Network.timeseries net with
+        | Some ts ->
+            Timeseries.register ts ~name:"rchan_unacked" ~replica:me
+              ~kind:Timeseries.Queue ~unit_:"messages" (fun () ->
+                float_of_int (Int_table.length t.unacked))
+        | None -> ());
+        Network.add_handler net me (fun ~src msg ->
+            match msg with
+            | Data { gid = g; src = origin; seq; payload } when g = gid ->
+                Network.send net ~src:me ~dst:src (Ack { gid; seq });
+                if Dedup.fresh t.seen ~origin ~seq then
+                  List.iter (fun f -> f ~src:origin payload) t.deliver_cbs;
+                true
+            | Ack { gid = g; seq } when g = gid ->
+                let key = link_key t seq src in
+                (match Int_table.find_opt t.unacked key with
+                | Some u ->
+                    Engine.cancel u.timer;
+                    Int_table.remove t.unacked key
+                | None -> ());
+                true
+            | _ -> false);
+        (me, t))
+      nodes
+end
+
+(* A channel under test, either implementation: send from a node, and
+   register a node's delivery callback. *)
+type channel = {
+  chan_send : src:int -> dst:int -> Msg.t -> unit;
+  chan_on_deliver : int -> (src:int -> Msg.t -> unit) -> unit;
+}
+
+let rchan_channel net ~nodes ~rto ~max_retries =
+  let group = Rchan.create_group net ~nodes ~rto ~max_retries () in
+  {
+    chan_send =
+      (fun ~src ~dst msg -> Rchan.send (Rchan.handle group ~me:src) ~dst msg);
+    chan_on_deliver = (fun me f -> Rchan.on_deliver (Rchan.handle group ~me) f);
+  }
+
+let per_message_channel net ~nodes ~rto ~max_retries =
+  let handles =
+    Rchan_per_message.create_group net ~gid:1 ~nodes ~rto ~max_retries
+  in
+  {
+    chan_send =
+      (fun ~src ~dst msg ->
+        Rchan_per_message.send (List.assoc src handles) ~dst msg);
+    chan_on_deliver =
+      (fun me f ->
+        let t = List.assoc me handles in
+        t.Rchan_per_message.deliver_cbs <- t.deliver_cbs @ [ f ]);
+  }
+
+(* A random fault-and-traffic plan over four nodes: messages (each sent
+   under a transaction span of its own), loss windows, and crashes with
+   a later recovery, at microsecond offsets. *)
+type plan_step =
+  | Send_at of { at : int; src : int; dsts : int list; payload : int }
+  | Loss_window of { at : int; until : int; probability : float }
+  | Crash_window of { at : int; until : int; node : int }
+
+(* With [latency_is_rto] every message takes exactly one retransmit
+   timeout to arrive, so deliveries and retransmits tie at one instant
+   and only their seqs order them. *)
+type plan = {
+  seed : int;
+  rto_ms : int;
+  max_retries : int;
+  latency_is_rto : bool;
+  steps : plan_step list;
+}
+
+let plan_nodes = [ 0; 1; 2; 3 ]
+
+let gen_plan =
+  let open QCheck.Gen in
+  let time = int_range 0 150_000 in
+  let window =
+    let* at = time in
+    let* len = int_range 1_000 60_000 in
+    return (at, at + len)
+  in
+  let step =
+    frequency
+      [
+        ( 6,
+          let* at = time in
+          let* src = int_range 0 3 in
+          let* dsts = list_size (int_range 1 3) (int_range 0 3) in
+          let* payload = int_range 0 999 in
+          return (Send_at { at; src; dsts; payload }) );
+        ( 1,
+          let* at, until = window in
+          let* probability = float_range 0.1 0.7 in
+          return (Loss_window { at; until; probability }) );
+        ( 1,
+          let* at, until = window in
+          let* node = int_range 0 3 in
+          return (Crash_window { at; until; node }) );
+      ]
+  in
+  let* seed = int_range 0 10_000 in
+  let* rto_ms = int_range 2 10 in
+  let* max_retries = int_range 1 4 in
+  let* latency_is_rto = bool in
+  let* steps = list_size (int_range 5 40) step in
+  return { seed; rto_ms; max_retries; latency_is_rto; steps }
+
+let print_plan p =
+  Printf.sprintf "seed %d, rto %d ms, max_retries %d%s: %s" p.seed p.rto_ms
+    p.max_retries
+    (if p.latency_is_rto then ", latency = rto" else "")
+    (String.concat "; "
+       (List.map
+          (function
+            | Send_at { at; src; dsts; payload } ->
+                Printf.sprintf "send %d->[%s] %d @%dus" src
+                  (String.concat "," (List.map string_of_int dsts))
+                  payload at
+            | Loss_window { at; until; probability } ->
+                Printf.sprintf "loss %.2f %d-%dus" probability at until
+            | Crash_window { at; until; node } ->
+                Printf.sprintf "crash %d %d-%dus" node at until)
+          p.steps))
+
+(* What a run shows of its channel: the deliveries (time, receiver,
+   origin, payload), the events executed, the network's sent, delivered
+   and dropped counts, the sampled [rchan_unacked] series of every node
+   and the Chrome export of the traced run. A delivered payload below
+   1000 is echoed back to its origin, so replies travel under the
+   delivered message's span. *)
+let run_plan make_channel p =
+  let e = Engine.create ~seed:p.seed () in
+  let rto = Simtime.of_ms p.rto_ms in
+  let config =
+    if p.latency_is_rto then
+      { Network.default_config with latency = Constant rto }
+    else Network.default_config
+  in
+  let net = Network.create e ~n:4 config in
+  let spans = Span.create () in
+  Network.set_msg_spans net spans;
+  let ts = Timeseries.create ~interval:(Simtime.of_ms 2) e in
+  Network.set_timeseries net ts;
+  let chan =
+    make_channel net ~nodes:plan_nodes ~rto ~max_retries:p.max_retries
+  in
+  let log = ref [] in
+  List.iter
+    (fun me ->
+      chan.chan_on_deliver me (fun ~src msg ->
+          let k = payload_of msg in
+          log := (Simtime.to_us (Engine.now e), me, src, k) :: !log;
+          if k < 1000 then
+            chan.chan_send ~src:me ~dst:src (Payload (k + 1000))))
+    plan_nodes;
+  let at us f = ignore (Engine.schedule_at e ~at:(Simtime.of_us us) f) in
+  List.iteri
+    (fun trace -> function
+      | Send_at { at = t; src; dsts; payload } ->
+          at t (fun () ->
+              let root =
+                Span.start_span spans ~trace ~track:src ~name:"send"
+                  (Engine.now e)
+              in
+              Engine.set_ctx e (Some { Engine.trace; span = root });
+              List.iter
+                (fun dst -> chan.chan_send ~src ~dst (Payload payload))
+                dsts)
+      | Loss_window { at = t; until; probability } ->
+          at t (fun () -> Network.set_drop_probability net probability);
+          at until (fun () -> Network.set_drop_probability net 0.)
+      | Crash_window { at = t; until; node } ->
+          at t (fun () -> Network.crash net node);
+          at until (fun () -> Network.recover net node))
+    p.steps;
+  ignore (Engine.run ~until:(Simtime.of_ms 400) e);
+  let unacked =
+    List.map
+      (fun me ->
+        match Timeseries.find ts ~name:"rchan_unacked" ~replica:me with
+        | Some series ->
+            List.map
+              (fun (pt : Timeseries.point) -> (Simtime.to_us pt.at, pt.value))
+              (Timeseries.points series)
+        | None -> [])
+      plan_nodes
+  in
+  ( List.rev !log,
+    Engine.events_executed e,
+    (Network.messages_sent net, Network.messages_delivered net,
+     Network.messages_dropped net),
+    unacked,
+    Trace_export.to_chrome spans )
+
+let prop_rchan_matches_per_message_timers =
+  QCheck.Test.make ~name:"one timer per endpoint matches per-message timers"
+    ~count:60
+    (QCheck.make ~print:print_plan gen_plan)
+    (fun p ->
+      let deliveries, events, counts, unacked, chrome =
+        run_plan rchan_channel p
+      and deliveries', events', counts', unacked', chrome' =
+        run_plan per_message_channel p
+      in
+      let same label a b =
+        if a <> b then QCheck.Test.fail_reportf "%s differ" label
+      in
+      same "deliveries" deliveries deliveries';
+      same "events executed" events events';
+      same "sent/delivered/dropped" counts counts';
+      same "rchan_unacked series" unacked unacked';
+      same "chrome exports" chrome chrome';
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Reliable broadcast                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1243,6 +1537,7 @@ let () =
           tc "passthrough" test_rchan_passthrough_no_overhead;
           tc "exactly once under faults" test_rchan_exactly_once_under_faults;
           tc "passthrough dedup" test_rchan_passthrough_dedup;
+          QCheck_alcotest.to_alcotest prop_rchan_matches_per_message_timers;
         ] );
       ( "rbcast",
         [

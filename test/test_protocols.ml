@@ -1013,35 +1013,63 @@ let test_soak_eager_ue_abcast () =
    client's request stream. Whatever the timing, every request must get an
    answer, the surviving replicas must converge, the final counter must
    equal exactly the commits, and the history must stay 1-copy
-   serializable. *)
+   serializable. [crash_case] runs one such case: eight increments of
+   "x" by one client, replica [victim] crashing at [crash_ms]. It returns
+   the answered and committed counts, the surviving stores and the
+   history. *)
+let crash_case factory ~seed ~victim ~crash_ms =
+  let h =
+    setup ~seed ~n:3 ~m:1 (fun net ~replicas ~clients ->
+        factory net ~replicas ~clients)
+  in
+  let client = List.hd h.clients in
+  let committed = ref 0 and answered = ref 0 in
+  client_loop h ~client ~count:8
+    ~make_request:(fun _ -> incr_req h ~client "x")
+    ~on_reply:(fun reply ->
+      incr answered;
+      if reply.Core.Technique.committed then incr committed);
+  ignore
+    (Engine.schedule h.engine ~after:(Simtime.of_ms crash_ms) (fun () ->
+         Network.crash h.net victim));
+  run_for h 180_000;
+  (!answered, !committed, alive_stores h, h.inst.Core.Technique.history)
+
 let prop_crash_fuzz (key, _, factory) =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s: random crash timing preserves invariants" key)
     ~count:8
     QCheck.(pair (int_range 0 10_000) (pair (int_range 0 2) (int_range 1 80)))
     (fun (seed, (victim, crash_ms)) ->
-      let h =
-        setup ~seed ~n:3 ~m:1 (fun net ~replicas ~clients ->
-            factory net ~replicas ~clients)
+      let answered, committed, stores, history =
+        crash_case factory ~seed ~victim ~crash_ms
       in
-      let client = List.hd h.clients in
-      let committed = ref 0 and answered = ref 0 in
-      client_loop h ~client ~count:8
-        ~make_request:(fun _ -> incr_req h ~client "x")
-        ~on_reply:(fun reply ->
-          incr answered;
-          if reply.Core.Technique.committed then incr committed);
-      ignore
-        (Engine.schedule h.engine ~after:(Simtime.of_ms crash_ms) (fun () ->
-             Network.crash h.net victim));
-      run_for h 180_000;
-      let stores = alive_stores h in
-      !answered = 8
+      answered = 8
       && Core.Convergence.converged stores
       && List.for_all
-           (fun s -> fst (Store.Kv.read s "x") = !committed)
+           (fun s -> fst (Store.Kv.read s "x") = committed)
            stores
-      && Store.Serializability.is_serializable h.inst.Core.Technique.history)
+      && Store.Serializability.is_serializable history)
+
+(* The primary decides the fourth increment, replies and crashes at
+   24 ms while its decision is still on the way to the backups; the
+   client's next request reaches the new primary first. The new primary
+   must learn that decision before it runs the next increment, or the
+   fourth is lost although the client was told it committed. *)
+let test_eager_primary_reply_outruns_decision () =
+  let answered, committed, stores, history =
+    crash_case (factory "eager-primary") ~seed:2952 ~victim:0 ~crash_ms:24
+  in
+  Alcotest.(check int) "answered" 8 answered;
+  Alcotest.(check int) "committed" 8 committed;
+  List.iter
+    (fun s ->
+      Alcotest.(check int) "survivor holds every commit" 8
+        (fst (Store.Kv.read s "x")))
+    stores;
+  Alcotest.(check bool) "converged" true (Core.Convergence.converged stores);
+  Alcotest.(check bool) "1SR" true
+    (Store.Serializability.is_serializable history)
 
 let crash_fuzz_suite =
   List.filter_map
@@ -1651,6 +1679,8 @@ let () =
           tc "failover" test_eager_primary_failover;
           tc "interactive EX/AC loop" test_eager_primary_interactive_loop;
           tc "non-blocking commit (3PC)" test_eager_primary_3pc;
+          tc "reply outruns the decision"
+            test_eager_primary_reply_outruns_decision;
         ] );
       ( "eager-ue-locking",
         [

@@ -272,6 +272,103 @@ let prop_engine_pending_matches_scan =
       check ();
       !ok && Engine.pending e = 0)
 
+(* A claimed key: [claim_seq] takes the seq a [schedule] would have taken
+   at that moment, and [schedule_claimed] later queues the action at that
+   key, so it runs exactly where the [schedule_at] would have, ties at one
+   instant included. The same script runs twice, once scheduling at claim
+   time and once deferring through a claim; the run order must agree. *)
+let test_engine_schedule_claimed () =
+  let script ~defer =
+    let e = Engine.create () in
+    let log = ref [] in
+    let note tag () = log := tag :: !log in
+    let at ms tag =
+      ignore (Engine.schedule e ~after:(Simtime.of_ms ms) (note tag))
+    in
+    (* Two deferred actions due at 5 ms, claimed around two plain ones
+       due at the same instant. *)
+    let queue_a = defer e ~at:(Simtime.of_ms 5) (note "a") in
+    at 5 "x";
+    let queue_b = defer e ~at:(Simtime.of_ms 5) (note "b") in
+    at 5 "y";
+    at 3 "early";
+    (* Queued at 1 ms, in the opposite order, around a plain action
+       scheduled then for the same 5 ms instant. *)
+    ignore
+      (Engine.schedule e ~after:(Simtime.of_ms 1) (fun () ->
+           queue_b ();
+           at 4 "z";
+           queue_a ()));
+    ignore (Engine.run e);
+    (List.rev !log, Engine.events_executed e, Engine.timers_scheduled e)
+  in
+  let eager e ~at f =
+    ignore (Engine.schedule_at e ~at f);
+    ignore
+  in
+  let claimed e ~at f =
+    let seq = Engine.claim_seq e in
+    fun () -> ignore (Engine.schedule_claimed e ~at ~seq f)
+  in
+  let order, events, scheduled = script ~defer:eager in
+  Alcotest.(check (list string))
+    "claim-time order"
+    [ "early"; "a"; "x"; "b"; "y"; "z" ]
+    order;
+  let order', events', scheduled' = script ~defer:claimed in
+  Alcotest.(check (list string)) "claimed keys run in place" order order';
+  Alcotest.(check int) "same events" events events';
+  Alcotest.(check int) "queued timers counted" scheduled scheduled';
+  (* A claimed key can only be queued ahead of the clock. *)
+  let e = Engine.create () in
+  let seq = Engine.claim_seq e in
+  ignore (Engine.schedule e ~after:(Simtime.of_ms 2) ignore);
+  ignore (Engine.run e);
+  Alcotest.check_raises "key in the past"
+    (Invalid_argument
+       "Engine.schedule_claimed: key already passed or not claimed")
+    (fun () ->
+      ignore (Engine.schedule_claimed e ~at:(Simtime.of_ms 1) ~seq ignore));
+  Alcotest.check_raises "seq never claimed"
+    (Invalid_argument
+       "Engine.schedule_claimed: key already passed or not claimed")
+    (fun () ->
+      ignore (Engine.schedule_claimed e ~at:(Simtime.of_ms 3) ~seq:1000 ignore))
+
+(* The live counter through claims (which queue nothing), claimed
+   timers, their cancellation and a re-arm at a later claimed key, the
+   pattern of a retransmit timer that follows the head of a queue. *)
+let test_engine_claimed_pending () =
+  let e = Engine.create () in
+  let agree label =
+    Alcotest.(check int) label (Engine.pending_scan e) (Engine.pending e)
+  in
+  let seqs = List.init 4 (fun _ -> Engine.claim_seq e) in
+  agree "claims queue nothing";
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  let arm i =
+    Engine.schedule_claimed e
+      ~at:(Simtime.of_ms (i + 1))
+      ~seq:(List.nth seqs i) ignore
+  in
+  let head = arm 0 in
+  agree "armed";
+  Engine.cancel head;
+  agree "cancelled";
+  let head = arm 1 in
+  agree "re-armed";
+  ignore (Engine.schedule e ~after:(Simtime.of_ms 1) ignore);
+  ignore (Engine.run ~until:(Simtime.of_ms 1) e);
+  agree "after a step";
+  Engine.cancel head;
+  ignore (arm 3);
+  agree "re-armed past a gap";
+  ignore (Engine.run e);
+  agree "drained";
+  Alcotest.(check int) "empty" 0 (Engine.pending e);
+  Alcotest.(check int) "cancelled timers dropped" 2 (Engine.timers_cancelled e);
+  Alcotest.(check int) "queued timers" 4 (Engine.timers_scheduled e)
+
 (* Compaction: once cancelled timers are most of a large queue, the next
    schedule drops them. The survivors still run in (time, seq) order. *)
 let test_engine_compaction () =
@@ -1437,6 +1534,8 @@ let () =
           tc "pending counter" test_engine_pending_counter;
           QCheck_alcotest.to_alcotest prop_engine_pending_matches_scan;
           tc "compaction" test_engine_compaction;
+          tc "schedule_claimed order" test_engine_schedule_claimed;
+          tc "claimed pending" test_engine_claimed_pending;
           QCheck_alcotest.to_alcotest prop_engine_queue_matches_model;
         ] );
       ( "network",

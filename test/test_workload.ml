@@ -494,6 +494,39 @@ let test_alloc_per_delivery () =
     (Printf.sprintf "%.1f words per delivered message <= 65" per_msg)
     true (per_msg <= 65.)
 
+(* Timers cancelled per message sent on fault-free, non-passthrough runs:
+   lazy-primary at n=16 (the refresh path over reliable FIFO broadcast)
+   and eager-ue-abcast at n=3 (the sequencer's atomic broadcast). With a
+   retransmit timer per message, every acked send cancelled one: ~0.50
+   per message sent on lazy-primary and ~0.2 on eager-ue-abcast. With one
+   timer per channel endpoint, a timer is cancelled only when an ack
+   leaves the endpoint's oldest message acked before it was due and a
+   new head must be armed: ~0.075 and ~0.06. The ceiling of 0.15 sits
+   between them. *)
+let test_rchan_timers_per_message () =
+  List.iter
+    (fun (key, n) ->
+      let entry = Option.get (Protocols.Registry.find key) in
+      let net = ref None in
+      let result =
+        Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:8
+          ~spec:Workload.Spec.default ~tracing:false ~analyze:false
+          ~tune:(fun nw ~replicas:_ ~clients:_ -> net := Some nw)
+          (Protocols.Registry.default_factory entry)
+      in
+      let net = Option.get !net in
+      Alcotest.(check int)
+        (key ^ " fault-free") 0 result.Workload.Runner.dropped;
+      let ratio =
+        float_of_int (Engine.timers_cancelled (Network.engine net))
+        /. float_of_int (Network.messages_sent net)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f timers cancelled per message <= 0.15" key
+           ratio)
+        true (ratio <= 0.15))
+    [ ("lazy-primary", 16); ("eager-ue-abcast", 3) ]
+
 (* ---- one run, one world --------------------------------------------- *)
 
 (* A run owns everything it allocates: once a run returns and its result
@@ -564,6 +597,7 @@ let () =
           tc "poisson arrivals" test_runner_poisson_arrivals;
           tc "phase summary online" test_runner_phase_ms_online;
           tc "allocation per delivery" test_alloc_per_delivery;
+          tc "rchan timers per message" test_rchan_timers_per_message;
         ] );
       ( "per-run world",
         [
