@@ -220,6 +220,7 @@ let trace_cmd =
   in
   let run (entry : Protocols.Registry.entry) directives nondet format =
     let cfg, factory = Cli.resolve entry directives in
+    ignore (Cli.check_shards ~n:3 cfg);
     let ops =
       if nondet then [ Store.Operation.Write_random "x" ]
       else [ Store.Operation.Incr ("x", 1) ]
@@ -613,8 +614,8 @@ let campaign_cmd =
 
 let metrics_cmd =
   let doc =
-    "Run a workload against a technique and print its metrics registry \
-     (counters, gauges, per-phase latency histograms)."
+    "Run a workload against a technique and print its result, its \
+     per-phase latency table and its metrics registry (labelled counters)."
   in
   let json =
     Arg.(
@@ -839,6 +840,7 @@ let timeline_cmd =
   let run (entry : Protocols.Registry.entry) directives scenario_sel n m txns
       seed interval_ms until_ms format check =
     let cfg, factory = Cli.resolve entry directives in
+    ignore (Cli.check_shards ~n cfg);
     let scenario =
       match scenario_sel with
       | "none" -> None
@@ -1026,7 +1028,8 @@ let profile_cmd =
   let run (entry : Protocols.Registry.entry) directives n m updates txns seed
       top format no_tracing sample check =
     let updates = Cli.mix ?updates () in
-    let _cfg, factory = Cli.resolve entry directives in
+    let cfg, factory = Cli.resolve entry directives in
+    ignore (Cli.check_shards ~n cfg);
     let spec = Workload.Builder.spec ~updates ~txns () in
     let profiler = Sim.Profiler.create () in
     let result, inst =

@@ -160,6 +160,9 @@ for args in "run -t active --updates 1.5 --txns 5" \
     "timeline -t active --scenario partition-heal -n 2" \
     "run -t passive --set passive.client_retry=0ms --txns 5" \
     "run -t active --set active.shards=0 --txns 5" \
+    "profile -t active -n 3 --set active.shards=4" \
+    "timeline -t active -n 3 --set active.shards=4" \
+    "trace -t active --set active.shards=4" \
     "run -t active --set active.batch_window=-5ms --txns 5" \
     "run -t eager-primary --set eager-primary.abort_probability=1.5 --txns 5" \
     "compare _compare_empty_ci baseline" \
@@ -203,6 +206,22 @@ dune exec bin/replisim.exe -- explain --check -t active -n 8 \
   --set active.shards=4 > /dev/null
 dune exec bin/replisim.exe -- run -t active -n 8 --set active.shards=4 \
   --ops 2 --cross 0.3 --txns 10 > /dev/null
+
+# Metrics smoke: the registry the sharded groups share holds labelled
+# counters only, and the sharding wrapper's per-shard counter reaches it.
+# The first output line is the run header; the samples follow it.
+echo "== metrics smoke =="
+out=$(dune exec bin/replisim.exe -- metrics -t active -n 8 \
+  --set active.shards=4 --txns 20 --json)
+out=$(printf '%s\n' "$out" | tail -n +2)
+if printf '%s\n' "$out" | grep -o '"type":"[^"]*"' | grep -qv '"type":"counter"'; then
+  echo "metrics --json: a sample that is not a counter" >&2
+  exit 1
+fi
+if ! printf '%s\n' "$out" | grep -q '"metric":"single_shard_txns_total"'; then
+  echo "metrics --json: no single_shard_txns_total counter" >&2
+  exit 1
+fi
 
 # Resource-timeline smoke: sample two techniques through the
 # partition-heal scenario; --check exits non-zero if any saturation

@@ -7,16 +7,14 @@ type txn = {
 type t = {
   spans : Sim.Span.t;
   txns : (int, txn) Hashtbl.t;
-  on_phase_close : (phase:Phase.t -> replica:int option -> float -> unit) option;
   samples : (Phase.t * float list ref) list;
       (** closed-span durations per phase, in canonical phase order *)
 }
 
-let create ?on_phase_close () =
+let create () =
   {
     spans = Sim.Span.create ();
     txns = Hashtbl.create 64;
-    on_phase_close;
     samples = List.map (fun p -> (p, ref [])) Phase.all;
   }
 
@@ -30,12 +28,7 @@ let close_phase t txn phase sid time =
   let start = Sim.Span.start_of t.spans sid and stop = Sim.Span.stop_of t.spans sid in
   let dur_ms = Sim.Simtime.(to_ms (sub (of_us stop) (of_us start))) in
   let samples = List.assoc phase t.samples in
-  samples := dur_ms :: !samples;
-  Option.iter
-    (fun f ->
-      let track = Sim.Span.track_of t.spans sid in
-      f ~phase ~replica:(if track = Sim.Span.none then None else Some track) dur_ms)
-    t.on_phase_close
+  samples := dur_ms :: !samples
 
 let mark t ~rid ?replica ?(note = "") phase time =
   let txn =

@@ -18,13 +18,7 @@
 
 type t
 
-(** [create ?on_phase_close ()] — the callback fires whenever a phase span
-    closes, with its replica attribution and duration in milliseconds
-    (used to feed per-phase latency histograms in {!Sim.Metrics}). *)
-val create :
-  ?on_phase_close:(phase:Phase.t -> replica:int option -> float -> unit) ->
-  unit ->
-  t
+val create : unit -> t
 
 (** The underlying span collection, for exporters ({!Sim.Trace_export}). *)
 val collector : t -> Sim.Span.t

@@ -33,7 +33,6 @@ type ctx = {
   stores : (int, Store.Kv.t) Hashtbl.t;
   reply_cbs : (int, Core.Technique.reply -> unit) Hashtbl.t;
   recorded : (int, unit) Hashtbl.t;
-  submit_times : (int, Simtime.t) Hashtbl.t;
   rng : Rng.t;
 }
 
@@ -50,19 +49,10 @@ type shared = {
   s_history : Store.History.t;
 }
 
-let spans_feeding metrics =
-  Core.Phase_span.create
-    ~on_phase_close:(fun ~phase ~replica:_ dur_ms ->
-      let labels = [ ("phase", Core.Phase.code phase) ] in
-      Metrics.observe metrics ~labels "phase_ms" dur_ms;
-      Metrics.incr metrics ~labels "phase_spans_total")
-    ()
-
 let fresh_shared () =
-  let s_metrics = Metrics.create () in
   {
-    s_spans = spans_feeding s_metrics;
-    s_metrics;
+    s_spans = Core.Phase_span.create ();
+    s_metrics = Metrics.create ();
     s_history = Store.History.create ();
   }
 
@@ -87,17 +77,15 @@ let phase_begin ctx ~rid ?replica ?note phase =
 (** Bump a counter in the instance's metrics registry. *)
 let count ctx ?labels ?by name = Metrics.incr ctx.metrics ?labels ?by name
 
-(** Record a millisecond value into a histogram. *)
-let observe_ms ctx ?labels name v = Metrics.observe ctx.metrics ?labels name v
-
 (** [sum_replica_counter inst name rs] — the per-replica counter [name]
     (labelled [replica]) of [inst]'s metrics, summed over [rs]. *)
 let sum_replica_counter (inst : Core.Technique.instance) name rs =
-  let snap = Metrics.snapshot inst.Core.Technique.metrics in
   List.fold_left
     (fun acc r ->
-      let labels = [ ("replica", string_of_int r) ] in
-      acc + Option.value ~default:0 (Metrics.counter_value snap ~labels name))
+      acc
+      + Metrics.counter inst.Core.Technique.metrics
+          ~labels:[ ("replica", string_of_int r) ]
+          name)
     0 rs
 
 (** Create the context and install the client-side handler that resolves
@@ -123,7 +111,6 @@ let make ?shared net ~replicas ~clients =
       stores = Hashtbl.create 8;
       reply_cbs = Hashtbl.create 64;
       recorded = Hashtbl.create 64;
-      submit_times = Hashtbl.create 64;
       rng = Rng.split (Engine.rng (Network.engine net));
     }
   in
@@ -161,11 +148,6 @@ let make ?shared net ~replicas ~clients =
                     ~labels:[ ("replica", string_of_int replica) ]
                     (if committed then "txn_committed_total"
                      else "txn_aborted_total");
-                  (match Hashtbl.find_opt ctx.submit_times rid with
-                  | Some t0 ->
-                      observe_ms ctx "txn_ms"
-                        (Simtime.to_ms (Simtime.sub (now ctx) t0))
-                  | None -> ());
                   cb
                     {
                       Core.Technique.rid;
@@ -186,7 +168,6 @@ let make ?shared net ~replicas ~clients =
 let register_submit ctx ~client ~(request : Store.Operation.request) cb =
   ignore client;
   Hashtbl.replace ctx.reply_cbs request.rid cb;
-  Hashtbl.replace ctx.submit_times request.rid (now ctx);
   count ctx "txn_submitted_total";
   phase_begin ctx ~rid:request.rid Core.Phase.Request;
   match Core.Phase_span.root ctx.spans ~rid:request.rid with
@@ -302,8 +283,8 @@ let install_read_path ctx =
 let read_at ctx ~client ~replica (request : Store.Operation.request) cb =
   let rid = request.Store.Operation.rid in
   if Hashtbl.mem ctx.reply_cbs rid then
-    (* Resend after a router timeout: keep the original submit time and
-       submitted counter; only the callback is refreshed. *)
+    (* Resend after a router timeout: keep the submitted counter; only
+       the callback is refreshed. *)
     Hashtbl.replace ctx.reply_cbs rid cb
   else register_submit ctx ~client ~request cb;
   Network.send ctx.net ~src:client ~dst:replica

@@ -1,7 +1,7 @@
-(** A small in-process metrics registry: counters, gauges and HDR-style
-    histograms, keyed by metric name plus a label set (e.g.
+(** A small in-process registry of labelled integer counters, keyed by
+    metric name plus a label set (e.g.
     [("replica", "0"); ("protocol", "active")]). Labels are order
-    insensitive. Instruments are created on first use. *)
+    insensitive. A counter is created by its first {!incr}. *)
 
 type t
 
@@ -10,56 +10,21 @@ val create : unit -> t
 (** [incr t name] adds [by] (default 1) to a counter. *)
 val incr : t -> ?labels:(string * string) list -> ?by:int -> string -> unit
 
-val set_gauge : t -> ?labels:(string * string) list -> string -> float -> unit
-
-(** [observe t name v] records [v] into an exponential-bucket histogram
-    (64 buckets, upper edges [0.001 *. 1.5 ** i] — sub-microsecond to
-    tens of seconds when values are milliseconds). *)
-val observe : t -> ?labels:(string * string) list -> string -> float -> unit
+(** [counter t name] — the counter's current value; 0 when it was never
+    incremented. *)
+val counter : t -> ?labels:(string * string) list -> string -> int
 
 (** {2 Snapshots} *)
 
-type hist_snapshot = {
-  count : int;
-  sum : float;
-  min : float;
-  max : float;
-  bucket_counts : int array;
-}
-
-type value =
-  | Counter_v of int
-  | Gauge_v of float
-  | Histogram_v of hist_snapshot
-
-type sample = { metric : string; labels : (string * string) list; value : value }
+type sample = { metric : string; labels : (string * string) list; value : int }
 
 type snapshot = sample list
 
-(** Point-in-time copy of every instrument, sorted by name then labels. *)
+(** Point-in-time copy of every counter, sorted by name then labels. *)
 val snapshot : t -> snapshot
 
-(** [diff ~before ~after] keeps only samples that changed: counters and
-    histogram counts/sums/buckets are subtracted; gauges and histogram
-    min/max retain the [after] value. *)
-val diff : before:snapshot -> after:snapshot -> snapshot
-
-val find : snapshot -> ?labels:(string * string) list -> string -> sample option
+(** The counter's value in a snapshot; [None] when it is absent. *)
 val counter_value : snapshot -> ?labels:(string * string) list -> string -> int option
-val gauge_value : snapshot -> ?labels:(string * string) list -> string -> float option
-
-val histogram_value :
-  snapshot -> ?labels:(string * string) list -> string -> hist_snapshot option
-
-(** Upper-edge estimate of the [q]-quantile ([0. <= q <= 1.]), clamped to
-    the observed min/max. *)
-val quantile : hist_snapshot -> float -> float
-
-val mean : hist_snapshot -> float
-
-(** Render a histogram snapshot as the shared {!Summary.t} record
-    (bucket-edge quantiles; {!Summary.empty} when [count = 0]). *)
-val hist_summary : hist_snapshot -> Summary.t
 
 val pp_sample : Format.formatter -> sample -> unit
 val pp_snapshot : Format.formatter -> snapshot -> unit

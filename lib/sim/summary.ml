@@ -1,8 +1,7 @@
 (* Single home for the sample-summary record and the percentile
    arithmetic: the workload runner, audit and benchmark harness summarise
-   samples with it and Metrics renders histogram snapshots through it,
-   so there is exactly one definition of "percentile", "mean" and "max"
-   in the tree. *)
+   samples with it, so there is exactly one definition of "percentile",
+   "mean" and "max" in the tree. *)
 
 type t = {
   count : int;

@@ -1,7 +1,6 @@
 (** The shared sample-summary record: count, mean and nearest-rank
     quantiles. The workload runner, audit and benchmark harness summarise
-    samples with it and {!Metrics} renders histogram snapshots through
-    it, so percentile arithmetic exists exactly once. *)
+    samples with it, so percentile arithmetic exists exactly once. *)
 
 type t = {
   count : int;

@@ -37,7 +37,6 @@ type cross_txn = {
 }
 
 type t = {
-  a_metrics : Metrics.t;
   a_history : Store.History.t;
   a_groups : int list array;
   a_group_of : (int, int) Hashtbl.t;
@@ -134,14 +133,12 @@ let note_apply t ~replica ~at k ~value ~version =
         let ms = Simtime.to_ms (Simtime.sub at w.w_origin_at) in
         t.a_vis := ms :: !(t.a_vis);
         let by_replica = vis_recorder t replica in
-        by_replica := ms :: !by_replica;
-        Metrics.observe t.a_metrics "visibility_ms" ms
+        by_replica := ms :: !by_replica
       end
 
-let create ~engine ~metrics ~history ~groups ~store_of ?(shards = 1) () =
+let create ~engine ~history ~groups ~store_of ?(shards = 1) () =
   let t =
     {
-      a_metrics = metrics;
       a_history = history;
       a_groups = Array.of_list groups;
       a_group_of = Hashtbl.create 16;
@@ -217,7 +214,6 @@ let note_reply t ~client ~rid ~committed ~submitted_at ~at =
          with
         | Some rt ->
             t.a_stale_reads <- t.a_stale_reads + 1;
-            Metrics.incr t.a_metrics "audit_stale_reads_total";
             t.a_stale := Simtime.to_ms (Simtime.sub at rt) :: !(t.a_stale)
         | None -> ());
         (match
@@ -225,7 +221,6 @@ let note_reply t ~client ~rid ~committed ~submitted_at ~at =
          with
         | Some rt ->
             t.a_ryw <- t.a_ryw + 1;
-            Metrics.incr t.a_metrics "audit_ryw_violations_total";
             t.a_session_window_max_ms <-
               Float.max t.a_session_window_max_ms
                 (Simtime.to_ms (Simtime.sub at rt))
@@ -235,7 +230,6 @@ let note_reply t ~client ~rid ~committed ~submitted_at ~at =
          with
         | Some rt ->
             t.a_mr <- t.a_mr + 1;
-            Metrics.incr t.a_metrics "audit_mr_violations_total";
             t.a_session_window_max_ms <-
               Float.max t.a_session_window_max_ms
                 (Simtime.to_ms (Simtime.sub at rt))
@@ -384,9 +378,6 @@ let finalize t =
   in
   let drained = List.for_all (fun (_, lag) -> lag = 0) final_lag in
   let skew = skew_pairs t in
-  if skew > 0 then
-    Metrics.incr t.a_metrics ~by:skew "audit_skew_pairs_total";
-  Metrics.set_gauge t.a_metrics "audit_post_commit_window_ms" post_commit_max;
   {
     writes = writes_n;
     fully_replicated = fully;

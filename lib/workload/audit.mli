@@ -19,8 +19,7 @@
     - online session-guarantee checkers per client session —
       {e read-your-writes} and {e monotonic reads} — using interval
       order (operation A precedes B only if A's reply preceded B's
-      submission), with violation counters in the instance's
-      {!Sim.Metrics} registry;
+      submission), whose violation counts land in the {!summary};
     - a cross-shard {e snapshot-skew} detector counting committed
       cross-shard read pairs that observed a torn cross-shard write
       (the read-side face of the certification partial-commit caveat
@@ -76,7 +75,7 @@ type summary = {
   drained : bool;  (** every replica's final lag is zero *)
 }
 
-(** [create ~engine ~metrics ~history ~groups ~store_of ()] hooks the
+(** [create ~engine ~history ~groups ~store_of ()] hooks the
     audit into a built instance: installs a {!Store.Kv.on_update}
     watcher on every replica's store and a {!Store.History.on_add}
     subscription. Must run before any transaction is submitted.
@@ -84,7 +83,6 @@ type summary = {
     run's {!Store.Shard_map} placement. *)
 val create :
   engine:Sim.Engine.t ->
-  metrics:Sim.Metrics.t ->
   history:Store.History.t ->
   groups:int list list ->
   store_of:(int -> Store.Kv.t) ->
@@ -109,8 +107,7 @@ val note_reply :
   unit
 
 (** Summarise after the run (including its quiescence drain): computes
-    the replication/skew aggregates and updates the audit gauges in the
-    metrics registry. *)
+    the replication/skew aggregates. *)
 val finalize : t -> summary
 
 (** The largest residual lag in [final_lag] (0 when drained). *)

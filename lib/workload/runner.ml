@@ -151,8 +151,7 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
     if not audit then None
     else begin
       let a =
-        Audit.create ~engine ~metrics:inst.Core.Technique.metrics
-          ~history:inst.Core.Technique.history
+        Audit.create ~engine ~history:inst.Core.Technique.history
           ~groups:inst.Core.Technique.groups
           ~store_of:inst.Core.Technique.replica_store
           ~shards:spec.Spec.shards ()
@@ -289,12 +288,7 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
       (fun (p, ds) -> (p, Summary.summarize ds))
       (Core.Phase_span.samples spans)
   in
-  let metrics =
-    let m = inst.Core.Technique.metrics in
-    Metrics.set_gauge m "network_messages" (float_of_int messages);
-    Metrics.set_gauge m "makespan_ms" (Simtime.to_ms makespan);
-    Metrics.snapshot m
-  in
+  let metrics = Metrics.snapshot inst.Core.Technique.metrics in
   (match profiler with
   | None -> ()
   | Some p ->
@@ -336,8 +330,7 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
       phase_ms;
       metrics;
       resubmissions =
-        Option.value ~default:0
-          (Metrics.counter_value metrics "resubmissions_total");
+        Metrics.counter inst.Core.Technique.metrics "resubmissions_total";
       dropped = Network.messages_dropped network;
       dropped_loss = Network.dropped_loss network;
       dropped_crashed = Network.dropped_crashed network;

@@ -110,11 +110,10 @@ let two_keys_on_different_shards map =
 
 let drive_skew ~shards =
   let engine = Engine.create ~seed:3 () in
-  let metrics = Metrics.create () in
   let history = Store.History.create () in
   let stores = [| Store.Kv.create (); Store.Kv.create () |] in
   let audit =
-    Workload.Audit.create ~engine ~metrics ~history ~groups:[ [ 0 ]; [ 1 ] ]
+    Workload.Audit.create ~engine ~history ~groups:[ [ 0 ]; [ 1 ] ]
       ~store_of:(fun r -> stores.(r))
       ~shards ()
   in

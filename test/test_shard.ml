@@ -220,12 +220,10 @@ let contended_sharded key =
     Workload.Runner.run_with_instance ~seed:11 ~n_replicas:4 ~n_clients:4 ~spec
       (sharded_factory key)
   in
-  let snap = Sim.Metrics.snapshot inst.Core.Technique.metrics in
   let at name r =
-    Option.value ~default:0
-      (Sim.Metrics.counter_value snap
-         ~labels:[ ("replica", string_of_int r) ]
-         name)
+    Sim.Metrics.counter inst.Core.Technique.metrics
+      ~labels:[ ("replica", string_of_int r) ]
+      name
   in
   (inst, at)
 

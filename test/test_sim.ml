@@ -1305,57 +1305,61 @@ let test_metrics_counters () =
   Metrics.incr m "commits";
   Metrics.incr m ~by:2 "commits";
   Metrics.incr m ~labels:[ ("replica", "1") ] "commits";
-  Metrics.set_gauge m "depth" 4.5;
   let snap = Metrics.snapshot m in
   Alcotest.(check (option int)) "plain" (Some 3)
     (Metrics.counter_value snap "commits");
   Alcotest.(check (option int)) "labelled" (Some 1)
     (Metrics.counter_value snap ~labels:[ ("replica", "1") ] "commits");
   Alcotest.(check (option int)) "missing" None
-    (Metrics.counter_value snap "aborts");
-  Alcotest.(check (option (float 1e-9))) "gauge" (Some 4.5)
-    (Metrics.gauge_value snap "depth")
+    (Metrics.counter_value snap "aborts")
 
-let test_metrics_histogram () =
+(* The JSON dump parses back to the snapshot it was made from: every
+   sample a counter, labels with quotes and backslashes intact. Label
+   order names the same counter, and an absent counter reads 0. *)
+let test_metrics_json_round_trip () =
   let m = Metrics.create () in
-  List.iter (Metrics.observe m "lat_ms") [ 1.0; 2.0; 3.0; 4.0; 100.0 ];
+  let odd = [ ("note", "say \"hi\" \\ bye"); ("replica", "0") ] in
+  Metrics.incr m ~labels:odd "quoted_total";
+  Metrics.incr m ~labels:(List.rev odd) ~by:2 "quoted_total";
+  Metrics.incr m ~by:5 "plain_total";
+  Metrics.incr m ~labels:[ ("replica", "1") ] ~by:0 "zero_total";
+  Alcotest.(check int) "either label order" 3
+    (Metrics.counter m ~labels:(List.rev odd) "quoted_total");
+  Alcotest.(check int) "absent name" 0 (Metrics.counter m "aborts");
+  Alcotest.(check int) "absent labels" 0
+    (Metrics.counter m ~labels:[ ("replica", "9") ] "plain_total");
   let snap = Metrics.snapshot m in
-  let h = Option.get (Metrics.histogram_value snap "lat_ms") in
-  Alcotest.(check int) "count" 5 h.Metrics.count;
-  Alcotest.(check (float 1e-9)) "sum" 110.0 h.Metrics.sum;
-  Alcotest.(check (float 1e-9)) "min" 1.0 h.Metrics.min;
-  Alcotest.(check (float 1e-9)) "max" 100.0 h.Metrics.max;
-  Alcotest.(check (float 1e-9)) "mean" 22.0 (Metrics.mean h);
-  (* Bucketed quantiles are upper-bound estimates within bucket width. *)
-  let p50 = Metrics.quantile h 0.5 in
-  Alcotest.(check bool) "p50 near median" true (p50 >= 2.0 && p50 <= 4.6);
-  Alcotest.(check (float 1e-9)) "p100 clamps to max" 100.0
-    (Metrics.quantile h 1.0)
-
-let test_metrics_diff () =
-  let m = Metrics.create () in
-  Metrics.incr m "a";
-  Metrics.observe m "h" 1.0;
-  let before = Metrics.snapshot m in
-  Metrics.incr m ~by:4 "a";
-  Metrics.incr m "b";
-  Metrics.observe m "h" 2.0;
-  Metrics.observe m "h" 3.0;
-  let after = Metrics.snapshot m in
-  let d = Metrics.diff ~before ~after in
-  Alcotest.(check (option int)) "counter delta" (Some 4)
-    (Metrics.counter_value d "a");
-  Alcotest.(check (option int)) "new counter" (Some 1)
-    (Metrics.counter_value d "b");
-  let h = Option.get (Metrics.histogram_value d "h") in
-  Alcotest.(check int) "histogram delta count" 2 h.Metrics.count;
-  Alcotest.(check (float 1e-9)) "histogram delta sum" 5.0 h.Metrics.sum;
-  (* Unchanged instruments drop out of the diff. *)
-  Metrics.incr m "c";
-  let s1 = Metrics.snapshot m in
-  let s2 = Metrics.snapshot m in
-  Alcotest.(check int) "no-change diff is empty" 0
-    (List.length (Metrics.diff ~before:s1 ~after:s2))
+  let open Workload.Bench_out in
+  let str = function Str s -> s | _ -> Alcotest.fail "expected a string" in
+  let parsed =
+    match parse (Metrics.snapshot_to_json snap) with
+    | Ok (Arr samples) ->
+        List.map
+          (function
+            | Obj kvs ->
+                Alcotest.(check string) "type" "counter"
+                  (str (List.assoc "type" kvs));
+                let labels =
+                  match List.assoc "labels" kvs with
+                  | Obj ls -> List.map (fun (k, v) -> (k, str v)) ls
+                  | _ -> Alcotest.fail "labels is not an object"
+                in
+                let value =
+                  match List.assoc "value" kvs with
+                  | Num v -> int_of_float v
+                  | _ -> Alcotest.fail "value is not a number"
+                in
+                (str (List.assoc "metric" kvs), labels, value)
+            | _ -> Alcotest.fail "sample is not an object")
+          samples
+    | Ok _ -> Alcotest.fail "dump is not an array"
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list (triple string (list (pair string string)) int)))
+    "round trip"
+    (List.map (fun (s : Metrics.sample) -> (s.metric, s.labels, s.value)) snap)
+    parsed;
+  Alcotest.(check int) "three counters" 3 (List.length parsed)
 
 (* Escaping, and both exporters applying it to span names and notes: a
    clean string passes through unchanged, special characters do not. *)
@@ -1570,9 +1574,8 @@ let () =
         ] );
       ( "metrics",
         [
-          tc "counters+gauges" test_metrics_counters;
-          tc "histogram" test_metrics_histogram;
-          tc "snapshot diff" test_metrics_diff;
+          tc "counters" test_metrics_counters;
+          tc "json round-trip" test_metrics_json_round_trip;
           tc "json escape + exporters" test_json_escape;
         ] );
       ( "profiler",

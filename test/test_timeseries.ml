@@ -184,21 +184,6 @@ let test_summary_single_sample () =
       ("max", s.Sim.Summary.max);
     ]
 
-let test_hist_summary_empty () =
-  let h =
-    {
-      Metrics.count = 0;
-      sum = 0.;
-      min = Float.infinity;
-      max = Float.neg_infinity;
-      bucket_counts = Array.make 64 0;
-    }
-  in
-  let s = Metrics.hist_summary h in
-  Alcotest.(check int) "count sentinel" 0 s.Summary.count;
-  Alcotest.(check bool) "mean finite" true (finite s.Summary.mean);
-  Alcotest.(check bool) "equals Summary.empty" true (s = Summary.empty)
-
 (* ------------------------------------------------------------------ *)
 (* 2PC in-doubt gauge under a coordinator crash                       *)
 (* ------------------------------------------------------------------ *)
@@ -259,7 +244,6 @@ let () =
         [
           tc "empty" test_summary_empty;
           tc "single sample" test_summary_single_sample;
-          tc "empty histogram" test_hist_summary_empty;
         ] );
       ( "in-doubt",
         [ tc "rises under coordinator crash" test_in_doubt_rises_and_clears ] );

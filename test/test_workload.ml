@@ -127,6 +127,33 @@ let test_runner_completes () =
   Alcotest.(check int) "latency count = committed" 20
     result.Workload.Runner.latency_ms.Sim.Summary.count
 
+(* The registry's transaction counters tell the same story as the
+   runner's result, for every technique on a fault-free unsharded run:
+   every submission is answered with one commit or abort reply, or is
+   left unanswered. *)
+let test_counters_match_result () =
+  List.iter
+    (fun (e : Protocols.Registry.entry) ->
+      let spec = Workload.Builder.spec ~txns:30 () in
+      let r, inst =
+        Workload.Runner.run_with_instance ~seed:11 ~spec
+          (Protocols.Registry.default_factory e)
+      in
+      let sum name =
+        Protocols.Common.sum_replica_counter inst name
+          inst.Core.Technique.replicas
+      in
+      let key = e.Protocols.Registry.key in
+      Alcotest.(check int) (key ^ " committed") r.Workload.Runner.committed
+        (sum "txn_committed_total");
+      Alcotest.(check int) (key ^ " aborted") r.Workload.Runner.aborted
+        (sum "txn_aborted_total");
+      Alcotest.(check int) (key ^ " submitted")
+        (r.Workload.Runner.committed + r.Workload.Runner.aborted
+       + r.Workload.Runner.unanswered)
+        (Sim.Metrics.counter inst.Core.Technique.metrics "txn_submitted_total"))
+    Protocols.Registry.all
+
 (* Every field except wall-clock time is deterministic per seed; zero
    the one nondeterministic field before structural comparison. *)
 let zero_wall (r : Workload.Runner.result) = { r with wall_s = 0. }
@@ -596,6 +623,7 @@ let () =
           tc "latency split" test_runner_latency_split;
           tc "poisson arrivals" test_runner_poisson_arrivals;
           tc "phase summary online" test_runner_phase_ms_online;
+          tc "counters match result" test_counters_match_result;
           tc "allocation per delivery" test_alloc_per_delivery;
           tc "rchan timers per message" test_rchan_timers_per_message;
         ] );
