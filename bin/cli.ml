@@ -10,6 +10,35 @@ open Cmdliner
 
 let fail fmt = Fmt.kstr (fun msg -> Fmt.epr "replisim: %s@." msg; exit 2) fmt
 
+(* The one report of a check: each failed verdict with the subject it
+   judged (a technique, a campaign run), then one summary line — [ok] when
+   nothing failed. All of it goes to stderr, so a check never pollutes
+   machine-readable stdout; any failure exits with status 1. *)
+let report cmd ~ok checks =
+  let failed =
+    List.filter (fun (_, (v : Workload.Verdict.t)) -> not v.ok) checks
+  in
+  List.iter
+    (fun (subject, (v : Workload.Verdict.t)) ->
+      Fmt.epr "%s: %s: %s: %s@." cmd subject v.oracle v.detail)
+    failed;
+  if failed = [] then Fmt.epr "%s: %s@." cmd ok
+  else begin
+    Fmt.epr "%s: %d of %d verdicts failed@." cmd (List.length failed)
+      (List.length checks);
+    exit 1
+  end
+
+(* Write [lines] to [file], or to stdout for [-]. *)
+let write_lines file lines =
+  let write oc =
+    List.iter (fun l -> output_string oc l; output_char oc '\n') lines
+  in
+  if file = "-" then write stdout else Out_channel.with_open_text file write
+
+(* [verdicts] as checks of one subject. *)
+let about subject verdicts = List.map (fun v -> (subject, v)) verdicts
+
 (* ---- technique selection -------------------------------------------- *)
 
 let technique_conv =
@@ -29,6 +58,18 @@ let technique_arg =
         ~doc:
           (Printf.sprintf "Replication technique to run. One of: %s."
              (String.concat ", " Protocols.Registry.keys)))
+
+(* [all] or a comma-separated list of registry keys; an unknown key is a
+   usage error listing the valid ones. *)
+let techniques = function
+  | "all" -> Protocols.Registry.all
+  | keys ->
+      List.map
+        (fun key ->
+          match Protocols.Registry.find_res key with
+          | Ok entry -> entry
+          | Error msg -> fail "%s" msg)
+        (String.split_on_char ',' keys)
 
 let technique_opt ~doc =
   Arg.(
@@ -101,6 +142,17 @@ let recoveries_arg =
           "Recover replica R at TIME (same syntax as $(b,--crash): \
            repeatable, comma lists accepted, e.g. --recover 0@1s,2@3s). Each \
            entry must pair with an earlier --crash of the same replica.")
+
+let scenario_names =
+  String.concat ", "
+    (List.map (fun s -> s.Workload.Scenario.name) Workload.Scenario.builtins)
+
+(* The builtin scenario [name]; an unknown name is a usage error listing
+   the builtins and [also], the names the caller accepts itself. *)
+let scenario ?(also = "") name =
+  match Workload.Scenario.find name with
+  | Some s -> s
+  | None -> fail "unknown scenario %S (known: %s%s)" name scenario_names also
 
 (* A scenario's faults must fit the cluster: the builtins assume three
    replicas, and on a smaller one an event can name a client. *)
@@ -201,6 +253,15 @@ let cross_arg =
               "Fraction of multi-op transactions forced to span two shards \
                (needs a sharded technique, e.g. $(b,--set active.shards=4), \
                and $(b,--ops) >= 2; the rest stay within one shard)."))
+
+(* --cross forces cross-shard transactions, so it needs shards to cross
+   and transactions of more than one operation. *)
+let check_cross (entry : Protocols.Registry.entry) ~shards ~ops cross =
+  if cross > 0. && shards <= 1 then
+    fail "--cross needs a sharded technique; add --set %s.shards=K (K >= 2)"
+      entry.key;
+  if cross > 0. && ops < 2 then
+    fail "--cross needs multi-op transactions; add --ops 2 (or more)"
 
 let skew_arg =
   Arg.(
@@ -354,6 +415,14 @@ let check_shards ~n cfg =
           shards"
       shards shards n;
   shards
+
+(* Header [config] pairs of the directives themselves, for a header that
+   covers several techniques. *)
+let directive_pairs directives =
+  List.map
+    (fun (d : Protocols.Config.directive) ->
+      (d.technique ^ "." ^ d.key, d.value))
+    directives
 
 (* Header [config] pairs: only the non-default bindings, so an export of
    a default run stays byte-identical to pre-configuration versions. *)

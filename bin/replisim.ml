@@ -99,12 +99,7 @@ let run_cmd =
     let updates = Cli.mix ?updates ?reads () in
     let cfg, factory = Cli.resolve entry directives in
     let shards = Cli.check_shards ~n cfg in
-    if cross > 0. && shards <= 1 then
-      Cli.fail
-        "--cross needs a sharded technique; add --set %s.shards=K (K >= 2)"
-        entry.key;
-    if cross > 0. && ops < 2 then
-      Cli.fail "--cross needs multi-op transactions; add --ops 2 (or more)";
+    Cli.check_cross entry ~shards ~ops cross;
     let faults =
       match
         Workload.Builder.crash_schedule ~n ~crashes:(List.concat crashes)
@@ -126,18 +121,14 @@ let run_cmd =
     let emit_record () =
       match record_to with
       | None -> ()
-      | Some file -> (
-          let json =
-            Workload.Run_record.to_json
-              (Workload.Sweep.record ~technique:entry.key
-                 ~config:(Cli.config_pairs entry cfg) ~factory ~seed
-                 ~n_replicas:n ~n_clients:m ~arrival:`Closed ~spec result)
-          in
-          match file with
-          | "-" -> print_endline json
-          | file ->
-              Out_channel.with_open_text file (fun oc ->
-                  Printf.fprintf oc "%s\n" json))
+      | Some file ->
+          Cli.write_lines file
+            [
+              Workload.Run_record.to_json
+                (Workload.Sweep.record ~technique:entry.key
+                   ~config:(Cli.config_pairs entry cfg) ~factory ~seed
+                   ~n_replicas:n ~n_clients:m ~arrival:`Closed ~spec result);
+            ]
     in
     if csv then begin
       let label =
@@ -261,34 +252,28 @@ let trace_cmd =
 
 (* ---- explain -------------------------------------------------------- *)
 
-let explain_matches (info : Core.Technique.info) ~n
-    (s : Sim.Msg_dag.summary) =
-  s.Sim.Msg_dag.replied
-  && s.Sim.Msg_dag.messages = info.expected_messages ~n
-  && s.Sim.Msg_dag.steps = info.expected_steps
-
 let pp_endpoint ~n ppf e =
   if e >= n then Fmt.pf ppf "c%d" (e - n) else Fmt.pf ppf "r%d" e
 
-let explain_pretty ~n ~shards key (info : Core.Technique.info)
-    (msgs : Sim.Msg_dag.msg list) (s : Sim.Msg_dag.summary) =
+let explain_pretty ~n key (x : Workload.Builder.explained) =
+  let info = x.x_info and s = x.x_summary in
   let on_path =
     List.map (fun m -> m.Sim.Msg_dag.span.Sim.Span.id) s.critical_path
   in
   Fmt.pr "technique : %s (%s, paper §%s)@." info.name key info.section;
   Fmt.pr "replicas  : %d (+1 client), constant 1 ms links@." n;
-  if shards > 1 then
+  if x.x_shards > 1 then
     Fmt.pr
       "sharding  : %d groups — single-shard txn runs in one group of <= %d \
        replicas, so the expectation below is the §5 cost at n=%d@."
-      shards
-      (Protocols.Sharded.probe_group_size ~n ~shards)
-      (Protocols.Sharded.probe_group_size ~n ~shards);
+      x.x_shards x.x_group x.x_group;
   Fmt.pr "messages  : %d observed / %d expected   (+%d transport acks, %d self)@."
-    s.messages (info.expected_messages ~n) s.transport_acks s.self_sends;
+    s.messages
+    (Workload.Builder.expected_messages x)
+    s.transport_acks s.self_sends;
   Fmt.pr "steps     : %d observed / %d expected@." s.steps info.expected_steps;
   Fmt.pr "verdict   : %s@."
-    (if explain_matches info ~n s then "OK — matches the §5 expectation"
+    (if (Workload.Builder.section5 x).ok then "OK — matches the §5 expectation"
      else "DEVIATION from the §5 expectation");
   Fmt.pr "@.timeline (* = critical path, RE -> END):@.";
   List.iter
@@ -308,35 +293,37 @@ let explain_pretty ~n ~shards key (info : Core.Technique.info)
           | Some d -> pp_endpoint ~n ppf d
           | None -> Fmt.pf ppf "?")
         m.dst m.label fate)
-    msgs;
+    x.x_msgs;
   Fmt.pr "@.critical path (%d steps):@.  %s@." s.steps
     (String.concat " -> "
        (List.map (fun (m : Sim.Msg_dag.msg) -> m.Sim.Msg_dag.label)
           s.critical_path))
 
-let explain_json ~n ~shards ~seed key (info : Core.Technique.info)
-    (s : Sim.Msg_dag.summary) =
+let explain_json ~n ~seed key (x : Workload.Builder.explained) =
+  let s = x.x_summary in
   Printf.sprintf
     {|{"technique":%S,"n":%d,"shards":%d,"seed":%d,"observed":{"messages":%d,"steps":%d,"transport_acks":%d,"self_sends":%d,"sends":%d,"dropped":%d,"replied":%b},"expected":{"messages":%d,"steps":%d},"critical_path":[%s],"match":%b}|}
-    key n shards seed s.Sim.Msg_dag.messages s.steps s.transport_acks
-    s.self_sends s.sends s.dropped s.replied (info.expected_messages ~n)
-    info.expected_steps
+    key n x.x_shards seed s.messages s.steps s.transport_acks s.self_sends
+    s.sends s.dropped s.replied
+    (Workload.Builder.expected_messages x)
+    x.x_info.expected_steps
     (String.concat ","
        (List.map
           (fun (m : Sim.Msg_dag.msg) ->
             Printf.sprintf "%S" m.Sim.Msg_dag.label)
           s.critical_path))
-    (explain_matches info ~n s)
+    (Workload.Builder.section5 x).ok
 
 let explain_csv_header =
   "technique,n,shards,seed,messages,expected_messages,steps,expected_steps,transport_acks,self_sends,sends,dropped,replied,match"
 
-let explain_csv_row ~n ~shards ~seed key (info : Core.Technique.info)
-    (s : Sim.Msg_dag.summary) =
-  Printf.sprintf "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%b,%b" key n shards seed
-    s.Sim.Msg_dag.messages (info.expected_messages ~n) s.steps
-    info.expected_steps s.transport_acks s.self_sends s.sends s.dropped
-    s.replied (explain_matches info ~n s)
+let explain_csv_row ~n ~seed key (x : Workload.Builder.explained) =
+  let s = x.x_summary in
+  Printf.sprintf "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%b,%b" key n x.x_shards
+    seed s.messages
+    (Workload.Builder.expected_messages x)
+    s.steps x.x_info.expected_steps s.transport_acks s.self_sends s.sends
+    s.dropped s.replied (Workload.Builder.section5 x).ok
 
 let explain_cmd =
   let doc =
@@ -368,7 +355,8 @@ let explain_cmd =
           ~doc:
             "Conformance mode: compare the observed message/step signature \
              of every selected technique against its §5 expectation; exit 1 \
-             on any deviation (or causally unsound trace).")
+             on any deviation (or causally unsound trace). Verdicts go to \
+             stderr.")
   in
   let run technique directives n seed format check =
     let selected =
@@ -379,32 +367,16 @@ let explain_cmd =
     let results =
       List.map
         (fun (entry : Protocols.Registry.entry) ->
-          let cfg, factory = Cli.resolve entry directives in
-          let shards = Cli.check_shards ~n cfg in
-          (* A single-shard probe transaction runs entirely inside one
-             replication group, so the §5 expectation applies at the group
-             size, not the cluster size. *)
-          let info =
-            if shards <= 1 then entry.info
-            else
-              let g = Protocols.Sharded.probe_group_size ~n ~shards in
-              {
-                entry.info with
-                Core.Technique.expected_messages =
-                  (fun ~n:_ -> entry.info.Core.Technique.expected_messages ~n:g);
-              }
-          in
-          let p = Workload.Builder.probe ~seed ~n factory in
-          let msgs, sound, summary = Workload.Builder.probe_summary p in
-          (entry.key, info, shards, msgs, sound, summary))
+          let cfg, _ = Cli.resolve entry directives in
+          ignore (Cli.check_shards ~n cfg);
+          (entry.key, Workload.Builder.explain ~seed ~n entry cfg))
         selected
     in
     (match format with
     | `Csv ->
         print_endline explain_csv_header;
         List.iter
-          (fun (key, info, shards, _, _, s) ->
-            print_endline (explain_csv_row ~n ~shards ~seed key info s))
+          (fun (key, x) -> print_endline (explain_csv_row ~n ~seed key x))
           results
     | `Json ->
         let technique_label, config =
@@ -412,47 +384,26 @@ let explain_cmd =
           | Some entry ->
               let cfg, _ = Cli.resolve entry directives in
               (entry.key, Cli.config_pairs entry cfg)
-          | None ->
-              ( "all",
-                List.map
-                  (fun (d : Protocols.Config.directive) ->
-                    (d.technique ^ "." ^ d.key, d.value))
-                  directives )
+          | None -> ("all", Cli.directive_pairs directives)
         in
         print_endline
           (Workload.Report.header_json ~config ~seed
              ~technique:technique_label ~n_replicas:n ());
         List.iter
-          (fun (key, info, shards, _, _, s) ->
-            print_endline (explain_json ~n ~shards ~seed key info s))
+          (fun (key, x) -> print_endline (explain_json ~n ~seed key x))
           results
     | `Pretty ->
         List.iteri
-          (fun i (key, info, shards, msgs, _, s) ->
+          (fun i (key, x) ->
             if i > 0 then Fmt.pr "@.";
-            explain_pretty ~n ~shards key info msgs s)
+            explain_pretty ~n key x)
           results);
-    if check then begin
-      let bad =
-        List.filter
-          (fun (_, info, _, _, sound, s) ->
-            not (sound && explain_matches info ~n s))
-          results
-      in
-      List.iter
-        (fun (key, (info : Core.Technique.info), _, _, sound, s) ->
-          Fmt.epr
-            "explain --check: %s deviates: %d/%d messages, %d/%d steps \
-             (observed/expected)%s@."
-            key s.Sim.Msg_dag.messages (info.expected_messages ~n)
-            s.Sim.Msg_dag.steps info.expected_steps
-            (if sound then "" else "; trace not causally sound"))
-        bad;
-      if bad <> [] then exit 1
-      else
-        Fmt.pr "explain --check: %d technique(s) match the §5 expectations@."
-          (List.length results)
-    end
+    if check then
+      Cli.report "explain --check"
+        ~ok:
+          (Printf.sprintf "%d technique(s) match the §5 expectations"
+             (List.length results))
+        (List.map (fun (key, x) -> (key, Workload.Builder.section5 x)) results)
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
@@ -469,10 +420,6 @@ let campaign_cmd =
      Figure-16 signature conformance, liveness). Exits non-zero if any \
      oracle verdict misses its expectation."
   in
-  let scenario_names =
-    String.concat ", "
-      (List.map (fun s -> s.Workload.Scenario.name) Workload.Scenario.builtins)
-  in
   let scenarios_arg =
     Arg.(
       value & opt string "all"
@@ -481,7 +428,7 @@ let campaign_cmd =
             (Printf.sprintf
                "Scenario to run: one of %s, a comma-separated list, or \
                 $(b,all)."
-               scenario_names))
+               Cli.scenario_names))
   in
   let techniques_arg =
     Arg.(
@@ -517,28 +464,10 @@ let campaign_cmd =
     let scenarios =
       match scenario_sel with
       | "all" -> Workload.Scenario.builtins
-      | names ->
-          List.map
-            (fun name ->
-              match Workload.Scenario.find name with
-              | Some s -> s
-              | None ->
-                  Cli.fail "unknown scenario %S (known: %s)" name
-                    scenario_names)
-            (String.split_on_char ',' names)
+      | names -> List.map Cli.scenario (String.split_on_char ',' names)
     in
     List.iter (Cli.check_scenario ~n:n_replicas) scenarios;
-    let techniques =
-      match technique_sel with
-      | "all" -> Protocols.Registry.all
-      | keys ->
-          List.map
-            (fun key ->
-              match Protocols.Registry.find_res key with
-              | Ok entry -> entry
-              | Error msg -> Cli.fail "%s" msg)
-            (String.split_on_char ',' keys)
-    in
+    let techniques = Cli.techniques technique_sel in
     let spec =
       {
         Workload.Scenario.default_spec with
@@ -561,11 +490,7 @@ let campaign_cmd =
       Workload.Report.header_json
         ~seed:(match seeds with s :: _ -> s | [] -> 11)
         ~technique:technique_sel ~n_replicas
-        ~config:
-          (List.map
-             (fun (d : Protocols.Config.directive) ->
-               (d.technique ^ "." ^ d.key, d.value))
-             directives)
+        ~config:(Cli.directive_pairs directives)
         ~extra:
           [
             ( "seeds",
@@ -574,35 +499,26 @@ let campaign_cmd =
           ]
         ()
     in
-    (match jsonl with
-    | None -> ()
-    | Some "-" ->
-        print_endline campaign_header;
-        List.iter
-          (fun o -> print_endline (Workload.Scenario.jsonl_row o))
-          outcomes
-    | Some file ->
-        let oc = open_out file in
-        output_string oc campaign_header;
-        output_char oc '\n';
-        List.iter
-          (fun o ->
-            output_string oc (Workload.Scenario.jsonl_row o);
-            output_char oc '\n')
-          outcomes;
-        close_out oc);
+    Option.iter
+      (fun file ->
+        Cli.write_lines file
+          (campaign_header :: List.map Workload.Scenario.jsonl_row outcomes))
+      jsonl;
     if csv then Workload.Scenario.to_csv Fmt.stdout outcomes
     else
       List.iter
         (fun o -> Fmt.pr "%a@." Workload.Scenario.pp_outcome o)
         outcomes;
-    let failed =
-      List.filter (fun o -> not o.Workload.Scenario.ok) outcomes
-    in
-    if not csv then
-      Fmt.pr "@.campaign: %d runs, %d failed oracle expectations@."
-        (List.length outcomes) (List.length failed);
-    if failed <> [] then exit 1
+    Cli.report "campaign"
+      ~ok:
+        (Printf.sprintf "%d runs, 0 failed oracle expectations"
+           (List.length outcomes))
+      (List.concat_map
+         (fun (o : Workload.Scenario.outcome) ->
+           Cli.about
+             (Printf.sprintf "%s/%s/seed=%d" o.technique o.scenario o.seed)
+             o.verdicts)
+         outcomes)
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
@@ -697,93 +613,6 @@ let fault_ruler ~cols ~t_end events =
     events;
   Bytes.to_string line
 
-(* Intervals during which a detector finding is expected (fault active,
-   plus [grace] for the protocol to drain afterwards). An unrecovered
-   crash stays in effect forever. *)
-let fault_windows ~grace (events : Workload.Scenario.event list) =
-  List.filter_map
-    (fun (event : Workload.Scenario.event) ->
-      match event with
-      | Workload.Scenario.Crash { at; replica } ->
-          let recover_at =
-            List.find_map
-              (fun (e : Workload.Scenario.event) ->
-                match e with
-                | Workload.Scenario.Recover { at = r_at; replica = r }
-                  when r = replica && Sim.Simtime.(r_at > at) ->
-                    Some r_at
-                | _ -> None)
-              events
-          in
-          Some
-            ( at,
-              match recover_at with
-              | Some r -> Sim.Simtime.add r grace
-              | None -> Sim.Simtime.infinity )
-      | Workload.Scenario.Partition { at; heal_at; _ } ->
-          Some (at, Sim.Simtime.add heal_at grace)
-      | Workload.Scenario.Loss { at; until; _ } ->
-          Some (at, Sim.Simtime.add until grace)
-      | Workload.Scenario.Recover _ -> None)
-    events
-
-let in_some_window windows (f : Sim.Saturation.finding) =
-  List.exists
-    (fun (w_start, w_end) ->
-      Sim.Simtime.(f.Sim.Saturation.at <= w_end)
-      && Sim.Simtime.(w_start <= f.Sim.Saturation.until))
-    windows
-
-(* Group-stack backlogs that should visibly build while a partition cuts
-   a member off and drain once it heals. *)
-let backlog_names =
-  [ "rchan_unacked"; "abcast_pending"; "abcast_undelivered"; "vscast_buffered" ]
-
-(* The partition build-up/drain obligation: some group-stack queue must
-   peak >= 2 inside the partition window and be back <= 1 by the end of
-   the (quiesced) run. *)
-let check_partition_backlog series events =
-  let ranges =
-    List.filter_map
-      (fun (e : Workload.Scenario.event) ->
-        match e with
-        | Workload.Scenario.Partition { at; heal_at; _ } -> Some (at, heal_at)
-        | _ -> None)
-      events
-  in
-  match ranges with
-  | [] -> Ok ()
-  | (p_at, p_heal) :: _ -> (
-      let candidates =
-        List.filter
-          (fun (s : Sim.Timeseries.series) ->
-            s.kind = Sim.Timeseries.Queue && List.mem s.name backlog_names)
-          series
-      in
-      match candidates with
-      | [] -> Error "no group-stack queue series sampled"
-      | _ ->
-          let built_and_drained (s : Sim.Timeseries.series) =
-            let pts = Sim.Timeseries.points s in
-            let peak_in_window =
-              List.fold_left
-                (fun acc (p : Sim.Timeseries.point) ->
-                  if Sim.Simtime.(p.at >= p_at) && Sim.Simtime.(p.at <= p_heal)
-                  then Float.max acc p.value
-                  else acc)
-                0. pts
-            in
-            let final =
-              match s.points_rev with [] -> 0. | p :: _ -> p.value
-            in
-            peak_in_window >= 2. && final <= 1.
-          in
-          if List.exists built_and_drained candidates then Ok ()
-          else
-            Error
-              "no group-stack queue built up (>= 2) during the partition and \
-               drained (<= 1) after heal")
-
 let timeline_cmd =
   let doc =
     "Run a workload with the resource sampler on and render per-replica \
@@ -793,10 +622,6 @@ let timeline_cmd =
      outside a fault window, or when a partition scenario fails to show \
      the expected backlog build-up and post-heal drain."
   in
-  let scenario_names =
-    String.concat ", "
-      (List.map (fun s -> s.Workload.Scenario.name) Workload.Scenario.builtins)
-  in
   let scenario_arg =
     Arg.(
       value & opt string "partition-heal"
@@ -805,7 +630,7 @@ let timeline_cmd =
             (Printf.sprintf
                "Fault scenario to inject: one of %s, or $(b,none) for a \
                 healthy run."
-               scenario_names))
+               Cli.scenario_names))
   in
   let interval =
     Arg.(
@@ -835,7 +660,7 @@ let timeline_cmd =
           ~doc:
             "Exit 1 when a saturation finding lies outside every fault \
              window, or a partition scenario shows no backlog \
-             build-up/drain.")
+             build-up/drain. Verdicts go to stderr.")
   in
   let run (entry : Protocols.Registry.entry) directives scenario_sel n m txns
       seed interval_ms until_ms format check =
@@ -844,12 +669,7 @@ let timeline_cmd =
     let scenario =
       match scenario_sel with
       | "none" -> None
-      | name -> (
-          match Workload.Scenario.find name with
-          | Some s -> Some s
-          | None ->
-              Cli.fail "unknown scenario %S (known: %s, none)" name
-                scenario_names)
+      | name -> Some (Cli.scenario ~also:", none" name)
     in
     Option.iter (Cli.check_scenario ~n) scenario;
     let events =
@@ -939,30 +759,14 @@ let timeline_cmd =
         List.iter
           (fun f -> Fmt.pr "finding   : %a@." Sim.Saturation.pp_finding f)
           findings);
-    if check then begin
-      let windows = fault_windows ~grace:(Sim.Simtime.of_ms 300) events in
-      let stray =
-        List.filter (fun f -> not (in_some_window windows f)) findings
-      in
-      List.iter
-        (fun f ->
-          Fmt.epr "timeline --check: finding outside any fault window: %a@."
-            Sim.Saturation.pp_finding f)
-        stray;
-      let backlog =
-        match check_partition_backlog series events with
-        | Ok () -> true
-        | Error msg ->
-            Fmt.epr "timeline --check: %s@." msg;
-            false
-      in
-      if stray <> [] || not backlog then exit 1
-      else
-        Fmt.pr
-          "timeline --check: OK (%d series, %d findings, all inside fault \
-           windows)@."
-          (List.length series) (List.length findings)
-    end
+    if check then
+      Cli.report "timeline --check"
+        ~ok:
+          (Printf.sprintf
+             "OK (%d series, %d findings, all inside fault windows)"
+             (List.length series) (List.length findings))
+        (Cli.about entry.key
+           (Workload.Scenario.timeline_verdicts events series findings))
   in
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(
@@ -1023,7 +827,7 @@ let profile_cmd =
           ~doc:
             "Self-test: re-parse the profile JSON, verify per-bucket event \
              counts sum to the events executed and that wall/alloc shares \
-             sum to ~1.0; exit 1 on failure.")
+             sum to ~1.0; exit 1 on failure. Verdicts go to stderr.")
   in
   let run (entry : Protocols.Registry.entry) directives n m updates txns seed
       top format no_tracing sample check =
@@ -1050,19 +854,18 @@ let profile_cmd =
       Sim.Profiler.add_trace_bytes profiler (String.length jsonl)
     end;
     let report = Sim.Profiler.report profiler in
-    let json () =
-      Sim.Profiler.report_to_json
-        ~extra:
-          [
-            ("technique", Printf.sprintf "%S" entry.key);
-            ("seed", string_of_int seed);
-            ("n_replicas", string_of_int n);
-            ("tracing", string_of_bool (not no_tracing));
-          ]
-        report
-    in
     (match format with
-    | `Json -> print_endline (json ())
+    | `Json ->
+        print_endline
+          (Sim.Profiler.report_to_json
+             ~extra:
+               [
+                 ("technique", Printf.sprintf "%S" entry.key);
+                 ("seed", string_of_int seed);
+                 ("n_replicas", string_of_int n);
+                 ("tracing", string_of_bool (not no_tracing));
+               ]
+             report)
     | `Csv ->
         print_endline profile_csv_header;
         List.iter
@@ -1101,50 +904,13 @@ let profile_cmd =
           (fun i r ->
             if i < top then Fmt.pr "%a@." Sim.Profiler.pp_row r)
           by_wall);
-    if check then begin
-      let parsed = Workload.Bench_out.parse (json ()) in
-      let fail msg =
-        Fmt.epr "profile --check: %s@." msg;
-        exit 1
-      in
-      match parsed with
-      | Error e -> fail ("profile JSON does not parse: " ^ e)
-      | Ok _ ->
-          (* The trace:export bucket is an off-loop [measure], not an
-             engine event — the executed-events identity excludes it. *)
-          let bucket_events =
-            List.fold_left
-              (fun acc (r : Sim.Profiler.row) ->
-                if r.r_label = "trace:export" then acc else acc + r.r_events)
-              0 report.Sim.Profiler.p_buckets
-          in
-          if bucket_events <> report.Sim.Profiler.p_events then
-            fail
-              (Printf.sprintf "bucket events %d <> events executed %d"
-                 bucket_events report.Sim.Profiler.p_events);
-          let share_sum f =
-            List.fold_left
-              (fun acc r -> acc +. f r)
-              0. report.Sim.Profiler.p_buckets
-          in
-          let wall_sum = share_sum (fun r -> r.Sim.Profiler.r_wall_share) in
-          let alloc_sum = share_sum (fun r -> r.Sim.Profiler.r_alloc_share) in
-          let ok_sum label total sum =
-            (* All-zero shares are legitimate when nothing of that
-               resource was measured (sub-microsecond runs). *)
-            if total <= 0. then ()
-            else if Float.abs (sum -. 1.0) > 0.02 then
-              fail (Printf.sprintf "%s shares sum to %.4f, not ~1.0" label sum)
-          in
-          ok_sum "wall" report.Sim.Profiler.p_self_wall_s wall_sum;
-          ok_sum "alloc" report.Sim.Profiler.p_alloc_words alloc_sum;
-          (* stderr: --check must not pollute machine-readable stdout. *)
-          Fmt.epr
-            "profile --check: OK (%d buckets, %d events attributed, shares \
-             wall=%.3f alloc=%.3f)@."
-            (List.length report.Sim.Profiler.p_buckets)
-            report.Sim.Profiler.p_events wall_sum alloc_sum
-    end
+    if check then
+      Cli.report "profile --check"
+        ~ok:
+          (Printf.sprintf "OK (%d buckets, %d events attributed)"
+             (List.length report.Sim.Profiler.p_buckets)
+             report.Sim.Profiler.p_events)
+        (Cli.about entry.key (Workload.Builder.profile_verdicts report))
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
@@ -1178,7 +944,7 @@ let audit_cmd =
              eager techniques measure a zero session-order inconsistency \
              window (no read-your-writes or monotonic-reads violations), \
              and lazy techniques measure a strictly positive post-commit \
-             staleness window.")
+             staleness window. Verdicts go to stderr.")
   in
   let run technique directives n m updates reads txns ops keys skew cross seed
       router sticky shape flash fmt check =
@@ -1191,12 +957,7 @@ let audit_cmd =
         (fun (entry : Protocols.Registry.entry) ->
           let cfg, factory = Cli.resolve entry directives in
           let shards = Cli.check_shards ~n cfg in
-          if cross > 0. && shards <= 1 then
-            Cli.fail
-              "--cross needs a sharded technique; add --set %s.shards=K (K >= 2)"
-              entry.key;
-          if cross > 0. && ops < 2 then
-            Cli.fail "--cross needs multi-op transactions; add --ops 2 (or more)";
+          Cli.check_cross entry ~shards ~ops cross;
           let spec =
             Workload.Builder.spec ~keys ~skew ~updates ~ops ~txns ~shards
               ~cross ~shape ?flash:(Cli.flash_spec flash) ()
@@ -1297,25 +1058,17 @@ let audit_cmd =
                     a.final_lag))
               a.drained)
           rows);
-    if check then begin
-      let bad = ref 0 in
-      List.iter
-        (fun ((entry : Protocols.Registry.entry), shards, a) ->
-          match
-            Workload.Audit.violations
-              ~propagation:entry.info.Core.Technique.propagation ~shards a
-          with
-          | [] -> ()
-          | vs ->
-              incr bad;
-              List.iter
-                (fun (_, msg) -> Fmt.epr "audit: %s: %s@." entry.key msg)
-                vs)
-        rows;
-      if !bad > 0 then exit 1;
-      Fmt.pr "audit: OK (%d technique%s)@." (List.length rows)
-        (if List.length rows = 1 then "" else "s")
-    end
+    if check then
+      Cli.report "audit"
+        ~ok:
+          (Printf.sprintf "OK (%d technique%s)" (List.length rows)
+             (if List.length rows = 1 then "" else "s"))
+        (List.concat_map
+           (fun ((entry : Protocols.Registry.entry), shards, a) ->
+             Cli.about entry.key
+               (Workload.Audit.verdicts
+                  ~propagation:entry.info.Core.Technique.propagation ~shards a))
+           rows)
   in
   Cmd.v (Cmd.info "audit" ~doc)
     Term.(
@@ -1498,17 +1251,7 @@ let sweep_cmd =
       | None, Some rs -> List.map (fun r -> 1. -. Cli.ratio "--reads" r) rs
       | None, None -> [ 0.5 ]
     in
-    let techniques =
-      match technique_sel with
-      | "all" -> Protocols.Registry.all
-      | keys ->
-          List.map
-            (fun key ->
-              match Protocols.Registry.find_res key with
-              | Ok entry -> entry
-              | Error msg -> Cli.fail "%s" msg)
-            (String.split_on_char ',' keys)
-    in
+    let techniques = Cli.techniques technique_sel in
     List.iter (Cli.record_metric "--cell") cell_metrics;
     let axes =
       {

@@ -104,6 +104,27 @@ dune exec bin/replisim.exe -- campaign --scenario crash-recover \
 echo "== message-cost matrix =="
 dune exec bin/replisim.exe -- explain --check --format csv
 
+# A --check reports its verdicts on stderr, so machine-readable stdout
+# stays parseable under it: every line of the explain CSV has the
+# header's 14 fields, and every line of the audit and timeline JSON
+# output is a JSON object.
+echo "== --check keeps stdout machine-readable =="
+out=$(dune exec bin/replisim.exe -- explain --check --format csv 2> /dev/null)
+if printf '%s\n' "$out" | awk -F, 'NF != 14 { bad = 1 } END { exit !bad }'; then
+  printf '%s\n' "$out" | awk -F, 'NF != 14' >&2
+  echo "explain --check --format csv: a stdout line without 14 fields" >&2
+  exit 1
+fi
+for args in "audit -t active --check --format json" \
+    "timeline -t active --check --format json"; do
+  out=$(dune exec bin/replisim.exe -- $args 2> /dev/null)
+  if printf '%s\n' "$out" | grep -qv '^{'; then
+    printf '%s\n' "$out" | grep -v '^{' >&2
+    echo "replisim $args: a stdout line that is not a JSON object" >&2
+    exit 1
+  fi
+done
+
 # Paper figures: fig1-fig16 regenerated from executed traces (the main
 # consumer of the flat phase-mark view). Every timeline's observed
 # signature must match its paper row, and Figure 16 must report all ten

@@ -403,31 +403,36 @@ let finalize t =
 
 let max_lag s = List.fold_left (fun acc (_, lag) -> max acc lag) 0 s.final_lag
 
-type violation = Undrained | Eager_window | No_lazy_window | Unsharded_skew
-
 (* The measured form of the paper's §4 windows (see the interface):
    real-time stale reads are reported, never judged. *)
-let violations ~propagation ~shards s =
+let verdicts ~propagation ~shards s =
   let eager = propagation = Core.Technique.Eager in
-  List.filter_map
-    (fun (broken, v, msg) -> if broken then Some (v, msg) else None)
-    [
-      ( not s.drained,
-        Undrained,
-        Printf.sprintf "version lag never drained (max residual %d)"
-          (max_lag s) );
-      ( eager && (s.ryw_violations > 0 || s.mr_violations > 0),
-        Eager_window,
-        Printf.sprintf
-          "eager technique with a non-zero inconsistency window: %d \
-           read-your-writes + %d monotonic-reads violations (window %.3f ms)"
-          s.ryw_violations s.mr_violations s.session_window_max_ms );
-      ( (not eager) && s.post_commit_max_ms <= 0.,
-        No_lazy_window,
-        "lazy technique measured no post-commit staleness window \
-         (propagation should run after the reply)" );
-      ( shards = 1 && s.skew_pairs <> 0,
-        Unsharded_skew,
-        Printf.sprintf "%d snapshot-skew pairs at shards=1 (must be impossible)"
-          s.skew_pairs );
-    ]
+  let session = s.ryw_violations > 0 || s.mr_violations > 0 in
+  [
+    Verdict.v "drained" s.drained
+      (if s.drained then "version lag drained"
+       else
+         Printf.sprintf "version lag never drained (max residual %d)"
+           (max_lag s));
+    (if eager then
+       Verdict.v "eager_window" (not session)
+         (Printf.sprintf
+            "eager technique with a%s inconsistency window: %d \
+             read-your-writes + %d monotonic-reads violations (window %.3f ms)"
+            (if session then " non-zero" else " zero")
+            s.ryw_violations s.mr_violations s.session_window_max_ms)
+     else
+       Verdict.v "lazy_window" (s.post_commit_max_ms > 0.)
+         (if s.post_commit_max_ms > 0. then
+            Printf.sprintf "post-commit staleness window %.3f ms"
+              s.post_commit_max_ms
+          else
+            "lazy technique measured no post-commit staleness window \
+             (propagation should run after the reply)"));
+    Verdict.v "unsharded_skew"
+      (shards > 1 || s.skew_pairs = 0)
+      (Printf.sprintf "%d snapshot-skew pairs at shards=%d%s" s.skew_pairs
+         shards
+         (if shards = 1 && s.skew_pairs <> 0 then " (must be impossible)"
+          else ""));
+  ]

@@ -113,14 +113,12 @@ val finalize : t -> summary
 (** The largest residual lag in [final_lag] (0 when drained). *)
 val max_lag : summary -> int
 
-type violation = Undrained | Eager_window | No_lazy_window | Unsharded_skew
-
-(** What [replisim audit --check] rejects in a run of a technique of the
-    given [propagation] over [shards] groups, each with its message: lag
-    left after quiescence; an eager session-guarantee violation; a lazy
-    run with no post-commit window; snapshot skew at [shards = 1]. *)
-val violations :
-  propagation:Core.Technique.propagation ->
-  shards:int ->
-  summary ->
-  (violation * string) list
+(** What [replisim audit --check] judges in a run of a technique of the
+    given [propagation] over [shards] groups: ["drained"] (no lag left
+    after quiescence), ["eager_window"] (an eager run shows no
+    session-guarantee violation) or ["lazy_window"] (a lazy run shows a
+    post-commit window), and ["unsharded_skew"] (no snapshot skew at
+    [shards = 1]). *)
+val verdicts :
+  propagation:Core.Technique.propagation -> shards:int -> summary ->
+  Verdict.t list

@@ -83,3 +83,75 @@ let probe_summary p =
   let msgs = Sim.Msg_dag.messages collector ~trace:p.p_rid in
   let sound = Sim.Msg_dag.causally_sound collector ~trace:p.p_rid in
   (msgs, sound, summary)
+
+(* ---- the §5 message-cost check (explain --check) --------------------- *)
+
+type explained = {
+  x_info : Core.Technique.info;
+  x_shards : int;
+  x_group : int;
+  x_msgs : Msg_dag.msg list;
+  x_sound : bool;
+  x_summary : Msg_dag.summary;
+}
+
+let explain ?seed ~n (entry : Protocols.Registry.entry) cfg =
+  let shards = Protocols.Registry.shards cfg in
+  let p = probe ?seed ~n (entry.build cfg) in
+  let msgs, sound, summary = probe_summary p in
+  {
+    x_info = entry.info;
+    x_shards = shards;
+    x_group = Protocols.Sharded.probe_group_size ~n ~shards;
+    x_msgs = msgs;
+    x_sound = sound;
+    x_summary = summary;
+  }
+
+let expected_messages x = x.x_info.expected_messages ~n:x.x_group
+
+let section5 x =
+  let s = x.x_summary and steps = x.x_info.expected_steps in
+  Verdict.v "section5"
+    (x.x_sound && s.replied
+    && s.messages = expected_messages x
+    && s.steps = steps)
+    (Printf.sprintf "%d/%d messages, %d/%d steps (observed/expected)%s"
+       s.messages (expected_messages x) s.steps steps
+       (if x.x_sound then "" else "; trace not causally sound"))
+
+(* ---- the profiler's self-check (profile --check) --------------------- *)
+
+let profile_verdicts (r : Profiler.report) =
+  let json =
+    match Bench_out.parse (Profiler.report_to_json r) with
+    | Ok _ -> Verdict.v "json" true "profile JSON parses"
+    | Error e -> Verdict.v "json" false ("profile JSON does not parse: " ^ e)
+  in
+  (* The trace:export bucket is an off-loop [measure], not an engine
+     event. *)
+  let bucket_events =
+    List.fold_left
+      (fun acc (b : Profiler.row) ->
+        if b.r_label = "trace:export" then acc else acc + b.r_events)
+      0 r.p_buckets
+  in
+  let shares label total share =
+    let sum = List.fold_left (fun acc b -> acc +. share b) 0. r.p_buckets in
+    (* All-zero shares are legitimate when nothing of that resource was
+       measured (sub-microsecond runs). *)
+    let ok = total <= 0. || Float.abs (sum -. 1.0) <= 0.02 in
+    Verdict.v (label ^ "_shares") ok
+      (Printf.sprintf "%s shares sum to %.4f%s" label sum
+         (if ok then "" else ", not ~1.0"))
+  in
+  [
+    json;
+    Verdict.v "bucket_events"
+      (bucket_events = r.p_events)
+      (Printf.sprintf "bucket events %d %s events executed %d" bucket_events
+         (if bucket_events = r.p_events then "=" else "<>")
+         r.p_events);
+    shares "wall" r.p_self_wall_s (fun b -> b.r_wall_share);
+    shares "alloc" r.p_alloc_words (fun b -> b.r_alloc_share);
+  ]

@@ -2,7 +2,9 @@
     describe a run: the workload {!spec} from the flat flags, the fault
     schedule from [--crash]/[--recover] ({!crash_schedule}), and the
     deterministic single-transaction {!probe} harness shared by
-    [replisim trace] and [replisim explain]. *)
+    [replisim trace] and [replisim explain], and the checks of
+    [explain --check] ({!section5}) and [profile --check]
+    ({!profile_verdicts}). *)
 
 (** Spec from the CLI's flat flags. *)
 val spec :
@@ -59,3 +61,40 @@ val probe :
     probe's transaction. *)
 val probe_summary :
   probe -> Sim.Msg_dag.msg list * bool * Sim.Msg_dag.summary
+
+(** {2 The §5 message-cost check} *)
+
+(** One technique's probe as [replisim explain] measures it. *)
+type explained = {
+  x_info : Core.Technique.info;
+  x_shards : int;
+  x_group : int;
+      (** replicas in the group the probe transaction runs in: [n]
+          unsharded, else the largest of the [x_shards] groups *)
+  x_msgs : Sim.Msg_dag.msg list;
+  x_sound : bool;  (** the probe's message DAG is causally sound *)
+  x_summary : Sim.Msg_dag.summary;
+}
+
+(** Probe the technique of [entry] under the resolved configuration on
+    [n] replicas (seed default 7). *)
+val explain :
+  ?seed:int -> n:int -> Protocols.Registry.entry -> Protocols.Config.t ->
+  explained
+
+(** The §5 message count, taken at the probe's group size: a
+    single-shard transaction runs inside one replication group. *)
+val expected_messages : explained -> int
+
+(** ["section5"]: the probe replied over a causally sound trace with
+    exactly {!expected_messages} messages and the expected step depth. *)
+val section5 : explained -> Verdict.t
+
+(** {2 The profiler's self-check} *)
+
+(** What [replisim profile --check] judges in a report: ["json"] (its
+    JSON parses), ["bucket_events"] (the buckets' events sum to the
+    events executed; the off-loop ["trace:export"] bucket is no engine
+    event), and ["wall_shares"] and ["alloc_shares"] (each sums to 1
+    within 0.02, unless nothing of that resource was measured). *)
+val profile_verdicts : Sim.Profiler.report -> Verdict.t list

@@ -193,8 +193,6 @@ let expectation ~key (info : Core.Technique.info) scenario =
 (* Oracles                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type verdict = { oracle : string; ok : bool; detail : string }
-
 let signature_equal a b =
   List.length a = List.length b && List.for_all2 Core.Phase.equal a b
 
@@ -202,22 +200,16 @@ let oracles ~key (info : Core.Technique.info) scenario
     (result : Runner.result) (inst : Core.Technique.instance) =
   let e = expectation ~key info scenario in
   let serializable =
-    {
-      oracle = "serializable";
-      ok = (not e.strong) || result.Runner.serializable;
-      detail =
-        Printf.sprintf "1SR=%b (required=%b)" result.Runner.serializable
-          e.strong;
-    }
+    Verdict.v "serializable"
+      ((not e.strong) || result.Runner.serializable)
+      (Printf.sprintf "1SR=%b (required=%b)" result.Runner.serializable
+         e.strong)
   in
   let convergence =
-    {
-      oracle = "convergence";
-      ok = result.Runner.converged || not e.recovers;
-      detail =
-        Printf.sprintf "converged=%b (required=%b)" result.Runner.converged
-          e.recovers;
-    }
+    Verdict.v "convergence"
+      (result.Runner.converged || not e.recovers)
+      (Printf.sprintf "converged=%b (required=%b)" result.Runner.converged
+         e.recovers)
   in
   let signatures =
     (* Every committed transaction that was answered must show an
@@ -238,36 +230,115 @@ let oracles ~key (info : Core.Technique.info) scenario
             bad := (rid, observed) :: !bad
         end)
       committed;
-    {
-      oracle = "signatures";
-      ok = !bad = [];
-      detail =
-        (match !bad with
-        | [] -> Printf.sprintf "%d committed rows conform" !checked
-        | (rid, observed) :: _ ->
-            Format.asprintf "%d/%d nonconforming, e.g. rid %d: %a"
-              (List.length !bad) !checked rid Core.Phase.pp_sequence observed);
-    }
+    Verdict.v "signatures" (!bad = [])
+      (match !bad with
+      | [] -> Printf.sprintf "%d committed rows conform" !checked
+      | (rid, observed) :: _ ->
+          Format.asprintf "%d/%d nonconforming, e.g. rid %d: %a"
+            (List.length !bad) !checked rid Core.Phase.pp_sequence observed)
   in
   let liveness =
-    {
-      oracle = "liveness";
-      ok = result.Runner.unanswered = 0 || e.may_block;
-      detail =
-        Printf.sprintf "unanswered=%d (blocking %s)" result.Runner.unanswered
-          (if e.may_block then "tolerated" else "forbidden");
-    }
+    Verdict.v "liveness"
+      (result.Runner.unanswered = 0 || e.may_block)
+      (Printf.sprintf "unanswered=%d (blocking %s)" result.Runner.unanswered
+         (if e.may_block then "tolerated" else "forbidden"))
   in
   let transparency =
-    {
-      oracle = "transparency";
-      ok = (not e.transparent) || result.Runner.resubmissions = 0;
-      detail =
-        Printf.sprintf "resubmissions=%d (transparent=%b)"
-          result.Runner.resubmissions e.transparent;
-    }
+    Verdict.v "transparency"
+      ((not e.transparent) || result.Runner.resubmissions = 0)
+      (Printf.sprintf "resubmissions=%d (transparent=%b)"
+         result.Runner.resubmissions e.transparent)
   in
   [ serializable; convergence; signatures; liveness; transparency ]
+
+(* ------------------------------------------------------------------ *)
+(* Resource-timeline check                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Intervals during which a detector finding is expected: a fault's
+   active span plus [grace] for the protocol to drain afterwards. An
+   unrecovered crash stays in effect forever. *)
+let fault_windows ~grace events =
+  List.filter_map
+    (function
+      | Crash { at; replica } ->
+          let recover_at =
+            List.find_map
+              (function
+                | Recover { at = r_at; replica = r }
+                  when r = replica && Simtime.(r_at > at) ->
+                    Some r_at
+                | _ -> None)
+              events
+          in
+          Some
+            ( at,
+              match recover_at with
+              | Some r -> Simtime.add r grace
+              | None -> Simtime.infinity )
+      | Partition { at; heal_at; _ } -> Some (at, Simtime.add heal_at grace)
+      | Loss { at; until; _ } -> Some (at, Simtime.add until grace)
+      | Recover _ -> None)
+    events
+
+(* Group-stack backlogs that should visibly build while a partition cuts
+   a member off and drain once it heals. *)
+let backlog_names =
+  [ "rchan_unacked"; "abcast_pending"; "abcast_undelivered"; "vscast_buffered" ]
+
+(* Some group-stack queue peaks >= 2 inside the first partition and is
+   back <= 1 by the end of the (quiesced) run. *)
+let partition_backlog events series =
+  let verdict = Verdict.v "partition_backlog" in
+  let backlogs =
+    List.filter
+      (fun (s : Timeseries.series) ->
+        s.kind = Timeseries.Queue && List.mem s.name backlog_names)
+      series
+  in
+  let built_and_drained (p_at, p_heal) (s : Timeseries.series) =
+    let peak =
+      List.fold_left
+        (fun acc (p : Timeseries.point) ->
+          if Simtime.(p.at >= p_at && p.at <= p_heal) then Float.max acc p.value
+          else acc)
+        0. (Timeseries.points s)
+    in
+    peak >= 2. && match s.points_rev with [] -> true | p :: _ -> p.value <= 1.
+  in
+  match
+    List.find_map
+      (function Partition { at; heal_at; _ } -> Some (at, heal_at) | _ -> None)
+      events
+  with
+  | None -> verdict true "no partition scheduled"
+  | Some _ when backlogs = [] ->
+      verdict false "no group-stack queue series sampled"
+  | Some window -> (
+      match List.find_opt (built_and_drained window) backlogs with
+      | Some s ->
+          verdict true (s.name ^ " built up in the partition, drained later")
+      | None ->
+          verdict false
+            "no group-stack queue built up (>= 2) during the partition and \
+             drained (<= 1) after heal")
+
+let timeline_verdicts events series findings =
+  let windows = fault_windows ~grace:(Simtime.of_ms 300) events in
+  List.map
+    (fun (f : Saturation.finding) ->
+      let inside =
+        List.exists
+          (fun (w_start, w_end) ->
+            Simtime.(f.at <= w_end && w_start <= f.until))
+          windows
+      in
+      Verdict.v "fault_window" inside
+        (Format.asprintf "finding %s any fault window: %a"
+           (if inside then "inside" else "outside")
+           Saturation.pp_finding f))
+    findings
+  @ [ partition_backlog events series ]
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver                                                    *)
@@ -278,7 +349,7 @@ type outcome = {
   scenario : string;
   seed : int;
   result : Runner.result;
-  verdicts : verdict list;
+  verdicts : Verdict.t list;
   ok : bool;
 }
 
@@ -303,7 +374,7 @@ let run_one ?(seed = 11) ?(n_replicas = 3) ?(spec = default_spec)
     seed;
     result;
     verdicts;
-    ok = List.for_all (fun (v : verdict) -> v.ok) verdicts;
+    ok = Verdict.failed verdicts = [];
   }
 
 let run_campaign ?(seeds = [ 11 ]) ?n_replicas ?spec ?deadline ~techniques
@@ -332,7 +403,8 @@ let csv_header =
    transparency_ok,ok"
 
 let verdict_of outcome oracle =
-  List.find (fun v -> String.equal v.oracle oracle) outcome.verdicts
+  List.find (fun (v : Verdict.t) -> String.equal v.oracle oracle)
+    outcome.verdicts
 
 let csv_row o =
   let r = o.result in
@@ -357,7 +429,7 @@ let jsonl_row o =
   let verdicts =
     String.concat ","
       (List.map
-         (fun v ->
+         (fun (v : Verdict.t) ->
            Printf.sprintf "{\"oracle\":\"%s\",\"ok\":%b,\"detail\":\"%s\"}"
              (Metrics.json_escape v.oracle)
              v.ok
@@ -390,6 +462,6 @@ let pp_outcome ppf o =
     r.Runner.dropped_crashed r.Runner.dropped_partitioned
     (Simtime.to_ms r.Runner.max_response_gap);
   List.iter
-    (fun (v : verdict) ->
+    (fun (v : Verdict.t) ->
       if not v.ok then Format.fprintf ppf "@.    !! %s: %s" v.oracle v.detail)
     o.verdicts

@@ -87,23 +87,33 @@ type expectation = {
     (["active"], ["eager-primary"], …). *)
 val expectation : key:string -> Core.Technique.info -> t -> expectation
 
-(** One oracle's verdict on one run. *)
-type verdict = {
-  oracle : string;  (** "serializable", "convergence", "signatures", "liveness", "transparency" *)
-  ok : bool;  (** observed behaviour matches the expectation *)
-  detail : string;  (** observed values, for the report *)
-}
-
-(** Judge a finished run against the expectation. The instance is the one
-    the run produced ({!Runner.run_with_instance}); the signature oracle
-    reads its span records. *)
+(** Judge a finished run against the expectation: one verdict each from
+    the oracles ["serializable"], ["convergence"], ["signatures"],
+    ["liveness"] and ["transparency"]. The instance is the one the run
+    produced ({!Runner.run_with_instance}); the signature oracle reads its
+    span records. *)
 val oracles :
   key:string ->
   Core.Technique.info ->
   t ->
   Runner.result ->
   Core.Technique.instance ->
-  verdict list
+  Verdict.t list
+
+(** {2 Resource-timeline check} *)
+
+(** What [replisim timeline --check] judges in a run under [events]
+    that sampled [series] and whose saturation detectors reported
+    [findings]: one ["fault_window"] verdict per finding, which must
+    overlap a fault's active span plus 300 ms for the protocol to drain
+    (an unrecovered crash never ends), and ["partition_backlog"]: under
+    a partition, some group-stack queue peaks at >= 2 inside the first
+    partition window and ends the run at <= 1. *)
+val timeline_verdicts :
+  event list ->
+  Sim.Timeseries.series list ->
+  Sim.Saturation.finding list ->
+  Verdict.t list
 
 (** {2 Campaign driver} *)
 
@@ -112,7 +122,7 @@ type outcome = {
   scenario : string;
   seed : int;
   result : Runner.result;
-  verdicts : verdict list;
+  verdicts : Verdict.t list;
   ok : bool;  (** all verdicts ok *)
 }
 

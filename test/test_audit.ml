@@ -211,14 +211,18 @@ let clean =
     drained = true;
   }
 
+(* The details of the failed verdicts. *)
 let verdict ?(propagation = Core.Technique.Lazy) ?(shards = 1) s =
-  List.map snd (Workload.Audit.violations ~propagation ~shards s)
+  List.map
+    (fun (v : Workload.Verdict.t) -> v.detail)
+    (Workload.Verdict.failed (Workload.Audit.verdicts ~propagation ~shards s))
 
-(* The kind perf17's verdict rows read, alone in its run. *)
-let kind ?(propagation = Core.Technique.Lazy) ?(shards = 1) s expected =
-  match Workload.Audit.violations ~propagation ~shards s with
-  | [ (k, _) ] -> k = expected
-  | _ -> false
+(* The oracles perf17's verdict rows read: the names of the failed
+   verdicts. *)
+let failed_oracles ?(propagation = Core.Technique.Lazy) ?(shards = 1) s =
+  List.map
+    (fun (v : Workload.Verdict.t) -> v.oracle)
+    (Workload.Verdict.failed (Workload.Audit.verdicts ~propagation ~shards s))
 
 let test_violation_kinds () =
   let eager = Core.Technique.Eager in
@@ -253,12 +257,22 @@ let test_violation_kinds () =
     (verdict { clean with skew_pairs = 2 });
   Alcotest.(check (list string)) "snapshot skew across shards is measured" []
     (verdict ~shards:2 { clean with skew_pairs = 2 });
-  let open Workload.Audit in
-  Alcotest.(check bool) "kinds" true
-    (kind { clean with final_lag = [ (1, 3) ]; drained = false } Undrained
-    && kind ~propagation:eager { clean with ryw_violations = 1 } Eager_window
-    && kind { clean with post_commit_max_ms = 0. } No_lazy_window
-    && kind { clean with skew_pairs = 2 } Unsharded_skew)
+  let oracles = Alcotest.(list string) in
+  Alcotest.check oracles "undrained" [ "drained" ]
+    (failed_oracles { clean with final_lag = [ (1, 3) ]; drained = false });
+  Alcotest.check oracles "eager window" [ "eager_window" ]
+    (failed_oracles ~propagation:eager { clean with ryw_violations = 1 });
+  Alcotest.check oracles "no lazy window" [ "lazy_window" ]
+    (failed_oracles { clean with post_commit_max_ms = 0. });
+  Alcotest.check oracles "unsharded skew" [ "unsharded_skew" ]
+    (failed_oracles { clean with skew_pairs = 2 });
+  Alcotest.(check (list string))
+    "every verdict of a clean lazy run, in order"
+    [ "drained"; "lazy_window"; "unsharded_skew" ]
+    (List.map
+       (fun (v : Workload.Verdict.t) -> v.oracle)
+       (Workload.Audit.verdicts ~propagation:Core.Technique.Lazy ~shards:1
+          clean))
 
 let () =
   Alcotest.run "audit"

@@ -30,7 +30,7 @@ let conformance () =
             Workload.Scenario.run_one ~seed:11 ~key ~info ~factory sc
           in
           List.iter
-            (fun (v : Workload.Scenario.verdict) ->
+            (fun (v : Workload.Verdict.t) ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s under %s, oracle %s: %s" key sc.name
                    v.oracle v.detail)

@@ -73,27 +73,45 @@ let test_golden_eager_primary () =
   Alcotest.(check bool) "causally sound" true
     (Sim.Msg_dag.causally_sound collector ~trace:rid)
 
-(* The full matrix: every technique's observed message count and step
-   depth matches its expected_messages/expected_steps claim — the same
-   conformance `ci/check.sh` enforces through `replisim explain --check`,
-   here across two cluster sizes. *)
+(* The full matrix: every technique's §5 verdict holds — the check
+   `ci/check.sh` enforces through `replisim explain --check`, here across
+   two cluster sizes. *)
+let explain ~n key =
+  let entry = Option.get (Protocols.Registry.find key) in
+  Workload.Builder.explain ~n entry (Protocols.Registry.default_config entry)
+
 let test_matrix () =
   List.iter
     (fun n ->
       List.iter
         (fun (key, _, _) ->
-          let info, _, _, s = run_one ~n key in
-          Alcotest.(check bool) (Printf.sprintf "%s n=%d replied" key n) true
-            s.Sim.Msg_dag.replied;
-          Alcotest.(check int)
-            (Printf.sprintf "%s n=%d messages" key n)
-            (info.Core.Technique.expected_messages ~n)
-            s.Sim.Msg_dag.messages;
-          Alcotest.(check int)
-            (Printf.sprintf "%s n=%d steps" key n)
-            info.Core.Technique.expected_steps s.Sim.Msg_dag.steps)
+          let v = Workload.Builder.section5 (explain ~n key) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s n=%d %s: %s" key n v.oracle v.detail)
+            true v.ok)
         registry_entries)
     [ 3; 4 ]
+
+(* A technique that claims one message more than it sends fails the §5
+   verdict, and the detail shows both counts. *)
+let test_off_by_one () =
+  let x = explain ~n:3 "active" in
+  let info = x.x_info in
+  let v =
+    Workload.Builder.section5
+      {
+        x with
+        x_info =
+          {
+            info with
+            expected_messages = (fun ~n -> info.expected_messages ~n + 1);
+          };
+      }
+  in
+  Alcotest.(check (triple string bool string))
+    "off-by-one expectation"
+    ("section5", false, "14/15 messages, 4/4 steps (observed/expected)")
+    (v.oracle, v.ok, v.detail)
 
 (* Property: whatever the seed, technique and loss rate, the message DAG
    stays structurally sound — every delivered message span has a parent
@@ -133,6 +151,8 @@ let () =
           Alcotest.test_case "eager-primary n=3 seed=7" `Quick
             test_golden_eager_primary;
           Alcotest.test_case "matrix n=3,4" `Quick test_matrix;
+          Alcotest.test_case "off-by-one expectation fails" `Quick
+            test_off_by_one;
         ] );
       ( "soundness",
         [

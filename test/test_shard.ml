@@ -345,7 +345,7 @@ let test_campaign_sharded () =
     ("sharded campaign ok: "
     ^ String.concat "; "
         (List.filter_map
-           (fun (v : Workload.Scenario.verdict) ->
+           (fun (v : Workload.Verdict.t) ->
              if v.ok then None else Some (v.oracle ^ ": " ^ v.detail))
            outcome.verdicts))
     true outcome.ok

@@ -114,25 +114,6 @@ let test_apply_writes_to_other_replica () =
   Alcotest.(check bool) "replicas converge" true (Kv.equal primary backup)
 
 (* ------------------------------------------------------------------ *)
-(* Wal                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_wal_replay () =
-  let kv = Kv.create () in
-  let log = Wal.create () in
-  let run ops tid =
-    let result = Apply.execute kv ops in
-    Wal.append log { Wal.tid; writes = result.Apply.writes }
-  in
-  run [ Operation.Write ("x", 1) ] 1;
-  run [ Operation.Incr ("x", 10) ] 2;
-  run [ Operation.Write ("y", 5) ] 3;
-  Alcotest.(check int) "length" 3 (Wal.length log);
-  let fresh = Kv.create () in
-  Wal.replay log fresh;
-  Alcotest.(check bool) "replay reproduces state" true (Kv.equal kv fresh)
-
-(* ------------------------------------------------------------------ *)
 (* Lock table                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -656,7 +637,6 @@ let () =
           tc "choose" test_apply_choose;
           tc "apply writes" test_apply_writes_to_other_replica;
         ] );
-      ("wal", [ tc "replay" test_wal_replay ]);
       ( "locks",
         [
           tc "s-s compatible" test_lock_s_s_compatible;

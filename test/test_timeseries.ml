@@ -225,6 +225,96 @@ let test_in_doubt_rises_and_clears () =
             "in-doubt drains to zero after recovery" 0. last.Timeseries.value)
     in_doubt
 
+(* ------------------------------------------------------------------ *)
+(* timeline --check                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let partition_heal =
+  (Option.get (Workload.Scenario.find "partition-heal"))
+    .Workload.Scenario.events
+
+let failed_oracles verdicts =
+  List.map
+    (fun (v : Workload.Verdict.t) -> v.oracle)
+    (Workload.Verdict.failed verdicts)
+
+(* The run `replisim timeline -t KEY --check` judges: partition-heal,
+   two clients, sampled every 5 ms. *)
+let test_timeline_live key () =
+  let result =
+    Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:2
+      ~spec:
+        { Workload.Scenario.default_spec with txns_per_client = 25 }
+      ~faults:partition_heal ~deadline:(Simtime.of_ms 2000)
+      ~sample:(Simtime.of_ms 5) (factory key)
+  in
+  let series = result.Workload.Runner.series in
+  let verdicts =
+    Workload.Scenario.timeline_verdicts partition_heal series
+      (Saturation.analyze series)
+  in
+  Alcotest.(check (list string)) "every verdict holds" []
+    (failed_oracles verdicts);
+  Alcotest.(check bool) "the backlog was judged" true
+    (List.exists
+       (fun (v : Workload.Verdict.t) -> v.oracle = "partition_backlog")
+       verdicts)
+
+let queue ?(name = "rchan_unacked") values =
+  {
+    Timeseries.name;
+    replica = 0;
+    kind = Timeseries.Queue;
+    unit_ = "";
+    points_rev =
+      List.rev_map
+        (fun (ms, value) -> { Timeseries.at = Simtime.of_ms ms; value })
+        values;
+    n_points = List.length values;
+    thunks = [];
+  }
+
+(* partition-heal cuts replica 2 off from 50 to 600 ms. *)
+let backlog = queue [ (0, 0.); (100, 3.); (700, 0.) ]
+
+let test_timeline_stray_finding () =
+  let finding at until =
+    {
+      Saturation.detector = "queue_growth";
+      metric = "rchan_unacked";
+      replica = 0;
+      at = Simtime.of_ms at;
+      until = Simtime.of_ms until;
+      peak = 5.;
+      detail = "";
+    }
+  in
+  Alcotest.(check (list string)) "a finding inside the partition" []
+    (failed_oracles
+       (Workload.Scenario.timeline_verdicts partition_heal [ backlog ]
+          [ finding 100 200 ]));
+  Alcotest.(check (list string))
+    "a finding after the heal's grace" [ "fault_window" ]
+    (failed_oracles
+       (Workload.Scenario.timeline_verdicts partition_heal [ backlog ]
+          [ finding 100 200; finding 1000 1100 ]))
+
+let test_timeline_flat_backlog () =
+  Alcotest.(check (list string)) "a flat backlog" [ "partition_backlog" ]
+    (failed_oracles
+       (Workload.Scenario.timeline_verdicts partition_heal
+          [ queue [ (0, 0.); (100, 1.); (700, 0.) ] ]
+          []));
+  Alcotest.(check (list string)) "a backlog that never drains"
+    [ "partition_backlog" ]
+    (failed_oracles
+       (Workload.Scenario.timeline_verdicts partition_heal
+          [ queue [ (0, 0.); (100, 3.); (700, 2.) ] ]
+          []));
+  Alcotest.(check (list string)) "no partition, no backlog needed" []
+    (failed_oracles
+       (Workload.Scenario.timeline_verdicts [] [ queue [ (0, 0.) ] ] []))
+
 let () =
   Alcotest.run "timeseries"
     [
@@ -247,4 +337,12 @@ let () =
         ] );
       ( "in-doubt",
         [ tc "rises under coordinator crash" test_in_doubt_rises_and_clears ] );
+      ( "timeline check",
+        [
+          tc "partition-heal on active" (test_timeline_live "active");
+          tc "partition-heal on eager-ue-locking"
+            (test_timeline_live "eager-ue-locking");
+          tc "finding outside every fault window" test_timeline_stray_finding;
+          tc "partition with a flat backlog" test_timeline_flat_backlog;
+        ] );
     ]

@@ -599,6 +599,54 @@ let test_same_probe_same_trace () =
   let first = export () in
   Alcotest.(check string) "second probe exports the same bytes" first (export ())
 
+(* The profile self-check on live reports, and on a report whose bucket
+   events no longer add up. With tracing on, the trace export is priced
+   the way `replisim profile` prices it: an off-loop bucket the
+   executed-events identity leaves out. *)
+let test_profile_verdicts () =
+  let oracles_ok report =
+    List.map
+      (fun (v : Workload.Verdict.t) -> (v.oracle, v.ok))
+      (Workload.Builder.profile_verdicts report)
+  in
+  let all_ok =
+    [
+      ("json", true);
+      ("bucket_events", true);
+      ("wall_shares", true);
+      ("alloc_shares", true);
+    ]
+  in
+  List.iter
+    (fun tracing ->
+      let profiler = Sim.Profiler.create () in
+      let _, inst =
+        Workload.Runner.run_with_instance ~seed:21 ~n_replicas:3 ~n_clients:2
+          ~spec:small_spec ~profiler ~tracing active_factory
+      in
+      if tracing then
+        ignore
+          (Sim.Profiler.measure profiler ~label:"trace:export" (fun () ->
+               Sim.Trace_export.to_jsonl
+                 (Core.Phase_span.collector inst.Core.Technique.spans)));
+      Alcotest.(check (list (pair string bool)))
+        (Printf.sprintf "live report, tracing %b" tracing)
+        all_ok
+        (oracles_ok (Sim.Profiler.report profiler)))
+    [ true; false ];
+  let _, report = run_profiled () in
+  let broken =
+    match report.Sim.Profiler.p_buckets with
+    | b :: rest ->
+        { report with p_buckets = { b with r_events = b.r_events + 1 } :: rest }
+    | [] -> Alcotest.fail "no bucket"
+  in
+  Alcotest.(check (list string))
+    "one bucket's events changed" [ "bucket_events" ]
+    (List.map
+       (fun (v : Workload.Verdict.t) -> v.oracle)
+       (Workload.Verdict.failed (Workload.Builder.profile_verdicts broken)))
+
 let () =
   Alcotest.run "workload"
     [
@@ -645,5 +693,6 @@ let () =
           tc "tracing off holds no span storage" test_tracing_off_no_span_storage;
           tc "normalized json deterministic"
             test_profile_json_normalized_deterministic;
+          tc "profile --check verdicts" test_profile_verdicts;
         ] );
     ]
