@@ -96,6 +96,25 @@ echo "== campaign smoke =="
 dune exec bin/replisim.exe -- campaign --scenario crash-recover \
   --techniques all --seeds 11
 
+# Failover pays for what members lack, not for run length: the
+# sequencer's new leader re-announces from the lowest delivery cursor it
+# has heard. Six rolling leader crashes cost 62.5 msgs/txn that way and
+# 166.5 when every takeover re-announced every slot from 0; the ceiling
+# sits between the two, and the run must stay converged and 1SR.
+echo "== abcast failover cost =="
+out=$(dune exec bin/replisim.exe -- run -t eager-ue-abcast -n 3 --txns 400 \
+  --crash 0@200ms --recover 0@350ms --crash 1@700ms --recover 1@850ms \
+  --crash 2@1200ms --recover 2@1350ms --crash 0@1700ms --recover 0@1850ms \
+  --crash 1@2200ms --recover 1@2350ms --crash 2@2700ms --recover 2@2850ms)
+mpt=$(printf '%s\n' "$out" | sed -n 's/.*msgs\/txn=\([0-9.]*\).*/\1/p')
+if [ -z "$mpt" ] || ! awk -v m="$mpt" 'BEGIN { exit !(m <= 100) }' \
+   || ! printf '%s\n' "$out" | grep -q 'converged=true 1SR=true'; then
+  printf '%s\n' "$out" >&2
+  echo "abcast failover: msgs/txn=${mpt:-missing} (ceiling 100), or not converged and 1SR" >&2
+  exit 1
+fi
+echo "msgs/txn=$mpt (ceiling 100)"
+
 # §5 conformance: every technique's measured message count and
 # communication-step depth (from causally-linked message spans) must
 # match its declared expectation; exits non-zero on deviation. The

@@ -9,7 +9,10 @@ type Msg.t +=
   | Order of { epoch : int; seq : int; ids : id list }
   | Fetch of { id : id }
   | Fetch_reply of { id : id; payload : Msg.t }
-  | Order_ack of { seq : int; ids : id list; from : int }
+  | Order_ack of { seq : int; ids : id list; epoch : int; from : int; cursor : int }
+      (* [epoch]: the acked assignment's; [cursor]: the sender's
+         [next_deliver] when it acked *)
+  | Epoch of { epoch : int } (* to its leader: a member moved to [epoch] *)
 
 let () =
   Msg.register_printer (function
@@ -29,14 +32,17 @@ type t = {
   mutable epoch : int;
   mutable next_send : int; (* per-origin seq for our own broadcasts *)
   mutable next_order : int; (* as leader: next global slot *)
+  mutable max_slot : int; (* highest key of [slots], -1 when empty *)
   mutable next_deliver : int;
   mutable undelivered : int; (* slots at or above [next_deliver] *)
   mutable ack_floor : int; (* slots below this are acked by every member *)
   known : (id, Msg.t) Hashtbl.t;
+  fetched : (id, unit) Hashtbl.t; (* payloads asked for since the last poll *)
   pending : (id, unit) Hashtbl.t; (* known, not yet ordered under cur epoch *)
   slots : (int, id list * int) Hashtbl.t; (* seq -> (ids, epoch) *)
   slot_count : (id, int) Hashtbl.t; (* id -> number of slots holding it *)
   acks : (int * id list, Iset.t ref) Hashtbl.t;
+  cursors : (int, int) Hashtbl.t; (* member -> highest cursor heard *)
   delivered_set : (id, unit) Hashtbl.t;
   mutable delivered_rev : id list;
   mutable noop_seq : int;
@@ -110,7 +116,41 @@ let set_slot t seq ids epoch =
   | Some (old_ids, _) -> List.iter (uncount t) old_ids
   | None -> if seq >= t.next_deliver then t.undelivered <- t.undelivered + 1);
   List.iter (count t) ids;
+  if seq > t.max_slot then t.max_slot <- seq;
   Hashtbl.replace t.slots seq (ids, epoch)
+
+(* Cursors only grow, so the last one heard from a member is a lower
+   bound on its delivery cursor; a member never heard from counts as 0. *)
+let heard_cursor t m =
+  Option.value ~default:0 (Hashtbl.find_opt t.cursors m)
+
+(* Ours included: every member has delivered the slots below it, with
+   the ids we hold for them. *)
+let lowest_cursor t =
+  List.fold_left
+    (fun acc m -> if m = t.me then acc else min acc (heard_cursor t m))
+    t.next_deliver t.members
+
+let ack_msg t seq ids epoch =
+  Order_ack { seq; ids; epoch; from = t.me; cursor = t.next_deliver }
+
+(* Take assignment [ids] for slot [seq] under [epoch] unless we hold one
+   from a newer epoch; the messages of an assignment it overrides must be
+   ordered again. True when taken. *)
+let take_slot t seq ids epoch =
+  match Hashtbl.find_opt t.slots seq with
+  | Some (_, old_epoch) when old_epoch > epoch -> false
+  | old ->
+      (match old with
+      | Some (old_ids, old_epoch) when old_epoch < epoch && old_ids <> ids ->
+          List.iter
+            (fun old_id ->
+              if (not (Hashtbl.mem t.delivered_set old_id)) && fst old_id <> -1
+              then Hashtbl.replace t.pending old_id ())
+            old_ids
+      | _ -> ());
+      set_slot t seq ids epoch;
+      true
 
 let rec try_deliver t =
   match Hashtbl.find_opt t.slots t.next_deliver with
@@ -140,17 +180,30 @@ let rec try_deliver t =
           try_deliver t
         end
         else
-          (* Stable slot but a payload missing: ask the group. *)
+          (* Stable slot but a payload missing: ask the group, once per
+             poll. Asking on every message received instead feeds a storm:
+             each Fetch draws a reply from every member, and each reply
+             that lands here before the payload asks again. *)
           List.iter
             (fun id ->
-              if not (payload_ready id) then mcast t (Fetch { id }))
+              if not (payload_ready id || Hashtbl.mem t.fetched id) then begin
+                Hashtbl.replace t.fetched id ();
+                mcast t (Fetch { id })
+              end)
             ids
       end
+
+(* As leader: put [ids] in slot [seq] under our epoch. We record the slot
+   before the Order goes out, so a crash that drops our own copy leaves
+   no hole that only we could fill. *)
+let announce t seq ids =
+  set_slot t seq ids t.epoch;
+  mcast t (Order { epoch = t.epoch; seq; ids })
 
 let assign t ids =
   let seq = t.next_order in
   t.next_order <- t.next_order + 1;
-  mcast t (Order { epoch = t.epoch; seq; ids })
+  announce t seq ids
 
 (* Batched ordering: instead of assigning each injected message its own
    slot (one Order + one all-to-all ack wave per request), the leader
@@ -180,19 +233,27 @@ let enqueue_for_order t id =
     end
   end
 
-(* As the new leader of [epoch]: re-announce everything we know, fill the
-   holes with no-ops, then order any pending messages. *)
+(* As leader: order every pending message no slot holds. *)
+let order_pending t =
+  Hashtbl.iter (fun id () -> if not (slotted t id) then assign t [ id ]) t.pending
+
+(* As the new leader of [epoch]: re-announce what some member may still
+   lack, fill the holes with no-ops, then order any pending messages.
+   Every member has delivered the slots below the lowest cursor heard
+   (ours included), with the ids we hold for them, so the re-announcement
+   starts there. It covers at least the highest slot, so the new epoch
+   still spreads when every member is caught up. *)
 let takeover t =
-  let max_seq = Hashtbl.fold (fun seq _ acc -> max seq acc) t.slots (-1) in
-  for seq = 0 to max_seq do
+  let max_seq = t.max_slot in
+  for seq = max 0 (min (lowest_cursor t) max_seq) to max_seq do
     match Hashtbl.find_opt t.slots seq with
-    | Some (ids, _) -> mcast t (Order { epoch = t.epoch; seq; ids })
+    | Some (ids, _) -> announce t seq ids
     | None ->
         t.noop_seq <- t.noop_seq + 1;
-        mcast t (Order { epoch = t.epoch; seq; ids = [ (-1, t.noop_seq) ] })
+        announce t seq [ (-1, t.noop_seq) ]
   done;
   t.next_order <- max_seq + 1;
-  Hashtbl.iter (fun id () -> if not (slotted t id) then assign t [ id ]) t.pending
+  order_pending t
 
 let adopt_epoch t e =
   if e > t.epoch then begin
@@ -216,7 +277,9 @@ let adopt_epoch t e =
    catch up after a partition heals or a crashed member recovers. The
    scan starts at [ack_floor] — not at the leader's own delivery cursor,
    which races ahead of an absent member the moment the detector suspects
-   it and shrinks the stability quorum. *)
+   it and shrinks the stability quorum. A slot goes out under the current
+   epoch: one below the last takeover's re-announcement keeps an older
+   stamp, which a member that adopted this epoch would drop. *)
 let anti_entropy t =
   if is_leader t then begin
     (* Advance the floor past slots every member has acknowledged. *)
@@ -235,7 +298,7 @@ let anti_entropy t =
     let s = ref (min t.ack_floor t.next_deliver) in
     while !resent < 20 && !s <= horizon do
       (match Hashtbl.find_opt t.slots !s with
-      | Some (ids, epoch) ->
+      | Some (ids, _) ->
           let ackers = !(ack_set t !s ids) in
           let missing =
             List.exists
@@ -244,7 +307,7 @@ let anti_entropy t =
           in
           if missing then begin
             incr resent;
-            mcast t (Order { epoch; seq = !s; ids });
+            mcast t (Order { epoch = t.epoch; seq = !s; ids });
             List.iter
               (fun id ->
                 match Hashtbl.find_opt t.known id with
@@ -257,8 +320,30 @@ let anti_entropy t =
     done
   end
 
+(* Re-acknowledge to [dsts] every slot we hold from [from] on. Acks lost
+   to a crash are resent by nothing else: a channel's retransmits stop
+   while its sender is down and give up on a receiver down longer than
+   the retry budget, and the leader's anti-entropy skips a slot it counts
+   acked by all. So a member back from a crash re-acks, to everyone
+   (itself above all), what some member may still lack; and a member
+   that trusts a peer again re-acks to it what that peer may lack. *)
+let reack t ~dsts from =
+  for seq = from to t.max_slot do
+    match Hashtbl.find_opt t.slots seq with
+    | Some (ids, epoch) -> Rchan.mcast t.chan ~dsts (ack_msg t seq ids epoch)
+    | None -> ()
+  done
+
 let poll t =
-  if Fd.suspected t.fd (leader t) && quorate t then adopt_epoch t (t.epoch + 1);
+  if Hashtbl.length t.fetched > 0 then Hashtbl.reset t.fetched;
+  if Fd.suspected t.fd (leader t) && quorate t then begin
+    adopt_epoch t (t.epoch + 1);
+    (* The new leader's detector may never time out on its predecessor (a
+       crash can end first), and until it takes over we drop every Order
+       of the old epoch: tell it that the epoch moved. *)
+    if not (is_leader t) then
+      Rchan.send t.chan ~dst:(leader t) (Epoch { epoch = t.epoch })
+  end;
   anti_entropy t;
   (* Suspicions shrink the stability quorum, which can make blocked slots
      deliverable without any new message arriving. *)
@@ -292,27 +377,7 @@ let handle_msg t msg =
       if epoch >= t.epoch then begin
         adopt_epoch t epoch;
         if seq >= t.next_deliver then begin
-          (match Hashtbl.find_opt t.slots seq with
-          | Some (old_ids, old_epoch) when old_epoch < epoch && old_ids <> ids
-            ->
-              (* Overridden assignment: the old messages must be re-ordered. *)
-              List.iter
-                (fun old_id ->
-                  if
-                    (not (Hashtbl.mem t.delivered_set old_id))
-                    && fst old_id <> -1
-                  then Hashtbl.replace t.pending old_id ())
-                old_ids
-          | _ -> ());
-          let accept =
-            match Hashtbl.find_opt t.slots seq with
-            | Some (_, old_epoch) -> epoch >= old_epoch
-            | None -> true
-          in
-          if accept then begin
-            set_slot t seq ids epoch;
-            mcast t (Order_ack { seq; ids; from = t.me })
-          end
+          if take_slot t seq ids epoch then mcast t (ack_msg t seq ids epoch)
         end
         else begin
           (* Slot already delivered here. Re-acknowledge it anyway: a
@@ -320,16 +385,24 @@ let handle_msg t msg =
              reach stability, and everyone who was present when it first
              stabilised has long stopped talking about it. *)
           match Hashtbl.find_opt t.slots seq with
-          | Some (sids, _) when sids = ids ->
-              mcast t (Order_ack { seq; ids; from = t.me })
+          | Some (sids, _) when sids = ids -> mcast t (ack_msg t seq ids epoch)
           | _ -> ()
         end;
         try_deliver t
       end
-  | Order_ack { seq; ids; from } ->
+  | Order_ack { seq; ids; epoch; from; cursor } ->
       let s = ack_set t seq ids in
       s := Iset.add from !s;
+      if cursor > heard_cursor t from then Hashtbl.replace t.cursors from cursor;
+      (* An ack from past the slot shows an assignment its sender
+         delivered, which is final. Take it if we lack the slot or hold it
+         from an older epoch: a member that missed Orders while it was down
+         then holds what the others delivered before it may take over, and
+         never numbers a new message into that slot. *)
+      if cursor > seq && seq >= t.next_deliver && take_slot t seq ids epoch then
+        t.next_order <- max t.next_order (seq + 1);
       try_deliver t
+  | Epoch { epoch } -> adopt_epoch t epoch
   | Fetch { id } -> (
       match Hashtbl.find_opt t.known id with
       | Some payload ->
@@ -378,14 +451,17 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
           epoch = 0;
           next_send = 0;
           next_order = 0;
+          max_slot = -1;
           next_deliver = 0;
           undelivered = 0;
           ack_floor = 0;
           known = Hashtbl.create 64;
+          fetched = Hashtbl.create 8;
           pending = Hashtbl.create 32;
           slots = Hashtbl.create 64;
           slot_count = Hashtbl.create 64;
           acks = Hashtbl.create 64;
+          cursors = Hashtbl.create 8;
           delivered_set = Hashtbl.create 64;
           delivered_rev = [];
           noop_seq = 0;
@@ -405,6 +481,13 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
             ~kind:Timeseries.Queue ~unit_:"messages" (fun () ->
               float_of_int t.undelivered)
       | None -> ());
+      Network.on_recover net (fun node ->
+          if node = me then reack t ~dsts:members (lowest_cursor t));
+      Fd.on_trust t.fd (fun peer ->
+          reack t ~dsts:[ peer ] (heard_cursor t peer);
+          (* A leader that lost its quorum left what it received meanwhile
+             unordered; nothing else orders it before the next epoch. *)
+          if is_leader t && quorate t then order_pending t);
       Rchan.on_deliver t.chan (fun ~src msg ->
           ignore src;
           handle_msg t msg);

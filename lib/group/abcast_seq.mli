@@ -4,11 +4,24 @@
     The current leader (the [epoch mod n]-th member) assigns a global
     sequence number to each injected message; members acknowledge
     assignments to everybody and deliver a sequence slot only once every
-    trusted member has acknowledged it ({e uniform} delivery). On leader
-    crash the next member re-announces, under a higher epoch, every
-    assignment it knows — because delivered slots were acknowledged by all,
-    the delivered prefix is always re-announced unchanged — plugs the holes
-    it cannot account for with no-ops, and continues numbering.
+    trusted member has acknowledged it ({e uniform} delivery). Each ack
+    carries its sender's delivery cursor, and every member keeps the
+    highest cursor heard from each peer. On leader crash the next member
+    re-announces, under a higher epoch, the assignments some member may
+    still lack: from the lowest cursor it has heard (every member has
+    delivered the slots below it, with the same ids) up to its highest
+    slot, and at least that one, so the new epoch spreads. It plugs the
+    holes it cannot account for with no-ops and continues numbering. A
+    takeover therefore costs what the members lack, not the run's length.
+
+    Crashes keep a member's state, so recovery is catch-up: a member back
+    from a crash re-acks the slots some member may lack (its own
+    self-addressed acks die with it), a member that trusts a peer again
+    re-acks to it what that peer may lack, and an ack from a member that
+    has delivered the slot teaches the assignment to one that missed its
+    Order. A member that moves to a new epoch on its own suspicion tells
+    the new leader, whose detector may never fire on a short crash, and a
+    leader that regains its quorum orders what it received without one.
 
     Failover is safe under {e accurate} crash detection (the synchronous
     model of paper §2.1); with wrong suspicions the consensus-based engine

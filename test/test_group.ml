@@ -778,33 +778,41 @@ let check_total_order ~logs members =
 (* Golden: the per-member delivery order of a fixed-seed run of the
    sequencer with 20 % loss, a client injecting next to the members, and
    two leader crashes with recovery. The run goes through two takeovers
-   and two overridden slots. Captured from the implementation that found
-   already-ordered ids by scanning every slot; the slot index must not
-   change a single delivery. *)
+   and overridden slots. The invariant comes first: all three members
+   deliver one sequence holding every broadcast id exactly once (174;
+   a member broadcasts nothing while it is down). The pin
+   is checked only after it, so a fault-path change that moves the pin
+   shows whether it kept agreement and completeness. Re-pinned when
+   takeover began re-announcing from the lowest delivery cursor instead
+   of from slot 0 and recovery began re-acking: the changed sends shift
+   the shared latency draws, and so the order from the first takeover
+   on. The set of ids is the old pin's. *)
 let abcast_seq_golden =
   "1.0 2.0 3.0 0.0 1.1 2.1 3.1 0.1 1.2 2.2 3.2 0.2 1.3 2.3 0.3 3.3 " ^
-  "1.4 2.4 3.4 0.4 1.5 2.5 3.5 0.5 1.6 2.6 3.6 1.8 1.7 2.7 3.7 2.8 " ^
-  "3.8 1.9 2.9 3.9 1.10 2.10 3.10 1.11 2.11 3.11 1.12 2.12 3.12 1.13 " ^
+  "2.4 3.4 1.4 0.4 1.5 2.5 3.5 1.6 2.6 1.9 2.9 0.5 3.8 1.8 1.7 2.7 " ^
+  "3.6 3.7 3.9 2.8 1.10 2.10 3.10 1.11 2.11 3.11 1.12 2.12 3.12 1.13 " ^
   "2.13 3.13 1.14 2.14 3.14 1.15 2.15 3.15 1.16 2.16 3.16 1.17 2.17 " ^
-  "3.17 1.18 2.18 3.18 1.19 2.19 3.19 1.20 2.20 3.20 0.6 1.21 3.21 " ^
-  "2.21 0.7 1.22 2.22 3.22 0.8 1.23 2.23 3.23 0.9 1.24 2.24 3.24 0.10 " ^
-  "2.27 3.26 2.26 0.11 3.27 3.25 2.25 0.12 0.13 2.28 3.28 0.14 2.29 " ^
-  "3.29 0.15 2.30 3.30 0.16 2.31 3.31 0.17 2.32 3.32 0.18 2.33 3.33 " ^
-  "2.34 0.19 3.34 0.20 2.35 0.21 3.35 2.36 3.36 0.22 1.25 2.37 3.37 " ^
-  "0.23 1.26 2.38 3.38 0.24 1.27 2.39 3.39 0.25 1.28 2.40 3.40 0.26 " ^
-  "2.41 3.41 1.29 0.27 1.30 2.42 3.42 0.28 1.31 2.43 3.43 0.29 1.32 " ^
-  "2.44 3.44 0.30 1.33 2.45 3.45 0.31 1.34 2.46 3.46 0.32 1.35 2.47 " ^
-  "3.47 0.33 2.48 1.36 3.48 0.34 1.37 2.49 3.49 0.35"
+  "3.17 1.18 2.18 3.18 1.19 2.19 3.19 1.20 2.20 3.20 0.6 1.21 2.21 " ^
+  "3.21 0.7 1.22 2.22 3.22 0.8 1.23 2.23 3.23 0.9 1.24 2.24 3.24 " ^
+  "0.10 2.27 3.26 2.26 0.11 3.25 2.25 0.12 3.27 0.13 2.28 3.28 0.14 " ^
+  "2.29 3.29 0.15 2.30 3.30 0.16 2.31 3.31 0.17 2.32 3.32 0.18 2.33 " ^
+  "3.33 0.19 2.34 3.34 0.20 2.35 3.35 0.21 2.36 3.36 0.22 1.25 2.37 " ^
+  "3.37 0.23 1.26 2.38 0.24 1.27 2.39 3.38 3.39 0.25 1.28 2.40 3.40 " ^
+  "0.26 1.29 2.41 3.41 0.27 1.30 2.42 3.42 0.28 1.31 2.43 3.43 0.29 " ^
+  "2.44 1.32 3.44 1.33 0.30 2.45 3.45 0.31 1.34 2.46 3.46 0.32 1.35 " ^
+  "2.47 3.47 0.33 1.36 2.48 3.48 0.34 1.37 2.49 3.49 0.35"
 
 let test_abcast_seq_golden () =
   let e, net = make ~seed:29 ~n:4 ~drop:0.2 () in
   let members = [ 0; 1; 2 ] in
   let group = Abcast_seq.create_group net ~members ~clients:[ 3 ] () in
+  let sent = Array.make 4 0 in
   let k = ref 0 in
   let rec tick () =
     incr k;
     let src = !k mod 4 in
     if Network.alive net src then begin
+      sent.(src) <- sent.(src) + 1;
       if src = 3 then Abcast_seq.broadcast_from group ~src (Payload !k)
       else Abcast_seq.broadcast (Abcast_seq.handle group ~me:src) (Payload !k)
     end;
@@ -820,15 +828,230 @@ let test_abcast_seq_golden () =
       (1600, fun () -> Network.recover net 1);
     ];
   run_ms e 8_000;
+  let show ids =
+    String.concat " " (List.map (fun (o, s) -> Printf.sprintf "%d.%d" o s) ids)
+  in
+  let orders = List.map (fun m -> show (Abcast_seq.delivered (Abcast_seq.handle group ~me:m))) members in
+  List.iteri
+    (fun m order ->
+      Alcotest.(check string)
+        (Printf.sprintf "member %d agrees with member 0" m)
+        (List.hd orders) order)
+    orders;
+  let ids = Abcast_seq.delivered (Abcast_seq.handle group ~me:0) in
+  let broadcast =
+    List.concat (List.init 4 (fun o -> List.init sent.(o) (fun s -> (o, s))))
+  in
+  Alcotest.(check int) "174 ids" 174 (List.length ids);
+  Alcotest.(check (list (pair int int)))
+    "every broadcast id, each once" broadcast (List.sort compare ids);
+  Alcotest.(check string) "delivery order" abcast_seq_golden (show ids)
+
+(* Crash recovery of the sequencer. A plan crashes and recovers members
+   one at a time (f < n/2, the synchronous model's failover assumption),
+   each window aimed at a fixed member or at whoever leads when it opens,
+   and optionally right after the target broadcasts. Members and a
+   client inject every 10 ms under 0–20 % loss. Every member must end
+   with the same sequence, each id once, and holding every id whose
+   sender stayed up for the channel's whole retry budget after sending
+   it; an id whose sender crashed sooner may be lost, but then by all. *)
+type crash_window = {
+  gap_ms : int; (* from the previous recovery (or the run's start) *)
+  down_ms : int;
+  target : int; (* member 0-2, or 3 for the leader when the window opens *)
+  after_broadcast : bool;
+}
+
+type crash_plan = { c_seed : int; loss_pct : int; windows : crash_window list }
+
+let gen_crash_plan =
+  let open QCheck.Gen in
+  let window =
+    let* gap_ms = int_range 20 600 in
+    let* down_ms = int_range 30 1500 in
+    let* target = int_range 0 3 in
+    let* after_broadcast = bool in
+    return { gap_ms; down_ms; target; after_broadcast }
+  in
+  let* c_seed = int_range 0 10_000 in
+  let* loss_pct = int_range 0 20 in
+  let* windows = list_size (int_range 0 5) window in
+  return { c_seed; loss_pct; windows }
+
+let print_crash_plan p =
+  Printf.sprintf "seed %d, loss %d%%: %s" p.c_seed p.loss_pct
+    (String.concat "; "
+       (List.map
+          (fun w ->
+            Printf.sprintf "+%dms crash %s%s for %dms" w.gap_ms
+              (if w.target = 3 then "leader" else string_of_int w.target)
+              (if w.after_broadcast then " after it broadcasts" else "")
+              w.down_ms)
+          p.windows))
+
+let shrink_crash_plan p =
+  QCheck.Iter.map (fun windows -> { p with windows }) (QCheck.Shrink.list p.windows)
+
+(* Past a crash this long after sending, the sender's channel has spent
+   its retry budget (100 retries at the 10 ms default rto) at least once. *)
+let retry_budget_ms = 1_200
+
+let check_crash_plan p =
+  let e, net = make ~seed:p.c_seed ~n:4 ~drop:(float_of_int p.loss_pct /. 100.) () in
+  let members = [ 0; 1; 2 ] in
+  let group = Abcast_seq.create_group net ~members ~clients:[ 3 ] () in
+  let h m = Abcast_seq.handle group ~me:m in
+  let sent = Hashtbl.create 512 and next = Array.make 4 0 in
+  let broadcast src =
+    if Network.alive net src then begin
+      Hashtbl.replace sent (src, next.(src)) (Simtime.to_ms (Engine.now e));
+      next.(src) <- next.(src) + 1;
+      if src = 3 then Abcast_seq.broadcast_from group ~src (Payload 0)
+      else Abcast_seq.broadcast (h src) (Payload 0)
+    end
+  in
+  for k = 0 to 299 do
+    ignore
+      (Engine.schedule e ~after:(Simtime.of_ms (5 + (10 * k))) (fun () ->
+           broadcast (k mod 4)))
+  done;
+  (* A leader target resolves to the leader most members see. *)
+  let current_leader () =
+    let views = List.map (fun m -> Abcast_seq.leader (h m)) members in
+    let votes l = List.length (List.filter (( = ) l) views) in
+    List.fold_left (fun a b -> if votes b > votes a then b else a) (List.hd views) views
+  in
+  let crashes = ref [] in
+  let at = ref 100 in
+  List.iter
+    (fun w ->
+      at := !at + w.gap_ms;
+      ignore
+        (Engine.schedule e ~after:(Simtime.of_ms !at) (fun () ->
+             let m = if w.target = 3 then current_leader () else w.target in
+             if w.after_broadcast then broadcast m;
+             crashes := (m, Simtime.to_ms (Engine.now e)) :: !crashes;
+             Network.crash net m;
+             ignore
+               (Engine.schedule e ~after:(Simtime.of_ms w.down_ms) (fun () ->
+                    Network.recover net m))));
+      at := !at + w.down_ms)
+    p.windows;
+  (* A run sends about 15k messages. Step a millisecond at a time so that
+     a message storm fails the case quickly instead of stalling it. *)
+  let until = max 3_000 !at + 12_000 in
+  for ms = 1 to until do
+    run_ms e ms;
+    if Network.messages_sent net > 1_000_000 then
+      QCheck.Test.fail_reportf "message storm: %d messages sent by %d ms"
+        (Network.messages_sent net) ms
+  done;
+  let orders = List.map (fun m -> Abcast_seq.delivered (h m)) members in
+  let order = List.hd orders in
+  List.iteri
+    (fun m o ->
+      if o <> order then
+        QCheck.Test.fail_reportf "member %d delivered %d ids, member 0 %d" m
+          (List.length o) (List.length order))
+    orders;
+  if List.length (List.sort_uniq compare order) <> List.length order then
+    QCheck.Test.fail_reportf "an id delivered twice";
+  List.iter
+    (fun ((o, s) as id) ->
+      if not (Hashtbl.mem sent id) then
+        QCheck.Test.fail_reportf "delivered %d.%d, never broadcast" o s)
+    order;
+  let delivered = Hashtbl.create 512 in
+  List.iter (fun id -> Hashtbl.replace delivered id ()) order;
+  Hashtbl.iter
+    (fun ((o, s) as id) t ->
+      let may_lose =
+        List.exists
+          (fun (m, c) -> m = o && c >= t && c < t +. float_of_int retry_budget_ms)
+          !crashes
+      in
+      if (not may_lose) && not (Hashtbl.mem delivered id) then
+        QCheck.Test.fail_reportf "%d.%d (sent at %.0f ms) never delivered" o s t)
+    sent;
+  true
+
+(* Plans the property once found stalling (or, the last, storming), one
+   per catch-up path: each fails with that path taken out. *)
+let test_abcast_seq_crash_plans () =
+  let w gap_ms down_ms target after_broadcast =
+    { gap_ms; down_ms; target; after_broadcast }
+  in
+  List.iter
+    (fun (path, c_seed, loss_pct, windows) ->
+      match check_crash_plan { c_seed; loss_pct; windows } with
+      | _ -> ()
+      | exception e -> Alcotest.failf "%s: %s" path (Printexc.to_string e))
+    [
+      ("re-ack on recovery", 6401, 3, [ w 574 1134 2 false; w 428 66 1 true ]);
+      ("re-ack on trust", 6740, 17, [ w 23 1427 1 false ]);
+      ("leader records its slot", 6725, 10, [ w 249 89 3 false ]);
+      ("Epoch to the new leader", 2030, 19, [ w 545 123 1 false ]);
+      ( "slots learned from delivered acks",
+        7529,
+        7,
+        [
+          w 383 239 0 false;
+          w 263 997 3 false;
+          w 543 1268 0 false;
+          w 47 191 3 false;
+          w 90 754 1 true;
+        ] );
+      ("leader orders what came without quorum", 6600, 14, [ w 448 1455 3 true ]);
+      ( "one Fetch per poll",
+        4072,
+        0,
+        [ w 452 1495 2 true; w 27 448 2 false; w 582 1246 0 true ] );
+    ]
+
+let prop_abcast_seq_crash_recovery =
+  QCheck.Test.make ~name:"abcast-seq agreement and completeness under crash-recovery"
+    ~count:40
+    (QCheck.make ~print:print_crash_plan ~shrink:shrink_crash_plan gen_crash_plan)
+    check_crash_plan
+
+(* A takeover re-announces what members may lack, not the whole run: the
+   Order deliveries in the second after the leader crashes are the same
+   after 500 and after 2 000 delivered slots. *)
+let takeover_orders ~slots =
+  let e, net = make ~seed:41 () in
+  let members = [ 0; 1; 2 ] in
+  let group = Abcast_seq.create_group net ~members () in
+  for k = 0 to slots - 1 do
+    ignore
+      (Engine.schedule e ~after:(Simtime.of_ms (2 * k)) (fun () ->
+           Abcast_seq.broadcast (Abcast_seq.handle group ~me:(k mod 3)) (Payload k)))
+  done;
+  let crash_at = (2 * slots) + 500 in
+  run_ms e crash_at;
   List.iter
     (fun m ->
-      let ids = Abcast_seq.delivered (Abcast_seq.handle group ~me:m) in
-      Alcotest.(check string)
-        (Printf.sprintf "member %d delivery order" m)
-        abcast_seq_golden
-        (String.concat " "
-           (List.map (fun (o, s) -> Printf.sprintf "%d.%d" o s) ids)))
-    members
+      Alcotest.(check int) "all delivered before the crash" slots
+        (List.length (Abcast_seq.delivered (Abcast_seq.handle group ~me:m))))
+    members;
+  let orders = ref 0 in
+  List.iter
+    (fun m ->
+      Network.add_handler net m (fun ~src:_ msg ->
+          if Msg.name msg = "Data(Order)" then incr orders;
+          false))
+    members;
+  Network.crash net 0;
+  run_ms e (crash_at + 1_000);
+  Alcotest.(check int) "new leader" 1 (Abcast_seq.leader (Abcast_seq.handle group ~me:1));
+  !orders
+
+let test_abcast_seq_takeover_flat () =
+  let small = takeover_orders ~slots:500 and large = takeover_orders ~slots:2_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "Order deliveries after the crash: %d at 500 slots, %d at 2000"
+       small large)
+    true
+    (large <= small)
 
 (* The [abcast_undelivered] gauge is a counter of slots at or above the
    delivery cursor: it rises while ordered slots wait for stability or a
@@ -1565,6 +1788,9 @@ let () =
           tc "client inject" (test_abcast_client_inject Abcast.Sequencer);
           tc "member crash" (test_abcast_member_crash Abcast.Sequencer);
           tc "golden under crashes and loss" test_abcast_seq_golden;
+          tc "takeover cost flat in run length" test_abcast_seq_takeover_flat;
+          tc "crash plans that once stalled" test_abcast_seq_crash_plans;
+          QCheck_alcotest.to_alcotest prop_abcast_seq_crash_recovery;
           tc "undelivered gauge" test_abcast_undelivered_gauge;
           QCheck_alcotest.to_alcotest
             (prop_abcast_random_schedules Abcast.Sequencer);
