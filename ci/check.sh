@@ -90,6 +90,24 @@ dune build
 echo "== tests =="
 dune runtest
 
+# Replayable crash plans for the sequencer: its test group (40 generated
+# crash-and-recover plans plus random schedules) under five fixed QCheck
+# seeds, 200 plans more than `dune runtest`'s one fresh seed, over the
+# takeover, re-ack and anti-entropy paths. A failure names its seed, so
+# `QCHECK_SEED=N dune exec ./test/test_group.exe -- test abcast-sequencer`
+# replays it.
+echo "== abcast crash plans =="
+start=$(date +%s)
+for seed in 1 2 3 4 5; do
+  if ! out=$(QCHECK_SEED=$seed dune exec ./test/test_group.exe -- \
+      test abcast-sequencer 2>&1); then
+    printf '%s\n' "$out" >&2
+    echo "abcast crash plans: QCHECK_SEED=$seed failed" >&2
+    exit 1
+  fi
+done
+echo "QCHECK_SEED=1..5 passed in $(( $(date +%s) - start )) s"
+
 # One fast fault-injection sweep: every technique through the
 # crash-recover scenario; exits non-zero on any oracle violation.
 echo "== campaign smoke =="

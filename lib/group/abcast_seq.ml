@@ -1,8 +1,37 @@
 open Sim
 
-module Iset = Set.Make (Int)
-
 type id = int * int (* origin node, per-origin seq; origin -1 = no-op filler *)
+
+(* Tables on ids with a monomorphic equality and an arithmetic hash, for
+   the id tables that are never iterated. [pending] is iterated, so it
+   keeps [Hashtbl]'s hash and with it its iteration order. *)
+module Id_table = Hashtbl.Make (struct
+  type t = id
+
+  let equal ((o, s) : t) (o', s') = Int.equal o o' && Int.equal s s'
+  let hash ((o, s) : t) = ((o * 65_599) + s) land max_int
+end)
+
+let rec same_ids (a : id list) b =
+  a == b
+  ||
+  match (a, b) with
+  | (o, s) :: a, (o', s') :: b ->
+      Int.equal o o' && Int.equal s s' && same_ids a b
+  | _ -> false
+
+(* The members that acked one assignment of a slot: a bitset over member
+   positions, [Sys.int_size] bits a word, so any group size fits. *)
+type acks = { a_ids : id list; bits : int array; mutable count : int }
+
+(* One sequence slot: the assignment held for it, if any, and one ack
+   set per assignment heard for it (acks may arrive before the Order, or
+   for an assignment a later epoch overrides). *)
+type cell = {
+  mutable ids : id list;
+  mutable epoch : int; (* the assignment's epoch; -1 while none is held *)
+  mutable acks : acks list;
+}
 
 type Msg.t +=
   | Inject of { id : id; payload : Msg.t }
@@ -29,21 +58,25 @@ type t = {
   fd : Fd.t;
   chan : Rchan.t;
   batch_window : Simtime.t;
+  n : int; (* group size *)
+  member_at : int array; (* position -> member *)
+  position : int array; (* node -> its position in [members], -1 if none *)
+  fd_members : int array; (* the detector's members, counted by [quorate] *)
   mutable epoch : int;
   mutable next_send : int; (* per-origin seq for our own broadcasts *)
   mutable next_order : int; (* as leader: next global slot *)
-  mutable max_slot : int; (* highest key of [slots], -1 when empty *)
+  mutable max_slot : int; (* highest assigned slot, -1 when none *)
   mutable next_deliver : int;
   mutable undelivered : int; (* slots at or above [next_deliver] *)
   mutable ack_floor : int; (* slots below this are acked by every member *)
-  known : (id, Msg.t) Hashtbl.t;
-  fetched : (id, unit) Hashtbl.t; (* payloads asked for since the last poll *)
+  known : Msg.t Id_table.t;
+  fetched : unit Id_table.t; (* payloads asked for since the last poll *)
   pending : (id, unit) Hashtbl.t; (* known, not yet ordered under cur epoch *)
-  slots : (int, id list * int) Hashtbl.t; (* seq -> (ids, epoch) *)
-  slot_count : (id, int) Hashtbl.t; (* id -> number of slots holding it *)
-  acks : (int * id list, Iset.t ref) Hashtbl.t;
-  cursors : (int, int) Hashtbl.t; (* member -> highest cursor heard *)
-  delivered_set : (id, unit) Hashtbl.t;
+  mutable window : cell array; (* seq -> its cell; grows by doubling *)
+  no_acks : acks; (* the ack set of an assignment nobody acked *)
+  slot_count : int Id_table.t; (* id -> number of slots holding it *)
+  cursors : int array; (* position -> highest cursor heard *)
+  delivered_set : unit Id_table.t;
   mutable delivered_rev : id list;
   mutable noop_seq : int;
   mutable batch_rev : id list; (* leader: injects awaiting the window flush *)
@@ -60,8 +93,7 @@ type group = {
   client_seq : (int, int ref) Hashtbl.t;
 }
 
-let nth_member t e = List.nth t.members (e mod List.length t.members)
-let leader t = nth_member t t.epoch
+let leader t = t.member_at.(t.epoch mod t.n)
 let is_leader t = leader t = t.me
 let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let on_opt_deliver t f = t.opt_deliver_cbs <- t.opt_deliver_cbs @ [ f ]
@@ -70,59 +102,106 @@ let opt_delivered t = List.rev t.opt_delivered_rev
 
 let mcast t msg = Rchan.mcast t.chan ~dsts:t.members msg
 
-let ack_set t seq ids =
-  match Hashtbl.find_opt t.acks (seq, ids) with
-  | Some s -> s
-  | None ->
-      let s = ref Iset.empty in
-      Hashtbl.replace t.acks (seq, ids) s;
-      s
+(* The cell of slot [seq], growing the window to hold it. *)
+let cell t seq =
+  let len = Array.length t.window in
+  if seq >= len then
+    t.window <-
+      Array.init
+        (max (2 * len) (seq + 1))
+        (fun i ->
+          if i < len then t.window.(i) else { ids = []; epoch = -1; acks = [] });
+  t.window.(seq)
+
+let assigned (c : cell) = c.epoch >= 0
+
+let new_acks n ids =
+  { a_ids = ids; bits = Array.make (1 + ((n - 1) / Sys.int_size)) 0; count = 0 }
+
+(* The ack set of assignment [ids] in [acks], or [t.no_acks], which
+   nothing writes to, when none was heard. *)
+let rec find_acks t ids = function
+  | a :: rest -> if same_ids a.a_ids ids then a else find_acks t ids rest
+  | [] -> t.no_acks
+
+let acked a p = a.bits.(p / Sys.int_size) land (1 lsl (p mod Sys.int_size)) <> 0
+
+let add_ack t c ids from =
+  let a =
+    match find_acks t ids c.acks with
+    | a when a == t.no_acks ->
+        let a = new_acks t.n ids in
+        c.acks <- a :: c.acks;
+        a
+    | a -> a
+  in
+  let p = t.position.(from) in
+  if not (acked a p) then begin
+    let w = p / Sys.int_size in
+    a.bits.(w) <- a.bits.(w) lor (1 lsl (p mod Sys.int_size));
+    a.count <- a.count + 1
+  end
+
+(* Has every member acked the assignment [c] holds? *)
+let all_acked t c = (find_acks t c.ids c.acks).count = t.n
 
 (* A member that suspects a majority of the group is far more likely to be
    the partitioned minority (or freshly recovered with a stale detector)
    than the survivor; such a member must neither shrink the stability
    quorum, order messages, nor start an epoch change — any of those lets
    it deliver in an order the majority never agreed on. *)
-let quorate t = 2 * List.length (Fd.trusted t.fd) > List.length t.members
+let quorate t =
+  let trusted = ref 0 in
+  for i = 0 to Array.length t.fd_members - 1 do
+    if not (Fd.suspected t.fd t.fd_members.(i)) then incr trusted
+  done;
+  2 * !trusted > t.n
 
-let stable t seq ids =
-  let ackers = !(ack_set t seq ids) in
-  if quorate t then
-    List.for_all
-      (fun m -> Iset.mem m ackers || Fd.suspected t.fd m)
-      t.members
-  else List.for_all (fun m -> Iset.mem m ackers) t.members
+let rec acked_or_suspected t a p =
+  p = t.n
+  || (acked a p || Fd.suspected t.fd t.member_at.(p))
+     && acked_or_suspected t a (p + 1)
+
+(* Has every member acked the assignment [c] holds or, in a quorate
+   view, is it suspected? *)
+let stable t c =
+  let a = find_acks t c.ids c.acks in
+  a.count = t.n || (quorate t && acked_or_suspected t a 0)
 
 (* Is [id] already assigned to some slot? Batched slots hold several.
-   [slot_count] indexes [slots] by id, so the leader's test on every
-   inject, flush and takeover is one lookup however long the run; it stays
-   exact because {!set_slot} is the only writer of [slots]. *)
-let slotted t id = Hashtbl.mem t.slot_count id
+   [slot_count] indexes the assignments by id, so the leader's test on
+   every inject, flush and takeover is one lookup however long the run;
+   it stays exact because {!set_slot} is the only writer of assignments. *)
+let slotted t id = Id_table.mem t.slot_count id
 
 let uncount t id =
-  match Hashtbl.find t.slot_count id with
-  | 1 -> Hashtbl.remove t.slot_count id
-  | c -> Hashtbl.replace t.slot_count id (c - 1)
+  match Id_table.find t.slot_count id with
+  | 1 -> Id_table.remove t.slot_count id
+  | c -> Id_table.replace t.slot_count id (c - 1)
 
 let count t id =
-  Hashtbl.replace t.slot_count id
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.slot_count id))
+  match Id_table.find t.slot_count id with
+  | c -> Id_table.replace t.slot_count id (c + 1)
+  | exception Not_found -> Id_table.add t.slot_count id 1
 
 (* Assign [ids] to slot [seq], replacing (and uncounting) whatever the
    slot held before. A new slot at or above the delivery cursor counts
    as undelivered until [try_deliver] passes it. *)
 let set_slot t seq ids epoch =
-  (match Hashtbl.find_opt t.slots seq with
-  | Some (old_ids, _) -> List.iter (uncount t) old_ids
-  | None -> if seq >= t.next_deliver then t.undelivered <- t.undelivered + 1);
+  let c = cell t seq in
+  if assigned c then List.iter (uncount t) c.ids
+  else if seq >= t.next_deliver then t.undelivered <- t.undelivered + 1;
   List.iter (count t) ids;
   if seq > t.max_slot then t.max_slot <- seq;
-  Hashtbl.replace t.slots seq (ids, epoch)
+  c.ids <- ids;
+  c.epoch <- epoch
 
 (* Cursors only grow, so the last one heard from a member is a lower
    bound on its delivery cursor; a member never heard from counts as 0. *)
 let heard_cursor t m =
-  Option.value ~default:0 (Hashtbl.find_opt t.cursors m)
+  if m < Array.length t.position && t.position.(m) >= 0 then
+    t.cursors.(t.position.(m))
+  else 0
 
 (* Ours included: every member has delivered the slots below it, with
    the ids we hold for them. *)
@@ -138,60 +217,58 @@ let ack_msg t seq ids epoch =
    from a newer epoch; the messages of an assignment it overrides must be
    ordered again. True when taken. *)
 let take_slot t seq ids epoch =
-  match Hashtbl.find_opt t.slots seq with
-  | Some (_, old_epoch) when old_epoch > epoch -> false
-  | old ->
-      (match old with
-      | Some (old_ids, old_epoch) when old_epoch < epoch && old_ids <> ids ->
-          List.iter
-            (fun old_id ->
-              if (not (Hashtbl.mem t.delivered_set old_id)) && fst old_id <> -1
-              then Hashtbl.replace t.pending old_id ())
-            old_ids
-      | _ -> ());
-      set_slot t seq ids epoch;
-      true
+  let c = cell t seq in
+  if c.epoch > epoch then false
+  else begin
+    if assigned c && c.epoch < epoch && not (same_ids c.ids ids) then
+      List.iter
+        (fun old_id ->
+          if (not (Id_table.mem t.delivered_set old_id)) && fst old_id <> -1
+          then Hashtbl.replace t.pending old_id ())
+        c.ids;
+    set_slot t seq ids epoch;
+    true
+  end
 
 let rec try_deliver t =
-  match Hashtbl.find_opt t.slots t.next_deliver with
-  | None -> ()
-  | Some (ids, _epoch) ->
-      if stable t t.next_deliver ids then begin
-        let payload_ready id =
-          fst id = -1 (* no-op filler: deliver nothing *)
-          || Hashtbl.mem t.delivered_set id
-          || Hashtbl.mem t.known id
-        in
-        if List.for_all payload_ready ids then begin
-          (* One slot may hold a whole batch: deliver its messages in
-             batch order, each exactly once. *)
-          List.iter
-            (fun ((origin, _) as id) ->
-              if origin <> -1 && not (Hashtbl.mem t.delivered_set id) then begin
-                Hashtbl.replace t.delivered_set id ();
-                t.delivered_rev <- id :: t.delivered_rev;
-                let payload = Hashtbl.find t.known id in
-                List.iter (fun f -> f ~origin payload) t.deliver_cbs
-              end;
-              Hashtbl.remove t.pending id)
-            ids;
-          t.next_deliver <- t.next_deliver + 1;
-          t.undelivered <- t.undelivered - 1;
-          try_deliver t
-        end
-        else
-          (* Stable slot but a payload missing: ask the group, once per
-             poll. Asking on every message received instead feeds a storm:
-             each Fetch draws a reply from every member, and each reply
-             that lands here before the payload asks again. *)
-          List.iter
-            (fun id ->
-              if not (payload_ready id || Hashtbl.mem t.fetched id) then begin
-                Hashtbl.replace t.fetched id ();
-                mcast t (Fetch { id })
-              end)
-            ids
-      end
+  let c = cell t t.next_deliver in
+  if assigned c && stable t c then begin
+    let ids = c.ids in
+    let payload_ready id =
+      fst id = -1 (* no-op filler: deliver nothing *)
+      || Id_table.mem t.delivered_set id
+      || Id_table.mem t.known id
+    in
+    if List.for_all payload_ready ids then begin
+      (* One slot may hold a whole batch: deliver its messages in
+         batch order, each exactly once. *)
+      List.iter
+        (fun ((origin, _) as id) ->
+          if origin <> -1 && not (Id_table.mem t.delivered_set id) then begin
+            Id_table.replace t.delivered_set id ();
+            t.delivered_rev <- id :: t.delivered_rev;
+            let payload = Id_table.find t.known id in
+            List.iter (fun f -> f ~origin payload) t.deliver_cbs
+          end;
+          Hashtbl.remove t.pending id)
+        ids;
+      t.next_deliver <- t.next_deliver + 1;
+      t.undelivered <- t.undelivered - 1;
+      try_deliver t
+    end
+    else
+      (* Stable slot but a payload missing: ask the group, once per
+         poll. Asking on every message received instead feeds a storm:
+         each Fetch draws a reply from every member, and each reply
+         that lands here before the payload asks again. *)
+      List.iter
+        (fun id ->
+          if not (payload_ready id || Id_table.mem t.fetched id) then begin
+            Id_table.replace t.fetched id ();
+            mcast t (Fetch { id })
+          end)
+        ids
+  end
 
 (* As leader: put [ids] in slot [seq] under our epoch. We record the slot
    before the Order goes out, so a crash that drops our own copy leaves
@@ -246,11 +323,12 @@ let order_pending t =
 let takeover t =
   let max_seq = t.max_slot in
   for seq = max 0 (min (lowest_cursor t) max_seq) to max_seq do
-    match Hashtbl.find_opt t.slots seq with
-    | Some (ids, _) -> announce t seq ids
-    | None ->
-        t.noop_seq <- t.noop_seq + 1;
-        announce t seq [ (-1, t.noop_seq) ]
+    let c = cell t seq in
+    if assigned c then announce t seq c.ids
+    else begin
+      t.noop_seq <- t.noop_seq + 1;
+      announce t seq [ (-1, t.noop_seq) ]
+    end
   done;
   t.next_order <- max_seq + 1;
   order_pending t
@@ -264,7 +342,7 @@ let adopt_epoch t e =
          see ordered. *)
       Hashtbl.iter
         (fun id () ->
-          match Hashtbl.find_opt t.known id with
+          match Id_table.find_opt t.known id with
           | Some payload ->
               Rchan.send t.chan ~dst:(leader t) (Inject { id; payload })
           | None -> ())
@@ -283,39 +361,36 @@ let adopt_epoch t e =
 let anti_entropy t =
   if is_leader t then begin
     (* Advance the floor past slots every member has acknowledged. *)
-    let all_acked seq =
-      match Hashtbl.find_opt t.slots seq with
-      | None -> false
-      | Some (ids, _) ->
-          let ackers = !(ack_set t seq ids) in
-          List.for_all (fun m -> Iset.mem m ackers) t.members
+    let floor_acked seq =
+      let c = cell t seq in
+      assigned c && all_acked t c
     in
-    while t.ack_floor < t.next_order && all_acked t.ack_floor do
+    while t.ack_floor < t.next_order && floor_acked t.ack_floor do
       t.ack_floor <- t.ack_floor + 1
     done;
     let resent = ref 0 in
     let horizon = t.next_order - 1 in
     let s = ref (min t.ack_floor t.next_deliver) in
     while !resent < 20 && !s <= horizon do
-      (match Hashtbl.find_opt t.slots !s with
-      | Some (ids, _) ->
-          let ackers = !(ack_set t !s ids) in
-          let missing =
-            List.exists
-              (fun m -> (not (Iset.mem m ackers)) && not (Fd.suspected t.fd m))
-              t.members
-          in
-          if missing then begin
-            incr resent;
-            mcast t (Order { epoch = t.epoch; seq = !s; ids });
-            List.iter
-              (fun id ->
-                match Hashtbl.find_opt t.known id with
-                | Some payload -> mcast t (Inject { id; payload })
-                | None -> ())
-              ids
-          end
-      | None -> ());
+      let c = cell t !s in
+      (if assigned c then
+         let ids = c.ids in
+         let a = find_acks t ids c.acks in
+         let missing =
+           List.exists
+             (fun m -> not (acked a t.position.(m) || Fd.suspected t.fd m))
+             t.members
+         in
+         if missing then begin
+           incr resent;
+           mcast t (Order { epoch = t.epoch; seq = !s; ids });
+           List.iter
+             (fun id ->
+               match Id_table.find_opt t.known id with
+               | Some payload -> mcast t (Inject { id; payload })
+               | None -> ())
+             ids
+         end);
       incr s
     done
   end
@@ -329,13 +404,12 @@ let anti_entropy t =
    that trusts a peer again re-acks to it what that peer may lack. *)
 let reack t ~dsts from =
   for seq = from to t.max_slot do
-    match Hashtbl.find_opt t.slots seq with
-    | Some (ids, epoch) -> Rchan.mcast t.chan ~dsts (ack_msg t seq ids epoch)
-    | None -> ()
+    let c = cell t seq in
+    if assigned c then Rchan.mcast t.chan ~dsts (ack_msg t seq c.ids c.epoch)
   done
 
 let poll t =
-  if Hashtbl.length t.fetched > 0 then Hashtbl.reset t.fetched;
+  if Id_table.length t.fetched > 0 then Id_table.reset t.fetched;
   if Fd.suspected t.fd (leader t) && quorate t then begin
     adopt_epoch t (t.epoch + 1);
     (* The new leader's detector may never time out on its predecessor (a
@@ -350,13 +424,13 @@ let poll t =
   try_deliver t
 
 let inject t id payload =
-  if not (Hashtbl.mem t.known id) then begin
-    Hashtbl.replace t.known id payload;
+  if not (Id_table.mem t.known id) then begin
+    Id_table.replace t.known id payload;
     (* Optimistic delivery: the spontaneous receipt order, before the
        total order is fixed (KPAS99a). *)
     t.opt_delivered_rev <- id :: t.opt_delivered_rev;
     List.iter (fun f -> f ~origin:(fst id) payload) t.opt_deliver_cbs;
-    if not (Hashtbl.mem t.delivered_set id) then begin
+    if not (Id_table.mem t.delivered_set id) then begin
       Hashtbl.replace t.pending id ();
       if is_leader t && quorate t then
         (* Order it unless some slot already holds it. *)
@@ -384,16 +458,16 @@ let handle_msg t msg =
              recovered member replaying this slot needs a full ack set to
              reach stability, and everyone who was present when it first
              stabilised has long stopped talking about it. *)
-          match Hashtbl.find_opt t.slots seq with
-          | Some (sids, _) when sids = ids -> mcast t (ack_msg t seq ids epoch)
-          | _ -> ()
+          let c = cell t seq in
+          if assigned c && same_ids c.ids ids then
+            mcast t (ack_msg t seq ids epoch)
         end;
         try_deliver t
       end
   | Order_ack { seq; ids; epoch; from; cursor } ->
-      let s = ack_set t seq ids in
-      s := Iset.add from !s;
-      if cursor > heard_cursor t from then Hashtbl.replace t.cursors from cursor;
+      add_ack t (cell t seq) ids from;
+      let p = t.position.(from) in
+      if cursor > t.cursors.(p) then t.cursors.(p) <- cursor;
       (* An ack from past the slot shows an assignment its sender
          delivered, which is final. Take it if we lack the slot or hold it
          from an older epoch: a member that missed Orders while it was down
@@ -404,14 +478,14 @@ let handle_msg t msg =
       try_deliver t
   | Epoch { epoch } -> adopt_epoch t epoch
   | Fetch { id } -> (
-      match Hashtbl.find_opt t.known id with
+      match Id_table.find_opt t.known id with
       | Some payload ->
           (* Reply point-to-point is impossible without the requester id in
              the message; broadcast the payload instead (idempotent). *)
           mcast t (Fetch_reply { id; payload })
       | None -> ())
   | Fetch_reply { id; payload } ->
-      if not (Hashtbl.mem t.known id) then Hashtbl.replace t.known id payload;
+      if not (Id_table.mem t.known id) then Id_table.replace t.known id payload;
       try_deliver t
   | _ -> ()
 
@@ -438,14 +512,23 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
     Rchan.create_group net ~nodes:(members @ clients) ?rto ?passthrough ()
   in
   let handles = Hashtbl.create 8 in
+  let member_at = Array.of_list members in
+  let n = Array.length member_at in
+  let position = Array.make (1 + List.fold_left max 0 members) (-1) in
+  Array.iteri (fun p m -> position.(m) <- p) member_at;
   List.iter
     (fun me ->
+      let fd = Fd.handle fd_group ~me in
       let t =
         {
           me;
           net;
           members;
-          fd = Fd.handle fd_group ~me;
+          fd;
+          n;
+          member_at;
+          position;
+          fd_members = Array.of_list (Fd.members fd);
           chan = Rchan.handle chan_group ~me;
           batch_window;
           epoch = 0;
@@ -455,14 +538,14 @@ let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
           next_deliver = 0;
           undelivered = 0;
           ack_floor = 0;
-          known = Hashtbl.create 64;
-          fetched = Hashtbl.create 8;
+          known = Id_table.create 64;
+          fetched = Id_table.create 8;
           pending = Hashtbl.create 32;
-          slots = Hashtbl.create 64;
-          slot_count = Hashtbl.create 64;
-          acks = Hashtbl.create 64;
-          cursors = Hashtbl.create 8;
-          delivered_set = Hashtbl.create 64;
+          window = [||];
+          no_acks = new_acks n [];
+          slot_count = Id_table.create 64;
+          cursors = Array.make n 0;
+          delivered_set = Id_table.create 64;
           delivered_rev = [];
           noop_seq = 0;
           batch_rev = [];

@@ -35,7 +35,20 @@
     its all-to-all stability acks are paid once per batch instead of once
     per message — the sequencer-side mirror of {!Abcast_ct}'s
     per-instance batches. [batch_window = 0] (the default) orders each
-    message immediately, preserving the latency-optimal §5 behaviour. *)
+    message immediately, preserving the latency-optimal §5 behaviour.
+
+    Bookkeeping. Each member keeps one window of cells indexed by
+    sequence number, grown by doubling. A cell holds the slot's
+    assignment (its ids and epoch) and one ack set per assignment heard
+    for that slot; an ack set is a bitset over member positions, one bit
+    per member in as many words as the group needs, with a count of its
+    bits, so an [Order] or [Order_ack] costs array reads and stability is
+    a count unless a member is suspected. The id tables that are never
+    iterated (payloads, fetches, slot counts, delivered ids) hash ids
+    arithmetically; the pending table, which takeover and epoch adoption
+    iterate, keeps [Hashtbl.hash] and with it its iteration order. Heard
+    cursors live in an array indexed by member position. Nothing is
+    truncated: the window and tables grow with the run. *)
 
 type t
 type group

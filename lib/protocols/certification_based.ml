@@ -84,6 +84,7 @@ let create ?shared cfg net ~replicas ~clients =
       let cache : (int, bool * int option) Hashtbl.t = Hashtbl.create 64 in
       let certifier = Core.Certification.create (Common.store ctx r) in
       let h = Group.Abcast.handle ab ~me:r in
+      let replica_labels = [ ("replica", string_of_int r) ] in
       (* The certifier is a serial resource: certifications run one after
          another in delivery order, each costing [certify_time] unless a
          still-valid optimistic pre-check already paid for it. *)
@@ -139,8 +140,7 @@ let create ?shared cfg net ~replicas ~clients =
                   Core.Certification.offer certifier ~reads ~writes
                 in
                 let committed = outcome <> None in
-                Common.count ctx
-                  ~labels:[ ("replica", string_of_int r) ]
+                Common.count ctx ~labels:replica_labels
                   (if committed then "certification_commits_total"
                    else "certification_aborts_total");
                 if committed then incr commit_count;

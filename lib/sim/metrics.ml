@@ -7,8 +7,11 @@ type t = { table : (key, int ref) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 64 }
 
-let normalize_labels labels =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) labels
+(* A list of at most one label is already sorted; [List.sort] would
+   still allocate its closures on every call. *)
+let normalize_labels = function
+  | ([] | [ _ ]) as labels -> labels
+  | labels -> List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
 let key name labels = { name; labels = normalize_labels labels }
 

@@ -1085,6 +1085,53 @@ let test_abcast_undelivered_gauge () =
             (List.for_all (fun p -> p.Timeseries.value >= 0.) points))
     members
 
+(* Acks are a bitset over member positions, and a group may be wider than
+   one machine word: a 64-member group puts member 63 past the last bit
+   of an OCaml int. Members 62 and 63 are down while two messages are
+   ordered, and the detector's timeout outlasts the run, so nobody
+   suspects them: no member may deliver before both have acked. Member
+   63 comes back first and acks every re-sent Order again; its acks must
+   count once, or the group would deliver without member 62. *)
+let test_abcast_seq_wide_group () =
+  let e, net = make ~seed:17 ~n:64 () in
+  let members = List.init 64 Fun.id in
+  let fd =
+    Fd.create_group net ~members ~heartbeat_every:(Simtime.of_ms 500)
+      ~timeout:(Simtime.of_sec 60.) ()
+  in
+  let group = Abcast_seq.create_group net ~members ~fd () in
+  let h m = Abcast_seq.handle group ~me:m in
+  let none_delivered ~waiting_for =
+    List.iter
+      (fun m ->
+        Alcotest.(check int)
+          (Printf.sprintf "member %d waits for %s" m waiting_for)
+          0
+          (List.length (Abcast_seq.delivered (h m))))
+      members
+  in
+  Network.crash net 62;
+  Network.crash net 63;
+  ignore
+    (Engine.schedule e ~after:(Simtime.of_ms 5) (fun () ->
+         Abcast_seq.broadcast (h 0) (Payload 1);
+         Abcast_seq.broadcast (h 61) (Payload 2)));
+  run_ms e 300;
+  none_delivered ~waiting_for:"members 62 and 63";
+  Network.recover net 63;
+  run_ms e 600;
+  none_delivered ~waiting_for:"member 62";
+  Network.recover net 62;
+  run_ms e 1_600;
+  let order = Abcast_seq.delivered (h 0) in
+  Alcotest.(check int) "both delivered" 2 (List.length order);
+  List.iter
+    (fun m ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "member %d delivers member 0's order" m)
+        order (Abcast_seq.delivered (h m)))
+    members
+
 let test_abcast_total_order impl () =
   let e, _net, members, group = abcast_setup ~impl () in
   let logs = Array.make 3 [] in
@@ -1792,6 +1839,7 @@ let () =
           tc "crash plans that once stalled" test_abcast_seq_crash_plans;
           QCheck_alcotest.to_alcotest prop_abcast_seq_crash_recovery;
           tc "undelivered gauge" test_abcast_undelivered_gauge;
+          tc "64 members, acks past one word" test_abcast_seq_wide_group;
           QCheck_alcotest.to_alcotest
             (prop_abcast_random_schedules Abcast.Sequencer);
         ] );

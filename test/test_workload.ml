@@ -554,6 +554,64 @@ let test_rchan_timers_per_message () =
         true (ratio <= 0.15))
     [ ("lazy-primary", 16); ("eager-ue-abcast", 3) ]
 
+(* The schedules of both techniques that order through the sequencer's
+   atomic broadcast, pinned: certification at n=5 on a contended
+   multi-op mix, and eager-ue-abcast at n=3 through two crash-and-loss
+   cycles (each crashes the leader of the moment, so both take over).
+   A change to Abcast_seq's bookkeeping must leave every event and
+   message where it was. *)
+let test_abcast_schedules_pinned () =
+  let ms = Simtime.of_ms in
+  let cycle i =
+    let t0 = 200 + (500 * i) and replica = i mod 3 in
+    Workload.Runner.
+      [
+        Crash { at = ms t0; replica };
+        Recover { at = ms (t0 + 150); replica };
+        Loss { at = ms (t0 + 250); probability = 0.2; until = ms (t0 + 350) };
+      ]
+  in
+  List.iter
+    (fun (key, n, spec, faults, expect) ->
+      let entry = Option.get (Protocols.Registry.find key) in
+      let r =
+        Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:8 ~spec ~faults
+          ~deadline:(Simtime.of_sec 20.) ~tracing:false ~analyze:false
+          (Protocols.Registry.default_factory entry)
+      in
+      if faults <> [] then
+        Alcotest.(check bool)
+          (key ^ ": runs past the second cycle's loss window")
+          true
+          (Simtime.to_ms r.Workload.Runner.makespan > 1_050.);
+      Alcotest.(check (list int))
+        (key ^ ": committed, aborted, events, messages")
+        expect
+        [ r.Workload.Runner.committed; r.aborted; r.events; r.messages ])
+    [
+      ( "certification",
+        5,
+        {
+          Workload.Spec.default with
+          key_skew = 0.9;
+          ops_per_txn = 4;
+          update_ratio = 0.5;
+          txns_per_client = 60;
+        },
+        [],
+        [ 289; 191; 90060; 68120 ] );
+      ( "eager-ue-abcast",
+        3,
+        {
+          Workload.Spec.default with
+          key_skew = 0.9;
+          update_ratio = 0.2;
+          txns_per_client = 300;
+        },
+        cycle 0 @ cycle 1,
+        [ 2400; 0; 114394; 96506 ] );
+    ]
+
 (* ---- one run, one world --------------------------------------------- *)
 
 (* A run owns everything it allocates: once a run returns and its result
@@ -674,6 +732,7 @@ let () =
           tc "counters match result" test_counters_match_result;
           tc "allocation per delivery" test_alloc_per_delivery;
           tc "rchan timers per message" test_rchan_timers_per_message;
+          tc "abcast schedules pinned" test_abcast_schedules_pinned;
         ] );
       ( "per-run world",
         [
