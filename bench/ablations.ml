@@ -3,91 +3,96 @@
    abl1  ordering engine: sequencer-based vs consensus-based ABCAST
    abl2  read-one/write-all vs lock-at-all-replicas (quorum discussion, §5.4.1)
    abl3  failure-detector timeout vs failover stall (synchrony assumption, §2.1)
-   abl4  consensus latency under message loss (stubborn channels at work) *)
+   abl4  consensus latency under message loss (stubborn channels at work)
+   abl5  optimistic atomic broadcast: spontaneous vs total order
+   abl6  optimistic certification hidden inside the ordering protocol
+   abl7  lock quorums in eager-UE locking (§5.4.1)
+   abl8  blocking 2PC vs non-blocking 3PC in eager primary copy (§2.1)
+
+   Each is an [Exp] declaration and writes BENCH_ablN.json with the
+   numbers its table prints. *)
 
 open Sim
 
-let hr () = Fmt.pr "%s@." (String.make 78 '-')
-
-let section title =
-  hr ();
-  Fmt.pr "%s@." title;
-  hr ()
-
 (* --- abl1 -------------------------------------------------------------- *)
 
-let abcast_engines () =
-  section
-    "abl1 — ABCAST engine: sequencer (2 message delays) vs consensus-based \
-     (CT rounds)";
+let abcast_engines =
+  Exp.v "abl1"
+    "ABCAST engine: sequencer (2 message delays) vs consensus-based (CT \
+     rounds)"
+    ~reading:
+      "the sequencer is cheaper in the common case; both recover\n\
+       from the crash of the ordering node in about the detection time."
+  @@ fun x ->
+  let spec = Workload.Builder.spec ~updates:1.0 ~txns:30 () in
   Fmt.pr "%-22s %14s %18s@." "engine" "lat mean (ms)" "crash gap (ms)";
   List.iter
     (fun (name, impl) ->
-      let factory = Perf.technique "active" ~set:[ ("abcast_impl", impl) ] in
-      let spec =
-        {
-          Workload.Spec.default with
-          update_ratio = 1.0;
-          txns_per_client = 30;
-        }
-      in
+      let factory = Exp.factory "active" ~set:[ ("abcast_impl", impl) ] in
       let smooth = Workload.Runner.run ~n_clients:2 ~spec factory in
       let crashed =
         Workload.Runner.run ~n_clients:2 ~spec
           ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 100; replica = 0 } ]
           factory
       in
-      Fmt.pr "%-22s %14.2f %18.1f@." name
-        smooth.Workload.Runner.latency_ms.Sim.Summary.mean
-        (Simtime.to_ms crashed.Workload.Runner.max_response_gap))
-    [
-      ("sequencer", "sequencer"); ("consensus-based", "consensus")
-    ];
-  Fmt.pr
-    "@.Reading: the sequencer is cheaper in the common case; both recover@.\
-     from the crash of the ordering node in about the detection time.@."
+      let note =
+        Exp.note x ~technique:"active" ~unit_:"ms"
+          ~params:[ ("abcast_impl", impl) ]
+      in
+      let mean = note ~metric:"latency_mean" smooth.latency_ms.mean in
+      let gap =
+        note ~metric:"max_response_gap" (Simtime.to_ms crashed.max_response_gap)
+      in
+      Fmt.pr "%-22s %14.2f %18.1f@." name mean gap)
+    [ ("sequencer", "sequencer"); ("consensus-based", "consensus") ]
 
 (* --- abl2 -------------------------------------------------------------- *)
 
-let rowa () =
-  section
-    "abl2 — Eager-UE locking: read-one/write-all vs locks at every replica";
+let rowa =
+  Exp.v "abl2"
+    "Eager-UE locking: read-one/write-all vs locks at every replica"
+    ~reading:
+      "ROWA pays off exactly on read-heavy mixes — the quorum\n\
+       choice is orthogonal to the phase structure (paper §5.4.1)."
+  @@ fun x ->
   Fmt.pr "%-22s %12s %14s %12s@." "configuration" "upd ratio" "lat mean (ms)"
     "msgs/txn";
   List.iter
     (fun read_one_write_all ->
+      let rowa = ("read_one_write_all", string_of_bool read_one_write_all) in
+      let factory = Exp.factory "eager-ue-locking" ~set:[ rowa ] in
       List.iter
         (fun update_ratio ->
-          let factory =
-            Perf.technique "eager-ue-locking"
-              ~set:[ ("read_one_write_all", string_of_bool read_one_write_all) ]
-          in
           let spec =
-            {
-              Workload.Spec.default with
-              update_ratio;
-              txns_per_client = 25;
-              n_keys = 200;
-            }
+            Workload.Builder.spec ~updates:update_ratio ~txns:25 ~keys:200 ()
           in
           let result = Workload.Runner.run ~n_clients:2 ~spec factory in
+          let ratio = ("update_ratio", Printf.sprintf "%.1f" update_ratio) in
+          let note =
+            Exp.note x ~technique:"eager-ue-locking" ~params:[ rowa; ratio ]
+          in
+          let mean =
+            note ~metric:"latency_mean" ~unit_:"ms" result.latency_ms.mean
+          in
+          let msgs =
+            note ~metric:"messages_per_txn" ~unit_:"msgs"
+              result.messages_per_txn
+          in
           Fmt.pr "%-22s %12.0f%% %14.2f %12.1f@."
             (if read_one_write_all then "read-one/write-all" else "lock-everywhere")
-            (100. *. update_ratio)
-            result.Workload.Runner.latency_ms.Sim.Summary.mean
-            result.Workload.Runner.messages_per_txn)
+            (100. *. update_ratio) mean msgs)
         [ 0.1; 0.5; 0.9 ])
-    [ false; true ];
-  Fmt.pr
-    "@.Reading: ROWA pays off exactly on read-heavy mixes — the quorum@.\
-     choice is orthogonal to the phase structure (paper §5.4.1).@."
+    [ false; true ]
 
 (* --- abl3 -------------------------------------------------------------- *)
 
-let fd_timeout () =
-  section
-    "abl3 — Failure-detector timeout vs ordering stall after a sequencer \
-     crash";
+let fd_timeout =
+  Exp.v "abl3"
+    "Failure-detector timeout vs ordering stall after a sequencer crash"
+    ~reading:
+      "the stall tracks the detection timeout — the aggressive\n\
+       timeouts that semi-passive replication is designed to make safe (§3.5)."
+  @@ fun x ->
   Fmt.pr "%-18s %20s@." "fd timeout (ms)" "delivery stall (ms)";
   List.iter
     (fun timeout_ms ->
@@ -101,13 +106,6 @@ let fd_timeout () =
           ()
       in
       let group = Group.Abcast.create_group net ~members ~fd ~passthrough:true () in
-      let last_delivery = Array.make 3 Simtime.zero in
-      List.iter
-        (fun m ->
-          Group.Abcast.on_deliver
-            (Group.Abcast.handle group ~me:m)
-            (fun ~origin:_ _ -> last_delivery.(m) <- Engine.now engine))
-        members;
       (* Member 1 broadcasts steadily; the sequencer (member 0) crashes. *)
       ignore
         (Engine.periodic engine ~every:(Simtime.of_ms 2)
@@ -129,11 +127,11 @@ let fd_timeout () =
           if Simtime.(gap > !max_gap) then max_gap := gap;
           prev := now);
       ignore (Engine.run ~until:(Simtime.of_sec 3.) engine);
-      Fmt.pr "%-18d %20.1f@." timeout_ms (Simtime.to_ms !max_gap))
-    [ 50; 100; 200; 400 ];
-  Fmt.pr
-    "@.Reading: the stall tracks the detection timeout — the aggressive@.\
-     timeouts that semi-passive replication is designed to make safe (§3.5).@."
+      Fmt.pr "%-18d %20.1f@." timeout_ms
+        (Exp.note x ~metric:"delivery_stall" ~technique:"abcast" ~unit_:"ms"
+           ~params:[ ("fd_timeout_ms", string_of_int timeout_ms) ]
+           (Simtime.to_ms !max_gap)))
+    [ 50; 100; 200; 400 ]
 
 (* --- abl4 -------------------------------------------------------------- *)
 
@@ -141,8 +139,12 @@ module Cint = Group.Consensus.Make (struct
   type t = int
 end)
 
-let consensus_under_loss () =
-  section "abl4 — Consensus decision latency vs message loss";
+let consensus_under_loss =
+  Exp.v "abl4" "Consensus decision latency vs message loss"
+    ~reading:
+      "stubborn channels mask loss at the cost of latency;\n\
+       agreement is never violated (see the qcheck suites)."
+  @@ fun x ->
   Fmt.pr "%-14s %18s@." "drop prob" "decide time (ms)";
   List.iter
     (fun drop ->
@@ -164,20 +166,26 @@ let consensus_under_loss () =
         members;
       ignore (Engine.run ~until:(Simtime.of_sec 30.) engine);
       match !decided_at with
-      | Some t -> Fmt.pr "%-14.1f %18.1f@." drop (Simtime.to_ms t)
+      | Some t ->
+          Fmt.pr "%-14.1f %18.1f@." drop
+            (Exp.note x ~metric:"decide_time" ~technique:"consensus"
+               ~unit_:"ms" ~params:[ ("drop_p", Printf.sprintf "%.1f" drop) ]
+               (Simtime.to_ms t))
       | None -> Fmt.pr "%-14.1f %18s@." drop "no decision")
-    [ 0.0; 0.1; 0.2; 0.4 ];
-  Fmt.pr
-    "@.Reading: stubborn channels mask loss at the cost of latency;@.\
-     agreement is never violated (see the qcheck suites).@."
+    [ 0.0; 0.1; 0.2; 0.4 ]
 
 
 (* --- abl5 -------------------------------------------------------------- *)
 
-let optimistic_delivery () =
-  section
-    "abl5 — Optimistic atomic broadcast (KPAS99a): spontaneous vs total \
-     order";
+let optimistic_delivery =
+  Exp.v "abl5"
+    "Optimistic atomic broadcast (KPAS99a): spontaneous vs total order"
+    ~reading:
+      "with low jitter the spontaneous order nearly always equals\n\
+       the total order, so work started at optimistic delivery is almost\n\
+       never wasted — the window is the time the paper's follow-up work\n\
+       hides transaction execution in."
+  @@ fun x ->
   Fmt.pr "%-22s %14s %18s@." "latency jitter" "order match"
     "overlap window (ms)";
   List.iter
@@ -249,13 +257,17 @@ let optimistic_delivery () =
           | _ -> ()
         done
       done;
+      let note = Exp.note x ~technique:"abcast" ~params:[ ("jitter", label) ] in
       let match_rate =
-        if !total = 0 then 0. else 100. *. float_of_int !agree /. float_of_int !total
+        note ~metric:"order_match" ~unit_:"%"
+          (if !total = 0 then 0.
+           else 100. *. float_of_int !agree /. float_of_int !total)
       in
       let mean_window =
-        match !windows with
-        | [] -> 0.
-        | ws -> List.fold_left ( +. ) 0. ws /. float_of_int (List.length ws)
+        note ~metric:"overlap_window" ~unit_:"ms"
+          (match !windows with
+          | [] -> 0.
+          | ws -> List.fold_left ( +. ) 0. ws /. float_of_int (List.length ws))
       in
       Fmt.pr "%-22s %13.0f%% %18.2f@." label match_rate mean_window)
     [
@@ -263,142 +275,140 @@ let optimistic_delivery () =
       ("moderate (0.5-1.5ms)", 500, 1_500);
       ("high (0.1-3ms)", 100, 3_000);
       ("extreme (0.1-10ms)", 100, 10_000);
-    ];
-  Fmt.pr
-    "@.Reading: with low jitter the spontaneous order nearly always equals@.\
-     the total order, so work started at optimistic delivery is almost@.\
-     never wasted — the window is the time the paper's follow-up work@.\
-     hides transaction execution in.@."
+    ]
 
 
 (* --- abl6 -------------------------------------------------------------- *)
 
-let optimistic_certification () =
-  section
-    "abl6 — Optimistic certification: hiding the certification cost inside \
-     the ordering protocol (KPAS99a)";
+let optimistic_certification =
+  Exp.v "abl6"
+    "Optimistic certification: hiding the certification cost inside the \
+     ordering protocol (KPAS99a)"
+    ~reading:
+      "while the certification cost fits in the ordering overlap\n\
+       window its latency vanishes (the KPAS99a result); beyond it, invalidated\n\
+       pre-checks waste the serial certifier and optimism backfires — optimism\n\
+       pays exactly when the spontaneous order is usually definitive (abl5)."
+  @@ fun x ->
   Fmt.pr "%-18s %22s %22s %10s@." "certify cost (ms)" "classic lat (ms)"
     "optimistic lat (ms)" "saved";
+  let spec = Workload.Builder.spec ~updates:1.0 ~txns:30 ~keys:500 () in
   List.iter
     (fun certify_ms ->
+      let cost = ("certify_ms", Printf.sprintf "%.1f" certify_ms) in
+      let note = Exp.note x ~technique:"certification" in
       let measure optimistic =
+        let optimistic = ("optimistic", string_of_bool optimistic) in
         let factory =
-          Perf.technique "certification"
+          Exp.factory "certification"
             ~set:
               [
                 ( "certify_time",
                   Printf.sprintf "%dus" (int_of_float (certify_ms *. 1000.)) );
-                ("optimistic", string_of_bool optimistic);
+                optimistic;
               ]
         in
-        let spec =
-          {
-            Workload.Spec.default with
-            update_ratio = 1.0;
-            txns_per_client = 30;
-            n_keys = 500;
-          }
-        in
         let result = Workload.Runner.run ~n_clients:2 ~spec factory in
-        result.Workload.Runner.latency_ms.Sim.Summary.mean
+        note ~metric:"latency_mean" ~unit_:"ms" ~params:[ cost; optimistic ]
+          result.latency_ms.mean
       in
-      let classic = measure false and opt = measure true in
-      Fmt.pr "%-18.1f %22.2f %22.2f %9.0f%%@." certify_ms classic opt
-        (100. *. (classic -. opt) /. classic))
-    [ 0.5; 1.0; 2.0; 4.0 ];
-  Fmt.pr
-    "@.Reading: while the certification cost fits in the ordering overlap@.\
-     window its latency vanishes (the KPAS99a result); beyond it, invalidated@.\
-     pre-checks waste the serial certifier and optimism backfires — optimism@.\
-     pays exactly when the spontaneous order is usually definitive (abl5).@."
+      let classic = measure false in
+      let opt = measure true in
+      let saved =
+        note ~metric:"saved" ~unit_:"%" ~params:[ cost ]
+          (100. *. (classic -. opt) /. classic)
+      in
+      Fmt.pr "%-18.1f %22.2f %22.2f %9.0f%%@." certify_ms classic opt saved)
+    [ 0.5; 1.0; 2.0; 4.0 ]
 
 
 (* --- abl7 -------------------------------------------------------------- *)
 
-let lock_quorums () =
-  section
-    "abl7 — Lock quorums in eager-UE locking (paper §5.4.1): quorum size \
-     vs latency and messages";
+let lock_quorums =
+  Exp.v "abl7"
+    "Lock quorums in eager-UE locking (paper §5.4.1): quorum size vs \
+     latency and messages"
+    ~reading:
+      "smaller (still intersecting) quorums trim the lock round;\n\
+       the phase structure — and the serialisable outcome — are unchanged."
+  @@ fun x ->
   Fmt.pr "%-18s %14s %12s %10s@." "lock sites" "lat mean (ms)" "msgs/txn"
     "aborted";
+  let spec = Workload.Builder.spec ~updates:1.0 ~txns:25 ~keys:100 () in
   List.iter
     (fun (label, lock_quorum, n) ->
       let factory =
-        Perf.technique "eager-ue-locking" ~set:[ ("lock_quorum", lock_quorum) ]
+        Exp.factory "eager-ue-locking"
+          ~set:[ ("lock_quorum", lock_quorum) ]
       in
-      let spec =
-        {
-          Workload.Spec.default with
-          update_ratio = 1.0;
-          txns_per_client = 25;
-          n_keys = 100;
-        }
+      let r = Workload.Runner.run ~n_replicas:n ~n_clients:3 ~spec factory in
+      let params = [ ("lock_quorum", lock_quorum); ("n", string_of_int n) ] in
+      let note = Exp.note x ~technique:"eager-ue-locking" ~params in
+      let mean = note ~metric:"latency_mean" ~unit_:"ms" r.latency_ms.mean in
+      let msgs =
+        note ~metric:"messages_per_txn" ~unit_:"msgs" r.messages_per_txn
       in
-      let result =
-        Workload.Runner.run ~n_replicas:n ~n_clients:3 ~spec factory
+      let aborted =
+        Exp.count x ~metric:"aborted" ~technique:"eager-ue-locking"
+          ~unit_:"txns" ~params r.aborted
       in
-      Fmt.pr "%-18s %14.2f %12.1f %10d@." label
-        result.Workload.Runner.latency_ms.Sim.Summary.mean
-        result.Workload.Runner.messages_per_txn result.Workload.Runner.aborted)
+      Fmt.pr "%-18s %14.2f %12.1f %10d@." label mean msgs aborted)
     [
       ("all of 5", "none", 5);
       ("4 of 5", "4", 5);
       ("3 of 5 (majority)", "3", 5);
       ("all of 3", "none", 3);
       ("2 of 3 (majority)", "2", 3);
-    ];
-  Fmt.pr
-    "@.Reading: smaller (still intersecting) quorums trim the lock round;@.\
-     the phase structure — and the serialisable outcome — are unchanged.@."
+    ]
 
 
 (* --- abl8 -------------------------------------------------------------- *)
 
-let blocking_vs_nonblocking () =
-  section
-    "abl8 — Atomic commitment: blocking 2PC vs non-blocking 3PC in eager \
-     primary copy (paper §2.1)";
+let blocking_vs_nonblocking =
+  Exp.v "abl8"
+    "Atomic commitment: blocking 2PC vs non-blocking 3PC in eager primary \
+     copy (paper §2.1)"
+    ~reading:
+      "3PC pays one extra round on every transaction to buy\n\
+       crash-autonomy; with the client-retry layer on top the visible\n\
+       failover is similar, but prepared participants terminate on their\n\
+       own instead of waiting for the resubmitted transaction (see the\n\
+       3pc test suite for the pure blocking-vs-non-blocking contrast)."
+  @@ fun x ->
   Fmt.pr "%-14s %14s %14s %12s@." "commit" "lat mean (ms)" "crash gap (ms)"
     "committed";
+  let spec = Workload.Builder.spec ~updates:1.0 ~txns:25 () in
   List.iter
     (fun (label, nonblocking_commit) ->
-      let factory =
-        Perf.technique "eager-primary"
-          ~set:[ ("nonblocking_commit", string_of_bool nonblocking_commit) ]
-      in
-      let spec =
-        {
-          Workload.Spec.default with
-          update_ratio = 1.0;
-          txns_per_client = 25;
-        }
-      in
+      let commit = ("nonblocking_commit", string_of_bool nonblocking_commit) in
+      let factory = Exp.factory "eager-primary" ~set:[ commit ] in
       let smooth = Workload.Runner.run ~n_clients:2 ~spec factory in
       let crashed =
         Workload.Runner.run ~n_clients:2 ~spec
           ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 60; replica = 0 } ]
           factory
       in
-      Fmt.pr "%-14s %14.2f %14.1f %12d@." label
-        smooth.Workload.Runner.latency_ms.Sim.Summary.mean
-        (Simtime.to_ms crashed.Workload.Runner.max_response_gap)
-        crashed.Workload.Runner.committed)
-    [ ("2PC", false); ("3PC", true) ];
-  Fmt.pr
-    "@.Reading: 3PC pays one extra round on every transaction to buy@.\
-     crash-autonomy; with the client-retry layer on top the visible@.\
-     failover is similar, but prepared participants terminate on their@.\
-     own instead of waiting for the resubmitted transaction (see the@.\
-     3pc test suite for the pure blocking-vs-non-blocking contrast).@."
+      let params = [ commit ] in
+      let note = Exp.note x ~technique:"eager-primary" ~unit_:"ms" ~params in
+      let mean = note ~metric:"latency_mean" smooth.latency_ms.mean in
+      let gap =
+        note ~metric:"max_response_gap" (Simtime.to_ms crashed.max_response_gap)
+      in
+      let committed =
+        Exp.count x ~metric:"committed" ~technique:"eager-primary"
+          ~unit_:"txns" ~params crashed.committed
+      in
+      Fmt.pr "%-14s %14.2f %14.1f %12d@." label mean gap committed)
+    [ ("2PC", false); ("3PC", true) ]
 
 let all =
   [
-    ("abl1", abcast_engines);
-    ("abl2", rowa);
-    ("abl3", fd_timeout);
-    ("abl4", consensus_under_loss);
-    ("abl5", optimistic_delivery);
-    ("abl6", optimistic_certification);
-    ("abl7", lock_quorums);
-    ("abl8", blocking_vs_nonblocking);
+    abcast_engines;
+    rowa;
+    fd_timeout;
+    consensus_under_loss;
+    optimistic_delivery;
+    optimistic_certification;
+    lock_quorums;
+    blocking_vs_nonblocking;
   ]

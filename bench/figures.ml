@@ -5,13 +5,6 @@
 
 open Sim
 
-let hr () = Fmt.pr "%s@." (String.make 78 '-')
-
-let section title =
-  hr ();
-  Fmt.pr "%s@." title;
-  hr ()
-
 (* Run one request through a freshly built instance; return the instance
    and the request id. *)
 let run_single ?(n = 3) ?(ops = [ Store.Operation.Incr ("x", 1) ])
@@ -106,7 +99,7 @@ let show_timeline ~(info : Core.Technique.info) inst rid =
 (* ------------------------------------------------------------------ *)
 
 let fig1 () =
-  section "Figure 1 — Functional model with the five phases";
+  Exp.banner "Figure 1 — Functional model with the five phases";
   List.iter
     (fun p ->
       Fmt.pr "  %-4s %s@." (Core.Phase.code p) (Core.Phase.long_name p))
@@ -117,7 +110,7 @@ let fig1 () =
      (compare the signatures printed by the other figures).@."
 
 let timeline_figure ~title ~info ~factory ?ops ?n () =
-  section title;
+  Exp.banner title;
   let inst, rid, reply = run_single ~factory ?ops ?n () in
   (match reply with
   | Some r ->
@@ -130,15 +123,15 @@ let timeline_figure ~title ~info ~factory ?ops ?n () =
 
 let fig2 () =
   timeline_figure ~title:"Figure 2 — Active replication"
-    ~info:Protocols.Active.info ~factory:(Perf.technique "active") ()
+    ~info:Protocols.Active.info ~factory:(Exp.factory "active") ()
 
 let fig3 () =
   timeline_figure ~title:"Figure 3 — Passive replication"
-    ~info:Protocols.Passive.info ~factory:(Perf.technique "passive") ()
+    ~info:Protocols.Passive.info ~factory:(Exp.factory "passive") ()
 
 let fig4 () =
   timeline_figure ~title:"Figure 4 — Semi-active replication"
-    ~info:Protocols.Semi_active.info ~factory:(Perf.technique "semi-active")
+    ~info:Protocols.Semi_active.info ~factory:(Exp.factory "semi-active")
     ~ops:[ Store.Operation.Write_random "x" ] ()
 
 let render_matrix ~rows ~cols ~cell =
@@ -158,7 +151,7 @@ let render_matrix ~rows ~cols ~cell =
     rows
 
 let fig5 () =
-  section "Figure 5 — Replication in distributed systems";
+  Exp.banner "Figure 5 — Replication in distributed systems";
   let cells = Core.Classify.fig5_cells Protocols.Registry.infos in
   render_matrix
     ~rows:[ (true, "transparent"); (false, "not transparent") ]
@@ -169,7 +162,7 @@ let fig5 () =
       | None -> [])
 
 let fig6 () =
-  section "Figure 6 — Replication in database systems (Gray et al.)";
+  Exp.banner "Figure 6 — Replication in database systems (Gray et al.)";
   let cells = Core.Classify.fig6_cells Protocols.Registry.infos in
   render_matrix
     ~rows:
@@ -187,34 +180,34 @@ let fig6 () =
 let fig7 () =
   timeline_figure ~title:"Figure 7 — Eager primary copy"
     ~info:Protocols.Eager_primary.info
-    ~factory:(Perf.technique "eager-primary") ()
+    ~factory:(Exp.factory "eager-primary") ()
 
 let fig8 () =
   timeline_figure
     ~title:"Figure 8 — Eager update everywhere with distributed locking"
     ~info:Protocols.Eager_ue_locking.info
-    ~factory:(Perf.technique "eager-ue-locking") ()
+    ~factory:(Exp.factory "eager-ue-locking") ()
 
 let fig9 () =
   timeline_figure
     ~title:"Figure 9 — Eager update everywhere based on atomic broadcast"
     ~info:Protocols.Eager_ue_abcast.info
-    ~factory:(Perf.technique "eager-ue-abcast") ()
+    ~factory:(Exp.factory "eager-ue-abcast") ()
 
 let fig10 () =
   timeline_figure ~title:"Figure 10 — Lazy primary copy"
     ~info:Protocols.Lazy_primary.info
-    ~factory:(Perf.technique "lazy-primary") ()
+    ~factory:(Exp.factory "lazy-primary") ()
 
 let fig11 () =
-  section "Figure 11 — Lazy update everywhere (with reconciliation)";
+  Exp.banner "Figure 11 — Lazy update everywhere (with reconciliation)";
   (* Two clients update the same item at different delegates inside the
      propagation window, forcing the reconciliation the figure shows. *)
   let engine = Engine.create ~seed:3 () in
   let net = Network.create engine ~n:5 Network.default_config in
   let replicas = [ 0; 1; 2 ] and clients = [ 3; 4 ] in
   let inst =
-    Perf.technique "lazy-ue" ~set:[ ("propagation_delay", "20ms") ] net
+    Exp.factory "lazy-ue" ~set:[ ("propagation_delay", "20ms") ] net
       ~replicas ~clients
   in
   let submit client v =
@@ -240,7 +233,7 @@ let fig12 () =
   timeline_figure
     ~title:"Figure 12 — Eager primary copy, multi-operation transaction"
     ~info:Protocols.Eager_primary.info
-    ~factory:(Perf.technique "eager-primary" ~set:[ ("interactive", "true") ])
+    ~factory:(Exp.factory "eager-primary" ~set:[ ("interactive", "true") ])
     ~ops:
       [ Store.Operation.Incr ("a", 1); Store.Operation.Incr ("b", 1) ]
     ()
@@ -251,7 +244,7 @@ let fig13 () =
       "Figure 13 — Eager update everywhere (locking), multi-operation \
        transaction"
     ~info:Protocols.Eager_ue_locking.info
-    ~factory:(Perf.technique "eager-ue-locking")
+    ~factory:(Exp.factory "eager-ue-locking")
     ~ops:
       [ Store.Operation.Incr ("a", 1); Store.Operation.Incr ("b", 1) ]
     ()
@@ -259,7 +252,7 @@ let fig13 () =
 let fig14 () =
   timeline_figure ~title:"Figure 14 — Certification-based replication"
     ~info:Protocols.Certification_based.info
-    ~factory:(Perf.technique "certification") ()
+    ~factory:(Exp.factory "certification") ()
 
 (* Observed signatures for all techniques, each run once with a request
    that exercises its distinctive path. *)
@@ -268,7 +261,7 @@ let observed_signatures () =
     (fun (e : Protocols.Registry.entry) ->
       let key = e.key in
       let info = e.info in
-      let factory = Perf.technique key in
+      let factory = Exp.factory key in
       let ops =
         if key = "semi-active" then [ Store.Operation.Write_random "x" ]
         else [ Store.Operation.Incr ("x", 1) ]
@@ -279,7 +272,7 @@ let observed_signatures () =
     Protocols.Registry.all
 
 let fig15 () =
-  section "Figure 15 — Possible combinations of phases (strong consistency)";
+  Exp.banner "Figure 15 — Possible combinations of phases (strong consistency)";
   let observed = observed_signatures () in
   let strong =
     List.filter_map
@@ -298,7 +291,7 @@ let fig15 () =
      answering the client — the paper's claim below Figure 15.@."
 
 let fig16 () =
-  section "Figure 16 — Synthetic view of approaches";
+  Exp.banner "Figure 16 — Synthetic view of approaches";
   let observed = observed_signatures () in
   let rows = Core.Classify.synthetic_rows observed in
   Core.Classify.pp_synthetic Fmt.stdout rows;

@@ -1,15 +1,20 @@
 (* Benchmark harness entry point.
 
-   With no arguments, regenerates every figure of the paper (fig1..fig16)
-   and runs the §6 performance study (perf1..perf5) plus the Bechamel
-   micro-benchmarks. Individual experiments can be selected by id:
+   With no arguments, runs everything: every figure of the paper
+   (fig1..fig16), the §6 performance study (perf1..perf19), the
+   ablations (abl1..abl8) and the Bechamel micro-benchmarks (micro).
+   Individual experiments can be selected by id:
 
      dune exec bench/main.exe -- fig16 perf2
 
    The experiment ids match the index in DESIGN.md and EXPERIMENTS.md. *)
 
 let registry =
-  Figures.all @ Perf.all @ Ablations.all @ [ ("micro", Micro.run) ]
+  Figures.all
+  @ List.map
+      (fun (e : Exp.t) -> (e.id, fun () -> Exp.run e))
+      (Perf.all @ Ablations.all)
+  @ [ ("micro", Micro.run) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

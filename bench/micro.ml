@@ -112,9 +112,7 @@ let tests =
     ]
 
 let run () =
-  Fmt.pr "%s@." (String.make 78 '-');
-  Fmt.pr "micro — Bechamel benchmarks of the substrates@.";
-  Fmt.pr "%s@." (String.make 78 '-');
+  Exp.banner "micro — Bechamel benchmarks of the substrates";
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in

@@ -239,6 +239,17 @@ for args in "run -t active --updates 1.5 --txns 5" \
   fi
 done
 rm -rf _compare_empty_ci _gate_ci
+# A bench size variable that is set must be a positive integer; a typo
+# or a zero is a usage error, never a silent run at the default size.
+for size in abc 1O 0 -5; do
+  status=0
+  PERF16_TXNS=$size dune exec bench/main.exe -- perf16 > /dev/null 2>&1 \
+    || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "PERF16_TXNS=$size bench/main.exe perf16: exit status $status, want 2" >&2
+    exit 1
+  fi
+done
 # A sweep resolves every cell's configuration before it runs the first
 # cell, so a bad --vary value fails before any cell runs.
 status=0
@@ -363,22 +374,28 @@ if ! dune exec bin/replisim.exe -- run -t active --router \
   exit 1
 fi
 
-# Bench gates: the bench suite at CI-sized transaction counts, then
-# every bound on its output in one compare against ci/gates.txt (one
-# line per bound, each with its reasoning). A floor is a zero-threshold
-# rule against a baseline holding the bound, a ceiling its mirror, and a
-# bench that stops emitting a bounded metric fails. The --perturb leg
-# halves perf18's cell count in the candidate and requires the gate to
-# trip (exit status 1), so a silently-passing gate is itself caught.
+# Bench gates: the bench suite at CI-sized transaction counts in one
+# invocation (ci/bench-ci.sh), then two checks on its output. Its
+# deterministic part (stdout and BENCH files of every bench but the
+# wall-clock perf15) must be byte-identical to the pinned copy in
+# ci/bench-expected/, so a change to the bench plumbing or to any
+# simulated number shows up as a diff. Every bound is then judged in one
+# compare against ci/gates.txt (one line per bound, each with its
+# reasoning). A floor is a zero-threshold rule against a baseline
+# holding the bound, a ceiling its mirror, and a bench that stops
+# emitting a bounded metric fails. The --perturb leg halves perf18's
+# cell count in the candidate and requires the gate to trip (exit status
+# 1), so a silently-passing gate is itself caught.
 echo "== bench gates =="
-dune exec bench/main.exe -- perf1 > /dev/null
-dune exec bench/main.exe -- perf13 > /dev/null
-dune exec bench/main.exe -- perf14 > /dev/null
-PERF15_TXNS=4000 dune exec bench/main.exe -- perf15 > /dev/null
-PERF16_TXNS=10 dune exec bench/main.exe -- perf16 > /dev/null
-PERF17_TXNS=10 dune exec bench/main.exe -- perf17 > /dev/null
-PERF18_TXNS=10 dune exec bench/main.exe -- perf18 > /dev/null
-PERF19_TXNS=10 dune exec bench/main.exe -- perf19 > /dev/null
+start=$(date +%s)
+rm -rf _bench_ci
+sh ci/bench-ci.sh _bench_ci
+if ! diff -r ci/bench-expected _bench_ci; then
+  echo "bench output differs from ci/bench-expected/ (diff above); if the" >&2
+  echo "change is intended, regenerate with: sh ci/bench-ci.sh ci/bench-expected" >&2
+  exit 1
+fi
+rm -rf _bench_ci
 benches="BENCH_perf1.json BENCH_perf13.json BENCH_perf14.json
   BENCH_perf15.json BENCH_perf16.json BENCH_perf17.json BENCH_perf18.json
   BENCH_perf19.json"
@@ -390,5 +407,6 @@ if [ "$status" -ne 1 ]; then
   echo "bench gates: halving perf18's cells gave exit status $status, want 1" >&2
   exit 1
 fi
+echo "bench gates passed in $(( $(date +%s) - start )) s"
 
 echo "== ci: OK =="
