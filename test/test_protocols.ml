@@ -771,6 +771,69 @@ let test_passive_primary_recovery () =
     (stores h)
 
 
+(* The state transfer of the eager techniques, with a donor in doubt.
+   Replica 1 hears no 2PC decision of coordinator 0 until 600 ms (each
+   is swallowed on arrival), so when 0 crashes at 100 ms, 1 holds
+   rounds it voted YES for. Replica 0 recovers at 300 ms and asks the
+   first live peer, 1, for the database; 1 learns the decisions only
+   after 600 ms. A snapshot taken before then would miss the writes 1
+   applies at the decision, so the donor must answer after it. Returns the number of
+   committed increments, the stores, the state transfers counted, the
+   time of the last decision the donor learned before it answered, and
+   the time the snapshot reached the joiner. *)
+let in_doubt_donor_case key =
+  let h = setup ~n:3 ~seed:7 (factory key) in
+  let client = List.hd h.clients in
+  let committed = ref 0 in
+  let holding = ref true in
+  let decided_at = ref Simtime.zero and synced_at = ref None in
+  let now () = Engine.now h.engine in
+  (* Handlers run most recent first: the observers see only what the
+     hold lets through. *)
+  Network.add_handler h.net 1 (fun ~src:_ msg ->
+      if Msg.name msg = "Data(Decision)" && !synced_at = None then
+        decided_at := now ();
+      false);
+  Network.add_handler h.net 0 (fun ~src:_ msg ->
+      if Msg.name msg = "Data(Sync_state)" && !synced_at = None then
+        synced_at := Some (now ());
+      false);
+  Network.add_handler h.net 1 (fun ~src:_ msg ->
+      !holding && Msg.name msg = "Data(Decision)");
+  client_loop h ~client ~count:8
+    ~make_request:(fun _ -> incr_req h ~client "x")
+    ~on_reply:(fun reply ->
+      if reply.Core.Technique.committed then incr committed);
+  let at ms f = ignore (Engine.schedule h.engine ~after:(Simtime.of_ms ms) f) in
+  at 100 (fun () -> Network.crash h.net 0);
+  at 300 (fun () -> Network.recover h.net 0);
+  at 600 (fun () -> holding := false);
+  run_for h 120_000;
+  let transfers =
+    Metrics.counter h.inst.Core.Technique.metrics "state_transfers_total"
+  in
+  (!committed, stores h, transfers, !decided_at, !synced_at)
+
+let test_in_doubt_donor key () =
+  let committed, stores, transfers, decided_at, synced_at =
+    in_doubt_donor_case key
+  in
+  Alcotest.(check int) "the joiner asks once" 1 transfers;
+  Alcotest.(check bool) "converged" true (Core.Convergence.converged stores);
+  List.iter
+    (fun s ->
+      Alcotest.(check int) "every committed increment, once" committed
+        (fst (Store.Kv.read s "x")))
+    stores;
+  match synced_at with
+  | None -> Alcotest.fail "the snapshot never reached the joiner"
+  | Some synced_at ->
+      Alcotest.(check bool) "the donor learned a decision after the hold"
+        true
+        Simtime.(decided_at >= of_ms 600);
+      Alcotest.(check bool) "the snapshot left after the decision" true
+        Simtime.(synced_at > decided_at)
+
 let test_optimistic_certification_correct () =
   (* Optimism may only change timing, never safety: with either variant
      the replicas converge, the history stays 1-copy serializable, and
@@ -1681,12 +1744,16 @@ let () =
           tc "non-blocking commit (3PC)" test_eager_primary_3pc;
           tc "reply outruns the decision"
             test_eager_primary_reply_outruns_decision;
+          tc "recover + state transfer from an in-doubt donor"
+            (test_in_doubt_donor "eager-primary");
         ] );
       ( "eager-ue-locking",
         [
           tc "deadlock" test_eager_ue_locking_deadlock;
           tc "rowa cheaper" test_eager_ue_locking_rowa_cheaper;
           tc "majority lock quorum" test_eager_ue_locking_quorum;
+          tc "recover + state transfer from an in-doubt donor"
+            (test_in_doubt_donor "eager-ue-locking");
         ] );
       ( "lazy-primary",
         [ tc "stale reads then convergence" test_lazy_primary_stale_reads_then_convergence ]
