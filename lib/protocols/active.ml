@@ -56,9 +56,7 @@ let create ?shared cfg net ~replicas ~clients =
     Group.Abcast.create_group net ~members:replicas ~clients
       ~impl:abcast_impl ~passthrough ~batch_window ()
   in
-  let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
-  in
+  let chan_group = Common.client_channel ctx ~passthrough in
   List.iter
     (fun r ->
       let h = Group.Abcast.handle ab ~me:r in
@@ -103,23 +101,20 @@ let create ?shared cfg net ~replicas ~clients =
                 ~value:(Common.reply_value result)
           | _ -> ()))
     replicas;
-  let local_replica_of client =
-    List.nth ctx.Common.replicas (client mod List.length ctx.Common.replicas)
-  in
   let submit ~client request cb =
     Common.register_submit ctx ~client ~request cb;
     if local_reads && not (Store.Operation.request_is_update request)
     then
       Group.Rchan.send
         (Group.Rchan.handle chan_group ~me:client)
-        ~dst:(local_replica_of client)
+        ~dst:(Common.local_replica ctx ~client)
         (Local_read { client; request })
     else begin
       Common.phase_begin ctx ~rid:request.Store.Operation.rid
         ~note:"atomic broadcast to the group (merged with RE)"
         Core.Phase.Server_coordination;
       let reply_from =
-        if local_reads then Some (local_replica_of client) else None
+        if local_reads then Some (Common.local_replica ctx ~client) else None
       in
       Group.Abcast.broadcast_from ab ~src:client
         (Req { client; request; reply_from })

@@ -75,13 +75,11 @@ let create ?shared cfg net ~replicas ~clients =
     Group.Abcast.create_group net ~members:replicas ~impl:abcast_impl
       ~passthrough ~batch_window ()
   in
-  let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
-  in
+  let chan_group = Common.client_channel ctx ~passthrough in
   let engine = Network.engine net in
   List.iter
     (fun r ->
-      let cache : (int, bool * int option) Hashtbl.t = Hashtbl.create 64 in
+      let cache = Common.reply_cache () in
       let certifier = Core.Certification.create (Common.store ctx r) in
       let h = Group.Abcast.handle ab ~me:r in
       let replica_labels = [ ("replica", string_of_int r) ] in
@@ -168,13 +166,9 @@ let create ?shared cfg net ~replicas ~clients =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Creq { client; request } -> (
+          | Creq { client; request } ->
               let rid = request.Store.Operation.rid in
-              match Hashtbl.find_opt cache rid with
-              | Some (committed, value) ->
-                  Common.send_reply ctx ~replica:r ~client ~rid ~committed
-                    ~value
-              | None ->
+              Common.serve ctx cache ~replica:r ~client ~rid (fun () ->
                   Common.phase_begin ctx ~rid ~replica:r
                     ~note:"optimistic execution on shadow copies"
                     Core.Phase.Execution;
@@ -203,25 +197,7 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.register_submit ctx ~client ~request cb;
-    let rid = request.Store.Operation.rid in
-    let local_replica =
-      List.nth ctx.Common.replicas (client mod List.length ctx.Common.replicas)
-    in
-    let preferred () =
-      if Network.alive net local_replica then local_replica
-      else Common.lowest_alive ctx
-    in
-    let send ~dst =
-      Group.Rchan.send
-        (Group.Rchan.handle chan_group ~me:client)
-        ~dst
-        (Creq { client; request })
-    in
-    send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:client_retry
-      ~target:(fun ~attempt ->
-        Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
-      ~send
+    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
+      ~preferred:(Common.nearest ctx ~client) (Creq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

@@ -1,6 +1,10 @@
 (** Shared plumbing for the protocol implementations: per-replica stores,
     client-side reply routing, response de-duplication, phase marking and
-    once-per-transaction history recording. *)
+    once-per-transaction history recording — and the parts of a request's
+    path that the paper's functional model does not tell the techniques
+    apart by: client submission (RE), the reply cache a resubmission is
+    answered from (END), the local read, and the state transfer that
+    catches a recovered copy up. *)
 
 open Sim
 
@@ -21,6 +25,15 @@ type Msg.t +=
          read-only at the receiving replica and reply directly. Never
          sent unless a router is in front of the clients, so a run
          without one is byte-identical to the pre-router request path. *)
+  | Sync_req of { from : int }
+      (* State transfer: a stale copy asks a peer for its database and
+         reply cache. Travels on the technique's own channel. *)
+  | Sync_state of {
+      entries : (Store.Operation.key * (int * int)) list;
+      cache_entries : (int * (bool * int option)) list;
+    }
+      (* The donor's answer: its store as (key, (value, version)) and
+         its reply cache. *)
 
 type ctx = {
   cid : int;
@@ -213,27 +226,16 @@ let deterministic_choice ~rid key =
 (** Random resolution for techniques that allow non-determinism. *)
 let random_choice ctx (_key : Store.Operation.key) = Rng.int ctx.rng 1_000_000
 
-(** Client-side resubmission: if [rid] is still unresolved after
-    [timeout], send it again towards [target ~attempt] (re-evaluated each
-    try with a growing attempt counter, so the client works through the
-    replicas instead of hammering one that is alive but unreachable), and
-    keep retrying. This is the paper's §4.1 client behaviour: "clients can
-    then be connected to another database server and re-submit the
-    transaction" — the server failure is {e not} transparent. *)
-let retry_until_replied ctx ~rid ~timeout ~target ~send =
-  let engine = Network.engine ctx.net in
-  let rec arm attempt =
-    ignore
-      (Engine.schedule engine ~label:"client:retry" ~after:timeout (fun () ->
-           if Hashtbl.mem ctx.reply_cbs rid then begin
-             count ctx "resubmissions_total";
-             phase_begin ctx ~rid ~note:"resubmission after timeout"
-               Core.Phase.Request;
-             send ~dst:(target ~attempt);
-             arm (attempt + 1)
-           end))
-  in
-  arm 1
+(** [ops] with every [Write_random] resolved by {!random_choice}: a
+    delegate resolves them up front so that all sites execute identical
+    operations. *)
+let resolve_random ctx ops =
+  List.map
+    (function
+      | Store.Operation.Write_random k ->
+          Store.Operation.Write (k, random_choice ctx k)
+      | op -> op)
+    ops
 
 (** Default retry target: the first retry goes to the (re-evaluated)
     preferred replica — typically "the lowest replica currently believed
@@ -249,33 +251,195 @@ let cycling_target ctx ~preferred ~attempt =
   in
   List.nth pool ((start + attempt - 1) mod List.length pool)
 
-(* The replica side of the routed read path: execute the (read-only)
-   request against the local store, record it once, and answer the
-   client directly — the same local read every lazy technique already
-   performs, made available to the routing tier for every technique.
-   Installing the handler is inert (no timer, no message), so a run
-   without a router keeps its exact pre-router schedule. *)
+(** The reliable channel a technique's clients submit over, spanning
+    its replicas and clients; the replicas may use it among themselves. *)
+let client_channel ctx ~passthrough =
+  Group.Rchan.create_group ctx.net ~nodes:(ctx.replicas @ ctx.clients)
+    ~passthrough ()
+
+(** Client submission: register [request] and send [msg] — the
+    technique's request constructor — over [chan_group] to
+    [preferred ()]. While no reply has come, resend it every [timeout] to
+    {!cycling_target} around a freshly evaluated [preferred ()], with a
+    growing attempt counter, so the client works through the replicas
+    instead of hammering one that is alive but unreachable. This is the
+    paper's §4.1 client behaviour: "clients can then be connected to
+    another database server and re-submit the transaction" — the server
+    failure is {e not} transparent. *)
+let submit_to ctx chan_group ~client ~(request : Store.Operation.request)
+    ~timeout ~preferred msg cb =
+  register_submit ctx ~client ~request cb;
+  let rid = request.rid in
+  let chan = Group.Rchan.handle chan_group ~me:client in
+  Group.Rchan.send chan ~dst:(preferred ()) msg;
+  let rec retry_until_replied attempt =
+    ignore
+      (Engine.schedule (Network.engine ctx.net) ~label:"client:retry"
+         ~after:timeout (fun () ->
+           if Hashtbl.mem ctx.reply_cbs rid then begin
+             count ctx "resubmissions_total";
+             phase_begin ctx ~rid ~note:"resubmission after timeout"
+               Core.Phase.Request;
+             Group.Rchan.send chan
+               ~dst:(cycling_target ctx ~preferred:(preferred ()) ~attempt)
+               msg;
+             retry_until_replied (attempt + 1)
+           end))
+  in
+  retry_until_replied 1
+
+(** The client's own replica: its position modulo the replica count. *)
+let local_replica ctx ~client =
+  List.nth ctx.replicas (client mod List.length ctx.replicas)
+
+(** The client's own replica while that is alive, else the lowest alive
+    replica. *)
+let nearest ctx ~client () =
+  let local = local_replica ctx ~client in
+  if Network.alive ctx.net local then local else lowest_alive ctx
+
+(** A replica's reply cache: the outcome [(committed, value)] of every
+    request it decided, by rid, so that a client's resubmission is
+    answered again instead of executed twice. *)
+type reply_cache = (int, bool * int option) Hashtbl.t
+
+let reply_cache () : reply_cache = Hashtbl.create 64
+
+(** Serve request [rid] from [client] at [replica]: resend the cached
+    reply if [replica] already decided it, else run [fresh]. *)
+let serve ctx (cache : reply_cache) ~replica ~client ~rid fresh =
+  match Hashtbl.find_opt cache rid with
+  | Some (committed, value) ->
+      send_reply ctx ~replica ~client ~rid ~committed ~value
+  | None -> fresh ()
+
+(** A read-only request executed at [replica] alone: bump [counter] (per
+    replica), mark EX with [note], execute against the local store,
+    record it once and answer the client directly. *)
+let local_read ctx ~replica ~client ~counter ~note
+    (request : Store.Operation.request) =
+  let rid = request.rid in
+  count ctx ~labels:[ ("replica", string_of_int replica) ] counter;
+  phase_begin ctx ~rid ~replica ~note Core.Phase.Execution;
+  let result = Store.Apply.execute (store ctx replica) request.ops in
+  record_once ctx ~rid ~replica result;
+  send_reply ctx ~replica ~client ~rid ~committed:true
+    ~value:(reply_value result)
+
+(* The replica side of the routed read path: the local read every lazy
+   technique already performs, made available to the routing tier for
+   every technique. Installing the handler is inert (no timer, no
+   message), so a run without a router keeps its exact pre-router
+   schedule. *)
 let install_read_path ctx =
   List.iter
     (fun r ->
       Network.add_handler ctx.net r (fun ~src:_ msg ->
           match msg with
           | Read_req { cid = c; client; request } when c = ctx.cid ->
-              let rid = request.Store.Operation.rid in
-              count ctx
-                ~labels:[ ("replica", string_of_int r) ]
-                "routed_reads_total";
-              phase_begin ctx ~rid ~replica:r ~note:"routed local read"
-                Core.Phase.Execution;
-              let result =
-                Store.Apply.execute (store ctx r) request.Store.Operation.ops
-              in
-              record_once ctx ~rid ~replica:r result;
-              send_reply ctx ~replica:r ~client ~rid ~committed:true
-                ~value:(reply_value result);
+              local_read ctx ~replica:r ~client ~counter:"routed_reads_total"
+                ~note:"routed local read" request;
               true
           | _ -> false))
     ctx.replicas
+
+(** {2 Recovery state transfer}
+
+    A copy that comes back from a crash (or is readmitted to a view) is
+    stale: it drops what it held, marks itself unsynced and asks one or
+    more peers ({!request_state}) for their database and reply cache. A
+    synced donor answers with a snapshot ({!donate}) as soon as
+    [may_snapshot ()] holds, re-checking every 50 ms; the joiner installs
+    it and is synced again. What differs between techniques is an
+    argument: whom the joiner asks and when, the condition under which a
+    donor may snapshot, whether a stale copy ignores everything else on
+    its channel until then, and which side counts
+    [state_transfers_total] ([`Requests] at the joiner, [`Snapshots] at
+    the donor). *)
+type transfer = {
+  xctx : ctx;
+  owner : int;
+  xchan : Group.Rchan.t;
+  cache : reply_cache;
+  mutable synced : bool; (* false between going stale and installing *)
+  may_snapshot : unit -> bool;
+  mute_until_synced : bool;
+  counts : [ `Requests | `Snapshots ];
+}
+
+let transfer ctx ~me ~chan ~cache ~may_snapshot ~mute_until_synced ~counts =
+  {
+    xctx = ctx;
+    owner = me;
+    xchan = chan;
+    cache;
+    synced = true;
+    may_snapshot;
+    mute_until_synced;
+    counts;
+  }
+
+(** Joiner: mark the copy unsynced and ask each of [peers] for a
+    snapshot. *)
+let request_state x ~peers =
+  x.synced <- false;
+  if x.counts = `Requests then count x.xctx "state_transfers_total";
+  List.iter
+    (fun dst -> Group.Rchan.send x.xchan ~dst (Sync_req { from = x.owner }))
+    peers
+
+(** Joiner, on recovery: ask the first live peer; with none alive, keep
+    serving the copy as it is. *)
+let request_state_from_first_peer x =
+  let net = x.xctx.net in
+  match
+    List.filter (fun p -> p <> x.owner && Network.alive net p) x.xctx.replicas
+  with
+  | [] -> ()
+  | peer :: _ -> request_state x ~peers:[ peer ]
+
+(** Donor: send [dst] this copy's snapshot and reply cache once
+    [may_snapshot ()] holds — a snapshot taken earlier could miss writes
+    the joiner would never hear of again. Gives up if this copy stops
+    being synced or crashes meanwhile. *)
+let rec donate x ~dst =
+  let net = x.xctx.net in
+  if x.synced && Network.alive net x.owner then
+    if x.may_snapshot () then begin
+      let entries = Store.Kv.snapshot (store x.xctx x.owner) in
+      let cache_entries =
+        Hashtbl.fold (fun rid v acc -> (rid, v) :: acc) x.cache []
+      in
+      if x.counts = `Snapshots then count x.xctx "state_transfers_total";
+      Group.Rchan.send x.xchan ~dst (Sync_state { entries; cache_entries })
+    end
+    else
+      ignore
+        (Engine.schedule (Network.engine net) ~label:"commit:indoubt"
+           ~after:(Simtime.of_ms 50)
+           (Network.guard net x.owner (fun () -> donate x ~dst)))
+
+(** Deliver the owner's channel: a synced copy donates on [Sync_req]; a
+    [Sync_state] is installed — every entry at least as new as the local
+    one, every cached outcome not known yet — and makes the copy synced;
+    every other message goes to [handler], unless the copy is stale and
+    [mute_until_synced]. *)
+let on_deliver x handler =
+  Group.Rchan.on_deliver x.xchan (fun ~src msg ->
+      match msg with
+      | Sync_req { from } -> if x.synced then donate x ~dst:from
+      | Sync_state { entries; cache_entries } ->
+          let kv = store x.xctx x.owner in
+          List.iter
+            (fun (k, (value, version)) -> Store.Kv.install kv k ~value ~version)
+            entries;
+          List.iter
+            (fun (rid, outcome) ->
+              if not (Hashtbl.mem x.cache rid) then
+                Hashtbl.replace x.cache rid outcome)
+            cache_entries;
+          x.synced <- true
+      | _ -> if x.synced || not x.mute_until_synced then handler ~src msg)
 
 (** The client side of the routed read path: register (or, on a
     failover retry for an already-registered request id, just refresh)

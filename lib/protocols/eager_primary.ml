@@ -8,11 +8,6 @@ type Msg.t +=
       final : bool; (* last batch of the transaction *)
     }
   | Propagate_ack of { rid : int; from : int }
-  | Sync_req of { from : int }
-  | Sync_state of {
-      entries : (Store.Operation.key * (int * int)) list;
-      cache_entries : (int * (bool * int option)) list;
-    }
 
 let schema : Config.schema =
   [
@@ -81,14 +76,14 @@ type replica_state = {
   me : int;
   (* Tentative writesets received from the primary, by rid. *)
   buffered : (int, (Store.Operation.key * int * int) list ref) Hashtbl.t;
-  cache : (int, bool * int option) Hashtbl.t;
+  cache : Common.reply_cache;
   active : (int, txn_state) Hashtbl.t; (* primary-side *)
   attempts : (int, int) Hashtbl.t; (* commit attempts per rid *)
   (* The primary serialises update transactions: one at a time. *)
   mutable run_queue : (int * int * Store.Operation.request) list;
       (* rid, client, request *)
   mutable busy : bool;
-  mutable synced : bool; (* false between recovery and state transfer *)
+  xfer : Common.transfer; (* unsynced between recovery and state transfer *)
 }
 
 let create ?shared cfg net ~replicas ~clients =
@@ -101,9 +96,7 @@ let create ?shared cfg net ~replicas ~clients =
   let fifo_group =
     Group.Fifo.create_group net ~members:replicas ~passthrough ()
   in
-  let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
-  in
+  let chan_group = Common.client_channel ctx ~passthrough in
   let states = Hashtbl.create 8 in
   let state r = Hashtbl.find states r in
   (* A commit round gets a fresh id per (attempt, coordinator): a client
@@ -136,6 +129,12 @@ let create ?shared cfg net ~replicas ~clients =
   in
   (* [launch_next], bound below: a learned decision can unblock it. *)
   let relaunch = ref ignore in
+  (* Append [writes] to [rid]'s tentative writeset at [st]. *)
+  let buffer st rid writes =
+    match Hashtbl.find_opt st.buffered rid with
+    | Some b -> b := !b @ writes
+    | None -> Hashtbl.replace st.buffered rid (ref writes)
+  in
   let learn_commit ~me ~txn committed =
     let rid = rid_of_round txn in
     let st = state me in
@@ -183,7 +182,9 @@ let create ?shared cfg net ~replicas ~clients =
   (* The lowest alive replica owns the primary copy — but a freshly
      recovered copy is stale and must not reclaim ownership (or serve
      local reads) until a surviving peer ships it the database. *)
-  let is_primary r = (state r).synced && Common.lowest_alive ctx = r in
+  let is_primary r =
+    (state r).xfer.Common.synced && Common.lowest_alive ctx = r
+  in
   (* The rids [r] voted YES for without learning the outcome. The old
      primary replies as soon as it decides, while its decision is still
      on the way to the backups; so a backup that takes over must not run
@@ -244,15 +245,7 @@ let create ?shared cfg net ~replicas ~clients =
           ~note:(if final then "change propagation + 2PC" else "change propagation")
           Core.Phase.Agreement_coordination;
         txn.acks <- [ r ];
-        let st_buf =
-          match Hashtbl.find_opt st.buffered rid with
-          | Some b -> b
-          | None ->
-              let b = ref [] in
-              Hashtbl.replace st.buffered rid b;
-              b
-        in
-        st_buf := !st_buf @ fresh;
+        buffer st rid fresh;
         let fifo = Group.Fifo.handle fifo_group ~me:r in
         Group.Fifo.broadcast fifo (Propagate { rid; writes = fresh; final });
         check_acks r rid ~final
@@ -325,16 +318,24 @@ let create ?shared cfg net ~replicas ~clients =
   relaunch := launch_next;
   List.iter
     (fun r ->
+      let cache = Common.reply_cache () in
+      let chan = Group.Rchan.handle chan_group ~me:r in
       let st =
         {
           me = r;
           buffered = Hashtbl.create 32;
-          cache = Hashtbl.create 64;
+          cache;
           active = Hashtbl.create 8;
           attempts = Hashtbl.create 8;
           run_queue = [];
           busy = false;
-          synced = true;
+          (* A donor in doubt in a 2PC holds decided-but-unapplied
+             writes: it snapshots only once the doubt resolves. *)
+          xfer =
+            Common.transfer ctx ~me:r ~chan ~cache ~counts:`Requests
+              ~mute_until_synced:true
+              ~may_snapshot:(fun () ->
+                Core.Two_phase_commit.in_doubt tpc ~me:r = []);
         }
       in
       Hashtbl.replace states r st;
@@ -361,17 +362,7 @@ let create ?shared cfg net ~replicas ~clients =
             Hashtbl.reset st.buffered;
             st.run_queue <- [];
             st.busy <- false;
-            match
-              List.filter
-                (fun p -> p <> r && Network.alive net p)
-                ctx.Common.replicas
-            with
-            | [] -> ()
-            | peer :: _ ->
-                st.synced <- false;
-                Common.count ctx "state_transfers_total";
-                let chan = Group.Rchan.handle chan_group ~me:r in
-                Group.Rchan.send chan ~dst:peer (Sync_req { from = r })
+            Common.request_state_from_first_peer st.xfer
           end);
       let fifo = Group.Fifo.handle fifo_group ~me:r in
       Group.Fifo.on_deliver fifo (fun ~origin msg ->
@@ -380,83 +371,21 @@ let create ?shared cfg net ~replicas ~clients =
               if origin <> r then begin
                 Common.phase_begin ctx ~rid ~replica:r ~note:"secondary applies log records"
                   Core.Phase.Agreement_coordination;
-                let buf =
-                  match Hashtbl.find_opt st.buffered rid with
-                  | Some b -> b
-                  | None ->
-                      let b = ref [] in
-                      Hashtbl.replace st.buffered rid b;
-                      b
-                in
-                buf := !buf @ writes;
-                let chan = Group.Rchan.handle chan_group ~me:r in
+                buffer st rid writes;
                 Group.Rchan.send chan ~dst:origin
                   (Propagate_ack { rid; from = r });
                 ignore final
               end
           | _ -> ());
-      let chan = Group.Rchan.handle chan_group ~me:r in
-      Group.Rchan.on_deliver chan (fun ~src msg ->
-          ignore src;
+      Common.on_deliver st.xfer (fun ~src:_ msg ->
           match msg with
-          | Sync_req { from } when st.synced ->
-              (* Defer the snapshot while this copy is in-doubt in a 2PC —
-                 a snapshot taken then would omit decided-but-unapplied
-                 writes the joiner can never recover. *)
-              let rec answer () =
-                if not (st.synced && Network.alive net r) then ()
-                else if Core.Two_phase_commit.in_doubt tpc ~me:r <> [] then
-                  ignore
-                    (Engine.schedule (Network.engine net) ~label:"commit:indoubt"
-                       ~after:(Simtime.of_ms 50)
-                       (Network.guard net r answer))
-                else begin
-                  let entries = Store.Kv.snapshot (Common.store ctx r) in
-                  let cache_entries =
-                    Hashtbl.fold (fun rid v acc -> (rid, v) :: acc) st.cache []
-                  in
-                  Group.Rchan.send chan ~dst:from
-                    (Sync_state { entries; cache_entries })
-                end
-              in
-              answer ()
-          | Sync_state { entries; cache_entries } ->
-              if not st.synced then begin
-                List.iter
-                  (fun (k, (value, version)) ->
-                    Store.Kv.install (Common.store ctx r) k ~value ~version)
-                  entries;
-                List.iter
-                  (fun (rid, outcome) ->
-                    if not (Hashtbl.mem st.cache rid) then
-                      Hashtbl.replace st.cache rid outcome)
-                  cache_entries;
-                st.synced <- true
-              end
-          | _ when not st.synced ->
-              () (* no client service until the transfer lands *)
-          | Ereq { client; request } -> (
+          | Ereq { client; request } ->
               let rid = request.Store.Operation.rid in
-              match Hashtbl.find_opt st.cache rid with
-              | Some (committed, value) ->
-                  Common.send_reply ctx ~replica:r ~client ~rid ~committed
-                    ~value
-              | None ->
-                  if not (Store.Operation.request_is_update request) then begin
+              Common.serve ctx st.cache ~replica:r ~client ~rid (fun () ->
+                  if not (Store.Operation.request_is_update request) then
                     (* Read-only transactions run on any site (§4.3). *)
-                    Common.count ctx
-                      ~labels:[ ("replica", string_of_int r) ]
-                      "local_reads_total";
-                    Common.phase_begin ctx ~rid ~replica:r ~note:"local read"
-                      Core.Phase.Execution;
-                    let result =
-                      Store.Apply.execute (Common.store ctx r)
-                        request.Store.Operation.ops
-                    in
-                    Common.record_once ctx ~rid ~replica:r result;
-                    Common.send_reply ctx ~replica:r ~client ~rid
-                      ~committed:true ~value:(Common.reply_value result)
-                  end
+                    Common.local_read ctx ~replica:r ~client
+                      ~counter:"local_reads_total" ~note:"local read" request
                   else if
                     is_primary r
                     && (not (Hashtbl.mem st.active rid))
@@ -479,24 +408,13 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.register_submit ctx ~client ~request cb;
-    let rid = request.Store.Operation.rid in
-    let chan = Group.Rchan.handle chan_group ~me:client in
-    let read_only = not (Store.Operation.request_is_update request) in
-    let local_replica =
-      List.nth ctx.Common.replicas (client mod List.length ctx.Common.replicas)
+    (* Reads go to the client's own replica, updates to the primary. *)
+    let preferred =
+      if Store.Operation.request_is_update request then fun () ->
+        Common.lowest_alive ctx
+      else Common.nearest ctx ~client
     in
-    let preferred () =
-      if read_only && Network.alive net local_replica then local_replica
-      else Common.lowest_alive ctx
-    in
-    let send ~dst =
-      Group.Rchan.send chan ~dst (Ereq { client; request })
-    in
-    send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:client_retry
-      ~target:(fun ~attempt ->
-        Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
-      ~send
+    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
+      ~preferred (Ereq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

@@ -49,16 +49,11 @@ let create ?shared cfg net ~replicas ~clients =
     Group.Abcast.create_group net ~members:replicas ~impl:abcast_impl
       ~passthrough ~batch_window ()
   in
-  let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
-  in
+  let chan_group = Common.client_channel ctx ~passthrough in
   let forwarded = Hashtbl.create 64 in
-  (* (replica, rid) -> outcome cache, for client resubmissions *)
-  let caches = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace caches r (Hashtbl.create 64)) replicas;
   List.iter
     (fun r ->
-      let cache : (int, bool * int option) Hashtbl.t = Hashtbl.find caches r in
+      let cache = Common.reply_cache () in
       let h = Group.Abcast.handle ab ~me:r in
       Group.Abcast.on_deliver h (fun ~origin msg ->
           ignore origin;
@@ -82,13 +77,9 @@ let create ?shared cfg net ~replicas ~clients =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Areq { client; request } -> (
+          | Areq { client; request } ->
               let rid = request.Store.Operation.rid in
-              match Hashtbl.find_opt cache rid with
-              | Some (committed, value) ->
-                  Common.send_reply ctx ~replica:r ~client ~rid ~committed
-                    ~value
-              | None ->
+              Common.serve ctx cache ~replica:r ~client ~rid (fun () ->
                   if not (Hashtbl.mem forwarded (r, rid)) then begin
                     Hashtbl.replace forwarded (r, rid) ();
                     Common.count ctx
@@ -97,16 +88,8 @@ let create ?shared cfg net ~replicas ~clients =
                     Common.phase_begin ctx ~rid ~replica:r
                       ~note:"delegate forwards via atomic broadcast"
                       Core.Phase.Server_coordination;
-                    (* The delegate resolves non-determinism so all sites
-                       execute identical operations. *)
                     let ops =
-                      List.map
-                        (function
-                          | Store.Operation.Write_random k ->
-                              Store.Operation.Write
-                                (k, Common.random_choice ctx k)
-                          | op -> op)
-                        request.Store.Operation.ops
+                      Common.resolve_random ctx request.Store.Operation.ops
                     in
                     Group.Abcast.broadcast h
                       (Ordered { client; delegate = r; ops; rid })
@@ -114,25 +97,7 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.register_submit ctx ~client ~request cb;
-    let rid = request.Store.Operation.rid in
-    let local_replica =
-      List.nth ctx.Common.replicas (client mod List.length ctx.Common.replicas)
-    in
-    let preferred () =
-      if Network.alive net local_replica then local_replica
-      else Common.lowest_alive ctx
-    in
-    let send ~dst =
-      Group.Rchan.send
-        (Group.Rchan.handle chan_group ~me:client)
-        ~dst
-        (Areq { client; request })
-    in
-    send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:client_retry
-      ~target:(fun ~attempt ->
-        Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
-      ~send
+    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
+      ~preferred:(Common.nearest ctx ~client) (Areq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

@@ -33,11 +33,6 @@ type Msg.t +=
     }
   | Complete_ack of { rid : int; from : int }
   | Txn_abort of { rid : int }
-  | Sync_req of { from : int }
-  | Sync_state of {
-      entries : (Store.Operation.key * (int * int)) list;
-      cache_entries : (int * (bool * int option)) list;
-    }
 
 let schema : Config.schema =
   [
@@ -122,6 +117,17 @@ type delegate_txn = {
   mutable q_last_read : int option;
 }
 
+(* Quorum mode: the writeset the delegate computed, each write one
+   version past the freshest copy it read. *)
+let quorum_writes txn =
+  Hashtbl.fold
+    (fun k v acc ->
+      let _, base_version =
+        Option.value ~default:(0, 0) (Hashtbl.find_opt txn.q_base k)
+      in
+      (k, v, base_version + 1) :: acc)
+    txn.q_overlay []
+
 type replica_state = {
   me : int;
   locks : Store.Lock_table.t;
@@ -130,9 +136,9 @@ type replica_state = {
   complete : (int, unit) Hashtbl.t; (* all operations processed *)
   quorum_writes : (int, (Store.Operation.key * int * int) list) Hashtbl.t;
   delegate_of : (int, int) Hashtbl.t; (* rid -> delegate replica *)
-  cache : (int, bool * int option) Hashtbl.t;
+  cache : Common.reply_cache;
   txns : (int, delegate_txn) Hashtbl.t; (* delegate side *)
-  mutable synced : bool; (* false between recovery and state transfer *)
+  xfer : Common.transfer; (* unsynced between recovery and state transfer *)
 }
 
 let create ?shared cfg net ~replicas ~clients =
@@ -143,9 +149,7 @@ let create ?shared cfg net ~replicas ~clients =
   let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let fd_group = Group.Fd.create_group net ~members:replicas () in
-  let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
-  in
+  let chan_group = Common.client_channel ctx ~passthrough in
   let states = Hashtbl.create 8 in
   let state r = Hashtbl.find states r in
   let chan r = Group.Rchan.handle chan_group ~me:r in
@@ -322,17 +326,7 @@ let create ?shared cfg net ~replicas ~clients =
            overtake an Exec in flight. *)
         txn.stage <- `Completing;
         txn.complete_acks <- [];
-        let writes =
-          if lock_quorum = None then []
-          else
-            Hashtbl.fold
-              (fun k v acc ->
-                let _, base_version =
-                  Option.value ~default:(0, 0) (Hashtbl.find_opt txn.q_base k)
-                in
-                (k, v, base_version + 1) :: acc)
-              txn.q_overlay []
-        in
+        let writes = if lock_quorum = None then [] else quorum_writes txn in
         List.iter
           (fun dst ->
             Group.Rchan.send (chan r) ~dst
@@ -357,18 +351,11 @@ let create ?shared cfg net ~replicas ~clients =
                 let committed = decision = Core.Two_phase_commit.Commit in
                 if committed && lock_quorum <> None then begin
                   (* Quorum mode: the delegate knows the reads/writes. *)
-                  let writes =
-                    Hashtbl.fold
-                      (fun k v acc ->
-                        let _, base_version =
-                          Option.value ~default:(0, 0)
-                            (Hashtbl.find_opt txn.q_base k)
-                        in
-                        (k, v, base_version + 1) :: acc)
-                      txn.q_overlay []
-                  in
                   Common.record_once ctx ~rid ~replica:r
-                    { Store.Apply.reads = List.rev txn.q_reads; writes };
+                    {
+                      Store.Apply.reads = List.rev txn.q_reads;
+                      writes = quorum_writes txn;
+                    };
                   Hashtbl.replace st.cache rid (true, txn.q_last_read);
                   Common.send_reply ctx ~replica:r ~client:txn.client ~rid
                     ~committed:true ~value:txn.q_last_read
@@ -387,6 +374,7 @@ let create ?shared cfg net ~replicas ~clients =
   in
   List.iter
     (fun r ->
+      let cache = Common.reply_cache () in
       let st =
         {
           me = r;
@@ -396,9 +384,15 @@ let create ?shared cfg net ~replicas ~clients =
           complete = Hashtbl.create 16;
           quorum_writes = Hashtbl.create 16;
           delegate_of = Hashtbl.create 16;
-          cache = Hashtbl.create 64;
+          cache;
           txns = Hashtbl.create 8;
-          synced = true;
+          (* A donor in doubt in a 2PC holds decided-but-unapplied
+             writes: it snapshots only once the doubt resolves. *)
+          xfer =
+            Common.transfer ctx ~me:r ~chan:(chan r) ~cache ~counts:`Requests
+              ~mute_until_synced:true
+              ~may_snapshot:(fun () ->
+                Core.Two_phase_commit.in_doubt tpc ~me:r = []);
         }
       in
       Hashtbl.replace states r st;
@@ -430,16 +424,7 @@ let create ?shared cfg net ~replicas ~clients =
                that operation's write silently missing. Committed
                transactions stay deduped through the reply cache. *)
             Hashtbl.reset st.executed;
-            match
-              List.filter
-                (fun p -> p <> r && Network.alive net p)
-                ctx.Common.replicas
-            with
-            | [] -> () (* nobody to copy from: keep serving what we have *)
-            | peer :: _ ->
-                st.synced <- false;
-                Common.count ctx "state_transfers_total";
-                Group.Rchan.send (chan r) ~dst:peer (Sync_req { from = r })
+            Common.request_state_from_first_peer st.xfer
           end);
       let fd = Group.Fd.handle fd_group ~me:r in
       (* Clean up transactions whose delegate crashed, so their locks do
@@ -464,63 +449,14 @@ let create ?shared cfg net ~replicas ~clients =
                     st.delegate_of []
                 in
                 List.iter (fun rid -> release_txn st rid) stale)));
-      Group.Rchan.on_deliver (chan r) (fun ~src msg ->
-          ignore src;
+      Common.on_deliver st.xfer (fun ~src:_ msg ->
           match msg with
-          | Sync_req { from } when st.synced ->
-              (* Don't serve a snapshot while we hold in-doubt transactions:
-                 their writes are decided-but-not-yet-applied here, and a
-                 snapshot taken now would hand the joiner a store missing
-                 commits it will never hear about again. Wait for the
-                 termination protocol to resolve the doubt first. *)
-              let rec answer () =
-                if not (st.synced && Network.alive net r) then ()
-                else if Core.Two_phase_commit.in_doubt tpc ~me:r <> [] then
-                  ignore
-                    (Engine.schedule (Network.engine net) ~label:"commit:indoubt"
-                       ~after:(Simtime.of_ms 50)
-                       (Network.guard net r answer))
-                else begin
-                  let entries = Store.Kv.snapshot (Common.store ctx r) in
-                  let cache_entries =
-                    Hashtbl.fold (fun rid v acc -> (rid, v) :: acc) st.cache []
-                  in
-                  Group.Rchan.send (chan r) ~dst:from
-                    (Sync_state { entries; cache_entries })
-                end
-              in
-              answer ()
-          | Sync_state { entries; cache_entries } ->
-              if not st.synced then begin
-                List.iter
-                  (fun (k, (value, version)) ->
-                    Store.Kv.install (Common.store ctx r) k ~value ~version)
-                  entries;
-                List.iter
-                  (fun (rid, outcome) ->
-                    if not (Hashtbl.mem st.cache rid) then
-                      Hashtbl.replace st.cache rid outcome)
-                  cache_entries;
-                st.synced <- true
-              end
-          | _ when not st.synced -> () (* mute until the transfer lands *)
-          | Lreq { client; request } -> (
+          | Lreq { client; request } ->
               let rid = request.Store.Operation.rid in
-              match Hashtbl.find_opt st.cache rid with
-              | Some (committed, value) ->
-                  Common.send_reply ctx ~replica:r ~client ~rid ~committed
-                    ~value
-              | None ->
+              Common.serve ctx st.cache ~replica:r ~client ~rid (fun () ->
                   if not (Hashtbl.mem st.txns rid) then begin
-                    (* The delegate resolves non-determinism up front so all
-                       sites execute identical operations. *)
                     let ops =
-                      List.map
-                        (function
-                          | Store.Operation.Write_random k ->
-                              Store.Operation.Write (k, Common.random_choice ctx k)
-                          | op -> op)
-                        request.Store.Operation.ops
+                      Common.resolve_random ctx request.Store.Operation.ops
                     in
                     let txn =
                       {
@@ -687,25 +623,7 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.register_submit ctx ~client ~request cb;
-    let rid = request.Store.Operation.rid in
-    let local_replica =
-      List.nth ctx.Common.replicas (client mod List.length ctx.Common.replicas)
-    in
-    let preferred () =
-      if Network.alive net local_replica then local_replica
-      else Common.lowest_alive ctx
-    in
-    let send ~dst =
-      Group.Rchan.send
-        (Group.Rchan.handle chan_group ~me:client)
-        ~dst
-        (Lreq { client; request })
-    in
-    send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:client_retry
-      ~target:(fun ~attempt ->
-        Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
-      ~send
+    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
+      ~preferred:(Common.nearest ctx ~client) (Lreq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

@@ -51,15 +51,11 @@ let create ?shared cfg net ~replicas ~clients =
   let fifo_group =
     Group.Fifo.create_group net ~members:replicas ~passthrough ()
   in
-  let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
-  in
-  let caches = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace caches r (Hashtbl.create 64)) replicas;
+  let chan_group = Common.client_channel ctx ~passthrough in
   let is_primary r = Common.lowest_alive ctx = r in
   List.iter
     (fun r ->
-      let cache : (int, bool * int option) Hashtbl.t = Hashtbl.find caches r in
+      let cache = Common.reply_cache () in
       let fifo = Group.Fifo.handle fifo_group ~me:r in
       Group.Fifo.on_deliver fifo (fun ~origin msg ->
           match msg with
@@ -76,29 +72,15 @@ let create ?shared cfg net ~replicas ~clients =
       Group.Rchan.on_deliver chan (fun ~src msg ->
           ignore src;
           match msg with
-          | Lpreq { client; request } -> (
+          | Lpreq { client; request } ->
               let rid = request.Store.Operation.rid in
-              match Hashtbl.find_opt cache rid with
-              | Some (committed, value) ->
-                  Common.send_reply ctx ~replica:r ~client ~rid ~committed
-                    ~value
-              | None ->
-                  if not (Store.Operation.request_is_update request) then begin
+              Common.serve ctx cache ~replica:r ~client ~rid (fun () ->
+                  if not (Store.Operation.request_is_update request) then
                     (* Local reads: response time is the whole point of
                        lazy replication — and the data may be stale. *)
-                    Common.count ctx
-                      ~labels:[ ("replica", string_of_int r) ]
-                      "local_reads_total";
-                    Common.phase_begin ctx ~rid ~replica:r
-                      ~note:"local read (possibly stale)" Core.Phase.Execution;
-                    let result =
-                      Store.Apply.execute (Common.store ctx r)
-                        request.Store.Operation.ops
-                    in
-                    Common.record_once ctx ~rid ~replica:r result;
-                    Common.send_reply ctx ~replica:r ~client ~rid
-                      ~committed:true ~value:(Common.reply_value result)
-                  end
+                    Common.local_read ctx ~replica:r ~client
+                      ~counter:"local_reads_total"
+                      ~note:"local read (possibly stale)" request
                   else if is_primary r then begin
                     Common.phase_begin ctx ~rid ~replica:r
                       ~note:"primary executes and commits locally"
@@ -133,26 +115,13 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.register_submit ctx ~client ~request cb;
-    let rid = request.Store.Operation.rid in
-    let local_replica =
-      List.nth ctx.Common.replicas (client mod List.length ctx.Common.replicas)
+    (* Reads go to the client's own replica, updates to the primary. *)
+    let preferred =
+      if Store.Operation.request_is_update request then fun () ->
+        Common.lowest_alive ctx
+      else Common.nearest ctx ~client
     in
-    let read_only = not (Store.Operation.request_is_update request) in
-    let preferred () =
-      if read_only && Network.alive net local_replica then local_replica
-      else Common.lowest_alive ctx
-    in
-    let send ~dst =
-      Group.Rchan.send
-        (Group.Rchan.handle chan_group ~me:client)
-        ~dst
-        (Lpreq { client; request })
-    in
-    send ~dst:(preferred ());
-    Common.retry_until_replied ctx ~rid ~timeout:client_retry
-      ~target:(fun ~attempt ->
-        Common.cycling_target ctx ~preferred:(preferred ()) ~attempt)
-      ~send
+    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
+      ~preferred (Lpreq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

@@ -8,11 +8,6 @@ type Msg.t +=
       result : Store.Apply.result;
       value : int option;
     }
-  | Sync of {
-      entries : (Store.Operation.key * (int * int)) list;
-      cache_entries : (int * (bool * int option)) list;
-    }
-  | Sync_req
 
 let schema : Config.schema =
   [ Config.client_retry_key ~default:(Simtime.of_ms 400); Config.passthrough_key ]
@@ -42,12 +37,12 @@ type replica_state = {
   me : int;
   vs : Group.Vscast.t;
   (* Results of requests whose update went stable, for resubmissions. *)
-  cache : (int, bool * int option) Hashtbl.t;
+  cache : Common.reply_cache;
   executing : (int, unit) Hashtbl.t;
       (* requests executed here, update not yet stable *)
   mutable prev_members : int list; (* membership of the last view we saw *)
   mutable last_view_id : int;
-  mutable synced : bool; (* false between a rejoin jump and state transfer *)
+  xfer : Common.transfer; (* unsynced between a rejoin and state transfer *)
 }
 
 let create ?shared cfg net ~replicas ~clients =
@@ -57,13 +52,11 @@ let create ?shared cfg net ~replicas ~clients =
   let vs_group =
     Group.Vscast.create_group net ~members:replicas ~passthrough ()
   in
-  let chan_group =
-    (* Stubborn client->primary channel so requests survive message loss. *)
-    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
-  in
+  (* Stubborn client->primary channel so requests survive message loss. *)
+  let chan_group = Common.client_channel ctx ~passthrough in
   let states = Hashtbl.create 8 in
   let is_primary st =
-    st.synced
+    st.xfer.Common.synced
     && Group.Vscast.in_view st.vs
     &&
     match (Group.Vscast.current_view st.vs).Group.View.members with
@@ -73,36 +66,37 @@ let create ?shared cfg net ~replicas ~clients =
   List.iter
     (fun r ->
       let vs = Group.Vscast.handle vs_group ~me:r in
+      let chan = Group.Rchan.handle chan_group ~me:r in
+      let cache = Common.reply_cache () in
       let st =
         {
           me = r;
           vs;
-          cache = Hashtbl.create 32;
+          cache;
           executing = Hashtbl.create 8;
           prev_members = replicas;
           last_view_id = 0;
-          synced = true;
+          (* Any synced member may donate at once: what is stable is in
+             its store. Each snapshot it sends counts as a transfer. *)
+          xfer =
+            Common.transfer ctx ~me:r ~chan ~cache ~counts:`Snapshots
+              ~mute_until_synced:false
+              ~may_snapshot:(fun () -> true);
         }
       in
       Hashtbl.replace states r st;
-      let send_sync st ~dst =
-        let chan = Group.Rchan.handle chan_group ~me:st.me in
-        let entries = Store.Kv.snapshot (Common.store ctx st.me) in
-        let cache_entries =
-          Hashtbl.fold (fun rid v acc -> (rid, v) :: acc) st.cache []
-        in
-        Common.count ctx "state_transfers_total";
-        Group.Rchan.send chan ~dst (Sync { entries; cache_entries })
+      (* A stale copy distrusts all it holds: updates it executed whose
+         stability died with the old view will be re-executed on
+         resubmission, and tentative writes that never reached the group
+         are void — the state transfer rebuilds the database. *)
+      let go_stale () =
+        st.xfer.Common.synced <- false;
+        Hashtbl.reset st.executing;
+        Store.Kv.reset (Common.store ctx r)
       in
       (* Crash recovery: whatever this replica executed right before the
-         crash may never have reached the group — distrust it all and
-         rebuild from a surviving copy once readmitted. *)
-      Network.on_recover net (fun node ->
-          if node = r then begin
-            st.synced <- false;
-            Hashtbl.reset st.executing;
-            Store.Kv.reset (Common.store ctx r)
-          end);
+         crash may never have reached the group. *)
+      Network.on_recover net (fun node -> if node = r then go_stale ());
       (* Recovery: an excluded replica asks to rejoin; when a view readmits
          it, every surviving member (locally: anyone whose previous view is
          the new view's predecessor) sends it the database and reply cache,
@@ -127,17 +121,9 @@ let create ?shared cfg net ~replicas ~clients =
               view.Group.View.members
           in
           st.prev_members <- view.Group.View.members;
-          if rejoined then begin
-            st.synced <- false;
-            (* Updates we executed whose stability died with the old view
-               will be re-executed on resubmission. *)
-            Hashtbl.reset st.executing;
-            (* Tentative writes that never reached the group are void;
-               the state transfer rebuilds the database. *)
-            Store.Kv.reset (Common.store ctx r)
-          end
-          else if st.synced && joiners <> [] then
-            List.iter (fun dst -> send_sync st ~dst) joiners);
+          if rejoined then go_stale ()
+          else if st.xfer.Common.synced && joiners <> [] then
+            List.iter (fun dst -> Common.donate st.xfer ~dst) joiners);
       ignore
         (Engine.periodic (Network.engine net) ~label:"proto:rejoin" ~every:(Simtime.of_ms 150)
            (Network.guard net r (fun () ->
@@ -151,14 +137,9 @@ let create ?shared cfg net ~replicas ~clients =
       ignore
         (Engine.periodic (Network.engine net) ~label:"proto:rejoin" ~every:(Simtime.of_ms 150)
            (Network.guard net r (fun () ->
-                if (not st.synced) && Group.Vscast.in_view vs then
-                  let chan = Group.Rchan.handle chan_group ~me:r in
-                  List.iter
-                    (fun dst ->
-                      if dst <> r then
-                        Group.Rchan.send chan ~dst
-                          Sync_req)
-                    replicas)));
+                if (not st.xfer.Common.synced) && Group.Vscast.in_view vs then
+                  Common.request_state st.xfer
+                    ~peers:(List.filter (fun p -> p <> r) replicas))));
       (* Backups (and the primary itself) learn updates through VSCAST. *)
       Group.Vscast.on_deliver vs (fun ~origin msg ->
           match msg with
@@ -178,31 +159,11 @@ let create ?shared cfg net ~replicas ~clients =
                   ~value
               end
           | _ -> ());
-      let chan = Group.Rchan.handle chan_group ~me:r in
-      Group.Rchan.on_deliver chan (fun ~src msg ->
+      Common.on_deliver st.xfer (fun ~src:_ msg ->
           match msg with
-          | Sync_req ->
-              (* Only a synced member may act as a state-transfer donor. *)
-              if st.synced then send_sync st ~dst:src
-          | Sync { entries; cache_entries } ->
-              List.iter
-                (fun (k, (value, version)) ->
-                  Store.Kv.install (Common.store ctx r) k ~value ~version)
-                entries;
-              List.iter
-                (fun (rid, outcome) ->
-                  if not (Hashtbl.mem st.cache rid) then
-                    Hashtbl.replace st.cache rid outcome)
-                cache_entries;
-              st.synced <- true
-          | Preq { client; request } -> (
+          | Preq { client; request } ->
               let rid = request.Store.Operation.rid in
-              match Hashtbl.find_opt st.cache rid with
-              | Some (committed, value) ->
-                  (* Resubmission of an already-stable request. *)
-                  Common.send_reply ctx ~replica:r ~client ~rid ~committed
-                    ~value
-              | None ->
+              Common.serve ctx st.cache ~replica:r ~client ~rid (fun () ->
                   if is_primary st && not (Hashtbl.mem st.executing rid) then begin
                     Hashtbl.replace st.executing rid ();
                     Common.phase_begin ctx ~rid ~replica:r
@@ -220,16 +181,9 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.register_submit ctx ~client ~request cb;
-    let rid = request.Store.Operation.rid in
-    let chan = Group.Rchan.handle chan_group ~me:client in
-    let send ~dst =
-      Group.Rchan.send chan ~dst (Preq { client; request })
-    in
-    let preferred = Common.lowest_alive ctx in
-    send ~dst:preferred;
-    Common.retry_until_replied ctx ~rid ~timeout:client_retry
-      ~target:(fun ~attempt -> Common.cycling_target ctx ~preferred ~attempt)
-      ~send
+    (* The primary as of submission: retries cycle from it. *)
+    let primary = Common.lowest_alive ctx in
+    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
+      ~preferred:(fun () -> primary) (Preq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

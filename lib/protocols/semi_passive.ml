@@ -55,9 +55,7 @@ let create ?shared cfg net ~replicas ~clients =
   let cons_group =
     C.create_group net ~members:replicas ~fd:fd_group ~passthrough ()
   in
-  let chan_group =
-    Group.Rchan.create_group net ~nodes:(replicas @ clients) ~passthrough ()
-  in
+  let chan_group = Common.client_channel ctx ~passthrough in
   let states = Hashtbl.create 8 in
   (* The deferred-initial-value step: only when this replica believes it is
      the one in charge does it execute the oldest pending request and turn
