@@ -349,7 +349,7 @@ let install_read_path ctx =
     stale: it drops what it held, marks itself unsynced and asks one or
     more peers ({!request_state}) for their database and reply cache. A
     synced donor answers with a snapshot ({!donate}) as soon as
-    [may_snapshot ()] holds, re-checking every 50 ms; the joiner installs
+    [may_snapshot ~joiner] holds, re-checking every 50 ms; the joiner installs
     it and is synced again. What differs between techniques is an
     argument: whom the joiner asks and when, the condition under which a
     donor may snapshot, whether a stale copy ignores everything else on
@@ -362,7 +362,7 @@ type transfer = {
   xchan : Group.Rchan.t;
   cache : reply_cache;
   mutable synced : bool; (* false between going stale and installing *)
-  may_snapshot : unit -> bool;
+  may_snapshot : joiner:int -> bool;
   mute_until_synced : bool;
   counts : [ `Requests | `Snapshots ];
 }
@@ -399,13 +399,13 @@ let request_state_from_first_peer x =
   | peer :: _ -> request_state x ~peers:[ peer ]
 
 (** Donor: send [dst] this copy's snapshot and reply cache once
-    [may_snapshot ()] holds — a snapshot taken earlier could miss writes
+    [may_snapshot ~joiner:dst] holds — a snapshot taken earlier could miss writes
     the joiner would never hear of again. Gives up if this copy stops
     being synced or crashes meanwhile. *)
 let rec donate x ~dst =
   let net = x.xctx.net in
   if x.synced && Network.alive net x.owner then
-    if x.may_snapshot () then begin
+    if x.may_snapshot ~joiner:dst then begin
       let entries = Store.Kv.snapshot (store x.xctx x.owner) in
       let cache_entries =
         Hashtbl.fold (fun rid v acc -> (rid, v) :: acc) x.cache []

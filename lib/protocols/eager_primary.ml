@@ -334,7 +334,7 @@ let create ?shared cfg net ~replicas ~clients =
           xfer =
             Common.transfer ctx ~me:r ~chan ~cache ~counts:`Requests
               ~mute_until_synced:true
-              ~may_snapshot:(fun () ->
+              ~may_snapshot:(fun ~joiner:_ ->
                 Core.Two_phase_commit.in_doubt tpc ~me:r = []);
         }
       in

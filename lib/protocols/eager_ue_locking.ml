@@ -136,6 +136,10 @@ type replica_state = {
   complete : (int, unit) Hashtbl.t; (* all operations processed *)
   quorum_writes : (int, (Store.Operation.key * int * int) list) Hashtbl.t;
   delegate_of : (int, int) Hashtbl.t; (* rid -> delegate replica *)
+  missed : (int, int * int list) Hashtbl.t;
+      (* rid -> its delegate and the replicas down at some point while it
+         was live here: they missed operations, so it commits without
+         them and only a state transfer can bring it to them *)
   cache : Common.reply_cache;
   txns : (int, delegate_txn) Hashtbl.t; (* delegate side *)
   xfer : Common.transfer; (* unsynced between recovery and state transfer *)
@@ -159,6 +163,7 @@ let create ?shared cfg net ~replicas ~clients =
     Hashtbl.remove st.complete rid;
     Hashtbl.remove st.quorum_writes rid;
     Hashtbl.remove st.delegate_of rid;
+    Hashtbl.remove st.missed rid;
     (* The per-op dedup entries must die with the shadow: if the
        transaction is ever re-driven (client resubmission after a delegate
        crash), every operation has to re-execute into the fresh shadow —
@@ -170,6 +175,32 @@ let create ?shared cfg net ~replicas ~clients =
         st.executed []
     in
     List.iter (Hashtbl.remove st.executed) stale_ops
+  in
+  (* Quorum mode ships the delegate's writeset in [Complete], so a
+     replica that missed operations can still install it: only the mode
+     where every site executes the operations keeps track. *)
+  let went_live st rid ~delegate =
+    if lock_quorum = None then
+      match Hashtbl.find_opt st.missed rid with
+      | Some (d, _) when d = delegate -> ()
+      | _ ->
+          (* First contact, or a resubmission re-driven by a new
+             delegate: a fresh run of the transaction. *)
+          Hashtbl.replace st.missed rid
+            ( delegate,
+              List.filter
+                (fun p -> not (Network.alive net p))
+                ctx.Common.replicas )
+  in
+  (* The live replicas that took part in all of [rid] so far: the only
+     ones its later operations, its completion and its vote involve. *)
+  let members st rid =
+    let missed =
+      match Hashtbl.find_opt st.missed rid with Some (_, m) -> m | None -> []
+    in
+    List.filter
+      (fun p -> Network.alive net p && not (List.mem p missed))
+      ctx.Common.replicas
   in
   let tpc =
     Core.Two_phase_commit.create_group net ~nodes:replicas ~passthrough
@@ -279,8 +310,10 @@ let create ?shared cfg net ~replicas ~clients =
           txn.stage <- `Locking;
           txn.grants <- [];
           txn.exec_acks <- [];
-          txn.lock_sites <- lock_sites_for r op;
-          txn.exec_sites <- exec_sites_for r op;
+          let took_part = members st rid in
+          let among = List.filter (fun p -> List.mem p took_part) in
+          txn.lock_sites <- among (lock_sites_for r op);
+          txn.exec_sites <- among (exec_sites_for r op);
           Common.phase_begin ctx ~rid ~replica:r
             ~note:"lock request at all replicas (2-phase locking)"
             Core.Phase.Server_coordination;
@@ -331,7 +364,7 @@ let create ?shared cfg net ~replicas ~clients =
           (fun dst ->
             Group.Rchan.send (chan r) ~dst
               (Complete { rid; delegate = r; writes }))
-          (List.filter (Network.alive net) ctx.Common.replicas)
+          (members st rid)
   and start_commit r rid =
     let st = state r in
     match Hashtbl.find_opt st.txns rid with
@@ -340,7 +373,7 @@ let create ?shared cfg net ~replicas ~clients =
         txn.stage <- `Committing;
         Common.phase_begin ctx ~rid ~replica:r ~note:"two-phase commit"
           Core.Phase.Agreement_coordination;
-        let participants = List.filter (Network.alive net) ctx.Common.replicas in
+        let participants = members st rid in
         Core.Two_phase_commit.start tpc ~coordinator:r ~participants ~txn:rid
           ~on_complete:(fun decision ->
             let st = state r in
@@ -375,6 +408,7 @@ let create ?shared cfg net ~replicas ~clients =
   List.iter
     (fun r ->
       let cache = Common.reply_cache () in
+      let missed = Hashtbl.create 16 in
       let st =
         {
           me = r;
@@ -384,15 +418,24 @@ let create ?shared cfg net ~replicas ~clients =
           complete = Hashtbl.create 16;
           quorum_writes = Hashtbl.create 16;
           delegate_of = Hashtbl.create 16;
+          missed;
           cache;
           txns = Hashtbl.create 8;
-          (* A donor in doubt in a 2PC holds decided-but-unapplied
-             writes: it snapshots only once the doubt resolves. *)
+          (* A donor snapshots only once its store holds every write the
+             joiner will not hear of again: none of its 2PC rounds is in
+             doubt (decided but unapplied here), and no live transaction
+             whose delegate stayed up left the joiner out. *)
           xfer =
             Common.transfer ctx ~me:r ~chan:(chan r) ~cache ~counts:`Requests
               ~mute_until_synced:true
-              ~may_snapshot:(fun () ->
-                Core.Two_phase_commit.in_doubt tpc ~me:r = []);
+              ~may_snapshot:(fun ~joiner ->
+                Core.Two_phase_commit.in_doubt tpc ~me:r = []
+                && not
+                     (Hashtbl.fold
+                        (fun _ (delegate, m) left_out ->
+                          left_out
+                          || (List.mem joiner m && not (List.mem delegate m)))
+                        missed false));
         }
       in
       Hashtbl.replace states r st;
@@ -426,6 +469,13 @@ let create ?shared cfg net ~replicas ~clients =
             Hashtbl.reset st.executed;
             Common.request_state_from_first_peer st.xfer
           end);
+      (* Whoever crashes missed the rest of every transaction live here. *)
+      Network.on_crash net (fun node ->
+          if node <> r then
+            Hashtbl.filter_map_inplace
+              (fun _ ((delegate, m) as entry) ->
+                Some (if List.mem node m then entry else (delegate, node :: m)))
+              st.missed);
       let fd = Group.Fd.handle fd_group ~me:r in
       (* Clean up transactions whose delegate crashed, so their locks do
          not block the system forever. In-doubt transactions — fully
@@ -476,6 +526,7 @@ let create ?shared cfg net ~replicas ~clients =
                       }
                     in
                     Hashtbl.replace st.txns rid txn;
+                    went_live st rid ~delegate:r;
                     (* Lock timeout resolves distributed deadlocks. *)
                     ignore
                       (Engine.schedule (Network.engine net) ~label:"proto:lock-timeout"
@@ -492,6 +543,7 @@ let create ?shared cfg net ~replicas ~clients =
           | Lock_req { rid; op_index; keys; delegate } ->
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.delegate_of rid delegate;
+                went_live st rid ~delegate;
                 let total = List.length keys in
                 let send_grant () =
                   let copies =
@@ -565,6 +617,7 @@ let create ?shared cfg net ~replicas ~clients =
           | Exec { rid; op_index; op; delegate } ->
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.delegate_of rid delegate;
+                went_live st rid ~delegate;
                 let shadow =
                   match Hashtbl.find_opt st.shadows rid with
                   | Some s -> s
@@ -602,7 +655,8 @@ let create ?shared cfg net ~replicas ~clients =
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.complete rid ();
                 if writes <> [] then Hashtbl.replace st.quorum_writes rid writes;
-                Hashtbl.replace st.delegate_of rid delegate
+                Hashtbl.replace st.delegate_of rid delegate;
+                went_live st rid ~delegate
               end;
               Group.Rchan.send (chan r) ~dst:delegate
                 (Complete_ack { rid; from = r })
@@ -611,11 +665,10 @@ let create ?shared cfg net ~replicas ~clients =
               | Some txn when txn.stage = `Completing ->
                   if not (List.mem from txn.complete_acks) then
                     txn.complete_acks <- from :: txn.complete_acks;
-                  let needed =
-                    List.filter (Network.alive net) ctx.Common.replicas
-                  in
                   if
-                    List.for_all (fun s -> List.mem s txn.complete_acks) needed
+                    List.for_all
+                      (fun s -> List.mem s txn.complete_acks)
+                      (members st rid)
                   then start_commit r rid
               | _ -> ())
           | Txn_abort { rid } ->

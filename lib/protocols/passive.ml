@@ -81,7 +81,7 @@ let create ?shared cfg net ~replicas ~clients =
           xfer =
             Common.transfer ctx ~me:r ~chan ~cache ~counts:`Snapshots
               ~mute_until_synced:false
-              ~may_snapshot:(fun () -> true);
+              ~may_snapshot:(fun ~joiner:_ -> true);
         }
       in
       Hashtbl.replace states r st;

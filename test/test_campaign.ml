@@ -123,6 +123,33 @@ let tune_path_matches_faults_path () =
         (via_tune = via_faults))
     [ "eager-ue-abcast"; "passive" ]
 
+(* Regression: eager-ue-locking lost a committed write across a state
+   transfer. A transaction whose operations ran while the joiner was
+   down committed at the donor just after the donor's snapshot, and
+   reached neither the snapshot nor the joiner. These campaign cases
+   ended with the joiner one write behind (backup-crash-recover seed 1:
+   k0000 at v1 on the recovered replica, v2 elsewhere). *)
+let locking_state_transfer_keeps_writes () =
+  let entry = Option.get (Protocols.Registry.find "eager-ue-locking") in
+  let factory = Protocols.Registry.default_factory entry in
+  List.iter
+    (fun (name, seeds) ->
+      List.iter
+        (fun seed ->
+          let outcome =
+            Workload.Scenario.run_one ~seed ~key:"eager-ue-locking"
+              ~info:entry.Protocols.Registry.info ~factory (scenario name)
+          in
+          List.iter
+            (fun (v : Workload.Verdict.t) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s seed %d, oracle %s: %s" name seed v.oracle
+                   v.detail)
+                true v.ok)
+            outcome.Workload.Scenario.verdicts)
+        seeds)
+    [ ("backup-crash-recover", [ 1; 16 ]); ("chaos", [ 6; 17; 29 ]) ]
+
 let () =
   Alcotest.run "campaign"
     [
@@ -134,5 +161,7 @@ let () =
           Alcotest.test_case "quick crash-recover" `Quick quick_crash_recover;
           Alcotest.test_case "tune path matches faults path" `Quick
             tune_path_matches_faults_path;
+          Alcotest.test_case "locking state transfer keeps every write"
+            `Quick locking_state_transfer_keeps_writes;
         ] );
     ]
