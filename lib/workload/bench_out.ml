@@ -56,7 +56,7 @@ let to_json t =
   Printf.sprintf
     "{\"type\":\"bench\",\"version\":\"%s\",\"bench\":\"%s\",\"seed\":%d,\"n_replicas\":%d%s,\"results\":[%s]}"
     Report.version (esc t.bench) t.seed t.n_replicas config
-    (String.concat "," (List.rev_map row_to_json t.rows_rev |> List.rev))
+    (String.concat "," (List.rev_map row_to_json t.rows_rev))
 
 let filename t = "BENCH_" ^ t.bench ^ ".json"
 

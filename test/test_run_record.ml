@@ -534,6 +534,32 @@ let test_bench_cell_malformed () =
       "{\"bench\":\"perf1\",\"results\":[{\"metric\":\"m\",\"value\":\"1\"}]}";
     ]
 
+(* A BENCH file lists its rows in the order they were added. *)
+let test_bench_out_row_order () =
+  let out = Workload.Bench_out.create ~bench:"perf1" ~seed:11 ~n_replicas:3 () in
+  List.iter
+    (fun technique ->
+      Workload.Bench_out.add out ~metric:"latency_mean" ~technique 1.)
+    [ "active"; "passive"; "certification" ];
+  let techniques =
+    match Workload.Bench_out.parse (Workload.Bench_out.to_json out) with
+    | Ok (Workload.Bench_out.Obj fs) -> (
+        match List.assoc_opt "results" fs with
+        | Some (Workload.Bench_out.Arr rows) ->
+            List.filter_map
+              (function
+                | Workload.Bench_out.Obj r -> (
+                    match List.assoc_opt "technique" r with
+                    | Some (Workload.Bench_out.Str t) -> Some t
+                    | _ -> None)
+                | _ -> None)
+              rows
+        | _ -> [])
+    | _ -> Alcotest.fail "writer output does not parse"
+  in
+  Alcotest.(check (list string)) "add order"
+    [ "active"; "passive"; "certification" ] techniques
+
 (* The writer's output, read back through the one parser: the header and
    every row keep their fields, escapes included. *)
 let test_bench_out_round_trip () =
@@ -675,6 +701,7 @@ let () =
             test_bench_cell_malformed;
           tc "Bench_out.to_json round-trips through parse"
             test_bench_out_round_trip;
+          tc "Bench_out rows come out in add order" test_bench_out_row_order;
         ] );
       ( "zipf",
         [
