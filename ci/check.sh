@@ -61,6 +61,23 @@ if [ -n "$faults" ]; then
   exit 1
 fi
 
+# One request path: client submission (with its resubmission loop), the
+# reply-cache type and recovery state transfer are written once, in
+# lib/protocols/common.ml. No other protocol file may name the retry
+# machinery, spell the reply cache's type, snapshot a store or declare
+# a state-transfer message.
+echo "== one request path in the technique layer =="
+paths=$(grep -rnE --include='*.ml' --include='*.mli' \
+    'retry_until_replied|cycling_target|Store\.Kv\.snapshot|bool \* int option|^ *\| *Sync_(req|state)\b' \
+    lib/protocols \
+  | grep -vE '^lib/protocols/common\.ml:' \
+  || true)
+if [ -n "$paths" ]; then
+  printf '%s\n' "$paths" >&2
+  echo "submit through Common.submit_to, cache replies in a Common.reply_cache and catch a recovered copy up through Common's state transfer" >&2
+  exit 1
+fi
+
 # One description of a technique's settings: its schema, read by the
 # technique's own create. No technique module keeps a typed config record
 # beside the schema, and every technique is built through the Registry,
@@ -113,6 +130,19 @@ echo "QCHECK_SEED=1..5 passed in $(( $(date +%s) - start )) s"
 echo "== campaign smoke =="
 dune exec bin/replisim.exe -- campaign --scenario crash-recover \
   --techniques all --seeds 11
+
+# Recovery: every technique that catches a recovered copy up by state
+# transfer (passive, eager-primary, eager-ue-locking) through the four
+# scenarios that bring a replica back, over 30 seeds (1800 verdicts).
+# A failure names technique, scenario and seed; replay it with
+# `replisim campaign --scenario S --techniques T --seeds N`.
+echo "== recovery campaign =="
+start=$(date +%s)
+dune exec bin/replisim.exe -- campaign \
+  --scenario crash-recover,backup-crash-recover,partition-heal,chaos \
+  --techniques passive,eager-primary,eager-ue-locking \
+  --seeds "$(seq -s, 1 30)" > /dev/null
+echo "recovery campaign passed in $(( $(date +%s) - start )) s"
 
 # Failover pays for what members lack, not for run length: the
 # sequencer's new leader re-announces from the lowest delivery cursor it

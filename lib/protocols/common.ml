@@ -349,9 +349,9 @@ let install_read_path ctx =
     stale: it drops what it held, marks itself unsynced and asks one or
     more peers ({!request_state}) for their database and reply cache. A
     synced donor answers with a snapshot ({!donate}) as soon as
-    [may_snapshot ~joiner] holds, re-checking every 50 ms; the joiner installs
-    it and is synced again. What differs between techniques is an
-    argument: whom the joiner asks and when, the condition under which a
+    [may_snapshot ~joiner] holds, re-checking every 50 ms; the joiner
+    installs it and is synced again. What differs between techniques is
+    an argument: whom the joiner asks and when, the condition under which a
     donor may snapshot, whether a stale copy ignores everything else on
     its channel until then, and which side counts
     [state_transfers_total] ([`Requests] at the joiner, [`Snapshots] at
@@ -399,9 +399,9 @@ let request_state_from_first_peer x =
   | peer :: _ -> request_state x ~peers:[ peer ]
 
 (** Donor: send [dst] this copy's snapshot and reply cache once
-    [may_snapshot ~joiner:dst] holds — a snapshot taken earlier could miss writes
-    the joiner would never hear of again. Gives up if this copy stops
-    being synced or crashes meanwhile. *)
+    [may_snapshot ~joiner:dst] holds — a snapshot taken earlier could
+    miss writes the joiner would never hear of again. Gives up if this
+    copy stops being synced or crashes meanwhile. *)
 let rec donate x ~dst =
   let net = x.xctx.net in
   if x.synced && Network.alive net x.owner then

@@ -10,11 +10,11 @@
 
     A replica that crash-recovers re-enters through the membership
     protocol (it must not trust its pre-crash view or state): it discards
-    tentative writes that never reached the group and rebuilds from a
-    state transfer — pushed by survivors that see it rejoin a view, and
-    pulled by the joiner ([Sync_req]) when membership alone cannot reveal
-    the rejoin. Until the transfer arrives it claims no primaryship.
-    Figure 16 row: RE EX AC END. *)
+    tentative writes that never reached the group and rebuilds from
+    {!Common}'s state transfer ([Sync_state]) — pushed by survivors that
+    see it rejoin a view, and pulled by the joiner ([Sync_req]) when
+    membership alone cannot reveal the rejoin. Until the transfer
+    arrives it claims no primaryship. Figure 16 row: RE EX AC END. *)
 
 (** The technique's settings: key, type, default and doc, resolved by
     [--set passive.KEY=VALUE]. *)
