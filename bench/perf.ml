@@ -875,6 +875,18 @@ let self_throughput x =
   in
   let timers = per_message "timers_per_message" report_st.p_scheduled in
   let cancelled = per_message "cancelled_per_message" report_st.p_cancelled in
+  (* The same leg's timers per transaction: a denominator that does not
+     shrink when the group stack sends fewer messages. *)
+  ignore
+    (note ~metric:"timers_per_txn" ~unit_:"timers/txn"
+       ~params:
+         [
+           ("tracing", "off");
+           ("passthrough", "false");
+           ("txns", string_of_int (txns_off * clients));
+         ]
+       (float_of_int report_st.p_scheduled
+       /. float_of_int (max 1 (result_st.committed + result_st.aborted))));
   record "off" report_off result_off txns_off;
   record "on" report_on result_on txns_on;
   let off_params = leg_params "off" txns_off in
@@ -886,11 +898,11 @@ let self_throughput x =
        (float_of_int report_off.p_heap_peak_words
        /. float_of_int (txns_off * clients)));
   (* Minor-heap words allocated inside the tracing-off leg's events, per
-     event: the engine's and the delivery path's own allocation. *)
+     transaction: the engine's and the delivery path's own allocation. *)
   ignore
-    (note ~metric:"alloc_words_per_event" ~unit_:"words/event"
-       ~params:off_params
-       (report_off.p_alloc_words /. float_of_int (max 1 report_off.p_events)));
+    (note ~metric:"alloc_words_per_txn" ~unit_:"words/txn" ~params:off_params
+       (report_off.p_alloc_words
+       /. float_of_int (max 1 (result_off.committed + result_off.aborted))));
   (* The tracing-on leg's cost per recorded span: every word its events
      allocated, and the heap words the span collector holds at the end. *)
   let spans_on = float_of_int (max 1 report_on.p_spans_created) in

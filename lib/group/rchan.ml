@@ -64,6 +64,7 @@ type t = {
   (* Receiver side: the per-origin seqs delivered so far. *)
   seen : Dedup.t;
   mutable deliver_cbs : (src:int -> Msg.t -> unit) list; (* in order *)
+  mutable settled_cbs : (dst:int -> Msg.t -> unit) list; (* in order *)
 }
 
 type group = { handles : (int, t) Hashtbl.t }
@@ -71,6 +72,17 @@ type group = { handles : (int, t) Hashtbl.t }
 let link_key t seq peer = (seq * t.nodes) + peer
 
 let deliver t ~src payload = List.iter (fun f -> f ~src payload) t.deliver_cbs
+
+(* [u]'s chain has ended by an ack or by its last retry: report it once.
+   [acked] marks it, so a late ack of a message given up reports
+   nothing. An endpoint with no [on_settled] callback skips all of it. *)
+let settle t u =
+  match (t.settled_cbs, u.packet) with
+  | [], _ -> ()
+  | cbs, Data { payload; _ } when not u.acked ->
+      u.acked <- true;
+      List.iter (fun f -> f ~dst:u.dst payload) cbs
+  | _ -> ()
 
 (* --- the retransmit ring ----------------------------------------------- *)
 
@@ -112,19 +124,22 @@ let rec arm_head t =
 
 (* The armed timer: handles the head entry at its key, as a timer of its
    own would. Like a [Network.guard]ed timer it does nothing while we
-   are crashed, which ends the entry's chain; so does its last retry.
-   An ended entry leaves the ring but stays un-acked. *)
+   are crashed, which ends the entry's chain; so does its last retry,
+   which settles it. An ended entry leaves the ring but stays
+   un-acked. *)
 let fire t () =
   let u = pop t in
-  if Network.alive t.net t.me && u.retries < t.max_retries then begin
-    let engine = Network.engine t.net in
-    u.retries <- u.retries + 1;
-    Engine.set_ctx engine u.ctx;
-    Network.send t.net ~src:t.me ~dst:u.dst u.packet;
-    u.due <- Simtime.add (Engine.now engine) t.rto;
-    u.seq <- Engine.claim_seq engine;
-    push t u
-  end;
+  if Network.alive t.net t.me then
+    if u.retries < t.max_retries then begin
+      let engine = Network.engine t.net in
+      u.retries <- u.retries + 1;
+      Engine.set_ctx engine u.ctx;
+      Network.send t.net ~src:t.me ~dst:u.dst u.packet;
+      u.due <- Simtime.add (Engine.now engine) t.rto;
+      u.seq <- Engine.claim_seq engine;
+      push t u
+    end
+    else settle t u;
   arm_head t
 
 let send t ~dst msg =
@@ -152,6 +167,7 @@ let send t ~dst msg =
 
 (* [u] is acked: forget it, and move the timer on if it waited for [u]. *)
 let ack t key u =
+  settle t u;
   u.acked <- true;
   Int_table.remove t.unacked key;
   if t.ring.(t.first) == u then begin
@@ -161,6 +177,8 @@ let ack t key u =
 
 let mcast t ~dsts msg = List.iter (fun dst -> send t ~dst msg) dsts
 let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
+let on_settled t f = t.settled_cbs <- t.settled_cbs @ [ f ]
+let rto t = t.rto
 
 let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
     ?(passthrough = false) () =
@@ -187,6 +205,7 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
           fire = ignore;
           seen = Dedup.create ~nodes:size;
           deliver_cbs = [];
+          settled_cbs = [];
         }
       in
       t.fire <- fire t;

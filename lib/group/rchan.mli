@@ -52,3 +52,14 @@ val mcast : t -> dsts:int list -> Sim.Msg.t -> unit
 
 (** Delivery callback; each payload is delivered at most once per receiver. *)
 val on_deliver : t -> (src:int -> Sim.Msg.t -> unit) -> unit
+
+(** [on_settled t f] calls [f ~dst payload] once for each message [t]
+    sends whose retransmit chain ends: acknowledged by [dst], or its
+    retries spent while [t]'s node is up. A chain that ends because the
+    sender crashed is reported only if its ack arrives later. Nothing is
+    reported under [passthrough], and an endpoint with no callback pays
+    nothing for the notification. *)
+val on_settled : t -> (dst:int -> Sim.Msg.t -> unit) -> unit
+
+(** The retransmission timeout the endpoint's group was created with. *)
+val rto : t -> Sim.Simtime.t

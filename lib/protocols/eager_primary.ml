@@ -46,10 +46,11 @@ let info =
     strong_consistency = true;
     expected_phases = [ Request; Execution; Agreement_coordination; Response ];
     (* Measured §5 cost: request to the primary (1), FIFO-broadcast of
-       the writeset with everyone-to-everyone relays (n(n-1)), backup
-       acks (n-1), then 2PC — Prepare, Vote and Decision rounds at n-1
-       each — and the reply (1): n^2 + 3n - 2 protocol messages. *)
-    expected_messages = (fun ~n -> (n * n) + (3 * n) - 2);
+       the writeset to the n-1 backups, backup acks (n-1), then 2PC —
+       Prepare, Vote and Decision rounds at n-1 each — the reply (1),
+       and the broadcast's stability notice once the primary goes idle
+       (n-1): 6n - 4 protocol messages, 5n - 3 under passthrough. *)
+    expected_messages = (fun ~n -> (6 * n) - 4);
     (* Ereq -> Propagate -> Propagate_ack -> Prepare -> Vote -> Reply
        (the Decision round is concurrent with the reply). *)
     expected_steps = 6;
@@ -330,12 +331,22 @@ let create ?shared cfg net ~replicas ~clients =
           run_queue = [];
           busy = false;
           (* A donor in doubt in a 2PC holds decided-but-unapplied
-             writes: it snapshots only once the doubt resolves. *)
+             writes: it snapshots only once the doubt resolves. So does
+             a primary whose own transaction has shipped its writes but
+             not decided yet: the joiner is no participant of that
+             round, so a snapshot taken before the decision would lose
+             the write for good. *)
           xfer =
             Common.transfer ctx ~me:r ~chan ~cache ~counts:`Requests
               ~mute_until_synced:true
               ~may_snapshot:(fun ~joiner:_ ->
-                Core.Two_phase_commit.in_doubt tpc ~me:r = []);
+                let st = state r in
+                Core.Two_phase_commit.in_doubt tpc ~me:r = []
+                && not
+                     (Hashtbl.fold
+                        (fun rid _ shipped ->
+                          shipped || Hashtbl.mem st.buffered rid)
+                        st.active false));
         }
       in
       Hashtbl.replace states r st;

@@ -33,10 +33,12 @@ let info =
     strong_consistency = false;
     expected_phases = [ Request; Execution; Response; Agreement_coordination ];
     (* Measured §5 cost: request (1) and reply (1) frame the
-       transaction; the refresh FIFO-broadcast floods the writeset
-       everyone-to-everyone (n(n-1)) after the reply: n^2 - n + 2
-       messages per transaction, but only 2 before the client returns. *)
-    expected_messages = (fun ~n -> (n * n) - n + 2);
+       transaction; after the reply the primary FIFO-broadcasts the
+       writeset to the n-1 others, and once the primary goes idle its
+       stability notice follows (n-1): 2n messages per transaction, but
+       only 2 before the client returns. Under passthrough there is no
+       notice: the paper's n+1. *)
+    expected_messages = (fun ~n -> 2 * n);
     (* Lpreq -> Reply: propagation is off the response path — the
        paper's defining property of lazy techniques (§5.3). *)
     expected_steps = 2;

@@ -25,11 +25,14 @@ let none = -1
    A column is a sequence of fixed-size chunks: growing appends a chunk
    and never copies, so each stored word is written once into fresh
    memory, and the slack is under one chunk. Columns start with no
-   chunks, so a collector that records nothing allocates none. *)
+   chunks, so a collector that records nothing allocates none. A chunk
+   holds 2048 entries: the first span of a run allocates one per
+   column, about 30k words, which a short traced run would otherwise
+   pay for in mostly empty slots. *)
 type ints = int array array
 type strings = string array array
 
-let chunk_bits = 12
+let chunk_bits = 11
 let chunk_mask = (1 lsl chunk_bits) - 1
 let get (c : ints) i = c.(i lsr chunk_bits).(i land chunk_mask)
 let set (c : ints) i v = c.(i lsr chunk_bits).(i land chunk_mask) <- v

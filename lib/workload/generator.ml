@@ -19,21 +19,29 @@ type t = {
          single-shard to the router too *)
 }
 
-let create ?(seed = 42) spec =
-  {
-    spec;
-    rng = Sim.Rng.create ~seed;
-    sampler = Sim.Rng.Zipf.make ~n:spec.Spec.n_keys ~theta:spec.Spec.key_skew;
-    flash_sampler =
-      Option.map
-        (fun (fc : Spec.flash_crowd) ->
-          Sim.Rng.Zipf.make ~n:spec.Spec.n_keys ~theta:fc.Spec.fc_skew)
-        spec.Spec.flash_crowd;
-    shard_map =
-      (if spec.Spec.shards > 1 then
-         Some (Store.Shard_map.create ~shards:spec.Spec.shards ())
-       else None);
-  }
+let for_spec spec =
+  let sampler =
+    Sim.Rng.Zipf.make ~n:spec.Spec.n_keys ~theta:spec.Spec.key_skew
+  in
+  let flash_sampler =
+    Option.map
+      (fun (fc : Spec.flash_crowd) ->
+        Sim.Rng.Zipf.make ~n:spec.Spec.n_keys ~theta:fc.Spec.fc_skew)
+      spec.Spec.flash_crowd
+  in
+  fun ~seed ->
+    {
+      spec;
+      rng = Sim.Rng.create ~seed;
+      sampler;
+      flash_sampler;
+      shard_map =
+        (if spec.Spec.shards > 1 then
+           Some (Store.Shard_map.create ~shards:spec.Spec.shards ())
+         else None);
+    }
+
+let create ?(seed = 42) spec = for_spec spec ~seed
 
 (* Key index for the current phase: the steady sampler normally, the
    rotated flash sampler while [at] falls inside the spike window. *)

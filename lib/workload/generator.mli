@@ -7,6 +7,11 @@ type t
 
 val create : ?seed:int -> Spec.t -> t
 
+(** [for_spec spec ~seed] is [create ~seed spec]. Partially applied to
+    [spec], it builds the key samplers once: they depend on the spec
+    alone, so the generators it makes share them. *)
+val for_spec : Spec.t -> seed:int -> t
+
 (** One transaction for [client], numbered with [net]'s next rid; the
     boolean flags whether it is an update transaction. A transaction is
     all-update or all-read (the usual OLTP mix model); with [Spec.Tpcb]

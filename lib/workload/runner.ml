@@ -190,9 +190,10 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
   let all_lat = ref [] and upd_lat = ref [] and read_lat = ref [] in
   let last_response = ref Simtime.zero in
   let max_gap = ref Simtime.zero in
+  let generator = Generator.for_spec spec in
   List.iter
     (fun client ->
-      let gen = Generator.create ~seed:(seed + client) spec in
+      let gen = generator ~seed:(seed + client) in
       let arrival_rng = Sim.Rng.create ~seed:(seed + client + 7919) in
       (* Issue the client's next request; [k] runs after its reply has
          been accounted (the closed loop schedules its next arrival

@@ -54,11 +54,13 @@ let test_golden_active () =
     (Sim.Msg_dag.causally_sound collector ~trace:rid)
 
 (* Golden trace: eager primary copy — deeper chain (propagation plus 2PC
-   before the reply). *)
+   before the reply). 14 messages: the request, two Propagates, two
+   acks, six 2PC messages, the reply and the broadcast's two stability
+   notices (16 while reliable broadcast relayed every delivery). *)
 let test_golden_eager_primary () =
   let _, collector, rid, s = run_one "eager-primary" in
   Alcotest.(check bool) "replied" true s.Sim.Msg_dag.replied;
-  Alcotest.(check int) "messages" 16 s.Sim.Msg_dag.messages;
+  Alcotest.(check int) "messages" 14 s.Sim.Msg_dag.messages;
   Alcotest.(check int) "steps" 6 s.Sim.Msg_dag.steps;
   Alcotest.(check (list string)) "critical path"
     [
@@ -91,6 +93,27 @@ let test_matrix () =
             true v.ok)
         registry_entries)
     [ 3; 4 ]
+
+(* Under passthrough the primary-copy techniques send the paper's
+   pattern: lazy primary copy the request, the n-1 refreshes and the
+   reply (n+1); eager primary copy 5n-3 — no stability notice, since a
+   loss-free channel needs no relay to back it. *)
+let test_passthrough_primary_copy () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (key, expected) ->
+          let entry = Option.get (Protocols.Registry.find key) in
+          let cfg, _ =
+            Result.get_ok
+              (Protocols.Registry.configure entry [ ("passthrough", "true") ])
+          in
+          let x = Workload.Builder.explain ~n entry cfg in
+          Alcotest.(check int)
+            (Printf.sprintf "%s n=%d passthrough messages" key n)
+            expected x.x_summary.messages)
+        [ ("lazy-primary", n + 1); ("eager-primary", (5 * n) - 3) ])
+    [ 3; 4; 5 ]
 
 (* A technique that claims one message more than it sends fails the §5
    verdict, and the detail shows both counts. *)
@@ -151,6 +174,8 @@ let () =
           Alcotest.test_case "eager-primary n=3 seed=7" `Quick
             test_golden_eager_primary;
           Alcotest.test_case "matrix n=3,4" `Quick test_matrix;
+          Alcotest.test_case "primary copy under passthrough" `Quick
+            test_passthrough_primary_copy;
           Alcotest.test_case "off-by-one expectation fails" `Quick
             test_off_by_one;
         ] );

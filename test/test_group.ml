@@ -174,6 +174,37 @@ let test_rchan_exactly_once_under_faults () =
   Alcotest.(check bool) "crash lost messages" true (delivered < 3 * 3 * 80);
   Alcotest.(check bool) "duplicates arrived" true (arrivals > delivered)
 
+(* [on_settled] reports each message once, when its chain ends: acked
+   by a live receiver, or its retries spent towards a crashed one, even
+   when the loss keeps the ack from coming back at first. *)
+let test_rchan_settled_once () =
+  let e, net = make ~drop:0.3 () in
+  let group =
+    Rchan.create_group net ~nodes:[ 0; 1; 2 ] ~rto:(Simtime.of_ms 5)
+      ~max_retries:4 ()
+  in
+  let c0 = Rchan.handle group ~me:0 in
+  let settled = Hashtbl.create 16 in
+  Rchan.on_settled c0 (fun ~dst msg ->
+      let key = (dst, payload_of msg) in
+      Hashtbl.replace settled key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt settled key)));
+  Network.crash net 2;
+  for k = 1 to 30 do
+    Rchan.send c0 ~dst:1 (Payload k);
+    Rchan.send c0 ~dst:2 (Payload k)
+  done;
+  run_ms e 2_000;
+  for k = 1 to 30 do
+    List.iter
+      (fun dst ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "payload %d to %d settles once" k dst)
+          (Some 1)
+          (Hashtbl.find_opt settled (dst, k)))
+      [ 1; 2 ]
+  done
+
 let test_rchan_passthrough_dedup () =
   let delivered, arrivals = rchan_stream ~passthrough:true ~drop:0.0 in
   Alcotest.(check int) "one delivery per arrival" arrivals delivered
@@ -558,6 +589,326 @@ let test_rbcast_seen_gauge_and_callback_order () =
           Alcotest.(check (float 0.)) (Printf.sprintf "member %d seen" m) 20.
             last.Timeseries.value)
     members
+
+(* Agreement when the origin crashes before every copy got through:
+   member 0 broadcasts to five members, the copies to 2, 3 and 4 are
+   swallowed until 0 crashes at 5 ms, so only 1 holds the message. Its
+   suspicion timer finds it still unstable and relays it; every
+   survivor delivers it once. Without the relay, 2, 3 and 4 never do. *)
+let test_rbcast_relay_after_origin_crash () =
+  let e, net = make ~n:5 () in
+  let members = [ 0; 1; 2; 3; 4 ] in
+  let group = Rbcast.create_group net ~members () in
+  let got = Array.make 5 0 in
+  List.iter
+    (fun m ->
+      Rbcast.on_deliver (Rbcast.handle group ~me:m) (fun ~origin msg ->
+          Alcotest.(check int) "origin" 0 origin;
+          Alcotest.(check int) "payload" 7 (payload_of msg);
+          got.(m) <- got.(m) + 1))
+    members;
+  let origin_up = ref true in
+  List.iter
+    (fun m ->
+      Network.add_handler net m (fun ~src msg ->
+          !origin_up && src = 0 && Msg.name msg = "Data(Rb(Payload))"))
+    [ 2; 3; 4 ];
+  Rbcast.broadcast (Rbcast.handle group ~me:0) (Payload 7);
+  ignore
+    (Engine.schedule e ~after:(Simtime.of_ms 5) (fun () ->
+         Network.crash net 0;
+         origin_up := false));
+  run_ms e 2_000;
+  Alcotest.(check (list int)) "every survivor delivers once" [ 1; 1; 1; 1 ]
+    (List.map (fun m -> got.(m)) [ 1; 2; 3; 4 ]);
+  Alcotest.(check int) "the one holder relayed it" 1
+    (Rbcast.relayed (Rbcast.handle group ~me:1));
+  List.iter
+    (fun m ->
+      Alcotest.(check int)
+        (Printf.sprintf "member %d holds nothing" m)
+        0
+        (Rbcast.held (Rbcast.handle group ~me:m)))
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check int) "no timer left" 0 (Engine.pending e)
+
+(* An origin that goes idle after a loss-free broadcast: its stability
+   notice releases every held copy, nobody relays and no timer stays
+   armed, so the engine drains. *)
+let test_rbcast_idle_origin_drains () =
+  let e, net = make ~n:4 () in
+  let members = [ 0; 1; 2; 3 ] in
+  let group = Rbcast.create_group net ~members () in
+  let h m = Rbcast.handle group ~me:m in
+  Rbcast.broadcast (h 0) (Payload 1);
+  Rbcast.broadcast (h 0) (Payload 2);
+  Rbcast.broadcast (h 2) (Payload 3);
+  let events = Engine.run e in
+  Alcotest.(check bool) "the run drains by itself" true (events > 0);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  List.iter
+    (fun m ->
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "member %d: relayed, held, unstable" m)
+        (0, 0, 0)
+        (Rbcast.relayed (h m), Rbcast.held (h m), Rbcast.unstable (h m)))
+    members;
+  (* Two stability notices (one per origin) of three copies each, next
+     to the 9 copies and the acks of both. *)
+  Alcotest.(check int) "messages: copies, notices and their acks"
+    ((9 + 6) * 2)
+    (Network.messages_sent net)
+
+(* A fault-free lazy-primary run drains: when the last refresh is stable
+   no reliable-broadcast timer is left armed, so the engine stops long
+   before the runner's deadline with an empty queue. *)
+let test_rbcast_lazy_primary_run_drains () =
+  let engine = ref None in
+  let result =
+    Workload.Runner.run ~seed:11 ~n_replicas:8 ~n_clients:4
+      ~spec:{ Workload.Spec.default with txns_per_client = 30 }
+      ~tune:(fun net ~replicas:_ ~clients:_ ->
+        engine := Some (Network.engine net))
+      (Protocols.Registry.default_factory
+         (Option.get (Protocols.Registry.find "lazy-primary")))
+  in
+  let e = Option.get !engine in
+  Alcotest.(check int) "all committed" 120 result.Workload.Runner.committed;
+  Alcotest.(check int) "no live timer" 0 (Engine.pending e);
+  Alcotest.(check bool) "drained before the deadline" true
+    Simtime.(Engine.now e < of_sec 60.)
+
+(* An origin that crashes with a copy still unsettled resends it when it
+   recovers: member 0's first broadcast reaches 1 and 2, its copy to 3
+   is swallowed until 0 crashes at 5 ms, and 0 is back at 20 ms and
+   keeps broadcasting, so nobody suspects it. Member 3 gets the message
+   from 0's resend well before any suspicion timer could fire, and every
+   watermark drains once 0 goes quiet. *)
+let test_rbcast_recovered_origin_resends () =
+  let e, net = make ~n:4 () in
+  let members = [ 0; 1; 2; 3 ] in
+  let group = Rbcast.create_group net ~members () in
+  let h m = Rbcast.handle group ~me:m in
+  let got = Array.make 4 [] in
+  List.iter
+    (fun m ->
+      Rbcast.on_deliver (h m) (fun ~origin:_ msg ->
+          got.(m) <- payload_of msg :: got.(m)))
+    members;
+  let swallowing = ref true in
+  Network.add_handler net 3 (fun ~src msg ->
+      !swallowing && src = 0 && Msg.name msg = "Data(Rb(Payload))");
+  Rbcast.broadcast (h 0) (Payload 0);
+  let at ms f = ignore (Engine.schedule_at e ~at:(Simtime.of_ms ms) f) in
+  at 5 (fun () ->
+      Network.crash net 0;
+      swallowing := false);
+  at 20 (fun () -> Network.recover net 0);
+  for k = 1 to 50 do
+    at (20 + (10 * k)) (fun () -> Rbcast.broadcast (h 0) (Payload k))
+  done;
+  run_ms e 60;
+  Alcotest.(check bool) "member 3 has the first broadcast by 60 ms" true
+    (List.mem 0 got.(3));
+  run_ms e 3_000;
+  List.iter
+    (fun m ->
+      Alcotest.(check int)
+        (Printf.sprintf "member %d delivers all 51" m)
+        51
+        (List.length (List.sort_uniq compare got.(m)));
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "member %d: held, relayed" m)
+        (0, 0)
+        (Rbcast.held (h m), Rbcast.relayed (h m)))
+    members;
+  Alcotest.(check int) "origin 0 all stable" 0 (Rbcast.unstable (h 0))
+
+(* Property: agreement, validity and integrity of reliable broadcast
+   under random loss, sends and crashes among five members. A crashed
+   member either stays down or recovers 150 ms later; it broadcasts
+   nothing while down. The members that never crash deliver the same
+   messages, each once, among them everything any of them broadcast; a
+   message of an origin that crashed reaches all of them if it reached
+   one. *)
+let prop_rbcast_agreement =
+  let n = 5 in
+  QCheck.Test.make ~name:"rbcast agreement under loss and crashes" ~count:40
+    QCheck.(
+      quad (int_bound 9999) (int_bound 30)
+        (list_of_size (Gen.int_range 1 30)
+           (pair (int_bound (n - 1)) (int_bound 300)))
+        (list_of_size (Gen.int_range 0 2)
+           (triple (int_bound (n - 1)) (int_bound 300) bool)))
+    (fun (seed, drop_pct, sends, crashes) ->
+      let e, net =
+        make ~seed ~n ~drop:(float_of_int drop_pct /. 100.) ()
+      in
+      let members = List.init n Fun.id in
+      let group = Rbcast.create_group net ~members () in
+      let got = Array.make n [] in
+      List.iter
+        (fun m ->
+          Rbcast.on_deliver (Rbcast.handle group ~me:m) (fun ~origin:_ msg ->
+              got.(m) <- payload_of msg :: got.(m)))
+        members;
+      List.iter
+        (fun (m, at, recovers) ->
+          ignore
+            (Engine.schedule_at e ~at:(Simtime.of_ms at) (fun () ->
+                 Network.crash net m));
+          if recovers then
+            ignore
+              (Engine.schedule_at e ~at:(Simtime.of_ms (at + 150)) (fun () ->
+                   Network.recover net m)))
+        crashes;
+      let sent = ref [] in
+      List.iteri
+        (fun k (m, at) ->
+          ignore
+            (Engine.schedule_at e ~at:(Simtime.of_ms at) (fun () ->
+                 if Network.alive net m then begin
+                   sent := (m, k) :: !sent;
+                   Rbcast.broadcast (Rbcast.handle group ~me:m) (Payload k)
+                 end)))
+        sends;
+      run_ms e 30_000;
+      let correct =
+        List.filter
+          (fun m -> not (List.exists (fun (c, _, _) -> c = m) crashes))
+          members
+      in
+      let set m = List.sort_uniq compare got.(m) in
+      let from_correct =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (m, k) -> if List.mem m correct then Some k else None)
+             !sent)
+      in
+      List.for_all
+        (fun m ->
+          List.length got.(m) = List.length (set m)
+          && (match correct with [] -> true | c :: _ -> set m = set c)
+          && List.for_all (fun k -> List.mem k (set m)) from_correct)
+        correct)
+
+(* The [rbcast_held] gauge is a queue: while member 2 is cut off, copies
+   to it do not settle, origin 0's watermark stops advancing and member
+   1's held messages pile up, which the queue-growth detector reports.
+   Without the partition it reports nothing for the gauge. *)
+let test_rbcast_held_gauge_flags_stuck_watermark () =
+  let held_findings ~partitioned =
+    let e, net = make () in
+    let ts = Timeseries.create ~interval:(Simtime.of_ms 5) e in
+    Network.set_timeseries net ts;
+    let group = Rbcast.create_group net ~members:[ 0; 1; 2 ] () in
+    let h0 = Rbcast.handle group ~me:0 in
+    if partitioned then begin
+      Network.partition net [ 2 ];
+      ignore
+        (Engine.schedule e ~after:(Simtime.of_ms 300) (fun () ->
+             Network.heal net))
+    end;
+    for k = 0 to 299 do
+      ignore
+        (Engine.schedule_at e ~at:(Simtime.of_ms k) (fun () ->
+             Rbcast.broadcast h0 (Payload k)))
+    done;
+    run_ms e 2_000;
+    List.filter
+      (fun (f : Saturation.finding) ->
+        f.detector = "queue_growth" && f.metric = "rbcast_held")
+      (Saturation.analyze (Timeseries.series ts))
+  in
+  Alcotest.(check bool) "flagged while the watermark is stuck" true
+    (List.exists
+       (fun (f : Saturation.finding) -> f.replica = 1)
+       (held_findings ~partitioned:true));
+  Alcotest.(check int) "quiet when it advances" 0
+    (List.length (held_findings ~partitioned:false))
+
+(* Five members each broadcast, one message every millisecond, at 30%
+   loss. Every 10 ms the held and unstable counts of each member are
+   read; the largest of them, per the messages a member broadcasts in
+   [window] channel timeouts, must stay under a constant however long
+   the run, and both counts drop to zero once it drains. With [crashed]
+   one member crashes at the start and stays down. *)
+let rbcast_bounded ?crashed ~per_member () =
+  let n = 5 in
+  let e, net = make ~seed:31 ~n ~drop:0.3 () in
+  let members = List.init n Fun.id in
+  let rto = Simtime.of_ms 10 in
+  let group = Rbcast.create_group net ~members ~rto () in
+  let h m = Rbcast.handle group ~me:m in
+  let live = List.filter (fun m -> Some m <> crashed) members in
+  let delivered = Array.make n 0 in
+  List.iter
+    (fun m ->
+      Rbcast.on_deliver (h m) (fun ~origin:_ _ ->
+          delivered.(m) <- delivered.(m) + 1))
+    members;
+  Option.iter (Network.crash net) crashed;
+  let max_held = ref 0 and max_unstable = ref 0 in
+  for k = 0 to per_member - 1 do
+    ignore
+      (Engine.schedule_at e ~at:(Simtime.of_ms k) (fun () ->
+           List.iter (fun m -> Rbcast.broadcast (h m) (Payload k)) live))
+  done;
+  let rec sample () =
+    List.iter
+      (fun m ->
+        max_held := max !max_held (Rbcast.held (h m));
+        max_unstable := max !max_unstable (Rbcast.unstable (h m)))
+      live;
+    if Simtime.(Engine.now e < of_ms per_member) then
+      ignore (Engine.schedule e ~after:(Simtime.of_ms 10) sample)
+  in
+  sample ();
+  ignore (Engine.run e);
+  List.iter
+    (fun m ->
+      Alcotest.(check int)
+        (Printf.sprintf "member %d delivers every broadcast" m)
+        (per_member * List.length live)
+        delivered.(m);
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "member %d drained: held, unstable" m)
+        (0, 0)
+        (Rbcast.held (h m), Rbcast.unstable (h m)))
+    live;
+  (* Broadcasts per member in [timeouts] channel timeouts (1 per ms). *)
+  let per timeouts = timeouts * Simtime.to_us rto / 1000 in
+  (!max_held, !max_unstable, per)
+
+(* No member is down: a copy settles within a few retries, so a member
+   holds about one suspicion timeout (ten channel timeouts) of each
+   other member's broadcasts, however long the run. *)
+let test_rbcast_bounded_under_loss () =
+  let held, unstable, per = rbcast_bounded ~per_member:10_000 () in
+  let window = per 10 in
+  Alcotest.(check bool)
+    (Printf.sprintf "held %d <= 8 x %d" held window)
+    true
+    (held <= 8 * window);
+  Alcotest.(check bool)
+    (Printf.sprintf "unstable %d <= 4 x %d" unstable window)
+    true
+    (unstable <= 4 * window)
+
+(* One member is down for good: copies to it settle only when their
+   retries run out, 100 channel timeouts after they were sent, so that
+   is the window the others hold and the origins wait for. *)
+let test_rbcast_bounded_with_member_down () =
+  let held, unstable, per = rbcast_bounded ~crashed:4 ~per_member:3_000 () in
+  let window = per 100 in
+  Alcotest.(check bool)
+    (Printf.sprintf "held %d <= 4 x %d" held window)
+    true
+    (held <= 4 * window);
+  Alcotest.(check bool)
+    (Printf.sprintf "unstable %d <= 2 x %d" unstable window)
+    true
+    (unstable <= 2 * window)
 
 (* ------------------------------------------------------------------ *)
 (* FIFO broadcast                                                     *)
@@ -1807,6 +2158,7 @@ let () =
           tc "passthrough" test_rchan_passthrough_no_overhead;
           tc "exactly once under faults" test_rchan_exactly_once_under_faults;
           tc "passthrough dedup" test_rchan_passthrough_dedup;
+          tc "settled once" test_rchan_settled_once;
           QCheck_alcotest.to_alcotest prop_rchan_matches_per_message_timers;
         ] );
       ( "rbcast",
@@ -1815,6 +2167,16 @@ let () =
           tc "no duplicates under loss" test_rbcast_no_duplicates_under_loss;
           tc "seen gauge, callback order"
             test_rbcast_seen_gauge_and_callback_order;
+          tc "relay after origin crash" test_rbcast_relay_after_origin_crash;
+          QCheck_alcotest.to_alcotest prop_rbcast_agreement;
+          tc "recovered origin resends" test_rbcast_recovered_origin_resends;
+          tc "held gauge flags a stuck watermark"
+            test_rbcast_held_gauge_flags_stuck_watermark;
+          tc "idle origin drains" test_rbcast_idle_origin_drains;
+          tc "lazy-primary run drains" test_rbcast_lazy_primary_run_drains;
+          tc "bounded under loss" test_rbcast_bounded_under_loss;
+          tc "bounded with a member down"
+            test_rbcast_bounded_with_member_down;
         ] );
       ("fifo", [ tc "per-sender order" test_fifo_order ]);
       ( "causal",

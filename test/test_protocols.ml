@@ -1620,13 +1620,13 @@ let test_golden_digest_lazy_run () =
   in
   let spans = Core.Phase_span.collector inst.Core.Technique.spans in
   let digest s = (String.length s, Digest.to_hex (Digest.string s)) in
-  Alcotest.(check int) "spans" 1264 (Sim.Span.count spans);
+  Alcotest.(check int) "spans" 504 (Sim.Span.count spans);
   Alcotest.(check int) "traces" 40 (List.length (Sim.Span.traces spans));
   Alcotest.(check (pair int string)) "chrome digest"
-    (377554, "07e73be378f91a8e4babb0aa4fe30ba2")
+    (140381, "901704479c4f1f42d78b196beda052ba")
     (digest (Sim.Trace_export.to_chrome spans));
   Alcotest.(check (pair int string)) "jsonl digest"
-    (259813, "4894c085465616f9ad562ac688eb4482")
+    (97976, "097f72dd62b3cbc663d22111cf91d596")
     (digest (Sim.Trace_export.to_jsonl spans))
 
 (* ------------------------------------------------------------------ *)
