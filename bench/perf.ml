@@ -1342,7 +1342,10 @@ let quadrant_sweep =
    crash/recover of replica 0, all behind the router: per-quadrant
    throughput/p95 under the spike say which quadrant survives, and the
    failover counter proves at least one read was answered only because
-   the router resent it elsewhere.
+   the router resent it elsewhere. The partition drops messages, so
+   part B runs the techniques over retransmitting channels
+   ([~passthrough:false]): under passthrough a dropped copy is never
+   resent.
 
    PERF19_TXNS overrides the per-client transaction count (CI smoke). *)
 let routed_tier =
@@ -1430,7 +1433,7 @@ let routed_tier =
                       heal_at = Simtime.of_ms 30;
                     };
                 ]
-            (Exp.factory name)
+            (Exp.factory ~passthrough:false name)
         in
         let st = Option.get r.router in
         let params = [ ("phase", "flash") ] in

@@ -82,23 +82,14 @@ let technique_opt ~doc =
 
 (* ---- fault events ---------------------------------------------------- *)
 
-(* REPLICA@TIME events: accepts 0@100ms, 0@100 (ms) and 0@1s / 0@1.5s,
-   plus comma-separated lists (0@1s,2@3s) — used by --crash and
-   --recover. *)
+(* REPLICA@TIME events, TIME a virtual-time literal as [--set] reads it
+   (0@500us, 0@100ms, 0@100 in ms, 0@1.5s), plus comma-separated lists
+   (0@1s,2@3s) — used by --crash and --recover. *)
 let event_conv =
   let parse_one s =
     match String.split_on_char '@' s with
     | [ replica; at ] -> (
-        let time =
-          if Filename.check_suffix at "ms" then
-            Option.map Sim.Simtime.of_ms
-              (int_of_string_opt (Filename.chop_suffix at "ms"))
-          else if Filename.check_suffix at "s" then
-            Option.map Sim.Simtime.of_sec
-              (float_of_string_opt (Filename.chop_suffix at "s"))
-          else Option.map Sim.Simtime.of_ms (int_of_string_opt at)
-        in
-        match (int_of_string_opt replica, time) with
+        match (int_of_string_opt replica, Protocols.Config.parse_time at) with
         | Some r, _ when r < 0 ->
             Error
               (`Msg

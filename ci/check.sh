@@ -78,6 +78,19 @@ if [ -n "$paths" ]; then
   exit 1
 fi
 
+# No layer stacked on reliable broadcast: Rbcast numbers each origin's
+# broadcasts and delivers them in FIFO order itself, so no other group
+# module wraps it in a second per-origin counter and hold-back table.
+echo "== no layer stacked on Rbcast =="
+stacked=$(grep -rnw --include='*.ml' --include='*.mli' 'Rbcast' lib/group \
+  | grep -vE '^lib/group/rbcast\.mli?:' \
+  || true)
+if [ -n "$stacked" ]; then
+  printf '%s\n' "$stacked" >&2
+  echo "order broadcasts inside Group.Rbcast and call it directly; do not wrap it in another group module" >&2
+  exit 1
+fi
+
 # One description of a technique's settings: its schema, read by the
 # technique's own create. No technique module keeps a typed config record
 # beside the schema, and every technique is built through the Registry,
@@ -323,6 +336,9 @@ if [ "$status" -ne 2 ] || printf '%s\n' "$out" | grep -q '^sweep: \[1/'; then
   echo "sweep with a bad --vary value: exit status $status, want 2 before any cell runs" >&2
   exit 1
 fi
+# --crash and --recover read their times as --set does (500us, 5ms, 1.5s).
+dune exec bin/replisim.exe -- run -t active --crash 1@500us \
+  --recover 1@1500us --txns 5 > /dev/null
 
 # Sharded-operation smoke: a sharded campaign (4 groups of 2 through
 # crash-recover, every oracle judged per group), the §5 message-cost

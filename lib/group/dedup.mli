@@ -1,4 +1,5 @@
-(** At-most-once filter over per-origin sequence numbers.
+(** At-most-once filter over per-origin sequence numbers, on the
+    receiving side of {!Rchan}.
 
     Each origin numbers its messages 0, 1, 2, ...; they may arrive out of
     order and more than once. The filter keeps a high-water mark per

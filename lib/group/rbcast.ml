@@ -22,8 +22,8 @@ let vacant =
     left = 0;
   }
 
-(* A delivered message held until its origin's watermark covers it: the
-   packet a relay resends and when it was delivered. *)
+(* A received message held until its origin's watermark covers it: the
+   packet a relay resends and when it arrived. *)
 type held = { rb : Msg.t; since : Simtime.t }
 
 (* What a member knows of one origin's broadcasts. *)
@@ -45,7 +45,11 @@ type t = {
   suspect_after : Simtime.t;
   idle_after : Simtime.t;
   mutable next_seq : int;
-  seen : Dedup.t; (* (origin, seq) already delivered *)
+  (* Receiver side: by origin, the next seq to deliver, and the fresh
+     messages that wait for an earlier one, keyed like [held]. *)
+  next : int array;
+  early : Msg.t Int_table.t;
+  mutable seen : int; (* fresh messages, our own included *)
   mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
   (* Origin side: our broadcasts [stable .. next_seq - 1], in a ring
      indexed by seq (capacity a power of two). Every seq below [stable]
@@ -130,8 +134,7 @@ let settle t ~seq ~dst =
 let broadcast t msg =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  (* Our own delivery counts in [rbcast_seen] too. *)
-  ignore (Dedup.fresh t.seen ~origin:t.me ~seq);
+  t.seen <- t.seen + 1;
   let packet = Rb { origin = t.me; seq; stable = t.stable; payload = msg } in
   if not t.passthrough then begin
     let unsettled = Bytes.make t.nodes '\000' in
@@ -238,20 +241,41 @@ let hold t s ~origin ~seq rb =
       arm_suspicion t s ~origin ~at:(Simtime.add (now t) t.suspect_after)
   end
 
+(* Deliver [origin]'s next message, then the early arrivals it lets
+   through. *)
+let rec deliver_next t ~origin payload =
+  let seq = t.next.(origin) in
+  t.next.(origin) <- seq + 1;
+  deliver t ~origin payload;
+  if Int_table.length t.early > 0 then begin
+    let k = key t ~origin ~seq:(seq + 1) in
+    match Int_table.find_opt t.early k with
+    | Some p ->
+        Int_table.remove t.early k;
+        deliver_next t ~origin p
+    | None -> ()
+  end
+
 let receive t ~src msg =
   match msg with
   | Rb { origin; seq; stable; payload } as rb ->
+      let next = t.next.(origin) in
+      let fresh =
+        seq = next
+        || (seq > next && not (Int_table.mem t.early (key t ~origin ~seq)))
+      in
+      if fresh then t.seen <- t.seen + 1;
       (* Hold before hearing the watermark, so that a stream of
          broadcasts keeps one suspicion timer running instead of
          cancelling and re-arming it for each message. *)
-      let fresh = Dedup.fresh t.seen ~origin ~seq in
       if not t.passthrough then begin
         let s = origin_state t origin in
         if fresh then hold t s ~origin ~seq rb;
         hear t s ~origin ~stable;
         if src = origin then s.last <- now t
       end;
-      if fresh then deliver t ~origin payload
+      if seq = next then deliver_next t ~origin payload
+      else if fresh then Int_table.replace t.early (key t ~origin ~seq) payload
   | Stable { origin; stable } ->
       let s = origin_state t origin in
       hear t s ~origin ~stable;
@@ -279,10 +303,10 @@ let recover t =
     t.origins
 
 let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
-let last_seq t = t.next_seq - 1
 let held t = t.n_held
 let unstable t = t.next_seq - t.stable
 let relayed t = t.relayed
+let early t = Int_table.length t.early
 
 let create_group net ~members ?rto ?(passthrough = false) () =
   let chan_group =
@@ -305,7 +329,9 @@ let create_group net ~members ?rto ?(passthrough = false) () =
           suspect_after = Simtime.mul rto 10;
           idle_after = Simtime.mul rto 2;
           next_seq = 0;
-          seen = Dedup.create ~nodes;
+          next = Array.make nodes 0;
+          early = Int_table.create 8;
+          seen = 0;
           deliver_cbs = [];
           own = [||];
           stable = 0;
@@ -320,11 +346,11 @@ let create_group net ~members ?rto ?(passthrough = false) () =
       in
       (match Network.timeseries net with
       | Some ts ->
-          (* [seen] counts every message ever delivered, not a backlog —
+          (* [seen] counts every message ever received, not a backlog —
              a Level, so the queue-growth detector ignores it ... *)
           Timeseries.register ts ~name:"rbcast_seen" ~replica:me
             ~kind:Timeseries.Level ~unit_:"messages" (fun () ->
-              float_of_int (Dedup.count t.seen));
+              float_of_int t.seen);
           (* ... while the held messages are one: a watermark that stops
              advancing makes it grow. *)
           Timeseries.register ts ~name:"rbcast_held" ~replica:me

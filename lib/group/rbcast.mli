@@ -1,9 +1,12 @@
-(** Reliable broadcast.
+(** FIFO reliable broadcast (paper §3.1).
 
     Guarantees {e validity} (a correct sender's message is delivered),
     {e agreement} (if any correct member delivers a message, all correct
-    members do) and {e integrity} (at-most-once delivery). No ordering
-    guarantee.
+    members do), {e integrity} (at-most-once delivery) and {e FIFO
+    order} (if a member broadcasts [m] before [m'], no member delivers
+    [m'] before [m]). Each origin numbers its broadcasts; a member
+    delivers them in that order and keeps one that arrives early until
+    the ones before it have been delivered.
 
     The origin sends its n−1 copies over stubborn channels ({!Rchan}),
     which retransmit each until it is acked or its retries run out.
@@ -17,7 +20,7 @@
       the origin's watermark: each of its seqs below it is stable. An
       origin that goes idle for two channel timeouts sends one short
       stability notice instead.
-    - {e Held messages.} Each member holds the messages it delivered
+    - {e Held messages.} Each member holds the messages it received
       above their origin's watermark, and drops them as the watermark
       passes them.
     - {e Suspicion.} A member runs one timer per origin, and only while
@@ -54,12 +57,9 @@ val broadcast : t -> Sim.Msg.t -> unit
 
 val on_deliver : t -> (origin:int -> Sim.Msg.t -> unit) -> unit
 
-(** Per-origin sequence number of the last message broadcast by [me]. *)
-val last_seq : t -> int
-
 (** {2 Bookkeeping, for tests and gauges} *)
 
-(** Messages [t] holds: delivered from some origin, not yet covered by
+(** Messages [t] holds: received from some origin, not yet covered by
     its watermark and not relayed. *)
 val held : t -> int
 
@@ -68,3 +68,7 @@ val unstable : t -> int
 
 (** Messages [t] has relayed on suspicion. *)
 val relayed : t -> int
+
+(** Messages [t] has received but not delivered yet: each waits for an
+    earlier one from its origin. *)
+val early : t -> int

@@ -28,6 +28,10 @@ type t = (string * value) list
 val ty_to_string : ty -> string
 val value_to_string : value -> string
 
+(** A virtual-time literal: [500us], [5ms], [1.5s], or a bare integer
+    in milliseconds; [None] for anything else. *)
+val parse_time : string -> Sim.Simtime.t option
+
 (** [parse_value ty s] — parse [s] according to [ty]. Times accept
     [500us] / [5ms] / [1.5s] and bare-integer milliseconds. *)
 val parse_value : ty -> string -> (value, string) result

@@ -94,8 +94,8 @@ let create ?shared cfg net ~replicas ~clients =
   let abort_probability = Config.get_float cfg "abort_probability" in
   let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
-  let fifo_group =
-    Group.Fifo.create_group net ~members:replicas ~passthrough ()
+  let bcast_group =
+    Group.Rbcast.create_group net ~members:replicas ~passthrough ()
   in
   let chan_group = Common.client_channel ctx ~passthrough in
   let states = Hashtbl.create 8 in
@@ -247,8 +247,8 @@ let create ?shared cfg net ~replicas ~clients =
           Core.Phase.Agreement_coordination;
         txn.acks <- [ r ];
         buffer st rid fresh;
-        let fifo = Group.Fifo.handle fifo_group ~me:r in
-        Group.Fifo.broadcast fifo (Propagate { rid; writes = fresh; final });
+        let bcast = Group.Rbcast.handle bcast_group ~me:r in
+        Group.Rbcast.broadcast bcast (Propagate { rid; writes = fresh; final });
         check_acks r rid ~final
   and check_acks r rid ~final =
     let st = state r in
@@ -375,8 +375,8 @@ let create ?shared cfg net ~replicas ~clients =
             st.busy <- false;
             Common.request_state_from_first_peer st.xfer
           end);
-      let fifo = Group.Fifo.handle fifo_group ~me:r in
-      Group.Fifo.on_deliver fifo (fun ~origin msg ->
+      let bcast = Group.Rbcast.handle bcast_group ~me:r in
+      Group.Rbcast.on_deliver bcast (fun ~origin msg ->
           match msg with
           | Propagate { rid; writes; final } ->
               if origin <> r then begin

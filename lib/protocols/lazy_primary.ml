@@ -50,16 +50,16 @@ let create ?shared cfg net ~replicas ~clients =
   let propagation_delay = Config.get_time cfg "propagation_delay" in
   let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
-  let fifo_group =
-    Group.Fifo.create_group net ~members:replicas ~passthrough ()
+  let bcast_group =
+    Group.Rbcast.create_group net ~members:replicas ~passthrough ()
   in
   let chan_group = Common.client_channel ctx ~passthrough in
   let is_primary r = Common.lowest_alive ctx = r in
   List.iter
     (fun r ->
       let cache = Common.reply_cache () in
-      let fifo = Group.Fifo.handle fifo_group ~me:r in
-      Group.Fifo.on_deliver fifo (fun ~origin msg ->
+      let bcast = Group.Rbcast.handle bcast_group ~me:r in
+      Group.Rbcast.on_deliver bcast (fun ~origin msg ->
           match msg with
           | Refresh { rid; writes } ->
               if origin <> r then begin
@@ -107,7 +107,7 @@ let create ?shared cfg net ~replicas ~clients =
                               Common.phase_begin ctx ~rid ~replica:r
                                 ~note:"change propagation after commit"
                                 Core.Phase.Agreement_coordination;
-                              Group.Fifo.broadcast fifo
+                              Group.Rbcast.broadcast bcast
                                 (Refresh
                                    {
                                      rid;

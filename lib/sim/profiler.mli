@@ -3,8 +3,8 @@
     the observability stack itself.
 
     Attach one to an engine ({!Engine.set_profiler}) and every scheduled
-    action the engine dispatches is stamped ([Unix.gettimeofday] +
-    [Gc.quick_stat] deltas) and accumulated into the bucket named by the
+    action the engine dispatches is stamped ([Unix.gettimeofday] and
+    {!allocated_words} deltas) and accumulated into the bucket named by the
     label its scheduler supplied ("net:deliver", "client:arrival",
     "rchan:retransmit", ...).
 
@@ -33,8 +33,10 @@ val attribute : t -> label:string -> mark -> unit
     export. *)
 val measure : t -> label:string -> (unit -> 'a) -> 'a
 
-(** Net words allocated by this process so far (minor + major −
-    promoted, via [Gc.counters]). *)
+(** Net words allocated by this process so far: minor + major −
+    promoted, with the minor words from [Gc.minor_words], exact at any
+    point, rather than from [Gc.counters], which counts them only at a
+    minor collection. *)
 val allocated_words : unit -> float
 
 (** {2 Run bookkeeping (filled in by the driver)} *)

@@ -65,7 +65,7 @@ let test_golden_eager_primary () =
   Alcotest.(check (list string)) "critical path"
     [
       "Data(Ereq)";
-      "Data(Rb(Fifo(Propagate)))";
+      "Data(Rb(Propagate))";
       "Data(Propagate_ack)";
       "Data(Prepare)";
       "Data(Vote)";

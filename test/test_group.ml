@@ -1,5 +1,5 @@
 (* Tests for the group-communication substrate: failure detector, stubborn
-   channels, reliable/FIFO/causal broadcast, consensus, atomic broadcast and
+   channels, FIFO reliable broadcast, consensus, atomic broadcast and
    view-synchronous broadcast. *)
 
 open Sim
@@ -724,13 +724,31 @@ let test_rbcast_recovered_origin_resends () =
     members;
   Alcotest.(check int) "origin 0 all stable" 0 (Rbcast.unstable (h 0))
 
-(* Property: agreement, validity and integrity of reliable broadcast
-   under random loss, sends and crashes among five members. A crashed
-   member either stays down or recovers 150 ms later; it broadcasts
-   nothing while down. The members that never crash deliver the same
+(* [log] lists a member's deliveries as (origin, payload), oldest first,
+   and [sent] the broadcasts the same way. FIFO order: what the member
+   delivered from each origin is a prefix of what that origin broadcast,
+   in the order it broadcast it. *)
+let in_fifo_order ~sent log =
+  let from o l =
+    List.filter_map (fun (o', k) -> if o = o' then Some k else None) l
+  in
+  let rec prefix = function
+    | [], _ -> true
+    | x :: xs, y :: ys -> x = y && prefix (xs, ys)
+    | _ :: _, [] -> false
+  in
+  List.for_all
+    (fun (o, _) -> prefix (from o log, from o sent))
+    (List.sort_uniq compare log)
+
+(* Property: agreement, validity, integrity and FIFO order of reliable
+   broadcast under random loss, sends and crashes among five members. A
+   crashed member either stays down or recovers 150 ms later; it
+   broadcasts nothing while down. The members that never crash deliver the same
    messages, each once, among them everything any of them broadcast; a
    message of an origin that crashed reaches all of them if it reached
-   one. *)
+   one. Every member delivers each origin's messages in the order the
+   origin broadcast them. *)
 let prop_rbcast_agreement =
   let n = 5 in
   QCheck.Test.make ~name:"rbcast agreement under loss and crashes" ~count:40
@@ -746,11 +764,11 @@ let prop_rbcast_agreement =
       in
       let members = List.init n Fun.id in
       let group = Rbcast.create_group net ~members () in
-      let got = Array.make n [] in
+      let logs = Array.make n [] in
       List.iter
         (fun m ->
-          Rbcast.on_deliver (Rbcast.handle group ~me:m) (fun ~origin:_ msg ->
-              got.(m) <- payload_of msg :: got.(m)))
+          Rbcast.on_deliver (Rbcast.handle group ~me:m) (fun ~origin msg ->
+              logs.(m) <- (origin, payload_of msg) :: logs.(m)))
         members;
       List.iter
         (fun (m, at, recovers) ->
@@ -778,7 +796,7 @@ let prop_rbcast_agreement =
           (fun m -> not (List.exists (fun (c, _, _) -> c = m) crashes))
           members
       in
-      let set m = List.sort_uniq compare got.(m) in
+      let set m = List.sort_uniq compare (List.map snd logs.(m)) in
       let from_correct =
         List.sort_uniq compare
           (List.filter_map
@@ -787,10 +805,13 @@ let prop_rbcast_agreement =
       in
       List.for_all
         (fun m ->
-          List.length got.(m) = List.length (set m)
+          List.length logs.(m) = List.length (set m)
           && (match correct with [] -> true | c :: _ -> set m = set c)
           && List.for_all (fun k -> List.mem k (set m)) from_correct)
-        correct)
+        correct
+      && List.for_all
+           (fun m -> in_fifo_order ~sent:(List.rev !sent) (List.rev logs.(m)))
+           members)
 
 (* The [rbcast_held] gauge is a queue: while member 2 is cut off, copies
    to it do not settle, origin 0's watermark stops advancing and member
@@ -831,7 +852,8 @@ let test_rbcast_held_gauge_flags_stuck_watermark () =
    loss. Every 10 ms the held and unstable counts of each member are
    read; the largest of them, per the messages a member broadcasts in
    [window] channel timeouts, must stay under a constant however long
-   the run, and both counts drop to zero once it drains. With [crashed]
+   the run, and both counts drop to zero once it drains, as does the
+   number of early arrivals waiting for an earlier message. With [crashed]
    one member crashes at the start and stays down. *)
 let rbcast_bounded ?crashed ~per_member () =
   let n = 5 in
@@ -871,10 +893,10 @@ let rbcast_bounded ?crashed ~per_member () =
         (Printf.sprintf "member %d delivers every broadcast" m)
         (per_member * List.length live)
         delivered.(m);
-      Alcotest.(check (pair int int))
-        (Printf.sprintf "member %d drained: held, unstable" m)
-        (0, 0)
-        (Rbcast.held (h m), Rbcast.unstable (h m)))
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "member %d drained: held, unstable, early" m)
+        (0, 0, 0)
+        (Rbcast.held (h m), Rbcast.unstable (h m), Rbcast.early (h m)))
     live;
   (* Broadcasts per member in [timeouts] channel timeouts (1 per ms). *)
   let per timeouts = timeouts * Simtime.to_us rto / 1000 in
@@ -911,80 +933,119 @@ let test_rbcast_bounded_with_member_down () =
     (unstable <= 2 * window)
 
 (* ------------------------------------------------------------------ *)
-(* FIFO broadcast                                                     *)
+(* FIFO order of reliable broadcast                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_fifo_order () =
-  let e, net = make ~seed:3 () in
-  let members = [ 0; 1; 2 ] in
-  let group = Fifo.create_group net ~members () in
-  let logs = Array.make 3 [] in
+(* [run send] broadcasts over [group] with [send origin payload] and
+   drives the engine; returns those broadcasts and each member's
+   deliveries, as (origin, payload) oldest first. *)
+let fifo_logs ~members group run =
+  let logs = Array.make (List.length members) [] in
   List.iter
     (fun m ->
-      let h = Fifo.handle group ~me:m in
-      Fifo.on_deliver h (fun ~origin msg ->
+      Rbcast.on_deliver (Rbcast.handle group ~me:m) (fun ~origin msg ->
           logs.(m) <- (origin, payload_of msg) :: logs.(m)))
     members;
-  (* Two concurrent senders, interleaved sends. *)
-  let h0 = Fifo.handle group ~me:0 and h1 = Fifo.handle group ~me:1 in
-  for k = 0 to 9 do
-    Fifo.broadcast h0 (Payload k);
-    Fifo.broadcast h1 (Payload (100 + k))
-  done;
-  run_ms e 2_000;
-  Array.iteri
-    (fun i log ->
-      let log = List.rev log in
-      let from o = List.filter_map (fun (o', k) -> if o = o' then Some k else None) log in
-      Alcotest.(check (list int))
-        (Printf.sprintf "member %d: fifo from 0" i)
-        (List.init 10 Fun.id) (from 0);
-      Alcotest.(check (list int))
-        (Printf.sprintf "member %d: fifo from 1" i)
-        (List.init 10 (fun k -> 100 + k))
-        (from 1))
-    logs
+  let sent = ref [] in
+  let send o k =
+    sent := (o, k) :: !sent;
+    Rbcast.broadcast (Rbcast.handle group ~me:o) (Payload k)
+  in
+  run send;
+  (List.rev !sent, Array.map List.rev logs)
 
-(* ------------------------------------------------------------------ *)
-(* Causal broadcast                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_causal_order () =
-  let e, net = make ~seed:17 () in
-  let members = [ 0; 1; 2 ] in
-  let group = Causal.create_group net ~members () in
-  let logs = Array.make 3 [] in
+let check_fifo ~sent ~members logs =
   List.iter
     (fun m ->
-      let h = Causal.handle group ~me:m in
-      Causal.on_deliver h (fun ~origin:_ msg ->
-          logs.(m) <- payload_of msg :: logs.(m));
-      (* Member 1 replies causally to message 1. *)
-      if m = 1 then
-        Causal.on_deliver h (fun ~origin:_ msg ->
-            if payload_of msg = 1 then Causal.broadcast h (Payload 2)))
-    members;
-  Causal.broadcast (Causal.handle group ~me:0) (Payload 1);
-  run_ms e 2_000;
-  Array.iteri
-    (fun i log ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "member %d causal order" i)
-        [ 1; 2 ] (List.rev log))
-    logs
+      Alcotest.(check bool)
+        (Printf.sprintf "member %d delivers each origin in order" m)
+        true
+        (in_fifo_order ~sent logs.(m)))
+    members
 
-let test_causal_concurrent_allowed () =
-  let e, net = make () in
-  let members = [ 0; 1 ] in
-  let group = Causal.create_group net ~members () in
-  let log = ref [] in
-  let h0 = Causal.handle group ~me:0 in
-  let h1 = Causal.handle group ~me:1 in
-  Causal.on_deliver h0 (fun ~origin:_ msg -> log := payload_of msg :: !log);
-  Causal.broadcast h0 (Payload 1);
-  Causal.broadcast h1 (Payload 2);
-  run_ms e 2_000;
-  Alcotest.(check int) "both delivered" 2 (List.length !log)
+(* Two concurrent senders, interleaved sends, no fault. *)
+let test_rbcast_fifo_order () =
+  let e, net = make ~seed:3 () in
+  let members = [ 0; 1; 2 ] in
+  let group = Rbcast.create_group net ~members () in
+  let sent, logs =
+    fifo_logs ~members group (fun send ->
+        for k = 0 to 9 do
+          send 0 k;
+          send 1 (100 + k)
+        done;
+        run_ms e 2_000)
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check int)
+        (Printf.sprintf "member %d delivers all" m)
+        20
+        (List.length logs.(m)))
+    members;
+  check_fifo ~sent ~members logs
+
+(* At 30% loss copies overtake each other, and origin 0 crashes for good
+   at 12 ms in the middle of its stream, so the survivors relay what it
+   left unstable. Each survivor still delivers each origin's messages in
+   the order it broadcast them, and all deliver the same ones. *)
+let test_rbcast_fifo_order_under_loss () =
+  let e, net = make ~seed:5 ~n:5 ~drop:0.3 () in
+  let members = [ 0; 1; 2; 3; 4 ] in
+  let group = Rbcast.create_group net ~members ~rto:(Simtime.of_ms 5) () in
+  let sent, logs =
+    fifo_logs ~members group (fun send ->
+        for k = 0 to 19 do
+          ignore
+            (Engine.schedule_at e ~at:(Simtime.of_ms k) (fun () ->
+                 if Network.alive net 0 then send 0 k;
+                 send 1 (100 + k)))
+        done;
+        ignore
+          (Engine.schedule_at e ~at:(Simtime.of_ms 12) (fun () ->
+               Network.crash net 0));
+        run_ms e 10_000)
+  in
+  let survivors = [ 1; 2; 3; 4 ] in
+  Alcotest.(check bool) "survivors relayed" true
+    (List.exists (fun m -> Rbcast.relayed (Rbcast.handle group ~me:m) > 0)
+       survivors);
+  check_fifo ~sent ~members logs;
+  List.iter
+    (fun m ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "member %d delivers what member 1 does" m)
+        (List.sort compare logs.(1))
+        (List.sort compare logs.(m)))
+    survivors
+
+(* Origin 0 crashes at 5 ms, right after a broadcast whose copies have
+   not settled, recovers at 20 ms and goes on broadcasting, under 10%
+   loss. Every member delivers all of 0's broadcasts in the order 0
+   sent them, whichever of 0's retransmits, its recovery resend or a
+   relay brings each copy. *)
+let test_rbcast_fifo_order_across_recovery () =
+  let e, net = make ~seed:9 ~n:4 ~drop:0.1 () in
+  let members = [ 0; 1; 2; 3 ] in
+  let group = Rbcast.create_group net ~members ~rto:(Simtime.of_ms 5) () in
+  let sent, logs =
+    fifo_logs ~members group (fun send ->
+        let at ms f = ignore (Engine.schedule_at e ~at:(Simtime.of_ms ms) f) in
+        for k = 0 to 39 do
+          at k (fun () -> if Network.alive net 0 then send 0 k)
+        done;
+        at 5 (fun () -> Network.crash net 0);
+        at 20 (fun () -> Network.recover net 0);
+        run_ms e 5_000)
+  in
+  let from_0 = List.map snd sent in
+  List.iter
+    (fun m ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "member %d delivers all of 0's, in order" m)
+        from_0
+        (List.map snd logs.(m)))
+    members
 
 (* ------------------------------------------------------------------ *)
 (* Consensus                                                          *)
@@ -1856,42 +1917,6 @@ let test_abcast_optimistic_delivery impl () =
     (List.sort Int.compare !opt_log)
     (List.sort Int.compare !final_log)
 
-let prop_causal_never_reorders_chains =
-  (* A chain of causally-dependent messages must always deliver in chain
-     order, whatever the network timing. *)
-  QCheck.Test.make ~name:"causal chains preserved under random seeds" ~count:20
-    QCheck.(int_range 0 5_000)
-    (fun seed ->
-      let e, net = make ~seed ~n:3 () in
-      ignore net;
-      let members = [ 0; 1; 2 ] in
-      let group = Causal.create_group net ~members () in
-      let logs = Array.make 3 [] in
-      List.iter
-        (fun m ->
-          let h = Causal.handle group ~me:m in
-          Causal.on_deliver h (fun ~origin:_ msg ->
-              logs.(m) <- payload_of msg :: logs.(m));
-          (* Each member extends the chain when it sees the previous link. *)
-          Causal.on_deliver h (fun ~origin:_ msg ->
-              let k = payload_of msg in
-              if k < 5 && k mod 3 = m then () (* no-op: origin broadcasts *)))
-        members;
-      (* Chain: member (k mod 3) broadcasts k after delivering k-1. *)
-      List.iter
-        (fun m ->
-          let h = Causal.handle group ~me:m in
-          Causal.on_deliver h (fun ~origin:_ msg ->
-              let k = payload_of msg in
-              if k < 5 && (k + 1) mod 3 = m then Causal.broadcast h (Payload (k + 1))))
-        members;
-      Causal.broadcast (Causal.handle group ~me:0) (Payload 0);
-      run_ms e 20_000;
-      Array.for_all
-        (fun log -> List.rev log = [ 0; 1; 2; 3; 4; 5 ])
-        logs)
-
-
 let prop_vscast_random_crash =
   (* Whatever the crash timing of one member during a broadcast stream,
      the survivors install the same final view and deliver the same set. *)
@@ -1995,13 +2020,6 @@ let test_isolation () =
             let h = Rbcast.handle g ~me in
             ((fun f -> Rbcast.on_deliver h (fun ~origin:_ m -> f m)),
               Rbcast.broadcast h) );
-      ( "fifo",
-        fun () ->
-          let g = Fifo.create_group net ~members () in
-          fun me ->
-            let h = Fifo.handle g ~me in
-            ((fun f -> Fifo.on_deliver h (fun ~origin:_ m -> f m)),
-              Fifo.broadcast h) );
       ( "abcast-sequencer",
         fun () ->
           let g = Abcast.create_group net ~members ~impl:Abcast.Sequencer () in
@@ -2177,12 +2195,11 @@ let () =
           tc "bounded under loss" test_rbcast_bounded_under_loss;
           tc "bounded with a member down"
             test_rbcast_bounded_with_member_down;
-        ] );
-      ("fifo", [ tc "per-sender order" test_fifo_order ]);
-      ( "causal",
-        [
-          tc "causal order" test_causal_order;
-          tc "concurrent allowed" test_causal_concurrent_allowed;
+          tc "per-sender order" test_rbcast_fifo_order;
+          tc "per-sender order, loss + relays"
+            test_rbcast_fifo_order_under_loss;
+          tc "per-sender order, recovery"
+            test_rbcast_fifo_order_across_recovery;
         ] );
       ( "consensus",
         [
@@ -2232,7 +2249,6 @@ let () =
           tc "abcast bulk (consensus)" (test_abcast_bulk_exactly_once Abcast.Consensus_based);
           tc "optimistic delivery (sequencer)" (test_abcast_optimistic_delivery Abcast.Sequencer);
           tc "optimistic delivery (consensus)" (test_abcast_optimistic_delivery Abcast.Consensus_based);
-          QCheck_alcotest.to_alcotest prop_causal_never_reorders_chains;
           QCheck_alcotest.to_alcotest prop_vscast_random_crash;
           QCheck_alcotest.to_alcotest prop_consensus_random_coordinator_crash;
         ] );

@@ -1623,10 +1623,10 @@ let test_golden_digest_lazy_run () =
   Alcotest.(check int) "spans" 504 (Sim.Span.count spans);
   Alcotest.(check int) "traces" 40 (List.length (Sim.Span.traces spans));
   Alcotest.(check (pair int string)) "chrome digest"
-    (140381, "901704479c4f1f42d78b196beda052ba")
+    (138653, "485899fb12585e0e20bd6db424f0a105")
     (digest (Sim.Trace_export.to_chrome spans));
   Alcotest.(check (pair int string)) "jsonl digest"
-    (97976, "097f72dd62b3cbc663d22111cf91d596")
+    (97400, "07bb62aedfe221b1d38ee831578b2544")
     (digest (Sim.Trace_export.to_jsonl spans))
 
 (* ------------------------------------------------------------------ *)

@@ -1410,6 +1410,36 @@ let test_profiler_attribute () =
   Alcotest.(check (list string)) "bucket order" [ "a"; "b" ]
     (List.map (fun (r : Profiler.row) -> r.Profiler.r_label) r.Profiler.p_buckets)
 
+(* Allocation is counted when it happens, not when a minor collection
+   runs: 10k pairs (3 words each) allocated with no collection in
+   between read at least their 30k words, and a lone minor collection,
+   which allocates nothing, reads about 0. *)
+let test_profiler_alloc_exact () =
+  let words f =
+    let p = Profiler.create () in
+    Profiler.measure p ~label:"x" f;
+    match bucket (Profiler.report p) "x" with
+    | Some b -> b.Profiler.r_alloc_w
+    | None -> Alcotest.fail "bucket missing"
+  in
+  Gc.minor ();
+  let minors = (Gc.quick_stat ()).Gc.minor_collections in
+  let pairs =
+    words (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Sys.opaque_identity (i, i))
+        done)
+  in
+  Alcotest.(check int) "no collection while allocating" minors
+    (Gc.quick_stat ()).Gc.minor_collections;
+  Alcotest.(check bool)
+    (Printf.sprintf "10k pairs read %.0f >= 30000 words" pairs)
+    true (pairs >= 30_000.);
+  let minor = words Gc.minor in
+  Alcotest.(check bool)
+    (Printf.sprintf "a minor collection reads %.0f words, about 0" minor)
+    true (minor < 100.)
+
 let test_profiler_measure_exn () =
   let p = Profiler.create () in
   (try Profiler.measure p ~label:"boom" (fun () -> failwith "x")
@@ -1581,6 +1611,7 @@ let () =
       ( "profiler",
         [
           tc "attribute accounting" test_profiler_attribute;
+          tc "allocation counted exactly" test_profiler_alloc_exact;
           tc "measure exception-safe" test_profiler_measure_exn;
           tc "engine dispatch labels" test_profiler_engine_labels;
           tc "engine counters" test_engine_deterministic_counters;
