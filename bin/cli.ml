@@ -1,9 +1,14 @@
 (* Shared Cmdliner vocabulary for replisim's subcommands: the technique
-   and fault-event converters, the workload flags (seed, replicas,
-   clients, txns, ...) that run/metrics/campaign/timeline all accept,
-   and the --set/--config technique-configuration pipeline. Each
-   subcommand composes these terms, so a flag means the same thing (and
-   has the same default) everywhere it appears, while --help stays
+   and fault-event converters, the one workload term, and the
+   --set/--config technique-configuration pipeline. [workload] declares
+   every workload flag once (seed, cluster, spec, --crash/--recover,
+   routing); run, metrics, profile and audit take all of it and sweep
+   its [cluster] part. [configure] meets a workload with a technique's
+   configuration: the spec is generated for the shard count the
+   configuration binds, and --cross is checked there. Timeline and
+   campaign build their workload with [scenario_workload] and go through
+   the same [configure]. So a flag means the same thing (and has the
+   same default) everywhere it appears, while --help stays
    per-subcommand. *)
 
 open Cmdliner
@@ -39,6 +44,16 @@ let write_lines file lines =
 (* [verdicts] as checks of one subject. *)
 let about subject verdicts = List.map (fun v -> (subject, v)) verdicts
 
+(* A boolean flag [name]. *)
+let flag name ~doc = Arg.(value & flag & info [ name ] ~doc)
+
+(* --format, one of [choices]; the first is the default. *)
+let format ?(docv = "FORMAT") choices ~doc =
+  Arg.(
+    value
+    & opt (enum choices) (snd (List.hd choices))
+    & info [ "format" ] ~docv ~doc)
+
 (* ---- technique selection -------------------------------------------- *)
 
 let technique_conv =
@@ -70,6 +85,17 @@ let techniques = function
           | Ok entry -> entry
           | Error msg -> fail "%s" msg)
         (String.split_on_char ',' keys)
+
+(* --techniques, the sweep of [techniques]. *)
+let techniques_arg =
+  Arg.(
+    value & opt string "all"
+    & info [ "techniques" ] ~docv:"KEYS"
+        ~doc:
+          (Printf.sprintf
+             "Techniques to sweep: comma-separated registry keys (%s) or \
+              $(b,all)."
+             (String.concat ", " Protocols.Registry.keys)))
 
 let technique_opt ~doc =
   Arg.(
@@ -117,23 +143,6 @@ let event_conv =
   in
   Arg.conv (parse, print)
 
-let crashes_arg =
-  Arg.(
-    value & opt_all event_conv []
-    & info [ "crash" ] ~docv:"R@TIME"
-        ~doc:
-          "Crash replica R at TIME (repeatable; comma lists accepted), e.g. \
-           --crash 0@100ms or --crash 0@1s,2@3s.")
-
-let recoveries_arg =
-  Arg.(
-    value & opt_all event_conv []
-    & info [ "recover" ] ~docv:"R@TIME"
-        ~doc:
-          "Recover replica R at TIME (same syntax as $(b,--crash): \
-           repeatable, comma lists accepted, e.g. --recover 0@1s,2@3s). Each \
-           entry must pair with an earlier --crash of the same replica.")
-
 let scenario_names =
   String.concat ", "
     (List.map (fun s -> s.Workload.Scenario.name) Workload.Scenario.builtins)
@@ -153,7 +162,7 @@ let check_scenario ~n (s : Workload.Scenario.t) =
   | Error (f, reason) ->
       fail "scenario %s: %a: %s" s.name Workload.Runner.pp_fault f reason
 
-(* ---- shared workload flags ------------------------------------------- *)
+(* ---- the workload term ----------------------------------------------- *)
 
 let seed_arg ?(default = 11) () =
   Arg.(
@@ -175,24 +184,6 @@ let txns_arg ?(default = 50) () =
     value & opt int default
     & info [ "txns" ] ~docv:"T" ~doc:"Transactions per client.")
 
-let updates_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "updates" ] ~docv:"RATIO"
-        ~doc:
-          "Fraction of update transactions (default 0.5; mutually exclusive \
-           with $(b,--reads)).")
-
-let reads_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "reads" ] ~docv:"RATIO"
-        ~doc:
-          "Fraction of read transactions — shorthand for $(b,--updates) \
-           (1 - RATIO); mutually exclusive with it.")
-
 (* [r], the value of the ratio flag [flag]; outside [0,1] it is a usage
    error. *)
 let ratio flag r =
@@ -205,15 +196,6 @@ let record_metric flag name =
   if not (List.mem name Workload.Run_record.metric_names) then
     fail "unknown %s metric %S (known: %s)" flag name
       (String.concat ", " Workload.Run_record.metric_names)
-
-(* Resolve the --updates / --reads pair into the spec's update ratio;
-   naming both is an error rather than a silent precedence rule. *)
-let mix ?updates ?reads () =
-  match (updates, reads) with
-  | Some _, Some _ -> fail "--updates and --reads are mutually exclusive"
-  | Some u, None -> ratio "--updates" u
-  | None, Some r -> 1. -. ratio "--reads" r
-  | None, None -> 0.5
 
 (* [k], the value of the count flag [flag]; below 1 it is a usage
    error. *)
@@ -228,91 +210,177 @@ let ops_arg =
         value & opt int 1
         & info [ "ops" ] ~docv:"K" ~doc:"Operations per transaction."))
 
-let keys_arg =
+(* A workload as the flags describe it, before it meets a technique: the
+   seed and the cluster ([n] replicas, [m] clients), the spec at one
+   shard ({!configure} sets the technique's count), the checked fault
+   list and the routing tier. The scenario subcommands (timeline,
+   campaign) build theirs with [scenario_workload]. *)
+type workload = {
+  seed : int;
+  n : int;
+  m : int;
+  spec : Workload.Spec.t;
+  faults : Workload.Runner.fault list;
+  router : Workload.Router.config option;
+}
+
+(* The workload of a scenario run (timeline, campaign): the scenario's
+   spec with the subcommand's counts, and the scenario's faults. *)
+let scenario_workload ?(seed = 11) ?(ops = 1) ~n ~m ~txns faults =
+  {
+    seed;
+    n;
+    m;
+    spec =
+      {
+        Workload.Scenario.default_spec with
+        txns_per_client = txns;
+        ops_per_txn = ops;
+      };
+    faults;
+    router = None;
+  }
+
+(* The flags of a workload that a sweep takes too: its seed, update ratio
+   and skew are sweep axes, so here they keep {!Workload.Builder.spec}'s
+   defaults. [txns] is the subcommand's default transaction count. *)
+let cluster ?(txns = Workload.Spec.default.txns_per_client) () =
+  let make n m txns ops keys cross router sticky shape flash =
+    {
+      seed = 11;
+      n;
+      m;
+      spec =
+        Workload.Builder.spec ~keys ~ops ~txns ~cross ~shape
+          ?flash:(if flash then Some Workload.Spec.default_flash_crowd else None)
+          ();
+      faults = [];
+      (* --sticky implies --router; plain --router keeps round-robin
+         reads. *)
+      router =
+        (if router || sticky then
+           Some { Workload.Router.default_config with sticky }
+         else None);
+    }
+  in
+  let keys =
+    Arg.(value & opt int 100 & info [ "keys" ] ~docv:"K" ~doc:"Database size.")
+  in
+  let cross =
+    Arg.(
+      value & opt float 0.
+      & info [ "cross" ] ~docv:"RATIO"
+          ~doc:
+            "Fraction of multi-op transactions forced to span two shards \
+             (needs a sharded technique, e.g. $(b,--set active.shards=4), \
+             and $(b,--ops) >= 2; the rest stay within one shard).")
+  in
+  let router =
+    flag "router"
+      ~doc:
+        "Route every request through the client-side routing tier: \
+         read/write splitting, cached primary discovery, bounded \
+         retry-with-backoff across failover (see also $(b,--sticky))."
+  in
+  let sticky =
+    flag "sticky"
+      ~doc:
+        "Pin each session's reads to the replica that answered its writes \
+         (implies $(b,--router)); restores read-your-writes over lazy \
+         techniques at a latency cost."
+  in
+  let shape =
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("mixed", Workload.Spec.Mixed); ("tpcb", Workload.Spec.Tpcb) ])
+          Workload.Spec.Mixed
+      & info [ "shape" ] ~docv:"SHAPE"
+          ~doc:
+            "Session workload shape: $(b,mixed) (single-key transactions, \
+             the default) or $(b,tpcb) (TPC-B-like two-key transfers and \
+             balance-probe reads).")
+  in
+  let flash =
+    flag "flash-crowd"
+      ~doc:
+        "Declare a flash-crowd phase: mid-run the load spikes and the \
+         zipfian hot set re-skews and rotates for the duration of the window \
+         (the built-in spike profile; see Workload.Spec)."
+  in
   Term.(
-    const (at_least_one "--keys")
-    $ Arg.(
-        value & opt int 100 & info [ "keys" ] ~docv:"K" ~doc:"Database size."))
+    const make $ replicas_arg () $ clients_arg () $ txns_arg ~default:txns ()
+    $ ops_arg
+    $ (const (at_least_one "--keys") $ keys)
+    $ (const (ratio "--cross") $ cross)
+    $ router $ sticky $ shape $ flash)
 
-let cross_arg =
+(* The one workload term: {!cluster} plus the seed, the update ratio, the
+   skew and the --crash/--recover faults, checked against the cluster. *)
+let workload =
+  let make w seed updates reads skew crashes recoveries =
+    (* Naming both --updates and --reads is an error rather than a silent
+       precedence rule. *)
+    let update_ratio =
+      match (updates, reads) with
+      | Some _, Some _ -> fail "--updates and --reads are mutually exclusive"
+      | Some u, None -> ratio "--updates" u
+      | None, Some r -> 1. -. ratio "--reads" r
+      | None, None -> w.spec.update_ratio
+    in
+    let faults =
+      match
+        Workload.Builder.crash_schedule ~n:w.n ~crashes:(List.concat crashes)
+          ~recoveries:(List.concat recoveries)
+      with
+      | Ok faults -> faults
+      | Error msg -> fail "%s" msg
+    in
+    { w with seed; faults; spec = { w.spec with update_ratio; key_skew = skew } }
+  in
+  let updates =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "updates" ] ~docv:"RATIO"
+          ~doc:
+            "Fraction of update transactions (default 0.5; mutually \
+             exclusive with $(b,--reads)).")
+  in
+  let reads =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "reads" ] ~docv:"RATIO"
+          ~doc:
+            "Fraction of read transactions — shorthand for $(b,--updates) \
+             (1 - RATIO); mutually exclusive with it.")
+  in
+  let skew =
+    Arg.(
+      value & opt float 0.6
+      & info [ "skew"; "zipf" ] ~docv:"THETA"
+          ~doc:
+            "Zipf-skewed key popularity: theta of the zipfian key sampler \
+             (0 = uniform; higher concentrates traffic on hot keys; \
+             deterministic per seed). $(b,--zipf) and $(b,--skew) are \
+             aliases.")
+  in
+  let events name ~doc =
+    Arg.(value & opt_all event_conv [] & info [ name ] ~docv:"R@TIME" ~doc)
+  in
   Term.(
-    const (ratio "--cross")
-    $ Arg.(
-        value & opt float 0.
-        & info [ "cross" ] ~docv:"RATIO"
-            ~doc:
-              "Fraction of multi-op transactions forced to span two shards \
-               (needs a sharded technique, e.g. $(b,--set active.shards=4), \
-               and $(b,--ops) >= 2; the rest stay within one shard)."))
-
-(* --cross forces cross-shard transactions, so it needs shards to cross
-   and transactions of more than one operation. *)
-let check_cross (entry : Protocols.Registry.entry) ~shards ~ops cross =
-  if cross > 0. && shards <= 1 then
-    fail "--cross needs a sharded technique; add --set %s.shards=K (K >= 2)"
-      entry.key;
-  if cross > 0. && ops < 2 then
-    fail "--cross needs multi-op transactions; add --ops 2 (or more)"
-
-let skew_arg =
-  Arg.(
-    value & opt float 0.6
-    & info [ "skew"; "zipf" ] ~docv:"THETA"
+    const make $ cluster () $ seed_arg () $ updates $ reads $ skew
+    $ events "crash"
         ~doc:
-          "Zipf-skewed key popularity: theta of the zipfian key sampler \
-           (0 = uniform; higher concentrates traffic on hot keys; \
-           deterministic per seed). $(b,--zipf) and $(b,--skew) are \
-           aliases.")
-
-(* ---- routing tier / session workloads -------------------------------- *)
-
-let router_arg =
-  Arg.(
-    value & flag
-    & info [ "router" ]
+          "Crash replica R at TIME (repeatable; comma lists accepted), e.g. \
+           --crash 0@100ms or --crash 0@1s,2@3s."
+    $ events "recover"
         ~doc:
-          "Route every request through the client-side routing tier: \
-           read/write splitting, cached primary discovery, bounded \
-           retry-with-backoff across failover (see also $(b,--sticky)).")
-
-let sticky_arg =
-  Arg.(
-    value & flag
-    & info [ "sticky" ]
-        ~doc:
-          "Pin each session's reads to the replica that answered its writes \
-           (implies $(b,--router)); restores read-your-writes over lazy \
-           techniques at a latency cost.")
-
-(* --sticky implies --router; plain --router keeps round-robin reads. *)
-let router_config ~router ~sticky =
-  if router || sticky then
-    Some { Workload.Router.default_config with Workload.Router.sticky }
-  else None
-
-let shape_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("mixed", Workload.Spec.Mixed); ("tpcb", Workload.Spec.Tpcb) ])
-        Workload.Spec.Mixed
-    & info [ "shape" ] ~docv:"SHAPE"
-        ~doc:
-          "Session workload shape: $(b,mixed) (single-key transactions, the \
-           default) or $(b,tpcb) (TPC-B-like two-key transfers and \
-           balance-probe reads).")
-
-let flash_arg =
-  Arg.(
-    value & flag
-    & info [ "flash-crowd" ]
-        ~doc:
-          "Declare a flash-crowd phase: mid-run the load spikes and the \
-           zipfian hot set re-skews and rotates for the duration of the \
-           window (the built-in spike profile; see Workload.Spec).")
-
-let flash_spec flash =
-  if flash then Some Workload.Spec.default_flash_crowd else None
+          "Recover replica R at TIME (same syntax as $(b,--crash): \
+           repeatable, comma lists accepted, e.g. --recover 0@1s,2@3s). Each \
+           entry must pair with an earlier --crash of the same replica.")
 
 (* ---- technique configuration (--set / --config) ---------------------- *)
 
@@ -365,25 +433,17 @@ let validate_directive (d : Protocols.Config.directive) =
    bind the same key. *)
 let directives_term =
   let combine file sets =
-    let file_directives =
+    let from_file =
       match file with
       | None -> Ok []
       | Some path -> Protocols.Config.parse_file path
     in
-    match file_directives with
-    | Error msg -> Error msg
-    | Ok from_file -> (
+    Result.bind from_file (fun from_file ->
         let directives = from_file @ sets in
-        match
-          List.fold_left
-            (fun acc d ->
-              match acc with
-              | Error _ as e -> e
-              | Ok () -> validate_directive d)
-            (Ok ()) directives
-        with
-        | Error msg -> Error msg
-        | Ok () -> Ok directives)
+        List.fold_left
+          (fun acc d -> Result.bind acc (fun () -> validate_directive d))
+          (Ok ()) directives
+        |> Result.map (fun () -> directives))
   in
   Term.(term_result' (const combine $ config_file_arg $ set_args))
 
@@ -406,6 +466,28 @@ let check_shards ~n cfg =
           shards"
       shards shards n;
   shards
+
+(* [w] under [entry] configured by [directives]: the configuration, its
+   constructor and the run's spec, generated for the shard count the
+   configuration binds. --cross forces cross-shard transactions, so it
+   needs shards to cross and transactions of more than one operation. *)
+let configure w (entry : Protocols.Registry.entry) directives =
+  let cfg, factory = resolve entry directives in
+  let shards = check_shards ~n:w.n cfg in
+  let cross = w.spec.cross_shard in
+  if cross > 0. && shards <= 1 then
+    fail "--cross needs a sharded technique; add --set %s.shards=K (K >= 2)"
+      entry.key;
+  if cross > 0. && w.spec.ops_per_txn < 2 then
+    fail "--cross needs multi-op transactions; add --ops 2 (or more)";
+  (cfg, factory, { w.spec with shards })
+
+(* [w] run through [factory] with [spec] (from {!configure}); the
+   instance comes back too. *)
+let run ?deadline ?sample ?profiler ?tracing ?audit w ~spec factory =
+  Workload.Runner.run_with_instance ~seed:w.seed ~n_replicas:w.n
+    ~n_clients:w.m ~spec ~faults:w.faults ?router:w.router ?deadline ?sample
+    ?profiler ?tracing ?audit factory
 
 (* Header [config] pairs of the directives themselves, for a header that
    covers several techniques. *)

@@ -8,9 +8,10 @@
      replisim run -t active --set active.batch_window=5ms
      replisim trace -t active
 
-   The shared argument vocabulary (technique/event converters, workload
-   flags, --set/--config resolution) lives in Cli; every subcommand runs
-   through Workload.Runner.run. *)
+   The shared argument vocabulary (technique/event converters, the one
+   workload term, --set/--config resolution) lives in Cli; every
+   subcommand runs through Workload.Runner.run, and run --record through
+   the sweep's per-cell run. *)
 
 open Cmdliner
 
@@ -79,9 +80,8 @@ let config_cmd =
 let run_cmd =
   let doc = "Run a workload against a technique and report the metrics." in
   let csv =
-    Arg.(
-      value & flag
-      & info [ "csv" ] ~doc:"Emit the result as a CSV row (with header).")
+    Cli.flag "csv"
+      ~doc:"Emit the result as a CSV row (with header)."
   in
   let record_arg =
     Arg.(
@@ -93,57 +93,47 @@ let run_cmd =
              JSON document $(b,replisim sweep) emits per cell and \
              $(b,replisim compare) diffs — to FILE ($(b,-) for stdout).")
   in
-  let run (entry : Protocols.Registry.entry) directives n m updates reads txns
-      ops keys skew cross seed crashes recoveries router sticky shape flash
-      csv record_to =
-    let updates = Cli.mix ?updates ?reads () in
-    let cfg, factory = Cli.resolve entry directives in
-    let shards = Cli.check_shards ~n cfg in
-    Cli.check_cross entry ~shards ~ops cross;
-    let faults =
-      match
-        Workload.Builder.crash_schedule ~n ~crashes:(List.concat crashes)
-          ~recoveries:(List.concat recoveries)
-      with
-      | Ok faults -> faults
-      | Error msg -> Cli.fail "%s" msg
-    in
-    let spec =
-      Workload.Builder.spec ~keys ~skew ~updates ~ops ~txns ~shards ~cross
-        ~shape ?flash:(Cli.flash_spec flash) ()
-    in
-    let result =
-      Workload.Runner.run ~seed ~n_replicas:n ~n_clients:m ~spec ~faults
-        ?router:(Cli.router_config ~router ~sticky) factory
+  let run (entry : Protocols.Registry.entry) directives (w : Cli.workload) csv
+      record_to =
+    let cfg, factory, spec = Cli.configure w entry directives in
+    let { Cli.seed; n; _ } = w in
+    (* With --record the run is the sweep's per-cell run, so the record is
+       the one a sweep writes for the same cell. *)
+    let result, record =
+      match record_to with
+      | None -> (fst (Cli.run w ~spec factory), None)
+      | Some file ->
+          let result, record =
+            Workload.Sweep.run_recorded ?router:w.router ~faults:w.faults
+              ~technique:entry.key ~config:(Cli.config_pairs entry cfg)
+              ~factory ~seed ~n_replicas:n ~n_clients:w.m ~arrival:`Closed
+              ~spec ()
+          in
+          (result, Some (file, record))
     in
     (* Emitted after the human report so that with "-" the record is the
        last stdout line — `run ... --record - | tail -1` is the idiom. *)
     let emit_record () =
-      match record_to with
-      | None -> ()
-      | Some file ->
-          Cli.write_lines file
-            [
-              Workload.Run_record.to_json
-                (Workload.Sweep.record ~technique:entry.key
-                   ~config:(Cli.config_pairs entry cfg) ~factory ~seed
-                   ~n_replicas:n ~n_clients:m ~arrival:`Closed ~spec result);
-            ]
+      Option.iter
+        (fun (file, record) ->
+          Cli.write_lines file [ Workload.Run_record.to_json record ])
+        record
     in
     if csv then begin
       let label =
-        Printf.sprintf "%s;n=%d;upd=%.2f;seed=%d" entry.key n updates seed
+        Printf.sprintf "%s;n=%d;upd=%.2f;seed=%d" entry.key n
+          spec.update_ratio seed
       in
       Workload.Report.to_csv Fmt.stdout [ (label, result) ];
       emit_record ();
       exit 0
     end;
     Fmt.pr "workload  : %a@." Workload.Spec.pp spec;
-    if shards > 1 then
+    if spec.shards > 1 then
       Fmt.pr "sharding  : %d groups over %d replicas (group size <= %d), \
               cross-shard via 2PC@."
-        shards n
-        (Protocols.Sharded.probe_group_size ~n ~shards);
+        spec.shards n
+        (Protocols.Sharded.probe_group_size ~n ~shards:spec.shards);
     (match Cli.config_pairs entry cfg with
     | [] -> ()
     | pairs ->
@@ -179,12 +169,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ Cli.technique_arg $ Cli.directives_term
-      $ Cli.replicas_arg () $ Cli.clients_arg () $ Cli.updates_arg
-      $ Cli.reads_arg $ Cli.txns_arg () $ Cli.ops_arg $ Cli.keys_arg
-      $ Cli.skew_arg $ Cli.cross_arg $ Cli.seed_arg () $ Cli.crashes_arg
-      $ Cli.recoveries_arg $ Cli.router_arg $ Cli.sticky_arg $ Cli.shape_arg
-      $ Cli.flash_arg $ csv $ record_arg)
+      const run $ Cli.technique_arg $ Cli.directives_term $ Cli.workload $ csv
+      $ record_arg)
 
 (* ---- trace ---------------------------------------------------------- *)
 
@@ -194,20 +180,16 @@ let trace_cmd =
      timeline figures), optionally as JSONL or Chrome trace_event JSON."
   in
   let nondet =
-    Arg.(
-      value & flag
-      & info [ "nondet" ]
-          ~doc:"Use a non-deterministic write (exercises semi-active's AC).")
+    Cli.flag "nondet"
+      ~doc:"Use a non-deterministic write (exercises semi-active's AC)."
   in
   let format =
-    Arg.(
-      value
-      & opt (enum [ ("pretty", `Pretty); ("jsonl", `Jsonl); ("chrome", `Chrome) ]) `Pretty
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:
-            "Output format: $(b,pretty) (human-readable marks), $(b,jsonl) \
-             (one JSON object per span) or $(b,chrome) (trace_event JSON for \
-             Perfetto / chrome://tracing).")
+    Cli.format
+      [ ("pretty", `Pretty); ("jsonl", `Jsonl); ("chrome", `Chrome) ]
+      ~doc:
+        "Output format: $(b,pretty) (human-readable marks), $(b,jsonl) \
+         (one JSON object per span) or $(b,chrome) (trace_event JSON for \
+         Perfetto / chrome://tracing)."
   in
   let run (entry : Protocols.Registry.entry) directives nondet format =
     let cfg, factory = Cli.resolve entry directives in
@@ -339,24 +321,20 @@ let explain_cmd =
   in
   let seed = Cli.seed_arg ~default:7 () in
   let format =
-    Arg.(
-      value
-      & opt (enum [ ("pretty", `Pretty); ("json", `Json); ("csv", `Csv) ]) `Pretty
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:
-            "Output format: $(b,pretty) (per-transaction timeline with the \
-             critical path highlighted), $(b,json) (one object per \
-             technique) or $(b,csv).")
+    Cli.format
+      [ ("pretty", `Pretty); ("json", `Json); ("csv", `Csv) ]
+      ~doc:
+        "Output format: $(b,pretty) (per-transaction timeline with the \
+         critical path highlighted), $(b,json) (one object per \
+         technique) or $(b,csv)."
   in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Conformance mode: compare the observed message/step signature \
-             of every selected technique against its §5 expectation; exit 1 \
-             on any deviation (or causally unsound trace). Verdicts go to \
-             stderr.")
+    Cli.flag "check"
+      ~doc:
+        "Conformance mode: compare the observed message/step signature \
+         of every selected technique against its §5 expectation; exit 1 \
+         on any deviation (or causally unsound trace). Verdicts go to \
+         stderr."
   in
   let run technique directives n seed format check =
     let selected =
@@ -430,25 +408,14 @@ let campaign_cmd =
                 $(b,all)."
                Cli.scenario_names))
   in
-  let techniques_arg =
-    Arg.(
-      value & opt string "all"
-      & info [ "techniques" ] ~docv:"KEYS"
-          ~doc:
-            (Printf.sprintf
-               "Techniques to sweep: comma-separated registry keys (%s) or \
-                $(b,all)."
-               (String.concat ", " Protocols.Registry.keys)))
-  in
   let seeds_arg =
     Arg.(
       value & opt (list int) [ 11 ]
       & info [ "seeds" ] ~docv:"S1,S2,..." ~doc:"Random seeds to sweep.")
   in
   let csv =
-    Arg.(
-      value & flag
-      & info [ "csv" ] ~doc:"Emit one CSV row per run instead of the table.")
+    Cli.flag "csv"
+      ~doc:"Emit one CSV row per run instead of the table."
   in
   let jsonl =
     Arg.(
@@ -468,21 +435,15 @@ let campaign_cmd =
     in
     List.iter (Cli.check_scenario ~n:n_replicas) scenarios;
     let techniques = Cli.techniques technique_sel in
-    let spec =
-      {
-        Workload.Scenario.default_spec with
-        txns_per_client = txns;
-        ops_per_txn = ops;
-      }
-    in
+    (* Each run brings its own seed and its scenario's faults. *)
+    let w = Cli.scenario_workload ~ops ~n:n_replicas ~m:2 ~txns [] in
     let outcomes =
-      Workload.Scenario.run_campaign ~seeds ~n_replicas ~spec
+      Workload.Scenario.run_campaign ~seeds ~n_replicas
         ~techniques:
           (List.map
              (fun (entry : Protocols.Registry.entry) ->
-               let cfg, factory = Cli.resolve entry directives in
-               ignore (Cli.check_shards ~n:n_replicas cfg);
-               (entry.key, entry.info, factory))
+               let _, factory, spec = Cli.configure w entry directives in
+               (entry.key, entry.info, factory, spec))
              techniques)
         ~scenarios ()
     in
@@ -522,7 +483,7 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
-      const run $ scenarios_arg $ techniques_arg $ Cli.directives_term
+      const run $ scenarios_arg $ Cli.techniques_arg $ Cli.directives_term
       $ seeds_arg $ Cli.replicas_arg () $ Cli.txns_arg ~default:25 ()
       $ Cli.ops_arg $ csv $ jsonl)
 
@@ -534,19 +495,14 @@ let metrics_cmd =
      per-phase latency table and its metrics registry (labelled counters)."
   in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the metrics snapshot as a JSON array.")
+    Cli.flag "json"
+      ~doc:"Emit the metrics snapshot as a JSON array."
   in
-  let run (entry : Protocols.Registry.entry) directives n m updates txns seed
+  let run (entry : Protocols.Registry.entry) directives (w : Cli.workload)
       json =
-    let updates = Cli.mix ?updates () in
-    let cfg, factory = Cli.resolve entry directives in
-    let shards = Cli.check_shards ~n cfg in
-    let spec = Workload.Builder.spec ~updates ~txns ~shards () in
-    let result =
-      Workload.Runner.run ~seed ~n_replicas:n ~n_clients:m ~spec factory
-    in
+    let cfg, factory, spec = Cli.configure w entry directives in
+    let { Cli.seed; n; _ } = w in
+    let result = fst (Cli.run w ~spec factory) in
     if json then begin
       print_endline
         (Workload.Report.header_json
@@ -564,9 +520,8 @@ let metrics_cmd =
   in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
-      const run $ Cli.technique_arg $ Cli.directives_term
-      $ Cli.replicas_arg () $ Cli.clients_arg () $ Cli.updates_arg
-      $ Cli.txns_arg () $ Cli.seed_arg () $ json)
+      const run $ Cli.technique_arg $ Cli.directives_term $ Cli.workload
+      $ json)
 
 (* ---- timeline ------------------------------------------------------- *)
 
@@ -644,28 +599,22 @@ let timeline_cmd =
           ~doc:"Workload deadline (virtual ms; quiescence drain follows).")
   in
   let format =
-    Arg.(
-      value
-      & opt (enum [ ("pretty", `Pretty); ("json", `Json); ("csv", `Csv) ]) `Pretty
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:
-            "Output format: $(b,pretty) (sparklines), $(b,json) (JSONL: \
-             header, one object per series, one per finding) or $(b,csv) \
-             (long-format points).")
+    Cli.format
+      [ ("pretty", `Pretty); ("json", `Json); ("csv", `Csv) ]
+      ~doc:
+        "Output format: $(b,pretty) (sparklines), $(b,json) (JSONL: \
+         header, one object per series, one per finding) or $(b,csv) \
+         (long-format points)."
   in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Exit 1 when a saturation finding lies outside every fault \
-             window, or a partition scenario shows no backlog \
-             build-up/drain. Verdicts go to stderr.")
+    Cli.flag "check"
+      ~doc:
+        "Exit 1 when a saturation finding lies outside every fault \
+         window, or a partition scenario shows no backlog \
+         build-up/drain. Verdicts go to stderr."
   in
   let run (entry : Protocols.Registry.entry) directives scenario_sel n m txns
       seed interval_ms until_ms format check =
-    let cfg, factory = Cli.resolve entry directives in
-    ignore (Cli.check_shards ~n cfg);
     let scenario =
       match scenario_sel with
       | "none" -> None
@@ -675,14 +624,12 @@ let timeline_cmd =
     let events =
       match scenario with Some s -> s.Workload.Scenario.events | None -> []
     in
-    let spec =
-      { Workload.Scenario.default_spec with txns_per_client = txns }
-    in
-    let result =
-      Workload.Runner.run ~seed ~n_replicas:n ~n_clients:m ~spec ~faults:events
+    let w = Cli.scenario_workload ~seed ~n ~m ~txns events in
+    let cfg, factory, spec = Cli.configure w entry directives in
+    let result, _ =
+      Cli.run w ~spec factory
         ~deadline:(Sim.Simtime.of_ms until_ms)
         ~sample:(Sim.Simtime.of_ms interval_ms)
-        factory
     in
     let series = result.Workload.Runner.series in
     let findings = Sim.Saturation.analyze series in
@@ -796,22 +743,18 @@ let profile_cmd =
           ~doc:"Show the top N buckets by self time (text format only).")
   in
   let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("csv", `Csv) ]) `Text
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:
-            "Output format: $(b,text) (top-N table), $(b,json) (one profile \
-             object) or $(b,csv) (one row per bucket).")
+    Cli.format
+      [ ("text", `Text); ("json", `Json); ("csv", `Csv) ]
+      ~doc:
+        "Output format: $(b,text) (top-N table), $(b,json) (one profile \
+         object) or $(b,csv) (one row per bucket)."
   in
   let no_tracing =
-    Arg.(
-      value & flag
-      & info [ "no-tracing" ]
-          ~doc:
-            "Switch span/trace recording off for the run — profiles the \
-             bare engine; compare against a default run to price the \
-             observability stack.")
+    Cli.flag "no-tracing"
+      ~doc:
+        "Switch span/trace recording off for the run — profiles the \
+         bare engine; compare against a default run to price the \
+         observability stack."
   in
   let sample =
     Arg.(
@@ -821,26 +764,20 @@ let profile_cmd =
           ~doc:"Also run the resource sampler at this virtual-ms interval.")
   in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Self-test: re-parse the profile JSON, verify per-bucket event \
-             counts sum to the events executed and that wall/alloc shares \
-             sum to ~1.0; exit 1 on failure. Verdicts go to stderr.")
+    Cli.flag "check"
+      ~doc:
+        "Self-test: re-parse the profile JSON, verify per-bucket event \
+         counts sum to the events executed and that wall/alloc shares \
+         sum to ~1.0; exit 1 on failure. Verdicts go to stderr."
   in
-  let run (entry : Protocols.Registry.entry) directives n m updates txns seed
-      top format no_tracing sample check =
-    let updates = Cli.mix ?updates () in
-    let cfg, factory = Cli.resolve entry directives in
-    ignore (Cli.check_shards ~n cfg);
-    let spec = Workload.Builder.spec ~updates ~txns () in
+  let run (entry : Protocols.Registry.entry) directives (w : Cli.workload) top
+      format no_tracing sample check =
+    let _, factory, spec = Cli.configure w entry directives in
+    let { Cli.seed; n; _ } = w in
     let profiler = Sim.Profiler.create () in
     let result, inst =
-      Workload.Runner.run_with_instance ~seed ~n_replicas:n ~n_clients:m ~spec
-        ~profiler ~tracing:(not no_tracing)
+      Cli.run w ~spec factory ~profiler ~tracing:(not no_tracing)
         ?sample:(Option.map Sim.Simtime.of_ms sample)
-        factory
     in
     (* Price the trace export itself (only meaningful with tracing on):
        the serialized bytes count into the profile's meta counters and
@@ -914,10 +851,8 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ Cli.technique_arg $ Cli.directives_term
-      $ Cli.replicas_arg () $ Cli.clients_arg () $ Cli.updates_arg
-      $ Cli.txns_arg () $ Cli.seed_arg () $ top $ format $ no_tracing
-      $ sample $ check)
+      const run $ Cli.technique_arg $ Cli.directives_term $ Cli.workload $ top
+      $ format $ no_tracing $ sample $ check)
 
 (* ---- audit ---------------------------------------------------------- *)
 
@@ -930,45 +865,33 @@ let audit_cmd =
      configurations — cross-shard snapshot skew."
   in
   let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("pretty", `Pretty); ("json", `Json); ("csv", `Csv) ]) `Pretty
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: pretty, json or csv.")
+    Cli.format ~docv:"FMT"
+      [ ("pretty", `Pretty); ("json", `Json); ("csv", `Csv) ]
+      ~doc:"Output format: pretty, json or csv."
   in
   let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Exit non-zero unless every technique drains its version lag, \
-             eager techniques measure a zero session-order inconsistency \
-             window (no read-your-writes or monotonic-reads violations), \
-             and lazy techniques measure a strictly positive post-commit \
-             staleness window. Verdicts go to stderr.")
+    Cli.flag "check"
+      ~doc:
+        "Exit non-zero unless every technique drains its version lag, \
+         eager techniques measure a zero session-order inconsistency \
+         window (no read-your-writes or monotonic-reads violations), \
+         and lazy techniques measure a strictly positive post-commit \
+         staleness window. Verdicts go to stderr."
   in
-  let run technique directives n m updates reads txns ops keys skew cross seed
-      router sticky shape flash fmt check =
-    let updates = Cli.mix ?updates ?reads () in
+  let run technique directives (w : Cli.workload) fmt check =
+    let { Cli.seed; n; _ } = w in
     let entries =
       match technique with Some e -> [ e ] | None -> Protocols.Registry.all
     in
     let rows =
       List.map
         (fun (entry : Protocols.Registry.entry) ->
-          let cfg, factory = Cli.resolve entry directives in
-          let shards = Cli.check_shards ~n cfg in
-          Cli.check_cross entry ~shards ~ops cross;
-          let spec =
-            Workload.Builder.spec ~keys ~skew ~updates ~ops ~txns ~shards
-              ~cross ~shape ?flash:(Cli.flash_spec flash) ()
-          in
-          let result =
-            Workload.Runner.run ~seed ~n_replicas:n ~n_clients:m ~spec
-              ~sample:(Sim.Simtime.of_ms 5) ~audit:true
-              ?router:(Cli.router_config ~router ~sticky) factory
+          let _, factory, spec = Cli.configure w entry directives in
+          let result, _ =
+            Cli.run w ~spec factory ~sample:(Sim.Simtime.of_ms 5) ~audit:true
           in
           let a = Option.get result.Workload.Runner.audit in
-          (entry, shards, a))
+          (entry, spec.shards, a))
         entries
     in
     let propagation_of (entry : Protocols.Registry.entry) =
@@ -1075,11 +998,7 @@ let audit_cmd =
       const run
       $ Cli.technique_opt
           ~doc:"Technique to audit (default: all techniques)."
-      $ Cli.directives_term $ Cli.replicas_arg () $ Cli.clients_arg ()
-      $ Cli.updates_arg $ Cli.reads_arg $ Cli.txns_arg () $ Cli.ops_arg
-      $ Cli.keys_arg $ Cli.skew_arg $ Cli.cross_arg $ Cli.seed_arg ()
-      $ Cli.router_arg $ Cli.sticky_arg $ Cli.shape_arg $ Cli.flash_arg
-      $ format_arg $ check_arg)
+      $ Cli.directives_term $ Cli.workload $ format_arg $ check_arg)
 
 (* ---- sweep ----------------------------------------------------------- *)
 
@@ -1147,16 +1066,6 @@ let sweep_cmd =
      metric: the paper's Figure-6 technique × workload study, measured. \
      Feed the output directory to $(b,replisim compare) to gate \
      regressions against a committed baseline."
-  in
-  let techniques_arg =
-    Arg.(
-      value & opt string "all"
-      & info [ "techniques" ] ~docv:"KEYS"
-          ~doc:
-            (Printf.sprintf
-               "Techniques to sweep: comma-separated registry keys (%s) or \
-                $(b,all)."
-               (String.concat ", " Protocols.Registry.keys)))
   in
   let shards_arg =
     Arg.(
@@ -1232,17 +1141,14 @@ let sweep_cmd =
                (String.concat ", " Workload.Run_record.metric_names)))
   in
   let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("ascii", `Ascii); ("md", `Md); ("none", `None) ]) `Ascii
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Matrix rendering: $(b,ascii) (heatmap-shaded table), $(b,md) \
-             (Markdown matrix) or $(b,none) (records and manifest only).")
+    Cli.format ~docv:"FMT"
+      [ ("ascii", `Ascii); ("md", `Md); ("none", `None) ]
+      ~doc:
+        "Matrix rendering: $(b,ascii) (heatmap-shaded table), $(b,md) \
+         (Markdown matrix) or $(b,none) (records and manifest only)."
   in
-  let run technique_sel directives n m txns ops keys cross shards loads
-      updates reads zipfs seeds vary router sticky shape flash out
-      cell_metrics format =
+  let run technique_sel directives (w : Cli.workload) shards loads updates
+      reads zipfs seeds vary out cell_metrics format =
     let updates =
       match (updates, reads) with
       | Some _, Some _ ->
@@ -1286,7 +1192,14 @@ let sweep_cmd =
           in
           match Protocols.Registry.configure entry pairs with
           | Ok (cfg, factory) ->
-              ignore (Cli.check_shards ~n cfg);
+              (* The cell's shard count is the one its workload is
+                 generated for. *)
+              let shards = Cli.check_shards ~n:w.n cfg in
+              if shards <> c.shards then
+                Cli.fail
+                  "cell %s: the configuration binds %d shards, the --shards \
+                   axis %d; sweep shard counts with --shards"
+                  c.technique shards c.shards;
               (c, entry, cfg, factory)
           | Error msg -> Cli.fail "cell %s: %s" c.technique msg)
         cells
@@ -1294,17 +1207,12 @@ let sweep_cmd =
     if not (Sys.file_exists out) then Sys.mkdir out 0o755
     else if not (Sys.is_directory out) then
       Cli.fail "--out %s exists and is not a directory" out;
-    let spec =
-      Workload.Builder.spec ~keys ~ops ~txns ~cross ~shape
-        ?flash:(Cli.flash_spec flash) ()
-    in
     let records =
       List.mapi
         (fun i (c, entry, cfg, factory) ->
           let record =
-            Workload.Sweep.run_cell ~n_replicas:n ~n_clients:m ~spec
-              ~config:(Cli.config_pairs entry cfg) ~factory
-              ?router:(Cli.router_config ~router ~sticky) c
+            Workload.Sweep.run_cell ~n_replicas:w.n ~n_clients:w.m ~spec:w.spec
+              ~config:(Cli.config_pairs entry cfg) ~factory ?router:w.router c
           in
           let path = Workload.Run_record.save ~dir:out record in
           Fmt.epr "sweep: [%d/%d] %s@." (i + 1) total
@@ -1333,11 +1241,9 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ techniques_arg $ Cli.directives_term $ Cli.replicas_arg ()
-      $ Cli.clients_arg () $ Cli.txns_arg ~default:25 () $ Cli.ops_arg
-      $ Cli.keys_arg $ Cli.cross_arg $ shards_arg $ loads_arg $ updates_arg
-      $ reads_axis_arg $ zipfs_arg $ seeds_arg $ vary_arg $ Cli.router_arg
-      $ Cli.sticky_arg $ Cli.shape_arg $ Cli.flash_arg $ out_arg $ cell_arg
+      const run $ Cli.techniques_arg $ Cli.directives_term
+      $ Cli.cluster ~txns:25 () $ shards_arg $ loads_arg $ updates_arg
+      $ reads_axis_arg $ zipfs_arg $ seeds_arg $ vary_arg $ out_arg $ cell_arg
       $ format_arg)
 
 (* ---- compare --------------------------------------------------------- *)

@@ -78,6 +78,22 @@ if [ -n "$paths" ]; then
   exit 1
 fi
 
+# One workload term: every workload flag is declared once, in
+# bin/cli.ml, and resolved there against the technique's configuration
+# (the spec's shard count, --cross, the checked --crash/--recover faults,
+# the routing tier). No other file in bin/ builds a spec, a fault
+# schedule or a router configuration from flags itself.
+echo "== one workload term =="
+terms=$(grep -rnE --include='*.ml' \
+    'Builder\.spec|Builder\.crash_schedule|Cli\.mix|router_config' bin \
+  | grep -vE '^bin/cli\.ml:' \
+  || true)
+if [ -n "$terms" ]; then
+  printf '%s\n' "$terms" >&2
+  echo "take the workload from Cli.workload and resolve it with Cli.configure" >&2
+  exit 1
+fi
+
 # No layer stacked on reliable broadcast: Rbcast numbers each origin's
 # broadcasts and delivers them in FIFO order itself, so no other group
 # module wraps it in a second per-origin counter and hold-back table.
@@ -288,6 +304,9 @@ for args in "run -t active --updates 1.5 --txns 5" \
     "run -t active --ops 0 --txns 5" \
     "run -t active --cross 1.5 --txns 5" \
     "run -t active -n 4 --set active.shards=2 --ops 2 --cross 1.5 --txns 5" \
+    "metrics -t active --cross 1.5 --txns 5" \
+    "profile -t active --keys 0 --txns 5" \
+    "audit -t active --ops 0 --txns 5" \
     "campaign --scenario backup-crash-recover --replicas 2 --techniques active" \
     "timeline -t active --scenario partition-heal -n 2" \
     "run -t passive --set passive.client_retry=0ms --txns 5" \
@@ -340,14 +359,17 @@ fi
 dune exec bin/replisim.exe -- run -t active --crash 1@500us \
   --recover 1@1500us --txns 5 > /dev/null
 
-# Sharded-operation smoke: a sharded campaign (4 groups of 2 through
-# crash-recover, every oracle judged per group), the §5 message-cost
-# check against a sharded configuration (the expectation applies at the
-# group size, not the cluster size), and one cross-shard run exercising
-# the 2PC commit path.
+# Sharded-operation smoke: sharded campaigns (4 groups of 2, and 2
+# groups of 2 running multi-op transactions generated for the two
+# shards, through crash-recover, every oracle judged per group), the §5
+# message-cost check against a sharded configuration (the expectation
+# applies at the group size, not the cluster size), and one cross-shard
+# run exercising the 2PC commit path.
 echo "== sharded smoke =="
 dune exec bin/replisim.exe -- campaign --scenario crash-recover \
   --techniques active --replicas 8 --set active.shards=4 --seeds 11
+dune exec bin/replisim.exe -- campaign --scenario crash-recover \
+  --techniques active --replicas 4 --set active.shards=2 --ops 2 --seeds 11
 dune exec bin/replisim.exe -- explain --check -t active -n 8 \
   --set active.shards=4 > /dev/null
 dune exec bin/replisim.exe -- run -t active -n 8 --set active.shards=4 \
@@ -432,6 +454,26 @@ if ! printf '%s\n' "$reversed" | grep -q ' 0 improved, 0 regressed, '; then
   exit 1
 fi
 rm -rf _sweep_ci
+
+# One per-cell run: `run --record` runs its cell as the sweep does
+# (sampled every 5 ms, audited, with the probe census), so its record of
+# each closed-loop cell in baseline/ is byte-identical to the committed
+# one.
+echo "== run --record reproduces baseline/ =="
+for t in active lazy-primary; do
+  for z in 0 0.9; do
+    base="baseline/${t}_n-3_m-4_seed-11_keys-100_zipf-${z}_u-0.5_ops-1_txns-10_shards-1_cross-0_closed.json"
+    dune exec bin/replisim.exe -- run -t "$t" --txns 10 --zipf "$z" \
+      --record - | tail -1 > _record_ci.json
+    if ! cmp "$base" _record_ci.json; then
+      rm -f _record_ci.json
+      echo "run -t $t --zipf $z --record: the record differs from $base" >&2
+      exit 1
+    fi
+  done
+done
+rm -f _record_ci.json
+echo "4 closed-loop baseline cells reproduced"
 
 # Routing-tier smoke: the audit gate must hold with the router in the
 # path (sticky and round-robin — lazy's positive post-commit window is

@@ -29,9 +29,3 @@ let diff a b =
 let stale_items a b =
   List.length
     (List.filter (fun (_, (va, _), (vb, _)) -> va <> vb) (diff a b))
-
-let pp_diff ppf diffs =
-  List.iter
-    (fun (k, (va, vera), (vb, verb)) ->
-      Format.fprintf ppf "%s: %d@v%d vs %d@v%d@." k va vera vb verb)
-    diffs

@@ -18,8 +18,3 @@ val diff :
 (** Number of items whose {e value} differs — the staleness measure used
     by the eager-vs-lazy experiment (perf4). *)
 val stale_items : Store.Kv.t -> Store.Kv.t -> int
-
-val pp_diff :
-  Format.formatter ->
-  (Store.Operation.key * (int * int) * (int * int)) list ->
-  unit

@@ -110,14 +110,13 @@ let keys = List.map (fun e -> e.key) all
 let infos = List.map (fun e -> e.info) all
 
 (* Keyed index over [all] — [find] is called per configured cell in
-   sweeps and campaigns, so it should not rescan the list each time. *)
-let by_key =
-  lazy
-    (let h = Hashtbl.create 16 in
-     List.iter (fun e -> Hashtbl.replace h e.key e) all;
-     h)
+   sweeps and campaigns, so it should not rescan the list each time.
+   Built when the module initialises and never written after, it can be
+   read from several domains at once. *)
+module By_key = Map.Make (String)
 
-let find key = Hashtbl.find_opt (Lazy.force by_key) key
+let by_key = List.fold_left (fun m e -> By_key.add e.key e m) By_key.empty all
+let find key = By_key.find_opt key by_key
 
 (* Unknown techniques must name the alternatives, exactly like unknown
    config keys do. *)

@@ -26,7 +26,6 @@ val snapshot : t -> snapshot
 (** The counter's value in a snapshot; [None] when it is absent. *)
 val counter_value : snapshot -> ?labels:(string * string) list -> string -> int option
 
-val pp_sample : Format.formatter -> sample -> unit
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
 (** One JSON array of samples (no external JSON dependency). *)

@@ -29,24 +29,14 @@ val prefix : string
 (** Span [id] is a message span (name ["msg:..."]). Allocates nothing. *)
 val is_msg_span : Span.t -> Span.id -> bool
 
-(** Reconstruct one message from its span ([is_msg_span] must hold). This
-    is the one decoder of a message span's events. *)
-val of_span : Span.t -> Span.id -> msg
-
 (** The destination of message span [id] if it was delivered, else
-    {!Span.none}: [of_span]'s [dst] when [delivered] holds, read by the
-    same decoder without building the message. *)
+    {!Span.none}: the [dst] of its {!msg} when [delivered] holds, read by
+    the one decoder of a message span's events without building the
+    message. *)
 val delivered_to : Span.t -> Span.id -> int
 
 (** All messages of [trace], in send order. *)
 val messages : Span.t -> trace:int -> msg list
-
-(** [dst = Some src] — zero-latency loopback, excluded from the census. *)
-val is_self : msg -> bool
-
-(** Stubborn-channel acknowledgement — transport bookkeeping, counted
-    separately from the technique's §5 message complexity. *)
-val is_transport_ack : msg -> bool
 
 type summary = {
   rid : int;

@@ -31,8 +31,6 @@ val default_config : config
     destination, or a partition (at send or delivery time). *)
 type drop_cause = Loss | Crashed | Partitioned
 
-val drop_cause_name : drop_cause -> string
-
 (** A handler returns [true] when it consumed the message. *)
 type handler = src:int -> Msg.t -> bool
 

@@ -27,9 +27,6 @@ val exponential : t -> mean:float -> float
 (** [pick t arr] is a uniformly random element of [arr]. *)
 val pick : t -> 'a array -> 'a
 
-(** In-place Fisher-Yates shuffle. *)
-val shuffle : t -> 'a array -> unit
-
 (** Zipfian sampler over [\[0, n)] with skew [theta] (0 = uniform). *)
 module Zipf : sig
   type sampler

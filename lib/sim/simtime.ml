@@ -11,7 +11,6 @@ let to_sec t = float_of_int t /. 1_000_000.
 let add a b = if a = max_int || b = max_int then max_int else a + b
 let sub a b = Stdlib.max 0 (a - b)
 let mul a k = a * k
-let div a k = a / k
 let max = Stdlib.max
 let min = Stdlib.min
 let compare = Int.compare

@@ -26,7 +26,6 @@ val to_sec : t -> float
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> int -> t
-val div : t -> int -> t
 val max : t -> t -> t
 val min : t -> t -> t
 

@@ -52,11 +52,3 @@ let subs_of t ~parent =
 
 let records t = List.rev t.rev_records
 let length t = t.size
-
-let pp_record ppf r =
-  let pp_kv ppf (k, v) = Format.fprintf ppf "%s@v%d" k v in
-  Format.fprintf ppf "T%d r[%a] w[%a] @%a (replica %d)" r.tid
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") pp_kv)
-    r.reads
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") pp_kv)
-    r.writes Sim.Simtime.pp r.committed_at r.replica

@@ -40,5 +40,3 @@ val parent_of : t -> sub:int -> int option
 
 (** Sub tids of a cross-shard parent, in creation order. *)
 val subs_of : t -> parent:int -> int list
-
-val pp_record : Format.formatter -> record -> unit

@@ -38,14 +38,3 @@ let request_is_update r = List.exists is_update r.ops
 
 let read_set r = List.concat_map read_keys r.ops |> List.sort_uniq String.compare
 let write_set r = List.concat_map write_keys r.ops |> List.sort_uniq String.compare
-
-let pp_op ppf = function
-  | Read k -> Format.fprintf ppf "r(%s)" k
-  | Write (k, v) -> Format.fprintf ppf "w(%s:=%d)" k v
-  | Incr (k, d) -> Format.fprintf ppf "incr(%s,%+d)" k d
-  | Write_random k -> Format.fprintf ppf "w(%s:=?)" k
-
-let pp_request ppf r =
-  Format.fprintf ppf "T%d[%a]" r.rid
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") pp_op)
-    r.ops

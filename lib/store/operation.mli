@@ -30,12 +30,9 @@ val read_keys : op -> key list
 (** Keys written by an operation. *)
 val write_keys : op -> key list
 
-val is_update : op -> bool
 val request_is_update : request -> bool
 
 (** Sorted, de-duplicated read/write key sets of a whole request. *)
 val read_set : request -> key list
 
 val write_set : request -> key list
-val pp_op : Format.formatter -> op -> unit
-val pp_request : Format.formatter -> request -> unit

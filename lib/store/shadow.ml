@@ -3,7 +3,6 @@ type t = {
   overlay : (Operation.key, int) Hashtbl.t;
   mutable rev_reads : (Operation.key * int * int) list;
   mutable rev_write_order : Operation.key list; (* first-write order *)
-  mutable n_ops : int;
   mutable last_read_value : int option;
 }
 
@@ -13,7 +12,6 @@ let create base =
     overlay = Hashtbl.create 8;
     rev_reads = [];
     rev_write_order = [];
-    n_ops = 0;
     last_read_value = None;
   }
 
@@ -34,7 +32,6 @@ let write t k v =
   Hashtbl.replace t.overlay k v
 
 let exec_op ?(choose = fun _ -> 0) t op =
-  t.n_ops <- t.n_ops + 1;
   match op with
   | Operation.Read k -> ignore (read t k)
   | Operation.Write (k, v) -> write t k v
@@ -49,8 +46,6 @@ let reads t = List.rev t.rev_reads
 
 let writes t =
   List.rev_map (fun k -> (k, Hashtbl.find t.overlay k)) t.rev_write_order
-
-let ops_executed t = t.n_ops
 
 let install t =
   List.map

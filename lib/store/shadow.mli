@@ -26,9 +26,6 @@ val reads : t -> (Operation.key * int * int) list
     (key, value). *)
 val writes : t -> (Operation.key * int) list
 
-(** Number of operations executed so far. *)
-val ops_executed : t -> int
-
 (** Install the buffered writes into the base store with freshly assigned
     versions; returns them as (key, value, version) for history
     recording. The shadow must not be used afterwards. *)

@@ -11,7 +11,7 @@
     v}
 
     A minimal JSON parser lives here too (no external JSON dependency):
-    {!Run_record.of_json}, the [replisim compare] gate over these files
+    {!Run_record.of_string}, the [replisim compare] gate over these files
     ({!Compare.bench_cell}) and the repository benchmark read through
     it. *)
 

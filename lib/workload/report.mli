@@ -39,6 +39,4 @@ val engine_summary : Runner.result -> string
     One row per paper phase the technique entered, derived from the
     span recorder ({!Runner.result.phase_ms}). *)
 
-val phase_csv_header : string
-val phase_csv_rows : label:string -> Runner.result -> string list
 val phases_to_csv : Format.formatter -> (string * Runner.result) list -> unit

@@ -19,7 +19,7 @@
     (int, float or bool), which {!direction} is better and how to read
     it from the {!Runner.result} and the optional census. The census,
     audit and router sections are present exactly when their source is.
-    {!of_run}, {!to_json}, {!of_json}, {!metrics}, {!metric_names},
+    {!of_run}, {!to_json}, {!of_string}, {!metrics}, {!metric_names},
     {!direction} and {!normalize} are folds over that table, and measured
     values are read only through the flat metric view.
 
@@ -29,7 +29,7 @@
     one with no metric name) a same-seed re-run renders byte-identically
     via {!to_json}. *)
 
-(** Bumped on any field change; {!of_json} refuses other versions so a
+(** Bumped on any field change; {!of_string} refuses other versions so a
     stale baseline fails loudly instead of comparing garbage. *)
 val schema_version : int
 
@@ -89,8 +89,6 @@ val to_json : t -> string
 (** Decode a record. A missing field, a field of the wrong kind or a
     fractional number in an integer field is an error naming the field
     by its JSON path. *)
-val of_json : Bench_out.json -> (t, string) result
-
 val of_string : string -> (t, string) result
 
 (** The record's cell identity — everything the experimenter chose

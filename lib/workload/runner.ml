@@ -145,6 +145,15 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
   (match tune with Some f -> f network ~replicas ~clients | None -> ());
   schedule_faults network faults;
   let inst = factory network ~replicas ~clients in
+  (* A workload generated for another partitioning sends uncontrolled
+     cross-shard traffic (or none where some was asked for). *)
+  let groups = List.length inst.Core.Technique.groups in
+  if spec.Spec.shards <> groups then
+    invalid_arg
+      (Printf.sprintf
+         "Runner.run: the workload is generated for %d shard(s), the \
+          technique runs %d replication group(s)"
+         spec.Spec.shards groups);
   (* The audit's Kv watchers and History subscription must be installed
      before the first submission below, or early applies go unseen. *)
   let auditor =

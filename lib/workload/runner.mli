@@ -115,7 +115,9 @@ val run :
     (default none) are then scheduled ({!schedule_faults}), still before
     the factory builds the technique, so a fault due at the same instant
     as a timer armed during the build runs first. A fault list that
-    fails {!check_faults} raises [Invalid_argument].
+    fails {!check_faults} raises [Invalid_argument], and so does a
+    [spec] whose [shards] differs from the number of replication groups
+    the factory built ([Core.Technique.instance.groups]).
 
     [profiler] attaches a {!Sim.Profiler} to the engine (self-time /
     allocation attribution; its engine stats and meta counters are

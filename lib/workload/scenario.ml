@@ -377,15 +377,15 @@ let run_one ?(seed = 11) ?(n_replicas = 3) ?(spec = default_spec)
     ok = Verdict.failed verdicts = [];
   }
 
-let run_campaign ?(seeds = [ 11 ]) ?n_replicas ?spec ?deadline ~techniques
+let run_campaign ?(seeds = [ 11 ]) ?n_replicas ?deadline ~techniques
     ~scenarios () =
   List.concat_map
     (fun scenario ->
       List.concat_map
-        (fun (key, info, factory) ->
+        (fun (key, info, factory, spec) ->
           List.map
             (fun seed ->
-              run_one ~seed ?n_replicas ?spec ?deadline ~key ~info ~factory
+              run_one ~seed ?n_replicas ~spec ?deadline ~key ~info ~factory
                 scenario)
             seeds)
         techniques)

@@ -34,9 +34,6 @@ type t = {
     scenario from their own [tune] hook. *)
 val apply : t -> Sim.Network.t -> unit
 
-(** The scenario contains a [Crash]. *)
-val has_crash : t -> bool
-
 (** [bursts ~from ~probability ~burst ~gap ~count] — [count] loss windows
     of length [burst] separated by [gap], starting at [from]. *)
 val bursts :
@@ -144,13 +141,14 @@ val run_one :
 
 (** Sweep techniques × scenarios × seeds (default seeds: [[11]]; default
     cluster: 3 replicas — raise [n_replicas] for sharded campaigns,
-    where each replication group needs its own replicas). *)
+    where each replication group needs its own replicas). Each technique
+    brings the spec its runs use, generated for its shard count. *)
 val run_campaign :
   ?seeds:int list ->
   ?n_replicas:int ->
-  ?spec:Spec.t ->
   ?deadline:Sim.Simtime.t ->
-  techniques:(string * Core.Technique.info * Runner.factory) list ->
+  techniques:
+    (string * Core.Technique.info * Runner.factory * Spec.t) list ->
   scenarios:t list ->
   unit ->
   outcome list

@@ -92,8 +92,15 @@ let cells (axes : axes) =
 
 (* ---- running a cell -------------------------------------------------- *)
 
-let record ~technique ~config ~factory ~seed ~n_replicas ~n_clients ~arrival
-    ~spec result =
+(* The one per-cell run, whichever command asks for the record: sampled
+   every 5 ms, audited, and censused by the single-transaction probe when
+   it replies soundly. *)
+let run_recorded ?router ?faults ~technique ~config ~factory ~seed
+    ~n_replicas ~n_clients ~arrival ~spec () =
+  let result =
+    Runner.run ~seed ~n_replicas ~n_clients ~spec ~arrival ?faults
+      ~sample:(Sim.Simtime.of_ms 5) ~audit:true ?router factory
+  in
   let census =
     let p = Builder.probe ~n:n_replicas factory in
     let _, sound, s = Builder.probe_summary p in
@@ -101,9 +108,10 @@ let record ~technique ~config ~factory ~seed ~n_replicas ~n_clients ~arrival
       Some (s.Sim.Msg_dag.messages, s.Sim.Msg_dag.steps)
     else None
   in
-  Run_record.normalize
-    (Run_record.of_run ~technique ~config ~seed ~n_replicas ~n_clients ~arrival
-       ~spec ?census result)
+  ( result,
+    Run_record.normalize
+      (Run_record.of_run ~technique ~config ~seed ~n_replicas ~n_clients
+         ~arrival ~spec ?census result) )
 
 let run_cell ?router ~n_replicas ~n_clients ~spec ~config ~factory c =
   let spec =
@@ -115,12 +123,9 @@ let run_cell ?router ~n_replicas ~n_clients ~spec ~config ~factory c =
     }
   in
   let arrival = if c.load > 0. then `Poisson c.load else `Closed in
-  let result =
-    Runner.run ~seed:c.seed ~n_replicas ~n_clients ~spec ~arrival
-      ~sample:(Sim.Simtime.of_ms 5) ~audit:true ?router factory
-  in
-  record ~technique:c.technique ~config ~factory ~seed:c.seed ~n_replicas
-    ~n_clients ~arrival ~spec result
+  snd
+    (run_recorded ?router ~technique:c.technique ~config ~factory ~seed:c.seed
+       ~n_replicas ~n_clients ~arrival ~spec ())
 
 (* ---- manifest -------------------------------------------------------- *)
 

@@ -40,10 +40,15 @@ type cell = {
 (** Deterministic grid expansion: techniques outermost, seeds innermost. *)
 val cells : axes -> cell list
 
-(** A finished run as its normalized record, with [factory]'s
-    single-transaction census ({!Builder.probe}) when the probe replies
-    soundly: what [replisim run --record] writes. *)
-val record :
+(** The one per-cell run, shared by {!run_cell} and [replisim run
+    --record]: [factory] under [spec] and [faults], sampled every 5 ms
+    with the audit on, and the run's normalized record, which carries
+    [factory]'s single-transaction census ({!Builder.probe}) when the
+    probe replies soundly. A cell therefore has one record, whichever
+    command wrote it. *)
+val run_recorded :
+  ?router:Router.config ->
+  ?faults:Runner.fault list ->
   technique:string ->
   config:(string * string) list ->
   factory:Runner.factory ->
@@ -52,13 +57,12 @@ val record :
   n_clients:int ->
   arrival:Runner.arrival ->
   spec:Spec.t ->
-  Runner.result ->
-  Run_record.t
+  unit ->
+  Runner.result * Run_record.t
 
 (** Run one cell through [factory] (its technique configured for the
-    cell): [spec] with the cell's skew, update ratio, shards, arrival
-    and seed, sampled every 5 ms with the audit on. Returns its
-    {!record}. *)
+    cell): {!run_recorded} with [spec] under the cell's skew, update
+    ratio, shards, arrival and seed. Returns its record. *)
 val run_cell :
   ?router:Router.config ->
   n_replicas:int ->

@@ -175,6 +175,22 @@ let test_shards1_byte_identical () =
         unsharded sharded1)
     [ "active"; "eager-primary"; "certification" ]
 
+(* A workload generated for one shard would send the two groups
+   uncontrolled cross-shard traffic: the runner refuses it, naming both
+   counts. *)
+let test_shard_count_mismatch_refused () =
+  let entry = Option.get (Protocols.Registry.find "active") in
+  let factory = Protocols.Registry.configure_exn entry [ ("shards", "2") ] in
+  let spec = Workload.Builder.spec ~ops:2 ~txns:5 () in
+  match Workload.Runner.run ~n_replicas:4 ~spec factory with
+  | _ -> Alcotest.fail "a 1-shard workload ran on a 2-shard technique"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        "the message names both counts"
+        "Runner.run: the workload is generated for 1 shard(s), the \
+         technique runs 2 replication group(s)"
+        msg
+
 (* ---- sharded runs: commit, converge, 1SR ----------------------------- *)
 
 let sharded_factory key =
@@ -337,6 +353,7 @@ let test_atomicity_under_partition () =
 let test_campaign_sharded () =
   let outcome =
     Workload.Scenario.run_one ~n_replicas:4 ~key:"active"
+      ~spec:{ Workload.Scenario.default_spec with shards = 2 }
       ~info:(Option.get (Protocols.Registry.find "active")).info
       ~factory:(sharded_factory "active")
       (Option.get (Workload.Scenario.find "crash-recover"))
@@ -366,7 +383,11 @@ let () =
           tc "single-shard confinement" test_generator_single_shard;
           tc "cross-shard spread" test_generator_cross_shard;
         ] );
-      ( "identity", [ tc "shards=1 byte-identical" test_shards1_byte_identical ] );
+      ( "identity",
+        [
+          tc "shards=1 byte-identical" test_shards1_byte_identical;
+          tc "shard count mismatch refused" test_shard_count_mismatch_refused;
+        ] );
       ( "oracles",
         [
           tc "sharded runs converge + 1SR" test_oracles_sharded;
