@@ -420,11 +420,26 @@ dune exec bin/replisim.exe -- audit -t lazy-primary --check > /dev/null
 dune exec bin/replisim.exe -- audit -t active -n 8 --set active.shards=4 \
   --ops 2 --cross 0.3 --check > /dev/null
 
+# JSON outputs pinned: explain, audit (eager and lazy), timeline,
+# metrics, the span trace and a crash-recover campaign over every
+# technique, each at fixed arguments (ci/json-ci.sh), must be
+# byte-identical to the copies in ci/json-expected/.
+echo "== JSON outputs pinned =="
+rm -rf _json_ci
+sh ci/json-ci.sh _json_ci
+if ! diff -r ci/json-expected _json_ci; then
+  echo "JSON output differs from ci/json-expected/ (diff above); if the" >&2
+  echo "change is intended, regenerate with: sh ci/json-ci.sh ci/json-expected" >&2
+  exit 1
+fi
+rm -rf _json_ci
+
 # Sweep + regression gates. The sweep re-runs the committed baseline's
 # grid (2 techniques × closed/open load × zipf off/on) with the same
 # seeds; records are normalized, so compare against baseline/ must come
 # back all-unchanged — any drift in a measured metric beyond the
-# per-metric thresholds is a regression and fails the build. The
+# per-metric thresholds is a regression and fails the build — and its
+# manifest.json must be byte-identical to baseline/manifest.json. The
 # --perturb leg injects a 50% latency regression into the candidate set
 # and requires the gate to trip, so a silently-passing compare is itself
 # caught.
@@ -434,6 +449,10 @@ dune exec bin/replisim.exe -- sweep --techniques active,lazy-primary \
   --loads closed,200 --zipf 0,0.9 --txns 10 --out _sweep_ci \
   --format none 2> /dev/null
 dune exec bin/replisim.exe -- compare baseline _sweep_ci
+if ! cmp baseline/manifest.json _sweep_ci/manifest.json; then
+  echo "sweep: manifest.json differs from baseline/manifest.json" >&2
+  exit 1
+fi
 if dune exec bin/replisim.exe -- compare baseline _sweep_ci \
      --perturb latency_p95:1.5 > /dev/null 2>&1; then
   echo "compare failed to flag an injected 50% latency regression" >&2
