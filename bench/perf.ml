@@ -853,6 +853,11 @@ let self_throughput x =
   let txns_off = max 1 (total / clients) in
   let txns_on = max 1 (total / clients / 20) in
   let report_off, result_off, _, _ = leg ~tracing:false ~txns:txns_off () in
+  (* The traced leg lasts a few milliseconds, so one collection more or
+     less inside it moves its postloop_share. Starting it from a
+     collected heap makes the collections it meets depend on the leg
+     alone, not on what the process allocated before. *)
+  Gc.full_major ();
   let report_on, result_on, run_wall_on, span_words_on =
     leg ~tracing:true ~txns:txns_on ()
   in
