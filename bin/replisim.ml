@@ -283,18 +283,23 @@ let explain_pretty ~n key (x : Workload.Builder.explained) =
 
 let explain_json ~n ~seed key (x : Workload.Builder.explained) =
   let s = x.x_summary in
-  Printf.sprintf
-    {|{"technique":%S,"n":%d,"shards":%d,"seed":%d,"observed":{"messages":%d,"steps":%d,"transport_acks":%d,"self_sends":%d,"sends":%d,"dropped":%d,"replied":%b},"expected":{"messages":%d,"steps":%d},"critical_path":[%s],"match":%b}|}
-    key n x.x_shards seed s.messages s.steps s.transport_acks s.self_sends
-    s.sends s.dropped s.replied
-    (Workload.Builder.expected_messages x)
-    x.x_info.expected_steps
-    (String.concat ","
-       (List.map
-          (fun (m : Sim.Msg_dag.msg) ->
-            Printf.sprintf "%S" m.Sim.Msg_dag.label)
-          s.critical_path))
-    (Workload.Builder.section5 x).ok
+  let label (m : Sim.Msg_dag.msg) = Sim.Json.Str m.label in
+  Sim.Json.(
+    to_string
+      (Obj
+         [ ("technique", Str key); ("n", Int n); ("shards", Int x.x_shards); ("seed", Int seed);
+           ( "observed",
+             Obj
+               [ ("messages", Int s.messages); ("steps", Int s.steps);
+                 ("transport_acks", Int s.transport_acks); ("self_sends", Int s.self_sends);
+                 ("sends", Int s.sends); ("dropped", Int s.dropped);
+                 ("replied", Bool s.replied) ] );
+           ( "expected",
+             Obj
+               [ ("messages", Int (Workload.Builder.expected_messages x));
+                 ("steps", Int x.x_info.expected_steps) ] );
+           ("critical_path", Arr (List.map label s.critical_path));
+           ("match", Bool (Workload.Builder.section5 x).ok) ]))
 
 let explain_csv_header =
   "technique,n,shards,seed,messages,expected_messages,steps,expected_steps,transport_acks,self_sends,sends,dropped,replied,match"
@@ -454,9 +459,8 @@ let campaign_cmd =
         ~config:(Cli.directive_pairs directives)
         ~extra:
           [
-            ( "seeds",
-              "[" ^ String.concat "," (List.map string_of_int seeds) ^ "]" );
-            ("scenarios", Printf.sprintf "%S" scenario_sel);
+            ("seeds", Sim.Json.Arr (List.map (fun s -> Sim.Json.Int s) seeds));
+            ("scenarios", Sim.Json.Str scenario_sel);
           ]
         ()
     in
@@ -638,8 +642,8 @@ let timeline_cmd =
         ~config:(Cli.config_pairs entry cfg)
         ~extra:
           [
-            ("scenario", Printf.sprintf "%S" scenario_sel);
-            ("interval_us", string_of_int (interval_ms * 1000));
+            ("scenario", Sim.Json.Str scenario_sel);
+            ("interval_us", Sim.Json.Int (interval_ms * 1000));
           ]
         ()
     in
@@ -664,7 +668,7 @@ let timeline_cmd =
                   (Sim.Timeseries.kind_to_string s.kind)
                   s.unit_
                   (Sim.Simtime.to_us p.at)
-                  (Sim.Metrics.json_float p.value))
+                  (Sim.Json.to_string (Num p.value)))
               (Sim.Timeseries.points s))
           series
     | `Pretty ->
@@ -797,10 +801,10 @@ let profile_cmd =
           (Sim.Profiler.report_to_json
              ~extra:
                [
-                 ("technique", Printf.sprintf "%S" entry.key);
-                 ("seed", string_of_int seed);
-                 ("n_replicas", string_of_int n);
-                 ("tracing", string_of_bool (not no_tracing));
+                 ("technique", Sim.Json.Str entry.key);
+                 ("seed", Sim.Json.Int seed);
+                 ("n_replicas", Sim.Json.Int n);
+                 ("tracing", Sim.Json.Bool (not no_tracing));
                ]
              report)
     | `Csv ->
@@ -950,36 +954,30 @@ let audit_cmd =
     | `Json ->
         List.iter
           (fun ((entry : Protocols.Registry.entry), shards, (a : Workload.Audit.summary)) ->
-            let jf = Sim.Metrics.json_float in
-            Fmt.pr
-              "{\"type\":\"audit\",\"technique\":\"%s\",\"propagation\":\"%s\",\
-               \"n\":%d,\"shards\":%d,\"seed\":%d,\"commits\":%d,\
-               \"reads_checked\":%d,\"writes\":%d,\"fully_replicated\":%d,\
-               \"visibility_ms\":{\"count\":%d,\"mean\":%s,\"p50\":%s,\
-               \"p95\":%s,\"p99\":%s,\"max\":%s},\"post_commit_max_ms\":%s,\
-               \"session_window_max_ms\":%s,\"stale_reads\":%d,\
-               \"staleness_max_ms\":%s,\"ryw_violations\":%d,\
-               \"mr_violations\":%d,\"skew_pairs\":%d,\"cross_txns\":%d,\
-               \"final_lag\":[%s],\"drained\":%b}@."
-              (Sim.Metrics.json_escape entry.key)
-              (propagation_of entry) n shards seed a.commits a.reads_checked
-              a.writes a.fully_replicated a.visibility_ms.Sim.Summary.count
-              (jf a.visibility_ms.Sim.Summary.mean)
-              (jf a.visibility_ms.Sim.Summary.p50)
-              (jf a.visibility_ms.Sim.Summary.p95)
-              (jf a.visibility_ms.Sim.Summary.p99)
-              (jf a.visibility_ms.Sim.Summary.max)
-              (jf a.post_commit_max_ms)
-              (jf a.session_window_max_ms)
-              a.stale_reads
-              (jf a.staleness_ms.Sim.Summary.max)
-              a.ryw_violations a.mr_violations a.skew_pairs a.cross_txns
-              (String.concat ","
-                 (List.map
-                    (fun (r, l) ->
-                      Printf.sprintf "{\"replica\":%d,\"lag\":%d}" r l)
-                    a.final_lag))
-              a.drained)
+            let v = a.visibility_ms in
+            let lag (r, l) = Sim.Json.(Obj [ ("replica", Int r); ("lag", Int l) ]) in
+            print_endline
+              Sim.Json.(
+                to_string
+                  (Obj
+                     [ ("type", Str "audit"); ("technique", Str entry.key);
+                       ("propagation", Str (propagation_of entry)); ("n", Int n);
+                       ("shards", Int shards); ("seed", Int seed); ("commits", Int a.commits);
+                       ("reads_checked", Int a.reads_checked); ("writes", Int a.writes);
+                       ("fully_replicated", Int a.fully_replicated);
+                       ( "visibility_ms",
+                         Obj
+                           [ ("count", Int v.count); ("mean", Num v.mean); ("p50", Num v.p50);
+                             ("p95", Num v.p95); ("p99", Num v.p99); ("max", Num v.max) ] );
+                       ("post_commit_max_ms", Num a.post_commit_max_ms);
+                       ("session_window_max_ms", Num a.session_window_max_ms);
+                       ("stale_reads", Int a.stale_reads);
+                       ("staleness_max_ms", Num a.staleness_ms.max);
+                       ("ryw_violations", Int a.ryw_violations);
+                       ("mr_violations", Int a.mr_violations); ("skew_pairs", Int a.skew_pairs);
+                       ("cross_txns", Int a.cross_txns);
+                       ("final_lag", Arr (List.map lag a.final_lag));
+                       ("drained", Bool a.drained) ])))
           rows);
     if check then
       Cli.report "audit"
@@ -1361,7 +1359,7 @@ let compare_cmd =
       if gates then
         let rules, base = load Workload.Compare.parse_gates base_path in
         let bench text =
-          Result.bind (Workload.Bench_out.parse text)
+          Result.bind (Sim.Json.parse text)
             Workload.Compare.bench_cell
         in
         (rules, base, List.map (load bench) cand_paths)

@@ -130,6 +130,22 @@ if [ -n "$settings$builds" ]; then
   exit 1
 fi
 
+# One JSON encoder: every export builds a Sim.Json.t and writes it with
+# Sim.Json.to_string, and every reader parses with Sim.Json.parse. Only
+# Trace_export, which sizes its output exactly, writes JSON text itself.
+# So no other file in lib/, bin/ or bench/ holds an object template
+# ({\"), quotes a JSON string with OCaml's %S, or names Bench_out.parse.
+echo "== one JSON encoder =="
+json=$(grep -rnE --include='*.ml' '\{\\"|sprintf "%S"|Bench_out\.parse' \
+    lib bin bench \
+  | grep -vE '^lib/sim/(json|trace_export)\.ml:' \
+  || true)
+if [ -n "$json" ]; then
+  printf '%s\n' "$json" >&2
+  echo "build JSON as a Sim.Json.t, write it with Sim.Json.to_string and read it with Sim.Json.parse" >&2
+  exit 1
+fi
+
 echo "== build =="
 dune build
 

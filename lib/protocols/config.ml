@@ -235,16 +235,6 @@ let client_retry_key ~default =
 
 let to_strings t = List.map (fun (n, v) -> (n, value_to_string v)) t
 
-let to_json t =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (n, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Sim.Metrics.json_escape n)
-             (Sim.Metrics.json_escape (value_to_string v)))
-         t)
-  ^ "}"
-
 (* ---- `--set technique.key=value` directives ------------------------- *)
 
 type directive = { technique : string; key : string; value : string }

@@ -79,9 +79,6 @@ val client_retry_key : default:Sim.Simtime.t -> key
 (** String form of every binding, schema order. *)
 val to_strings : t -> (string * string) list
 
-(** The configuration as one JSON object (for export headers). *)
-val to_json : t -> string
-
 (** {2 CLI directives} *)
 
 type directive = { technique : string; key : string; value : string }

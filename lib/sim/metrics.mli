@@ -28,11 +28,5 @@ val counter_value : snapshot -> ?labels:(string * string) list -> string -> int 
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
-(** One JSON array of samples (no external JSON dependency). *)
+(** One JSON array of samples. *)
 val snapshot_to_json : snapshot -> string
-
-val json_escape : string -> string
-
-(** Compact float rendering for JSON: integer-valued floats print as
-    ["N.0"], others as [%.6g]. *)
-val json_float : float -> string

@@ -178,85 +178,46 @@ let report t =
 
 (* ---- rendering ------------------------------------------------------- *)
 
-let jf = Metrics.json_float
-let esc = Metrics.json_escape
-
 let row_to_json r =
-  Printf.sprintf
-    "{\"label\":\"%s\",\"events\":%d,\"wall_ms\":%s,\"wall_share\":%s,\"alloc_words\":%s,\"alloc_share\":%s}"
-    (esc r.r_label) r.r_events (jf r.r_wall_ms) (jf r.r_wall_share)
-    (jf r.r_alloc_w) (jf r.r_alloc_share)
+  Json.(
+    Obj
+      [ ("label", Str r.r_label); ("events", Int r.r_events); ("wall_ms", Num r.r_wall_ms);
+        ("wall_share", Num r.r_wall_share); ("alloc_words", Num r.r_alloc_w);
+        ("alloc_share", Num r.r_alloc_share) ])
 
 let report_to_json ?(extra = []) r =
-  let extra =
-    extra
-    |> List.map (fun (k, v) -> Printf.sprintf ",\"%s\":%s" (esc k) v)
-    |> String.concat ""
-  in
-  Printf.sprintf
-    "{\"type\":\"profile\"%s,\"events\":%d,\"scheduled\":%d,\"cancelled\":%d,\"queue_peak\":%d,\"wall_ms\":%s,\"events_per_sec\":%s,\"self_wall_ms\":%s,\"alloc_words\":%s,\"heap_peak_words\":%d,\"spans_created\":%d,\"samples_taken\":%d,\"trace_bytes\":%d,\"buckets\":[%s]}"
-    extra r.p_events r.p_scheduled r.p_cancelled r.p_queue_peak
-    (jf (r.p_wall_s *. 1_000.))
-    (jf r.p_events_per_sec)
-    (jf (r.p_self_wall_s *. 1_000.))
-    (jf r.p_alloc_words) r.p_heap_peak_words r.p_spans_created
-    r.p_samples_taken r.p_trace_bytes
-    (String.concat "," (List.map row_to_json r.p_buckets))
+  Json.(
+    to_string
+      (Obj
+         ((("type", Str "profile") :: extra)
+         @ [ ("events", Int r.p_events); ("scheduled", Int r.p_scheduled);
+             ("cancelled", Int r.p_cancelled); ("queue_peak", Int r.p_queue_peak);
+             ("wall_ms", Num (r.p_wall_s *. 1_000.)); ("events_per_sec", Num r.p_events_per_sec);
+             ("self_wall_ms", Num (r.p_self_wall_s *. 1_000.));
+             ("alloc_words", Num r.p_alloc_words); ("heap_peak_words", Int r.p_heap_peak_words);
+             ("spans_created", Int r.p_spans_created); ("samples_taken", Int r.p_samples_taken);
+             ("trace_bytes", Int r.p_trace_bytes);
+             ("buckets", Arr (List.map row_to_json r.p_buckets)) ])))
 
 (* Wall-clock-derived (and environment-dependent) fields vary run to
-   run even at a fixed seed; byte-determinism comparisons must rewrite
-   them to a fixed placeholder first. The deterministic counters
-   (events, scheduled, cancelled, queue_peak, spans_created,
-   samples_taken, per-bucket events) are left untouched — two same-seed
-   runs must agree on those exactly. *)
-let nondeterministic_fields =
-  [
-    "wall_ms";
-    "events_per_sec";
-    "self_wall_ms";
-    "wall_share";
-    "alloc_words";
-    "alloc_share";
-    "heap_peak_words";
-    "trace_bytes";
-  ]
-
-(* Rewrite every ["field":<number>] occurrence of the fields above to
-   ["field":0] — a small textual pass, like the trace-id normalisation
-   the batching determinism tests use. *)
-let normalize_json s =
-  let is_num c = (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E' in
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  let matches_field_at j =
-    (* s.[j] is '"' opening a key: does key:value start a field we hide? *)
-    List.exists
-      (fun f ->
-        let fl = String.length f in
-        j + fl + 2 <= n
-        && String.sub s (j + 1) fl = f
-        && s.[j + fl + 1] = '"'
-        && j + fl + 2 < n
-        && s.[j + fl + 2] = ':')
-      nondeterministic_fields
+   run even at a fixed seed. The deterministic counters (events,
+   scheduled, cancelled, queue_peak, spans_created, samples_taken,
+   per-bucket events) are left untouched — two same-seed runs must agree
+   on those exactly. *)
+let normalize r =
+  let row b =
+    { b with r_wall_ms = 0.; r_wall_share = 0.; r_alloc_w = 0.; r_alloc_share = 0. }
   in
-  while !i < n do
-    if s.[!i] = '"' && matches_field_at !i then begin
-      (* copy "field": then skip the number, emit 0 *)
-      let colon = String.index_from s !i ':' in
-      Buffer.add_string buf (String.sub s !i (colon - !i + 1));
-      Buffer.add_char buf '0';
-      let j = ref (colon + 1) in
-      while !j < n && is_num s.[!j] do incr j done;
-      i := !j
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
+  {
+    r with
+    p_wall_s = 0.;
+    p_events_per_sec = 0.;
+    p_self_wall_s = 0.;
+    p_alloc_words = 0.;
+    p_heap_peak_words = 0;
+    p_trace_bytes = 0;
+    p_buckets = List.map row r.p_buckets;
+  }
 
 let pp_row ppf r =
   Format.fprintf ppf "%-18s %9d ev %10.3f ms %5.1f%% %12.0f w %5.1f%%"

@@ -11,9 +11,8 @@
     Everything wall-clock-derived is non-deterministic by nature; the
     deterministic counters (events executed, timers scheduled/cancelled,
     queue peak — owned by {!Engine}) are copied into the {!report} so a
-    single record describes the run. {!normalize_json} rewrites the
-    non-deterministic fields to a placeholder for byte-determinism
-    comparisons. *)
+    single record describes the run. {!normalize} zeroes the
+    non-deterministic fields for byte-determinism comparisons. *)
 
 type t
 
@@ -85,19 +84,15 @@ type report = {
 
 val report : t -> report
 
-(** One-line JSON. [extra] key/value pairs (values pre-rendered JSON)
-    are spliced in after ["type"] — technique, seed, etc. Bucket
-    [wall_share]s sum to ~1.0 whenever any self time was measured, and
-    [alloc_share]s likewise. *)
-val report_to_json : ?extra:(string * string) list -> report -> string
+(** One-line JSON. [extra] members (technique, seed, etc.) follow
+    ["type"]. Bucket [wall_share]s sum to ~1.0 whenever any self time
+    was measured, and [alloc_share]s likewise. *)
+val report_to_json : ?extra:(string * Json.t) list -> report -> string
 
-(** Field names whose values are wall-clock- or environment-derived and
-    hence non-deterministic run to run. *)
-val nondeterministic_fields : string list
-
-(** Rewrite every non-deterministic ["field":number] in a profile JSON
-    string to ["field":0], so same-seed outputs compare byte-equal. *)
-val normalize_json : string -> string
+(** The report with every wall-clock- or environment-derived field
+    (wall times, events/s, allocation words and shares, heap peak, trace
+    bytes) set to 0, so same-seed reports compare equal. *)
+val normalize : report -> report
 
 val pp_row : Format.formatter -> row -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -185,13 +185,13 @@ let analyze ?(config = default) series =
   List.concat_map (analyze_series config) series
 
 let finding_to_json f =
-  Printf.sprintf
-    "{\"type\":\"finding\",\"detector\":\"%s\",\"metric\":\"%s\",\"replica\":%d,\"at_us\":%d,\"until_us\":%d,\"peak\":%s,\"detail\":\"%s\"}"
-    (Metrics.json_escape f.detector)
-    (Metrics.json_escape f.metric)
-    f.replica (Simtime.to_us f.at) (Simtime.to_us f.until)
-    (Metrics.json_float f.peak)
-    (Metrics.json_escape f.detail)
+  Json.(
+    to_string
+      (Obj
+         [ ("type", Str "finding"); ("detector", Str f.detector); ("metric", Str f.metric);
+           ("replica", Int f.replica); ("at_us", Int (Simtime.to_us f.at));
+           ("until_us", Int (Simtime.to_us f.until)); ("peak", Num f.peak);
+           ("detail", Str f.detail) ]))
 
 let pp_finding ppf f =
   Format.fprintf ppf "[%s] %s r%d %s..%s peak=%g: %s" f.detector f.metric

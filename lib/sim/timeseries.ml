@@ -106,21 +106,16 @@ let find t ~name ~replica = Hashtbl.find_opt t.table (name, replica)
 
 (* JSON ------------------------------------------------------------- *)
 
-(* Points render as [sim_us, value] pairs with the value printed via
-   Metrics.json_float — integer-valued floats print exactly, so output
-   is byte-stable across runs with the same seed. *)
+(* Points render as [sim_us, value] pairs; integer-valued floats print
+   exactly, so output is byte-stable across runs with the same seed. *)
 let series_to_json (s : series) =
-  let pts =
-    points s
-    |> List.map (fun p ->
-           Printf.sprintf "[%d,%s]" (Simtime.to_us p.at)
-             (Metrics.json_float p.value))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"type\":\"series\",\"metric\":\"%s\",\"replica\":%d,\"kind\":\"%s\",\"unit\":\"%s\",\"points\":[%s]}"
-    (Metrics.json_escape s.name) s.replica (kind_to_string s.kind)
-    (Metrics.json_escape s.unit_) pts
+  let point p = Json.(Arr [ Int (Simtime.to_us p.at); Num p.value ]) in
+  Json.(
+    to_string
+      (Obj
+         [ ("type", Str "series"); ("metric", Str s.name); ("replica", Int s.replica);
+           ("kind", Str (kind_to_string s.kind)); ("unit", Str s.unit_);
+           ("points", Arr (List.map point (points s))) ]))
 
 let max_value s =
   List.fold_left (fun acc p -> Stdlib.max acc p.value) 0. s.points_rev

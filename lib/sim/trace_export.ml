@@ -1,4 +1,6 @@
-let json_escape = Metrics.json_escape
+(* Kept for the repository benchmark (benchmark/replibench.ml), which
+   names it; the escaping rule is {!Json}'s. *)
+let json_escape = Json.escape
 
 (* Both exporters run twice over the span store: a sizing pass that only
    advances [pos], then a writing pass into bytes of exactly that size,
@@ -40,36 +42,17 @@ let int o n =
   end
   else digits_of_neg o (-n)
 
-let hex = "0123456789abcdef"
-
-let rec clean s i =
-  i = String.length s
-  ||
-  match String.unsafe_get s i with
-  | '"' | '\\' -> false
-  | c -> Char.code c >= 0x20 && clean s (i + 1)
-
-(* [json_escape] of [s] from offset [off], written in place; a string
-   with nothing to escape is one blit. *)
+(* [s] from offset [off], escaped by {!Json}'s rule and written in
+   place; a string with nothing to escape is one blit. *)
 let escaped o s off =
   let n = String.length s in
-  if clean s off then begin
+  if Json.clean s off then begin
     if o.writing then Bytes.unsafe_blit_string s off o.buf o.pos (n - off);
     o.pos <- o.pos + (n - off)
   end
   else
     for i = off to n - 1 do
-      match String.unsafe_get s i with
-      | '"' -> str o "\\\""
-      | '\\' -> str o "\\\\"
-      | '\n' -> str o "\\n"
-      | '\r' -> str o "\\r"
-      | '\t' -> str o "\\t"
-      | c when Char.code c < 0x20 ->
-          str o "\\u00";
-          char o hex.[Char.code c lsr 4];
-          char o hex.[Char.code c land 15]
-      | c -> char o c
+      str o (Json.escape_char (String.unsafe_get s i))
     done
 
 (* Run [emit] once to size the output and once to write it. *)

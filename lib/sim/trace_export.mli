@@ -21,5 +21,5 @@ val to_jsonl : Span.t -> string
     causal arrows between lanes. *)
 val to_chrome : Span.t -> string
 
-(** Minimal JSON string escaping shared with {!Metrics}. *)
+(** {!Json.escape}, kept under this name for the repository benchmark. *)
 val json_escape : string -> string

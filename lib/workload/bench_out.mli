@@ -8,12 +8,7 @@
      "n_replicas":3,
      "results":[{"metric":"latency_mean","technique":"active",
                  "unit":"ms","params":{"n":"3"},"value":4.2}, ...]}
-    v}
-
-    A minimal JSON parser lives here too (no external JSON dependency):
-    {!Run_record.of_string}, the [replisim compare] gate over these files
-    ({!Compare.bench_cell}) and the repository benchmark read through
-    it. *)
+    v} *)
 
 type t
 
@@ -39,11 +34,15 @@ val filename : t -> string
     path. *)
 val write : ?dir:string -> t -> string
 
-(** {2 Parsing} *)
+(** {2 Parsing}
 
-type json =
+    {!Sim.Json}'s value type and parser, re-exported under the names the
+    repository benchmark ([benchmark/replibench.ml]) uses. *)
+
+type json = Sim.Json.t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of json list

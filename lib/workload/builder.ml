@@ -124,7 +124,7 @@ let section5 x =
 
 let profile_verdicts (r : Profiler.report) =
   let json =
-    match Bench_out.parse (Profiler.report_to_json r) with
+    match Sim.Json.parse (Profiler.report_to_json r) with
     | Ok _ -> Verdict.v "json" true "profile JSON parses"
     | Error e -> Verdict.v "json" false ("profile JSON does not parse: " ^ e)
   in

@@ -210,8 +210,8 @@ let parse_gates text =
 (* A bench may report a metric once per configuration (tracing off and
    on, say): the cell keeps the max, so a floor gates the best row and a
    ceiling the worst. *)
-let bench_cell (doc : Bench_out.json) =
-  let field k = function Bench_out.Obj fs -> List.assoc_opt k fs | _ -> None in
+let bench_cell (doc : Sim.Json.t) =
+  let field = Sim.Json.member in
   let row acc r =
     match (acc, field "metric" r, field "value" r) with
     | Ok ms, Some (Str m), Some (Num v) ->

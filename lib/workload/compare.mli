@@ -79,4 +79,4 @@ val parse_gates :
     field, each metric the max over its rows; an error without a name,
     a row, or a string ["metric"] and number ["value"] in every row. *)
 val bench_cell :
-  Bench_out.json -> (string * (string * float) list, string) result
+  Sim.Json.t -> (string * (string * float) list, string) result

@@ -7,30 +7,16 @@ let version = "1.2.0"
    set, exactly which configuration — produced it. [config] is a list of
    (key, value) strings, e.g. the resolved technique configuration or
    the applied --set directives. *)
+let config_json kvs = Sim.Json.Obj (List.map (fun (k, v) -> (k, Sim.Json.Str v)) kvs)
+
 let header_json ?(extra = []) ?(config = []) ~seed ~technique ~n_replicas () =
-  let extra =
-    extra
-    |> List.map (fun (k, v) -> Printf.sprintf ",\"%s\":%s" (Sim.Metrics.json_escape k) v)
-    |> String.concat ""
-  in
-  let config =
-    match config with
-    | [] -> ""
-    | kvs ->
-        ",\"config\":{"
-        ^ String.concat ","
-            (List.map
-               (fun (k, v) ->
-                 Printf.sprintf "\"%s\":\"%s\"" (Sim.Metrics.json_escape k)
-                   (Sim.Metrics.json_escape v))
-               kvs)
-        ^ "}"
-  in
-  Printf.sprintf
-    "{\"type\":\"header\",\"version\":\"%s\",\"seed\":%d,\"technique\":\"%s\",\"n_replicas\":%d%s%s}"
-    version seed
-    (Sim.Metrics.json_escape technique)
-    n_replicas config extra
+  let config = if config = [] then [] else [ ("config", config_json config) ] in
+  Sim.Json.(
+    to_string
+      (Obj
+         ([ ("type", Str "header"); ("version", Str version); ("seed", Int seed);
+            ("technique", Str technique); ("n_replicas", Int n_replicas) ]
+         @ config @ extra)))
 
 (* RFC 4180-style quoting: labels like "active,n=3,upd=0.5" must not
    break the column count, so any field containing a comma, quote or

@@ -4,13 +4,16 @@
 (** Tool version stamped into machine-readable exports. *)
 val version : string
 
+(** A configuration's (key, value) strings as one JSON object. *)
+val config_json : (string * string) list -> Sim.Json.t
+
 (** The common JSONL header record ([{"type":"header",...}]) every
-    machine-readable export opens with. [extra] appends pre-rendered
-    JSON values under additional keys; [config] (when non-empty) is
+    machine-readable export opens with. [extra] appends members after
+    the fixed ones; [config] (when non-empty) is
     rendered as a ["config"] object of key/value strings naming the
     exact technique configuration that produced the export. *)
 val header_json :
-  ?extra:(string * string) list ->
+  ?extra:(string * Sim.Json.t) list ->
   ?config:(string * string) list ->
   seed:int -> technique:string -> n_replicas:int -> unit -> string
 

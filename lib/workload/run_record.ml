@@ -80,8 +80,7 @@ let always entries = section ~optional:false (fun s -> Some s.run) entries
 let optional select entries = section ~optional:true select entries
 
 (* The measured half of a record, in JSON order, one line per entry.
-   Each object's entries are adjacent, so [to_json] renders the nesting
-   from the paths. *)
+   [to_json] nests each entry at its path, in table order. *)
 let table =
   let open Runner in
   let up = Higher_better in
@@ -210,101 +209,58 @@ let direction name =
 
 (* ---- rendering ------------------------------------------------------- *)
 
-let esc = Sim.Metrics.json_escape
-let jf = Sim.Metrics.json_float
+let render kind v : Sim.Json.t =
+  match kind with Int -> Int (int_of_float v) | Float -> Num v | Bool -> Bool (v <> 0.)
 
-let config_json config =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v))
-         config)
-  ^ "}"
-
-let render kind v =
-  match kind with
-  | Int -> string_of_int (int_of_float v)
-  | Float -> jf v
-  | Bool -> string_of_bool (v <> 0.)
-
-(* The present measured values as members of the open root object:
-   consecutive paths leave the objects they no longer share and enter
-   the ones they add. *)
-let add_measured buf t =
-  let rec drop_common a b =
-    match (a, b) with
-    | x :: a', y :: b' when x = y -> drop_common a' b'
-    | _ -> (a, b)
-  in
-  let opened = ref [] and fresh = ref false in
-  let key k =
-    if not !fresh then Buffer.add_char buf ',';
-    fresh := false;
-    Printf.bprintf buf "\"%s\":" k
-  in
-  Array.iteri
-    (fun i f ->
-      Option.iter
-        (fun v ->
-          let depth = List.length f.path - 1 in
-          let objs = List.filteri (fun j _ -> j < depth) f.path in
-          let leaving, entering = drop_common !opened objs in
-          List.iter (fun _ -> Buffer.add_char buf '}') leaving;
-          List.iter
-            (fun k ->
-              key k;
-              Buffer.add_char buf '{';
-              fresh := true)
-            entering;
-          opened := objs;
-          key (List.nth f.path depth);
-          Buffer.add_string buf (render f.kind v))
-        t.measured.(i))
-    table;
-  List.iter (fun _ -> Buffer.add_char buf '}') !opened
+(* [members] with [v] at [path]: into the object met along the path, or
+   a new one appended. *)
+let rec insert members path v =
+  match path with
+  | [] -> members
+  | [ k ] -> members @ [ (k, v) ]
+  | k :: rest -> (
+      match List.assoc_opt k members with
+      | Some (Sim.Json.Obj inner) ->
+          let inner = Sim.Json.Obj (insert inner rest v) in
+          List.map (fun (k', x) -> (k', if k' = k then inner else x)) members
+      | _ -> members @ [ (k, Sim.Json.Obj (insert [] rest v)) ])
 
 let to_json t =
   let w = t.workload in
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\"type\":\"run_record\",\"record_version\":%d,\"tool_version\":\"%s\",\
-     \"technique\":\"%s\",\"seed\":%d,\"n_replicas\":%d,\"n_clients\":%d,\
-     \"config\":%s,\
-     \"workload\":{\"keys\":%d,\"zipf\":%s,\"updates\":%s,\"ops\":%d,\
-     \"txns_per_client\":%d,\"shards\":%d,\"cross\":%s,\"arrival\":\"%s\",\
-     \"shape\":\"%s\"%s}"
-    schema_version Report.version (esc t.technique) t.seed t.n_replicas
-    t.n_clients (config_json t.config) w.keys (jf w.zipf) (jf w.updates) w.ops
-    w.txns_per_client w.shards (jf w.cross) (esc w.arrival) (esc w.shape)
-    (match w.flash with
-    | None -> ""
-    | Some f -> Printf.sprintf ",\"flash\":\"%s\"" (esc f));
-  add_measured buf t;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let workload =
+    Sim.Json.
+      [ ("keys", Int w.keys); ("zipf", Num w.zipf); ("updates", Num w.updates); ("ops", Int w.ops);
+        ("txns_per_client", Int w.txns_per_client); ("shards", Int w.shards);
+        ("cross", Num w.cross); ("arrival", Str w.arrival); ("shape", Str w.shape) ]
+    @ Option.fold ~none:[] ~some:(fun f -> [ ("flash", Sim.Json.Str f) ]) w.flash
+  in
+  let identity =
+    Sim.Json.
+      [ ("type", Str "run_record"); ("record_version", Int schema_version);
+        ("tool_version", Str Report.version); ("technique", Str t.technique);
+        ("seed", Int t.seed); ("n_replicas", Int t.n_replicas); ("n_clients", Int t.n_clients);
+        ("config", Report.config_json t.config); ("workload", Obj workload) ]
+  in
+  let members = ref identity in
+  Array.iteri
+    (fun i f ->
+      Option.iter (fun v -> members := insert !members f.path (render f.kind v)) t.measured.(i))
+    table;
+  Sim.Json.to_string (Obj !members)
 
 (* ---- parsing --------------------------------------------------------- *)
-
-let member k = function
-  | Bench_out.Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
-let rec lookup path doc =
-  match path with
-  | [] -> Some doc
-  | k :: rest -> Option.bind (member k doc) (lookup rest)
 
 let kind_name = function Int -> "integer" | Float -> "number" | Bool -> "bool"
 
 (* The value at [path] as a float of [kind]; errors name the field. *)
 let value kind path doc =
   let key = String.concat "." path in
-  match (kind, lookup path doc) with
-  | Float, Some (Bench_out.Num v) -> Ok v
-  | Int, Some (Bench_out.Num v) when Float.is_integer v -> Ok v
-  | Int, Some (Bench_out.Num v) ->
+  match (kind, Sim.Json.path path doc) with
+  | Float, Some (Sim.Json.Num v) -> Ok v
+  | Int, Some (Sim.Json.Num v) when Float.is_integer v -> Ok v
+  | Int, Some (Sim.Json.Num v) ->
       Error (Printf.sprintf "field %S must be an integer, got %g" key v)
-  | Bool, Some (Bench_out.Bool b) -> Ok (if b then 1. else 0.)
+  | Bool, Some (Sim.Json.Bool b) -> Ok (if b then 1. else 0.)
   | _ -> Error (Printf.sprintf "missing or non-%s field %S" (kind_name kind) key)
 
 let of_json doc =
@@ -313,13 +269,13 @@ let of_json doc =
   let int_ path = Result.map int_of_float (value Int (at path) doc) in
   let num path = value Float (at path) doc in
   let str path =
-    match lookup (at path) doc with
-    | Some (Bench_out.Str s) -> Ok s
+    match Sim.Json.path (at path) doc with
+    | Some (Sim.Json.Str s) -> Ok s
     | _ -> Error (Printf.sprintf "missing or non-string field %S" path)
   in
   let* () =
-    match member "type" doc with
-    | Some (Bench_out.Str "run_record") -> Ok ()
+    match Sim.Json.member "type" doc with
+    | Some (Sim.Json.Str "run_record") -> Ok ()
     | _ -> Error "\"type\" must be \"run_record\""
   in
   let* v = int_ "record_version" in
@@ -335,13 +291,13 @@ let of_json doc =
   let* n_replicas = int_ "n_replicas" in
   let* n_clients = int_ "n_clients" in
   let* config =
-    match member "config" doc with
-    | Some (Bench_out.Obj fields) ->
+    match Sim.Json.member "config" doc with
+    | Some (Sim.Json.Obj fields) ->
         List.fold_left
           (fun acc (k, v) ->
             let* acc = acc in
             match v with
-            | Bench_out.Str s -> Ok ((k, s) :: acc)
+            | Sim.Json.Str s -> Ok ((k, s) :: acc)
             | _ -> Error (Printf.sprintf "non-string config value for %S" k))
           (Ok []) fields
         |> Result.map List.rev
@@ -357,9 +313,9 @@ let of_json doc =
   let* arrival = str "workload.arrival" in
   let* shape = str "workload.shape" in
   let* flash =
-    match lookup [ "workload"; "flash" ] doc with
+    match Sim.Json.path [ "workload"; "flash" ] doc with
     | None -> Ok None
-    | Some (Bench_out.Str s) -> Ok (Some s)
+    | Some (Sim.Json.Str s) -> Ok (Some s)
     | Some _ -> Error "non-string field \"workload.flash\""
   in
   (* An optional section is absent as a whole or present in full. *)
@@ -367,7 +323,7 @@ let of_json doc =
     Array.fold_right
       (fun f acc ->
         let* acc = acc in
-        if f.optional && member (List.hd f.path) doc = None then
+        if f.optional && Sim.Json.member (List.hd f.path) doc = None then
           Ok (None :: acc)
         else
           let* v = value f.kind f.path doc in
@@ -382,7 +338,7 @@ let of_json doc =
        measured = Array.of_list measured }
 
 let of_string s =
-  match Bench_out.parse (String.trim s) with
+  match Sim.Json.parse (String.trim s) with
   | Error e -> Error ("parse error: " ^ e)
   | Ok doc -> of_json doc
 

@@ -426,29 +426,24 @@ let to_csv ppf outcomes =
 
 let jsonl_row o =
   let r = o.result in
-  let verdicts =
-    String.concat ","
-      (List.map
-         (fun (v : Verdict.t) ->
-           Printf.sprintf "{\"oracle\":\"%s\",\"ok\":%b,\"detail\":\"%s\"}"
-             (Metrics.json_escape v.oracle)
-             v.ok
-             (Metrics.json_escape v.detail))
-         o.verdicts)
+  let verdict (v : Verdict.t) =
+    Json.(Obj [ ("oracle", Str v.oracle); ("ok", Bool v.ok); ("detail", Str v.detail) ])
   in
-  Printf.sprintf
-    "{\"technique\":\"%s\",\"scenario\":\"%s\",\"seed\":%d,\"committed\":%d,\
-     \"aborted\":%d,\"unanswered\":%d,\"resubmissions\":%d,\
-     \"messages_dropped\":%d,\"dropped_loss\":%d,\"dropped_crashed\":%d,\
-     \"dropped_partitioned\":%d,\"max_response_gap_ms\":%.2f,\"converged\":%b,\
-     \"serializable\":%b,\"ok\":%b,\"verdicts\":[%s]}"
-    (Metrics.json_escape o.technique)
-    (Metrics.json_escape o.scenario)
-    o.seed r.Runner.committed r.Runner.aborted r.Runner.unanswered
-    r.Runner.resubmissions r.Runner.dropped r.Runner.dropped_loss
-    r.Runner.dropped_crashed r.Runner.dropped_partitioned
-    (Simtime.to_ms r.Runner.max_response_gap)
-    r.Runner.converged r.Runner.serializable o.ok verdicts
+  (* The gap at the 0.01 ms it was always written with, rounded as
+     [%.2f] rounds the float itself (not its product with 100). *)
+  let gap = float_of_string (Printf.sprintf "%.2f" (Simtime.to_ms r.Runner.max_response_gap)) in
+  Json.(
+    to_string
+      (Obj
+         [ ("technique", Str o.technique); ("scenario", Str o.scenario); ("seed", Int o.seed);
+           ("committed", Int r.Runner.committed); ("aborted", Int r.Runner.aborted);
+           ("unanswered", Int r.Runner.unanswered); ("resubmissions", Int r.Runner.resubmissions);
+           ("messages_dropped", Int r.Runner.dropped); ("dropped_loss", Int r.Runner.dropped_loss);
+           ("dropped_crashed", Int r.Runner.dropped_crashed);
+           ("dropped_partitioned", Int r.Runner.dropped_partitioned);
+           ("max_response_gap_ms", Num gap); ("converged", Bool r.Runner.converged);
+           ("serializable", Bool r.Runner.serializable); ("ok", Bool o.ok);
+           ("verdicts", Arr (List.map verdict o.verdicts)) ]))
 
 let pp_outcome ppf o =
   let r = o.result in

@@ -129,36 +129,20 @@ let run_cell ?router ~n_replicas ~n_clients ~spec ~config ~factory c =
 
 (* ---- manifest -------------------------------------------------------- *)
 
-let esc = Sim.Metrics.json_escape
-let jf = Sim.Metrics.json_float
-
-let json_string_list xs =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ esc s ^ "\"") xs) ^ "]"
-
-let json_float_list xs =
-  "[" ^ String.concat "," (List.map jf xs) ^ "]"
-
 (* The aggregate manifest: the declared axes, every record file in cell
    order, and min/max-with-winner aggregates for the rendered metrics —
    one self-describing document per sweep directory. *)
 let manifest_json (axes : axes) ~records ~metrics =
+  let open Sim.Json in
+  let strs xs = Arr (List.map (fun s -> Str s) xs) in
+  let nums xs = Arr (List.map (fun x -> Num x) xs) in
+  let ints xs = Arr (List.map (fun i -> Int i) xs) in
+  let vary (t, k, vs) = Obj [ ("technique", Str t); ("key", Str k); ("values", strs vs) ] in
   let axes_json =
-    Printf.sprintf
-      "{\"techniques\":%s,\"shards\":[%s],\"loads\":%s,\"updates\":%s,\
-       \"zipfs\":%s,\"seeds\":[%s],\"vary\":[%s]}"
-      (json_string_list axes.techniques)
-      (String.concat "," (List.map string_of_int axes.shards))
-      (json_float_list axes.loads)
-      (json_float_list axes.updates)
-      (json_float_list axes.zipfs)
-      (String.concat "," (List.map string_of_int axes.seeds))
-      (String.concat ","
-         (List.map
-            (fun (t, k, vs) ->
-              Printf.sprintf
-                "{\"technique\":\"%s\",\"key\":\"%s\",\"values\":%s}" (esc t)
-                (esc k) (json_string_list vs))
-            axes.vary))
+    Obj
+      [ ("techniques", strs axes.techniques); ("shards", ints axes.shards);
+        ("loads", nums axes.loads); ("updates", nums axes.updates); ("zipfs", nums axes.zipfs);
+        ("seeds", ints axes.seeds); ("vary", Arr (List.map vary axes.vary)) ]
   in
   let aggregate metric =
     let valued =
@@ -168,7 +152,7 @@ let manifest_json (axes : axes) ~records ~metrics =
         records
     in
     match valued with
-    | [] -> Printf.sprintf "\"%s\":null" (esc metric)
+    | [] -> (metric, Null)
     | (r0, v0) :: rest ->
         let min_r, min_v, max_r, max_v =
           List.fold_left
@@ -182,22 +166,15 @@ let manifest_json (axes : axes) ~records ~metrics =
               (min_r, min_v, max_r, max_v))
             (r0, v0, r0, v0) rest
         in
-        Printf.sprintf
-          "\"%s\":{\"min\":{\"cell\":\"%s\",\"value\":%s},\
-           \"max\":{\"cell\":\"%s\",\"value\":%s}}"
-          (esc metric)
-          (esc (Run_record.cell_id min_r))
-          (jf min_v)
-          (esc (Run_record.cell_id max_r))
-          (jf max_v)
+        let winner r v = Obj [ ("cell", Str (Run_record.cell_id r)); ("value", Num v) ] in
+        (metric, Obj [ ("min", winner min_r min_v); ("max", winner max_r max_v) ])
   in
-  Printf.sprintf
-    "{\"type\":\"sweep_manifest\",\"version\":\"%s\",\
-     \"record_version\":%d,\"axes\":%s,\"cells\":%d,\"records\":%s,\
-     \"aggregates\":{%s}}"
-    Report.version Run_record.schema_version axes_json (List.length records)
-    (json_string_list (List.map fst records))
-    (String.concat "," (List.map aggregate metrics))
+  to_string
+    (Obj
+       [ ("type", Str "sweep_manifest"); ("version", Str Report.version);
+         ("record_version", Int Run_record.schema_version); ("axes", axes_json);
+         ("cells", Int (List.length records)); ("records", strs (List.map fst records));
+         ("aggregates", Obj (List.map aggregate metrics)) ])
 
 (* ---- matrix rendering ------------------------------------------------- *)
 

@@ -180,36 +180,22 @@ let test_baseline_byte_identity () =
             (Workload.Run_record.to_json r ^ "\n"))
     files
 
-let rec json_to_string = function
-  | Workload.Bench_out.Null -> "null"
-  | Bool b -> string_of_bool b
-  | Num v -> Printf.sprintf "%.17g" v
-  | Str s -> Printf.sprintf "%S" s
-  | Arr l -> "[" ^ String.concat "," (List.map json_to_string l) ^ "]"
-  | Obj kvs ->
-      "{"
-      ^ String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%S:%s" k (json_to_string v))
-             kvs)
-      ^ "}"
-
 (* The path of every non-object value, outermost key first. *)
 let rec leaves = function
-  | Workload.Bench_out.Obj kvs ->
+  | Sim.Json.Obj kvs ->
       List.concat_map
         (fun (k, v) ->
           match v with
-          | Workload.Bench_out.Obj _ -> List.map (fun p -> k :: p) (leaves v)
+          | Sim.Json.Obj _ -> List.map (fun p -> k :: p) (leaves v)
           | _ -> [ [ k ] ])
         kvs
   | _ -> []
 
 let rec remove path doc =
   match (path, doc) with
-  | [ k ], Workload.Bench_out.Obj kvs -> Workload.Bench_out.Obj (List.remove_assoc k kvs)
-  | k :: rest, Workload.Bench_out.Obj kvs ->
-      Workload.Bench_out.Obj
+  | [ k ], Sim.Json.Obj kvs -> Sim.Json.Obj (List.remove_assoc k kvs)
+  | k :: rest, Sim.Json.Obj kvs ->
+      Sim.Json.Obj
         (List.map (fun (k', v) -> (k', if k' = k then remove rest v else v)) kvs)
   | _ -> doc
 
@@ -223,18 +209,18 @@ let test_every_field_required () =
     Workload.Run_record.metric_names
     (List.map fst (Workload.Run_record.metrics r));
   let doc =
-    Result.get_ok (Workload.Bench_out.parse (Workload.Run_record.to_json r))
+    Result.get_ok (Sim.Json.parse (Workload.Run_record.to_json r))
   in
   Alcotest.(check string) "the test printer round-trips"
     (Workload.Run_record.to_json r)
-    (match Workload.Run_record.of_string (json_to_string doc) with
+    (match Workload.Run_record.of_string (Sim.Json.to_string doc) with
     | Ok r' -> Workload.Run_record.to_json r'
     | Error msg -> msg);
   List.iter
     (fun path ->
       if path <> [ "tool_version" ] then
         let key = String.concat "." path in
-        match Workload.Run_record.of_string (json_to_string (remove path doc)) with
+        match Workload.Run_record.of_string (Sim.Json.to_string (remove path doc)) with
         | Ok _ -> Alcotest.failf "record without %s parsed" key
         | Error msg ->
             Alcotest.(check bool)
@@ -462,7 +448,7 @@ let test_gate_ceiling_zero () =
 let bench_cell out =
   match
     Result.bind
-      (Workload.Bench_out.parse (Workload.Bench_out.to_json out))
+      (Sim.Json.parse (Workload.Bench_out.to_json out))
       Workload.Compare.bench_cell
   with
   | Ok cell -> cell
@@ -522,7 +508,7 @@ let test_bench_cell_malformed () =
   List.iter
     (fun text ->
       match
-        Result.bind (Workload.Bench_out.parse text) Workload.Compare.bench_cell
+        Result.bind (Sim.Json.parse text) Workload.Compare.bench_cell
       with
       | Ok _ -> Alcotest.failf "accepted a malformed bench file: %S" text
       | Error _ -> ())
@@ -542,15 +528,15 @@ let test_bench_out_row_order () =
       Workload.Bench_out.add out ~metric:"latency_mean" ~technique 1.)
     [ "active"; "passive"; "certification" ];
   let techniques =
-    match Workload.Bench_out.parse (Workload.Bench_out.to_json out) with
-    | Ok (Workload.Bench_out.Obj fs) -> (
+    match Sim.Json.parse (Workload.Bench_out.to_json out) with
+    | Ok (Sim.Json.Obj fs) -> (
         match List.assoc_opt "results" fs with
-        | Some (Workload.Bench_out.Arr rows) ->
+        | Some (Sim.Json.Arr rows) ->
             List.filter_map
               (function
-                | Workload.Bench_out.Obj r -> (
+                | Sim.Json.Obj r -> (
                     match List.assoc_opt "technique" r with
-                    | Some (Workload.Bench_out.Str t) -> Some t
+                    | Some (Sim.Json.Str t) -> Some t
                     | _ -> None)
                 | _ -> None)
               rows
@@ -572,11 +558,11 @@ let test_bench_out_round_trip () =
     ~unit_:"ms" ~params:[ ("note", "line\nbreak"); ("n", "5") ] 4.25;
   Workload.Bench_out.add out ~metric:"cells" ~technique:"all" 16.;
   let doc =
-    match Workload.Bench_out.parse (Workload.Bench_out.to_json out) with
+    match Sim.Json.parse (Workload.Bench_out.to_json out) with
     | Ok doc -> doc
     | Error msg -> Alcotest.failf "writer output does not parse: %s" msg
   in
-  let open Workload.Bench_out in
+  let open Sim.Json in
   let field k = function
     | Obj fs -> (
         match List.assoc_opt k fs with

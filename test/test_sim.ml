@@ -1018,7 +1018,7 @@ let prop_span_index_matches_reference =
    decoded from their event list. *)
 module Reference_export = struct
   let add_int buf n = Buffer.add_string buf (string_of_int n)
-  let esc = Metrics.json_escape
+  let esc = Json.escape
   let tid_of_track = function None -> 0 | Some r -> r + 1
 
   let track_name = function
@@ -1329,10 +1329,10 @@ let test_metrics_json_round_trip () =
   Alcotest.(check int) "absent labels" 0
     (Metrics.counter m ~labels:[ ("replica", "9") ] "plain_total");
   let snap = Metrics.snapshot m in
-  let open Workload.Bench_out in
+  let open Sim.Json in
   let str = function Str s -> s | _ -> Alcotest.fail "expected a string" in
   let parsed =
-    match parse (Metrics.snapshot_to_json snap) with
+    match Sim.Json.parse (Metrics.snapshot_to_json snap) with
     | Ok (Arr samples) ->
         List.map
           (function
@@ -1361,12 +1361,86 @@ let test_metrics_json_round_trip () =
     parsed;
   Alcotest.(check int) "three counters" 3 (List.length parsed)
 
+(* Every number reads back as [Num]. *)
+let rec ints_as_num = function
+  | Json.Int i -> Json.Num (float_of_int i)
+  | Arr vs -> Arr (List.map ints_as_num vs)
+  | Obj kvs -> Obj (List.map (fun (k, v) -> (k, ints_as_num v)) kvs)
+  | v -> v
+
+(* Values whose numbers survive the encoder's six significant digits:
+   integers, and decimals of at most six digits. Strings draw on every
+   control byte, quotes, backslashes and bytes above 0x7f. *)
+let json_gen =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (2, map Char.chr (int_range 0 0x1f));
+        (1, oneofl [ '"'; '\\'; '/' ]);
+        (2, printable);
+        (1, char);
+      ]
+  in
+  let str = string_size ~gen:byte (int_range 0 12) in
+  let num =
+    oneof
+      [
+        map (fun k -> float_of_int k /. 1000.) (int_range (-999_999) 999_999);
+        map float_of_int (int_range (-(1 lsl 40)) (1 lsl 40));
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) (int_range (-(1 lsl 53)) (1 lsl 53));
+               map (fun f -> Json.Num f) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun vs -> Json.Arr vs) (list_size (int_range 0 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_range 0 4) (pair str (self (n / 4)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok (ints_as_num v))
+
+(* Every escape the grammar allows decodes; \uXXXX to UTF-8, a
+   surrogate pair to one code point. *)
+let test_json_escapes_decode () =
+  let check name text expected =
+    Alcotest.(check (result string string)) name (Ok expected)
+      (Result.map (function Json.Str s -> s | v -> Json.to_string v) (Json.parse text))
+  in
+  check "short escapes" {|"\"\\\/\b\f\n\r\t"|} "\"\\/\b\012\n\r\t";
+  check "control byte" {|"\u0001\u001F"|} "\001\031";
+  check "two and three bytes" {|"\u00e9\u20AC"|} "\xc3\xa9\xe2\x82\xac";
+  check "surrogate pair" {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " rejected") true (Result.is_error (Json.parse bad)))
+    [ {|"\x"|}; {|"\u12"|}; {|"\u12g4"|}; {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83d\u0041"|} ]
+
 (* Escaping, and both exporters applying it to span names and notes: a
    clean string passes through unchanged, special characters do not. *)
 let test_json_escape () =
   let check input expected =
     Alcotest.(check string) (String.escaped input) expected
-      (Trace_export.json_escape input)
+      (Json.escape input)
   in
   check "Data(Inject(Req))" "Data(Inject(Req))";
   check "a\"b\\c\nd\te\001" {|a\"b\\c\nd\te\u0001|};
@@ -1484,35 +1558,36 @@ let test_engine_deterministic_counters () =
   Alcotest.(check int) "handlers all ran" 5 !fired
 
 let test_profiler_normalize () =
-  let json =
-    "{\"type\":\"profile\",\"events\":42,\"wall_ms\":13.25,\"events_per_sec\":123456.7,\
-     \"alloc_words\":99,\"heap_peak_words\":1024,\"buckets\":[{\"label\":\"x\",\
-     \"events\":42,\"wall_ms\":13.25,\"wall_share\":1,\"self_wall_ms\":13.25,\
-     \"alloc_words\":99,\"alloc_share\":1,\"trace_bytes\":5}]}"
-  in
-  let n = Profiler.normalize_json json in
+  let p = Profiler.create () in
+  Profiler.set_engine_stats p ~events:42 ~scheduled:50 ~cancelled:3 ~queue_peak:7;
+  Profiler.set_meta p ~spans_created:11 ~samples_taken:5 ();
+  Profiler.add_run_wall p 0.013;
+  Profiler.add_trace_bytes p 1024;
+  let m = Profiler.mark () in
+  ignore (Sys.opaque_identity (Array.make 1000 0));
+  Profiler.attribute p ~label:"x" m;
+  let r = Profiler.report p in
+  let n = Profiler.normalize r in
   (* Deterministic fields survive; wall/alloc-derived ones become 0. *)
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec scan i =
-      if i + nl > hl then false
-      else if String.sub hay i nl = needle then true
-      else scan (i + 1)
-    in
-    scan 0
-  in
-  Alcotest.(check bool) "events kept" true (contains "\"events\":42" n);
+  Alcotest.(check (list int)) "counters kept"
+    [ 42; 50; 3; 7; 11; 5 ]
+    [ n.p_events; n.p_scheduled; n.p_cancelled; n.p_queue_peak; n.p_spans_created; n.p_samples_taken ];
+  Alcotest.(check (list string)) "bucket labels kept"
+    (List.map (fun (b : Profiler.row) -> b.r_label) r.p_buckets)
+    (List.map (fun (b : Profiler.row) -> b.r_label) n.p_buckets);
+  Alcotest.(check (list (float 0.))) "wall and allocation zeroed"
+    [ 0.; 0.; 0.; 0.; 0.; 0. ]
+    [ n.p_wall_s; n.p_events_per_sec; n.p_self_wall_s; n.p_alloc_words;
+      float_of_int n.p_heap_peak_words; float_of_int n.p_trace_bytes ];
   List.iter
-    (fun f ->
-      Alcotest.(check bool) (f ^ " zeroed") false
-        (contains (Printf.sprintf "\"%s\":%s" f "13.25") n
-        || contains (Printf.sprintf "\"%s\":%s" f "123456.7") n
-        || contains (Printf.sprintf "\"%s\":%s" f "99") n
-        || contains (Printf.sprintf "\"%s\":%s" f "1024") n
-        || contains (Printf.sprintf "\"%s\":%s" f "5") n))
-    Profiler.nondeterministic_fields;
-  (* Idempotent. *)
-  Alcotest.(check string) "idempotent" n (Profiler.normalize_json n)
+    (fun (b : Profiler.row) ->
+      Alcotest.(check (list (float 0.))) (b.r_label ^ " zeroed") [ 0.; 0.; 0.; 0. ]
+        [ b.r_wall_ms; b.r_wall_share; b.r_alloc_w; b.r_alloc_share ])
+    n.p_buckets;
+  Alcotest.(check string) "encoded"
+    {|{"type":"profile","events":42,"scheduled":50,"cancelled":3,"queue_peak":7,"wall_ms":0.0,"events_per_sec":0.0,"self_wall_ms":0.0,"alloc_words":0.0,"heap_peak_words":0,"spans_created":11,"samples_taken":5,"trace_bytes":0,"buckets":[{"label":"x","events":1,"wall_ms":0.0,"wall_share":0.0,"alloc_words":0.0,"alloc_share":0.0}]}|}
+    (Profiler.report_to_json n);
+  Alcotest.(check bool) "idempotent" true (Profiler.normalize n = n)
 
 let test_profiler_json_fields () =
   let p = Profiler.create () in
@@ -1607,6 +1682,11 @@ let () =
           tc "counters" test_metrics_counters;
           tc "json round-trip" test_metrics_json_round_trip;
           tc "json escape + exporters" test_json_escape;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_round_trip;
+          tc "escapes decode" test_json_escapes_decode;
         ] );
       ( "profiler",
         [
