@@ -783,10 +783,11 @@ let batching =
    size their cost would dwarf the engine's. The tracing-on leg runs a
    fraction of the transactions — span memory is O(txns) — and the
    comparison uses events/s, which is size-independent. That leg also
-   times the whole [Runner.run] and records [postloop_share], the
-   fraction of it spent outside the event loop (the per-phase summary
-   over every traced rid dominates it), so a super-linear post-run pass
-   shows up as a number rather than as a stall.
+   runs at four times its size, and each size times the whole
+   [Runner.run]: the time spent outside the event loop (set-up and the
+   post-run pass over every traced rid) per transaction, large over
+   small, is [postloop_growth], so a super-linear post-run pass shows up
+   as a number rather than as a stall.
 
    PERF15_TXNS overrides the total transaction count (CI smoke runs use
    a small value; the bounds in ci/gates.txt judge whatever this
@@ -854,12 +855,19 @@ let self_throughput x =
   let txns_on = max 1 (total / clients / 20) in
   let report_off, result_off, _, _ = leg ~tracing:false ~txns:txns_off () in
   (* The traced leg lasts a few milliseconds, so one collection more or
-     less inside it moves its postloop_share. Starting it from a
+     less inside it moves its time outside the loop. Starting it from a
      collected heap makes the collections it meets depend on the leg
      alone, not on what the process allocated before. *)
   Gc.full_major ();
   let report_on, result_on, run_wall_on, span_words_on =
     leg ~tracing:true ~txns:txns_on ()
+  in
+  (* The traced leg again at four times the size, only for the time its
+     run spends outside the event loop. *)
+  let txns_large = 4 * txns_on in
+  Gc.full_major ();
+  let _, result_large, run_wall_large, _ =
+    leg ~tracing:true ~txns:txns_large ()
   in
   (* The stubborn-channel leg: the tracing-off leg with passthrough off,
      so every channel send is acked and may be retransmitted. It reports
@@ -917,11 +925,23 @@ let self_throughput x =
   ignore
     (note ~metric:"heap_words_per_span" ~unit_:"words/span" ~params:on_params
        (float_of_int span_words_on /. spans_on));
-  let postloop_share =
-    note ~metric:"postloop_share" ~unit_:"share" ~params:on_params
-      (if run_wall_on > 0. then
-         Float.max 0. (run_wall_on -. result_on.wall_s) /. run_wall_on
-       else 0.)
+  (* A traced leg's time outside its event loop per transaction, at
+     both sizes, and the large size's over the small one's: a set-up of
+     fixed cost and a linear post-run pass read 1 or less, a post-run
+     pass quadratic in the rids about 4. Unlike a share of the whole
+     run, it does not rise when the event loop gets cheaper. *)
+  let postloop_us (result : Workload.Runner.result) run_wall txns =
+    note ~metric:"postloop_us_per_txn" ~unit_:"us/txn"
+      ~params:(leg_params "on" txns)
+      (1e6
+      *. Float.max 0. (run_wall -. result.wall_s)
+      /. float_of_int (txns * clients))
+  in
+  let postloop_small = postloop_us result_on run_wall_on txns_on in
+  let postloop_large = postloop_us result_large run_wall_large txns_large in
+  let postloop_growth =
+    note ~metric:"postloop_growth" ~unit_:"ratio" ~params:on_params
+      (if postloop_small > 0. then postloop_large /. postloop_small else 0.)
   in
   let evps_off = report_off.p_events_per_sec in
   let evps_on = report_on.p_events_per_sec in
@@ -933,9 +953,10 @@ let self_throughput x =
     "@.verdict: tracing off runs %.0f%% faster per event than tracing on@."
     overhead_pct;
   Fmt.pr
-    "tracing on: %.1f%% of the whole run (%.3f s) is spent outside the \
-     event loop@."
-    (100. *. postloop_share) run_wall_on;
+    "tracing on: %.1f us/txn outside the event loop at %d txns, %.1f at %d \
+     (%.2fx)@."
+    postloop_small (txns_on * clients) postloop_large (txns_large * clients)
+    postloop_growth;
   Fmt.pr
     "stubborn channels (passthrough off): %.3f timers queued and %.3f \
      cancelled per message sent@."
