@@ -429,7 +429,9 @@ let campaign_cmd =
       & info [ "jsonl" ] ~docv:"FILE"
           ~doc:
             "Also write one JSON object per run (counters + oracle \
-             verdicts) to FILE ($(b,-) for stdout).")
+             verdicts) to FILE. With $(b,-) they go to stdout and the \
+             table (or the $(b,--csv) rows) to stderr, so stdout is JSONL \
+             alone.")
   in
   let run scenario_sel technique_sel directives seeds n_replicas txns ops csv
       jsonl =
@@ -469,10 +471,11 @@ let campaign_cmd =
         Cli.write_lines file
           (campaign_header :: List.map Workload.Scenario.jsonl_row outcomes))
       jsonl;
-    if csv then Workload.Scenario.to_csv Fmt.stdout outcomes
+    let human = if jsonl = Some "-" then Fmt.stderr else Fmt.stdout in
+    if csv then Workload.Scenario.to_csv human outcomes
     else
       List.iter
-        (fun o -> Fmt.pr "%a@." Workload.Scenario.pp_outcome o)
+        (fun o -> Fmt.pf human "%a@." Workload.Scenario.pp_outcome o)
         outcomes;
     Cli.report "campaign"
       ~ok:

@@ -175,6 +175,9 @@ echo "QCHECK_SEED=1..5 passed in $(( $(date +%s) - start )) s"
 echo "== campaign smoke =="
 dune exec bin/replisim.exe -- campaign --scenario crash-recover \
   --techniques all --seeds 11
+# With --jsonl -, stdout carries the JSONL alone (the table goes to
+# stderr), byte for byte what --jsonl FILE writes.
+c="dune exec bin/replisim.exe -- campaign --scenario crash-recover --techniques active --seeds 11"; $c --jsonl _campaign_ci.jsonl > /dev/null && $c --jsonl - 2>/dev/null | cmp - _campaign_ci.jsonl
 
 # Recovery: every technique that catches a recovered copy up by state
 # transfer (passive, eager-primary, eager-ue-locking) through the four

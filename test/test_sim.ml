@@ -1178,41 +1178,53 @@ module Reference_export = struct
 end
 
 (* Random span sets for the exporter equivalence: message and phase
-   names, names and notes that need JSON escaping, deliver/drop events
-   (a bare "drop:" included), client-track spans and events, spans left
-   open, zero-length and negative-length spans. *)
+   names, names and notes that need JSON escaping (before, at and after
+   the offset 4 where a flow label starts), deliver/drop events (a bare
+   "drop:" included), client-track spans and events, tracks of 64 and
+   above, spans left open, zero-length and negative-length spans. A name
+   or note is drawn either as the array's string or as a fresh copy
+   equal in content, so an exporter that shares work between equal names
+   must compare content, not physical identity. *)
 let export_names =
   [| "txn"; "RE"; "EX"; "msg:Data"; "msg:Ack"; "msg:"; "msg:q\"uo\\te";
-     "tab\tnew\nline"; "msg:ctl\001\031"; ""; "caf\xc3\xa9" |]
+     "tab\tnew\nline"; "msg:ctl\001\031"; ""; "caf\xc3\xa9"; "m\"g:Data";
+     "msg:\"Ack"; "ms\\:x\"y"; "q\"x:abc"; "abcd\\e" |]
 
 let export_notes =
   [| "send"; "deliver"; "drop:loss"; "drop:"; "drop:partitioned"; "";
      "say \"hi\"\r\n"; "\002bell"; "deliverx" |]
 
 type export_op =
-  | X_start of int * int option * int option * int * int
-      (** trace, parent pick, track, name pick, start (us) *)
+  | X_start of int * int option * int option * (int * bool) * int
+      (** trace, parent pick, track, (name pick, copied), start (us) *)
   | X_finish of int * int  (** id pick, stop (us) *)
-  | X_event of int * int * int option * int
-      (** id pick, at (us), track, note pick *)
+  | X_event of int * int * int option * (int * bool)
+      (** id pick, at (us), track, (note pick, copied) *)
+
+(* The picked string itself, or a physically distinct copy of it. *)
+let pick_string strings (i, copied) =
+  if copied then Bytes.to_string (Bytes.of_string strings.(i)) else strings.(i)
 
 let export_op_gen =
   QCheck.Gen.(
+    (* Mostly low tracks; sometimes lanes around and beyond 62 and 64. *)
+    let track = opt (frequency [ (4, int_bound 4); (1, int_range 58 70) ]) in
+    let pick strings = pair (int_bound (Array.length strings - 1)) bool in
     frequency
       [
         ( 3,
           map3
             (fun (tr, p) tk (nm, st) -> X_start (tr, p, tk, nm, st))
             (pair (int_bound 5) (opt small_nat))
-            (opt (int_bound 4))
-            (pair (int_bound (Array.length export_names - 1)) (int_bound 3_000)) );
+            track
+            (pair (pick export_names) (int_bound 3_000)) );
         (2, map2 (fun i st -> X_finish (i, st)) small_nat (int_bound 3_000));
         ( 3,
           map3
             (fun i (at, tk) nt -> X_event (i, at, tk, nt))
             small_nat
-            (pair (int_bound 3_000) (opt (int_bound 4)))
-            (int_bound (Array.length export_notes - 1)) );
+            (pair (int_bound 3_000) track)
+            (pick export_notes) );
       ])
 
 let prop_export_matches_reference =
@@ -1227,13 +1239,13 @@ let prop_export_matches_reference =
           | X_start (trace, parent, track, name, start) ->
               let parent = Option.map (fun p -> p mod (Span.count t + 1)) parent in
               ignore
-                (Span.start_span t ~trace ?parent ?track ~name:export_names.(name)
-                   (Simtime.of_us start))
+                (Span.start_span t ~trace ?parent ?track
+                   ~name:(pick_string export_names name) (Simtime.of_us start))
           | X_finish (pick, stop) ->
               Span.finish t (pick mod (Span.count t + 1)) (Simtime.of_us stop)
           | X_event (pick, at, track, note) ->
               Span.add_event t (pick mod (Span.count t + 1)) ~at:(Simtime.of_us at)
-                ?track export_notes.(note))
+                ?track (pick_string export_notes note))
         ops;
       Trace_export.to_chrome t = Reference_export.to_chrome t
       && Trace_export.to_jsonl t = Reference_export.to_jsonl t)
