@@ -8,11 +8,12 @@ type Msg.t +=
   | Catchup of { instance : int; batch : (id * Msg.t) list }
 
 let () =
-  Msg.register_printer (function
-    | Inject { payload; _ } -> Some ("Inject(" ^ Msg.name payload ^ ")")
-    | Catchup { batch; _ } ->
-        Some (Printf.sprintf "Catchup[%d]" (List.length batch))
-    | _ -> None)
+  Msg.wrapper [%extension_constructor Inject] "Inject" (function
+    | Inject { payload; _ } -> payload
+    | _ -> assert false);
+  Msg.counted [%extension_constructor Catchup] "Catchup" (function
+    | Catchup { batch; _ } -> List.length batch
+    | _ -> assert false)
 
 module Batch = struct
   type t = (id * Msg.t) list

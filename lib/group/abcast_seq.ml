@@ -44,12 +44,16 @@ type Msg.t +=
   | Epoch of { epoch : int } (* to its leader: a member moved to [epoch] *)
 
 let () =
-  Msg.register_printer (function
-    | Inject { payload; _ } -> Some ("Inject(" ^ Msg.name payload ^ ")")
-    | Fetch_reply { payload; _ } -> Some ("Fetch_reply(" ^ Msg.name payload ^ ")")
-    | Order { ids; _ } when List.length ids > 1 ->
-        Some (Printf.sprintf "Order[%d]" (List.length ids))
-    | _ -> None)
+  Msg.wrapper [%extension_constructor Inject] "Inject" (function
+    | Inject { payload; _ } -> payload
+    | _ -> assert false);
+  Msg.wrapper [%extension_constructor Fetch_reply] "Fetch_reply" (function
+    | Fetch_reply { payload; _ } -> payload
+    | _ -> assert false);
+  (* A batch of one is a plain "Order". *)
+  Msg.counted ~shown_from:2 [%extension_constructor Order] "Order" (function
+    | Order { ids; _ } -> List.length ids
+    | _ -> assert false)
 
 type t = {
   me : int;

@@ -16,13 +16,11 @@ struct
   (* Disambiguate from other layers' like-named constructors (the client
      reply in Protocols.Common is also "Reply"). *)
   let () =
-    Msg.register_printer (function
-      | Est _ -> Some "Cons_est"
-      | Proposal _ -> Some "Cons_proposal"
-      | Reply _ -> Some "Cons_reply"
-      | Abort _ -> Some "Cons_abort"
-      | Decide _ -> Some "Cons_decide"
-      | _ -> None)
+    Msg.leaf [%extension_constructor Est] "Cons_est";
+    Msg.leaf [%extension_constructor Proposal] "Cons_proposal";
+    Msg.leaf [%extension_constructor Reply] "Cons_reply";
+    Msg.leaf [%extension_constructor Abort] "Cons_abort";
+    Msg.leaf [%extension_constructor Decide] "Cons_decide"
 
   type inst = {
     id : int;

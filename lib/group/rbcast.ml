@@ -5,10 +5,10 @@ type Msg.t +=
   | Stable of { origin : int; stable : int }
 
 let () =
-  Msg.register_printer (function
-    | Rb { payload; _ } -> Some ("Rb(" ^ Msg.name payload ^ ")")
-    | Stable _ -> Some "Rb_stable"
-    | _ -> None)
+  Msg.wrapper [%extension_constructor Rb] "Rb" (function
+    | Rb { payload; _ } -> payload
+    | _ -> assert false);
+  Msg.leaf [%extension_constructor Stable] "Rb_stable"
 
 (* One of our own broadcasts whose copies have not all settled: the
    packet (resent after we recover) and, by node, whether the copy to

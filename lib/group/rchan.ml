@@ -5,9 +5,9 @@ type Msg.t +=
   | Ack of { gid : int; seq : int }
 
 let () =
-  Msg.register_printer (function
-    | Data { payload; _ } -> Some ("Data(" ^ Msg.name payload ^ ")")
-    | _ -> None)
+  Msg.wrapper [%extension_constructor Data] "Data" (function
+    | Data { payload; _ } -> payload
+    | _ -> assert false)
 
 (* A sent message still waiting for its ack: the packet, where it goes,
    how many retransmits it has spent, and its next retransmit: the key

@@ -17,9 +17,9 @@ type Msg.t +=
   | View_probe of { view_id : int }
 
 let () =
-  Msg.register_printer (function
-    | Vs_msg { payload; _ } -> Some ("Vs(" ^ Msg.name payload ^ ")")
-    | _ -> None)
+  Msg.wrapper [%extension_constructor Vs_msg] "Vs" (function
+    | Vs_msg { payload; _ } -> payload
+    | _ -> assert false)
 
 type t = {
   me : int;

@@ -26,6 +26,11 @@ type msg = {
   drop : string option;  (** drop cause, when the message was dropped *)
 }
 
+type note = Other | Deliver | Drop
+
+let note_kind note =
+  if note = "deliver" then Deliver else if extends drop_prefix note then Drop else Other
+
 (* The one decoder of a message span's events, walked in recording
    order: a "deliver" or "drop:<cause>" event names the destination (the
    last such event wins), any "deliver" marks the message delivered, and
@@ -36,22 +41,17 @@ let fate t id =
   let dst = ref Span.none and delivered = ref false and drop = ref Span.none in
   let e = ref (Span.first_event t id) in
   while !e <> Span.none do
-    let note = Span.event_note t !e in
-    if note = "deliver" then begin
-      dst := Span.event_track t !e;
-      delivered := true
-    end
-    else if extends drop_prefix note then begin
-      dst := Span.event_track t !e;
-      drop := !e
-    end;
+    (match note_kind (Span.event_note t !e) with
+    | Deliver ->
+        dst := Span.event_track t !e;
+        delivered := true
+    | Drop ->
+        dst := Span.event_track t !e;
+        drop := !e
+    | Other -> ());
     e := Span.next_event t !e
   done;
   { f_dst = !dst; f_delivered = !delivered; f_drop = !drop }
-
-let delivered_to t id =
-  let f = fate t id in
-  if f.f_delivered then f.f_dst else Span.none
 
 let of_span t id =
   let f = fate t id in

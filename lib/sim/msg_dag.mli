@@ -29,11 +29,14 @@ val prefix : string
 (** Span [id] is a message span (name ["msg:..."]). Allocates nothing. *)
 val is_msg_span : Span.t -> Span.id -> bool
 
-(** The destination of message span [id] if it was delivered, else
-    {!Span.none}: the [dst] of its {!msg} when [delivered] holds, read by
-    the one decoder of a message span's events without building the
-    message. *)
-val delivered_to : Span.t -> Span.id -> int
+(** What a message span's event note says about the message: ["deliver"]
+    ([Deliver]), ["drop:<cause>"] ([Drop]) or nothing ([Other]). The
+    decoder behind {!msg} reads each note through it: the last
+    [Deliver] or [Drop] event names the destination, and any [Deliver]
+    marks the message delivered. *)
+type note = Other | Deliver | Drop
+
+val note_kind : string -> note
 
 (** All messages of [trace], in send order. *)
 val messages : Span.t -> trace:int -> msg list

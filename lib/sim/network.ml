@@ -34,9 +34,9 @@ type t = {
   mutable drop_probability : float;
   mutable msg_spans : Span.t option;
       (** collector for per-message spans; [None] = don't record *)
-  span_names : (string, string) Hashtbl.t;
-      (** [Msg.name] -> its message-span name, so every span of one kind
-          of message shares one name string *)
+  span_names : Msg.names;
+      (** each message kind's span name, built once, so every span of
+          one kind of message shares one name string *)
   mutable tracing : bool;
       (** master switch for span/trace recording; spans never influence
           the event schedule, so flipping this is behaviour-preserving *)
@@ -67,7 +67,7 @@ let create engine ~n (config : config) =
     latency = config.latency;
     drop_probability = config.drop_probability;
     msg_spans = None;
-    span_names = Hashtbl.create 16;
+    span_names = Msg.names ~prefix:Msg_dag.prefix;
     tracing = true;
     timeseries = None;
     in_flight = Array.make n 0;
@@ -99,6 +99,7 @@ let fresh_rid t =
   t.last_rid
 
 let set_msg_spans t spans = t.msg_spans <- Some spans
+let span_names_built t = Msg.built t.span_names
 let set_tracing t on = t.tracing <- on
 let tracing t = t.tracing
 let timeseries t = t.timeseries
@@ -163,15 +164,7 @@ let open_msg_span t ~src msg =
   match (t.msg_spans, Engine.ctx t.engine) with
   | Some spans, Some { Engine.trace; span = parent } ->
       let at = Engine.now t.engine in
-      let label = Msg.name msg in
-      let name =
-        match Hashtbl.find t.span_names label with
-        | name -> name
-        | exception Not_found ->
-            let name = Msg_dag.prefix ^ label in
-            Hashtbl.replace t.span_names label name;
-            name
-      in
+      let name = Msg.interned t.span_names msg in
       let id = Span.start_span spans ~trace ~parent ~track:src ~name at in
       Span.add_event spans id ~at ~track:src "send";
       id

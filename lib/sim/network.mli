@@ -67,6 +67,11 @@ val fresh_rid : t -> int
     it before traffic flows, as instance construction does. *)
 val set_msg_spans : t -> Span.t -> unit
 
+(** Message-span names built so far: each distinct message kind's
+    ["msg:" ^ Msg.name] is built once per network (see {!Msg.interned}),
+    however many messages of that kind are sent. *)
+val span_names_built : t -> int
+
 (** Master tracing switch (default on). When off, message spans are not
     materialised and protocol instrumentation built on the network
     ({!Core.Phase_span} via [Protocols.Common])

@@ -162,6 +162,9 @@ let opt v = if v = none then None else Some v
 let time v = Simtime.of_us v
 let name_of t id = get_s t.name id
 let trace_of t id = get t.trace_id (get t.slot id)
+let slot_of t id = get t.slot id
+let trace_of_slot t slot = get t.trace_id slot
+let trace_count t = t.traces
 let parent_of t id = get t.parent id
 let track_of t id = get t.track id
 let start_of t id = get t.start id

@@ -109,6 +109,15 @@ val track_of : t -> id -> int
 val start_of : t -> id -> int
 val stop_of : t -> id -> int
 
+(** Traces by slot: each trace's index in first-seen order, so the
+    first span of the [k]-th trace to appear has slot [k]. [slot_of t id]
+    is span [id]'s, [trace_of_slot] maps a slot back to its trace, and
+    slots run from 0 to [trace_count t - 1]. O(1). *)
+val slot_of : t -> id -> int
+
+val trace_of_slot : t -> int -> int
+val trace_count : t -> int
+
 (** Ids of [trace]'s spans in start order. O(spans in the trace). *)
 val trace_ids : t -> trace:int -> id list
 

@@ -5,20 +5,26 @@ let json_escape = Json.escape
 (* Both exporters run twice over the span store: a sizing pass that only
    advances [pos], then a writing pass into bytes of exactly that size,
    which become the result without a copy. One code path serves both
-   passes, so the size cannot drift from what is written. *)
+   passes, so the size cannot drift from what is written. An export may
+   write several sections in one walk, each through its own cursor: the
+   sizing pass measures each, and the writing pass starts each cursor
+   where the sections before it end. *)
 type out = { buf : Bytes.t; writing : bool; mutable pos : int }
 
-let char o c =
+let[@inline] char o c =
   if o.writing then Bytes.unsafe_set o.buf o.pos c;
   o.pos <- o.pos + 1
 
-let str o s =
+let[@inline] str o s =
   let n = String.length s in
-  if o.writing then Bytes.unsafe_blit_string s 0 o.buf o.pos n;
+  if o.writing then
+    if n <= 16 then
+      for i = 0 to n - 1 do Bytes.unsafe_set o.buf (o.pos + i) (String.unsafe_get s i) done
+    else Bytes.unsafe_blit_string s 0 o.buf o.pos n;
   o.pos <- o.pos + n
 
 (* The decimal digits of [-m] for [m <= 0]: negative arithmetic covers
-   [min_int] too. *)
+   [min_int] too. Only negative numbers take this path. *)
 let digits_of_neg o m =
   let len = ref 1 and x = ref (m / 10) in
   while !x <> 0 do
@@ -34,54 +40,111 @@ let digits_of_neg o m =
   end;
   o.pos <- o.pos + !len
 
+(* The number of decimal digits of [n >= 0], by comparison, not
+   division. [digits_from n p d] takes [n >= 10^(d-1)] and [p = 10^d];
+   a 19-digit [n] stops at [d = 19], before [p] would overflow. *)
+let rec digits_from n p d = if n < p || d = 19 then d else digits_from n (p * 10) (d + 1)
+
+let[@inline] digits n =
+  if n < 10 then 1
+  else if n < 100 then 2
+  else if n < 1_000 then 3
+  else if n < 10_000 then 4
+  else if n < 100_000 then 5
+  else if n < 1_000_000 then 6
+  else digits_from n 10_000_000 7
+
 (* [string_of_int n], written in place. *)
-let int o n =
+let[@inline] int o n =
   if n < 0 then begin
     char o '-';
     digits_of_neg o n
   end
-  else digits_of_neg o (-n)
-
-(* [s] from offset [off], escaped by {!Json}'s rule and written in
-   place; a string with nothing to escape is one blit. *)
-let escaped o s off =
-  let n = String.length s in
-  if Json.clean s off then begin
-    if o.writing then Bytes.unsafe_blit_string s off o.buf o.pos (n - off);
-    o.pos <- o.pos + (n - off)
+  else begin
+    let len = digits n in
+    if o.writing then begin
+      let x = ref n in
+      for i = o.pos + len - 1 downto o.pos do
+        Bytes.unsafe_set o.buf i (Char.unsafe_chr (48 + (!x mod 10)));
+        x := !x / 10
+      done
+    end;
+    o.pos <- o.pos + len
   end
-  else
-    for i = off to n - 1 do
-      str o (Json.escape_char (String.unsafe_get s i))
-    done
 
-(* Run [emit] once to size the output and once to write it. *)
-let render emit =
-  let sizing = { buf = Bytes.empty; writing = false; pos = 0 } in
+(* Run [emit] once to size its [sections] and once to write them. *)
+let render ~sections emit =
+  let sizing = Array.init sections (fun _ -> { buf = Bytes.empty; writing = false; pos = 0 }) in
   emit sizing;
-  let o = { buf = Bytes.create sizing.pos; writing = true; pos = 0 } in
-  emit o;
-  assert (o.pos = Bytes.length o.buf);
-  Bytes.unsafe_to_string o.buf
+  let starts = Array.make (sections + 1) 0 in
+  Array.iteri (fun i (o : out) -> starts.(i + 1) <- starts.(i) + o.pos) sizing;
+  let buf = Bytes.create starts.(sections) in
+  let outs = Array.init sections (fun i -> { buf; writing = true; pos = starts.(i) }) in
+  emit outs;
+  Array.iteri (fun i (o : out) -> assert (o.pos = starts.(i + 1))) outs;
+  Bytes.unsafe_to_string buf
+
+(* The text one span name or note contributes, built once per export
+   and shared by both passes. Names and notes are mostly a few strings
+   shared by many spans (message-span names are interned per network,
+   phase names and notes are literals), so a lookup first scans the
+   strings it last resolved for the very same string, and only on a
+   miss hashes the content; equal strings that are not the same string
+   share one entry there. *)
+type 'a frags = {
+  make : string -> 'a;
+  by_content : (string, 'a) Hashtbl.t;
+  recent : string array;  (** the last strings resolved, by identity *)
+  recent_frag : 'a array;
+  mutable filled : int;
+  mutable next : int;  (** the [recent] slot the next miss overwrites *)
+}
+
+let recent_size = 16
+
+let frags make =
+  {
+    make;
+    by_content = Hashtbl.create 16;
+    recent = Array.make recent_size "";
+    recent_frag = Array.make recent_size (make "");
+    filled = 0;
+    next = 0;
+  }
+
+let rec scan f s i =
+  if i = f.filled then i else if f.recent.(i) == s then i else scan f s (i + 1)
+
+let frag f s =
+  let i = scan f s 0 in
+  if i < f.filled then f.recent_frag.(i)
+  else begin
+    let v =
+      match Hashtbl.find f.by_content s with
+      | v -> v
+      | exception Not_found ->
+          let v = f.make s in
+          Hashtbl.replace f.by_content s v;
+          v
+    in
+    let slot = f.next in
+    f.recent.(slot) <- s;
+    f.recent_frag.(slot) <- v;
+    f.next <- (slot + 1) mod recent_size;
+    if f.filled < recent_size then f.filled <- f.filled + 1;
+    v
+  end
 
 (* Track numbering shared by both exporters: the client lane is 0,
    replica [r] is lane [r + 1] ([Span.none] is -1). *)
 let tid_of_track r = r + 1
 
-let rec mem_int (x : int) = function [] -> false | y :: l -> x = y || mem_int x l
-
-let track_name = function
-  | 0 -> "client"
-  | tid -> "replica " ^ string_of_int (tid - 1)
-
-let span_jsonl o t id =
+let span_jsonl o t ~names ~notes id =
   str o "{\"type\":\"span\",\"id\":";
   int o id;
   str o ",\"trace\":";
   int o (Span.trace_of t id);
-  str o ",\"name\":\"";
-  escaped o (Span.name_of t id) 0;
-  str o "\"";
+  str o (frag names (Span.name_of t id));
   let parent = Span.parent_of t id in
   if parent <> Span.none then begin
     str o ",\"parent\":";
@@ -113,9 +176,7 @@ let span_jsonl o t id =
         str o ",\"track\":";
         int o track
       end;
-      str o ",\"note\":\"";
-      escaped o (Span.event_note t !e) 0;
-      str o "\"}";
+      str o (frag notes (Span.event_note t !e));
       e := Span.next_event t !e
     done;
     str o "]"
@@ -124,117 +185,171 @@ let span_jsonl o t id =
 
 (* One JSON object per line, one line per span, in start order. *)
 let to_jsonl t =
-  render (fun o ->
+  let names = frags (fun s -> ",\"name\":\"" ^ Json.escape s ^ "\"")
+  and notes = frags (fun s -> ",\"note\":\"" ^ Json.escape s ^ "\"}") in
+  render ~sections:1 (fun outs ->
+      let o = outs.(0) in
       for id = 0 to Span.count t - 1 do
         if id > 0 then char o '\n';
-        span_jsonl o t id
+        span_jsonl o t ~names ~notes id
       done)
+
+(* A span name's Chrome text: the complete event's head, and for a
+   message span the heads of its two flow events (empty otherwise),
+   each with the comma that precedes it. *)
+type chrome_name = { x : string; s : string; f : string }
+
+let chrome_name name =
+  let x = ",{\"name\":\"" ^ Json.escape name ^ "\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":" in
+  let p = String.length Msg_dag.prefix in
+  if String.length name <= p || not (String.starts_with ~prefix:Msg_dag.prefix name)
+  then { x; s = ""; f = "" }
+  else
+    let flow ph =
+      ",{\"name\":\"" ^ Json.escape (String.sub name p (String.length name - p))
+      ^ "\",\"cat\":\"msg\"," ^ ph ^ ",\"id\":"
+    in
+    { x; s = flow {|"ph":"s"|}; f = flow {|"ph":"f","bp":"e"|} }
 
 (* Chrome trace_event format (chrome://tracing, Perfetto). Every trace
    (transaction) becomes a pid; the client lane and each replica lane
-   become tids within it. Spans are "X" complete events with ts/dur in
-   microseconds; zero-duration spans are emitted with dur=1 so they stay
-   visible in the viewer. *)
-let chrome o t =
-  let n = Span.count t in
-  str o "{\"traceEvents\":[";
-  let first = ref true in
-  let next_event () = if !first then first := false else char o ',' in
-  (* Metadata: name each process after its transaction and each thread
-     after its lane, so the viewer shows meaningful labels. [seen] maps
-     a trace to the lanes already named in it. *)
-  let seen : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  for id = 0 to n - 1 do
-    let pid = Span.trace_of t id and tid = tid_of_track (Span.track_of t id) in
-    let tids =
-      match Hashtbl.find seen pid with
-      | tids -> tids
-      | exception Not_found ->
-          let tids = ref [] in
-          Hashtbl.replace seen pid tids;
-          next_event ();
-          str o "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-          int o pid;
-          str o ",\"tid\":0,\"args\":{\"name\":\"txn ";
-          int o pid;
-          str o "\"}}";
-          tids
-    in
-    if not (mem_int tid !tids) then begin
-      tids := tid :: !tids;
-      next_event ();
-      str o "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
-      int o pid;
-      str o ",\"tid\":";
-      int o tid;
-      str o ",\"args\":{\"name\":\"";
-      str o (track_name tid);
-      str o "\"}}"
+   become tids within it. The events come in three sections, each in
+   span order: metadata naming each process after its transaction and
+   each thread after its lane; one "X" complete event per span, with
+   ts/dur in microseconds (zero-duration spans get dur=1 so they stay
+   visible); and, for each delivered message, a pair of flow events ("s"
+   at the sender, "f" at the destination) from which the viewer draws
+   the causal arrows between lanes, with the message span's id as flow
+   id and its name after {!Msg_dag.prefix} as label. One walk over the
+   spans writes all three, each section through its own cursor. *)
+let head = "{\"traceEvents\":["
+
+(* The first metadata event is the first event: every other one follows
+   a comma. *)
+let meta_comma o = if o.pos > String.length head then char o ','
+
+(* Traces get their slots in first-seen order, so a span opens a new
+   process exactly when its slot is the next unseen one. The lanes
+   already named in a trace are a bit mask by slot, with a list for
+   lanes beyond the mask's width. Both tables come in chunks of 256
+   slots, small enough to be allocated young and die there. *)
+type lanes = { mutable fresh : int; masks : int array array; wide : int list array array }
+
+let by_slot traces v = Array.init ((traces + 255) lsr 8) (fun _ -> Array.make 256 v)
+
+let metadata o lanes ~slot ~pid ~tid =
+  if slot = lanes.fresh then begin
+    lanes.fresh <- slot + 1;
+    meta_comma o;
+    str o "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+    int o pid;
+    str o ",\"tid\":0,\"args\":{\"name\":\"txn ";
+    int o pid;
+    str o "\"}}"
+  end;
+  let named =
+    if tid < Sys.int_size then begin
+      let masks = lanes.masks.(slot lsr 8) in
+      let bit = 1 lsl tid and mask = masks.(slot land 255) in
+      masks.(slot land 255) <- mask lor bit;
+      mask land bit <> 0
     end
-  done;
-  for id = 0 to n - 1 do
-    let ts = Span.start_of t id and stop = Span.stop_of t id in
-    let stop = if stop = Span.none then ts else stop in
-    let trace = Span.trace_of t id in
-    next_event ();
-    str o "{\"name\":\"";
-    escaped o (Span.name_of t id) 0;
-    str o "\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":";
-    int o ts;
-    str o ",\"dur\":";
-    int o (Stdlib.max 1 (stop - ts));
-    str o ",\"pid\":";
-    int o trace;
-    str o ",\"tid\":";
-    int o (tid_of_track (Span.track_of t id));
-    str o ",\"args\":{\"trace\":";
-    int o trace;
-    let has_notes = ref false in
-    let e = ref (Span.first_event t id) in
-    while !e <> Span.none do
-      let note = Span.event_note t !e in
-      if note <> "" then begin
-        str o (if !has_notes then ",\"" else ",\"notes\":[\"");
-        has_notes := true;
-        escaped o note 0;
-        char o '"'
-      end;
-      e := Span.next_event t !e
-    done;
-    if !has_notes then char o ']';
-    str o "}}"
-  done;
-  (* Delivered messages additionally become flow events ("s" at the
-     sender, "f" at the destination), so the viewer draws the causal
-     arrows between lanes. The flow id is the message span id and the
-     label is the span name after its {!Msg_dag.prefix}. *)
-  let flow ~ph id name ts pid tid =
-    next_event ();
-    str o "{\"name\":\"";
-    escaped o name (String.length Msg_dag.prefix);
-    str o "\",\"cat\":\"msg\",";
-    str o ph;
-    str o ",\"id\":";
-    int o id;
-    str o ",\"ts\":";
-    int o ts;
-    str o ",\"pid\":";
+    else begin
+      let wides = lanes.wide.(slot lsr 8) in
+      let wide = wides.(slot land 255) in
+      List.mem tid wide || (wides.(slot land 255) <- tid :: wide; false)
+    end
+  in
+  if not named then begin
+    meta_comma o;
+    str o "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
     int o pid;
     str o ",\"tid\":";
     int o tid;
-    char o '}'
-  in
-  for id = 0 to n - 1 do
-    if Msg_dag.is_msg_span t id then begin
-      let dst = Msg_dag.delivered_to t id and stop = Span.stop_of t id in
-      if dst <> Span.none && stop <> Span.none then begin
-        let name = Span.name_of t id and pid = Span.trace_of t id in
-        flow ~ph:{|"ph":"s"|} id name (Span.start_of t id) pid
-          (tid_of_track (Span.track_of t id));
-        flow ~ph:{|"ph":"f","bp":"e"|} id name stop pid (tid_of_track dst)
-      end
+    if tid = 0 then str o ",\"args\":{\"name\":\"client\"}}"
+    else begin
+      str o ",\"args\":{\"name\":\"replica ";
+      int o (tid - 1);
+      str o "\"}}"
     end
-  done;
-  str o "],\"displayTimeUnit\":\"ms\"}"
+  end
 
-let to_chrome t = render (fun o -> chrome o t)
+(* A note's Chrome text, quoted, and what it says about a message. *)
+type chrome_note = { quoted : string; kind : Msg_dag.note }
+
+let chrome_note note = { quoted = "\"" ^ Json.escape note ^ "\""; kind = Msg_dag.note_kind note }
+
+(* Writes span [id]'s complete event and returns, read from the same
+   walk over its events by {!Msg_dag}'s rule, where it was delivered
+   ({!Span.none} if it was not). *)
+let complete o t ~notes name ~pid ~tid id =
+  let ts = Span.start_of t id and stop = Span.stop_of t id in
+  let stop = if stop = Span.none then ts else stop in
+  str o name.x;
+  int o ts;
+  str o ",\"dur\":";
+  int o (Stdlib.max 1 (stop - ts));
+  str o ",\"pid\":";
+  int o pid;
+  str o ",\"tid\":";
+  int o tid;
+  str o ",\"args\":{\"trace\":";
+  int o pid;
+  let has_notes = ref false and dst = ref Span.none and delivered = ref false in
+  let e = ref (Span.first_event t id) in
+  while !e <> Span.none do
+    let note = Span.event_note t !e in
+    if String.length note > 0 then begin
+      let note = frag notes note in
+      str o (if !has_notes then "," else ",\"notes\":[");
+      has_notes := true;
+      str o note.quoted;
+      match note.kind with
+      | Msg_dag.Deliver ->
+          dst := Span.event_track t !e;
+          delivered := true
+      | Drop -> dst := Span.event_track t !e
+      | Other -> ()
+    end;
+    e := Span.next_event t !e
+  done;
+  if !has_notes then char o ']';
+  str o "}}";
+  if !delivered then !dst else Span.none
+
+let flow o head id ts pid tid =
+  str o head;
+  int o id;
+  str o ",\"ts\":";
+  int o ts;
+  str o ",\"pid\":";
+  int o pid;
+  str o ",\"tid\":";
+  int o tid;
+  char o '}'
+
+let flows o t name ~pid ~tid ~dst id =
+  if String.length name.s > 0 then begin
+    let stop = Span.stop_of t id in
+    if dst <> Span.none && stop <> Span.none then begin
+      flow o name.s id (Span.start_of t id) pid tid;
+      flow o name.f id stop pid (tid_of_track dst)
+    end
+  end
+
+let to_chrome t =
+  let names = frags chrome_name
+  and notes = frags chrome_note in
+  let traces = Span.trace_count t in
+  render ~sections:3 (fun outs ->
+      let meta = outs.(0) and spans = outs.(1) and msgs = outs.(2) in
+      let lanes = { fresh = 0; masks = by_slot traces 0; wide = by_slot traces [] } in
+      str meta head;
+      for id = 0 to Span.count t - 1 do
+        let slot = Span.slot_of t id and tid = tid_of_track (Span.track_of t id) in
+        let pid = Span.trace_of_slot t slot and name = frag names (Span.name_of t id) in
+        metadata meta lanes ~slot ~pid ~tid;
+        let dst = complete spans t ~notes name ~pid ~tid id in
+        flows msgs t name ~pid ~tid ~dst id
+      done;
+      str msgs "],\"displayTimeUnit\":\"ms\"}")

@@ -61,6 +61,61 @@ let test_fd_trust_restored () =
 (* Stubborn channels                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The name each layer gives its messages on message spans: one
+   message per registered constructor, as the layers printed them
+   before the registry (a wrapper around its payload's name, a counted
+   constructor with its count, a leaf by its label), and an unregistered
+   constructor by its own name. A name cache returns the same text
+   behind the "msg:" prefix, built once per constructor path. *)
+module Cons_names = Consensus.Make (struct
+  type t = int
+end)
+
+let test_msg_names () =
+  let p = Payload 1 in
+  let data payload = Rchan.Data { gid = 1; src = 0; seq = 0; payload } in
+  let rb payload = Rbcast.Rb { origin = 0; seq = 1; stable = 0; payload } in
+  let order k =
+    Abcast_seq.Order { epoch = 0; seq = 1; ids = List.init k (fun i -> (i, 1)) }
+  in
+  let cases =
+    [
+      ("Data(Payload)", data p);
+      ("Ack", Rchan.Ack { gid = 1; seq = 0 });
+      ("Rb(Payload)", rb p);
+      ("Data(Rb(Payload))", data (rb p));
+      ("Rb_stable", Rbcast.Stable { origin = 0; stable = 1 });
+      ("Data(Rb_stable)", data (Rbcast.Stable { origin = 0; stable = 1 }));
+      ("Inject(Payload)", Abcast_seq.Inject { id = (0, 1); payload = p });
+      ("Order", order 1);
+      ("Order[3]", order 3);
+      ("Data(Order[3])", data (order 3));
+      ("Fetch_reply(Payload)", Abcast_seq.Fetch_reply { id = (0, 1); payload = p });
+      ("Data(Inject(Payload))", data (Abcast_ct.Inject { id = (0, 1); payload = p }));
+      ("Catchup[1]", Abcast_ct.Catchup { instance = 2; batch = [ ((0, 1), p) ] });
+      ("Catchup[2]", Abcast_ct.Catchup { instance = 2; batch = [ ((0, 1), p); ((1, 1), p) ] });
+      ("Vs(Payload)", Vscast.Vs_msg { view = 1; origin = 0; vseq = 1; payload = p });
+      ("Cons_est", Cons_names.Est { inst = 1; round = 0; est = None; ts = 0; from = 0 });
+      ("Cons_proposal", Cons_names.Proposal { inst = 1; round = 0; v = 7 });
+      ("Cons_reply", Cons_names.Reply { inst = 1; round = 0; from = 1; ok = true });
+      ("Cons_abort", Cons_names.Abort { inst = 1; round = 0 });
+      ("Cons_decide", Cons_names.Decide { inst = 1; v = 7 });
+      ("Data(Cons_decide)", data (Cons_names.Decide { inst = 1; v = 7 }));
+      ("Payload", p);
+      ("Ping", Msg.Ping 1);
+    ]
+  in
+  List.iter (fun (want, m) -> Alcotest.(check string) want want (Msg.name m)) cases;
+  let names = Msg.names ~prefix:"msg:" in
+  List.iter
+    (fun (want, m) ->
+      let first = Msg.interned names m in
+      Alcotest.(check string) ("interned " ^ want) ("msg:" ^ want) first;
+      Alcotest.(check bool) ("shared " ^ want) true (Msg.interned names m == first))
+    cases;
+  Alcotest.(check int) "one name per constructor path" (List.length cases)
+    (Msg.built names)
+
 let test_rchan_lossy_delivery () =
   let e, net = make ~drop:0.4 () in
   let group = Rchan.create_group net ~nodes:[ 0; 1 ] ~rto:(Simtime.of_ms 5) () in
@@ -220,9 +275,9 @@ module Rchan_per_message = struct
     | Ack of { gid : int; seq : int }
 
   let () =
-    Msg.register_printer (function
-      | Data { payload; _ } -> Some ("Data(" ^ Msg.name payload ^ ")")
-      | _ -> None)
+    Msg.wrapper [%extension_constructor Data] "Data" (function
+      | Data { payload; _ } -> payload
+      | _ -> assert false)
 
   type unacked = {
     packet : Msg.t;
@@ -2170,6 +2225,7 @@ let () =
           tc "suspects crashed" test_fd_suspects_crashed;
           tc "trust restored" test_fd_trust_restored;
         ] );
+      ("msg", [ tc "message names" test_msg_names ]);
       ( "rchan",
         [
           tc "lossy delivery" test_rchan_lossy_delivery;

@@ -1629,6 +1629,38 @@ let test_golden_digest_lazy_run () =
     (97400, "07bb62aedfe221b1d38ee831578b2544")
     (digest (Sim.Trace_export.to_jsonl spans))
 
+(* A traced lazy-primary run builds each distinct message-span name
+   once on its network, however many messages of that kind it sends,
+   and every span of one kind shares that one string. *)
+let test_msg_span_names_once () =
+  let factory =
+    Protocols.Registry.default_factory
+      (Option.get (Protocols.Registry.find "lazy-primary"))
+  in
+  let net = ref None in
+  let _, inst =
+    Workload.Runner.run_with_instance ~seed:11 ~n_replicas:5 ~n_clients:4
+      ~spec:{ Workload.Spec.default with txns_per_client = 10 }
+      (fun network ~replicas ~clients ->
+        net := Some network;
+        factory network ~replicas ~clients)
+  in
+  let spans = Core.Phase_span.collector inst.Core.Technique.spans in
+  let interned = Hashtbl.create 16 and sends = ref 0 in
+  for id = 0 to Sim.Span.count spans - 1 do
+    if Sim.Msg_dag.is_msg_span spans id then begin
+      incr sends;
+      let name = Sim.Span.name_of spans id in
+      match Hashtbl.find_opt interned name with
+      | Some first ->
+          Alcotest.(check bool) ("one string for " ^ name) true (first == name)
+      | None -> Hashtbl.add interned name name
+    end
+  done;
+  Alcotest.(check bool) "many sends per kind" true (!sends > 4 * Hashtbl.length interned);
+  Alcotest.(check int) "names built" (Hashtbl.length interned)
+    (Sim.Network.span_names_built (Option.get !net))
+
 (* ------------------------------------------------------------------ *)
 (* Suite assembly                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1689,6 +1721,7 @@ let observability_suite =
     tc "golden jsonl: active, fixed seed" test_golden_jsonl_active;
     tc "golden chrome: active, fixed seed" test_golden_chrome_active;
     tc "golden digests: lazy-primary run" test_golden_digest_lazy_run;
+    tc "message-span names built once per network" test_msg_span_names_once;
   ]
 
 let property_suite =

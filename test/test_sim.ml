@@ -1250,6 +1250,25 @@ let prop_export_matches_reference =
       Trace_export.to_chrome t = Reference_export.to_chrome t
       && Trace_export.to_jsonl t = Reference_export.to_jsonl t)
 
+(* Numbers at every digit-count boundary, up to [max_int], and negative
+   trace ids down to [min_int]: the exporters size each number by
+   comparison before writing it, so each boundary is a place the size and
+   the text could part. *)
+let test_export_digit_boundaries () =
+  let t = Span.create () in
+  let rec powers p acc = if p > max_int / 10 then p :: acc else powers (p * 10) (p :: acc) in
+  let times = max_int :: List.concat_map (fun p -> [ p - 1; p ]) (powers 1 []) in
+  List.iteri
+    (fun i us ->
+      let trace = match i mod 3 with 0 -> i | 1 -> -i | _ -> min_int + i in
+      let id = Span.start_span t ~trace ~track:(i mod 70) ~name:"msg:Data" (Simtime.of_us us) in
+      Span.add_event t id ~at:(Simtime.of_us us) ~track:(i mod 70) "send";
+      Span.add_event t id ~at:(Simtime.of_us us) ~track:((i + 1) mod 70) "deliver";
+      Span.finish t id (Simtime.of_us us))
+    times;
+  Alcotest.(check string) "chrome" (Reference_export.to_chrome t) (Trace_export.to_chrome t);
+  Alcotest.(check string) "jsonl" (Reference_export.to_jsonl t) (Trace_export.to_jsonl t)
+
 (* Deterministic cost, not wall time: the words allocated, minor and
    major heap together, to record one message-shaped span (start, a
    "send" and a "deliver" event, finish), as {!Network} records every
@@ -1686,6 +1705,7 @@ let () =
           tc "ill-nested detected" test_span_ill_nested_detected;
           QCheck_alcotest.to_alcotest prop_span_index_matches_reference;
           QCheck_alcotest.to_alcotest prop_export_matches_reference;
+          tc "exports at digit boundaries" test_export_digit_boundaries;
           tc "phase summary linear in traces" test_phase_summary_linear;
           tc "message span allocation bounded" test_msg_span_words;
         ] );
