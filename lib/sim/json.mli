@@ -42,9 +42,3 @@ val path : string list -> t -> t option
 (** [s] escaped, without the surrounding quotes; [s] itself when
     nothing needs escaping. *)
 val escape : string -> string
-
-(** [clean s i]: no byte of [s] from offset [i] on needs escaping. *)
-val clean : string -> int -> bool
-
-(** The escaped form of one byte. *)
-val escape_char : char -> string

@@ -17,10 +17,7 @@ let[@inline] char o c =
 
 let[@inline] str o s =
   let n = String.length s in
-  if o.writing then
-    if n <= 16 then
-      for i = 0 to n - 1 do Bytes.unsafe_set o.buf (o.pos + i) (String.unsafe_get s i) done
-    else Bytes.unsafe_blit_string s 0 o.buf o.pos n;
+  if o.writing then Bytes.unsafe_blit_string s 0 o.buf o.pos n;
   o.pos <- o.pos + n
 
 (* The decimal digits of [-m] for [m <= 0]: negative arithmetic covers
