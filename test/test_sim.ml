@@ -1269,6 +1269,33 @@ let test_export_digit_boundaries () =
   Alcotest.(check string) "chrome" (Reference_export.to_chrome t) (Trace_export.to_chrome t);
   Alcotest.(check string) "jsonl" (Reference_export.to_jsonl t) (Trace_export.to_jsonl t)
 
+(* Each distinct span name's and note's text is built once per export,
+   however many physically distinct copies of it the spans hold: the
+   words an export allocates on the minor heap (its result is one large
+   block, allocated outside it) do not grow with the number of copies. *)
+let export_minor_words copies =
+  let t = Span.create () in
+  for i = 0 to copies - 1 do
+    let copy s = Bytes.to_string (Bytes.of_string s) in
+    let id =
+      Span.start_span t ~trace:1 ~track:(i mod 5) ~name:(copy "msg:Data(Rb(\"x\"))")
+        (Simtime.of_us i)
+    in
+    Span.add_event t id ~at:(Simtime.of_us i) ~track:(i mod 5) (copy "send");
+    Span.add_event t id ~at:(Simtime.of_us i) ~track:((i + 1) mod 5) (copy "deliver");
+    Span.finish t id (Simtime.of_us (i + 1))
+  done;
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Trace_export.to_chrome t));
+  ignore (Sys.opaque_identity (Trace_export.to_jsonl t));
+  Gc.minor_words () -. before
+
+let test_export_fragments_once () =
+  let small = export_minor_words 1_000 and large = export_minor_words 8_000 in
+  if large > small +. 1_000. then
+    Alcotest.failf "exports allocated %.0f minor words for 1k copies of one name and %.0f \
+                    for 8k" small large
+
 (* Deterministic cost, not wall time: the words allocated, minor and
    major heap together, to record one message-shaped span (start, a
    "send" and a "deliver" event, finish), as {!Network} records every
@@ -1706,6 +1733,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_span_index_matches_reference;
           QCheck_alcotest.to_alcotest prop_export_matches_reference;
           tc "exports at digit boundaries" test_export_digit_boundaries;
+          tc "export text built once per name" test_export_fragments_once;
           tc "phase summary linear in traces" test_phase_summary_linear;
           tc "message span allocation bounded" test_msg_span_words;
         ] );
