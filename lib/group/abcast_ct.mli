@@ -9,15 +9,6 @@
     sends to one server which forwards to all — here the forwarding is the
     stubborn multicast of the injection). *)
 
-(** {2 Messages}
-
-    A payload proposed for ordering, named ["Inject(...)"], and a batch of [k] decided payloads sent to a member that fell behind, named ["Catchup[k]"]. Exposed so that tests can pin the names they
-    give message spans ({!Sim.Msg.name}); the layer's other messages
-    stay private. *)
-type Sim.Msg.t +=
-  | Inject of { id : int * int; payload : Sim.Msg.t }
-  | Catchup of { instance : int; batch : ((int * int) * Sim.Msg.t) list }
-
 type t
 type group
 

@@ -50,16 +50,6 @@
     cursors live in an array indexed by member position. Nothing is
     truncated: the window and tables grow with the run. *)
 
-(** {2 Messages}
-
-    A payload sent to the sequencer, named ["Inject(...)"]; an ordering of one id, named ["Order"], or of [k > 1] ids, named ["Order[k]"]; and a payload fetched by a member that missed it, named ["Fetch_reply(...)"]. Ids are (origin node, per-origin seq). Exposed so that tests can pin the names they
-    give message spans ({!Sim.Msg.name}); the layer's other messages
-    stay private. *)
-type Sim.Msg.t +=
-  | Inject of { id : int * int; payload : Sim.Msg.t }
-  | Order of { epoch : int; seq : int; ids : (int * int) list }
-  | Fetch_reply of { id : int * int; payload : Sim.Msg.t }
-
 type t
 type group
 

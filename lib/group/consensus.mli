@@ -17,17 +17,6 @@ module Make (V : sig
   type t
 end) : sig
   type t
-
-  (** The protocol's messages, named ["Cons_est"], ["Cons_proposal"],
-      ["Cons_reply"], ["Cons_abort"] and ["Cons_decide"] (the client
-      reply of [Protocols.Common] is also a "Reply"); exposed so that
-      tests can pin those names. *)
-  type Sim.Msg.t +=
-    | Est of { inst : int; round : int; est : V.t option; ts : int; from : int }
-    | Proposal of { inst : int; round : int; v : V.t }
-    | Reply of { inst : int; round : int; from : int; ok : bool }
-    | Abort of { inst : int; round : int }
-    | Decide of { inst : int; v : V.t }
   type group
 
   val create_group :

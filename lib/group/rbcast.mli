@@ -39,15 +39,6 @@
     loses nothing, so the origin's n−1 copies suffice: no watermark,
     holding, timer, notice or relay. *)
 
-(** {2 Messages}
-
-    A broadcast copy, named ["Rb(...)"], and an idle origin's stability notice, named ["Rb_stable"]. Exposed so that tests can pin the names they
-    give message spans ({!Sim.Msg.name}); the layer's other messages
-    stay private. *)
-type Sim.Msg.t +=
-  | Rb of { origin : int; seq : int; stable : int; payload : Sim.Msg.t }
-  | Stable of { origin : int; stable : int }
-
 type t
 type group
 

@@ -34,15 +34,6 @@
     seq, and a chain that ends (sender crashed, retries spent) drops
     its message from the ring but leaves it unacknowledged. *)
 
-(** {2 Messages}
-
-    The channel's wire messages: a payload, named ["Data(...)"], and its acknowledgement, named ["Ack"]. Exposed so that tests can pin the names they
-    give message spans ({!Sim.Msg.name}); the layer's other messages
-    stay private. *)
-type Sim.Msg.t +=
-  | Data of { gid : int; src : int; seq : int; payload : Sim.Msg.t }
-  | Ack of { gid : int; seq : int }
-
 type t
 type group
 

@@ -23,14 +23,6 @@
     a join request from a current member forces a fresh view (with
     unchanged membership) for the joiner to jump to. *)
 
-(** {2 Messages}
-
-    A multicast within a view, named ["Vs(...)"]. Exposed so that tests can pin the names they
-    give message spans ({!Sim.Msg.name}); the layer's other messages
-    stay private. *)
-type Sim.Msg.t +=
-  | Vs_msg of { view : int; origin : int; vseq : int; payload : Sim.Msg.t }
-
 type t
 type group
 

@@ -103,7 +103,7 @@ let grow_events t =
   t.ev_next <- add_chunk t.ev_next 0;
   t.ev_note <- add_chunk t.ev_note ""
 
-let slot_of t trace =
+let slot_for_trace t trace =
   match Hashtbl.find t.slots trace with
   | slot -> slot
   | exception Not_found ->
@@ -121,7 +121,7 @@ let slot_of t trace =
 let start_span t ~trace ?parent ?track ~name start =
   let id = t.count in
   if id = capacity t.slot then grow_spans t;
-  let slot = slot_of t trace in
+  let slot = slot_for_trace t trace in
   set t.slot id slot;
   set t.parent id (match parent with Some p -> p | None -> none);
   set t.track id (match track with Some r -> r | None -> none);
