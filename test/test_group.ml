@@ -61,61 +61,6 @@ let test_fd_trust_restored () =
 (* Stubborn channels                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The name each layer gives its messages on message spans: one
-   message per registered constructor, as the layers printed them
-   before the registry (a wrapper around its payload's name, a counted
-   constructor with its count, a leaf by its label), and an unregistered
-   constructor by its own name. A name cache returns the same text
-   behind the "msg:" prefix, built once per constructor path. *)
-module Cons_names = Consensus.Make (struct
-  type t = int
-end)
-
-let test_msg_names () =
-  let p = Payload 1 in
-  let data payload = Rchan.Data { gid = 1; src = 0; seq = 0; payload } in
-  let rb payload = Rbcast.Rb { origin = 0; seq = 1; stable = 0; payload } in
-  let order k =
-    Abcast_seq.Order { epoch = 0; seq = 1; ids = List.init k (fun i -> (i, 1)) }
-  in
-  let cases =
-    [
-      ("Data(Payload)", data p);
-      ("Ack", Rchan.Ack { gid = 1; seq = 0 });
-      ("Rb(Payload)", rb p);
-      ("Data(Rb(Payload))", data (rb p));
-      ("Rb_stable", Rbcast.Stable { origin = 0; stable = 1 });
-      ("Data(Rb_stable)", data (Rbcast.Stable { origin = 0; stable = 1 }));
-      ("Inject(Payload)", Abcast_seq.Inject { id = (0, 1); payload = p });
-      ("Order", order 1);
-      ("Order[3]", order 3);
-      ("Data(Order[3])", data (order 3));
-      ("Fetch_reply(Payload)", Abcast_seq.Fetch_reply { id = (0, 1); payload = p });
-      ("Data(Inject(Payload))", data (Abcast_ct.Inject { id = (0, 1); payload = p }));
-      ("Catchup[1]", Abcast_ct.Catchup { instance = 2; batch = [ ((0, 1), p) ] });
-      ("Catchup[2]", Abcast_ct.Catchup { instance = 2; batch = [ ((0, 1), p); ((1, 1), p) ] });
-      ("Vs(Payload)", Vscast.Vs_msg { view = 1; origin = 0; vseq = 1; payload = p });
-      ("Cons_est", Cons_names.Est { inst = 1; round = 0; est = None; ts = 0; from = 0 });
-      ("Cons_proposal", Cons_names.Proposal { inst = 1; round = 0; v = 7 });
-      ("Cons_reply", Cons_names.Reply { inst = 1; round = 0; from = 1; ok = true });
-      ("Cons_abort", Cons_names.Abort { inst = 1; round = 0 });
-      ("Cons_decide", Cons_names.Decide { inst = 1; v = 7 });
-      ("Data(Cons_decide)", data (Cons_names.Decide { inst = 1; v = 7 }));
-      ("Payload", p);
-      ("Ping", Msg.Ping 1);
-    ]
-  in
-  List.iter (fun (want, m) -> Alcotest.(check string) want want (Msg.name m)) cases;
-  let names = Msg.names ~prefix:"msg:" in
-  List.iter
-    (fun (want, m) ->
-      let first = Msg.interned names m in
-      Alcotest.(check string) ("interned " ^ want) ("msg:" ^ want) first;
-      Alcotest.(check bool) ("shared " ^ want) true (Msg.interned names m == first))
-    cases;
-  Alcotest.(check int) "one name per constructor path" (List.length cases)
-    (Msg.built names)
-
 let test_rchan_lossy_delivery () =
   let e, net = make ~drop:0.4 () in
   let group = Rchan.create_group net ~nodes:[ 0; 1 ] ~rto:(Simtime.of_ms 5) () in
@@ -1363,10 +1308,11 @@ let shrink_crash_plan p =
    its retry budget (100 retries at the 10 ms default rto) at least once. *)
 let retry_budget_ms = 1_200
 
-let check_crash_plan p =
+let check_crash_plan ?(on_net = ignore) p =
   let e, net = make ~seed:p.c_seed ~n:4 ~drop:(float_of_int p.loss_pct /. 100.) () in
   let members = [ 0; 1; 2 ] in
   let group = Abcast_seq.create_group net ~members ~clients:[ 3 ] () in
+  on_net net;
   let h m = Abcast_seq.handle group ~me:m in
   let sent = Hashtbl.create 512 and next = Array.make 4 0 in
   let broadcast src =
@@ -1442,6 +1388,17 @@ let check_crash_plan p =
     sent;
   true
 
+(* A plan whose members fetch a payload they missed. *)
+let fetch_plan =
+  let w gap_ms down_ms target after_broadcast =
+    { gap_ms; down_ms; target; after_broadcast }
+  in
+  {
+    c_seed = 4072;
+    loss_pct = 0;
+    windows = [ w 452 1495 2 true; w 27 448 2 false; w 582 1246 0 true ];
+  }
+
 (* Plans the property once found stalling (or, the last, storming), one
    per catch-up path: each fails with that path taken out. *)
 let test_abcast_seq_crash_plans () =
@@ -1469,10 +1426,7 @@ let test_abcast_seq_crash_plans () =
           w 90 754 1 true;
         ] );
       ("leader orders what came without quorum", 6600, 14, [ w 448 1455 3 true ]);
-      ( "one Fetch per poll",
-        4072,
-        0,
-        [ w 452 1495 2 true; w 27 448 2 false; w 582 1246 0 true ] );
+      ("one Fetch per poll", fetch_plan.c_seed, fetch_plan.loss_pct, fetch_plan.windows);
     ]
 
 let prop_abcast_seq_crash_recovery =
@@ -2216,6 +2170,99 @@ let test_isolation () =
             commit_layers)
         members)
     instances
+
+(* The names the group layers give their messages on message spans, read
+   off real traffic: a tap on top of every node's handler stack names
+   each message delivered there. A wrapper shows its payload's name, a
+   counted constructor its count (Order from 2 ids, Catchup from 0), a
+   leaf its label, and an unregistered constructor its own name, as each
+   layer printed them before the registry. The tap also looks every
+   message up in a name cache, which must return one string per name:
+   the name behind the "msg:" prefix, built once. *)
+type tap = { names : (string, string) Hashtbl.t; cache : Msg.names }
+
+let tap net ~nodes =
+  let t = { names = Hashtbl.create 16; cache = Msg.names ~prefix:"msg:" } in
+  List.iter
+    (fun node ->
+      Network.add_handler net node (fun ~src:_ m ->
+          let name = Msg.name m and interned = Msg.interned t.cache m in
+          (match Hashtbl.find_opt t.names name with
+          | Some first ->
+              if interned != first then Alcotest.failf "%s: a second string" name
+          | None ->
+              Alcotest.(check string) "interned" ("msg:" ^ name) interned;
+              Hashtbl.replace t.names name interned);
+          false))
+    nodes;
+  t
+
+let check_names label t want =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (label ^ ": " ^ name) true (Hashtbl.mem t.names name))
+    want;
+  Alcotest.(check int) (label ^ ": one name per constructor path")
+    (Hashtbl.length t.names) (Msg.built t.cache)
+
+let test_msg_names () =
+  (* Reliable broadcast over stubborn channels; idle origins send a
+     stability notice. *)
+  (let e, net = make ~n:4 () in
+   let members = [ 0; 1; 2; 3 ] in
+   let group = Rbcast.create_group net ~members () in
+   let t = tap net ~nodes:members in
+   Rbcast.broadcast (Rbcast.handle group ~me:0) (Payload 1);
+   Rbcast.broadcast (Rbcast.handle group ~me:2) (Payload 2);
+   ignore (Engine.run e);
+   check_names "rbcast" t [ "Data(Rb(Payload))"; "Data(Rb_stable)"; "Ack" ]);
+  (* The sequencer with a batch window: three broadcasts in one window
+     share an Order, a lone one later gets its own, a client injects. *)
+  (let e, net = make ~n:4 () in
+   let members = [ 0; 1; 2 ] in
+   let group =
+     Abcast.create_group net ~members ~clients:[ 3 ] ~impl:Abcast.Sequencer
+       ~batch_window:(Simtime.of_ms 5) ()
+   in
+   let t = tap net ~nodes:members in
+   for k = 0 to 2 do
+     Abcast.broadcast (Abcast.handle group ~me:0) (Payload k)
+   done;
+   run_ms e 1_000;
+   Abcast.broadcast_from group ~src:3 (Payload 3);
+   run_ms e 2_000;
+   check_names "sequencer" t
+     [ "Data(Order[3])"; "Data(Order)"; "Data(Inject(Payload))"; "Data(Order_ack)";
+       "Heartbeat" ]);
+  (* A member that missed a payload fetches it. *)
+  (let t = ref None in
+   ignore (check_crash_plan ~on_net:(fun net -> t := Some (tap net ~nodes:[ 0; 1; 2 ])) fetch_plan);
+   check_names "sequencer fetch" (Option.get !t) [ "Data(Fetch_reply(Payload))" ]);
+  (* Consensus-based ordering; a member cut off past its channels' retry
+     budget catches up on the instances it missed. *)
+  (let e, net, members, group = abcast_setup ~impl:Abcast.Consensus_based () in
+   let t = tap net ~nodes:members in
+   Network.partition net [ 2 ];
+   for k = 0 to 5 do
+     ignore
+       (Engine.schedule e ~after:(Simtime.of_ms (10 * k)) (fun () ->
+            Abcast.broadcast (Abcast.handle group ~me:0) (Payload k)))
+   done;
+   run_ms e 5_000;
+   Network.heal net;
+   Abcast.broadcast (Abcast.handle group ~me:0) (Payload 6);
+   run_ms e 20_000;
+   check_names "consensus-based" t
+     [ "Data(Inject(Payload))"; "Data(Catchup[1])"; "Data(Cons_est)";
+       "Data(Cons_proposal)"; "Data(Cons_reply)"; "Data(Cons_decide)"; "Data(Progress)" ]);
+  (* View-synchronous multicast. *)
+  (let e, net = make ~seed:51 () in
+   let members = [ 0; 1; 2 ] in
+   let group = Vscast.create_group net ~members () in
+   let t = tap net ~nodes:members in
+   Vscast.broadcast (Vscast.handle group ~me:0) (Payload 0);
+   run_ms e 1_000;
+   check_names "vscast" t [ "Data(Vs(Payload))"; "Data(Vs_ack)" ])
 
 let () =
   Alcotest.run "group"
