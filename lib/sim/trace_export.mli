@@ -19,8 +19,8 @@
     lane metadata is found through its trace slot ({!Span.slot_of}) in a
     per-slot bit mask, with no hashing. Beyond the result, an export
     allocates the fragments and two words per trace. On [lazy16-traced]
-    (11 866 spans, 3 849 928 bytes) [to_chrome] takes about 6.5 ms warm,
-    against 15.6 ms when each span's text is escaped and its lane looked
+    (11 866 spans, 3 849 928 bytes) [to_chrome] takes about 7 ms warm,
+    against 16 ms when each span's text is escaped and its lane looked
     up in a hash table anew (2-core x86-64 VM). *)
 
 (** One JSON object per line per span, in start order. Fields: [type],
