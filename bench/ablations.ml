@@ -7,7 +7,6 @@
    abl5  optimistic atomic broadcast: spontaneous vs total order
    abl6  optimistic certification hidden inside the ordering protocol
    abl7  lock quorums in eager-UE locking (§5.4.1)
-   abl8  blocking 2PC vs non-blocking 3PC in eager primary copy (§2.1)
 
    Each is an [Exp] declaration and writes BENCH_ablN.json with the
    numbers its table prints. *)
@@ -361,46 +360,6 @@ let lock_quorums =
       ("2 of 3 (majority)", "2", 3);
     ]
 
-
-(* --- abl8 -------------------------------------------------------------- *)
-
-let blocking_vs_nonblocking =
-  Exp.v "abl8"
-    "Atomic commitment: blocking 2PC vs non-blocking 3PC in eager primary \
-     copy (paper §2.1)"
-    ~reading:
-      "3PC pays one extra round on every transaction to buy\n\
-       crash-autonomy; with the client-retry layer on top the visible\n\
-       failover is similar, but prepared participants terminate on their\n\
-       own instead of waiting for the resubmitted transaction (see the\n\
-       3pc test suite for the pure blocking-vs-non-blocking contrast)."
-  @@ fun x ->
-  Fmt.pr "%-14s %14s %14s %12s@." "commit" "lat mean (ms)" "crash gap (ms)"
-    "committed";
-  let spec = Workload.Builder.spec ~updates:1.0 ~txns:25 () in
-  List.iter
-    (fun (label, nonblocking_commit) ->
-      let commit = ("nonblocking_commit", string_of_bool nonblocking_commit) in
-      let factory = Exp.factory "eager-primary" ~set:[ commit ] in
-      let smooth = Workload.Runner.run ~n_clients:2 ~spec factory in
-      let crashed =
-        Workload.Runner.run ~n_clients:2 ~spec
-          ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 60; replica = 0 } ]
-          factory
-      in
-      let params = [ commit ] in
-      let note = Exp.note x ~technique:"eager-primary" ~unit_:"ms" ~params in
-      let mean = note ~metric:"latency_mean" smooth.latency_ms.mean in
-      let gap =
-        note ~metric:"max_response_gap" (Simtime.to_ms crashed.max_response_gap)
-      in
-      let committed =
-        Exp.count x ~metric:"committed" ~technique:"eager-primary"
-          ~unit_:"txns" ~params crashed.committed
-      in
-      Fmt.pr "%-14s %14.2f %14.1f %12d@." label mean gap committed)
-    [ ("2PC", false); ("3PC", true) ]
-
 let all =
   [
     abcast_engines;
@@ -410,5 +369,4 @@ let all =
     optimistic_delivery;
     optimistic_certification;
     lock_quorums;
-    blocking_vs_nonblocking;
   ]

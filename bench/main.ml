@@ -2,7 +2,7 @@
 
    With no arguments, runs everything: every figure of the paper
    (fig1..fig16), the §6 performance study (perf1..perf19), the
-   ablations (abl1..abl8) and the Bechamel micro-benchmarks (micro).
+   ablations (abl1..abl7) and the Bechamel micro-benchmarks (micro).
    Individual experiments can be selected by id:
 
      dune exec bench/main.exe -- fig16 perf2

@@ -19,12 +19,6 @@ let schema : Config.schema =
         "propagate each operation as it executes (statement-level \
          interaction) instead of one deferred writeset";
     };
-    {
-      Config.name = "nonblocking_commit";
-      ty = Config.TBool;
-      default = Config.Bool false;
-      doc = "terminate with 3PC instead of 2PC (non-blocking commitment)";
-    };
     Config.client_retry_key ~default:(Simtime.of_ms 400);
     {
       Config.name = "abort_probability";
@@ -89,7 +83,6 @@ type replica_state = {
 
 let create ?shared cfg net ~replicas ~clients =
   let interactive = Config.get_bool cfg "interactive" in
-  let nonblocking_commit = Config.get_bool cfg "nonblocking_commit" in
   let client_retry = Config.get_time cfg "client_retry" in
   let abort_probability = Config.get_float cfg "abort_probability" in
   let passthrough = Config.get_bool cfg "passthrough" in
@@ -101,10 +94,9 @@ let create ?shared cfg net ~replicas ~clients =
   let states = Hashtbl.create 8 in
   let state r = Hashtbl.find states r in
   (* A commit round gets a fresh id per (attempt, coordinator): a client
-     resubmission after a primary crash re-runs the same rid, and the
-     atomic-commitment protocols treat a round id as terminated forever —
-     including rounds of the same attempt number started by the previous
-     primary. Supports up to 63 attempts and 16 replicas. *)
+     resubmission after a primary crash re-runs the same rid, and 2PC
+     treats a round id as terminated forever — including rounds of the
+     same attempt number started by the previous primary. Supports up to 63 attempts and 16 replicas. *)
   let coord_index r =
     match List.find_index (Int.equal r) ctx.Common.replicas with
     | Some i -> i
@@ -143,10 +135,10 @@ let create ?shared cfg net ~replicas ~clients =
     | Some writes when committed ->
         Store.Apply.apply_writes (Common.store ctx me) !writes
     | _ -> ());
-    (* Remember committed outcomes at every participant: after a
-       coordinator crash the non-blocking termination can commit a
-       transaction whose reply never left, and the client's resubmission
-       must find the outcome instead of re-executing (exactly-once). *)
+    (* Remember committed outcomes at every participant: a primary can
+       crash after its decision left but before its reply did, and the
+       client's resubmission must find the outcome instead of
+       re-executing (exactly-once). *)
     if committed && not (Hashtbl.mem st.cache rid) then
       Hashtbl.replace st.cache rid (true, None);
     Hashtbl.remove st.buffered rid;
@@ -159,26 +151,6 @@ let create ?shared cfg net ~replicas ~clients =
       ~learn:(fun ~me ~txn decision ->
         learn_commit ~me ~txn (decision = Core.Two_phase_commit.Commit))
       ()
-  in
-  let tpc3 =
-    if nonblocking_commit then
-      Some
-        (Core.Three_phase_commit.create_group net ~nodes:replicas
-           ~passthrough ~vote
-           ~learn:(fun ~me ~txn decision ->
-             learn_commit ~me ~txn (decision = Core.Three_phase_commit.Commit))
-           ())
-    else None
-  in
-  let start_commit_round ~coordinator ~participants ~txn ~on_complete =
-    match tpc3 with
-    | Some g ->
-        Core.Three_phase_commit.start g ~coordinator ~participants ~txn
-          ~on_complete:(fun d ->
-            on_complete (d = Core.Three_phase_commit.Commit))
-    | None ->
-        Core.Two_phase_commit.start tpc ~coordinator ~participants ~txn
-          ~on_complete:(fun d -> on_complete (d = Core.Two_phase_commit.Commit))
   in
   (* The lowest alive replica owns the primary copy — but a freshly
      recovered copy is stale and must not reclaim ownership (or serve
@@ -266,9 +238,10 @@ let create ?shared cfg net ~replicas ~clients =
               Hashtbl.replace st.attempts rid a;
               a
             in
-            start_commit_round ~coordinator:r ~participants
+            Core.Two_phase_commit.start tpc ~coordinator:r ~participants
               ~txn:(round_of_rid rid attempt ~coordinator:r)
-              ~on_complete:(fun committed ->
+              ~on_complete:(fun decision ->
+                let committed = decision = Core.Two_phase_commit.Commit in
                 let value =
                   if committed then Store.Shadow.last_read txn.shadow else None
                 in

@@ -16,14 +16,10 @@
     operation) and only the final AC is a 2PC; otherwise the transaction
     is a stored procedure: one EX, one propagation, one 2PC (Figure 7).
 
-    Settings ({!schema}): [nonblocking_commit] uses three-phase commit
-    for the final agreement round instead of the (blocking) two-phase
-    commit — the §2.1 distributed-systems alternative. One more message
-    round; a coordinator crash can no longer wedge prepared participants
-    (see abl8). [abort_probability] is the chance that a secondary votes
-    NO, standing in for the paper's "load, consistency constraints,
-    interactions with local operations" — deterministic per (request,
-    replica). *)
+    Settings ({!schema}): [abort_probability] is the chance that a
+    secondary votes NO, standing in for the paper's "load, consistency
+    constraints, interactions with local operations" — deterministic per
+    (request, replica). *)
 
 (** The technique's settings: key, type, default and doc, resolved by
     [--set eager-primary.KEY=VALUE]. *)

@@ -225,90 +225,6 @@ let test_2pc_coordinator_crash_blocks_participants () =
 
 
 (* ------------------------------------------------------------------ *)
-(* Three-phase commit (non-blocking)                                  *)
-(* ------------------------------------------------------------------ *)
-
-let tpc3_setup ?(n = 3) ?(votes = fun ~me:_ ~txn:_ -> true) () =
-  let e = Engine.create ~seed:5 () in
-  let net = Network.create e ~n Network.default_config in
-  let decisions = Hashtbl.create 8 in
-  let group =
-    Core.Three_phase_commit.create_group net ~nodes:(List.init n Fun.id)
-      ~vote:votes
-      ~learn:(fun ~me ~txn d -> Hashtbl.replace decisions (me, txn) d)
-      ()
-  in
-  (e, net, group, decisions)
-
-let test_3pc_all_yes_commits () =
-  let e, _net, group, decisions = tpc3_setup () in
-  let outcome = ref None in
-  Core.Three_phase_commit.start group ~coordinator:0 ~participants:[ 0; 1; 2 ]
-    ~txn:1 ~on_complete:(fun d -> outcome := Some d);
-  ignore (Engine.run ~until:(Simtime.of_sec 2.) e);
-  Alcotest.(check bool) "committed" true
-    (!outcome = Some Core.Three_phase_commit.Commit);
-  List.iter
-    (fun me ->
-      Alcotest.(check bool)
-        (Printf.sprintf "participant %d learned commit" me)
-        true
-        (Hashtbl.find_opt decisions (me, 1)
-        = Some Core.Three_phase_commit.Commit))
-    [ 0; 1; 2 ]
-
-let test_3pc_one_no_aborts () =
-  let votes ~me ~txn:_ = me <> 2 in
-  let e, _net, group, decisions = tpc3_setup ~votes () in
-  let outcome = ref None in
-  Core.Three_phase_commit.start group ~coordinator:0 ~participants:[ 0; 1; 2 ]
-    ~txn:1 ~on_complete:(fun d -> outcome := Some d);
-  ignore (Engine.run ~until:(Simtime.of_sec 2.) e);
-  Alcotest.(check bool) "aborted" true
-    (!outcome = Some Core.Three_phase_commit.Abort);
-  Alcotest.(check bool) "all learn abort" true
-    (List.for_all
-       (fun me ->
-         Hashtbl.find_opt decisions (me, 1) = Some Core.Three_phase_commit.Abort)
-       [ 0; 1; 2 ])
-
-let test_3pc_nonblocking_uncertain_aborts () =
-  (* The coordinator crashes before any pre-commit: all survivors are
-     uncertain, so — unlike 2PC, which blocks forever here — they elect a
-     recovery coordinator and ABORT on their own. *)
-  let e, net, group, decisions = tpc3_setup () in
-  Core.Three_phase_commit.start group ~coordinator:0 ~participants:[ 0; 1; 2 ]
-    ~txn:1 ~on_complete:(fun _ -> ());
-  Network.crash net 0;
-  ignore (Engine.run ~until:(Simtime.of_sec 10.) e);
-  List.iter
-    (fun me ->
-      Alcotest.(check bool)
-        (Printf.sprintf "survivor %d terminated with abort" me)
-        true
-        (Hashtbl.find_opt decisions (me, 1) = Some Core.Three_phase_commit.Abort))
-    [ 1; 2 ]
-
-let test_3pc_nonblocking_precommit_commits () =
-  (* The coordinator crashes after pre-commits went out: survivors see a
-     pre-committed state and terminate with COMMIT. *)
-  let e, net, group, decisions = tpc3_setup () in
-  Core.Three_phase_commit.start group ~coordinator:0 ~participants:[ 0; 1; 2 ]
-    ~txn:1 ~on_complete:(fun _ -> ());
-  (* Let votes and pre-commits flow, then kill the coordinator before it
-     can send DoCommit. *)
-  ignore
-    (Engine.schedule e ~after:(Simtime.of_ms 3) (fun () -> Network.crash net 0));
-  ignore (Engine.run ~until:(Simtime.of_sec 10.) e);
-  match
-    (Hashtbl.find_opt decisions (1, 1), Hashtbl.find_opt decisions (2, 1))
-  with
-  | Some d1, Some d2 ->
-      Alcotest.(check bool) "both terminated" true true;
-      Alcotest.(check bool) "agreement" true (d1 = d2)
-  | _ -> Alcotest.fail "a survivor blocked — 3PC must not block"
-
-(* ------------------------------------------------------------------ *)
 (* Certification                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -659,13 +575,6 @@ let () =
           tc "participant crash + timeout" test_2pc_participant_crash_timeout_aborts;
           tc "blocks without timeout" test_2pc_blocks_without_timeout;
           tc "coordinator crash blocks" test_2pc_coordinator_crash_blocks_participants;
-        ] );
-      ( "3pc",
-        [
-          tc "all yes commits" test_3pc_all_yes_commits;
-          tc "one no aborts" test_3pc_one_no_aborts;
-          tc "non-blocking: uncertain -> abort" test_3pc_nonblocking_uncertain_aborts;
-          tc "non-blocking: precommitted -> commit" test_3pc_nonblocking_precommit_commits;
         ] );
       ("certification", [ tc "commit and abort" test_certification_commit_and_abort ]);
       ( "reconciliation",

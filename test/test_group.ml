@@ -2109,20 +2109,6 @@ let test_isolation () =
           fun txn ->
             Core.Two_phase_commit.start g ~coordinator:0 ~participants:members
               ~txn ~on_complete:ignore );
-      ( "3pc",
-        fun i ->
-          let g =
-            Core.Three_phase_commit.create_group net ~nodes:members ~fd
-              ~vote:(fun ~me:_ ~txn:_ -> i = 0)
-              ~learn:(fun ~me ~txn d ->
-                record ("3pc", i, me)
-                  ((txn * 10)
-                  + if d = Core.Three_phase_commit.Commit then 1 else 0))
-              ()
-          in
-          fun txn ->
-            Core.Three_phase_commit.start g ~coordinator:0
-              ~participants:members ~txn ~on_complete:ignore );
     ]
   in
   List.iter

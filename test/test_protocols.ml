@@ -1152,31 +1152,6 @@ let crash_fuzz_suite =
     registry_entries
 
 
-let test_eager_primary_3pc () =
-  (* Eager primary with the non-blocking commitment: same outcomes, and
-     the usual failover still holds. *)
-  let h =
-    setup ~n:3
-      (factory "eager-primary" ~set:[ ("nonblocking_commit", "true") ])
-  in
-  let client = List.hd h.clients in
-  let committed = ref 0 in
-  client_loop h ~client ~count:8
-    ~make_request:(fun _ -> incr_req h ~client "x")
-    ~on_reply:(fun reply ->
-      if reply.Core.Technique.committed then incr committed);
-  ignore
-    (Engine.schedule h.engine ~after:(Simtime.of_ms 15) (fun () ->
-         Network.crash h.net 0));
-  run_for h 60_000;
-  Alcotest.(check int) "all commit with 3PC" 8 !committed;
-  check_converged ~only_alive:true h "eager primary 3PC";
-  check_serializable h "eager primary 3PC";
-  List.iter
-    (fun s -> Alcotest.(check int) "exactly once" 8 (fst (Store.Kv.read s "x")))
-    (alive_stores h)
-
-
 let test_passive_partition_heals () =
   (* A replica isolated past the retransmission budget is excluded by a
      view change; after the heal the view probes make it rejoin and the
@@ -1774,7 +1749,6 @@ let () =
         [
           tc "failover" test_eager_primary_failover;
           tc "interactive EX/AC loop" test_eager_primary_interactive_loop;
-          tc "non-blocking commit (3PC)" test_eager_primary_3pc;
           tc "reply outruns the decision"
             test_eager_primary_reply_outruns_decision;
           tc "recover + state transfer from an in-doubt donor"
