@@ -415,37 +415,33 @@ let config_file_arg =
 
 (* A directive naming an unknown technique or an unknown key would
    otherwise be silently ignored by techniques it doesn't apply to, so
-   every directive is validated against the registry up front. *)
+   every directive is validated against the registry up front; a bad one
+   is a usage error (exit status 2). *)
 let validate_directive (d : Protocols.Config.directive) =
   match Protocols.Registry.find_res d.technique with
-  | Error msg -> Error (Printf.sprintf "--set %s: %s" (Protocols.Config.directive_to_string d) msg)
-  | Ok entry -> (
-      match Protocols.Config.find_key entry.schema d.key with
-      | Some _ -> Ok ()
-      | None ->
-          Error
-            (Printf.sprintf "--set %s: unknown config key %S for %s (valid keys: %s)"
-               (Protocols.Config.directive_to_string d)
-               d.key entry.key
-               (String.concat ", " (Protocols.Config.keys entry.schema))))
+  | Error msg -> fail "--set %s: %s" (Protocols.Config.directive_to_string d) msg
+  | Ok entry ->
+      if Option.is_none (Protocols.Config.find_key entry.schema d.key) then
+        fail "--set %s: unknown config key %S for %s (valid keys: %s)"
+          (Protocols.Config.directive_to_string d)
+          d.key entry.key
+          (String.concat ", " (Protocols.Config.keys entry.schema))
 
 (* File directives first, --set flags after, so the flags win when both
    bind the same key. *)
 let directives_term =
   let combine file sets =
     let from_file =
-      match file with
-      | None -> Ok []
-      | Some path -> Protocols.Config.parse_file path
+      match Option.map Protocols.Config.parse_file file with
+      | None -> []
+      | Some (Ok directives) -> directives
+      | Some (Error msg) -> fail "%s" msg
     in
-    Result.bind from_file (fun from_file ->
-        let directives = from_file @ sets in
-        List.fold_left
-          (fun acc d -> Result.bind acc (fun () -> validate_directive d))
-          (Ok ()) directives
-        |> Result.map (fun () -> directives))
+    let directives = from_file @ sets in
+    List.iter validate_directive directives;
+    directives
   in
-  Term.(term_result' (const combine $ config_file_arg $ set_args))
+  Term.(const combine $ config_file_arg $ set_args)
 
 (* The resolved configuration of [entry] under [directives] plus its
    constructor. Techniques and keys were validated at parse time; a

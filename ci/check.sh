@@ -292,6 +292,18 @@ if [ "${1:-0}" -lt 10 ] || [ "$1" != "${2:-}" ]; then
 fi
 echo "figures: no mismatch, Figure 16 $1/$2"
 
+# Every example program runs to completion (exit status 0). Each is
+# named in examples/dune and built by the build leg.
+echo "== examples run =="
+start=$(date +%s%N)
+for name in $(sed -n 's/^ *(names \(.*\))$/\1/p' examples/dune); do
+  if ! ./_build/default/examples/"$name".exe > /dev/null; then
+    echo "examples/$name.exe failed" >&2
+    exit 1
+  fi
+done
+echo "examples ran in $(( ($(date +%s%N) - start) / 1000000 )) ms"
+
 # Runtime configuration smoke: non-default technique parameters applied
 # from the command line, without recompilation — the consensus-based
 # ordering engine under certification, and sequencer batching under
@@ -308,8 +320,11 @@ dune exec bin/replisim.exe -- config active > /dev/null
 # with a silently odd workload. So is a compare against an empty
 # baseline (it would pass vacuously), an unknown --threshold/--perturb
 # metric, a negative threshold, a malformed gate file and a BENCH file
-# that is malformed or reports nothing.
+# that is malformed or reports nothing. A --set key the technique does
+# not declare (here three-phase commit's retired switch) is refused,
+# and the message lists the valid keys.
 echo "== argument validation =="
+unknown_key="run -t eager-primary --set eager-primary.nonblocking_commit=true --txns 5"
 rm -rf _compare_empty_ci _gate_ci
 mkdir _compare_empty_ci _gate_ci
 printf 'perf1 latency_mean => 0\n' > _gate_ci/gates.txt
@@ -336,6 +351,7 @@ for args in "run -t active --updates 1.5 --txns 5" \
     "trace -t active --set active.shards=4" \
     "run -t active --set active.batch_window=-5ms --txns 5" \
     "run -t eager-primary --set eager-primary.abort_probability=1.5 --txns 5" \
+    "$unknown_key" \
     "compare _compare_empty_ci baseline" \
     "compare baseline baseline --threshold latncy_p95:0.3" \
     "compare baseline baseline --threshold latency_p95:-1" \
@@ -352,6 +368,11 @@ for args in "run -t active --updates 1.5 --txns 5" \
   fi
 done
 rm -rf _compare_empty_ci _gate_ci
+if ! dune exec bin/replisim.exe -- $unknown_key 2>&1 >/dev/null \
+    | grep -q 'valid keys: interactive, client_retry, abort_probability'; then
+  echo "replisim $unknown_key: the message does not list the valid keys" >&2
+  exit 1
+fi
 # A bench size variable that is set must be a positive integer; a typo
 # or a zero is a usage error, never a silent run at the default size.
 for size in abc 1O 0 -5; do

@@ -33,7 +33,6 @@ let of_code = function
   | "END" -> Some Response
   | _ -> None
 
-let compare = Stdlib.compare
 let equal = Stdlib.( = )
 let pp ppf t = Format.pp_print_string ppf (code t)
 

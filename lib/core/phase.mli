@@ -18,7 +18,6 @@ val code : t -> string
 
 val long_name : t -> string
 val of_code : string -> t option
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

@@ -9,10 +9,3 @@ let next view ~members =
   { id = view.id + 1; members = List.sort_uniq Int.compare members }
 
 let is_member view node = List.mem node view.members
-let size view = List.length view.members
-
-let pp ppf { id; members } =
-  Format.fprintf ppf "v%d{%s}" id
-    (String.concat "," (List.map string_of_int members))
-
-let equal a b = a.id = b.id && a.members = b.members

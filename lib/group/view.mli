@@ -11,6 +11,3 @@ val initial : int list -> t
 val next : t -> members:int list -> t
 
 val is_member : t -> int -> bool
-val size : t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

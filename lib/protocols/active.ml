@@ -86,19 +86,10 @@ let create ?shared cfg net ~replicas ~clients =
           ignore src;
           match msg with
           | Local_read { client; request } ->
-              let rid = request.Store.Operation.rid in
-              Common.count ctx
-                ~labels:[ ("replica", string_of_int r) ]
-                "local_reads_total";
-              Common.phase_begin ctx ~rid ~replica:r
+              Common.local_read ctx ~replica:r ~client
+                ~counter:"local_reads_total"
                 ~note:"local read without ordering (sequentially consistent)"
-                Core.Phase.Execution;
-              let result =
-                Store.Apply.execute (Common.store ctx r)
-                  request.Store.Operation.ops
-              in
-              Common.send_reply ctx ~replica:r ~client ~rid ~committed:true
-                ~value:(Common.reply_value result)
+                request
           | _ -> ()))
     replicas;
   let submit ~client request cb =

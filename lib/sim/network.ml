@@ -245,8 +245,6 @@ let send t ~src ~dst msg =
     end
   end
 
-let multicast t ~src ~dsts msg = List.iter (fun dst -> send t ~src ~dst msg) dsts
-
 let on_crash t f = t.crash_watchers <- f :: t.crash_watchers
 let on_recover t f = t.recover_watchers <- f :: t.recover_watchers
 

@@ -93,7 +93,6 @@ val timeseries : t -> Timeseries.t option
 val add_handler : t -> int -> handler -> unit
 
 val send : t -> src:int -> dst:int -> Msg.t -> unit
-val multicast : t -> src:int -> dsts:int list -> Msg.t -> unit
 
 (** Crash-stop a node: it stops receiving messages and its guarded timers
     stop firing. In-flight messages to it are lost. *)

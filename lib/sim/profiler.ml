@@ -225,11 +225,3 @@ let pp_row ppf r =
     (100. *. r.r_wall_share)
     r.r_alloc_w
     (100. *. r.r_alloc_share)
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "events=%d scheduled=%d cancelled=%d queue_peak=%d wall=%.3fs alloc=%.0fw \
-     heap_peak=%dw spans=%d samples=%d trace_bytes=%d"
-    r.p_events r.p_scheduled r.p_cancelled r.p_queue_peak r.p_wall_s
-    r.p_alloc_words r.p_heap_peak_words r.p_spans_created r.p_samples_taken
-    r.p_trace_bytes

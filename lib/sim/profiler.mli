@@ -95,4 +95,3 @@ val report_to_json : ?extra:(string * Json.t) list -> report -> string
 val normalize : report -> report
 
 val pp_row : Format.formatter -> row -> unit
-val pp_report : Format.formatter -> report -> unit

@@ -45,10 +45,6 @@ let exponential t ~mean =
   let u = if u <= 0. then 1e-12 else u in
   -.mean *. log u
 
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 module Zipf = struct
   (* Inverse-CDF sampling from a precomputed cumulative distribution. *)
   type sampler = { cdf : float array }

@@ -24,9 +24,6 @@ val bool : t -> bool
 (** [exponential t ~mean] draws from Exp(1/mean). *)
 val exponential : t -> mean:float -> float
 
-(** [pick t arr] is a uniformly random element of [arr]. *)
-val pick : t -> 'a array -> 'a
-
 (** Zipfian sampler over [\[0, n)] with skew [theta] (0 = uniform). *)
 module Zipf : sig
   type sampler

@@ -3,10 +3,6 @@ type result = {
   writes : (Operation.key * int * int) list;
 }
 
-let empty = { reads = []; writes = [] }
-
-let merge a b = { reads = a.reads @ b.reads; writes = a.writes @ b.writes }
-
 let execute ?(choose = fun _ -> 0) kv ops =
   let reads = ref [] and writes = ref [] in
   let do_write k v =

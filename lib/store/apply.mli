@@ -19,6 +19,3 @@ val execute :
 
 (** Install a writeset produced elsewhere, version numbers included. *)
 val apply_writes : Kv.t -> (Operation.key * int * int) list -> unit
-
-val empty : result
-val merge : result -> result -> result

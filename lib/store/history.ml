@@ -8,7 +8,6 @@ type record = {
 
 type t = {
   mutable rev_records : record list;
-  mutable size : int;
   mutable subscribers : (record -> unit) list;
   parent_of : (int, int) Hashtbl.t;  (* sub tid -> cross-shard parent tid *)
   subs_of : (int, int list) Hashtbl.t;  (* parent tid -> sub tids, rev order *)
@@ -17,7 +16,6 @@ type t = {
 let create () =
   {
     rev_records = [];
-    size = 0;
     subscribers = [];
     parent_of = Hashtbl.create 16;
     subs_of = Hashtbl.create 16;
@@ -25,7 +23,6 @@ let create () =
 
 let add t r =
   t.rev_records <- r :: t.rev_records;
-  t.size <- t.size + 1;
   List.iter (fun f -> f r) t.subscribers
 
 let add_result t ~tid ~replica ~at (result : Apply.result) =
@@ -51,4 +48,3 @@ let subs_of t ~parent =
   List.rev (Option.value ~default:[] (Hashtbl.find_opt t.subs_of parent))
 
 let records t = List.rev t.rev_records
-let length t = t.size

@@ -24,7 +24,6 @@ val add_result :
   t -> tid:int -> replica:int -> at:Sim.Simtime.t -> Apply.result -> unit
 
 val records : t -> record list
-val length : t -> int
 
 (** [on_add t f] runs [f] on every subsequently added record — the
     consistency audit layer indexes commits incrementally this way. *)

@@ -166,11 +166,3 @@ let waiting_count t =
 
 let held_count t =
   Hashtbl.fold (fun _ e acc -> acc + Hashtbl.length e.holders) t.entries 0
-
-let active_txns t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      Hashtbl.fold (fun txn _ acc -> txn :: acc) e.holders acc
-      @ List.map (fun w -> w.w_txn) e.queue)
-    t.entries []
-  |> List.sort_uniq Int.compare

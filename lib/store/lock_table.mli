@@ -36,6 +36,3 @@ val waiting_count : t -> int
 
 (** Total (txn, key) locks currently held, over all keys. *)
 val held_count : t -> int
-
-(** All transactions currently holding or awaiting at least one lock. *)
-val active_txns : t -> int list

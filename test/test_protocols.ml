@@ -326,6 +326,7 @@ let test_eager_primary_failover () =
   run_for h 60_000;
   Alcotest.(check int) "all commit after take-over" 8 !committed;
   check_converged ~only_alive:true h "eager primary failover";
+  check_serializable h "eager primary failover";
   List.iter
     (fun s -> Alcotest.(check int) "exactly once" 8 (fst (Store.Kv.read s "x")))
     (alive_stores h)
