@@ -128,7 +128,8 @@ let create ?shared cfg net ~replicas ~clients =
     | Some b -> b := !b @ writes
     | None -> Hashtbl.replace st.buffered rid (ref writes)
   in
-  let learn_commit ~me ~txn committed =
+  let learn ~me ~txn decision =
+    let committed = decision = Core.Two_phase_commit.Commit in
     let rid = rid_of_round txn in
     let st = state me in
     (match Hashtbl.find_opt st.buffered rid with
@@ -147,10 +148,7 @@ let create ?shared cfg net ~replicas ~clients =
   let tpc =
     Core.Two_phase_commit.create_group net ~nodes:replicas ~passthrough
       ~participant_timeout:(Simtime.of_ms 300)
-      ~vote
-      ~learn:(fun ~me ~txn decision ->
-        learn_commit ~me ~txn (decision = Core.Two_phase_commit.Commit))
-      ()
+      ~vote ~learn ()
   in
   (* The lowest alive replica owns the primary copy — but a freshly
      recovered copy is stale and must not reclaim ownership (or serve
