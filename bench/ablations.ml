@@ -28,9 +28,9 @@ let abcast_engines =
   List.iter
     (fun (name, impl) ->
       let factory = Exp.factory "active" ~set:[ ("abcast_impl", impl) ] in
-      let smooth = Workload.Runner.run ~n_clients:2 ~spec factory in
+      let smooth = Workload.Runner.run ~net:Exp.net ~n_clients:2 ~spec factory in
       let crashed =
-        Workload.Runner.run ~n_clients:2 ~spec
+        Workload.Runner.run ~net:Exp.net ~n_clients:2 ~spec
           ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 100; replica = 0 } ]
           factory
       in
@@ -65,7 +65,9 @@ let rowa =
           let spec =
             Workload.Builder.spec ~updates:update_ratio ~txns:25 ~keys:200 ()
           in
-          let result = Workload.Runner.run ~n_clients:2 ~spec factory in
+          let result =
+            Workload.Runner.run ~net:Exp.net ~n_clients:2 ~spec factory
+          in
           let ratio = ("update_ratio", Printf.sprintf "%.1f" update_ratio) in
           let note =
             Exp.note x ~technique:"eager-ue-locking" ~params:[ rowa; ratio ]
@@ -96,7 +98,7 @@ let fd_timeout =
   List.iter
     (fun timeout_ms ->
       let engine = Engine.create ~seed:17 () in
-      let net = Network.create engine ~n:3 Network.default_config in
+      let net = Network.create engine ~n:3 Exp.net in
       let members = [ 0; 1; 2 ] in
       let fd =
         Group.Fd.create_group net ~members
@@ -104,7 +106,7 @@ let fd_timeout =
           ~heartbeat_every:(Simtime.of_ms (max 5 (timeout_ms / 5)))
           ()
       in
-      let group = Group.Abcast.create_group net ~members ~fd ~passthrough:true () in
+      let group = Group.Abcast.create_group net ~members ~fd () in
       (* Member 1 broadcasts steadily; the sequencer (member 0) crashes. *)
       ignore
         (Engine.periodic engine ~every:(Simtime.of_ms 2)
@@ -192,14 +194,14 @@ let optimistic_delivery =
       let engine = Engine.create ~seed:31 () in
       let config =
         {
-          Network.default_config with
+          Exp.net with
           Network.latency =
             Network.Uniform (Simtime.of_us lo_us, Simtime.of_us hi_us);
         }
       in
       let net = Network.create engine ~n:3 config in
       let members = [ 0; 1; 2 ] in
-      let group = Group.Abcast.create_group net ~members ~passthrough:true () in
+      let group = Group.Abcast.create_group net ~members () in
       (* Timestamps of optimistic and final delivery at member 2 — a
          follower, whose spontaneous order can genuinely diverge from the
          sequencer's total order. *)
@@ -307,7 +309,9 @@ let optimistic_certification =
                 optimistic;
               ]
         in
-        let result = Workload.Runner.run ~n_clients:2 ~spec factory in
+        let result =
+          Workload.Runner.run ~net:Exp.net ~n_clients:2 ~spec factory
+        in
         note ~metric:"latency_mean" ~unit_:"ms" ~params:[ cost; optimistic ]
           result.latency_ms.mean
       in
@@ -340,7 +344,10 @@ let lock_quorums =
         Exp.factory "eager-ue-locking"
           ~set:[ ("lock_quorum", lock_quorum) ]
       in
-      let r = Workload.Runner.run ~n_replicas:n ~n_clients:3 ~spec factory in
+      let r =
+        Workload.Runner.run ~net:Exp.net ~n_replicas:n ~n_clients:3 ~spec
+          factory
+      in
       let params = [ ("lock_quorum", lock_quorum); ("n", string_of_int n) ] in
       let note = Exp.note x ~technique:"eager-ue-locking" ~params in
       let mean = note ~metric:"latency_mean" ~unit_:"ms" r.latency_ms.mean in

@@ -13,14 +13,16 @@ let banner title =
   let hr = String.make 78 '-' in
   Fmt.pr "%s@.%s@.%s@." hr title hr
 
+(* The links most experiments run on: the default network declared
+   loss-free, so wire traffic equals the protocol's message pattern. An
+   experiment that needs the stubborn channels' acks and retransmissions
+   runs on [Network.default_config] instead. *)
+let net = { Sim.Network.default_config with passthrough = true }
+
 (* The one way a bench builds a technique: its registry entry with [set]
-   applied over the schema's defaults. Passthrough (wire traffic ==
-   protocol message pattern) unless the experiment needs the stubborn
-   channels' acks and retransmissions. *)
-let factory ?(passthrough = true) ?(set = []) key =
-  Protocols.Registry.configure_exn
-    (Option.get (Protocols.Registry.find key))
-    (("passthrough", string_of_bool passthrough) :: set)
+   applied over the schema's defaults. *)
+let factory ?(set = []) key =
+  Protocols.Registry.configure_exn (Option.get (Protocols.Registry.find key)) set
 
 (* [<ID>_TXNS] overrides a sized experiment's transaction count. A value
    that is set but is not a positive integer is a usage error (exit 2),

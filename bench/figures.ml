@@ -10,7 +10,7 @@ open Sim
 let run_single ?(n = 3) ?(ops = [ Store.Operation.Incr ("x", 1) ])
     ?(run_ms = 10_000) ~factory () =
   let engine = Engine.create ~seed:3 () in
-  let net = Network.create engine ~n:(n + 1) Network.default_config in
+  let net = Network.create engine ~n:(n + 1) Exp.net in
   let replicas = List.init n Fun.id in
   let clients = [ n ] in
   let inst : Core.Technique.instance = factory net ~replicas ~clients in
@@ -204,7 +204,7 @@ let fig11 () =
   (* Two clients update the same item at different delegates inside the
      propagation window, forcing the reconciliation the figure shows. *)
   let engine = Engine.create ~seed:3 () in
-  let net = Network.create engine ~n:5 Network.default_config in
+  let net = Network.create engine ~n:5 Exp.net in
   let replicas = [ 0; 1; 2 ] and clients = [ 3; 4 ] in
   let inst =
     Exp.factory "lazy-ue" ~set:[ ("propagation_delay", "20ms") ] net

@@ -85,10 +85,8 @@ let bench_abcast =
   Test.make ~name:"abcast: full broadcast round (3 replicas, simulated)"
     (Staged.stage (fun () ->
          let e = Sim.Engine.create ~seed:5 () in
-         let net = Sim.Network.create e ~n:3 Sim.Network.default_config in
-         let group =
-           Group.Abcast.create_group net ~members:[ 0; 1; 2 ] ~passthrough:true ()
-         in
+         let net = Sim.Network.create e ~n:3 Exp.net in
+         let group = Group.Abcast.create_group net ~members:[ 0; 1; 2 ] () in
          let delivered = ref 0 in
          List.iter
            (fun m ->

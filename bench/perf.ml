@@ -8,7 +8,8 @@
 
 open Sim
 
-(* Passthrough factories: wire traffic == protocol message pattern. *)
+(* Every technique under its defaults; the experiments that run them on
+   [Exp.net] see wire traffic == protocol message pattern. *)
 let techniques =
   List.map (fun key -> (key, Exp.factory key)) Protocols.Registry.keys
 
@@ -29,7 +30,10 @@ let latency_vs_replicas =
   @@ fun name factory ->
   List.map
     (fun n ->
-      let r = Workload.Runner.run ~n_replicas:n ~n_clients:2 ~spec factory in
+      let r =
+        Workload.Runner.run ~net:Exp.net ~n_replicas:n ~n_clients:2 ~spec
+          factory
+      in
       Printf.sprintf "%.2f"
         (Exp.note x ~metric:"latency_mean" ~technique:name ~unit_:"ms"
            ~params:[ ("n", string_of_int n) ] r.latency_ms.mean))
@@ -52,7 +56,7 @@ let mix_sweep =
         Workload.Builder.spec ~updates:update_ratio ~txns:40 ~keys:50
           ~skew:0.9 ()
       in
-      let r = Workload.Runner.run ~n_clients:4 ~spec factory in
+      let r = Workload.Runner.run ~net:Exp.net ~n_clients:4 ~spec factory in
       let note =
         Exp.note x ~technique:name
           ~params:[ ("update_ratio", Printf.sprintf "%.1f" update_ratio) ]
@@ -82,7 +86,7 @@ let failover =
   List.iter
     (fun (name, factory) ->
       let r =
-        Workload.Runner.run ~n_replicas:3 ~n_clients:2 ~spec
+        Workload.Runner.run ~net:Exp.net ~n_replicas:3 ~n_clients:2 ~spec
           ~faults:[ Workload.Runner.Crash { at = Simtime.of_ms 100; replica = 0 } ]
           factory
       in
@@ -114,7 +118,7 @@ let eager_vs_lazy =
        replicas take to converge: step the engine until no reply is
        outstanding, then in 1 ms slices until the stores agree. *)
     let engine = Engine.create ~seed:21 () in
-    let net = Network.create engine ~n:5 Network.default_config in
+    let net = Network.create engine ~n:5 Exp.net in
     let replicas = [ 0; 1; 2 ] and clients = [ 3; 4 ] in
     let inst = Exp.factory name net ~replicas ~clients in
     let lat = ref [] in
@@ -190,7 +194,7 @@ let message_counts =
          and subtracted. *)
       let instance () =
         let engine = Engine.create ~seed:9 () in
-        let net = Network.create engine ~n:4 Network.default_config in
+        let net = Network.create engine ~n:4 Exp.net in
         (engine, net, factory net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ])
       in
       let idle_rate =
@@ -262,9 +266,9 @@ let wan =
   Fmt.pr "%-18s %12s %12s %10s@." "technique" "LAN" "WAN" "ratio";
   List.iter
     (fun (name, factory) ->
-      let lan = Workload.Runner.run ~n_clients:3 ~spec factory in
+      let lan = Workload.Runner.run ~net:Exp.net ~n_clients:3 ~spec factory in
       let wan =
-        Workload.Runner.run ~n_clients:3 ~spec ~tune:wan_tune
+        Workload.Runner.run ~net:Exp.net ~n_clients:3 ~spec ~tune:wan_tune
           ~deadline:(Simtime.of_sec 600.) factory
       in
       let note =
@@ -292,7 +296,7 @@ let phase_breakdown =
   Exp.table ~width:11 columns techniques
   @@ fun name factory ->
   let engine = Engine.create ~seed:77 () in
-  let net = Network.create engine ~n:5 Network.default_config in
+  let net = Network.create engine ~n:5 Exp.net in
   let replicas = [ 0; 1; 2 ] and clients = [ 3; 4 ] in
   let inst = factory net ~replicas ~clients in
   List.iter
@@ -391,7 +395,7 @@ let crash_recovery_windows =
             Workload.Runner.
               [ Crash { at = crash; replica = 0 }; Recover { at = recover; replica = 0 } ]
           ~deadline:(Simtime.of_sec 300.)
-          (Exp.factory ~passthrough:false name)
+          (Exp.factory name)
       in
       (* Bucket each answered transaction by its response instant: the
          span tree records absolute times, so the crash window is visible
@@ -469,7 +473,7 @@ let loss_and_partition_rates =
   let sweep corner values ~column ~param run =
     Exp.table ~corner ~width:16 (List.map column values)
       (List.map
-         (fun name -> (name, Exp.factory ~passthrough:false name))
+         (fun name -> (name, Exp.factory name))
          [ "active"; "eager-primary"; "eager-ue-locking"; "lazy-ue";
            "certification" ])
     @@ fun name factory ->
@@ -537,7 +541,8 @@ let contention =
   List.map
     (fun rate ->
       let r =
-        Workload.Runner.run ~n_clients:4 ~spec ~arrival:(`Poisson rate) factory
+        Workload.Runner.run ~net:Exp.net ~n_clients:4 ~spec
+          ~arrival:(`Poisson rate) factory
       in
       let note =
         Exp.note x ~technique:name
@@ -579,7 +584,7 @@ let partitions =
   List.iter
     (fun (name, factory) ->
       let r =
-        Workload.Runner.run ~n_clients:2 ~spec
+        Workload.Runner.run ~net:Exp.net ~n_clients:2 ~spec
           ~faults:
             [
               Workload.Runner.Partition
@@ -619,7 +624,9 @@ let tail_latency =
   in
   Exp.table ~width:11 [ "mean"; "p95"; "p99"; "max" ] techniques
   @@ fun name factory ->
-  let l = (Workload.Runner.run ~n_clients:4 ~spec factory).latency_ms in
+  let l =
+    (Workload.Runner.run ~net:Exp.net ~n_clients:4 ~spec factory).latency_ms
+  in
   List.map
     (fun (metric, v) ->
       Printf.sprintf "%.2f" (Exp.note x ~metric ~technique:name ~unit_:"ms" v))
@@ -659,7 +666,7 @@ let resource_trajectory =
     "abort%" "waiters^" "queue^" "txns^";
   List.iter
     (fun name ->
-      let factory = Exp.factory ~passthrough:false name in
+      let factory = Exp.factory name in
       List.iter
         (fun rate ->
           let result =
@@ -730,7 +737,7 @@ let batching =
           List.iter
             (fun rate ->
               let result =
-                Workload.Runner.run ~n_clients:4 ~spec
+                Workload.Runner.run ~net:Exp.net ~n_clients:4 ~spec
                   ~arrival:(`Poisson rate) ~deadline:(Simtime.of_sec 8.) factory
               in
               let note =
@@ -799,14 +806,13 @@ let self_throughput x =
   let spec txns = Workload.Builder.spec ~updates:0.1 ~txns ~keys:1_000 () in
   (* Each leg also reports the heap words its span collector keeps
      alive once the run is over. *)
-  let leg ?passthrough ~tracing ~txns () =
+  let leg ?(net = Exp.net) ~tracing ~txns () =
     let profiler = Sim.Profiler.create () in
     let t0 = Unix.gettimeofday () in
     let result, inst =
-      Workload.Runner.run_with_instance ~seed:11 ~n_replicas:n ~n_clients:clients
-        ~spec:(spec txns) ~profiler ~tracing ~analyze:false
-        ~deadline:(Simtime.of_sec 3600.)
-        (Exp.factory ?passthrough technique_name)
+      Workload.Runner.run_with_instance ~seed:11 ~net ~n_replicas:n
+        ~n_clients:clients ~spec:(spec txns) ~profiler ~tracing ~analyze:false
+        ~deadline:(Simtime.of_sec 3600.) (Exp.factory technique_name)
     in
     let run_wall = Unix.gettimeofday () -. t0 in
     let span_words =
@@ -874,7 +880,7 @@ let self_throughput x =
      the timers the engine queued and the cancelled timers it dropped,
      per network message sent. *)
   let report_st, result_st, _, _ =
-    leg ~passthrough:false ~tracing:false ~txns:txns_off ()
+    leg ~net:Network.default_config ~tracing:false ~txns:txns_off ()
   in
   let per_message metric count =
     note ~metric ~unit_:"timers/msg"
@@ -1039,7 +1045,9 @@ let sharding =
       (fun name ->
         Fmt.pr "%-18s" name;
         let probe_msgs ~n ~shards =
-          let p = Workload.Builder.probe ~seed:7 ~n (sharded shards name) in
+          let p =
+            Workload.Builder.probe ~seed:7 ~n ~net:Exp.net (sharded shards name)
+          in
           let _, _, s = Workload.Builder.probe_summary p in
           Exp.count x ~metric:"probe_messages" ~technique:name ~unit_:"msgs"
             ~params:[ ("n", string_of_int n); ("shards", string_of_int shards) ]
@@ -1081,8 +1089,8 @@ let sharding =
           ~shards ~cross ()
       in
       let r =
-        Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:clients ~spec
-          factory
+        Workload.Runner.run ~seed:11 ~net:Exp.net ~n_replicas:n
+          ~n_clients:clients ~spec factory
       in
       let params = [ ("cross", Printf.sprintf "%.2f" cross) ] in
       let note = Exp.note x ~technique:"active" ~params in
@@ -1138,8 +1146,8 @@ let consistency_audit =
         ~txns:x.Exp.txns ~keys:100 ~shards ~cross ()
     in
     let result =
-      Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:4 ~spec ~arrival
-        ~sample:(Simtime.of_ms 5) ~audit:true factory
+      Workload.Runner.run ~seed:11 ~net:Exp.net ~n_replicas:n ~n_clients:4
+        ~spec ~arrival ~sample:(Simtime.of_ms 5) ~audit:true factory
     in
     let a = Option.get result.audit in
     failed :=
@@ -1274,7 +1282,7 @@ let quadrant_sweep =
           Workload.Sweep.run_cell ~n_replicas:3 ~n_clients:4
             ~spec:(Workload.Builder.spec ~keys:100 ~ops:1 ~txns:x.Exp.txns ())
             ~config:[]
-            ~factory:(Exp.factory ~passthrough:false c.technique)
+            ~factory:(Exp.factory c.technique)
             c
         in
         let params =
@@ -1369,8 +1377,8 @@ let quadrant_sweep =
    throughput/p95 under the spike say which quadrant survives, and the
    failover counter proves at least one read was answered only because
    the router resent it elsewhere. The partition drops messages, so
-   part B runs the techniques over retransmitting channels
-   ([~passthrough:false]): under passthrough a dropped copy is never
+   part B runs the techniques over retransmitting channels (the default
+   network, not [Exp.net]): under passthrough a dropped copy is never
    resent.
 
    PERF19_TXNS overrides the per-client transaction count (CI smoke). *)
@@ -1395,8 +1403,7 @@ let routed_tier =
     let r =
       Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:4 ~spec ~audit:true
         ~router:{ Workload.Router.default_config with Workload.Router.sticky }
-        (Exp.factory ~passthrough:false "lazy-primary"
-           ~set:[ ("propagation_delay", "20ms") ])
+        (Exp.factory "lazy-primary" ~set:[ ("propagation_delay", "20ms") ])
     in
     (Option.get r.audit, Option.get r.router, r.read_latency_ms.p95)
   in
@@ -1459,7 +1466,7 @@ let routed_tier =
                       heal_at = Simtime.of_ms 30;
                     };
                 ]
-            (Exp.factory ~passthrough:false name)
+            (Exp.factory name)
         in
         let st = Option.get r.router in
         let params = [ ("phase", "flash") ] in

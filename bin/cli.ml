@@ -415,15 +415,16 @@ let config_file_arg =
 
 (* A directive naming an unknown technique or an unknown key would
    otherwise be silently ignored by techniques it doesn't apply to, so
-   every directive is validated against the registry up front; a bad one
-   is a usage error (exit status 2). *)
-let validate_directive (d : Protocols.Config.directive) =
+   every directive ([--set], or [--vary] with its comma-separated
+   values) is validated against the registry up front; a bad one is a
+   usage error (exit status 2). *)
+let validate_directive ?(flag = "--set") (d : Protocols.Config.directive) =
+  let shown = Protocols.Config.directive_to_string d in
   match Protocols.Registry.find_res d.technique with
-  | Error msg -> fail "--set %s: %s" (Protocols.Config.directive_to_string d) msg
+  | Error msg -> fail "%s %s: %s" flag shown msg
   | Ok entry ->
       if Option.is_none (Protocols.Config.find_key entry.schema d.key) then
-        fail "--set %s: unknown config key %S for %s (valid keys: %s)"
-          (Protocols.Config.directive_to_string d)
+        fail "%s %s: unknown config key %S for %s (valid keys: %s)" flag shown
           d.key entry.key
           (String.concat ", " (Protocols.Config.keys entry.schema))
 

@@ -1020,8 +1020,9 @@ let load_conv =
   in
   Arg.conv (parse, print)
 
-(* TECH.KEY=V1,V2,... — a per-technique configuration axis. Technique
-   and key are validated against the registry up front, like --set. *)
+(* TECH.KEY=V1,V2,... — a per-technique configuration axis. The sweep
+   validates technique and key against the registry before it runs, as
+   --set does (exit status 2). *)
 let vary_conv =
   let parse s =
     match String.index_opt s '=' with
@@ -1037,20 +1038,7 @@ let vary_conv =
             let values = String.split_on_char ',' rhs in
             if values = [] || List.exists (fun v -> v = "") values then
               Error (`Msg "expected at least one non-empty value")
-            else
-              match Protocols.Registry.find_res technique with
-              | Error msg -> Error (`Msg msg)
-              | Ok entry -> (
-                  match Protocols.Config.find_key entry.schema key with
-                  | Some _ -> Ok (technique, key, values)
-                  | None ->
-                      Error
-                        (`Msg
-                          (Printf.sprintf
-                             "unknown config key %S for %s (valid keys: %s)"
-                             key entry.key
-                             (String.concat ", "
-                                (Protocols.Config.keys entry.schema)))))))
+            else Ok (technique, key, values)))
   in
   let print ppf (t, k, vs) =
     Format.fprintf ppf "%s.%s=%s" t k (String.concat "," vs)
@@ -1160,6 +1148,11 @@ let sweep_cmd =
     in
     let techniques = Cli.techniques technique_sel in
     List.iter (Cli.record_metric "--cell") cell_metrics;
+    List.iter
+      (fun (technique, key, values) ->
+        Cli.validate_directive ~flag:"--vary"
+          { technique; key; value = String.concat "," values })
+      vary;
     let axes =
       {
         Workload.Sweep.techniques =

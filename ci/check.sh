@@ -131,6 +131,20 @@ if [ -n "$settings$builds" ]; then
   exit 1
 fi
 
+# Passthrough belongs to the links: Network.config declares it, and the
+# channel layer reads it (Rchan, and Rbcast, whose relays depend on it).
+# No technique, no group layer above the channels and no workload file
+# names it or forwards it.
+echo "== passthrough only at the links =="
+pt=$(grep -rn --include='*.ml' --include='*.mli' 'passthrough' lib \
+  | grep -vE '^lib/(sim/network|group/rchan|group/rbcast)\.mli?:' \
+  || true)
+if [ -n "$pt" ]; then
+  printf '%s\n' "$pt" >&2
+  echo "declare loss-free links in Sim.Network.config; only the network and the channel layer name passthrough" >&2
+  exit 1
+fi
+
 # One JSON encoder: every export builds a Sim.Json.t and writes it with
 # Sim.Json.to_string, and every reader parses with Sim.Json.parse. Only
 # Trace_export, which sizes its output exactly, writes JSON text itself.
@@ -315,14 +329,26 @@ dune exec bin/replisim.exe -- run -t active \
   --set active.batch_window=5ms --txns 10 > /dev/null
 dune exec bin/replisim.exe -- config active > /dev/null
 
+# The settings surface pinned: every technique's schema as `replisim
+# config` prints it must match ci/config-expected.txt, so a key added or
+# removed shows up as a diff a reviewer accepts. If the change is
+# intended, regenerate with
+# `dune exec bin/replisim.exe -- config > ci/config-expected.txt`.
+echo "== configuration schema pinned =="
+if ! dune exec bin/replisim.exe -- config | diff ci/config-expected.txt -; then
+  echo "replisim config differs from ci/config-expected.txt (diff above)" >&2
+  exit 1
+fi
+
 # Argument validation: an out-of-range ratio, count or fault event (a
 # flag's or a scenario's) is a usage error (exit status 2), never a run
 # with a silently odd workload. So is a compare against an empty
 # baseline (it would pass vacuously), an unknown --threshold/--perturb
 # metric, a negative threshold, a malformed gate file and a BENCH file
-# that is malformed or reports nothing. A --set key the technique does
-# not declare (here three-phase commit's retired switch) is refused,
-# and the message lists the valid keys.
+# that is malformed or reports nothing. A --set or --vary key the
+# technique does not declare (here three-phase commit's retired switch,
+# the retired client_retry and a made-up key) is refused, and the
+# message lists the valid keys.
 echo "== argument validation =="
 unknown_key="run -t eager-primary --set eager-primary.nonblocking_commit=true --txns 5"
 rm -rf _compare_empty_ci _gate_ci
@@ -343,6 +369,7 @@ for args in "run -t active --updates 1.5 --txns 5" \
     "profile -t active --keys 0 --txns 5" \
     "audit -t active --ops 0 --txns 5" \
     "campaign --scenario backup-crash-recover --replicas 2 --techniques active" \
+    "sweep --techniques active --vary active.bogus=1,2 --txns 5 --format none" \
     "timeline -t active --scenario partition-heal -n 2" \
     "run -t passive --set passive.client_retry=0ms --txns 5" \
     "run -t active --set active.shards=0 --txns 5" \
@@ -369,7 +396,7 @@ for args in "run -t active --updates 1.5 --txns 5" \
 done
 rm -rf _compare_empty_ci _gate_ci
 if ! dune exec bin/replisim.exe -- $unknown_key 2>&1 >/dev/null \
-    | grep -q 'valid keys: interactive, client_retry, abort_probability'; then
+    | grep -q 'valid keys: interactive, abort_probability, shards'; then
   echo "replisim $unknown_key: the message does not list the valid keys" >&2
   exit 1
 fi

@@ -92,9 +92,8 @@ let handle_msg group t msg =
       | None -> () (* still undecided here; the participant keeps asking *))
   | _ -> ()
 
-let create_group net ~nodes ?rto ?passthrough ?participant_timeout ~vote ~learn
-    () =
-  let chan_group = Group.Rchan.create_group net ~nodes ?rto ?passthrough () in
+let create_group net ~nodes ?participant_timeout ~vote ~learn () =
+  let chan_group = Group.Rchan.create_group net ~nodes () in
   let group =
     {
       net;

@@ -28,8 +28,6 @@ type group
 val create_group :
   Sim.Network.t ->
   nodes:int list ->
-  ?rto:Sim.Simtime.t ->
-  ?passthrough:bool ->
   ?participant_timeout:Sim.Simtime.t ->
   vote:(me:int -> txn:int -> bool) ->
   learn:(me:int -> txn:int -> decision -> unit) ->

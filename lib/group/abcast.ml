@@ -6,15 +6,12 @@ type group = Gseq of Abcast_seq.group | Gct of Abcast_ct.group
 (* [batch_window] only concerns the sequencer engine: the consensus
    engine already batches naturally (every consensus instance decides on
    the full set of pending messages). *)
-let create_group net ~members ?clients ?(impl = Sequencer) ?fd ?rto
-    ?passthrough ?batch_window () =
+let create_group net ~members ?clients ?(impl = Sequencer) ?fd ?batch_window
+    () =
   match impl with
   | Sequencer ->
-      Gseq
-        (Abcast_seq.create_group net ~members ?clients ?fd ?rto ?passthrough
-           ?batch_window ())
-  | Consensus_based ->
-      Gct (Abcast_ct.create_group net ~members ?clients ?fd ?rto ?passthrough ())
+      Gseq (Abcast_seq.create_group net ~members ?clients ?fd ?batch_window ())
+  | Consensus_based -> Gct (Abcast_ct.create_group net ~members ?clients ?fd ())
 
 let handle group ~me =
   match group with

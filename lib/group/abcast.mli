@@ -19,8 +19,6 @@ val create_group :
   ?clients:int list ->
   ?impl:impl ->
   ?fd:Fd.group ->
-  ?rto:Sim.Simtime.t ->
-  ?passthrough:bool ->
   ?batch_window:Sim.Simtime.t ->
   unit ->
   group

@@ -112,16 +112,12 @@ let on_opt_deliver t f = t.opt_deliver_cbs <- t.opt_deliver_cbs @ [ f ]
 let delivered t = List.rev t.delivered_rev
 let opt_delivered t = List.rev t.opt_delivered_rev
 
-let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough () =
+let create_group net ~members ?(clients = []) ?fd () =
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in
-  let chan_group =
-    Rchan.create_group net ~nodes:(members @ clients) ?rto ?passthrough ()
-  in
-  let cons_group =
-    C.create_group net ~members ~fd:fd_group ?rto ?passthrough ()
-  in
+  let chan_group = Rchan.create_group net ~nodes:(members @ clients) () in
+  let cons_group = C.create_group net ~members ~fd:fd_group () in
   let handles = Hashtbl.create 8 in
   List.iter
     (fun me ->

@@ -17,8 +17,6 @@ val create_group :
   members:int list ->
   ?clients:int list ->
   ?fd:Fd.group ->
-  ?rto:Sim.Simtime.t ->
-  ?passthrough:bool ->
   unit ->
   group
 

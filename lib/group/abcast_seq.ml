@@ -507,14 +507,12 @@ let broadcast_from group ~src msg =
   let chan = Rchan.handle group.chan_group ~me:src in
   Rchan.mcast chan ~dsts:group.g_members (Inject { id; payload = msg })
 
-let create_group net ~members ?(clients = []) ?fd ?rto ?passthrough
+let create_group net ~members ?(clients = []) ?fd
     ?(batch_window = Simtime.zero) () =
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in
-  let chan_group =
-    Rchan.create_group net ~nodes:(members @ clients) ?rto ?passthrough ()
-  in
+  let chan_group = Rchan.create_group net ~nodes:(members @ clients) () in
   let handles = Hashtbl.create 8 in
   let member_at = Array.of_list members in
   let n = Array.length member_at in

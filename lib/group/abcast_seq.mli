@@ -58,8 +58,6 @@ val create_group :
   members:int list ->
   ?clients:int list ->
   ?fd:Fd.group ->
-  ?rto:Sim.Simtime.t ->
-  ?passthrough:bool ->
   ?batch_window:Sim.Simtime.t ->
   unit ->
   group

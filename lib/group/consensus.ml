@@ -248,9 +248,8 @@ struct
         end
     | _ -> ()
 
-  let create_group net ~members ~fd ?rto ?(poll_every = Simtime.of_ms 25)
-      ?passthrough () =
-    let chan_group = Rchan.create_group net ~nodes:members ?rto ?passthrough () in
+  let create_group net ~members ~fd ?rto () =
+    let chan_group = Rchan.create_group net ~nodes:members ?rto () in
     let handles = Hashtbl.create 8 in
     let n = List.length members in
     List.iter
@@ -281,7 +280,8 @@ struct
             ignore src;
             handle_msg t msg);
         ignore
-          (Engine.periodic (Network.engine net) ~label:"consensus:poll" ~every:poll_every
+          (Engine.periodic (Network.engine net) ~label:"consensus:poll"
+             ~every:(Simtime.of_ms 25)
              (Network.guard net me (fun () -> poll t)));
         Hashtbl.replace handles me t)
       members;

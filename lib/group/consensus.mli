@@ -24,8 +24,6 @@ end) : sig
     members:int list ->
     fd:Fd.group ->
     ?rto:Sim.Simtime.t ->
-    ?poll_every:Sim.Simtime.t ->
-    ?passthrough:bool ->
     unit ->
     group
 

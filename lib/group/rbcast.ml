@@ -308,10 +308,9 @@ let unstable t = t.next_seq - t.stable
 let relayed t = t.relayed
 let early t = Int_table.length t.early
 
-let create_group net ~members ?rto ?(passthrough = false) () =
-  let chan_group =
-    Rchan.create_group net ~nodes:members ?rto ~passthrough ()
-  in
+let create_group net ~members ?rto () =
+  let chan_group = Rchan.create_group net ~nodes:members ?rto () in
+  let passthrough = Network.passthrough net in
   let handles = Hashtbl.create 8 in
   let nodes = Network.size net in
   List.iter

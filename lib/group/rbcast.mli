@@ -35,9 +35,10 @@
       crash cut off, so a watermark never covers a copy that is still
       missing.
 
-    Under [passthrough] the channel sends all copies in one event and
-    loses nothing, so the origin's n−1 copies suffice: no watermark,
-    holding, timer, notice or relay. *)
+    On a passthrough network ({!Sim.Network.passthrough}) the channel
+    sends all copies in one event and loses nothing, so the origin's
+    n−1 copies suffice: no watermark, holding, timer, notice or
+    relay. *)
 
 type t
 type group
@@ -46,7 +47,6 @@ val create_group :
   Sim.Network.t ->
   members:int list ->
   ?rto:Sim.Simtime.t ->
-  ?passthrough:bool ->
   unit ->
   group
 

@@ -180,8 +180,7 @@ let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let on_settled t f = t.settled_cbs <- t.settled_cbs @ [ f ]
 let rto t = t.rto
 
-let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
-    ?(passthrough = false) () =
+let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
   let gid = Network.fresh_id net in
   let handles = Hashtbl.create 8 in
   let size = Network.size net in
@@ -195,7 +194,7 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100)
           nodes = size;
           rto;
           max_retries;
-          passthrough;
+          passthrough = Network.passthrough net;
           next_seq = Array.make size 0;
           unacked = Int_table.create 32;
           ring = [||];

@@ -2,10 +2,11 @@
     deduplicate on delivery.
 
     All higher group-communication layers send through these channels so
-    that message loss never violates their guarantees. When the run is known
-    to be loss-free, [passthrough:true] skips acks and retransmission, which
-    keeps message counts equal to the protocol-level pattern (used by the
-    benches that reproduce the paper's message diagrams).
+    that message loss never violates their guarantees. On a network whose
+    links are declared loss-free ({!Sim.Network.passthrough}) a channel
+    skips acks and retransmission, which keeps message counts equal to the
+    protocol-level pattern (used by the benches that reproduce the paper's
+    message diagrams).
 
     Messages are numbered per link: each sender counts 0, 1, 2, ... towards
     each destination separately, so a receiver sees every sequence number
@@ -42,7 +43,6 @@ val create_group :
   nodes:int list ->
   ?rto:Sim.Simtime.t ->
   ?max_retries:int ->
-  ?passthrough:bool ->
   unit ->
   group
 
@@ -57,7 +57,7 @@ val on_deliver : t -> (src:int -> Sim.Msg.t -> unit) -> unit
     sends whose retransmit chain ends: acknowledged by [dst], or its
     retries spent while [t]'s node is up. A chain that ends because the
     sender crashed is reported only if its ack arrives later. Nothing is
-    reported under [passthrough], and an endpoint with no callback pays
+    reported on a passthrough network, and an endpoint with no callback pays
     nothing for the notification. *)
 val on_settled : t -> (dst:int -> Sim.Msg.t -> unit) -> unit
 

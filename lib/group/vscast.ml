@@ -319,14 +319,12 @@ let poll t =
     else t.stale_polls <- 0
   end
 
-let create_group net ~members ?fd ?rto ?passthrough () =
+let create_group net ~members ?fd () =
   let fd_group =
     match fd with Some g -> g | None -> Fd.create_group net ~members ()
   in
-  let chan_group = Rchan.create_group net ~nodes:members ?rto ?passthrough () in
-  let cons_group =
-    C.create_group net ~members ~fd:fd_group ?rto ?passthrough ()
-  in
+  let chan_group = Rchan.create_group net ~nodes:members () in
+  let cons_group = C.create_group net ~members ~fd:fd_group () in
   let handles = Hashtbl.create 8 in
   List.iter
     (fun me ->

@@ -30,8 +30,6 @@ val create_group :
   Sim.Network.t ->
   members:int list ->
   ?fd:Fd.group ->
-  ?rto:Sim.Simtime.t ->
-  ?passthrough:bool ->
   unit ->
   group
 

@@ -11,14 +11,14 @@
 
     Settings ({!schema}): [batch_window] is the sequencer-side request
     batching window (see {!Group.Abcast_seq.create_group}).
-    [local_reads] serves read-only requests directly from the client's
-    local replica, without ordering, and acknowledges writes only once
-    the {e local} replica has executed them. This keeps each client's
-    program order intact at its own replica, so executions remain {e
-    sequentially consistent} — but reads may return old values, so they
-    are no longer {e linearizable}: exactly the §2.2 distinction
-    ("sequential consistency allows, under some conditions, to read old
-    values"). Default [false] (linearizable). *)
+
+    A read-only request sent through [read_at] (the routed read path,
+    {!Common.read_at}) is executed at the chosen replica alone, without
+    ordering: such reads stay {e sequentially consistent} but may
+    return old values, so they are no longer {e linearizable} — the
+    §2.2 distinction ("sequential consistency allows, under some
+    conditions, to read old values"). [submit] orders every request
+    (linearizable). *)
 
 (** The technique's settings: key, type, default and doc, resolved by
     [--set active.KEY=VALUE]. *)

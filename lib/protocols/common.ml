@@ -253,9 +253,8 @@ let cycling_target ctx ~preferred ~attempt =
 
 (** The reliable channel a technique's clients submit over, spanning
     its replicas and clients; the replicas may use it among themselves. *)
-let client_channel ctx ~passthrough =
-  Group.Rchan.create_group ctx.net ~nodes:(ctx.replicas @ ctx.clients)
-    ~passthrough ()
+let client_channel ctx =
+  Group.Rchan.create_group ctx.net ~nodes:(ctx.replicas @ ctx.clients) ()
 
 (** Client submission: register [request] and send [msg] — the
     technique's request constructor — over [chan_group] to

@@ -98,14 +98,10 @@ let keys schema = List.map (fun k -> k.name) schema
 let defaults schema = List.map (fun k -> (k.name, k.default)) schema
 
 (* The range a value must fall in, or [None] when it does. Times are
-   never negative, and a client retry timeout is strictly positive: a
-   zero timeout resubmits forever without advancing virtual time. The
-   one float key is a probability; the int keys count replicas or
-   groups. *)
-let out_of_range k v =
+   never negative. The one float key is a probability; the int keys
+   count replicas or groups. *)
+let out_of_range v =
   match v with
-  | Time t when k.name = "client_retry" ->
-      if Sim.Simtime.(t > zero) then None else Some "> 0"
   | Time t -> if Sim.Simtime.(t >= zero) then None else Some ">= 0"
   | Float f -> if f >= 0. && f <= 1. then None else Some "in [0, 1]"
   | Int i | Opt_int (Some i) -> if i >= 1 then None else Some ">= 1"
@@ -123,7 +119,7 @@ let set schema t ~key ~value =
       match parse_value k.ty value with
       | Error msg -> Error (Printf.sprintf "key %S: %s" key msg)
       | Ok v -> (
-          match out_of_range k v with
+          match out_of_range v with
           | Some range ->
               Error
                 (Printf.sprintf "key %S: expected a value %s, got %S" key
@@ -195,14 +191,6 @@ let abcast_impl_key =
        detection) or consensus-based (tolerates wrong suspicions)";
   }
 
-let passthrough_key =
-  {
-    name = "passthrough";
-    ty = TBool;
-    default = Bool false;
-    doc = "skip low-level channel acks on loss-free runs";
-  }
-
 let batch_window_key =
   {
     name = "batch_window";
@@ -223,14 +211,6 @@ let shards_key =
        its own instance of the technique over a disjoint replica subset; \
        cross-shard transactions commit via 2PC across the concerned groups \
        (1 = full replication, byte-identical to the unsharded protocol)";
-  }
-
-let client_retry_key ~default =
-  {
-    name = "client_retry";
-    ty = TTime;
-    default = Time default;
-    doc = "client resubmission timeout when no reply arrives";
   }
 
 let to_strings t = List.map (fun (n, v) -> (n, value_to_string v)) t

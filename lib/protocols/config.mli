@@ -45,9 +45,8 @@ val defaults : schema -> t
 (** [set schema t ~key ~value] rebinds [key] to the parsed [value]; an
     unknown key fails with a message listing the schema's valid keys,
     and a value out of its key's range with a message naming the key
-    and the range. Ranges: every time [>= 0], [client_retry] [> 0], a
-    float between 0 and 1, an int (or an [int|none] other than [none])
-    [>= 1]. *)
+    and the range. Ranges: every time [>= 0], a float between 0 and
+    1, an int (or an [int|none] other than [none]) [>= 1]. *)
 val set : schema -> t -> key:string -> value:string -> (t, string) result
 
 (** [apply schema pairs] — defaults overridden by [pairs], left to
@@ -71,10 +70,8 @@ val abcast_impl_of_enum : string -> Group.Abcast.impl
 (** Shared key descriptors (identical across techniques). *)
 
 val abcast_impl_key : key
-val passthrough_key : key
 val batch_window_key : key
 val shards_key : key
-val client_retry_key : default:Sim.Simtime.t -> key
 
 (** String form of every binding, schema order. *)
 val to_strings : t -> (string * string) list

@@ -19,14 +19,12 @@ let schema : Config.schema =
         "propagate each operation as it executes (statement-level \
          interaction) instead of one deferred writeset";
     };
-    Config.client_retry_key ~default:(Simtime.of_ms 400);
     {
       Config.name = "abort_probability";
       ty = Config.TFloat;
       default = Config.Float 0.0;
       doc = "probability that a site votes NO in the commitment phase";
     };
-    Config.passthrough_key;
   ]
 
 let info =
@@ -43,7 +41,8 @@ let info =
        the writeset to the n-1 backups, backup acks (n-1), then 2PC —
        Prepare, Vote and Decision rounds at n-1 each — the reply (1),
        and the broadcast's stability notice once the primary goes idle
-       (n-1): 6n - 4 protocol messages, 5n - 3 under passthrough. *)
+       (n-1): 6n - 4 protocol messages, 5n - 3 on a network declared
+       loss-free (no notice). *)
     expected_messages = (fun ~n -> (6 * n) - 4);
     (* Ereq -> Propagate -> Propagate_ack -> Prepare -> Vote -> Reply
        (the Decision round is concurrent with the reply). *)
@@ -83,14 +82,10 @@ type replica_state = {
 
 let create ?shared cfg net ~replicas ~clients =
   let interactive = Config.get_bool cfg "interactive" in
-  let client_retry = Config.get_time cfg "client_retry" in
   let abort_probability = Config.get_float cfg "abort_probability" in
-  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
-  let bcast_group =
-    Group.Rbcast.create_group net ~members:replicas ~passthrough ()
-  in
-  let chan_group = Common.client_channel ctx ~passthrough in
+  let bcast_group = Group.Rbcast.create_group net ~members:replicas () in
+  let chan_group = Common.client_channel ctx in
   let states = Hashtbl.create 8 in
   let state r = Hashtbl.find states r in
   (* A commit round gets a fresh id per (attempt, coordinator): a client
@@ -146,7 +141,7 @@ let create ?shared cfg net ~replicas ~clients =
     !relaunch me
   in
   let tpc =
-    Core.Two_phase_commit.create_group net ~nodes:replicas ~passthrough
+    Core.Two_phase_commit.create_group net ~nodes:replicas
       ~participant_timeout:(Simtime.of_ms 300)
       ~vote ~learn ()
   in
@@ -396,7 +391,7 @@ let create ?shared cfg net ~replicas ~clients =
         Common.lowest_alive ctx
       else Common.nearest ctx ~client
     in
-    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
-      ~preferred (Ereq { client; request }) cb
+    Common.submit_to ctx chan_group ~client ~request
+      ~timeout:(Simtime.of_ms 400) ~preferred (Ereq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

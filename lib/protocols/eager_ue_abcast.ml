@@ -9,13 +9,7 @@ type Msg.t +=
       rid : int;
     }
 
-let schema : Config.schema =
-  [
-    Config.abcast_impl_key;
-    Config.client_retry_key ~default:(Simtime.of_ms 500);
-    Config.passthrough_key;
-    Config.batch_window_key;
-  ]
+let schema : Config.schema = [ Config.abcast_impl_key; Config.batch_window_key ]
 
 let info =
   {
@@ -41,15 +35,13 @@ let create ?shared cfg net ~replicas ~clients =
   let abcast_impl =
     Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl")
   in
-  let client_retry = Config.get_time cfg "client_retry" in
-  let passthrough = Config.get_bool cfg "passthrough" in
   let batch_window = Config.get_time cfg "batch_window" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~impl:abcast_impl
-      ~passthrough ~batch_window ()
+      ~batch_window ()
   in
-  let chan_group = Common.client_channel ctx ~passthrough in
+  let chan_group = Common.client_channel ctx in
   let forwarded = Hashtbl.create 64 in
   List.iter
     (fun r ->
@@ -97,7 +89,8 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
-      ~preferred:(Common.nearest ctx ~client) (Areq { client; request }) cb
+    Common.submit_to ctx chan_group ~client ~request
+      ~timeout:(Simtime.of_ms 500) ~preferred:(Common.nearest ctx ~client)
+      (Areq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

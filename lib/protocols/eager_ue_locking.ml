@@ -49,14 +49,6 @@ let schema : Config.schema =
       doc =
         "grants needed before executing (quorum locking); none = all sites";
     };
-    {
-      Config.name = "lock_timeout";
-      ty = Config.TTime;
-      default = Config.Time (Simtime.of_ms 250);
-      doc = "deadlock-avoidance timeout: abort and release after this wait";
-    };
-    Config.client_retry_key ~default:(Simtime.of_ms 600);
-    Config.passthrough_key;
   ]
 
 let info =
@@ -148,12 +140,9 @@ type replica_state = {
 let create ?shared cfg net ~replicas ~clients =
   let read_one_write_all = Config.get_bool cfg "read_one_write_all" in
   let lock_quorum = Config.get_opt_int cfg "lock_quorum" in
-  let lock_timeout = Config.get_time cfg "lock_timeout" in
-  let client_retry = Config.get_time cfg "client_retry" in
-  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let fd_group = Group.Fd.create_group net ~members:replicas () in
-  let chan_group = Common.client_channel ctx ~passthrough in
+  let chan_group = Common.client_channel ctx in
   let states = Hashtbl.create 8 in
   let state r = Hashtbl.find states r in
   let chan r = Group.Rchan.handle chan_group ~me:r in
@@ -203,7 +192,7 @@ let create ?shared cfg net ~replicas ~clients =
       ctx.Common.replicas
   in
   let tpc =
-    Core.Two_phase_commit.create_group net ~nodes:replicas ~passthrough
+    Core.Two_phase_commit.create_group net ~nodes:replicas
       ~participant_timeout:(Simtime.of_ms 300)
       ~vote:(fun ~me ~txn ->
         let st = state me in
@@ -527,10 +516,11 @@ let create ?shared cfg net ~replicas ~clients =
                     in
                     Hashtbl.replace st.txns rid txn;
                     went_live st rid ~delegate:r;
-                    (* Lock timeout resolves distributed deadlocks. *)
+                    (* A 250 ms lock timeout resolves distributed
+                       deadlocks: abort and release after that wait. *)
                     ignore
                       (Engine.schedule (Network.engine net) ~label:"proto:lock-timeout"
-                         ~after:lock_timeout
+                         ~after:(Simtime.of_ms 250)
                          (Network.guard net r (fun () ->
                               match Hashtbl.find_opt st.txns rid with
                               | Some t
@@ -676,7 +666,8 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
-      ~preferred:(Common.nearest ctx ~client) (Lreq { client; request }) cb
+    Common.submit_to ctx chan_group ~client ~request
+      ~timeout:(Simtime.of_ms 600) ~preferred:(Common.nearest ctx ~client)
+      (Lreq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

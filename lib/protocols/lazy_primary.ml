@@ -15,12 +15,7 @@ let propagation_delay_key =
     doc = "lazy refresh delay after the reply (the paper's §5.3 window)";
   }
 
-let schema : Config.schema =
-  [
-    Config.client_retry_key ~default:(Simtime.of_ms 400);
-    propagation_delay_key;
-    Config.passthrough_key;
-  ]
+let schema : Config.schema = [ propagation_delay_key ]
 
 let info =
   {
@@ -36,8 +31,8 @@ let info =
        transaction; after the reply the primary FIFO-broadcasts the
        writeset to the n-1 others, and once the primary goes idle its
        stability notice follows (n-1): 2n messages per transaction, but
-       only 2 before the client returns. Under passthrough there is no
-       notice: the paper's n+1. *)
+       only 2 before the client returns. On a network declared
+       loss-free there is no notice: the paper's n+1. *)
     expected_messages = (fun ~n -> 2 * n);
     (* Lpreq -> Reply: propagation is off the response path — the
        paper's defining property of lazy techniques (§5.3). *)
@@ -46,14 +41,10 @@ let info =
   }
 
 let create ?shared cfg net ~replicas ~clients =
-  let client_retry = Config.get_time cfg "client_retry" in
   let propagation_delay = Config.get_time cfg "propagation_delay" in
-  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
-  let bcast_group =
-    Group.Rbcast.create_group net ~members:replicas ~passthrough ()
-  in
-  let chan_group = Common.client_channel ctx ~passthrough in
+  let bcast_group = Group.Rbcast.create_group net ~members:replicas () in
+  let chan_group = Common.client_channel ctx in
   let is_primary r = Common.lowest_alive ctx = r in
   List.iter
     (fun r ->
@@ -123,7 +114,7 @@ let create ?shared cfg net ~replicas ~clients =
         Common.lowest_alive ctx
       else Common.nearest ctx ~client
     in
-    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
-      ~preferred (Lpreq { client; request }) cb
+    Common.submit_to ctx chan_group ~client ~request
+      ~timeout:(Simtime.of_ms 400) ~preferred (Lpreq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

@@ -10,7 +10,6 @@ type Msg.t +=
 let schema : Config.schema =
   [
     Config.abcast_impl_key;
-    Config.client_retry_key ~default:(Simtime.of_ms 400);
     {
       Config.name = "propagation_delay";
       ty = Config.TTime;
@@ -19,7 +18,6 @@ let schema : Config.schema =
         "delay before the writeset's reconciliation broadcast (the lazy \
          window in which replicas diverge)";
     };
-    Config.passthrough_key;
   ]
 
 let info =
@@ -51,15 +49,12 @@ let create ?shared cfg net ~replicas ~clients =
   let abcast_impl =
     Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl")
   in
-  let client_retry = Config.get_time cfg "client_retry" in
   let propagation_delay = Config.get_time cfg "propagation_delay" in
-  let passthrough = Config.get_bool cfg "passthrough" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
-    Group.Abcast.create_group net ~members:replicas ~impl:abcast_impl
-      ~passthrough ()
+    Group.Abcast.create_group net ~members:replicas ~impl:abcast_impl ()
   in
-  let chan_group = Common.client_channel ctx ~passthrough in
+  let chan_group = Common.client_channel ctx in
   List.iter
     (fun r ->
       let cache = Common.reply_cache () in
@@ -139,7 +134,8 @@ let create ?shared cfg net ~replicas ~clients =
           | _ -> ()))
     replicas;
   let submit ~client request cb =
-    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
-      ~preferred:(Common.nearest ctx ~client) (Ureq { client; request }) cb
+    Common.submit_to ctx chan_group ~client ~request
+      ~timeout:(Simtime.of_ms 400) ~preferred:(Common.nearest ctx ~client)
+      (Ureq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

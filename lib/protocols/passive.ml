@@ -9,8 +9,7 @@ type Msg.t +=
       value : int option;
     }
 
-let schema : Config.schema =
-  [ Config.client_retry_key ~default:(Simtime.of_ms 400); Config.passthrough_key ]
+let schema : Config.schema = []
 
 let info =
   {
@@ -45,15 +44,11 @@ type replica_state = {
   xfer : Common.transfer; (* unsynced between a rejoin and state transfer *)
 }
 
-let create ?shared cfg net ~replicas ~clients =
-  let client_retry = Config.get_time cfg "client_retry" in
-  let passthrough = Config.get_bool cfg "passthrough" in
+let create ?shared _cfg net ~replicas ~clients =
   let ctx = Common.make ?shared net ~replicas ~clients in
-  let vs_group =
-    Group.Vscast.create_group net ~members:replicas ~passthrough ()
-  in
+  let vs_group = Group.Vscast.create_group net ~members:replicas () in
   (* Stubborn client->primary channel so requests survive message loss. *)
-  let chan_group = Common.client_channel ctx ~passthrough in
+  let chan_group = Common.client_channel ctx in
   let states = Hashtbl.create 8 in
   let is_primary st =
     st.xfer.Common.synced
@@ -183,7 +178,7 @@ let create ?shared cfg net ~replicas ~clients =
   let submit ~client request cb =
     (* The primary as of submission: retries cycle from it. *)
     let primary = Common.lowest_alive ctx in
-    Common.submit_to ctx chan_group ~client ~request ~timeout:client_retry
-      ~preferred:(fun () -> primary) (Preq { client; request }) cb
+    Common.submit_to ctx chan_group ~client ~request
+      ~timeout:(Simtime.of_ms 400) ~preferred:(fun () -> primary) (Preq { client; request }) cb
   in
   Common.instance ctx ~info ~submit

@@ -31,9 +31,7 @@ let shardable e =
         let shards = shards cfg in
         if shards = 1 then e.build ?shared cfg
         else
-          Sharded.create ~shards ~info:e.info
-            ~passthrough:(Config.get_bool cfg "passthrough")
-            ?shared
+          Sharded.create ~shards ~info:e.info ?shared
             ~factory:(fun shared -> e.build ~shared cfg));
   }
 

@@ -4,8 +4,7 @@ type Msg.t +=
   | Req of { client : int; request : Store.Operation.request }
   | Choice of { rid : int; choices : (Store.Operation.key * int) list }
 
-let schema : Config.schema =
-  [ Config.abcast_impl_key; Config.passthrough_key; Config.batch_window_key ]
+let schema : Config.schema = [ Config.abcast_impl_key; Config.batch_window_key ]
 
 let info =
   {
@@ -49,16 +48,13 @@ let create ?shared cfg net ~replicas ~clients =
   let abcast_impl =
     Config.abcast_impl_of_enum (Config.get_enum cfg "abcast_impl")
   in
-  let passthrough = Config.get_bool cfg "passthrough" in
   let batch_window = Config.get_time cfg "batch_window" in
   let ctx = Common.make ?shared net ~replicas ~clients in
   let ab =
     Group.Abcast.create_group net ~members:replicas ~clients
-      ~impl:abcast_impl ~passthrough ~batch_window ()
+      ~impl:abcast_impl ~batch_window ()
   in
-  let vs_group =
-    Group.Vscast.create_group net ~members:replicas ~passthrough ()
-  in
+  let vs_group = Group.Vscast.create_group net ~members:replicas () in
   let states = Hashtbl.create 8 in
   (* Execute the queue head once its non-deterministic choices (if any)
      are available; the leader is the one that generates them. *)

@@ -13,7 +13,7 @@ end
 
 module C = Group.Consensus.Make (Decision_value)
 
-let schema : Config.schema = [ Config.passthrough_key ]
+let schema : Config.schema = []
 
 let info =
   {
@@ -48,14 +48,11 @@ type replica_state = {
   mutable participated_for : int;
 }
 
-let create ?shared cfg net ~replicas ~clients =
-  let passthrough = Config.get_bool cfg "passthrough" in
+let create ?shared _cfg net ~replicas ~clients =
   let ctx = Common.make ?shared net ~replicas ~clients in
   let fd_group = Group.Fd.create_group net ~members:replicas () in
-  let cons_group =
-    C.create_group net ~members:replicas ~fd:fd_group ~passthrough ()
-  in
-  let chan_group = Common.client_channel ctx ~passthrough in
+  let cons_group = C.create_group net ~members:replicas ~fd:fd_group () in
+  let chan_group = Common.client_channel ctx in
   let states = Hashtbl.create 8 in
   (* The deferred-initial-value step: only when this replica believes it is
      the one in charge does it execute the oldest pending request and turn

@@ -28,8 +28,7 @@ let partition ~shards replicas =
 let probe_group_size ~n ~shards =
   (n / shards) + if n mod shards > 0 then 1 else 0
 
-let create ~shards ~info ?(passthrough = false) ?shared ~factory net ~replicas
-    ~clients =
+let create ~shards ~info ?shared ~factory net ~replicas ~clients =
   let groups = partition ~shards replicas in
   let map = Store.Shard_map.create ~shards () in
   let shared =
@@ -59,7 +58,6 @@ let create ~shards ~info ?(passthrough = false) ?shared ~factory net ~replicas
   let tpc =
     Core.Two_phase_commit.create_group net
       ~nodes:(List.init shards delegate @ clients)
-      ~passthrough
       ~participant_timeout:(Simtime.of_ms 100)
       ~vote:(fun ~me:_ ~txn:_ -> true)
       ~learn:(fun ~me:_ ~txn:_ _ -> ())

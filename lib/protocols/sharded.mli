@@ -49,15 +49,13 @@ val partition : shards:int -> int list -> int list list
     compared against (explain does this). *)
 val probe_group_size : n:int -> shards:int -> int
 
-(** [create ~shards ~info ?passthrough ?shared ~factory net ~replicas
-    ~clients] builds the sharded instance: [factory] is invoked once per
-    group with the observability objects every group shares ([shared],
-    or fresh ones) and that group's replicas. [passthrough] is forwarded
-    to the cross-group 2PC channels. *)
+(** [create ~shards ~info ?shared ~factory net ~replicas ~clients]
+    builds the sharded instance: [factory] is invoked once per group
+    with the observability objects every group shares ([shared], or
+    fresh ones) and that group's replicas. *)
 val create :
   shards:int ->
   info:Core.Technique.info ->
-  ?passthrough:bool ->
   ?shared:Common.shared ->
   factory:
     (Common.shared ->

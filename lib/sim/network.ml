@@ -3,12 +3,17 @@ type latency =
   | Uniform of Simtime.t * Simtime.t
   | Exponential of { floor : Simtime.t; mean : Simtime.t }
 
-type config = { latency : latency; drop_probability : float }
+type config = {
+  latency : latency;
+  drop_probability : float;
+  passthrough : bool;
+}
 
 let default_config =
   {
     latency = Uniform (Simtime.of_us 500, Simtime.of_us 1_500);
     drop_probability = 0.0;
+    passthrough = false;
   }
 
 type drop_cause = Loss | Crashed | Partitioned
@@ -32,6 +37,7 @@ type t = {
   rng : Rng.t;
   mutable latency : latency;
   mutable drop_probability : float;
+  passthrough : bool;
   mutable msg_spans : Span.t option;
       (** collector for per-message spans; [None] = don't record *)
   span_names : Msg.names;
@@ -66,6 +72,7 @@ let create engine ~n (config : config) =
     rng = Rng.split (Engine.rng engine);
     latency = config.latency;
     drop_probability = config.drop_probability;
+    passthrough = config.passthrough;
     msg_spans = None;
     span_names = Msg.names ~prefix:Msg_dag.prefix;
     tracing = true;
@@ -89,6 +96,7 @@ let create engine ~n (config : config) =
 let engine t = t.engine
 let size t = t.n
 let rng t = t.rng
+let passthrough t = t.passthrough
 
 let fresh_id t =
   t.last_id <- t.last_id + 1;

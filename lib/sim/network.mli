@@ -23,6 +23,13 @@ type latency =
 type config = {
   latency : latency;
   drop_probability : float;  (** per point-to-point message, in [0,1] *)
+  passthrough : bool;
+      (** the links are declared loss-free: the reliable channels built
+          on this network ([Group.Rchan]) send each message once, with
+          no ack and no retransmission, so wire traffic equals the
+          protocol's own message pattern (the benches that reproduce the
+          paper's message diagrams). Messages that are dropped anyway
+          stay lost. Default [false]. *)
 }
 
 val default_config : config
@@ -40,6 +47,9 @@ val create : Engine.t -> n:int -> config -> t
 val engine : t -> Engine.t
 val size : t -> int
 val rng : t -> Rng.t
+
+(** The [passthrough] the network was created with. *)
+val passthrough : t -> bool
 
 (** {2 Per-run ids}
 

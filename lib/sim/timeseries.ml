@@ -32,9 +32,12 @@ type t = {
   interval : Simtime.t;
   table : (string * int, series) Hashtbl.t;
   mutable order : (string * int) list; (* registration order, reversed *)
-  max_points : int;
   mutable total_points : int; (* points recorded across all series *)
 }
+
+(* Points kept per series: a guard against runaway memory on long
+   runs. *)
+let max_points = 50_000
 
 let interval t = t.interval
 
@@ -62,7 +65,7 @@ let sample_once t =
       match Hashtbl.find_opt t.table key with
       | None -> ()
       | Some s ->
-          if s.n_points < t.max_points then begin
+          if s.n_points < max_points then begin
             let v = List.fold_left (fun acc f -> acc +. f ()) 0. s.thunks in
             s.points_rev <- { at; value = v } :: s.points_rev;
             s.n_points <- s.n_points + 1;
@@ -70,14 +73,13 @@ let sample_once t =
           end)
     (List.rev t.order)
 
-let create ?(interval = Simtime.of_ms 5) ?(max_points = 50_000) engine =
+let create ?(interval = Simtime.of_ms 5) engine =
   let t =
     {
       engine;
       interval;
       table = Hashtbl.create 32;
       order = [];
-      max_points;
       total_points = 0;
     }
   in

@@ -34,8 +34,8 @@ type t
 
 (** [create engine] starts sampling immediately: once at the current
     instant, then every [interval] (default 5ms of virtual time) until
-    the run ends. [max_points] (default 50k) caps each series. *)
-val create : ?interval:Simtime.t -> ?max_points:int -> Engine.t -> t
+    the run ends. Each series keeps at most 50k points. *)
+val create : ?interval:Simtime.t -> Engine.t -> t
 
 val interval : t -> Simtime.t
 

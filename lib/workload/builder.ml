@@ -44,17 +44,15 @@ type probe = {
 }
 
 (* Deterministic single-transaction harness for trace rendering and
-   message-cost measurement: constant-latency links, no drops, one
-   client, one transaction, spans finalized at quiescence. Every number
-   read off the probe comes from the recorded spans — expectations are
-   only ever compared against, never substituted for, the observation. *)
-let probe ?(seed = 7) ?(n = 3) ?(latency = Simtime.of_ms 1)
+   message-cost measurement: constant 1 ms links, one client, one
+   transaction, spans finalized at quiescence. Every number read off the
+   probe comes from the recorded spans — expectations are only ever
+   compared against, never substituted for, the observation. *)
+let probe ?(seed = 7) ?(n = 3) ?(net = Network.default_config)
     ?(ops = [ Store.Operation.Incr ("x", 1) ])
     ?(until = Simtime.of_sec 2.) factory =
   let engine = Engine.create ~seed () in
-  let config =
-    { Network.latency = Network.Constant latency; drop_probability = 0.0 }
-  in
+  let config = { net with latency = Network.Constant (Simtime.of_ms 1) } in
   let net = Network.create engine ~n:(n + 1) config in
   let replicas = List.init n Fun.id in
   let client = n in

@@ -44,14 +44,15 @@ type probe = {
   p_replicas : int list;
 }
 
-(** Deterministic single-transaction harness: constant-latency links
-    (default 1 ms), no drops, [n] replicas and one client submitting one
-    transaction ([ops], default [Incr ("x", 1)]); spans are finalized at
-    quiescence. *)
+(** Deterministic single-transaction harness: [n] replicas and one
+    client submitting one transaction ([ops], default [Incr ("x", 1)]);
+    spans are finalized at quiescence. The links are [net] (default
+    {!Sim.Network.default_config}: no drops) with a constant 1 ms
+    latency. *)
 val probe :
   ?seed:int ->
   ?n:int ->
-  ?latency:Sim.Simtime.t ->
+  ?net:Sim.Network.config ->
   ?ops:Store.Operation.op list ->
   ?until:Sim.Simtime.t ->
   Runner.factory ->

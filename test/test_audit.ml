@@ -39,14 +39,17 @@ let test_kv_copy_drops_watchers () =
 
 (* ---- eager techniques: zero inconsistency window (randomized) ------- *)
 
+(* The default links declared loss-free: channels send without acks. *)
+let loss_free = { Sim.Network.default_config with passthrough = true }
+
 (* The paper's claim, as a measured property: an eager technique under a
    lossless network and no faults can never violate a session guarantee
    — its agreement phase runs before the reply. Randomizes seed, client
    count and per-client transaction count under closed arrivals. *)
 let prop_eager_zero_window name =
-  let entry = Option.get (Protocols.Registry.find name) in
   let factory =
-    Protocols.Registry.configure_exn entry [ ("passthrough", "true") ]
+    Protocols.Registry.default_factory
+      (Option.get (Protocols.Registry.find name))
   in
   QCheck.Test.make
     ~name:(Printf.sprintf "%s: no session violations, ever" name)
@@ -55,8 +58,8 @@ let prop_eager_zero_window name =
     (fun (seed, (clients, txns)) ->
       let spec = Workload.Builder.spec ~updates:0.5 ~txns ~keys:40 () in
       let result =
-        Workload.Runner.run ~seed ~n_replicas:3 ~n_clients:clients ~spec
-          ~audit:true factory
+        Workload.Runner.run ~seed ~net:loss_free ~n_replicas:3
+          ~n_clients:clients ~spec ~audit:true factory
       in
       let a = Option.get result.Workload.Runner.audit in
       a.Workload.Audit.ryw_violations = 0
@@ -67,14 +70,14 @@ let prop_eager_zero_window name =
 (* ---- lazy-primary: the staleness window must be measurable ---------- *)
 
 let test_lazy_visibility_positive () =
-  let entry = Option.get (Protocols.Registry.find "lazy-primary") in
   let factory =
-    Protocols.Registry.configure_exn entry [ ("passthrough", "true") ]
+    Protocols.Registry.default_factory
+      (Option.get (Protocols.Registry.find "lazy-primary"))
   in
   let spec = Workload.Builder.spec ~updates:0.5 ~txns:30 ~keys:50 () in
   let result =
-    Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:4 ~spec ~audit:true
-      factory
+    Workload.Runner.run ~seed:11 ~net:loss_free ~n_replicas:3 ~n_clients:4
+      ~spec ~audit:true factory
   in
   let a = Option.get result.Workload.Runner.audit in
   Alcotest.(check bool)

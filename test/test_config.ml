@@ -169,13 +169,8 @@ let test_out_of_range () =
                 true (contains ~needle msg))
             [ key; range ])
     [
-      ("passive", "client_retry", "0ms", "> 0");
-      ("eager-primary", "client_retry", "0ms", "> 0");
-      ("eager-ue-locking", "client_retry", "0ms", "> 0");
-      ("eager-ue-abcast", "client_retry", "0ms", "> 0");
-      ("lazy-primary", "client_retry", "0ms", "> 0");
-      ("lazy-ue", "client_retry", "0ms", "> 0");
-      ("certification", "client_retry", "0ms", "> 0");
+      (* a retired key is refused as unknown, whatever its value *)
+      ("passive", "client_retry", "0ms", "unknown config key");
       ("active", "batch_window", "-5ms", ">= 0");
       ("lazy-primary", "propagation_delay", "-5ms", ">= 0");
       ("certification", "certify_time", "-1ms", ">= 0");
@@ -239,14 +234,13 @@ let test_config_file () =
 (* ---- non-default sweep: Figure-16 signatures survive reconfig ------- *)
 
 (* Build every technique under a deliberately non-default configuration
-   (consensus abcast and a batching window where the schema offers them,
-   passthrough everywhere) and re-check the probe transaction replies
+   (consensus abcast and a batching window where the schema offers them)
+   on a passthrough network, and re-check the probe transaction replies
    with the declared phase signature. *)
 let non_default_pairs (e : Protocols.Registry.entry) =
   List.filter_map
     (fun (k : Protocols.Config.key) ->
       match k.name with
-      | "passthrough" -> Some ("passthrough", "true")
       | "abcast_impl" -> Some ("abcast_impl", "consensus")
       | "batch_window" -> Some ("batch_window", "2ms")
       | _ -> None)
@@ -266,7 +260,11 @@ let test_signature_under_non_default () =
         if e.key = "semi-active" then [ Store.Operation.Write_random "x" ]
         else [ Store.Operation.Incr ("x", 1) ]
       in
-      let p = Workload.Builder.probe ~ops factory in
+      let p =
+        Workload.Builder.probe ~ops
+          ~net:{ Sim.Network.default_config with passthrough = true }
+          factory
+      in
       let _, sound, summary = Workload.Builder.probe_summary p in
       Alcotest.(check bool) (e.key ^ " replied") true summary.Sim.Msg_dag.replied;
       Alcotest.(check bool) (e.key ^ " causally sound") true sound;

@@ -20,6 +20,7 @@ let run_one ?(n = 3) ?(seed = 7) ?(drop = 0.0) key =
     {
       Sim.Network.latency = Sim.Network.Constant (Sim.Simtime.of_ms 1);
       drop_probability = drop;
+      passthrough = false;
     }
   in
   let net = Sim.Network.create engine ~n:(n + 1) config in
@@ -94,24 +95,25 @@ let test_matrix () =
         registry_entries)
     [ 3; 4 ]
 
-(* Under passthrough the primary-copy techniques send the paper's
-   pattern: lazy primary copy the request, the n-1 refreshes and the
-   reply (n+1); eager primary copy 5n-3 — no stability notice, since a
-   loss-free channel needs no relay to back it. *)
+(* On a passthrough network the primary-copy techniques send the
+   paper's pattern: lazy primary copy the request, the n-1 refreshes and
+   the reply (n+1); eager primary copy 5n-3 — no stability notice, since
+   a loss-free channel needs no relay to back it. *)
 let test_passthrough_primary_copy () =
   List.iter
     (fun n ->
       List.iter
         (fun (key, expected) ->
           let entry = Option.get (Protocols.Registry.find key) in
-          let cfg, _ =
-            Result.get_ok
-              (Protocols.Registry.configure entry [ ("passthrough", "true") ])
+          let p =
+            Workload.Builder.probe ~n
+              ~net:{ Sim.Network.default_config with passthrough = true }
+              (Protocols.Registry.default_factory entry)
           in
-          let x = Workload.Builder.explain ~n entry cfg in
+          let _, _, s = Workload.Builder.probe_summary p in
           Alcotest.(check int)
             (Printf.sprintf "%s n=%d passthrough messages" key n)
-            expected x.x_summary.messages)
+            expected s.messages)
         [ ("lazy-primary", n + 1); ("eager-primary", (5 * n) - 3) ])
     [ 3; 4; 5 ]
 

@@ -11,10 +11,10 @@ type Msg.t += Payload of int
 
 let payload_of = function Payload k -> k | _ -> Alcotest.fail "bad payload"
 
-let make ?(seed = 21) ?(n = 3) ?(drop = 0.0) () =
+let make ?(seed = 21) ?(n = 3) ?(drop = 0.0) ?(passthrough = false) () =
   let e = Engine.create ~seed () in
   let config =
-    { Network.default_config with Network.drop_probability = drop }
+    { Network.default_config with Network.drop_probability = drop; passthrough }
   in
   let net = Network.create e ~n config in
   (e, net)
@@ -80,8 +80,8 @@ let test_rchan_lossy_delivery () =
     got
 
 let test_rchan_passthrough_no_overhead () =
-  let e, net = make () in
-  let group = Rchan.create_group net ~nodes:[ 0; 1 ] ~passthrough:true () in
+  let e, net = make ~passthrough:true () in
+  let group = Rchan.create_group net ~nodes:[ 0; 1 ] () in
   let c0 = Rchan.handle group ~me:0 in
   let c1 = Rchan.handle group ~me:1 in
   let got = ref 0 in
@@ -106,10 +106,11 @@ let rchan_stream ~passthrough ~drop =
       {
         Network.latency = Uniform (Simtime.of_us 500, Simtime.of_ms 30);
         drop_probability = drop;
+        passthrough;
       }
   in
   let nodes = [ 0; 1; 2 ] in
-  let group = Rchan.create_group net ~nodes ~passthrough () in
+  let group = Rchan.create_group net ~nodes () in
   let per_phase = 40 in
   (* (receiver, origin, payload) -> deliveries *)
   let delivered = Hashtbl.create 256 and arrivals = ref 0 in
@@ -1162,6 +1163,55 @@ let test_consensus_under_loss () =
   match vals with
   | v :: rest -> List.iter (fun v' -> Alcotest.(check int) "agreement" v v') rest
   | [] -> ()
+
+(* A round whose coordinator alone holds a value is aborted and its
+   value carried into the next one (semi-passive's deferred initial
+   values). Only member 0 proposes; 1 and 2 only participate. Member 0
+   is cut off after the round-0 estimates reach it (1 ms) and before its
+   Proposal lands (2 ms), so 1 and 2 suspect it and move to round 1,
+   whose coordinator (1) holds no value and cannot propose. After the
+   heal the retransmitted round-0 Proposal is stale at 1 and 2; their
+   nacks make member 0 abort round 0 and bring its value to round 1. *)
+let test_consensus_abort_carries_value () =
+  let e = Engine.create ~seed:4 () in
+  let net =
+    Network.create e ~n:3
+      { Network.default_config with latency = Constant (Simtime.of_ms 1) }
+  in
+  let members = [ 0; 1; 2 ] in
+  let fd = Fd.create_group net ~members () in
+  let group = Cint.create_group net ~members ~fd () in
+  let aborts = ref 0 in
+  List.iter
+    (fun me ->
+      Network.add_handler net me (fun ~src:_ msg ->
+          if Msg.name msg = "Data(Cons_abort)" then incr aborts;
+          false))
+    members;
+  let decisions = Hashtbl.create 4 in
+  List.iter
+    (fun m ->
+      Cint.on_decide (Cint.handle group ~me:m) (fun ~instance:_ v ->
+          Hashtbl.replace decisions m v))
+    members;
+  Cint.propose (Cint.handle group ~me:0) ~instance:0 42;
+  Cint.participate (Cint.handle group ~me:1) ~instance:0;
+  Cint.participate (Cint.handle group ~me:2) ~instance:0;
+  ignore
+    (Engine.schedule e ~after:(Simtime.of_us 1_500) (fun () ->
+         Network.partition net [ 0 ]));
+  run_ms e 400;
+  Alcotest.(check int) "undecided while partitioned" 0
+    (Hashtbl.length decisions);
+  Network.heal net;
+  run_ms e 3_000;
+  Alcotest.(check bool) "round 0 aborted" true (!aborts > 0);
+  List.iter
+    (fun m ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "member %d decides member 0's value" m)
+        (Some 42) (Hashtbl.find_opt decisions m))
+    members
 
 (* ------------------------------------------------------------------ *)
 (* Atomic broadcast                                                   *)
@@ -2296,6 +2346,8 @@ let () =
           tc "multiple instances" test_consensus_multiple_instances;
           tc "coordinator crash" test_consensus_coordinator_crash;
           tc "under message loss" test_consensus_under_loss;
+          tc "abort carries the coordinator's value"
+            test_consensus_abort_carries_value;
         ] );
       ( "abcast-sequencer",
         [

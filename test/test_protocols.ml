@@ -33,9 +33,12 @@ type harness = {
   clients : int list;
 }
 
-let setup ?(seed = 7) ?(n = 3) ?(m = 2) factory =
+let setup ?(seed = 7) ?(n = 3) ?(m = 2) ?(passthrough = false) factory =
   let engine = Engine.create ~seed () in
-  let net = Network.create engine ~n:(n + m) Network.default_config in
+  let net =
+    Network.create engine ~n:(n + m)
+      { Network.default_config with passthrough }
+  in
   let replicas = List.init n Fun.id in
   let clients = List.init m (fun i -> n + i) in
   let inst = factory net ~replicas ~clients in
@@ -405,13 +408,9 @@ let test_eager_ue_locking_rowa_cheaper () =
      than with locks at every site. *)
   let run rowa =
     let h =
-      setup ~seed:55
+      setup ~seed:55 ~passthrough:true
         (factory "eager-ue-locking"
-           ~set:
-             [
-               ("read_one_write_all", string_of_bool rowa);
-               ("passthrough", "true");
-             ])
+           ~set:[ ("read_one_write_all", string_of_bool rowa) ])
     in
     let client = List.hd h.clients in
     run_for h 100;
@@ -431,6 +430,34 @@ let test_eager_ue_locking_rowa_cheaper () =
     (Printf.sprintf "ROWA cheaper (%d < %d)" with_rowa without)
     true
     (with_rowa < without)
+
+(* Passthrough is the network's setting, and every channel a technique
+   builds reads it: the same lazy-primary run delivers no channel Ack on
+   a passthrough network and some on the default one. *)
+let test_lazy_primary_acks_follow_network () =
+  let acks_delivered ~passthrough =
+    let h = setup ~seed:61 ~passthrough (factory "lazy-primary") in
+    let acks = ref 0 in
+    List.iter
+      (fun node ->
+        Network.add_handler h.net node (fun ~src:_ msg ->
+            if Msg.name msg = "Ack" then incr acks;
+            false))
+      (h.replicas @ h.clients);
+    List.iter
+      (fun client ->
+        client_loop h ~client ~count:5
+          ~make_request:(fun i ->
+            Store.Operation.request h.net ~client
+              [ Store.Operation.Write ("x", i) ])
+          ~on_reply:ignore)
+      h.clients;
+    run_for h 5_000;
+    !acks
+  in
+  Alcotest.(check int) "passthrough: no Ack" 0 (acks_delivered ~passthrough:true);
+  Alcotest.(check bool) "default network: Acks" true
+    (acks_delivered ~passthrough:false > 0)
 
 let test_lazy_primary_stale_reads_then_convergence () =
   let h =
@@ -881,22 +908,19 @@ let test_optimistic_certification_correct () =
 
 let test_active_local_reads_sequentially_consistent () =
   (* Paper §2.2: sequential consistency "allows, under some conditions, to
-     read old values". Active replication with local reads exhibits
-     exactly that: a partitioned replica serves a stale local read after
-     the write has completed elsewhere — not linearizable, yet
-     sequentially consistent — and the copies still converge afterwards. *)
+     read old values". Active replication's unordered local read (the
+     routed read path, [read_at]) exhibits exactly that: a partitioned
+     replica serves a stale read after the write has completed
+     elsewhere — not linearizable, yet sequentially consistent — and the
+     copies still converge afterwards. *)
   let h =
     setup ~n:3 ~m:2 ~seed:59
-      (factory "active"
-         ~set:
-           [
-             ("local_reads", "true");
-             (* The consensus-based engine tolerates the wrong suspicions
-                a partition causes; the sequencer engine assumes accurate
-                detection (see Abcast_seq). *)
-             ("abcast_impl", "consensus");
-           ])
+      (* The consensus-based engine tolerates the wrong suspicions a
+         partition causes; the sequencer engine assumes accurate
+         detection (see Abcast_seq). *)
+      (factory "active" ~set:[ ("abcast_impl", "consensus") ])
   in
+  let read_at = Option.get h.inst.Core.Technique.read_at in
   let a = List.nth h.clients 0 (* local replica 0 *) in
   let b = List.nth h.clients 1 (* local replica 1 *) in
   (* Cut replica 1 (and its client) off while A writes. *)
@@ -912,10 +936,11 @@ let test_active_local_reads_sequentially_consistent () =
     | Some r -> r
     | None -> Alcotest.fail "write never completed"
   in
-  (* B now reads, strictly after the write completed in real time. *)
+  (* B now reads at its partitioned replica, strictly after the write
+     completed in real time. *)
   let t2 = Engine.now h.engine in
   let b_read = ref None in
-  h.inst.Core.Technique.submit ~client:b
+  read_at ~client:b ~replica:1
     (Store.Operation.request h.net ~client:b [ Store.Operation.Read "x" ])
     (fun reply -> b_read := Some reply);
   run_for h 1_000;
@@ -924,10 +949,10 @@ let test_active_local_reads_sequentially_consistent () =
   in
   Alcotest.(check (option int)) "B reads the old value" (Some 0)
     b_reply.Core.Technique.value;
-  (* A reads its own write through its local replica. *)
+  (* A reads its own write at its local replica. *)
   let t4 = Engine.now h.engine in
   let a_read = ref None in
-  h.inst.Core.Technique.submit ~client:a
+  read_at ~client:a ~replica:0
     (Store.Operation.request h.net ~client:a [ Store.Operation.Read "x" ])
     (fun reply -> a_read := Some reply);
   run_for h 1_000;
@@ -1764,8 +1789,11 @@ let () =
             (test_in_doubt_donor "eager-ue-locking");
         ] );
       ( "lazy-primary",
-        [ tc "stale reads then convergence" test_lazy_primary_stale_reads_then_convergence ]
-      );
+        [
+          tc "stale reads then convergence"
+            test_lazy_primary_stale_reads_then_convergence;
+          tc "channel acks follow the network" test_lazy_primary_acks_follow_network;
+        ] );
       ( "lazy-ue",
         [ tc "conflict reconciliation" test_lazy_ue_conflict_reconciliation ] );
       ( "certification",

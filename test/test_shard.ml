@@ -287,10 +287,13 @@ let test_group_local_cost () =
   let probe_msgs ~n ~shards =
     let entry = Option.get (Protocols.Registry.find "active") in
     let factory =
-      Protocols.Registry.configure_exn entry
-        [ ("shards", string_of_int shards); ("passthrough", "true") ]
+      Protocols.Registry.configure_exn entry [ ("shards", string_of_int shards) ]
     in
-    let p = Workload.Builder.probe ~n factory in
+    let p =
+      Workload.Builder.probe ~n
+        ~net:{ Sim.Network.default_config with passthrough = true }
+        factory
+    in
     let msgs, _, summary = Workload.Builder.probe_summary p in
     Alcotest.(check bool) "probe replied" true summary.Sim.Msg_dag.replied;
     List.length msgs

@@ -624,6 +624,7 @@ let test_network_latency_bounds () =
     {
       Network.latency = Network.Uniform (Simtime.of_ms 1, Simtime.of_ms 2);
       drop_probability = 0.0;
+      passthrough = false;
     }
   in
   let e, net = make_net ~config () in
