@@ -76,6 +76,9 @@ type t = {
   known : Msg.t Id_table.t;
   fetched : unit Id_table.t; (* payloads asked for since the last poll *)
   pending : (id, unit) Hashtbl.t; (* known, not yet ordered under cur epoch *)
+  mutable unslotted : int Id_table.t;
+      (* pending ids no slot held at the last poll, with how many polls
+         in a row *)
   mutable window : cell array; (* seq -> its cell; grows by doubling *)
   no_acks : acks; (* the ack set of an assignment nobody acked *)
   slot_count : int Id_table.t; (* id -> number of slots holding it *)
@@ -412,6 +415,31 @@ let reack t ~dsts from =
     if assigned c then Rchan.mcast t.chan ~dsts (ack_msg t seq c.ids c.epoch)
   done
 
+(* A pending message that no slot holds poll after poll may be one the
+   leader never received: its origin's retransmits stop while the origin
+   is down, and a member that received it forwards it to nobody. Send it
+   to a trusted leader on the second poll that finds it so, and every
+   eighth after. *)
+let forward_unslotted t =
+  if Hashtbl.length t.pending > 0 || Id_table.length t.unslotted > 0 then begin
+    let last = t.unslotted and now = Id_table.create 8 in
+    Hashtbl.iter
+      (fun id () ->
+        if not (slotted t id) then begin
+          let polls =
+            1 + Option.value ~default:0 (Id_table.find_opt last id)
+          in
+          Id_table.replace now id polls;
+          if polls mod 8 = 2 then
+            match Id_table.find_opt t.known id with
+            | Some payload ->
+                Rchan.send t.chan ~dst:(leader t) (Inject { id; payload })
+            | None -> ()
+        end)
+      t.pending;
+    t.unslotted <- now
+  end
+
 let poll t =
   if Id_table.length t.fetched > 0 then Id_table.reset t.fetched;
   if Fd.suspected t.fd (leader t) && quorate t then begin
@@ -423,6 +451,7 @@ let poll t =
       Rchan.send t.chan ~dst:(leader t) (Epoch { epoch = t.epoch })
   end;
   anti_entropy t;
+  if not (is_leader t || Fd.suspected t.fd (leader t)) then forward_unslotted t;
   (* Suspicions shrink the stability quorum, which can make blocked slots
      deliverable without any new message arriving. *)
   try_deliver t
@@ -543,6 +572,7 @@ let create_group net ~members ?(clients = []) ?fd
           known = Id_table.create 64;
           fetched = Id_table.create 8;
           pending = Hashtbl.create 32;
+          unslotted = Id_table.create 1;
           window = [||];
           no_acks = new_acks n [];
           slot_count = Id_table.create 64;

@@ -34,4 +34,11 @@ let fresh t ~origin ~seq =
   if fresh then t.count <- t.count + 1;
   fresh
 
+let rec prefix t ~origin ~from =
+  if
+    from < t.high.(origin)
+    && not (Int_table.mem t.holes ((from * t.nodes) + origin))
+  then prefix t ~origin ~from:(from + 1)
+  else from
+
 let count t = t.count

@@ -15,5 +15,12 @@ val create : nodes:int -> t
     [true] iff it had not arrived before. *)
 val fresh : t -> origin:int -> seq:int -> bool
 
+(** [prefix t ~origin ~from] is the first seq at or above [from] that
+    has not arrived from [origin]. When every seq below [from] has
+    arrived, it is one more than the end of the contiguous run of seqs
+    [origin] has delivered; a caller that passes its last answer back
+    walks each seq once. *)
+val prefix : t -> origin:int -> from:int -> int
+
 (** Distinct (origin, seq) pairs recorded so far. *)
 val count : t -> int

@@ -1,8 +1,18 @@
 open Sim
 
+(* [held] and [above] acknowledge the reverse link: every seq below
+   [held] has arrived, and so has each seq in [above]. [held = 0] with
+   [above = []] acknowledges nothing. *)
 type Msg.t +=
-  | Data of { gid : int; src : int; seq : int; payload : Msg.t }
-  | Ack of { gid : int; seq : int }
+  | Data of {
+      gid : int;
+      src : int;
+      seq : int;
+      payload : Msg.t;
+      held : int;
+      above : int list;
+    }
+  | Ack of { gid : int; held : int; above : int list }
 
 let () =
   Msg.wrapper [%extension_constructor Data] "Data" (function
@@ -27,7 +37,7 @@ type unacked = {
    their packets) are not kept reachable. *)
 let vacant =
   {
-    packet = Ack { gid = -1; seq = -1 };
+    packet = Ack { gid = -1; held = 0; above = [] };
     dst = -1;
     retries = 0;
     due = Simtime.zero;
@@ -35,6 +45,22 @@ let vacant =
     ctx = None;
     acked = true;
   }
+
+(* The acknowledgement state of a link that carries data both ways,
+   made when it first needs some. As receiver: every seq below [held]
+   has arrived from the peer (as of the last ack built), [above] holds
+   the seqs at or above it that arrived since, [owed] says an ack is
+   due and [owed_ctx] is the context of the message that made it due.
+   As sender: [acked] is how far the peer's cumulative acks have been
+   applied. *)
+type link = {
+  peer : int;
+  mutable held : int;
+  mutable above : int list;
+  mutable owed : bool;
+  mutable owed_ctx : Engine.ctx option;
+  mutable acked : int;
+}
 
 (* Sequence numbers are per link (sender, receiver). Per-link tables are
    keyed by [link_key t seq peer = seq * nodes + peer], one int per
@@ -63,6 +89,18 @@ type t = {
   mutable fire : unit -> unit;
   (* Receiver side: the per-origin seqs delivered so far. *)
   seen : Dedup.t;
+  (* Acks of links that carry data both ways, by peer ([[||]] until the
+     first such link). [owing] of them owe one; [owed_links] lists them,
+     newest first, with links paid since; [owing_since] is when the
+     endpoint last went from owing nothing to owing something. One
+     engine timer, armed while [ack_armed], sends what is still owed
+     [ack_delay] after that. *)
+  mutable links : link option array;
+  ack_delay : Simtime.t;
+  mutable owing : int;
+  mutable owed_links : link list;
+  mutable owing_since : Simtime.t;
+  mutable ack_armed : bool;
   mutable deliver_cbs : (src:int -> Msg.t -> unit) list; (* in order *)
   mutable settled_cbs : (dst:int -> Msg.t -> unit) list; (* in order *)
 }
@@ -142,10 +180,119 @@ let fire t () =
     else settle t u;
   arm_head t
 
+(* --- acknowledgements ---------------------------------------------------- *)
+
+let link t peer =
+  if Array.length t.links = 0 then t.links <- Array.make t.nodes None;
+  match t.links.(peer) with
+  | Some l -> l
+  | None ->
+      let l =
+        { peer; held = 0; above = []; owed = false; owed_ctx = None; acked = 0 }
+      in
+      t.links.(peer) <- Some l;
+      l
+
+(* What [l]'s ack says now; paying it clears the debt. The seqs in
+   [above] that the contiguous prefix has since reached are dropped. *)
+let pay t l =
+  let held = Dedup.prefix t.seen ~origin:l.peer ~from:l.held in
+  l.held <- held;
+  let above = List.filter (fun s -> s >= held) l.above in
+  l.above <- [];
+  l.owed <- false;
+  t.owing <- t.owing - 1;
+  if t.owing = 0 then t.owed_links <- [];
+  (held, above)
+
+(* The ack timer: sends each link's ack still owed as an [Ack] of its
+   own, once [ack_delay] has passed since the endpoint began owing. A
+   timer armed for debts paid since waits for the current ones. *)
+let rec send_owed t () =
+  t.ack_armed <- false;
+  if t.owing > 0 then begin
+    let due = Simtime.add t.owing_since t.ack_delay in
+    if Simtime.(Engine.now (Network.engine t.net) < due) then arm_acks t due
+    else
+      List.iter
+        (fun l ->
+          if l.owed then begin
+            let ctx = l.owed_ctx in
+            let held, above = pay t l in
+            Engine.set_ctx (Network.engine t.net) ctx;
+            Network.send t.net ~src:t.me ~dst:l.peer
+              (Ack { gid = t.gid; held; above })
+          end)
+        (List.rev t.owed_links)
+  end
+
+and arm_acks t at =
+  t.ack_armed <- true;
+  ignore
+    (Engine.schedule_at (Network.engine t.net) ~label:"rchan:ack" ~at
+       (send_owed t))
+
+(* [seq] arrived from [peer] over a link we send on too: owe [peer] a
+   cumulative ack. *)
+let owe t ~peer seq =
+  let l = link t peer in
+  if seq >= l.held then l.above <- seq :: l.above;
+  if not l.owed then begin
+    l.owed <- true;
+    l.owed_ctx <- Engine.ctx (Network.engine t.net);
+    t.owed_links <- l :: t.owed_links;
+    if t.owing = 0 then begin
+      t.owing_since <- Engine.now (Network.engine t.net);
+      if not t.ack_armed then arm_acks t (Simtime.add t.owing_since t.ack_delay)
+    end;
+    t.owing <- t.owing + 1
+  end
+
+(* [u] is acked: forget it and report it. The caller moves the timer
+   on if [u] was at the head of the ring. *)
+let ack t key u =
+  settle t u;
+  u.acked <- true;
+  Int_table.remove t.unacked key
+
+(* Apply an ack from [peer]: every seq below [held] and each one in
+   [above]. The timer moves once, after all of them. *)
+let take_acks t ~peer ~held ~above =
+  let head = if t.len > 0 then t.ring.(t.first) else vacant in
+  let ack_seq seq =
+    let key = link_key t seq peer in
+    match Int_table.find_opt t.unacked key with
+    | Some u -> ack t key u
+    | None -> ()
+  in
+  if held > 0 then begin
+    let l = link t peer in
+    while l.acked < held do
+      ack_seq l.acked;
+      l.acked <- l.acked + 1
+    done
+  end;
+  List.iter ack_seq above;
+  if head.acked && head != vacant then begin
+    Option.iter Engine.cancel t.armed;
+    arm_head t
+  end
+
+(* --- sending ---------------------------------------------------------- *)
+
 let send t ~dst msg =
   let seq = t.next_seq.(dst) in
   t.next_seq.(dst) <- seq + 1;
-  let packet = Data { gid = t.gid; src = t.me; seq; payload = msg } in
+  let held, above =
+    if t.owing = 0 then (0, [])
+    else
+      match t.links.(dst) with
+      | Some l when l.owed -> pay t l
+      | _ -> (0, [])
+  in
+  let packet =
+    Data { gid = t.gid; src = t.me; seq; payload = msg; held; above }
+  in
   Network.send t.net ~src:t.me ~dst packet;
   if not t.passthrough then begin
     let engine = Network.engine t.net in
@@ -163,16 +310,6 @@ let send t ~dst msg =
     Int_table.replace t.unacked (link_key t seq dst) u;
     push t u;
     if t.len = 1 then arm_head t
-  end
-
-(* [u] is acked: forget it, and move the timer on if it waited for [u]. *)
-let ack t key u =
-  settle t u;
-  u.acked <- true;
-  Int_table.remove t.unacked key;
-  if t.ring.(t.first) == u then begin
-    Option.iter Engine.cancel t.armed;
-    arm_head t
   end
 
 let mcast t ~dsts msg = List.iter (fun dst -> send t ~dst msg) dsts
@@ -203,6 +340,12 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
           armed = None;
           fire = ignore;
           seen = Dedup.create ~nodes:size;
+          links = [||];
+          ack_delay = Simtime.of_us (Simtime.to_us rto / 4);
+          owing = 0;
+          owed_links = [];
+          owing_since = Simtime.zero;
+          ack_armed = false;
           deliver_cbs = [];
           settled_cbs = [];
         }
@@ -216,18 +359,23 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
       | None -> ());
       Network.add_handler net me (fun ~src msg ->
           match msg with
-          | Data { gid = g; src = origin; seq; payload } when g = gid ->
-              if not t.passthrough then
-                Network.send net ~src:me ~dst:src (Ack { gid; seq });
+          | Data { gid = g; src = origin; seq; payload; held; above }
+            when g = gid ->
+              if not t.passthrough then begin
+                if held > 0 || above <> [] then
+                  take_acks t ~peer:src ~held ~above;
+                (* A link we have sent nothing on acks at once. *)
+                if t.next_seq.(src) = 0 then
+                  Network.send net ~src:me ~dst:src
+                    (Ack { gid; held = 0; above = [ seq ] })
+                else owe t ~peer:src seq
+              end;
               if Dedup.fresh t.seen ~origin ~seq then
                 deliver t ~src:origin payload;
               true
-          | Ack { gid = g; seq } when g = gid ->
-              (* [src] is the receiver the acked message was sent to. *)
-              let key = link_key t seq src in
-              (match Int_table.find_opt t.unacked key with
-              | Some u -> ack t key u
-              | None -> ());
+          | Ack { gid = g; held; above } when g = gid ->
+              (* [src] is the receiver the acked messages were sent to. *)
+              take_acks t ~peer:src ~held ~above;
               true
           | _ -> false);
       Hashtbl.replace handles me t)

@@ -33,7 +33,23 @@
     costs a table removal, and a cancel and re-arm only when it acks
     the head; a retransmit moves its message to the tail under a fresh
     seq, and a chain that ends (sender crashed, retries spent) drops
-    its message from the ring but leaves it unacknowledged. *)
+    its message from the ring but leaves it unacknowledged.
+
+    Acknowledgements. A receiver acks a [Data] at once, with an [Ack] of
+    its own, only on a link it has sent nothing on itself: a one-way
+    link (lazy primary copy's refresh broadcast, a client's request
+    channel) pays one ack per message. On a link that carries data both
+    ways the receiver owes the peer one cumulative ack instead: every
+    seq below the contiguous prefix it holds, plus each seq that arrived
+    above an open hole since the last ack (a hole left by a chain that
+    gave up never closes, and the seqs above it must still be acked).
+    The ack rides in the next [Data] the receiver sends to that peer.
+    One timer per endpoint sends what is still owed as standalone
+    [Ack]s a quarter of the group's retransmission timeout (2.5 ms at
+    the default 10 ms) after the endpoint went from owing nothing to
+    owing something. The rule needs no setting, and nothing above the
+    channel sees it. Ack state is made only for links that carry data
+    both ways, so an endpoint whose links are all one-way keeps none. *)
 
 type t
 type group
@@ -54,11 +70,11 @@ val mcast : t -> dsts:int list -> Sim.Msg.t -> unit
 val on_deliver : t -> (src:int -> Sim.Msg.t -> unit) -> unit
 
 (** [on_settled t f] calls [f ~dst payload] once for each message [t]
-    sends whose retransmit chain ends: acknowledged by [dst], or its
-    retries spent while [t]'s node is up. A chain that ends because the
-    sender crashed is reported only if its ack arrives later. Nothing is
-    reported on a passthrough network, and an endpoint with no callback pays
-    nothing for the notification. *)
+    sends whose retransmit chain ends: acknowledged by [dst] (which then
+    holds it), or its retries spent while [t]'s node is up. A chain that
+    ends because the sender crashed is reported only if its ack arrives
+    later. Nothing is reported on a passthrough network, and an endpoint
+    with no callback pays nothing for the notification. *)
 val on_settled : t -> (dst:int -> Sim.Msg.t -> unit) -> unit
 
 (** The retransmission timeout the endpoint's group was created with. *)

@@ -15,6 +15,7 @@ type Msg.t +=
   | Vs_ack of { view : int; origin : int; vseq : int; from : int }
   | Join_req of { joiner : int }
   | View_probe of { view_id : int }
+  | Vs_flush of { view : int }
 
 let () =
   Msg.wrapper [%extension_constructor Vs_msg] "Vs" (function
@@ -42,7 +43,9 @@ type t = {
   next_expected : (int, int) Hashtbl.t; (* per-origin FIFO cursor *)
   mutable view_log : vmsg list; (* all messages seen in the current view *)
   mutable own_unstable : vmsg list; (* our sends not yet known delivered *)
-  mutable future : (int * vmsg) list; (* messages for views we lag behind *)
+  mutable future : (int * Msg.t) list;
+      (* [Vs_msg]s and [Vs_ack]s of views we have not installed yet,
+         newest first *)
   pending_views : (int, Flush.t) Hashtbl.t; (* decisions awaiting their turn *)
   mutable proposed_for : int;
   mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
@@ -108,6 +111,38 @@ let send_vmsg t m =
          payload = m.payload;
        })
 
+(* A message or ack of the current view. Once we have proposed the next
+   view, its flush set is fixed: an ack for a message it lacks could let
+   the others deliver what the next view drops, so we ack no more. *)
+let receive t msg =
+  match msg with
+  | Vs_msg { view; origin; vseq; payload } ->
+      if
+        (not (Hashtbl.mem t.delivered (view, origin, vseq)))
+        && not (Hashtbl.mem t.buffered (origin, vseq))
+      then begin
+        let m = { origin; vseq; payload } in
+        Hashtbl.replace t.buffered (origin, vseq) m;
+        t.view_log <- m :: t.view_log;
+        if t.proposed_for <= view then
+          mcast_view t (Vs_ack { view; origin; vseq; from = t.me })
+      end;
+      try_deliver t
+  | Vs_ack { origin; vseq; from; _ } ->
+      let s = ack_set t (origin, vseq) in
+      s := Iset.add from !s;
+      try_deliver t
+  | _ -> ()
+
+(* Take the early arrivals of the view just entered out of [future] and
+   handle them in arrival order; those of older views are dropped. *)
+let receive_early t =
+  let ready, still_future =
+    List.partition (fun (v, _) -> v = t.view.id) t.future
+  in
+  t.future <- List.filter (fun (v, _) -> v > t.view.id) still_future;
+  List.iter (fun (_, msg) -> receive t msg) (List.rev ready)
+
 let broadcast t payload =
   if in_view t then begin
     let m = { origin = t.me; vseq = t.next_vseq; payload } in
@@ -117,8 +152,12 @@ let broadcast t payload =
   end
 
 (* Propose the next view: current members minus suspects plus joiners,
-   flushing every view message we know about (delivered or buffered). *)
-let propose_change t =
+   flushing every view message we know about (delivered or buffered).
+   Having proposed, we ack nothing more of this view ([receive]), so
+   nothing is delivered until the view changes: [Vs_flush] makes every
+   member propose too, [forced] with no reason of its own, and the
+   instance decides. *)
+let propose_change ?(forced = false) t =
   if in_view t && t.proposed_for < t.view.id + 1 then begin
     let suspects = List.filter (Fd.suspected t.fd) t.view.members in
     (* A join request from a node that is still in our view means it
@@ -129,7 +168,7 @@ let propose_change t =
       Iset.elements
         (Iset.filter (fun j -> not (Fd.suspected t.fd j)) t.pending_joins)
     in
-    if suspects <> [] || joins <> [] then begin
+    if forced || suspects <> [] || joins <> [] then begin
       t.proposed_for <- t.view.id + 1;
       let members =
         List.filter (fun m -> not (List.mem m suspects)) t.view.members
@@ -140,7 +179,12 @@ let propose_change t =
          wins, it is a superset of anything anyone delivered (delivery
          requires all-member acknowledgement, hence everyone saw it). *)
       C.propose t.cons ~instance:(t.view.id + 1)
-        { Flush.f_members = members; f_msgs = t.view_log }
+        { Flush.f_members = members; f_msgs = t.view_log };
+      List.iter
+        (fun dst ->
+          if dst <> t.me then
+            Rchan.send t.chan ~dst (Vs_flush { view = t.view.id }))
+        t.view.members
     end
   end
 
@@ -184,20 +228,7 @@ let rec install t (flush : Flush.t) =
   (* Rebroadcast our messages that were dropped by the view change. *)
   if in_view t then
     List.iter (fun u -> broadcast t u.payload) old_unsent;
-  (* Process messages that arrived early for this view. *)
-  let ready, still_future =
-    List.partition (fun (v, _) -> v = t.view.id) t.future
-  in
-  t.future <- still_future;
-  List.iter
-    (fun (_, m) ->
-      Hashtbl.replace t.buffered (m.origin, m.vseq) m;
-      t.view_log <- m :: t.view_log;
-      mcast_view t
-        (Vs_ack
-           { view = t.view.id; origin = m.origin; vseq = m.vseq; from = t.me }))
-    ready;
-  try_deliver t;
+  receive_early t;
   (* Cascade: members that crashed during the flush still need removing. *)
   propose_change t;
   apply_pending_views t
@@ -232,7 +263,6 @@ and apply_pending_views t =
         Hashtbl.reset t.next_expected;
         t.view_log <- [];
         t.own_unstable <- [];
-        t.future <- [];
         t.next_vseq <- 0;
         (* Normalise exactly like [View.next] does on the sequential
            install path — every member must agree on the member order
@@ -247,6 +277,7 @@ and apply_pending_views t =
         t.stale_polls <- 0;
         t.proposed_for <- instance;
         List.iter (fun f -> f t.view) t.view_cbs;
+        receive_early t;
         apply_pending_views t
   end
 
@@ -259,30 +290,17 @@ let rec handle_msg t msg =
          retransmission budget (crash or partition). Ask to be readmitted;
          harmless if we are merely lagging a decision in flight. *)
       if view_id > t.view.id && not t.joining then request_join t
+  | Vs_flush { view } -> if view = t.view.id then propose_change ~forced:true t
   | _ -> ());
-  if not t.excluded then
-    match msg with
-    | Vs_msg { view; origin; vseq; payload } ->
-        let m = { origin; vseq; payload } in
-        if view = t.view.id then begin
-          if
-            (not (Hashtbl.mem t.delivered (view, origin, vseq)))
-            && not (Hashtbl.mem t.buffered (origin, vseq))
-          then begin
-            Hashtbl.replace t.buffered (origin, vseq) m;
-            t.view_log <- m :: t.view_log;
-            mcast_view t (Vs_ack { view; origin; vseq; from = t.me })
-          end;
-          try_deliver t
-        end
-        else if view > t.view.id then t.future <- (view, m) :: t.future
-    | Vs_ack { view; origin; vseq; from } ->
-        if view = t.view.id then begin
-          let s = ack_set t (origin, vseq) in
-          s := Iset.add from !s;
-          try_deliver t
-        end
-    | _ -> ()
+  (* What arrives for a view we have not entered is kept for it: a
+     member installing the view, or a joiner jumping to it, needs the
+     acks as much as the messages, for nobody delivers a message of the
+     view until every member has acked it. *)
+  match msg with
+  | Vs_msg { view; _ } | Vs_ack { view; _ } ->
+      if view > t.view.id then t.future <- (view, msg) :: t.future
+      else if view = t.view.id && not t.excluded then receive t msg
+  | _ -> ()
 
 (* Ask the group to readmit this (recovered or left-behind) member. The
    request is repeated by [poll] until a view containing us is

@@ -7,6 +7,7 @@ type Msg.t +=
       op_index : int;
       keys : (Store.Operation.key * Store.Lock_table.mode) list;
       delegate : int;
+      missed : int list; (* the replicas the delegate runs [rid] without *)
     }
   | Lock_grant of {
       rid : int;
@@ -22,6 +23,7 @@ type Msg.t +=
       op_index : int;
       op : Store.Operation.op;
       delegate : int;
+      missed : int list;
     }
   | Exec_ack of { rid : int; op_index : int; from : int }
   | Complete of {
@@ -30,6 +32,7 @@ type Msg.t +=
       writes : (Store.Operation.key * int * int) list;
           (* quorum mode ships the delegate-computed writeset; empty when
              every site executed the operations itself *)
+      missed : int list;
     }
   | Complete_ack of { rid : int; from : int }
   | Txn_abort of { rid : int }
@@ -168,18 +171,25 @@ let create ?shared cfg net ~replicas ~clients =
   (* Quorum mode ships the delegate's writeset in [Complete], so a
      replica that missed operations can still install it: only the mode
      where every site executes the operations keeps track. *)
-  let went_live st rid ~delegate =
+  let went_live st rid ~delegate ~missed =
     if lock_quorum = None then
       match Hashtbl.find_opt st.missed rid with
       | Some (d, _) when d = delegate -> ()
       | _ ->
           (* First contact, or a resubmission re-driven by a new
-             delegate: a fresh run of the transaction. *)
+             delegate: a fresh run of the transaction. It runs without
+             whom the delegate runs it without, which may have recovered
+             since, and without whoever is down now. *)
           Hashtbl.replace st.missed rid
             ( delegate,
-              List.filter
-                (fun p -> not (Network.alive net p))
-                ctx.Common.replicas )
+              missed
+              @ List.filter
+                  (fun p -> not (Network.alive net p || List.mem p missed))
+                  ctx.Common.replicas )
+  in
+  (* What the delegate tells the other sites about [rid]'s absentees. *)
+  let missed_of st rid =
+    match Hashtbl.find_opt st.missed rid with Some (_, m) -> m | None -> []
   in
   (* The live replicas that took part in all of [rid] so far: the only
      ones its later operations, its completion and its vote involve. *)
@@ -315,6 +325,7 @@ let create ?shared cfg net ~replicas ~clients =
                      op_index = txn.op_index;
                      keys = op_locks op;
                      delegate = r;
+                     missed = missed_of st rid;
                    }))
             txn.lock_sites
         end
@@ -336,6 +347,7 @@ let create ?shared cfg net ~replicas ~clients =
                    op_index = txn.op_index;
                    op;
                    delegate = r;
+                   missed = missed_of st rid;
                  }))
           txn.exec_sites
   and start_complete r rid =
@@ -352,7 +364,8 @@ let create ?shared cfg net ~replicas ~clients =
         List.iter
           (fun dst ->
             Group.Rchan.send (chan r) ~dst
-              (Complete { rid; delegate = r; writes }))
+              (Complete
+                 { rid; delegate = r; writes; missed = missed_of st rid }))
           (members st rid)
   and start_commit r rid =
     let st = state r in
@@ -515,7 +528,7 @@ let create ?shared cfg net ~replicas ~clients =
                       }
                     in
                     Hashtbl.replace st.txns rid txn;
-                    went_live st rid ~delegate:r;
+                    went_live st rid ~delegate:r ~missed:[];
                     (* A 250 ms lock timeout resolves distributed
                        deadlocks: abort and release after that wait. *)
                     ignore
@@ -530,10 +543,10 @@ let create ?shared cfg net ~replicas ~clients =
                               | _ -> ())));
                     next_op r rid
                   end)
-          | Lock_req { rid; op_index; keys; delegate } ->
+          | Lock_req { rid; op_index; keys; delegate; missed } ->
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.delegate_of rid delegate;
-                went_live st rid ~delegate;
+                went_live st rid ~delegate ~missed;
                 let total = List.length keys in
                 let send_grant () =
                   let copies =
@@ -604,10 +617,10 @@ let create ?shared cfg net ~replicas ~clients =
               | _ -> ())
           | Lock_refuse { rid; from = _ } ->
               abort_txn r rid
-          | Exec { rid; op_index; op; delegate } ->
+          | Exec { rid; op_index; op; delegate; missed } ->
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.delegate_of rid delegate;
-                went_live st rid ~delegate;
+                went_live st rid ~delegate ~missed;
                 let shadow =
                   match Hashtbl.find_opt st.shadows rid with
                   | Some s -> s
@@ -641,12 +654,12 @@ let create ?shared cfg net ~replicas ~clients =
                     next_op r rid
                   end
               | _ -> ())
-          | Complete { rid; delegate; writes } ->
+          | Complete { rid; delegate; writes; missed } ->
               if not (Hashtbl.mem st.cache rid) then begin
                 Hashtbl.replace st.complete rid ();
                 if writes <> [] then Hashtbl.replace st.quorum_writes rid writes;
                 Hashtbl.replace st.delegate_of rid delegate;
-                went_live st rid ~delegate
+                went_live st rid ~delegate ~missed
               end;
               Group.Rchan.send (chan r) ~dst:delegate
                 (Complete_ack { rid; from = r })

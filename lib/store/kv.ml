@@ -5,11 +5,14 @@
 type t = {
   table : (Operation.key, int * int) Hashtbl.t;
   mutable watchers : (Operation.key -> value:int -> version:int -> unit) list;
+  mutable reset_watchers : (unit -> unit) list;
 }
 
-let create () = { table = Hashtbl.create 64; watchers = [] }
+let create () =
+  { table = Hashtbl.create 64; watchers = []; reset_watchers = [] }
 
 let on_update t f = t.watchers <- f :: t.watchers
+let on_reset t f = t.reset_watchers <- f :: t.reset_watchers
 
 let notify t k ~value ~version =
   List.iter (fun f -> f k ~value ~version) t.watchers
@@ -35,7 +38,9 @@ let force t k ~value ~version =
   Hashtbl.replace t.table k (value, version);
   notify t k ~value ~version
 
-let reset t = Hashtbl.reset t.table
+let reset t =
+  Hashtbl.reset t.table;
+  List.iter (fun f -> f ()) t.reset_watchers
 
 let version t k = snd (read t k)
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table []
@@ -48,7 +53,8 @@ let equal a b = snapshot a = snapshot b
 
 (* Copies are scratch state (state transfer, convergence checks); they
    do not inherit the original's watchers. *)
-let copy t = { table = Hashtbl.copy t.table; watchers = [] }
+let copy t =
+  { table = Hashtbl.copy t.table; watchers = []; reset_watchers = [] }
 
 let pp ppf t =
   Format.fprintf ppf "{";

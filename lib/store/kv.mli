@@ -52,4 +52,8 @@ val copy : t -> t
     observe per-replica apply times without the protocols knowing. *)
 val on_update : t -> (Operation.key -> value:int -> version:int -> unit) -> unit
 
+(** [on_reset t f] registers [f] to run after every {!reset}, which
+    notifies no {!on_update} watcher. *)
+val on_reset : t -> (unit -> unit) -> unit
+
 val pp : Format.formatter -> t -> unit

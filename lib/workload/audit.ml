@@ -20,13 +20,68 @@ type wrec = {
   w_group : int;
 }
 
+(* One key's (completed_at, version) entries in reply-time order, which
+   is the order they are added in: the runner stamps a reply with the
+   clock. [top.(i)] is the largest version among entries [0..i], so the
+   earliest entry above a version is found by binary search. *)
+module Reply_log = struct
+  type t = {
+    mutable at : Simtime.t array;
+    mutable top : int array;
+    mutable len : int;
+  }
+
+  let create () = { at = [||]; top = [||]; len = 0 }
+
+  let add l at version =
+    if l.len > 0 && Simtime.(at < l.at.(l.len - 1)) then
+      invalid_arg "Audit.Reply_log.add: an instant earlier than the last";
+    let cap = Array.length l.at in
+    if l.len = cap then begin
+      let cap' = max 4 (2 * cap) in
+      let at' = Array.make cap' Simtime.zero and top' = Array.make cap' 0 in
+      Array.blit l.at 0 at' 0 l.len;
+      Array.blit l.top 0 top' 0 l.len;
+      l.at <- at';
+      l.top <- top'
+    end;
+    l.at.(l.len) <- at;
+    l.top.(l.len) <-
+      (if l.len = 0 then version else max version l.top.(l.len - 1));
+    l.len <- l.len + 1
+
+  (* The completion instant of the earliest entry whose version is above
+     [v_read], if it completed no later than [submitted_at]: every later
+     entry completed later still. *)
+  let violated l ~v_read ~submitted_at =
+    let rec first lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if l.top.(mid) > v_read then first lo mid else first (mid + 1) hi
+    in
+    let i = first 0 l.len in
+    if i < l.len && Simtime.(l.at.(i) <= submitted_at) then Some l.at.(i)
+    else None
+end
+
 (* Per-client session state for the online session-guarantee checkers.
    Entries are (completed_at, version): an operation A precedes B in
    session order only if A's reply was delivered before B was submitted,
    so overlapping (pipelined) requests never generate false positives. *)
 type session = {
-  s_wrote : (Store.Operation.key, (Simtime.t * int) list ref) Hashtbl.t;
-  s_observed : (Store.Operation.key, (Simtime.t * int) list ref) Hashtbl.t;
+  s_wrote : (Store.Operation.key, Reply_log.t) Hashtbl.t;
+  s_observed : (Store.Operation.key, Reply_log.t) Hashtbl.t;
+}
+
+(* The [version_lag] gauge of one replication group, kept current by the
+   stores' watchers: each key's version at every member (by position),
+   the sum over keys of the newest of them, and each member's sum of its
+   own. A member's lag is the difference. *)
+type lag = {
+  versions : (Store.Operation.key, int array) Hashtbl.t;
+  mutable newest : int;
+  held : int array;
 }
 
 (* A committed cross-shard transaction, reassembled from its per-group
@@ -40,12 +95,13 @@ type t = {
   a_history : Store.History.t;
   a_groups : int list array;
   a_group_of : (int, int) Hashtbl.t;
-  a_stores : (int, Store.Kv.t) Hashtbl.t;
   a_shard_map : Store.Shard_map.t option;
   a_writes : (Store.Operation.key * int * int, wrec) Hashtbl.t;
   a_by_kv : (Store.Operation.key * int, wrec list ref) Hashtbl.t;
   a_records : (int, Store.History.record) Hashtbl.t;
-  a_committed_w : (Store.Operation.key, (Simtime.t * int) list ref) Hashtbl.t;
+  a_committed_w : (Store.Operation.key, Reply_log.t) Hashtbl.t;
+  a_lag : lag array; (* by group *)
+  a_pos : (int, int) Hashtbl.t; (* a replica's position in its group *)
   a_sessions : (int, session) Hashtbl.t;
   a_vis : float list ref;
   a_vis_by_replica : (int, float list ref) Hashtbl.t;
@@ -78,13 +134,40 @@ type summary = {
   drained : bool;
 }
 
-let list_ref tbl k =
+let reply_log tbl k =
   match Hashtbl.find_opt tbl k with
-  | Some r -> r
+  | Some l -> l
   | None ->
-      let r = ref [] in
-      Hashtbl.replace tbl k r;
-      r
+      let l = Reply_log.create () in
+      Hashtbl.replace tbl k l;
+      l
+
+(* [replica]'s copy of [k] now has [version]. *)
+let note_version t ~replica k version =
+  let g = Hashtbl.find t.a_group_of replica in
+  let lag = t.a_lag.(g) and pos = Hashtbl.find t.a_pos replica in
+  let vs =
+    match Hashtbl.find_opt lag.versions k with
+    | Some vs -> vs
+    | None ->
+        let vs = Array.make (Array.length lag.held) 0 in
+        Hashtbl.replace lag.versions k vs;
+        vs
+  in
+  let before = Array.fold_left max 0 vs in
+  lag.held.(pos) <- lag.held.(pos) + version - vs.(pos);
+  vs.(pos) <- version;
+  lag.newest <- lag.newest + Array.fold_left max 0 vs - before
+
+(* [replica]'s store was emptied ([Kv.reset] notifies no update
+   watcher). *)
+let note_reset t ~replica =
+  let lag = t.a_lag.(Hashtbl.find t.a_group_of replica)
+  and pos = Hashtbl.find t.a_pos replica in
+  Hashtbl.fold
+    (fun k vs held -> if vs.(pos) <> 0 then k :: held else held)
+    lag.versions []
+  |> List.iter (fun k -> note_version t ~replica k 0)
 
 let session t client =
   match Hashtbl.find_opt t.a_sessions client with
@@ -124,8 +207,9 @@ let note_apply t ~replica ~at k ~value ~version =
         }
       in
       Hashtbl.replace t.a_writes triple w;
-      let l = list_ref t.a_by_kv (k, version) in
-      l := w :: !l
+      (match Hashtbl.find_opt t.a_by_kv (k, version) with
+      | Some l -> l := w :: !l
+      | None -> Hashtbl.replace t.a_by_kv (k, version) (ref [ w ]))
   | Some w ->
       if not (List.mem replica w.w_applied) then begin
         w.w_applied <- replica :: w.w_applied;
@@ -142,7 +226,6 @@ let create ~engine ~history ~groups ~store_of ?(shards = 1) () =
       a_history = history;
       a_groups = Array.of_list groups;
       a_group_of = Hashtbl.create 16;
-      a_stores = Hashtbl.create 16;
       a_shard_map =
         (if shards > 1 then Some (Store.Shard_map.create ~shards ())
          else None);
@@ -150,6 +233,17 @@ let create ~engine ~history ~groups ~store_of ?(shards = 1) () =
       a_by_kv = Hashtbl.create 256;
       a_records = Hashtbl.create 256;
       a_committed_w = Hashtbl.create 64;
+      a_lag =
+        Array.of_list
+          (List.map
+             (fun members ->
+               {
+                 versions = Hashtbl.create 64;
+                 newest = 0;
+                 held = Array.make (List.length members) 0;
+               })
+             groups);
+      a_pos = Hashtbl.create 16;
       a_sessions = Hashtbl.create 8;
       a_vis = ref [];
       a_vis_by_replica = Hashtbl.create 16;
@@ -165,34 +259,30 @@ let create ~engine ~history ~groups ~store_of ?(shards = 1) () =
   in
   List.iteri
     (fun g members ->
-      List.iter
-        (fun r ->
+      List.iteri
+        (fun pos r ->
           Hashtbl.replace t.a_group_of r g;
+          Hashtbl.replace t.a_pos r pos;
           let store = store_of r in
-          Hashtbl.replace t.a_stores r store;
+          List.iter
+            (fun (k, (_, version)) -> note_version t ~replica:r k version)
+            (Store.Kv.snapshot store);
           Store.Kv.on_update store (fun k ~value ~version ->
+              note_version t ~replica:r k version;
               note_apply t ~replica:r ~at:(Engine.now engine) k ~value
-                ~version))
+                ~version);
+          Store.Kv.on_reset store (fun () -> note_reset t ~replica:r))
         members)
     groups;
   Store.History.on_add history (fun r ->
       Hashtbl.replace t.a_records r.Store.History.tid r);
   t
 
-(* The earliest committed write of [k] that (a) installed a version the
-   read missed and (b) whose commit was already client-visible when the
-   read was submitted. Returns its commit instant — [at - rt] is then
-   the longest the observed state is provably stale in real time. *)
-let violated_commit entries ~v_read ~submitted_at =
-  List.fold_left
-    (fun acc (rt, vw) ->
-      if vw > v_read && Simtime.(rt <= submitted_at) then
-        match acc with
-        | Some best when Simtime.(best <= rt) -> acc
-        | _ -> Some rt
-      else acc)
-    None entries
-
+(* For each read, [Reply_log.violated] finds the earliest committed
+   write of its key that (a) installed a version the read missed and (b)
+   whose commit was already client-visible when the read was submitted:
+   with that commit instant [rt], [at - rt] is the longest the observed
+   state is provably stale in real time. *)
 let note_reply t ~client ~rid ~committed ~submitted_at ~at =
   if committed then begin
     t.a_commits_seen <- t.a_commits_seen + 1;
@@ -208,16 +298,15 @@ let note_reply t ~client ~rid ~committed ~submitted_at ~at =
       (fun (k, v_read) ->
         t.a_reads_checked <- t.a_reads_checked + 1;
         (match
-           violated_commit
-             !(list_ref t.a_committed_w k)
-             ~v_read ~submitted_at
+           Reply_log.violated (reply_log t.a_committed_w k) ~v_read
+             ~submitted_at
          with
         | Some rt ->
             t.a_stale_reads <- t.a_stale_reads + 1;
             t.a_stale := Simtime.to_ms (Simtime.sub at rt) :: !(t.a_stale)
         | None -> ());
         (match
-           violated_commit !(list_ref s.s_wrote k) ~v_read ~submitted_at
+           Reply_log.violated (reply_log s.s_wrote k) ~v_read ~submitted_at
          with
         | Some rt ->
             t.a_ryw <- t.a_ryw + 1;
@@ -226,7 +315,8 @@ let note_reply t ~client ~rid ~committed ~submitted_at ~at =
                 (Simtime.to_ms (Simtime.sub at rt))
         | None -> ());
         (match
-           violated_commit !(list_ref s.s_observed k) ~v_read ~submitted_at
+           Reply_log.violated (reply_log s.s_observed k) ~v_read
+             ~submitted_at
          with
         | Some rt ->
             t.a_mr <- t.a_mr + 1;
@@ -234,8 +324,7 @@ let note_reply t ~client ~rid ~committed ~submitted_at ~at =
               Float.max t.a_session_window_max_ms
                 (Simtime.to_ms (Simtime.sub at rt))
         | None -> ());
-        let l = list_ref s.s_observed k in
-        l := (at, v_read) :: !l)
+        Reply_log.add (reply_log s.s_observed k) at v_read)
       reads;
     List.iter
       (fun (k, vw) ->
@@ -249,48 +338,23 @@ let note_reply t ~client ~rid ~committed ~submitted_at ~at =
                     if Simtime.(at < prev) then w.w_reply_at <- Some at)
               !l
         | None -> ());
-        let l = list_ref t.a_committed_w k in
-        l := (at, vw) :: !l;
-        let l = list_ref s.s_wrote k in
-        l := (at, vw) :: !l)
+        Reply_log.add (reply_log t.a_committed_w k) at vw;
+        Reply_log.add (reply_log s.s_wrote k) at vw)
       writes;
     if subs <> [] then
       t.a_cross_rev <- { x_reads = reads; x_writes = writes } :: t.a_cross_rev
   end
 
 (* Residual version lag of [replica]: over every key any member of its
-   group holds, how many installed versions the replica is missing.
-   Computed from the live stores, not from watcher memory, so lazy
-   re-versioning (reconciliation's [force]) cannot leave phantom lag. *)
+   group holds, how many installed versions the replica is missing. The
+   watchers see every change to the stores, [force]'s re-versioning and
+   [reset] included, so the sums match the live stores. *)
 let replica_lag t replica =
   match Hashtbl.find_opt t.a_group_of replica with
   | None -> 0
   | Some g ->
-      let members = t.a_groups.(g) in
-      let keys = Hashtbl.create 64 in
-      List.iter
-        (fun r ->
-          match Hashtbl.find_opt t.a_stores r with
-          | Some store ->
-              List.iter (fun k -> Hashtbl.replace keys k ()) (Store.Kv.keys store)
-          | None -> ())
-        members;
-      let mine = Hashtbl.find_opt t.a_stores replica in
-      Hashtbl.fold
-        (fun k () acc ->
-          let newest =
-            List.fold_left
-              (fun best r ->
-                match Hashtbl.find_opt t.a_stores r with
-                | Some store -> Stdlib.max best (Store.Kv.version store k)
-                | None -> best)
-              0 members
-          in
-          let held =
-            match mine with Some s -> Store.Kv.version s k | None -> 0
-          in
-          acc + Stdlib.max 0 (newest - held))
-        keys 0
+      let lag = t.a_lag.(g) in
+      lag.newest - lag.held.(Hashtbl.find t.a_pos replica)
 
 let register_series t ts =
   Array.iter

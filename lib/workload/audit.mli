@@ -93,6 +93,30 @@ val create :
 (** Register the per-replica [version_lag] gauge on a sampler. *)
 val register_series : t -> Sim.Timeseries.t -> unit
 
+(** [replica_lag t r] is the gauge's value: over every key any member of
+    [r]'s group holds, how many installed versions [r] is missing. It is
+    kept current by the stores' watchers, so a sample costs O(1). *)
+val replica_lag : t -> int -> int
+
+(** One key's (completion instant, version) entries, added in the order
+    of their instants, as the session checkers keep them. *)
+module Reply_log : sig
+  type t
+
+  val create : unit -> t
+
+  (** [add l at version]. Raises [Invalid_argument] if [at] is earlier
+      than an instant already added. *)
+  val add : t -> Sim.Simtime.t -> int -> unit
+
+  (** [violated l ~v_read ~submitted_at] is the earliest instant of an
+      entry with a version above [v_read] that completed no later than
+      [submitted_at]: a read of [v_read] submitted then missed it. It
+      takes O(log n). *)
+  val violated :
+    t -> v_read:int -> submitted_at:Sim.Simtime.t -> Sim.Simtime.t option
+end
+
 (** [note_reply t ~client ~rid ~committed ~submitted_at ~at] feeds one
     client reply through the checkers. Aborted replies are ignored;
     committed cross-shard parents are reassembled from their linked

@@ -157,6 +157,122 @@ let test_skew_needs_shards () =
   Alcotest.(check int) "detector disarmed at shards=1" 0
     a.Workload.Audit.skew_pairs
 
+(* ---- the session checkers' reply logs ------------------------------- *)
+
+(* The checkers' original scan: the earliest instant among the entries
+   that installed a version above [v_read] and completed by
+   [submitted_at]. *)
+let violated_by_fold entries ~v_read ~submitted_at =
+  List.fold_left
+    (fun acc (rt, vw) ->
+      if vw > v_read && Simtime.(rt <= submitted_at) then
+        match acc with
+        | Some best when Simtime.(best <= rt) -> acc
+        | _ -> Some rt
+      else acc)
+    None entries
+
+(* Entries as (gap to the previous instant, version), queries as
+   (version read, submission instant), all in microseconds. *)
+let prop_reply_log_matches_fold =
+  QCheck.Test.make ~name:"reply log matches the list fold" ~count:300
+    QCheck.(
+      pair
+        (small_list (pair (int_range 0 3) (int_range 0 12)))
+        (small_list (pair (int_range (-1) 12) (int_range 0 60))))
+    (fun (entries, queries) ->
+      let log = Workload.Audit.Reply_log.create () in
+      let at = ref 0 and added = ref [] in
+      let check () =
+        List.for_all
+          (fun (v_read, submitted) ->
+            let submitted_at = Simtime.of_us submitted in
+            Workload.Audit.Reply_log.violated log ~v_read ~submitted_at
+            = violated_by_fold !added ~v_read ~submitted_at)
+          queries
+      in
+      check ()
+      && List.for_all
+           (fun (gap, version) ->
+             at := !at + gap;
+             Workload.Audit.Reply_log.add log (Simtime.of_us !at) version;
+             added := (Simtime.of_us !at, version) :: !added;
+             check ())
+           entries)
+
+(* ---- the version_lag gauge ------------------------------------------ *)
+
+(* The gauge as it was computed at every sample: over the keys any
+   member holds, the newest version among the members less the
+   replica's own. *)
+let lag_by_scan stores members r =
+  let keys =
+    List.sort_uniq String.compare
+      (List.concat_map (fun m -> Store.Kv.keys stores.(m)) members)
+  in
+  List.fold_left
+    (fun acc k ->
+      let newest =
+        List.fold_left
+          (fun best m -> max best (Store.Kv.version stores.(m) k))
+          0 members
+      in
+      acc + max 0 (newest - Store.Kv.version stores.(r) k))
+    0 keys
+
+type store_op =
+  | Write of int * int
+  | Install of int * int * int
+  | Force of int * int * int
+  | Reset of int
+
+(* Random writes, installs, forces (versions may go down) and resets
+   over two groups of stores; after each one, every replica's gauge
+   equals the scan. *)
+let prop_lag_matches_scan =
+  let op =
+    QCheck.Gen.(
+      let* r = int_range 0 4 and* k = int_range 0 5 and* v = int_range 0 6 in
+      frequency
+        [
+          (4, return (Write (r, k)));
+          (3, return (Install (r, k, v)));
+          (2, return (Force (r, k, v)));
+          (1, return (Reset r));
+        ])
+  in
+  QCheck.Test.make ~name:"version_lag gauge matches a scan of the stores"
+    ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let groups = [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
+      let stores = Array.init 5 (fun _ -> Store.Kv.create ()) in
+      let audit =
+        Workload.Audit.create ~engine:(Engine.create ~seed:1 ())
+          ~history:(Store.History.create ()) ~groups
+          ~store_of:(fun r -> stores.(r))
+          ()
+      in
+      let key k = Printf.sprintf "k%d" k in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Write (r, k) -> ignore (Store.Kv.write stores.(r) (key k) 1)
+          | Install (r, k, version) ->
+              Store.Kv.install stores.(r) (key k) ~value:2 ~version
+          | Force (r, k, version) ->
+              Store.Kv.force stores.(r) (key k) ~value:3 ~version
+          | Reset r -> Store.Kv.reset stores.(r));
+          List.for_all
+            (fun members ->
+              List.for_all
+                (fun r ->
+                  Workload.Audit.replica_lag audit r
+                  = lag_by_scan stores members r)
+                members)
+            groups)
+        ops)
+
 (* ---- lag_undrained saturation detector ------------------------------ *)
 
 let lag_series ~final =
@@ -298,6 +414,9 @@ let () =
           tc "torn cross-shard snapshot counted" test_skew_detected;
           tc "unsharded runs never skew" test_skew_needs_shards;
         ] );
+      ( "session logs",
+        [ QCheck_alcotest.to_alcotest prop_reply_log_matches_fold ] );
+      ( "lag gauge", [ QCheck_alcotest.to_alcotest prop_lag_matches_scan ] );
       ( "lag detector",
         [
           tc "undrained lag fires" test_lag_undrained_fires;

@@ -150,10 +150,45 @@ let campaign_cases key cases =
    down committed at the donor just after the donor's snapshot, and
    reached neither the snapshot nor the joiner. These campaign cases
    ended with the joiner one write behind (backup-crash-recover seed 1:
-   k0000 at v1 on the recovered replica, v2 elsewhere). *)
+   k0000 at v1 on the recovered replica, v2 elsewhere). Seed 21: a site
+   that first heard of a transaction after the joiner recovered took it
+   for one the joiner takes part in, though its delegate had started it
+   without the joiner; the donor snapshotted before it committed (k0020
+   at v1 on the recovered replica, v2 elsewhere, once channel acks rode
+   on data). The delegate's list of absentees now travels with its
+   messages. *)
 let locking_state_transfer_keeps_writes () =
   campaign_cases "eager-ue-locking"
-    [ ("backup-crash-recover", 3, [ 1; 16 ]); ("chaos", 3, [ 6; 17; 29 ]) ]
+    [ ("backup-crash-recover", 3, [ 1; 16; 21 ]); ("chaos", 3, [ 6; 17; 29 ]) ]
+
+(* Regression: passive replication diverged under chaos. A member that
+   proposed the next view kept acking the current view's messages, so
+   the others could deliver a message that the decided flush set, its
+   proposal, lacked (seed 49: five updates delivered by the primary
+   only). Messages and acks of a view that reached a member before it
+   entered the view were dropped, so nobody could deliver that view's
+   first messages, and a client waited forever (seed 41, 324
+   resubmissions). A member that has proposed now acks no more, makes
+   the others propose too, and keeps early arrivals for the view they
+   belong to. Seeds 41 and 49 fail at n=3 with none of the three; each
+   other case fails with one of them taken out: n=5 seed 17 without the
+   ack stop or without the others' proposals (a view change only one
+   member proposed never decides), n=3 seed 28 and n=5 seed 8 without
+   the early arrivals. *)
+let passive_views_keep_agreement () =
+  campaign_cases "passive"
+    [ ("chaos", 3, [ 28; 41; 49 ]); ("chaos", 5, [ 8; 17 ]) ]
+
+(* Regression: lazy update everywhere diverged under chaos. An Inject
+   the sequencer never received stayed pending at the members that had
+   it: its origin's retransmits stopped when the origin crashed, and
+   nobody forwarded it, so a local commit was never reconciled (seed
+   25: k0026 at (1, 0) on the recovered replica only). Members now
+   forward a message no slot holds poll after poll to the leader.
+   Seeds 25, 43 and 54 fail at the parent, 8 and 30 without the
+   forward. *)
+let lazy_ue_reconciles_every_commit () =
+  campaign_cases "lazy-ue" [ ("chaos", 3, [ 8; 25; 30; 43; 54 ]) ]
 
 (* Regression: eager-primary lost a committed write across a state
    transfer. The primary, as donor, took its snapshot while its own
@@ -183,5 +218,9 @@ let () =
             `Quick locking_state_transfer_keeps_writes;
           Alcotest.test_case "primary state transfer keeps every write"
             `Quick primary_state_transfer_keeps_writes;
+          Alcotest.test_case "passive views keep agreement" `Quick
+            passive_views_keep_agreement;
+          Alcotest.test_case "lazy-ue reconciles every commit" `Quick
+            lazy_ue_reconciles_every_commit;
         ] );
     ]

@@ -211,14 +211,24 @@ let test_rchan_passthrough_dedup () =
   Alcotest.(check int) "one delivery per arrival" arrivals delivered
 
 (* The stubborn channel as it was with one retransmit timer per message:
-   each send arms its own timer and each ack cancels it. Kept as the
-   reference the one-timer-per-endpoint channel must match event for
-   event. It takes its instance id as an argument; the real channel
+   each send arms its own timer and each ack cancels it. Acks follow the
+   channel's rule: at once on a link we have sent nothing on, otherwise
+   cumulative, carried by the next message to the peer or sent alone by
+   one timer per endpoint a quarter [rto] after it began owing. Kept as
+   the reference the one-timer-per-endpoint channel must match event
+   for event. It takes its instance id as an argument; the real channel
    draws it from the network. *)
 module Rchan_per_message = struct
   type Msg.t +=
-    | Data of { gid : int; src : int; seq : int; payload : Msg.t }
-    | Ack of { gid : int; seq : int }
+    | Data of {
+        gid : int;
+        src : int;
+        seq : int;
+        payload : Msg.t;
+        held : int;
+        above : int list;
+      }
+    | Ack of { gid : int; held : int; above : int list }
 
   let () =
     Msg.wrapper [%extension_constructor Data] "Data" (function
@@ -232,6 +242,16 @@ module Rchan_per_message = struct
     mutable timer : Engine.timer;
   }
 
+  (* Per peer: seqs received ([held] and the arrivals [above] it since
+     the last ack), whether an ack is owed and under which context, and
+     how far the peer's cumulative acks reach. *)
+  type link = {
+    mutable held : int;
+    mutable above : int list;
+    mutable owed : Engine.ctx option option;
+    mutable acked : int;
+  }
+
   type t = {
     net : Network.t;
     gid : int;
@@ -242,6 +262,10 @@ module Rchan_per_message = struct
     next_seq : int array;
     unacked : unacked Int_table.t;
     seen : Dedup.t;
+    links : link array;
+    mutable owed_order : int list; (* peers, oldest debt first *)
+    mutable owing_since : Simtime.t;
+    mutable ack_armed : bool;
     mutable deliver_cbs : (src:int -> Msg.t -> unit) list;
   }
 
@@ -260,10 +284,81 @@ module Rchan_per_message = struct
     Engine.schedule (Network.engine t.net) ~label:"rchan:retransmit"
       ~after:t.rto (retransmit t key)
 
+  let delay t = Simtime.of_us (Simtime.to_us t.rto / 4)
+  let owing t = List.exists (fun p -> t.links.(p).owed <> None) t.owed_order
+
+  let pay t peer =
+    let l = t.links.(peer) in
+    l.held <- Dedup.prefix t.seen ~origin:peer ~from:l.held;
+    let above = List.filter (fun s -> s >= l.held) l.above in
+    l.above <- [];
+    l.owed <- None;
+    if not (owing t) then t.owed_order <- [];
+    (l.held, above)
+
+  let rec send_owed t () =
+    t.ack_armed <- false;
+    let engine = Network.engine t.net in
+    if owing t then
+      let due = Simtime.add t.owing_since (delay t) in
+      if Simtime.(Engine.now engine < due) then arm_acks t due
+      else
+        List.iter
+          (fun peer ->
+            match t.links.(peer).owed with
+            | Some ctx ->
+                let held, above = pay t peer in
+                Engine.set_ctx engine ctx;
+                Network.send t.net ~src:t.me ~dst:peer
+                  (Ack { gid = t.gid; held; above })
+            | None -> ())
+          t.owed_order
+
+  and arm_acks t at =
+    t.ack_armed <- true;
+    ignore
+      (Engine.schedule_at (Network.engine t.net) ~label:"rchan:ack" ~at
+         (send_owed t))
+
+  let owe t ~peer seq =
+    let l = t.links.(peer) in
+    let engine = Network.engine t.net in
+    if seq >= l.held then l.above <- seq :: l.above;
+    if l.owed = None then begin
+      if not (owing t) then begin
+        t.owing_since <- Engine.now engine;
+        if not t.ack_armed then
+          arm_acks t (Simtime.add t.owing_since (delay t))
+      end;
+      l.owed <- Some (Engine.ctx engine);
+      t.owed_order <- t.owed_order @ [ peer ]
+    end
+
+  let take_acks t ~peer ~held ~above =
+    let ack_seq seq =
+      let key = link_key t seq peer in
+      match Int_table.find_opt t.unacked key with
+      | Some u ->
+          Engine.cancel u.timer;
+          Int_table.remove t.unacked key
+      | None -> ()
+    in
+    let l = t.links.(peer) in
+    while l.acked < held do
+      ack_seq l.acked;
+      l.acked <- l.acked + 1
+    done;
+    List.iter ack_seq above
+
   let send t ~dst msg =
     let seq = t.next_seq.(dst) in
     t.next_seq.(dst) <- seq + 1;
-    let packet = Data { gid = t.gid; src = t.me; seq; payload = msg } in
+    let held, above =
+      if t.links.(dst).owed <> None then pay t dst else (0, [])
+    in
+    let packet =
+      Data { gid = t.gid; src = t.me; seq; payload = msg; held; above }
+    in
     Network.send t.net ~src:t.me ~dst packet;
     let key = link_key t seq dst in
     Int_table.replace t.unacked key
@@ -284,6 +379,12 @@ module Rchan_per_message = struct
             next_seq = Array.make size 0;
             unacked = Int_table.create 32;
             seen = Dedup.create ~nodes:size;
+            links =
+              Array.init size (fun _ ->
+                  { held = 0; above = []; owed = None; acked = 0 });
+            owed_order = [];
+            owing_since = Simtime.zero;
+            ack_armed = false;
             deliver_cbs = [];
           }
         in
@@ -295,18 +396,18 @@ module Rchan_per_message = struct
         | None -> ());
         Network.add_handler net me (fun ~src msg ->
             match msg with
-            | Data { gid = g; src = origin; seq; payload } when g = gid ->
-                Network.send net ~src:me ~dst:src (Ack { gid; seq });
+            | Data { gid = g; src = origin; seq; payload; held; above }
+              when g = gid ->
+                take_acks t ~peer:src ~held ~above;
+                if t.next_seq.(src) = 0 then
+                  Network.send net ~src:me ~dst:src
+                    (Ack { gid; held = 0; above = [ seq ] })
+                else owe t ~peer:src seq;
                 if Dedup.fresh t.seen ~origin ~seq then
                   List.iter (fun f -> f ~src:origin payload) t.deliver_cbs;
                 true
-            | Ack { gid = g; seq } when g = gid ->
-                let key = link_key t seq src in
-                (match Int_table.find_opt t.unacked key with
-                | Some u ->
-                    Engine.cancel u.timer;
-                    Int_table.remove t.unacked key
-                | None -> ());
+            | Ack { gid = g; held; above } when g = gid ->
+                take_acks t ~peer:src ~held ~above;
                 true
             | _ -> false);
         (me, t))
@@ -502,6 +603,236 @@ let prop_rchan_matches_per_message_timers =
       same "sent/delivered/dropped" counts counts';
       same "rchan_unacked series" unacked unacked';
       same "chrome exports" chrome chrome';
+      true)
+
+(* Standalone [Ack] packets a node receives, counted by a tap below the
+   channel's handler. *)
+let count_acks net nodes =
+  let acks = ref 0 in
+  List.iter
+    (fun me ->
+      Network.add_handler net me (fun ~src:_ msg ->
+          if Msg.name msg = "Ack" then incr acks;
+          false))
+    nodes;
+  acks
+
+(* Two nodes that answer each message within the ack delay: every ack
+   rides on the answer, and only the last messages, which nothing
+   answers, are acked alone (at most one per direction). *)
+let test_rchan_two_way_piggybacks () =
+  let e, net = make ~n:2 () in
+  let group = Rchan.create_group net ~nodes:[ 0; 1 ] () in
+  let acks = count_acks net [ 0; 1 ] in
+  let rounds = 20 and last_data = ref Simtime.zero and acks_during = ref 0 in
+  List.iter
+    (fun me ->
+      let c = Rchan.handle group ~me in
+      Rchan.on_deliver c (fun ~src k ->
+          last_data := Engine.now e;
+          acks_during := !acks;
+          let k = payload_of k in
+          if k < rounds then Rchan.send c ~dst:src (Payload (k + 1))))
+    [ 0; 1 ];
+  Rchan.send (Rchan.handle group ~me:0) ~dst:1 (Payload 0);
+  Rchan.send (Rchan.handle group ~me:1) ~dst:0 (Payload 0);
+  run_ms e 1_000;
+  Alcotest.(check int) "no standalone ack while data flows both ways" 0
+    !acks_during;
+  Alcotest.(check bool) "at most one ack per direction at the end" true
+    (!acks >= 1 && !acks <= 2);
+  Alcotest.(check int) "data messages only, besides those"
+    ((2 * (rounds + 1)) + !acks)
+    (Network.messages_sent net)
+
+(* A chain that ends while its sender is down leaves a hole in the link
+   that never closes. The receiver acks the seqs above it one by one, so
+   the sender retransmits none of them. *)
+let test_rchan_hole_costs_no_retransmit () =
+  let e, net = make ~n:2 () in
+  let group = Rchan.create_group net ~nodes:[ 0; 1 ] () in
+  let c0 = Rchan.handle group ~me:0 and c1 = Rchan.handle group ~me:1 in
+  let arrivals = ref 0 and deliveries = ref 0 in
+  Network.add_handler net 1 (fun ~src:_ msg ->
+      if Msg.name msg = "Data(Payload)" then incr arrivals;
+      false);
+  (* A ping-pong: 100 -> 1, 101 -> 0, ..., 110 -> 1. *)
+  let answer c ~dst k =
+    if k >= 100 && k < 110 then Rchan.send c ~dst (Payload (k + 1))
+  in
+  Rchan.on_deliver c1 (fun ~src:_ k ->
+      incr deliveries;
+      answer c1 ~dst:0 (payload_of k));
+  Rchan.on_deliver c0 (fun ~src:_ k -> answer c0 ~dst:1 (payload_of k));
+  Rchan.send c0 ~dst:1 (Payload 0);
+  Rchan.send c1 ~dst:0 (Payload 1);
+  run_ms e 50;
+  (* Node 0's next message is lost, and its chain ends with the crash. *)
+  Network.set_drop_probability net 1.0;
+  Rchan.send c0 ~dst:1 (Payload 2);
+  Network.set_drop_probability net 0.;
+  Network.crash net 0;
+  run_ms e 80;
+  Network.recover net 0;
+  arrivals := 0;
+  deliveries := 0;
+  Rchan.send c0 ~dst:1 (Payload 100);
+  run_ms e 2_000;
+  Alcotest.(check int) "node 1 delivered its half of the ping-pong" 6
+    !deliveries;
+  Alcotest.(check int) "no message above the hole was sent twice" 6 !arrivals
+
+(* A link the receiver sends nothing on acks each message at once. *)
+let test_rchan_one_way_acks_each () =
+  let e, net = make ~n:2 () in
+  let group = Rchan.create_group net ~nodes:[ 0; 1 ] () in
+  let acks = count_acks net [ 0; 1 ] in
+  let got = ref 0 in
+  Rchan.on_deliver (Rchan.handle group ~me:1) (fun ~src:_ _ -> incr got);
+  for k = 1 to 10 do
+    Rchan.send (Rchan.handle group ~me:0) ~dst:1 (Payload k)
+  done;
+  run_ms e 1_000;
+  Alcotest.(check int) "delivered" 10 !got;
+  Alcotest.(check int) "one ack per message" 10 !acks
+
+(* Under random loss, crash and partition schedules over four nodes
+   (every payload distinct): a receiver delivers each payload at most
+   once, and every payload whose sender and receiver never crash is
+   delivered; [on_settled] reports each payload at most once, and only
+   once its receiver holds it (the retry budget outlasts every fault
+   window, so no chain runs out). *)
+type fault_step =
+  | Fault_send of { at : int; src : int; dsts : int list }
+  | Fault_loss of { at : int; until : int; probability : float }
+  | Fault_crash of { at : int; until : int; node : int }
+  | Fault_partition of { at : int; until : int; side : int list }
+
+let gen_fault_plan =
+  let open QCheck.Gen in
+  let time = int_range 0 150_000 in
+  let window =
+    let* at = time in
+    let* len = int_range 1_000 60_000 in
+    return (at, at + len)
+  in
+  let step =
+    frequency
+      [
+        ( 8,
+          let* at = time in
+          let* src = int_range 0 3 in
+          let* dsts = list_size (int_range 1 3) (int_range 0 3) in
+          return (Fault_send { at; src; dsts }) );
+        ( 1,
+          let* at, until = window in
+          let* probability = float_range 0.1 0.7 in
+          return (Fault_loss { at; until; probability }) );
+        ( 1,
+          let* at, until = window in
+          let* node = int_range 0 3 in
+          return (Fault_crash { at; until; node }) );
+        ( 1,
+          let* at, until = window in
+          let* side = list_size (int_range 1 2) (int_range 0 3) in
+          return (Fault_partition { at; until; side }) );
+      ]
+  in
+  pair (int_range 0 10_000) (list_size (int_range 5 50) step)
+
+let print_fault_plan (seed, steps) =
+  Printf.sprintf "seed %d: %s" seed
+    (String.concat "; "
+       (List.map
+          (function
+            | Fault_send { at; src; dsts } ->
+                Printf.sprintf "send %d->[%s] @%dus" src
+                  (String.concat "," (List.map string_of_int dsts))
+                  at
+            | Fault_loss { at; until; probability } ->
+                Printf.sprintf "loss %.2f %d-%dus" probability at until
+            | Fault_crash { at; until; node } ->
+                Printf.sprintf "crash %d %d-%dus" node at until
+            | Fault_partition { at; until; side } ->
+                Printf.sprintf "partition [%s] %d-%dus"
+                  (String.concat "," (List.map string_of_int side))
+                  at until)
+          steps))
+
+let prop_rchan_delivery_and_settlement =
+  QCheck.Test.make ~name:"at most once, complete, settled after delivery"
+    ~count:100
+    (QCheck.make ~print:print_fault_plan gen_fault_plan)
+    (fun (seed, steps) ->
+      let e = Engine.create ~seed () in
+      let net = Network.create e ~n:4 Network.default_config in
+      let group =
+        Rchan.create_group net ~nodes:plan_nodes ~rto:(Simtime.of_ms 4)
+          ~max_retries:10_000 ()
+      in
+      (* (receiver, payload) -> deliveries; payload -> settlements *)
+      let delivered = Hashtbl.create 64 and settled = Hashtbl.create 64 in
+      let bump tbl key =
+        Hashtbl.replace tbl key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+      in
+      let early = ref [] in
+      List.iter
+        (fun me ->
+          let c = Rchan.handle group ~me in
+          Rchan.on_deliver c (fun ~src:_ msg ->
+              bump delivered (me, payload_of msg));
+          Rchan.on_settled c (fun ~dst msg ->
+              let k = payload_of msg in
+              bump settled k;
+              if not (Hashtbl.mem delivered (dst, k)) then
+                early := k :: !early))
+        plan_nodes;
+      let crashed = Hashtbl.create 4 and sent = ref [] and next = ref 0 in
+      let at us f = ignore (Engine.schedule_at e ~at:(Simtime.of_us us) f) in
+      List.iter
+        (function
+          | Fault_send { at = t; src; dsts } ->
+              at t (fun () ->
+                  List.iter
+                    (fun dst ->
+                      let k = !next in
+                      incr next;
+                      if Network.alive net src then
+                        sent := (src, dst, k) :: !sent;
+                      Rchan.send (Rchan.handle group ~me:src) ~dst (Payload k))
+                    dsts)
+          | Fault_loss { at = t; until; probability } ->
+              at t (fun () -> Network.set_drop_probability net probability);
+              at until (fun () -> Network.set_drop_probability net 0.)
+          | Fault_crash { at = t; until; node } ->
+              Hashtbl.replace crashed node ();
+              at t (fun () -> Network.crash net node);
+              at until (fun () -> Network.recover net node)
+          | Fault_partition { at = t; until; side } ->
+              at t (fun () -> Network.partition net side);
+              at until (fun () -> Network.heal net))
+        steps;
+      ignore (Engine.run ~until:(Simtime.of_sec 2.) e);
+      Hashtbl.iter
+        (fun (me, k) n ->
+          if n > 1 then
+            QCheck.Test.fail_reportf "node %d delivered %d %d times" me k n)
+        delivered;
+      Hashtbl.iter
+        (fun k n ->
+          if n > 1 then QCheck.Test.fail_reportf "%d settled %d times" k n)
+        settled;
+      (match !early with
+      | k :: _ -> QCheck.Test.fail_reportf "%d settled before delivery" k
+      | [] -> ());
+      List.iter
+        (fun (src, dst, k) ->
+          if
+            (not (Hashtbl.mem crashed src || Hashtbl.mem crashed dst))
+            && not (Hashtbl.mem delivered (dst, k))
+          then QCheck.Test.fail_reportf "%d from %d never reached %d" k src dst)
+        !sent;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -2317,6 +2648,10 @@ let () =
           tc "passthrough dedup" test_rchan_passthrough_dedup;
           tc "settled once" test_rchan_settled_once;
           QCheck_alcotest.to_alcotest prop_rchan_matches_per_message_timers;
+          tc "two-way link piggybacks its acks" test_rchan_two_way_piggybacks;
+          tc "one-way link acks each message" test_rchan_one_way_acks_each;
+          tc "a hole costs no retransmit" test_rchan_hole_costs_no_retransmit;
+          QCheck_alcotest.to_alcotest prop_rchan_delivery_and_settlement;
         ] );
       ( "rbcast",
         [
