@@ -594,7 +594,7 @@ dune exec bin/replisim.exe -- audit -t lazy-primary --router --check > /dev/null
 dune exec bin/replisim.exe -- run -t lazy-primary --router --flash-crowd \
   > /dev/null
 if ! dune exec bin/replisim.exe -- run -t active --router \
-       --crash 0@60ms --recover 0@120ms \
+       --crash 0@61ms --recover 0@121ms \
      | grep -Eq 'failovers=[1-9][0-9]* gave_up=0'; then
   echo "router failover leg: no read survived the crash via retry" >&2
   exit 1

@@ -24,7 +24,9 @@ let run_default ?router ?flash name =
    seed 11, 3 replicas, 4 clients, 50 txns/client, closed loop); the
    lazy-primary and eager-primary ones again when reliable broadcast
    stopped relaying every delivery (from 2352 events and 1848 messages,
-   and 5631 and 3932). *)
+   and 5631 and 3932), the eager-primary and active ones when channel
+   acks began to ride on reverse data (from 4835 and 3100, and 100844
+   and 46050). *)
 let test_router_off_schedule_preserved () =
   List.iter
     (fun (name, committed, events, messages) ->
@@ -39,8 +41,8 @@ let test_router_off_schedule_preserved () =
         (r.Workload.Runner.router = None))
     [
       ("lazy-primary", 200, 1535, 1020);
-      ("eager-primary", 200, 4835, 3100);
-      ("active", 200, 100844, 46050);
+      ("eager-primary", 200, 4599, 2466);
+      ("active", 200, 98831, 43684);
     ]
 
 (* ---- read/write splitting and session accounting -------------------- *)
@@ -149,7 +151,9 @@ let test_nonsticky_violates_ryw () =
 (* A read in flight to a replica that crashes under it gets no reply;
    the router must resend it elsewhere after the timeout and the client
    still sees an answer. The schedule below is one (deterministic) such
-   interleaving, found by scanning crash times. *)
+   interleaving, found by scanning crash times (crash at 60 ms and
+   recovery at 120 ms until channel acks rode on data; no read was in
+   flight to replica 0 at 60 ms since). *)
 let test_failover_retry_answers_reads () =
   let spec = Workload.Builder.spec () in
   let r =
@@ -157,8 +161,8 @@ let test_failover_retry_answers_reads () =
       ~faults:
         Workload.Runner.
           [
-            Crash { at = Sim.Simtime.of_ms 60; replica = 0 };
-            Recover { at = Sim.Simtime.of_ms 120; replica = 0 };
+            Crash { at = Sim.Simtime.of_ms 61; replica = 0 };
+            Recover { at = Sim.Simtime.of_ms 121; replica = 0 };
           ]
       (factory_of "active")
   in
