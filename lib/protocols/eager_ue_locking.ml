@@ -136,6 +136,9 @@ type replica_state = {
          was live here: they missed operations, so it commits without
          them and only a state transfer can bring it to them *)
   cache : Common.reply_cache;
+  dropped : (int, int) Hashtbl.t;
+      (* rid -> the suspected delegate whose run of it we released: that
+         run lost our shadow, so we take no further part and vote no *)
   txns : (int, delegate_txn) Hashtbl.t; (* delegate side *)
   xfer : Common.transfer; (* unsynced between recovery and state transfer *)
 }
@@ -190,6 +193,11 @@ let create ?shared cfg net ~replicas ~clients =
   (* What the delegate tells the other sites about [rid]'s absentees. *)
   let missed_of st rid =
     match Hashtbl.find_opt st.missed rid with Some (_, m) -> m | None -> []
+  in
+  (* A run of [rid] by [delegate] whose state we released on suspecting
+     it: its operations so far are gone from here. *)
+  let dropped st rid ~delegate =
+    Hashtbl.find_opt st.dropped rid = Some delegate
   in
   (* The live replicas that took part in all of [rid] so far: the only
      ones its later operations, its completion and its vote involve. *)
@@ -422,6 +430,7 @@ let create ?shared cfg net ~replicas ~clients =
           delegate_of = Hashtbl.create 16;
           missed;
           cache;
+          dropped = Hashtbl.create 4;
           txns = Hashtbl.create 8;
           (* A donor snapshots only once its store holds every write the
              joiner will not hear of again: none of its 2PC rounds is in
@@ -500,7 +509,12 @@ let create ?shared cfg net ~replicas ~clients =
                       else acc)
                     st.delegate_of []
                 in
-                List.iter (fun rid -> release_txn st rid) stale)));
+                List.iter
+                  (fun rid ->
+                    Hashtbl.replace st.dropped rid
+                      (Hashtbl.find st.delegate_of rid);
+                    release_txn st rid)
+                  stale)));
       Common.on_deliver st.xfer (fun ~src:_ msg ->
           match msg with
           | Lreq { client; request } ->
@@ -544,7 +558,8 @@ let create ?shared cfg net ~replicas ~clients =
                     next_op r rid
                   end)
           | Lock_req { rid; op_index; keys; delegate; missed } ->
-              if not (Hashtbl.mem st.cache rid) then begin
+              if not (Hashtbl.mem st.cache rid || dropped st rid ~delegate)
+              then begin
                 Hashtbl.replace st.delegate_of rid delegate;
                 went_live st rid ~delegate ~missed;
                 let total = List.length keys in
@@ -618,7 +633,8 @@ let create ?shared cfg net ~replicas ~clients =
           | Lock_refuse { rid; from = _ } ->
               abort_txn r rid
           | Exec { rid; op_index; op; delegate; missed } ->
-              if not (Hashtbl.mem st.cache rid) then begin
+              if not (Hashtbl.mem st.cache rid || dropped st rid ~delegate)
+              then begin
                 Hashtbl.replace st.delegate_of rid delegate;
                 went_live st rid ~delegate ~missed;
                 let shadow =
@@ -655,7 +671,10 @@ let create ?shared cfg net ~replicas ~clients =
                   end
               | _ -> ())
           | Complete { rid; delegate; writes; missed } ->
-              if not (Hashtbl.mem st.cache rid) then begin
+              (* A dropped run is acked, so its delegate moves on to the
+                 2PC, which our no vote aborts. *)
+              if not (Hashtbl.mem st.cache rid || dropped st rid ~delegate)
+              then begin
                 Hashtbl.replace st.complete rid ();
                 if writes <> [] then Hashtbl.replace st.quorum_writes rid writes;
                 Hashtbl.replace st.delegate_of rid delegate;
