@@ -108,12 +108,14 @@ let fd_timeout =
       in
       let group = Group.Abcast.create_group net ~members ~fd () in
       (* Member 1 broadcasts steadily; the sequencer (member 0) crashes. *)
-      ignore
-        (Engine.periodic engine ~every:(Simtime.of_ms 2)
-           (Network.guard net 1 (fun () ->
-                Group.Abcast.broadcast
-                  (Group.Abcast.handle group ~me:1)
-                  (Msg.Ping 0))));
+      let rec steady () =
+        ignore
+          (Engine.schedule engine ~after:(Simtime.of_ms 2) (fun () ->
+               Group.Abcast.broadcast (Group.Abcast.handle group ~me:1)
+                 (Msg.Ping 0);
+               steady ()))
+      in
+      steady ();
       ignore
         (Engine.schedule engine ~after:(Simtime.of_ms 100) (fun () ->
              Network.crash net 0));

@@ -190,19 +190,9 @@ let message_counts =
   Fmt.pr "%-18s %12s %14s@." "technique" "msgs/txn" "latency (ms)";
   List.iter
     (fun (name, factory) ->
-      (* Background traffic (heartbeats) is measured on an idle instance
-         and subtracted. *)
-      let instance () =
-        let engine = Engine.create ~seed:9 () in
-        let net = Network.create engine ~n:4 Exp.net in
-        (engine, net, factory net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ])
-      in
-      let idle_rate =
-        let engine, net, _ = instance () in
-        ignore (Engine.run ~until:(Simtime.of_sec 1.) engine);
-        float_of_int (Network.messages_sent net)
-      in
-      let engine, net, inst = instance () in
+      let engine = Engine.create ~seed:9 () in
+      let net = Network.create engine ~n:4 Exp.net in
+      let inst = factory net ~replicas:[ 0; 1; 2 ] ~clients:[ 3 ] in
       let n_txns = 50 in
       let lat = ref [] in
       let rec go i =
@@ -222,7 +212,7 @@ let message_counts =
       let note = Exp.note x ~technique:name in
       let per_txn =
         note ~metric:"messages_per_txn" ~unit_:"messages"
-          (max 0. ((total -. idle_rate) /. float_of_int n_txns))
+          (total /. float_of_int n_txns)
       in
       let latency =
         note ~metric:"latency_mean" ~unit_:"ms" (Summary.summarize !lat).mean
@@ -1001,8 +991,8 @@ let simulator_throughput =
    the total cluster size.
 
    Part A measures it directly: the causal message count of one
-   single-shard transaction (the [replisim explain] measurement — probe
-   traffic only, background heartbeats excluded) at n = 16/32/64 with
+   single-shard transaction (the [replisim explain] measurement — the
+   transaction's causal messages only) at n = 16/32/64 with
    the shard count scaled to hold the group size at 4 replicas. Sharded,
    the count must be flat across n; unsharded (shards=1, the same §5
    protocol over the full cluster) it grows with n.

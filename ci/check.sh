@@ -34,7 +34,7 @@ fi
 
 # Ids at the edge: an instance id is needed only where a message reaches
 # a handler stack several instances share — Rchan's Data/Ack, Fd's
-# Heartbeat and Common's Reply/Read_req. Every layer above a channel owns
+# pings and Common's Reply/Read_req. Every layer above a channel owns
 # that channel, so no other file may draw an id from the network.
 echo "== instance ids only at the edge =="
 ids=$(grep -rnE --include='*.ml' '(^|[^A-Za-z0-9_])fresh_id +[a-z_(]' \
@@ -196,8 +196,10 @@ c="dune exec bin/replisim.exe -- campaign --scenario crash-recover --techniques 
 
 # Recovery: every technique that catches a recovered copy up by state
 # transfer (passive, eager-primary, eager-ue-locking) through the four
-# scenarios that bring a replica back, over 30 seeds (1800 verdicts).
-# A failure names technique, scenario and seed; replay it with
+# scenarios that bring a replica back, over 30 seeds (2160 verdicts).
+# Every run must also end drained (the campaign's "drained" oracle): a
+# timer still queued at the hard stop fails the leg. A failure names
+# technique, scenario and seed; replay it with
 # `replisim campaign --scenario S --techniques T --seeds N`.
 echo "== recovery campaign =="
 start=$(date +%s)
@@ -211,7 +213,8 @@ echo "recovery campaign passed in $(( $(date +%s) - start )) s"
 # eager-primary through every scenario over 30 seeds, at n=3 and n=5
 # (2 x 7 x 30 runs each). A member relays a broadcast only when it
 # suspects the origin, so agreement after an origin crash and every
-# lost write across a state transfer are judged here. Replay a failure
+# lost write across a state transfer are judged here, and every run
+# must end drained. Replay a failure
 # with `replisim campaign --scenario S --techniques T --replicas N
 # --seeds K`.
 echo "== primary-copy campaign =="
@@ -222,6 +225,28 @@ for n in 3 5; do
     --seeds "$(seq -s, 1 30)" > /dev/null
 done
 echo "primary-copy campaign passed in $(( $(date +%s) - start )) s"
+
+# Runs end when their work does: a run of five transactions per client
+# costs about what `explain` counts for one transaction (its messages
+# plus their transport acks), where heartbeats and polls running to the
+# deadline once made it 1 973 msgs/txn for active replication. Every
+# technique must stay within twice the census.
+echo "== run census =="
+for t in $(dune exec bin/replisim.exe -- list | awk '{ print $1 }'); do
+  run=$(dune exec bin/replisim.exe -- run -t "$t" --txns 5 \
+    | sed -n 's/.*msgs\/txn=\([0-9.]*\).*/\1/p')
+  census=$(dune exec bin/replisim.exe -- explain -t "$t" --format json \
+    | sed -n 's/.*"observed":{"messages":\([0-9]*\),"steps":[0-9]*,"transport_acks":\([0-9]*\).*/\1 \2/p')
+  msgs=${census% *}
+  acks=${census#* }
+  if [ -z "$run" ] || [ -z "$census" ] \
+     || ! awk -v r="$run" -v m="$msgs" -v a="$acks" \
+          'BEGIN { exit !(r <= 2 * (m + a)) }'; then
+    echo "run census: $t reads '$run' msgs/txn, over twice explain's $msgs messages + $acks transport acks" >&2
+    exit 1
+  fi
+  echo "$t: $run msgs/txn (explain: $msgs messages + $acks transport acks)"
+done
 
 # A refresh costs its n-1 copies, not a relay from every member: lazy
 # primary copy at n=32 sends 9.4 msgs/txn (acks and stability notices
@@ -594,7 +619,7 @@ dune exec bin/replisim.exe -- audit -t lazy-primary --router --check > /dev/null
 dune exec bin/replisim.exe -- run -t lazy-primary --router --flash-crowd \
   > /dev/null
 if ! dune exec bin/replisim.exe -- run -t active --router \
-       --crash 0@61ms --recover 0@121ms \
+       --crash 0@58ms --recover 0@118ms \
      | grep -Eq 'failovers=[1-9][0-9]* gave_up=0'; then
   echo "router failover leg: no read survived the crash via retry" >&2
   exit 1

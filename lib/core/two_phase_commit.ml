@@ -26,6 +26,8 @@ type t = {
   prepared : (int, int) Hashtbl.t;
       (* in-doubt participant-side: txn -> coordinator. Voted YES, no
          decision learned yet — drives the termination protocol. *)
+  mutable asks_left : int; (* re-requests before falling silent *)
+  mutable ask : unit -> unit; (* arms the re-request timer *)
 }
 
 type group = {
@@ -60,7 +62,13 @@ let decide group t ~txn round decision =
     round.on_complete decision
   end
 
+(* Re-requests a participant makes in a row with no 2PC message heard
+   in between: about a stubborn channel's retry budget at the default
+   300 ms, after which a coordinator is taken to be gone for good. *)
+let max_asks = 4
+
 let handle_msg group t msg =
+  t.asks_left <- max_asks;
   match msg with
   | Prepare { txn; coordinator } ->
       let yes = t.vote ~me:t.me ~txn in
@@ -115,6 +123,8 @@ let create_group net ~nodes ?participant_timeout ~vote ~learn () =
           rounds = Hashtbl.create 16;
           learned = Hashtbl.create 16;
           prepared = Hashtbl.create 16;
+          asks_left = max_asks;
+          ask = ignore;
         }
       in
       (match Network.timeseries net with
@@ -125,26 +135,35 @@ let create_group net ~nodes ?participant_timeout ~vote ~learn () =
             ~kind:Timeseries.Window ~unit_:"transactions" (fun () ->
               float_of_int (Hashtbl.length t.prepared))
       | None -> ());
-      Group.Rchan.on_deliver t.chan (fun ~src msg ->
-          ignore src;
-          handle_msg group t msg);
       (* Termination protocol: an in-doubt participant (voted YES, heard
          no decision — e.g. the decision was in flight when a partition
-         or crash cut it off) periodically asks the coordinator again.
-         Without this, a participant that misses the stubborn channel's
-         retry window holds its prepared state forever even after the
-         coordinator becomes reachable. *)
+         or crash cut it off) asks the coordinator again every
+         [participant_timeout] while it has asks left. Without this, a
+         participant that misses the stubborn channel's retry window
+         holds its prepared state forever even after the coordinator
+         becomes reachable. *)
       Option.iter
-        (fun delay ->
-          ignore
-            (Engine.periodic (Network.engine net) ~label:"commit:timer" ~every:delay
-               (Network.guard net me (fun () ->
-                    Hashtbl.iter
-                      (fun txn coordinator ->
-                        Group.Rchan.send t.chan ~dst:coordinator
-                          (Decision_req { txn; from = me }))
-                      t.prepared))))
+        (fun every ->
+          t.ask <-
+            Network.poller net me ~label:"commit:timer" ~every
+              ~busy:(fun () -> Hashtbl.length t.prepared > 0 && t.asks_left > 0)
+              (fun () ->
+                t.asks_left <- t.asks_left - 1;
+                Hashtbl.iter
+                  (fun txn coordinator ->
+                    Group.Rchan.send t.chan ~dst:coordinator
+                      (Decision_req { txn; from = me }))
+                  t.prepared))
         participant_timeout;
+      Group.Rchan.on_deliver t.chan (fun ~src msg ->
+          ignore src;
+          handle_msg group t msg;
+          t.ask ());
+      Network.on_recover net (fun node ->
+          if node = me then begin
+            t.asks_left <- max_asks;
+            t.ask ()
+          end);
       Hashtbl.replace group.handles me t)
     nodes;
   group

@@ -11,14 +11,17 @@
     third party can decide for them. A cooperative {e termination
     protocol} covers the recoverable cases: an in-doubt participant (voted
     YES, decision never arrived — dropped by a partition, or lost past the
-    stubborn channel's retry budget) periodically re-requests the decision
-    from the coordinator, which answers from its durable outcome log. This
-    resolves the in-doubt window whenever the coordinator is reachable
-    again; it does not (and cannot) unblock participants of a permanently
-    dead coordinator. Participants that are unreachable are treated
-    according to [participant_timeout]: when set, the coordinator counts a
-    missing vote as a NO after that delay (presumed abort) and the same
-    period paces the participants' decision re-requests; when [None], the
+    stubborn channel's retry budget) re-requests the decision from the
+    coordinator, which answers from its durable outcome log: every
+    [participant_timeout], at most four times with no 2PC message
+    received in between (any message, and its recovery, refill them).
+    This resolves the in-doubt window whenever the coordinator is
+    reachable again while the group talks; the participants of a
+    permanently dead coordinator stay blocked, and stop asking.
+    Participants that are unreachable are treated according to
+    [participant_timeout]: when set, the coordinator counts a missing
+    vote as a NO after that delay (presumed abort) and the same period
+    paces the participants' decision re-requests; when [None], the
     coordinator blocks too and participants never re-ask. *)
 
 type decision = Commit | Abort

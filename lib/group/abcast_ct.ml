@@ -2,17 +2,11 @@ open Sim
 
 type id = int * int (* origin node, per-origin sequence number *)
 
-type Msg.t +=
-  | Inject of { id : id; payload : Msg.t }
-  | Progress of { next_inst : int; from : int }
-  | Catchup of { instance : int; batch : (id * Msg.t) list }
+type Msg.t += Inject of { id : id; payload : Msg.t }
 
 let () =
   Msg.wrapper [%extension_constructor Inject] "Inject" (function
     | Inject { payload; _ } -> payload
-    | _ -> assert false);
-  Msg.counted [%extension_constructor Catchup] "Catchup" (function
-    | Catchup { batch; _ } -> List.length batch
     | _ -> assert false)
 
 module Batch = struct
@@ -31,7 +25,6 @@ type t = {
   mutable proposed_for : int; (* highest instance we proposed for *)
   pending : (id, Msg.t) Hashtbl.t; (* injected, not yet delivered *)
   decided_ahead : (int, Batch.t) Hashtbl.t; (* out-of-order decisions *)
-  decided_log : (int, Batch.t) Hashtbl.t; (* all decisions, for catch-up *)
   delivered_set : (id, unit) Hashtbl.t;
   mutable delivered_rev : id list;
   mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
@@ -59,9 +52,14 @@ let maybe_propose t =
     C.propose t.cons ~instance:t.next_inst batch
   end
 
+(* A decision we cannot apply yet shows that we missed the one before
+   it: join that instance, and whoever decided it answers with the
+   decision. *)
 let rec apply_decisions t =
   match Hashtbl.find_opt t.decided_ahead t.next_inst with
-  | None -> ()
+  | None ->
+      if Hashtbl.length t.decided_ahead > 0 then
+        C.participate t.cons ~instance:t.next_inst
   | Some batch ->
       Hashtbl.remove t.decided_ahead t.next_inst;
       List.iter
@@ -132,7 +130,6 @@ let create_group net ~members ?(clients = []) ?fd () =
           proposed_for = -1;
           pending = Hashtbl.create 32;
           decided_ahead = Hashtbl.create 8;
-          decided_log = Hashtbl.create 64;
           delivered_set = Hashtbl.create 64;
           delivered_rev = [];
           deliver_cbs = [];
@@ -150,34 +147,12 @@ let create_group net ~members ?(clients = []) ?fd () =
           ignore src;
           match msg with
           | Inject { id; payload } -> inject t id payload
-          | Progress { next_inst; from } ->
-              (* A member that lags behind us missed decided instances
-                 (e.g. it was partitioned past the retransmission budget):
-                 replay the decisions it needs. *)
-              if next_inst < t.next_inst then
-                for instance = next_inst to min (t.next_inst - 1) (next_inst + 9) do
-                  match Hashtbl.find_opt t.decided_log instance with
-                  | Some batch ->
-                      Rchan.send t.chan ~dst:from (Catchup { instance; batch })
-                  | None -> ()
-                done
-          | Catchup { instance; batch } ->
-              if instance >= t.next_inst
-                 && not (Hashtbl.mem t.decided_ahead instance)
-              then begin
-                Hashtbl.replace t.decided_ahead instance batch;
-                apply_decisions t
-              end
           | _ -> ());
       C.on_decide t.cons (fun ~instance batch ->
-          Hashtbl.replace t.decided_ahead instance batch;
-          Hashtbl.replace t.decided_log instance batch;
-          apply_decisions t);
-      ignore
-        (Engine.periodic (Network.engine net) ~label:"abcast:poll" ~every:(Simtime.of_ms 100)
-           (Network.guard net me (fun () ->
-                Rchan.mcast t.chan ~dsts:t.members
-                  (Progress { next_inst = t.next_inst; from = t.me }))));
+          if instance >= t.next_inst then begin
+            Hashtbl.replace t.decided_ahead instance batch;
+            apply_decisions t
+          end);
       Hashtbl.replace handles me t)
     members;
   { g_members = members; chan_group; handles; client_seq = Hashtbl.create 8 }

@@ -60,6 +60,7 @@ type t = {
   net : Network.t;
   members : int list;
   fd : Fd.t;
+  waits : Fd.waiter; (* on the group, while [busy] *)
   chan : Rchan.t;
   batch_window : Simtime.t;
   n : int; (* group size *)
@@ -88,6 +89,10 @@ type t = {
   mutable noop_seq : int;
   mutable batch_rev : id list; (* leader: injects awaiting the window flush *)
   mutable batch_armed : bool;
+  mutable lagging : bool;
+      (* leader: the last anti-entropy pass found a slot some trusted
+         member has not acked *)
+  mutable kick : unit -> unit; (* arms the poll while [busy] *)
   mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
   mutable opt_deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
   mutable opt_delivered_rev : id list;
@@ -366,6 +371,7 @@ let adopt_epoch t e =
    epoch: one below the last takeover's re-announcement keeps an older
    stamp, which a member that adopted this epoch would drop. *)
 let anti_entropy t =
+  t.lagging <- false;
   if is_leader t then begin
     (* Advance the floor past slots every member has acknowledged. *)
     let floor_acked seq =
@@ -389,6 +395,7 @@ let anti_entropy t =
              t.members
          in
          if missing then begin
+           t.lagging <- true;
            incr resent;
            mcast t (Order { epoch = t.epoch; seq = !s; ids });
            List.iter
@@ -439,6 +446,28 @@ let forward_unslotted t =
       t.pending;
     t.unslotted <- now
   end
+
+(* Is a slot from [seq] up waiting on the group? An older epoch's slot
+   whose messages were all delivered through other slots is not: it is
+   a crashed leader's assignment nobody else took, and the next Order
+   for its seq replaces it. *)
+let rec waiting t seq =
+  seq <= t.max_slot
+  && ((let c = cell t seq in
+       assigned c
+       && (c.epoch >= t.epoch
+          || not
+               (List.for_all
+                  (fun id -> fst id = -1 || Id_table.mem t.delivered_set id)
+                  c.ids)))
+     || waiting t (seq + 1))
+
+(* Work that waits on the group: a message known but not delivered, a
+   slot not delivered, or (leader) a slot some trusted member lacks. *)
+let busy t =
+  Hashtbl.length t.pending > 0
+  || t.lagging
+  || (t.undelivered > 0 && waiting t t.next_deliver)
 
 let poll t =
   if Id_table.length t.fetched > 0 then Id_table.reset t.fetched;
@@ -556,6 +585,7 @@ let create_group net ~members ?(clients = []) ?fd
           net;
           members;
           fd;
+          waits = Fd.waiter fd;
           n;
           member_at;
           position;
@@ -582,6 +612,8 @@ let create_group net ~members ?(clients = []) ?fd
           noop_seq = 0;
           batch_rev = [];
           batch_armed = false;
+          lagging = false;
+          kick = ignore;
           deliver_cbs = [];
           opt_deliver_cbs = [];
           opt_delivered_rev = [];
@@ -596,19 +628,31 @@ let create_group net ~members ?(clients = []) ?fd
             ~kind:Timeseries.Queue ~unit_:"messages" (fun () ->
               float_of_int t.undelivered)
       | None -> ());
+      t.kick <-
+        Network.poller net me ~label:"abcast:poll" ~every:(Simtime.of_ms 25)
+          ~busy:(fun () ->
+            let busy = busy t in
+            Fd.wait t.waits (if busy then members else []);
+            busy)
+          (fun () -> poll t);
       Network.on_recover net (fun node ->
-          if node = me then reack t ~dsts:members (lowest_cursor t));
+          if node = me then begin
+            reack t ~dsts:members (lowest_cursor t);
+            t.kick ()
+          end);
       Fd.on_trust t.fd (fun peer ->
           reack t ~dsts:[ peer ] (heard_cursor t peer);
           (* A leader that lost its quorum left what it received meanwhile
              unordered; nothing else orders it before the next epoch. *)
-          if is_leader t && quorate t then order_pending t);
+          if is_leader t && quorate t then order_pending t;
+          (* The peer may lack slots delivered while it was suspected:
+             let the leader's anti-entropy look. *)
+          if is_leader t then t.lagging <- true;
+          t.kick ());
       Rchan.on_deliver t.chan (fun ~src msg ->
           ignore src;
-          handle_msg t msg);
-      ignore
-        (Engine.periodic (Network.engine net) ~label:"abcast:poll" ~every:(Simtime.of_ms 25)
-           (Network.guard net me (fun () -> poll t)));
+          handle_msg t msg;
+          t.kick ());
       Hashtbl.replace handles me t)
     members;
   { g_members = members; chan_group; handles; client_seq = Hashtbl.create 8 }

@@ -41,8 +41,11 @@ struct
     members : int array;
     majority : int;
     fd : Fd.t;
+    waits : Fd.waiter; (* on the group, while an instance is open *)
     chan : Rchan.t;
     insts : (int, inst) Hashtbl.t;
+    mutable open_insts : Iset.t; (* started, undecided *)
+    mutable poll : unit -> unit; (* arms the poll while one is open *)
     mutable decide_cbs : (instance:int -> V.t -> unit) list; (* in order *)
   }
 
@@ -152,6 +155,25 @@ struct
       send_estimate t inst
     end
 
+  (* Give up on blocked undecided instances whose coordinator is suspected. *)
+  let give_up t () =
+    Iset.iter
+      (fun id ->
+        let inst = Hashtbl.find t.insts id in
+        let c = coord t inst.round in
+        if c <> t.me && Fd.suspected t.fd c then
+          start_round t inst (inst.round + 1))
+      t.open_insts
+
+  (* Note whether instance [id] is open: while one is, wait on the group
+     and poll. *)
+  let kick t id =
+    let inst = get_inst t id in
+    (if inst.decided = None && inst.round >= 0 then
+       t.open_insts <- Iset.add id t.open_insts
+     else t.open_insts <- Iset.remove id t.open_insts);
+    t.poll ()
+
   let propose t ~instance v =
     let inst = get_inst t instance in
     if inst.est = None then begin
@@ -161,11 +183,13 @@ struct
     if inst.round < 0 then start_round t inst 0
     else
       (* Already participating with est = None: refresh the coordinator. *)
-      send_estimate t inst
+      send_estimate t inst;
+    kick t instance
 
   let participate t ~instance =
     let inst = get_inst t instance in
-    if inst.round < 0 && inst.decided = None then start_round t inst 0
+    if inst.round < 0 && inst.decided = None then start_round t inst 0;
+    kick t instance
 
   let on_decide t f = t.decide_cbs <- t.decide_cbs @ [ f ]
 
@@ -173,16 +197,6 @@ struct
     match Hashtbl.find_opt t.insts instance with
     | None -> None
     | Some inst -> inst.decided
-
-  (* Give up on blocked undecided instances whose coordinator is suspected. *)
-  let poll t =
-    Hashtbl.iter
-      (fun _ inst ->
-        if inst.decided = None && inst.round >= 0 then
-          let c = coord t inst.round in
-          if c <> t.me && Fd.suspected t.fd c then
-            start_round t inst (inst.round + 1))
-      t.insts
 
   let handle_msg t msg =
     match msg with
@@ -261,8 +275,11 @@ struct
             members = Array.of_list members;
             majority = (n / 2) + 1;
             fd = Fd.handle fd ~me;
+            waits = Fd.waiter (Fd.handle fd ~me);
             chan = Rchan.handle chan_group ~me;
             insts = Hashtbl.create 16;
+            open_insts = Iset.empty;
+            poll = ignore;
             decide_cbs = [];
           }
         in
@@ -278,11 +295,27 @@ struct
         | None -> ());
         Rchan.on_deliver t.chan (fun ~src msg ->
             ignore src;
-            handle_msg t msg);
-        ignore
-          (Engine.periodic (Network.engine net) ~label:"consensus:poll"
-             ~every:(Simtime.of_ms 25)
-             (Network.guard net me (fun () -> poll t)));
+            handle_msg t msg;
+            match msg with
+            | Est { inst; _ }
+            | Proposal { inst; _ }
+            | Reply { inst; _ }
+            | Abort { inst; _ }
+            | Decide { inst; _ } ->
+                kick t inst
+            | _ -> ());
+        t.poll <-
+          Network.poller net me ~label:"consensus:poll"
+            ~every:(Simtime.of_ms 25)
+            ~busy:(fun () ->
+              let busy = not (Iset.is_empty t.open_insts) in
+              Fd.wait t.waits (if busy then members else []);
+              busy)
+            (give_up t);
+        Network.on_recover net (fun node -> if node = me then t.poll ());
+        (* An estimate or a decision cut off past the channel's retry
+           budget is sent again once the peer is heard from. *)
+        Fd.resend_on_return t.fd t.chan;
         Hashtbl.replace handles me t)
       members;
     { handles }

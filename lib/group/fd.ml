@@ -2,93 +2,160 @@ open Sim
 
 module Iset = Set.Make (Int)
 
-type Msg.t += Heartbeat of { gid : int; from : int }
+type Msg.t += Fd_ping of { gid : int } | Fd_pong of { gid : int }
 
 type t = {
   net : Network.t;
   gid : int;
   me : int;
   members : int list;
+  heartbeat_every : Simtime.t;
   timeout : Simtime.t;
-  last_heard : (int, Simtime.t) Hashtbl.t;
+  (* By node id: when we last heard from the peer (or began waiting on
+     it, if later), and how many waiters wait on it. *)
+  heard : Simtime.t array;
+  waited : int array;
+  mutable probe : unit -> unit; (* arms the probe timer while waits are open *)
   mutable suspects : Iset.t;
   mutable suspect_cbs : (int -> unit) list;
   mutable trust_cbs : (int -> unit) list;
+  mutable watches : (int * waiter * (unit -> unit)) list;
 }
 
-type group = { g_members : int list; handles : (int, t) Hashtbl.t }
+and waiter = { fd : t; mutable on : int list }
+
+type group = { handles : (int, t) Hashtbl.t }
 
 let now t = Engine.now (Network.engine t.net)
+let peer t p = p <> t.me && p < Array.length t.waited && List.mem p t.members
 
-let hear t peer =
-  Hashtbl.replace t.last_heard peer (now t);
+let trust t peer =
   if Iset.mem peer t.suspects then begin
     t.suspects <- Iset.remove peer t.suspects;
     List.iter (fun f -> f peer) t.trust_cbs
   end
 
-let check t =
-  let horizon = Simtime.sub (now t) t.timeout in
+(* One probe: a waited-on peer silent for [timeout] is suspected, and
+   one silent for [heartbeat_every] gets a ping, suspected or not, so a
+   suspect that is up is heard from again. *)
+let probe t () =
+  let now = now t in
   List.iter
-    (fun peer ->
-      if peer <> t.me && not (Iset.mem peer t.suspects) then
-        match Hashtbl.find_opt t.last_heard peer with
-        | Some last when Simtime.(last >= horizon) -> ()
-        | _ ->
-            t.suspects <- Iset.add peer t.suspects;
-            List.iter (fun f -> f peer) t.suspect_cbs)
+    (fun p ->
+      if p <> t.me && t.waited.(p) > 0 then begin
+        let silent = Simtime.sub now t.heard.(p) in
+        if Simtime.(silent >= t.timeout) && not (Iset.mem p t.suspects)
+        then begin
+          t.suspects <- Iset.add p t.suspects;
+          List.iter (fun f -> f p) t.suspect_cbs
+        end;
+        if Simtime.(silent >= t.heartbeat_every) then
+          Network.send t.net ~src:t.me ~dst:p (Fd_ping { gid = t.gid })
+      end)
     t.members
 
+let waiter fd = { fd; on = [] }
+
+(* The new waits are counted before the old ones are dropped, so a peer
+   in both stays waited on and its silence clock keeps running. *)
+let wait w peers =
+  if not (List.equal Int.equal peers w.on) then begin
+    let t = w.fd in
+    List.iter
+      (fun p ->
+        if peer t p then begin
+          if t.waited.(p) = 0 then
+            t.heard.(p) <- Simtime.max t.heard.(p) (now t);
+          t.waited.(p) <- t.waited.(p) + 1
+        end)
+      peers;
+    List.iter (fun p -> if peer t p then t.waited.(p) <- t.waited.(p) - 1) w.on;
+    w.on <- peers;
+    t.probe ()
+  end
+
+let hear t src =
+  if src <> t.me && src < Array.length t.heard then begin
+    t.heard.(src) <- now t;
+    trust t src;
+    if t.watches <> [] then begin
+      let heard, rest = List.partition (fun (p, _, _) -> p = src) t.watches in
+      t.watches <- rest;
+      List.iter
+        (fun (_, w, fire) ->
+          wait w [];
+          fire ())
+        heard
+    end
+  end
+
+(* Wait on [peer] until we next hear from it, then [fire]; give up after
+   [watch_for]. *)
+let watch_for = Simtime.of_sec 10.
+
+let watch t peer fire =
+  let w = waiter t in
+  let x = (peer, w, fire) in
+  t.watches <- x :: t.watches;
+  wait w [ peer ];
+  ignore
+    (Engine.schedule (Network.engine t.net) ~label:"fd:check" ~after:watch_for
+       (fun () ->
+         t.watches <- List.filter (fun y -> y != x) t.watches;
+         wait w []))
+
+let resend_on_return t chan =
+  Rchan.on_settled chan (fun ~dst ~acked msg ->
+      if not acked then watch t dst (fun () -> Rchan.send chan ~dst msg))
+
 let create_member net ~gid ~members ~heartbeat_every ~timeout me =
+  let size = 1 + List.fold_left max 0 members in
   let t =
     {
       net;
       gid;
       me;
       members;
+      heartbeat_every;
       timeout;
-      last_heard = Hashtbl.create 8;
+      heard = Array.make size Simtime.zero;
+      waited = Array.make size 0;
+      probe = ignore;
       suspects = Iset.empty;
       suspect_cbs = [];
       trust_cbs = [];
+      watches = [];
     }
   in
-  let engine = Network.engine net in
-  List.iter
-    (fun peer ->
-      if peer <> me then Hashtbl.replace t.last_heard peer (Engine.now engine))
-    members;
+  t.probe <-
+    Network.poller net me ~label:"fd:check" ~every:heartbeat_every
+      ~busy:(fun () -> Array.exists (fun n -> n > 0) t.waited)
+      (probe t);
+  Network.on_hear net me (hear t);
   Network.add_handler net me (fun ~src msg ->
       match msg with
-      | Heartbeat { gid = g; from } when g = gid ->
-          ignore src;
-          hear t from;
+      | Fd_ping { gid = g } when g = gid ->
+          Network.send net ~src:me ~dst:src (Fd_pong { gid });
           true
+      | Fd_pong { gid = g } -> g = gid
       | _ -> false);
-  let beat () =
-    List.iter
-      (fun peer ->
-        if peer <> me then
-          Network.send net ~src:me ~dst:peer (Heartbeat { gid; from = me }))
-      members
-  in
-  ignore (Engine.periodic engine ~label:"fd:heartbeat" ~every:heartbeat_every (Network.guard net me beat));
-  ignore
-    (Engine.periodic engine ~label:"fd:check" ~every:heartbeat_every
-       (Network.guard net me (fun () -> check t)));
   (* Recovery voids the detector's timing assumptions: every peer looks
-     silent for the whole outage. Restart the deadlines and trust everyone
-     until a fresh [timeout] elapses, so a recovering node does not act on
-     an epoch of universal (and almost surely wrong) suspicion. *)
+     silent for the whole outage. Restart the silence clocks and trust
+     everyone until a fresh [timeout] elapses, so a recovering node does
+     not act on an epoch of universal (and almost surely wrong)
+     suspicion; ping every peer once, so those that suspected us while
+     waiting on us hear that we are back. *)
   Network.on_recover net (fun node ->
       if node = me then begin
         List.iter
-          (fun peer ->
-            if peer <> me then Hashtbl.replace t.last_heard peer (now t))
+          (fun p ->
+            if p <> me then begin
+              t.heard.(p) <- now t;
+              Network.send net ~src:me ~dst:p (Fd_ping { gid })
+            end)
           members;
-        let frozen = t.suspects in
-        t.suspects <- Iset.empty;
-        Iset.iter (fun peer -> List.iter (fun f -> f peer) t.trust_cbs) frozen
+        Iset.iter (trust t) t.suspects;
+        t.probe ()
       end);
   t
 
@@ -101,7 +168,7 @@ let create_group net ~members ?(heartbeat_every = Simtime.of_ms 20)
       Hashtbl.replace handles me
         (create_member net ~gid ~members ~heartbeat_every ~timeout me))
     members;
-  { g_members = members; handles }
+  { handles }
 
 let handle group ~me = Hashtbl.find group.handles me
 let me t = t.me

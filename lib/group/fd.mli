@@ -1,10 +1,20 @@
-(** Heartbeat failure detector.
+(** Demand-driven failure detector.
 
-    Every member multicasts heartbeats; a peer silent for [timeout] becomes
-    suspected. A message from a suspected peer removes the suspicion, so in
-    runs where suspicion was premature the detector behaves like an
-    eventually-accurate (◇S-style) detector, which is what the
-    consensus-based protocols require. *)
+    A layer waits on a peer ({!wait}) while it holds work only that peer
+    can finish (order, acknowledge, decide), and stops when the work is
+    done. Every message delivered from a peer, on any layer, counts as
+    hearing from it ({!Sim.Network.on_hear}). A waited-on peer silent for
+    [heartbeat_every] (default 20 ms) is pinged, and a live peer answers;
+    one silent for [timeout] (default 100 ms, from the last message heard
+    or the wait's start, whichever is later) is suspected. Hearing from a
+    suspect revokes the suspicion. A peer nobody waits on costs no event.
+
+    Contract: Chandra–Toueg ◇S for waited-on peers. A crashed peer that
+    stays waited on is eventually suspected for ever (strong
+    completeness); a correct one is eventually trusted for ever once the
+    links deliver again (eventual accuracy). Elsewhere a peer keeps the
+    standing it had, which is all the layers need: they consult the
+    detector only about peers their pending work waits on. *)
 
 type t
 type group
@@ -32,3 +42,21 @@ val on_suspect : t -> (int -> unit) -> unit
 
 (** [on_trust t f] calls [f peer] when a suspicion is revoked. *)
 val on_trust : t -> (int -> unit) -> unit
+
+(** One layer's waits on [t]'s peers, opened and closed by {!wait}. A
+    peer is waited on while some waiter of its handle waits on it. *)
+type waiter
+
+val waiter : t -> waiter
+
+(** [wait w peers] makes [w] wait on exactly [peers] (members other than
+    the handle's own node; others are ignored); [wait w []] closes every
+    wait of [w]. Repeating the list [w] already holds changes nothing. *)
+val wait : waiter -> int list -> unit
+
+(** [resend_on_return t chan]: every message [chan] gives up delivering
+    (its retries ran out while the peer was cut off) is sent again when
+    we next hear from the peer, if that is within 10 s. Meanwhile we wait
+    on the peer, so it is pinged: a partition that outlasts the channel's
+    retry budget, but not those 10 s, still heals. *)
+val resend_on_return : t -> Rchan.t -> unit

@@ -358,7 +358,7 @@ let create_group net ~members ?rto () =
       | None -> ());
       Rchan.on_deliver chan (fun ~src msg -> receive t ~src msg);
       if not passthrough then begin
-        Rchan.on_settled chan (fun ~dst msg ->
+        Rchan.on_settled chan (fun ~dst ~acked:_ msg ->
             match msg with
             | Rb { origin; seq; _ } when origin = me -> settle t ~seq ~dst
             | _ -> ());

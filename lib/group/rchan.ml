@@ -102,7 +102,8 @@ type t = {
   mutable owing_since : Simtime.t;
   mutable ack_armed : bool;
   mutable deliver_cbs : (src:int -> Msg.t -> unit) list; (* in order *)
-  mutable settled_cbs : (dst:int -> Msg.t -> unit) list; (* in order *)
+  mutable settled_cbs : (dst:int -> acked:bool -> Msg.t -> unit) list;
+      (* in order *)
 }
 
 type group = { handles : (int, t) Hashtbl.t }
@@ -111,15 +112,16 @@ let link_key t seq peer = (seq * t.nodes) + peer
 
 let deliver t ~src payload = List.iter (fun f -> f ~src payload) t.deliver_cbs
 
-(* [u]'s chain has ended by an ack or by its last retry: report it once.
-   [acked] marks it, so a late ack of a message given up reports
-   nothing. An endpoint with no [on_settled] callback skips all of it. *)
-let settle t u =
+(* [u]'s chain has ended by an ack ([acked]) or by its last retry:
+   report it once. [u.acked] marks it, so a late ack of a message given
+   up reports nothing. An endpoint with no [on_settled] callback skips
+   all of it. *)
+let settle t u ~acked =
   match (t.settled_cbs, u.packet) with
   | [], _ -> ()
   | cbs, Data { payload; _ } when not u.acked ->
       u.acked <- true;
-      List.iter (fun f -> f ~dst:u.dst payload) cbs
+      List.iter (fun f -> f ~dst:u.dst ~acked payload) cbs
   | _ -> ()
 
 (* --- the retransmit ring ----------------------------------------------- *)
@@ -177,7 +179,7 @@ let fire t () =
       u.seq <- Engine.claim_seq engine;
       push t u
     end
-    else settle t u;
+    else settle t u ~acked:false;
   arm_head t
 
 (* --- acknowledgements ---------------------------------------------------- *)
@@ -251,7 +253,7 @@ let owe t ~peer seq =
 (* [u] is acked: forget it and report it. The caller moves the timer
    on if [u] was at the head of the ring. *)
 let ack t key u =
-  settle t u;
+  settle t u ~acked:true;
   u.acked <- true;
   Int_table.remove t.unacked key
 

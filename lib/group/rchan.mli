@@ -69,13 +69,14 @@ val mcast : t -> dsts:int list -> Sim.Msg.t -> unit
 (** Delivery callback; each payload is delivered at most once per receiver. *)
 val on_deliver : t -> (src:int -> Sim.Msg.t -> unit) -> unit
 
-(** [on_settled t f] calls [f ~dst payload] once for each message [t]
-    sends whose retransmit chain ends: acknowledged by [dst] (which then
-    holds it), or its retries spent while [t]'s node is up. A chain that
-    ends because the sender crashed is reported only if its ack arrives
-    later. Nothing is reported on a passthrough network, and an endpoint
-    with no callback pays nothing for the notification. *)
-val on_settled : t -> (dst:int -> Sim.Msg.t -> unit) -> unit
+(** [on_settled t f] calls [f ~dst ~acked payload] once for each
+    message [t] sends whose retransmit chain ends: acknowledged by [dst]
+    (which then holds it; [acked] is true), or its retries spent while
+    [t]'s node is up ([acked] is false: the channel gave up on [dst]).
+    A chain that ends because the sender crashed is reported only if its
+    ack arrives later. Nothing is reported on a passthrough network, and
+    an endpoint with no callback pays nothing for the notification. *)
+val on_settled : t -> (dst:int -> acked:bool -> Sim.Msg.t -> unit) -> unit
 
 (** The retransmission timeout the endpoint's group was created with. *)
 val rto : t -> Sim.Simtime.t

@@ -13,9 +13,10 @@ module C = Consensus.Make (Flush)
 type Msg.t +=
   | Vs_msg of { view : int; origin : int; vseq : int; payload : Msg.t }
   | Vs_ack of { view : int; origin : int; vseq : int; from : int }
-  | Join_req of { joiner : int }
+  | Join_req of { joiner : int; held : int }
+      (* [held]: the id of the view the joiner held when it asked *)
   | View_probe of { view_id : int }
-  | Vs_flush of { view : int }
+  | Vs_flush of { view : int; suspects : int list }
 
 let () =
   Msg.wrapper [%extension_constructor Vs_msg] "Vs" (function
@@ -26,13 +27,16 @@ type t = {
   me : int;
   net : Network.t;
   fd : Fd.t;
+  waits : Fd.waiter; (* on the view, while messages await acks *)
   chan : Rchan.t;
   cons : C.t;
   mutable view : View.t;
+  admitted : (int, int) Hashtbl.t;
+      (* member -> id of the view that last admitted it (0: initial) *)
+  mutable kick : unit -> unit; (* arms the poll while [busy] *)
   mutable excluded : bool;
   mutable joining : bool; (* excluded member asking to come back *)
   mutable stale_polls : int; (* consecutive polls with unreachable future *)
-  mutable polls : int;
   mutable pending_joins : Iset.t;
   all_members : int list; (* the group's full potential membership *)
   mutable next_vseq : int; (* our per-view send sequence *)
@@ -156,10 +160,17 @@ let broadcast t payload =
    Having proposed, we ack nothing more of this view ([receive]), so
    nothing is delivered until the view changes: [Vs_flush] makes every
    member propose too, [forced] with no reason of its own, and the
-   instance decides. *)
-let propose_change ?(forced = false) t =
+   instance decides. A forced member also drops the suspects of the
+   member that flushed ([also]): a member that waited on nobody has no
+   suspicion of its own, and its proposal would otherwise keep a crashed
+   member in view after view. *)
+let propose_change ?(forced = false) ?(also = []) t =
   if in_view t && t.proposed_for < t.view.id + 1 then begin
-    let suspects = List.filter (Fd.suspected t.fd) t.view.members in
+    let suspects =
+      List.filter
+        (fun m -> Fd.suspected t.fd m || (m <> t.me && List.mem m also))
+        t.view.members
+    in
     (* A join request from a node that is still in our view means it
        crashed and recovered faster than the failure detector noticed:
        its standing in the current view is void, and it needs a fresh
@@ -183,7 +194,7 @@ let propose_change ?(forced = false) t =
       List.iter
         (fun dst ->
           if dst <> t.me then
-            Rchan.send t.chan ~dst (Vs_flush { view = t.view.id }))
+            Rchan.send t.chan ~dst (Vs_flush { view = t.view.id; suspects }))
         t.view.members
     end
   end
@@ -210,7 +221,22 @@ let rec install t (flush : Flush.t) =
         t.own_unstable
     else []
   in
+  let old_members = t.view.members in
   t.view <- View.next t.view ~members:flush.f_members;
+  List.iter
+    (fun m ->
+      if not (List.mem m old_members) then
+        Hashtbl.replace t.admitted m t.view.id)
+    t.view.members;
+  (* A member dropped on suspicion may be up and cut off: once the
+     channel reaches it (sent again when it is heard from, should the
+     channel give up), it learns that the group moved on and asks to be
+     readmitted. *)
+  List.iter
+    (fun m ->
+      if m <> t.me && not (View.is_member t.view m) then
+        Rchan.send t.chan ~dst:m (View_probe { view_id = t.view.id }))
+    old_members;
   if not (View.is_member t.view t.me) then t.excluded <- true
   else begin
     t.excluded <- false;
@@ -231,7 +257,8 @@ let rec install t (flush : Flush.t) =
   receive_early t;
   (* Cascade: members that crashed during the flush still need removing. *)
   propose_change t;
-  apply_pending_views t
+  (* Dropped from the view while up: ask to be readmitted. *)
+  if t.excluded && not t.joining then request_join t else apply_pending_views t
 
 and apply_pending_views t =
   (if not t.excluded then
@@ -281,16 +308,36 @@ and apply_pending_views t =
         apply_pending_views t
   end
 
-let rec handle_msg t msg =
+(* Ask the group to readmit this (recovered or left-behind) member. The
+   request is repeated by [poll] until a view containing us is
+   installed. *)
+and request_join t =
+  t.joining <- true;
+  List.iter
+    (fun dst ->
+      if dst <> t.me then
+        Rchan.send t.chan ~dst (Join_req { joiner = t.me; held = t.view.id }))
+    t.all_members;
+  apply_pending_views t
+
+let handle_msg t msg =
   (match msg with
-  | Join_req { joiner } ->
-      if joiner <> t.me then t.pending_joins <- Iset.add joiner t.pending_joins
+  | Join_req { joiner; held } ->
+      (* A request older than the view that readmitted the joiner is
+         stale: it was answered already. *)
+      let answered =
+        View.is_member t.view joiner
+        && held < Option.value ~default:0 (Hashtbl.find_opt t.admitted joiner)
+      in
+      if joiner <> t.me && not answered then
+        t.pending_joins <- Iset.add joiner t.pending_joins
   | View_probe { view_id } ->
-      (* Someone installed a view we never saw: we were cut off past the
-         retransmission budget (crash or partition). Ask to be readmitted;
+      (* Someone installed a view we never saw: we were dropped from the
+         view while cut off (crash or partition). Ask to be readmitted;
          harmless if we are merely lagging a decision in flight. *)
       if view_id > t.view.id && not t.joining then request_join t
-  | Vs_flush { view } -> if view = t.view.id then propose_change ~forced:true t
+  | Vs_flush { view; suspects } ->
+      if view = t.view.id then propose_change ~forced:true ~also:suspects t
   | _ -> ());
   (* What arrives for a view we have not entered is kept for it: a
      member installing the view, or a joiner jumping to it, needs the
@@ -302,28 +349,7 @@ let rec handle_msg t msg =
       else if view = t.view.id && not t.excluded then receive t msg
   | _ -> ()
 
-(* Ask the group to readmit this (recovered or left-behind) member. The
-   request is repeated by [poll] until a view containing us is
-   installed. *)
-and request_join t =
-  t.joining <- true;
-  List.iter
-    (fun dst ->
-      if dst <> t.me then
-        Rchan.send t.chan ~dst (Join_req { joiner = t.me }))
-    t.all_members;
-  apply_pending_views t
-
-let probe_period = 6 (* polls between view probes: ~180ms *)
-
 let poll t =
-  t.polls <- t.polls + 1;
-  if in_view t && t.polls mod probe_period = 0 then
-    List.iter
-      (fun dst ->
-        if dst <> t.me then
-          Rchan.send t.chan ~dst (View_probe { view_id = t.view.id }))
-      t.all_members;
   if t.joining then request_join t
   else if in_view t then begin
     propose_change t;
@@ -336,6 +362,17 @@ let poll t =
     end
     else t.stale_polls <- 0
   end
+
+(* Work that needs the poll: a join to ask for or to grant, a suspect
+   to remove, messages waiting for acks, or messages of a view not
+   installed yet. *)
+let busy t =
+  t.joining
+  || in_view t
+     && ((not (Iset.is_empty t.pending_joins))
+        || Hashtbl.length t.buffered > 0
+        || t.future <> []
+        || List.exists (Fd.suspected t.fd) t.view.members)
 
 let create_group net ~members ?fd () =
   let fd_group =
@@ -351,13 +388,15 @@ let create_group net ~members ?fd () =
           me;
           net;
           fd = Fd.handle fd_group ~me;
+          waits = Fd.waiter (Fd.handle fd_group ~me);
           chan = Rchan.handle chan_group ~me;
           cons = C.handle cons_group ~me;
           view = View.initial members;
+          admitted = Hashtbl.create 8;
+          kick = ignore;
           excluded = false;
           joining = false;
           stale_polls = 0;
-          polls = 0;
           pending_joins = Iset.empty;
           all_members = members;
           next_vseq = 0;
@@ -385,9 +424,25 @@ let create_group net ~members ?fd () =
             ~kind:Timeseries.Queue ~unit_:"messages" (fun () ->
               float_of_int (Hashtbl.length t.buffered))
       | None -> ());
+      t.kick <-
+        Network.poller net me ~label:"vscast:poll" ~every:(Simtime.of_ms 30)
+          ~busy:(fun () ->
+            Fd.wait t.waits
+              (if Hashtbl.length t.buffered > 0 then t.view.members else []);
+            busy t)
+          (fun () -> poll t);
+      Fd.resend_on_return t.fd t.chan;
       Rchan.on_deliver t.chan (fun ~src msg ->
-          ignore src;
-          handle_msg t msg);
+          handle_msg t msg;
+          (* A member we dropped from the view is talking to the view it
+             held: tell it the group moved on. *)
+          (match msg with
+          | (Vs_msg { view; _ } | Vs_ack { view; _ })
+            when view < t.view.id && not (View.is_member t.view src) ->
+              Rchan.send t.chan ~dst:src (View_probe { view_id = t.view.id })
+          | _ -> ());
+          t.kick ());
+      Fd.on_suspect t.fd (fun _ -> t.kick ());
       (* A recovering member must not resume its pre-crash view: messages
          may have been delivered (or views installed) without it while it
          was down, so its standing is void. It re-enters through the
@@ -396,14 +451,13 @@ let create_group net ~members ?fd () =
           if node = t.me then begin
             t.excluded <- true;
             t.stale_polls <- 0;
-            request_join t
+            request_join t;
+            t.kick ()
           end);
       C.on_decide t.cons (fun ~instance flush ->
           Hashtbl.replace t.pending_views instance flush;
-          apply_pending_views t);
-      ignore
-        (Engine.periodic (Network.engine net) ~label:"vscast:poll" ~every:(Simtime.of_ms 30)
-           (Network.guard net me (fun () -> poll t)));
+          apply_pending_views t;
+          t.kick ());
       Hashtbl.replace handles me t)
     members;
   { handles }

@@ -488,6 +488,7 @@ let create ?shared cfg net ~replicas ~clients =
                 Some (if List.mem node m then entry else (delegate, node :: m)))
               st.missed);
       let fd = Group.Fd.handle fd_group ~me:r in
+      let waits = Group.Fd.waiter fd in
       (* Clean up transactions whose delegate crashed, so their locks do
          not block the system forever. In-doubt transactions — fully
          processed here, i.e. we may already have voted YES in the 2PC —
@@ -495,28 +496,40 @@ let create ?shared cfg net ~replicas ~clients =
          learns the decision (the textbook 2PC blocking window; the
          termination protocol in [Core.Two_phase_commit] resolves it once
          the coordinator is reachable again). *)
-      ignore
-        (Engine.periodic (Network.engine net) ~label:"proto:lock-sweep" ~every:(Simtime.of_ms 100)
-           (Network.guard net r (fun () ->
-                let stale =
-                  Hashtbl.fold
-                    (fun rid delegate acc ->
-                      if
-                        delegate <> r
-                        && Group.Fd.suspected fd delegate
-                        && not (Hashtbl.mem st.complete rid)
-                      then rid :: acc
-                      else acc)
-                    st.delegate_of []
-                in
-                List.iter
-                  (fun rid ->
-                    Hashtbl.replace st.dropped rid
-                      (Hashtbl.find st.delegate_of rid);
-                    release_txn st rid)
-                  stale)));
+      let running rid delegate =
+        delegate <> r && not (Hashtbl.mem st.complete rid)
+      in
+      let sweep () =
+        let stale =
+          Hashtbl.fold
+            (fun rid delegate acc ->
+              if running rid delegate && Group.Fd.suspected fd delegate then
+                rid :: acc
+              else acc)
+            st.delegate_of []
+        in
+        List.iter
+          (fun rid ->
+            Hashtbl.replace st.dropped rid (Hashtbl.find st.delegate_of rid);
+            release_txn st rid)
+          stale
+      in
+      (* Wait on the delegates of the runs live here, and sweep when the
+         detector suspects one of them. *)
+      let watch () =
+        if Hashtbl.length st.delegate_of > 0 then sweep ();
+        Group.Fd.wait waits
+          (Hashtbl.fold
+             (fun rid delegate acc ->
+               if running rid delegate && not (List.mem delegate acc) then
+                 delegate :: acc
+               else acc)
+             st.delegate_of [])
+      in
+      Group.Fd.on_suspect fd (fun _ -> watch ());
+      Network.on_recover net (fun node -> if node = r then watch ());
       Common.on_deliver st.xfer (fun ~src:_ msg ->
-          match msg with
+          (match msg with
           | Lreq { client; request } ->
               let rid = request.Store.Operation.rid in
               Common.serve ctx st.cache ~replica:r ~client ~rid (fun () ->
@@ -694,8 +707,14 @@ let create ?shared cfg net ~replicas ~clients =
                   then start_commit r rid
               | _ -> ())
           | Txn_abort { rid } ->
-              release_txn st rid
-          | _ -> ()))
+              (* Cached like an aborted 2PC: a Lock_req or Exec of the
+                 run that the channel retransmits after the abort (it
+                 keeps no order between messages) must not take locks
+                 again that nothing would release. *)
+              release_txn st rid;
+              Hashtbl.replace st.cache rid (false, None)
+          | _ -> ());
+          watch ()))
     replicas;
   let submit ~client request cb =
     Common.submit_to ctx chan_group ~client ~request

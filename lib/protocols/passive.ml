@@ -42,21 +42,34 @@ type replica_state = {
   mutable prev_members : int list; (* membership of the last view we saw *)
   mutable last_view_id : int;
   xfer : Common.transfer; (* unsynced between a rejoin and state transfer *)
+  awaiting : (int, unit) Hashtbl.t;
+      (* as a backup: requests a client sent us, not yet seen stable —
+         the client could not reach the primary *)
+  waits : Group.Fd.waiter; (* on the primary, while [awaiting] *)
 }
 
 let create ?shared _cfg net ~replicas ~clients =
   let ctx = Common.make ?shared net ~replicas ~clients in
-  let vs_group = Group.Vscast.create_group net ~members:replicas () in
+  let fd_group = Group.Fd.create_group net ~members:replicas () in
+  let vs_group =
+    Group.Vscast.create_group net ~members:replicas ~fd:fd_group ()
+  in
   (* Stubborn client->primary channel so requests survive message loss. *)
   let chan_group = Common.client_channel ctx in
   let states = Hashtbl.create 8 in
-  let is_primary st =
-    st.xfer.Common.synced
-    && Group.Vscast.in_view st.vs
-    &&
+  let head st =
     match (Group.Vscast.current_view st.vs).Group.View.members with
-    | [] -> false
-    | p :: _ -> p = st.me
+    | [] -> -1
+    | p :: _ -> p
+  in
+  let is_primary st =
+    st.xfer.Common.synced && Group.Vscast.in_view st.vs && head st = st.me
+  in
+  (* A backup that holds a request waits on the primary, so a primary
+     that crashed while idle is still suspected and replaced. *)
+  let watch st =
+    Group.Fd.wait st.waits
+      (if Hashtbl.length st.awaiting > 0 then [ head st ] else [])
   in
   List.iter
     (fun r ->
@@ -77,9 +90,25 @@ let create ?shared _cfg net ~replicas ~clients =
             Common.transfer ctx ~me:r ~chan ~cache ~counts:`Snapshots
               ~mute_until_synced:false
               ~may_snapshot:(fun ~joiner:_ -> true);
+          awaiting = Hashtbl.create 8;
+          waits = Group.Fd.waiter (Group.Fd.handle fd_group ~me:r);
         }
       in
       Hashtbl.replace states r st;
+      (* Pull-based state transfer: membership diffs cannot always tell
+         the survivors who rejoined (a member that crashes and recovers
+         within a single view change reappears in a view with unchanged
+         membership), so an unsynced member asks for the database itself,
+         every 150 ms once it is back in the view, until some synced
+         member answers. *)
+      let resync =
+        Network.poller net r ~label:"proto:rejoin" ~every:(Simtime.of_ms 150)
+          ~busy:(fun () -> not st.xfer.Common.synced)
+          (fun () ->
+            if Group.Vscast.in_view vs then
+              Common.request_state st.xfer
+                ~peers:(List.filter (fun p -> p <> r) replicas))
+      in
       (* A stale copy distrusts all it holds: updates it executed whose
          stability died with the old view will be re-executed on
          resubmission, and tentative writes that never reached the group
@@ -87,7 +116,8 @@ let create ?shared _cfg net ~replicas ~clients =
       let go_stale () =
         st.xfer.Common.synced <- false;
         Hashtbl.reset st.executing;
-        Store.Kv.reset (Common.store ctx r)
+        Store.Kv.reset (Common.store ctx r);
+        resync ()
       in
       (* Crash recovery: whatever this replica executed right before the
          crash may never have reached the group. *)
@@ -116,25 +146,11 @@ let create ?shared _cfg net ~replicas ~clients =
               view.Group.View.members
           in
           st.prev_members <- view.Group.View.members;
+          Hashtbl.reset st.awaiting;
+          watch st;
           if rejoined then go_stale ()
           else if st.xfer.Common.synced && joiners <> [] then
             List.iter (fun dst -> Common.donate st.xfer ~dst) joiners);
-      ignore
-        (Engine.periodic (Network.engine net) ~label:"proto:rejoin" ~every:(Simtime.of_ms 150)
-           (Network.guard net r (fun () ->
-                if not (Group.Vscast.in_view vs) then
-                  Group.Vscast.request_join vs)));
-      (* Pull-based state transfer: membership diffs cannot always tell
-         the survivors who rejoined (a member that crashes and recovers
-         within a single view change reappears in a view with unchanged
-         membership), so an unsynced member asks for the database itself
-         until some synced member answers. *)
-      ignore
-        (Engine.periodic (Network.engine net) ~label:"proto:rejoin" ~every:(Simtime.of_ms 150)
-           (Network.guard net r (fun () ->
-                if (not st.xfer.Common.synced) && Group.Vscast.in_view vs then
-                  Common.request_state st.xfer
-                    ~peers:(List.filter (fun p -> p <> r) replicas))));
       (* Backups (and the primary itself) learn updates through VSCAST. *)
       Group.Vscast.on_deliver vs (fun ~origin msg ->
           match msg with
@@ -147,6 +163,8 @@ let create ?shared _cfg net ~replicas ~clients =
                   result.Store.Apply.writes;
               Hashtbl.replace st.cache rid (true, value);
               Hashtbl.remove st.executing rid;
+              Hashtbl.remove st.awaiting rid;
+              watch st;
               if origin = r then begin
                 (* We executed it: record and answer the client. *)
                 Common.record_once ctx ~rid ~replica:r result;
@@ -172,6 +190,13 @@ let create ?shared _cfg net ~replicas ~clients =
                     let value = Common.reply_value result in
                     Group.Vscast.broadcast vs
                       (Update { client; rid; result; value })
+                  end
+                  else if
+                    st.xfer.Common.synced && Group.Vscast.in_view vs
+                    && head st <> r
+                  then begin
+                    Hashtbl.replace st.awaiting rid ();
+                    watch st
                   end)
           | _ -> ()))
     replicas;

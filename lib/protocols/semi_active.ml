@@ -146,13 +146,22 @@ let create ?shared cfg net ~replicas ~clients =
               if not (Hashtbl.mem st.choices rid) then
                 Hashtbl.replace st.choices rid choices;
               pump r
-          | _ -> ());
-      (* A leader crash before sending its choice stalls the head request:
-         re-pump periodically so the next leader takes over. *)
-      ignore
-        (Engine.periodic (Network.engine net) ~label:"proto:pump" ~every:(Simtime.of_ms 50)
-           (Network.guard net r (fun () -> pump r))))
+          | _ -> ()))
     replicas;
+  (* A leader crash before sending its choice stalls the head request:
+     once the leadership moves (a crash or a recovery), re-pump so the
+     next leader takes over. *)
+  let repump _ =
+    List.iter
+      (fun r ->
+        ignore
+          (Engine.schedule (Network.engine net) ~label:"proto:pump"
+             ~after:(Simtime.of_ms 50)
+             (Network.guard net r (fun () -> pump r))))
+      replicas
+  in
+  Network.on_crash net repump;
+  Network.on_recover net repump;
   let submit ~client request cb =
     Common.register_submit ctx ~client ~request cb;
     Common.phase_begin ctx ~rid:request.Store.Operation.rid

@@ -40,6 +40,7 @@ type replica_state = {
   me : int;
   cons : C.t;
   fd : Group.Fd.t;
+  waits : Group.Fd.waiter; (* on the group, while requests are pending *)
   pending : (int, int * Store.Operation.request) Hashtbl.t; (* rid -> client, req *)
   done_rids : (int, unit) Hashtbl.t;
   decisions : (int, Decision_value.t) Hashtbl.t; (* out-of-order buffer *)
@@ -59,6 +60,8 @@ let create ?shared _cfg net ~replicas ~clients =
      the outcome into a consensus proposal. *)
   let maybe_propose r =
     let st = Hashtbl.find states r in
+    Group.Fd.wait st.waits
+      (if Hashtbl.length st.pending > 0 then replicas else []);
     if Hashtbl.length st.pending > 0 then begin
       (* Every replica with pending work joins the instance (a majority of
          participants is needed for each consensus round) ... *)
@@ -116,6 +119,7 @@ let create ?shared _cfg net ~replicas ~clients =
           me = r;
           cons = C.handle cons_group ~me:r;
           fd = Group.Fd.handle fd_group ~me:r;
+          waits = Group.Fd.waiter (Group.Fd.handle fd_group ~me:r);
           pending = Hashtbl.create 16;
           done_rids = Hashtbl.create 64;
           decisions = Hashtbl.create 8;
@@ -163,9 +167,10 @@ let create ?shared _cfg net ~replicas ~clients =
       C.on_decide st.cons (fun ~instance decision ->
           Hashtbl.replace st.decisions instance decision;
           apply_decisions ());
-      ignore
-        (Engine.periodic (Network.engine net) ~label:"proto:pump" ~every:(Simtime.of_ms 50)
-           (Network.guard net r (fun () -> maybe_propose r))))
+      (* Who is in charge changes only with the detector's opinion. *)
+      let repump _ = if Network.alive net r then maybe_propose r in
+      Group.Fd.on_suspect st.fd repump;
+      Group.Fd.on_trust st.fd repump)
     replicas;
   let submit ~client request cb =
     Common.register_submit ctx ~client ~request cb;

@@ -1,8 +1,7 @@
 type ctx = { trace : int; span : int }
 
 type timer = {
-  (* For ordinary timers: the pending action, [spent] once cancelled or
-     run. For periodic proxies: the cancellation routine. *)
+  (* The pending action, [spent] once cancelled or run. *)
   mutable action : unit -> unit;
   (* Causal context captured when the timer was scheduled; reinstalled
      around the action so trace attribution survives asynchrony. *)
@@ -13,10 +12,8 @@ type timer = {
   t_label : string;
   (* The owning engine's live-timer counter (shared by every timer of the
      engine): [cancel] has no engine handle, so the counter rides in the
-     timer. Periodic proxies never sit in the queue and are excluded from
-     the count. *)
+     timer. *)
   t_live : int ref;
-  t_periodic : bool;
 }
 
 (* The action of a timer that has run or been cancelled. Compared by
@@ -31,7 +28,6 @@ let vacant =
     t_ctx = None;
     t_label = "";
     t_live = ref 0;
-    t_periodic = false;
   }
 
 (* The timer queue: a binary min-heap on (time, seq) kept in three
@@ -209,7 +205,6 @@ let enqueue t label (at : Simtime.t) seq f =
       t_ctx = t.cur_ctx;
       t_label = label;
       t_live = t.live;
-      t_periodic = false;
     }
   in
   t.scheduled <- t.scheduled + 1;
@@ -234,41 +229,11 @@ let schedule t ?label ~after f =
 
 (* Retire a queued timer's action, maintaining the live count. A no-op on
    a timer already run or cancelled, so double-cancel never double-counts. *)
-let deactivate tm =
+let cancel tm =
   if tm.action != spent then begin
     tm.action <- spent;
     decr tm.t_live
   end
-
-let periodic t ?label ~every f =
-  let armed = ref None in
-  let cancelled = ref false in
-  let rec tick () =
-    if not !cancelled then begin
-      f ();
-      if not !cancelled then armed := Some (schedule t ?label ~after:every tick)
-    end
-  in
-  armed := Some (schedule t ?label ~after:every tick);
-  let cancel_now () =
-    cancelled := true;
-    match !armed with Some tm -> deactivate tm | None -> ()
-  in
-  {
-    action = cancel_now;
-    t_ctx = None;
-    t_label = "timer";
-    t_live = t.live;
-    t_periodic = true;
-  }
-
-let cancel timer =
-  if timer.t_periodic then begin
-    let cancel_now = timer.action in
-    timer.action <- spent;
-    cancel_now ()
-  end
-  else deactivate timer
 
 let pending t = !(t.live)
 

@@ -71,9 +71,6 @@ val claim_seq : t -> int
 val schedule_claimed :
   t -> ?label:string -> at:Simtime.t -> seq:int -> (unit -> unit) -> timer
 
-(** [periodic t ~every f] runs [f] every [every] until cancelled. *)
-val periodic : t -> ?label:string -> every:Simtime.t -> (unit -> unit) -> timer
-
 val cancel : timer -> unit
 
 (** Number of scheduled (uncancelled) events. O(1): maintained as a live
@@ -109,8 +106,8 @@ val profiler : t -> Profiler.t option
 (** Actions actually executed by {!step}/{!run}. *)
 val events_executed : t -> int
 
-(** Timers ever queued ({!schedule}/{!schedule_at}, periodic re-arms
-    and {!schedule_claimed}). A claimed seq counts once it is queued; a
+(** Timers ever queued ({!schedule}/{!schedule_at} and
+    {!schedule_claimed}). A claimed seq counts once it is queued; a
     claim that is never queued counts nothing. *)
 val timers_scheduled : t -> int
 

@@ -6,7 +6,7 @@
     on a channel it owns ({!Group.Rchan}) sees only its own traffic and
     needs no instance tag. Only constructors that reach a handler stack
     several instances share carry one (the channel's own [Data]/[Ack],
-    the failure detector's [Heartbeat], the client [Reply]); it is drawn
+    the failure detector's [Fd_ping]/[Fd_pong], the client [Reply]); it is drawn
     from the run's network ({!Network.fresh_id}). *)
 
 type t = ..

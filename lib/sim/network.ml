@@ -50,6 +50,7 @@ type t = {
       (** sampler resource gauges register into; [None] = don't sample *)
   in_flight : int array;  (** scheduled-not-yet-delivered, per destination *)
   handlers : handler list array;  (** most recent first *)
+  hearers : (int -> unit) list array;  (** per destination, see [on_hear] *)
   link_latency : (int, latency) Hashtbl.t;
       (** per-link overrides, keyed by [link t a b] *)
   alive : bool array;
@@ -79,6 +80,7 @@ let create engine ~n (config : config) =
     timeseries = None;
     in_flight = Array.make n 0;
     handlers = Array.make n [];
+    hearers = Array.make n [];
     link_latency = Hashtbl.create 8;
     alive = Array.make n true;
     group_of = Array.make n 0;
@@ -127,9 +129,31 @@ let set_timeseries t ts =
     ~kind:Timeseries.Level ~unit_:"messages" (fun () ->
       float_of_int (t.drop_loss + t.drop_crashed + t.drop_partitioned))
 let add_handler t node h = t.handlers.(node) <- h :: t.handlers.(node)
+let on_hear t node f = t.hearers.(node) <- f :: t.hearers.(node)
 let alive t node = t.alive.(node)
 
 let guard t node f () = if t.alive.(node) then f ()
+
+(* The timer is armed outside any context, as one armed at setup is:
+   what a poll sends belongs to no one transaction. *)
+let poller t node ~label ~every ~busy f =
+  let armed = ref false in
+  let rec kick () =
+    if busy () && not !armed then begin
+      armed := true;
+      let ctx = Engine.ctx t.engine in
+      Engine.set_ctx t.engine None;
+      ignore
+        (Engine.schedule t.engine ~label ~after:every (fun () ->
+             armed := false;
+             if t.alive.(node) && busy () then begin
+               f ();
+               kick ()
+             end));
+      Engine.set_ctx t.engine ctx
+    end
+  in
+  kick
 
 let draw_from t model =
   match model with
@@ -208,6 +232,7 @@ let deliver t ~src ~dst ~span msg =
   end
   else begin
     t.delivered <- t.delivered + 1;
+    (match t.hearers.(dst) with [] -> () | hs -> List.iter (fun f -> f src) hs);
     let at = Engine.now t.engine in
     let ctx =
       match t.msg_spans with

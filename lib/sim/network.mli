@@ -102,6 +102,11 @@ val timeseries : t -> Timeseries.t option
 (** [add_handler t node h] pushes [h] on top of [node]'s handler stack. *)
 val add_handler : t -> int -> handler -> unit
 
+(** [on_hear t node f] calls [f src] for every message delivered to
+    [node], before its handlers run: evidence, whatever the layer, that
+    [src] was up when it sent. *)
+val on_hear : t -> int -> (int -> unit) -> unit
+
 val send : t -> src:int -> dst:int -> Msg.t -> unit
 
 (** Crash-stop a node: it stops receiving messages and its guarded timers
@@ -124,6 +129,20 @@ val on_recover : t -> (int -> unit) -> unit
 (** [guard t node f] wraps [f] so it only runs while [node] is alive —
     use for protocol timers. *)
 val guard : t -> int -> (unit -> unit) -> unit -> unit
+
+(** [poller t node ~label ~every ~busy f] runs [f] every [every] while
+    [busy ()] holds and [node] is up, outside any transaction's context.
+    Call the returned function whenever work may have arrived: idle, the
+    poller costs nothing and never keeps a drained run alive. *)
+val poller :
+  t ->
+  int ->
+  label:string ->
+  every:Simtime.t ->
+  busy:(unit -> bool) ->
+  (unit -> unit) ->
+  unit ->
+  unit
 
 (** [set_link_latency t a b model] overrides the latency model for both
     directions of the (a, b) link — e.g. to model a WAN between sites

@@ -140,11 +140,12 @@ let window_findings cfg (s : Timeseries.series) =
     (Timeseries.points s);
   List.rev !out
 
-(* Replication lag must reach zero by the end of the run (the runner
-   appends a quiescence period for exactly this): a [version_lag] series
-   whose final sample is still positive means some replica never saw
-   writes the rest of its group committed — unbounded staleness, the
-   lazy-replication failure mode the audit layer exists to catch. *)
+(* Replication lag must reach zero by the end of the run (the run lasts
+   until its work is done, and the last sample follows it): a
+   [version_lag] series whose final sample is still positive means some
+   replica never saw writes the rest of its group committed — unbounded
+   staleness, the lazy-replication failure mode the audit layer exists
+   to catch. *)
 let lag_findings (s : Timeseries.series) =
   match List.rev (Timeseries.points s) with
   | ({ value; _ } : Timeseries.point) :: _ as rev_pts when value > 0. ->

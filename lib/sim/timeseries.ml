@@ -1,9 +1,9 @@
 (* Sampled resource time-series, driven by the simulation clock.
 
    Subsystems register gauge thunks (queue depths, lock counts, flags);
-   a periodic sampler polls every registered thunk at a fixed virtual
-   interval and records (sim_time, value) points. Everything is keyed to
-   the engine's clock — no wall time — so a run's timelines are exactly
+   a sampler polls every registered thunk at a fixed virtual interval
+   and records (sim_time, value) points. Everything is keyed to the
+   engine's clock — no wall time — so a run's timelines are exactly
    reproducible for a given seed. *)
 
 type kind = Queue | Level | Flag | Waiters | Window
@@ -83,14 +83,19 @@ let create ?(interval = Simtime.of_ms 5) engine =
       total_points = 0;
     }
   in
-  (* Take a sample at t=0 too, so series start at the origin; periodic
-     timers first fire one interval in. *)
+  (* Take a sample at t=0 too, so series start at the origin; the
+     sampler first fires one interval in, and samples again while
+     anything else is queued: it never keeps a drained run alive. *)
   ignore
     (Engine.schedule engine ~label:"sim:sample" ~after:Simtime.zero (fun () ->
          sample_once t));
-  ignore
-    (Engine.periodic engine ~label:"sim:sample" ~every:interval (fun () ->
-         sample_once t));
+  let rec tick () =
+    sample_once t;
+    if Engine.pending engine > 0 then arm ()
+  and arm () =
+    ignore (Engine.schedule engine ~label:"sim:sample" ~after:interval tick)
+  in
+  arm ();
   t
 
 let points s = List.rev s.points_rev

@@ -1,7 +1,7 @@
 (** Sampled resource time-series driven by the simulation clock.
 
-    Subsystems register gauge thunks ({!register}); a periodic sampler
-    polls them at a fixed virtual interval and records
+    Subsystems register gauge thunks ({!register}); a sampler polls
+    them at a fixed virtual interval and records
     [(sim_time, value)] points per [(metric, replica)] series. Sampling
     follows the engine's virtual clock only, so timelines are exactly
     reproducible for a given seed. *)
@@ -33,8 +33,9 @@ type series = {
 type t
 
 (** [create engine] starts sampling immediately: once at the current
-    instant, then every [interval] (default 5ms of virtual time) until
-    the run ends. Each series keeps at most 50k points. *)
+    instant, then every [interval] (default 5ms of virtual time) for as
+    long as the engine has anything else queued, so the sampler never
+    keeps a drained run alive. Each series keeps at most 50k points. *)
 val create : ?interval:Simtime.t -> Engine.t -> t
 
 val interval : t -> Simtime.t

@@ -1,6 +1,7 @@
 (** Closed-loop experiment driver: builds a simulated cluster, runs a
-    technique under a workload and a fault schedule, waits for
-    quiescence, and reports the metrics the paper's promised performance
+    technique under a workload and a fault schedule until its event
+    queue drains (or a hard stop ten seconds past the deadline), and
+    reports the metrics the paper's promised performance
     study calls for. {!run} / {!run_with_instance} are the one way to
     describe a run, and {!fault} the one way to describe a failure
     assumption. *)
@@ -76,6 +77,9 @@ type result = {
           given *)
   events : int;
       (** engine events executed — deterministic for a given seed *)
+  drained : bool;
+      (** the event queue emptied before the hard stop (ten seconds past
+          the deadline): every layer's work, timers included, ended *)
   wall_s : float;
       (** wall-clock seconds spent inside the event loop —
           {e non-deterministic}; zero it (or use a normalizer) before

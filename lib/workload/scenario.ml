@@ -28,6 +28,11 @@ let bursts ~from ~probability ~burst ~gap ~count =
       let at = Simtime.add from (Simtime.mul (Simtime.add burst gap) i) in
       Loss { at; probability; until = Simtime.add at burst })
 
+(* A loss window "for the whole run" ends at the campaign's deadline: a
+   fault still queued after the run's work is done would keep the run
+   from draining. *)
+let whole_run = Simtime.of_sec 120.
+
 (* Built-in library. Times assume the campaign cluster: 3 replicas
    (0–2), traffic starting at t=0 and running for a few hundred ms.
    Replica 0 is the interesting victim (primary / sequencer / first
@@ -81,7 +86,7 @@ let builtins =
             {
               at = Simtime.zero;
               probability = 0.05;
-              until = Simtime.of_sec 3600.;
+              until = whole_run;
             };
         ];
     };
@@ -111,7 +116,7 @@ let builtins =
             {
               at = Simtime.zero;
               probability = 0.02;
-              until = Simtime.of_sec 3600.;
+              until = whole_run;
             };
         ];
     };
@@ -249,7 +254,12 @@ let oracles ~key (info : Core.Technique.info) scenario
       (Printf.sprintf "resubmissions=%d (transparent=%b)"
          result.Runner.resubmissions e.transparent)
   in
-  [ serializable; convergence; signatures; liveness; transparency ]
+  let drained =
+    Verdict.v "drained" result.Runner.drained
+      (if result.Runner.drained then "the event queue emptied"
+       else "timers still queued at the hard stop")
+  in
+  [ serializable; convergence; signatures; liveness; transparency; drained ]
 
 (* ------------------------------------------------------------------ *)
 (* Resource-timeline check                                            *)

@@ -7,7 +7,8 @@
     under one scenario with {!Runner} and then judges the run with
     post-hoc {e invariant oracles} — 1-copy serializability, replica
     convergence after heal/recover, Figure-16 signature conformance of
-    every committed transaction, and a liveness check — each against
+    every committed transaction, a liveness check and a drain check
+    (the run ended with its work, before the hard stop) — each against
     {e per-technique expectations} (e.g. 2PC-based techniques may block
     on a coordinator crash; failure-transparent techniques must show
     zero client resubmissions). {!run_campaign} sweeps
@@ -86,9 +87,10 @@ val expectation : key:string -> Core.Technique.info -> t -> expectation
 
 (** Judge a finished run against the expectation: one verdict each from
     the oracles ["serializable"], ["convergence"], ["signatures"],
-    ["liveness"] and ["transparency"]. The instance is the one the run
-    produced ({!Runner.run_with_instance}); the signature oracle reads its
-    span records. *)
+    ["liveness"], ["transparency"] and ["drained"] (the event queue
+    emptied before the hard stop, whatever the technique). The instance
+    is the one the run produced ({!Runner.run_with_instance}); the
+    signature oracle reads its span records. *)
 val oracles :
   key:string ->
   Core.Technique.info ->

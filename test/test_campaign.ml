@@ -98,14 +98,17 @@ let quick_crash_recover () =
 (* The benchmark installs its scenario from a [tune] hook through
    [Scenario.apply]; campaigns pass the events as [~faults]. Both go
    through the runner's one fault scheduler at the same point of the
-   build, so the two runs must be the same run. *)
+   build, so the two runs must be the same run. The clients run 100
+   transactions each, so that passive still has traffic to cut when the
+   partition starts at 600 ms: an idle group sends nothing across it. *)
 let tune_path_matches_faults_path () =
   let chaos = scenario "chaos" in
   let run ?tune ?faults key =
     let entry = Option.get (Protocols.Registry.find key) in
     let r =
       Workload.Runner.run ~seed:11 ~n_clients:2
-        ~spec:Workload.Scenario.default_spec ?tune ?faults
+        ~spec:{ Workload.Scenario.default_spec with txns_per_client = 100 }
+        ?tune ?faults
         (Protocols.Registry.default_factory entry)
     in
     { r with wall_s = 0. }
@@ -179,6 +182,67 @@ let passive_views_keep_agreement () =
   campaign_cases "passive"
     [ ("chaos", 3, [ 28; 41; 49 ]); ("chaos", 5, [ 8; 17 ]) ]
 
+(* Every technique's run ends with its work: after a fault-free run and
+   after a crash-recover run the engine's queue is empty, long before
+   the hard stop (the deadline plus ten seconds). No layer keeps a timer
+   running that no work needs. *)
+let every_technique_drains () =
+  List.iter
+    (fun (e : Protocols.Registry.entry) ->
+      List.iter
+        (fun (label, faults) ->
+          let net = ref None in
+          let r =
+            Workload.Runner.run ~seed:11 ~n_clients:2
+              ~spec:Workload.Scenario.default_spec ~faults
+              ~tune:(fun nw ~replicas:_ ~clients:_ -> net := Some nw)
+              (Protocols.Registry.default_factory e)
+          in
+          let engine = Sim.Network.engine (Option.get !net) in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s: nothing left queued" e.key label)
+            0 (Sim.Engine.pending engine);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: drained" e.key label)
+            true r.Workload.Runner.drained;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: ended within 15 s of simulated time"
+               e.key label)
+            true
+            Sim.Simtime.(Sim.Engine.now engine <= Sim.Simtime.of_sec 15.))
+        [ ("fault-free", []); ("crash-recover", (scenario "crash-recover").events) ])
+    Protocols.Registry.all
+
+(* Regression: a join request that the channel delivered after the view
+   that readmitted its sender started a view change of unchanged
+   membership, as if the joiner had crashed and recovered unseen
+   (passive chaos seed 49: member 2 proposed view 3 at 540 ms, member 1
+   having been readmitted at 514 ms). A request now carries the view its
+   sender held, and one older than the view that readmitted it is
+   dropped. Under chaos seed 7 each live member changes view four times
+   (replica 1 out at its crash and back, replica 2 out at the partition
+   and back); the stale request made a fifth. *)
+let stale_join_starts_no_view_change () =
+  let entry = Option.get (Protocols.Registry.find "passive") in
+  let outcome =
+    Workload.Scenario.run_one ~seed:7 ~key:"passive"
+      ~info:entry.Protocols.Registry.info
+      ~factory:(Protocols.Registry.default_factory entry) (scenario "chaos")
+  in
+  List.iter
+    (fun (v : Workload.Verdict.t) ->
+      Alcotest.(check bool) (v.oracle ^ ": " ^ v.detail) true v.ok)
+    outcome.Workload.Scenario.verdicts;
+  List.iter
+    (fun replica ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "replica %d view changes" replica)
+        (Some 4)
+        (Sim.Metrics.counter_value outcome.result.Workload.Runner.metrics
+           ~labels:[ ("replica", string_of_int replica) ]
+           "view_changes_total"))
+    [ 0; 2 ]
+
 (* Regression: lazy update everywhere diverged under chaos. An Inject
    the sequencer never received stayed pending at the members that had
    it: its origin's retransmits stopped when the origin crashed, and
@@ -235,6 +299,10 @@ let () =
             locking_partition_keeps_every_write;
           Alcotest.test_case "passive views keep agreement" `Quick
             passive_views_keep_agreement;
+          Alcotest.test_case "stale join starts no view change" `Quick
+            stale_join_starts_no_view_change;
+          Alcotest.test_case "every technique drains" `Quick
+            every_technique_drains;
           Alcotest.test_case "lazy-ue reconciles every commit" `Quick
             lazy_ue_reconciles_every_commit;
         ] );

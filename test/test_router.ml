@@ -26,7 +26,9 @@ let run_default ?router ?flash name =
    stopped relaying every delivery (from 2352 events and 1848 messages,
    and 5631 and 3932), the eager-primary and active ones when channel
    acks began to ride on reverse data (from 4835 and 3100, and 100844
-   and 46050). *)
+   and 46050), and again when runs began to end with their work instead
+   of sending heartbeats to the deadline (from 4599 and 2466, and 98831
+   and 43684). *)
 let test_router_off_schedule_preserved () =
   List.iter
     (fun (name, committed, events, messages) ->
@@ -41,8 +43,8 @@ let test_router_off_schedule_preserved () =
         (r.Workload.Runner.router = None))
     [
       ("lazy-primary", 200, 1535, 1020);
-      ("eager-primary", 200, 4599, 2466);
-      ("active", 200, 98831, 43684);
+      ("eager-primary", 200, 3315, 2471);
+      ("active", 200, 5205, 4569);
     ]
 
 (* ---- read/write splitting and session accounting -------------------- *)
@@ -152,8 +154,9 @@ let test_nonsticky_violates_ryw () =
    the router must resend it elsewhere after the timeout and the client
    still sees an answer. The schedule below is one (deterministic) such
    interleaving, found by scanning crash times (crash at 60 ms and
-   recovery at 120 ms until channel acks rode on data; no read was in
-   flight to replica 0 at 60 ms since). *)
+   recovery at 120 ms until channel acks rode on data, 61 and 121 ms
+   until the failure detector stopped sending heartbeats, 58 and 118 ms
+   since). *)
 let test_failover_retry_answers_reads () =
   let spec = Workload.Builder.spec () in
   let r =
@@ -161,8 +164,8 @@ let test_failover_retry_answers_reads () =
       ~faults:
         Workload.Runner.
           [
-            Crash { at = Sim.Simtime.of_ms 61; replica = 0 };
-            Recover { at = Sim.Simtime.of_ms 121; replica = 0 };
+            Crash { at = Sim.Simtime.of_ms 58; replica = 0 };
+            Recover { at = Sim.Simtime.of_ms 118; replica = 0 };
           ]
       (factory_of "active")
   in

@@ -280,9 +280,9 @@ let test_sharded_aborts_cover_every_group () =
 
 (* Message cost of a single-shard transaction must depend on the group
    size, not the cluster size: the probe transaction's causal message
-   count (the `replisim explain` measurement, which excludes background
-   traffic like heartbeats) must be the same whether the cluster holds
-   4 or 8 groups of the same size. *)
+   count (the `replisim explain` measurement: the messages the
+   transaction causes, nothing else) must be the same whether the
+   cluster holds 4 or 8 groups of the same size. *)
 let test_group_local_cost () =
   let probe_msgs ~n ~shards =
     let entry = Option.get (Protocols.Registry.find "active") in

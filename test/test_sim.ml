@@ -153,16 +153,6 @@ let test_engine_nested_schedule () =
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   Alcotest.(check int) "clock advanced twice" 2_000 (Simtime.to_us (Engine.now e))
 
-let test_engine_periodic () =
-  let e = Engine.create () in
-  let ticks = ref 0 in
-  let tm = Engine.periodic e ~every:(Simtime.of_ms 10) (fun () -> incr ticks) in
-  ignore (Engine.run ~until:(Simtime.of_ms 55) e);
-  Alcotest.(check int) "five ticks" 5 !ticks;
-  Engine.cancel tm;
-  ignore (Engine.run ~until:(Simtime.of_ms 200) e);
-  Alcotest.(check int) "no ticks after cancel" 5 !ticks
-
 let test_engine_run_until () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -215,7 +205,8 @@ let test_engine_schedule_at_past_clamps () =
 
 let test_engine_pending_counter () =
   (* The O(1) counter must track the O(n) heap scan through schedules,
-     cancels (including double-cancel), dispatch and periodic timers. *)
+     cancels (including double-cancel), dispatch and a timer that
+     re-arms itself from its own action. *)
   let e = Engine.create () in
   let agree label =
     Alcotest.(check int) label (Engine.pending_scan e) (Engine.pending e)
@@ -234,12 +225,16 @@ let test_engine_pending_counter () =
   agree "double cancel";
   ignore (Engine.run ~until:(Simtime.of_ms 5) e);
   agree "after partial run";
-  let p = Engine.periodic e ~every:(Simtime.of_ms 2) (fun () -> ()) in
-  agree "periodic armed";
+  let armed = ref None in
+  let rec tick () =
+    armed := Some (Engine.schedule e ~after:(Simtime.of_ms 2) tick)
+  in
+  tick ();
+  agree "re-arming timer armed";
   ignore (Engine.run ~until:(Simtime.of_ms 9) e);
-  agree "periodic ticking";
-  Engine.cancel p;
-  agree "periodic cancelled";
+  agree "re-arming timer ticking";
+  Option.iter Engine.cancel !armed;
+  agree "re-arming timer cancelled";
   ignore (Engine.run e);
   agree "drained";
   Alcotest.(check int) "empty again" 0 (Engine.pending e)
@@ -393,8 +388,7 @@ let test_engine_compaction () =
     (List.rev !ran)
 
 (* The engine's queue against a reference: live timers in a map ordered
-   by (time, seq), periodic timers re-armed after their action as
-   {!Engine.periodic} does. Slow and plainly correct. *)
+   by (time, seq). Slow and plainly correct. *)
 module type ENGINE = sig
   type t
   type timer
@@ -403,7 +397,6 @@ module type ENGINE = sig
   val now : t -> int
   val schedule : t -> after:int -> (unit -> unit) -> timer
   val schedule_at : t -> at:int -> (unit -> unit) -> timer
-  val periodic : t -> every:int -> (unit -> unit) -> timer
   val cancel : timer -> unit
   val step : t -> bool
   val run_until : t -> int -> unit
@@ -420,7 +413,6 @@ module Real : ENGINE = struct
   let now e = Simtime.to_us (Engine.now e)
   let schedule e ~after f = Engine.schedule e ~after:(Simtime.of_us after) f
   let schedule_at e ~at f = Engine.schedule_at e ~at:(Simtime.of_us at) f
-  let periodic e ~every f = Engine.periodic e ~every:(Simtime.of_us every) f
   let cancel = Engine.cancel
   let step = Engine.step
   let run_until e u = ignore (Engine.run ~until:(Simtime.of_us u) e)
@@ -443,8 +435,7 @@ module Model : ENGINE = struct
     mutable executed : int;
   }
 
-  type every = { mutable armed : int * int; mutable stopped : bool }
-  type timer = Once of t * (int * int) | Every of t * every
+  type timer = t * (int * int)
 
   let create () = { clock = 0; seq = 0; q = Q.empty; executed = 0 }
   let now t = t.clock
@@ -455,25 +446,9 @@ module Model : ENGINE = struct
     t.q <- Q.add key f t.q;
     key
 
-  let schedule_at t ~at f = Once (t, add t ~at f)
+  let schedule_at t ~at f = (t, add t ~at f)
   let schedule t ~after f = schedule_at t ~at:(t.clock + after) f
-
-  let periodic t ~every f =
-    let h = { armed = (0, 0); stopped = false } in
-    let rec tick () =
-      if not h.stopped then begin
-        f ();
-        if not h.stopped then h.armed <- add t ~at:(t.clock + every) tick
-      end
-    in
-    h.armed <- add t ~at:(t.clock + every) tick;
-    Every (t, h)
-
-  let cancel = function
-    | Once (t, key) -> t.q <- Q.remove key t.q
-    | Every (t, h) ->
-        h.stopped <- true;
-        t.q <- Q.remove h.armed t.q
+  let cancel (t, key) = t.q <- Q.remove key t.q
 
   let step t =
     match Q.min_binding_opt t.q with
@@ -503,7 +478,7 @@ type queue_op =
   | Burst of int * int  (** count, seed: timers with seeded delays *)
   | Cancel of int  (** the handle at this index, modulo the handles *)
   | Cancel_many of int * int  (** percent, seed *)
-  | Periodic of int  (** period, us *)
+  | Chain of int  (** period, us: an action that re-arms itself twice *)
   | Step
   | Run_for of int  (** us *)
 
@@ -513,14 +488,13 @@ let show_queue_op = function
   | Burst (n, s) -> Printf.sprintf "Burst (%d, %d)" n s
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Cancel_many (p, s) -> Printf.sprintf "Cancel_many (%d, %d)" p s
-  | Periodic k -> Printf.sprintf "Periodic %d" k
+  | Chain k -> Printf.sprintf "Chain %d" k
   | Step -> "Step"
   | Run_for d -> Printf.sprintf "Run_for %d" d
 
-(* Run [script], then stop the periodic timers and drain. Returns the ids
-   of the actions in execution order, the executed count, the pending
-   count after every op, and whether [pending = pending_scan] held
-   throughout. *)
+(* Run [script], then drain. Returns the ids of the actions in
+   execution order, the executed count, the pending count after every
+   op, and whether [pending = pending_scan] held throughout. *)
 let exec_script (module E : ENGINE) script =
   let e = E.create () in
   let log = ref [] and next_id = ref 0 in
@@ -529,7 +503,7 @@ let exec_script (module E : ENGINE) script =
     incr next_id;
     fun () -> log := id :: !log
   in
-  let handles = ref [] and periodics = ref [] in
+  let handles = ref [] in
   let keep tm = handles := tm :: !handles in
   let consistent = ref true and pendings = ref [] in
   List.iter
@@ -551,16 +525,17 @@ let exec_script (module E : ENGINE) script =
           List.iter
             (fun tm -> if Random.State.int st 100 < pct then E.cancel tm)
             !handles
-      | Periodic k ->
-          let tm = E.periodic e ~every:k (action ()) in
-          keep tm;
-          periodics := tm :: !periodics
+      | Chain k ->
+          let rec link left () =
+            action () ();
+            if left > 0 then ignore (E.schedule e ~after:k (link (left - 1)))
+          in
+          keep (E.schedule e ~after:k (link 2))
       | Step -> ignore (E.step e)
       | Run_for d -> E.run_until e (E.now e + d));
       pendings := E.pending e :: !pendings;
       if not (E.consistent e) then consistent := false)
     script;
-  List.iter E.cancel !periodics;
   E.run_until e max_int;
   if not (E.consistent e) then consistent := false;
   (List.rev !log, E.executed e, List.rev (E.pending e :: !pendings), !consistent)
@@ -574,7 +549,7 @@ let queue_op_gen =
         (2, map2 (fun n s -> Burst (n, s)) (int_range 1000 3000) nat);
         (3, map (fun i -> Cancel i) nat);
         (2, map2 (fun p s -> Cancel_many (p, s)) (int_range 40 100) nat);
-        (1, map (fun k -> Periodic k) (int_range 1 30));
+        (1, map (fun k -> Chain k) (int_range 1 30));
         (3, return Step);
         (2, map (fun d -> Run_for d) (int_range 0 300));
       ])
@@ -721,9 +696,14 @@ let test_network_handler_stack () =
 let test_network_guard () =
   let e, net = make_net () in
   let fired = ref 0 in
-  ignore
-    (Engine.periodic e ~every:(Simtime.of_ms 10)
-       (Network.guard net 0 (fun () -> incr fired)));
+  let count = Network.guard net 0 (fun () -> incr fired) in
+  let rec tick () =
+    ignore
+      (Engine.schedule e ~after:(Simtime.of_ms 10) (fun () ->
+           count ();
+           tick ()))
+  in
+  tick ();
   ignore (Engine.run ~until:(Simtime.of_ms 35) e);
   Network.crash net 0;
   ignore (Engine.run ~until:(Simtime.of_ms 100) e);
@@ -1694,7 +1674,6 @@ let () =
           tc "fifo same instant" test_engine_fifo_same_instant;
           tc "cancel" test_engine_cancel;
           tc "nested" test_engine_nested_schedule;
-          tc "periodic" test_engine_periodic;
           tc "run until" test_engine_run_until;
           tc "max events" test_engine_max_events;
           tc "cancelled head vs until" test_engine_cancelled_head_respects_until;

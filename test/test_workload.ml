@@ -517,13 +517,16 @@ let test_alloc_per_delivery () =
 (* Timers cancelled per message sent on fault-free, non-passthrough runs:
    lazy-primary at n=16 (the refresh path over reliable FIFO broadcast)
    and eager-ue-abcast at n=3 (the sequencer's atomic broadcast). With a
-   retransmit timer per message, every acked send cancelled one: ~0.50
-   per message sent on lazy-primary and ~0.2 on eager-ue-abcast. With one
-   timer per channel endpoint, a timer is cancelled only when an ack
-   leaves the endpoint's oldest message acked before it was due and a
-   new head must be armed: ~0.11 and ~0.04 (lazy-primary read ~0.075
-   while reliable broadcast relayed every delivery, whose acks seldom
-   hit a head). The ceiling of 0.15 sits between them. *)
+   retransmit timer per message, every acked send cancels one: ~0.50
+   per message sent on lazy-primary, and most of eager-ue-abcast's
+   messages are acked data. With one timer per channel endpoint, a timer
+   is cancelled only when an ack leaves the endpoint's oldest message
+   acked before it was due and a new head must be armed: ~0.11 and
+   ~0.20 (lazy-primary read ~0.075 while reliable broadcast relayed
+   every delivery, whose acks seldom hit a head; eager-ue-abcast read
+   ~0.04 while failure-detector heartbeats made up five sixths of its
+   messages, for the same ~1 550 cancellations). The ceiling of 0.3
+   sits between the two designs. *)
 let test_rchan_timers_per_message () =
   List.iter
     (fun (key, n) ->
@@ -543,9 +546,9 @@ let test_rchan_timers_per_message () =
         /. float_of_int (Network.messages_sent net)
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.3f timers cancelled per message <= 0.15" key
+        (Printf.sprintf "%s: %.3f timers cancelled per message <= 0.3" key
            ratio)
-        true (ratio <= 0.15))
+        true (ratio <= 0.3))
     [ ("lazy-primary", 16); ("eager-ue-abcast", 3) ]
 
 (* The schedules of both techniques that order through the sequencer's
@@ -555,7 +558,10 @@ let test_rchan_timers_per_message () =
    A change to Abcast_seq's bookkeeping must leave every event and
    message where it was. Re-pinned when channel acks began to ride on
    reverse data (certification from 289, 191, 90060, 68120;
-   eager-ue-abcast from 2400, 0, 114394, 96506). *)
+   eager-ue-abcast from 2400, 0, 114394, 96506), and when runs began to
+   end with their work instead of sending heartbeats to the deadline
+   (certification from 269, 211, 72585, 49687; eager-ue-abcast from
+   2400, 0, 81571, 59206). *)
 let test_abcast_schedules_pinned () =
   let ms = Simtime.of_ms in
   let cycle i =
@@ -595,7 +601,7 @@ let test_abcast_schedules_pinned () =
           txns_per_client = 60;
         },
         [],
-        [ 269; 211; 72585; 49687 ] );
+        [ 277; 203; 22438; 20312 ] );
       ( "eager-ue-abcast",
         3,
         {
@@ -605,7 +611,7 @@ let test_abcast_schedules_pinned () =
           txns_per_client = 300;
         },
         cycle 0 @ cycle 1,
-        [ 2400; 0; 81571; 59206 ] );
+        [ 2400; 0; 60879; 50539 ] );
     ]
 
 (* ---- one run, one world --------------------------------------------- *)
