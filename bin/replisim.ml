@@ -571,7 +571,7 @@ let fault_ruler ~cols ~t_end events =
           mark heal_at 'H'
       | Workload.Scenario.Loss { at; until; _ } ->
           mark at 'L';
-          mark until 'l')
+          if Sim.Simtime.(until < infinity) then mark until 'l')
     events;
   Bytes.to_string line
 
@@ -603,7 +603,9 @@ let timeline_cmd =
     Arg.(
       value & opt int 2000
       & info [ "until" ] ~docv:"MS"
-          ~doc:"Workload deadline (virtual ms; quiescence drain follows).")
+          ~doc:
+            "Workload deadline (virtual ms); a run that has not drained by \
+             then stops 10 s later.")
   in
   let format =
     Cli.format

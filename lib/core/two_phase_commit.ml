@@ -7,6 +7,7 @@ type Msg.t +=
   | Vote of { txn : int; from : int; yes : bool }
   | Decision of { txn : int; decision : decision }
   | Decision_req of { txn : int; from : int }
+  | Back (* a recovered coordinator, to its group *)
 
 type round = {
   participants : int list;
@@ -64,7 +65,7 @@ let decide group t ~txn round decision =
 
 (* Re-requests a participant makes in a row with no 2PC message heard
    in between: about a stubborn channel's retry budget at the default
-   300 ms, after which a coordinator is taken to be gone for good. *)
+   300 ms, after which it waits for the coordinator's [Back]. *)
 let max_asks = 4
 
 let handle_msg group t msg =
@@ -159,10 +160,18 @@ let create_group net ~nodes ?participant_timeout ~vote ~learn () =
           ignore src;
           handle_msg group t msg;
           t.ask ());
+      (* A participant whose asks ran out while the coordinator was down
+         asks again once it hears that the coordinator is back (any 2PC
+         message refills its asks); a recovered coordinator's channels
+         do not resume the decisions its crash cut off. *)
       Network.on_recover net (fun node ->
           if node = me then begin
             t.asks_left <- max_asks;
-            t.ask ()
+            t.ask ();
+            if participant_timeout <> None && Hashtbl.length t.rounds > 0 then
+              List.iter
+                (fun dst -> if dst <> me then Group.Rchan.send t.chan ~dst Back)
+                nodes
           end);
       Hashtbl.replace group.handles me t)
     nodes;

@@ -14,10 +14,11 @@
     stubborn channel's retry budget) re-requests the decision from the
     coordinator, which answers from its durable outcome log: every
     [participant_timeout], at most four times with no 2PC message
-    received in between (any message, and its recovery, refill them).
-    This resolves the in-doubt window whenever the coordinator is
-    reachable again while the group talks; the participants of a
-    permanently dead coordinator stay blocked, and stop asking.
+    received in between (any message refills them). A recovering
+    coordinator tells its group it is back, so the in-doubt window
+    closes whenever the coordinator recovers, or is reachable again
+    while the group talks; the participants of a permanently dead
+    coordinator stay blocked, and stop asking.
     Participants that are unreachable are treated according to
     [participant_timeout]: when set, the coordinator counts a missing
     vote as a NO after that delay (presumed abort) and the same period

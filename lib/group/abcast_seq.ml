@@ -60,7 +60,6 @@ type t = {
   net : Network.t;
   members : int list;
   fd : Fd.t;
-  waits : Fd.waiter; (* on the group, while [busy] *)
   chan : Rchan.t;
   batch_window : Simtime.t;
   n : int; (* group size *)
@@ -585,7 +584,6 @@ let create_group net ~members ?(clients = []) ?fd
           net;
           members;
           fd;
-          waits = Fd.waiter fd;
           n;
           member_at;
           position;
@@ -629,11 +627,9 @@ let create_group net ~members ?(clients = []) ?fd
               float_of_int t.undelivered)
       | None -> ());
       t.kick <-
-        Network.poller net me ~label:"abcast:poll" ~every:(Simtime.of_ms 25)
-          ~busy:(fun () ->
-            let busy = busy t in
-            Fd.wait t.waits (if busy then members else []);
-            busy)
+        Fd.poller fd ~label:"abcast:poll" ~every:(Simtime.of_ms 25)
+          ~busy:(fun () -> busy t)
+          ~waits:(fun () -> members)
           (fun () -> poll t);
       Network.on_recover net (fun node ->
           if node = me then begin

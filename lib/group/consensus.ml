@@ -41,7 +41,6 @@ struct
     members : int array;
     majority : int;
     fd : Fd.t;
-    waits : Fd.waiter; (* on the group, while an instance is open *)
     chan : Rchan.t;
     insts : (int, inst) Hashtbl.t;
     mutable open_insts : Iset.t; (* started, undecided *)
@@ -275,7 +274,6 @@ struct
             members = Array.of_list members;
             majority = (n / 2) + 1;
             fd = Fd.handle fd ~me;
-            waits = Fd.waiter (Fd.handle fd ~me);
             chan = Rchan.handle chan_group ~me;
             insts = Hashtbl.create 16;
             open_insts = Iset.empty;
@@ -305,12 +303,9 @@ struct
                 kick t inst
             | _ -> ());
         t.poll <-
-          Network.poller net me ~label:"consensus:poll"
-            ~every:(Simtime.of_ms 25)
-            ~busy:(fun () ->
-              let busy = not (Iset.is_empty t.open_insts) in
-              Fd.wait t.waits (if busy then members else []);
-              busy)
+          Fd.poller t.fd ~label:"consensus:poll" ~every:(Simtime.of_ms 25)
+            ~busy:(fun () -> not (Iset.is_empty t.open_insts))
+            ~waits:(fun () -> members)
             (give_up t);
         Network.on_recover net (fun node -> if node = me then t.poll ());
         (* An estimate or a decision cut off past the channel's retry

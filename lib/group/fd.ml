@@ -15,11 +15,14 @@ type t = {
      it, if later), and how many waiters wait on it. *)
   heard : Simtime.t array;
   waited : int array;
+  (* By node id: the resends owed to the peer when we next hear from it
+     (newest first), and when we stop waiting for that. *)
+  owed : (unit -> unit) list array;
+  expiry : Engine.timer option array;
   mutable probe : unit -> unit; (* arms the probe timer while waits are open *)
   mutable suspects : Iset.t;
   mutable suspect_cbs : (int -> unit) list;
   mutable trust_cbs : (int -> unit) list;
-  mutable watches : (int * waiter * (unit -> unit)) list;
 }
 
 and waiter = { fd : t; mutable on : int list }
@@ -37,14 +40,29 @@ let trust t peer =
 
 (* One probe: a waited-on peer silent for [timeout] is suspected, and
    one silent for [heartbeat_every] gets a ping, suspected or not, so a
-   suspect that is up is heard from again. *)
+   suspect that is up is heard from again. Peers that went silent
+   together are suspected together: once one is, so is every waited-on
+   peer that the next probe would suspect, lest a member cut off from
+   all its peers count the others as live for one more probe. *)
 let probe t () =
   let now = now t in
+  let silent p = Simtime.sub now t.heard.(p) in
+  let waited p = p <> t.me && t.waited.(p) > 0 in
+  let timeout =
+    if
+      List.exists
+        (fun p ->
+          waited p && Simtime.(silent p >= t.timeout)
+          && not (Iset.mem p t.suspects))
+        t.members
+    then Simtime.sub t.timeout t.heartbeat_every
+    else t.timeout
+  in
   List.iter
     (fun p ->
-      if p <> t.me && t.waited.(p) > 0 then begin
-        let silent = Simtime.sub now t.heard.(p) in
-        if Simtime.(silent >= t.timeout) && not (Iset.mem p t.suspects)
+      if waited p then begin
+        let silent = silent p in
+        if Simtime.(silent >= timeout) && not (Iset.mem p t.suspects)
         then begin
           t.suspects <- Iset.add p t.suspects;
           List.iter (fun f -> f p) t.suspect_cbs
@@ -56,57 +74,69 @@ let probe t () =
 
 let waiter fd = { fd; on = [] }
 
+(* A peer's first wait restarts its silence clock. *)
+let open_wait t p =
+  if t.waited.(p) = 0 then t.heard.(p) <- Simtime.max t.heard.(p) (now t);
+  t.waited.(p) <- t.waited.(p) + 1
+
 (* The new waits are counted before the old ones are dropped, so a peer
    in both stays waited on and its silence clock keeps running. *)
 let wait w peers =
   if not (List.equal Int.equal peers w.on) then begin
     let t = w.fd in
-    List.iter
-      (fun p ->
-        if peer t p then begin
-          if t.waited.(p) = 0 then
-            t.heard.(p) <- Simtime.max t.heard.(p) (now t);
-          t.waited.(p) <- t.waited.(p) + 1
-        end)
-      peers;
+    List.iter (fun p -> if peer t p then open_wait t p) peers;
     List.iter (fun p -> if peer t p then t.waited.(p) <- t.waited.(p) - 1) w.on;
     w.on <- peers;
     t.probe ()
   end
 
+let poller t ~label ~every ~busy ~waits f =
+  let w = waiter t in
+  Network.poller t.net t.me ~label ~every
+    ~busy:(fun () ->
+      let busy = busy () in
+      wait w (if busy then waits () else []);
+      busy)
+    f
+
+(* Stop waiting for [p]'s return, and hand back what was owed to it. *)
+let forget t p =
+  let owed = t.owed.(p) in
+  t.owed.(p) <- [];
+  t.waited.(p) <- t.waited.(p) - 1;
+  Option.iter Engine.cancel t.expiry.(p);
+  t.expiry.(p) <- None;
+  List.rev owed
+
 let hear t src =
   if src <> t.me && src < Array.length t.heard then begin
     t.heard.(src) <- now t;
     trust t src;
-    if t.watches <> [] then begin
-      let heard, rest = List.partition (fun (p, _, _) -> p = src) t.watches in
-      t.watches <- rest;
-      List.iter
-        (fun (_, w, fire) ->
-          wait w [];
-          fire ())
-        heard
-    end
+    if t.owed.(src) <> [] then List.iter (fun f -> f ()) (forget t src)
   end
 
-(* Wait on [peer] until we next hear from it, then [fire]; give up after
-   [watch_for]. *)
-let watch_for = Simtime.of_sec 10.
+(* How long a peer's return is waited for after a channel first gave up
+   on it. A channel gives up after about a second of retries, so only a
+   longer outage owes anything: the longest any test, scenario or
+   benchmark cycle makes is test_group's 5 s cut-off of a consensus
+   member, which 10 s covers. A peer silent that long is taken to be
+   gone: it stops being pinged, and what it was owed is dropped. *)
+let return_within = Simtime.of_sec 10.
 
-let watch t peer fire =
-  let w = waiter t in
-  let x = (peer, w, fire) in
-  t.watches <- x :: t.watches;
-  wait w [ peer ];
-  ignore
-    (Engine.schedule (Network.engine t.net) ~label:"fd:check" ~after:watch_for
-       (fun () ->
-         t.watches <- List.filter (fun y -> y != x) t.watches;
-         wait w []))
+let owe t p f =
+  if t.owed.(p) = [] then begin
+    open_wait t p;
+    t.expiry.(p) <-
+      Some
+        (Engine.schedule (Network.engine t.net) ~label:"fd:return"
+           ~after:return_within (fun () -> ignore (forget t p)));
+    t.probe ()
+  end;
+  t.owed.(p) <- f :: t.owed.(p)
 
 let resend_on_return t chan =
   Rchan.on_settled chan (fun ~dst ~acked msg ->
-      if not acked then watch t dst (fun () -> Rchan.send chan ~dst msg))
+      if (not acked) && peer t dst then owe t dst (fun () -> Rchan.send chan ~dst msg))
 
 let create_member net ~gid ~members ~heartbeat_every ~timeout me =
   let size = 1 + List.fold_left max 0 members in
@@ -120,11 +150,12 @@ let create_member net ~gid ~members ~heartbeat_every ~timeout me =
       timeout;
       heard = Array.make size Simtime.zero;
       waited = Array.make size 0;
+      owed = Array.make size [];
+      expiry = Array.make size None;
       probe = ignore;
       suspects = Iset.empty;
       suspect_cbs = [];
       trust_cbs = [];
-      watches = [];
     }
   in
   t.probe <-

@@ -6,8 +6,9 @@
     hearing from it ({!Sim.Network.on_hear}). A waited-on peer silent for
     [heartbeat_every] (default 20 ms) is pinged, and a live peer answers;
     one silent for [timeout] (default 100 ms, from the last message heard
-    or the wait's start, whichever is later) is suspected. Hearing from a
-    suspect revokes the suspicion. A peer nobody waits on costs no event.
+    or the wait's start, whichever is later) is suspected, and with it
+    every waited-on peer silent nearly as long. Hearing from a suspect
+    revokes the suspicion. A peer nobody waits on costs no event.
 
     Contract: Chandra–Toueg ◇S for waited-on peers. A crashed peer that
     stays waited on is eventually suspected for ever (strong
@@ -54,9 +55,24 @@ val waiter : t -> waiter
     wait of [w]. Repeating the list [w] already holds changes nothing. *)
 val wait : waiter -> int list -> unit
 
+(** [poller t ~label ~every ~busy ~waits f] is the
+    {!Sim.Network.poller} of [t]'s node, with a waiter of its own that
+    waits on [waits ()] whenever [busy ()] holds and on nobody
+    otherwise. *)
+val poller :
+  t ->
+  label:string ->
+  every:Sim.Simtime.t ->
+  busy:(unit -> bool) ->
+  waits:(unit -> int list) ->
+  (unit -> unit) ->
+  unit ->
+  unit
+
 (** [resend_on_return t chan]: every message [chan] gives up delivering
-    (its retries ran out while the peer was cut off) is sent again when
-    we next hear from the peer, if that is within 10 s. Meanwhile we wait
-    on the peer, so it is pinged: a partition that outlasts the channel's
-    retry budget, but not those 10 s, still heals. *)
+    (its retries ran out while the peer was cut off) is sent again, in
+    the order given up, when we next hear from the peer, if that is
+    within 10 s of the first one given up. Meanwhile we wait on the
+    peer, so it is pinged: a partition that outlasts the channel's retry
+    budget, but not those 10 s, still heals. *)
 val resend_on_return : t -> Rchan.t -> unit

@@ -27,7 +27,6 @@ type t = {
   me : int;
   net : Network.t;
   fd : Fd.t;
-  waits : Fd.waiter; (* on the view, while messages await acks *)
   chan : Rchan.t;
   cons : C.t;
   mutable view : View.t;
@@ -388,7 +387,6 @@ let create_group net ~members ?fd () =
           me;
           net;
           fd = Fd.handle fd_group ~me;
-          waits = Fd.waiter (Fd.handle fd_group ~me);
           chan = Rchan.handle chan_group ~me;
           cons = C.handle cons_group ~me;
           view = View.initial members;
@@ -425,11 +423,10 @@ let create_group net ~members ?fd () =
               float_of_int (Hashtbl.length t.buffered))
       | None -> ());
       t.kick <-
-        Network.poller net me ~label:"vscast:poll" ~every:(Simtime.of_ms 30)
-          ~busy:(fun () ->
-            Fd.wait t.waits
-              (if Hashtbl.length t.buffered > 0 then t.view.members else []);
-            busy t)
+        Fd.poller t.fd ~label:"vscast:poll" ~every:(Simtime.of_ms 30)
+          ~busy:(fun () -> busy t)
+          ~waits:(fun () ->
+            if Hashtbl.length t.buffered > 0 then t.view.members else [])
           (fun () -> poll t);
       Fd.resend_on_return t.fd t.chan;
       Rchan.on_deliver t.chan (fun ~src msg ->

@@ -88,7 +88,9 @@ let schedule_faults net faults =
           at heal_at (fun () -> Network.heal net)
       | Loss { at = t; probability; until } ->
           at t (fun () -> Network.set_drop_probability net probability);
-          at until (fun () -> Network.set_drop_probability net baseline))
+          (* A window that never ends leaves nothing queued for its end. *)
+          if Simtime.(until < infinity) then
+            at until (fun () -> Network.set_drop_probability net baseline))
     faults
 
 type result = {

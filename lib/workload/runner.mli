@@ -20,7 +20,8 @@ type fault =
   | Loss of { at : Sim.Simtime.t; probability : float; until : Sim.Simtime.t }
       (** raise the per-message drop probability to [probability] inside
           the window, restoring the drop probability the network had
-          when the faults were scheduled at [until] *)
+          when the faults were scheduled at [until]; a window until
+          {!Sim.Simtime.infinity} lasts the whole run *)
 
 (** [check_faults ~n_replicas faults] is [Error (fault, reason)] for a
     fault a cluster of [n_replicas] cannot run: the first, in list order,

@@ -28,11 +28,6 @@ let bursts ~from ~probability ~burst ~gap ~count =
       let at = Simtime.add from (Simtime.mul (Simtime.add burst gap) i) in
       Loss { at; probability; until = Simtime.add at burst })
 
-(* A loss window "for the whole run" ends at the campaign's deadline: a
-   fault still queued after the run's work is done would keep the run
-   from draining. *)
-let whole_run = Simtime.of_sec 120.
-
 (* Built-in library. Times assume the campaign cluster: 3 replicas
    (0–2), traffic starting at t=0 and running for a few hundred ms.
    Replica 0 is the interesting victim (primary / sequencer / first
@@ -86,7 +81,7 @@ let builtins =
             {
               at = Simtime.zero;
               probability = 0.05;
-              until = whole_run;
+              until = Simtime.infinity;
             };
         ];
     };
@@ -116,7 +111,7 @@ let builtins =
             {
               at = Simtime.zero;
               probability = 0.02;
-              until = whole_run;
+              until = Simtime.infinity;
             };
         ];
     };
@@ -144,8 +139,8 @@ let uses_2pc key =
 
 (* Techniques with a catch-up path for a replica that was away: passive
    rejoins through a view change with state transfer; the ABCAST-based
-   techniques replay missed deliveries (sequencer anti-entropy /
-   consensus progress gossip); semi-passive replays decided consensus
+   techniques replay missed deliveries (sequencer anti-entropy / a
+   consensus instance joined late); semi-passive replays decided consensus
    instances; eager-primary and eager-UE locking run a state transfer
    on rejoin; lazy-UE re-broadcasts its redo log. Lazy primary copy is
    the exception: a recovered primary resumes ownership from its stale

@@ -224,6 +224,37 @@ let test_2pc_coordinator_crash_blocks_participants () =
     && Hashtbl.find_opt decisions (2, 1) = None)
 
 
+(* The coordinator logs Commit and crashes before any participant hears
+   it, and comes back at 3 s to a quiet group. The participants' asks
+   ran out long before (four, 300 ms apart); the coordinator's [Back]
+   starts them again, and the run drains with every participant
+   knowing the outcome. *)
+let test_2pc_coordinator_recovery_resolves_doubt () =
+  let e, net, group, decisions =
+    tpc_setup ~participant_timeout:(Simtime.of_ms 300) ()
+  in
+  Core.Two_phase_commit.start group ~coordinator:0 ~participants:[ 0; 1; 2 ]
+    ~txn:1 ~on_complete:(fun _ ->
+      (* The decisions are on the wire: cut them off, then crash. *)
+      Network.partition net [ 0 ];
+      Network.crash net 0);
+  ignore (Engine.schedule e ~after:(Simtime.of_ms 100) (fun () -> Network.heal net));
+  ignore (Engine.run ~until:(Simtime.of_sec 3.) e);
+  Alcotest.(check (list int)) "in doubt while the coordinator is down" [ 1 ]
+    (Core.Two_phase_commit.in_doubt group ~me:1);
+  Alcotest.(check int) "asking stopped" 0 (Engine.pending e);
+  Network.recover net 0;
+  ignore (Engine.run ~until:(Simtime.of_sec 60.) e);
+  List.iter
+    (fun me ->
+      Alcotest.(check bool)
+        (Printf.sprintf "participant %d learned commit" me)
+        true
+        (Hashtbl.find_opt decisions (me, 1) = Some Core.Two_phase_commit.Commit))
+    [ 1; 2 ];
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
+
+
 (* ------------------------------------------------------------------ *)
 (* Certification                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -575,6 +606,8 @@ let () =
           tc "participant crash + timeout" test_2pc_participant_crash_timeout_aborts;
           tc "blocks without timeout" test_2pc_blocks_without_timeout;
           tc "coordinator crash blocks" test_2pc_coordinator_crash_blocks_participants;
+          tc "coordinator recovery resolves doubt"
+            test_2pc_coordinator_recovery_resolves_doubt;
         ] );
       ("certification", [ tc "commit and abort" test_certification_commit_and_abort ]);
       ( "reconciliation",

@@ -80,6 +80,37 @@ let test_fd_live_silent_peer () =
   ignore (Engine.run ~until:(Simtime.of_sec 10.) e);
   Alcotest.(check int) "drained" 0 (Engine.pending e)
 
+(* Peers that went silent together are suspected together. Member 1 is
+   last heard at 39 ms and member 2 at 45 ms, so at the 140 ms probe 1
+   has been silent for 101 ms and 2 for 95: both go at that probe.
+   Suspecting 1 alone would let a member cut off from both count 2 as
+   live for one more probe, and a sequencer member would take itself
+   for a majority. *)
+let test_fd_silent_together () =
+  let e = Engine.create ~seed:21 () in
+  let config =
+    { Network.default_config with latency = Network.Constant (Simtime.of_ms 1) }
+  in
+  let net = Network.create e ~n:3 config in
+  let group = Fd.create_group net ~members:[ 0; 1; 2 ] () in
+  let fd0 = Fd.handle group ~me:0 in
+  let at = ref [] in
+  Fd.on_suspect fd0 (fun p -> at := (p, Simtime.to_ms (Engine.now e)) :: !at);
+  Fd.wait (Fd.waiter fd0) [ 1; 2 ];
+  List.iter
+    (fun (us, f) -> ignore (Engine.schedule e ~after:(Simtime.of_us us) f))
+    [
+      (38_000, fun () -> Network.send net ~src:1 ~dst:0 (Payload 1));
+      (39_500, fun () -> Network.crash net 1);
+      (44_000, fun () -> Network.send net ~src:2 ~dst:0 (Payload 2));
+      (45_500, fun () -> Network.crash net 2);
+    ];
+  run_ms e 300;
+  Alcotest.(check (list (pair int (float 0.))))
+    "both suspected at the 140 ms probe"
+    [ (1, 140.); (2, 140.) ]
+    (List.sort compare !at)
+
 (* A peer nobody waits on costs no event: a crash goes unnoticed and the
    engine schedules nothing at all. *)
 let test_fd_unwaited_costs_nothing () =
@@ -2717,23 +2748,40 @@ let test_msg_names () =
   (let t = ref None in
    ignore (check_crash_plan ~on_net:(fun net -> t := Some (tap net ~nodes:[ 0; 1; 2 ])) fetch_plan);
    check_names "sequencer fetch" (Option.get !t) [ "Data(Fetch_reply(Payload))" ]);
-  (* Consensus-based ordering; a member down past its channels' retry
-     budget catches up on the instances it missed when it recovers. *)
-  (let e, net, members, group = abcast_setup ~impl:Abcast.Consensus_based () in
-   let t = tap net ~nodes:members in
-   Network.crash net 2;
-   for k = 0 to 5 do
-     ignore
-       (Engine.schedule e ~after:(Simtime.of_ms (10 * k)) (fun () ->
-            Abcast.broadcast (Abcast.handle group ~me:0) (Payload k)))
-   done;
-   run_ms e 5_000;
-   Network.recover net 2;
-   Abcast.broadcast (Abcast.handle group ~me:0) (Payload 6);
-   run_ms e 20_000;
-   check_names "consensus-based" t
-     [ "Data(Inject(Payload))"; "Data(Cons_est)"; "Data(Cons_proposal)";
-       "Data(Cons_reply)"; "Data(Cons_decide)" ]);
+  (* Consensus-based ordering; a member cut off past its channels' retry
+     budget, by a partition that heals or by a crash it recovers from,
+     catches up on the instances it missed: it delivers the others'
+     sequence of all seven payloads, and the run drains. *)
+  List.iter
+    (fun (label, cut, mend) ->
+      let e, net, members, group = abcast_setup ~impl:Abcast.Consensus_based () in
+      let t = tap net ~nodes:members in
+      cut net;
+      for k = 0 to 5 do
+        ignore
+          (Engine.schedule e ~after:(Simtime.of_ms (10 * k)) (fun () ->
+               Abcast.broadcast (Abcast.handle group ~me:0) (Payload k)))
+      done;
+      run_ms e 5_000;
+      mend net;
+      Abcast.broadcast (Abcast.handle group ~me:0) (Payload 6);
+      run_ms e 20_000;
+      check_names ("consensus-based " ^ label) t
+        [ "Data(Inject(Payload))"; "Data(Cons_est)"; "Data(Cons_proposal)";
+          "Data(Cons_reply)"; "Data(Cons_decide)" ];
+      let order m = Abcast.delivered (Abcast.handle group ~me:m) in
+      Alcotest.(check int) (label ^ ": seven delivered") 7 (List.length (order 0));
+      List.iter
+        (fun m ->
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s: member %d same sequence" label m)
+            (order 0) (order m))
+        members;
+      Alcotest.(check int) (label ^ ": drained") 0 (Engine.pending e))
+    [
+      ("partition", (fun net -> Network.partition net [ 2 ]), Network.heal);
+      ("crash", (fun net -> Network.crash net 2), fun net -> Network.recover net 2);
+    ];
   (* View-synchronous multicast. *)
   (let e, net = make ~seed:51 () in
    let members = [ 0; 1; 2 ] in
@@ -2752,6 +2800,7 @@ let () =
           tc "trust restored" test_fd_trust_restored;
           tc "live silent peer trusted" test_fd_live_silent_peer;
           tc "unwaited peer costs nothing" test_fd_unwaited_costs_nothing;
+          tc "silent together, suspected together" test_fd_silent_together;
         ] );
       ("msg", [ tc "message names" test_msg_names ]);
       ( "rchan",

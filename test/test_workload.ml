@@ -517,19 +517,18 @@ let test_alloc_per_delivery () =
 (* Timers cancelled per message sent on fault-free, non-passthrough runs:
    lazy-primary at n=16 (the refresh path over reliable FIFO broadcast)
    and eager-ue-abcast at n=3 (the sequencer's atomic broadcast). With a
-   retransmit timer per message, every acked send cancels one: ~0.50
-   per message sent on lazy-primary, and most of eager-ue-abcast's
-   messages are acked data. With one timer per channel endpoint, a timer
-   is cancelled only when an ack leaves the endpoint's oldest message
-   acked before it was due and a new head must be armed: ~0.11 and
-   ~0.20 (lazy-primary read ~0.075 while reliable broadcast relayed
-   every delivery, whose acks seldom hit a head; eager-ue-abcast read
-   ~0.04 while failure-detector heartbeats made up five sixths of its
-   messages, for the same ~1 550 cancellations). The ceiling of 0.3
-   sits between the two designs. *)
+   retransmit timer per message, every acked send cancels one: 0.475
+   and 0.891 per message sent (the share of data among the messages).
+   With one timer per channel endpoint, a timer is cancelled only when
+   an ack leaves the endpoint's oldest message acked before it was due
+   and a new head must be armed: 0.113 and 0.200 (lazy-primary read
+   ~0.075 while reliable broadcast relayed every delivery, whose acks
+   seldom hit a head; eager-ue-abcast read ~0.04 while failure-detector
+   heartbeats made up five sixths of its messages, for the same ~1 550
+   cancellations). Each ceiling sits between the two designs. *)
 let test_rchan_timers_per_message () =
   List.iter
-    (fun (key, n) ->
+    (fun (key, n, ceiling) ->
       let entry = Option.get (Protocols.Registry.find key) in
       let net = ref None in
       let result =
@@ -546,10 +545,10 @@ let test_rchan_timers_per_message () =
         /. float_of_int (Network.messages_sent net)
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.3f timers cancelled per message <= 0.3" key
-           ratio)
-        true (ratio <= 0.3))
-    [ ("lazy-primary", 16); ("eager-ue-abcast", 3) ]
+        (Printf.sprintf "%s: %.3f timers cancelled per message <= %g" key
+           ratio ceiling)
+        true (ratio <= ceiling))
+    [ ("lazy-primary", 16, 0.15); ("eager-ue-abcast", 3, 0.3) ]
 
 (* The schedules of both techniques that order through the sequencer's
    atomic broadcast, pinned: certification at n=5 on a contended
