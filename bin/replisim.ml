@@ -249,11 +249,12 @@ let explain_pretty ~n key (x : Workload.Builder.explained) =
       "sharding  : %d groups — single-shard txn runs in one group of <= %d \
        replicas, so the expectation below is the §5 cost at n=%d@."
       x.x_shards x.x_group x.x_group;
-  Fmt.pr "messages  : %d observed / %d expected   (+%d transport acks, %d self)@."
+  Fmt.pr "messages  : %d observed / %d expected   (+%d transport acks)@."
     s.messages
     (Workload.Builder.expected_messages x)
-    s.transport_acks s.self_sends;
-  Fmt.pr "steps     : %d observed / %d expected@." s.steps info.expected_steps;
+    s.transport_acks;
+  Fmt.pr "steps     : %d observed / %d expected@." s.steps
+    (Workload.Builder.expected_steps x);
   Fmt.pr "verdict   : %s@."
     (if (Workload.Builder.section5 x).ok then "OK — matches the §5 expectation"
      else "DEVIATION from the §5 expectation");
@@ -291,25 +292,27 @@ let explain_json ~n ~seed key (x : Workload.Builder.explained) =
            ( "observed",
              Obj
                [ ("messages", Int s.messages); ("steps", Int s.steps);
-                 ("transport_acks", Int s.transport_acks); ("self_sends", Int s.self_sends);
+                 ("transport_acks", Int s.transport_acks);
                  ("sends", Int s.sends); ("dropped", Int s.dropped);
                  ("replied", Bool s.replied) ] );
            ( "expected",
              Obj
                [ ("messages", Int (Workload.Builder.expected_messages x));
-                 ("steps", Int x.x_info.expected_steps) ] );
+                 ("steps", Int (Workload.Builder.expected_steps x)) ] );
            ("critical_path", Arr (List.map label s.critical_path));
            ("match", Bool (Workload.Builder.section5 x).ok) ]))
 
 let explain_csv_header =
-  "technique,n,shards,seed,messages,expected_messages,steps,expected_steps,transport_acks,self_sends,sends,dropped,replied,match"
+  "technique,n,shards,seed,messages,expected_messages,steps,expected_steps,transport_acks,sends,dropped,replied,match"
 
 let explain_csv_row ~n ~seed key (x : Workload.Builder.explained) =
   let s = x.x_summary in
-  Printf.sprintf "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%b,%b" key n x.x_shards
+  Printf.sprintf "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%b,%b" key n x.x_shards
     seed s.messages
     (Workload.Builder.expected_messages x)
-    s.steps x.x_info.expected_steps s.transport_acks s.self_sends s.sends
+    s.steps
+    (Workload.Builder.expected_steps x)
+    s.transport_acks s.sends
     s.dropped s.replied (Workload.Builder.section5 x).ok
 
 let explain_cmd =

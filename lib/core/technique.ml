@@ -31,9 +31,9 @@ type info = {
           with [n] replicas, as realised by this implementation's
           group-communication stack (transport acks excluded; see
           {!Sim.Msg_dag.summary}) *)
-  expected_steps : int;
+  expected_steps : n:int -> int;
       (** §5 claim: communication-step depth of the critical path from
-          the client's request to its reply *)
+          the client's request to its reply, with [n] replicas *)
   section : string;  (** paper section describing it *)
 }
 

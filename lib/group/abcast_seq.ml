@@ -31,11 +31,13 @@ type cell = {
   mutable ids : id list;
   mutable epoch : int; (* the assignment's epoch; -1 while none is held *)
   mutable acks : acks list;
+  mutable sent : Simtime.t; (* leader: when its last Order for it went out *)
 }
 
 type Msg.t +=
   | Inject of { id : id; payload : Msg.t }
-  | Order of { epoch : int; seq : int; ids : id list }
+  | Order of { epoch : int; seq : int; ids : id list; cursor : int }
+      (* also its sender's ack; [cursor]: the sender's [next_deliver] *)
   | Fetch of { id : id }
   | Fetch_reply of { id : id; payload : Msg.t }
   | Order_ack of { seq : int; ids : id list; epoch : int; from : int; cursor : int }
@@ -59,6 +61,7 @@ type t = {
   me : int;
   net : Network.t;
   members : int list;
+  others : int list; (* the members but us: no message goes to its sender *)
   fd : Fd.t;
   chan : Rchan.t;
   batch_window : Simtime.t;
@@ -111,7 +114,7 @@ let on_opt_deliver t f = t.opt_deliver_cbs <- t.opt_deliver_cbs @ [ f ]
 let delivered t = List.rev t.delivered_rev
 let opt_delivered t = List.rev t.opt_delivered_rev
 
-let mcast t msg = Rchan.mcast t.chan ~dsts:t.members msg
+let mcast t msg = Rchan.mcast t.chan ~dsts:t.others msg
 
 (* The cell of slot [seq], growing the window to hold it. *)
 let cell t seq =
@@ -121,7 +124,8 @@ let cell t seq =
       Array.init
         (max (2 * len) (seq + 1))
         (fun i ->
-          if i < len then t.window.(i) else { ids = []; epoch = -1; acks = [] });
+          if i < len then t.window.(i)
+          else { ids = []; epoch = -1; acks = []; sent = Simtime.zero });
   t.window.(seq)
 
 let assigned (c : cell) = c.epoch >= 0
@@ -196,8 +200,10 @@ let count t id =
   | exception Not_found -> Id_table.add t.slot_count id 1
 
 (* Assign [ids] to slot [seq], replacing (and uncounting) whatever the
-   slot held before. A new slot at or above the delivery cursor counts
-   as undelivered until [try_deliver] passes it. *)
+   slot held before, and record our own ack of it: holding an assignment
+   is acking it, so no ack is ever sent to ourselves. A new slot at or
+   above the delivery cursor counts as undelivered until [try_deliver]
+   passes it. *)
 let set_slot t seq ids epoch =
   let c = cell t seq in
   if assigned c then List.iter (uncount t) c.ids
@@ -205,7 +211,8 @@ let set_slot t seq ids epoch =
   List.iter (count t) ids;
   if seq > t.max_slot then t.max_slot <- seq;
   c.ids <- ids;
-  c.epoch <- epoch
+  c.epoch <- epoch;
+  add_ack t c ids t.me
 
 (* Cursors only grow, so the last one heard from a member is a lower
    bound on its delivery cursor; a member never heard from counts as 0. *)
@@ -240,6 +247,17 @@ let take_slot t seq ids epoch =
     set_slot t seq ids epoch;
     true
   end
+
+(* Take the assignment an [Order] carries: true when we hold it, and so
+   ack it. A slot already delivered here is acked again when we hold the
+   same ids: a recovered member replaying it needs a full ack set to
+   reach stability, and everyone who was present when it first
+   stabilised has long stopped talking about it. *)
+let hold t seq ids epoch =
+  if seq >= t.next_deliver then take_slot t seq ids epoch
+  else
+    let c = cell t seq in
+    assigned c && same_ids c.ids ids
 
 let rec try_deliver t =
   let c = cell t t.next_deliver in
@@ -281,12 +299,17 @@ let rec try_deliver t =
         ids
   end
 
-(* As leader: put [ids] in slot [seq] under our epoch. We record the slot
-   before the Order goes out, so a crash that drops our own copy leaves
-   no hole that only we could fill. *)
+(* As leader: send the others the Order for [seq] under our epoch. It
+   is our ack of the slot too. *)
+let send_order t seq ids =
+  (cell t seq).sent <- Engine.now (Network.engine t.net);
+  mcast t (Order { epoch = t.epoch; seq; ids; cursor = t.next_deliver })
+
+(* As leader: put [ids] in slot [seq] under our epoch, and tell the
+   others. *)
 let announce t seq ids =
   set_slot t seq ids t.epoch;
-  mcast t (Order { epoch = t.epoch; seq; ids })
+  send_order t seq ids
 
 let assign t ids =
   let seq = t.next_order in
@@ -307,7 +330,11 @@ let flush_batch t =
            Hashtbl.mem t.pending id && not (slotted t id))
   in
   t.batch_rev <- [];
-  if ids <> [] && is_leader t && quorate t then assign t ids
+  if ids <> [] && is_leader t && quorate t then begin
+    assign t ids;
+    (* Our own ack may be the last one: a group of one. *)
+    try_deliver t
+  end
 
 let enqueue_for_order t id =
   if Simtime.equal t.batch_window Simtime.zero then assign t [ id ]
@@ -360,6 +387,18 @@ let adopt_epoch t e =
         t.pending
   end
 
+(* Re-announce slot [seq] with its payloads. We take it as the others
+   will, so a slot not yet delivered here is restamped with our epoch. *)
+let resend t seq ids =
+  ignore (hold t seq ids t.epoch);
+  send_order t seq ids;
+  List.iter
+    (fun id ->
+      match Id_table.find_opt t.known id with
+      | Some payload -> mcast t (Inject { id; payload })
+      | None -> ())
+    ids
+
 (* Leader anti-entropy: keep re-announcing slots that some trusted member
    has not acknowledged, together with their payloads, so members that
    were unreachable longer than the stubborn channels' retry budget still
@@ -368,7 +407,9 @@ let adopt_epoch t e =
    which races ahead of an absent member the moment the detector suspects
    it and shrinks the stability quorum. A slot goes out under the current
    epoch: one below the last takeover's re-announcement keeps an older
-   stamp, which a member that adopted this epoch would drop. *)
+   stamp, which a member that adopted this epoch would drop. A slot whose
+   Order went out less than a channel timeout ago is still in flight: it
+   keeps the leader [lagging] but is not sent again yet. *)
 let anti_entropy t =
   t.lagging <- false;
   if is_leader t then begin
@@ -382,6 +423,7 @@ let anti_entropy t =
     done;
     let resent = ref 0 in
     let horizon = t.next_order - 1 in
+    let now = Engine.now (Network.engine t.net) and rto = Rchan.rto t.chan in
     let s = ref (min t.ack_floor t.next_deliver) in
     while !resent < 20 && !s <= horizon do
       let c = cell t !s in
@@ -395,14 +437,10 @@ let anti_entropy t =
          in
          if missing then begin
            t.lagging <- true;
-           incr resent;
-           mcast t (Order { epoch = t.epoch; seq = !s; ids });
-           List.iter
-             (fun id ->
-               match Id_table.find_opt t.known id with
-               | Some payload -> mcast t (Inject { id; payload })
-               | None -> ())
-             ids
+           if Simtime.(now >= add c.sent rto) then begin
+             incr resent;
+             resend t !s ids
+           end
          end);
       incr s
     done
@@ -412,9 +450,12 @@ let anti_entropy t =
    to a crash are resent by nothing else: a channel's retransmits stop
    while its sender is down and give up on a receiver down longer than
    the retry budget, and the leader's anti-entropy skips a slot it counts
-   acked by all. So a member back from a crash re-acks, to everyone
-   (itself above all), what some member may still lack; and a member
-   that trusts a peer again re-acks to it what that peer may lack. *)
+   acked by all. So a member back from a crash re-acks, to every other
+   member, what some member may still lack, and at least its highest
+   slot: the others then hear over a stubborn channel that it is back
+   (the detector's one ping on recovery may be lost), and a leader that
+   suspected it re-announces what it missed meanwhile. A member that
+   trusts a peer again re-acks to it what that peer may lack. *)
 let reack t ~dsts from =
   for seq = from to t.max_slot do
     let c = cell t seq in
@@ -505,39 +546,38 @@ let broadcast t msg =
   t.next_send <- t.next_send + 1;
   Rchan.mcast t.chan ~dsts:t.members (Inject { id; payload = msg })
 
-let handle_msg t msg =
+(* [from] acked assignment [ids] for [seq] when its cursor stood at
+   [cursor]. *)
+let take_ack t ~seq ~ids ~epoch ~from ~cursor =
+  add_ack t (cell t seq) ids from;
+  let p = t.position.(from) in
+  if cursor > t.cursors.(p) then t.cursors.(p) <- cursor;
+  (* An ack from past the slot shows an assignment its sender
+     delivered, which is final. Take it if we lack the slot or hold it
+     from an older epoch: a member that missed Orders while it was down
+     then holds what the others delivered before it may take over, and
+     never numbers a new message into that slot. *)
+  if cursor > seq && seq >= t.next_deliver && take_slot t seq ids epoch then
+    t.next_order <- max t.next_order (seq + 1);
+  try_deliver t
+
+let handle_msg t ~src msg =
   match msg with
   | Inject { id; payload } -> inject t id payload
-  | Order { epoch; seq; ids } ->
+  | Order { epoch; seq; ids; cursor } ->
       if epoch >= t.epoch then begin
         adopt_epoch t epoch;
-        if seq >= t.next_deliver then begin
-          if take_slot t seq ids epoch then mcast t (ack_msg t seq ids epoch)
-        end
-        else begin
-          (* Slot already delivered here. Re-acknowledge it anyway: a
-             recovered member replaying this slot needs a full ack set to
-             reach stability, and everyone who was present when it first
-             stabilised has long stopped talking about it. *)
-          let c = cell t seq in
-          if assigned c && same_ids c.ids ids then
-            mcast t (ack_msg t seq ids epoch)
-        end;
-        try_deliver t
-      end
+        if hold t seq ids epoch then mcast t (ack_msg t seq ids epoch)
+      end;
+      (* The leader holds what it orders: its Order is its ack. *)
+      take_ack t ~seq ~ids ~epoch ~from:src ~cursor
   | Order_ack { seq; ids; epoch; from; cursor } ->
-      add_ack t (cell t seq) ids from;
-      let p = t.position.(from) in
-      if cursor > t.cursors.(p) then t.cursors.(p) <- cursor;
-      (* An ack from past the slot shows an assignment its sender
-         delivered, which is final. Take it if we lack the slot or hold it
-         from an older epoch: a member that missed Orders while it was down
-         then holds what the others delivered before it may take over, and
-         never numbers a new message into that slot. *)
-      if cursor > seq && seq >= t.next_deliver && take_slot t seq ids epoch then
-        t.next_order <- max t.next_order (seq + 1);
+      take_ack t ~seq ~ids ~epoch ~from ~cursor
+  | Epoch { epoch } ->
+      adopt_epoch t epoch;
+      (* A takeover records our own ack of every slot it re-announces,
+         which may be the last one a slot lacked. *)
       try_deliver t
-  | Epoch { epoch } -> adopt_epoch t epoch
   | Fetch { id } -> (
       match Id_table.find_opt t.known id with
       | Some payload ->
@@ -583,6 +623,7 @@ let create_group net ~members ?(clients = []) ?fd
           me;
           net;
           members;
+          others = List.filter (fun m -> m <> me) members;
           fd;
           n;
           member_at;
@@ -633,7 +674,7 @@ let create_group net ~members ?(clients = []) ?fd
           (fun () -> poll t);
       Network.on_recover net (fun node ->
           if node = me then begin
-            reack t ~dsts:members (lowest_cursor t);
+            reack t ~dsts:t.others (max 0 (min (lowest_cursor t) t.max_slot));
             t.kick ()
           end);
       Fd.on_trust t.fd (fun peer ->
@@ -646,8 +687,7 @@ let create_group net ~members ?(clients = []) ?fd
           if is_leader t then t.lagging <- true;
           t.kick ());
       Rchan.on_deliver t.chan (fun ~src msg ->
-          ignore src;
-          handle_msg t msg;
+          handle_msg t ~src msg;
           t.kick ());
       Hashtbl.replace handles me t)
     members;

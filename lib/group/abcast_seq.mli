@@ -2,11 +2,15 @@
     failover (a ZooKeeper-atomic-broadcast-style design).
 
     The current leader (the [epoch mod n]-th member) assigns a global
-    sequence number to each injected message; members acknowledge
-    assignments to everybody and deliver a sequence slot only once every
-    trusted member has acknowledged it ({e uniform} delivery). Each ack
-    carries its sender's delivery cursor, and every member keeps the
-    highest cursor heard from each peer. On leader crash the next member
+    sequence number to each injected message and sends the [Order] to
+    the other members; each of them acknowledges the assignment to every
+    member but itself, and a member delivers a sequence slot only once
+    every trusted member has acknowledged it ({e uniform} delivery). A
+    member records its own ack when it takes a slot, and the leader's
+    [Order] counts as the leader's ack, so no message is addressed to
+    its sender: a slot costs n-1 Orders and (n-1)^2 acks. Each ack, the
+    [Order] included, carries its sender's delivery cursor, and every
+    member keeps the highest cursor heard from each peer. On leader crash the next member
     re-announces, under a higher epoch, the assignments some member may
     still lack: from the lowest cursor it has heard (every member has
     delivered the slots below it, with the same ids) up to its highest
@@ -15,11 +19,13 @@
     takeover therefore costs what the members lack, not the run's length.
 
     Crashes keep a member's state, so recovery is catch-up: a member back
-    from a crash re-acks the slots some member may lack (its own
-    self-addressed acks die with it), a member that trusts a peer again
-    re-acks to it what that peer may lack, and an ack from a member that
-    has delivered the slot teaches the assignment to one that missed its
-    Order. A member that moves to a new epoch on its own suspicion tells
+    from a crash re-acks to the others the slots some member may lack, a
+    member that trusts a peer again re-acks to it what that peer may
+    lack, and an ack from a member that has delivered the slot teaches
+    the assignment to one that missed its Order. The leader re-announces
+    a slot some trusted member has not acked, once its Order went out at
+    least one channel timeout ago (anti-entropy, for members cut off
+    longer than the channels' retry budget). A member that moves to a new epoch on its own suspicion tells
     the new leader, whose detector may never fire on a short crash, and a
     leader that regains its quorum orders what it received without one.
 
@@ -31,8 +37,8 @@
 
     With a non-zero [batch_window], the leader coalesces every message
     injected within that virtual-time window into a single ordering round
-    (one sequence slot holding the whole batch): the Order message and
-    its all-to-all stability acks are paid once per batch instead of once
+    (one sequence slot holding the whole batch): the Orders and their
+    stability acks are paid once per batch instead of once
     per message — the sequencer-side mirror of {!Abcast_ct}'s
     per-instance batches. [batch_window = 0] (the default) orders each
     message immediately, preserving the latency-optimal §5 behaviour.

@@ -282,7 +282,16 @@ let take_acks t ~peer ~held ~above =
 
 (* --- sending ---------------------------------------------------------- *)
 
-let send t ~dst msg =
+(* A message to our own node never touches the network: a zero-delay
+   event delivers it, and only while we are up. *)
+let send_self t msg =
+  if Network.alive t.net t.me then
+    ignore
+      (Engine.schedule (Network.engine t.net) ~label:"rchan:self"
+         ~after:Simtime.zero
+         (Network.guard t.net t.me (fun () -> deliver t ~src:t.me msg)))
+
+let send_data t ~dst msg =
   let seq = t.next_seq.(dst) in
   t.next_seq.(dst) <- seq + 1;
   let held, above =
@@ -313,6 +322,9 @@ let send t ~dst msg =
     push t u;
     if t.len = 1 then arm_head t
   end
+
+let send t ~dst msg =
+  if dst = t.me then send_self t msg else send_data t ~dst msg
 
 let mcast t ~dsts msg = List.iter (fun dst -> send t ~dst msg) dsts
 let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]

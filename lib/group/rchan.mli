@@ -8,6 +8,12 @@
     protocol-level pattern (used by the benches that reproduce the paper's
     message diagrams).
 
+    A message addressed to the sender's own node never touches the
+    network: a zero-delay engine event delivers it, once, and only while
+    the node is up (a crash first drops it). It has no [Data] wrapper,
+    seq, retransmit entry, ack or loss draw, the network does not count
+    it, and [on_settled] never reports it.
+
     Messages are numbered per link: each sender counts 0, 1, 2, ... towards
     each destination separately, so a receiver sees every sequence number
     of a link (unless the message is lost for good). A receiver therefore

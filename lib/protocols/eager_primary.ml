@@ -46,7 +46,7 @@ let info =
     expected_messages = (fun ~n -> (6 * n) - 4);
     (* Ereq -> Propagate -> Propagate_ack -> Prepare -> Vote -> Reply
        (the Decision round is concurrent with the reply). *)
-    expected_steps = 6;
+    expected_steps = (fun ~n:_ -> 6);
     section = "4.3 / 5.2";
   }
 

@@ -77,7 +77,7 @@ let info =
        Complete_ack -> Prepare -> Vote -> Reply. Per-operation lock and
        execute round-trips make this by far the deepest technique —
        the paper's "one round per operation" scaling argument (§5.4.1). *)
-    expected_steps = 10;
+    expected_steps = (fun ~n:_ -> 10);
     section = "4.4.1 / 5.4.1";
   }
 

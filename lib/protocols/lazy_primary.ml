@@ -36,7 +36,7 @@ let info =
     expected_messages = (fun ~n -> 2 * n);
     (* Lpreq -> Reply: propagation is off the response path — the
        paper's defining property of lazy techniques (§5.3). *)
-    expected_steps = 2;
+    expected_steps = (fun ~n:_ -> 2);
     section = "4.5 / 5.3";
   }
 

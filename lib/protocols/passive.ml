@@ -28,7 +28,7 @@ let info =
     expected_messages = (fun ~n -> (n * n) + 1);
     (* Preq -> Update broadcast -> stability ack -> Reply: the primary
        answers only once the update is stable at the backups. *)
-    expected_steps = 4;
+    expected_steps = (fun ~n:_ -> 4);
     section = "3.3";
   }
 

@@ -32,7 +32,7 @@ let info =
        n^2 + 4n - 3 protocol messages. *)
     expected_messages = (fun ~n -> (n * n) + (4 * n) - 3);
     (* Sreq -> Cons_est -> Cons_proposal -> Cons_reply -> Reply. *)
-    expected_steps = 5;
+    expected_steps = (fun ~n:_ -> 5);
     section = "3.5";
   }
 

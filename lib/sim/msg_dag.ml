@@ -70,8 +70,6 @@ let of_span t id =
 let messages t ~trace =
   Span.trace_ids t ~trace |> List.filter (is_msg_span t) |> List.map (of_span t)
 
-let is_self m = m.dst = Some m.src
-
 (* Stubborn-channel acknowledgements are transport bookkeeping, not part
    of the technique's §5 message complexity (a real system piggybacks
    them); they are counted separately. *)
@@ -81,10 +79,8 @@ type summary = {
   rid : int;
   sends : int;  (** every traced point-to-point send *)
   messages : int;
-      (** §5-comparable count: delivered, excluding self-addressed
-          messages and transport acks *)
+      (** §5-comparable count: delivered, excluding transport acks *)
   transport_acks : int;
-  self_sends : int;
   dropped : int;
   steps : int;  (** communication-step depth of the critical path *)
   critical_path : msg list;  (** in causal order, ending at the reply *)
@@ -137,12 +133,8 @@ let analyze t ~trace ~clients =
     sends = List.length msgs;
     messages =
       List.length
-        (List.filter
-           (fun m ->
-             m.delivered && (not (is_self m)) && not (is_transport_ack m))
-           msgs);
+        (List.filter (fun m -> m.delivered && not (is_transport_ack m)) msgs);
     transport_acks = List.length (List.filter is_transport_ack msgs);
-    self_sends = List.length (List.filter is_self msgs);
     dropped = List.length (List.filter (fun m -> m.drop <> None) msgs);
     steps = List.length critical_path;
     critical_path;

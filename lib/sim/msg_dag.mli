@@ -45,10 +45,8 @@ type summary = {
   rid : int;
   sends : int;  (** every traced point-to-point send *)
   messages : int;
-      (** §5-comparable count: delivered, excluding self-addressed
-          messages and transport acks *)
+      (** §5-comparable count: delivered, excluding transport acks *)
   transport_acks : int;
-  self_sends : int;
   dropped : int;
   steps : int;  (** communication-step depth of the critical path *)
   critical_path : msg list;  (** in causal order, ending at the reply *)

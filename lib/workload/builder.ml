@@ -107,9 +107,10 @@ let explain ?seed ~n (entry : Protocols.Registry.entry) cfg =
   }
 
 let expected_messages x = x.x_info.expected_messages ~n:x.x_group
+let expected_steps x = x.x_info.expected_steps ~n:x.x_group
 
 let section5 x =
-  let s = x.x_summary and steps = x.x_info.expected_steps in
+  let s = x.x_summary and steps = expected_steps x in
   Verdict.v "section5"
     (x.x_sound && s.replied
     && s.messages = expected_messages x

@@ -87,8 +87,11 @@ val explain :
     single-shard transaction runs inside one replication group. *)
 val expected_messages : explained -> int
 
+(** The §5 step depth, at the probe's group size. *)
+val expected_steps : explained -> int
+
 (** ["section5"]: the probe replied over a causally sound trace with
-    exactly {!expected_messages} messages and the expected step depth. *)
+    exactly {!expected_messages} messages and {!expected_steps} steps. *)
 val section5 : explained -> Verdict.t
 
 (** {2 The profiler's self-check} *)

@@ -291,8 +291,20 @@ let fault_windows ~grace events =
 let backlog_names =
   [ "rchan_unacked"; "abcast_pending"; "abcast_undelivered"; "vscast_buffered" ]
 
+(* The highest sample of [s] inside the window [(p_at, p_heal)], 0 when
+   none falls inside. *)
+let peak_in (p_at, p_heal) (s : Timeseries.series) =
+  List.fold_left
+    (fun acc (p : Timeseries.point) ->
+      if Simtime.(p.at >= p_at && p.at <= p_heal) then Float.max acc p.value
+      else acc)
+    0. (Timeseries.points s)
+
 (* Some group-stack queue peaks >= 2 inside the first partition and is
-   back <= 1 by the end of the (quiesced) run. *)
+   back <= 1 by the end of the (quiesced) run. A partition that no
+   request crossed (the run's [active_txns] stayed at 0 inside it, or
+   was not sampled there because the run had ended) has nothing to
+   queue, and is not judged. *)
 let partition_backlog events series =
   let verdict = Verdict.v "partition_backlog" in
   let backlogs =
@@ -301,15 +313,16 @@ let partition_backlog events series =
         s.kind = Timeseries.Queue && List.mem s.name backlog_names)
       series
   in
-  let built_and_drained (p_at, p_heal) (s : Timeseries.series) =
-    let peak =
-      List.fold_left
-        (fun acc (p : Timeseries.point) ->
-          if Simtime.(p.at >= p_at && p.at <= p_heal) then Float.max acc p.value
-          else acc)
-        0. (Timeseries.points s)
-    in
-    peak >= 2. && match s.points_rev with [] -> true | p :: _ -> p.value <= 1.
+  let built_and_drained window (s : Timeseries.series) =
+    peak_in window s >= 2.
+    && match s.points_rev with [] -> true | p :: _ -> p.value <= 1.
+  in
+  let idle window =
+    match
+      List.filter (fun (s : Timeseries.series) -> s.name = "active_txns") series
+    with
+    | [] -> false
+    | txns -> List.for_all (fun s -> peak_in window s <= 0.) txns
   in
   match
     List.find_map
@@ -317,6 +330,8 @@ let partition_backlog events series =
       events
   with
   | None -> verdict true "no partition scheduled"
+  | Some window when idle window ->
+      verdict true "no request in flight during the partition"
   | Some _ when backlogs = [] ->
       verdict false "no group-stack queue series sampled"
   | Some window -> (

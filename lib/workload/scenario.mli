@@ -106,8 +106,10 @@ val oracles :
     [findings]: one ["fault_window"] verdict per finding, which must
     overlap a fault's active span plus 300 ms for the protocol to drain
     (an unrecovered crash never ends), and ["partition_backlog"]: under
-    a partition, some group-stack queue peaks at >= 2 inside the first
-    partition window and ends the run at <= 1. *)
+    a partition that some request crossed (the [active_txns] series is
+    above 0 inside the first partition window), some group-stack queue
+    peaks at >= 2 inside that window and ends the run at <= 1; a
+    partition that no request crossed passes. *)
 val timeline_verdicts :
   event list ->
   Sim.Timeseries.series list ->

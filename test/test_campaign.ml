@@ -219,13 +219,15 @@ let every_technique_drains () =
    (passive chaos seed 49: member 2 proposed view 3 at 540 ms, member 1
    having been readmitted at 514 ms). A request now carries the view its
    sender held, and one older than the view that readmitted it is
-   dropped. Under chaos seed 7 each live member changes view four times
-   (replica 1 out at its crash and back, replica 2 out at the partition
-   and back); the stale request made a fifth. *)
+   dropped. Under chaos seed 142 replicas 0 and 2 change view four
+   times; a stale request acted on makes a fifth (seed 7 showed it until
+   a node's messages to itself stopped crossing the network, and has
+   read two view changes since, with or without the check; seeds 105,
+   127, 142, 144 and 148 of 1-150 read more without it). *)
 let stale_join_starts_no_view_change () =
   let entry = Option.get (Protocols.Registry.find "passive") in
   let outcome =
-    Workload.Scenario.run_one ~seed:7 ~key:"passive"
+    Workload.Scenario.run_one ~seed:142 ~key:"passive"
       ~info:entry.Protocols.Registry.info
       ~factory:(Protocols.Registry.default_factory entry) (scenario "chaos")
   in
@@ -249,10 +251,11 @@ let stale_join_starts_no_view_change () =
    nobody forwarded it, so a local commit was never reconciled (seed
    25: k0026 at (1, 0) on the recovered replica only). Members now
    forward a message no slot holds poll after poll to the leader.
-   Seeds 25, 43 and 54 fail at the parent, 8 and 30 without the
-   forward. *)
+   Seeds 92, 208, 349, 471 and 610 fail without the forward (seeds 8,
+   25, 30, 43 and 54 did until the Order became the sequencer's ack and
+   a node's messages to itself stopped crossing the network). *)
 let lazy_ue_reconciles_every_commit () =
-  campaign_cases "lazy-ue" [ ("chaos", 3, [ 8; 25; 30; 43; 54 ]) ]
+  campaign_cases "lazy-ue" [ ("chaos", 3, [ 92; 208; 349; 471; 610 ]) ]
 
 (* Regression: eager-ue-locking diverged when a partition made a site
    suspect a live delegate. The lock sweep released the transaction's

@@ -46,7 +46,7 @@ let labels (path : Sim.Msg_dag.msg list) =
 let test_golden_active () =
   let _, collector, rid, s = run_one "active" in
   Alcotest.(check bool) "replied" true s.Sim.Msg_dag.replied;
-  Alcotest.(check int) "messages" 14 s.Sim.Msg_dag.messages;
+  Alcotest.(check int) "messages" 12 s.Sim.Msg_dag.messages;
   Alcotest.(check int) "steps" 4 s.Sim.Msg_dag.steps;
   Alcotest.(check (list string)) "critical path"
     [ "Data(Inject(Req))"; "Data(Order)"; "Data(Order_ack)"; "Reply" ]
@@ -135,7 +135,7 @@ let test_off_by_one () =
   in
   Alcotest.(check (triple string bool string))
     "off-by-one expectation"
-    ("section5", false, "14/15 messages, 4/4 steps (observed/expected)")
+    ("section5", false, "12/13 messages, 4/4 steps (observed/expected)")
     (v.oracle, v.ok, v.detail)
 
 (* Property: whatever the seed, technique and loss rate, the message DAG

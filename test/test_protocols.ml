@@ -1471,11 +1471,11 @@ let test_golden_jsonl_active () =
   let golden =
     String.concat "\n"
       [
-        {|{"type":"span","id":0,"trace":1,"name":"txn","track":"client","start_us":0,"stop_us":3127}|};
+        {|{"type":"span","id":0,"trace":1,"name":"txn","track":"client","start_us":0,"stop_us":2792}|};
         {|{"type":"span","id":1,"trace":1,"name":"RE","parent":0,"track":"client","start_us":0,"stop_us":0}|};
-        {|{"type":"span","id":2,"trace":1,"name":"SC","parent":0,"track":"client","start_us":0,"stop_us":2176,"events":[{"at_us":0,"note":"atomic broadcast to the group (merged with RE)"}]}|};
-        {|{"type":"span","id":25,"trace":1,"name":"EX","parent":0,"track":1,"start_us":2176,"stop_us":3127,"events":[{"at_us":2176,"track":1,"note":"deterministic execution in delivery order"},{"at_us":2480,"track":2,"note":"deterministic execution in delivery order"},{"at_us":2711,"track":0,"note":"deterministic execution in delivery order"}]}|};
-        {|{"type":"span","id":32,"trace":1,"name":"END","parent":0,"track":"client","start_us":3127,"stop_us":3127}|};
+        {|{"type":"span","id":2,"trace":1,"name":"SC","parent":0,"track":"client","start_us":0,"stop_us":2047,"events":[{"at_us":0,"note":"atomic broadcast to the group (merged with RE)"}]}|};
+        {|{"type":"span","id":17,"trace":1,"name":"EX","parent":0,"track":1,"start_us":2047,"stop_us":2792,"events":[{"at_us":2047,"track":1,"note":"deterministic execution in delivery order"},{"at_us":2128,"track":2,"note":"deterministic execution in delivery order"},{"at_us":2466,"track":0,"note":"deterministic execution in delivery order"}]}|};
+        {|{"type":"span","id":21,"trace":1,"name":"END","parent":0,"track":"client","start_us":2792,"stop_us":2792}|};
       ]
   in
   Alcotest.(check string) "golden active JSONL" golden phases
@@ -1492,43 +1492,32 @@ let test_golden_chrome_active () =
         {|{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"replica 0"}}|};
         {|{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"replica 1"}}|};
         {|{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"replica 2"}}|};
-        {|{"name":"txn","cat":"phase","ph":"X","ts":0,"dur":3127,"pid":1,"tid":0,"args":{"trace":1}}|};
+        {|{"name":"txn","cat":"phase","ph":"X","ts":0,"dur":2792,"pid":1,"tid":0,"args":{"trace":1}}|};
         {|{"name":"RE","cat":"phase","ph":"X","ts":0,"dur":1,"pid":1,"tid":0,"args":{"trace":1}}|};
-        {|{"name":"SC","cat":"phase","ph":"X","ts":0,"dur":2176,"pid":1,"tid":0,"args":{"trace":1,"notes":["atomic broadcast to the group (merged with RE)"]}}|};
+        {|{"name":"SC","cat":"phase","ph":"X","ts":0,"dur":2047,"pid":1,"tid":0,"args":{"trace":1,"notes":["atomic broadcast to the group (merged with RE)"]}}|};
         {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":503,"pid":1,"tid":4,"args":{"trace":1,"notes":["send","deliver"]}}|};
         {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":682,"pid":1,"tid":4,"args":{"trace":1,"notes":["send","deliver"]}}|};
         {|{"name":"msg:Data(Inject(Req))","cat":"phase","ph":"X","ts":0,"dur":1426,"pid":1,"tid":4,"args":{"trace":1,"notes":["send","deliver"]}}|};
         {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":503,"dur":1464,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1082,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":1009,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":1,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":687,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":503,"dur":671,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":682,"dur":709,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1174,"dur":1168,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1190,"dur":630,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1426,"dur":1031,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1512,"dur":693,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":1199,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":664,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1512,"dur":1,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1585,"dur":1473,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":756,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":1,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1585,"dur":895,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"EX","cat":"phase","ph":"X","ts":2176,"dur":951,"pid":1,"tid":2,"args":{"trace":1,"notes":["deterministic execution in delivery order","deterministic execution in delivery order","deterministic execution in delivery order"]}}|};
-        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2176,"dur":951,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2480,"dur":700,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2711,"dur":672,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":3003,"dur":1,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":3003,"dur":738,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":3003,"dur":1091,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"END","cat":"phase","ph":"X","ts":3127,"dur":1,"pid":1,"tid":0,"args":{"trace":1}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":4012,"dur":1,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":4012,"dur":920,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":4085,"dur":1,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
-        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":4085,"dur":1250,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":932,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order)","cat":"phase","ph":"X","ts":503,"dur":835,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":682,"dur":1269,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1338,"dur":687,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1338,"dur":671,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1338,"dur":709,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1426,"dur":1168,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":1435,"dur":630,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1435,"dur":1031,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Data(Order_ack)","cat":"phase","ph":"X","ts":1435,"dur":693,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"EX","cat":"phase","ph":"X","ts":2047,"dur":745,"pid":1,"tid":2,"args":{"trace":1,"notes":["deterministic execution in delivery order","deterministic execution in delivery order","deterministic execution in delivery order"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2047,"dur":1199,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2128,"dur":664,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Reply","cat":"phase","ph":"X","ts":2466,"dur":1203,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"END","cat":"phase","ph":"X","ts":2792,"dur":1,"pid":1,"tid":0,"args":{"trace":1}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":4509,"dur":610,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":4509,"dur":1253,"pid":1,"tid":1,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":4547,"dur":895,"pid":1,"tid":2,"args":{"trace":1,"notes":["send","deliver"]}}|};
+        {|{"name":"msg:Ack","cat":"phase","ph":"X","ts":4628,"dur":951,"pid":1,"tid":3,"args":{"trace":1,"notes":["send","deliver"]}}|};
         {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":3,"ts":0,"pid":1,"tid":4}|};
         {|{"name":"Data(Inject(Req))","cat":"msg","ph":"f","bp":"e","id":3,"ts":503,"pid":1,"tid":1}|};
         {|{"name":"Data(Inject(Req))","cat":"msg","ph":"s","id":4,"ts":0,"pid":1,"tid":4}|};
@@ -1538,61 +1527,39 @@ let test_golden_chrome_active () =
         {|{"name":"Ack","cat":"msg","ph":"s","id":6,"ts":503,"pid":1,"tid":1}|};
         {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":6,"ts":1967,"pid":1,"tid":4}|};
         {|{"name":"Data(Order)","cat":"msg","ph":"s","id":7,"ts":503,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":7,"ts":503,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":7,"ts":1435,"pid":1,"tid":2}|};
         {|{"name":"Data(Order)","cat":"msg","ph":"s","id":8,"ts":503,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":8,"ts":1585,"pid":1,"tid":2}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"s","id":9,"ts":503,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":9,"ts":1512,"pid":1,"tid":3}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":10,"ts":503,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":10,"ts":503,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":11,"ts":503,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":11,"ts":1190,"pid":1,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":12,"ts":503,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":12,"ts":1174,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":13,"ts":682,"pid":1,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":13,"ts":1391,"pid":1,"tid":4}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":14,"ts":1174,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":14,"ts":2342,"pid":1,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":15,"ts":1190,"pid":1,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":15,"ts":1820,"pid":1,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":16,"ts":1426,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":16,"ts":2457,"pid":1,"tid":4}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":17,"ts":1512,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":17,"ts":2205,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":18,"ts":1512,"pid":1,"tid":3}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":18,"ts":2711,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":19,"ts":1512,"pid":1,"tid":3}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":19,"ts":2176,"pid":1,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":20,"ts":1512,"pid":1,"tid":3}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":20,"ts":1512,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":21,"ts":1585,"pid":1,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":21,"ts":3058,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":22,"ts":1585,"pid":1,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":22,"ts":2341,"pid":1,"tid":1}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":23,"ts":1585,"pid":1,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":23,"ts":1585,"pid":1,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":24,"ts":1585,"pid":1,"tid":2}|};
-        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":24,"ts":2480,"pid":1,"tid":3}|};
-        {|{"name":"Reply","cat":"msg","ph":"s","id":26,"ts":2176,"pid":1,"tid":2}|};
-        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":26,"ts":3127,"pid":1,"tid":4}|};
-        {|{"name":"Reply","cat":"msg","ph":"s","id":27,"ts":2480,"pid":1,"tid":3}|};
-        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":27,"ts":3180,"pid":1,"tid":4}|};
-        {|{"name":"Reply","cat":"msg","ph":"s","id":28,"ts":2711,"pid":1,"tid":1}|};
-        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":28,"ts":3383,"pid":1,"tid":4}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":29,"ts":3003,"pid":1,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":29,"ts":3003,"pid":1,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":30,"ts":3003,"pid":1,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":30,"ts":3741,"pid":1,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":31,"ts":3003,"pid":1,"tid":1}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":31,"ts":4094,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":33,"ts":4012,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":33,"ts":4012,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":34,"ts":4012,"pid":1,"tid":3}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":34,"ts":4932,"pid":1,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":35,"ts":4085,"pid":1,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":35,"ts":4085,"pid":1,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"s","id":36,"ts":4085,"pid":1,"tid":2}|};
-        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":36,"ts":5335,"pid":1,"tid":3}|};
+        {|{"name":"Data(Order)","cat":"msg","ph":"f","bp":"e","id":8,"ts":1338,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":9,"ts":682,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":9,"ts":1951,"pid":1,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":10,"ts":1338,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":10,"ts":2025,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":11,"ts":1338,"pid":1,"tid":3}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":11,"ts":2009,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":12,"ts":1338,"pid":1,"tid":3}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":12,"ts":2047,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":13,"ts":1426,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":13,"ts":2594,"pid":1,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":14,"ts":1435,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":14,"ts":2065,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":15,"ts":1435,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":15,"ts":2466,"pid":1,"tid":1}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"s","id":16,"ts":1435,"pid":1,"tid":2}|};
+        {|{"name":"Data(Order_ack)","cat":"msg","ph":"f","bp":"e","id":16,"ts":2128,"pid":1,"tid":3}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":18,"ts":2047,"pid":1,"tid":2}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":18,"ts":3246,"pid":1,"tid":4}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":19,"ts":2128,"pid":1,"tid":3}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":19,"ts":2792,"pid":1,"tid":4}|};
+        {|{"name":"Reply","cat":"msg","ph":"s","id":20,"ts":2466,"pid":1,"tid":1}|};
+        {|{"name":"Reply","cat":"msg","ph":"f","bp":"e","id":20,"ts":3669,"pid":1,"tid":4}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":22,"ts":4509,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":22,"ts":5119,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":23,"ts":4509,"pid":1,"tid":1}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":23,"ts":5762,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":24,"ts":4547,"pid":1,"tid":2}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":24,"ts":5442,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"s","id":25,"ts":4628,"pid":1,"tid":3}|};
+        {|{"name":"Ack","cat":"msg","ph":"f","bp":"e","id":25,"ts":5579,"pid":1,"tid":2}|};
     ]
   in
   let golden =

@@ -28,7 +28,9 @@ let run_default ?router ?flash name =
    acks began to ride on reverse data (from 4835 and 3100, and 100844
    and 46050), and again when runs began to end with their work instead
    of sending heartbeats to the deadline (from 4599 and 2466, and 98831
-   and 43684). *)
+   and 43684), and when a node's messages to itself stopped crossing the
+   network and the sequencer's Order became its ack (from 3315 and 2471,
+   and 5205 and 4569). *)
 let test_router_off_schedule_preserved () =
   List.iter
     (fun (name, committed, events, messages) ->
@@ -43,8 +45,8 @@ let test_router_off_schedule_preserved () =
         (r.Workload.Runner.router = None))
     [
       ("lazy-primary", 200, 1535, 1020);
-      ("eager-primary", 200, 3315, 2471);
-      ("active", 200, 5205, 4569);
+      ("eager-primary", 200, 3155, 2129);
+      ("active", 200, 3601, 3046);
     ]
 
 (* ---- read/write splitting and session accounting -------------------- *)
@@ -156,7 +158,8 @@ let test_nonsticky_violates_ryw () =
    interleaving, found by scanning crash times (crash at 60 ms and
    recovery at 120 ms until channel acks rode on data, 61 and 121 ms
    until the failure detector stopped sending heartbeats, 58 and 118 ms
-   since). *)
+   until a node's messages to itself stopped crossing the network, 62
+   and 122 ms since). *)
 let test_failover_retry_answers_reads () =
   let spec = Workload.Builder.spec () in
   let r =
@@ -164,8 +167,8 @@ let test_failover_retry_answers_reads () =
       ~faults:
         Workload.Runner.
           [
-            Crash { at = Sim.Simtime.of_ms 58; replica = 0 };
-            Recover { at = Sim.Simtime.of_ms 118; replica = 0 };
+            Crash { at = Sim.Simtime.of_ms 62; replica = 0 };
+            Recover { at = Sim.Simtime.of_ms 122; replica = 0 };
           ]
       (factory_of "active")
   in

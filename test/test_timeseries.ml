@@ -315,6 +315,25 @@ let test_timeline_flat_backlog () =
     (failed_oracles
        (Workload.Scenario.timeline_verdicts [] [ queue [ (0, 0.) ] ] []))
 
+(* A partition is judged only if some request was in flight inside it:
+   a run whose transactions ended before the partition (chaos on a short
+   run) has nothing to queue. *)
+let test_timeline_idle_partition () =
+  let flat = queue [ (0, 0.); (100, 1.); (700, 0.) ] in
+  let backlog_verdict txns =
+    List.find
+      (fun (v : Workload.Verdict.t) -> v.oracle = "partition_backlog")
+      (Workload.Scenario.timeline_verdicts partition_heal
+         [ flat; queue ~name:"active_txns" txns ]
+         [])
+  in
+  let idle = backlog_verdict [ (0, 4.); (40, 0.); (700, 0.) ] in
+  Alcotest.(check (pair bool string)) "no request crossed the partition"
+    (true, "no request in flight during the partition")
+    (idle.ok, idle.detail);
+  Alcotest.(check bool) "a request crossed it, and nothing queued" false
+    (backlog_verdict [ (0, 4.); (100, 2.); (700, 0.) ]).ok
+
 let () =
   Alcotest.run "timeseries"
     [
@@ -344,5 +363,6 @@ let () =
             (test_timeline_live "eager-ue-locking");
           tc "finding outside every fault window" test_timeline_stray_finding;
           tc "partition with a flat backlog" test_timeline_flat_backlog;
+          tc "partition no request crossed" test_timeline_idle_partition;
         ] );
     ]

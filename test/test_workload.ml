@@ -518,14 +518,17 @@ let test_alloc_per_delivery () =
    lazy-primary at n=16 (the refresh path over reliable FIFO broadcast)
    and eager-ue-abcast at n=3 (the sequencer's atomic broadcast). With a
    retransmit timer per message, every acked send cancels one: 0.475
-   and 0.891 per message sent (the share of data among the messages).
+   and 0.814 per message sent (the share of data among the messages).
    With one timer per channel endpoint, a timer is cancelled only when
    an ack leaves the endpoint's oldest message acked before it was due
-   and a new head must be armed: 0.113 and 0.200 (lazy-primary read
+   and a new head must be armed: 0.113 and 0.326 (lazy-primary read
    ~0.075 while reliable broadcast relayed every delivery, whose acks
    seldom hit a head; eager-ue-abcast read ~0.04 while failure-detector
    heartbeats made up five sixths of its messages, for the same ~1 550
-   cancellations). Each ceiling sits between the two designs. *)
+   cancellations, and 0.200 against 0.891 while the sequencer acked its
+   own Order and every node sent itself its copies over the network,
+   for 1 570 cancellations over 7 865 messages instead of 1 453 over
+   4 459). Each ceiling sits between the two designs. *)
 let test_rchan_timers_per_message () =
   List.iter
     (fun (key, n, ceiling) ->
@@ -548,7 +551,7 @@ let test_rchan_timers_per_message () =
         (Printf.sprintf "%s: %.3f timers cancelled per message <= %g" key
            ratio ceiling)
         true (ratio <= ceiling))
-    [ ("lazy-primary", 16, 0.15); ("eager-ue-abcast", 3, 0.3) ]
+    [ ("lazy-primary", 16, 0.15); ("eager-ue-abcast", 3, 0.45) ]
 
 (* The schedules of both techniques that order through the sequencer's
    atomic broadcast, pinned: certification at n=5 on a contended
@@ -560,7 +563,10 @@ let test_rchan_timers_per_message () =
    eager-ue-abcast from 2400, 0, 114394, 96506), and when runs began to
    end with their work instead of sending heartbeats to the deadline
    (certification from 269, 211, 72585, 49687; eager-ue-abcast from
-   2400, 0, 81571, 59206). *)
+   2400, 0, 81571, 59206), and when the Order became the sequencer's ack
+   and a node's messages to itself stopped crossing the network
+   (certification from 277, 203, 22438, 20312; eager-ue-abcast from
+   2400, 0, 60879, 50539). *)
 let test_abcast_schedules_pinned () =
   let ms = Simtime.of_ms in
   let cycle i =
@@ -600,7 +606,7 @@ let test_abcast_schedules_pinned () =
           txns_per_client = 60;
         },
         [],
-        [ 277; 203; 22438; 20312 ] );
+        [ 273; 207; 15661; 13152 ] );
       ( "eager-ue-abcast",
         3,
         {
@@ -610,7 +616,7 @@ let test_abcast_schedules_pinned () =
           txns_per_client = 300;
         },
         cycle 0 @ cycle 1,
-        [ 2400; 0; 60879; 50539 ] );
+        [ 2400; 0; 39526; 28234 ] );
     ]
 
 (* ---- one run, one world --------------------------------------------- *)
