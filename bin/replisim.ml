@@ -725,7 +725,9 @@ let timeline_cmd =
              "OK (%d series, %d findings, all inside fault windows)"
              (List.length series) (List.length findings))
         (Cli.about entry.key
-           (Workload.Scenario.timeline_verdicts events series findings))
+           (Workload.Scenario.timeline_verdicts
+              ~partitioned:result.Workload.Runner.dropped_partitioned events
+              series findings))
   in
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(

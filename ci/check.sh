@@ -194,37 +194,55 @@ dune exec bin/replisim.exe -- campaign --scenario crash-recover \
 # stderr), byte for byte what --jsonl FILE writes.
 c="dune exec bin/replisim.exe -- campaign --scenario crash-recover --techniques active --seeds 11"; $c --jsonl _campaign_ci.jsonl > /dev/null && $c --jsonl - 2>/dev/null | cmp - _campaign_ci.jsonl
 
-# Recovery: every technique that catches a recovered copy up by state
-# transfer (passive, eager-primary, eager-ue-locking) through the four
-# scenarios that bring a replica back, over 30 seeds (2160 verdicts).
-# Every run must also end drained (the campaign's "drained" oracle): a
-# timer still queued at the hard stop fails the leg. A failure names
-# technique, scenario and seed; replay it with
-# `replisim campaign --scenario S --techniques T --seeds N`.
-echo "== recovery campaign =="
+# The full campaign: every technique through every scenario, seeds
+# 1-30, at n=3 and n=5 (2 x 12 600 verdicts). Every failed verdict must
+# be named in ci/campaign-known-failures.txt (REPLICAS TECHNIQUE SCENARIO
+# SEED ORACLE, all of them the lost reply today); one it does not name
+# fails the leg, so a new failure class, a run that no longer drains or
+# a technique that lost its clean record all trip it. Entries that pass
+# now are listed so the file can shrink. Replay a failure with
+# `replisim campaign --replicas N --techniques T --scenario S --seeds K`.
+echo "== full campaign =="
 start=$(date +%s)
-dune exec bin/replisim.exe -- campaign \
-  --scenario crash-recover,backup-crash-recover,partition-heal,chaos \
-  --techniques passive,eager-primary,eager-ue-locking \
-  --seeds "$(seq -s, 1 30)" > /dev/null
-echo "recovery campaign passed in $(( $(date +%s) - start )) s"
-
-# Primary copy over reliable FIFO broadcast: lazy-primary and
-# eager-primary through every scenario over 30 seeds, at n=3 and n=5
-# (2 x 7 x 30 runs each). A member relays a broadcast only when it
-# suspects the origin, so agreement after an origin crash and every
-# lost write across a state transfer are judged here, and every run
-# must end drained. Replay a failure
-# with `replisim campaign --scenario S --techniques T --replicas N
-# --seeds K`.
-echo "== primary-copy campaign =="
-start=$(date +%s)
+rm -f _campaign_full_ci.txt _campaign_full_ci.err
 for n in 3 5; do
-  dune exec bin/replisim.exe -- campaign \
-    --techniques lazy-primary,eager-primary --replicas "$n" \
-    --seeds "$(seq -s, 1 30)" > /dev/null
+  status=0
+  dune exec bin/replisim.exe -- campaign --replicas "$n" \
+    --seeds "$(seq -s, 1 30)" > /dev/null 2> _campaign_full_ci.err \
+    || status=$?
+  # Exit 1 reports failed verdicts, one line each and a count; anything
+  # else but 0 is an error, and every failed verdict must be parsed.
+  case $status in
+    0) want=0 ;;
+    1) want=$(sed -n 's/^campaign: \([0-9]*\) of [0-9]* verdicts failed$/\1/p' \
+         _campaign_full_ci.err) ;;
+    *) want=error ;;
+  esac
+  got=$(sed -n "s|^campaign: \([^/]*\)/\([^/]*\)/seed=\([0-9]*\): \([a-z_]*\): .*|$n \1 \2 \3 \4|p" \
+    _campaign_full_ci.err | tee -a _campaign_full_ci.txt | wc -l)
+  if [ "$want" != "$got" ]; then
+    cat _campaign_full_ci.err >&2
+    echo "full campaign n=$n: exit status $status, $got failed verdicts parsed" >&2
+    exit 1
+  fi
 done
-echo "primary-copy campaign passed in $(( $(date +%s) - start )) s"
+rm -f _campaign_full_ci.err
+unexpected=$(awk 'NR == FNR { if ($0 !~ /^#/ && NF) known[$0] = 1; next }
+    !($0 in known)' ci/campaign-known-failures.txt _campaign_full_ci.txt)
+mended=$(awk 'NR == FNR { failed[$0] = 1; next }
+    $0 !~ /^#/ && NF && !($0 in failed)' _campaign_full_ci.txt \
+    ci/campaign-known-failures.txt)
+failed=$(wc -l < _campaign_full_ci.txt)
+rm -f _campaign_full_ci.txt
+if [ -n "$unexpected" ]; then
+  printf '%s\n' "$unexpected" >&2
+  echo "full campaign: failed verdicts outside ci/campaign-known-failures.txt (above)" >&2
+  exit 1
+fi
+if [ -n "$mended" ]; then
+  printf '%s\n' "$mended" | sed 's/^/passes now, delete from the list: /'
+fi
+echo "full campaign: $failed failed verdicts, all known, in $(( $(date +%s) - start )) s"
 
 # Runs end when their work does: a run of five transactions per client
 # costs about what `explain` counts for one transaction (its messages
@@ -248,27 +266,30 @@ for t in $(dune exec bin/replisim.exe -- list | awk '{ print $1 }'); do
   echo "$t: $run msgs/txn (explain: $msgs messages + $acks transport acks)"
 done
 
-# A refresh costs its n-1 copies, not a relay from every member: lazy
-# primary copy at n=32 sends 9.4 msgs/txn (acks and stability notices
-# included), 205.9 when every delivery was relayed; the ceiling is 20.
+# A refresh costs its n-1 copies, not a relay from every member, and
+# the copies a receiver gets within half a retransmission timeout share
+# one ack: lazy primary copy at n=32 sends 7.1 msgs/txn (acks and
+# stability notices included), 9.4 when a one-way link acked each
+# message and 205.9 when every delivery was relayed; the ceiling is 8.5.
 echo "== lazy-primary broadcast cost =="
 out=$(dune exec bin/replisim.exe -- run -t lazy-primary -n 32 --clients 8 \
   --keys 1000 --txns 1000 --updates 0.1)
 mpt=$(printf '%s\n' "$out" | sed -n 's/.*msgs\/txn=\([0-9.]*\).*/\1/p')
-if [ -z "$mpt" ] || ! awk -v m="$mpt" 'BEGIN { exit !(m <= 20) }' \
+if [ -z "$mpt" ] || ! awk -v m="$mpt" 'BEGIN { exit !(m <= 8.5) }' \
    || ! printf '%s\n' "$out" | grep -q 'converged=true 1SR=true'; then
   printf '%s\n' "$out" >&2
-  echo "lazy-primary n=32: msgs/txn=${mpt:-missing} (ceiling 20), or not converged and 1SR" >&2
+  echo "lazy-primary n=32: msgs/txn=${mpt:-missing} (ceiling 8.5), or not converged and 1SR" >&2
   exit 1
 fi
-echo "msgs/txn=$mpt (ceiling 20)"
+echo "msgs/txn=$mpt (ceiling 8.5)"
 
 # Failover pays for what members lack, not for run length: the
 # sequencer's new leader re-announces from the lowest delivery cursor it
-# has heard. Six rolling leader crashes cost 13.5 msgs/txn that way
-# (22.8 while the sequencer acked its own Order and every node sent
-# itself its copies over the network, 46.5 with heartbeats to the
-# deadline, 62.5 before channel acks rode on data) and 166.5 when every
+# has heard. Six rolling leader crashes cost 13.0 msgs/txn that way
+# (13.5 while one-way links acked each message at once, 22.8 while the
+# sequencer acked its own Order and every node sent itself its copies
+# over the network, 46.5 with heartbeats to the deadline, 62.5 before
+# channel acks rode on data) and 166.5 when every
 # takeover re-announced every slot from 0; the ceiling sits between the
 # two, and the run must stay converged and 1SR.
 echo "== abcast failover cost =="
@@ -285,13 +306,14 @@ if [ -z "$mpt" ] || ! awk -v m="$mpt" 'BEGIN { exit !(m <= 100) }' \
 fi
 echo "msgs/txn=$mpt (ceiling 100)"
 
-# Channel acks ride on reverse data: on a link that carries data both
-# ways a receiver owes one cumulative ack, carried by its next message
-# to the peer or sent alone after a quarter of the retransmission
-# timeout. The sequencer's Order is its ack, every other member acks
-# each order round to every member but itself, and no node sends itself
-# anything over the network. Contended certification at n=5 reads 27.2
-# msgs/txn that way, 41.9 while every member acked every round to every
+# Channel acks ride on reverse data: on every link a receiver owes one
+# cumulative ack, carried by its next message to the peer or sent alone
+# half a retransmission timeout after it began owing. The sequencer's
+# Order is its ack, every other member acks each order round to every
+# member but itself, and no node sends itself anything over the
+# network. Contended certification at n=5 reads 27.0 msgs/txn that way,
+# 27.2 while one-way links acked each message at once and the delay was
+# a quarter timeout, 41.9 while every member acked every round to every
 # member (the sequencer included, itself included) and 98.2 with one
 # ack per data message and heartbeats to the deadline. The ceiling is
 # 32.
@@ -512,13 +534,17 @@ fi
 # Resource-timeline smoke: sample two techniques through the
 # partition-heal scenario; --check exits non-zero if any saturation
 # finding falls outside a fault window or the group-stack backlog fails
-# to grow during the partition and drain after the heal. Under chaos
-# the run ends before its partition, which no request crosses, so the
-# partition is not judged.
+# to grow during the partition and drain after the heal. Every
+# technique runs chaos too: its partition is judged only if the network
+# dropped a message at it, and a queue is judged from the level it held
+# when the partition began.
 echo "== timeline smoke =="
 dune exec bin/replisim.exe -- timeline -t active --check
 dune exec bin/replisim.exe -- timeline -t eager-ue-locking --check
-dune exec bin/replisim.exe -- timeline -t active --scenario chaos --check
+for t in $(dune exec bin/replisim.exe -- list | awk '{ print $1 }'); do
+  dune exec bin/replisim.exe -- timeline -t "$t" --scenario chaos --check \
+    > /dev/null
+done
 
 # Engine self-profile smoke: --check enforces the profiler's internal
 # identities on a live run (per-bucket event counts sum back to the
@@ -627,7 +653,7 @@ dune exec bin/replisim.exe -- audit -t lazy-primary --router --check > /dev/null
 dune exec bin/replisim.exe -- run -t lazy-primary --router --flash-crowd \
   > /dev/null
 if ! dune exec bin/replisim.exe -- run -t active --router \
-       --crash 0@62ms --recover 0@122ms \
+       --crash 0@64ms --recover 0@124ms \
      | grep -Eq 'failovers=[1-9][0-9]* gave_up=0'; then
   echo "router failover leg: no read survived the crash via retry" >&2
   exit 1

@@ -46,13 +46,12 @@ let vacant =
     acked = true;
   }
 
-(* The acknowledgement state of a link that carries data both ways,
-   made when it first needs some. As receiver: every seq below [held]
-   has arrived from the peer (as of the last ack built), [above] holds
-   the seqs at or above it that arrived since, [owed] says an ack is
-   due and [owed_ctx] is the context of the message that made it due.
-   As sender: [acked] is how far the peer's cumulative acks have been
-   applied. *)
+(* The acknowledgement state of a link, made when it first needs some.
+   As receiver: every seq below [held] has arrived from the peer (as of
+   the last ack built), [above] holds the seqs at or above it that
+   arrived since, [owed] says an ack is due and [owed_ctx] is the
+   context of the message that made it due. As sender: [acked] is how
+   far the peer's cumulative acks have been applied. *)
 type link = {
   peer : int;
   mutable held : int;
@@ -89,12 +88,12 @@ type t = {
   mutable fire : unit -> unit;
   (* Receiver side: the per-origin seqs delivered so far. *)
   seen : Dedup.t;
-  (* Acks of links that carry data both ways, by peer ([[||]] until the
-     first such link). [owing] of them owe one; [owed_links] lists them,
-     newest first, with links paid since; [owing_since] is when the
-     endpoint last went from owing nothing to owing something. One
-     engine timer, armed while [ack_armed], sends what is still owed
-     [ack_delay] after that. *)
+  (* Ack state by peer ([[||]] until the first link needs some, which
+     keeps building a group's endpoints cheap). [owing] of them owe
+     one; [owed_links] lists them, newest first, with links paid since;
+     [owing_since] is when the endpoint last went from owing nothing to
+     owing something. One engine timer, armed while [ack_armed], sends
+     what is still owed [ack_delay] after that. *)
   mutable links : link option array;
   ack_delay : Simtime.t;
   mutable owing : int;
@@ -234,8 +233,7 @@ and arm_acks t at =
     (Engine.schedule_at (Network.engine t.net) ~label:"rchan:ack" ~at
        (send_owed t))
 
-(* [seq] arrived from [peer] over a link we send on too: owe [peer] a
-   cumulative ack. *)
+(* [seq] arrived from [peer]: owe [peer] a cumulative ack. *)
 let owe t ~peer seq =
   let l = link t peer in
   if seq >= l.held then l.above <- seq :: l.above;
@@ -355,7 +353,7 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
           fire = ignore;
           seen = Dedup.create ~nodes:size;
           links = [||];
-          ack_delay = Simtime.of_us (Simtime.to_us rto / 4);
+          ack_delay = Simtime.of_us (Simtime.to_us rto / 2);
           owing = 0;
           owed_links = [];
           owing_since = Simtime.zero;
@@ -378,11 +376,7 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
               if not t.passthrough then begin
                 if held > 0 || above <> [] then
                   take_acks t ~peer:src ~held ~above;
-                (* A link we have sent nothing on acks at once. *)
-                if t.next_seq.(src) = 0 then
-                  Network.send net ~src:me ~dst:src
-                    (Ack { gid; held = 0; above = [ seq ] })
-                else owe t ~peer:src seq
+                owe t ~peer:src seq
               end;
               if Dedup.fresh t.seen ~origin ~seq then
                 deliver t ~src:origin payload;

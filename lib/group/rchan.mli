@@ -41,21 +41,21 @@
     seq, and a chain that ends (sender crashed, retries spent) drops
     its message from the ring but leaves it unacknowledged.
 
-    Acknowledgements. A receiver acks a [Data] at once, with an [Ack] of
-    its own, only on a link it has sent nothing on itself: a one-way
-    link (lazy primary copy's refresh broadcast, a client's request
-    channel) pays one ack per message. On a link that carries data both
-    ways the receiver owes the peer one cumulative ack instead: every
-    seq below the contiguous prefix it holds, plus each seq that arrived
-    above an open hole since the last ack (a hole left by a chain that
-    gave up never closes, and the seqs above it must still be acked).
-    The ack rides in the next [Data] the receiver sends to that peer.
-    One timer per endpoint sends what is still owed as standalone
-    [Ack]s a quarter of the group's retransmission timeout (2.5 ms at
-    the default 10 ms) after the endpoint went from owing nothing to
-    owing something. The rule needs no setting, and nothing above the
-    channel sees it. Ack state is made only for links that carry data
-    both ways, so an endpoint whose links are all one-way keeps none. *)
+    Acknowledgements. Every link follows one rule: a receiver owes its
+    sender one cumulative ack, every seq below the contiguous prefix it
+    holds plus each seq that arrived above an open hole since its last
+    ack (a hole left by a chain that gave up never closes, and the seqs
+    above it must still be acked). The ack rides in the next [Data] the
+    receiver sends to that peer. One timer per endpoint sends what is
+    still owed as standalone [Ack]s half the group's retransmission
+    timeout (5 ms at the default 10 ms) after the endpoint went from
+    owing nothing to owing something, so a link that carries data one
+    way (lazy primary copy's refresh broadcast, a client's request
+    channel) pays one [Ack] for all it delivers in that half timeout,
+    and on the default network the ack is back before the first
+    retransmit is due. The rule needs no setting, and nothing above the
+    channel sees it. An endpoint keeps ack state for each link it
+    uses. *)
 
 type t
 type group

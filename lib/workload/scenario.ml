@@ -300,12 +300,19 @@ let peak_in (p_at, p_heal) (s : Timeseries.series) =
       else acc)
     0. (Timeseries.points s)
 
-(* Some group-stack queue peaks >= 2 inside the first partition and is
-   back <= 1 by the end of the (quiesced) run. A partition that no
-   request crossed (the run's [active_txns] stayed at 0 inside it, or
-   was not sampled there because the run had ended) has nothing to
+(* The last sample of [s] at or before [at], 0 when none. *)
+let level_at at (s : Timeseries.series) =
+  List.fold_left
+    (fun acc (p : Timeseries.point) ->
+      if Simtime.(p.at <= at) then p.value else acc)
+    0. (Timeseries.points s)
+
+(* Some group-stack queue peaks inside the first partition at >= 2
+   above the level it held when the partition began (entries an earlier
+   crash left, say), and ends the (quiesced) run <= 1 above it. A
+   partition that dropped no message ([partitioned] = 0) has nothing to
    queue, and is not judged. *)
-let partition_backlog events series =
+let partition_backlog ~partitioned events series =
   let verdict = Verdict.v "partition_backlog" in
   let backlogs =
     List.filter
@@ -313,16 +320,10 @@ let partition_backlog events series =
         s.kind = Timeseries.Queue && List.mem s.name backlog_names)
       series
   in
-  let built_and_drained window (s : Timeseries.series) =
-    peak_in window s >= 2.
-    && match s.points_rev with [] -> true | p :: _ -> p.value <= 1.
-  in
-  let idle window =
-    match
-      List.filter (fun (s : Timeseries.series) -> s.name = "active_txns") series
-    with
-    | [] -> false
-    | txns -> List.for_all (fun s -> peak_in window s <= 0.) txns
+  let built_and_drained ((p_at, _) as window) (s : Timeseries.series) =
+    let base = level_at p_at s in
+    peak_in window s >= base +. 2.
+    && match s.points_rev with [] -> true | p :: _ -> p.value <= base +. 1.
   in
   match
     List.find_map
@@ -330,8 +331,8 @@ let partition_backlog events series =
       events
   with
   | None -> verdict true "no partition scheduled"
-  | Some window when idle window ->
-      verdict true "no request in flight during the partition"
+  | Some _ when partitioned = 0 ->
+      verdict true "the partition dropped no message"
   | Some _ when backlogs = [] ->
       verdict false "no group-stack queue series sampled"
   | Some window -> (
@@ -340,10 +341,11 @@ let partition_backlog events series =
           verdict true (s.name ^ " built up in the partition, drained later")
       | None ->
           verdict false
-            "no group-stack queue built up (>= 2) during the partition and \
-             drained (<= 1) after heal")
+            "no group-stack queue built up (>= 2 above its level when the \
+             partition began) during the partition and drained (<= 1 above \
+             it) after heal")
 
-let timeline_verdicts events series findings =
+let timeline_verdicts ~partitioned events series findings =
   let windows = fault_windows ~grace:(Simtime.of_ms 300) events in
   List.map
     (fun (f : Saturation.finding) ->
@@ -358,7 +360,7 @@ let timeline_verdicts events series findings =
            (if inside then "inside" else "outside")
            Saturation.pp_finding f))
     findings
-  @ [ partition_backlog events series ]
+  @ [ partition_backlog ~partitioned events series ]
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver                                                    *)

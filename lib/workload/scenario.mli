@@ -105,12 +105,14 @@ val oracles :
     that sampled [series] and whose saturation detectors reported
     [findings]: one ["fault_window"] verdict per finding, which must
     overlap a fault's active span plus 300 ms for the protocol to drain
-    (an unrecovered crash never ends), and ["partition_backlog"]: under
-    a partition that some request crossed (the [active_txns] series is
-    above 0 inside the first partition window), some group-stack queue
-    peaks at >= 2 inside that window and ends the run at <= 1; a
-    partition that no request crossed passes. *)
+    (an unrecovered crash never ends), and ["partition_backlog"]: if
+    the network dropped any message as [Partitioned] ([partitioned],
+    the run's count: drops happen only while a partition holds, and a
+    scenario schedules at most one), some group-stack queue peaks inside
+    the first partition at >= 2 above its level when it began, and ends
+    the run <= 1 above that level; otherwise the partition passes. *)
 val timeline_verdicts :
+  partitioned:int ->
   event list ->
   Sim.Timeseries.series list ->
   Sim.Saturation.finding list ->

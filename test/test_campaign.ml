@@ -219,15 +219,15 @@ let every_technique_drains () =
    (passive chaos seed 49: member 2 proposed view 3 at 540 ms, member 1
    having been readmitted at 514 ms). A request now carries the view its
    sender held, and one older than the view that readmitted it is
-   dropped. Under chaos seed 142 replicas 0 and 2 change view four
+   dropped. Under chaos seed 33 replicas 0 and 2 change view four
    times; a stale request acted on makes a fifth (seed 7 showed it until
-   a node's messages to itself stopped crossing the network, and has
-   read two view changes since, with or without the check; seeds 105,
-   127, 142, 144 and 148 of 1-150 read more without it). *)
+   a node's messages to itself stopped crossing the network, seed 142
+   until a one-way link stopped acking each message; seeds 33, 61, 74
+   and 133 of 1-150 read more view changes without the check). *)
 let stale_join_starts_no_view_change () =
   let entry = Option.get (Protocols.Registry.find "passive") in
   let outcome =
-    Workload.Scenario.run_one ~seed:142 ~key:"passive"
+    Workload.Scenario.run_one ~seed:33 ~key:"passive"
       ~info:entry.Protocols.Registry.info
       ~factory:(Protocols.Registry.default_factory entry) (scenario "chaos")
   in

@@ -282,12 +282,12 @@ let test_rchan_passthrough_dedup () =
 
 (* The stubborn channel as it was with one retransmit timer per message:
    each send arms its own timer and each ack cancels it. Acks follow the
-   channel's rule: at once on a link we have sent nothing on, otherwise
-   cumulative, carried by the next message to the peer or sent alone by
-   one timer per endpoint a quarter [rto] after it began owing. A
-   message to its own node is delivered by a zero-delay event while the
-   node is up, and never touches the network. Kept as the reference the
-   one-timer-per-endpoint channel must match event for event. It takes its instance id as an argument; the real channel
+   channel's rule: cumulative, carried by the next message to the peer
+   or sent alone by one timer per endpoint half an [rto] after it began
+   owing. A message to its own node is delivered by a zero-delay event
+   while the node is up, and never touches the network. Kept as the
+   reference the one-timer-per-endpoint channel must match event for
+   event. It takes its instance id as an argument; the real channel
    draws it from the network. *)
 module Rchan_per_message = struct
   type Msg.t +=
@@ -355,7 +355,7 @@ module Rchan_per_message = struct
     Engine.schedule (Network.engine t.net) ~label:"rchan:retransmit"
       ~after:t.rto (retransmit t key)
 
-  let delay t = Simtime.of_us (Simtime.to_us t.rto / 4)
+  let delay t = Simtime.of_us (Simtime.to_us t.rto / 2)
   let owing t = List.exists (fun p -> t.links.(p).owed <> None) t.owed_order
 
   let pay t peer =
@@ -481,10 +481,7 @@ module Rchan_per_message = struct
             | Data { gid = g; src = origin; seq; payload; held; above }
               when g = gid ->
                 take_acks t ~peer:src ~held ~above;
-                if t.next_seq.(src) = 0 then
-                  Network.send net ~src:me ~dst:src
-                    (Ack { gid; held = 0; above = [ seq ] })
-                else owe t ~peer:src seq;
+                owe t ~peer:src seq;
                 if Dedup.fresh t.seen ~origin ~seq then
                   List.iter (fun f -> f ~src:origin payload) t.deliver_cbs;
                 true
@@ -764,19 +761,50 @@ let test_rchan_hole_costs_no_retransmit () =
     !deliveries;
   Alcotest.(check int) "no message above the hole was sent twice" 6 !arrivals
 
-(* A link the receiver sends nothing on acks each message at once. *)
-let test_rchan_one_way_acks_each () =
-  let e, net = make ~n:2 () in
+(* A link the receiver sends nothing on follows the same rule as any
+   other: the receiver owes one cumulative ack and, with no data going
+   back, sends it alone half an [rto] after it began owing. Ten messages
+   that arrive within that half draw exactly one [Ack], and a lone
+   message is acked [rto/2] after it arrived. With a constant 1 ms
+   latency and the 10 ms default [rto], every ack lands before a
+   retransmit would fire, so nothing is sent twice. *)
+let test_rchan_one_way_acks_once () =
+  let e = Engine.create ~seed:21 () in
+  let latency = Simtime.of_ms 1 in
+  let net =
+    Network.create e ~n:2
+      { Network.default_config with latency = Constant latency }
+  in
   let group = Rchan.create_group net ~nodes:[ 0; 1 ] () in
-  let acks = count_acks net [ 0; 1 ] in
-  let got = ref 0 in
+  let c0 = Rchan.handle group ~me:0 in
+  let got = ref 0 and ack_times = ref [] in
   Rchan.on_deliver (Rchan.handle group ~me:1) (fun ~src:_ _ -> incr got);
-  for k = 1 to 10 do
-    Rchan.send (Rchan.handle group ~me:0) ~dst:1 (Payload k)
+  Network.add_handler net 0 (fun ~src:_ msg ->
+      if Msg.name msg = "Ack" then
+        ack_times := Simtime.to_us (Engine.now e) :: !ack_times;
+      false);
+  (* Ten messages 400 us apart arrive from 1 ms to 4.6 ms, all inside
+     the 5 ms the receiver waits after the first. *)
+  for k = 0 to 9 do
+    ignore
+      (Engine.schedule e
+         ~after:(Simtime.of_us (400 * k))
+         (fun () -> Rchan.send c0 ~dst:1 (Payload k)))
   done;
-  run_ms e 1_000;
-  Alcotest.(check int) "delivered" 10 !got;
-  Alcotest.(check int) "one ack per message" 10 !acks
+  run_ms e 100;
+  Alcotest.(check int) "burst delivered" 10 !got;
+  Alcotest.(check (list int)) "one ack for the burst, rto/2 after it began"
+    [ 1_000 + 5_000 + 1_000 ]
+    !ack_times;
+  Alcotest.(check int) "no retransmit" 11 (Network.messages_sent net);
+  ack_times := [];
+  let sent = Simtime.to_us (Engine.now e) in
+  Rchan.send c0 ~dst:1 (Payload 10);
+  run_ms e 200;
+  Alcotest.(check (list int)) "a lone message acked rto/2 after it arrived"
+    [ sent + 1_000 + 5_000 + 1_000 ]
+    !ack_times;
+  Alcotest.(check int) "no timer left" 0 (Engine.pending e)
 
 (* A message a node sends itself never touches the network, even one
    that loses everything: a local event delivers it once, at the instant
@@ -1088,6 +1116,7 @@ let test_rbcast_idle_origin_drains () =
   let e, net = make ~n:4 () in
   let members = [ 0; 1; 2; 3 ] in
   let group = Rbcast.create_group net ~members () in
+  let acks = count_acks net members in
   let h m = Rbcast.handle group ~me:m in
   Rbcast.broadcast (h 0) (Payload 1);
   Rbcast.broadcast (h 0) (Payload 2);
@@ -1103,10 +1132,17 @@ let test_rbcast_idle_origin_drains () =
         (Rbcast.relayed (h m), Rbcast.held (h m), Rbcast.unstable (h m)))
     members;
   (* Two stability notices (one per origin) of three copies each, next
-     to the 9 copies and the acks of both; 0 and 2 send to each other, so
-     one ack of that link rides on a copy (30 with an ack per message). *)
+     to the 9 copies, on six links (0 and 2 to each of the other three).
+     A receiver acks a link's copies once, alone, half an rto after the
+     first arrives (the copies were sent together). No ack rides on
+     data: 2's copy to 0 left before 0's reached 2, and an origin sends
+     its notice only once its copies are acked, by when its own ack
+     timer has fired too. Each notice costs one more ack per link: 12
+     acks, 27 messages (29 when a one-way link acked each message, 30
+     with an ack per message). *)
+  Alcotest.(check int) "acks: two per link" 12 !acks;
   Alcotest.(check int) "messages: copies, notices and their acks"
-    (((9 + 6) * 2) - 1)
+    (9 + 6 + 12)
     (Network.messages_sent net)
 
 (* A fault-free lazy-primary run drains: when the last refresh is stable
@@ -1705,22 +1741,25 @@ let check_total_order ~logs members =
    the old pin's. Re-pinned again when the Order became the leader's
    ack and a node's messages to itself stopped crossing the network
    (and drawing losses): the order moves from the fifth delivery on;
-   the set of ids is the old pin's. *)
+   the set of ids is the old pin's. Re-pinned again when a one-way link
+   stopped acking each message and every ack waited half an rto: the
+   order moves from the thirteenth delivery on; the set of ids is the
+   old pin's. *)
 let abcast_seq_golden =
-  "1.0 2.0 3.0 0.0 1.1 2.1 3.1 0.1 1.2 2.2 3.2 0.2 2.3 1.3 3.3 " ^
-  "0.3 1.4 2.4 3.4 0.4 1.5 2.5 3.5 0.5 1.6 2.6 3.8 1.8 1.7 2.7 " ^
-  "3.6 3.7 2.8 1.9 2.9 3.9 1.10 2.10 3.10 1.11 2.11 3.11 1.12 " ^
-  "3.12 2.12 1.13 2.13 3.13 1.14 2.14 3.14 1.15 2.15 3.15 1.16 " ^
-  "3.16 2.16 1.17 2.17 3.17 1.18 2.18 3.18 1.19 2.19 3.19 1.20 " ^
-  "2.20 3.20 0.6 1.21 2.21 3.21 1.22 0.7 2.22 3.22 0.8 1.23 2.23 " ^
-  "3.23 0.9 1.24 2.24 3.24 0.10 2.27 3.26 2.26 0.11 3.27 3.25 " ^
-  "2.25 0.12 0.13 2.28 3.28 0.14 2.29 3.29 0.15 2.30 3.30 0.16 " ^
-  "2.31 3.31 0.17 2.32 3.32 0.18 2.33 3.33 0.19 2.34 3.34 0.20 " ^
-  "2.35 3.35 0.21 2.36 3.36 0.22 1.25 2.37 3.37 0.23 1.26 2.38 " ^
-  "3.38 0.24 1.27 2.39 3.39 0.25 1.28 2.40 3.40 0.26 2.41 1.29 " ^
-  "3.41 0.27 1.30 2.42 3.42 0.28 2.43 1.31 3.43 0.29 1.32 2.44 " ^
-  "3.44 0.30 1.33 2.45 3.45 0.31 1.34 2.46 3.46 0.32 2.47 1.35 " ^
-  "3.47 0.33 1.36 2.48 3.48 0.34 1.37 2.49 3.49 0.35"
+  "1.0 2.0 3.0 0.0 1.1 2.1 3.1 0.1 1.2 2.2 3.2 0.2 1.3 2.3 3.3 " ^
+  "0.3 1.4 2.4 0.4 3.4 1.5 2.5 3.5 0.5 1.6 2.6 3.6 1.9 2.9 3.8 " ^
+  "1.8 1.7 2.7 3.7 2.8 3.9 1.10 2.10 3.10 1.11 2.11 3.11 1.12 " ^
+  "2.12 3.12 1.13 2.13 3.13 1.14 2.14 3.14 1.15 2.15 3.15 1.16 " ^
+  "2.16 3.16 1.17 2.17 3.17 1.18 2.18 3.18 1.19 2.19 3.19 1.20 " ^
+  "2.20 3.20 0.6 1.21 2.21 3.21 0.7 1.22 2.22 3.22 0.8 1.23 " ^
+  "2.23 3.23 0.9 1.24 2.24 3.24 0.10 2.27 3.26 2.26 0.11 3.27 " ^
+  "3.25 2.25 0.12 0.13 2.28 3.28 0.14 2.29 3.29 0.15 2.30 3.30 " ^
+  "0.16 2.31 3.31 0.17 2.32 3.32 0.18 2.33 3.33 0.19 2.34 3.34 " ^
+  "0.20 2.35 3.35 0.21 2.36 3.36 0.22 1.25 2.37 3.37 0.23 1.26 " ^
+  "2.38 3.38 0.24 1.27 2.39 3.39 0.25 1.28 2.40 3.40 0.26 2.41 " ^
+  "1.29 3.41 0.27 1.30 2.42 3.42 0.28 1.31 2.43 3.43 0.29 1.32 " ^
+  "2.44 3.44 0.30 2.45 1.33 3.45 0.31 2.46 1.34 3.46 0.32 1.35 " ^
+  "2.47 3.47 1.36 0.33 2.48 3.48 0.34 1.37 2.49 3.49 0.35"
 
 let test_abcast_seq_golden () =
   let e, net = make ~seed:29 ~n:4 ~drop:0.2 () in
@@ -2946,7 +2985,7 @@ let () =
           tc "settled once" test_rchan_settled_once;
           QCheck_alcotest.to_alcotest prop_rchan_matches_per_message_timers;
           tc "two-way link piggybacks its acks" test_rchan_two_way_piggybacks;
-          tc "one-way link acks each message" test_rchan_one_way_acks_each;
+          tc "one-way link acks once per rto/2" test_rchan_one_way_acks_once;
           tc "a hole costs no retransmit" test_rchan_hole_costs_no_retransmit;
           QCheck_alcotest.to_alcotest prop_rchan_delivery_and_settlement;
           tc "a message to oneself stays local" test_rchan_self_delivery;

@@ -30,7 +30,9 @@ let run_default ?router ?flash name =
    of sending heartbeats to the deadline (from 4599 and 2466, and 98831
    and 43684), and when a node's messages to itself stopped crossing the
    network and the sequencer's Order became its ack (from 3315 and 2471,
-   and 5205 and 4569). *)
+   and 5205 and 4569), and when a one-way link stopped acking each
+   message and every ack waited half a retransmission timeout (from
+   1535 and 1020, 3155 and 2129, and 3601 and 3046). *)
 let test_router_off_schedule_preserved () =
   List.iter
     (fun (name, committed, events, messages) ->
@@ -44,9 +46,9 @@ let test_router_off_schedule_preserved () =
       Alcotest.(check bool) (name ^ ": no router stats on the result") true
         (r.Workload.Runner.router = None))
     [
-      ("lazy-primary", 200, 1535, 1020);
-      ("eager-primary", 200, 3155, 2129);
-      ("active", 200, 3601, 3046);
+      ("lazy-primary", 200, 1405, 780);
+      ("eager-primary", 200, 3042, 1880);
+      ("active", 200, 3434, 3001);
     ]
 
 (* ---- read/write splitting and session accounting -------------------- *)
@@ -159,7 +161,8 @@ let test_nonsticky_violates_ryw () =
    recovery at 120 ms until channel acks rode on data, 61 and 121 ms
    until the failure detector stopped sending heartbeats, 58 and 118 ms
    until a node's messages to itself stopped crossing the network, 62
-   and 122 ms since). *)
+   and 122 ms until a one-way link stopped acking each message, 64 and
+   124 ms since; it fails with the resend taken out). *)
 let test_failover_retry_answers_reads () =
   let spec = Workload.Builder.spec () in
   let r =
@@ -167,8 +170,8 @@ let test_failover_retry_answers_reads () =
       ~faults:
         Workload.Runner.
           [
-            Crash { at = Sim.Simtime.of_ms 62; replica = 0 };
-            Recover { at = Sim.Simtime.of_ms 122; replica = 0 };
+            Crash { at = Sim.Simtime.of_ms 64; replica = 0 };
+            Recover { at = Sim.Simtime.of_ms 124; replica = 0 };
           ]
       (factory_of "active")
   in

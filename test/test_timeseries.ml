@@ -250,8 +250,9 @@ let test_timeline_live key () =
   in
   let series = result.Workload.Runner.series in
   let verdicts =
-    Workload.Scenario.timeline_verdicts partition_heal series
-      (Saturation.analyze series)
+    Workload.Scenario.timeline_verdicts
+      ~partitioned:result.Workload.Runner.dropped_partitioned partition_heal
+      series (Saturation.analyze series)
   in
   Alcotest.(check (list string)) "every verdict holds" []
     (failed_oracles verdicts);
@@ -291,48 +292,67 @@ let test_timeline_stray_finding () =
   in
   Alcotest.(check (list string)) "a finding inside the partition" []
     (failed_oracles
-       (Workload.Scenario.timeline_verdicts partition_heal [ backlog ]
-          [ finding 100 200 ]));
+       (Workload.Scenario.timeline_verdicts ~partitioned:1 partition_heal
+          [ backlog ] [ finding 100 200 ]));
   Alcotest.(check (list string))
     "a finding after the heal's grace" [ "fault_window" ]
     (failed_oracles
-       (Workload.Scenario.timeline_verdicts partition_heal [ backlog ]
+       (Workload.Scenario.timeline_verdicts ~partitioned:1 partition_heal
+          [ backlog ]
           [ finding 100 200; finding 1000 1100 ]))
 
 let test_timeline_flat_backlog () =
   Alcotest.(check (list string)) "a flat backlog" [ "partition_backlog" ]
     (failed_oracles
-       (Workload.Scenario.timeline_verdicts partition_heal
+       (Workload.Scenario.timeline_verdicts ~partitioned:1 partition_heal
           [ queue [ (0, 0.); (100, 1.); (700, 0.) ] ]
           []));
   Alcotest.(check (list string)) "a backlog that never drains"
     [ "partition_backlog" ]
     (failed_oracles
-       (Workload.Scenario.timeline_verdicts partition_heal
+       (Workload.Scenario.timeline_verdicts ~partitioned:1 partition_heal
           [ queue [ (0, 0.); (100, 3.); (700, 2.) ] ]
           []));
   Alcotest.(check (list string)) "no partition, no backlog needed" []
     (failed_oracles
-       (Workload.Scenario.timeline_verdicts [] [ queue [ (0, 0.) ] ] []))
+       (Workload.Scenario.timeline_verdicts ~partitioned:0 []
+          [ queue [ (0, 0.) ] ]
+          []))
 
-(* A partition is judged only if some request was in flight inside it:
-   a run whose transactions ended before the partition (chaos on a short
-   run) has nothing to queue. *)
+(* A partition is judged only if the network dropped some message at
+   it: one that dropped nothing (chaos on a run that ended before its
+   partition) has nothing to queue and passes, whatever the queues
+   show; one that dropped messages must show a backlog that built and
+   drained, measured from the queue's level when the partition began. *)
 let test_timeline_idle_partition () =
-  let flat = queue [ (0, 0.); (100, 1.); (700, 0.) ] in
-  let backlog_verdict txns =
+  let backlog_verdict ~partitioned queues =
     List.find
       (fun (v : Workload.Verdict.t) -> v.oracle = "partition_backlog")
-      (Workload.Scenario.timeline_verdicts partition_heal
-         [ flat; queue ~name:"active_txns" txns ]
+      (Workload.Scenario.timeline_verdicts ~partitioned partition_heal queues
          [])
   in
-  let idle = backlog_verdict [ (0, 4.); (40, 0.); (700, 0.) ] in
-  Alcotest.(check (pair bool string)) "no request crossed the partition"
-    (true, "no request in flight during the partition")
+  let flat = queue [ (0, 0.); (100, 1.); (700, 0.) ] in
+  let idle = backlog_verdict ~partitioned:0 [ flat ] in
+  Alcotest.(check (pair bool string)) "nothing dropped: not judged"
+    (true, "the partition dropped no message")
     (idle.ok, idle.detail);
-  Alcotest.(check bool) "a request crossed it, and nothing queued" false
-    (backlog_verdict [ (0, 4.); (100, 2.); (700, 0.) ]).ok
+  Alcotest.(check (pair bool string)) "nothing dropped and no queue sampled"
+    (true, "the partition dropped no message")
+    (let v = backlog_verdict ~partitioned:0 [] in
+     (v.ok, v.detail));
+  Alcotest.(check bool) "drops, and nothing queued" false
+    (backlog_verdict ~partitioned:3 [ flat ]).ok;
+  Alcotest.(check (pair bool string)) "drops, and a backlog that drained"
+    (true, "rchan_unacked built up in the partition, drained later")
+    (let v = backlog_verdict ~partitioned:3 [ backlog ] in
+     (v.ok, v.detail));
+  (* A queue that stood at 2 when the partition began (entries an
+     earlier crash left behind) is judged from that level. *)
+  let standing peak = queue [ (0, 2.); (100, peak); (700, 2.) ] in
+  Alcotest.(check bool) "from its level: built by 2, back to it" true
+    (backlog_verdict ~partitioned:3 [ standing 4. ]).ok;
+  Alcotest.(check bool) "from its level: built by 1 only" false
+    (backlog_verdict ~partitioned:3 [ standing 3. ]).ok
 
 let () =
   Alcotest.run "timeseries"

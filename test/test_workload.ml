@@ -553,6 +553,49 @@ let test_rchan_timers_per_message () =
         true (ratio <= ceiling))
     [ ("lazy-primary", 16, 0.15); ("eager-ue-abcast", 3, 0.45) ]
 
+(* Every ack lands before its message's retransmit would fire: on the
+   default network (0.5-1.5 ms per hop, rto 10 ms) a receiver acks half
+   an rto after it began owing, so an ack is back within 8 ms. So a
+   fault-free run retransmits nothing, whether its links carry data one
+   way (lazy primary copy's refreshes, every client's requests) or both
+   ways (the sequencer's orders and acks). *)
+let test_fault_free_runs_retransmit_nothing () =
+  let contended =
+    {
+      Workload.Spec.default with
+      key_skew = 0.9;
+      ops_per_txn = 4;
+      update_ratio = 0.5;
+    }
+  in
+  List.iter
+    (fun (key, n, spec) ->
+      let entry = Option.get (Protocols.Registry.find key) in
+      let profiler = Sim.Profiler.create () in
+      let result =
+        Workload.Runner.run ~seed:11 ~n_replicas:n ~n_clients:8 ~spec
+          ~profiler ~tracing:false ~analyze:false
+          (Protocols.Registry.default_factory entry)
+      in
+      let label = Printf.sprintf "%s n=%d" key n in
+      Alcotest.(check int) (label ^ ": fault-free") 0
+        result.Workload.Runner.dropped;
+      let retransmits =
+        List.fold_left
+          (fun acc (r : Sim.Profiler.row) ->
+            if r.Sim.Profiler.r_label = "rchan:retransmit" then
+              acc + r.Sim.Profiler.r_events
+            else acc)
+          0 (Sim.Profiler.report profiler).Sim.Profiler.p_buckets
+      in
+      Alcotest.(check int) (label ^ ": rchan:retransmit events") 0 retransmits)
+    [
+      ("lazy-primary", 16, Workload.Spec.default);
+      ("lazy-primary", 32, Workload.Spec.default);
+      ("certification", 5, contended);
+      ("eager-ue-abcast", 3, Workload.Spec.default);
+    ]
+
 (* The schedules of both techniques that order through the sequencer's
    atomic broadcast, pinned: certification at n=5 on a contended
    multi-op mix, and eager-ue-abcast at n=3 through two crash-and-loss
@@ -566,7 +609,9 @@ let test_rchan_timers_per_message () =
    2400, 0, 81571, 59206), and when the Order became the sequencer's ack
    and a node's messages to itself stopped crossing the network
    (certification from 277, 203, 22438, 20312; eager-ue-abcast from
-   2400, 0, 60879, 50539). *)
+   2400, 0, 60879, 50539), and when a one-way link stopped acking each
+   message and every ack waited half an rto (certification from 273,
+   207, 15661, 13152; eager-ue-abcast from 2400, 0, 39526, 28234). *)
 let test_abcast_schedules_pinned () =
   let ms = Simtime.of_ms in
   let cycle i =
@@ -606,7 +651,7 @@ let test_abcast_schedules_pinned () =
           txns_per_client = 60;
         },
         [],
-        [ 273; 207; 15661; 13152 ] );
+        [ 277; 203; 15308; 12967 ] );
       ( "eager-ue-abcast",
         3,
         {
@@ -616,7 +661,7 @@ let test_abcast_schedules_pinned () =
           txns_per_client = 300;
         },
         cycle 0 @ cycle 1,
-        [ 2400; 0; 39526; 28234 ] );
+        [ 2400; 0; 39483; 27997 ] );
     ]
 
 (* ---- one run, one world --------------------------------------------- *)
@@ -740,6 +785,8 @@ let () =
           tc "allocation per delivery" test_alloc_per_delivery;
           tc "rchan timers per message" test_rchan_timers_per_message;
           tc "abcast schedules pinned" test_abcast_schedules_pinned;
+          tc "fault-free runs retransmit nothing"
+            test_fault_free_runs_retransmit_nothing;
         ] );
       ( "per-run world",
         [
