@@ -285,9 +285,11 @@ echo "msgs/txn=$mpt (ceiling 8.5)"
 
 # Failover pays for what members lack, not for run length: the
 # sequencer's new leader re-announces from the lowest delivery cursor it
-# has heard. Six rolling leader crashes cost 13.0 msgs/txn that way
-# (13.5 while one-way links acked each message at once, 22.8 while the
-# sequencer acked its own Order and every node sent itself its copies
+# has heard. Six rolling leader crashes cost 12.6 msgs/txn that way
+# (13.0 while a channel retransmitted to a crashed peer until its retry
+# budget ran out and a recovered member re-acked every slot some member
+# might lack, 13.5 while one-way links acked each message at once, 22.8
+# while the sequencer acked its own Order and every node sent itself its copies
 # over the network, 46.5 with heartbeats to the deadline, 62.5 before
 # channel acks rode on data) and 166.5 when every
 # takeover re-announced every slot from 0; the ceiling sits between the
@@ -305,6 +307,30 @@ if [ -z "$mpt" ] || ! awk -v m="$mpt" 'BEGIN { exit !(m <= 100) }' \
   exit 1
 fi
 echo "msgs/txn=$mpt (ceiling 100)"
+
+# A dead node costs little: a channel link parks towards a peer silent
+# for ten retransmission timeouts, sends a new message to it once, and
+# probes it seven times at doubling gaps. Over the crash scenario
+# (replica 0 down for good from 100 ms), seeds 1-30, n=3, the messages
+# dropped at the crashed node per committed transaction are 6.5 for
+# semi-passive and at most 4.4 for the others. While every message was
+# retransmitted 100 times before its channel gave up they were 347.9
+# (semi-passive), 193.4 (eager-primary), 169.9 (certification), 168.6
+# (eager-ue-abcast), 111.2 (active, semi-active), 47.4 (passive) and
+# 30.5 (lazy-ue). The ceiling, 15, sits between the two.
+echo "== crash cost =="
+out=$(dune exec bin/replisim.exe -- campaign --scenario crash \
+  --seeds "$(seq -s, 1 30)" --csv)
+costs=$(printf '%s\n' "$out" | awk -F, '
+  NR == 1 { for (i = 1; i <= NF; i++) col[$i] = i; next }
+  { c[$1] += $col["committed"]; d[$1] += $col["dropped_crashed"] }
+  END { for (t in c) printf "%s %.1f\n", t, c[t] ? d[t] / c[t] : 1e9 }' | sort)
+printf '%s\n' "$costs"
+if [ "$(printf '%s\n' "$costs" | wc -l)" -ne 10 ] \
+   || ! printf '%s\n' "$costs" | awk '{ if ($2 > 15) exit 1 }'; then
+  echo "crash cost: a technique drops over 15 messages per committed transaction at the crashed node, or one is missing (above)" >&2
+  exit 1
+fi
 
 # Channel acks ride on reverse data: on every link a receiver owes one
 # cumulative ack, carried by its next message to the peer or sent alone

@@ -64,8 +64,8 @@ let decide group t ~txn round decision =
   end
 
 (* Re-requests a participant makes in a row with no 2PC message heard
-   in between: about a stubborn channel's retry budget at the default
-   300 ms, after which it waits for the coordinator's [Back]. *)
+   in between (1.2 s at the default 300 ms); then it waits for the
+   coordinator's [Back], so a coordinator that stays down costs none. *)
 let max_asks = 4
 
 let handle_msg group t msg =
@@ -139,10 +139,8 @@ let create_group net ~nodes ?participant_timeout ~vote ~learn () =
       (* Termination protocol: an in-doubt participant (voted YES, heard
          no decision — e.g. the decision was in flight when a partition
          or crash cut it off) asks the coordinator again every
-         [participant_timeout] while it has asks left. Without this, a
-         participant that misses the stubborn channel's retry window
-         holds its prepared state forever even after the coordinator
-         becomes reachable. *)
+         [participant_timeout] while it has asks left: new traffic
+         for channels parked between the two. *)
       Option.iter
         (fun every ->
           t.ask <-
@@ -162,8 +160,8 @@ let create_group net ~nodes ?participant_timeout ~vote ~learn () =
           t.ask ());
       (* A participant whose asks ran out while the coordinator was down
          asks again once it hears that the coordinator is back (any 2PC
-         message refills its asks); a recovered coordinator's channels
-         do not resume the decisions its crash cut off. *)
+         message refills its asks): its channels resend only what they
+         held. *)
       Network.on_recover net (fun node ->
           if node = me then begin
             t.asks_left <- max_asks;

@@ -10,9 +10,9 @@
     never comes back, the prepared participants wait indefinitely — no
     third party can decide for them. A cooperative {e termination
     protocol} covers the recoverable cases: an in-doubt participant (voted
-    YES, decision never arrived — dropped by a partition, or lost past the
-    stubborn channel's retry budget) re-requests the decision from the
-    coordinator, which answers from its durable outcome log: every
+    YES, decision never arrived — its channel parked towards a
+    coordinator that was down or cut off) re-requests the decision from
+    the coordinator, which answers from its durable outcome log: every
     [participant_timeout], at most four times with no 2PC message
     received in between (any message refills them). A recovering
     coordinator tells its group it is back, so the in-doubt window

@@ -400,9 +400,8 @@ let resend t seq ids =
     ids
 
 (* Leader anti-entropy: keep re-announcing slots that some trusted member
-   has not acknowledged, together with their payloads, so members that
-   were unreachable longer than the stubborn channels' retry budget still
-   catch up after a partition heals or a crashed member recovers. The
+   has not acknowledged, together with their payloads: a member that
+   moved to a newer epoch drops the older epoch's Orders. The
    scan starts at [ack_floor] — not at the leader's own delivery cursor,
    which races ahead of an absent member the moment the detector suspects
    it and shrinks the stability quorum. A slot goes out under the current
@@ -446,27 +445,11 @@ let anti_entropy t =
     done
   end
 
-(* Re-acknowledge to [dsts] every slot we hold from [from] on. Acks lost
-   to a crash are resent by nothing else: a channel's retransmits stop
-   while its sender is down and give up on a receiver down longer than
-   the retry budget, and the leader's anti-entropy skips a slot it counts
-   acked by all. So a member back from a crash re-acks, to every other
-   member, what some member may still lack, and at least its highest
-   slot: the others then hear over a stubborn channel that it is back
-   (the detector's one ping on recovery may be lost), and a leader that
-   suspected it re-announces what it missed meanwhile. A member that
-   trusts a peer again re-acks to it what that peer may lack. *)
-let reack t ~dsts from =
-  for seq = from to t.max_slot do
-    let c = cell t seq in
-    if assigned c then Rchan.mcast t.chan ~dsts (ack_msg t seq c.ids c.epoch)
-  done
-
 (* A pending message that no slot holds poll after poll may be one the
-   leader never received: its origin's retransmits stop while the origin
-   is down, and a member that received it forwards it to nobody. Send it
-   to a trusted leader on the second poll that finds it so, and every
-   eighth after. *)
+   leader never received: a leader that crashes right after it
+   broadcasts loses its own copy (a self-send has no channel entry).
+   Send it to a trusted leader on the second poll that finds it so, and
+   every eighth after. *)
 let forward_unslotted t =
   if Hashtbl.length t.pending > 0 || Id_table.length t.unslotted > 0 then begin
     let last = t.unslotted and now = Id_table.create 8 in
@@ -672,13 +655,14 @@ let create_group net ~members ?(clients = []) ?fd
           ~busy:(fun () -> busy t)
           ~waits:(fun () -> members)
           (fun () -> poll t);
-      Network.on_recover net (fun node ->
-          if node = me then begin
-            reack t ~dsts:t.others (max 0 (min (lowest_cursor t) t.max_slot));
-            t.kick ()
-          end);
+      Network.on_recover net (fun node -> if node = me then t.kick ());
       Fd.on_trust t.fd (fun peer ->
-          reack t ~dsts:[ peer ] (heard_cursor t peer);
+          (* The peer learns what it missed while suspected from acks. *)
+          for seq = heard_cursor t peer to t.max_slot do
+            let c = cell t seq in
+            if assigned c then
+              Rchan.send t.chan ~dst:peer (ack_msg t seq c.ids c.epoch)
+          done;
           (* A leader that lost its quorum left what it received meanwhile
              unordered; nothing else orders it before the next epoch. *)
           if is_leader t && quorate t then order_pending t;

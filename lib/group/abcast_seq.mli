@@ -19,13 +19,14 @@
     takeover therefore costs what the members lack, not the run's length.
 
     Crashes keep a member's state, so recovery is catch-up: a member back
-    from a crash re-acks to the others the slots some member may lack, a
+    from a crash has its channels resend what they held ({!Rchan}), a
     member that trusts a peer again re-acks to it what that peer may
     lack, and an ack from a member that has delivered the slot teaches
     the assignment to one that missed its Order. The leader re-announces
     a slot some trusted member has not acked, once its Order went out at
-    least one channel timeout ago (anti-entropy, for members cut off
-    longer than the channels' retry budget). A member that moves to a new epoch on its own suspicion tells
+    least one channel timeout ago (anti-entropy, for a member that
+    dropped its Order for a newer epoch). A member that moves to a new
+    epoch on its own suspicion tells
     the new leader, whose detector may never fire on a short crash, and a
     leader that regains its quorum orders what it received without one.
 

@@ -308,9 +308,6 @@ struct
             ~waits:(fun () -> members)
             (give_up t);
         Network.on_recover net (fun node -> if node = me then t.poll ());
-        (* An estimate or a decision cut off past the channel's retry
-           budget is sent again once the peer is heard from. *)
-        Fd.resend_on_return t.fd t.chan;
         Hashtbl.replace handles me t)
       members;
     { handles }

@@ -15,10 +15,6 @@ type t = {
      it, if later), and how many waiters wait on it. *)
   heard : Simtime.t array;
   waited : int array;
-  (* By node id: the resends owed to the peer when we next hear from it
-     (newest first), and when we stop waiting for that. *)
-  owed : (unit -> unit) list array;
-  expiry : Engine.timer option array;
   mutable probe : unit -> unit; (* arms the probe timer while waits are open *)
   mutable suspects : Iset.t;
   mutable suspect_cbs : (int -> unit) list;
@@ -99,44 +95,11 @@ let poller t ~label ~every ~busy ~waits f =
       busy)
     f
 
-(* Stop waiting for [p]'s return, and hand back what was owed to it. *)
-let forget t p =
-  let owed = t.owed.(p) in
-  t.owed.(p) <- [];
-  t.waited.(p) <- t.waited.(p) - 1;
-  Option.iter Engine.cancel t.expiry.(p);
-  t.expiry.(p) <- None;
-  List.rev owed
-
 let hear t src =
   if src <> t.me && src < Array.length t.heard then begin
     t.heard.(src) <- now t;
-    trust t src;
-    if t.owed.(src) <> [] then List.iter (fun f -> f ()) (forget t src)
+    trust t src
   end
-
-(* How long a peer's return is waited for after a channel first gave up
-   on it. A channel gives up after about a second of retries, so only a
-   longer outage owes anything: the longest any test, scenario or
-   benchmark cycle makes is test_group's 5 s cut-off of a consensus
-   member, which 10 s covers. A peer silent that long is taken to be
-   gone: it stops being pinged, and what it was owed is dropped. *)
-let return_within = Simtime.of_sec 10.
-
-let owe t p f =
-  if t.owed.(p) = [] then begin
-    open_wait t p;
-    t.expiry.(p) <-
-      Some
-        (Engine.schedule (Network.engine t.net) ~label:"fd:return"
-           ~after:return_within (fun () -> ignore (forget t p)));
-    t.probe ()
-  end;
-  t.owed.(p) <- f :: t.owed.(p)
-
-let resend_on_return t chan =
-  Rchan.on_settled chan (fun ~dst ~acked msg ->
-      if (not acked) && peer t dst then owe t dst (fun () -> Rchan.send chan ~dst msg))
 
 let create_member net ~gid ~members ~heartbeat_every ~timeout me =
   let size = 1 + List.fold_left max 0 members in
@@ -150,8 +113,6 @@ let create_member net ~gid ~members ~heartbeat_every ~timeout me =
       timeout;
       heard = Array.make size Simtime.zero;
       waited = Array.make size 0;
-      owed = Array.make size [];
-      expiry = Array.make size None;
       probe = ignore;
       suspects = Iset.empty;
       suspect_cbs = [];
@@ -202,7 +163,6 @@ let create_group net ~members ?(heartbeat_every = Simtime.of_ms 20)
   { handles }
 
 let handle group ~me = Hashtbl.find group.handles me
-let me t = t.me
 let members t = t.members
 let suspected t peer = Iset.mem peer t.suspects
 let trusted t = List.filter (fun p -> not (Iset.mem p t.suspects)) t.members

@@ -31,7 +31,6 @@ val create_group :
 (** The handle of member [me]. Raises [Not_found] for non-members. *)
 val handle : group -> me:int -> t
 
-val me : t -> int
 val members : t -> int list
 val suspected : t -> int -> bool
 
@@ -68,11 +67,3 @@ val poller :
   (unit -> unit) ->
   unit ->
   unit
-
-(** [resend_on_return t chan]: every message [chan] gives up delivering
-    (its retries ran out while the peer was cut off) is sent again, in
-    the order given up, when we next hear from the peer, if that is
-    within 10 s of the first one given up. Meanwhile we wait on the
-    peer, so it is pinged: a partition that outlasts the channel's retry
-    budget, but not those 10 s, still heals. *)
-val resend_on_return : t -> Rchan.t -> unit

@@ -10,17 +10,11 @@ let () =
     | _ -> assert false);
   Msg.leaf [%extension_constructor Stable] "Rb_stable"
 
-(* One of our own broadcasts whose copies have not all settled: the
-   packet (resent after we recover) and, by node, whether the copy to
-   that node is still unsettled. *)
-type own = { packet : Msg.t; unsettled : Bytes.t; mutable left : int }
+(* One of our own broadcasts whose copies have not all settled: by
+   node, whether the copy to that node is still unsettled. *)
+type own = { unsettled : Bytes.t; mutable left : int }
 
-let vacant =
-  {
-    packet = Stable { origin = -1; stable = 0 };
-    unsettled = Bytes.empty;
-    left = 0;
-  }
+let vacant = { unsettled = Bytes.empty; left = 0 }
 
 (* A received message held until its origin's watermark covers it: the
    packet a relay resends and when it arrived. *)
@@ -53,7 +47,8 @@ type t = {
   mutable deliver_cbs : (origin:int -> Msg.t -> unit) list; (* in order *)
   (* Origin side: our broadcasts [stable .. next_seq - 1], in a ring
      indexed by seq (capacity a power of two). Every seq below [stable]
-     is stable: each of its copies was acked or ran out of retries. *)
+     is stable: each of its copies was acked or parked towards a silent
+     member. *)
   mutable own : own array;
   mutable stable : int;
   mutable announced : int; (* the highest watermark we have sent *)
@@ -139,7 +134,7 @@ let broadcast t msg =
   if not t.passthrough then begin
     let unsettled = Bytes.make t.nodes '\000' in
     List.iter (fun p -> Bytes.set unsettled p '\001') t.others;
-    push_own t seq { packet; unsettled; left = List.length t.others };
+    push_own t seq { unsettled; left = List.length t.others };
     t.announced <- t.stable;
     t.last_sent <- now t;
     (* With no other member the broadcast is stable at once. *)
@@ -282,18 +277,9 @@ let receive t ~src msg =
       s.last <- now t
   | _ -> ()
 
-(* After a crash: resend our broadcasts whose copies were still
-   unsettled (their chains ended with the crash), and restart the timers
-   that fired while we were down. *)
+(* After a crash: restart the timers that fired while we were down (the
+   channel itself resends the copies still unsettled). *)
 let recover t =
-  for seq = t.stable to t.next_seq - 1 do
-    let o = t.own.(slot t seq) in
-    List.iter
-      (fun dst ->
-        if Bytes.get o.unsettled dst = '\001' then
-          Rchan.send t.chan ~dst o.packet)
-      t.others
-  done;
   arm_notice t;
   Array.iteri
     (fun origin -> function

@@ -9,13 +9,12 @@
     the ones before it have been delivered.
 
     The origin sends its n−1 copies over stubborn channels ({!Rchan}),
-    which retransmit each until it is acked or its retries run out.
-    Agreement then needs help only when the origin crashes before every
-    copy got through, and members relay on suspicion of that, not on
-    every delivery:
+    which never give up on a copy. Agreement then needs help only when
+    the origin crashes for good before every copy got through, and
+    members relay on suspicion of that, not on every delivery:
 
-    - {e Stability.} A copy is settled once its channel chain has ended,
-      by an ack or by running out of retries ({!Rchan.on_settled}); a
+    - {e Stability.} A copy is settled once it is acked, or once its
+      link parks towards a silent member ({!Rchan.on_settled}); a
       broadcast is stable once all its copies are. Every packet carries
       the origin's watermark: each of its seqs below it is stable. An
       origin that goes idle for two channel timeouts sends one short
@@ -31,9 +30,9 @@
       crash: the member relays it to the others and stops holding it,
       leaving it to the relay's own chains. A wrong suspicion costs
       messages, never correctness.
-    - {e Recovery.} An origin that recovers resends the copies its
-      crash cut off, so a watermark never covers a copy that is still
-      missing.
+    - {e Recovery.} An origin's crash settles nothing, and its channel
+      resends what the crash cut off once it recovers, so a watermark
+      never covers a copy that is still missing.
 
     On a passthrough network ({!Sim.Network.passthrough}) the channel
     sends all copies in one event and loses nothing, so the origin's

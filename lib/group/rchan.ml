@@ -20,9 +20,10 @@ let () =
     | _ -> assert false)
 
 (* A sent message still waiting for its ack: the packet, where it goes,
-   how many retransmits it has spent, and its next retransmit: the key
-   (due, seq) it fires at and the context it was first sent under. A
-   retransmit keeps that context, as a timer armed under it would. *)
+   how many retransmits it has spent since its chain (re)started, and
+   its next retransmit: the key (due, seq) it fires at and the context
+   it was first sent under. A retransmit keeps that context, as a timer
+   armed under it would. [settled]: [on_settled] has reported it. *)
 type unacked = {
   packet : Msg.t;
   dst : int;
@@ -31,6 +32,7 @@ type unacked = {
   mutable seq : int; (* claimed with [Engine.claim_seq] *)
   ctx : Engine.ctx option;
   mutable acked : bool;
+  mutable settled : bool;
 }
 
 (* Fills the ring slots nothing occupies, so that popped entries (and
@@ -44,14 +46,16 @@ let vacant =
     seq = -1;
     ctx = None;
     acked = true;
+    settled = true;
   }
 
-(* The acknowledgement state of a link, made when it first needs some.
-   As receiver: every seq below [held] has arrived from the peer (as of
-   the last ack built), [above] holds the seqs at or above it that
-   arrived since, [owed] says an ack is due and [owed_ctx] is the
-   context of the message that made it due. As sender: [acked] is how
-   far the peer's cumulative acks have been applied. *)
+(* The state of a link, made when it first needs some. As receiver:
+   every seq below [held] has arrived from the peer (as of the last ack
+   built), [above] holds the seqs at or above it that arrived since,
+   [owed] says an ack is due and [owed_ctx] is the context of the
+   message that made it due. As sender: [acked] is how far the peer's
+   cumulative acks reach, [heard] when the peer was last heard from on
+   any layer, and [parked] whether the link has parked ([probe]). *)
 type link = {
   peer : int;
   mutable held : int;
@@ -59,6 +63,9 @@ type link = {
   mutable owed : bool;
   mutable owed_ctx : Engine.ctx option;
   mutable acked : int;
+  mutable heard : Simtime.t;
+  mutable parked : bool;
+  mutable probe : Engine.timer option;
 }
 
 (* Sequence numbers are per link (sender, receiver). Per-link tables are
@@ -70,7 +77,6 @@ type t = {
   me : int;
   nodes : int; (* endpoints of the network: peers are [0 .. nodes-1] *)
   rto : Simtime.t;
-  max_retries : int;
   passthrough : bool;
   (* Sender side: next seq towards each destination, and the un-acked
      messages keyed by (dst, seq). *)
@@ -86,6 +92,7 @@ type t = {
   mutable len : int;
   mutable armed : Engine.timer option;
   mutable fire : unit -> unit;
+  mutable listening : bool; (* [hear] is registered *)
   (* Receiver side: the per-origin seqs delivered so far. *)
   seen : Dedup.t;
   (* Ack state by peer ([[||]] until the first link needs some, which
@@ -111,17 +118,43 @@ let link_key t seq peer = (seq * t.nodes) + peer
 
 let deliver t ~src payload = List.iter (fun f -> f ~src payload) t.deliver_cbs
 
-(* [u]'s chain has ended by an ack ([acked]) or by its last retry:
-   report it once. [u.acked] marks it, so a late ack of a message given
-   up reports nothing. An endpoint with no [on_settled] callback skips
-   all of it. *)
+(* [u] is acked ([acked]) or parked towards a silent peer: report it
+   once, so a late ack of a parked message reports nothing. An endpoint
+   with no [on_settled] callback skips all of it. *)
 let settle t u ~acked =
   match (t.settled_cbs, u.packet) with
   | [], _ -> ()
-  | cbs, Data { payload; _ } when not u.acked ->
-      u.acked <- true;
+  | cbs, Data { payload; _ } when not u.settled ->
+      u.settled <- true;
       List.iter (fun f -> f ~dst:u.dst ~acked payload) cbs
   | _ -> ()
+
+let link t peer =
+  if Array.length t.links = 0 then t.links <- Array.make t.nodes None;
+  match t.links.(peer) with
+  | Some l -> l
+  | None ->
+      let l =
+        {
+          peer;
+          held = 0;
+          above = [];
+          owed = false;
+          owed_ctx = None;
+          acked = 0;
+          heard = Simtime.zero;
+          parked = false;
+          probe = None;
+        }
+      in
+      t.links.(peer) <- Some l;
+      l
+
+(* The entries [t] still holds towards [l]'s peer, in seq order. *)
+let held t l =
+  Seq.filter_map
+    (fun seq -> Int_table.find_opt t.unacked (link_key t seq l.peer))
+    (Seq.init (t.next_seq.(l.peer) - l.acked) (( + ) l.acked))
 
 (* --- the retransmit ring ----------------------------------------------- *)
 
@@ -161,38 +194,105 @@ let rec arm_head t =
           (Engine.schedule_claimed (Network.engine t.net)
              ~label:"rchan:retransmit" ~at:u.due ~seq:u.seq t.fire)
 
+(* Keep the ring entries [keep] accepts; the caller moves the timer. *)
+let filter_ring t keep =
+  let mask = Array.length t.ring - 1 in
+  let kept = ref 0 in
+  for i = 0 to t.len - 1 do
+    let u = t.ring.((t.first + i) land mask) in
+    t.ring.((t.first + i) land mask) <- vacant;
+    if keep u then begin
+      t.ring.((t.first + !kept) land mask) <- u;
+      incr kept
+    end
+  done;
+  t.len <- !kept
+
+let resend t u ~retries =
+  let engine = Network.engine t.net in
+  u.retries <- retries;
+  Engine.set_ctx engine u.ctx;
+  Network.send t.net ~src:t.me ~dst:u.dst u.packet;
+  u.due <- Simtime.add (Engine.now engine) t.rto;
+  u.seq <- Engine.claim_seq engine;
+  push t u
+
+(* --- parking ------------------------------------------------------------- *)
+
+(* Retransmits of a message before its link parks towards a peer
+   silent as long: ten timeouts, the failure detector's default. *)
+let patience = 10
+
+(* Probes of a parked link, at gaps doubling from [patience] timeouts,
+   the last 12.7 s after the park at the default: a peer only cut off,
+   that nobody talks to, is found if the cut heals by then. *)
+let probes = 7
+
+let rec arm_probe t l k =
+  let engine = Network.engine t.net in
+  l.probe <-
+    Some
+      (Engine.schedule engine ~label:"rchan:probe"
+         ~after:(Simtime.mul t.rto (patience lsl k))
+         (fun () ->
+           (match held t l () with
+           | Seq.Cons (u, _) ->
+               Engine.set_ctx engine u.ctx;
+               Network.send t.net ~src:t.me ~dst:u.dst u.packet
+           | Seq.Nil -> ());
+           if k + 1 < probes then arm_probe t l (k + 1)))
+
+(* [l]'s peer is taken to be down. *)
+let park t l =
+  l.parked <- true;
+  Seq.iter (fun u -> settle t u ~acked:false) (held t l);
+  filter_ring t (fun u -> u.dst <> l.peer);
+  arm_probe t l 0
+
+let resume t l =
+  l.parked <- false;
+  Option.iter Engine.cancel l.probe;
+  let engine = Network.engine t.net in
+  let ctx = Engine.ctx engine and empty = t.len = 0 in
+  Seq.iter (resend t ~retries:0) (held t l);
+  Engine.set_ctx engine ctx;
+  if empty && t.len > 0 then arm_head t
+
+(* [src] was heard from: a link parked towards it resumes, once the
+   delivery under way has applied the acks it carries. *)
+let hear t src =
+  let l = link t src and engine = Network.engine t.net in
+  l.heard <- Engine.now engine;
+  if l.parked then
+    ignore
+      (Engine.schedule engine ~label:"rchan:resume" ~after:Simtime.zero
+         (fun () -> if l.parked && Network.alive t.net t.me then resume t l))
+
 (* The armed timer: handles the head entry at its key, as a timer of its
-   own would. Like a [Network.guard]ed timer it does nothing while we
-   are crashed, which ends the entry's chain; so does its last retry,
-   which settles it. An ended entry leaves the ring but stays
-   un-acked. *)
+   own would. An entry that has spent its patience on a peer silent as
+   long parks its link; any other goes again. Hearing is registered at
+   the first retransmit, [patience] timeouts before any park. *)
 let fire t () =
   let u = pop t in
-  if Network.alive t.net t.me then
-    if u.retries < t.max_retries then begin
-      let engine = Network.engine t.net in
-      u.retries <- u.retries + 1;
-      Engine.set_ctx engine u.ctx;
-      Network.send t.net ~src:t.me ~dst:u.dst u.packet;
-      u.due <- Simtime.add (Engine.now engine) t.rto;
-      u.seq <- Engine.claim_seq engine;
-      push t u
-    end
-    else settle t u ~acked:false;
+  if not t.listening then begin
+    t.listening <- true;
+    Network.on_hear t.net t.me (hear t)
+  end;
+  let l = link t u.dst and now = Engine.now (Network.engine t.net) in
+  if u.retries >= patience && Simtime.(sub now l.heard >= mul t.rto patience)
+  then park t l
+  else resend t u ~retries:(u.retries + 1);
   arm_head t
 
-(* --- acknowledgements ---------------------------------------------------- *)
+(* Our node crashed: every chain stops until the recovery. *)
+let down t =
+  Option.iter Engine.cancel t.armed;
+  filter_ring t (fun _ -> false);
+  Array.iter (Option.iter (fun l -> Option.iter Engine.cancel l.probe)) t.links
 
-let link t peer =
-  if Array.length t.links = 0 then t.links <- Array.make t.nodes None;
-  match t.links.(peer) with
-  | Some l -> l
-  | None ->
-      let l =
-        { peer; held = 0; above = []; owed = false; owed_ctx = None; acked = 0 }
-      in
-      t.links.(peer) <- Some l;
-      l
+let up t = Array.iter (Option.iter (resume t)) t.links
+
+(* --- acknowledgements ---------------------------------------------------- *)
 
 (* What [l]'s ack says now; paying it clears the debt. The seqs in
    [above] that the contiguous prefix has since reached are dropped. *)
@@ -290,15 +390,9 @@ let send_self t msg =
          (Network.guard t.net t.me (fun () -> deliver t ~src:t.me msg)))
 
 let send_data t ~dst msg =
-  let seq = t.next_seq.(dst) in
+  let seq = t.next_seq.(dst) and l = link t dst in
   t.next_seq.(dst) <- seq + 1;
-  let held, above =
-    if t.owing = 0 then (0, [])
-    else
-      match t.links.(dst) with
-      | Some l when l.owed -> pay t l
-      | _ -> (0, [])
-  in
+  let held, above = if l.owed then pay t l else (0, []) in
   let packet =
     Data { gid = t.gid; src = t.me; seq; payload = msg; held; above }
   in
@@ -311,14 +405,21 @@ let send_data t ~dst msg =
         dst;
         retries = 0;
         due = Simtime.add (Engine.now engine) t.rto;
-        seq = Engine.claim_seq engine;
+        seq = -1;
         ctx = Engine.ctx engine;
         acked = false;
+        settled = false;
       }
     in
     Int_table.replace t.unacked (link_key t seq dst) u;
-    push t u;
-    if t.len = 1 then arm_head t
+    (* A parked link sends it once, and a crashed node not at all: its
+       chain starts when the link resumes. *)
+    if l.parked then settle t u ~acked:false
+    else if Network.alive t.net t.me then begin
+      u.seq <- Engine.claim_seq engine;
+      push t u;
+      if t.len = 1 then arm_head t
+    end
   end
 
 let send t ~dst msg =
@@ -329,7 +430,7 @@ let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let on_settled t f = t.settled_cbs <- t.settled_cbs @ [ f ]
 let rto t = t.rto
 
-let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
+let create_group net ~nodes ?(rto = Simtime.of_ms 10) () =
   let gid = Network.fresh_id net in
   let handles = Hashtbl.create 8 in
   let size = Network.size net in
@@ -342,7 +443,6 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
           me;
           nodes = size;
           rto;
-          max_retries;
           passthrough = Network.passthrough net;
           next_seq = Array.make size 0;
           unacked = Int_table.create 32;
@@ -351,6 +451,7 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
           len = 0;
           armed = None;
           fire = ignore;
+          listening = false;
           seen = Dedup.create ~nodes:size;
           links = [||];
           ack_delay = Simtime.of_us (Simtime.to_us rto / 2);
@@ -388,6 +489,12 @@ let create_group net ~nodes ?(rto = Simtime.of_ms 10) ?(max_retries = 100) () =
           | _ -> false);
       Hashtbl.replace handles me t)
     nodes;
+  if not (Network.passthrough net) then begin
+    Network.on_crash net (fun node ->
+        Option.iter down (Hashtbl.find_opt handles node));
+    Network.on_recover net (fun node ->
+        Option.iter up (Hashtbl.find_opt handles node))
+  end;
   { handles }
 
 let handle group ~me = Hashtbl.find group.handles me

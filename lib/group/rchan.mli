@@ -14,48 +14,47 @@
     seq, retransmit entry, ack or loss draw, the network does not count
     it, and [on_settled] never reports it.
 
-    Messages are numbered per link: each sender counts 0, 1, 2, ... towards
-    each destination separately, so a receiver sees every sequence number
-    of a link (unless the message is lost for good). A receiver therefore
-    deduplicates with a per-origin high-water mark (one more than the
-    highest seq delivered) and the set of seqs below it that have not
-    arrived yet, instead of remembering every message it delivered. Its
-    memory is O(gaps): messages still being reordered or retransmitted, plus
-    the permanent holes a crashed sender leaves when its retransmit chains
-    die.
+    Messages are numbered per link, so a receiver deduplicates with a
+    per-origin high-water mark and the set of seqs below it not arrived
+    yet: its memory is O(gaps), the messages still being reordered or
+    retransmitted plus the holes a parked or crashed sender leaves until
+    it resumes.
 
-    A sender keeps one record per unacknowledged message (seven fields:
-    the packet, its destination, the retries spent, the key its next
-    retransmit fires at, the context it was sent under and an acked
-    flag), one slot for it in a table keyed by link and seq and one in
-    its endpoint's retransmit ring. An endpoint (one node's handle on
-    one group) arms a single engine timer, at the key of the oldest
-    message whose retransmit chain still runs. Each send takes the
-    scheduling seq a timer of its own would have taken
-    ({!Sim.Engine.claim_seq}), and the one timer is queued at that key
-    ({!Sim.Engine.schedule_claimed}) when the message reaches the head
-    of the ring, so every retransmit fires exactly where a per-message
-    timer would have: same events, same order, same seeds. An ack
-    costs a table removal, and a cancel and re-arm only when it acks
-    the head; a retransmit moves its message to the tail under a fresh
-    seq, and a chain that ends (sender crashed, retries spent) drops
-    its message from the ring but leaves it unacknowledged.
+    A sender keeps one record per unacknowledged message, in a table
+    keyed by link and seq and, while its retransmit chain runs, in its
+    endpoint's retransmit ring. An endpoint (one node's handle on one
+    group) arms a single engine timer, at the key of the ring's head:
+    each send takes the scheduling seq a timer of its own would have
+    taken ({!Sim.Engine.claim_seq}) and the timer is queued at that key
+    ({!Sim.Engine.schedule_claimed}), so every retransmit fires exactly
+    where a per-message timer would have. An ack costs a table removal,
+    and a cancel and re-arm only when it acks the head.
+
+    No channel gives up on a message. A link parks once a message has
+    been retransmitted ten times (ten timeouts, the failure detector's
+    default) while its endpoint heard nothing from the peer on any layer
+    ({!Sim.Network.on_hear}), and every link parks when its node
+    crashes. A parked link retransmits nothing: a new message goes out
+    once, and the oldest is sent again as a probe at gaps that double
+    from ten timeouts, seven times (the last 12.7 s after the park), so
+    a peer that was only cut off is found after a heal even if nothing
+    else talks to it. A dead peer costs eleven copies of the first
+    message, one of each later one and the probes, and the run drains.
+    A link resumes on any delivery from its peer (after the acks it
+    carries are applied) and on its node's recovery: it sends every
+    message it holds again, in seq order, each with a fresh chain.
 
     Acknowledgements. Every link follows one rule: a receiver owes its
     sender one cumulative ack, every seq below the contiguous prefix it
     holds plus each seq that arrived above an open hole since its last
-    ack (a hole left by a chain that gave up never closes, and the seqs
-    above it must still be acked). The ack rides in the next [Data] the
-    receiver sends to that peer. One timer per endpoint sends what is
-    still owed as standalone [Ack]s half the group's retransmission
-    timeout (5 ms at the default 10 ms) after the endpoint went from
-    owing nothing to owing something, so a link that carries data one
-    way (lazy primary copy's refresh broadcast, a client's request
-    channel) pays one [Ack] for all it delivers in that half timeout,
-    and on the default network the ack is back before the first
-    retransmit is due. The rule needs no setting, and nothing above the
-    channel sees it. An endpoint keeps ack state for each link it
-    uses. *)
+    ack. The ack rides in the next [Data] the receiver sends to that
+    peer. One timer per endpoint sends what is still owed as standalone
+    [Ack]s half the group's retransmission timeout (5 ms at the default
+    10 ms) after the endpoint went from owing nothing to owing
+    something, so a link that carries data one way (lazy primary copy's
+    refresh broadcast, a client's request channel) pays one [Ack] for
+    all it delivers in that half timeout, and on the default network
+    the ack is back before the first retransmit is due. *)
 
 type t
 type group
@@ -64,7 +63,6 @@ val create_group :
   Sim.Network.t ->
   nodes:int list ->
   ?rto:Sim.Simtime.t ->
-  ?max_retries:int ->
   unit ->
   group
 
@@ -76,12 +74,13 @@ val mcast : t -> dsts:int list -> Sim.Msg.t -> unit
 val on_deliver : t -> (src:int -> Sim.Msg.t -> unit) -> unit
 
 (** [on_settled t f] calls [f ~dst ~acked payload] once for each
-    message [t] sends whose retransmit chain ends: acknowledged by [dst]
-    (which then holds it; [acked] is true), or its retries spent while
-    [t]'s node is up ([acked] is false: the channel gave up on [dst]).
-    A chain that ends because the sender crashed is reported only if its
-    ack arrives later. Nothing is reported on a passthrough network, and
-    an endpoint with no callback pays nothing for the notification. *)
+    message [t] sends to another node, when it is acknowledged by [dst]
+    (which then holds it; [acked] is true) or when its link parks towards
+    [dst] as a silent peer ([acked] is false; the message is still sent
+    again should the link resume, but a later ack reports nothing). A
+    crash of [t]'s own node reports nothing. Nothing is reported on a
+    passthrough network, and an endpoint with no callback pays nothing
+    for the notification. *)
 val on_settled : t -> (dst:int -> acked:bool -> Sim.Msg.t -> unit) -> unit
 
 (** The retransmission timeout the endpoint's group was created with. *)

@@ -228,9 +228,9 @@ let rec install t (flush : Flush.t) =
         Hashtbl.replace t.admitted m t.view.id)
     t.view.members;
   (* A member dropped on suspicion may be up and cut off: once the
-     channel reaches it (sent again when it is heard from, should the
-     channel give up), it learns that the group moved on and asks to be
-     readmitted. *)
+     channel reaches it (a link parked towards it probes it, and resumes
+     when it is heard from), it learns that the group moved on and asks
+     to be readmitted. *)
   List.iter
     (fun m ->
       if m <> t.me && not (View.is_member t.view m) then
@@ -428,16 +428,8 @@ let create_group net ~members ?fd () =
           ~waits:(fun () ->
             if Hashtbl.length t.buffered > 0 then t.view.members else [])
           (fun () -> poll t);
-      Fd.resend_on_return t.fd t.chan;
-      Rchan.on_deliver t.chan (fun ~src msg ->
+      Rchan.on_deliver t.chan (fun ~src:_ msg ->
           handle_msg t msg;
-          (* A member we dropped from the view is talking to the view it
-             held: tell it the group moved on. *)
-          (match msg with
-          | (Vs_msg { view; _ } | Vs_ack { view; _ })
-            when view < t.view.id && not (View.is_member t.view src) ->
-              Rchan.send t.chan ~dst:src (View_probe { view_id = t.view.id })
-          | _ -> ());
           t.kick ());
       Fd.on_suspect t.fd (fun _ -> t.kick ());
       (* A recovering member must not resume its pre-crash view: messages

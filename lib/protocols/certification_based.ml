@@ -125,41 +125,36 @@ let create ?shared cfg net ~replicas ~clients =
                       busy_until := f;
                       f
               in
-              (* Decisions must land in delivery order even when a fast
-                 pre-checked transaction follows a slow one — the shared
-                 certification order is what keeps the replicas' verdicts
-                 identical. *)
+              (* Replies follow delivery order even when a fast
+                 pre-checked transaction follows a slow one. *)
               let finish = Simtime.max finish !decision_floor in
               decision_floor := finish;
               Hashtbl.remove prechecks rid;
-              let decide () =
-                let outcome =
-                  Core.Certification.offer certifier ~reads ~writes
-                in
-                let committed = outcome <> None in
-                Common.count ctx ~labels:replica_labels
-                  (if committed then "certification_commits_total"
-                   else "certification_aborts_total");
-                if committed then incr commit_count;
-                (match outcome with
-                | Some installed ->
-                    Common.record_once ctx ~rid ~replica:r
-                      {
-                        Store.Apply.reads =
-                          List.map (fun (k, v) -> (k, 0, v)) reads;
-                        writes = installed;
-                      }
-                | None -> ());
-                Hashtbl.replace cache rid (committed, value);
-                if delegate = r then
+              (* Decide now, so a crash before [finish] cannot lose the
+                 verdict; only the delegate's reply waits. *)
+              let outcome = Core.Certification.offer certifier ~reads ~writes in
+              let committed = outcome <> None in
+              Common.count ctx ~labels:replica_labels
+                (if committed then "certification_commits_total"
+                 else "certification_aborts_total");
+              if committed then incr commit_count;
+              Option.iter
+                (fun writes ->
+                  let reads = List.map (fun (k, v) -> (k, 0, v)) reads in
+                  Common.record_once ctx ~rid ~replica:r { reads; writes })
+                outcome;
+              Hashtbl.replace cache rid (committed, value);
+              if delegate = r then begin
+                let reply () =
                   Common.send_reply ctx ~replica:r ~client ~rid ~committed
                     ~value:(if committed then value else None)
-              in
-              if Simtime.(finish <= now) then decide ()
-              else
-                ignore
-                  (Engine.schedule_at engine ~label:"proto:decide" ~at:finish
-                     (Network.guard net r decide))
+                in
+                if Simtime.(finish <= now) then reply ()
+                else
+                  ignore
+                    (Engine.schedule_at engine ~label:"proto:reply" ~at:finish
+                       (Network.guard net r reply))
+              end
           | _ -> ());
       let chan = Group.Rchan.handle chan_group ~me:r in
       Group.Rchan.on_deliver chan (fun ~src msg ->

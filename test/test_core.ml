@@ -225,10 +225,12 @@ let test_2pc_coordinator_crash_blocks_participants () =
 
 
 (* The coordinator logs Commit and crashes before any participant hears
-   it, and comes back at 3 s to a quiet group. The participants' asks
-   ran out long before (four, 300 ms apart); the coordinator's [Back]
-   starts them again, and the run drains with every participant
-   knowing the outcome. *)
+   it, and comes back at 14 s to a quiet group. The participants' asks
+   ran out long before (four, 300 ms apart), and so did the probes of
+   their channels parked towards it (seven, the last 12.7 s after the
+   park); the coordinator's channels resend its decisions and its
+   [Back] starts the asks again, and the run drains with every
+   participant knowing the outcome. *)
 let test_2pc_coordinator_recovery_resolves_doubt () =
   let e, net, group, decisions =
     tpc_setup ~participant_timeout:(Simtime.of_ms 300) ()
@@ -239,7 +241,7 @@ let test_2pc_coordinator_recovery_resolves_doubt () =
       Network.partition net [ 0 ];
       Network.crash net 0);
   ignore (Engine.schedule e ~after:(Simtime.of_ms 100) (fun () -> Network.heal net));
-  ignore (Engine.run ~until:(Simtime.of_sec 3.) e);
+  ignore (Engine.run ~until:(Simtime.of_sec 14.) e);
   Alcotest.(check (list int)) "in doubt while the coordinator is down" [ 1 ]
     (Core.Two_phase_commit.in_doubt group ~me:1);
   Alcotest.(check int) "asking stopped" 0 (Engine.pending e);

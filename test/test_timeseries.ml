@@ -261,6 +261,32 @@ let test_timeline_live key () =
        (fun (v : Workload.Verdict.t) -> v.oracle = "partition_backlog")
        verdicts)
 
+(* The run `replisim timeline -t eager-ue-locking --scenario chaos`
+   makes: replica 1 crashes from 100 to 500 ms. Messages its channels
+   held when it crashed are sent again when it recovers, so once the run
+   is over nothing is left unacked; they used to stay, two of them, from
+   520 ms to the end. *)
+let test_chaos_leaves_nothing_unacked () =
+  let chaos = Option.get (Workload.Scenario.find "chaos") in
+  let result =
+    Workload.Runner.run ~seed:11 ~n_replicas:3 ~n_clients:2
+      ~spec:
+        { Workload.Scenario.default_spec with txns_per_client = 25 }
+      ~faults:chaos.Workload.Scenario.events ~deadline:(Simtime.of_ms 2000)
+      ~sample:(Simtime.of_ms 5) (factory "eager-ue-locking")
+  in
+  let unacked =
+    List.find
+      (fun (s : Timeseries.series) ->
+        s.name = "rchan_unacked" && s.replica = 1)
+      result.Workload.Runner.series
+  in
+  Alcotest.(check (option (float 0.))) "replica 1 ends with nothing unacked"
+    (Some 0.)
+    (match unacked.points_rev with
+    | p :: _ -> Some p.Timeseries.value
+    | [] -> None)
+
 let queue ?(name = "rchan_unacked") values =
   {
     Timeseries.name;
@@ -384,5 +410,6 @@ let () =
           tc "finding outside every fault window" test_timeline_stray_finding;
           tc "partition with a flat backlog" test_timeline_flat_backlog;
           tc "partition no request crossed" test_timeline_idle_partition;
+          tc "chaos leaves nothing unacked" test_chaos_leaves_nothing_unacked;
         ] );
     ]

@@ -611,7 +611,10 @@ let test_fault_free_runs_retransmit_nothing () =
    (certification from 277, 203, 22438, 20312; eager-ue-abcast from
    2400, 0, 60879, 50539), and when a one-way link stopped acking each
    message and every ack waited half an rto (certification from 273,
-   207, 15661, 13152; eager-ue-abcast from 2400, 0, 39526, 28234). *)
+   207, 15661, 13152; eager-ue-abcast from 2400, 0, 39526, 28234), and
+   when a crashed node's channels stopped firing retransmit timers and
+   resent what they held on recovery (eager-ue-abcast from 2400, 0,
+   39483, 27997). *)
 let test_abcast_schedules_pinned () =
   let ms = Simtime.of_ms in
   let cycle i =
@@ -661,7 +664,7 @@ let test_abcast_schedules_pinned () =
           txns_per_client = 300;
         },
         cycle 0 @ cycle 1,
-        [ 2400; 0; 39483; 27997 ] );
+        [ 2400; 0; 39166; 27997 ] );
     ]
 
 (* ---- one run, one world --------------------------------------------- *)
