@@ -608,7 +608,8 @@ let timeline_cmd =
       & info [ "until" ] ~docv:"MS"
           ~doc:
             "Workload deadline (virtual ms); a run that has not drained by \
-             then stops 10 s later.")
+             then stops 22.81 s later (a parked channel's probes, then \
+             10 s).")
   in
   let format =
     Cli.format

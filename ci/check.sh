@@ -312,7 +312,7 @@ echo "msgs/txn=$mpt (ceiling 100)"
 # for ten retransmission timeouts, sends a new message to it once, and
 # probes it seven times at doubling gaps. Over the crash scenario
 # (replica 0 down for good from 100 ms), seeds 1-30, n=3, the messages
-# dropped at the crashed node per committed transaction are 6.5 for
+# dropped at the crashed node per committed transaction are 5.4 for
 # semi-passive and at most 4.4 for the others. While every message was
 # retransmitted 100 times before its channel gave up they were 347.9
 # (semi-passive), 193.4 (eager-primary), 169.9 (certification), 168.6

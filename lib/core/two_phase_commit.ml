@@ -7,7 +7,6 @@ type Msg.t +=
   | Vote of { txn : int; from : int; yes : bool }
   | Decision of { txn : int; decision : decision }
   | Decision_req of { txn : int; from : int }
-  | Back (* a recovered coordinator, to its group *)
 
 type round = {
   participants : int list;
@@ -64,8 +63,10 @@ let decide group t ~txn round decision =
   end
 
 (* Re-requests a participant makes in a row with no 2PC message heard
-   in between (1.2 s at the default 300 ms); then it waits for the
-   coordinator's [Back], so a coordinator that stays down costs none. *)
+   in between (1.2 s at the default 300 ms); then it stops, so a
+   coordinator that stays down costs none. The coordinator's channel
+   holds its decision and resends it on the coordinator's recovery or
+   on hearing from the participant. *)
 let max_asks = 4
 
 let handle_msg group t msg =
@@ -158,18 +159,13 @@ let create_group net ~nodes ?participant_timeout ~vote ~learn () =
           ignore src;
           handle_msg group t msg;
           t.ask ());
-      (* A participant whose asks ran out while the coordinator was down
-         asks again once it hears that the coordinator is back (any 2PC
-         message refills its asks): its channels resend only what they
-         held. *)
+      (* A recovered participant asks again: its channels resend only
+         what they held, and a coordinator whose link towards it parked
+         and stopped probing resumes only on hearing from it. *)
       Network.on_recover net (fun node ->
           if node = me then begin
             t.asks_left <- max_asks;
-            t.ask ();
-            if participant_timeout <> None && Hashtbl.length t.rounds > 0 then
-              List.iter
-                (fun dst -> if dst <> me then Group.Rchan.send t.chan ~dst Back)
-                nodes
+            t.ask ()
           end);
       Hashtbl.replace group.handles me t)
     nodes;

@@ -14,11 +14,12 @@
     coordinator that was down or cut off) re-requests the decision from
     the coordinator, which answers from its durable outcome log: every
     [participant_timeout], at most four times with no 2PC message
-    received in between (any message refills them). A recovering
-    coordinator tells its group it is back, so the in-doubt window
-    closes whenever the coordinator recovers, or is reachable again
-    while the group talks; the participants of a permanently dead
-    coordinator stay blocked, and stop asking.
+    received in between (any message refills them), and again when it
+    recovers itself. A recovering coordinator's channels resend the
+    decisions they still hold, so the in-doubt window closes whenever
+    the coordinator recovers, or is reachable again while the group
+    talks; the participants of a permanently dead coordinator stay
+    blocked, and stop asking.
     Participants that are unreachable are treated according to
     [participant_timeout]: when set, the coordinator counts a missing
     vote as a NO after that delay (presumed abort) and the same period

@@ -148,10 +148,16 @@ struct
              from = t.me;
            })
 
-  let start_round t inst round =
+  (* Enter [round]: send our estimate to its coordinator, and go on to
+     the next round at once if we suspect it, as [give_up] would at its
+     next poll. The coordinator still gets our estimate, so a member that
+     trusts it finds a majority there. We lead one of each [n] rounds. *)
+  let rec start_round t inst round =
     if inst.decided = None && round > inst.round then begin
       inst.round <- round;
-      send_estimate t inst
+      send_estimate t inst;
+      let c = coord t round in
+      if c <> t.me && Fd.suspected t.fd c then start_round t inst (round + 1)
     end
 
   (* Give up on blocked undecided instances whose coordinator is suspected. *)

@@ -9,6 +9,12 @@
     {e termination} (every correct member eventually decides, provided a
     majority is correct and the detector is eventually accurate).
 
+    A member that enters a round whose coordinator it suspects sends that
+    coordinator its estimate and goes on to the next round at once; a
+    poll every 25 ms leaves a round whose coordinator comes under
+    suspicion later. So with the coordinator of round 0 crashed, each
+    new instance costs no poll.
+
     The module is a functor so that each instantiation gets its own private
     message constructors and its own value type (message batches for atomic
     broadcast, view descriptors for view-synchronous membership, ...). *)

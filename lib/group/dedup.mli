@@ -21,3 +21,6 @@ val fresh : t -> origin:int -> seq:int -> bool
     [origin] has delivered; a caller that passes its last answer back
     walks each seq once. *)
 val prefix : t -> origin:int -> from:int -> int
+
+(** Distinct (origin, seq) pairs recorded so far. *)
+val count : t -> int

@@ -163,6 +163,7 @@ let create_group net ~members ?(heartbeat_every = Simtime.of_ms 20)
   { handles }
 
 let handle group ~me = Hashtbl.find group.handles me
+let me t = t.me
 let members t = t.members
 let suspected t peer = Iset.mem peer t.suspects
 let trusted t = List.filter (fun p -> not (Iset.mem p t.suspects)) t.members

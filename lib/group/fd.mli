@@ -31,6 +31,7 @@ val create_group :
 (** The handle of member [me]. Raises [Not_found] for non-members. *)
 val handle : group -> me:int -> t
 
+val me : t -> int
 val members : t -> int list
 val suspected : t -> int -> bool
 

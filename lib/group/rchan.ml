@@ -430,7 +430,14 @@ let on_deliver t f = t.deliver_cbs <- t.deliver_cbs @ [ f ]
 let on_settled t f = t.settled_cbs <- t.settled_cbs @ [ f ]
 let rto t = t.rto
 
-let create_group net ~nodes ?(rto = Simtime.of_ms 10) () =
+let default_rto = Simtime.of_ms 10
+
+(* Retransmits until the park, [patience] of them plus one, then the
+   probes' gaps. *)
+let quiet_after =
+  Simtime.mul default_rto (patience + 1 + (patience * ((1 lsl probes) - 1)))
+
+let create_group net ~nodes ?(rto = default_rto) () =
   let gid = Network.fresh_id net in
   let handles = Hashtbl.create 8 in
   let size = Network.size net in

@@ -85,3 +85,8 @@ val on_settled : t -> (dst:int -> acked:bool -> Sim.Msg.t -> unit) -> unit
 
 (** The retransmission timeout the endpoint's group was created with. *)
 val rto : t -> Sim.Simtime.t
+
+(** How long a link of a group with the default timeout keeps a timer
+    once its peer falls silent for good: its retransmits until it parks,
+    then its probes (12.81 s). *)
+val quiet_after : Sim.Simtime.t

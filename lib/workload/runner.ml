@@ -269,9 +269,13 @@ let run_with_instance ?(seed = 11) ?(n_replicas = 3) ?(n_clients = 4)
     clients;
   (* One run until the queue is empty: lazy propagation, retransmissions
      and failure detection all end with their work. The hard stop, ten
-     seconds past the deadline, only cuts a run that never drains. *)
+     seconds past the probes of a link parked by a crash at the deadline,
+     only cuts a run that never drains. *)
   let wall0 = Unix.gettimeofday () in
-  ignore (Engine.run ~until:(Simtime.add deadline (Simtime.of_sec 10.)) engine);
+  let stop =
+    Simtime.(add deadline (add Group.Rchan.quiet_after (of_sec 10.)))
+  in
+  ignore (Engine.run ~until:stop engine);
   let wall_s = Unix.gettimeofday () -. wall0 in
   (* Convergence is judged within each replication group: replicas in
      different groups hold different keyspace partitions (sharding), so

@@ -228,9 +228,9 @@ let test_2pc_coordinator_crash_blocks_participants () =
    it, and comes back at 14 s to a quiet group. The participants' asks
    ran out long before (four, 300 ms apart), and so did the probes of
    their channels parked towards it (seven, the last 12.7 s after the
-   park); the coordinator's channels resend its decisions and its
-   [Back] starts the asks again, and the run drains with every
-   participant knowing the outcome. *)
+   park); the coordinator's channels resend the decisions they hold on
+   its recovery, and the run drains with every participant knowing the
+   outcome. *)
 let test_2pc_coordinator_recovery_resolves_doubt () =
   let e, net, group, decisions =
     tpc_setup ~participant_timeout:(Simtime.of_ms 300) ()
@@ -256,6 +256,33 @@ let test_2pc_coordinator_recovery_resolves_doubt () =
     [ 1; 2 ];
   Alcotest.(check int) "drained" 0 (Engine.pending e)
 
+
+(* A participant crashes in doubt after its vote was acked, so its
+   channels hold nothing for the coordinator, and comes back at 20 s,
+   when the coordinator's link towards it has long stopped probing.
+   Its recovery asks the coordinator again; the coordinator's link
+   resumes on hearing it and the run drains with the doubt resolved. *)
+let test_2pc_participant_recovery_asks () =
+  let e, net, group, decisions =
+    tpc_setup ~participant_timeout:(Simtime.of_ms 300) ()
+  in
+  (* Participant 1 votes only after the heal, long after 2's vote was
+     acked; 2 crashes as the decision goes out. *)
+  Network.partition net [ 1 ];
+  ignore (Engine.schedule e ~after:(Simtime.of_ms 60) (fun () -> Network.heal net));
+  Core.Two_phase_commit.start group ~coordinator:0 ~participants:[ 0; 1; 2 ]
+    ~txn:1 ~on_complete:(fun _ -> Network.crash net 2);
+  ignore (Engine.run ~until:(Simtime.of_sec 20.) e);
+  Alcotest.(check (list int)) "in doubt while down" [ 1 ]
+    (Core.Two_phase_commit.in_doubt group ~me:2);
+  Alcotest.(check int) "quiet" 0 (Engine.pending e);
+  Network.recover net 2;
+  ignore (Engine.run ~until:(Simtime.of_sec 40.) e);
+  Alcotest.(check bool) "participant 2 learned commit" true
+    (Hashtbl.find_opt decisions (2, 1) = Some Core.Two_phase_commit.Commit);
+  Alcotest.(check (list int)) "no doubt left" []
+    (Core.Two_phase_commit.in_doubt group ~me:2);
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
 
 (* ------------------------------------------------------------------ *)
 (* Certification                                                      *)
@@ -610,6 +637,8 @@ let () =
           tc "coordinator crash blocks" test_2pc_coordinator_crash_blocks_participants;
           tc "coordinator recovery resolves doubt"
             test_2pc_coordinator_recovery_resolves_doubt;
+          tc "participant recovery asks again"
+            test_2pc_participant_recovery_asks;
         ] );
       ("certification", [ tc "commit and abort" test_certification_commit_and_abort ]);
       ( "reconciliation",

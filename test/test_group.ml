@@ -1719,6 +1719,36 @@ let test_consensus_coordinator_crash () =
       Alcotest.(check bool) "validity" true (v >= 201 && v <= 204)
   | [] -> Alcotest.fail "no decisions")
 
+(* Once the coordinator of round 0 is suspected, a new instance leaves
+   its round at once instead of at the next 25 ms poll: the survivors
+   decide within a few network delays. *)
+let test_consensus_skips_suspected_coordinator () =
+  let e, net, members, group = consensus_setup () in
+  let decided = Hashtbl.create 8 in
+  List.iter
+    (fun m ->
+      Cint.on_decide (Cint.handle group ~me:m) (fun ~instance _ ->
+          Hashtbl.replace decided (m, instance) (Engine.now e)))
+    members;
+  Network.crash net 0;
+  List.iter (fun m -> Cint.propose (Cint.handle group ~me:m) ~instance:0 m) [ 1; 2 ];
+  run_ms e 1_000;
+  Alcotest.(check bool) "first instance decided" true
+    (Hashtbl.mem decided (1, 0) && Hashtbl.mem decided (2, 0));
+  let start = Engine.now e in
+  List.iter (fun m -> Cint.propose (Cint.handle group ~me:m) ~instance:1 m) [ 1; 2 ];
+  run_ms e 2_000;
+  List.iter
+    (fun m ->
+      match Hashtbl.find_opt decided (m, 1) with
+      | Some at ->
+          Alcotest.(check bool)
+            (Printf.sprintf "member %d decides within 10 ms" m)
+            true
+            Simtime.(at <= add start (of_ms 10))
+      | None -> Alcotest.failf "member %d did not decide" m)
+    [ 1; 2 ]
+
 let test_consensus_under_loss () =
   let e, _net, members, group =
     let e, net = make ~seed:9 ~n:3 ~drop:0.2 () in
@@ -3153,6 +3183,8 @@ let () =
           tc "agreement+validity" test_consensus_agreement;
           tc "multiple instances" test_consensus_multiple_instances;
           tc "coordinator crash" test_consensus_coordinator_crash;
+          tc "suspected coordinator skipped"
+            test_consensus_skips_suspected_coordinator;
           tc "under message loss" test_consensus_under_loss;
           tc "abort carries the coordinator's value"
             test_consensus_abort_carries_value;

@@ -596,6 +596,32 @@ let test_fault_free_runs_retransmit_nothing () =
       ("eager-ue-abcast", 3, Workload.Spec.default);
     ]
 
+(* A permanent crash just before a short deadline: the links towards the
+   dead replica park and probe for 12.7 s after it, more than ten
+   seconds past the deadline, and the run still drains before its hard
+   stop. *)
+let test_late_crash_drains () =
+  let spec = { Workload.Spec.default with txns_per_client = 400 } in
+  let crash = Simtime.of_ms 950 in
+  let profiler = Sim.Profiler.create () in
+  let result =
+    Workload.Runner.run ~seed:11 ~n_clients:2 ~spec ~profiler
+      ~deadline:(Simtime.of_sec 1.)
+      ~faults:[ Workload.Runner.Crash { at = crash; replica = 2 } ]
+      active_factory
+  in
+  let probes =
+    List.fold_left
+      (fun acc (r : Sim.Profiler.row) ->
+        if r.Sim.Profiler.r_label = "rchan:probe" then acc + r.Sim.Profiler.r_events
+        else acc)
+      0 (Sim.Profiler.report profiler).Sim.Profiler.p_buckets
+  in
+  Alcotest.(check bool) "links parked and probed" true (probes > 0);
+  Alcotest.(check bool) "the last probe comes after deadline + 10 s" true
+    Simtime.(add crash Group.Rchan.quiet_after > of_sec 11.);
+  Alcotest.(check bool) "drained" true result.Workload.Runner.drained
+
 (* The schedules of both techniques that order through the sequencer's
    atomic broadcast, pinned: certification at n=5 on a contended
    multi-op mix, and eager-ue-abcast at n=3 through two crash-and-loss
@@ -790,6 +816,7 @@ let () =
           tc "abcast schedules pinned" test_abcast_schedules_pinned;
           tc "fault-free runs retransmit nothing"
             test_fault_free_runs_retransmit_nothing;
+          tc "a late crash drains" test_late_crash_drains;
         ] );
       ( "per-run world",
         [
